@@ -9,7 +9,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: all build test race vet bench bench-gate golden golden-diff fuzz-smoke cover chaos-smoke sketch-accuracy-smoke dist-smoke dist-ha-smoke consensus-race gateway-smoke control-smoke scenario-smoke ci
+.PHONY: all build test race vet bench bench-gate golden golden-diff fuzz-smoke cover chaos-smoke sketch-accuracy-smoke dist-smoke dist-ha-smoke consensus-race gateway-smoke control-smoke scenario-smoke bench-module ci
 
 all: build
 
@@ -36,15 +36,17 @@ race:
 # BENCH_baseline.json for cross-run comparison (benchstat-compatible via
 # `go tool test2json` consumers).
 bench:
-	$(GO) test -run xxx -bench 'BenchmarkSimWorkers|BenchmarkSketchIngest|BenchmarkReplayIngest|BenchmarkFabricDispatch|BenchmarkControlOverhead' -benchmem -json . | tee BENCH_baseline.json
+	$(GO) test -run xxx -bench 'BenchmarkSimWorkers|BenchmarkSketchIngest|BenchmarkReplayIngest|BenchmarkFabricDispatch|BenchmarkControlOverhead' -cpu 1 -benchmem -json . | tee BENCH_baseline.json
 
 # Performance regression gate: reruns the gated benchmarks and fails when
 # any loses more than 10% ios-per-sec or grows allocs/op by more than 10%
 # against BENCH_baseline.json. After an intentional performance change,
 # promote the fresh numbers with `make bench-gate UPDATE_BASELINE=1` and
-# commit the updated baseline.
+# commit the updated baseline. Both sides run at `-cpu 1`: the gate joins
+# on benchmark names, and Go suffixes them with GOMAXPROCS when it is not
+# 1, so a baseline recorded on one CPU count matched nothing on another.
 bench-gate:
-	$(GO) test -run xxx -bench 'BenchmarkSimWorkers|BenchmarkSketchIngest|BenchmarkReplayIngest|BenchmarkFabricDispatch|BenchmarkControlOverhead' -benchmem -json . > BENCH_current.json
+	$(GO) test -run xxx -bench 'BenchmarkSimWorkers|BenchmarkSketchIngest|BenchmarkReplayIngest|BenchmarkFabricDispatch|BenchmarkControlOverhead' -cpu 1 -benchmem -json . > BENCH_current.json
 	$(GO) run ./cmd/benchgate -baseline BENCH_baseline.json -current BENCH_current.json $(if $(UPDATE_BASELINE),-update-baseline)
 	@rm -f BENCH_current.json
 
@@ -61,8 +63,8 @@ golden:
 	$(GO) test ./internal/scenario -run 'TestGolden' -count=1 -update
 
 # Short randomized runs of the committed fuzz targets (seeds under each
-# package's testdata/fuzz). `go test -fuzz` takes one target per
-# invocation, so each gets its own.
+# package's testdata/fuzz; the netblock frame decoders seed theirs in code).
+# `go test -fuzz` takes one target per invocation, so each gets its own.
 fuzz-smoke:
 	$(GO) test ./internal/trace -fuzz FuzzReadTraceCSV -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -fuzz FuzzReadMetricCSV -fuzztime $(FUZZTIME)
@@ -74,6 +76,8 @@ fuzz-smoke:
 	$(GO) test ./internal/consensus -fuzz FuzzMessageCodec -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/gateway -fuzz FuzzGatewayCodec -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/scenario -fuzz FuzzReplayIngest -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/netblock -fuzz FuzzReadRequest -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/netblock -fuzz FuzzReadResponse -fuzztime $(FUZZTIME)
 
 # Coverage over the fault-injection surface: the chaos layer itself plus
 # every package it reaches into (RPC substrate, engine, balancer, throttle,
@@ -144,4 +148,12 @@ scenario-smoke:
 	$(GO) run ./cmd/ebssim -seed 7 -dur 12 -nodes 4 -max-vds 24 -replay internal/scenario/testdata/msr_sample.csv -check
 	$(GO) run ./cmd/ebssim -seed 7 -dur 12 -nodes 4 -max-vds 24 -replay internal/scenario/testdata/tianchi_sample.csv -check -stream
 
-ci: vet race golden-diff fuzz-smoke cover chaos-smoke sketch-accuracy-smoke dist-smoke dist-ha-smoke consensus-race gateway-smoke control-smoke scenario-smoke bench-gate
+# bench/ is a nested module (`ebslab/bench`, replace ebslab => ../), so
+# `go test ./...` from the root never compiles it: this is the gate that
+# catches an API change in the root module breaking the benchmark. Its suite
+# holds BENCHMARK.json to the metric catalog, smokes every workload at 1/10
+# size against bench/testdata/fingerprints.json, and checks the span tree.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+ci: vet race golden-diff fuzz-smoke cover chaos-smoke sketch-accuracy-smoke dist-smoke dist-ha-smoke consensus-race gateway-smoke control-smoke scenario-smoke bench-module bench-gate

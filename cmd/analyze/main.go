@@ -1,7 +1,7 @@
 // Command analyze generates a synthetic EBS fleet and runs the paper's
 // analyses over it, printing paper-style tables. Select experiments with
-// -run (comma-separated ids from DESIGN.md: t2,t3,t4,f2,f3,f4,f5,f6,f7) or
-// run everything with -run all.
+// -run (comma-separated ids from core.Catalog: t2,t3,t4,f2,...,f7,ab) or run
+// everything with -run all.
 package main
 
 import (
@@ -16,11 +16,16 @@ import (
 )
 
 func main() {
+	catalog := core.Catalog()
+	var ids []string
+	for _, e := range catalog {
+		ids = append(ids, e.ID)
+	}
 	var (
 		seed  = flag.Int64("seed", 1, "fleet generation seed")
 		scale = flag.String("scale", "medium", "fleet scale: small | medium | large")
 		dur   = flag.Int("dur", 0, "observation window seconds (0 = scale default)")
-		run   = flag.String("run", "all", "experiments to run (comma list: t2,t3,t4,f2,f3,f4,f5,f6,f7,ab)")
+		run   = flag.String("run", "all", "experiments to run (comma list: "+strings.Join(ids, ",")+")")
 		quiet = flag.Bool("q", false, "suppress progress timing")
 	)
 	flag.Parse()
@@ -47,75 +52,14 @@ func main() {
 	all := want["all"]
 	sel := func(id string) bool { return all || want[id] }
 
-	type step struct {
-		id string
-		fn func() string
-	}
-	steps := []step{
-		{"t2", func() string { return study.Table2Summary().Render() }},
-		{"t3", func() string { return study.Table3Baseline().Render() }},
-		{"t4", func() string { return study.Table4ByApp().Render() }},
-		{"f2", func() string {
-			var b strings.Builder
-			b.WriteString(study.Fig2aWTCoV(nil).Render())
-			b.WriteString(study.Fig2bThreeTier().Render())
-			b.WriteString(study.Fig2cHottestQP().Render())
-			b.WriteString(study.Fig2dRebinding(core.Fig2dOptions{}).Render())
-			b.WriteString(study.Fig2efBurstSeries(core.Fig2efOptions{}).Render())
-			return b.String()
-		}},
-		{"f3", func() string {
-			var b strings.Builder
-			b.WriteString(study.Fig3aSingleVDCase().Render())
-			b.WriteString(study.Fig3bRAR(false).Render())
-			b.WriteString(study.Fig3bRAR(true).Render())
-			b.WriteString(study.Fig3deReduction(core.Fig3deOptions{}).Render())
-			b.WriteString(study.Fig3fgLendingGain(core.Fig3fgOptions{}).Render())
-			b.WriteString(study.Fig3fgLendingGain(core.Fig3fgOptions{MultiVMNode: true}).Render())
-			return b.String()
-		}},
-		{"f4", func() string {
-			var b strings.Builder
-			b.WriteString(study.Fig4aFrequentMigration(core.Fig4aOptions{}).Render())
-			b.WriteString(study.Fig4bImporterSelection(core.Fig4bOptions{}).Render())
-			b.WriteString(study.Fig4cPredictionMSE(core.Fig4cOptions{}).Render())
-			return b.String()
-		}},
-		{"f5", func() string {
-			var b strings.Builder
-			b.WriteString(study.Fig5aReadWriteCoV(core.Fig5aOptions{}).Render())
-			b.WriteString(study.Fig5bSegmentDominance(core.Fig5bOptions{}).Render())
-			b.WriteString(study.Fig5cWriteThenRead(core.Fig5cOptions{}).Render())
-			return b.String()
-		}},
-		{"f6", func() string { return study.Fig6HottestBlocks(core.Fig6Options{}).Render() }},
-		{"f7", func() string {
-			var b strings.Builder
-			b.WriteString(study.Fig7aHitRatio(core.Fig7aOptions{}).Render())
-			b.WriteString(study.Fig7bcLatencyGain(core.Fig7bcOptions{}).Render())
-			b.WriteString(study.Fig7dSpaceUtilization(core.Fig7dOptions{}).Render())
-			return b.String()
-		}},
-		{"ab", func() string {
-			var b strings.Builder
-			b.WriteString(study.AblateHosting(core.HostingOptions{}).Render())
-			b.WriteString(study.AblateCachePolicy(core.CachePolicyOptions{}).Render())
-			b.WriteString(study.AblateCacheDeployment(core.CacheDeploymentOptions{}).Render())
-			b.WriteString(study.AblatePredictors(core.PredictorOptions{}).Render())
-			b.WriteString(study.AblateFailover(core.FailoverOptions{}).Render())
-			b.WriteString(study.StudyPageCache(core.PageCacheOptions{}).Render())
-			return b.String()
-		}},
-	}
-	for _, st := range steps {
-		if !sel(st.id) {
+	for _, e := range catalog {
+		if !sel(e.ID) {
 			continue
 		}
 		start := time.Now()
-		out := st.fn()
-		fmt.Print(out)
+		fmt.Print(e.Render(study))
 		if !*quiet {
-			fmt.Printf("  [%s in %v]\n\n", st.id, time.Since(start).Round(time.Millisecond))
+			fmt.Printf("  [%s in %v]\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 		} else {
 			fmt.Println()
 		}

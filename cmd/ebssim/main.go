@@ -31,13 +31,12 @@ import (
 )
 
 // roleFlags is the slice of the flag set that selects an execution role:
-// single-process run, in-process fabric (-dist), TCP coordinator
-// (-workers-addr, optionally replicated via -peers/-replica-id), or TCP
-// worker (-serve). Exactly one role may be selected.
+// single-process run, in-process fabric (-dist), or TCP coordinator
+// (-workers-addr, optionally replicated via -peers/-replica-id). At most one
+// role may be selected; the TCP worker role is cmd/ebsd.
 type roleFlags struct {
 	dist        int
 	workersAddr string
-	serveAddr   string
 	replicas    int
 	leaderKill  int
 	replicaID   int
@@ -52,12 +51,6 @@ type roleFlags struct {
 // flag involved so the exit is actionable instead of one role silently
 // winning over the other.
 func validateFlags(f roleFlags) error {
-	if f.serveAddr != "" {
-		if f.dist > 0 || f.workersAddr != "" {
-			return fmt.Errorf("-serve selects the worker role, which conflicts with the coordinator roles -dist and -workers-addr: pass exactly one of -serve, -dist, -workers-addr")
-		}
-		return nil // worker role takes every simulation flag from the coordinator
-	}
 	if f.dist > 0 && f.workersAddr != "" {
 		return fmt.Errorf("-dist runs the fabric in-process and -workers-addr serves it over TCP: the roles conflict, pass exactly one of -dist, -workers-addr")
 	}
@@ -130,8 +123,7 @@ func main() {
 		check   = flag.Bool("check", false, "run the invariant suite over the run (conservation laws, throttle audit)")
 		stream  = flag.Bool("stream", false, "fold every IO into O(1)-memory streaming sketches and report online skewness metrics with an exact-vs-sketch accuracy table")
 
-		workersAddr = flag.String("workers-addr", "", "run as fabric coordinator: listen on this address for ebsd/-serve workers and merge their shard results")
-		serveAddr   = flag.String("serve", "", "run as fabric worker: join the coordinator at this address and execute shards (all simulation flags are taken from the coordinator)")
+		workersAddr = flag.String("workers-addr", "", "run as fabric coordinator: listen on this address for ebsd workers and merge their shard results")
 		dist        = flag.Int("dist", 0, "run the fabric in-process over a loopback transport with this many workers and verify the merged dataset against a single-process run")
 		shards      = flag.Int("shards", 0, "fabric shard count (0 = default)")
 		replicas    = flag.Int("replicas", 1, "with -dist: replicate the coordinator control plane across this many consensus-backed replicas")
@@ -158,7 +150,6 @@ func main() {
 	if err := validateFlags(roleFlags{
 		dist:        *dist,
 		workersAddr: *workersAddr,
-		serveAddr:   *serveAddr,
 		replicas:    *replicas,
 		leaderKill:  *leaderKill,
 		replicaID:   *replicaID,
@@ -170,10 +161,6 @@ func main() {
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "ebssim:", err)
 		os.Exit(2)
-	}
-	if *serveAddr != "" {
-		runWorkerRole(*serveAddr)
-		return
 	}
 
 	cfg := workload.DefaultConfig()
@@ -449,53 +436,13 @@ func runControlled(ctx context.Context, fleet *workload.Fleet, opts ebs.Options,
 	return ds, nil
 }
 
-// runWorkerRole turns this process into a fabric worker: every simulation
-// parameter comes from the coordinator's JoinFleet reply, so one coordinator
-// drives a homogeneous fleet no matter how each worker was started.
-// SIGINT requests an orderly drain (finish and upload the current shard).
-func runWorkerRole(addr string) {
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, os.Interrupt)
-	drain := make(chan struct{})
-	go func() {
-		<-sigs
-		fmt.Fprintln(os.Stderr, "ebssim: drain requested; finishing current shard")
-		close(drain)
-	}()
-	err := fabric.RunWorker(context.Background(), fabric.WorkerConfig{
-		Dial:  func() (net.Conn, error) { return net.Dial("tcp", addr) },
-		Drain: drain,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ebssim:", err)
-		os.Exit(1)
-	}
-}
-
-// serveFabric mounts a coordinator on l and waits for the merged dataset.
-// After the run completes it keeps serving briefly so every worker can
-// observe AssignDone and deregister before the listener goes away.
-func serveFabric(ctx context.Context, co *fabric.Coordinator, l net.Listener) (*trace.Dataset, error) {
-	srv := netblock.NewHandlerServer(co)
-	go srv.Serve(l) //nolint:errcheck — lifecycle ends with Close
-	defer srv.Close()
-	fmt.Fprintf(os.Stderr, "ebssim: coordinator dispatching %d shards\n", len(co.Plan()))
-	ds, err := co.Wait(ctx)
-	if err != nil {
-		return nil, err
-	}
-	drainDeadline := time.Now().Add(5 * time.Second)
-	for co.Workers() > 0 && time.Now().Before(drainDeadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	return ds, nil
-}
-
 // runCoordinator listens on addr for worker daemons and merges their shard
 // results into the run's dataset. With -peers it becomes one replica of a
 // consensus-backed control plane: every ledger mutation is committed across
 // the replica set before it takes effect, workers are redirected to the
-// leader, and a surviving replica finishes the run if this one dies.
+// leader, and a surviving replica finishes the run if this one dies. After
+// the run completes it keeps serving briefly so every worker can observe
+// AssignDone and deregister before the listener goes away.
 func runCoordinator(ctx context.Context, cfg workload.Config, opts ebs.Options, scenarioSpec, addr string, shards, replicaID int, peers string) (*trace.Dataset, error) {
 	fc := fabric.Config{Fleet: cfg, Opts: opts, Scenario: scenarioSpec, Shards: shards}
 	if peers != "" {
@@ -528,7 +475,19 @@ func runCoordinator(ctx context.Context, cfg workload.Config, opts ebs.Options, 
 	} else {
 		fmt.Fprintf(os.Stderr, "ebssim: waiting for workers on %s (ebsd -join %s)\n", l.Addr(), l.Addr())
 	}
-	return serveFabric(ctx, co, l)
+	srv := netblock.NewHandlerServer(co)
+	go srv.Serve(l) //nolint:errcheck — lifecycle ends with Close
+	defer srv.Close()
+	fmt.Fprintf(os.Stderr, "ebssim: coordinator dispatching %d shards\n", len(co.Plan()))
+	ds, err := co.Wait(ctx)
+	if err != nil {
+		return nil, err
+	}
+	drainDeadline := time.Now().Add(5 * time.Second)
+	for co.Workers() > 0 && time.Now().Before(drainDeadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	return ds, nil
 }
 
 // runDistVerified runs the whole fabric in-process: a coordinator over a
@@ -563,13 +522,7 @@ func runDistVerified(ctx context.Context, cfg workload.Config, opts ebs.Options,
 		distOpts.Chaos = &plan
 	}
 
-	var ds *trace.Dataset
-	var err error
-	if replicas > 1 {
-		ds, err = runReplicatedDist(ctx, cfg, distOpts, scenarioSpec, n, shards, replicas)
-	} else {
-		ds, err = runLoopbackDist(ctx, cfg, distOpts, scenarioSpec, n, shards)
-	}
+	ds, err := runReplicaSet(ctx, cfg, distOpts, scenarioSpec, n, shards, replicas)
 	if err != nil {
 		return nil, err
 	}
@@ -610,42 +563,12 @@ func runDistVerified(ctx context.Context, cfg workload.Config, opts ebs.Options,
 	return ds, nil
 }
 
-// runLoopbackDist is the unreplicated in-process fabric: one coordinator,
-// n workers, one loopback.
-func runLoopbackDist(ctx context.Context, cfg workload.Config, opts ebs.Options, scenarioSpec string, n, shards int) (*trace.Dataset, error) {
-	co, err := fabric.NewCoordinator(fabric.Config{Fleet: cfg, Opts: opts, Scenario: scenarioSpec, Shards: shards})
-	if err != nil {
-		return nil, err
-	}
-	lb := fabric.NewLoopback()
-	defer lb.Close()
-	var wg sync.WaitGroup
-	workerErrs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			workerErrs[i] = fabric.RunWorker(ctx, fabric.WorkerConfig{Dial: lb.Dial})
-		}(i)
-	}
-	ds, err := serveFabric(ctx, co, lb)
-	if err != nil {
-		return nil, err
-	}
-	wg.Wait()
-	for i, werr := range workerErrs {
-		if werr != nil {
-			return nil, fmt.Errorf("fabric worker %d: %w", i, werr)
-		}
-	}
-	return ds, nil
-}
-
-// runReplicatedDist runs the in-process fabric over a consensus-backed
-// replica set: workers dial every replica and follow leader redirects, and
-// any leader kills in opts.Chaos fire mid-run. It reports the leadership
+// runReplicaSet runs the in-process fabric over a consensus-backed replica
+// set (one replica is the unreplicated fabric: a single node commits
+// inline): workers dial every replica and follow leader redirects, and any
+// leader kills in opts.Chaos fire mid-run. It reports the leadership
 // history so a kill's succession is visible in the smoke output.
-func runReplicatedDist(ctx context.Context, cfg workload.Config, opts ebs.Options, scenarioSpec string, n, shards, replicas int) (*trace.Dataset, error) {
+func runReplicaSet(ctx context.Context, cfg workload.Config, opts ebs.Options, scenarioSpec string, n, shards, replicas int) (*trace.Dataset, error) {
 	rs, err := fabric.NewReplicaSet(fabric.Config{Fleet: cfg, Opts: opts, Scenario: scenarioSpec, Shards: shards}, replicas)
 	if err != nil {
 		return nil, err

@@ -22,7 +22,6 @@ func TestValidateFlagsMatrix(t *testing.T) {
 		{"dist two kills five replicas", roleFlags{dist: 4, replicas: 5, leaderKill: 2}, nil},
 		{"tcp coordinator", roleFlags{workersAddr: ":9000", replicas: 1}, nil},
 		{"tcp replicated coordinator", roleFlags{workersAddr: ":9000", replicas: 1, peers: ":9000,:9001,:9002", replicaID: 1}, nil},
-		{"tcp worker", roleFlags{serveAddr: ":9000", replicas: 1}, nil},
 		{"scenario", roleFlags{replicas: 1, scenario: "bufferbloat"}, nil},
 		{"scenario with params", roleFlags{replicas: 1, scenario: "elastic,step=10,hi=2"}, nil},
 		{"scenario with control", roleFlags{replicas: 1, scenario: "batchburst", control: "predictive"}, nil},
@@ -31,10 +30,6 @@ func TestValidateFlagsMatrix(t *testing.T) {
 
 		{"dist and workers-addr conflict", roleFlags{dist: 2, workersAddr: ":9000", replicas: 1},
 			[]string{"-dist", "-workers-addr"}},
-		{"serve and dist conflict", roleFlags{serveAddr: ":9000", dist: 2, replicas: 1},
-			[]string{"-serve", "-dist"}},
-		{"serve and workers-addr conflict", roleFlags{serveAddr: ":9000", workersAddr: ":9001", replicas: 1},
-			[]string{"-serve", "-workers-addr"}},
 		{"zero replicas", roleFlags{replicas: 0}, []string{"-replicas"}},
 		{"replicas without a fabric", roleFlags{replicas: 3}, []string{"-replicas", "-dist"}},
 		{"peers without workers-addr", roleFlags{replicas: 1, peers: ":9000,:9001"},

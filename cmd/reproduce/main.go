@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"ebslab/internal/core"
-	"ebslab/internal/hypervisor"
 	"ebslab/internal/workload"
 )
 
@@ -51,65 +50,9 @@ func main() {
 
 	fmt.Fprintf(w, "# Reproduction report (seed %d, %d DCs, %d VMs, %ds window)\n\n",
 		cfg.Seed, cfg.DCs, len(study.Fleet.Topology.VMs), cfg.DurationSec)
-	section := func(title, body string) {
-		fmt.Fprintf(w, "## %s\n\n```\n%s```\n\n", title, body)
+	for _, e := range core.Catalog() {
+		fmt.Fprintf(w, "## %s\n\n```\n%s```\n\n", e.Title, e.Render(study))
 	}
-
-	section("Table 2 — dataset summary", study.Table2Summary().Render())
-	section("Table 3 — baseline statistics", study.Table3Baseline().Render())
-	section("Table 4 — skewness by application", study.Table4ByApp().Render())
-
-	section("Figure 2 — hypervisor load balancing",
-		study.Fig2aWTCoV(nil).Render()+
-			study.Fig2bThreeTier().Render()+
-			study.Fig2cHottestQP().Render()+
-			study.Fig2dRebinding(core.Fig2dOptions{}).Render()+
-			study.Fig2efBurstSeries(core.Fig2efOptions{}).Render())
-
-	section("Figure 3 — traffic throttle",
-		study.Fig3aSingleVDCase().Render()+
-			study.Fig3bRAR(false).Render()+
-			study.Fig3bRAR(true).Render()+
-			study.Fig3deReduction(core.Fig3deOptions{}).Render()+
-			study.Fig3fgLendingGain(core.Fig3fgOptions{}).Render()+
-			study.Fig3fgLendingGain(core.Fig3fgOptions{MultiVMNode: true}).Render())
-
-	section("Figure 4 — storage-cluster balancing",
-		study.Fig4aFrequentMigration(core.Fig4aOptions{}).Render()+
-			study.Fig4bImporterSelection(core.Fig4bOptions{}).Render()+
-			study.Fig4cPredictionMSE(core.Fig4cOptions{}).Render())
-
-	section("Figure 5 — balanced write, skewed read",
-		study.Fig5aReadWriteCoV(core.Fig5aOptions{}).Render()+
-			study.Fig5bSegmentDominance(core.Fig5bOptions{}).Render()+
-			study.Fig5cWriteThenRead(core.Fig5cOptions{}).Render())
-
-	section("Figure 6 — LBA hotspots", study.Fig6HottestBlocks(core.Fig6Options{}).Render())
-	section("Figure 7 — caching",
-		study.Fig7aHitRatio(core.Fig7aOptions{}).Render()+
-			study.Fig7bcLatencyGain(core.Fig7bcOptions{}).Render()+
-			study.Fig7dSpaceUtilization(core.Fig7dOptions{}).Render())
-
-	// Ablations.
-	ablations := study.AblateHosting(core.HostingOptions{}).Render() +
-		study.AblateCachePolicy(core.CachePolicyOptions{}).Render() +
-		study.AblateCacheDeployment(core.CacheDeploymentOptions{}).Render() +
-		study.AblatePredictors(core.PredictorOptions{}).Render() +
-		study.AblateFailover(core.FailoverOptions{}).Render() +
-		study.StudyPageCache(core.PageCacheOptions{}).Render()
-	for _, p := range []int{1, 10, 50} {
-		r := study.RebindWithConfig(core.RebindOptions{MaxNodes: 24, WinSec: 10, Config: hypervisor.RebindConfig{PeriodSlots: p, Trigger: 1.2, EvalSlots: 5}})
-		ablations += fmt.Sprintf("Ablation: rebind period %d0 ms: improved %.1f%%, median gain %.2f, rebinds/slot %.4f\n",
-			p, 100*r.FracImproved, r.MedianGain, r.MedianRatio/float64(p))
-	}
-	for _, pol := range []hypervisor.DispatchPolicy{
-		hypervisor.DispatchSingleWT, hypervisor.DispatchLeastLoaded, hypervisor.DispatchRoundRobinIO,
-	} {
-		r := study.AblateDispatch(core.DispatchOptions{MaxNodes: 24, WinSec: 10, Policy: pol})
-		ablations += fmt.Sprintf("Ablation: dispatch %s: median WT-CoV %.2f, %d sync ops over %d nodes\n",
-			pol, r.MedianCoV, r.SyncOps, r.Nodes)
-	}
-	section("Ablations", ablations)
 
 	fmt.Fprintf(w, "_Generated in %v._\n", time.Since(start).Round(time.Second))
 }

@@ -215,7 +215,7 @@ func TestFaultHookDeterministicSequence(t *testing.T) {
 	}}
 	h1 := p.NewFaultHook(7)
 	h2 := p.NewFaultHook(7)
-	req := &netblock.Request{Op: netblock.OpRead}
+	req := &netblock.Request{Op: netblock.OpHeartbeat}
 	seen := map[netblock.Fault]int{}
 	delays := 0
 	const draws = 4000

@@ -1,0 +1,82 @@
+package core
+
+import (
+	"fmt"
+	"strings"
+
+	"ebslab/internal/hypervisor"
+)
+
+// Experiment is one entry of the reproduction catalog: a table, a figure
+// group, or the ablation block, rendered as paper-style text over a Study.
+type Experiment struct {
+	ID     string // selection key (cmd/analyze -run)
+	Title  string // report heading (cmd/reproduce)
+	Render func(*Study) string
+}
+
+// Catalog lists every experiment of the reproduction in report order. It is
+// the one place that says what "everything" is: cmd/reproduce renders all of
+// it, cmd/analyze selects from it by ID.
+func Catalog() []Experiment {
+	return []Experiment{
+		{"t2", "Table 2 — dataset summary", func(s *Study) string { return s.Table2Summary().Render() }},
+		{"t3", "Table 3 — baseline statistics", func(s *Study) string { return s.Table3Baseline().Render() }},
+		{"t4", "Table 4 — skewness by application", func(s *Study) string { return s.Table4ByApp().Render() }},
+		{"f2", "Figure 2 — hypervisor load balancing", func(s *Study) string {
+			return s.Fig2aWTCoV(nil).Render() +
+				s.Fig2bThreeTier().Render() +
+				s.Fig2cHottestQP().Render() +
+				s.Fig2dRebinding(Fig2dOptions{}).Render() +
+				s.Fig2efBurstSeries(Fig2efOptions{}).Render()
+		}},
+		{"f3", "Figure 3 — traffic throttle", func(s *Study) string {
+			return s.Fig3aSingleVDCase().Render() +
+				s.Fig3bRAR(false).Render() +
+				s.Fig3bRAR(true).Render() +
+				s.Fig3deReduction(Fig3deOptions{}).Render() +
+				s.Fig3fgLendingGain(Fig3fgOptions{}).Render() +
+				s.Fig3fgLendingGain(Fig3fgOptions{MultiVMNode: true}).Render()
+		}},
+		{"f4", "Figure 4 — storage-cluster balancing", func(s *Study) string {
+			return s.Fig4aFrequentMigration(Fig4aOptions{}).Render() +
+				s.Fig4bImporterSelection(Fig4bOptions{}).Render() +
+				s.Fig4cPredictionMSE(Fig4cOptions{}).Render()
+		}},
+		{"f5", "Figure 5 — balanced write, skewed read", func(s *Study) string {
+			return s.Fig5aReadWriteCoV(Fig5aOptions{}).Render() +
+				s.Fig5bSegmentDominance(Fig5bOptions{}).Render() +
+				s.Fig5cWriteThenRead(Fig5cOptions{}).Render()
+		}},
+		{"f6", "Figure 6 — LBA hotspots", func(s *Study) string { return s.Fig6HottestBlocks(Fig6Options{}).Render() }},
+		{"f7", "Figure 7 — caching", func(s *Study) string {
+			return s.Fig7aHitRatio(Fig7aOptions{}).Render() +
+				s.Fig7bcLatencyGain(Fig7bcOptions{}).Render() +
+				s.Fig7dSpaceUtilization(Fig7dOptions{}).Render()
+		}},
+		{"ab", "Ablations", renderAblations},
+	}
+}
+
+func renderAblations(s *Study) string {
+	var b strings.Builder
+	b.WriteString(s.AblateHosting(HostingOptions{}).Render())
+	b.WriteString(s.AblateCachePolicy(CachePolicyOptions{}).Render())
+	b.WriteString(s.AblateCacheDeployment(CacheDeploymentOptions{}).Render())
+	b.WriteString(s.AblatePredictors(PredictorOptions{}).Render())
+	b.WriteString(s.AblateFailover(FailoverOptions{}).Render())
+	b.WriteString(s.StudyPageCache(PageCacheOptions{}).Render())
+	for _, p := range []int{1, 10, 50} {
+		r := s.RebindWithConfig(RebindOptions{MaxNodes: 24, WinSec: 10, Config: hypervisor.RebindConfig{PeriodSlots: p, Trigger: 1.2, EvalSlots: 5}})
+		fmt.Fprintf(&b, "Ablation: rebind period %d0 ms: improved %.1f%%, median gain %.2f, rebinds/slot %.4f\n",
+			p, 100*r.FracImproved, r.MedianGain, r.MedianRatio/float64(p))
+	}
+	for _, pol := range []hypervisor.DispatchPolicy{
+		hypervisor.DispatchSingleWT, hypervisor.DispatchLeastLoaded, hypervisor.DispatchRoundRobinIO,
+	} {
+		r := s.AblateDispatch(DispatchOptions{MaxNodes: 24, WinSec: 10, Policy: pol})
+		fmt.Fprintf(&b, "Ablation: dispatch %s: median WT-CoV %.2f, %d sync ops over %d nodes\n",
+			pol, r.MedianCoV, r.SyncOps, r.Nodes)
+	}
+	return b.String()
+}

@@ -137,8 +137,14 @@ func TestFabricWorkerCrashMidShard(t *testing.T) {
 		LivenessTimeout: 60 * time.Millisecond,
 	})
 	crash := errors.New("simulated worker crash")
+	// The survivor holds its first result back until the crash has happened:
+	// otherwise it can finish all four shards before the crashing worker is
+	// ever assigned one, and nothing crashes. Its heartbeats keep flowing
+	// while it waits, and three shards stay open for the other worker.
+	crashed := make(chan struct{})
 	ds, errs := runFabric(t, co, lb, 2, map[int]func(int) error{
-		1: func(shard int) error { return crash },
+		0: func(shard int) error { <-crashed; return nil },
+		1: func(shard int) error { close(crashed); return crash },
 	})
 	if !errors.Is(errs[1], crash) {
 		t.Fatalf("crashing worker exited with %v, want the injected crash", errs[1])

@@ -1,15 +1,12 @@
 package netblock
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"ebslab/internal/storage"
 )
 
 // Client-side errors.
@@ -46,9 +43,9 @@ type Config struct {
 	Seed int64
 }
 
-// Client is a pipelining RPC client: many goroutines (worker threads) can
-// issue requests concurrently over one connection; a demux goroutine routes
-// responses back by request ID. When the connection dies, every in-flight
+// Client is a pipelining RPC client: many goroutines can issue requests
+// concurrently over one connection; a demux goroutine routes responses back
+// by request ID. When the connection dies, every in-flight
 // call fails immediately with a real error — and if the client knows how to
 // redial (Dial/DialConfig), the next attempt transparently reconnects.
 type Client struct {
@@ -318,58 +315,12 @@ func (c *Client) backoff(id uint64, attempt int) time.Duration {
 	return time.Duration(float64(d) * frac)
 }
 
-// Call performs one generic RPC: an opaque payload under the given op,
-// answered by the peer handler's opaque response payload. The fabric
-// control plane (JoinFleet, AssignShard, ShardResult, Heartbeat, Drain)
-// rides on this; the typed block-IO methods below remain the data plane.
+// Call performs one RPC: an opaque payload under the given op, answered by
+// the peer handler's opaque response payload.
 func (c *Client) Call(op OpCode, payload []byte) ([]byte, error) {
-	resp, err := c.call(&Request{Op: op, Length: uint32(len(payload)), Payload: payload})
+	resp, err := c.call(&Request{Op: op, Payload: payload})
 	if err != nil {
 		return nil, err
 	}
 	return resp.Payload, nil
-}
-
-// AddSegment creates a segment of sizeBlocks 4 KiB blocks on the server.
-func (c *Client) AddSegment(seg storage.SegKey, sizeBlocks int) error {
-	_, err := c.call(&Request{Op: OpAddSegment, Segment: int32(seg), Length: uint32(sizeBlocks)})
-	return err
-}
-
-// HasSegment reports whether the server hosts seg.
-func (c *Client) HasSegment(seg storage.SegKey) bool {
-	_, err := c.call(&Request{Op: OpHasSegment, Segment: int32(seg)})
-	return err == nil
-}
-
-// Write stores block-aligned data at the segment-relative offset.
-func (c *Client) Write(seg storage.SegKey, off int64, data []byte) error {
-	_, err := c.call(&Request{
-		Op: OpWrite, Segment: int32(seg), Offset: off,
-		Length: uint32(len(data)), Payload: data,
-	})
-	return err
-}
-
-// Read returns n block-aligned bytes from the segment-relative offset.
-func (c *Client) Read(seg storage.SegKey, off int64, n int) ([]byte, error) {
-	resp, err := c.call(&Request{Op: OpRead, Segment: int32(seg), Offset: off, Length: uint32(n)})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Payload, nil
-}
-
-// Stats fetches the server's cumulative traffic counters.
-func (c *Client) Stats() (readBytes, writeBytes, prefetchHitBytes int64, err error) {
-	resp, err := c.call(&Request{Op: OpStats})
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	if len(resp.Payload) != 24 {
-		return 0, 0, 0, errors.New("netblock: malformed stats payload")
-	}
-	return int64(binary.LittleEndian.Uint64(resp.Payload[0:])),
-		int64(binary.LittleEndian.Uint64(resp.Payload[8:])),
-		int64(binary.LittleEndian.Uint64(resp.Payload[16:])), nil
 }

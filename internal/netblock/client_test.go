@@ -6,8 +6,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"ebslab/internal/storage"
 )
 
 // TestInFlightCallFailsWhenConnDies is the regression for the readLoop
@@ -25,7 +23,7 @@ func TestInFlightCallFailsWhenConnDies(t *testing.T) {
 	}()
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.Read(1, 0, storage.BlockSize)
+		_, err := c.Call(OpHeartbeat, nil)
 		done <- err
 	}()
 	select {
@@ -42,19 +40,13 @@ func TestInFlightCallFailsWhenConnDies(t *testing.T) {
 // a call is stalled inside it: the client must return well before its
 // (generous) deadline, via the readLoop's connection-death signal.
 func TestServerCloseMidCallReturnsWithinDeadline(t *testing.T) {
-	bs := storage.NewBlockServer(storage.NewChunkServer(1 << 20))
-	srv := NewServer(bs)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(l)
-	c, err := DialConfig("tcp", l.Addr().String(), Config{Timeout: 30 * time.Second})
+	srv, _, addr := ServeEcho(t)
+	c, err := DialConfig("tcp", addr, Config{Timeout: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.AddSegment(1, 16); err != nil {
+	if _, err := c.Call(OpHeartbeat, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Stall the next request long enough for Close to land mid-call.
@@ -66,9 +58,9 @@ func TestServerCloseMidCallReturnsWithinDeadline(t *testing.T) {
 		srv.Close()
 	}()
 	start := time.Now()
-	err = c.Write(1, 0, make([]byte, storage.BlockSize))
+	_, err = c.Call(OpHeartbeat, make([]byte, block))
 	if err == nil {
-		t.Fatal("write succeeded through a server killed mid-call")
+		t.Fatal("call succeeded through a server killed mid-call")
 	}
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("call took %v to fail; the deadline, not the conn death, saved it", elapsed)
@@ -89,7 +81,7 @@ func TestCallTimesOutOnSilentServer(t *testing.T) {
 		srvConn.Close()
 	}()
 	defer close(silent)
-	_, err := c.Read(1, 0, storage.BlockSize)
+	_, err := c.Call(OpHeartbeat, nil)
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("error = %v, want ErrTimeout", err)
 	}
@@ -98,14 +90,7 @@ func TestCallTimesOutOnSilentServer(t *testing.T) {
 // TestRedialAfterReset: connection resets are retried on a fresh connection,
 // transparently to the caller, with the retry counter recording the work.
 func TestRedialAfterReset(t *testing.T) {
-	bs := storage.NewBlockServer(storage.NewChunkServer(1 << 20))
-	srv := NewServer(bs)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(l)
-	defer srv.Close()
+	srv, _, addr := ServeEcho(t)
 	var n atomic.Int64
 	srv.SetFaultHook(func(*Request) FaultDecision {
 		if n.Add(1) <= 2 {
@@ -113,14 +98,14 @@ func TestRedialAfterReset(t *testing.T) {
 		}
 		return FaultDecision{}
 	})
-	c, err := DialConfig("tcp", l.Addr().String(), Config{
+	c, err := DialConfig("tcp", addr, Config{
 		Timeout: 5 * time.Second, MaxRetries: 5, BackoffBase: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.AddSegment(1, 16); err != nil {
+	if _, err := c.Call(OpHeartbeat, nil); err != nil {
 		t.Fatalf("call failed despite retry budget: %v", err)
 	}
 	if c.Retries() == 0 {
@@ -130,7 +115,7 @@ func TestRedialAfterReset(t *testing.T) {
 		t.Fatalf("server injected %d faults, want >= 2", srv.FaultsInjected())
 	}
 	// The redialed connection is healthy.
-	if err := c.Write(1, 0, make([]byte, storage.BlockSize)); err != nil {
+	if _, err := c.Call(OpHeartbeat, make([]byte, block)); err != nil {
 		t.Fatalf("connection unhealthy after redial: %v", err)
 	}
 }
@@ -145,7 +130,7 @@ func TestNoRetriesWithoutBudget(t *testing.T) {
 		ReadRequest(srvConn)
 		srvConn.Close()
 	}()
-	if _, err := c.Read(1, 0, storage.BlockSize); err == nil {
+	if _, err := c.Call(OpHeartbeat, nil); err == nil {
 		t.Fatal("call succeeded over a dying pipe")
 	}
 	if got := c.Retries(); got != 0 {

@@ -8,16 +8,14 @@ import (
 	"net"
 	"testing"
 	"time"
-
-	"ebslab/internal/storage"
 )
 
 // TestServerSurvivesGarbageFrames injects raw garbage and truncated frames:
 // the server must drop the bad connection without crashing and keep serving
 // healthy clients.
 func TestServerSurvivesGarbageFrames(t *testing.T) {
-	c, _ := startServer(t)
-	if err := c.AddSegment(1, 64); err != nil {
+	c, _, _ := startServer(t)
+	if _, err := c.Call(OpHeartbeat, nil); err != nil {
 		t.Fatal(err)
 	}
 	addr := c.RemoteAddr().String()
@@ -30,15 +28,15 @@ func TestServerSurvivesGarbageFrames(t *testing.T) {
 	evil.Write(bytes.Repeat([]byte{0xFF}, 64))
 	evil.Close()
 
-	// Truncated frame: a write header promising more payload than sent.
+	// Truncated frame: a header promising more payload than sent.
 	trunc, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var hdr [reqHeaderSize]byte
+	var hdr [headerSize]byte
 	binary.LittleEndian.PutUint64(hdr[0:], 1)
-	hdr[8] = byte(OpWrite)
-	binary.LittleEndian.PutUint32(hdr[21:], 4096)
+	hdr[8] = byte(OpHeartbeat)
+	binary.LittleEndian.PutUint32(hdr[9:], 4096)
 	trunc.Write(hdr[:])
 	trunc.Write([]byte("short"))
 	trunc.Close()
@@ -46,7 +44,7 @@ func TestServerSurvivesGarbageFrames(t *testing.T) {
 	// The healthy client still works.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		err := c.Write(1, 0, make([]byte, storage.BlockSize))
+		_, err := c.Call(OpHeartbeat, make([]byte, block))
 		if err == nil {
 			break
 		}
@@ -77,37 +75,28 @@ func (f *faultyConn) Write(p []byte) (int, error) {
 }
 
 func TestClientSurfacesInjectedWriteFault(t *testing.T) {
-	bs := storage.NewBlockServer(storage.NewChunkServer(1 << 20))
-	srv := NewServer(bs)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	_, _, addr := ServeEcho(t)
+	raw, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	go srv.Serve(l)
-	defer srv.Close()
-
-	raw, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Allow the AddSegment exchange, then cut the link mid-write.
-	c := NewClient(&faultyConn{Conn: raw, budget: reqHeaderSize + 10})
+	// Allow one payload-free exchange, then cut the link mid-frame.
+	c := NewClient(&faultyConn{Conn: raw, budget: headerSize + 10})
 	defer c.Close()
-	if err := c.AddSegment(1, 64); err != nil {
-		t.Fatalf("AddSegment within budget: %v", err)
+	if _, err := c.Call(OpHeartbeat, nil); err != nil {
+		t.Fatalf("call within budget: %v", err)
 	}
-	err = c.Write(1, 0, make([]byte, storage.BlockSize))
-	if err == nil {
-		t.Fatal("write over faulty link succeeded")
+	if _, err := c.Call(OpHeartbeat, make([]byte, block)); err == nil {
+		t.Fatal("call over faulty link succeeded")
 	}
 }
 
 // TestReadRequestEOFMidPayload verifies the codec reports short payloads.
 func TestReadRequestEOFMidPayload(t *testing.T) {
 	var buf bytes.Buffer
-	var hdr [reqHeaderSize]byte
-	hdr[8] = byte(OpWrite)
-	binary.LittleEndian.PutUint32(hdr[21:], 100)
+	var hdr [headerSize]byte
+	hdr[8] = byte(OpHeartbeat)
+	binary.LittleEndian.PutUint32(hdr[9:], 100)
 	buf.Write(hdr[:])
 	buf.WriteString("only-20-bytes-here!!")
 	if _, err := ReadRequest(&buf); !errors.Is(err, io.ErrUnexpectedEOF) {
@@ -118,13 +107,13 @@ func TestReadRequestEOFMidPayload(t *testing.T) {
 // TestUnknownOpIsAnError verifies an unknown op is rejected at encode time —
 // before it ever touches the wire — and the connection stays alive.
 func TestUnknownOpIsAnError(t *testing.T) {
-	c, _ := startServer(t)
+	c, _, _ := startServer(t)
 	resp, err := c.call(&Request{Op: OpCode(42)})
 	if err == nil {
 		t.Fatalf("unknown op accepted: %+v", resp)
 	}
 	// Connection still serves.
-	if err := c.AddSegment(5, 16); err != nil {
+	if _, err := c.Call(OpHeartbeat, nil); err != nil {
 		t.Fatalf("connection dead after unknown op: %v", err)
 	}
 }

@@ -3,98 +3,69 @@ package netblock
 import (
 	"bytes"
 	"fmt"
-	"net"
+	"strings"
 	"sync"
 	"testing"
-
-	"ebslab/internal/storage"
 )
 
-// startServer spins up a server on loopback TCP and returns a connected
-// client plus a cleanup func.
-func startServer(t *testing.T) (*Client, *Server) {
+// startServer spins up an echo server on loopback TCP and returns a
+// connected client, the server and its handler.
+func startServer(t *testing.T) (*Client, *Server, *EchoHandler) {
 	t.Helper()
-	bs := storage.NewBlockServer(storage.NewChunkServer(4 << 20))
-	srv := NewServer(bs)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	go srv.Serve(l)
-	client, err := Dial("tcp", l.Addr().String())
+	srv, h, addr := ServeEcho(t)
+	client, err := Dial("tcp", addr)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	t.Cleanup(func() {
-		client.Close()
-		srv.Close()
-	})
-	return client, srv
+	t.Cleanup(func() { client.Close() })
+	return client, srv, h
 }
 
 func TestRoundTripOverTCP(t *testing.T) {
-	c, srv := startServer(t)
-	if err := c.AddSegment(1, 1024); err != nil {
-		t.Fatalf("AddSegment: %v", err)
+	c, srv, h := startServer(t)
+	if got, err := c.Call(OpJoinFleet, nil); err != nil || len(got) != 0 {
+		t.Fatalf("empty call = %q, %v", got, err)
 	}
-	if !c.HasSegment(1) {
-		t.Fatal("HasSegment(1) false after add")
+	data := bytes.Repeat([]byte{0xAB}, block)
+	var sent int64
+	for _, op := range []OpCode{OpHeartbeat, OpShardResult, OpAppendEntries, OpTenantStats} {
+		got, err := c.Call(op, data)
+		if err != nil {
+			t.Fatalf("%s: %v", op, err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Fatalf("%s: round trip mismatch", op)
+		}
+		sent += int64(len(data))
 	}
-	if c.HasSegment(2) {
-		t.Fatal("HasSegment(2) true")
+	if h.Bytes() != sent {
+		t.Fatalf("handler executed %d payload bytes, client sent %d", h.Bytes(), sent)
 	}
-	data := bytes.Repeat([]byte{0xAB}, storage.BlockSize)
-	if err := c.Write(1, storage.BlockSize, data); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	got, err := c.Read(1, storage.BlockSize, storage.BlockSize)
-	if err != nil {
-		t.Fatalf("Read: %v", err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("round trip mismatch")
-	}
-	r, w, _, err := c.Stats()
-	if err != nil {
-		t.Fatalf("Stats: %v", err)
-	}
-	if r != int64(storage.BlockSize) || w != int64(storage.BlockSize) {
-		t.Fatalf("stats = %d/%d", r, w)
-	}
-	if srv.Requests() < 5 {
-		t.Fatalf("server saw %d requests", srv.Requests())
+	if srv.Requests() != 5 || h.Calls() != 5 {
+		t.Fatalf("server saw %d requests, handler %d, want 5", srv.Requests(), h.Calls())
 	}
 }
 
 func TestRemoteErrorsSurface(t *testing.T) {
-	c, _ := startServer(t)
-	// Write to an unhosted segment.
-	if err := c.Write(9, 0, make([]byte, storage.BlockSize)); err == nil {
-		t.Fatal("write to unhosted segment succeeded")
+	c, _, _ := startServer(t)
+	_, err := c.Call(RefusedOp, []byte("x"))
+	if err == nil || !strings.Contains(err.Error(), "refused") {
+		t.Fatalf("refused call error = %v, want the remote's text", err)
 	}
-	// Unaligned IO.
-	c.AddSegment(1, 16)
-	if err := c.Write(1, 1, make([]byte, storage.BlockSize)); err == nil {
-		t.Fatal("unaligned write succeeded")
-	}
-	if _, err := c.Read(1, 0, 100); err == nil {
-		t.Fatal("unaligned read succeeded")
-	}
-	// Duplicate segment.
-	if err := c.AddSegment(1, 16); err == nil {
-		t.Fatal("duplicate AddSegment succeeded")
+	if _, err := c.Call(RefusedOp, nil); err == nil {
+		t.Fatal("second refused call succeeded")
 	}
 	// The connection must survive errors.
-	if err := c.Write(1, 0, make([]byte, storage.BlockSize)); err != nil {
+	if _, err := c.Call(OpHeartbeat, make([]byte, block)); err != nil {
 		t.Fatalf("connection broken after remote errors: %v", err)
+	}
+	if c.Retries() != 0 {
+		t.Fatalf("remote errors were retried %d times; they are final", c.Retries())
 	}
 }
 
 func TestConcurrentClients(t *testing.T) {
-	c, _ := startServer(t)
-	if err := c.AddSegment(1, 4096); err != nil {
-		t.Fatal(err)
-	}
+	c, _, _ := startServer(t)
 	const workers = 8
 	const iters = 40
 	var wg sync.WaitGroup
@@ -104,23 +75,18 @@ func TestConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			buf := make([]byte, storage.BlockSize)
-			for i := range buf {
-				buf[i] = byte(w)
-			}
+			buf := make([]byte, block)
 			for i := 0; i < iters; i++ {
-				off := int64((w*iters + i)) * storage.BlockSize
-				if err := c.Write(1, off, buf); err != nil {
-					errs <- fmt.Errorf("worker %d write: %w", w, err)
-					return
+				for j := range buf {
+					buf[j] = byte(w*iters + i)
 				}
-				got, err := c.Read(1, off, storage.BlockSize)
+				got, err := c.Call(OpHeartbeat, buf)
 				if err != nil {
-					errs <- fmt.Errorf("worker %d read: %w", w, err)
+					errs <- fmt.Errorf("worker %d call: %w", w, err)
 					return
 				}
-				if got[0] != byte(w) {
-					errs <- fmt.Errorf("worker %d read wrong data", w)
+				if !bytes.Equal(got, buf) {
+					errs <- fmt.Errorf("worker %d got another call's response", w)
 					return
 				}
 			}
@@ -135,7 +101,7 @@ func TestConcurrentClients(t *testing.T) {
 
 func TestProtocolCodecRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	req := &Request{ID: 7, Op: OpWrite, Segment: 3, Offset: 8192, Length: 8, Payload: []byte("abcdefgh")}
+	req := &Request{ID: 7, Op: OpAssignShard, Payload: []byte("abcdefgh")}
 	if err := WriteRequest(&buf, req); err != nil {
 		t.Fatalf("WriteRequest: %v", err)
 	}
@@ -143,7 +109,7 @@ func TestProtocolCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadRequest: %v", err)
 	}
-	if got.ID != 7 || got.Op != OpWrite || got.Segment != 3 || got.Offset != 8192 || string(got.Payload) != "abcdefgh" {
+	if got.ID != 7 || got.Op != OpAssignShard || string(got.Payload) != "abcdefgh" {
 		t.Fatalf("request round trip: %+v", got)
 	}
 
@@ -163,14 +129,17 @@ func TestProtocolCodecRoundTrip(t *testing.T) {
 func TestProtocolRejectsOversized(t *testing.T) {
 	var buf bytes.Buffer
 	big := make([]byte, maxPayload+1)
-	if err := WriteRequest(&buf, &Request{Op: OpWrite, Length: uint32(len(big)), Payload: big}); err == nil {
+	if err := WriteRequest(&buf, &Request{Op: OpHeartbeat, Payload: big}); err == nil {
 		t.Fatal("oversized request accepted")
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("oversized request leaked %d bytes onto the wire", buf.Len())
 	}
 	if err := WriteResponse(&buf, &Response{Payload: big}); err == nil {
 		t.Fatal("oversized response accepted")
 	}
 	// A malicious length header must be rejected, not allocated.
-	hdr := make([]byte, respHeaderSize)
+	hdr := make([]byte, headerSize)
 	hdr[8] = StatusOK
 	for i := 9; i < 13; i++ {
 		hdr[i] = 0xFF
@@ -180,40 +149,31 @@ func TestProtocolRejectsOversized(t *testing.T) {
 	}
 }
 
-func TestWritePayloadLengthMismatch(t *testing.T) {
-	var buf bytes.Buffer
-	err := WriteRequest(&buf, &Request{Op: OpWrite, Length: 10, Payload: []byte("abc")})
-	if err == nil {
-		t.Fatal("length/payload mismatch accepted")
-	}
-}
-
 func TestClientFailsCleanlyOnServerClose(t *testing.T) {
-	bs := storage.NewBlockServer(storage.NewChunkServer(1 << 20))
-	srv := NewServer(bs)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
+	c, srv, _ := startServer(t)
+	if _, err := c.Call(OpHeartbeat, nil); err != nil {
 		t.Fatal(err)
 	}
-	go srv.Serve(l)
-	c, err := Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.AddSegment(1, 16)
 	srv.Close()
 	// Subsequent calls fail with an error rather than hanging.
-	if err := c.Write(1, 0, make([]byte, storage.BlockSize)); err == nil {
-		t.Fatal("write succeeded after server close")
+	if _, err := c.Call(OpHeartbeat, make([]byte, block)); err == nil {
+		t.Fatal("call succeeded after server close")
 	}
-	c.Close()
 }
 
 func TestOpCodeString(t *testing.T) {
-	for _, op := range []OpCode{OpRead, OpWrite, OpAddSegment, OpHasSegment, OpStats} {
-		if op.String() == "" || op.String()[0] == 'O' {
+	seen := map[string]bool{}
+	for op := OpJoinFleet; op <= OpTenantStats; op++ {
+		if !op.Valid() {
+			t.Fatalf("OpCode %d not valid", op)
+		}
+		if op.String() == "" || op.String()[0] == 'O' || seen[op.String()] {
 			t.Fatalf("OpCode %d string = %q", op, op.String())
 		}
+		seen[op.String()] = true
+	}
+	if len(seen) != 13 || OpCode(0).Valid() || (OpTenantStats + 1).Valid() {
+		t.Fatalf("protocol defines %d ops, want exactly 13 with nothing valid around them", len(seen))
 	}
 	if OpCode(99).String() != "OpCode(99)" {
 		t.Fatal("unknown opcode string")

@@ -1,10 +1,12 @@
-// Package netblock is the frontend-network substrate of the EBS stack: the
-// RPC protocol worker threads use to forward block IO to the storage
-// cluster (§2.1: "the WT encapsulates the IO into a RPC request and
-// forwards it to the storage cluster via the frontend network"). It
-// provides a compact length-prefixed binary protocol, a server that exposes
-// a storage.BlockServer over any net.Listener, and a concurrency-safe
-// client with request pipelining.
+// Package netblock is the RPC substrate the distributed parts of the lab
+// ride on: a compact length-prefixed binary protocol of opaque payloads
+// under typed opcodes, a server that mounts one Handler over any
+// net.Listener (with injectable wire faults), and a concurrency-safe
+// pipelining client with deadlines, backoff and redial. The fabric and
+// consensus control planes and the gateway serving plane define the message
+// bodies; this layer only frames, bounds and routes them. It carries no
+// block IO: the storage cluster is modelled (placement, balancer, cache,
+// latency), not stored.
 package netblock
 
 import (
@@ -17,11 +19,10 @@ import (
 // OpCode identifies a request type.
 type OpCode uint8
 
-// Protocol operations. The first five are the block-IO data plane; the
-// fabric ops are the distributed-simulation control plane (JoinFleet,
-// AssignShard, ShardResult, Heartbeat, Drain) whose payloads are opaque to
-// this layer — internal/fabric defines their message bodies. The consensus
-// ops replicate the fabric control plane itself: RequestVote and
+// Protocol operations. Every op carries an opaque payload in both
+// directions. The fabric ops are the distributed-simulation control plane
+// (JoinFleet, AssignShard, ShardResult, Heartbeat, Drain) — internal/fabric
+// defines their message bodies. The consensus ops replicate the fabric control plane itself: RequestVote and
 // AppendEntries carry internal/consensus messages between coordinator
 // replicas, and RedirectLeader lets any client ask any replica who is
 // currently leading (internal/consensus and internal/fabric define the
@@ -30,12 +31,7 @@ type OpCode uint8
 // cancel, and read their own accounting; internal/gateway defines the
 // bodies.
 const (
-	OpRead OpCode = iota + 1
-	OpWrite
-	OpAddSegment
-	OpHasSegment
-	OpStats
-	OpJoinFleet
+	OpJoinFleet OpCode = iota + 1
 	OpAssignShard
 	OpShardResult
 	OpHeartbeat
@@ -54,23 +50,15 @@ const (
 // rejects undefined opcodes on both sides: the client refuses to encode
 // them, and the server refuses to decode them (an unknown opcode makes the
 // frame length ambiguous, so the connection cannot be resynchronized).
-func (o OpCode) Valid() bool { return o >= OpRead && o <= OpTenantStats }
+func (o OpCode) Valid() bool { return o >= OpJoinFleet && o <= OpTenantStats }
 
-// carriesPayload reports whether a request of this op carries Length bytes
-// of payload after its header. Block reads describe their payload size but
-// the bytes only travel in the response; fabric ops always carry their
-// (possibly empty) message body with the request.
-func (o OpCode) carriesPayload() bool {
-	return o == OpWrite || o >= OpJoinFleet
-}
-
-// maxPayloadFor bounds one request payload by op. Block-IO frames never
-// exceed a few MiB of block data; a ShardResult legitimately carries an
-// entire shard's trace records and metric rows, so it gets a larger — but
-// still hard — cap, and AppendEntries gets the same cap because a
-// replicated log entry embeds the shard-result frame it commits. Decoding
-// commits memory chunk-by-chunk as bytes arrive (see readPayload), so a
-// hostile header cannot allocate the cap up front.
+// maxPayloadFor bounds one request payload by op. Control messages never
+// exceed a few MiB; a ShardResult legitimately carries an entire shard's
+// trace records and metric rows, so it gets a larger — but still hard —
+// cap, and AppendEntries gets the same cap because a replicated log entry
+// embeds the shard-result frame it commits. Decoding commits memory
+// chunk-by-chunk as bytes arrive (see readPayload), so a hostile header
+// cannot allocate the cap up front.
 func (o OpCode) maxPayloadFor() uint32 {
 	if o == OpShardResult || o == OpAppendEntries {
 		return maxShardPayload
@@ -80,16 +68,6 @@ func (o OpCode) maxPayloadFor() uint32 {
 
 func (o OpCode) String() string {
 	switch o {
-	case OpRead:
-		return "read"
-	case OpWrite:
-		return "write"
-	case OpAddSegment:
-		return "add-segment"
-	case OpHasSegment:
-		return "has-segment"
-	case OpStats:
-		return "stats"
 	case OpJoinFleet:
 		return "join-fleet"
 	case OpAssignShard:
@@ -131,8 +109,8 @@ const (
 )
 
 // maxPayload bounds a single request/response payload (one protocol
-// message never exceeds a few MiB of block data); maxShardPayload is the
-// larger request-side cap for OpShardResult frames, which carry a whole
+// message never exceeds a few MiB); maxShardPayload is the larger
+// request-side cap for OpShardResult frames, which carry a whole
 // shard's encoded partial results.
 const (
 	maxPayload      = 8 << 20
@@ -144,30 +122,25 @@ const (
 // actionable error (fewer VDs per shard) instead of a bare codec failure.
 const MaxShardResultPayload = maxShardPayload
 
-// header layout (little endian):
+// Frame layout (little endian), the same in both directions:
 //
-//	request:  id u64 | op u8 | seg i32 | offset i64 | length u32 | payload
-//	response: id u64 | status u8 | length u32 | payload
-const (
-	reqHeaderSize  = 8 + 1 + 4 + 8 + 4
-	respHeaderSize = 8 + 1 + 4
-)
+//	id u64 | tag u8 | length u32 | payload
+//
+// where tag is a request's opcode or a response's status.
+const headerSize = 8 + 1 + 4
 
-// Request is one RPC from the compute side.
+// Request is one RPC: an opaque message body under an opcode.
 type Request struct {
 	ID      uint64
 	Op      OpCode
-	Segment int32
-	Offset  int64
-	Length  uint32 // read length, or AddSegment size in blocks
-	Payload []byte // write data
+	Payload []byte
 }
 
-// Response is the storage side's answer.
+// Response is the handler's answer.
 type Response struct {
 	ID      uint64
 	Status  uint8
-	Payload []byte // read data, or error text when Status != StatusOK
+	Payload []byte // reply body, or error text when Status != StatusOK
 }
 
 // Err converts an error response into a Go error.
@@ -196,7 +169,6 @@ func (e *RedirectError) Error() string {
 // Errors of the codec layer.
 var (
 	ErrPayloadTooLarge = errors.New("netblock: payload exceeds protocol limit")
-	ErrShortHeader     = errors.New("netblock: short header")
 	ErrUnknownOp       = errors.New("netblock: unknown opcode")
 )
 
@@ -205,22 +177,35 @@ func WriteRequest(w io.Writer, req *Request) error {
 	if err := req.validate(); err != nil {
 		return err
 	}
-	var hdr [reqHeaderSize]byte
-	binary.LittleEndian.PutUint64(hdr[0:], req.ID)
-	hdr[8] = byte(req.Op)
-	binary.LittleEndian.PutUint32(hdr[9:], uint32(req.Segment))
-	binary.LittleEndian.PutUint64(hdr[13:], uint64(req.Offset))
-	binary.LittleEndian.PutUint32(hdr[21:], req.Length)
+	return writeFrame(w, req.ID, byte(req.Op), req.Payload)
+}
+
+// writeFrame writes one header and its payload. An empty payload is not
+// written: a zero-length Write on a net.Pipe blocks until the peer's next
+// Read, which a frame with nothing left to read never issues.
+func writeFrame(w io.Writer, id uint64, tag uint8, payload []byte) error {
+	var hdr [headerSize]byte
+	binary.LittleEndian.PutUint64(hdr[0:], id)
+	hdr[8] = tag
+	binary.LittleEndian.PutUint32(hdr[9:], uint32(len(payload)))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	// The payload length is implied: payload-carrying ops carry Length bytes.
-	if req.Op.carriesPayload() {
-		if _, err := w.Write(req.Payload); err != nil {
+	if len(payload) > 0 {
+		if _, err := w.Write(payload); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// readHeader reads one frame header.
+func readHeader(r io.Reader) (id uint64, tag uint8, length uint32, err error) {
+	var hdr [headerSize]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return 0, 0, 0, err
+	}
+	return binary.LittleEndian.Uint64(hdr[0:]), hdr[8], binary.LittleEndian.Uint32(hdr[9:]), nil
 }
 
 // validate rejects a request the codec could not frame, before any bytes
@@ -229,43 +214,30 @@ func (req *Request) validate() error {
 	if !req.Op.Valid() {
 		return fmt.Errorf("%w %d", ErrUnknownOp, uint8(req.Op))
 	}
-	max := req.Op.maxPayloadFor()
-	if uint64(len(req.Payload)) > uint64(max) || req.Length > max {
+	if uint64(len(req.Payload)) > uint64(req.Op.maxPayloadFor()) {
 		return ErrPayloadTooLarge
-	}
-	if req.Op.carriesPayload() && uint32(len(req.Payload)) != req.Length {
-		return fmt.Errorf("netblock: %s payload %d != length %d", req.Op, len(req.Payload), req.Length)
 	}
 	return nil
 }
 
 // ReadRequest decodes one request from r.
 func ReadRequest(r io.Reader) (*Request, error) {
-	var hdr [reqHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	id, tag, n, err := readHeader(r)
+	if err != nil {
 		return nil, err
 	}
-	req := &Request{
-		ID:      binary.LittleEndian.Uint64(hdr[0:]),
-		Op:      OpCode(hdr[8]),
-		Segment: int32(binary.LittleEndian.Uint32(hdr[9:])),
-		Offset:  int64(binary.LittleEndian.Uint64(hdr[13:])),
-		Length:  binary.LittleEndian.Uint32(hdr[21:]),
+	op := OpCode(tag)
+	if !op.Valid() {
+		return nil, fmt.Errorf("%w %d", ErrUnknownOp, tag)
 	}
-	if !req.Op.Valid() {
-		return nil, fmt.Errorf("%w %d", ErrUnknownOp, uint8(req.Op))
-	}
-	if req.Length > req.Op.maxPayloadFor() {
+	if n > op.maxPayloadFor() {
 		return nil, ErrPayloadTooLarge
 	}
-	if req.Op.carriesPayload() {
-		p, err := readPayload(r, req.Length)
-		if err != nil {
-			return nil, err
-		}
-		req.Payload = p
+	p, err := readPayload(r, n)
+	if err != nil {
+		return nil, err
 	}
-	return req, nil
+	return &Request{ID: id, Op: op, Payload: p}, nil
 }
 
 // allocChunk bounds how much payload memory is committed ahead of the bytes
@@ -307,32 +279,15 @@ func WriteResponse(w io.Writer, resp *Response) error {
 	if len(resp.Payload) > maxPayload {
 		return ErrPayloadTooLarge
 	}
-	var hdr [respHeaderSize]byte
-	binary.LittleEndian.PutUint64(hdr[0:], resp.ID)
-	hdr[8] = resp.Status
-	binary.LittleEndian.PutUint32(hdr[9:], uint32(len(resp.Payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if len(resp.Payload) > 0 {
-		if _, err := w.Write(resp.Payload); err != nil {
-			return err
-		}
-	}
-	return nil
+	return writeFrame(w, resp.ID, resp.Status, resp.Payload)
 }
 
 // ReadResponse decodes one response from r.
 func ReadResponse(r io.Reader) (*Response, error) {
-	var hdr [respHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	id, status, n, err := readHeader(r)
+	if err != nil {
 		return nil, err
 	}
-	resp := &Response{
-		ID:     binary.LittleEndian.Uint64(hdr[0:]),
-		Status: hdr[8],
-	}
-	n := binary.LittleEndian.Uint32(hdr[9:])
 	if n > maxPayload {
 		return nil, ErrPayloadTooLarge
 	}
@@ -340,6 +295,5 @@ func ReadResponse(r io.Reader) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp.Payload = p
-	return resp, nil
+	return &Response{ID: id, Status: status, Payload: p}, nil
 }

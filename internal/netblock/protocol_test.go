@@ -12,20 +12,45 @@ import (
 // reqFrame assembles a raw request header (plus optional payload bytes) so
 // the decode tests can craft frames the encoder would refuse to produce.
 func reqFrame(id uint64, op OpCode, length uint32, payload []byte) []byte {
-	hdr := make([]byte, reqHeaderSize)
+	hdr := make([]byte, headerSize)
 	binary.LittleEndian.PutUint64(hdr[0:], id)
 	hdr[8] = byte(op)
-	binary.LittleEndian.PutUint32(hdr[21:], length)
+	binary.LittleEndian.PutUint32(hdr[9:], length)
 	return append(hdr, payload...)
 }
 
 // respFrame assembles a raw response header plus optional payload bytes.
 func respFrame(id uint64, status uint8, length uint32, payload []byte) []byte {
-	hdr := make([]byte, respHeaderSize)
+	hdr := make([]byte, headerSize)
 	binary.LittleEndian.PutUint64(hdr[0:], id)
 	hdr[8] = status
 	binary.LittleEndian.PutUint32(hdr[9:], length)
 	return append(hdr, payload...)
+}
+
+// TestWireLayout pins the frame bytes: a 13-byte little-endian header
+// (id u64 | op-or-status u8 | length u32) followed by the payload, in both
+// directions.
+func TestWireLayout(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteRequest(&buf, &Request{ID: 0x0807060504030201, Op: OpHeartbeat, Payload: []byte("hi")}); err != nil {
+		t.Fatal(err)
+	}
+	want := []byte{1, 2, 3, 4, 5, 6, 7, 8, byte(OpHeartbeat), 2, 0, 0, 0, 'h', 'i'}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("request frame = % x, want % x", buf.Bytes(), want)
+	}
+	if !bytes.Equal(want, reqFrame(0x0807060504030201, OpHeartbeat, 2, []byte("hi"))) {
+		t.Fatal("reqFrame helper disagrees with the encoder")
+	}
+	buf.Reset()
+	if err := WriteResponse(&buf, &Response{ID: 0x0807060504030201, Status: StatusRedirect, Payload: []byte("hi")}); err != nil {
+		t.Fatal(err)
+	}
+	want[8] = StatusRedirect
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("response frame = % x, want % x", buf.Bytes(), want)
+	}
 }
 
 // TestReadRequestErrors drives ReadRequest through every malformed-frame
@@ -38,15 +63,19 @@ func TestReadRequestErrors(t *testing.T) {
 		want error // errors.Is target; nil means "any error"
 	}{
 		{"empty stream", nil, io.EOF},
-		{"truncated header", reqFrame(1, OpRead, 0, nil)[:reqHeaderSize-3], io.ErrUnexpectedEOF},
+		{"truncated header", reqFrame(1, OpHeartbeat, 0, nil)[:headerSize-3], io.ErrUnexpectedEOF},
 		{"one header byte", []byte{0x01}, io.ErrUnexpectedEOF},
 		{"zero opcode", reqFrame(1, OpCode(0), 0, nil), ErrUnknownOp},
 		{"unknown opcode", reqFrame(1, OpCode(42), 0, nil), ErrUnknownOp},
-		{"all-ones garbage", bytes.Repeat([]byte{0xFF}, reqHeaderSize), ErrUnknownOp},
-		{"oversized length prefix", reqFrame(1, OpWrite, maxPayload+1, nil), ErrPayloadTooLarge},
-		{"max length prefix", reqFrame(1, OpWrite, ^uint32(0), nil), ErrPayloadTooLarge},
-		{"write header without payload", reqFrame(1, OpWrite, 4096, nil), io.ErrUnexpectedEOF},
-		{"write short payload", reqFrame(1, OpWrite, 64, []byte("ten bytes.")), io.ErrUnexpectedEOF},
+		{"first opcode past the table", reqFrame(1, OpTenantStats+1, 0, nil), ErrUnknownOp},
+		{"all-ones garbage", bytes.Repeat([]byte{0xFF}, headerSize), ErrUnknownOp},
+		{"oversized length prefix", reqFrame(1, OpHeartbeat, maxPayload+1, nil), ErrPayloadTooLarge},
+		{"max length prefix", reqFrame(1, OpHeartbeat, ^uint32(0), nil), ErrPayloadTooLarge},
+		{"shard length inside its larger cap", reqFrame(1, OpShardResult, maxPayload+1, nil), io.ErrUnexpectedEOF},
+		{"oversized shard length prefix", reqFrame(1, OpShardResult, maxShardPayload+1, nil), ErrPayloadTooLarge},
+		{"oversized append-entries length prefix", reqFrame(1, OpAppendEntries, maxShardPayload+1, nil), ErrPayloadTooLarge},
+		{"header without payload", reqFrame(1, OpSubmitStudy, 4096, nil), io.ErrUnexpectedEOF},
+		{"short payload", reqFrame(1, OpSubmitStudy, 64, []byte("ten bytes.")), io.ErrUnexpectedEOF},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -69,7 +98,7 @@ func TestReadResponseErrors(t *testing.T) {
 		want error
 	}{
 		{"empty stream", nil, io.EOF},
-		{"truncated header", respFrame(1, StatusOK, 0, nil)[:respHeaderSize-2], io.ErrUnexpectedEOF},
+		{"truncated header", respFrame(1, StatusOK, 0, nil)[:headerSize-2], io.ErrUnexpectedEOF},
 		{"oversized length prefix", respFrame(1, StatusOK, maxPayload+1, nil), ErrPayloadTooLarge},
 		{"max length prefix", respFrame(1, StatusOK, ^uint32(0), nil), ErrPayloadTooLarge},
 		{"payload missing", respFrame(1, StatusOK, 512, nil), io.ErrUnexpectedEOF},
@@ -99,8 +128,7 @@ func TestWriteRequestValidation(t *testing.T) {
 	}{
 		{"zero opcode", Request{}, ErrUnknownOp},
 		{"unknown opcode", Request{Op: OpCode(99)}, ErrUnknownOp},
-		{"oversized read length", Request{Op: OpRead, Length: maxPayload + 1}, ErrPayloadTooLarge},
-		{"write length mismatch", Request{Op: OpWrite, Length: 8, Payload: []byte("abc")}, nil},
+		{"oversized payload", Request{Op: OpHeartbeat, Payload: make([]byte, maxPayload+1)}, ErrPayloadTooLarge},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -145,7 +173,7 @@ func TestLargePayloadRoundTrip(t *testing.T) {
 		payload[i] = byte(i * 31)
 	}
 	var buf bytes.Buffer
-	req := &Request{ID: 5, Op: OpWrite, Segment: 2, Length: uint32(len(payload)), Payload: payload}
+	req := &Request{ID: 5, Op: OpShardResult, Payload: payload}
 	if err := WriteRequest(&buf, req); err != nil {
 		t.Fatalf("WriteRequest: %v", err)
 	}

@@ -2,22 +2,18 @@ package netblock
 
 import (
 	"bytes"
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"ebslab/internal/storage"
 )
 
 // Handler executes one decoded request and produces its response. The
 // server calls handlers from one goroutine per connection, so a handler
-// shared across connections must be safe for concurrent use. Two handlers
-// exist today: the BlockServer data plane (NewServer) and the fabric
-// coordinator control plane (internal/fabric).
+// shared across connections must be safe for concurrent use. The fabric
+// coordinator (internal/fabric) and the gateway (internal/gateway) are the
+// handlers.
 type Handler interface {
 	Handle(req *Request) *Response
 }
@@ -116,13 +112,7 @@ func (s *Server) faultHook() FaultHook {
 // included).
 func (s *Server) FaultsInjected() int64 { return s.faults.Load() }
 
-// NewServer wraps a BlockServer in the block-IO data-plane handler.
-func NewServer(bs *storage.BlockServer) *Server {
-	return NewHandlerServer(&blockHandler{bs: bs})
-}
-
-// NewHandlerServer serves an arbitrary Handler (the fabric control plane
-// mounts its coordinator this way).
+// NewHandlerServer serves h.
 func NewHandlerServer(h Handler) *Server {
 	return &Server{h: h, closed: make(chan struct{}), conns: make(map[net.Conn]struct{})}
 }
@@ -237,7 +227,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			return
 		case FaultGarbage:
-			conn.Write(bytes.Repeat([]byte{0xA5}, respHeaderSize+8))
+			conn.Write(bytes.Repeat([]byte{0xA5}, headerSize+8))
 			return
 		}
 		writeMu.Lock()
@@ -255,59 +245,6 @@ func (s *Server) execute(req *Request) *Response {
 	resp := s.h.Handle(req)
 	if resp.Status != StatusOK {
 		s.errorsOut.Add(1)
-	}
-	return resp
-}
-
-// blockHandler is the block-IO data plane: requests are executed under a
-// mutex (the BlockServer is single-writer).
-type blockHandler struct {
-	mu sync.Mutex
-	bs *storage.BlockServer
-}
-
-// Handle runs one request against the BlockServer.
-func (s *blockHandler) Handle(req *Request) *Response {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	resp := &Response{ID: req.ID, Status: StatusOK}
-	fail := func(err error) *Response {
-		resp.Status = StatusError
-		resp.Payload = []byte(err.Error())
-		return resp
-	}
-	switch req.Op {
-	case OpRead:
-		if req.Length > maxPayload {
-			return fail(ErrPayloadTooLarge)
-		}
-		buf := make([]byte, req.Length)
-		if _, err := s.bs.Read(storage.SegKey(req.Segment), req.Offset, buf); err != nil {
-			return fail(err)
-		}
-		resp.Payload = buf
-	case OpWrite:
-		if err := s.bs.Write(storage.SegKey(req.Segment), req.Offset, req.Payload); err != nil {
-			return fail(err)
-		}
-	case OpAddSegment:
-		size := int64(req.Length) * storage.BlockSize
-		if err := s.bs.AddSegment(storage.SegKey(req.Segment), size); err != nil {
-			return fail(err)
-		}
-	case OpHasSegment:
-		if !s.bs.HasSegment(storage.SegKey(req.Segment)) {
-			return fail(errors.New("segment not hosted"))
-		}
-	case OpStats:
-		r, w, p := s.bs.Traffic()
-		buf := make([]byte, 24)
-		binary.LittleEndian.PutUint64(buf[0:], uint64(r))
-		binary.LittleEndian.PutUint64(buf[8:], uint64(w))
-		binary.LittleEndian.PutUint64(buf[16:], uint64(p))
-		resp.Payload = buf
-	default:
-		return fail(fmt.Errorf("netblock: unknown op %d", req.Op))
 	}
 	return resp
 }

@@ -7,8 +7,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"ebslab/internal/storage"
 )
 
 // TestCloseWaitsForInflightHandler pins the shutdown contract: Close must
@@ -16,8 +14,7 @@ import (
 // The fault hook parks the in-flight handler on a channel; Close may only
 // complete after the handler is released.
 func TestCloseWaitsForInflightHandler(t *testing.T) {
-	bs := storage.NewBlockServer(storage.NewChunkServer(1 << 20))
-	srv := NewServer(bs)
+	srv := NewHandlerServer(&EchoHandler{})
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	var hookOnce sync.Once
@@ -35,7 +32,7 @@ func TestCloseWaitsForInflightHandler(t *testing.T) {
 	go func() { serveDone <- srv.Serve(&stubListener{conns: oneConn(sc)}) }()
 
 	cl := NewClient(cc)
-	go cl.AddSegment(1, 4) // parks inside the hook; the response may never land
+	go cl.Call(OpHeartbeat, nil) // parks inside the hook; the response may never land
 
 	<-entered
 	closeDone := make(chan struct{})
@@ -68,8 +65,7 @@ func TestCloseWaitsForInflightHandler(t *testing.T) {
 // server a connection only after Close has fully completed; the server must
 // refuse and close it rather than serving it.
 func TestAcceptCloseRace(t *testing.T) {
-	bs := storage.NewBlockServer(storage.NewChunkServer(1 << 20))
-	srv := NewServer(bs)
+	srv := NewHandlerServer(&EchoHandler{})
 
 	l := &stubListener{conns: make(chan net.Conn, 1), accepting: make(chan struct{})}
 	serveDone := make(chan error, 1)

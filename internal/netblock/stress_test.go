@@ -1,52 +1,29 @@
 // Stress tests: N concurrent clients against one Server, with and without
-// wire faults, auditing per-client byte accounting against the server's own
+// wire faults, auditing per-client byte accounting against the handler's own
 // counters. These run under -race in `make ci`.
 package netblock_test
 
 import (
 	"bytes"
-	"net"
 	"sync"
 	"testing"
 	"time"
 
 	"ebslab/internal/chaos"
 	"ebslab/internal/netblock"
-	"ebslab/internal/storage"
 )
 
-const stressIters = 25
+const (
+	stressIters = 25
+	stressBlock = 4096
+)
 
-// stressServer starts a TCP server over a fresh BlockServer with one
-// pre-created segment per client (created before any fault hook exists, so
-// setup is exactly-once).
-func stressServer(t *testing.T, clients int) (*netblock.Server, *storage.BlockServer, string) {
-	t.Helper()
-	bs := storage.NewBlockServer(storage.NewChunkServer(64 << 20))
-	srv := netblock.NewServer(bs)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(l)
-	t.Cleanup(srv.Close)
-	setup, err := netblock.Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for w := 0; w < clients; w++ {
-		if err := setup.AddSegment(storage.SegKey(w+1), 4*stressIters); err != nil {
-			t.Fatal(err)
-		}
-	}
-	setup.Close()
-	return srv, bs, l.Addr().String()
-}
-
-// stressPattern is the deterministic block a client writes at iteration i,
-// so readback can verify durability byte-for-byte.
+// stressPattern is the deterministic block client w sends at iteration i:
+// unique per (client, iteration), so an echo that belongs to any other call
+// — another client's, or this client's abandoned earlier attempt at another
+// iteration — cannot pass for this one's.
 func stressPattern(w, i int) []byte {
-	buf := make([]byte, storage.BlockSize)
+	buf := make([]byte, stressBlock)
 	for j := range buf {
 		buf[j] = byte(w*131 + i*31 + j)
 	}
@@ -55,13 +32,13 @@ func stressPattern(w, i int) []byte {
 
 // TestStressClientsAgainstFaultyServer hammers one server from several
 // clients while the chaos fault hook resets, drops, delays, truncates, and
-// garbles exchanges. The accounting laws under at-least-once retry:
-// every acknowledged write is durable and readable bit-exactly once the
-// faults stop, and the server's counters are lower-bounded by what the
-// clients got acknowledged.
+// garbles exchanges. The accounting laws under at-least-once retry: every
+// acknowledged call returned its own payload bit-exactly, the connection is
+// healthy once the faults stop, and the handler's counters are
+// lower-bounded by what the clients got acknowledged.
 func TestStressClientsAgainstFaultyServer(t *testing.T) {
 	const clients = 4
-	srv, bs, addr := stressServer(t, clients)
+	srv, h, addr := netblock.ServeEcho(t)
 
 	plan := &chaos.Plan{Seed: 99, Net: chaos.NetFaults{
 		ResetRate: 0.05, DropRate: 0.04, DelayRate: 0.05,
@@ -71,11 +48,10 @@ func TestStressClientsAgainstFaultyServer(t *testing.T) {
 	srv.SetFaultHook(plan.NewFaultHook(1))
 
 	ackedBytes := make([]int64, clients)
-	ackedIters := make([][]bool, clients)
+	ackedCalls := make([]int64, clients)
 	var wg sync.WaitGroup
 	for w := 0; w < clients; w++ {
 		w := w
-		ackedIters[w] = make([]bool, stressIters)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -88,20 +64,20 @@ func TestStressClientsAgainstFaultyServer(t *testing.T) {
 				return
 			}
 			defer c.Close()
-			seg := storage.SegKey(w + 1)
 			for i := 0; i < stressIters; i++ {
-				off := int64(i) * storage.BlockSize
 				pat := stressPattern(w, i)
-				if err := c.Write(seg, off, pat); err == nil {
-					ackedIters[w][i] = true
-					ackedBytes[w] += int64(len(pat))
-				}
-				// Reads may fail under fault pressure; a success for an
-				// acknowledged offset must return the durable pattern.
-				if got, err := c.Read(seg, off, storage.BlockSize); err == nil && ackedIters[w][i] {
-					if !bytes.Equal(got, pat) {
-						t.Errorf("client %d iter %d: read-after-acked-write mismatch", w, i)
+				// Two calls per iteration, as many as may fail under fault
+				// pressure; a success must carry this call's own bytes.
+				for k := 0; k < 2; k++ {
+					got, err := c.Call(netblock.OpHeartbeat, pat)
+					if err != nil {
+						continue
 					}
+					if !bytes.Equal(got, pat) {
+						t.Errorf("client %d iter %d: acknowledged call returned another call's bytes", w, i)
+					}
+					ackedCalls[w]++
+					ackedBytes[w] += int64(len(pat))
 				}
 			}
 		}()
@@ -112,35 +88,32 @@ func TestStressClientsAgainstFaultyServer(t *testing.T) {
 		t.Fatal("fault hook never fired; the stress exercised nothing")
 	}
 
-	// Faults off: every acknowledged write must be durable.
+	// Faults off: the server must still serve every client's pattern intact.
 	srv.SetFaultHook(nil)
 	verify, err := netblock.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer verify.Close()
-	var totalAcked int64
+	var totalAcked, totalCalls int64
 	for w := 0; w < clients; w++ {
 		totalAcked += ackedBytes[w]
-		for i, acked := range ackedIters[w] {
-			if !acked {
-				continue
-			}
-			got, err := verify.Read(storage.SegKey(w+1), int64(i)*storage.BlockSize, storage.BlockSize)
-			if err != nil {
-				t.Fatalf("client %d iter %d: verify read: %v", w, i, err)
-			}
-			if !bytes.Equal(got, stressPattern(w, i)) {
-				t.Fatalf("client %d iter %d: acknowledged write not durable", w, i)
-			}
-		}
+		totalCalls += ackedCalls[w]
 	}
-	// At-least-once: the server executed no fewer write bytes than the
-	// clients got acknowledged (a retried write can execute twice; a dropped
+	if totalCalls == 0 {
+		t.Fatal("no call was ever acknowledged; the retry budget saved nothing")
+	}
+	// At-least-once: the handler executed no fewer payload bytes than the
+	// clients got acknowledged (a retried call can execute twice; a dropped
 	// response executes without an ack — both only push the counter up).
-	_, wBytes, _ := bs.Traffic()
-	if wBytes < totalAcked {
-		t.Fatalf("server write bytes %d < acknowledged bytes %d: an acked write vanished", wBytes, totalAcked)
+	if h.Bytes() < totalAcked || h.Calls() < totalCalls {
+		t.Fatalf("handler executed %d bytes / %d calls < acknowledged %d / %d: an acked call vanished",
+			h.Bytes(), h.Calls(), totalAcked, totalCalls)
+	}
+	pat := stressPattern(clients, 0)
+	got, err := verify.Call(netblock.OpHeartbeat, pat)
+	if err != nil || !bytes.Equal(got, pat) {
+		t.Fatalf("server unhealthy after the faults stopped: %v", err)
 	}
 }
 
@@ -148,8 +121,7 @@ func TestStressClientsAgainstFaultyServer(t *testing.T) {
 // per-client accounting and the server's counters must agree exactly.
 func TestStressAccountingExactWithoutFaults(t *testing.T) {
 	const clients = 4
-	srv, bs, addr := stressServer(t, clients)
-	reqsBefore := srv.Requests()
+	srv, h, addr := netblock.ServeEcho(t)
 
 	var wg sync.WaitGroup
 	for w := 0; w < clients; w++ {
@@ -163,22 +135,18 @@ func TestStressAccountingExactWithoutFaults(t *testing.T) {
 				return
 			}
 			defer c.Close()
-			seg := storage.SegKey(w + 1)
 			for i := 0; i < stressIters; i++ {
-				off := int64(i) * storage.BlockSize
 				pat := stressPattern(w, i)
-				if err := c.Write(seg, off, pat); err != nil {
-					t.Errorf("client %d iter %d: write: %v", w, i, err)
-					return
-				}
-				got, err := c.Read(seg, off, storage.BlockSize)
-				if err != nil {
-					t.Errorf("client %d iter %d: read: %v", w, i, err)
-					return
-				}
-				if !bytes.Equal(got, pat) {
-					t.Errorf("client %d iter %d: readback mismatch", w, i)
-					return
+				for k := 0; k < 2; k++ {
+					got, err := c.Call(netblock.OpHeartbeat, pat)
+					if err != nil {
+						t.Errorf("client %d iter %d: call: %v", w, i, err)
+						return
+					}
+					if !bytes.Equal(got, pat) {
+						t.Errorf("client %d iter %d: echo mismatch", w, i)
+						return
+					}
 				}
 			}
 		}()
@@ -188,16 +156,12 @@ func TestStressAccountingExactWithoutFaults(t *testing.T) {
 		return
 	}
 
-	want := int64(clients * stressIters * storage.BlockSize)
-	rBytes, wBytes, _ := bs.Traffic()
-	if wBytes != want {
-		t.Fatalf("server write bytes = %d, want exactly %d", wBytes, want)
+	wantCalls := int64(clients * 2 * stressIters)
+	if got, want := h.Bytes(), wantCalls*stressBlock; got != want {
+		t.Fatalf("handler executed %d payload bytes, want exactly %d", got, want)
 	}
-	if rBytes != want {
-		t.Fatalf("server read bytes = %d, want exactly %d", rBytes, want)
-	}
-	if got, wantReqs := srv.Requests()-reqsBefore, int64(clients*2*stressIters); got != wantReqs {
-		t.Fatalf("server executed %d requests, want exactly %d", got, wantReqs)
+	if srv.Requests() != wantCalls || h.Calls() != wantCalls {
+		t.Fatalf("server executed %d requests (handler %d), want exactly %d", srv.Requests(), h.Calls(), wantCalls)
 	}
 	if srv.FaultsInjected() != 0 {
 		t.Fatalf("control run injected %d faults", srv.FaultsInjected())
