@@ -9,7 +9,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: all build test race vet bench bench-gate golden golden-diff fuzz-smoke cover chaos-smoke sketch-accuracy-smoke dist-smoke dist-ha-smoke consensus-race gateway-smoke control-smoke scenario-smoke bench-module ci
+.PHONY: all build test race vet loc bench bench-gate golden golden-diff fuzz-smoke cover chaos-smoke sketch-accuracy-smoke dist-smoke dist-ha-smoke consensus-race gateway-smoke control-smoke scenario-smoke bench-module ci
 
 all: build
 
@@ -21,6 +21,13 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Non-test Go lines outside bench/, per package directory and in total: the
+# number a simplification PR reports before and after (ROADMAP aim 2).
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 \
+		| xargs -0 wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 
 # Race-detector run. -short trims the slowest property tests where they
 # opt in; every fleet used by the tests is already small. The invariant
@@ -63,7 +70,8 @@ golden:
 	$(GO) test ./internal/scenario -run 'TestGolden' -count=1 -update
 
 # Short randomized runs of the committed fuzz targets (seeds under each
-# package's testdata/fuzz; the netblock frame decoders seed theirs in code).
+# package's testdata/fuzz; the netblock, wire and fabric decoders seed theirs
+# in code).
 # `go test -fuzz` takes one target per invocation, so each gets its own.
 fuzz-smoke:
 	$(GO) test ./internal/trace -fuzz FuzzReadTraceCSV -fuzztime $(FUZZTIME)
@@ -73,6 +81,9 @@ fuzz-smoke:
 	$(GO) test ./internal/sketch -fuzz FuzzSpaceSavingAddMerge -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sketch -fuzz FuzzLogQuantileMerge -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sketch -fuzz FuzzSetCodec -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/wire -fuzz FuzzReader -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/fabric -fuzz FuzzDecodeResult -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/fabric -fuzz FuzzDecodeCommand -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/consensus -fuzz FuzzMessageCodec -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/gateway -fuzz FuzzGatewayCodec -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/scenario -fuzz FuzzReplayIngest -fuzztime $(FUZZTIME)

@@ -34,24 +34,9 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+
+	"ebslab/internal/xrand"
 )
-
-// splitmix64 mixes a 64-bit state; the same finalizer internal/workload
-// uses to derive independent per-entity seeds from a master seed.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// subSeed derives a deterministic seed for a named stream; tag values must
-// be distinct per stream family.
-func subSeed(master int64, tag, entity uint64) int64 {
-	h := splitmix64(uint64(master) ^ splitmix64(tag))
-	h = splitmix64(h ^ splitmix64(entity))
-	return int64(h)
-}
 
 // Stream tags. Each fault family draws from its own derived stream, so
 // adding storms to a plan never perturbs where its crashes land.
@@ -63,7 +48,7 @@ const (
 )
 
 func newRand(master int64, tag, entity uint64) *rand.Rand {
-	return rand.New(rand.NewSource(subSeed(master, tag, entity)))
+	return rand.New(rand.NewSource(xrand.SubSeed(master, tag, entity)))
 }
 
 // NetFaults sets per-request probabilities for the netblock wire faults.

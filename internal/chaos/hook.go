@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 
 	"ebslab/internal/netblock"
+	"ebslab/internal/xrand"
 )
 
 // NewFaultHook builds a netblock.FaultHook from the plan's Net rates. The
@@ -20,7 +21,7 @@ func (p *Plan) NewFaultHook(runSeed int64) netblock.FaultHook {
 	if seed == 0 {
 		seed = runSeed
 	}
-	base := uint64(subSeed(seed, tagNet, 0))
+	base := uint64(xrand.SubSeed(seed, tagNet, 0))
 	delayUS := p.Net.DelayUS
 	if delayUS <= 0 {
 		delayUS = 1000
@@ -49,5 +50,5 @@ func (p *Plan) NewFaultHook(runSeed int64) netblock.FaultHook {
 
 // uniform maps (base, i) to [0, 1).
 func uniform(base, i uint64) float64 {
-	return float64(splitmix64(base^i*0x9e3779b97f4a7c15)>>11) / (1 << 53)
+	return float64(xrand.Mix64(base^i*0x9e3779b97f4a7c15)>>11) / (1 << 53)
 }

@@ -1,9 +1,10 @@
 package consensus
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"ebslab/internal/wire"
 )
 
 // MsgType discriminates consensus messages.
@@ -72,7 +73,10 @@ var ErrMsgWire = errors.New("consensus: malformed message frame")
 //	u32 nEntries | nEntries × (u64 term | u64 index | u32 cmdLen | cmd)
 const msgWireVersion = 1
 
-const msgFixedSize = 1 + 1 + 4 + 4 + 8 + 8 + 8 + 1 + 8 + 8 + 8 + 1 + 8 + 4
+const (
+	msgFixedSize   = 1 + 1 + 4 + 4 + 8 + 8 + 8 + 1 + 8 + 8 + 8 + 1 + 8 + 4
+	entryFixedSize = 8 + 8 + 4
+)
 
 // maxWireEntries bounds the decoded entry count before any allocation is
 // sized by it; combined with the per-entry fixed cost this keeps a hostile
@@ -83,30 +87,31 @@ const maxWireEntries = 1 << 20
 func EncodeMessage(m *Message) []byte {
 	size := msgFixedSize
 	for i := range m.Entries {
-		size += 8 + 8 + 4 + len(m.Entries[i].Cmd)
+		size += entryFixedSize + len(m.Entries[i].Cmd)
 	}
-	b := make([]byte, 0, size)
-	b = append(b, msgWireVersion, byte(m.Type))
-	b = binary.LittleEndian.AppendUint32(b, uint32(m.From))
-	b = binary.LittleEndian.AppendUint32(b, uint32(m.To))
-	b = binary.LittleEndian.AppendUint64(b, m.Term)
-	b = binary.LittleEndian.AppendUint64(b, m.LastLogIndex)
-	b = binary.LittleEndian.AppendUint64(b, m.LastLogTerm)
-	b = append(b, boolByte(m.Granted))
-	b = binary.LittleEndian.AppendUint64(b, m.PrevIndex)
-	b = binary.LittleEndian.AppendUint64(b, m.PrevTerm)
-	b = binary.LittleEndian.AppendUint64(b, m.Commit)
-	b = append(b, boolByte(m.Success))
-	b = binary.LittleEndian.AppendUint64(b, m.MatchIndex)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(m.Entries)))
+	w := &wire.Writer{B: make([]byte, 0, size)}
+	w.U8(msgWireVersion)
+	w.U8(uint8(m.Type))
+	w.U32(uint32(m.From))
+	w.U32(uint32(m.To))
+	w.U64(m.Term)
+	w.U64(m.LastLogIndex)
+	w.U64(m.LastLogTerm)
+	w.Bool(m.Granted)
+	w.U64(m.PrevIndex)
+	w.U64(m.PrevTerm)
+	w.U64(m.Commit)
+	w.Bool(m.Success)
+	w.U64(m.MatchIndex)
+	w.U32(uint32(len(m.Entries)))
 	for i := range m.Entries {
 		e := &m.Entries[i]
-		b = binary.LittleEndian.AppendUint64(b, e.Term)
-		b = binary.LittleEndian.AppendUint64(b, e.Index)
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(e.Cmd)))
-		b = append(b, e.Cmd...)
+		w.U64(e.Term)
+		w.U64(e.Index)
+		w.U32(uint32(len(e.Cmd)))
+		w.Bytes(e.Cmd)
 	}
-	return b
+	return w.B
 }
 
 // DecodeMessage parses a wire frame back into a Message. Every malformed
@@ -114,24 +119,26 @@ func EncodeMessage(m *Message) []byte {
 // an allocation sized by an unbacked length claim (the fuzz target pins
 // both properties).
 func DecodeMessage(data []byte) (*Message, error) {
-	r := msgReader{b: data}
-	ver := r.u8()
-	typ := MsgType(r.u8())
+	r := wire.NewReader(data, ErrMsgWire)
+	ver := r.U8()
+	typ := MsgType(r.U8())
 	m := &Message{Type: typ}
-	m.From = int(int32(r.u32()))
-	m.To = int(int32(r.u32()))
-	m.Term = r.u64()
-	m.LastLogIndex = r.u64()
-	m.LastLogTerm = r.u64()
-	m.Granted = r.u8() != 0
-	m.PrevIndex = r.u64()
-	m.PrevTerm = r.u64()
-	m.Commit = r.u64()
-	m.Success = r.u8() != 0
-	m.MatchIndex = r.u64()
-	nEntries := r.u32()
-	if r.err != nil {
-		return nil, r.err
+	m.From = int(r.I32())
+	m.To = int(r.I32())
+	m.Term = r.U64()
+	m.LastLogIndex = r.U64()
+	m.LastLogTerm = r.U64()
+	m.Granted = r.U8() != 0
+	m.PrevIndex = r.U64()
+	m.PrevTerm = r.U64()
+	m.Commit = r.U64()
+	m.Success = r.U8() != 0
+	m.MatchIndex = r.U64()
+	// Each entry costs at least its fixed header on the wire, so Count only
+	// passes a claim the remaining bytes can back.
+	nEntries := r.Count(entryFixedSize)
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	if ver != msgWireVersion {
 		return nil, fmt.Errorf("%w: version %d", ErrMsgWire, ver)
@@ -142,91 +149,19 @@ func DecodeMessage(data []byte) (*Message, error) {
 	if nEntries > maxWireEntries {
 		return nil, fmt.Errorf("%w: %d entries", ErrMsgWire, nEntries)
 	}
-	// Each entry costs at least its 20-byte header on the wire, so the
-	// claimed count must be backed by remaining bytes before we size any
-	// slice by it.
-	if uint64(nEntries)*20 > uint64(len(r.b)-r.off) {
-		return nil, fmt.Errorf("%w: %d entries in %d bytes", ErrMsgWire, nEntries, len(r.b)-r.off)
-	}
 	if nEntries > 0 {
 		m.Entries = make([]Entry, nEntries)
 		for i := range m.Entries {
 			e := &m.Entries[i]
-			e.Term = r.u64()
-			e.Index = r.u64()
-			cmdLen := r.u32()
-			cmd := r.take(cmdLen)
-			if r.err != nil {
-				return nil, r.err
-			}
-			if cmdLen > 0 {
+			e.Term = r.U64()
+			e.Index = r.U64()
+			if cmd := r.Take(r.Count(1)); len(cmd) > 0 {
 				e.Cmd = append([]byte(nil), cmd...)
 			}
 		}
 	}
-	if r.off != len(r.b) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrMsgWire, len(r.b)-r.off)
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return m, nil
-}
-
-func boolByte(v bool) byte {
-	if v {
-		return 1
-	}
-	return 0
-}
-
-// msgReader is a bounds-checked little-endian cursor; the first failure
-// sticks in err and poisons every later read.
-type msgReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *msgReader) fail() {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: truncated at byte %d", ErrMsgWire, r.off)
-	}
-}
-
-func (r *msgReader) u8() byte {
-	if r.err != nil || r.off+1 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-
-func (r *msgReader) u32() uint32 {
-	if r.err != nil || r.off+4 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *msgReader) u64() uint64 {
-	if r.err != nil || r.off+8 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *msgReader) take(n uint32) []byte {
-	if r.err != nil || uint64(r.off)+uint64(n) > uint64(len(r.b)) {
-		r.fail()
-		return nil
-	}
-	v := r.b[r.off : r.off+int(n)]
-	r.off += int(n)
-	return v
 }

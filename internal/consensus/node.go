@@ -11,7 +11,8 @@
 // testable — table tests drive elections message by message, and the seeded
 // reorder/partition simulator in sim_test.go runs whole clusters through
 // adversarial schedules deterministically. Runner (runner.go) owns the real
-// ticker and transport.
+// ticker and transport; the message frame (msg.go) is a walk over the
+// internal/wire cursor.
 package consensus
 
 import (

@@ -58,9 +58,9 @@ type RunnerConfig struct {
 	Node      *Node
 	FSM       Applier
 	Transport Transport // may be nil for a single-node group
-	// TickEvery is the real-time interval behind Node.Tick. <= 0 disables
-	// the internal ticker (tests drive Tick manually; single-node groups
-	// need no ticks at all).
+	// TickEvery is the real-time interval behind Node.Tick, once Start is
+	// called. <= 0 disables the internal ticker (tests drive Tick manually;
+	// single-node groups need no ticks at all).
 	TickEvery time.Duration
 	// OnBecomeLeader fires (outside the lock) when this node wins an
 	// election or bootstraps as leader; the fabric records the
@@ -85,6 +85,7 @@ type Runner struct {
 	onBecomeLeader func(term uint64, id int)
 	onApply        func(cmd []byte, reply any, leader bool)
 	wasLeader      bool
+	tickEvery      time.Duration
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -96,8 +97,8 @@ type commitWaiter struct {
 	ch   chan any // receives the FSM reply, or an error
 }
 
-// NewRunner constructs a Runner and, when cfg.TickEvery > 0, starts its
-// ticker goroutine.
+// NewRunner constructs a Runner. It sends nothing until it is ticked,
+// delivered to, or proposed on; Start begins the ticking.
 func NewRunner(cfg RunnerConfig) *Runner {
 	r := &Runner{
 		node:           cfg.Node,
@@ -106,6 +107,7 @@ func NewRunner(cfg RunnerConfig) *Runner {
 		waiters:        make(map[uint64]*commitWaiter),
 		onBecomeLeader: cfg.OnBecomeLeader,
 		onApply:        cfg.OnApply,
+		tickEvery:      cfg.TickEvery,
 		stop:           make(chan struct{}),
 	}
 	// A bootstrap leader is already leading at construction; surface it
@@ -114,11 +116,17 @@ func NewRunner(cfg RunnerConfig) *Runner {
 	notify := r.advanceLocked()
 	r.mu.Unlock()
 	runDeferred(notify)
-	if cfg.TickEvery > 0 {
-		r.tickWG.Add(1)
-		go r.tickLoop(cfg.TickEvery)
-	}
 	return r
+}
+
+// Start launches the ticker goroutine when TickEvery > 0. Call it once, after
+// every peer the transport delivers to exists: a ticking node sends (election
+// messages, heartbeats) from its own goroutine.
+func (r *Runner) Start() {
+	if r.tickEvery > 0 {
+		r.tickWG.Add(1)
+		go r.tickLoop(r.tickEvery)
+	}
 }
 
 // Stop shuts the runner down: the ticker exits, every parked proposer

@@ -87,6 +87,9 @@ func startCluster(t *testing.T, n int) (*chanTransport, []*Runner, []*countFSM, 
 		tr.runners[id] = runners[id]
 		tr.mu.Unlock()
 	}
+	for _, r := range runners {
+		r.Start()
+	}
 	t.Cleanup(func() {
 		for _, r := range runners {
 			r.Stop()

@@ -17,6 +17,7 @@ import (
 
 	"ebslab/internal/cluster"
 	"ebslab/internal/trace"
+	"ebslab/internal/xrand"
 )
 
 // slabBlockSize is the accumulator slab granularity: one allocation per 256
@@ -213,11 +214,7 @@ func (t *Tracer) sampled(id uint64) bool {
 	if t.sampleEvery == 1 {
 		return true
 	}
-	x := id + 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	x ^= x >> 31
-	return x%t.sampleEvery == 0
+	return xrand.Mix64(id)%t.sampleEvery == 0
 }
 
 // Records returns the sampled trace records in observation order.

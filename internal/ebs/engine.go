@@ -147,7 +147,6 @@ func (s *Sim) Run(ctx context.Context, opts Options) (*trace.Dataset, error) {
 	if err := s.checkScenarioOptions(&opts); err != nil {
 		return nil, err
 	}
-	table := s.tableFor(opts)
 	nVDs := s.runVDs(opts)
 
 	workers := par.Workers(opts.Workers)
@@ -174,7 +173,7 @@ func (s *Sim) Run(ctx context.Context, opts Options) (*trace.Dataset, error) {
 		progressM sync.Mutex
 	)
 	err = par.ForEachWorker(ctx, nVDs, workers, func(worker, vdIdx int) error {
-		if err := s.simulateVD(shards[worker], vdIdx, &opts, table, emission, sched); err != nil {
+		if err := s.simulateVD(shards[worker], vdIdx, &opts, emission, sched); err != nil {
 			return err
 		}
 		if opts.Progress != nil {
@@ -393,7 +392,7 @@ func (e *vdEmitter) emit(ev workload.Event) {
 // RNG stream. Under a chaos schedule, storm windows boost the disk's
 // offered demand (throttle and generator alike) and crash windows tax IOs
 // bound for the dead BlockServer.
-func (s *Sim) simulateVD(sh *shard, vdIdx int, opts *Options, table *latency.Table, emission *invariant.Emission, sched *chaos.Schedule) error {
+func (s *Sim) simulateVD(sh *shard, vdIdx int, opts *Options, emission *invariant.Emission, sched *chaos.Schedule) error {
 	top := s.fleet.Topology
 	vdID := cluster.VDID(vdIdx)
 	vd := &top.VDs[vdIdx]
@@ -508,7 +507,7 @@ func (s *Sim) simulateVD(sh *shard, vdIdx int, opts *Options, table *latency.Tab
 		top:        top,
 		seg2bs:     s.fleet.Seg2BS,
 		wtOf:       s.wtOf,
-		table:      table,
+		table:      s.table,
 		rng:        rng,
 		emission:   emission,
 		sched:      sched,

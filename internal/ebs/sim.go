@@ -112,8 +112,6 @@ type Options struct {
 	// whose measured latencies cannot be re-derived) Control/Observe. See
 	// DESIGN.md, "Scenario library & trace replay".
 	Scenario scenario.Workload
-	// Latency overrides the latency model (default latency.Default()).
-	Latency *latency.Model
 	// Seed overrides the base seed of the per-VD latency sampling streams
 	// (default: fleet seed).
 	Seed int64
@@ -212,16 +210,6 @@ func New(f *workload.Fleet) *Sim {
 		}
 	}
 	return s
-}
-
-// tableFor returns the compiled latency table of one run: the precompiled
-// default, or a fresh compile of the run's override (compilation is a few
-// hundred nanoseconds; overrides don't merit a cache).
-func (s *Sim) tableFor(opts Options) *latency.Table {
-	if opts.Latency != nil {
-		return opts.Latency.Compile()
-	}
-	return s.table
 }
 
 // specs lazily builds the dataset's VD/VM spec tables. The tables are pure

@@ -8,7 +8,9 @@
 // Replicas > 1 every mutation is committed through a consensus log before it
 // takes effect, so a coordinator replica can die mid-run and a newly elected
 // leader resumes from the identical ledger. See DESIGN.md, "Distributed
-// execution" and "Control-plane replication".
+// execution" and "Control-plane replication". The two binary frames
+// (shard result in msg.go, ledger command in fsm.go) are walks over the
+// internal/wire cursor; DESIGN.md, "Wire formats" lists their caps.
 package fabric
 
 import (
@@ -56,12 +58,6 @@ type Config struct {
 	// once the shard has been out that long (default 30s; straggler
 	// mitigation). At-most-once accounting keeps duplicate results safe.
 	SpeculateAfter time.Duration
-	// AssignHold is how long an AssignShard request with nothing placeable is
-	// held server-side waiting for availability to change (a result landing,
-	// a shard requeuing) before the worker is told to back off and retry
-	// (default 50ms). Event-driven wakeup keeps an idle worker from sleeping
-	// a full WaitPoll after the run's last result arrives.
-	AssignHold time.Duration
 
 	// ReplicaID is this coordinator's identity in the replica set, in
 	// [0, Replicas). Replica 0 bootstraps as the initial leader.
@@ -79,9 +75,6 @@ type Config struct {
 	// TickEvery is the consensus logical-clock interval (default 5ms when
 	// Replicas > 1). Election and heartbeat spans are multiples of it.
 	TickEvery time.Duration
-	// ProposeTimeout bounds how long a control-plane request waits for its
-	// ledger command to commit (default 10s; typically: no quorum).
-	ProposeTimeout time.Duration
 
 	// now overrides the clock in tests. The leader stamps proposals with it;
 	// replicas never read a clock of their own.
@@ -92,6 +85,18 @@ type Config struct {
 	// the replica set's chaos leader-kill trigger hangs here.
 	onApplied func(kind uint8, reply any, leader bool)
 }
+
+const (
+	// assignHoldFor is how long an AssignShard request with nothing placeable
+	// is held server-side waiting for availability to change (a result
+	// landing, a shard requeuing) before the worker is told to back off and
+	// retry. Event-driven wakeup keeps an idle worker from sleeping a full
+	// WaitPoll after the run's last result arrives.
+	assignHoldFor = 50 * time.Millisecond
+	// proposeTimeout bounds how long a control-plane request waits for its
+	// ledger command to commit (typically: no quorum).
+	proposeTimeout = 10 * time.Second
+)
 
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
@@ -106,17 +111,11 @@ func (c Config) withDefaults() Config {
 	if c.SpeculateAfter <= 0 {
 		c.SpeculateAfter = 30 * time.Second
 	}
-	if c.AssignHold <= 0 {
-		c.AssignHold = 50 * time.Millisecond
-	}
 	if c.Replicas <= 1 {
 		c.Replicas = 1
 	}
 	if c.TickEvery <= 0 {
 		c.TickEvery = 5 * time.Millisecond
-	}
-	if c.ProposeTimeout <= 0 {
-		c.ProposeTimeout = 10 * time.Second
 	}
 	if c.now == nil {
 		c.now = time.Now
@@ -146,6 +145,17 @@ type Coordinator struct {
 // NewCoordinator generates the fleet, plans the shards, and returns a
 // coordinator ready to be served.
 func NewCoordinator(cfg Config) (*Coordinator, error) {
+	co, err := newCoordinator(cfg)
+	if err != nil {
+		return nil, err
+	}
+	co.runner.Start()
+	return co, nil
+}
+
+// newCoordinator is NewCoordinator short of starting the consensus ticker, so
+// a replica set can build every replica before any of them sends.
+func newCoordinator(cfg Config) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Opts.Validate(); err != nil {
 		return nil, err
@@ -287,7 +297,7 @@ func (co *Coordinator) Handle(req *netblock.Request) *netblock.Response {
 // assignHold proposes the assign and, when the ledger has nothing placeable,
 // holds the reply instead of bouncing AssignWait straight back: it parks on
 // the FSM's availability pulse and re-proposes the moment a result lands or
-// a shard requeues, up to cfg.AssignHold. An idle worker at the tail of a
+// a shard requeues, up to assignHoldFor. An idle worker at the tail of a
 // run gets its AssignDone (or the freed shard) with sub-millisecond latency
 // instead of discovering it a WaitPoll later — which is the difference
 // between the dispatch benchmark's p50 and a 25ms sleep. Only this handler
@@ -312,7 +322,7 @@ func (co *Coordinator) assignHold(resp *netblock.Response, workerID uint64) *net
 			return co.render(resp, reply, err) // shard, done, redirect, or error
 		}
 		if hold == nil {
-			hold = time.NewTimer(co.cfg.AssignHold)
+			hold = time.NewTimer(assignHoldFor)
 		}
 		select {
 		case <-avail:
@@ -329,7 +339,7 @@ func (co *Coordinator) assignHold(resp *netblock.Response, workerID uint64) *net
 // the consensus log, returning the FSM's reply unrendered.
 func (co *Coordinator) proposeRaw(c command) (any, error) {
 	c.At = co.cfg.now().UnixNano()
-	return co.runner.Propose(encodeCommand(&c), co.cfg.ProposeTimeout)
+	return co.runner.Propose(encodeCommand(&c), proposeTimeout)
 }
 
 // propose commits the command and renders the FSM's reply. On a non-leader

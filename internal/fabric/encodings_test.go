@@ -1,0 +1,120 @@
+package fabric
+
+import (
+	"bytes"
+	"encoding/hex"
+	"flag"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"ebslab/internal/cluster"
+	"ebslab/internal/ebs"
+	"ebslab/internal/invariant"
+	"ebslab/internal/sketch"
+	"ebslab/internal/trace"
+)
+
+var captureEncodings = flag.Bool("capture-encodings", false, "rewrite testdata/encodings from the current encoders (a deliberate format change only)")
+
+// checkEncoding compares got against the bytes the encoder produced when the
+// fixture was captured (testdata/encodings/<name>.hex).
+func checkEncoding(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", "encodings", name+".hex")
+	if *captureEncodings {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(hex.EncodeToString(got)+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := hex.DecodeString(strings.TrimSpace(string(raw)))
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s: encoding changed: %d bytes, captured %d", name, len(got), len(want))
+	}
+}
+
+// Sections of a shard partial, as bits of samplePartial's argument.
+const (
+	secRecords = 1 << iota
+	secCompute
+	secStorage
+	secSketch
+	secEmission
+	secAudit
+	secAll = 1<<iota - 1
+)
+
+// samplePartial builds a small literal partial carrying the chosen sections;
+// every field of every element is non-zero and distinct so a swapped or
+// dropped field changes the frame.
+func samplePartial(sections int) *ebs.ShardPartial {
+	p := &ebs.ShardPartial{Lo: 3, Hi: 9}
+	p.Chaos.FaultedIOs, p.Chaos.StormIOs = 17, -4
+	rec := func(i int) trace.Record {
+		r := trace.Record{
+			TraceID: 0xA1B2C3D4E5F60000 + uint64(i), TimeUS: 1_000_000*int64(i) + 7, Op: trace.Op(i % 2),
+			Size: 4096 * int32(i+1), Offset: 1<<33 + int64(i)*4096,
+			DC: 1, Node: cluster.NodeID(2 + i), User: 3, VM: 4, VD: cluster.VDID(5 + i), QP: 6, WT: -1,
+			Storage: 8, Segment: cluster.SegmentID(9 + i),
+		}
+		for s := range r.Latency {
+			r.Latency[s] = 10.5*float32(s+1) + float32(i)
+		}
+		return r
+	}
+	row := func(d trace.Domain, i int) trace.MetricRow {
+		return trace.MetricRow{
+			Domain: d, Sec: int32(i), DC: 1, User: 2, VM: 3, VD: cluster.VDID(4 + i),
+			Node: 5, QP: 6, WT: 7, Storage: 8, Segment: 9,
+			ReadBps: 1.5e6 + float64(i), WriteBps: 2.25e6, ReadIOPS: 300.125, WriteIOPS: 0.5,
+		}
+	}
+	if sections&secRecords != 0 {
+		p.Records = []trace.Record{rec(0), rec(1), rec(2)}
+	}
+	if sections&secCompute != 0 {
+		p.Compute = []trace.MetricRow{row(trace.DomainCompute, 0), row(trace.DomainCompute, 1)}
+	}
+	if sections&secStorage != 0 {
+		p.Storage = []trace.MetricRow{row(trace.DomainStorage, 2)}
+	}
+	if sections&secSketch != 0 {
+		p.Sketch = sketch.NewSet(sketch.Config{TopK: 4, SegPerVD: 2, HLLPrecision: 4, DurationSec: 3})
+		for i := 0; i < 6; i++ {
+			r := rec(i)
+			p.Sketch.Observe(&r)
+		}
+	}
+	if sections&secEmission != 0 {
+		p.Emission = []invariant.VDEmission{
+			{Events: 11, ReadOps: 5, WriteOps: 6, ReadBytes: 20480, WriteBytes: 24576},
+			{Events: 1, WriteOps: 1, WriteBytes: 4096},
+		}
+	}
+	if sections&secAudit != 0 {
+		p.Audit = []string{"VD 3: demo finding", "", "VD 8: another"}
+	}
+	return p
+}
+
+// TestEncodingsUnchanged pins the shard-result and ledger-command frames to
+// the bytes the encoders emitted before they moved onto internal/wire.
+func TestEncodingsUnchanged(t *testing.T) {
+	checkEncoding(t, "result-full", encodeResult(42, 7, samplePartial(secAll)))
+	checkEncoding(t, "result-empty", encodeResult(1, 0, samplePartial(0)))
+	frame := encodeResult(2, 1, samplePartial(secRecords|secAudit))
+	checkEncoding(t, "command-result", encodeCommand(&command{Kind: cmdResult, Worker: 2, At: 1_700_000_000_123_456_789, Frame: frame}))
+	checkEncoding(t, "command-assign", encodeCommand(&command{Kind: cmdAssign, Worker: 7, At: -9}))
+}

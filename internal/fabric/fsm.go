@@ -8,6 +8,7 @@ import (
 	"ebslab/internal/cluster"
 	"ebslab/internal/ebs"
 	"ebslab/internal/invariant"
+	"ebslab/internal/wire"
 )
 
 // --- Replicated control-plane commands -------------------------------------
@@ -44,30 +45,27 @@ type command struct {
 }
 
 func encodeCommand(c *command) []byte {
-	w := &wireWriter{b: make([]byte, 0, 1+8+8+4+len(c.Frame))}
-	w.u8(c.Kind)
-	w.u64(c.Worker)
-	w.i64(c.At)
-	w.u32(uint32(len(c.Frame)))
-	w.b = append(w.b, c.Frame...)
-	return w.b
+	w := &wire.Writer{B: make([]byte, 0, 1+8+8+4+len(c.Frame))}
+	w.U8(c.Kind)
+	w.U64(c.Worker)
+	w.I64(c.At)
+	w.U32(uint32(len(c.Frame)))
+	w.Bytes(c.Frame)
+	return w.B
 }
 
 func decodeCommand(data []byte) (command, error) {
-	r := &wireReader{b: data}
+	r := wire.NewReader(data, ErrWire)
 	var c command
-	c.Kind = r.u8()
-	c.Worker = r.u64()
-	c.At = r.i64()
-	c.Frame = r.take(r.count(1))
-	if r.err == nil && r.remaining() != 0 {
-		r.fail()
+	c.Kind = r.U8()
+	c.Worker = r.U64()
+	c.At = r.I64()
+	c.Frame = r.Take(r.Count(1))
+	if err := r.Done(); err != nil {
+		return command{}, err
 	}
-	if r.err == nil && (c.Kind < cmdJoin || c.Kind > cmdDrain) {
-		r.fail()
-	}
-	if r.err != nil {
-		return command{}, fmt.Errorf("%w: bad ledger command", ErrWire)
+	if c.Kind < cmdJoin || c.Kind > cmdDrain {
+		return command{}, fmt.Errorf("%w: ledger command kind %d", ErrWire, c.Kind)
 	}
 	return c, nil
 }

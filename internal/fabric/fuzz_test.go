@@ -1,0 +1,185 @@
+package fabric
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"runtime"
+	"testing"
+
+	"ebslab/internal/ebs"
+)
+
+// decodeAllocBound is the most a fabric decoder may allocate for an n-byte
+// frame. Decoded sections are larger in memory than on the wire — the worst
+// is a sketch segHot entry, 16 wire bytes that become a SpaceSaving and its
+// map — but only by a constant; a decoder that sized a slice by an unbacked
+// count would allocate up to 2^32 elements and blow through this on a frame
+// of a few bytes.
+func decodeAllocBound(n int) uint64 { return 32*uint64(n) + 64<<10 }
+
+func measureAlloc(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// resultFailureSeeds returns one malformed shard-result frame per failure
+// class the decoder distinguishes.
+func resultFailureSeeds() map[string][]byte {
+	full := encodeResult(9, 2, samplePartial(secAll))
+	// patch overwrites the u32 at off in a copy of frame.
+	patch := func(frame []byte, off int, v uint32) []byte {
+		out := append([]byte(nil), frame...)
+		binary.LittleEndian.PutUint32(out[off:], v)
+		return out
+	}
+	// A frame with only section sec present puts that section's count at
+	// offset 20 (records) or right behind the empty sections before it.
+	only := func(sec int) []byte { return encodeResult(9, 2, samplePartial(sec)) }
+	const head = 8 + 4 + 4 + 4 // workerID, shardID, lo, hi
+	sketchFlag := head + 3*4
+	afterSketch := sketchFlag + 1 + 8 + 8 // flag, chaos counters (no sketch)
+
+	badRange := samplePartial(0)
+	badRange.Lo, badRange.Hi = 9, 3
+	badOp := samplePartial(secRecords)
+	badOp.Records[1].Op = 2
+	badDomain := samplePartial(secStorage)
+	badDomain.Storage[0].Domain = 2
+	badSketch := only(secSketch)
+	badSketch[sketchFlag+1+4] ^= 0xff // first byte of the SKS1 magic
+
+	flag2 := only(0)
+	flag2[sketchFlag] = 2
+
+	return map[string][]byte{
+		"empty":                     {},
+		"truncated header":          full[:head-1],
+		"truncated mid-record":      full[:head+4+recordWire+5],
+		"truncated last byte":       full[:len(full)-1],
+		"trailing byte":             append(append([]byte(nil), full...), 0),
+		"over-claimed records":      patch(only(secRecords), head, 1<<30),
+		"over-claimed compute rows": patch(only(secCompute), head+4, 1<<30),
+		"over-claimed storage rows": patch(only(secStorage), head+8, 0xffffffff),
+		"over-claimed sketch bytes": patch(only(secSketch), sketchFlag+1, 1<<31),
+		"over-claimed emission":     patch(only(secEmission), afterSketch, 1<<28),
+		"over-claimed audit count":  patch(only(secAudit), afterSketch+4, 1<<30),
+		"over-claimed audit string": patch(only(secAudit), afterSketch+8, 1<<30),
+		"sketch flag 2":             flag2,
+		"malformed sketch":          badSketch,
+		"record op out of range":    encodeResult(9, 2, badOp),
+		"row domain out of range":   encodeResult(9, 2, badDomain),
+		"inverted shard range":      encodeResult(9, 2, badRange),
+	}
+}
+
+// TestResultFailureSeeds holds every failure-class seed to its class: each
+// must be rejected with ErrWire (a seed that started decoding would silently
+// stop covering its class), and every section combination must decode.
+func TestResultFailureSeeds(t *testing.T) {
+	for name, frame := range resultFailureSeeds() {
+		if _, _, _, err := decodeResult(frame); !errors.Is(err, ErrWire) {
+			t.Errorf("%s: got %v, want ErrWire", name, err)
+		}
+	}
+	for sec := 0; sec <= secAll; sec++ {
+		if _, _, _, err := decodeResult(encodeResult(9, 2, samplePartial(sec))); err != nil {
+			t.Errorf("sections %06b: %v", sec, err)
+		}
+	}
+}
+
+// FuzzDecodeResult drives the shard-result decoder — the one frame a worker
+// fills with bulk data — over arbitrary bytes: it must not panic, must fail
+// only with ErrWire, must not allocate beyond a constant multiple of the
+// input, and must accept only frames that re-encode to the identical bytes.
+func FuzzDecodeResult(f *testing.F) {
+	for sec := 0; sec <= secAll; sec++ {
+		f.Add(encodeResult(9, 2, samplePartial(sec)))
+	}
+	for _, frame := range resultFailureSeeds() {
+		f.Add(frame)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var (
+			workerID uint64
+			shardID  int
+			p        *ebs.ShardPartial
+			err      error
+		)
+		alloc := measureAlloc(func() { workerID, shardID, p, err = decodeResult(data) })
+		if alloc > decodeAllocBound(len(data)) {
+			t.Fatalf("decoding %d bytes allocated %d, bound %d", len(data), alloc, decodeAllocBound(len(data)))
+		}
+		if err != nil {
+			if !errors.Is(err, ErrWire) {
+				t.Fatalf("decode error %v does not wrap ErrWire", err)
+			}
+			return
+		}
+		if frame := encodeResult(workerID, shardID, p); !bytes.Equal(frame, data) {
+			t.Fatalf("accepted frame re-encodes differently:\n got %x\nwant %x", frame, data)
+		}
+	})
+}
+
+// commandFailureSeeds returns one malformed ledger command per failure class.
+func commandFailureSeeds() map[string][]byte {
+	valid := encodeCommand(&command{Kind: cmdResult, Worker: 2, At: 5, Frame: []byte{1, 2, 3}})
+	kind := func(k uint8) []byte {
+		out := append([]byte(nil), valid...)
+		out[0] = k
+		return out
+	}
+	overClaimed := append([]byte(nil), valid...)
+	overClaimed[1+8+8+3] = 0x7f // high byte of the u32 frame length
+	return map[string][]byte{
+		"empty":              {},
+		"truncated header":   valid[:1+8+8+3],
+		"truncated frame":    valid[:len(valid)-1],
+		"trailing byte":      append(append([]byte(nil), valid...), 0),
+		"over-claimed frame": overClaimed,
+		"kind 0":             kind(0),
+		"kind past drain":    kind(cmdDrain + 1),
+	}
+}
+
+// FuzzDecodeCommand drives the replicated-ledger command decoder under the
+// same contract as FuzzDecodeResult. Every replica applies these from its
+// consensus log, so one frame that panics a decoder stops the whole group.
+func FuzzDecodeCommand(f *testing.F) {
+	for kind := cmdJoin; kind <= cmdDrain; kind++ {
+		f.Add(encodeCommand(&command{Kind: kind, Worker: 7, At: -9}))
+	}
+	f.Add(encodeCommand(&command{Kind: cmdResult, Worker: 2, At: 1e9, Frame: encodeResult(2, 1, samplePartial(secRecords))}))
+	for _, frame := range commandFailureSeeds() {
+		f.Add(frame)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var c command
+		var err error
+		if alloc := measureAlloc(func() { c, err = decodeCommand(data) }); alloc > decodeAllocBound(len(data)) {
+			t.Fatalf("decoding %d bytes allocated %d, bound %d", len(data), alloc, decodeAllocBound(len(data)))
+		}
+		if err != nil {
+			if !errors.Is(err, ErrWire) {
+				t.Fatalf("decode error %v does not wrap ErrWire", err)
+			}
+			return
+		}
+		if frame := encodeCommand(&c); !bytes.Equal(frame, data) {
+			t.Fatalf("accepted command re-encodes differently:\n got %x\nwant %x", frame, data)
+		}
+	})
+}
+
+func TestCommandFailureSeeds(t *testing.T) {
+	for name, frame := range commandFailureSeeds() {
+		if _, err := decodeCommand(frame); !errors.Is(err, ErrWire) {
+			t.Errorf("%s: got %v, want ErrWire", name, err)
+		}
+	}
+}

@@ -1,11 +1,9 @@
 package fabric
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 
 	"ebslab/internal/chaos"
@@ -14,6 +12,7 @@ import (
 	"ebslab/internal/invariant"
 	"ebslab/internal/sketch"
 	"ebslab/internal/trace"
+	"ebslab/internal/wire"
 	"ebslab/internal/workload"
 )
 
@@ -46,7 +45,7 @@ type RunSpec struct {
 }
 
 // specOf projects the serializable subset of opts. Callback and destination
-// fields (Progress, ChaosStats, Latency) stay coordinator-side; a non-nil
+// fields (Progress, ChaosStats) stay coordinator-side; a non-nil
 // Stream is reduced to its configuration.
 func specOf(opts ebs.Options) RunSpec {
 	spec := RunSpec{
@@ -187,164 +186,88 @@ const (
 	emissionWire  = 5 * 8
 )
 
-type wireWriter struct{ b []byte }
-
-func (w *wireWriter) u8(v uint8)   { w.b = append(w.b, v) }
-func (w *wireWriter) u32(v uint32) { w.b = binary.LittleEndian.AppendUint32(w.b, v) }
-func (w *wireWriter) u64(v uint64) { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
-func (w *wireWriter) i32(v int32)  { w.u32(uint32(v)) }
-func (w *wireWriter) i64(v int64)  { w.u64(uint64(v)) }
-func (w *wireWriter) f32(v float32) {
-	w.u32(math.Float32bits(v))
-}
-func (w *wireWriter) f64(v float64) {
-	w.u64(math.Float64bits(v))
-}
-
-type wireReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *wireReader) fail() {
-	if r.err == nil {
-		r.err = ErrWire
-	}
-}
-
-func (r *wireReader) take(n int) []byte {
-	if r.err != nil || n < 0 || len(r.b)-r.off < n {
-		r.fail()
-		return nil
-	}
-	out := r.b[r.off : r.off+n]
-	r.off += n
-	return out
-}
-
-func (r *wireReader) u8() uint8 {
-	if b := r.take(1); b != nil {
-		return b[0]
-	}
-	return 0
-}
-
-func (r *wireReader) u32() uint32 {
-	if b := r.take(4); b != nil {
-		return binary.LittleEndian.Uint32(b)
-	}
-	return 0
-}
-
-func (r *wireReader) u64() uint64 {
-	if b := r.take(8); b != nil {
-		return binary.LittleEndian.Uint64(b)
-	}
-	return 0
-}
-
-func (r *wireReader) i32() int32     { return int32(r.u32()) }
-func (r *wireReader) i64() int64     { return int64(r.u64()) }
-func (r *wireReader) f32() float32   { return math.Float32frombits(r.u32()) }
-func (r *wireReader) f64() float64   { return math.Float64frombits(r.u64()) }
-func (r *wireReader) remaining() int { return len(r.b) - r.off }
-
-// count reads a u32 element count and pre-validates it against the bytes
-// actually remaining, so a hostile header cannot size an allocation.
-func (r *wireReader) count(elemSize int) int {
-	n := int(r.u32())
-	if r.err == nil && (n < 0 || elemSize > 0 && n > r.remaining()/elemSize) {
-		r.fail()
-	}
-	if r.err != nil {
-		return 0
-	}
-	return n
-}
-
-func appendRecord(w *wireWriter, rec *trace.Record) {
-	w.u64(rec.TraceID)
-	w.i64(rec.TimeUS)
-	w.u8(uint8(rec.Op))
-	w.i32(rec.Size)
-	w.i64(rec.Offset)
-	w.i32(int32(rec.DC))
-	w.i32(int32(rec.Node))
-	w.i32(int32(rec.User))
-	w.i32(int32(rec.VM))
-	w.i32(int32(rec.VD))
-	w.i32(int32(rec.QP))
-	w.u8(uint8(rec.WT))
-	w.i32(int32(rec.Storage))
-	w.i32(int32(rec.Segment))
+func appendRecord(w *wire.Writer, rec *trace.Record) {
+	w.U64(rec.TraceID)
+	w.I64(rec.TimeUS)
+	w.U8(uint8(rec.Op))
+	w.I32(rec.Size)
+	w.I64(rec.Offset)
+	w.I32(int32(rec.DC))
+	w.I32(int32(rec.Node))
+	w.I32(int32(rec.User))
+	w.I32(int32(rec.VM))
+	w.I32(int32(rec.VD))
+	w.I32(int32(rec.QP))
+	w.U8(uint8(rec.WT))
+	w.I32(int32(rec.Storage))
+	w.I32(int32(rec.Segment))
 	for _, l := range rec.Latency {
-		w.f32(l)
+		w.F32(l)
 	}
 }
 
-func readRecord(r *wireReader) trace.Record {
+func readRecord(r *wire.Reader) trace.Record {
 	var rec trace.Record
-	rec.TraceID = r.u64()
-	rec.TimeUS = r.i64()
-	rec.Op = trace.Op(r.u8())
-	rec.Size = r.i32()
-	rec.Offset = r.i64()
-	rec.DC = cluster.DCID(r.i32())
-	rec.Node = cluster.NodeID(r.i32())
-	rec.User = cluster.UserID(r.i32())
-	rec.VM = cluster.VMID(r.i32())
-	rec.VD = cluster.VDID(r.i32())
-	rec.QP = cluster.QPID(r.i32())
-	rec.WT = int8(r.u8())
-	rec.Storage = cluster.StorageNodeID(r.i32())
-	rec.Segment = cluster.SegmentID(r.i32())
+	rec.TraceID = r.U64()
+	rec.TimeUS = r.I64()
+	rec.Op = trace.Op(r.U8())
+	rec.Size = r.I32()
+	rec.Offset = r.I64()
+	rec.DC = cluster.DCID(r.I32())
+	rec.Node = cluster.NodeID(r.I32())
+	rec.User = cluster.UserID(r.I32())
+	rec.VM = cluster.VMID(r.I32())
+	rec.VD = cluster.VDID(r.I32())
+	rec.QP = cluster.QPID(r.I32())
+	rec.WT = int8(r.U8())
+	rec.Storage = cluster.StorageNodeID(r.I32())
+	rec.Segment = cluster.SegmentID(r.I32())
 	for i := range rec.Latency {
-		rec.Latency[i] = r.f32()
+		rec.Latency[i] = r.F32()
 	}
 	if rec.Op > trace.OpWrite {
-		r.fail()
+		r.Fail("record op %d", rec.Op)
 	}
 	return rec
 }
 
-func appendMetricRow(w *wireWriter, row *trace.MetricRow) {
-	w.u8(uint8(row.Domain))
-	w.i32(row.Sec)
-	w.i32(int32(row.DC))
-	w.i32(int32(row.User))
-	w.i32(int32(row.VM))
-	w.i32(int32(row.VD))
-	w.i32(int32(row.Node))
-	w.i32(int32(row.QP))
-	w.u8(uint8(row.WT))
-	w.i32(int32(row.Storage))
-	w.i32(int32(row.Segment))
-	w.f64(row.ReadBps)
-	w.f64(row.WriteBps)
-	w.f64(row.ReadIOPS)
-	w.f64(row.WriteIOPS)
+func appendMetricRow(w *wire.Writer, row *trace.MetricRow) {
+	w.U8(uint8(row.Domain))
+	w.I32(row.Sec)
+	w.I32(int32(row.DC))
+	w.I32(int32(row.User))
+	w.I32(int32(row.VM))
+	w.I32(int32(row.VD))
+	w.I32(int32(row.Node))
+	w.I32(int32(row.QP))
+	w.U8(uint8(row.WT))
+	w.I32(int32(row.Storage))
+	w.I32(int32(row.Segment))
+	w.F64(row.ReadBps)
+	w.F64(row.WriteBps)
+	w.F64(row.ReadIOPS)
+	w.F64(row.WriteIOPS)
 }
 
-func readMetricRow(r *wireReader) trace.MetricRow {
+func readMetricRow(r *wire.Reader) trace.MetricRow {
 	var row trace.MetricRow
-	row.Domain = trace.Domain(r.u8())
-	row.Sec = r.i32()
-	row.DC = cluster.DCID(r.i32())
-	row.User = cluster.UserID(r.i32())
-	row.VM = cluster.VMID(r.i32())
-	row.VD = cluster.VDID(r.i32())
-	row.Node = cluster.NodeID(r.i32())
-	row.QP = cluster.QPID(r.i32())
-	row.WT = int8(r.u8())
-	row.Storage = cluster.StorageNodeID(r.i32())
-	row.Segment = cluster.SegmentID(r.i32())
-	row.ReadBps = r.f64()
-	row.WriteBps = r.f64()
-	row.ReadIOPS = r.f64()
-	row.WriteIOPS = r.f64()
+	row.Domain = trace.Domain(r.U8())
+	row.Sec = r.I32()
+	row.DC = cluster.DCID(r.I32())
+	row.User = cluster.UserID(r.I32())
+	row.VM = cluster.VMID(r.I32())
+	row.VD = cluster.VDID(r.I32())
+	row.Node = cluster.NodeID(r.I32())
+	row.QP = cluster.QPID(r.I32())
+	row.WT = int8(r.U8())
+	row.Storage = cluster.StorageNodeID(r.I32())
+	row.Segment = cluster.SegmentID(r.I32())
+	row.ReadBps = r.F64()
+	row.WriteBps = r.F64()
+	row.ReadIOPS = r.F64()
+	row.WriteIOPS = r.F64()
 	if row.Domain > trace.DomainStorage {
-		r.fail()
+		r.Fail("metric row domain %d", row.Domain)
 	}
 	return row
 }
@@ -366,48 +289,48 @@ func encodeResultInto(buf []byte, workerID uint64, shardID int, p *ebs.ShardPart
 	if cap(buf) < need {
 		buf = make([]byte, 0, need)
 	}
-	w := &wireWriter{b: buf[:0]}
-	w.u64(workerID)
-	w.u32(uint32(shardID))
-	w.u32(uint32(p.Lo))
-	w.u32(uint32(p.Hi))
-	w.u32(uint32(len(p.Records)))
+	w := &wire.Writer{B: buf[:0]}
+	w.U64(workerID)
+	w.U32(uint32(shardID))
+	w.U32(uint32(p.Lo))
+	w.U32(uint32(p.Hi))
+	w.U32(uint32(len(p.Records)))
 	for i := range p.Records {
 		appendRecord(w, &p.Records[i])
 	}
-	w.u32(uint32(len(p.Compute)))
+	w.U32(uint32(len(p.Compute)))
 	for i := range p.Compute {
 		appendMetricRow(w, &p.Compute[i])
 	}
-	w.u32(uint32(len(p.Storage)))
+	w.U32(uint32(len(p.Storage)))
 	for i := range p.Storage {
 		appendMetricRow(w, &p.Storage[i])
 	}
 	if p.Sketch != nil {
-		w.u8(1)
+		w.U8(1)
 		enc := p.Sketch.EncodeBinary()
-		w.u32(uint32(len(enc)))
-		w.b = append(w.b, enc...)
+		w.U32(uint32(len(enc)))
+		w.Bytes(enc)
 	} else {
-		w.u8(0)
+		w.U8(0)
 	}
-	w.i64(p.Chaos.FaultedIOs)
-	w.i64(p.Chaos.StormIOs)
-	w.u32(uint32(len(p.Emission)))
+	w.I64(p.Chaos.FaultedIOs)
+	w.I64(p.Chaos.StormIOs)
+	w.U32(uint32(len(p.Emission)))
 	for i := range p.Emission {
 		e := &p.Emission[i]
-		w.i64(e.Events)
-		w.i64(e.ReadOps)
-		w.i64(e.WriteOps)
-		w.i64(e.ReadBytes)
-		w.i64(e.WriteBytes)
+		w.I64(e.Events)
+		w.I64(e.ReadOps)
+		w.I64(e.WriteOps)
+		w.I64(e.ReadBytes)
+		w.I64(e.WriteBytes)
 	}
-	w.u32(uint32(len(p.Audit)))
+	w.U32(uint32(len(p.Audit)))
 	for _, s := range p.Audit {
-		w.u32(uint32(len(s)))
-		w.b = append(w.b, s...)
+		w.U32(uint32(len(s)))
+		w.Bytes([]byte(s))
 	}
-	return w.b
+	return w.B
 }
 
 // decodeResult parses one shard-result frame. Every section length is
@@ -415,35 +338,35 @@ func encodeResultInto(buf []byte, workerID uint64, shardID int, p *ebs.ShardPart
 // trailing bytes are rejected: a frame either decodes completely or not at
 // all.
 func decodeResult(data []byte) (workerID uint64, shardID int, p *ebs.ShardPartial, err error) {
-	r := &wireReader{b: data}
-	workerID = r.u64()
-	shardID = int(r.u32())
+	r := wire.NewReader(data, ErrWire)
+	workerID = r.U64()
+	shardID = int(r.U32())
 	p = &ebs.ShardPartial{}
-	p.Lo = int(r.u32())
-	p.Hi = int(r.u32())
-	if n := r.count(recordWire); n > 0 {
+	p.Lo = int(r.U32())
+	p.Hi = int(r.U32())
+	if n := r.Count(recordWire); n > 0 {
 		p.Records = make([]trace.Record, n)
 		for i := range p.Records {
 			p.Records[i] = readRecord(r)
 		}
 	}
-	if n := r.count(metricRowWire); n > 0 {
+	if n := r.Count(metricRowWire); n > 0 {
 		p.Compute = make([]trace.MetricRow, n)
 		for i := range p.Compute {
 			p.Compute[i] = readMetricRow(r)
 		}
 	}
-	if n := r.count(metricRowWire); n > 0 {
+	if n := r.Count(metricRowWire); n > 0 {
 		p.Storage = make([]trace.MetricRow, n)
 		for i := range p.Storage {
 			p.Storage[i] = readMetricRow(r)
 		}
 	}
-	switch r.u8() {
+	switch has := r.U8(); has {
 	case 0:
 	case 1:
-		enc := r.take(r.count(1))
-		if r.err == nil {
+		enc := r.Take(r.Count(1))
+		if r.Err() == nil {
 			set, serr := sketch.DecodeSet(enc)
 			if serr != nil {
 				return 0, 0, nil, fmt.Errorf("%w: sketch: %v", ErrWire, serr)
@@ -451,32 +374,29 @@ func decodeResult(data []byte) (workerID uint64, shardID int, p *ebs.ShardPartia
 			p.Sketch = set
 		}
 	default:
-		r.fail()
+		r.Fail("sketch flag %d", has)
 	}
-	p.Chaos.FaultedIOs = r.i64()
-	p.Chaos.StormIOs = r.i64()
-	if n := r.count(emissionWire); n > 0 {
+	p.Chaos.FaultedIOs = r.I64()
+	p.Chaos.StormIOs = r.I64()
+	if n := r.Count(emissionWire); n > 0 {
 		p.Emission = make([]invariant.VDEmission, n)
 		for i := range p.Emission {
 			e := &p.Emission[i]
-			e.Events = r.i64()
-			e.ReadOps = r.i64()
-			e.WriteOps = r.i64()
-			e.ReadBytes = r.i64()
-			e.WriteBytes = r.i64()
+			e.Events = r.I64()
+			e.ReadOps = r.I64()
+			e.WriteOps = r.I64()
+			e.ReadBytes = r.I64()
+			e.WriteBytes = r.I64()
 		}
 	}
-	if n := r.count(4); n > 0 {
+	if n := r.Count(4); n > 0 {
 		p.Audit = make([]string, n)
 		for i := range p.Audit {
-			p.Audit[i] = string(r.take(r.count(1)))
+			p.Audit[i] = string(r.Take(r.Count(1)))
 		}
 	}
-	if r.err == nil && r.remaining() != 0 {
-		r.fail()
-	}
-	if r.err != nil {
-		return 0, 0, nil, r.err
+	if err := r.Done(); err != nil {
+		return 0, 0, nil, err
 	}
 	if p.Lo < 0 || p.Hi < p.Lo {
 		return 0, 0, nil, fmt.Errorf("%w: shard range [%d,%d)", ErrWire, p.Lo, p.Hi)

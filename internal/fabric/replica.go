@@ -75,11 +75,12 @@ func NewReplicaSet(cfg Config, replicas int) (*ReplicaSet, error) {
 	}
 	rs := &ReplicaSet{
 		n:      replicas,
+		cos:    make([]*Coordinator, replicas),
 		counts: make([]int, replicas),
 		killed: make([]bool, replicas),
 	}
 	fan := &replicaFan{rs: rs}
-	for i := 0; i < replicas; i++ {
+	for i := range rs.cos {
 		c := cfg
 		c.ReplicaID = i
 		c.Replicas = replicas
@@ -89,17 +90,11 @@ func NewReplicaSet(cfg Config, replicas int) (*ReplicaSet, error) {
 		c.onApplied = func(kind uint8, reply any, leader bool) {
 			rs.applied(id, kind, reply, leader)
 		}
-		co, err := NewCoordinator(c)
+		co, err := newCoordinator(c)
 		if err != nil {
-			rs.Close()
-			return nil, err
+			return nil, err // nothing is running yet
 		}
-		lb := NewLoopback()
-		srv := netblock.NewHandlerServer(co)
-		go srv.Serve(lb) //nolint:errcheck — ends with the loopback
-		rs.cos = append(rs.cos, co)
-		rs.lbs = append(rs.lbs, lb)
-		rs.srvs = append(rs.srvs, srv)
+		rs.cos[i] = co
 	}
 	// Expand the chaos plan's leader-kill windows against the shard plan.
 	// The trigger counts are a pure function of (seed, shard count), so the
@@ -107,6 +102,19 @@ func NewReplicaSet(cfg Config, replicas int) (*ReplicaSet, error) {
 	if opts := cfg.Opts; opts.Chaos != nil && opts.Chaos.LeaderKills > 0 && replicas > 1 {
 		rs.sched = opts.Chaos.Expand(cfg.Fleet.Seed, chaos.Shape{Shards: len(rs.cos[0].Plan())})
 		rs.kills = rs.sched.LeaderKills
+	}
+	// Serve and tick only now that rs.cos is complete: a ticking replica
+	// sends through the fan from its own goroutine, and the fan indexes
+	// rs.cos without a lock.
+	for _, co := range rs.cos {
+		lb := NewLoopback()
+		srv := netblock.NewHandlerServer(co)
+		go srv.Serve(lb) //nolint:errcheck — ends with the loopback
+		rs.lbs = append(rs.lbs, lb)
+		rs.srvs = append(rs.srvs, srv)
+	}
+	for _, co := range rs.cos {
+		co.runner.Start()
 	}
 	return rs, nil
 }

@@ -205,6 +205,24 @@ func TestCoordinatorRejectsBadReplicaConfig(t *testing.T) {
 	}
 }
 
+// TestReplicaSetConstructionSendsNothing is the regression test for the
+// construction race: replica 0's ticker used to start while the set was still
+// being built, so its first heartbeat indexed a coordinator slice that was
+// still growing (a data race, and an index panic when the beat beat the
+// append). A tick far shorter than one fleet generation makes that first
+// heartbeat land mid-construction every time.
+func TestReplicaSetConstructionSendsNothing(t *testing.T) {
+	cfg := replicaConfig(nil, 0)
+	cfg.TickEvery = 50 * time.Microsecond
+	for i := 0; i < 4; i++ {
+		rs, err := NewReplicaSet(cfg, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs.Close()
+	}
+}
+
 type noopTransport struct{}
 
 func (noopTransport) Send(consensus.Message) {}

@@ -108,17 +108,16 @@ func TestControlSpecValidation(t *testing.T) {
 func TestControlSpecKey(t *testing.T) {
 	plain := StudySpec{Seed: 9}
 	controlled := StudySpec{Seed: 9, Control: "reactive"}
-	if plain.key() == controlled.key() {
-		t.Fatal("controlled and uncontrolled specs must content-address differently")
+	if plain.withDefaults() == controlled.withDefaults() {
+		t.Fatal("controlled and uncontrolled specs must dedup separately")
 	}
 	other := StudySpec{Seed: 9, Control: "oracle"}
-	if controlled.key() == other.key() {
-		t.Fatal("different policies must content-address differently")
+	if controlled.withDefaults() == other.withDefaults() {
+		t.Fatal("different policies must dedup separately")
 	}
-	// Appending the control section only for controlled studies keeps every
-	// pre-existing content address stable; pin one known normalization pair.
+	// Control fields stay zero through normalization of an uncontrolled spec.
 	spelled := StudySpec{Seed: 9, DurationSec: 8, Nodes: 4, Users: 16, EventSampleEvery: 8, TraceSampleEvery: 1}
-	if plain.key() != spelled.key() {
-		t.Fatal("uncontrolled content addresses changed")
+	if plain.withDefaults() != spelled.withDefaults() {
+		t.Fatal("uncontrolled specs stopped normalizing to one key")
 	}
 }

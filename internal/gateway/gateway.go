@@ -99,7 +99,6 @@ type job struct {
 	id     uint64
 	tenant string
 	spec   StudySpec // normalized
-	key    string
 
 	// Mutable lifecycle state, guarded by Gateway.mu.
 	state    uint8
@@ -145,7 +144,7 @@ type Gateway struct {
 	tenants map[string]*tenant
 	names   []string // sorted; deterministic WFQ tie-break order
 	byID    map[uint64]*job
-	results map[string]*job // completed studies by content address
+	results map[StudySpec]*job // completed studies by normalized spec
 	ledger  invariant.StudyLedger
 	grants  []Grant
 	adms    []Admission
@@ -163,7 +162,7 @@ func New(cfg Config) *Gateway {
 		cfg:     cfg,
 		tenants: make(map[string]*tenant),
 		byID:    make(map[uint64]*job),
-		results: make(map[string]*job),
+		results: make(map[StudySpec]*job),
 		changed: make(chan struct{}),
 	}
 	gw.start = gw.now()
@@ -226,17 +225,19 @@ func (gw *Gateway) Submit(tenantName string, spec StudySpec) (SubmitReply, error
 			return SubmitReply{}, fmt.Errorf("gateway: a %d-replica fabric survives at most %d leader kills", fc.Replicas, max)
 		}
 	}
-	now := gw.now()
-	key := spec.key()
-
 	gw.mu.Lock()
 	defer gw.mu.Unlock()
+	// The clock is read under the lock everywhere a bucket refills or a grant
+	// is stamped: a reading taken before a contended Lock can be older than
+	// the refill another goroutine did meanwhile, and a grant stamped with it
+	// looks (to CheckGrantPacing) like one the bucket could not have paid for.
+	now := gw.now()
 	if gw.closed {
 		return SubmitReply{}, errors.New("gateway: closed")
 	}
 	at := now.Sub(gw.start).Seconds()
 	tn := gw.tenantLocked(tenantName, now)
-	if prev := gw.results[key]; prev != nil {
+	if prev := gw.results[spec]; prev != nil {
 		gw.ledger.Deduped++
 		tn.ledger.Deduped++
 		gw.adms = append(gw.adms, Admission{Tenant: tenantName, Study: prev.id, Decision: "deduped", AtSec: at})
@@ -257,7 +258,6 @@ func (gw *Gateway) Submit(tenantName string, spec StudySpec) (SubmitReply, error
 		id:     gw.nextID,
 		tenant: tenantName,
 		spec:   spec,
-		key:    key,
 		state:  StateQueued,
 		done:   make(chan struct{}),
 	}
@@ -375,8 +375,8 @@ func (gw *Gateway) armTimerLocked(now time.Time) {
 // Poke re-runs admission against the current clock. Call it after advancing
 // a fake clock; real-clock gateways poke themselves via refill timers.
 func (gw *Gateway) Poke() {
-	now := gw.now()
 	gw.mu.Lock()
+	now := gw.now()
 	if !gw.closed {
 		gw.scheduleLocked(now)
 	}
@@ -393,8 +393,8 @@ func (gw *Gateway) runJob(j *job) {
 	} else {
 		err = gw.runLocal(j)
 	}
-	now := gw.now()
 	gw.mu.Lock()
+	now := gw.now()
 	tn := gw.tenants[j.tenant]
 	gw.running--
 	gw.ledger.Running--
@@ -411,7 +411,7 @@ func (gw *Gateway) runJob(j *job) {
 		tn.ledger.Failed++
 	default:
 		j.state = StateDone
-		gw.results[j.key] = j
+		gw.results[j.spec] = j
 		gw.ledger.Completed++
 		tn.ledger.Completed++
 	}
@@ -762,8 +762,8 @@ func (gw *Gateway) Cancel(id uint64) (CancelReply, error) {
 
 // Stats reports one tenant's ledger, token balance, and grant log.
 func (gw *Gateway) Stats(tenantName string) (TenantStats, error) {
-	now := gw.now()
 	gw.mu.Lock()
+	now := gw.now()
 	defer gw.mu.Unlock()
 	tn := gw.tenants[tenantName]
 	if tn == nil {

@@ -46,14 +46,14 @@ func checkAccounting(t *testing.T, gw *Gateway, drained bool) {
 func TestSpecKeyNormalization(t *testing.T) {
 	zero := StudySpec{Seed: 9}
 	spelled := StudySpec{Seed: 9, DurationSec: 8, Nodes: 4, Users: 16, EventSampleEvery: 8, TraceSampleEvery: 1}
-	if zero.key() != spelled.key() {
-		t.Fatal("defaulted and spelled-out specs should content-address identically")
+	if zero.withDefaults() != spelled.withDefaults() {
+		t.Fatal("defaulted and spelled-out specs should dedup as one spec")
 	}
-	if zero.key() == (StudySpec{Seed: 10}).key() {
-		t.Fatal("different seeds should content-address differently")
+	if zero.withDefaults() == (StudySpec{Seed: 10}).withDefaults() {
+		t.Fatal("different seeds should dedup separately")
 	}
-	if zero.key() == (StudySpec{Seed: 9, Check: true}).key() {
-		t.Fatal("Check flag should be part of the content address")
+	if zero.withDefaults() == (StudySpec{Seed: 9, Check: true}).withDefaults() {
+		t.Fatal("Check flag should be part of the dedup key")
 	}
 }
 

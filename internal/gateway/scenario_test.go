@@ -121,21 +121,20 @@ func TestScenarioSpecValidation(t *testing.T) {
 func TestScenarioSpecKey(t *testing.T) {
 	plain := StudySpec{Seed: 9}
 	withSc := StudySpec{Seed: 9, Scenario: "bufferbloat"}
-	if plain.key() == withSc.key() {
-		t.Fatal("scenario and scenario-less specs must content-address differently")
+	if plain.withDefaults() == withSc.withDefaults() {
+		t.Fatal("scenario and scenario-less specs must dedup separately")
 	}
 	other := StudySpec{Seed: 9, Scenario: "elastic"}
-	if withSc.key() == other.key() {
-		t.Fatal("different scenarios must content-address differently")
+	if withSc.withDefaults() == other.withDefaults() {
+		t.Fatal("different scenarios must dedup separately")
 	}
 	ctl := StudySpec{Seed: 9, Control: "reactive", Scenario: "bufferbloat"}
-	if ctl.key() == withSc.key() {
-		t.Fatal("control + scenario must content-address differently from scenario alone")
+	if ctl.withDefaults() == withSc.withDefaults() {
+		t.Fatal("control + scenario must dedup separately from scenario alone")
 	}
-	// The scenario section is append-only: every pre-existing content
-	// address is stable.
+	// The scenario field stays empty through normalization.
 	spelled := StudySpec{Seed: 9, DurationSec: 8, Nodes: 4, Users: 16, EventSampleEvery: 8, TraceSampleEvery: 1}
-	if plain.key() != spelled.key() {
-		t.Fatal("scenario-less content addresses changed")
+	if plain.withDefaults() != spelled.withDefaults() {
+		t.Fatal("scenario-less specs stopped normalizing to one key")
 	}
 }

@@ -7,13 +7,11 @@
 // incremental sketch snapshots of a running study and the final answer is
 // always byte-identical to a single-process run of the same spec — including
 // runs where chaos kills the acting fabric leader mid-study. See DESIGN.md,
-// "Serving plane".
+// "Serving plane". The binary frames (wire.go: EBG1 submit, EBG3 snapshot)
+// are walks over the internal/wire cursor.
 package gateway
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 
 	"ebslab/internal/control"
@@ -89,7 +87,7 @@ const (
 
 // withDefaults fills zero-valued dimensions with the gateway's laptop-scale
 // study defaults. Submissions are normalized before keying, so two specs that
-// differ only in spelled-out defaults content-address identically.
+// differ only in spelled-out defaults dedup as one study.
 func (s StudySpec) withDefaults() StudySpec {
 	if s.DurationSec == 0 {
 		s.DurationSec = 8
@@ -196,41 +194,4 @@ func (s StudySpec) RunOptions() ebs.Options {
 		MaxVDs:           s.MaxVDs,
 		Check:            s.Check,
 	}
-}
-
-// key is the spec's content address: the hash of its canonical (normalized,
-// fixed-width) encoding. Completed studies are stored under this key, so a
-// re-submission of an identical spec — by any tenant — is answered from the
-// finished result instead of re-running the study.
-func (s StudySpec) key() string {
-	s = s.withDefaults()
-	b := make([]byte, 41, 41+1+len(s.Control)+4)
-	binary.LittleEndian.PutUint64(b[0:], uint64(s.Seed))
-	binary.LittleEndian.PutUint32(b[8:], uint32(s.DurationSec))
-	binary.LittleEndian.PutUint32(b[12:], uint32(s.Nodes))
-	binary.LittleEndian.PutUint32(b[16:], uint32(s.Users))
-	binary.LittleEndian.PutUint32(b[20:], uint32(s.MaxVDs))
-	binary.LittleEndian.PutUint32(b[24:], uint32(s.EventSampleEvery))
-	binary.LittleEndian.PutUint32(b[28:], uint32(s.TraceSampleEvery))
-	binary.LittleEndian.PutUint32(b[32:], uint32(s.Shards))
-	binary.LittleEndian.PutUint32(b[36:], uint32(s.LeaderKills))
-	if s.Check {
-		b[40] = 1
-	}
-	// The control section is appended only for controlled studies, so every
-	// pre-existing (uncontrolled) spec keeps its content address.
-	if s.Control != "" {
-		b = append(b, uint8(len(s.Control)))
-		b = append(b, s.Control...)
-		b = binary.LittleEndian.AppendUint32(b, uint32(s.ControlEpochSec))
-	}
-	// The scenario section is likewise append-only, tagged with 'S' (0x53):
-	// a control suffix always starts with its length byte <= maxControlLen,
-	// so the tag cannot collide with any pre-scenario encoding.
-	if s.Scenario != "" {
-		b = append(b, 'S', uint8(len(s.Scenario)))
-		b = append(b, s.Scenario...)
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
 }

@@ -1,10 +1,11 @@
 package gateway
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+
+	"ebslab/internal/wire"
 )
 
 // ErrWire reports a malformed gateway frame.
@@ -69,36 +70,32 @@ var (
 // marker byte first — pre-scenario decoders reject a zero length, so the
 // frame is unambiguously new-format, never misparsed.
 func EncodeSubmit(r SubmitRequest) []byte {
-	b := make([]byte, 0, 5+len(r.Tenant)+41+1+len(r.Spec.Control)+4+2+len(r.Spec.Scenario))
-	b = append(b, submitMagic...)
-	b = append(b, uint8(len(r.Tenant)))
-	b = append(b, r.Tenant...)
-	b = binary.LittleEndian.AppendUint64(b, uint64(r.Spec.Seed))
+	w := &wire.Writer{B: make([]byte, 0, 5+len(r.Tenant)+41+1+len(r.Spec.Control)+4+2+len(r.Spec.Scenario))}
+	w.Bytes(submitMagic)
+	w.U8(uint8(len(r.Tenant)))
+	w.Bytes([]byte(r.Tenant))
+	w.I64(r.Spec.Seed)
 	for _, v := range []int{
 		r.Spec.DurationSec, r.Spec.Nodes, r.Spec.Users, r.Spec.MaxVDs,
 		r.Spec.EventSampleEvery, r.Spec.TraceSampleEvery, r.Spec.Shards,
 		r.Spec.LeaderKills,
 	} {
-		b = binary.LittleEndian.AppendUint32(b, uint32(v))
+		w.I32(int32(v))
 	}
-	if r.Spec.Check {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
+	w.Bool(r.Spec.Check)
 	if r.Spec.Control != "" {
-		b = append(b, uint8(len(r.Spec.Control)))
-		b = append(b, r.Spec.Control...)
-		b = binary.LittleEndian.AppendUint32(b, uint32(r.Spec.ControlEpochSec))
+		w.U8(uint8(len(r.Spec.Control)))
+		w.Bytes([]byte(r.Spec.Control))
+		w.I32(int32(r.Spec.ControlEpochSec))
 	}
 	if r.Spec.Scenario != "" {
 		if r.Spec.Control == "" {
-			b = append(b, 0) // explicit empty control section
+			w.U8(0) // explicit empty control section
 		}
-		b = append(b, uint8(len(r.Spec.Scenario)))
-		b = append(b, r.Spec.Scenario...)
+		w.U8(uint8(len(r.Spec.Scenario)))
+		w.Bytes([]byte(r.Spec.Scenario))
 	}
-	return b
+	return w.B
 }
 
 // DecodeSubmit parses a submit frame. A frame either decodes completely —
@@ -106,82 +103,56 @@ func EncodeSubmit(r SubmitRequest) []byte {
 // bounds are enforced later at admission (Validate), tenant well-formedness
 // here, so a hostile frame cannot allocate or run anything.
 func DecodeSubmit(b []byte) (SubmitRequest, error) {
-	var r SubmitRequest
-	if len(b) < len(submitMagic)+1 || string(b[:len(submitMagic)]) != string(submitMagic) {
-		return r, fmt.Errorf("%w: bad submit magic", ErrWire)
+	var req SubmitRequest
+	r := wire.NewReader(b, ErrWire)
+	if string(r.Take(len(submitMagic))) != string(submitMagic) {
+		r.Fail("bad submit magic")
 	}
-	b = b[len(submitMagic):]
-	tl := int(b[0])
-	b = b[1:]
-	if tl == 0 || tl > maxTenantLen || len(b) < tl {
-		return r, fmt.Errorf("%w: tenant length %d", ErrWire, tl)
+	req.Tenant = takeName(r, "tenant", int(r.U8()), maxTenantLen)
+	req.Spec.Seed = r.I64()
+	for _, p := range []*int{
+		&req.Spec.DurationSec, &req.Spec.Nodes, &req.Spec.Users, &req.Spec.MaxVDs,
+		&req.Spec.EventSampleEvery, &req.Spec.TraceSampleEvery, &req.Spec.Shards,
+		&req.Spec.LeaderKills,
+	} {
+		*p = int(r.I32())
 	}
-	r.Tenant = string(b[:tl])
-	for _, c := range r.Tenant {
-		if c < 0x21 || c > 0x7e {
-			return r, fmt.Errorf("%w: tenant name contains %q", ErrWire, c)
-		}
-	}
-	b = b[tl:]
-	if len(b) < 8+8*4+1 {
-		return r, fmt.Errorf("%w: submit spec is %d bytes, want >= %d", ErrWire, len(b), 8+8*4+1)
-	}
-	r.Spec.Seed = int64(binary.LittleEndian.Uint64(b))
-	b = b[8:]
-	dst := []*int{
-		&r.Spec.DurationSec, &r.Spec.Nodes, &r.Spec.Users, &r.Spec.MaxVDs,
-		&r.Spec.EventSampleEvery, &r.Spec.TraceSampleEvery, &r.Spec.Shards,
-		&r.Spec.LeaderKills,
-	}
-	for _, p := range dst {
-		*p = int(int32(binary.LittleEndian.Uint32(b)))
-		b = b[4:]
-	}
-	switch b[0] {
+	switch check := r.U8(); check {
 	case 0:
 	case 1:
-		r.Spec.Check = true
+		req.Spec.Check = true
 	default:
-		return r, fmt.Errorf("%w: check flag %d", ErrWire, b[0])
+		r.Fail("check flag %d", check)
 	}
-	b = b[1:]
-	if len(b) == 0 {
-		return r, nil // pre-control-plane frame: no control section
+	if r.Remaining() == 0 {
+		return req, r.Err() // pre-control-plane frame: no control section
 	}
-	cl := int(b[0])
-	b = b[1:]
-	if cl > 0 {
-		if cl > maxControlLen || len(b) < cl+4 {
-			return r, fmt.Errorf("%w: control section length %d with %d bytes left", ErrWire, cl, len(b))
+	if cl := int(r.U8()); cl != 0 {
+		req.Spec.Control = takeName(r, "control policy", cl, maxControlLen)
+		req.Spec.ControlEpochSec = int(r.I32())
+		if r.Remaining() == 0 {
+			return req, r.Err() // pre-scenario frame: no scenario section
 		}
-		r.Spec.Control = string(b[:cl])
-		for _, c := range r.Spec.Control {
-			if c < 0x21 || c > 0x7e {
-				return r, fmt.Errorf("%w: control policy name contains %q", ErrWire, c)
-			}
-		}
-		r.Spec.ControlEpochSec = int(int32(binary.LittleEndian.Uint32(b[cl:])))
-		b = b[cl+4:]
-		if len(b) == 0 {
-			return r, nil // pre-scenario frame: no scenario section
-		}
-	} else if len(b) == 0 {
-		// A zero control length is only ever the marker in front of a
-		// scenario section; bare it means a truncated frame.
-		return r, fmt.Errorf("%w: empty control section with no scenario section", ErrWire)
 	}
-	sl := int(b[0])
-	b = b[1:]
-	if sl == 0 || sl > maxScenarioLen || len(b) != sl {
-		return r, fmt.Errorf("%w: scenario section length %d with %d bytes left", ErrWire, sl, len(b))
+	// A zero control length is only ever the marker in front of a scenario
+	// section, so past this point the scenario section is mandatory and last.
+	req.Spec.Scenario = takeName(r, "scenario", int(r.U8()), maxScenarioLen)
+	return req, r.Done()
+}
+
+// takeName reads an n-byte name section: 1..max bytes of printable ASCII.
+func takeName(r *wire.Reader, what string, n, max int) string {
+	if n == 0 || n > max {
+		r.Fail("%s length %d, want [1, %d]", what, n, max)
 	}
-	r.Spec.Scenario = string(b)
-	for _, c := range r.Spec.Scenario {
+	s := string(r.Take(n))
+	for _, c := range s {
 		if c < 0x21 || c > 0x7e {
-			return r, fmt.Errorf("%w: scenario spec contains %q", ErrWire, c)
+			r.Fail("%s contains %q", what, c)
+			break
 		}
 	}
-	return r, nil
+	return s
 }
 
 // SnapshotReply is the OpStreamSnapshot answer: where the study is and, once
@@ -205,18 +176,18 @@ type SnapshotReply struct {
 //	"EBG3" | u64 id | u8 state | u64 seq | u32 vdsDone | u32 vdsTotal
 //	      | u8 fpLen | fp | u32 sketchLen | sketch
 func EncodeSnapshotReply(r SnapshotReply) []byte {
-	b := make([]byte, 0, 4+8+1+8+4+4+1+len(r.SketchFP)+4+len(r.Sketch))
-	b = append(b, snapMagic...)
-	b = binary.LittleEndian.AppendUint64(b, r.StudyID)
-	b = append(b, r.State)
-	b = binary.LittleEndian.AppendUint64(b, r.Seq)
-	b = binary.LittleEndian.AppendUint32(b, r.VDsDone)
-	b = binary.LittleEndian.AppendUint32(b, r.VDsTotal)
-	b = append(b, uint8(len(r.SketchFP)))
-	b = append(b, r.SketchFP...)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(r.Sketch)))
-	b = append(b, r.Sketch...)
-	return b
+	w := &wire.Writer{B: make([]byte, 0, 4+8+1+8+4+4+1+len(r.SketchFP)+4+len(r.Sketch))}
+	w.Bytes(snapMagic)
+	w.U64(r.StudyID)
+	w.U8(r.State)
+	w.U64(r.Seq)
+	w.U32(r.VDsDone)
+	w.U32(r.VDsTotal)
+	w.U8(uint8(len(r.SketchFP)))
+	w.Bytes([]byte(r.SketchFP))
+	w.U32(uint32(len(r.Sketch)))
+	w.Bytes(r.Sketch)
+	return w.B
 }
 
 // DecodeSnapshotReply parses a snapshot frame, rejecting short bodies,
@@ -224,49 +195,36 @@ func EncodeSnapshotReply(r SnapshotReply) []byte {
 // decoded here — the caller hands them to sketch.DecodeSet when it wants the
 // state, and that decoder does its own validation.
 func DecodeSnapshotReply(b []byte) (SnapshotReply, error) {
-	var r SnapshotReply
-	if len(b) < len(snapMagic) || string(b[:len(snapMagic)]) != string(snapMagic) {
-		return r, fmt.Errorf("%w: bad snapshot magic", ErrWire)
+	var rep SnapshotReply
+	r := wire.NewReader(b, ErrWire)
+	if string(r.Take(len(snapMagic))) != string(snapMagic) {
+		r.Fail("bad snapshot magic")
 	}
-	b = b[len(snapMagic):]
-	if len(b) < 8+1+8+4+4+1 {
-		return r, fmt.Errorf("%w: snapshot header short", ErrWire)
+	rep.StudyID = r.U64()
+	rep.State = r.U8()
+	rep.Seq = r.U64()
+	rep.VDsDone = r.U32()
+	rep.VDsTotal = r.U32()
+	rep.SketchFP = string(r.Take(int(r.U8())))
+	if sk := r.Take(r.Count(1)); len(sk) > 0 {
+		rep.Sketch = append([]byte(nil), sk...)
 	}
-	r.StudyID = binary.LittleEndian.Uint64(b)
-	r.State = b[8]
-	r.Seq = binary.LittleEndian.Uint64(b[9:])
-	r.VDsDone = binary.LittleEndian.Uint32(b[17:])
-	r.VDsTotal = binary.LittleEndian.Uint32(b[21:])
-	fpLen := int(b[25])
-	b = b[26:]
-	if len(b) < fpLen+4 {
-		return r, fmt.Errorf("%w: fingerprint length %d", ErrWire, fpLen)
-	}
-	r.SketchFP = string(b[:fpLen])
-	b = b[fpLen:]
-	skLen := int(binary.LittleEndian.Uint32(b))
-	b = b[4:]
-	if len(b) != skLen {
-		return r, fmt.Errorf("%w: sketch length %d with %d bytes left", ErrWire, skLen, len(b))
-	}
-	if skLen > 0 {
-		r.Sketch = append([]byte(nil), b...)
-	}
-	return r, nil
+	return rep, r.Done()
 }
 
 // EncodeSnapshotRequest frames an OpStreamSnapshot request: the study ID as
 // a little-endian u64.
 func EncodeSnapshotRequest(id uint64) []byte {
-	return binary.LittleEndian.AppendUint64(nil, id)
+	var w wire.Writer
+	w.U64(id)
+	return w.B
 }
 
 // DecodeSnapshotRequest parses the 8-byte study-ID payload.
 func DecodeSnapshotRequest(b []byte) (uint64, error) {
-	if len(b) != 8 {
-		return 0, fmt.Errorf("%w: snapshot request is %d bytes, want 8", ErrWire, len(b))
-	}
-	return binary.LittleEndian.Uint64(b), nil
+	r := wire.NewReader(b, ErrWire)
+	id := r.U64()
+	return id, r.Done()
 }
 
 // --- JSON control messages --------------------------------------------------
@@ -279,7 +237,7 @@ type SubmitReply struct {
 	StudyID uint64
 	State   string
 	// Deduped is set when the submission was answered from a completed
-	// study with the same content address; StudyID is that study's.
+	// study with the same normalized spec; StudyID is that study's.
 	Deduped bool
 }
 

@@ -13,6 +13,7 @@ import (
 	"ebslab/internal/cluster"
 	"ebslab/internal/trace"
 	"ebslab/internal/workload"
+	"ebslab/internal/xrand"
 )
 
 // Replay schemas. "auto" sniffs the first line; the native schemas are the
@@ -284,7 +285,7 @@ func sniffSchema(br *bufio.Reader) (string, error) {
 // keep is the deterministic ingest sampler: a pure hash of the record
 // ordinal, independent of worker count and target fleet.
 func (c ReplayConfig) keepOrdinal(ord uint64) bool {
-	return c.SampleEvery <= 1 || splitmix64(ord)%uint64(c.SampleEvery) == 0
+	return c.SampleEvery <= 1 || xrand.Mix64(ord)%uint64(c.SampleEvery) == 0
 }
 
 // ingestNative reads the repo's own trace codecs and validates every record

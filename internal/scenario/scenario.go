@@ -32,6 +32,7 @@ import (
 	"ebslab/internal/throttle"
 	"ebslab/internal/trace"
 	"ebslab/internal/workload"
+	"ebslab/internal/xrand"
 )
 
 // Workload is a bound scenario: a fleet whose traffic is reshaped. The
@@ -297,16 +298,11 @@ const (
 	tagReplayPick  = 0x4E91A
 )
 
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
-// subSeed derives an independent stream seed from (master, tag, entity).
+// subSeed derives an independent stream seed from (master, tag, entity). The
+// formula is this package's own (not xrand.SubSeed) and the scenario goldens
+// pin it.
 func subSeed(master int64, tag, entity uint64) int64 {
-	return int64(splitmix64(uint64(master) ^ splitmix64(tag)<<1 ^ splitmix64(entity)))
+	return int64(xrand.Mix64(uint64(master) ^ xrand.Mix64(tag)<<1 ^ xrand.Mix64(entity)))
 }
 
 // hash01 maps (master, tag, entity) to a uniform [0, 1) value without

@@ -1,11 +1,11 @@
 package sketch
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
+
+	"ebslab/internal/wire"
 )
 
 // Binary wire codec for Set. The distributed simulation fabric ships each
@@ -16,8 +16,8 @@ import (
 //
 // The format is versioned, little-endian, and canonical: map sections are
 // written in ascending key order and the decoder rejects out-of-order or
-// duplicate keys, so a Set has exactly one encoding. The decoder bounds
-// every allocation by the remaining input length, so a hostile length
+// duplicate keys, so a Set has exactly one encoding. The decoder sizes
+// every allocation by a wire.Reader.Count result, so a hostile length
 // prefix cannot commit memory the stream does not back.
 
 // codecMagic opens every frame: "SKS" plus a format version byte.
@@ -34,114 +34,36 @@ const (
 // ErrCodec reports a malformed Set frame.
 var ErrCodec = errors.New("sketch: malformed Set encoding")
 
-// wbuf is an append-only little-endian writer.
-type wbuf struct{ b []byte }
-
-func (w *wbuf) u8(v uint8)   { w.b = append(w.b, v) }
-func (w *wbuf) u32(v uint32) { w.b = binary.LittleEndian.AppendUint32(w.b, v) }
-func (w *wbuf) u64(v uint64) { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
-func (w *wbuf) f64(v float64) {
-	w.u64(math.Float64bits(v))
-}
-
-// rbuf is the bounds-checked reader: the first short read latches err and
-// every later read returns zeros, so decoders can be written straight-line
-// and check err once per section.
-type rbuf struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *rbuf) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: %s", ErrCodec, fmt.Sprintf(format, args...))
-	}
-}
-
-func (r *rbuf) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || len(r.b)-r.off < n {
-		r.fail("need %d bytes at offset %d, have %d", n, r.off, len(r.b)-r.off)
-		return nil
-	}
-	out := r.b[r.off : r.off+n]
-	r.off += n
-	return out
-}
-
-func (r *rbuf) u8() uint8 {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *rbuf) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (r *rbuf) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (r *rbuf) f64() float64 { return math.Float64frombits(r.u64()) }
-
-// count reads a section length and verifies the stream still holds at
-// least elemSize bytes per element before the caller allocates.
-func (r *rbuf) count(elemSize int) int {
-	n := r.u32()
-	if r.err != nil {
-		return 0
-	}
-	if int64(n)*int64(elemSize) > int64(len(r.b)-r.off) {
-		r.fail("section of %d elements x %d bytes exceeds remaining %d", n, elemSize, len(r.b)-r.off)
-		return 0
-	}
-	return int(n)
-}
-
 // EncodeBinary serializes the set's entire state in canonical order.
 func (s *Set) EncodeBinary() []byte {
-	w := &wbuf{b: make([]byte, 0, 1024)}
-	w.u32(codecMagic)
+	w := &wire.Writer{B: make([]byte, 0, 1024)}
+	w.U32(codecMagic)
 
-	w.u32(uint32(s.cfg.TopK))
-	w.u32(uint32(s.cfg.SegPerVD))
-	w.f64(s.cfg.QuantileAlpha)
-	w.u32(uint32(s.cfg.HLLPrecision))
-	w.f64(s.cfg.EWMAHalfLifeSec)
-	w.f64(s.cfg.Scale)
-	w.f64(s.cfg.TputCapSum)
-	w.u32(uint32(s.cfg.DurationSec))
+	w.U32(uint32(s.cfg.TopK))
+	w.U32(uint32(s.cfg.SegPerVD))
+	w.F64(s.cfg.QuantileAlpha)
+	w.U32(uint32(s.cfg.HLLPrecision))
+	w.F64(s.cfg.EWMAHalfLifeSec)
+	w.F64(s.cfg.Scale)
+	w.F64(s.cfg.TputCapSum)
+	w.U32(uint32(s.cfg.DurationSec))
 
-	w.u64(s.totals.IOs)
-	w.u64(s.totals.Bytes)
+	w.U64(s.totals.IOs)
+	w.U64(s.totals.Bytes)
 
-	w.u32(uint32(len(s.vds)))
+	w.U32(uint32(len(s.vds)))
 	for _, vd := range sortedKeys(s.vds) {
 		dc := s.vds[vd]
-		w.u64(vd)
-		w.u64(dc.readBytes)
-		w.u64(dc.writeBytes)
-		w.u64(dc.readOps)
-		w.u64(dc.writeOps)
+		w.U64(vd)
+		w.U64(dc.readBytes)
+		w.U64(dc.writeBytes)
+		w.U64(dc.readOps)
+		w.U64(dc.writeOps)
 	}
 
-	w.u32(uint32(len(s.segHot)))
+	w.U32(uint32(len(s.segHot)))
 	for _, vd := range sortedKeys(s.segHot) {
-		w.u64(vd)
+		w.U64(vd)
 		s.segHot[vd].appendBinary(w)
 	}
 
@@ -150,29 +72,29 @@ func (s *Set) EncodeBinary() []byte {
 	s.sizes.appendBinary(w)
 	s.blocks.appendBinary(w)
 	s.segs.appendBinary(w)
-	return w.b
+	return w.B
 }
 
 // DecodeSet parses a frame produced by EncodeBinary. It rejects truncated,
 // oversized, non-canonical, and internally inconsistent frames with
 // ErrCodec; a successful decode reproduces the source set's Fingerprint.
 func DecodeSet(data []byte) (*Set, error) {
-	r := &rbuf{b: data}
-	if m := r.u32(); r.err == nil && m != codecMagic {
+	r := wire.NewReader(data, ErrCodec)
+	if m := r.U32(); r.Err() == nil && m != codecMagic {
 		return nil, fmt.Errorf("%w: bad magic %08x", ErrCodec, m)
 	}
 
 	var cfg Config
-	cfg.TopK = int(r.u32())
-	cfg.SegPerVD = int(r.u32())
-	cfg.QuantileAlpha = r.f64()
-	cfg.HLLPrecision = int(r.u32())
-	cfg.EWMAHalfLifeSec = r.f64()
-	cfg.Scale = r.f64()
-	cfg.TputCapSum = r.f64()
-	cfg.DurationSec = int(r.u32())
-	if r.err != nil {
-		return nil, r.err
+	cfg.TopK = int(r.U32())
+	cfg.SegPerVD = int(r.U32())
+	cfg.QuantileAlpha = r.F64()
+	cfg.HLLPrecision = int(r.U32())
+	cfg.EWMAHalfLifeSec = r.F64()
+	cfg.Scale = r.F64()
+	cfg.TputCapSum = r.F64()
+	cfg.DurationSec = int(r.U32())
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	// Encoded configs come from NewSet, so they are already normalized; a
 	// config that withDefaults would rewrite is junk, as is one beyond the
@@ -183,34 +105,34 @@ func DecodeSet(data []byte) (*Set, error) {
 	}
 
 	s := &Set{cfg: cfg}
-	s.totals.IOs = r.u64()
-	s.totals.Bytes = r.u64()
+	s.totals.IOs = r.U64()
+	s.totals.Bytes = r.U64()
 
-	nVDs := r.count(5 * 8)
+	nVDs := r.Count(5 * 8)
 	s.vds = make(map[uint64]*dirCount, nVDs)
 	lastKey, first := uint64(0), true
-	for i := 0; i < nVDs && r.err == nil; i++ {
-		vd := r.u64()
+	for i := 0; i < nVDs && r.Err() == nil; i++ {
+		vd := r.U64()
 		if !first && vd <= lastKey {
-			r.fail("vds keys not strictly ascending at %d", vd)
+			r.Fail("vds keys not strictly ascending at %d", vd)
 			break
 		}
 		lastKey, first = vd, false
 		s.vds[vd] = &dirCount{
-			readBytes:  r.u64(),
-			writeBytes: r.u64(),
-			readOps:    r.u64(),
-			writeOps:   r.u64(),
+			readBytes:  r.U64(),
+			writeBytes: r.U64(),
+			readOps:    r.U64(),
+			writeOps:   r.U64(),
 		}
 	}
 
-	nHot := r.count(8)
+	nHot := r.Count(8)
 	s.segHot = make(map[uint64]*SpaceSaving, nHot)
 	lastKey, first = 0, true
-	for i := 0; i < nHot && r.err == nil; i++ {
-		vd := r.u64()
+	for i := 0; i < nHot && r.Err() == nil; i++ {
+		vd := r.U64()
 		if !first && vd <= lastKey {
-			r.fail("segHot keys not strictly ascending at %d", vd)
+			r.Fail("segHot keys not strictly ascending at %d", vd)
 			break
 		}
 		lastKey, first = vd, false
@@ -222,50 +144,47 @@ func DecodeSet(data []byte) (*Set, error) {
 	s.sizes = decodeLogQuantile(r)
 	s.blocks = decodeHLL(r)
 	s.segs = decodeHLL(r)
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(r.b) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCodec, len(r.b)-r.off)
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
 
-func (s *SpaceSaving) appendBinary(w *wbuf) {
-	w.u32(uint32(s.k))
-	w.u32(uint32(len(s.counters)))
+func (s *SpaceSaving) appendBinary(w *wire.Writer) {
+	w.U32(uint32(s.k))
+	w.U32(uint32(len(s.counters)))
 	for _, k := range sortedKeys(s.counters) {
 		c := s.counters[k]
-		w.u64(k)
-		w.u64(c.count)
-		w.u64(c.err)
+		w.U64(k)
+		w.U64(c.count)
+		w.U64(c.err)
 	}
 }
 
-func decodeSpaceSaving(r *rbuf) *SpaceSaving {
-	k := int(r.u32())
-	if r.err == nil && (k < 1 || k > maxCodecK) {
-		r.fail("SpaceSaving capacity %d", k)
+func decodeSpaceSaving(r *wire.Reader) *SpaceSaving {
+	k := int(r.U32())
+	if r.Err() == nil && (k < 1 || k > maxCodecK) {
+		r.Fail("SpaceSaving capacity %d", k)
 	}
-	n := r.count(3 * 8)
-	if r.err == nil && n > k {
-		r.fail("SpaceSaving holds %d counters over capacity %d", n, k)
+	n := r.Count(3 * 8)
+	if r.Err() == nil && n > k {
+		r.Fail("SpaceSaving holds %d counters over capacity %d", n, k)
 	}
-	if r.err != nil {
+	if r.Err() != nil {
 		return nil
 	}
 	s := &SpaceSaving{k: k, counters: make(map[uint64]ssCounter, n)}
 	lastKey, first := uint64(0), true
-	for i := 0; i < n && r.err == nil; i++ {
-		key := r.u64()
+	for i := 0; i < n && r.Err() == nil; i++ {
+		key := r.U64()
 		if !first && key <= lastKey {
-			r.fail("SpaceSaving keys not strictly ascending at %d", key)
+			r.Fail("SpaceSaving keys not strictly ascending at %d", key)
 			break
 		}
 		lastKey, first = key, false
-		c := ssCounter{count: r.u64(), err: r.u64()}
+		c := ssCounter{count: r.U64(), err: r.U64()}
 		if c.err > c.count {
-			r.fail("SpaceSaving counter %d has err %d > count %d", key, c.err, c.count)
+			r.Fail("SpaceSaving counter %d has err %d > count %d", key, c.err, c.count)
 			break
 		}
 		s.counters[key] = c
@@ -273,102 +192,102 @@ func decodeSpaceSaving(r *rbuf) *SpaceSaving {
 	return s
 }
 
-func (r *RateMeter) appendBinary(w *wbuf) {
-	w.u32(uint32(len(r.secs)))
+func (r *RateMeter) appendBinary(w *wire.Writer) {
+	w.U32(uint32(len(r.secs)))
 	for _, b := range r.secs {
-		w.u64(b.ReadBytes)
-		w.u64(b.WriteBytes)
-		w.u64(b.ReadOps)
-		w.u64(b.WriteOps)
+		w.U64(b.ReadBytes)
+		w.U64(b.WriteBytes)
+		w.U64(b.ReadOps)
+		w.U64(b.WriteOps)
 	}
 }
 
-func decodeRateMeter(r *rbuf) *RateMeter {
-	n := r.count(4 * 8)
-	if r.err == nil && n > maxCodecSecs {
-		r.fail("RateMeter spans %d seconds", n)
+func decodeRateMeter(r *wire.Reader) *RateMeter {
+	n := r.Count(4 * 8)
+	if r.Err() == nil && n > maxCodecSecs {
+		r.Fail("RateMeter spans %d seconds", n)
 	}
-	if r.err != nil {
+	if r.Err() != nil {
 		return nil
 	}
 	m := &RateMeter{secs: make([]RateBucket, n)}
-	for i := 0; i < n && r.err == nil; i++ {
+	for i := 0; i < n && r.Err() == nil; i++ {
 		m.secs[i] = RateBucket{
-			ReadBytes:  r.u64(),
-			WriteBytes: r.u64(),
-			ReadOps:    r.u64(),
-			WriteOps:   r.u64(),
+			ReadBytes:  r.U64(),
+			WriteBytes: r.U64(),
+			ReadOps:    r.U64(),
+			WriteOps:   r.U64(),
 		}
 	}
 	return m
 }
 
-func (l *LogQuantile) appendBinary(w *wbuf) {
-	w.f64(l.alpha)
-	w.u64(l.zero)
-	w.u64(l.total)
-	w.u32(uint32(len(l.buckets)))
+func (l *LogQuantile) appendBinary(w *wire.Writer) {
+	w.F64(l.alpha)
+	w.U64(l.zero)
+	w.U64(l.total)
+	w.U32(uint32(len(l.buckets)))
 	idxs := make([]int64, 0, len(l.buckets))
 	for idx := range l.buckets {
 		idxs = append(idxs, idx)
 	}
 	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
 	for _, idx := range idxs {
-		w.u64(uint64(idx))
-		w.u64(l.buckets[idx])
+		w.U64(uint64(idx))
+		w.U64(l.buckets[idx])
 	}
 }
 
-func decodeLogQuantile(r *rbuf) *LogQuantile {
-	alpha := r.f64()
-	if r.err == nil && !(alpha > 0 && alpha < 0.5) {
-		r.fail("LogQuantile alpha %g", alpha)
+func decodeLogQuantile(r *wire.Reader) *LogQuantile {
+	alpha := r.F64()
+	if r.Err() == nil && !(alpha > 0 && alpha < 0.5) {
+		r.Fail("LogQuantile alpha %g", alpha)
 	}
-	zero := r.u64()
-	total := r.u64()
-	n := r.count(2 * 8)
-	if r.err != nil {
+	zero := r.U64()
+	total := r.U64()
+	n := r.Count(2 * 8)
+	if r.Err() != nil {
 		return nil
 	}
 	l := NewLogQuantile(alpha)
 	l.zero, l.total = zero, total
 	var sum uint64 = zero
 	lastIdx, first := int64(0), true
-	for i := 0; i < n && r.err == nil; i++ {
-		idx := int64(r.u64())
+	for i := 0; i < n && r.Err() == nil; i++ {
+		idx := int64(r.U64())
 		if !first && idx <= lastIdx {
-			r.fail("LogQuantile buckets not strictly ascending at %d", idx)
+			r.Fail("LogQuantile buckets not strictly ascending at %d", idx)
 			break
 		}
 		lastIdx, first = idx, false
-		wgt := r.u64()
+		wgt := r.U64()
 		if wgt == 0 {
-			r.fail("LogQuantile empty bucket %d", idx)
+			r.Fail("LogQuantile empty bucket %d", idx)
 			break
 		}
 		l.buckets[idx] = wgt
 		sum += wgt
 	}
-	if r.err == nil && sum != total {
-		r.fail("LogQuantile total %d != bucket sum %d", total, sum)
+	if r.Err() == nil && sum != total {
+		r.Fail("LogQuantile total %d != bucket sum %d", total, sum)
 	}
 	return l
 }
 
-func (h *HLL) appendBinary(w *wbuf) {
-	w.u8(h.p)
-	w.b = append(w.b, h.registers...)
+func (h *HLL) appendBinary(w *wire.Writer) {
+	w.U8(h.p)
+	w.Bytes(h.registers)
 }
 
-func decodeHLL(r *rbuf) *HLL {
-	p := int(r.u8())
-	if r.err == nil && (p < 4 || p > 16) {
-		r.fail("HLL precision %d", p)
+func decodeHLL(r *wire.Reader) *HLL {
+	p := int(r.U8())
+	if r.Err() == nil && (p < 4 || p > 16) {
+		r.Fail("HLL precision %d", p)
 	}
-	if r.err != nil {
+	if r.Err() != nil {
 		return nil
 	}
-	regs := r.take(1 << p)
+	regs := r.Take(1 << p)
 	if regs == nil {
 		return nil
 	}
@@ -377,7 +296,7 @@ func decodeHLL(r *rbuf) *HLL {
 	for i, v := range h.registers {
 		// rho never exceeds 64-p+1 bits of tail.
 		if int(v) > 64-p+1 {
-			r.fail("HLL register %d holds impossible rho %d", i, v)
+			r.Fail("HLL register %d holds impossible rho %d", i, v)
 			return nil
 		}
 	}

@@ -14,15 +14,17 @@
 // each virtual disk is processed whole by exactly one shard, merged results
 // are byte-identical for every worker count; see DESIGN.md, "Streaming
 // sketch analytics" for the full determinism argument and error bounds.
+// The Set frame (codec.go) is a walk over the internal/wire cursor.
 package sketch
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"hash"
 	"math"
 	"sort"
+
+	"ebslab/internal/wire"
 )
 
 // Entry is one ranked heavy-hitter: a key with its estimated weight and the
@@ -48,27 +50,19 @@ func (t *Totals) Add(o Totals) {
 	t.Bytes += o.Bytes
 }
 
-// hash64 is the splitmix64 finalizer — the same mixer the trace sampler
-// uses — applied to sketch keys before cardinality estimation.
-func hash64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // digest is a canonical-serialization writer shared by the AppendHash
 // implementations: fixed-width little-endian words into a streaming hash.
 type digest struct {
-	h   hash.Hash
-	buf [8]byte
+	h hash.Hash
+	w wire.Writer
 }
 
 func newDigest() *digest { return &digest{h: sha256.New()} }
 
 func (d *digest) u64(v uint64) {
-	binary.LittleEndian.PutUint64(d.buf[:], v)
-	d.h.Write(d.buf[:])
+	d.w.B = d.w.B[:0]
+	d.w.U64(v)
+	d.h.Write(d.w.B)
 }
 
 func (d *digest) f64(v float64) { d.u64(math.Float64bits(v)) }

@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"ebslab/internal/cluster"
+	"ebslab/internal/xrand"
 )
 
 // Op is a block IO opcode.
@@ -192,13 +193,5 @@ type Dataset struct {
 // 1-in-SampleRate downsampler. It uses a splitmix64 hash so sampling is
 // deterministic, uniform, and independent of issue order.
 func Sampled(traceID uint64) bool {
-	return hash64(traceID)%SampleRate == 0
-}
-
-// hash64 is the splitmix64 finalizer, a fast high-quality 64-bit mixer.
-func hash64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+	return xrand.Mix64(traceID)%SampleRate == 0
 }

@@ -45,21 +45,16 @@ func (f *Fleet) GenEvents(vd cluster.VDID, durSec, sampleEvery int, fn func(Even
 	f.genEvents(vd, durSec, sampleEvery, false, nil, nil, fn)
 }
 
-// GenEventsBoosted is GenEvents with a per-second demand multiplier: second
-// t draws its IO counts from boost(t) times the calibrated rates. The fault
-// layer uses it for hot-tenant traffic storms. A nil boost (or one that
-// always returns 1) reproduces GenEvents bit-exactly — the multiplier
-// feeds the same Bernoulli draw, consuming the same RNG stream.
-func (f *Fleet) GenEventsBoosted(vd cluster.VDID, durSec, sampleEvery int, boost func(sec int) float64, fn func(Event)) {
-	f.genEvents(vd, durSec, sampleEvery, false, nil, boost, fn)
-}
-
-// GenEventsBoostedOver is GenEventsBoosted consuming a caller-supplied VD
-// series (as returned by VDSeries/VDSeriesInto for the same vd and durSec)
-// instead of regenerating it. The traffic series and the event stream draw
-// from independent RNG streams, so the output is bit-identical; passing the
-// series the engine already generated for throttling halves the series work
-// per disk.
+// GenEventsBoostedOver is GenEvents with a per-second demand multiplier,
+// consuming a caller-supplied VD series (as returned by VDSeries/VDSeriesInto
+// for the same vd) instead of regenerating it. Second t draws its IO counts
+// from boost(t) times the calibrated rates; the fault layer uses that for
+// hot-tenant traffic storms. A nil boost (or one that always returns 1)
+// reproduces GenEvents bit-exactly — the multiplier feeds the same Bernoulli
+// draw, consuming the same RNG stream — and so does the supplied series: the
+// traffic series and the event stream draw from independent RNG streams, so
+// passing the series the engine already generated for throttling halves the
+// series work per disk.
 func (f *Fleet) GenEventsBoostedOver(vd cluster.VDID, series []Sample, sampleEvery int, boost func(sec int) float64, fn func(Event)) {
 	f.genEvents(vd, len(series), sampleEvery, false, series, boost, fn)
 }

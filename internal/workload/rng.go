@@ -7,25 +7,7 @@ import (
 	"ebslab/internal/xrand"
 )
 
-// splitmix64 advances and mixes a 64-bit state; it derives independent
-// per-entity seeds from the master seed so that regenerating any entity's
-// parameters or series never depends on generation order.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// subSeed derives a deterministic seed for a named stream ("vd-traffic",
-// entity 42, master seed s). tag values must be distinct per stream family.
-func subSeed(master int64, tag uint64, entity uint64) int64 {
-	h := splitmix64(uint64(master) ^ splitmix64(tag))
-	h = splitmix64(h ^ splitmix64(entity))
-	return int64(h)
-}
-
-// Stream tags for subSeed. Each family of random draws gets its own tag so
+// Stream tags for xrand.SubSeed. Each family of random draws gets its own tag so
 // streams are mutually independent.
 const (
 	tagFleet     uint64 = 0xF1EE7
@@ -39,7 +21,7 @@ const (
 
 // newRand builds a *rand.Rand from a derived seed.
 func newRand(master int64, tag, entity uint64) *rand.Rand {
-	return rand.New(rand.NewSource(subSeed(master, tag, entity)))
+	return rand.New(rand.NewSource(xrand.SubSeed(master, tag, entity)))
 }
 
 // acquireRand is newRand through the pooled seed-mirroring source: the
@@ -47,7 +29,7 @@ func newRand(master int64, tag, entity uint64) *rand.Rand {
 // acquiring it costs ~100ns and zero allocations instead of a full
 // lagged-Fibonacci reseed. Release the handle when the stream is done.
 func acquireRand(master int64, tag, entity uint64) *xrand.Rand {
-	return xrand.Get(subSeed(master, tag, entity))
+	return xrand.Get(xrand.SubSeed(master, tag, entity))
 }
 
 // permInto writes rand.Perm(n) into buf (grown if needed), replicating the

@@ -25,6 +25,24 @@ import (
 	"sync"
 )
 
+// Mix64 is the splitmix64 finaliser: a fast bijective 64-bit mixer. Every
+// derived seed, sampling decision and sketch hash in the module goes through
+// it, so streams keyed by adjacent integers come out decorrelated.
+func Mix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
+// SubSeed derives the seed of a named stream (family tag, entity) from a
+// master seed, so regenerating one entity never depends on generation order.
+// Tags must be distinct per stream family.
+func SubSeed(master int64, tag, entity uint64) int64 {
+	h := Mix64(uint64(master) ^ Mix64(tag))
+	return int64(Mix64(h ^ Mix64(entity)))
+}
+
 // Lagged-Fibonacci shape of math/rand's rngSource.
 const (
 	rngLen   = 607
