@@ -70,13 +70,14 @@ golden:
 	$(GO) test ./internal/scenario -run 'TestGolden' -count=1 -update
 
 # Short randomized runs of the committed fuzz targets (seeds under each
-# package's testdata/fuzz; the netblock, wire and fabric decoders seed theirs
-# in code).
+# package's testdata/fuzz; the netblock, wire and fabric decoders and the
+# diting merge seed theirs in code).
 # `go test -fuzz` takes one target per invocation, so each gets its own.
 fuzz-smoke:
 	$(GO) test ./internal/trace -fuzz FuzzReadTraceCSV -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -fuzz FuzzReadMetricCSV -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -fuzz FuzzReadTraceJSONL -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/diting -fuzz FuzzMergeRuns -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/predict -fuzz FuzzEvaluatePredictors -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sketch -fuzz FuzzSpaceSavingAddMerge -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sketch -fuzz FuzzLogQuantileMerge -fuzztime $(FUZZTIME)

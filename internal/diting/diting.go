@@ -46,13 +46,13 @@ type Tracer struct {
 	qpMemo  []qpMemoEnt
 	segMemo []segMemoEnt
 
-	// Sort scratch, reused across pool generations: merge and row export
-	// sort permutation indices and packed keys instead of moving whole
-	// records through a comparison sort.
-	idxBuf    []int32
-	keyBuf    []rowKey
-	accBuf    []*accum
-	concatBuf []trace.Record
+	// Scratch reused across pool generations: row export sorts packed keys,
+	// not whole rows; merge keeps its run list, cut table and heaps.
+	keyBuf []rowKey
+	accBuf []*accum
+	runs   [][]trace.Record
+	cuts   []int
+	heap   []mergeSrc
 }
 
 // rowKey pairs a packed (sec, entity) sort key with the row's position in
@@ -120,7 +120,6 @@ func (t *Tracer) Release() {
 	t.segMemo = t.segMemo[:0]
 	t.keyBuf = t.keyBuf[:0]
 	t.accBuf = t.accBuf[:0]
-	t.concatBuf = t.concatBuf[:0]
 	tracerPool.Put(t)
 }
 
@@ -244,86 +243,6 @@ func (t *Tracer) exportRows() []trace.MetricRow {
 		out[j] = t.accBuf[kv.i].row
 	}
 	return out
-}
-
-// Merge combines shard tracers into one: metric accumulators are merged by
-// key (summing rates when shards touched the same key), trace records are
-// concatenated and sorted into canonical (TimeUS, VD) order, and trace IDs
-// are reassigned 1..N in that order. Because each virtual disk is processed
-// whole by exactly one shard, same-VD records arrive contiguous and in
-// generation order, which the stable sort preserves — so the merged output
-// is byte-identical no matter how disks were distributed across shards.
-// Rows and records are copied into the destination, so the shards may be
-// Released afterwards (they must not be observed into again regardless).
-func Merge(sampleEvery int, shards ...*Tracer) *Tracer {
-	out := Acquire(sampleEvery)
-	return mergeInto(out, shards...)
-}
-
-// mergeInto is Merge into a caller-supplied destination tracer (fresh from
-// New or Acquire).
-func mergeInto(out *Tracer, shards ...*Tracer) *Tracer {
-	var nRecords int
-	for _, sh := range shards {
-		nRecords += len(sh.records)
-	}
-	// Concatenate into out's reusable buffer, then stable-sort a permutation
-	// and materialize once: each record moves twice in total, instead of the
-	// O(n log n) whole-record moves of sorting the records in place. The
-	// index sort is stable over increasing indices, so it yields exactly the
-	// stable (TimeUS, VD) order.
-	if cap(out.concatBuf) < nRecords {
-		out.concatBuf = make([]trace.Record, 0, nRecords)
-	}
-	concat := out.concatBuf[:0]
-	for _, sh := range shards {
-		concat = append(concat, sh.records...)
-		mergeAccums(out, out.compute, sh.compute)
-		mergeAccums(out, out.storage, sh.storage)
-	}
-	out.concatBuf = concat
-	if cap(out.idxBuf) < nRecords {
-		out.idxBuf = make([]int32, nRecords)
-	}
-	idx := out.idxBuf[:nRecords]
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	slices.SortStableFunc(idx, func(a, b int32) int {
-		ra, rb := &concat[a], &concat[b]
-		if ra.TimeUS != rb.TimeUS {
-			return cmp.Compare(ra.TimeUS, rb.TimeUS)
-		}
-		return cmp.Compare(ra.VD, rb.VD)
-	})
-	sorted := make([]trace.Record, nRecords)
-	for j, i := range idx {
-		sorted[j] = concat[i]
-		sorted[j].TraceID = uint64(j + 1)
-	}
-	out.records = sorted
-	out.nextID = uint64(nRecords)
-	return out
-}
-
-// mergeAccums folds src into dst, summing directional rates on key
-// collisions (identity fields agree by construction: the key pins the row's
-// entity and every entity belongs to exactly one VD). Rows are copied into
-// out's slab — never aliased — so src's owner can recycle its memory.
-func mergeAccums[K comparable](out *Tracer, dst, src map[K]*accum) {
-	for k, sa := range src {
-		da := dst[k]
-		if da == nil {
-			da = out.alloc()
-			da.row = sa.row
-			dst[k] = da
-			continue
-		}
-		da.row.ReadBps += sa.row.ReadBps
-		da.row.WriteBps += sa.row.WriteBps
-		da.row.ReadIOPS += sa.row.ReadIOPS
-		da.row.WriteIOPS += sa.row.WriteIOPS
-	}
 }
 
 // StorageRows returns the storage-domain metric rows sorted by (sec, seg).

@@ -14,12 +14,14 @@ func FromParts(sampleEvery int, records []trace.Record, compute, storage []trace
 	t := New(sampleEvery)
 	t.records = records
 	for i := range compute {
-		row := compute[i]
-		t.compute[computeKey{sec: row.Sec, qp: row.QP}] = &accum{row: row}
+		a := t.alloc()
+		a.row = compute[i]
+		t.compute[computeKey{sec: a.row.Sec, qp: a.row.QP}] = a
 	}
 	for i := range storage {
-		row := storage[i]
-		t.storage[storageKey{sec: row.Sec, seg: row.Segment}] = &accum{row: row}
+		a := t.alloc()
+		a.row = storage[i]
+		t.storage[storageKey{sec: a.row.Sec, seg: a.row.Segment}] = a
 	}
 	return t
 }

@@ -1,0 +1,197 @@
+package diting
+
+import (
+	"math/bits"
+	"runtime"
+	"slices"
+	"sort"
+	"sync"
+
+	"ebslab/internal/trace"
+)
+
+const (
+	// parallelMergeMin is the fewest records worth a goroutine of their own.
+	parallelMergeMin = 1 << 12
+	// samplesPerPart keys per partition are sampled to choose its splitter.
+	samplesPerPart = 512
+)
+
+// Merge combines shard tracers into one: metric accumulators are merged by
+// key (summing rates when shards touched the same key), trace records are
+// merged into canonical order — the stable (TimeUS, VD) order of the shards'
+// records concatenated in argument order — and trace IDs are reassigned 1..N
+// in that order. Because each virtual disk is processed whole by exactly one
+// shard, same-VD records arrive contiguous and in generation order, which
+// that order preserves, so the merged output is byte-identical no matter how
+// disks were distributed across shards. Rows and records are copied into the
+// destination, so the shards may be Released afterwards (they must not be
+// observed into again regardless). min(GOMAXPROCS, shards) goroutines share
+// the records, the caller's among them, parallelMergeMin or more to each.
+func Merge(sampleEvery int, shards ...*Tracer) *Tracer {
+	n := 0
+	for _, sh := range shards {
+		n += len(sh.records)
+	}
+	parts := min(runtime.GOMAXPROCS(0), len(shards), n/parallelMergeMin)
+	return mergeInto(Acquire(sampleEvery), parts, shards)
+}
+
+// mergeKey packs (TimeUS, VD, run number) so that hi:lo orders, as one
+// unsigned 128-bit number, as the triple does (sign bits are flipped).
+type mergeKey struct{ hi, lo uint64 }
+
+func keyOf(rec *trace.Record, run int) mergeKey {
+	return mergeKey{uint64(rec.TimeUS) ^ 1<<63, uint64(uint32(rec.VD)^1<<31)<<32 | uint64(uint32(run))}
+}
+
+// before is 1 when a orders before b, else 0, without a branch: a merge's
+// comparisons are coin flips, and mispredicting them is most of a heap's cost.
+func (a mergeKey) before(b mergeKey) int {
+	_, borrow := bits.Sub64(a.lo, b.lo, 0)
+	_, borrow = bits.Sub64(a.hi, b.hi, borrow)
+	return int(borrow)
+}
+
+// mergeInto is Merge into a destination tracer fresh from New or Acquire,
+// with the records merged in parts key ranges, one goroutine each.
+//
+// Nothing is sorted: a shard's record slice is already a sequence of sorted
+// runs, one per disk (more where a replayed trace steps back in time). A run
+// ends where the key decreases, so equal keys share a run in their original
+// order, and runs are numbered in concatenation order: merging by (key, run
+// number) is the stable sort of the concatenation whatever the runs look
+// like. Disks are skewed, so the work is divided by key, not by run: every
+// run is cut at its first record >= each of parts-1 splitters drawn from an
+// evenly spaced sample. One key's records land in one partition, which sees
+// every run's slice under the run's number and writes from where the cuts
+// below it end — partitions are independent and stability survives the split.
+func mergeInto(t *Tracer, parts int, shards []*Tracer) *Tracer {
+	n := 0
+	for _, sh := range shards {
+		mergeAccums(t, t.compute, sh.compute)
+		mergeAccums(t, t.storage, sh.storage)
+		recs := sh.records
+		n += len(recs)
+		start := 0
+		for i := 1; i <= len(recs); i++ {
+			if i == len(recs) || keyOf(&recs[i], 0).before(keyOf(&recs[i-1], 0)) == 1 {
+				t.runs = append(t.runs, recs[start:i])
+				start = i
+			}
+		}
+	}
+	runs := t.runs
+	parts = max(1, min(parts, n))
+	// cuts[p*nr+r] is where partition p starts in run r, for p in [0, parts].
+	nr := len(runs)
+	cuts := slices.Grow(t.cuts[:0], (parts+1)*nr)[:(parts+1)*nr]
+	for r, run := range runs {
+		cuts[r], cuts[parts*nr+r] = 0, len(run)
+	}
+	if parts > 1 {
+		// Every stride-th record of the concatenation: runs weigh by length.
+		stride := max(1, n/(parts*samplesPerPart))
+		samples := make([]mergeKey, 0, n/stride)
+		next := stride - 1
+		for _, run := range runs {
+			for ; next < len(run); next += stride {
+				samples = append(samples, keyOf(&run[next], 0))
+			}
+			next -= len(run)
+		}
+		slices.SortFunc(samples, func(a, b mergeKey) int { return b.before(a) - a.before(b) })
+		for p := 1; p < parts; p++ {
+			split := samples[p*len(samples)/parts]
+			for r, run := range runs {
+				cuts[p*nr+r] = sort.Search(len(run), func(i int) bool { return keyOf(&run[i], 0).before(split) == 0 })
+			}
+		}
+	}
+	out := make([]trace.Record, n)
+	heap := slices.Grow(t.heap[:0], parts*nr)[:parts*nr]
+	var wg sync.WaitGroup
+	for p := 1; p < parts; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			mergePartition(out, runs, cuts[p*nr:(p+2)*nr], heap[p*nr:p*nr:(p+1)*nr])
+		}(p)
+	}
+	mergePartition(out, runs, cuts[:2*nr], heap[:0:nr])
+	wg.Wait()
+	clear(runs) // pooled scratch must not pin the shards' record buffers
+	t.runs, t.cuts, t.heap = runs[:0], cuts, heap
+	t.records, t.nextID = out, uint64(n)
+	return t
+}
+
+// mergeSrc is one heap entry: the unmerged remainder [pos, end) of a run,
+// with its head record's key held inline so sifting never touches records.
+type mergeSrc struct {
+	key      mergeKey
+	pos, end int
+}
+
+// mergePartition k-way merges runs[r][lo[r]:hi[r]] for every r — lo and hi
+// being consecutive rows of the cut table — into out[sum(lo):sum(hi)].
+func mergePartition(out []trace.Record, runs [][]trace.Record, cuts []int, h []mergeSrc) {
+	lo, hi := cuts[:len(runs)], cuts[len(runs):]
+	j := 0
+	for r, run := range runs {
+		j += lo[r]
+		if lo[r] < hi[r] {
+			h = append(h, mergeSrc{keyOf(&run[lo[r]], r), lo[r], hi[r]})
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	for ; len(h) > 0; j++ {
+		top := &h[0]
+		r := int(uint32(top.key.lo))
+		out[j] = runs[r][top.pos]
+		out[j].TraceID = uint64(j + 1)
+		if top.pos++; top.pos < top.end {
+			top.key = keyOf(&runs[r][top.pos], r)
+		} else {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		siftDown(h, 0)
+	}
+}
+
+// siftDown restores the min-heap below index i.
+func siftDown(h []mergeSrc, i int) {
+	for c := 2*i + 1; c < len(h); c = 2*i + 1 {
+		if c+1 < len(h) {
+			c += h[c+1].key.before(h[c].key)
+		}
+		if h[c].key.before(h[i].key) == 0 {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// mergeAccums folds src into dst, summing directional rates on key
+// collisions (identity fields agree by construction: the key pins the row's
+// entity and every entity belongs to exactly one VD). Rows are copied into
+// out's slab — never aliased — so src's owner can recycle its memory.
+func mergeAccums[K comparable](out *Tracer, dst, src map[K]*accum) {
+	for k, sa := range src {
+		da := dst[k]
+		if da == nil {
+			da = out.alloc()
+			da.row = sa.row
+			dst[k] = da
+			continue
+		}
+		da.row.ReadBps += sa.row.ReadBps
+		da.row.WriteBps += sa.row.WriteBps
+		da.row.ReadIOPS += sa.row.ReadIOPS
+		da.row.WriteIOPS += sa.row.WriteIOPS
+	}
+}

@@ -2,9 +2,12 @@ package ebs
 
 import (
 	"context"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
+	"ebslab/internal/cluster"
 	"ebslab/internal/invariant"
 	"ebslab/internal/trace"
 )
@@ -141,20 +144,53 @@ func TestCheckerCatchesMisattributedRecord(t *testing.T) {
 	wantViolation(t, rep, "trace/integrity")
 }
 
-// TestDeterminismOracle asserts byte-identical datasets across worker
-// counts via the replay fingerprint oracle.
+// TestDeterminismOracle asserts byte-identical datasets via the replay
+// fingerprint in every cell of GOMAXPROCS x Workers — Workers deals the disks
+// to shards, and min(GOMAXPROCS, shards) is the merge's fan-out — and for the
+// same run taken as eight RunShard partials through MergeShards.
 func TestDeterminismOracle(t *testing.T) {
 	f := smallFleet(t)
 	sim := New(f)
-	rep := &invariant.Report{}
-	invariant.CheckDeterminism(rep, func(workers int) (*trace.Dataset, error) {
-		return sim.Run(context.Background(), Options{
-			DurationSec: 8, TraceSampleEvery: 1, EventSampleEvery: 2,
-			MaxVDs: 10, Workers: workers,
-		})
-	}, 1, 2, 3)
-	if !rep.OK() {
-		t.Fatalf("engine not worker-count deterministic:\n%s", rep.String())
+	opts := Options{DurationSec: 20, TraceSampleEvery: 1, EventSampleEvery: 1}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+
+	var ref string
+	same := func(ds *trace.Dataset, err error, cell string, args ...any) {
+		t.Helper()
+		cell = fmt.Sprintf(cell, args...)
+		if err != nil {
+			t.Fatalf("%s: %v", cell, err)
+		}
+		// Far above the record count under which a merge stays serial.
+		if len(ds.Trace) < 50_000 {
+			t.Fatalf("%s: %d records, too few to exercise the partitioned merge", cell, len(ds.Trace))
+		}
+		fp := invariant.Fingerprint(ds)
+		if ref == "" {
+			ref = fp
+		}
+		if fp != ref {
+			t.Errorf("%s: dataset fingerprint %s diverges from %s", cell, fp[:12], ref[:12])
+		}
+	}
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, workers := range []int{1, 2, 3, 8} {
+			o := opts
+			o.Workers = workers
+			ds, err := sim.Run(context.Background(), o)
+			same(ds, err, "GOMAXPROCS=%d Workers=%d", procs, workers)
+		}
+		var parts []*ShardPartial
+		for _, r := range cluster.PlanShards(sim.runVDs(opts), 8) {
+			p, err := sim.RunShard(context.Background(), opts, r.Lo, r.Hi)
+			if err != nil {
+				t.Fatalf("GOMAXPROCS=%d RunShard%v: %v", procs, r, err)
+			}
+			parts = append(parts, p)
+		}
+		ds, err := sim.MergeShards(opts, parts)
+		same(ds, err, "GOMAXPROCS=%d RunShard x %d -> MergeShards", procs, len(parts))
 	}
 }
 
