@@ -45,11 +45,13 @@ race:
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkSimWorkers|BenchmarkSketchIngest|BenchmarkReplayIngest|BenchmarkFabricDispatch|BenchmarkControlOverhead' -cpu 1 -benchmem -json . | tee BENCH_baseline.json
 
-# Performance regression gate: reruns the gated benchmarks and fails when
-# any loses more than 10% ios-per-sec or grows allocs/op by more than 10%
-# against BENCH_baseline.json. After an intentional performance change,
-# promote the fresh numbers with `make bench-gate UPDATE_BASELINE=1` and
-# commit the updated baseline. Both sides run at `-cpu 1`: the gate joins
+# Allocation regression gate: reruns the gated benchmarks and fails when any
+# grows allocs/op by more than 10% against BENCH_baseline.json. It gates what
+# is deterministic: ios-per-sec is printed, not compared — ±10% on it is
+# inside this host's A/A spread (bench/README.md), and timing claims live in
+# bench/ (`bash bench/run.sh`). After an intentional change, promote the fresh
+# numbers with `make bench-gate UPDATE_BASELINE=1` and commit the updated
+# baseline. Both sides run at `-cpu 1`: the gate joins
 # on benchmark names, and Go suffixes them with GOMAXPROCS when it is not
 # 1, so a baseline recorded on one CPU count matched nothing on another.
 bench-gate:

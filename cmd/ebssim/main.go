@@ -12,7 +12,6 @@ import (
 	"os/signal"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"ebslab/internal/chaos"
@@ -580,30 +579,9 @@ func runReplicaSet(ctx context.Context, cfg workload.Config, opts ebs.Options, s
 	} else {
 		fmt.Fprintf(os.Stderr, "ebssim: %d-replica control plane\n", replicas)
 	}
-	var wg sync.WaitGroup
-	workerErrs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			workerErrs[i] = fabric.RunWorker(ctx, fabric.WorkerConfig{
-				Dials:       rs.Dials(),
-				CallTimeout: 2 * time.Second,
-			})
-		}(i)
-	}
-	ds, err := rs.Wait(ctx)
+	ds, err := rs.Run(ctx, n)
 	if err != nil {
 		return nil, err
-	}
-	wg.Wait()
-	for i, werr := range workerErrs {
-		if werr != nil {
-			return nil, fmt.Errorf("fabric worker %d: %w", i, werr)
-		}
-	}
-	if sched := rs.Schedule(); sched != nil && rs.KillsExecuted() != len(sched.LeaderKills) {
-		return nil, fmt.Errorf("%d of %d scheduled leader kills fired", rs.KillsExecuted(), len(sched.LeaderKills))
 	}
 	var hist []string
 	for _, tr := range rs.Transitions() {

@@ -35,15 +35,13 @@ func vdIDBase(vd cluster.VDID) uint64 { return (uint64(vd) + 1) << 40 }
 // independent).
 type shard struct {
 	tracer *diting.Tracer
-	sketch *sketch.Set // nil unless Options.Stream is set
 	batch  *trace.Batch
 
-	// snap is the current virtual disk's sketch delta, present only when
-	// Options.Snapshots is set: it receives the same batches as the shard's
-	// cumulative set and is folded into the sink when the disk completes.
-	snap    *sketch.Set
-	snapCfg sketch.Config
-	sink    *SnapshotSink
+	// sketch is the shard's streaming state (nil unless Options.Stream is
+	// set). The shard is its only writer, once per flush under mu; everyone
+	// else — a SnapshotSink mid-run, the final merge — only reads it.
+	mu     sync.Mutex
+	sketch *sketch.Set
 
 	// em is the per-VD fill state behind emitFn; emitFn is bound once per
 	// shard so the event generator callback costs no per-VD closure.
@@ -76,10 +74,9 @@ func (sh *shard) flush() {
 	}
 	sh.tracer.EmitBatch(sh.batch)
 	if sh.sketch != nil {
+		sh.mu.Lock()
 		sh.sketch.ObserveBatch(sh.batch)
-	}
-	if sh.snap != nil {
-		sh.snap.ObserveBatch(sh.batch)
+		sh.mu.Unlock()
 	}
 	if sh.obs != nil {
 		sh.obs.ObserveBatch(sh.batch)
@@ -99,10 +96,6 @@ func (s *Sim) newShards(workers int, opts *Options, streamCfg sketch.Config) []*
 		if opts.Stream != nil {
 			sh.sketch = sketch.NewSet(streamCfg)
 		}
-		if opts.Snapshots != nil {
-			sh.sink = opts.Snapshots
-			sh.snapCfg = streamCfg
-		}
 		if opts.Observe != nil {
 			sh.obs = control.NewObservation(opts.Observe.Shape)
 		}
@@ -111,156 +104,209 @@ func (s *Sim) newShards(workers int, opts *Options, streamCfg sketch.Config) []*
 	return shards
 }
 
-// releaseShards returns the shards' pooled tracers and batches. Callers
-// must have copied or detached everything they keep (Merge copies).
-func releaseShards(shards []*shard) {
-	for _, sh := range shards {
+// runState is one run from validated options to finished dataset. begin
+// fills the run-wide, shard-independent part; runRange adds the per-worker
+// shards and, once the pool drains, what they produced — or MergeShards
+// unpacks the same from shard partials; finish consumes it.
+type runState struct {
+	opts      Options         // validated and defaulted
+	nVDs      int             // the whole run's disk count, whatever range executes here
+	streamCfg sketch.Config   // zero unless streaming
+	sched     *chaos.Schedule // nil without a fault plan
+	// emission counts every emitted IO at the source, check mode only. Shards
+	// own disjoint virtual disks, so per-VD slots have a single writer and the
+	// shared Emission needs no locking.
+	emission *invariant.Emission
+
+	shards []*shard
+	done   atomic.Int64 // virtual disks completed so far
+
+	tracers []*diting.Tracer
+	sets    []*sketch.Set // one per tracer when streaming
+	chaos   chaos.Stats
+	audits  []string
+}
+
+// begin is the single validation-and-defaulting gate of every entry point,
+// plus everything derived from the options alone: the sketch configuration,
+// the fault schedule (a pure function of seed, plan and shape, expanded once
+// and read-only while workers run) and the check-mode emission table. All of
+// it describes the GLOBAL run, so every shard of a distributed run derives
+// the same state and partials stay mergeable.
+func (s *Sim) begin(opts Options) (*runState, error) {
+	opts, err := opts.prepare(s.fleet)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.checkControlOptions(&opts); err != nil {
+		return nil, err
+	}
+	r := &runState{opts: opts, nVDs: s.runVDs(opts), sched: s.expandChaos(opts)}
+	if opts.Stream != nil {
+		r.streamCfg = s.streamConfigFor(opts, r.nVDs)
+	}
+	if opts.Check {
+		r.emission = invariant.NewEmission(len(s.fleet.Topology.VDs))
+	}
+	return r, nil
+}
+
+// release returns the shards' pooled tracers and batches. Callers must have
+// copied or detached everything they keep (diting.Merge copies).
+func (r *runState) release() {
+	for _, sh := range r.shards {
 		sh.tracer.Release()
 		sh.batch.Release()
 	}
 }
 
+// sketchSoFar merges the shards' live sketch sets into a fresh one, taking
+// each shard's flush lock for the length of its merge.
+func (r *runState) sketchSoFar() *sketch.Set {
+	merged := sketch.NewSet(r.streamCfg)
+	for _, sh := range r.shards {
+		sh.mu.Lock()
+		merged.Merge(sh.sketch)
+		sh.mu.Unlock()
+	}
+	return merged
+}
+
 // Run simulates the fleet's IO for the window across a bounded worker pool
-// and returns the collected datasets. It is the canonical entry point;
-// every other runner (RunShard, the fabric worker) shares its batch
-// pipeline. Virtual disks are independent by construction — per-VD series,
-// event, and latency streams are all derived from (seed, VD) — so disks are
-// dealt to workers dynamically and shard outputs are merged
-// deterministically afterwards: the result is byte-identical for every
-// Workers value.
+// and returns the collected datasets. It is the canonical entry point, and
+// with RunShard and MergeShards it is one path: Run finishes the range
+// [0, nVDs) directly, RunShard packs a range for the wire, MergeShards
+// unpacks ranges into the same finish. Virtual disks are independent by
+// construction — per-VD series, event, and latency streams are all derived
+// from (seed, VD) — so disks are dealt to workers dynamically and shard
+// outputs are merged deterministically afterwards: the result is
+// byte-identical for every Workers value.
 //
 // Cancellation is checked between virtual disks; on cancellation the
 // partial work is discarded and ctx's error is returned. A nil ctx is
 // treated as context.Background().
 func (s *Sim) Run(ctx context.Context, opts Options) (*trace.Dataset, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	opts, err := opts.prepare(s.fleet)
+	r, err := s.runRange(ctx, opts, 0, s.runVDs(opts))
 	if err != nil {
 		return nil, err
 	}
-	top := s.fleet.Topology
-	if err := s.checkControlOptions(&opts); err != nil {
-		return nil, err
-	}
-	if err := s.checkScenarioOptions(&opts); err != nil {
-		return nil, err
-	}
-	nVDs := s.runVDs(opts)
+	defer r.release()
+	return s.finish(r)
+}
 
-	workers := par.Workers(opts.Workers)
-	if workers > nVDs && nVDs > 0 {
-		workers = nVDs
+// runRange simulates virtual disks [lo, hi) of the run opts describes,
+// dealing them across opts.Workers, and returns the state finish (or
+// RunShard's packing) reads. The caller releases it.
+func (s *Sim) runRange(ctx context.Context, opts Options, lo, hi int) (*runState, error) {
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	var streamCfg sketch.Config
-	if opts.Stream != nil {
-		streamCfg = s.streamConfigFor(opts, nVDs)
+	r, err := s.begin(opts)
+	if err != nil {
+		return nil, err
 	}
-	shards := s.newShards(workers, &opts, streamCfg)
-	// Check mode counts every emitted IO at the source. Shards own disjoint
-	// virtual disks, so per-VD slots have a single writer and the shared
-	// Emission needs no locking.
-	var emission *invariant.Emission
-	if opts.Check {
-		emission = invariant.NewEmission(len(top.VDs))
+	if err := s.checkScenarioOptions(&r.opts); err != nil {
+		return nil, err
 	}
-	// Expand the fault plan once, before the pool: the schedule is a pure
-	// function of (seed, plan, shape), read-only while workers run.
-	sched := s.expandChaos(opts)
-	var (
-		done      atomic.Int64
-		progressM sync.Mutex
-	)
-	err = par.ForEachWorker(ctx, nVDs, workers, func(worker, vdIdx int) error {
-		if err := s.simulateVD(shards[worker], vdIdx, &opts, emission, sched); err != nil {
+	if lo < 0 || hi > r.nVDs || lo >= hi {
+		return nil, fmt.Errorf("ebs: shard [%d,%d) outside run range [0,%d)", lo, hi, r.nVDs)
+	}
+	n := hi - lo
+	workers := par.Workers(r.opts.Workers)
+	if workers > n {
+		workers = n
+	}
+	r.shards = s.newShards(workers, &r.opts, r.streamCfg)
+	r.opts.Snapshots.point(r, nil, 0)
+	var progressM sync.Mutex
+	err = par.ForEachWorker(ctx, n, workers, func(worker, i int) error {
+		if err := s.simulateVD(r.shards[worker], lo+i, &r.opts, r.emission, r.sched); err != nil {
 			return err
 		}
-		if opts.Progress != nil {
-			n := int(done.Add(1))
+		done := int(r.done.Add(1))
+		if r.opts.Progress != nil {
 			progressM.Lock()
-			opts.Progress(n, nVDs)
+			r.opts.Progress(done, n)
 			progressM.Unlock()
 		}
 		return nil
 	})
-	if err != nil {
-		releaseShards(shards)
-		return nil, err
-	}
-
-	if opts.Observe != nil {
-		for _, sh := range shards {
-			if err := opts.Observe.Merge(sh.obs); err != nil {
-				releaseShards(shards)
-				return nil, err
+	if err == nil && r.opts.Observe != nil {
+		for _, sh := range r.shards {
+			if err = r.opts.Observe.Merge(sh.obs); err != nil {
+				break
 			}
 		}
 	}
-	merged := diting.Merge(opts.TraceSampleEvery, tracersOf(shards)...)
-	ds := s.assembleDataset(opts, merged)
-	var sets []*sketch.Set
-	if opts.Stream != nil {
-		sets = make([]*sketch.Set, len(shards))
-		for i, sh := range shards {
-			sets[i] = sh.sketch
-		}
-	}
-	var ioStats chaos.Stats
-	var audits []string
-	for _, sh := range shards {
-		ioStats.Merge(sh.chaos)
-		audits = append(audits, sh.audit...)
-	}
-	releaseShards(shards)
-	if err := s.runTail(opts, ds, sched, streamCfg, sets, ioStats, emission, audits); err != nil {
+	if err != nil {
+		r.opts.Snapshots.point(nil, nil, 0)
+		r.release()
 		return nil, err
 	}
-	return ds, nil
+	for _, sh := range r.shards {
+		r.tracers = append(r.tracers, sh.tracer)
+		if sh.sketch != nil {
+			r.sets = append(r.sets, sh.sketch)
+		}
+		r.chaos.Merge(sh.chaos)
+		r.audits = append(r.audits, sh.audit...)
+	}
+	return r, nil
 }
 
-// runTail is the post-merge finalization shared by Run and MergeShards:
-// publish the merged sketch state, publish chaos accounting, and run the
-// check-mode verification suite.
-func (s *Sim) runTail(opts Options, ds *trace.Dataset, sched *chaos.Schedule, streamCfg sketch.Config, sets []*sketch.Set, ioStats chaos.Stats, emission *invariant.Emission, audits []string) error {
-	// Merge the per-shard sketch sets into the caller's destination. Shards
-	// own disjoint virtual disks, so Set.Merge is exactly commutative here
-	// and the merged state is worker-count invariant.
-	var shardTotals []sketch.Totals
-	if opts.Stream != nil {
-		mergedSketch := sketch.NewSet(streamCfg)
-		for _, set := range sets {
-			shardTotals = append(shardTotals, set.Totals())
-			mergedSketch.Merge(set)
-		}
-		*opts.Stream = *mergedSketch
+// mergeSets folds sets into a fresh set. Shards own disjoint virtual disks,
+// so Set.Merge is exactly commutative here and the merged state is
+// worker-count invariant.
+func mergeSets(cfg sketch.Config, sets []*sketch.Set) *sketch.Set {
+	merged := sketch.NewSet(cfg)
+	for _, set := range sets {
+		merged.Merge(set)
 	}
-	if sched != nil && opts.ChaosStats != nil {
-		st := chaos.Stats{CrashWindows: len(sched.Crashes), StormWindows: len(sched.Storms)}
-		st.Merge(ioStats)
+	return merged
+}
+
+// finish turns a complete run's parts into its results, the same way for the
+// in-process engine and the distributed merge so the two cannot drift: merge
+// the tracers and assemble the dataset, publish the merged sketch state (from
+// here on it is what an attached SnapshotSink serves), publish chaos
+// accounting, and run the check-mode verification suite.
+func (s *Sim) finish(r *runState) (*trace.Dataset, error) {
+	opts := r.opts
+	ds := s.assembleDataset(opts, diting.Merge(opts.TraceSampleEvery, r.tracers...))
+	if opts.Stream != nil {
+		*opts.Stream = *mergeSets(r.streamCfg, r.sets)
+		opts.Snapshots.point(nil, opts.Stream, r.nVDs)
+	}
+	if r.sched != nil && opts.ChaosStats != nil {
+		st := chaos.Stats{CrashWindows: len(r.sched.Crashes), StormWindows: len(r.sched.Storms)}
+		st.Merge(r.chaos)
 		*opts.ChaosStats = st
 	}
 	if opts.Check {
 		rep := invariant.VerifyRun(&invariant.Artifacts{
 			Fleet:            s.fleet,
 			Dataset:          ds,
-			Emission:         emission,
+			Emission:         r.emission,
 			EventSampleEvery: opts.EventSampleEvery,
 			TraceSampleEvery: opts.TraceSampleEvery,
 			Control:          opts.Control,
 		})
-		rep.AddAll("throttle/grants", audits)
-		if sched != nil {
-			invariant.CheckChaosSchedule(rep, opts.Chaos, opts.Seed, sched)
+		rep.AddAll("throttle/grants", r.audits)
+		if r.sched != nil {
+			invariant.CheckChaosSchedule(rep, opts.Chaos, opts.Seed, r.sched)
 		}
 		if opts.Stream != nil {
-			invariant.CheckSketchConservation(rep, opts.Stream, shardTotals, emission)
+			shardTotals := make([]sketch.Totals, len(r.sets))
+			for i, set := range r.sets {
+				shardTotals[i] = set.Totals()
+			}
+			invariant.CheckSketchConservation(rep, opts.Stream, shardTotals, r.emission)
 		}
 		if err := rep.Err(); err != nil {
-			return fmt.Errorf("ebs: check mode: %w", err)
+			return nil, fmt.Errorf("ebs: check mode: %w", err)
 		}
 	}
-	return nil
+	return ds, nil
 }
 
 // expandChaos expands the run's fault plan against the fleet shape, or
@@ -498,9 +544,6 @@ func (s *Sim) simulateVD(sh *shard, vdIdx int, opts *Options, emission *invarian
 	rng := xrand.Get(latencySeed(opts.Seed, vdID))
 	defer rng.Release()
 	sh.tracer.StartStream(vdIDBase(vdID))
-	if sh.sink != nil {
-		sh.snap = sketch.NewSet(sh.snapCfg)
-	}
 
 	sh.em = vdEmitter{
 		sh:         sh,
@@ -528,12 +571,6 @@ func (s *Sim) simulateVD(sh *shard, vdIdx int, opts *Options, emission *invarian
 		s.fleet.GenEventsBoostedOver(vdID, sh.series, opts.EventSampleEvery, boost, sh.emitFn)
 	}
 	sh.flush()
-	if sh.sink != nil {
-		// The disk is complete: hand its delta to the sink (which consumes
-		// it) so concurrent snapshot readers see whole-disk increments only.
-		sh.sink.fold(sh.snap, sh.snapCfg)
-		sh.snap = nil
-	}
 	return sh.em.genErr
 }
 
@@ -546,9 +583,6 @@ func (s *Sim) simulateVD(sh *shard, vdIdx int, opts *Options, emission *invarian
 // queue delay is already baked into the measured latencies.
 func (s *Sim) replayVD(sh *shard, vdID cluster.VDID, opts *Options, emission *invariant.Emission, sched *chaos.Schedule, rs scenario.RecordSource) error {
 	sh.tracer.StartStream(vdIDBase(vdID))
-	if sh.sink != nil {
-		sh.snap = sketch.NewSet(sh.snapCfg)
-	}
 	limitUS := int64(opts.DurationSec) * 1_000_000
 	for _, r := range rs.Records(vdID) {
 		if r.TimeUS >= limitUS {
@@ -586,18 +620,5 @@ func (s *Sim) replayVD(sh *shard, vdID cluster.VDID, opts *Options, emission *in
 		}
 	}
 	sh.flush()
-	if sh.sink != nil {
-		sh.sink.fold(sh.snap, sh.snapCfg)
-		sh.snap = nil
-	}
 	return nil
-}
-
-// tracersOf projects the shard slice to its tracers in shard order.
-func tracersOf(shards []*shard) []*diting.Tracer {
-	out := make([]*diting.Tracer, len(shards))
-	for i, sh := range shards {
-		out[i] = sh.tracer
-	}
-	return out
 }

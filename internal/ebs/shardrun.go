@@ -2,13 +2,13 @@ package ebs
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 
 	"ebslab/internal/chaos"
 	"ebslab/internal/diting"
 	"ebslab/internal/invariant"
-	"ebslab/internal/par"
 	"ebslab/internal/sketch"
 	"ebslab/internal/trace"
 )
@@ -58,8 +58,8 @@ func (s *Sim) streamConfigFor(opts Options, nVDs int) sketch.Config {
 	return cfg
 }
 
-// runVDs bounds the run to the first MaxVDs disks. Call only after
-// opts.withDefaults.
+// runVDs bounds the run to the first MaxVDs disks. MaxVDs has no default to
+// fill, so this is the same before and after opts.prepare.
 func (s *Sim) runVDs(opts Options) int {
 	nVDs := len(s.fleet.Topology.VDs)
 	if opts.MaxVDs > 0 && opts.MaxVDs < nVDs {
@@ -70,9 +70,7 @@ func (s *Sim) runVDs(opts Options) int {
 
 // assembleDataset builds the run's dataset from the fully merged tracer:
 // scaled metric rows plus the fleet's (shared, read-only) VD/VM spec
-// tables. This is the single place dataset assembly happens, shared by the
-// in-process engine and the distributed merge, so the two paths cannot
-// drift. The tracer's records are detached into the dataset and the tracer
+// tables. The tracer's records are detached into the dataset and the tracer
 // is released back to its pool.
 func (s *Sim) assembleDataset(opts Options, merged *diting.Tracer) *trace.Dataset {
 	vdSpecs, vmSpecs := s.specs()
@@ -90,6 +88,9 @@ func (s *Sim) assembleDataset(opts Options, merged *diting.Tracer) *trace.Datase
 	return ds
 }
 
+// errShardControl is RunShard's and MergeShards' answer to a controlled run.
+var errShardControl = errors.New("ebs: Control/Observe options are single-process only (the control loop is sequential over epochs); run the controlled study in-process")
+
 // RunShard simulates virtual disks [lo, hi) of the run described by opts and
 // returns the shard's unmerged partial. The shard observes the run's GLOBAL
 // shape — chaos schedules expand against the whole fleet, sketch
@@ -98,89 +99,50 @@ func (s *Sim) assembleDataset(opts Options, merged *diting.Tracer) *trace.Datase
 // dataset. Within the shard, disks are dealt across opts.Workers just like
 // Run.
 func (s *Sim) RunShard(ctx context.Context, opts Options, lo, hi int) (*ShardPartial, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	opts, err := opts.prepare(s.fleet)
-	if err != nil {
-		return nil, err
-	}
 	if opts.Control != nil || opts.Observe != nil {
-		return nil, fmt.Errorf("ebs: Control/Observe options are single-process only (the control loop is sequential over epochs); run the controlled study in-process")
+		return nil, errShardControl
 	}
-	if err := s.checkScenarioOptions(&opts); err != nil {
-		return nil, err
-	}
-	nVDs := s.runVDs(opts)
-	if lo < 0 || hi > nVDs || lo >= hi {
-		return nil, fmt.Errorf("ebs: shard [%d,%d) outside run range [0,%d)", lo, hi, nVDs)
-	}
-
-	n := hi - lo
-	workers := par.Workers(opts.Workers)
-	if workers > n {
-		workers = n
-	}
-	var streamCfg sketch.Config
-	if opts.Stream != nil {
-		streamCfg = s.streamConfigFor(opts, nVDs)
-	}
-	shards := s.newShards(workers, &opts, streamCfg)
-	var emission *invariant.Emission
-	if opts.Check {
-		emission = invariant.NewEmission(len(s.fleet.Topology.VDs))
-	}
-	sched := s.expandChaos(opts)
-	err = par.ForEachWorker(ctx, n, workers, func(worker, i int) error {
-		return s.simulateVD(shards[worker], lo+i, &opts, emission, sched)
-	})
+	r, err := s.runRange(ctx, opts, lo, hi)
 	if err != nil {
-		releaseShards(shards)
 		return nil, err
 	}
-
-	merged := diting.Merge(opts.TraceSampleEvery, tracersOf(shards)...)
+	defer r.release()
+	merged := diting.Merge(r.opts.TraceSampleEvery, r.tracers...)
 	p := &ShardPartial{
 		Lo:      lo,
 		Hi:      hi,
 		Records: merged.DetachRecords(),
 		Compute: merged.ComputeRows(),
 		Storage: merged.StorageRows(),
+		Chaos:   r.chaos,
+		Audit:   r.audits,
 	}
 	merged.Release()
-	if opts.Stream != nil {
-		p.Sketch = sketch.NewSet(streamCfg)
-		for _, sh := range shards {
-			p.Sketch.Merge(sh.sketch)
-		}
+	if r.opts.Stream != nil {
+		p.Sketch = mergeSets(r.streamCfg, r.sets)
 	}
-	for _, sh := range shards {
-		p.Chaos.Merge(sh.chaos)
-		p.Audit = append(p.Audit, sh.audit...)
+	if r.emission != nil {
+		p.Emission = append(p.Emission, r.emission.PerVD[lo:hi]...)
 	}
-	if emission != nil {
-		p.Emission = append(p.Emission, emission.PerVD[lo:hi]...)
-	}
-	releaseShards(shards)
 	return p, nil
 }
 
 // MergeShards deterministically combines shard partials into the run's final
 // dataset. The partials must exactly cover [0, nVDs) without overlap — the
 // at-most-once discipline upstream (fabric result accounting) guarantees
-// this for distributed runs, and MergeShards re-verifies it. The merged
-// dataset, streamed sketch state, chaos accounting, and check-mode verdict
-// are byte-identical to a single-process Run with the same options.
+// this for distributed runs, and MergeShards re-verifies it. The partials
+// are only read (a coordinator may be serving snapshots from the same ledger
+// entries). The merged dataset, streamed sketch state, chaos accounting, and
+// check-mode verdict are byte-identical to a single-process Run with the
+// same options.
 func (s *Sim) MergeShards(opts Options, partials []*ShardPartial) (*trace.Dataset, error) {
-	opts, err := opts.prepare(s.fleet)
+	if opts.Control != nil || opts.Observe != nil {
+		return nil, errShardControl
+	}
+	r, err := s.begin(opts)
 	if err != nil {
 		return nil, err
 	}
-	if opts.Control != nil || opts.Observe != nil {
-		return nil, fmt.Errorf("ebs: Control/Observe options are single-process only (the control loop is sequential over epochs); run the controlled study in-process")
-	}
-	nVDs := s.runVDs(opts)
-	top := s.fleet.Topology
 
 	parts := append([]*ShardPartial(nil), partials...)
 	sort.Slice(parts, func(i, j int) bool { return parts[i].Lo < parts[j].Lo })
@@ -191,49 +153,28 @@ func (s *Sim) MergeShards(opts Options, partials []*ShardPartial) (*trace.Datase
 		}
 		next = p.Hi
 	}
-	if next != nVDs {
-		return nil, fmt.Errorf("ebs: shards cover [0,%d), run needs [0,%d)", next, nVDs)
+	if next != r.nVDs {
+		return nil, fmt.Errorf("ebs: shards cover [0,%d), run needs [0,%d)", next, r.nVDs)
 	}
 
-	// FromParts tracers alias the partials' slices; they are merged (which
-	// copies) and must never be pooled or released.
-	tracers := make([]*diting.Tracer, len(parts))
-	for i, p := range parts {
-		tracers[i] = diting.FromParts(opts.TraceSampleEvery, p.Records, p.Compute, p.Storage)
-	}
-	merged := diting.Merge(opts.TraceSampleEvery, tracers...)
-	ds := s.assembleDataset(opts, merged)
-
-	sched := s.expandChaos(opts)
-	var streamCfg sketch.Config
-	var sets []*sketch.Set
-	if opts.Stream != nil {
-		streamCfg = s.streamConfigFor(opts, nVDs)
-		for _, p := range parts {
+	for _, p := range parts {
+		// FromParts tracers alias the partial's slices; finish merges them
+		// (which copies) and they must never be pooled or released.
+		r.tracers = append(r.tracers, diting.FromParts(r.opts.TraceSampleEvery, p.Records, p.Compute, p.Storage))
+		if r.opts.Stream != nil {
 			if p.Sketch == nil {
 				return nil, fmt.Errorf("ebs: shard [%d,%d) has no sketch state in a streaming run", p.Lo, p.Hi)
 			}
-			sets = append(sets, p.Sketch)
+			r.sets = append(r.sets, p.Sketch)
 		}
-	}
-	var ioStats chaos.Stats
-	var audits []string
-	for _, p := range parts {
-		ioStats.Merge(p.Chaos)
-		audits = append(audits, p.Audit...)
-	}
-	var emission *invariant.Emission
-	if opts.Check {
-		emission = invariant.NewEmission(len(top.VDs))
-		for _, p := range parts {
+		r.chaos.Merge(p.Chaos)
+		r.audits = append(r.audits, p.Audit...)
+		if r.emission != nil {
 			if len(p.Emission) != p.Hi-p.Lo {
 				return nil, fmt.Errorf("ebs: shard [%d,%d) carries %d emission slots in a checked run", p.Lo, p.Hi, len(p.Emission))
 			}
-			copy(emission.PerVD[p.Lo:p.Hi], p.Emission)
+			copy(r.emission.PerVD[p.Lo:p.Hi], p.Emission)
 		}
 	}
-	if err := s.runTail(opts, ds, sched, streamCfg, sets, ioStats, emission, audits); err != nil {
-		return nil, err
-	}
-	return ds, nil
+	return s.finish(r)
 }

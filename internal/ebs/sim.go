@@ -69,19 +69,21 @@ type Options struct {
 	// -stream mode of cmd/ebssim): every shard folds each completed IO into
 	// its own sketch.Set — SpaceSaving heavy hitters, log-bucket quantile
 	// sketches, HyperLogLog cardinality, per-second rate meters — and the
-	// per-shard sets are merged at the join into *Stream. Create the
+	// per-shard sets are merged at the join into *Stream. A shard's set has
+	// that shard as its only writer; every merge only reads it. Create the
 	// destination with sketch.NewSet; the engine fills the set's thinning
 	// scale and throughput-cap sum from the run's shape when left zero.
 	// Sketch state is deterministic and worker-count invariant, and its
 	// memory is independent of the IO count; see DESIGN.md, "Streaming
 	// sketch analytics".
 	Stream *sketch.Set
-	// Snapshots, when non-nil (requires Stream), receives a monotone mid-run
-	// view of the streaming sketch state: after each virtual disk completes,
-	// its sketch delta is folded into the sink under the sink's own lock, so
-	// another goroutine can serve incremental snapshots while the run
-	// executes. Like Progress, the sink never crosses the wire — distributed
-	// runs snapshot from the coordinator's accepted shard partials instead.
+	// Snapshots, when non-nil (requires Stream), is a handle through which
+	// another goroutine reads the streaming sketch state while the run
+	// executes: a snapshot merges the shards' live sets on demand, and after
+	// the run it is *Stream. The sink holds no sketch state of its own and
+	// costs the run nothing until someone asks. Like Progress, the sink never
+	// crosses the wire — distributed runs snapshot from the coordinator's
+	// accepted shard partials instead.
 	Snapshots *SnapshotSink
 	// Control, when non-nil, applies a compiled mitigation timeline during
 	// the run: per-epoch placement and QP-binding overrides, migration
@@ -121,9 +123,9 @@ type Options struct {
 	Progress func(done, total int)
 }
 
-// prepare is the single validation-and-defaulting gate of every entry
-// point: Run, RunShard, and MergeShards all pass their options through it
-// exactly once before use.
+// prepare validates and defaults the options; every entry point passes them
+// through it exactly once before use (Run, RunShard and MergeShards via
+// begin).
 func (o Options) prepare(f *workload.Fleet) (Options, error) {
 	if err := o.Validate(); err != nil {
 		return o, err

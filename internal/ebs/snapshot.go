@@ -6,58 +6,72 @@ import (
 	"ebslab/internal/sketch"
 )
 
-// SnapshotSink receives a monotone mid-run view of a streaming run's sketch
-// state: after each virtual disk completes, the engine folds that disk's
-// sketch delta into the sink, so a concurrent reader (the gateway's
-// StreamSnapshot op) can encode approximate quantiles and top-K rankings
-// while the run is still executing. Because every sketch component combines
-// as a commutative monoid over per-IO contributions, the sink's state after
-// the last fold is fingerprint-identical to the run's final merged
-// Options.Stream set — the streamed-vs-final identity the gateway tests pin.
+// SnapshotSink is a concurrent reader's handle on a streaming run's sketch
+// state: while the run executes, a snapshot is the merge of the shards' live
+// sets (each read under its shard's flush lock, and only read — Set.Merge
+// copies), so another goroutine (the gateway's StreamSnapshot op) can encode
+// approximate quantiles and top-K rankings mid-run; once the run ends, a
+// snapshot is the run's *Options.Stream itself. The sink keeps no sketch
+// state of its own, so the streamed view converges on the final answer by
+// construction — the streamed-vs-final identity the gateway tests pin.
+// Totals only grow from one snapshot to the next; a mid-run snapshot may
+// include part of a disk still being simulated.
 //
 // The zero value is ready to use; hand it to Options.Snapshots (which
 // requires Options.Stream). All methods are safe for concurrent use.
 type SnapshotSink struct {
-	mu  sync.Mutex
-	set *sketch.Set
-	vds int
-	seq uint64
+	mu    sync.Mutex
+	run   *runState   // the executing run; nil before it starts and after it ends
+	final *sketch.Set // the ended run's *Options.Stream, over vds disks
+	vds   int
 }
 
-// fold merges one completed disk's sketch delta. The delta is consumed
-// (Set.Merge steals state); the engine hands over a per-VD scratch set it
-// never touches again.
-func (k *SnapshotSink) fold(delta *sketch.Set, cfg sketch.Config) {
-	k.mu.Lock()
-	if k.set == nil {
-		k.set = sketch.NewSet(cfg)
+// point aims the sink at an executing run, at an ended run's merged state
+// over vds disks, or (a failed run) at nothing. A nil sink ignores it.
+func (k *SnapshotSink) point(r *runState, final *sketch.Set, vds int) {
+	if k == nil {
+		return
 	}
-	k.set.Merge(delta)
-	k.vds++
-	k.seq++
+	k.mu.Lock()
+	k.run, k.final, k.vds = r, final, vds
 	k.mu.Unlock()
 }
 
-// Snapshot returns the binary encoding (sketch.DecodeSet reverses it) of the
-// sketch state folded so far, the number of completed virtual disks, and a
-// sequence number that increases with every fold. Before the first fold it
-// returns (nil, 0, 0).
-func (k *SnapshotSink) Snapshot() (enc []byte, vds int, seq uint64) {
+// SketchSnapshot returns the current sketch state and how many virtual disks
+// have completed, or (nil, 0) before the first one does. The disk count is
+// read before the sets, so the state covers at least that many disks. The
+// set is the caller's to read, not to write: once the run has ended it is
+// the run's *Options.Stream itself.
+func (k *SnapshotSink) SketchSnapshot() (*sketch.Set, int) {
 	k.mu.Lock()
-	defer k.mu.Unlock()
-	if k.set == nil {
-		return nil, 0, 0
+	run, set, vds := k.run, k.final, k.vds
+	k.mu.Unlock()
+	if run != nil {
+		if vds = int(run.done.Load()); vds > 0 {
+			set = run.sketchSoFar()
+		}
 	}
-	return k.set.EncodeBinary(), k.vds, k.seq
+	return set, vds
 }
 
-// Fingerprint returns the canonical digest of the folded sketch state, or ""
-// before the first fold.
+// Snapshot returns the binary encoding (sketch.DecodeSet reverses it) of
+// SketchSnapshot's state, the number of completed virtual disks, and a
+// sequence number that never decreases (that same count). Before the first
+// disk completes it returns (nil, 0, 0).
+func (k *SnapshotSink) Snapshot() (enc []byte, vds int, seq uint64) {
+	set, vds := k.SketchSnapshot()
+	if set == nil {
+		return nil, 0, 0
+	}
+	return set.EncodeBinary(), vds, uint64(vds)
+}
+
+// Fingerprint returns the canonical digest of SketchSnapshot's state, or ""
+// before the first disk completes.
 func (k *SnapshotSink) Fingerprint() string {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if k.set == nil {
+	set, _ := k.SketchSnapshot()
+	if set == nil {
 		return ""
 	}
-	return k.set.Fingerprint()
+	return set.Fingerprint()
 }

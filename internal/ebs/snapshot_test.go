@@ -1,6 +1,7 @@
 package ebs
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
 
@@ -67,5 +68,72 @@ func TestSnapshotsRequireStream(t *testing.T) {
 	_, err := New(fleet).Run(nil, Options{MaxVDs: 2, Snapshots: &SnapshotSink{}})
 	if err == nil {
 		t.Fatal("Run accepted Snapshots without Stream")
+	}
+}
+
+var raceEnabled bool // set by race_test.go
+
+// TestSnapshotSinkCostsNoPerDiskState pins what attaching a sink costs a run
+// nobody snapshots: a constant, whatever the fleet size. The sink is a handle
+// on the shards' sets, so there is no second ingest and no per-disk set.
+func TestSnapshotSinkCostsNoPerDiskState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("pool reuse is randomized under the race detector")
+	}
+	sim := New(smallFleet(t))
+	allocs := func(maxVDs int, sink *SnapshotSink) float64 {
+		opts := Options{DurationSec: 4, EventSampleEvery: 8, MaxVDs: maxVDs, Workers: 1, Snapshots: sink}
+		run := func() {
+			opts.Stream = sketch.NewSet(sketch.Config{})
+			if _, err := sim.Run(context.Background(), opts); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+		}
+		run() // warm the pools
+		return testing.AllocsPerRun(3, run)
+	}
+	const slack = 8
+	for _, maxVDs := range []int{4, 16} {
+		bare, sunk := allocs(maxVDs, nil), allocs(maxVDs, &SnapshotSink{})
+		if sunk > bare+slack {
+			t.Errorf("MaxVDs %d: %.0f allocations with a sink, %.0f without (allowed +%d)", maxVDs, sunk, bare, slack)
+		}
+	}
+}
+
+// TestSnapshotSinkConcurrentReader reads the sink from another goroutine for
+// the whole length of a two-worker run (the race detector's view of the
+// flush lock): every snapshot is a whole state, and IO totals never go back.
+func TestSnapshotSinkConcurrentReader(t *testing.T) {
+	sim := New(smallFleet(t))
+	sink := &SnapshotSink{}
+	stop, read := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(read)
+		var last uint64
+		for {
+			if set, _ := sink.SketchSnapshot(); set != nil {
+				if ios := set.Totals().IOs; ios < last {
+					t.Errorf("snapshot went back from %d IOs to %d", last, ios)
+				} else {
+					last = ios
+				}
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	final := sketch.NewSet(sketch.Config{})
+	_, err := sim.Run(context.Background(), Options{MaxVDs: 12, EventSampleEvery: 16, Workers: 2, Stream: final, Snapshots: sink})
+	close(stop)
+	<-read
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if got, want := sink.Fingerprint(), final.Fingerprint(); got != want {
+		t.Fatalf("sink serves %s after the run, final sketch is %s", got, want)
 	}
 }

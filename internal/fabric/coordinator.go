@@ -415,37 +415,28 @@ func (co *Coordinator) Ledger() *invariant.ShardLedger {
 // far into a fresh set, reporting how many virtual disks it covers. This is
 // the distributed analogue of ebs.SnapshotSink: the gateway serves it to
 // tenants streaming a fabric-run study mid-flight. Ledger partials are
-// immutable once accepted, so they are re-encoded under the runner's lock
-// and merged from decoded copies outside it — the ledger is never mutated.
-// Before any result lands it returns (nil, 0, nil). Streaming runs only;
-// without Options.Stream the partials carry no sketch state and the
-// snapshot stays empty.
-func (co *Coordinator) SketchSnapshot() (*sketch.Set, int, error) {
-	var encs [][]byte
+// immutable once accepted and Set.Merge only reads its source, so they are
+// merged in place under the runner's lock — concurrently with other
+// snapshots and with Wait's final merge, which read the same partials.
+// Before any result lands it returns (nil, 0). Streaming runs only; without
+// Options.Stream the partials carry no sketch state and the snapshot stays
+// empty.
+func (co *Coordinator) SketchSnapshot() (*sketch.Set, int) {
+	var merged *sketch.Set
 	var vds int
 	co.runner.Read(func() {
 		for _, sh := range co.fsm.shards {
-			if sh.partial != nil && sh.partial.Sketch != nil {
-				encs = append(encs, sh.partial.Sketch.EncodeBinary())
-				vds += sh.r.Hi - sh.r.Lo
+			if sh.partial == nil || sh.partial.Sketch == nil {
+				continue
 			}
+			if merged == nil {
+				merged = sketch.NewSet(sh.partial.Sketch.Config())
+			}
+			merged.Merge(sh.partial.Sketch)
+			vds += sh.r.Hi - sh.r.Lo
 		}
 	})
-	if len(encs) == 0 {
-		return nil, 0, nil
-	}
-	var merged *sketch.Set
-	for _, enc := range encs {
-		set, err := sketch.DecodeSet(enc)
-		if err != nil {
-			return nil, 0, fmt.Errorf("fabric: snapshot: %w", err)
-		}
-		if merged == nil {
-			merged = sketch.NewSet(set.Config())
-		}
-		merged.Merge(set)
-	}
-	return merged, vds, nil
+	return merged, vds
 }
 
 // Wait blocks until every shard is accounted for (or ctx ends), then merges

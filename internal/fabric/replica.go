@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -210,19 +211,15 @@ func (rs *ReplicaSet) Coordinator(id int) *Coordinator { return rs.cos[id] }
 // Replicas may trail the leader by a few commits; taking the view covering
 // the most virtual disks keeps the snapshot stream monotone across leader
 // kills.
-func (rs *ReplicaSet) SketchSnapshot() (*sketch.Set, int, error) {
+func (rs *ReplicaSet) SketchSnapshot() (*sketch.Set, int) {
 	var best *sketch.Set
 	var bestVDs int
 	for _, co := range rs.cos {
-		set, vds, err := co.SketchSnapshot()
-		if err != nil {
-			return nil, 0, err
-		}
-		if vds > bestVDs {
+		if set, vds := co.SketchSnapshot(); vds > bestVDs {
 			best, bestVDs = set, vds
 		}
 	}
-	return best, bestVDs, nil
+	return best, bestVDs
 }
 
 // Wait blocks until some replica's ledger holds every shard result (or ctx
@@ -256,6 +253,39 @@ func (rs *ReplicaSet) Wait(ctx context.Context) (*trace.Dataset, error) {
 	invariant.CheckLeadershipContinuity(&rep, rs.n, rs.Transitions())
 	if err := rep.Err(); err != nil {
 		return nil, fmt.Errorf("fabric: %w", err)
+	}
+	return ds, nil
+}
+
+// Run executes the study on `workers` in-process workers dialing every
+// replica, and returns Wait's merged dataset once the workers have observed
+// AssignDone and drained against the still-open control plane (Close tears
+// the listeners down). It fails on the first worker error that is not the
+// context's cancellation, and unless every scheduled leader kill fired.
+func (rs *ReplicaSet) Run(ctx context.Context, workers int) (*trace.Dataset, error) {
+	var wg sync.WaitGroup
+	workerErrs := make([]error, workers)
+	for i := range workerErrs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			workerErrs[i] = RunWorker(ctx, WorkerConfig{Dials: rs.Dials(), CallTimeout: 2 * time.Second})
+		}(i)
+	}
+	ds, err := rs.Wait(ctx)
+	if err != nil {
+		rs.Close() // unblock workers parked on a control plane that will not finish
+		wg.Wait()
+		return nil, err
+	}
+	wg.Wait()
+	for i, werr := range workerErrs {
+		if werr != nil && !errors.Is(werr, context.Canceled) {
+			return nil, fmt.Errorf("fabric: worker %d: %w", i, werr)
+		}
+	}
+	if rs.sched != nil && rs.KillsExecuted() != len(rs.sched.LeaderKills) {
+		return nil, fmt.Errorf("fabric: %d of %d scheduled leader kills fired", rs.KillsExecuted(), len(rs.sched.LeaderKills))
 	}
 	return ds, nil
 }

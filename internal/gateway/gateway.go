@@ -107,12 +107,13 @@ type job struct {
 	cancel   context.CancelFunc
 	ctx      context.Context
 
-	// Snapshot sources. sink serves local runs; rs fabric runs. snapMu
-	// serializes fabric snapshot reads against the final ledger merge,
-	// which consumes the shard partials' sketch state.
-	sink   *ebs.SnapshotSink
-	rs     *fabric.ReplicaSet
-	snapMu sync.Mutex
+	// live serves snapshots while the study runs (nil before and after),
+	// guarded by Gateway.mu: an *ebs.SnapshotSink for local runs, the
+	// *fabric.ReplicaSet for fabric runs. Both only read the state the run
+	// is writing.
+	live interface {
+		SketchSnapshot() (*sketch.Set, int)
+	}
 
 	vdsDone  atomic.Int64
 	vdsTotal atomic.Int64
@@ -120,7 +121,6 @@ type job struct {
 	// Final answers, set under Gateway.mu when the study completes.
 	dsFP         string // invariant.Fingerprint of the dataset
 	sketchFP     string // final Options.Stream fingerprint
-	streamFP     string // final snapshot-path fingerprint (== sketchFP)
 	finalSketch  []byte
 	finalSeq     uint64
 	kills        int
@@ -399,6 +399,7 @@ func (gw *Gateway) runJob(j *job) {
 	gw.running--
 	gw.ledger.Running--
 	tn.ledger.Running--
+	j.live = nil
 	switch {
 	case j.canceled:
 		j.state = StateCanceled
@@ -423,7 +424,7 @@ func (gw *Gateway) runJob(j *job) {
 }
 
 // runLocal executes the study in-process: ebs.Run with a streaming sketch
-// destination plus a SnapshotSink serving incremental mid-run state.
+// destination plus a SnapshotSink through which Snapshot reads it mid-run.
 func (gw *Gateway) runLocal(j *job) error {
 	fleet, err := workload.Generate(j.spec.FleetConfig())
 	if err != nil {
@@ -432,7 +433,7 @@ func (gw *Gateway) runLocal(j *job) error {
 	stream := sketch.NewSet(sketch.Config{})
 	sink := &ebs.SnapshotSink{}
 	gw.mu.Lock()
-	j.sink = sink
+	j.live = sink
 	gw.mu.Unlock()
 	opts := j.spec.RunOptions()
 	opts.Stream = stream
@@ -486,7 +487,6 @@ func (gw *Gateway) runLocal(j *job) error {
 	gw.mu.Lock()
 	j.dsFP = invariant.Fingerprint(ds)
 	j.sketchFP = stream.Fingerprint()
-	j.streamFP = sink.Fingerprint()
 	j.finalSketch = enc
 	j.finalSeq = seq
 	gw.mu.Unlock()
@@ -537,85 +537,20 @@ func (gw *Gateway) runFabric(j *job) error {
 		}
 	}
 	gw.mu.Lock()
-	j.rs = rs
+	j.live = rs
 	gw.mu.Unlock()
 
-	var wg sync.WaitGroup
-	workerErrs := make([]error, fc.Workers)
-	for i := range workerErrs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			workerErrs[i] = fabric.RunWorker(j.ctx, fabric.WorkerConfig{
-				Dials:       rs.Dials(),
-				CallTimeout: 2 * time.Second,
-			})
-		}(i)
-	}
-
-	// Wait for ledger completion WITHOUT merging: the final streamed
-	// snapshot must be captured from the immutable partials before
-	// rs.Wait's merge consumes their sketch state.
-	doneAny := make(chan struct{})
-	var once sync.Once
-	for i := 0; i < fc.Replicas; i++ {
-		go func(ch <-chan struct{}) {
-			select {
-			case <-ch:
-				once.Do(func() { close(doneAny) })
-			case <-j.ctx.Done():
-			}
-		}(rs.Coordinator(i).DoneCh())
-	}
-	select {
-	case <-doneAny:
-	case <-j.ctx.Done():
-		rs.Close()
-		wg.Wait()
-		return j.ctx.Err()
-	}
-
-	var streamFP string
-	var finalVDs int
-	if set, vds, serr := rs.SketchSnapshot(); serr == nil && set != nil {
-		streamFP = set.Fingerprint()
-		finalVDs = vds
-	}
-
-	// The merge consumes the partials' sketch state; snapMu keeps any
-	// in-flight snapshot RPC ordered strictly before it, and the final
-	// fields are published inside the same critical section so a snapshot
-	// arriving after the merge serves the stored final state.
-	j.snapMu.Lock()
-	ds, err := rs.Wait(j.ctx)
-	if err == nil {
-		gw.mu.Lock()
-		j.rs = nil
-		j.dsFP = invariant.Fingerprint(ds)
-		j.sketchFP = stream.Fingerprint()
-		j.streamFP = streamFP
-		j.finalSketch = stream.EncodeBinary()
-		j.finalSeq = uint64(finalVDs)
-		j.kills = rs.KillsExecuted()
-		gw.mu.Unlock()
-	}
-	j.snapMu.Unlock()
+	ds, err := rs.Run(j.ctx, fc.Workers)
 	if err != nil {
-		rs.Close()
-		wg.Wait()
 		return err
 	}
-	// Let the workers observe AssignDone and drain against the still-open
-	// control plane; the deferred rs.Close tears the listeners down after.
-	wg.Wait()
-	for i, werr := range workerErrs {
-		if werr != nil && !errors.Is(werr, context.Canceled) {
-			return fmt.Errorf("gateway: fabric worker %d: %w", i, werr)
-		}
-	}
-	if sched := rs.Schedule(); sched != nil && rs.KillsExecuted() != len(sched.LeaderKills) {
-		return fmt.Errorf("gateway: %d of %d scheduled leader kills fired", rs.KillsExecuted(), len(sched.LeaderKills))
-	}
+	gw.mu.Lock()
+	j.dsFP = invariant.Fingerprint(ds)
+	j.sketchFP = stream.Fingerprint()
+	j.finalSketch = stream.EncodeBinary()
+	j.finalSeq = uint64(j.vdsTotal.Load())
+	j.kills = rs.KillsExecuted()
+	gw.mu.Unlock()
 	return nil
 }
 
@@ -652,9 +587,10 @@ func (gw *Gateway) Status(id uint64) (StatusReply, error) {
 	return rep, nil
 }
 
-// Snapshot serves the study's current streamed sketch state: the sink's
-// folded deltas for local execution, the merged accepted shard partials for
-// fabric execution, or the stored final state once the study completes.
+// Snapshot serves the study's current streamed sketch state: a merge of the
+// run's live per-shard sets (local execution) or of the accepted shard
+// partials (fabric execution) — read in place, the run keeps writing — or
+// the stored final state once the study completes.
 func (gw *Gateway) Snapshot(id uint64) (SnapshotReply, error) {
 	gw.mu.Lock()
 	j := gw.byID[id]
@@ -668,53 +604,21 @@ func (gw *Gateway) Snapshot(id uint64) (SnapshotReply, error) {
 		VDsDone:  uint32(j.vdsDone.Load()),
 		VDsTotal: uint32(j.vdsTotal.Load()),
 	}
-	if j.finalSketch != nil || j.state == StateQueued || j.state == StateFailed || j.state == StateCanceled {
+	if j.live == nil {
 		rep.Sketch = j.finalSketch
-		rep.SketchFP = j.streamFP
+		rep.SketchFP = j.sketchFP
 		rep.Seq = j.finalSeq
 		gw.mu.Unlock()
 		return rep, nil
 	}
-	sink, rs := j.sink, j.rs
+	live := j.live
 	gw.mu.Unlock()
 
-	switch {
-	case rs != nil:
-		j.snapMu.Lock()
-		// Re-check: the run may have completed (and merged) while this
-		// request waited on snapMu; the partials are no longer readable
-		// but the final state is published.
-		gw.mu.Lock()
-		if j.finalSketch != nil {
-			rep.State = j.state
-			rep.Sketch = j.finalSketch
-			rep.SketchFP = j.streamFP
-			rep.Seq = j.finalSeq
-			rep.VDsDone = uint32(j.vdsDone.Load())
-			gw.mu.Unlock()
-			j.snapMu.Unlock()
-			return rep, nil
-		}
-		gw.mu.Unlock()
-		set, vds, err := rs.SketchSnapshot()
-		j.snapMu.Unlock()
-		if err != nil {
-			return SnapshotReply{}, err
-		}
-		if set != nil {
-			rep.Sketch = set.EncodeBinary()
-			rep.SketchFP = set.Fingerprint()
-			rep.Seq = uint64(vds)
-			rep.VDsDone = uint32(vds)
-		}
-	case sink != nil:
-		enc, vds, seq := sink.Snapshot()
-		if enc != nil {
-			rep.Sketch = enc
-			rep.SketchFP = sink.Fingerprint()
-			rep.Seq = seq
-			rep.VDsDone = uint32(vds)
-		}
+	if set, vds := live.SketchSnapshot(); set != nil {
+		rep.Sketch = set.EncodeBinary()
+		rep.SketchFP = set.Fingerprint()
+		rep.Seq = uint64(vds)
+		rep.VDsDone = uint32(vds)
 	}
 	return rep, nil
 }

@@ -156,11 +156,12 @@ func takeName(r *wire.Reader, what string, n, max int) string {
 }
 
 // SnapshotReply is the OpStreamSnapshot answer: where the study is and, once
-// it runs, the incremental sketch state covering every virtual disk (local
-// execution) or shard (fabric execution) completed so far. Seq is a monotone
-// progress counter; Sketch is sketch.Set binary (empty until the first unit
-// of work lands). SketchFP fingerprints exactly the returned state, so a
-// tenant can verify the stream converges on the final answer.
+// it runs, the sketch state of everything ingested so far (local execution)
+// or of every shard accepted so far (fabric execution). Seq is a monotone
+// progress counter — the virtual disks completed or covered; Sketch is
+// sketch.Set binary (empty until the first unit of work lands). SketchFP
+// fingerprints exactly the returned state, so a tenant can verify the stream
+// converges on the final answer.
 type SnapshotReply struct {
 	StudyID  uint64
 	State    uint8

@@ -72,33 +72,3 @@ func hashRows(h hash.Hash, wI64 func(int64), wF64 func(float64), rows []trace.Me
 		wF64(m.WriteIOPS)
 	}
 }
-
-// CheckDeterminism is the replay oracle: it invokes run once per worker
-// count and asserts every resulting dataset fingerprints identically to the
-// first. The run closure is typically a thin wrapper over the engine with
-// everything but Workers pinned; passing a permuted VD schedule through the
-// closure turns the same oracle into the VD-permutation check.
-func CheckDeterminism(rep *Report, run func(workers int) (*trace.Dataset, error), workerCounts ...int) {
-	const law = "determinism/replay"
-	if len(workerCounts) < 2 {
-		rep.Addf(law, "need at least two worker counts to compare, got %d", len(workerCounts))
-		return
-	}
-	var ref string
-	for i, w := range workerCounts {
-		ds, err := run(w)
-		if err != nil {
-			rep.Addf(law, "run with %d workers failed: %v", w, err)
-			return
-		}
-		fp := Fingerprint(ds)
-		if i == 0 {
-			ref = fp
-			continue
-		}
-		if fp != ref {
-			rep.Addf(law, "dataset with %d workers diverges from %d workers (%s != %s)",
-				w, workerCounts[0], fp[:12], ref[:12])
-		}
-	}
-}

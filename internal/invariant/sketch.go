@@ -31,9 +31,10 @@ func CheckSketchConservation(rep *Report, merged *sketch.Set, shards []sketch.To
 	}
 }
 
-// CheckSketchDeterminism is the streaming twin of CheckDeterminism: it
-// invokes run once per worker count and asserts every merged sketch set
-// fingerprints identically to the first. Sketch state must be a pure
+// CheckSketchDeterminism is the streaming twin of the engine's dataset
+// determinism oracle (ebs.TestDeterminismOracle): it invokes run once per
+// worker count and asserts every merged sketch set fingerprints identically
+// to the first. Sketch state must be a pure
 // function of the simulated IO multiset, so any divergence means a shard
 // combine leaked scheduling order into the summaries.
 func CheckSketchDeterminism(rep *Report, run func(workers int) (*sketch.Set, error), workerCounts ...int) {

@@ -152,13 +152,22 @@ func FuzzLogQuantileMerge(f *testing.F) {
 func FuzzSetCodec(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("SKS1 but not really"))
-	f.Add(NewSet(Config{}).EncodeBinary())
-	populated := NewSet(Config{TopK: 4, SegPerVD: 2, DurationSec: 4})
-	for i := 0; i < 64; i++ {
-		rec := fuzzRecord(i)
-		populated.Observe(&rec)
+	// Each shape twice: at the smallest HLL precision (16 registers; ~150 and
+	// ~1100 bytes) and at the default (4096; 8 KB of registers per frame).
+	// The small ones come first because the engine minimizes every mutant
+	// that looks interesting one byte at a time, which on an 8 KB frame
+	// outlasts the whole CI smoke budget: whatever the workers do before they
+	// reach the large seeds is most of what a short run executes.
+	for _, p := range []int{4, 0} {
+		cfg := Config{TopK: 4, SegPerVD: 2, DurationSec: 4, HLLPrecision: p}
+		f.Add(NewSet(cfg).EncodeBinary())
+		populated := NewSet(cfg)
+		for i := 0; i < 64; i++ {
+			rec := fuzzRecord(i)
+			populated.Observe(&rec)
+		}
+		f.Add(populated.EncodeBinary())
 	}
-	f.Add(populated.EncodeBinary())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := DecodeSet(data)
 		if err != nil {

@@ -176,28 +176,21 @@ func (s *Set) ingest(dc *dirCount, ss *SpaceSaving, vd uint64, read bool, size32
 	s.segs.Add(seg)
 }
 
-// Merge folds o (built with the same Config) into s. o must not be used
-// afterwards.
+// Merge folds o (built with the same Config) into s. o is only read: its
+// per-VD state is copied, never shared, so afterwards neither set can change
+// through the other — o may keep ingesting, be merged into other sets, and
+// be read by several mergers at once.
 func (s *Set) Merge(o *Set) {
 	s.totals.Add(o.totals)
 	for vd, odc := range o.vds {
-		dc := s.vds[vd]
-		if dc == nil {
-			s.vds[vd] = odc
-			continue
-		}
+		dc := s.vdCount(vd)
 		dc.readBytes += odc.readBytes
 		dc.writeBytes += odc.writeBytes
 		dc.readOps += odc.readOps
 		dc.writeOps += odc.writeOps
 	}
 	for vd, oss := range o.segHot {
-		ss := s.segHot[vd]
-		if ss == nil {
-			s.segHot[vd] = oss
-			continue
-		}
-		ss.Merge(oss)
+		s.vdSegHot(vd).Merge(oss)
 	}
 	s.rate.Merge(o.rate)
 	s.lat.Merge(o.lat)

@@ -103,6 +103,39 @@ func TestSetMergeOrderInsensitive(t *testing.T) {
 	}
 }
 
+// TestMergeLeavesSourceIntact pins Merge's ownership contract: the source is
+// only read. Ingesting into the destination afterwards — on virtual disks
+// whose state came from the source — must not change the source, and one
+// source merged into two destinations must give the same state twice.
+func TestMergeLeavesSourceIntact(t *testing.T) {
+	recs := synthRecords(rng(7), 2000, 4)
+	cfg := Config{DurationSec: 2, TputCapSum: 1e9}
+	b := NewSet(cfg)
+	for i := range recs[:1000] {
+		b.Observe(&recs[i])
+	}
+	bFP := b.Fingerprint()
+
+	a := NewSet(cfg)
+	a.Merge(b)
+	for i := range recs[1000:] {
+		a.Observe(&recs[1000+i]) // every VD here entered a through b
+	}
+	if got := b.Fingerprint(); got != bFP {
+		t.Fatalf("source changed after its destination kept ingesting: %s != %s", got, bFP)
+	}
+
+	c := NewSet(cfg)
+	c.Merge(b)
+	if got := c.Fingerprint(); got != bFP {
+		t.Fatalf("second merge of one source gives %s, want the source's own %s", got, bFP)
+	}
+	b.Observe(&recs[0])
+	if got := c.Fingerprint(); got != bFP {
+		t.Fatalf("destination changed when its source kept ingesting: %s != %s", got, bFP)
+	}
+}
+
 func TestSetTotalsConservation(t *testing.T) {
 	recs := synthRecords(rng(5), 1000, 4)
 	var wantBytes uint64

@@ -73,8 +73,7 @@ func (s *SpaceSaving) Add(key, w uint64) {
 
 // Merge folds o into s: counts and errors of shared keys are summed, keys
 // unique to either side are kept, and the union is truncated back to s's
-// capacity in (count desc, err asc, key asc) order. o must not be used
-// afterwards.
+// capacity in (count desc, err asc, key asc) order. o is only read.
 func (s *SpaceSaving) Merge(o *SpaceSaving) {
 	for k, oc := range o.counters {
 		if c, ok := s.counters[k]; ok {

@@ -218,22 +218,23 @@ func ReadMetricCSV(r io.Reader) ([]MetricRow, error) {
 			return nil, fmt.Errorf("trace: metric line %d: bad domain %q", line, row[0])
 		}
 		ints := []struct {
-			col int
-			dst func(int64)
+			col  int
+			bits int
+			dst  func(int64)
 		}{
-			{1, func(v int64) { m.Sec = int32(v) }},
-			{2, func(v int64) { m.DC = cluster.DCID(v) }},
-			{3, func(v int64) { m.User = cluster.UserID(v) }},
-			{4, func(v int64) { m.VM = cluster.VMID(v) }},
-			{5, func(v int64) { m.VD = cluster.VDID(v) }},
-			{6, func(v int64) { m.Node = cluster.NodeID(v) }},
-			{7, func(v int64) { m.QP = cluster.QPID(v) }},
-			{8, func(v int64) { m.WT = int8(v) }},
-			{9, func(v int64) { m.Storage = cluster.StorageNodeID(v) }},
-			{10, func(v int64) { m.Segment = cluster.SegmentID(v) }},
+			{1, 32, func(v int64) { m.Sec = int32(v) }},
+			{2, 32, func(v int64) { m.DC = cluster.DCID(v) }},
+			{3, 32, func(v int64) { m.User = cluster.UserID(v) }},
+			{4, 32, func(v int64) { m.VM = cluster.VMID(v) }},
+			{5, 32, func(v int64) { m.VD = cluster.VDID(v) }},
+			{6, 32, func(v int64) { m.Node = cluster.NodeID(v) }},
+			{7, 32, func(v int64) { m.QP = cluster.QPID(v) }},
+			{8, 8, func(v int64) { m.WT = int8(v) }},
+			{9, 32, func(v int64) { m.Storage = cluster.StorageNodeID(v) }},
+			{10, 32, func(v int64) { m.Segment = cluster.SegmentID(v) }},
 		}
 		for _, f := range ints {
-			v, err := strconv.ParseInt(row[f.col], 10, 64)
+			v, err := strconv.ParseInt(row[f.col], 10, f.bits)
 			if err != nil {
 				return nil, fmt.Errorf("trace: metric line %d col %s: %w", line, metricHeader[f.col], err)
 			}

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -77,6 +78,16 @@ func FuzzReadMetricCSV(f *testing.F) {
 	f.Add([]byte("domain,sec\ncompute,0\n"))
 	f.Add([]byte(fuzzMetricCSVSeed + "chunk,0,0,0,0,0,0,0,0,0,0,0,0,0,0\n")) // bad domain
 	f.Add([]byte(fuzzMetricCSVSeed + "compute,0,0,0,0,0,0,0,0,0,0,NaN,Inf,-Inf,1e308\n"))
+	// One overflowing value per integer column: each must be rejected, not
+	// narrowed onto a valid id.
+	for col := 1; col <= 10; col++ {
+		row := strings.Split("compute,0,0,0,0,0,0,0,0,0,0,1,1,1,1", ",")
+		row[col] = "4294967296"
+		if col == 8 { // wt is the one 8-bit column
+			row[col] = "256"
+		}
+		f.Add([]byte(fuzzMetricCSVSeed + strings.Join(row, ",") + "\n"))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rows, err := ReadMetricCSV(bytes.NewReader(data))
 		if err != nil {

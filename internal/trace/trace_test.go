@@ -156,6 +156,17 @@ func TestMetricCSVRejectsBadInput(t *testing.T) {
 		"bad domain": strings.Join(metricHeader, ",") + "\nnope,1,0,0,0,0,0,0,0,0,0,1,1,1,1\n",
 		"bad float":  strings.Join(metricHeader, ",") + "\ncompute,1,0,0,0,0,0,0,0,0,0,x,1,1,1\n",
 	}
+	// Every integer column must reject a value its field cannot hold instead
+	// of narrowing it (sec=4294967296 is not second 0, wt=256 not thread 0).
+	for col := 1; col <= 10; col++ {
+		over := "4294967296"
+		if metricHeader[col] == "wt" {
+			over = "256"
+		}
+		row := strings.Split("compute,1,0,0,0,0,0,0,0,0,0,1,1,1,1", ",")
+		row[col] = over
+		cases["overflow "+metricHeader[col]] = strings.Join(metricHeader, ",") + "\n" + strings.Join(row, ",") + "\n"
+	}
 	for name, in := range cases {
 		if _, err := ReadMetricCSV(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: ReadMetricCSV accepted malformed input", name)
