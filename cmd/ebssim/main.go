@@ -10,6 +10,8 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"runtime"
+	"runtime/pprof"
 	"sort"
 	"strings"
 	"time"
@@ -44,6 +46,8 @@ type roleFlags struct {
 	epochSec    int
 	scenario    string
 	replay      string
+	cpuProfile  string
+	memProfile  string
 }
 
 // validateFlags rejects contradictory role selections up front, naming every
@@ -92,6 +96,9 @@ func validateFlags(f roleFlags) error {
 	}
 	if f.scenario != "" && f.replay != "" {
 		return fmt.Errorf("-replay is shorthand for -scenario replay,path=...: pass exactly one of -scenario, -replay")
+	}
+	if f.cpuProfile != "" && f.cpuProfile == f.memProfile {
+		return fmt.Errorf("-cpuprofile and -memprofile both name %s: the second would overwrite the first", f.cpuProfile)
 	}
 	spec := f.scenario
 	if f.replay != "" {
@@ -143,6 +150,9 @@ func main() {
 		penaltyUS   = flag.Float64("penalty-us", 0, "frontend-net latency penalty (us) for IOs hitting a crashed BS (0 = observe only)")
 		storms      = flag.Int("storms", 1, "hot-tenant traffic storms to schedule")
 		stormFactor = flag.Float64("storm-factor", 8, "demand multiplier inside a storm window")
+
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the whole run (any mode, -dist included) to this file; read it with go tool pprof")
+		memProfile = flag.String("memprofile", "", "write an allocation profile, taken when the run ends, to this file")
 	)
 	flag.Parse()
 
@@ -157,9 +167,23 @@ func main() {
 		epochSec:    *epochSec,
 		scenario:    *scenarioSpec,
 		replay:      *replayPath,
+		cpuProfile:  *cpuProfile,
+		memProfile:  *memProfile,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "ebssim:", err)
 		os.Exit(2)
+	}
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ebssim:", err)
+		os.Exit(1)
+	}
+	// fail is the exit for everything past this point: os.Exit skips
+	// deferred calls, and a CPU profile is only readable once stopped.
+	fail := func(err error) {
+		stopProfiles()
+		fmt.Fprintln(os.Stderr, "ebssim:", err)
+		os.Exit(1)
 	}
 
 	cfg := workload.DefaultConfig()
@@ -173,8 +197,7 @@ func main() {
 
 	fleet, err := workload.Generate(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ebssim:", err)
-		os.Exit(1)
+		fail(err)
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -225,8 +248,7 @@ func main() {
 			scWL, berr = built.Bind(fleet)
 		}
 		if berr != nil {
-			fmt.Fprintln(os.Stderr, "ebssim:", berr)
-			os.Exit(1)
+			fail(berr)
 		}
 		opts.Scenario = scWL
 		if es, ok := scWL.(interface{ EventSampleEvery() int }); ok {
@@ -247,9 +269,9 @@ func main() {
 		ds, err = ebs.New(fleet).Run(ctx, opts)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ebssim:", err)
-		os.Exit(1)
+		fail(err)
 	}
+	stopProfiles()
 	fmt.Printf("simulated %d IOs over %ds (%d VDs)\n", len(ds.Trace), *dur, *maxVDs)
 	if scWL != nil {
 		fmt.Printf("scenario: %s\n", scWL.Spec())
@@ -342,6 +364,52 @@ func main() {
 		snLoads = append(snLoads, v)
 	}
 	fmt.Printf("\nstorage nodes touched: %d, inter-BS CoV %.2f\n", len(snLoads), stats.NormCoV(snLoads))
+}
+
+// startProfiles begins the CPU profile (when cpu names a file) and returns
+// the function that ends the profiled region: it stops the CPU profile and
+// writes the allocation profile (when mem names a file). Profile files are
+// diagnostics, so a failure to write one is reported and the run goes on.
+func startProfiles(cpu, mem string) (stop func(), err error) {
+	var cpuFile *os.File
+	if cpu != "" {
+		if cpuFile, err = os.Create(cpu); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpuFile); err != nil {
+			cpuFile.Close()
+			return nil, err
+		}
+	}
+	return func() {
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			if err := cpuFile.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "ebssim: -cpuprofile:", err)
+			}
+		}
+		if mem != "" {
+			if err := writeAllocProfile(mem); err != nil {
+				fmt.Fprintln(os.Stderr, "ebssim: -memprofile:", err)
+			}
+		}
+	}, nil
+}
+
+// writeAllocProfile writes every allocation site since start-up (the allocs
+// profile: go tool pprof defaults to alloc_space, the view a "who regrows
+// this buffer" question needs), after a collection so the counts are current.
+func writeAllocProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // printStream reports the online skewness metrics computed from the merged

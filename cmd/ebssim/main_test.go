@@ -1,14 +1,16 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
 // TestValidateFlagsMatrix walks the (-dist, -replicas, -leader-kill) matrix
-// plus the role-conflict corners: every contradictory combination must be
-// rejected with an error naming the flags involved, and every sensible one
-// accepted.
+// plus the role-conflict corners and the profile flags (valid with every
+// role): every contradictory combination must be rejected with an error
+// naming the flags involved, and every sensible one accepted.
 func TestValidateFlagsMatrix(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -27,6 +29,10 @@ func TestValidateFlagsMatrix(t *testing.T) {
 		{"scenario with control", roleFlags{replicas: 1, scenario: "batchburst", control: "predictive"}, nil},
 		{"scenario with dist", roleFlags{dist: 2, replicas: 1, scenario: "bufferbloat"}, nil},
 		{"replay", roleFlags{replicas: 1, replay: "testdata/trace.jsonl"}, nil},
+		{"profiles single process", roleFlags{replicas: 1, cpuProfile: "cpu.prof", memProfile: "mem.prof"}, nil},
+		{"profiles with dist", roleFlags{dist: 2, replicas: 3, leaderKill: 1, cpuProfile: "cpu.prof", memProfile: "mem.prof"}, nil},
+		{"cpu profile with tcp coordinator", roleFlags{workersAddr: ":9000", replicas: 1, cpuProfile: "cpu.prof"}, nil},
+		{"mem profile with control", roleFlags{replicas: 1, control: "reactive", memProfile: "mem.prof"}, nil},
 
 		{"dist and workers-addr conflict", roleFlags{dist: 2, workersAddr: ":9000", replicas: 1},
 			[]string{"-dist", "-workers-addr"}},
@@ -50,6 +56,8 @@ func TestValidateFlagsMatrix(t *testing.T) {
 			[]string{"-replay", "-dist"}},
 		{"replay scenario with workers-addr", roleFlags{workersAddr: ":9000", replicas: 1, scenario: "replay,path=x"},
 			[]string{"-workers-addr", "single-process"}},
+		{"profiles into one file", roleFlags{dist: 2, replicas: 1, cpuProfile: "run.prof", memProfile: "run.prof"},
+			[]string{"-cpuprofile", "-memprofile", "run.prof"}},
 		{"unknown scenario", roleFlags{replicas: 1, scenario: "quakestorm"},
 			[]string{"quakestorm"}},
 		{"bad scenario param", roleFlags{replicas: 1, scenario: "elastic,bogus=1"},
@@ -73,5 +81,37 @@ func TestValidateFlagsMatrix(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestStartProfiles drives the -cpuprofile/-memprofile plumbing: both files
+// must exist and be non-empty once the stop function has run, stopping must
+// leave the process able to start a CPU profile again, and an uncreatable
+// path must fail up front instead of at the end of a long run.
+func TestStartProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	for round := 0; round < 2; round++ {
+		stop, err := startProfiles(cpu, mem)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		stop()
+		for _, path := range []string{cpu, mem} {
+			if st, err := os.Stat(path); err != nil || st.Size() == 0 {
+				t.Fatalf("round %d: profile %s missing or empty (%v)", round, path, err)
+			}
+		}
+	}
+	if _, err := startProfiles(filepath.Join(dir, "no-such-dir", "cpu.prof"), ""); err == nil {
+		t.Fatal("an uncreatable -cpuprofile path was accepted")
+	}
+	stop, err := startProfiles("", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop() // no flags: nothing to do, nothing written
+	if entries, _ := os.ReadDir(dir); len(entries) != 2 {
+		t.Fatalf("%d files in the profile directory, want the 2 requested", len(entries))
 	}
 }

@@ -91,6 +91,99 @@ func TestEmitBatchEquivalence(t *testing.T) {
 	}
 }
 
+// TestChunkRollover drives a fully traced stream past two chunk boundaries
+// and requires what EmitBatch parked across them to read back, through
+// Records, as exactly what Observe kept.
+func TestChunkRollover(t *testing.T) {
+	const n = 2*chunkRecords + 777
+	rng := rand.New(rand.NewSource(18))
+	recs := make([]trace.Record, n)
+	for i := range recs {
+		recs[i] = synthRecord(rng, uint64(i+1), i%6, int64(i)*40)
+	}
+	want, got := New(1), New(1)
+	b := trace.NewBatch(trace.DefaultBatchCap - 1) // chunkRecords is no multiple of it
+	for i := range recs {
+		want.Observe(recs[i])
+		b.Append(&recs[i])
+		if b.Full() {
+			got.EmitBatch(b)
+			b.Reset()
+		}
+	}
+	got.EmitBatch(b)
+	for name, tr := range map[string]*Tracer{"Observe": want, "EmitBatch": got} {
+		if len(tr.full) != 2 || tr.kept() != n {
+			t.Fatalf("%s: %d parked chunks holding %d records, want 2 and %d", name, len(tr.full), tr.kept(), n)
+		}
+		for _, c := range tr.full {
+			if cap(c) != chunkRecords {
+				t.Fatalf("%s: parked a chunk of capacity %d, want %d", name, cap(c), chunkRecords)
+			}
+		}
+	}
+	if !reflect.DeepEqual(got.Records(), recs) || !reflect.DeepEqual(want.Records(), recs) {
+		t.Fatal("records differ across a chunk rollover")
+	}
+	if len(got.full) != 0 || len(got.free) != 3 {
+		t.Fatalf("after Records: %d parked, %d free chunks, want the 3 emptied chunks free", len(got.full), len(got.free))
+	}
+	if again := got.Records(); &again[0] != &got.records[0] || len(again) != n {
+		t.Fatal("a second Records call joined the chunks again")
+	}
+}
+
+// TestResetParksChunks is Release's half of the chunk store (reset is
+// Release without the pool, which may drop or keep the tracer as it likes):
+// every chunk goes to the free list, full and the merge's run list hold no
+// record memory, and the next generation fills the same chunks without
+// allocating one.
+func TestResetParksChunks(t *testing.T) {
+	const n = 2*chunkRecords + 100
+	rng := rand.New(rand.NewSource(19))
+	b := trace.NewBatch(trace.DefaultBatchCap)
+	fill := func(tr *Tracer) {
+		for i := 0; i < n; i++ {
+			r := synthRecord(rng, uint64(i+1), i%3, int64(i/3))
+			b.Append(&r)
+			if b.Full() {
+				tr.EmitBatch(b)
+				b.Reset()
+			}
+		}
+		tr.EmitBatch(b)
+		b.Reset()
+	}
+	tr := New(1)
+	fill(tr)
+	chunks := map[*trace.Record]bool{&tr.records[0]: true}
+	for _, c := range tr.full {
+		chunks[&c[0]] = true
+	}
+	tr.reset()
+	if len(tr.full) != 0 || len(tr.records) != 0 || tr.kept() != 0 {
+		t.Fatalf("reset left %d parked chunks, %d records", len(tr.full), tr.kept())
+	}
+	for _, c := range tr.full[:cap(tr.full)] {
+		if c != nil {
+			t.Fatal("reset left full referencing a chunk")
+		}
+	}
+	for _, run := range tr.runs[:cap(tr.runs)] {
+		if run != nil {
+			t.Fatal("reset left runs referencing record memory")
+		}
+	}
+	if allocs := testing.AllocsPerRun(3, func() { tr.reset(); fill(tr) }); allocs != 0 {
+		t.Fatalf("refilling a reset tracer allocated %.0f times", allocs)
+	}
+	for _, c := range append(tr.full, tr.records) {
+		if !chunks[&c[0]] {
+			t.Fatal("refill took a chunk that was not one of the first generation's")
+		}
+	}
+}
+
 // TestMergeCopiesAccums verifies Merge output survives shard Release: the
 // regression this guards is Merge aliasing shard-owned accumulators that a
 // pooled tracer then recycles.

@@ -31,7 +31,7 @@ const (
 func Merge(sampleEvery int, shards ...*Tracer) *Tracer {
 	n := 0
 	for _, sh := range shards {
-		n += len(sh.records)
+		n += sh.kept()
 	}
 	parts := min(runtime.GOMAXPROCS(0), len(shards), n/parallelMergeMin)
 	return mergeInto(Acquire(sampleEvery), parts, shards)
@@ -56,12 +56,12 @@ func (a mergeKey) before(b mergeKey) int {
 // mergeInto is Merge into a destination tracer fresh from New or Acquire,
 // with the records merged in parts key ranges, one goroutine each.
 //
-// Nothing is sorted: a shard's record slice is already a sequence of sorted
+// Nothing is sorted: a shard's records are already a sequence of sorted
 // runs, one per disk (more where a replayed trace steps back in time). A run
-// ends where the key decreases, so equal keys share a run in their original
-// order, and runs are numbered in concatenation order: merging by (key, run
-// number) is the stable sort of the concatenation whatever the runs look
-// like. Disks are skewed, so the work is divided by key, not by run: every
+// ends where the key decreases or the shard's chunk does, so equal keys share
+// a run in their original order, and runs are numbered in concatenation
+// order: merging by (key, run number) is the stable sort of the concatenation
+// whatever the runs look like — and wherever the chunk boundaries fall. Disks are skewed, so the work is divided by key, not by run: every
 // run is cut at its first record >= each of parts-1 splitters drawn from an
 // evenly spaced sample. One key's records land in one partition, which sees
 // every run's slice under the run's number and writes from where the cuts
@@ -71,13 +71,18 @@ func mergeInto(t *Tracer, parts int, shards []*Tracer) *Tracer {
 	for _, sh := range shards {
 		mergeAccums(t, t.compute, sh.compute)
 		mergeAccums(t, t.storage, sh.storage)
-		recs := sh.records
-		n += len(recs)
-		start := 0
-		for i := 1; i <= len(recs); i++ {
-			if i == len(recs) || keyOf(&recs[i], 0).before(keyOf(&recs[i-1], 0)) == 1 {
-				t.runs = append(t.runs, recs[start:i])
-				start = i
+		for c := 0; c <= len(sh.full); c++ {
+			recs := sh.records
+			if c < len(sh.full) {
+				recs = sh.full[c]
+			}
+			n += len(recs)
+			start := 0
+			for i := 1; i <= len(recs); i++ {
+				if i == len(recs) || keyOf(&recs[i], 0).before(keyOf(&recs[i-1], 0)) == 1 {
+					t.runs = append(t.runs, recs[start:i])
+					start = i
+				}
 			}
 		}
 	}

@@ -9,21 +9,63 @@ import (
 	"ebslab/internal/trace"
 )
 
-// shardsOf wraps record streams in tracers, tagging every record with its
-// position in the concatenation (Offset) so that two records of equal key
-// are still distinguishable and a stability slip shows as a mismatch.
+// shardsOf wraps record streams in tracers, one chunk each.
 func shardsOf(streams ...[]trace.Record) []*Tracer {
-	shards := make([]*Tracer, len(streams))
-	seq := int64(0)
+	layout := make([][][]trace.Record, len(streams))
 	for i, s := range streams {
+		layout[i] = [][]trace.Record{s}
+	}
+	return shardsOfChunks(layout)
+}
+
+// shardsOfChunks builds one tracer per entry of layout holding exactly the
+// chunks listed (the last is the one being filled), tagging every record
+// with its position in the concatenation (Offset) so that two records of
+// equal key are still distinguishable and a stability slip shows as a
+// mismatch.
+func shardsOfChunks(layout [][][]trace.Record) []*Tracer {
+	shards := make([]*Tracer, len(layout))
+	seq := int64(0)
+	for i, chunks := range layout {
 		shards[i] = New(1)
-		for _, r := range s {
-			r.Offset = seq
-			seq++
-			shards[i].records = append(shards[i].records, r)
+		for c, chunk := range chunks {
+			tagged := make([]trace.Record, len(chunk))
+			for j, r := range chunk {
+				r.Offset = seq
+				seq++
+				tagged[j] = r
+			}
+			if c < len(chunks)-1 {
+				shards[i].full = append(shards[i].full, tagged)
+			} else {
+				shards[i].records = tagged
+			}
 		}
 	}
 	return shards
+}
+
+// rechunk cuts each stream into chunks of size records. A stream that size
+// divides ends in an empty chunk, as a tracer that has just rolled over does.
+func rechunk(streams [][]trace.Record, size int) [][][]trace.Record {
+	layout := make([][][]trace.Record, len(streams))
+	for i, s := range streams {
+		for ; len(s) >= size; s = s[size:] {
+			layout[i] = append(layout[i], s[:size])
+		}
+		layout[i] = append(layout[i], s)
+	}
+	return layout
+}
+
+// concat is a tracer's records in observation order, without disturbing its
+// chunks the way Records does.
+func concat(t *Tracer) []trace.Record {
+	var all []trace.Record
+	for _, c := range t.full {
+		all = append(all, c...)
+	}
+	return append(all, t.records...)
 }
 
 // checkMergeAgainstStableSort merges shards at every partition count 1..8
@@ -34,7 +76,7 @@ func checkMergeAgainstStableSort(t *testing.T, shards []*Tracer) {
 	t.Helper()
 	var want []trace.Record
 	for _, sh := range shards {
-		want = append(want, sh.records...)
+		want = append(want, concat(sh)...)
 	}
 	sort.SliceStable(want, func(i, j int) bool {
 		a, b := &want[i], &want[j]
@@ -45,6 +87,9 @@ func checkMergeAgainstStableSort(t *testing.T, shards []*Tracer) {
 	}
 	for parts := 1; parts <= 8; parts++ {
 		out := mergeInto(New(1), parts, shards)
+		if len(out.full) != 0 {
+			t.Fatalf("parts=%d: merged tracer holds %d parked chunks, want its records in one", parts, len(out.full))
+		}
 		got := out.records
 		if len(got) != len(want) {
 			t.Fatalf("parts=%d: merged %d records, want %d", parts, len(got), len(want))
@@ -130,6 +175,38 @@ func TestMergeMatchesStableSort(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			checkMergeAgainstStableSort(t, shardsOf(c.streams...))
+			// The same streams held in several chunks per tracer: a chunk
+			// boundary may fall anywhere and must change nothing.
+			for _, size := range []int{1, 2, 7, 1000} {
+				checkMergeAgainstStableSort(t, shardsOfChunks(rechunk(c.streams, size)))
+			}
+		})
+	}
+
+	chunked := []struct {
+		name   string
+		layout [][][]trace.Record
+	}{
+		{"boundary inside a run", [][][]trace.Record{
+			{{rec(1, 0), rec(2, 0), rec(3, 0)}, {rec(4, 0), rec(5, 0), rec(1, 1)}, {rec(2, 1)}},
+			{{rec(2, 0), rec(3, 2)}, {rec(4, 2)}},
+		}},
+		{"boundary between equal keys", [][][]trace.Record{
+			{{rec(5, 1), rec(5, 1)}, {rec(5, 1), rec(5, 1), rec(5, 0)}, {rec(5, 0), rec(5, 1)}},
+			{{rec(5, 1)}, {rec(5, 1), rec(5, 0)}},
+		}},
+		{"empty trailing chunk", [][][]trace.Record{
+			{{rec(1, 0), rec(4, 0)}, {rec(6, 0), rec(2, 1)}, {}},
+			{{rec(3, 2), rec(5, 2)}, nil},
+		}},
+		{"one record per chunk", [][][]trace.Record{
+			{{rec(3, 0)}, {rec(3, 0)}, {rec(1, 1)}, {rec(9, 1)}},
+			{{rec(2, 2)}, {rec(3, 0)}, {rec(0, 3)}},
+		}},
+	}
+	for _, c := range chunked {
+		t.Run(c.name, func(t *testing.T) {
+			checkMergeAgainstStableSort(t, shardsOfChunks(c.layout))
 		})
 	}
 }
@@ -170,14 +247,16 @@ func TestMergePartitionsBalanced(t *testing.T) {
 }
 
 // FuzzMergeRuns decodes arbitrary bytes into tracers of short, duplicate-
-// heavy, freely out-of-order records and holds the merge to the stable-sort
-// reference at every partition count.
+// heavy, freely out-of-order records, held whole or in chunks of a few
+// records, and holds the merge to the stable-sort reference at every
+// partition count.
 func FuzzMergeRuns(f *testing.F) {
-	f.Add([]byte{}, uint8(1))
-	f.Add([]byte{1, 0, 1, 0, 0, 1, 1, 0}, uint8(2))
-	f.Add([]byte{9, 1, 8, 1, 7, 1, 7, 1, 200, 3, 7, 1, 6, 130}, uint8(3))
-	f.Add([]byte("the quick brown fox jumps over the lazy dog, twice over"), uint8(7))
-	f.Fuzz(func(t *testing.T, data []byte, tracers uint8) {
+	f.Add([]byte{}, uint8(1), uint8(0))
+	f.Add([]byte{1, 0, 1, 0, 0, 1, 1, 0}, uint8(2), uint8(0))
+	f.Add([]byte{1, 0, 1, 0, 0, 1, 1, 0}, uint8(2), uint8(2))
+	f.Add([]byte{9, 1, 8, 1, 7, 1, 7, 1, 200, 3, 7, 1, 6, 130}, uint8(3), uint8(1))
+	f.Add([]byte("the quick brown fox jumps over the lazy dog, twice over"), uint8(7), uint8(3))
+	f.Fuzz(func(t *testing.T, data []byte, tracers, chunk uint8) {
 		streams := make([][]trace.Record, int(tracers%8)+1)
 		n := len(data) / 2
 		for i := 0; i < n; i++ {
@@ -185,6 +264,13 @@ func FuzzMergeRuns(f *testing.F) {
 			r := rec(int64(int8(data[2*i])), int(int8(data[2*i+1])%4))
 			s := i * len(streams) / n
 			streams[s] = append(streams[s], r)
+		}
+		// chunk picks how many records a tracer's chunks hold: 0 keeps each
+		// stream whole, 1..4 cut it so boundaries fall inside runs and
+		// between equal keys.
+		if size := int(chunk % 5); size > 0 {
+			checkMergeAgainstStableSort(t, shardsOfChunks(rechunk(streams, size)))
+			return
 		}
 		checkMergeAgainstStableSort(t, shardsOf(streams...))
 	})

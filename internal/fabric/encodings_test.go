@@ -118,3 +118,32 @@ func TestEncodingsUnchanged(t *testing.T) {
 	checkEncoding(t, "command-result", encodeCommand(&command{Kind: cmdResult, Worker: 2, At: 1_700_000_000_123_456_789, Frame: frame}))
 	checkEncoding(t, "command-assign", encodeCommand(&command{Kind: cmdAssign, Worker: 7, At: -9}))
 }
+
+// TestEncodeResultExactSize holds the encoder to its own arithmetic: a frame
+// is exactly resultSize bytes, so a buffer of that capacity is filled in
+// place — never regrown at its tail, which is one whole-frame allocation and
+// copy per shard — and, the sketch's own encoding aside, encoding allocates
+// nothing.
+func TestEncodeResultExactSize(t *testing.T) {
+	for sections := 0; sections <= secAll; sections++ {
+		p := samplePartial(sections)
+		sketchLen := 0
+		if p.Sketch != nil {
+			sketchLen = len(p.Sketch.EncodeBinary())
+		}
+		size := resultSize(p, sketchLen)
+		if frame := encodeResult(42, 7, p); len(frame) != size {
+			t.Fatalf("sections %06b: frame is %d bytes, resultSize says %d", sections, len(frame), size)
+		}
+		buf := make([]byte, 0, size)
+		if frame := encodeResultInto(buf, 42, 7, p); &frame[0] != &buf[:1][0] || cap(frame) != size {
+			t.Fatalf("sections %06b: a buffer of resultSize capacity was replaced (frame capacity %d)", sections, cap(frame))
+		}
+		if p.Sketch != nil {
+			continue
+		}
+		if allocs := testing.AllocsPerRun(10, func() { encodeResultInto(buf, 42, 7, p) }); allocs != 0 {
+			t.Fatalf("sections %06b: encoding into a sized buffer allocated %.0f times", sections, allocs)
+		}
+	}
+}

@@ -3,9 +3,12 @@ package fabric
 import (
 	"context"
 	"errors"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"ebslab/internal/ebs"
 	"ebslab/internal/invariant"
@@ -407,5 +410,55 @@ func TestShardResultCodecRoundTrip(t *testing.T) {
 	}
 	if _, _, _, err := decodeResult(append(frame, 0)); err == nil {
 		t.Fatal("trailing byte accepted")
+	}
+}
+
+// TestShardResultPathBytes defends the shard-result path's memory traffic
+// deterministically: one loopback study in the bench's dist shape (2
+// workers, 8 shards, every IO a retained record) with the collector off may
+// allocate at most 9x the bytes of the dataset it delivers. Every buffer on
+// the way — tracer chunks, merged shard, frame, received payload, ledger
+// command, decoded partial, merged dataset — is then allocated once at its
+// final size; regrowing any one of them by append (the parent regrew three,
+// at 14.8x) breaks the bound.
+func TestShardResultPathBytes(t *testing.T) {
+	cfg := testFleetConfig()
+	cfg.Seed = 7
+	cfg.NodesPerDC = 16
+	cfg.DurationSec = 60
+	opts := ebs.Options{DurationSec: 60, TraceSampleEvery: 1, EventSampleEvery: 8, MaxVDs: 120, Workers: 1}
+
+	fleet, err := workload.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := ebs.New(fleet).Run(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := invariant.Fingerprint(single)
+	if len(single.Trace) < 100_000 {
+		t.Fatalf("study retains %d records, want at least 100000 for the bound to mean anything", len(single.Trace))
+	}
+
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	co, lb := startFabric(t, Config{Fleet: cfg, Opts: opts, Shards: 8})
+	ds, errs := runFabric(t, co, lb, 2, nil)
+	runtime.ReadMemStats(&after)
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("worker %d exited: %v", i, err)
+		}
+	}
+	if got := invariant.Fingerprint(ds); got != want {
+		t.Fatalf("dataset fingerprint %s, single-process %s", got, want)
+	}
+	dataset := uint64(len(ds.Trace)) * uint64(unsafe.Sizeof(trace.Record{}))
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d records, %d bytes allocated = %.1fx the dataset", len(ds.Trace), alloc, float64(alloc)/float64(dataset))
+	if alloc > 9*dataset {
+		t.Fatalf("study allocated %d bytes to deliver a %d-byte dataset (%.1fx, bound 9x)", alloc, dataset, float64(alloc)/float64(dataset))
 	}
 }

@@ -1,10 +1,12 @@
 package fabric
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sync"
+	"math"
+	"slices"
 
 	"ebslab/internal/chaos"
 	"ebslab/internal/cluster"
@@ -186,49 +188,60 @@ const (
 	emissionWire  = 5 * 8
 )
 
+// appendRecord and readRecord move one record as a single recordWire-byte
+// block at fixed offsets — one capacity check (or one bounds check) per
+// record instead of one per field; a shard result carries tens of thousands.
 func appendRecord(w *wire.Writer, rec *trace.Record) {
-	w.U64(rec.TraceID)
-	w.I64(rec.TimeUS)
-	w.U8(uint8(rec.Op))
-	w.I32(rec.Size)
-	w.I64(rec.Offset)
-	w.I32(int32(rec.DC))
-	w.I32(int32(rec.Node))
-	w.I32(int32(rec.User))
-	w.I32(int32(rec.VM))
-	w.I32(int32(rec.VD))
-	w.I32(int32(rec.QP))
-	w.U8(uint8(rec.WT))
-	w.I32(int32(rec.Storage))
-	w.I32(int32(rec.Segment))
-	for _, l := range rec.Latency {
-		w.F32(l)
+	n := len(w.B)
+	w.B = slices.Grow(w.B, recordWire)[:n+recordWire]
+	b, le := (*[recordWire]byte)(w.B[n:]), binary.LittleEndian
+	le.PutUint64(b[0:], rec.TraceID)
+	le.PutUint64(b[8:], uint64(rec.TimeUS))
+	b[16] = uint8(rec.Op)
+	le.PutUint32(b[17:], uint32(rec.Size))
+	le.PutUint64(b[21:], uint64(rec.Offset))
+	le.PutUint32(b[29:], uint32(rec.DC))
+	le.PutUint32(b[33:], uint32(rec.Node))
+	le.PutUint32(b[37:], uint32(rec.User))
+	le.PutUint32(b[41:], uint32(rec.VM))
+	le.PutUint32(b[45:], uint32(rec.VD))
+	le.PutUint32(b[49:], uint32(rec.QP))
+	b[53] = uint8(rec.WT)
+	le.PutUint32(b[54:], uint32(rec.Storage))
+	le.PutUint32(b[58:], uint32(rec.Segment))
+	for i, l := range rec.Latency {
+		le.PutUint32(b[62+4*i:], math.Float32bits(l))
 	}
 }
 
-func readRecord(r *wire.Reader) trace.Record {
-	var rec trace.Record
-	rec.TraceID = r.U64()
-	rec.TimeUS = r.I64()
-	rec.Op = trace.Op(r.U8())
-	rec.Size = r.I32()
-	rec.Offset = r.I64()
-	rec.DC = cluster.DCID(r.I32())
-	rec.Node = cluster.NodeID(r.I32())
-	rec.User = cluster.UserID(r.I32())
-	rec.VM = cluster.VMID(r.I32())
-	rec.VD = cluster.VDID(r.I32())
-	rec.QP = cluster.QPID(r.I32())
-	rec.WT = int8(r.U8())
-	rec.Storage = cluster.StorageNodeID(r.I32())
-	rec.Segment = cluster.SegmentID(r.I32())
+// readRecord decodes in place: rec is left untouched by a short frame, which
+// the reader has latched by then.
+func readRecord(r *wire.Reader, rec *trace.Record) {
+	raw := r.Take(recordWire)
+	if raw == nil {
+		return
+	}
+	b, le := (*[recordWire]byte)(raw), binary.LittleEndian
+	rec.TraceID = le.Uint64(b[0:])
+	rec.TimeUS = int64(le.Uint64(b[8:]))
+	rec.Op = trace.Op(b[16])
+	rec.Size = int32(le.Uint32(b[17:]))
+	rec.Offset = int64(le.Uint64(b[21:]))
+	rec.DC = cluster.DCID(le.Uint32(b[29:]))
+	rec.Node = cluster.NodeID(le.Uint32(b[33:]))
+	rec.User = cluster.UserID(le.Uint32(b[37:]))
+	rec.VM = cluster.VMID(le.Uint32(b[41:]))
+	rec.VD = cluster.VDID(le.Uint32(b[45:]))
+	rec.QP = cluster.QPID(le.Uint32(b[49:]))
+	rec.WT = int8(b[53])
+	rec.Storage = cluster.StorageNodeID(le.Uint32(b[54:]))
+	rec.Segment = cluster.SegmentID(le.Uint32(b[58:]))
 	for i := range rec.Latency {
-		rec.Latency[i] = r.F32()
+		rec.Latency[i] = math.Float32frombits(le.Uint32(b[62+4*i:]))
 	}
 	if rec.Op > trace.OpWrite {
 		r.Fail("record op %d", rec.Op)
 	}
-	return rec
 }
 
 func appendMetricRow(w *wire.Writer, row *trace.MetricRow) {
@@ -272,21 +285,40 @@ func readMetricRow(r *wire.Reader) trace.MetricRow {
 	return row
 }
 
-// framePool recycles shard-result frame buffers. netblock.Client.Call is
-// synchronous — the frame is fully written before Call returns — so a worker
-// can hand the buffer back as soon as the upload call completes.
-var framePool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
+// resultSize is the exact length of p's frame, given its encoded sketch's
+// length (0 without one). The encoder sizes its buffer by it, so a frame is
+// allocated once and never regrown.
+func resultSize(p *ebs.ShardPartial, sketchLen int) int {
+	n := 8 + 4 + 4 + 4 + // workerID, shardID, lo, hi
+		4 + len(p.Records)*recordWire +
+		4 + len(p.Compute)*metricRowWire +
+		4 + len(p.Storage)*metricRowWire +
+		1 + // hasSketch
+		8 + 8 + // chaos
+		4 + len(p.Emission)*emissionWire +
+		4 + 4*len(p.Audit)
+	if p.Sketch != nil {
+		n += 4 + sketchLen
+	}
+	for _, s := range p.Audit {
+		n += len(s)
+	}
+	return n
+}
 
 // encodeResult frames one shard result for the wire.
 func encodeResult(workerID uint64, shardID int, p *ebs.ShardPartial) []byte {
 	return encodeResultInto(nil, workerID, shardID, p)
 }
 
-// encodeResultInto is encodeResult appending into buf (grown as needed),
-// letting callers reuse frame memory across shards.
+// encodeResultInto is encodeResult into buf's memory (replaced when too
+// small), letting a worker reuse one frame buffer across its shards.
 func encodeResultInto(buf []byte, workerID uint64, shardID int, p *ebs.ShardPartial) []byte {
-	need := 16 + len(p.Records)*recordWire + (len(p.Compute)+len(p.Storage))*metricRowWire
-	if cap(buf) < need {
+	var enc []byte
+	if p.Sketch != nil {
+		enc = p.Sketch.EncodeBinary()
+	}
+	if need := resultSize(p, len(enc)); cap(buf) < need {
 		buf = make([]byte, 0, need)
 	}
 	w := &wire.Writer{B: buf[:0]}
@@ -306,13 +338,10 @@ func encodeResultInto(buf []byte, workerID uint64, shardID int, p *ebs.ShardPart
 	for i := range p.Storage {
 		appendMetricRow(w, &p.Storage[i])
 	}
+	w.Bool(p.Sketch != nil)
 	if p.Sketch != nil {
-		w.U8(1)
-		enc := p.Sketch.EncodeBinary()
 		w.U32(uint32(len(enc)))
 		w.Bytes(enc)
-	} else {
-		w.U8(0)
 	}
 	w.I64(p.Chaos.FaultedIOs)
 	w.I64(p.Chaos.StormIOs)
@@ -328,7 +357,7 @@ func encodeResultInto(buf []byte, workerID uint64, shardID int, p *ebs.ShardPart
 	w.U32(uint32(len(p.Audit)))
 	for _, s := range p.Audit {
 		w.U32(uint32(len(s)))
-		w.Bytes([]byte(s))
+		w.B = append(w.B, s...)
 	}
 	return w.B
 }
@@ -347,7 +376,7 @@ func decodeResult(data []byte) (workerID uint64, shardID int, p *ebs.ShardPartia
 	if n := r.Count(recordWire); n > 0 {
 		p.Records = make([]trace.Record, n)
 		for i := range p.Records {
-			p.Records[i] = readRecord(r)
+			readRecord(r, &p.Records[i])
 		}
 	}
 	if n := r.Count(metricRowWire); n > 0 {

@@ -220,6 +220,7 @@ func RunWorker(ctx context.Context, wc WorkerConfig) error {
 		}
 		return nil
 	}
+	var frame []byte
 	for {
 		select {
 		case <-ctx.Done():
@@ -257,18 +258,14 @@ func RunWorker(ctx context.Context, wc WorkerConfig) error {
 					return err // simulated crash: vanish without uploading
 				}
 			}
-			// Frame buffers come from a pool: the call is synchronous, so the
-			// buffer is free for the next shard the moment the upload returns.
-			frameBuf := framePool.Get().(*[]byte)
-			frame := encodeResultInto(*frameBuf, join.WorkerID, a.Shard, p)
-			*frameBuf = frame
+			// One frame buffer serves every shard: the call is synchronous, so
+			// the buffer is free again the moment the upload returns.
+			frame = encodeResultInto(frame, join.WorkerID, a.Shard, p)
 			if len(frame) > netblock.MaxShardResultPayload {
-				framePool.Put(frameBuf)
 				return fmt.Errorf("fabric: shard %d result is %d bytes, over the %d-byte wire cap: rerun with more shards (fewer VDs per shard)",
 					a.Shard, len(frame), netblock.MaxShardResultPayload)
 			}
 			_, err = link.call(ctx, netblock.OpShardResult, frame)
-			framePool.Put(frameBuf)
 			if err != nil {
 				return fmt.Errorf("fabric: upload shard %d: %w", a.Shard, err)
 			}

@@ -245,31 +245,30 @@ func ReadRequest(r io.Reader) (*Request, error) {
 // decoder allocate 8 MiB for a peer that then sends nothing.
 const allocChunk = 64 << 10
 
-// readPayload reads exactly n payload bytes, growing the buffer chunk by
-// chunk as data arrives. EOF mid-payload reports io.ErrUnexpectedEOF.
+// readPayload reads exactly n payload bytes, committing memory only as data
+// arrives: the buffer starts at one allocChunk and, each time it fills, grows
+// to min(n, max(2*cap, len+allocChunk)). Doubling copies a frame at most once
+// over, and a peer that stalls after k bytes has cost at most 4k plus two
+// chunks in total. EOF mid-payload reports io.ErrUnexpectedEOF.
 func readPayload(r io.Reader, n uint32) ([]byte, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	first := n
-	if first > allocChunk {
-		first = allocChunk
-	}
-	buf := make([]byte, 0, first)
-	for remaining := int(n); remaining > 0; {
-		chunk := remaining
-		if chunk > allocChunk {
-			chunk = allocChunk
+	total := int(n)
+	buf := make([]byte, 0, min(total, allocChunk))
+	for len(buf) < total {
+		if len(buf) == cap(buf) {
+			grown := make([]byte, len(buf), min(total, max(2*cap(buf), len(buf)+allocChunk)))
+			copy(grown, buf)
+			buf = grown
 		}
-		off := len(buf)
-		buf = append(buf, make([]byte, chunk)...)
-		if _, err := io.ReadFull(r, buf[off:]); err != nil {
+		if _, err := io.ReadFull(r, buf[len(buf):cap(buf)]); err != nil {
 			if err == io.EOF {
 				err = io.ErrUnexpectedEOF
 			}
 			return nil, err
 		}
-		remaining -= chunk
+		buf = buf[:cap(buf)]
 	}
 	return buf, nil
 }

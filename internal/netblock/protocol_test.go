@@ -165,6 +165,25 @@ func TestDecoderBoundsAllocation(t *testing.T) {
 	}
 }
 
+// TestReadPayloadCommitment pins how far ahead of the bytes a decoder
+// commits memory: a header claims the 1 GiB shard-result cap, the peer
+// delivers k bytes and hangs up, and everything the read allocated on the
+// way — every buffer it grew through, not just the last — stays within
+// 4k plus four chunks.
+func TestReadPayloadCommitment(t *testing.T) {
+	for _, k := range []int{0, 1, allocChunk, 3*allocChunk + 777, 1 << 20} {
+		wire := reqFrame(1, OpShardResult, MaxShardResultPayload, make([]byte, k))
+		var err error
+		alloc := measureAlloc(func() { _, err = ReadRequest(bytes.NewReader(wire)) })
+		if err != io.ErrUnexpectedEOF {
+			t.Errorf("k=%d: error = %v, want io.ErrUnexpectedEOF", k, err)
+		}
+		if bound := uint64(4*k + 4*allocChunk); alloc > bound {
+			t.Errorf("k=%d: reading allocated %d bytes, bound %d", k, alloc, bound)
+		}
+	}
+}
+
 // TestLargePayloadRoundTrip exercises the multi-chunk readPayload path with
 // a payload several chunks long.
 func TestLargePayloadRoundTrip(t *testing.T) {
