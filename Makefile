@@ -9,7 +9,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: all build test race vet loc bench bench-gate golden golden-diff fuzz-smoke cover chaos-smoke sketch-accuracy-smoke dist-smoke dist-ha-smoke consensus-race gateway-smoke control-smoke scenario-smoke bench-module ci
+.PHONY: all build test race vet loc knobs bench bench-gate golden golden-diff fuzz-smoke cover chaos-smoke sketch-accuracy-smoke dist-smoke dist-ha-smoke consensus-race gateway-smoke control-smoke scenario-smoke bench-module ci
 
 all: build
 
@@ -27,6 +27,23 @@ vet:
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 \
 		| xargs -0 wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
+
+# Independently settable values, per package directory and in total: the
+# number an options PR reports before and after (ROADMAP aim 2). An option is
+# an exported field of an exported struct type named Config, Options, Plan,
+# StudySpec or Lending (or ending in Config or Options) in non-test Go outside
+# bench/, or a flag defined under cmd/. Relies on gofmt layout: a struct's own
+# fields sit one tab deep.
+knobs:
+	@{ find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 \
+		| xargs -0 awk 'FNR == 1 { on = 0 } \
+			/^type (([A-Z][A-Za-z0-9]*)?(Config|Options)|Plan|StudySpec|Lending) struct [{]/ { on = 1; next } \
+			on && /^}/ { on = 0 } \
+			on && /^\t[A-Z]/ { n = 1; f = $$0; while (match(f, /^\t?[A-Za-z0-9_]+, /)) { n++; f = substr(f, RLENGTH + 1) } print FILENAME, n }'; \
+	  grep -roE --include='*.go' --exclude='*_test.go' 'flag\.(Bool|Duration|Float64|Func|Int|Int64|String|TextVar|Uint|Uint64|Var)(Var)?\(' ./cmd \
+		| awk -F: '{ print $$1, 1 }'; } \
+	| awk '{ d = $$1; sub(/\/[^\/]*$$/, "", d); n[d] += $$2; t += $$2 } \
 		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 
 # Race-detector run. -short trims the slowest property tests where they

@@ -15,16 +15,12 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"ebslab/internal/fabric"
 )
 
 func main() {
-	var (
-		join     = flag.String("join", "", "coordinator address(es) to join, comma-separated and indexed by replica ID for a replicated control plane (e.g. the ebssim -workers-addr / -peers values)")
-		waitPoll = flag.Duration("wait-poll", 25*time.Millisecond, "retry interval when no shard is placeable")
-	)
+	join := flag.String("join", "", "coordinator address(es) to join, comma-separated and indexed by replica ID for a replicated control plane (e.g. the ebssim -workers-addr / -peers values)")
 	flag.Parse()
 	if *join == "" {
 		fmt.Fprintln(os.Stderr, "ebsd: -join is required")
@@ -58,11 +54,7 @@ func main() {
 		cancel()
 	}()
 
-	err := fabric.RunWorker(ctx, fabric.WorkerConfig{
-		Dials:    dials,
-		Drain:    drain,
-		WaitPoll: *waitPoll,
-	})
+	err := fabric.RunWorker(ctx, fabric.WorkerConfig{Dials: dials, Drain: drain})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ebsd:", err)
 		os.Exit(1)

@@ -243,12 +243,8 @@ func main() {
 		// Local execution binds the scenario here; the distributed roles ship
 		// the spec string instead and every worker binds it to its own
 		// regenerated fleet.
-		built, berr := scenario.Build(specStr)
-		if berr == nil {
-			scWL, berr = built.Bind(fleet)
-		}
-		if berr != nil {
-			fail(berr)
+		if scWL, err = scenario.BindSpec(specStr, fleet); err != nil {
+			fail(err)
 		}
 		opts.Scenario = scWL
 		if es, ok := scWL.(interface{ EventSampleEvery() int }); ok {
@@ -272,7 +268,7 @@ func main() {
 		fail(err)
 	}
 	stopProfiles()
-	fmt.Printf("simulated %d IOs over %ds (%d VDs)\n", len(ds.Trace), *dur, *maxVDs)
+	fmt.Printf("simulated %d IOs over %ds (%d VDs)\n", len(ds.Trace), *dur, simulatedVDs(*maxVDs, len(fleet.Topology.VDs)))
 	if scWL != nil {
 		fmt.Printf("scenario: %s\n", scWL.Spec())
 		if rp, ok := scWL.(*scenario.Replay); ok {
@@ -461,6 +457,16 @@ func printStream(set *sketch.Set, ds *trace.Dataset) {
 		sketch.Overlap(exact.HotSegments, sk.HotSegments))
 }
 
+// simulatedVDs is how many disks a run capped at -max-vds covers on a fleet
+// of fleetVDs disks: the cap where it bites, else (0 = no cap, or a cap past
+// the fleet's end) every disk there is.
+func simulatedVDs(maxVDs, fleetVDs int) int {
+	if maxVDs > 0 {
+		return min(maxVDs, fleetVDs)
+	}
+	return fleetVDs
+}
+
 // runControlled executes the predict->act loop end to end — an observe pass,
 // one plan, an actuated pass — and prints the mitigation summary ahead of the
 // regular stack report. The dataset the report sections consume is the
@@ -471,10 +477,7 @@ func runControlled(ctx context.Context, fleet *workload.Fleet, opts ebs.Options,
 		return nil, err
 	}
 	if epochSec == 0 {
-		epochSec = opts.DurationSec / 8
-		if epochSec < 1 {
-			epochSec = 1
-		}
+		epochSec = control.DefaultEpochSec(opts.DurationSec)
 	}
 	ds, plan, err := ebs.New(fleet).RunControlled(ctx, opts, pol, control.Config{EpochSec: epochSec})
 	if err != nil {
@@ -603,15 +606,9 @@ func runDistVerified(ctx context.Context, cfg workload.Config, opts ebs.Options,
 		// from the spec string and bound to this regenerated fleet — exactly
 		// what each fabric worker does, which is what makes the fingerprint
 		// comparison meaningful.
-		built, err := scenario.Build(scenarioSpec)
-		if err != nil {
+		if opts.Scenario, err = scenario.BindSpec(scenarioSpec, fleet); err != nil {
 			return nil, err
 		}
-		wl, err := built.Bind(fleet)
-		if err != nil {
-			return nil, err
-		}
-		opts.Scenario = wl
 	}
 	ref, err := ebs.New(fleet).Run(ctx, opts)
 	if err != nil {

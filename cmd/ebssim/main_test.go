@@ -84,6 +84,22 @@ func TestValidateFlagsMatrix(t *testing.T) {
 	}
 }
 
+// TestSimulatedVDs pins the disk count the header line reports: the disks
+// the run covered, not the flag's value — -max-vds 0 means the whole fleet
+// and a cap past the fleet's end adds no disks.
+func TestSimulatedVDs(t *testing.T) {
+	for _, c := range []struct{ maxVDs, fleet, want int }{
+		{0, 120, 120},
+		{60, 120, 60},
+		{120, 120, 120},
+		{500, 120, 120},
+	} {
+		if got := simulatedVDs(c.maxVDs, c.fleet); got != c.want {
+			t.Errorf("simulatedVDs(%d, %d) = %d, want %d", c.maxVDs, c.fleet, got, c.want)
+		}
+	}
+}
+
 // TestStartProfiles drives the -cpuprofile/-memprofile plumbing: both files
 // must exist and be non-empty once the stop function has run, stopping must
 // leave the process able to start a CPU profile again, and an uncreatable

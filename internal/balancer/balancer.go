@@ -27,26 +27,29 @@ type RW struct {
 // Total returns R+W.
 func (x RW) Total() float64 { return x.R + x.W }
 
-// Config tunes Algorithm 1.
-type Config struct {
+// Algorithm 1's thresholds (Appendix A). The online controller
+// (internal/control) plans its migrations against the same three, so a
+// controlled run stays comparable to the §6 experiments.
+const (
 	// ExporterThreshold is the multiple of the cluster average at which a
-	// BlockServer becomes an exporter (1.2 in the paper).
-	ExporterThreshold float64
+	// BlockServer becomes an exporter.
+	ExporterThreshold = 1.2
 	// MigrateFraction is the share of average traffic each exporter sheds
-	// per period (0.2 in the paper).
-	MigrateFraction float64
+	// per period.
+	MigrateFraction = 0.2
 	// ImprovementMargin gates segment movability: a segment is movable only
 	// if landing it on the currently coldest BS leaves that BS below
 	// ImprovementMargin x the exporter's load — otherwise the move merely
 	// relocates the hotspot and ping-pongs forever. Algorithm 1 leaves this
-	// implicit; production balancers bound the bundle. Default 0.9.
-	ImprovementMargin float64
+	// implicit; production balancers bound the bundle.
+	ImprovementMargin = 0.9
+)
+
+// Config selects what Algorithm 1 balances. The WriteThenRead read pass
+// reuses the write pass's importer policy, fed with read history.
+type Config struct {
 	// Mode selects which traffic the balancer acts on.
 	Mode Mode
-	// ReadPolicy, when non-nil, selects importers for the read-balancing
-	// pass of WriteThenRead; otherwise the write-pass policy is reused
-	// (fed with read history).
-	ReadPolicy ImporterPolicy
 	// PeriodSec is the simulated length of one balancing period in seconds,
 	// used only to stamp Migration.AtSec so the migration log can be joined
 	// against time-stamped logs (the control plane's decision log). Zero or
@@ -74,9 +77,9 @@ func (m Mode) String() string {
 	return "write-then-read"
 }
 
-// DefaultConfig matches Appendix A.
+// DefaultConfig is the production balancer of §2.2: write-only.
 func DefaultConfig() Config {
-	return Config{ExporterThreshold: 1.2, MigrateFraction: 0.2, ImprovementMargin: 0.9, Mode: WriteOnly}
+	return Config{Mode: WriteOnly}
 }
 
 // Migration records one segment move.
@@ -115,12 +118,6 @@ func Run(seg2bs *cluster.SegmentMap, segTraffic [][]RW, policy ImporterPolicy, c
 	if len(segTraffic) != seg2bs.Len() {
 		panic(fmt.Sprintf("balancer: %d traffic rows for %d segments", len(segTraffic), seg2bs.Len()))
 	}
-	if cfg.ExporterThreshold <= 1 {
-		cfg.ExporterThreshold = 1.2
-	}
-	if cfg.MigrateFraction <= 0 {
-		cfg.MigrateFraction = 0.2
-	}
 	placement := seg2bs.Clone()
 	nBS := placement.NumBS()
 	var nPeriods int
@@ -137,11 +134,6 @@ func Run(seg2bs *cluster.SegmentMap, segTraffic [][]RW, policy ImporterPolicy, c
 		bsHistW[b] = make([]float64, 0, nPeriods)
 		bsHistR[b] = make([]float64, 0, nPeriods)
 	}
-	readPolicy := cfg.ReadPolicy
-	if readPolicy == nil {
-		readPolicy = policy
-	}
-
 	for p := 0; p < nPeriods; p++ {
 		// Measure this period under the current placement.
 		bsW := make([]float64, nBS)
@@ -163,7 +155,7 @@ func Run(seg2bs *cluster.SegmentMap, segTraffic [][]RW, policy ImporterPolicy, c
 			balancePass(placement, segTraffic, p, bsW, bsHistW, policy, cfg, false, nil)...)
 		if cfg.Mode == WriteThenRead {
 			res.Migrations = append(res.Migrations,
-				balancePass(placement, segTraffic, p, bsR, bsHistR, readPolicy, cfg, true, nil)...)
+				balancePass(placement, segTraffic, p, bsR, bsHistR, policy, cfg, true, nil)...)
 		}
 	}
 	return res
@@ -190,12 +182,6 @@ func RunWithFailures(seg2bs *cluster.SegmentMap, segTraffic [][]RW, policy Impor
 	if len(segTraffic) != seg2bs.Len() {
 		panic(fmt.Sprintf("balancer: %d traffic rows for %d segments", len(segTraffic), seg2bs.Len()))
 	}
-	if cfg.ExporterThreshold <= 1 {
-		cfg.ExporterThreshold = 1.2
-	}
-	if cfg.MigrateFraction <= 0 {
-		cfg.MigrateFraction = 0.2
-	}
 	placement := seg2bs.Clone()
 	nBS := placement.NumBS()
 	var nPeriods int
@@ -210,11 +196,6 @@ func RunWithFailures(seg2bs *cluster.SegmentMap, segTraffic [][]RW, policy Impor
 		bsHistW[b] = make([]float64, 0, nPeriods)
 		bsHistR[b] = make([]float64, 0, nPeriods)
 	}
-	readPolicy := cfg.ReadPolicy
-	if readPolicy == nil {
-		readPolicy = policy
-	}
-
 	wasDown := make([]bool, nBS)
 	isDown := make([]bool, nBS)
 	for p := 0; p < nPeriods; p++ {
@@ -261,7 +242,7 @@ func RunWithFailures(seg2bs *cluster.SegmentMap, segTraffic [][]RW, policy Impor
 			balancePass(placement, segTraffic, p, bsW, bsHistW, policy, cfg, false, isDown)...)
 		if cfg.Mode == WriteThenRead {
 			res.Migrations = append(res.Migrations,
-				balancePass(placement, segTraffic, p, bsR, bsHistR, readPolicy, cfg, true, isDown)...)
+				balancePass(placement, segTraffic, p, bsR, bsHistR, policy, cfg, true, isDown)...)
 		}
 		copy(wasDown, isDown)
 	}
@@ -300,7 +281,7 @@ func balancePass(placement *cluster.SegmentMap, segTraffic [][]RW, period int,
 		if isDown != nil && isDown[b] {
 			continue // a crashed BS exports nothing (it was evacuated)
 		}
-		if bsLoad[b] < cfg.ExporterThreshold*avg {
+		if bsLoad[b] < ExporterThreshold*avg {
 			continue
 		}
 		// sorted_segs <- sort({ws(k)}, descending)
@@ -311,10 +292,6 @@ func balancePass(placement *cluster.SegmentMap, segTraffic [][]RW, period int,
 		// BS genuinely reduces the imbalance; otherwise it is pinned (the
 		// hotspot would just relocate). A BS hot only because of pinned
 		// segments is skipped — migration cannot fix it, only churn.
-		margin := cfg.ImprovementMargin
-		if margin <= 0 || margin > 1 {
-			margin = 0.9
-		}
 		minLoad := math.Inf(1)
 		for ob := 0; ob < nBS; ob++ {
 			if isDown != nil && isDown[ob] {
@@ -324,14 +301,14 @@ func balancePass(placement *cluster.SegmentMap, segTraffic [][]RW, period int,
 				minLoad = bsLoad[ob]
 			}
 		}
-		movable := func(v float64) bool { return minLoad+v <= margin*bsLoad[b] }
+		movable := func(v float64) bool { return minLoad+v <= ImprovementMargin*bsLoad[b] }
 		var pinned float64
 		for _, seg := range segs {
 			if v := metric(int(seg)); !movable(v) {
 				pinned += v
 			}
 		}
-		if bsLoad[b]-pinned < cfg.ExporterThreshold*avg {
+		if bsLoad[b]-pinned < ExporterThreshold*avg {
 			continue
 		}
 
@@ -340,7 +317,7 @@ func balancePass(placement *cluster.SegmentMap, segTraffic [][]RW, period int,
 		var moving []cluster.SegmentID
 		var sum float64
 		for _, seg := range segs {
-			if sum >= cfg.MigrateFraction*avg {
+			if sum >= MigrateFraction*avg {
 				break
 			}
 			v := metric(int(seg))

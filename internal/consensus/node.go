@@ -53,8 +53,23 @@ type Entry struct {
 // None marks "no known leader" / "voted for nobody".
 const None = -1
 
-// Config sizes one consensus node. All tick counts are in units of the
-// driver's tick interval; the node itself has no notion of wall time.
+// Election and heartbeat timing, in units of the driver's tick interval;
+// the node itself has no notion of wall time. A follower campaigns after
+// electionTicks + jitter + ID*staggerTicks silent ticks, jitter drawn
+// uniformly from [0, electionJitterTicks) off the node's seeded RNG. The
+// stagger spreads replica timeouts by ID so that after a leader dies the
+// lowest live ID reliably campaigns first and wins before the next one
+// times out: staggerTicks > electionJitterTicks must hold, it is what makes
+// the succession order deterministic, and the golden leadership-transition
+// fixtures rely on it.
+const (
+	electionTicks       = 20
+	electionJitterTicks = 10
+	staggerTicks        = 15
+	heartbeatTicks      = 2 // leader's append/heartbeat broadcast period
+)
+
+// Config identifies one consensus node within its cluster.
 type Config struct {
 	// ID is this replica's index in [0, Peers).
 	ID int
@@ -65,23 +80,6 @@ type Config struct {
 	// election. The fabric always bootstraps replica 0 so a run can begin
 	// dispatching immediately. Set to None for a cold start.
 	BootstrapLeader int
-	// ElectionTicks is the base follower timeout before campaigning.
-	// The effective timeout is ElectionTicks + jitter + ID*StaggerTicks.
-	// Default 20.
-	ElectionTicks int
-	// ElectionJitterTicks bounds the seeded random addition to the
-	// election timeout (jitter is drawn uniformly from [0,
-	// ElectionJitterTicks)). Default 10.
-	ElectionJitterTicks int
-	// StaggerTicks spreads replica timeouts by ID so that after a leader
-	// dies, the lowest live ID reliably campaigns first and wins before
-	// the next one times out. Keeping StaggerTicks > ElectionJitterTicks
-	// makes the succession order deterministic, which the golden
-	// leadership-transition fixtures rely on. Default 15.
-	StaggerTicks int
-	// HeartbeatTicks is the leader's append/heartbeat broadcast period.
-	// Default 2.
-	HeartbeatTicks int
 	// Seed feeds the per-node jitter RNG; the same seed reproduces the
 	// same election timing.
 	Seed int64
@@ -90,20 +88,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Peers <= 0 {
 		c.Peers = 1
-	}
-	if c.ElectionTicks <= 0 {
-		c.ElectionTicks = 20
-	}
-	if c.ElectionJitterTicks <= 0 {
-		c.ElectionJitterTicks = 10
-	}
-	if c.StaggerTicks < 0 {
-		c.StaggerTicks = 0
-	} else if c.StaggerTicks == 0 {
-		c.StaggerTicks = 15
-	}
-	if c.HeartbeatTicks <= 0 {
-		c.HeartbeatTicks = 2
 	}
 	return c
 }
@@ -181,7 +165,7 @@ func (n *Node) termAt(index uint64) uint64 {
 }
 
 func (n *Node) resetTimeout() {
-	n.timeout = n.cfg.ElectionTicks + n.rng.Intn(n.cfg.ElectionJitterTicks) + n.cfg.ID*n.cfg.StaggerTicks
+	n.timeout = electionTicks + n.rng.Intn(electionJitterTicks) + n.cfg.ID*staggerTicks
 }
 
 // Tick advances the node's logical clock by one beat and returns any
@@ -190,7 +174,7 @@ func (n *Node) resetTimeout() {
 func (n *Node) Tick() []Message {
 	n.elapsed++
 	if n.state == Leader {
-		if n.elapsed >= n.cfg.HeartbeatTicks {
+		if n.elapsed >= heartbeatTicks {
 			n.elapsed = 0
 			return n.broadcastAppend()
 		}

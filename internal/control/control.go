@@ -11,7 +11,7 @@
 // stream, so a controller cannot interleave with generation without changing
 // draws. Instead a controlled run is two passes over the same seed: an
 // observe pass that fills an Observation (integer counters per epoch and
-// entity — commutative to merge, so worker-count invariant), then a
+// entity, folded from the pass's DiTing metric rows), then a
 // sequential control loop replaying the epochs in order (each policy sees
 // only epochs <= e when deciding for e+1), and finally an actuated pass that
 // applies the compiled Timeline through RNG-free lookups in the engine's
@@ -31,9 +31,9 @@ import (
 	"ebslab/internal/trace"
 )
 
-// ObsShape fixes the dimensions of an Observation so per-shard instances are
-// mergeable and the controller can interpret the flattened counters. Every
-// field is a pure function of (fleet, run options), never of scheduling.
+// ObsShape fixes the dimensions of an Observation so the controller can
+// interpret the flattened counters. Every field is a pure function of
+// (fleet, run options), never of scheduling.
 type ObsShape struct {
 	// EpochSec is the control cadence: observations aggregate into
 	// ceil(DurSec/EpochSec) epochs and the controller decides once per epoch.
@@ -85,11 +85,10 @@ func (s ObsShape) Validate() error {
 }
 
 // Observation is the controller's telemetry: exact integer counters per
-// (epoch, entity). Counters are commutative sums of per-IO contributions, so
-// per-shard observations over disjoint virtual disks merge into the same
-// state in any order — the property that keeps the decision log byte-stable
-// across worker counts. Memory is epochs x entities, independent of the IO
-// count.
+// (epoch, entity), folded from the run's merged metric rows (AddRows). The
+// rows are worker-count invariant, so the counters are — the property that
+// keeps the decision log byte-stable across worker counts. Memory is epochs
+// x entities, independent of the IO count.
 type Observation struct {
 	Shape ObsShape
 
@@ -128,47 +127,31 @@ func (o *Observation) EpochOf(sec int) int {
 	return ep
 }
 
-// ObserveBatch folds one columnar batch into the counters. The engine calls
-// this on every shard flush, so it sees every generated IO (not just the
-// trace-sampled ones).
-func (o *Observation) ObserveBatch(b *trace.Batch) {
+// AddRows folds a run's UNSCALED metric rows into the counters: compute rows
+// carry VD, QP, node and worker thread with that second's byte and op sums,
+// storage rows the segment's read and write bytes. The rows aggregate every
+// generated IO (not just the trace-sampled ones), and their sums are
+// integer-valued float64s — exact below 2^53 — so the counters equal a
+// per-IO count. A QP's worker thread changes only at epoch boundaries, which
+// are second boundaries, so a (second, QP) row has one worker thread.
+func (o *Observation) AddRows(compute, storage []trace.MetricRow) {
 	sh := &o.Shape
-	for i := 0; i < b.Len(); i++ {
-		ep := o.EpochOf(int(b.TimeUS[i] / 1_000_000))
-		size := uint64(b.Size[i])
-		seg := ep*sh.Segments + int(b.Segment[i])
-		if b.Op[i] == trace.OpRead {
-			o.segR[seg] += size
-		} else {
-			o.segW[seg] += size
-		}
-		vd := ep*sh.VDs + int(b.VD[i])
-		o.vdBytes[vd] += size
-		o.vdOps[vd]++
-		o.qpOps[ep*sh.QPs+int(b.QP[i])]++
-		o.wtOps[ep*sh.WTs+sh.WTBase[b.Node[i]]+int(b.WT[i])]++
+	for i := range compute {
+		r := &compute[i]
+		ep := o.EpochOf(int(r.Sec))
+		ops := uint64(r.ReadIOPS + r.WriteIOPS)
+		vd := ep*sh.VDs + int(r.VD)
+		o.vdBytes[vd] += uint64(r.ReadBps + r.WriteBps)
+		o.vdOps[vd] += ops
+		o.qpOps[ep*sh.QPs+int(r.QP)] += ops
+		o.wtOps[ep*sh.WTs+sh.WTBase[r.Node]+int(r.WT)] += ops
 	}
-}
-
-// Merge adds other's counters into o. Both observations must share a shape;
-// merging is commutative, which is what makes the merged state independent
-// of which worker observed which disk.
-func (o *Observation) Merge(other *Observation) error {
-	if o.Shape.Epochs() != other.Shape.Epochs() ||
-		o.Shape.Segments != other.Shape.Segments || o.Shape.VDs != other.Shape.VDs ||
-		o.Shape.QPs != other.Shape.QPs || o.Shape.WTs != other.Shape.WTs {
-		return fmt.Errorf("control: merging observations of different shapes")
+	for i := range storage {
+		r := &storage[i]
+		seg := o.EpochOf(int(r.Sec))*sh.Segments + int(r.Segment)
+		o.segR[seg] += uint64(r.ReadBps)
+		o.segW[seg] += uint64(r.WriteBps)
 	}
-	for _, pair := range [][2][]uint64{
-		{o.segR, other.segR}, {o.segW, other.segW},
-		{o.vdBytes, other.vdBytes}, {o.vdOps, other.vdOps},
-		{o.qpOps, other.qpOps}, {o.wtOps, other.wtOps},
-	} {
-		for i := range pair[0] {
-			pair[0][i] += pair[1][i]
-		}
-	}
-	return nil
 }
 
 // SegBytes returns segment seg's total (read+write) bytes in epoch ep,

@@ -1,10 +1,12 @@
 package control
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
 	"ebslab/internal/cluster"
+	"ebslab/internal/diting"
 	"ebslab/internal/throttle"
 	"ebslab/internal/trace"
 )
@@ -44,7 +46,39 @@ func observe(b *trace.Batch, sec int, op trace.Op, size int32, vd, qp, seg int, 
 	b.Segment[i] = cluster.SegmentID(seg)
 }
 
-func TestObservationCountsAndMerge(t *testing.T) {
+// ObserveBatch folds one columnar batch into the counters, IO by IO: the
+// reference AddRows is held to (it is how the engine filled observations
+// before they were folded from the run's metric rows).
+func (o *Observation) ObserveBatch(b *trace.Batch) {
+	sh := &o.Shape
+	for i := 0; i < b.Len(); i++ {
+		ep := o.EpochOf(int(b.TimeUS[i] / 1_000_000))
+		size := uint64(b.Size[i])
+		seg := ep*sh.Segments + int(b.Segment[i])
+		if b.Op[i] == trace.OpRead {
+			o.segR[seg] += size
+		} else {
+			o.segW[seg] += size
+		}
+		vd := ep*sh.VDs + int(b.VD[i])
+		o.vdBytes[vd] += size
+		o.vdOps[vd]++
+		o.qpOps[ep*sh.QPs+int(b.QP[i])]++
+		o.wtOps[ep*sh.WTs+sh.WTBase[b.Node[i]]+int(b.WT[i])]++
+	}
+}
+
+// addBatches folds the batches into o the way a run does: through a DiTing
+// tracer's full-scale metric rows.
+func addBatches(o *Observation, batches ...*trace.Batch) {
+	tr := diting.New(trace.SampleRate)
+	for _, b := range batches {
+		tr.EmitBatch(b)
+	}
+	o.AddRows(tr.ComputeRows(), tr.StorageRows())
+}
+
+func TestObservationCounts(t *testing.T) {
 	sh := testShape()
 	a := NewObservation(sh)
 	b := NewObservation(sh)
@@ -52,11 +86,11 @@ func TestObservationCountsAndMerge(t *testing.T) {
 	batch := trace.NewBatch(8)
 	observe(batch, 3, trace.OpRead, 100, 0, 0, 1, 0)
 	observe(batch, 12, trace.OpWrite, 50, 1, 1, 2, 1)
-	a.ObserveBatch(batch)
+	addBatches(a, batch)
 
 	batch2 := trace.NewBatch(8)
 	observe(batch2, 24, trace.OpRead, 200, 0, 0, 1, 0)
-	b.ObserveBatch(batch2)
+	addBatches(b, batch2)
 
 	if got := a.SegBytes(0, 1); got != 100 {
 		t.Fatalf("SegBytes(0,1) = %v, want 100", got)
@@ -78,32 +112,87 @@ func TestObservationCountsAndMerge(t *testing.T) {
 		t.Fatalf("WTOps(1,1) = %v, want 1", got)
 	}
 
-	// Merge is commutative: a+b and b+a fingerprint identically.
-	ab := NewObservation(sh)
-	if err := ab.Merge(a); err != nil {
-		t.Fatal(err)
+	// The fingerprint covers the counters: the same rows fingerprint the
+	// same, more traffic does not.
+	again := NewObservation(sh)
+	addBatches(again, batch)
+	if a.Fingerprint() != again.Fingerprint() {
+		t.Fatalf("the same rows fingerprint differently: %s vs %s", a.Fingerprint(), again.Fingerprint())
 	}
-	if err := ab.Merge(b); err != nil {
-		t.Fatal(err)
+	addBatches(again, batch2)
+	if a.Fingerprint() == again.Fingerprint() {
+		t.Fatalf("adding new counters did not change the fingerprint")
 	}
-	ba := NewObservation(sh)
-	if err := ba.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if err := ba.Merge(a); err != nil {
-		t.Fatal(err)
-	}
-	if ab.Fingerprint() != ba.Fingerprint() {
-		t.Fatalf("merge is not commutative: %s vs %s", ab.Fingerprint(), ba.Fingerprint())
-	}
-	if a.Fingerprint() == ab.Fingerprint() {
-		t.Fatalf("merging new counters did not change the fingerprint")
-	}
+}
 
-	other := testShape()
-	other.Segments = 5
-	if err := ab.Merge(NewObservation(other)); err == nil {
-		t.Fatalf("Merge accepted a shape mismatch")
+// TestAddRowsMatchesObserveBatch is the differential test of the row fold:
+// random traffic over a 3-node world, through a tracer's metric rows on one
+// side and IO by IO through the reference on the other, must leave every
+// counter equal — at any thinning scale (the rows are folded unscaled; Scale
+// only rescales the accessors), with worker threads rebound at epoch
+// boundaries, and with an IO at the window's final instant, which both sides
+// clamp into the last epoch.
+func TestAddRowsMatchesObserveBatch(t *testing.T) {
+	for _, scale := range []float64{1, 8, 16} {
+		sh := ObsShape{
+			EpochSec: 7, DurSec: 28, // four whole epochs: second 28 would be a fifth
+			Segments: 24, VDs: 6, QPs: 12, WTs: 7,
+			WTBase: []int{0, 2, 5}, Scale: scale, // nodes of 2, 3 and 2 worker threads
+		}
+		wtsOf := []int{2, 3, 2}
+		rng := rand.New(rand.NewSource(int64(scale)))
+		rows, ref := NewObservation(sh), NewObservation(sh)
+		tr := diting.New(trace.SampleRate)
+		emit := func(b *trace.Batch) {
+			tr.EmitBatch(b)
+			ref.ObserveBatch(b)
+			b.Reset()
+		}
+		batch := trace.NewBatch(64)
+		for n := 0; n < 5000; n++ {
+			if batch.Full() {
+				emit(batch)
+			}
+			sec := rng.Intn(sh.DurSec)
+			if n == 0 {
+				sec = sh.DurSec // the generator can emit at the final instant
+			}
+			qp := rng.Intn(sh.QPs)
+			vd, node := qp/2, qp%3
+			op := trace.OpRead
+			if rng.Intn(3) > 0 {
+				op = trace.OpWrite
+			}
+			i := batch.Next()
+			batch.TimeUS[i] = int64(sec)*1_000_000 + int64(rng.Intn(1_000_000))
+			batch.Op[i] = op
+			batch.Size[i] = int32(4096 * (1 + rng.Intn(64)))
+			batch.VD[i] = cluster.VDID(vd)
+			batch.QP[i] = cluster.QPID(qp)
+			batch.Node[i] = cluster.NodeID(node)
+			// A QP's worker thread is fixed within an epoch and may differ
+			// across epochs, as under a control timeline's rebinds.
+			batch.WT[i] = int8((qp + sec/sh.EpochSec) % wtsOf[node])
+			batch.Segment[i] = cluster.SegmentID(vd*4 + rng.Intn(4))
+		}
+		emit(batch)
+		rows.AddRows(tr.ComputeRows(), tr.StorageRows())
+
+		if rows.Fingerprint() != ref.Fingerprint() {
+			t.Fatalf("scale %v: row-folded counters diverge from the per-IO reference", scale)
+		}
+		for ep := 0; ep < sh.Epochs(); ep++ {
+			for vd := 0; vd < sh.VDs; vd++ {
+				if rows.VDBps(ep, vd) != ref.VDBps(ep, vd) || rows.VDIOPS(ep, vd) != ref.VDIOPS(ep, vd) {
+					t.Fatalf("scale %v: VD %d epoch %d rates differ", scale, vd, ep)
+				}
+			}
+			for wt := 0; wt < sh.WTs; wt++ {
+				if rows.WTOps(ep, wt) != ref.WTOps(ep, wt) {
+					t.Fatalf("scale %v: WT %d epoch %d ops differ", scale, wt, ep)
+				}
+			}
+		}
 	}
 }
 

@@ -90,12 +90,7 @@ func Run(ctx context.Context, spec Spec) (*Report, error) {
 	}
 	var wl scenario.Workload
 	if spec.Scenario != "" {
-		built, err := scenario.Build(spec.Scenario)
-		if err != nil {
-			return nil, fmt.Errorf("ctleval: %w", err)
-		}
-		wl, err = built.Bind(fleet)
-		if err != nil {
+		if wl, err = scenario.BindSpec(spec.Scenario, fleet); err != nil {
 			return nil, fmt.Errorf("ctleval: %w", err)
 		}
 	}

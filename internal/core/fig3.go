@@ -76,10 +76,8 @@ func (s *Study) simulateGroup(g throttleGroup, lend *throttle.Lending) throttle.
 		}
 		demand[i] = row
 	}
-	if lend != nil {
-		return throttle.SimulateWithLending(caps, demand, *lend)
-	}
-	return throttle.Simulate(caps, demand)
+	res, _ := new(throttle.Scratch).Replay(caps, demand, throttle.Replay{Lend: lend})
+	return res
 }
 
 // Fig3aResult is the single-VD-throttle showcase of Figure 3(a): one VM

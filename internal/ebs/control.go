@@ -103,7 +103,7 @@ func (s *Sim) RunControlled(ctx context.Context, opts Options, pol control.Polic
 		return nil, nil, err
 	}
 	if cfg.EpochSec <= 0 {
-		cfg.EpochSec = 30
+		cfg.EpochSec = control.DefaultEpochSec(opts.DurationSec)
 	}
 	shape, err := s.ObsShapeFor(opts, cfg.EpochSec)
 	if err != nil {

@@ -55,12 +55,6 @@ type shard struct {
 	group  [1][]throttle.Demand
 	th     throttle.Scratch
 
-	// obs is this shard's slice of the run's control-plane observation
-	// (present only when Options.Observe is set); per-shard instances are
-	// merged after the pool drains, commutatively, so the merged counters
-	// are worker-count invariant.
-	obs *control.Observation
-
 	audit []string
 	chaos chaos.Stats
 }
@@ -78,9 +72,6 @@ func (sh *shard) flush() {
 		sh.sketch.ObserveBatch(sh.batch)
 		sh.mu.Unlock()
 	}
-	if sh.obs != nil {
-		sh.obs.ObserveBatch(sh.batch)
-	}
 	sh.batch.Reset()
 }
 
@@ -95,9 +86,6 @@ func (s *Sim) newShards(workers int, opts *Options, streamCfg sketch.Config) []*
 		sh.emitFn = sh.em.emit
 		if opts.Stream != nil {
 			sh.sketch = sketch.NewSet(streamCfg)
-		}
-		if opts.Observe != nil {
-			sh.obs = control.NewObservation(opts.Observe.Shape)
 		}
 		shards[i] = sh
 	}
@@ -231,13 +219,6 @@ func (s *Sim) runRange(ctx context.Context, opts Options, lo, hi int) (*runState
 		}
 		return nil
 	})
-	if err == nil && r.opts.Observe != nil {
-		for _, sh := range r.shards {
-			if err = r.opts.Observe.Merge(sh.obs); err != nil {
-				break
-			}
-		}
-	}
 	if err != nil {
 		r.opts.Snapshots.point(nil, nil, 0)
 		r.release()
@@ -267,12 +248,18 @@ func mergeSets(cfg sketch.Config, sets []*sketch.Set) *sketch.Set {
 
 // finish turns a complete run's parts into its results, the same way for the
 // in-process engine and the distributed merge so the two cannot drift: merge
-// the tracers and assemble the dataset, publish the merged sketch state (from
-// here on it is what an attached SnapshotSink serves), publish chaos
+// the tracers, fold the merged metric rows into the control-plane observation
+// (while they are still unscaled: integer-valued sums, so the observation's
+// counters are exact), assemble the dataset, publish the merged sketch state
+// (from here on it is what an attached SnapshotSink serves), publish chaos
 // accounting, and run the check-mode verification suite.
 func (s *Sim) finish(r *runState) (*trace.Dataset, error) {
 	opts := r.opts
-	ds := s.assembleDataset(opts, diting.Merge(opts.TraceSampleEvery, r.tracers...))
+	records, compute, storage := mergeTracers(opts, r.tracers)
+	if opts.Observe != nil {
+		opts.Observe.AddRows(compute, storage)
+	}
+	ds := s.assembleDataset(opts, records, compute, storage)
 	if opts.Stream != nil {
 		*opts.Stream = *mergeSets(r.streamCfg, r.sets)
 		opts.Snapshots.point(nil, opts.Stream, r.nVDs)
@@ -510,26 +497,11 @@ func (s *Sim) simulateVD(sh *shard, vdIdx int, opts *Options, emission *invarian
 		case lend != nil:
 			capsAt = lend
 		}
-		switch {
-		case opts.Check && capsAt != nil:
-			res, msgs := throttle.SimulateScheduledAudited(sh.caps[:], sh.group[:], capsAt)
-			for _, m := range msgs {
-				sh.audit = append(sh.audit, fmt.Sprintf("VD %d: %s", vdID, m))
-			}
-			queueDelay = res.QueueDelaySec[0]
-		case opts.Check:
-			res, msgs := throttle.SimulateAudited(sh.caps[:], sh.group[:])
-			for _, m := range msgs {
-				sh.audit = append(sh.audit, fmt.Sprintf("VD %d: %s", vdID, m))
-			}
-			queueDelay = res.QueueDelaySec[0]
-		case capsAt != nil:
-			res := sh.th.SimulateScheduled(sh.caps[:], sh.group[:], capsAt)
-			queueDelay = res.QueueDelaySec[0]
-		default:
-			res := sh.th.Simulate(sh.caps[:], sh.group[:])
-			queueDelay = res.QueueDelaySec[0]
+		res, msgs := sh.th.Replay(sh.caps[:], sh.group[:], throttle.Replay{CapsAt: capsAt, Audit: opts.Check})
+		for _, m := range msgs {
+			sh.audit = append(sh.audit, fmt.Sprintf("VD %d: %s", vdID, m))
 		}
+		queueDelay = res.QueueDelaySec[0]
 	}
 
 	// A scenario delay model turns the demand series into a per-second

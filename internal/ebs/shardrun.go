@@ -68,28 +68,35 @@ func (s *Sim) runVDs(opts Options) int {
 	return nVDs
 }
 
-// assembleDataset builds the run's dataset from the fully merged tracer:
-// scaled metric rows plus the fleet's (shared, read-only) VD/VM spec
-// tables. The tracer's records are detached into the dataset and the tracer
-// is released back to its pool.
-func (s *Sim) assembleDataset(opts Options, merged *diting.Tracer) *trace.Dataset {
+// mergeTracers merges the run's tracers and exports the result once: the
+// records, detached, and the two metric-row domains, UNSCALED. The merged
+// tracer goes back to its pool.
+func mergeTracers(opts Options, tracers []*diting.Tracer) (records []trace.Record, compute, storage []trace.MetricRow) {
+	merged := diting.Merge(opts.TraceSampleEvery, tracers...)
+	records, compute, storage = merged.DetachRecords(), merged.ComputeRows(), merged.StorageRows()
+	merged.Release()
+	return records, compute, storage
+}
+
+// assembleDataset builds the run's dataset from the fully merged tracer's
+// export: the records, the metric rows (scaled here, in place) and the
+// fleet's (shared, read-only) VD/VM spec tables.
+func (s *Sim) assembleDataset(opts Options, records []trace.Record, compute, storage []trace.MetricRow) *trace.Dataset {
 	vdSpecs, vmSpecs := s.specs()
-	ds := &trace.Dataset{
+	return &trace.Dataset{
 		Topology:    s.fleet.Topology,
 		Seg2BS:      s.fleet.Seg2BS,
 		DurationSec: opts.DurationSec,
-		Trace:       merged.DetachRecords(),
-		Compute:     scaleRows(merged.ComputeRows(), float64(opts.EventSampleEvery)),
-		Storage:     scaleRows(merged.StorageRows(), float64(opts.EventSampleEvery)),
+		Trace:       records,
+		Compute:     scaleRows(compute, float64(opts.EventSampleEvery)),
+		Storage:     scaleRows(storage, float64(opts.EventSampleEvery)),
 		VDSpecs:     vdSpecs,
 		VMSpecs:     vmSpecs,
 	}
-	merged.Release()
-	return ds
 }
 
-// errShardControl is RunShard's and MergeShards' answer to a controlled run.
-var errShardControl = errors.New("ebs: Control/Observe options are single-process only (the control loop is sequential over epochs); run the controlled study in-process")
+// errShardControl is RunShard's and MergeShards' answer to an actuated run.
+var errShardControl = errors.New("ebs: Options.Control is single-process only (the control loop is sequential over epochs); run the controlled study in-process")
 
 // RunShard simulates virtual disks [lo, hi) of the run described by opts and
 // returns the shard's unmerged partial. The shard observes the run's GLOBAL
@@ -97,9 +104,10 @@ var errShardControl = errors.New("ebs: Control/Observe options are single-proces
 // configuration sums every disk's throughput cap — so partials from any
 // VD-disjoint covering of [0, nVDs) merge into the exact single-process
 // dataset. Within the shard, disks are dealt across opts.Workers just like
-// Run.
+// Run. opts.Observe is left untouched: the observation is folded from the
+// merged rows, by MergeShards.
 func (s *Sim) RunShard(ctx context.Context, opts Options, lo, hi int) (*ShardPartial, error) {
-	if opts.Control != nil || opts.Observe != nil {
+	if opts.Control != nil {
 		return nil, errShardControl
 	}
 	r, err := s.runRange(ctx, opts, lo, hi)
@@ -107,17 +115,8 @@ func (s *Sim) RunShard(ctx context.Context, opts Options, lo, hi int) (*ShardPar
 		return nil, err
 	}
 	defer r.release()
-	merged := diting.Merge(r.opts.TraceSampleEvery, r.tracers...)
-	p := &ShardPartial{
-		Lo:      lo,
-		Hi:      hi,
-		Records: merged.DetachRecords(),
-		Compute: merged.ComputeRows(),
-		Storage: merged.StorageRows(),
-		Chaos:   r.chaos,
-		Audit:   r.audits,
-	}
-	merged.Release()
+	p := &ShardPartial{Lo: lo, Hi: hi, Chaos: r.chaos, Audit: r.audits}
+	p.Records, p.Compute, p.Storage = mergeTracers(r.opts, r.tracers)
 	if r.opts.Stream != nil {
 		p.Sketch = mergeSets(r.streamCfg, r.sets)
 	}
@@ -132,11 +131,11 @@ func (s *Sim) RunShard(ctx context.Context, opts Options, lo, hi int) (*ShardPar
 // at-most-once discipline upstream (fabric result accounting) guarantees
 // this for distributed runs, and MergeShards re-verifies it. The partials
 // are only read (a coordinator may be serving snapshots from the same ledger
-// entries). The merged dataset, streamed sketch state, chaos accounting, and
-// check-mode verdict are byte-identical to a single-process Run with the
-// same options.
+// entries). The merged dataset, streamed sketch state, control-plane
+// observation, chaos accounting, and check-mode verdict are byte-identical to
+// a single-process Run with the same options.
 func (s *Sim) MergeShards(opts Options, partials []*ShardPartial) (*trace.Dataset, error) {
-	if opts.Control != nil || opts.Observe != nil {
+	if opts.Control != nil {
 		return nil, errShardControl
 	}
 	r, err := s.begin(opts)

@@ -6,6 +6,7 @@ import (
 
 	"ebslab/internal/chaos"
 	"ebslab/internal/cluster"
+	"ebslab/internal/control"
 	"ebslab/internal/invariant"
 	"ebslab/internal/sketch"
 )
@@ -58,6 +59,56 @@ func TestRunShardMergeMatchesRun(t *testing.T) {
 		}
 		if *stats != *refStats {
 			t.Fatalf("shards=%d: chaos stats %+v != %+v", nShards, *stats, *refStats)
+		}
+	}
+}
+
+// TestObserveUnderShards: the control-plane observation is folded from the
+// merged metric rows, so RunShard x k -> MergeShards with Observe set must
+// fill it exactly as Run does, for any shard count — and RunShard itself
+// must leave the destination alone.
+func TestObserveUnderShards(t *testing.T) {
+	f := smallFleet(t)
+	sim := New(f)
+	opts := Options{
+		DurationSec: 9, TraceSampleEvery: 4, EventSampleEvery: 2, MaxVDs: 16, Workers: 2,
+		Chaos: &chaos.Plan{BSCrashes: 2, MeanDownSec: 3, Storms: 2, StormFactor: 4, MeanStormSec: 3},
+	}
+	shape, err := sim.ObsShapeFor(opts, 2) // five epochs, the last one short
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty := control.NewObservation(shape).Fingerprint()
+
+	refOpts := opts
+	refOpts.Observe = control.NewObservation(shape)
+	if _, err := sim.Run(context.Background(), refOpts); err != nil {
+		t.Fatal(err)
+	}
+	want := refOpts.Observe.Fingerprint()
+	if want == empty {
+		t.Fatal("Run left the observation empty")
+	}
+
+	for _, k := range []int{1, 3, 8} {
+		kOpts := opts
+		kOpts.Observe = control.NewObservation(shape)
+		var parts []*ShardPartial
+		for _, r := range cluster.PlanShards(16, k) {
+			p, err := sim.RunShard(context.Background(), kOpts, r.Lo, r.Hi)
+			if err != nil {
+				t.Fatalf("shards=%d: RunShard%v: %v", k, r, err)
+			}
+			parts = append(parts, p)
+		}
+		if kOpts.Observe.Fingerprint() != empty {
+			t.Fatalf("shards=%d: RunShard wrote to Options.Observe", k)
+		}
+		if _, err := sim.MergeShards(kOpts, parts); err != nil {
+			t.Fatalf("shards=%d: MergeShards: %v", k, err)
+		}
+		if got := kOpts.Observe.Fingerprint(); got != want {
+			t.Fatalf("shards=%d: observation fingerprint %s != Run's %s", k, got, want)
 		}
 	}
 }

@@ -50,7 +50,7 @@ type Options struct {
 	DisableThrottle bool
 	// Check enables the runtime validation subsystem (the -check mode of
 	// cmd/ebssim): the engine counts every IO the workload layer emits,
-	// audits each per-VD throttle replay, and runs the invariant.DefaultSuite
+	// audits each per-VD throttle replay, and runs invariant.VerifyRun's
 	// conservation laws over the merged dataset. Any violation fails the run
 	// with an error describing the broken law. Checking costs a constant
 	// factor (~2x) but no extra passes over the fleet.
@@ -95,12 +95,13 @@ type Options struct {
 	// inherently sequential over epochs). See DESIGN.md, "Mitigation control
 	// plane".
 	Control *control.Timeline
-	// Observe, when non-nil, accumulates per-epoch integer traffic counters
-	// (per segment, VD, QP, and worker thread) into the destination during
-	// the run. Counters are commutative per-shard sums, so the merged
-	// observation is worker-count invariant. Create the destination with
-	// control.NewObservation over a shape matching this fleet and the run's
-	// options. Single-process runs only, like Control.
+	// Observe, when non-nil, receives the run's per-epoch integer traffic
+	// counters (per segment, VD, QP, and worker thread), folded at the join
+	// from the merged tracer's full-scale metric rows — so the observation
+	// is worker-count and shard-count invariant by construction, and
+	// MergeShards fills it like Run does (RunShard leaves it alone). Create
+	// the destination with control.NewObservation over a shape matching this
+	// fleet and the run's options.
 	Observe *control.Observation
 	// Scenario, when non-nil, replaces the fleet's native traffic with a
 	// bound scenario from the scenario library: the engine takes the demand

@@ -48,16 +48,6 @@ type Config struct {
 	// Shards is how many shards to plan (0 = 4; more shards than workers
 	// keeps the fleet busy when shard runtimes are uneven).
 	Shards int
-	// HeartbeatEvery is the beat interval workers are told to use
-	// (default 500ms).
-	HeartbeatEvery time.Duration
-	// LivenessTimeout declares a silent worker dead and requeues its shards
-	// (default 4 * HeartbeatEvery).
-	LivenessTimeout time.Duration
-	// SpeculateAfter re-dispatches a still-running shard to an idle worker
-	// once the shard has been out that long (default 30s; straggler
-	// mitigation). At-most-once accounting keeps duplicate results safe.
-	SpeculateAfter time.Duration
 
 	// ReplicaID is this coordinator's identity in the replica set, in
 	// [0, Replicas). Replica 0 bootstraps as the initial leader.
@@ -72,10 +62,22 @@ type Config struct {
 	// PeerAddrs optionally maps replica IDs to dialable addresses, included
 	// in leader redirects so workers can jump straight to the leader.
 	PeerAddrs []string
-	// TickEvery is the consensus logical-clock interval (default 5ms when
-	// Replicas > 1). Election and heartbeat spans are multiples of it.
-	TickEvery time.Duration
 
+	// The timing below is fixed outside this package's tests, which shorten
+	// it to stage reaping, speculation and elections in milliseconds.
+
+	// heartbeatEvery is the beat interval workers are told to use (500ms).
+	heartbeatEvery time.Duration
+	// livenessTimeout declares a silent worker dead and requeues its shards
+	// (4 * heartbeatEvery).
+	livenessTimeout time.Duration
+	// speculateAfter re-dispatches a still-running shard to an idle worker
+	// once the shard has been out that long (30s; straggler mitigation).
+	// At-most-once accounting keeps duplicate results safe.
+	speculateAfter time.Duration
+	// tickEvery is the consensus logical-clock interval (5ms when
+	// Replicas > 1). Election and heartbeat spans are multiples of it.
+	tickEvery time.Duration
 	// now overrides the clock in tests. The leader stamps proposals with it;
 	// replicas never read a clock of their own.
 	now func() time.Time
@@ -90,8 +92,8 @@ const (
 	// assignHoldFor is how long an AssignShard request with nothing placeable
 	// is held server-side waiting for availability to change (a result
 	// landing, a shard requeuing) before the worker is told to back off and
-	// retry. Event-driven wakeup keeps an idle worker from sleeping a full
-	// WaitPoll after the run's last result arrives.
+	// retry. Event-driven wakeup keeps an idle worker from sleeping out a
+	// back-off after the run's last result arrives.
 	assignHoldFor = 50 * time.Millisecond
 	// proposeTimeout bounds how long a control-plane request waits for its
 	// ledger command to commit (typically: no quorum).
@@ -102,20 +104,20 @@ func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = 4
 	}
-	if c.HeartbeatEvery <= 0 {
-		c.HeartbeatEvery = 500 * time.Millisecond
+	if c.heartbeatEvery <= 0 {
+		c.heartbeatEvery = 500 * time.Millisecond
 	}
-	if c.LivenessTimeout <= 0 {
-		c.LivenessTimeout = 4 * c.HeartbeatEvery
+	if c.livenessTimeout <= 0 {
+		c.livenessTimeout = 4 * c.heartbeatEvery
 	}
-	if c.SpeculateAfter <= 0 {
-		c.SpeculateAfter = 30 * time.Second
+	if c.speculateAfter <= 0 {
+		c.speculateAfter = 30 * time.Second
 	}
 	if c.Replicas <= 1 {
 		c.Replicas = 1
 	}
-	if c.TickEvery <= 0 {
-		c.TickEvery = 5 * time.Millisecond
+	if c.tickEvery <= 0 {
+		c.tickEvery = 5 * time.Millisecond
 	}
 	if c.now == nil {
 		c.now = time.Now
@@ -195,7 +197,7 @@ func newCoordinator(cfg Config) (*Coordinator, error) {
 		plan:  plan,
 		fsm:   newLedgerFSM(cfg, plan),
 	}
-	tick := cfg.TickEvery
+	tick := cfg.tickEvery
 	if cfg.Replicas == 1 {
 		tick = 0 // single-node groups commit inline; no ticker goroutine
 	}
@@ -299,7 +301,7 @@ func (co *Coordinator) Handle(req *netblock.Request) *netblock.Response {
 // the FSM's availability pulse and re-proposes the moment a result lands or
 // a shard requeues, up to assignHoldFor. An idle worker at the tail of a
 // run gets its AssignDone (or the freed shard) with sub-millisecond latency
-// instead of discovering it a WaitPoll later — which is the difference
+// instead of discovering it a back-off later — which is the difference
 // between the dispatch benchmark's p50 and a 25ms sleep. Only this handler
 // goroutine blocks; redirects, errors, and replica shutdown all break out.
 func (co *Coordinator) assignHold(resp *netblock.Response, workerID uint64) *netblock.Response {

@@ -84,7 +84,7 @@ func runFabric(t *testing.T, co *Coordinator, lb *Loopback, n int, hooks map[int
 			defer wg.Done()
 			errs[i] = RunWorker(context.Background(), WorkerConfig{
 				Dial:      lb.Dial,
-				FaultHook: hooks[i],
+				faultHook: hooks[i],
 			})
 		}(i)
 	}
@@ -107,7 +107,7 @@ func TestFabricMatchesSingleProcess(t *testing.T) {
 		stream := sketch.NewSet(sketch.Config{TopK: 8, SegPerVD: 4})
 		co, lb := startFabric(t, Config{
 			Fleet: testFleetConfig(), Opts: testOpts(stream), Shards: 5,
-			HeartbeatEvery: 20 * time.Millisecond,
+			heartbeatEvery: 20 * time.Millisecond,
 		})
 		ds, errs := runFabric(t, co, lb, workers, nil)
 		for i, err := range errs {
@@ -136,8 +136,8 @@ func TestFabricWorkerCrashMidShard(t *testing.T) {
 	stream := sketch.NewSet(sketch.Config{TopK: 8, SegPerVD: 4})
 	co, lb := startFabric(t, Config{
 		Fleet: testFleetConfig(), Opts: testOpts(stream), Shards: 4,
-		HeartbeatEvery:  10 * time.Millisecond,
-		LivenessTimeout: 60 * time.Millisecond,
+		heartbeatEvery:  10 * time.Millisecond,
+		livenessTimeout: 60 * time.Millisecond,
 	})
 	crash := errors.New("simulated worker crash")
 	// The survivor holds its first result back until the crash has happened:
@@ -247,8 +247,8 @@ func TestFabricSpeculativeDuplicateDroppedOnce(t *testing.T) {
 	opts := testOpts(stream)
 	co, lb := startFabric(t, Config{
 		Fleet: testFleetConfig(), Opts: opts, Shards: 2,
-		SpeculateAfter:  time.Minute,
-		LivenessTimeout: time.Hour, // liveness must not interfere here
+		speculateAfter:  time.Minute,
+		livenessTimeout: time.Hour, // liveness must not interfere here
 		now:             clock.Now,
 	})
 
@@ -312,7 +312,7 @@ func TestFabricDrainCompletesCurrentShard(t *testing.T) {
 	stream := sketch.NewSet(sketch.Config{TopK: 8, SegPerVD: 4})
 	co, lb := startFabric(t, Config{
 		Fleet: testFleetConfig(), Opts: testOpts(stream), Shards: 3,
-		HeartbeatEvery: 20 * time.Millisecond,
+		heartbeatEvery: 20 * time.Millisecond,
 	})
 
 	drain := make(chan struct{})
@@ -324,7 +324,7 @@ func TestFabricDrainCompletesCurrentShard(t *testing.T) {
 			Drain: drain,
 			// The hook fires between simulation and upload: requesting the
 			// drain here proves the in-flight shard still completes.
-			FaultHook: func(shard int) error {
+			faultHook: func(shard int) error {
 				drainOnce.Do(func() { close(drain) })
 				return nil
 			},

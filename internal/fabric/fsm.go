@@ -217,7 +217,7 @@ func (f *ledgerFSM) join(now time.Time) JoinReply {
 		Fleet:       f.cfg.Fleet,
 		Spec:        spec,
 		Shards:      len(f.plan),
-		HeartbeatMS: f.cfg.HeartbeatEvery.Milliseconds(),
+		HeartbeatMS: f.cfg.heartbeatEvery.Milliseconds(),
 	}
 }
 
@@ -273,7 +273,7 @@ func (f *ledgerFSM) straggler(workerID uint64, now time.Time) int {
 		if sh.state != shardRunning || sh.attempted[workerID] {
 			continue
 		}
-		if now.Sub(sh.lastDispatch) < f.cfg.SpeculateAfter {
+		if now.Sub(sh.lastDispatch) < f.cfg.speculateAfter {
 			continue
 		}
 		if best < 0 || sh.firstDispatch.Before(f.shards[best].firstDispatch) {
@@ -341,7 +341,7 @@ func (f *ledgerFSM) touch(workerID uint64, now time.Time) {
 // sets), so map iteration order cannot diverge replicas.
 func (f *ledgerFSM) reap(now time.Time) {
 	for id, w := range f.workers {
-		if now.Sub(w.lastBeat) > f.cfg.LivenessTimeout {
+		if now.Sub(w.lastBeat) > f.cfg.livenessTimeout {
 			delete(f.workers, id)
 			f.requeue(id)
 		}

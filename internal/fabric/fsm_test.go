@@ -57,7 +57,7 @@ func TestLedgerCommandCodecRoundTrip(t *testing.T) {
 func TestLedgerFSMDeterministicReplay(t *testing.T) {
 	cfg := Config{
 		Fleet: testFleetConfig(), Opts: testOpts(nil), Shards: 3,
-		LivenessTimeout: time.Second,
+		livenessTimeout: time.Second,
 	}.withDefaults()
 	fleet, err := workload.Generate(cfg.Fleet)
 	if err != nil {
@@ -84,16 +84,16 @@ func TestLedgerFSMDeterministicReplay(t *testing.T) {
 	// dropped; worker 2 drains.
 	var script [][]byte
 	step := func(c command) { script = append(script, encodeCommand(&c)) }
-	step(command{Kind: cmdJoin, At: at()})                     // worker 1
-	step(command{Kind: cmdJoin, At: at()})                     // worker 2
-	step(command{Kind: cmdAssign, Worker: 1, At: at()})        // w1 takes shard A
-	step(command{Kind: cmdAssign, Worker: 2, At: at()})        // w2 takes shard B
+	step(command{Kind: cmdJoin, At: at()})              // worker 1
+	step(command{Kind: cmdJoin, At: at()})              // worker 2
+	step(command{Kind: cmdAssign, Worker: 1, At: at()}) // w1 takes shard A
+	step(command{Kind: cmdAssign, Worker: 2, At: at()}) // w2 takes shard B
 	step(command{Kind: cmdResult, Worker: 2, At: at(), Frame: partialFrame(2, 1)})
-	clock.Advance(2 * time.Second)                             // w1 silent past liveness
-	step(command{Kind: cmdAssign, Worker: 2, At: at()})        // reaps w1, w2 inherits A
+	clock.Advance(2 * time.Second)                      // w1 silent past liveness
+	step(command{Kind: cmdAssign, Worker: 2, At: at()}) // reaps w1, w2 inherits A
 	step(command{Kind: cmdResult, Worker: 2, At: at(), Frame: partialFrame(2, 0)})
 	step(command{Kind: cmdResult, Worker: 1, At: at(), Frame: partialFrame(1, 0)}) // zombie dup
-	step(command{Kind: cmdAssign, Worker: 2, At: at()})        // w2 takes the last shard
+	step(command{Kind: cmdAssign, Worker: 2, At: at()})                            // w2 takes the last shard
 	step(command{Kind: cmdResult, Worker: 2, At: at(), Frame: partialFrame(2, 2)})
 	step(command{Kind: cmdHeartbeat, Worker: 2, At: at()})
 	step(command{Kind: cmdDrain, Worker: 2, At: at()})
@@ -153,7 +153,7 @@ func planVDs(fleet *workload.Fleet, opts ebs.Options) int {
 func TestLedgerFSMRetransmitAcknowledgedOnce(t *testing.T) {
 	cfg := Config{
 		Fleet: testFleetConfig(), Opts: testOpts(nil), Shards: 2,
-		LivenessTimeout: time.Hour,
+		livenessTimeout: time.Hour,
 	}.withDefaults()
 	fleet, err := workload.Generate(cfg.Fleet)
 	if err != nil {

@@ -269,7 +269,7 @@ func (rs *ReplicaSet) Run(ctx context.Context, workers int) (*trace.Dataset, err
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			workerErrs[i] = RunWorker(ctx, WorkerConfig{Dials: rs.Dials(), CallTimeout: 2 * time.Second})
+			workerErrs[i] = RunWorker(ctx, WorkerConfig{Dials: rs.Dials(), callTimeout: 2 * time.Second})
 		}(i)
 	}
 	ds, err := rs.Wait(ctx)

@@ -30,9 +30,9 @@ func replicaConfig(stream *sketch.Set, kills int) Config {
 	opts.Chaos = &chaos.Plan{LeaderKills: kills, Recoverable: true}
 	return Config{
 		Fleet: testFleetConfig(), Opts: opts, Shards: 5,
-		HeartbeatEvery:  20 * time.Millisecond,
-		LivenessTimeout: 2 * time.Second,
-		TickEvery:       2 * time.Millisecond,
+		heartbeatEvery:  20 * time.Millisecond,
+		livenessTimeout: 2 * time.Second,
+		tickEvery:       2 * time.Millisecond,
 	}
 }
 
@@ -48,8 +48,8 @@ func runReplicated(t *testing.T, rs *ReplicaSet, n int) *trace.Dataset {
 			defer wg.Done()
 			errs[i] = RunWorker(context.Background(), WorkerConfig{
 				Dials:          rs.Dials(),
-				CallTimeout:    2 * time.Second,
-				FailoverWindow: 20 * time.Second,
+				callTimeout:    2 * time.Second,
+				failoverWindow: 20 * time.Second,
 			})
 		}(i)
 	}
@@ -213,7 +213,7 @@ func TestCoordinatorRejectsBadReplicaConfig(t *testing.T) {
 // heartbeat land mid-construction every time.
 func TestReplicaSetConstructionSendsNothing(t *testing.T) {
 	cfg := replicaConfig(nil, 0)
-	cfg.TickEvery = 50 * time.Microsecond
+	cfg.tickEvery = 50 * time.Microsecond
 	for i := 0; i < 4; i++ {
 		rs, err := NewReplicaSet(cfg, 3)
 		if err != nil {

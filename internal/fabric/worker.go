@@ -14,6 +14,12 @@ import (
 	"ebslab/internal/workload"
 )
 
+// waitBackoff is how long a worker told AssignWait sleeps before asking
+// again. The coordinator has already held the request assignHoldFor waiting
+// for something placeable, so this is a back-off between long polls, not a
+// polling interval worth tuning.
+const waitBackoff = 25 * time.Millisecond
+
 // WorkerConfig describes one worker process.
 type WorkerConfig struct {
 	// Dial opens the control-plane connection to a single coordinator
@@ -27,23 +33,25 @@ type WorkerConfig struct {
 	// (and uploads) the shard it is executing, deregisters with the
 	// coordinator, and returns nil.
 	Drain <-chan struct{}
-	// WaitPoll is the retry interval when the coordinator has nothing
-	// placeable for this worker (default 25ms).
-	WaitPoll time.Duration
-	// CallTimeout bounds each control-plane RPC (default 10s). A coordinator
-	// connection that dies silently between AssignShard and ShardResult now
+
+	// Set only inside this package: ReplicaSet.Run's in-process workers
+	// shorten callTimeout, the tests both timings, and the tests stage
+	// worker crashes through faultHook.
+
+	// callTimeout bounds each control-plane RPC (10s). A coordinator
+	// connection that dies silently between AssignShard and ShardResult
 	// fails the call — and triggers failover — instead of hanging the worker
 	// until the coordinator's liveness reaper forgets it.
-	CallTimeout time.Duration
-	// FailoverWindow bounds how long the worker hunts across replicas for a
-	// live leader after a control-plane failure before giving up
-	// (default 15s; spans a leader election comfortably).
-	FailoverWindow time.Duration
-	// FaultHook, when non-nil, is consulted after each shard's simulation
+	callTimeout time.Duration
+	// failoverWindow bounds how long the worker hunts across replicas for a
+	// live leader after a control-plane failure before giving up (15s; spans
+	// a leader election comfortably).
+	failoverWindow time.Duration
+	// faultHook, when non-nil, is consulted after each shard's simulation
 	// and before its result upload. Returning an error makes the worker die
 	// on the spot — no upload, no drain — which is how tests and chaos
 	// drills stage a mid-shard worker crash.
-	FaultHook func(shard int) error
+	faultHook func(shard int) error
 }
 
 // ctrlLink is the worker's resilient control-plane connection: one live
@@ -69,11 +77,11 @@ func newCtrlLink(wc WorkerConfig) (*ctrlLink, error) {
 	if len(dials) == 0 {
 		return nil, fmt.Errorf("fabric: worker needs Dial or Dials")
 	}
-	timeout := wc.CallTimeout
+	timeout := wc.callTimeout
 	if timeout <= 0 {
 		timeout = 10 * time.Second
 	}
-	window := wc.FailoverWindow
+	window := wc.failoverWindow
 	if window <= 0 {
 		window = 15 * time.Second
 	}
@@ -157,9 +165,6 @@ func (l *ctrlLink) call(ctx context.Context, op netblock.OpCode, payload []byte)
 // a replicated control plane (Dials), the worker transparently follows
 // leader redirects and rides out a coordinator death mid-run.
 func RunWorker(ctx context.Context, wc WorkerConfig) error {
-	if wc.WaitPoll <= 0 {
-		wc.WaitPoll = 25 * time.Millisecond
-	}
 	link, err := newCtrlLink(wc)
 	if err != nil {
 		return err
@@ -181,15 +186,9 @@ func RunWorker(ctx context.Context, wc WorkerConfig) error {
 	sim := ebs.New(fleet)
 	opts := join.Spec.options()
 	if join.Spec.Scenario != "" {
-		built, err := scenario.Build(join.Spec.Scenario)
-		if err != nil {
+		if opts.Scenario, err = scenario.BindSpec(join.Spec.Scenario, fleet); err != nil {
 			return fmt.Errorf("fabric: worker scenario: %w", err)
 		}
-		wl, err := built.Bind(fleet)
-		if err != nil {
-			return fmt.Errorf("fabric: worker scenario: %w", err)
-		}
-		opts.Scenario = wl
 	}
 	me := mustJSON(workerMsg{WorkerID: join.WorkerID})
 
@@ -246,15 +245,15 @@ func RunWorker(ctx context.Context, wc WorkerConfig) error {
 				return ctx.Err()
 			case <-wc.Drain:
 				return drainNow()
-			case <-time.After(wc.WaitPoll):
+			case <-time.After(waitBackoff):
 			}
 		case AssignShard:
 			p, err := sim.RunShard(ctx, opts, a.Lo, a.Hi)
 			if err != nil {
 				return fmt.Errorf("fabric: shard %d: %w", a.Shard, err)
 			}
-			if wc.FaultHook != nil {
-				if err := wc.FaultHook(a.Shard); err != nil {
+			if wc.faultHook != nil {
+				if err := wc.faultHook(a.Shard); err != nil {
 					return err // simulated crash: vanish without uploading
 				}
 			}

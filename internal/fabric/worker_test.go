@@ -23,10 +23,10 @@ func TestFabricWorkerRetriesLostResultReply(t *testing.T) {
 	stream := sketch.NewSet(sketch.Config{TopK: 8, SegPerVD: 4})
 	co, err := NewCoordinator(Config{
 		Fleet: testFleetConfig(), Opts: testOpts(stream), Shards: 3,
-		HeartbeatEvery: 50 * time.Millisecond,
+		heartbeatEvery: 50 * time.Millisecond,
 		// Liveness alone must NOT be what rescues the run: it is far longer
 		// than the budget this test allows for completion.
-		LivenessTimeout: time.Minute,
+		livenessTimeout: time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +51,7 @@ func TestFabricWorkerRetriesLostResultReply(t *testing.T) {
 	go func() {
 		done <- RunWorker(context.Background(), WorkerConfig{
 			Dial:        lb.Dial,
-			CallTimeout: 300 * time.Millisecond,
+			callTimeout: 300 * time.Millisecond,
 		})
 	}()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -90,7 +90,7 @@ func TestFabricWorkerRetriesLostResultReply(t *testing.T) {
 func TestFabricWorkerFailsFastWhenControlPlaneDies(t *testing.T) {
 	co, err := NewCoordinator(Config{
 		Fleet: testFleetConfig(), Opts: testOpts(nil), Shards: 2,
-		HeartbeatEvery: 50 * time.Millisecond,
+		heartbeatEvery: 50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -107,11 +107,11 @@ func TestFabricWorkerFailsFastWhenControlPlaneDies(t *testing.T) {
 	go func() {
 		done <- RunWorker(context.Background(), WorkerConfig{
 			Dial:           lb.Dial,
-			CallTimeout:    200 * time.Millisecond,
-			FailoverWindow: 500 * time.Millisecond,
+			callTimeout:    200 * time.Millisecond,
+			failoverWindow: 500 * time.Millisecond,
 			// Fires after the shard simulation, before its upload: the worst
 			// window, with work in hand and nobody left to give it to.
-			FaultHook: func(shard int) error {
+			faultHook: func(shard int) error {
 				killedAt.Store(time.Now().UnixNano())
 				lb.Close()
 				srv.Close()

@@ -439,15 +439,9 @@ func (gw *Gateway) runLocal(j *job) error {
 	opts.Stream = stream
 	opts.Snapshots = sink
 	if j.spec.Scenario != "" {
-		built, err := scenario.Build(j.spec.Scenario)
-		if err != nil {
+		if opts.Scenario, err = scenario.BindSpec(j.spec.Scenario, fleet); err != nil {
 			return err
 		}
-		wl, err := built.Bind(fleet)
-		if err != nil {
-			return err
-		}
-		opts.Scenario = wl
 	}
 	opts.Progress = func(done, total int) {
 		j.vdsTotal.Store(int64(total))

@@ -105,10 +105,7 @@ func (s StudySpec) withDefaults() StudySpec {
 		s.TraceSampleEvery = 1
 	}
 	if s.Control != "" && s.ControlEpochSec == 0 {
-		s.ControlEpochSec = s.DurationSec / 8
-		if s.ControlEpochSec < 1 {
-			s.ControlEpochSec = 1
-		}
+		s.ControlEpochSec = control.DefaultEpochSec(s.DurationSec)
 	}
 	return s
 }

@@ -7,6 +7,7 @@ import (
 	"ebslab/internal/balancer"
 	"ebslab/internal/cluster"
 	"ebslab/internal/control"
+	"ebslab/internal/diting"
 	"ebslab/internal/invariant"
 	"ebslab/internal/throttle"
 	"ebslab/internal/trace"
@@ -43,7 +44,9 @@ func controlScenario(t *testing.T) (*control.Plan, *cluster.SegmentMap, []int8, 
 		batch.WT[i] = 1
 		batch.Segment[i] = 2
 	}
-	obs.ObserveBatch(batch)
+	tr := diting.New(trace.SampleRate)
+	tr.EmitBatch(batch)
+	obs.AddRows(tr.ComputeRows(), tr.StorageRows())
 
 	placement := cluster.NewSegmentMap(4, 2)
 	placement.Assign(0, 0)

@@ -66,15 +66,11 @@ func relEq(a, b float64) bool {
 	return d <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
 }
 
-// traceIntegrity asserts referential integrity of every per-IO record: each
+// checkTraceIntegrity asserts referential integrity of every per-IO record: each
 // field must name a real entity and the fields must agree with the topology
 // (the QP belongs to the VD, the segment covers the offset, the storage
 // node is the one the placement assigns, and so on).
-type traceIntegrity struct{}
-
-func (traceIntegrity) Name() string { return "trace/integrity" }
-
-func (traceIntegrity) Check(a *Artifacts, rep *Report) {
+func checkTraceIntegrity(rep *Report, a *Artifacts) {
 	const law = "trace/integrity"
 	top := a.Dataset.Topology
 	winUS := int64(a.Dataset.DurationSec) * 1_000_000
@@ -132,15 +128,11 @@ func (traceIntegrity) Check(a *Artifacts, rep *Report) {
 	}
 }
 
-// traceCanonical asserts the merge's canonical ordering contract: records
+// checkTraceCanonical asserts the merge's canonical ordering contract: records
 // sorted by (TimeUS, VD) with trace IDs reassigned 1..N in that order. This
 // is what makes a run's trace byte-identical across worker counts — any
 // shard-dependent leakage shows up here.
-type traceCanonical struct{}
-
-func (traceCanonical) Name() string { return "trace/canonical-order" }
-
-func (traceCanonical) Check(a *Artifacts, rep *Report) {
+func checkTraceCanonical(rep *Report, a *Artifacts) {
 	const law = "trace/canonical-order"
 	recs := a.Dataset.Trace
 	for i := range recs {
@@ -158,14 +150,10 @@ func (traceCanonical) Check(a *Artifacts, rep *Report) {
 	}
 }
 
-// rowSanity asserts per-row invariants of the metric dataset: finite
+// checkRowSanity asserts per-row invariants of the metric dataset: finite
 // non-negative rates, in-window seconds, identity fields that agree with
 // the topology, canonical sort order, and no duplicate aggregation keys.
-type rowSanity struct{}
-
-func (rowSanity) Name() string { return "metric/row-sanity" }
-
-func (rowSanity) Check(a *Artifacts, rep *Report) {
+func checkRowSanity(rep *Report, a *Artifacts) {
 	const law = "metric/row-sanity"
 	top := a.Dataset.Topology
 	checkRates := func(kind string, i int, m *trace.MetricRow) {
@@ -268,16 +256,12 @@ func foldRows(rows []trace.MetricRow) map[vdSecKey]*vdSecTotals {
 	return out
 }
 
-// domainConservation asserts the hypervisor-to-BlockServer conservation
+// checkDomainConservation asserts the hypervisor-to-BlockServer conservation
 // law: both metric domains observe the same IOs, grouped differently (per
 // QP-WT vs per segment), so at (VD, second) granularity their totals must
 // agree exactly. A shard merge that drops, duplicates, or misattributes
 // work in one domain breaks this immediately.
-type domainConservation struct{}
-
-func (domainConservation) Name() string { return "conserve/compute-vs-storage" }
-
-func (domainConservation) Check(a *Artifacts, rep *Report) {
+func checkDomainConservation(rep *Report, a *Artifacts) {
 	const law = "conserve/compute-vs-storage"
 	comp := foldRows(a.Dataset.Compute)
 	stor := foldRows(a.Dataset.Storage)
@@ -303,16 +287,12 @@ func (domainConservation) Check(a *Artifacts, rep *Report) {
 	}
 }
 
-// workloadConservation asserts the workload-to-dataset conservation law:
+// checkWorkloadConservation asserts the workload-to-dataset conservation law:
 // per VD, the metric rows must account for exactly the IOs the generator
 // emitted (scaled by the event-thinning factor), and — when every IO was
 // traced — the per-IO records must as well. This is the law that catches
 // an IO silently dropped anywhere between generation and the final merge.
-type workloadConservation struct{}
-
-func (workloadConservation) Name() string { return "conserve/workload" }
-
-func (workloadConservation) Check(a *Artifacts, rep *Report) {
+func checkWorkloadConservation(rep *Report, a *Artifacts) {
 	const law = "conserve/workload"
 	if a.Emission == nil {
 		return

@@ -1,16 +1,17 @@
-// Package invariant is the simulation's runtime validation subsystem: a
-// pluggable set of checkers that assert the cross-layer conservation laws
-// the study's conclusions rest on. Every IO emitted by internal/workload
-// must be accounted for at the hypervisor (compute-domain metric rows), the
+// Package invariant is the simulation's runtime validation subsystem: plain
+// check functions that assert the cross-layer conservation laws the study's
+// conclusions rest on. Every IO emitted by internal/workload must be
+// accounted for at the hypervisor (compute-domain metric rows), the
 // throttle (grants never exceed the cap-plus-lent budget), the BlockServer
 // (storage-domain metric rows), and the cache (hits+misses == accesses);
 // shard merging must neither drop nor duplicate work; and replays must be
 // byte-identical under differing worker counts and VD permutations.
 //
-// The engine runs the default suite when ebs.Options.Check is set (the
-// `-check` mode of cmd/ebssim); tests compose individual checkers directly.
-// A violation is a bug in the simulator, never in the workload: the laws
-// hold by construction, so any failure means semantic drift.
+// The engine runs VerifyRun and the layer laws that apply when
+// ebs.Options.Check is set (the `-check` mode of cmd/ebssim); tests call the
+// individual CheckX functions directly. A violation is a bug in the
+// simulator, never in the workload: the laws hold by construction, so any
+// failure means semantic drift.
 package invariant
 
 import (
@@ -89,61 +90,18 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-// Checker is one invariant over a simulation run's artifacts. Checkers must
-// be pure observers: they may not mutate the artifacts.
-type Checker interface {
-	// Name identifies the checker in reports and suite listings.
-	Name() string
-	// Check appends any violations to rep.
-	Check(a *Artifacts, rep *Report)
-}
-
-// Suite is an ordered collection of checkers run as a unit.
-type Suite struct {
-	checkers []Checker
-}
-
-// NewSuite builds a suite from the given checkers.
-func NewSuite(cs ...Checker) *Suite { return &Suite{checkers: cs} }
-
-// Add appends further checkers (the plug-in point for future layers).
-func (s *Suite) Add(cs ...Checker) *Suite {
-	s.checkers = append(s.checkers, cs...)
-	return s
-}
-
-// Names lists the suite's checkers in run order.
-func (s *Suite) Names() []string {
-	out := make([]string, len(s.checkers))
-	for i, c := range s.checkers {
-		out[i] = c.Name()
-	}
-	return out
-}
-
-// Run executes every checker against the artifacts and returns the combined
-// report.
-func (s *Suite) Run(a *Artifacts) *Report {
+// VerifyRun holds a run's artifacts to the dataset laws the engine's -check
+// mode enforces, in this order: trace referential integrity, canonical
+// ordering, metric-row sanity, and the conservation laws across the
+// compute/storage domains and (when an Emission is supplied) against the
+// workload layer itself. The laws are pure observers: they never mutate the
+// artifacts.
+func VerifyRun(a *Artifacts) *Report {
 	rep := &Report{}
-	for _, c := range s.checkers {
-		c.Check(a, rep)
-	}
+	checkTraceIntegrity(rep, a)
+	checkTraceCanonical(rep, a)
+	checkRowSanity(rep, a)
+	checkDomainConservation(rep, a)
+	checkWorkloadConservation(rep, a)
 	return rep
 }
-
-// DefaultSuite returns the checkers the engine's -check mode runs: trace
-// referential integrity, canonical ordering, metric-row sanity, and the
-// conservation laws across the compute/storage domains and (when an
-// Emission is supplied) against the workload layer itself.
-func DefaultSuite() *Suite {
-	return NewSuite(
-		traceIntegrity{},
-		traceCanonical{},
-		rowSanity{},
-		domainConservation{},
-		workloadConservation{},
-	)
-}
-
-// VerifyRun runs the default suite over the artifacts.
-func VerifyRun(a *Artifacts) *Report { return DefaultSuite().Run(a) }

@@ -41,32 +41,6 @@ func TestReportCleanRendersOK(t *testing.T) {
 	}
 }
 
-func TestSuiteNamesAndPluggability(t *testing.T) {
-	s := DefaultSuite()
-	names := s.Names()
-	want := []string{
-		"trace/integrity", "trace/canonical-order", "metric/row-sanity",
-		"conserve/compute-vs-storage", "conserve/workload",
-	}
-	if len(names) != len(want) {
-		t.Fatalf("default suite has %d checkers, want %d", len(names), len(want))
-	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Errorf("checker %d = %q, want %q", i, names[i], want[i])
-		}
-	}
-	s.Add(extraChecker{})
-	if n := s.Names(); n[len(n)-1] != "extra" {
-		t.Error("Add did not append the plug-in checker")
-	}
-}
-
-type extraChecker struct{}
-
-func (extraChecker) Name() string              { return "extra" }
-func (extraChecker) Check(*Artifacts, *Report) {}
-
 // --- throttle --------------------------------------------------------------
 
 func TestCheckThrottleClean(t *testing.T) {

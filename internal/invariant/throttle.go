@@ -9,7 +9,7 @@ import (
 // cap, backlogs and queueing delays stay within the 4-second bound, and the
 // per-VD throttled-second tallies sum to the group total.
 func CheckThrottle(rep *Report, caps []throttle.Caps, demand [][]throttle.Demand) throttle.Result {
-	res, msgs := throttle.SimulateAudited(caps, demand)
+	res, msgs := new(throttle.Scratch).Replay(caps, demand, throttle.Replay{Audit: true})
 	rep.AddAll("throttle/grants", msgs)
 	return res
 }
@@ -19,7 +19,7 @@ func CheckThrottle(rep *Report, caps []throttle.Caps, demand [][]throttle.Demand
 // redistributes budget — summed effective caps never exceed summed nominal
 // caps in either dimension.
 func CheckThrottleLending(rep *Report, caps []throttle.Caps, demand [][]throttle.Demand, lend throttle.Lending) throttle.Result {
-	res, msgs := throttle.SimulateWithLendingAudited(caps, demand, lend)
+	res, msgs := new(throttle.Scratch).Replay(caps, demand, throttle.Replay{Lend: &lend, Audit: true})
 	rep.AddAll("throttle/grants", msgs)
 	return res
 }

@@ -36,8 +36,6 @@ type Config struct {
 	// BackoffBase is the first retry delay (default 1ms); attempt n waits
 	// about BackoffBase << n, jittered into [50%, 100%].
 	BackoffBase time.Duration
-	// BackoffCap bounds the exponential backoff (default 250ms).
-	BackoffCap time.Duration
 	// Seed drives the deterministic backoff jitter: a fixed (Seed, call ID,
 	// attempt) always produces the same delay.
 	Seed int64
@@ -286,24 +284,23 @@ func (c *Client) call(req *Request) (*Response, error) {
 	}
 }
 
+// backoffCap bounds the exponential retry backoff.
+const backoffCap = 250 * time.Millisecond
+
 // backoff computes the delay before retry #attempt of call id:
-// BackoffBase << attempt, capped at BackoffCap, jittered into [50%, 100%]
+// BackoffBase << attempt, capped at backoffCap, jittered into [50%, 100%]
 // by a splitmix64 stream over (Seed, id, attempt) — fully deterministic.
 func (c *Client) backoff(id uint64, attempt int) time.Duration {
 	base := c.cfg.BackoffBase
 	if base <= 0 {
 		base = time.Millisecond
 	}
-	cap := c.cfg.BackoffCap
-	if cap <= 0 {
-		cap = 250 * time.Millisecond
-	}
 	d := base
 	if attempt < 62 {
 		d = base << uint(attempt)
 	}
-	if d <= 0 || d > cap {
-		d = cap
+	if d <= 0 || d > backoffCap {
+		d = backoffCap
 	}
 	h := uint64(c.cfg.Seed)
 	h += 0x9e3779b97f4a7c15 * (id + 1)

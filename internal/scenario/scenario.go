@@ -217,6 +217,15 @@ func (b *Built) Bind(f *workload.Fleet) (Workload, error) {
 	return b.cfg.bind(b.spec, f)
 }
 
+// BindSpec is Build then Bind: the bound workload of a spec string on a fleet.
+func BindSpec(specStr string, f *workload.Fleet) (Workload, error) {
+	built, err := Build(specStr)
+	if err != nil {
+		return nil, err
+	}
+	return built.Bind(f)
+}
+
 // params walks a Spec's key=val pairs with typed accessors, collecting the
 // first error and rejecting unknown keys once every known key was declared.
 type params struct {

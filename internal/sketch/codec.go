@@ -18,7 +18,10 @@ import (
 // written in ascending key order and the decoder rejects out-of-order or
 // duplicate keys, so a Set has exactly one encoding. The decoder sizes
 // every allocation by a wire.Reader.Count result, so a hostile length
-// prefix cannot commit memory the stream does not back.
+// prefix cannot commit memory the stream does not back. Two config slots —
+// the quantile sketches' relative accuracy and the EWMA half-life — are
+// constants of this package now; the frame still carries both f64s where it
+// always did, and the decoder accepts no other value.
 
 // codecMagic opens every frame: "SKS" plus a format version byte.
 const codecMagic = uint32('S')<<24 | uint32('K')<<16 | uint32('S')<<8 | 1
@@ -41,9 +44,9 @@ func (s *Set) EncodeBinary() []byte {
 
 	w.U32(uint32(s.cfg.TopK))
 	w.U32(uint32(s.cfg.SegPerVD))
-	w.F64(s.cfg.QuantileAlpha)
+	w.F64(quantileAlpha)
 	w.U32(uint32(s.cfg.HLLPrecision))
-	w.F64(s.cfg.EWMAHalfLifeSec)
+	w.F64(ewmaHalfLifeSec)
 	w.F64(s.cfg.Scale)
 	w.F64(s.cfg.TputCapSum)
 	w.U32(uint32(s.cfg.DurationSec))
@@ -87,9 +90,9 @@ func DecodeSet(data []byte) (*Set, error) {
 	var cfg Config
 	cfg.TopK = int(r.U32())
 	cfg.SegPerVD = int(r.U32())
-	cfg.QuantileAlpha = r.F64()
+	alpha := r.F64()
 	cfg.HLLPrecision = int(r.U32())
-	cfg.EWMAHalfLifeSec = r.F64()
+	halfLife := r.F64()
 	cfg.Scale = r.F64()
 	cfg.TputCapSum = r.F64()
 	cfg.DurationSec = int(r.U32())
@@ -99,6 +102,10 @@ func DecodeSet(data []byte) (*Set, error) {
 	// Encoded configs come from NewSet, so they are already normalized; a
 	// config that withDefaults would rewrite is junk, as is one beyond the
 	// codec's structural caps.
+	if alpha != quantileAlpha || halfLife != ewmaHalfLifeSec {
+		return nil, fmt.Errorf("%w: quantile accuracy %v / EWMA half-life %v, want the fixed %v / %v",
+			ErrCodec, alpha, halfLife, quantileAlpha, ewmaHalfLifeSec)
+	}
 	if cfg != cfg.withDefaults() || cfg.TopK > maxCodecK || cfg.SegPerVD > maxCodecK ||
 		cfg.DurationSec < 0 || cfg.DurationSec > maxCodecSecs {
 		return nil, fmt.Errorf("%w: non-canonical config %+v", ErrCodec, cfg)

@@ -1,7 +1,9 @@
 package sketch
 
 import (
+	"encoding/binary"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -136,6 +138,36 @@ func TestSetCodecRejectsCorruption(t *testing.T) {
 	}
 	if _, err := DecodeSet(nil); err == nil {
 		t.Fatal("empty input decoded")
+	}
+}
+
+// TestSetCodecRejectsRetiredOptions: the quantile accuracy and the EWMA
+// half-life were configuration once and are constants now, but the frame
+// still carries both f64s at their old offsets (so pinned encodings did not
+// move). A frame naming any other value describes a sketch this build cannot
+// merge with, and is rejected.
+func TestSetCodecRejectsRetiredOptions(t *testing.T) {
+	frame := synthSet(3, 8).EncodeBinary()
+	const alphaOff, halfLifeOff = 12, 24 // magic u32 | topK u32 | segPerVD u32 | alpha f64 | hllP u32 | halfLife f64
+	if got := math.Float64frombits(binary.LittleEndian.Uint64(frame[alphaOff:])); got != 0.01 {
+		t.Fatalf("offset %d holds %v, want the fixed alpha 0.01", alphaOff, got)
+	}
+	if got := math.Float64frombits(binary.LittleEndian.Uint64(frame[halfLifeOff:])); got != 30 {
+		t.Fatalf("offset %d holds %v, want the fixed half-life 30", halfLifeOff, got)
+	}
+	for _, c := range []struct {
+		name string
+		off  int
+		v    float64
+	}{
+		{"alpha 0.02", alphaOff, 0.02},
+		{"half-life 10", halfLifeOff, 10},
+	} {
+		mut := append([]byte(nil), frame...)
+		binary.LittleEndian.PutUint64(mut[c.off:], math.Float64bits(c.v))
+		if _, err := DecodeSet(mut); !errors.Is(err, ErrCodec) {
+			t.Errorf("%s: DecodeSet = %v, want an ErrCodec rejection", c.name, err)
+		}
 	}
 }
 

@@ -60,7 +60,7 @@ func ExactSkewness(ds *trace.Dataset, cfg Config) Skewness {
 		P2ARead:  stats.P2A(secR),
 		P2AWrite: stats.P2A(secW),
 		P2ATotal: stats.P2A(secT),
-		EWMABps:  ewma(secT, cfg.EWMAHalfLifeSec),
+		EWMABps:  ewma(secT, ewmaHalfLifeSec),
 		MeanRAR:  meanRAR(secT, cfg.TputCapSum),
 
 		HotVDs:      topEntries(vdBytes, cfg.TopK),

@@ -7,6 +7,14 @@ import (
 	"ebslab/internal/trace"
 )
 
+const (
+	// quantileAlpha is the relative accuracy of the latency/size quantile
+	// sketches: 1%.
+	quantileAlpha = 0.01
+	// ewmaHalfLifeSec is the half-life of the windowed EWMA rate meter.
+	ewmaHalfLifeSec = 30.0
+)
+
 // Config parameterizes a sketch Set. The zero value of every field selects
 // the documented default.
 type Config struct {
@@ -16,15 +24,9 @@ type Config struct {
 	// heavy-hitter summary (default 8). Global segment ranking error is
 	// bounded by the per-VD stream weight divided by this.
 	SegPerVD int
-	// QuantileAlpha is the relative accuracy of the latency/size quantile
-	// sketches (default 0.01, i.e. 1%).
-	QuantileAlpha float64
 	// HLLPrecision is the register exponent p of the cardinality
 	// estimators (default 12: 4096 registers, ~1.6% standard error).
 	HLLPrecision int
-	// EWMAHalfLifeSec is the half-life of the windowed EWMA rate meter
-	// (default 30).
-	EWMAHalfLifeSec float64
 	// Scale compensates event thinning: every byte/op count is multiplied
 	// by Scale when rates are reported (default 1). The engine sets it to
 	// its EventSampleEvery.
@@ -45,14 +47,8 @@ func (c Config) withDefaults() Config {
 	if c.SegPerVD <= 0 {
 		c.SegPerVD = 8
 	}
-	if !(c.QuantileAlpha > 0 && c.QuantileAlpha < 0.5) {
-		c.QuantileAlpha = 0.01
-	}
 	if c.HLLPrecision < 4 || c.HLLPrecision > 16 {
 		c.HLLPrecision = 12
-	}
-	if c.EWMAHalfLifeSec <= 0 {
-		c.EWMAHalfLifeSec = 30
 	}
 	if c.Scale <= 0 {
 		c.Scale = 1
@@ -103,8 +99,8 @@ func NewSet(cfg Config) *Set {
 		vds:    make(map[uint64]*dirCount),
 		segHot: make(map[uint64]*SpaceSaving),
 		rate:   NewRateMeter(cfg.DurationSec),
-		lat:    NewLogQuantile(cfg.QuantileAlpha),
-		sizes:  NewLogQuantile(cfg.QuantileAlpha),
+		lat:    NewLogQuantile(quantileAlpha),
+		sizes:  NewLogQuantile(quantileAlpha),
 		blocks: NewHLL(cfg.HLLPrecision),
 		segs:   NewHLL(cfg.HLLPrecision),
 	}
@@ -204,7 +200,7 @@ func (s *Set) Merge(o *Set) {
 // these across replays.
 func (s *Set) Fingerprint() string {
 	d := newDigest()
-	d.f64(s.cfg.QuantileAlpha)
+	d.f64(quantileAlpha)
 	d.u64(uint64(s.cfg.TopK))
 	d.u64(uint64(s.cfg.SegPerVD))
 	d.u64(s.totals.IOs)
@@ -273,7 +269,7 @@ func (s *Set) Skewness() Skewness {
 		P2ARead:        s.rate.P2A(true, false),
 		P2AWrite:       s.rate.P2A(false, true),
 		P2ATotal:       s.rate.P2A(true, true),
-		EWMABps:        s.rate.EWMA(s.cfg.EWMAHalfLifeSec, sc),
+		EWMABps:        s.rate.EWMA(ewmaHalfLifeSec, sc),
 		MeanRAR:        s.rate.MeanRAR(s.cfg.TputCapSum, sc),
 		LatencyP50:     s.lat.Quantile(0.5),
 		LatencyP99:     s.lat.Quantile(0.99),

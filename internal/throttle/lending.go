@@ -71,17 +71,6 @@ func applyLending(l *Lending, eff, nominal []Caps, demand [][]Demand, t, vd int,
 		func(i int) float64 { return demand[i][t].IOPS() })
 }
 
-// SimulateWithLending replays the group with limited lending enabled.
-func SimulateWithLending(caps []Caps, demand [][]Demand, lend Lending) Result {
-	if lend.Rate <= 0 || lend.Rate >= 1 {
-		panic("throttle: lending rate must be in (0,1)")
-	}
-	if lend.PeriodSec <= 0 {
-		lend.PeriodSec = 60
-	}
-	return simulate(caps, demand, &lend, nil, nil, nil, nil)
-}
-
 // LendingGain compares throttle durations without and with lending:
 // (t_wo - t_w) / (t_wo + t_w), in (-1, 1); positive means lending shortened
 // throttling. It returns NaN when neither run throttled.

@@ -19,7 +19,7 @@ func TestLendingZeroCapBorrower(t *testing.T) {
 	if without.ThrottledSecs[0] != 20 {
 		t.Fatalf("zero-cap VD throttled %d/20 secs without lending", without.ThrottledSecs[0])
 	}
-	with, msgs := SimulateWithLendingAudited(caps, demand, Lending{Rate: 0.5, PeriodSec: 10})
+	with, msgs := replay(caps, demand, Replay{Lend: &Lending{Rate: 0.5, PeriodSec: 10}, Audit: true})
 	if len(msgs) != 0 {
 		t.Fatalf("audit violations: %v", msgs)
 	}
@@ -42,7 +42,7 @@ func TestLendingZeroCapLenderHasNothingToGive(t *testing.T) {
 		flatDemand(15, Demand{}),
 	}
 	without := Simulate(caps, demand)
-	with, msgs := SimulateWithLendingAudited(caps, demand, Lending{Rate: 0.8, PeriodSec: 5})
+	with, msgs := replay(caps, demand, Replay{Lend: &Lending{Rate: 0.8, PeriodSec: 5}, Audit: true})
 	if len(msgs) != 0 {
 		t.Fatalf("audit violations: %v", msgs)
 	}
@@ -69,7 +69,7 @@ func TestLendingRevokedAtPeriodBoundary(t *testing.T) {
 		flatDemand(2*period, Demand{WriteBps: 200, WriteIOPS: 1}),
 		append(flatDemand(period, Demand{}), flatDemand(period, Demand{WriteBps: 1000, WriteIOPS: 1})...),
 	}
-	res, msgs := SimulateWithLendingAudited(caps, demand, Lending{Rate: 0.5, PeriodSec: period})
+	res, msgs := replay(caps, demand, Replay{Lend: &Lending{Rate: 0.5, PeriodSec: period}, Audit: true})
 	if len(msgs) != 0 {
 		t.Fatalf("audit violations: %v", msgs)
 	}
@@ -101,7 +101,7 @@ func TestLendingClampsAtLenderCapBoundary(t *testing.T) {
 		flatDemand(10, Demand{WriteBps: 50, WriteIOPS: 50}),
 		flatDemand(10, Demand{WriteBps: 50}),
 	}
-	res, msgs := SimulateWithLendingAudited(caps, demand, Lending{Rate: 0.5, PeriodSec: 10})
+	res, msgs := replay(caps, demand, Replay{Lend: &Lending{Rate: 0.5, PeriodSec: 10}, Audit: true})
 	// The audit is the assertion: an unclamped transfer would send the
 	// lender's throughput cap negative and blow the summed-budget law.
 	if len(msgs) != 0 {

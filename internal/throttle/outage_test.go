@@ -16,6 +16,8 @@ func outageCaps() []Caps {
 	}
 }
 
+// TestOutagesNilDownMatchesLending: a crash schedule under which nobody is
+// ever down is plain lending, the same as no schedule at all.
 func TestOutagesNilDownMatchesLending(t *testing.T) {
 	caps := outageCaps()
 	demand := [][]Demand{
@@ -24,10 +26,11 @@ func TestOutagesNilDownMatchesLending(t *testing.T) {
 		flatDemand(6, Demand{}),
 	}
 	lend := Lending{Rate: 0.5, PeriodSec: 10}
-	want, wantMsgs := SimulateWithLendingAudited(caps, demand, lend)
-	got, gotMsgs := SimulateWithLendingOutages(caps, demand, lend, nil)
+	want, wantMsgs := replay(caps, demand, Replay{Lend: &lend, Audit: true})
+	neverDown := func(t, vd int) bool { return false }
+	got, gotMsgs := replay(caps, demand, Replay{Lend: &lend, Down: neverDown, Audit: true})
 	if !reflect.DeepEqual(want, got) {
-		t.Fatal("nil down schedule diverged from plain lending")
+		t.Fatal("an all-healthy down schedule diverged from plain lending")
 	}
 	if len(wantMsgs) != 0 || len(gotMsgs) != 0 {
 		t.Fatalf("audit violations: %v / %v", wantMsgs, gotMsgs)
@@ -46,7 +49,7 @@ func TestDownVDCannotBorrow(t *testing.T) {
 	lend := Lending{Rate: 0.5, PeriodSec: 10}
 	down := func(t, vd int) bool { return vd == 0 }
 
-	got, msgs := SimulateWithLendingOutages(caps, demand, lend, down)
+	got, msgs := replay(caps, demand, Replay{Lend: &lend, Down: down, Audit: true})
 	if len(msgs) != 0 {
 		t.Fatalf("audit violations: %v", msgs)
 	}
@@ -54,7 +57,7 @@ func TestDownVDCannotBorrow(t *testing.T) {
 		t.Fatalf("down borrower diverged from the no-lending replay:\n got %+v\nwant %+v", got, want)
 	}
 	// Sanity: a healthy VD0 would have borrowed its way to more throughput.
-	healthy := SimulateWithLending(caps, demand, lend)
+	healthy := withLending(caps, demand, lend)
 	if healthy.DeliveredBps[0] <= got.DeliveredBps[0] {
 		t.Fatal("lending never helped the healthy run; the borrow bar is vacuous")
 	}
@@ -75,12 +78,12 @@ func TestDownLenderExcluded(t *testing.T) {
 	}
 	lend := Lending{Rate: 0.9, PeriodSec: 10}
 
-	all := SimulateWithLending(caps, demand, lend)
+	all := withLending(caps, demand, lend)
 	if all.DeliveredBps[0] < 150-1e-6 {
 		t.Fatalf("with every lender healthy VD0 should be unthrottled, delivered %v", all.DeliveredBps[0])
 	}
 	down := func(t, vd int) bool { return vd == 1 }
-	got, msgs := SimulateWithLendingOutages(caps, demand, lend, down)
+	got, msgs := replay(caps, demand, Replay{Lend: &lend, Down: down, Audit: true})
 	if len(msgs) != 0 {
 		t.Fatalf("audit violations: %v", msgs)
 	}
@@ -107,7 +110,7 @@ func TestFlipRevokesLoans(t *testing.T) {
 	lend := Lending{Rate: 0.9, PeriodSec: 100}
 	down := func(t, vd int) bool { return vd == 2 && t >= 2 }
 
-	got, msgs := SimulateWithLendingOutages(caps, demand, lend, down)
+	got, msgs := replay(caps, demand, Replay{Lend: &lend, Down: down, Audit: true})
 	if len(msgs) != 0 {
 		t.Fatalf("audit violations: %v", msgs)
 	}
@@ -121,7 +124,7 @@ func TestFlipRevokesLoans(t *testing.T) {
 		t.Fatalf("post-flip queue delay %v; the crash did not revoke the loan", d)
 	}
 	// And the run as a whole delivered less than an outage-free one.
-	clean, _ := SimulateWithLendingOutages(caps, demand, lend, nil)
+	clean, _ := replay(caps, demand, Replay{Lend: &lend, Audit: true})
 	if got.DeliveredBps[0] >= clean.DeliveredBps[0]-1 {
 		t.Fatalf("revocation cost no throughput: %v vs %v", got.DeliveredBps[0], clean.DeliveredBps[0])
 	}

@@ -27,6 +27,18 @@ func synthGroup(seed int64, n, dur int) ([]Caps, [][]Demand) {
 	return caps, demand
 }
 
+// replay runs one Replay on a fresh Scratch, so the Result aliases nothing
+// another call will overwrite.
+func replay(caps []Caps, demand [][]Demand, r Replay) (Result, []string) {
+	return new(Scratch).Replay(caps, demand, r)
+}
+
+// withLending is replay under a lending policy alone.
+func withLending(caps []Caps, demand [][]Demand, l Lending) Result {
+	res, _ := replay(caps, demand, Replay{Lend: &l})
+	return res
+}
+
 // TestScratchSimulateEquivalence runs several different-shaped groups
 // through one Scratch and requires each result to match the allocating
 // path exactly — including after the scratch has been dirtied by prior
@@ -71,5 +83,70 @@ func TestScratchSimulateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Scratch.Simulate allocated %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestReplayZeroValueIsSimulate holds every Replay that adds nothing to the
+// plain one — the zero value, the audit alone, a schedule that leaves the
+// caps alone, a crash schedule with nobody down — to Simulate's Result, and
+// a schedule that halves the caps to Simulate over halved caps; none of them
+// may report an audit violation.
+func TestReplayZeroValueIsSimulate(t *testing.T) {
+	caps, demand := synthGroup(3, 5, 80)
+	half := make([]Caps, len(caps))
+	for i, c := range caps {
+		half[i] = Caps{Tput: c.Tput / 2, IOPS: c.IOPS / 2}
+	}
+	for _, tc := range []struct {
+		name string
+		r    Replay
+		want Result
+	}{
+		{"zero", Replay{}, Simulate(caps, demand)},
+		{"audited", Replay{Audit: true}, Simulate(caps, demand)},
+		{"scheduled-identity", Replay{CapsAt: func(int, []Caps) {}}, Simulate(caps, demand)},
+		{"nobody-down", Replay{Down: func(int, int) bool { return false }, Audit: true}, Simulate(caps, demand)},
+		{"scheduled-halved-audited", Replay{CapsAt: func(_ int, eff []Caps) { copy(eff, half) }, Audit: true}, Simulate(half, demand)},
+	} {
+		got, msgs := replay(caps, demand, tc.r)
+		if !reflect.DeepEqual(normalize(got), normalize(tc.want)) {
+			t.Errorf("%s: Result diverged from Simulate", tc.name)
+		}
+		if len(msgs) != 0 {
+			t.Errorf("%s: audit violations: %v", tc.name, msgs)
+		}
+	}
+}
+
+// TestReplayRejectsScheduleWithLending: a cap schedule already encodes its
+// grants, so combining it with in-group lending is a caller bug.
+func TestReplayRejectsScheduleWithLending(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("CapsAt with Lend should panic")
+		}
+	}()
+	replay(nil, nil, Replay{CapsAt: func(int, []Caps) {}, Lend: &Lending{Rate: 0.5}})
+}
+
+// TestScratchAuditedReplayAllocs pins check-mode replay, plain and
+// scheduled, through a reused Scratch at zero allocations once warm — the
+// engine's check-mode arms run on the shard's Scratch like the others.
+func TestScratchAuditedReplayAllocs(t *testing.T) {
+	var sc Scratch
+	caps, demand := synthGroup(7, 6, 90)
+	for _, r := range []Replay{
+		{Audit: true},
+		{Audit: true, CapsAt: func(_ int, eff []Caps) { eff[0].Tput *= 2 }},
+	} {
+		sc.Replay(caps, demand, r) // warm the buffers
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, msgs := sc.Replay(caps, demand, r); len(msgs) != 0 {
+				t.Fatalf("audit violations: %v", msgs)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("audited Scratch.Replay (scheduled=%v) allocated %.1f times per run, want 0", r.CapsAt != nil, allocs)
+		}
 	}
 }

@@ -93,13 +93,13 @@ type Result struct {
 // drains in later seconds, so a burst's throttle outlasts the burst itself
 // (the latency-spike behaviour Calcspar reported on AWS EBS).
 func Simulate(caps []Caps, demand [][]Demand) Result {
-	return simulate(caps, demand, nil, nil, nil, nil, nil)
+	return new(Scratch).Simulate(caps, demand)
 }
 
 // Scratch holds the working buffers of a throttle replay so repeated
 // simulations (the engine replays one per virtual disk per run) allocate
 // nothing in steady state. The zero value is ready to use. A Scratch is not
-// safe for concurrent use, and the Result returned by its Simulate aliases
+// safe for concurrent use, and the Result returned by its methods aliases
 // its buffers: it is valid only until the next call on the same Scratch.
 type Scratch struct {
 	throttledSecs []int
@@ -118,27 +118,38 @@ type Scratch struct {
 // identical Result values, zero steady-state allocation. The Result is
 // valid until the next call on this Scratch.
 func (sc *Scratch) Simulate(caps []Caps, demand [][]Demand) Result {
-	return simulate(caps, demand, nil, nil, nil, sc, nil)
+	res, _ := sc.Replay(caps, demand, Replay{})
+	return res
 }
 
-// SimulateScheduled is Simulate under an externally planned cap schedule:
-// before each second, the effective caps are reset to nominal and capsAt may
-// adjust them in place (the control plane's per-epoch lending grants arrive
-// this way). The schedule is trusted here — fleet-wide grant conservation is
-// an invariant-package law, since a single scheduled group no longer sees
-// its lenders. A nil capsAt degrades to Simulate.
-func (sc *Scratch) SimulateScheduled(caps []Caps, demand [][]Demand, capsAt func(t int, eff []Caps)) Result {
-	return simulate(caps, demand, nil, nil, nil, sc, capsAt)
-}
-
-// SimulateScheduledAudited is SimulateScheduled with the delivery laws
-// audited. The per-second budget law is checked against the *scheduled* caps
-// (a scheduled group may legitimately exceed its nominal sum while borrowing
-// fleet-wide); scheduled caps must still be non-negative.
-func SimulateScheduledAudited(caps []Caps, demand [][]Demand, capsAt func(t int, eff []Caps)) (Result, []string) {
-	a := &auditLog{}
-	res := simulate(caps, demand, nil, nil, a, nil, capsAt)
-	return res, a.msgs
+// Replay names what one throttle replay applies on top of the hard caps.
+// The zero value is the plain replay Simulate runs.
+type Replay struct {
+	// Lend enables Appendix B limited lending within the group. Its Rate
+	// must be in (0,1); a PeriodSec <= 0 means 60.
+	Lend *Lending
+	// Down reports whether vd is inside a crash window at second t (adapt BS
+	// windows via the VD's placement). Whenever any VD's down state flips,
+	// every effective cap resets to nominal — outstanding loans are revoked
+	// — and the per-period borrow budget is reset; a VD that is currently
+	// down can neither borrow nor lend.
+	Down func(t, vd int) bool
+	// CapsAt is an externally planned cap schedule: before each second the
+	// effective caps are reset to nominal and CapsAt may adjust them in place
+	// (the control plane's per-epoch lending grants arrive this way). The
+	// schedule is trusted — fleet-wide grant conservation is an
+	// invariant-package law, since a single scheduled group no longer sees
+	// its lenders — and already encodes any grants, so it excludes Lend and
+	// Down.
+	CapsAt func(t int, eff []Caps)
+	// Audit asserts the grant-budget laws every second: effective caps are
+	// non-negative and sum to no more than the nominal caps (lending only
+	// redistributes; revocation must never break conservation), delivered
+	// traffic never exceeds the effective cap, backlogs stay within the
+	// finite queue bound. Under CapsAt the budget law is checked against the
+	// scheduled caps (a scheduled group may legitimately exceed its nominal
+	// sum while borrowing fleet-wide).
+	Audit bool
 }
 
 // intsFor returns a zeroed length-n int slice, reusing buf's capacity.
@@ -175,54 +186,6 @@ func boolFor(buf []bool, n int) []bool {
 		buf[i] = false
 	}
 	return buf
-}
-
-// SimulateAudited is Simulate with the conservation audit enabled: every
-// second the replay asserts the grant-budget laws (effective caps are
-// non-negative and sum to the nominal caps, delivered traffic never exceeds
-// the effective cap, backlogs stay within the finite queue bound). It
-// returns the result together with any violations found; an empty slice
-// means every law held.
-func SimulateAudited(caps []Caps, demand [][]Demand) (Result, []string) {
-	a := &auditLog{}
-	res := simulate(caps, demand, nil, nil, a, nil, nil)
-	return res, a.msgs
-}
-
-// SimulateWithLendingAudited is SimulateWithLending with the conservation
-// audit enabled (see SimulateAudited). Lending makes the budget law
-// non-trivial: borrowed headroom must be debited from lenders so the
-// group's summed effective cap never exceeds its summed nominal cap.
-func SimulateWithLendingAudited(caps []Caps, demand [][]Demand, lend Lending) (Result, []string) {
-	if lend.Rate <= 0 || lend.Rate >= 1 {
-		panic("throttle: lending rate must be in (0,1)")
-	}
-	if lend.PeriodSec <= 0 {
-		lend.PeriodSec = 60
-	}
-	a := &auditLog{}
-	res := simulate(caps, demand, &lend, nil, a, nil, nil)
-	return res, a.msgs
-}
-
-// SimulateWithLendingOutages replays the group with lending while a crash
-// schedule revokes caps: whenever any VD's down state flips (a crash window
-// opens or closes), every effective cap resets to nominal — outstanding
-// loans are revoked — and the per-period borrow budget is reset; a VD that
-// is currently down can neither borrow nor lend. down(t, vd) reports
-// whether vd is inside a crash window at second t (adapt BS windows via the
-// VD's placement). The grant-budget audit runs and its findings are
-// returned; revocation must never break conservation.
-func SimulateWithLendingOutages(caps []Caps, demand [][]Demand, lend Lending, down func(t, vd int) bool) (Result, []string) {
-	if lend.Rate <= 0 || lend.Rate >= 1 {
-		panic("throttle: lending rate must be in (0,1)")
-	}
-	if lend.PeriodSec <= 0 {
-		lend.PeriodSec = 60
-	}
-	a := &auditLog{}
-	res := simulate(caps, demand, &lend, down, a, nil, nil)
-	return res, a.msgs
 }
 
 // auditLog accumulates conservation violations, capped so a systemic bug
@@ -290,14 +253,29 @@ func (a *auditLog) checkDelivery(t, vd int, deliveredB, deliveredOps float64, ef
 	}
 }
 
-// simulate optionally applies a lending policy, a crash schedule (down
-// state per (second, VD)), an audit, a scratch buffer set, and a scheduled
-// cap hook; any of them may be nil. capsAt is mutually exclusive with lend
-// and down (the schedule already encodes any grants). With a scratch, the
-// returned slices alias its buffers.
-func simulate(caps []Caps, demand [][]Demand, lend *Lending, down func(t, vd int) bool, audit *auditLog, sc *Scratch, capsAt func(t int, eff []Caps)) Result {
-	if capsAt != nil && (lend != nil || down != nil) {
+// Replay replays the group as r describes. The second result lists the
+// violations r.Audit found: empty when every law held, and always without
+// it. The Result aliases sc's buffers.
+func (sc *Scratch) Replay(caps []Caps, demand [][]Demand, r Replay) (Result, []string) {
+	capsAt, down := r.CapsAt, r.Down
+	if capsAt != nil && (r.Lend != nil || down != nil) {
 		panic("throttle: scheduled caps cannot combine with lending or outages")
+	}
+	var lend *Lending
+	if r.Lend != nil {
+		l := *r.Lend
+		if l.Rate <= 0 || l.Rate >= 1 {
+			panic("throttle: lending rate must be in (0,1)")
+		}
+		if l.PeriodSec <= 0 {
+			l.PeriodSec = 60
+		}
+		lend = &l
+	}
+	var log auditLog
+	var audit *auditLog
+	if r.Audit {
+		audit = &log
 	}
 	n := len(caps)
 	if len(demand) != n {
@@ -306,9 +284,6 @@ func simulate(caps []Caps, demand [][]Demand, lend *Lending, down func(t, vd int
 	var dur int
 	if n > 0 {
 		dur = len(demand[0])
-	}
-	if sc == nil {
-		sc = &Scratch{}
 	}
 	sc.throttledSecs = intsFor(sc.throttledSecs, n)
 	sc.deliveredBps = f64For(sc.deliveredBps, n)
@@ -358,7 +333,7 @@ func simulate(caps []Caps, demand [][]Demand, lend *Lending, down func(t, vd int
 			copy(eff, caps)
 			capsAt(t, eff)
 		}
-		if lend != nil && lend.PeriodSec > 0 && t%lend.PeriodSec == 0 {
+		if lend != nil && t%lend.PeriodSec == 0 {
 			copy(eff, caps)
 			for i := range lentThisPeriod {
 				lentThisPeriod[i] = false
@@ -499,7 +474,7 @@ func simulate(caps []Caps, demand [][]Demand, lend *Lending, down func(t, vd int
 		}
 	}
 	sc.events = res.Events // retain grown capacity across scratch reuses
-	return res
+	return res, log.msgs
 }
 
 // maxQueueSecs bounds the hypervisor IO queue: the backlog can hold at most

@@ -125,7 +125,7 @@ func TestLendingShortensThrottle(t *testing.T) {
 	demand := [][]Demand{d0, flatDemand(dur, Demand{})}
 
 	without := Simulate(caps, demand)
-	with := SimulateWithLending(caps, demand, Lending{Rate: 0.8, PeriodSec: 60})
+	with := withLending(caps, demand, Lending{Rate: 0.8, PeriodSec: 60})
 	if with.TotalThrottledSecs >= without.TotalThrottledSecs {
 		t.Fatalf("lending did not help: %d >= %d", with.TotalThrottledSecs, without.TotalThrottledSecs)
 	}
@@ -153,7 +153,7 @@ func TestLendingCanBackfire(t *testing.T) {
 	demand := [][]Demand{d0, d1}
 
 	without := Simulate(caps, demand)
-	with := SimulateWithLending(caps, demand, Lending{Rate: 0.8, PeriodSec: 60})
+	with := withLending(caps, demand, Lending{Rate: 0.8, PeriodSec: 60})
 	if gain := LendingGain(without, with); !(gain < 0) {
 		t.Fatalf("expected negative lending gain, got %v (wo=%d w=%d)",
 			gain, without.TotalThrottledSecs, with.TotalThrottledSecs)
@@ -199,7 +199,7 @@ func TestSimulateWithLendingPanicsOnBadRate(t *testing.T) {
 			t.Fatal("rate 0 should panic")
 		}
 	}()
-	SimulateWithLending(nil, nil, Lending{Rate: 0})
+	withLending(nil, nil, Lending{Rate: 0})
 }
 
 func TestReductionRate(t *testing.T) {
@@ -242,7 +242,7 @@ func TestLendingAtMostOncePerPeriod(t *testing.T) {
 		flatDemand(dur, Demand{WriteBps: 500, WriteIOPS: 1}),
 		flatDemand(dur, Demand{WriteBps: 700, WriteIOPS: 1}),
 	}
-	with := SimulateWithLending(caps, demand, Lending{Rate: 0.1, PeriodSec: 1000})
+	with := withLending(caps, demand, Lending{Rate: 0.1, PeriodSec: 1000})
 	if with.ThrottledSecs[1] != 0 {
 		t.Fatalf("lender throttled %d secs; lending applied more than once per period?", with.ThrottledSecs[1])
 	}
