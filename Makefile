@@ -1,4 +1,5 @@
-# Developer entry points. `make ci` is the gate: vet, the full test suite
+# Developer entry points. `make ci` is the gate: vet (with gofmt), the
+# every-declaration-has-a-caller test, the full test suite
 # under the race detector on a short-window fleet (the tests build their own
 # small fleets, so the race run stays fast — and it includes the netblock
 # client-vs-server stress test with wire faults enabled), the golden-fixture
@@ -9,7 +10,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: all build test race vet loc knobs bench bench-gate golden golden-diff fuzz-smoke cover chaos-smoke sketch-accuracy-smoke dist-smoke dist-ha-smoke consensus-race gateway-smoke control-smoke scenario-smoke bench-module ci
+.PHONY: all build test race vet callers loc knobs bench bench-gate golden golden-diff fuzz-smoke cover chaos-smoke sketch-accuracy-smoke dist-smoke dist-ha-smoke consensus-race gateway-smoke control-smoke scenario-smoke bench-module ci
 
 all: build
 
@@ -19,8 +20,17 @@ build:
 test:
 	$(GO) test ./...
 
+# vet also holds the tree to gofmt: any file `gofmt -l` names fails the target.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l cmd internal bench *.go); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
+
+# Every declaration has a caller: fails on a package-level declaration or
+# method that no cmd/* program and no bench/*.go selector reaches and that
+# testdata/callers_allow.txt does not list with a reason — and on a listed
+# name that is reachable or gone (callers_test.go).
+callers:
+	$(GO) test -run TestDeclarationsHaveCallers -count=1 .
 
 # Non-test Go lines outside bench/, per package directory and in total: the
 # number a simplification PR reports before and after (ROADMAP aim 2).
@@ -94,7 +104,6 @@ golden:
 # `go test -fuzz` takes one target per invocation, so each gets its own.
 fuzz-smoke:
 	$(GO) test ./internal/trace -fuzz FuzzReadTraceCSV -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/trace -fuzz FuzzReadMetricCSV -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -fuzz FuzzReadTraceJSONL -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/diting -fuzz FuzzMergeRuns -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/predict -fuzz FuzzEvaluatePredictors -fuzztime $(FUZZTIME)
@@ -187,4 +196,4 @@ scenario-smoke:
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-ci: vet race golden-diff fuzz-smoke cover chaos-smoke sketch-accuracy-smoke dist-smoke dist-ha-smoke consensus-race gateway-smoke control-smoke scenario-smoke bench-module bench-gate
+ci: vet callers race golden-diff fuzz-smoke cover chaos-smoke sketch-accuracy-smoke dist-smoke dist-ha-smoke consensus-race gateway-smoke control-smoke scenario-smoke bench-module bench-gate

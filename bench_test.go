@@ -112,7 +112,7 @@ func BenchmarkFig2d(b *testing.B) {
 	s := study(b)
 	var r core.Fig2dResult
 	for i := 0; i < b.N; i++ {
-		r = s.Fig2dRebinding(core.Fig2dOptions{MaxNodes: 24, WinSec: 10})
+		r = s.Fig2dRebinding(core.NodeWindowOptions{MaxNodes: 24, WinSec: 10})
 	}
 	b.ReportMetric(100*r.FracImproved, "improved-pct")
 	b.ReportMetric(r.MedianGain, "median-gain")
@@ -122,7 +122,7 @@ func BenchmarkFig2ef(b *testing.B) {
 	s := study(b)
 	var r core.Fig2efResult
 	for i := 0; i < b.N; i++ {
-		r = s.Fig2efBurstSeries(core.Fig2efOptions{MaxNodes: 16, WinSec: 10})
+		r = s.Fig2efBurstSeries(core.NodeWindowOptions{MaxNodes: 16, WinSec: 10})
 	}
 	b.ReportMetric(r.BurstyP2A, "bursty-p2a")
 	b.ReportMetric(r.CalmP2A, "calm-p2a")
@@ -204,7 +204,7 @@ func BenchmarkFig4b(b *testing.B) {
 	s := study(b)
 	var r core.Fig4bResult
 	for i := 0; i < b.N; i++ {
-		r = s.Fig4bImporterSelection(core.Fig4bOptions{PeriodSec: 5})
+		r = s.Fig4bImporterSelection(core.PeriodOptions{PeriodSec: 5})
 	}
 	b.ReportMetric(r.MedianInterval[len(r.MedianInterval)-1], "ideal-interval")
 }
@@ -223,7 +223,7 @@ func BenchmarkFig5a(b *testing.B) {
 	s := study(b)
 	var r core.Fig5aResult
 	for i := 0; i < b.N; i++ {
-		r = s.Fig5aReadWriteCoV(core.Fig5aOptions{PeriodSec: 5})
+		r = s.Fig5aReadWriteCoV(core.PeriodOptions{PeriodSec: 5})
 	}
 	b.ReportMetric(100*r.FracAboveDiagonal, "above-diag-pct")
 }
@@ -232,7 +232,7 @@ func BenchmarkFig5b(b *testing.B) {
 	s := study(b)
 	var r core.Fig5bResult
 	for i := 0; i < b.N; i++ {
-		r = s.Fig5bSegmentDominance(core.Fig5bOptions{PeriodSec: 5})
+		r = s.Fig5bSegmentDominance(core.PeriodOptions{PeriodSec: 5})
 	}
 	b.ReportMetric(100*r.FracAbove09, "one-sided-clusters-pct")
 }
@@ -241,7 +241,7 @@ func BenchmarkFig5c(b *testing.B) {
 	s := study(b)
 	var r core.Fig5cResult
 	for i := 0; i < b.N; i++ {
-		r = s.Fig5cWriteThenRead(core.Fig5cOptions{PeriodSec: 5})
+		r = s.Fig5cWriteThenRead(core.PeriodOptions{PeriodSec: 5})
 	}
 	b.ReportMetric(r.WTRReadCoV, "wtr-read-cov")
 	b.ReportMetric(r.WriteOnlyReadCoV, "wo-read-cov")
@@ -275,7 +275,7 @@ func benchFig6(b *testing.B, metric func(core.Fig6Result) (float64, string)) {
 	s := study(b)
 	var r core.Fig6Result
 	for i := 0; i < b.N; i++ {
-		r = s.Fig6HottestBlocks(core.Fig6Options{MaxVDs: 16, MaxEventsPerVD: 4000})
+		r = s.Fig6HottestBlocks(core.VDSampleOptions{MaxVDs: 16, MaxEventsPerVD: 4000})
 	}
 	v, name := metric(r)
 	b.ReportMetric(v, name)
@@ -285,7 +285,7 @@ func BenchmarkFig7a(b *testing.B) {
 	s := study(b)
 	var r core.Fig7aResult
 	for i := 0; i < b.N; i++ {
-		r = s.Fig7aHitRatio(core.Fig7aOptions{MaxVDs: 12, MaxEventsPerVD: 4000})
+		r = s.Fig7aHitRatio(core.VDSampleOptions{MaxVDs: 12, MaxEventsPerVD: 4000})
 	}
 	b.ReportMetric(100*r.LRUMed[0], "lru-64mib-pct")
 	b.ReportMetric(100*r.FCMed[len(r.FCMed)-1], "fc-2048mib-pct")
@@ -295,7 +295,7 @@ func BenchmarkFig7bc(b *testing.B) {
 	s := study(b)
 	var r core.Fig7bcResult
 	for i := 0; i < b.N; i++ {
-		r = s.Fig7bcLatencyGain(core.Fig7bcOptions{MaxVDs: 12, MaxEventsPerVD: 4000, BlockMiB: 2048})
+		r = s.Fig7bcLatencyGain(core.BlockSampleOptions{MaxVDs: 12, MaxEventsPerVD: 4000, BlockMiB: 2048})
 	}
 	b.ReportMetric(100*r.CNWrite[0], "cn-write-p0-pct")
 	b.ReportMetric(100*r.BSWrite[0], "bs-write-p0-pct")
@@ -377,13 +377,13 @@ func BenchmarkAblationDispatch(b *testing.B) {
 // Fig 4(b) study) as one benchmark per policy.
 func BenchmarkAblationImporter(b *testing.B) {
 	s := study(b)
-	r := s.Fig4bImporterSelection(core.Fig4bOptions{PeriodSec: 5})
+	r := s.Fig4bImporterSelection(core.PeriodOptions{PeriodSec: 5})
 	for i, name := range r.Policies {
 		i := i
 		b.Run(name, func(b *testing.B) {
 			var v float64
 			for j := 0; j < b.N; j++ {
-				rr := s.Fig4bImporterSelection(core.Fig4bOptions{PeriodSec: 5})
+				rr := s.Fig4bImporterSelection(core.PeriodOptions{PeriodSec: 5})
 				v = rr.MedianInterval[i]
 			}
 			b.ReportMetric(v, "median-interval")
@@ -396,7 +396,7 @@ func BenchmarkAblationHosting(b *testing.B) {
 	s := study(b)
 	var r core.HostingAblation
 	for i := 0; i < b.N; i++ {
-		r = s.AblateHosting(core.HostingOptions{MaxNodes: 12, WinSec: 6})
+		r = s.AblateHosting(core.NodeWindowOptions{MaxNodes: 12, WinSec: 6})
 	}
 	for mode, iso := range r.MedianIsolation {
 		b.ReportMetric(iso, mode.String()+"-isolation")
@@ -408,7 +408,7 @@ func BenchmarkAblationCachePolicy(b *testing.B) {
 	s := study(b)
 	var r core.CachePolicyAblation
 	for i := 0; i < b.N; i++ {
-		r = s.AblateCachePolicy(core.CachePolicyOptions{MaxVDs: 10, MaxEventsPerVD: 4000, BlockMiB: 256})
+		r = s.AblateCachePolicy(core.BlockSampleOptions{MaxVDs: 10, MaxEventsPerVD: 4000, BlockMiB: 256})
 	}
 	for _, name := range []string{"fifo", "clock", "lru", "frozen"} {
 		b.ReportMetric(100*r.Median[name], name+"-hit-pct")
@@ -420,7 +420,7 @@ func BenchmarkAblationPredictors(b *testing.B) {
 	s := study(b)
 	var r core.PredictorAblation
 	for i := 0; i < b.N; i++ {
-		r = s.AblatePredictors(core.PredictorOptions{PeriodSec: 10})
+		r = s.AblatePredictors(core.PeriodOptions{PeriodSec: 10})
 	}
 	for i, m := range r.Methods {
 		b.ReportMetric(r.Median[i], m+"-nmse")
@@ -432,7 +432,7 @@ func BenchmarkAblationFailover(b *testing.B) {
 	s := study(b)
 	var r core.FailoverAblation
 	for i := 0; i < b.N; i++ {
-		r = s.AblateFailover(core.FailoverOptions{PeriodSec: 10})
+		r = s.AblateFailover(core.PeriodOptions{PeriodSec: 10})
 	}
 	b.ReportMetric(r.Greedy.MaxOverload, "greedy-overload")
 	b.ReportMetric(r.Random.MaxOverload, "random-overload")

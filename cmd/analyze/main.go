@@ -17,19 +17,20 @@ import (
 
 func main() {
 	catalog := core.Catalog()
-	var ids []string
-	for _, e := range catalog {
-		ids = append(ids, e.ID)
-	}
 	var (
 		seed  = flag.Int64("seed", 1, "fleet generation seed")
 		scale = flag.String("scale", "medium", "fleet scale: small | medium | large")
 		dur   = flag.Int("dur", 0, "observation window seconds (0 = scale default)")
-		run   = flag.String("run", "all", "experiments to run (comma list: "+strings.Join(ids, ",")+")")
+		run   = flag.String("run", "all", "experiments to run (comma list: "+idList(catalog)+")")
 		quiet = flag.Bool("q", false, "suppress progress timing")
 	)
 	flag.Parse()
 
+	selected, err := selectExperiments(catalog, *run)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "analyze:", err)
+		os.Exit(2)
+	}
 	cfg, err := configForScale(*scale)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -45,17 +46,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	want := map[string]bool{}
-	for _, id := range strings.Split(*run, ",") {
-		want[strings.TrimSpace(strings.ToLower(id))] = true
-	}
-	all := want["all"]
-	sel := func(id string) bool { return all || want[id] }
-
-	for _, e := range catalog {
-		if !sel(e.ID) {
-			continue
-		}
+	for _, e := range selected {
 		start := time.Now()
 		fmt.Print(e.Render(study))
 		if !*quiet {
@@ -64,6 +55,46 @@ func main() {
 			fmt.Println()
 		}
 	}
+}
+
+// selectExperiments resolves a -run value (comma-separated catalog ids, or
+// "all") to the experiments to render, in catalog order. An id the catalog
+// does not hold is an error naming every such id and the valid ones — a typo
+// must not silently run nothing.
+func selectExperiments(catalog []core.Experiment, run string) ([]core.Experiment, error) {
+	known := make(map[string]bool, len(catalog))
+	for _, e := range catalog {
+		known[e.ID] = true
+	}
+	want := map[string]bool{}
+	var unknown []string
+	for _, id := range strings.Split(run, ",") {
+		id = strings.TrimSpace(strings.ToLower(id))
+		if !known[id] && id != "all" {
+			unknown = append(unknown, fmt.Sprintf("%q", id))
+		}
+		want[id] = true
+	}
+	if len(unknown) > 0 {
+		return nil, fmt.Errorf("-run names unknown experiment(s) %s: want all or a comma list of %s",
+			strings.Join(unknown, ", "), idList(catalog))
+	}
+	var out []core.Experiment
+	for _, e := range catalog {
+		if want["all"] || want[e.ID] {
+			out = append(out, e)
+		}
+	}
+	return out, nil
+}
+
+// idList renders the catalog's ids the way -run takes them.
+func idList(catalog []core.Experiment) string {
+	ids := make([]string, len(catalog))
+	for i, e := range catalog {
+		ids[i] = e.ID
+	}
+	return strings.Join(ids, ",")
 }
 
 // configForScale returns fleet configurations at three sizes.

@@ -112,9 +112,29 @@ type Result struct {
 }
 
 // Run simulates the balancer over the per-segment period traffic matrix
-// (indexed [segment][period], as produced by workload.SegmentPeriodMatrix).
-// The starting placement is cloned; the caller's map is not mutated.
+// (indexed [segment][period]). The starting placement is cloned; the caller's
+// map is not mutated. It is RunWithFailures with no crash schedule.
 func Run(seg2bs *cluster.SegmentMap, segTraffic [][]RW, policy ImporterPolicy, cfg Config) Result {
+	return RunWithFailures(seg2bs, segTraffic, policy, cfg, nil, FailoverGreedy, nil)
+}
+
+// DownFn reports whether a BlockServer is inside a crash window during a
+// balancing period (chaos.Schedule.DownFnPeriods adapts a fault schedule to
+// this shape).
+type DownFn func(period int, bs cluster.StorageNodeID) bool
+
+// RunWithFailures is the balancer's period loop, optionally under a crash
+// schedule. At the start of each period, every newly-crashed BlockServer is
+// evacuated: its segments are re-homed across the healthy survivors by the
+// failover policy (recorded as Failover migrations). While down, a BS is
+// excluded from exporter scans and importer selection — if the importer
+// policy nominates a casualty, the balancer falls back to the least-loaded
+// healthy BS. A recovered BS rejoins empty the following period and is
+// re-admitted by normal importer selection. With a nil down nothing ever
+// crashes: the masks stay nil, so no period evacuates and balancePass treats
+// every BS as healthy (fpol and rng are unused).
+func RunWithFailures(seg2bs *cluster.SegmentMap, segTraffic [][]RW, policy ImporterPolicy,
+	cfg Config, down DownFn, fpol FailoverPolicy, rng *rand.Rand) Result {
 	if len(segTraffic) != seg2bs.Len() {
 		panic(fmt.Sprintf("balancer: %d traffic rows for %d segments", len(segTraffic), seg2bs.Len()))
 	}
@@ -134,77 +154,17 @@ func Run(seg2bs *cluster.SegmentMap, segTraffic [][]RW, policy ImporterPolicy, c
 		bsHistW[b] = make([]float64, 0, nPeriods)
 		bsHistR[b] = make([]float64, 0, nPeriods)
 	}
+	var wasDown, isDown []bool
+	if down != nil {
+		wasDown, isDown = make([]bool, nBS), make([]bool, nBS)
+	}
 	for p := 0; p < nPeriods; p++ {
-		// Measure this period under the current placement.
-		bsW := make([]float64, nBS)
-		bsR := make([]float64, nBS)
-		for seg, rows := range segTraffic {
-			b := placement.BSOf(cluster.SegmentID(seg))
-			bsW[b] += rows[p].W
-			bsR[b] += rows[p].R
-		}
-		res.WriteCoV = append(res.WriteCoV, stats.NormCoV(bsW))
-		res.ReadCoV = append(res.ReadCoV, stats.NormCoV(bsR))
-		for b := 0; b < nBS; b++ {
-			bsHistW[b] = append(bsHistW[b], bsW[b])
-			bsHistR[b] = append(bsHistR[b], bsR[b])
-		}
-
-		// Write-balancing pass (Algorithm 1).
-		res.Migrations = append(res.Migrations,
-			balancePass(placement, segTraffic, p, bsW, bsHistW, policy, cfg, false, nil)...)
-		if cfg.Mode == WriteThenRead {
-			res.Migrations = append(res.Migrations,
-				balancePass(placement, segTraffic, p, bsR, bsHistR, policy, cfg, true, nil)...)
-		}
-	}
-	return res
-}
-
-// DownFn reports whether a BlockServer is inside a crash window during a
-// balancing period (chaos.Schedule.DownFnPeriods adapts a fault schedule to
-// this shape).
-type DownFn func(period int, bs cluster.StorageNodeID) bool
-
-// RunWithFailures is Run under a crash schedule. At the start of each
-// period, every newly-crashed BlockServer is evacuated: its segments are
-// re-homed across the healthy survivors by the failover policy (recorded as
-// Failover migrations). While down, a BS is excluded from exporter scans and
-// importer selection — if the importer policy nominates a casualty, the
-// balancer falls back to the least-loaded healthy BS. A recovered BS rejoins
-// empty the following period and is re-admitted by normal importer
-// selection. A nil down delegates to Run.
-func RunWithFailures(seg2bs *cluster.SegmentMap, segTraffic [][]RW, policy ImporterPolicy,
-	cfg Config, down DownFn, fpol FailoverPolicy, rng *rand.Rand) Result {
-	if down == nil {
-		return Run(seg2bs, segTraffic, policy, cfg)
-	}
-	if len(segTraffic) != seg2bs.Len() {
-		panic(fmt.Sprintf("balancer: %d traffic rows for %d segments", len(segTraffic), seg2bs.Len()))
-	}
-	placement := seg2bs.Clone()
-	nBS := placement.NumBS()
-	var nPeriods int
-	if len(segTraffic) > 0 {
-		nPeriods = len(segTraffic[0])
-	}
-	res := Result{Policy: policy.Name(), Mode: cfg.Mode}
-
-	bsHistW := make([][]float64, nBS)
-	bsHistR := make([][]float64, nBS)
-	for b := 0; b < nBS; b++ {
-		bsHistW[b] = make([]float64, 0, nPeriods)
-		bsHistR[b] = make([]float64, 0, nPeriods)
-	}
-	wasDown := make([]bool, nBS)
-	isDown := make([]bool, nBS)
-	for p := 0; p < nPeriods; p++ {
-		for b := 0; b < nBS; b++ {
+		for b := range isDown {
 			isDown[b] = down(p, cluster.StorageNodeID(b))
 		}
 		// Evacuate newly-crashed BSs before measuring: their segments are
 		// unreachable and must be re-homed on the healthy survivors.
-		for b := 0; b < nBS; b++ {
+		for b := range isDown {
 			if !isDown[b] || wasDown[b] {
 				continue
 			}
@@ -238,6 +198,7 @@ func RunWithFailures(seg2bs *cluster.SegmentMap, segTraffic [][]RW, policy Impor
 			bsHistR[b] = append(bsHistR[b], bsR[b])
 		}
 
+		// Write-balancing pass (Algorithm 1), then the read pass of Fig 5(c).
 		res.Migrations = append(res.Migrations,
 			balancePass(placement, segTraffic, p, bsW, bsHistW, policy, cfg, false, isDown)...)
 		if cfg.Mode == WriteThenRead {

@@ -124,13 +124,12 @@ func TestWriteThenReadBalancesRead(t *testing.T) {
 
 func TestPoliciesReturnValidImporter(t *testing.T) {
 	hist := [][]float64{{10, 20}, {5, 1}, {7, 30}, {2, 2}}
-	future := [][]float64{{10, 20, 100}, {5, 1, 0}, {7, 30, 50}, {2, 2, 60}}
 	policies := []ImporterPolicy{
 		&RandomPolicy{Rng: rand.New(rand.NewSource(1))},
 		MinTrafficPolicy{},
 		MinVariancePolicy{},
 		LunulePolicy{Window: 2},
-		&IdealPolicy{Future: future},
+		OraclePolicy{},
 	}
 	for _, p := range policies {
 		got := p.Select(hist, 1, 0)
@@ -151,19 +150,6 @@ func TestMinTrafficPicksColdest(t *testing.T) {
 	// Excluding the coldest falls back to next.
 	if got := (MinTrafficPolicy{}).Select(hist, 0, 1); got != 2 {
 		t.Fatalf("min-traffic with exclusion picked %d, want 2", got)
-	}
-}
-
-func TestIdealPicksNextPeriodMin(t *testing.T) {
-	future := [][]float64{{0, 100}, {100, 0}}
-	p := &IdealPolicy{Future: future}
-	// At period 0 the next-period minimum is BS 1.
-	if got := p.Select(nil, 0, -1); got != 1 {
-		t.Fatalf("ideal picked %d, want 1", got)
-	}
-	// At the horizon it clamps to the last column.
-	if got := p.Select(nil, 5, -1); got != 1 {
-		t.Fatalf("ideal at horizon picked %d, want 1", got)
 	}
 }
 
@@ -285,8 +271,7 @@ func TestIdealBeatsMinTrafficOnVolatileTraffic(t *testing.T) {
 			traffic[s][p] = RW{W: base}
 		}
 	}
-	future := BSFutureMatrix(m, traffic, func(x RW) float64 { return x.W })
-	resIdeal := Run(m, traffic, &IdealPolicy{Future: future}, DefaultConfig())
+	resIdeal := Run(m, traffic, OraclePolicy{}, DefaultConfig())
 	resMin := Run(m, traffic, MinTrafficPolicy{}, DefaultConfig())
 
 	intIdeal := stats.Median(OutMigrationIntervals(resIdeal.Migrations, nPeriods))

@@ -15,13 +15,28 @@ func crashWindow(bs cluster.StorageNodeID, from, to int) DownFn {
 	}
 }
 
-func TestRunWithFailuresNilDownEqualsRun(t *testing.T) {
+// TestRunIsRunWithFailuresNilDown: Run is the nil-schedule case of the one
+// period loop, and a nil schedule is a schedule under which nothing crashes —
+// the nil masks and the all-false masks must agree field for field.
+func TestRunIsRunWithFailuresNilDown(t *testing.T) {
 	m, traffic := skewedScenario(10)
-	want := Run(m, traffic, MinTrafficPolicy{}, DefaultConfig())
-	got := RunWithFailures(m, traffic, MinTrafficPolicy{}, DefaultConfig(),
-		nil, FailoverGreedy, rand.New(rand.NewSource(1)))
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("nil down schedule must reproduce Run bit-exactly")
+	for _, cfg := range []Config{DefaultConfig(), {Mode: WriteThenRead, PeriodSec: 5}} {
+		want := Run(m, traffic, MinTrafficPolicy{}, cfg)
+		if len(want.Migrations) == 0 {
+			t.Fatal("fixture produced no migrations; the comparison would be vacuous")
+		}
+		nilDown := RunWithFailures(m, traffic, MinTrafficPolicy{}, cfg,
+			nil, FailoverRandom, rand.New(rand.NewSource(1)))
+		neverDown := RunWithFailures(m, traffic, MinTrafficPolicy{}, cfg,
+			func(int, cluster.StorageNodeID) bool { return false }, FailoverGreedy, nil)
+		for name, got := range map[string]Result{"nil down": nilDown, "never-down schedule": neverDown} {
+			if got.Policy != want.Policy || got.Mode != want.Mode ||
+				!reflect.DeepEqual(got.Migrations, want.Migrations) ||
+				!reflect.DeepEqual(got.WriteCoV, want.WriteCoV) ||
+				!reflect.DeepEqual(got.ReadCoV, want.ReadCoV) {
+				t.Errorf("%s, %v: RunWithFailures differs from Run", name, cfg.Mode)
+			}
+		}
 	}
 }
 

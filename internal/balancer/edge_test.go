@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"ebslab/internal/cluster"
-	"ebslab/internal/predict"
 )
 
 // Edge cases of importer selection and failover when no candidate exists:
@@ -23,9 +22,7 @@ func TestPoliciesReturnNoImporterWhenAllExcluded(t *testing.T) {
 		MinTrafficPolicy{},
 		MinVariancePolicy{},
 		LunulePolicy{Window: 2},
-		&IdealPolicy{Future: hist},
 		OraclePolicy{},
-		&PredictorPolicy{Label: "naive", New: func() predict.Predictor { return &predict.Naive{} }},
 	}
 	for _, p := range policies {
 		if got := p.Select(hist, 2, 0); got != -1 {
@@ -44,15 +41,6 @@ func TestOracleSelectPlacedAllExcluded(t *testing.T) {
 	traffic := [][]RW{{{W: 10}, {W: 20}}, {{W: 5}, {W: 5}}, {{W: 1}, {W: 2}}}
 	if got := (OraclePolicy{}).SelectPlaced(m, traffic, 0, false, 0); got != -1 {
 		t.Fatalf("SelectPlaced picked %d on a single-BS cluster, want -1", got)
-	}
-}
-
-// TestIdealPolicyEmptyFuture: an oracle with no future periods has nothing
-// to say; it must return -1, not index out of range.
-func TestIdealPolicyEmptyFuture(t *testing.T) {
-	p := &IdealPolicy{Future: [][]float64{{}, {}}}
-	if got := p.Select(nil, 0, 1); got != -1 {
-		t.Fatalf("empty-future oracle selected %d, want -1", got)
 	}
 }
 

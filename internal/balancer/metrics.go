@@ -89,9 +89,10 @@ func MigrationCount(migs []Migration) (write, read int) {
 	return write, read
 }
 
-// BSFutureMatrix computes per-BS per-period traffic under a fixed placement,
-// which is what IdealPolicy consumes as its oracle. metric selects the value
-// per segment-period (for the paper's balancer, the write bytes).
+// BSFutureMatrix computes per-BS per-period traffic under a fixed placement:
+// the per-BS series the prediction and read/write-CoV studies run over.
+// metric selects the value per segment-period (for the paper's balancer, the
+// write bytes).
 func BSFutureMatrix(seg2bs *cluster.SegmentMap, segTraffic [][]RW, metric func(RW) float64) [][]float64 {
 	nBS := seg2bs.NumBS()
 	var nPeriods int

@@ -119,41 +119,6 @@ func (p LunulePolicy) Select(bsHist [][]float64, period int, exclude cluster.Sto
 	return best
 }
 
-// IdealPolicy (S5) cheats with oracle knowledge of next-period traffic: it
-// picks the BS with the lowest actual traffic in period+1. Build it with
-// the ground-truth future matrix.
-type IdealPolicy struct {
-	// Future[b][p] is the true per-BS traffic per period under the *initial*
-	// placement. The oracle is approximate once segments move, exactly like
-	// the paper's simulation, which knows "all the future traffic".
-	Future [][]float64
-}
-
-// Name implements ImporterPolicy.
-func (p *IdealPolicy) Name() string { return "ideal" }
-
-// Select implements ImporterPolicy.
-func (p *IdealPolicy) Select(bsHist [][]float64, period int, exclude cluster.StorageNodeID) cluster.StorageNodeID {
-	next := period + 1
-	best, bestV := cluster.StorageNodeID(-1), math.Inf(1)
-	for b := range p.Future {
-		if cluster.StorageNodeID(b) == exclude {
-			continue
-		}
-		idx := next
-		if idx >= len(p.Future[b]) {
-			idx = len(p.Future[b]) - 1
-		}
-		if idx < 0 {
-			return -1
-		}
-		if v := p.Future[b][idx]; v < bestV {
-			best, bestV = cluster.StorageNodeID(b), v
-		}
-	}
-	return best
-}
-
 // PlacementAware is an optional ImporterPolicy extension: policies that
 // implement it are given the live segment placement, so they can reason
 // about loads that migrations have already changed.
@@ -205,54 +170,6 @@ func (OraclePolicy) SelectPlaced(placement *cluster.SegmentMap, segTraffic [][]R
 			continue
 		}
 		if v < bestV {
-			best, bestV = cluster.StorageNodeID(b), v
-		}
-	}
-	return best
-}
-
-// PredictorPolicy wraps any predict.Predictor as an importer policy: the
-// model is refit on each BS's history every RefitEvery periods and the
-// lowest forecast wins. This is how the §6.1.3 prediction study plugs into
-// the balancer.
-type PredictorPolicy struct {
-	Label      string
-	New        func() predict.Predictor
-	RefitEvery int
-
-	models  []predict.Predictor
-	lastFit []int
-}
-
-// Name implements ImporterPolicy.
-func (p *PredictorPolicy) Name() string { return p.Label }
-
-// Select implements ImporterPolicy.
-func (p *PredictorPolicy) Select(bsHist [][]float64, period int, exclude cluster.StorageNodeID) cluster.StorageNodeID {
-	if p.models == nil {
-		p.models = make([]predict.Predictor, len(bsHist))
-		p.lastFit = make([]int, len(bsHist))
-		for b := range p.models {
-			p.models[b] = p.New()
-			p.lastFit[b] = -1
-		}
-	}
-	refit := p.RefitEvery
-	if refit < 1 {
-		refit = 1
-	}
-	best, bestV := cluster.StorageNodeID(-1), math.Inf(1)
-	for b := range bsHist {
-		if cluster.StorageNodeID(b) == exclude {
-			continue
-		}
-		if p.lastFit[b] < 0 || period-p.lastFit[b] >= refit {
-			if err := p.models[b].Fit(bsHist[b][:period+1]); err != nil {
-				continue
-			}
-			p.lastFit[b] = period
-		}
-		if v := p.models[b].Predict(); v < bestV {
 			best, bestV = cluster.StorageNodeID(b), v
 		}
 	}

@@ -155,7 +155,8 @@ func TestScheduleQueries(t *testing.T) {
 		t.Fatal("storming VD's boost function wrong")
 	}
 	down := s.DownFnPeriods(6) // 5s per period
-	if !down(1, 1) { // seconds [5,10): crash of BS 1
+	// Seconds [5,10): crash of BS 1.
+	if !down(1, 1) {
 		t.Fatal("period 1 should see BS 1 down")
 	}
 	if down(0, 1) || down(3, 1) {

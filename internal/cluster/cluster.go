@@ -172,14 +172,6 @@ func (t *Topology) VMOfQP(qp QPID) VMID { return t.VDs[t.QPs[qp].VD].VM }
 // NodeOfQP returns the compute node hosting qp.
 func (t *Topology) NodeOfQP(qp QPID) NodeID { return t.VMs[t.VMOfQP(qp)].Node }
 
-// UserOfVM returns the tenant owning vm.
-func (t *Topology) UserOfVM(vm VMID) UserID { return t.VMs[vm].User }
-
-// SegmentOffset returns the byte offset of seg within its VD's address space.
-func (t *Topology) SegmentOffset(seg SegmentID) int64 {
-	return int64(t.Segments[seg].Index) * SegmentSize
-}
-
 // SegmentOfOffset returns the segment of vd containing the given byte offset.
 // It panics if the offset is outside the disk's capacity.
 func (t *Topology) SegmentOfOffset(vd VDID, offset int64) SegmentID {

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"math/rand"
 	"testing"
 )
 
@@ -88,9 +87,6 @@ func TestEntityNavigation(t *testing.T) {
 	if top.NodeOfQP(0) != 0 {
 		t.Fatalf("NodeOfQP(0) = %d, want 0", top.NodeOfQP(0))
 	}
-	if top.UserOfVM(1) != 1 {
-		t.Fatalf("UserOfVM(1) = %d, want 1", top.UserOfVM(1))
-	}
 	if top.NumWTs() != 6 {
 		t.Fatalf("NumWTs = %d, want 6", top.NumWTs())
 	}
@@ -107,9 +103,6 @@ func TestSegmentOfOffset(t *testing.T) {
 	// VD 1 is 40 GiB: offset 39 GiB is in the (short) second segment.
 	if got := top.SegmentOfOffset(1, 39<<30); got != 3 {
 		t.Fatalf("SegmentOfOffset(vd1, 39GiB) = %d, want 3", got)
-	}
-	if got := top.SegmentOffset(3); got != SegmentSize {
-		t.Fatalf("SegmentOffset(3) = %d, want %d", got, SegmentSize)
 	}
 	defer func() {
 		if recover() == nil {
@@ -155,9 +148,8 @@ func TestSegmentMapBasics(t *testing.T) {
 	if got := m.SegmentsOn(0); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("SegmentsOn(0) = %v", got)
 	}
-	counts := m.Counts()
-	if counts[0] != 1 || counts[1] != 0 || counts[2] != 0 {
-		t.Fatalf("Counts = %v", counts)
+	if got := m.SegmentsOn(1); len(got) != 0 {
+		t.Fatalf("SegmentsOn(1) = %v after the move", got)
 	}
 }
 
@@ -179,19 +171,4 @@ func TestSegmentMapAssignPanicsOnBadBS(t *testing.T) {
 		}
 	}()
 	m.Assign(0, 5)
-}
-
-func TestPlaceSegmentsSpreadsVDs(t *testing.T) {
-	top := tinyTopology(t)
-	rng := rand.New(rand.NewSource(7))
-	m := PlaceSegments(top, 3, rng)
-	for seg := 0; seg < m.Len(); seg++ {
-		if m.BSOf(SegmentID(seg)) < 0 {
-			t.Fatalf("segment %d left unassigned", seg)
-		}
-	}
-	// VD 0 has two segments; with 3 BSs and stride >= 1 they must differ.
-	if m.BSOf(0) == m.BSOf(1) {
-		t.Fatalf("segments of VD 0 co-located on BS %d", m.BSOf(0))
-	}
 }

@@ -66,37 +66,6 @@ func (m *SegmentMap) SegmentsOn(bs StorageNodeID) []SegmentID {
 	return out
 }
 
-// Counts returns the number of segments per BlockServer.
-func (m *SegmentMap) Counts() []int {
-	out := make([]int, m.numBS)
-	for _, b := range m.bsOf {
-		if b >= 0 {
-			out[b]++
-		}
-	}
-	return out
-}
-
-// PlaceSegments produces an initial placement of every segment in t onto the
-// given number of BlockServers. For reliability the placement spreads the
-// segments of one VD across distinct BlockServers where possible (§6.1.3:
-// "segments from the same VD should be distributed across different BSs"),
-// choosing a random starting BS per VD so aggregate load spreads too.
-func PlaceSegments(t *Topology, nBS int, rng *rand.Rand) *SegmentMap {
-	if nBS <= 0 {
-		panic("cluster: PlaceSegments needs at least one BlockServer")
-	}
-	m := NewSegmentMap(len(t.Segments), nBS)
-	for i := range t.VDs {
-		start := rng.Intn(nBS)
-		stride := 1 + rng.Intn(max(1, nBS-1))
-		for j, seg := range t.VDs[i].Segments {
-			m.Assign(seg, StorageNodeID((start+j*stride)%nBS))
-		}
-	}
-	return m
-}
-
 func max(a, b int) int {
 	if a > b {
 		return a

@@ -176,13 +176,6 @@ func (o *Observation) QPOps(ep, qp int) float64 {
 	return float64(o.qpOps[ep*o.Shape.QPs+qp]) * o.Shape.Scale
 }
 
-// WTOps returns worker thread wt's (global index) attributed IO count in
-// epoch ep. Under an actuated run this reflects the rebinding the timeline
-// applied, so it is the measured outcome, not the planning input.
-func (o *Observation) WTOps(ep, wt int) float64 {
-	return float64(o.wtOps[ep*o.Shape.WTs+wt]) * o.Shape.Scale
-}
-
 // epochLen returns epoch ep's length in seconds (the last epoch may be
 // truncated by the window).
 func (o *Observation) epochLen(ep int) int {

@@ -108,9 +108,6 @@ func TestObservationCounts(t *testing.T) {
 	if got := a.QPOps(0, 0); got != 1 {
 		t.Fatalf("QPOps(0,0) = %v, want 1", got)
 	}
-	if got := a.WTOps(1, 1); got != 1 {
-		t.Fatalf("WTOps(1,1) = %v, want 1", got)
-	}
 
 	// The fingerprint covers the counters: the same rows fingerprint the
 	// same, more traffic does not.
@@ -185,11 +182,6 @@ func TestAddRowsMatchesObserveBatch(t *testing.T) {
 			for vd := 0; vd < sh.VDs; vd++ {
 				if rows.VDBps(ep, vd) != ref.VDBps(ep, vd) || rows.VDIOPS(ep, vd) != ref.VDIOPS(ep, vd) {
 					t.Fatalf("scale %v: VD %d epoch %d rates differ", scale, vd, ep)
-				}
-			}
-			for wt := 0; wt < sh.WTs; wt++ {
-				if rows.WTOps(ep, wt) != ref.WTOps(ep, wt) {
-					t.Fatalf("scale %v: WT %d epoch %d ops differ", scale, wt, ep)
 				}
 			}
 		}

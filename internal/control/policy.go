@@ -21,7 +21,6 @@ const (
 	SeriesVDBps
 	SeriesVDIOPS
 	SeriesWT
-	numSeriesKinds
 )
 
 func (k SeriesKind) String() string {

@@ -105,7 +105,7 @@ type HostingAblation struct {
 
 // AblateHosting replays each busy node's sampled IO events through both
 // hosting models and compares median wait and isolation.
-func (s *Study) AblateHosting(opt HostingOptions) HostingAblation {
+func (s *Study) AblateHosting(opt NodeWindowOptions) HostingAblation {
 	mustOpt(opt.Validate())
 	maxNodes, winSec := opt.MaxNodes, opt.WinSec
 	if maxNodes <= 0 {
@@ -188,7 +188,7 @@ type CachePolicyAblation struct {
 
 // AblateCachePolicy replays study VDs through four cache policies at one
 // block size.
-func (s *Study) AblateCachePolicy(opt CachePolicyOptions) CachePolicyAblation {
+func (s *Study) AblateCachePolicy(opt BlockSampleOptions) CachePolicyAblation {
 	mustOpt(opt.Validate())
 	maxVDs, maxEventsPerVD, blockMiB := opt.MaxVDs, opt.MaxEventsPerVD, opt.BlockMiB
 	if maxVDs <= 0 {
@@ -255,7 +255,7 @@ type PredictorAblation struct {
 
 // AblatePredictors evaluates every implemented predictor at per-period
 // refit cadence.
-func (s *Study) AblatePredictors(opt PredictorOptions) PredictorAblation {
+func (s *Study) AblatePredictors(opt PeriodOptions) PredictorAblation {
 	mustOpt(opt.Validate())
 	cts := s.clusterTraffics(opt.PeriodSec)
 	var series [][]float64
@@ -390,7 +390,7 @@ type FailoverAblation struct {
 
 // AblateFailover kills the hottest BlockServer of the busiest cluster at
 // mid-window and redistributes its segments under both policies.
-func (s *Study) AblateFailover(opt FailoverOptions) FailoverAblation {
+func (s *Study) AblateFailover(opt PeriodOptions) FailoverAblation {
 	mustOpt(opt.Validate())
 	cts := s.clusterTraffics(opt.PeriodSec)
 	victimCluster := s.worstCluster(cts)

@@ -46,7 +46,7 @@ func TestAblateDispatchOrdering(t *testing.T) {
 
 func TestAblateHosting(t *testing.T) {
 	s := study(t)
-	r := s.AblateHosting(HostingOptions{MaxNodes: 12, WinSec: 6})
+	r := s.AblateHosting(NodeWindowOptions{MaxNodes: 12, WinSec: 6})
 	if r.Nodes == 0 {
 		t.Skip("no nodes with enough sampled IO")
 	}
@@ -63,7 +63,7 @@ func TestAblateHosting(t *testing.T) {
 
 func TestAblateCachePolicy(t *testing.T) {
 	s := study(t)
-	r := s.AblateCachePolicy(CachePolicyOptions{MaxVDs: 10, MaxEventsPerVD: 4000, BlockMiB: 256})
+	r := s.AblateCachePolicy(BlockSampleOptions{MaxVDs: 10, MaxEventsPerVD: 4000, BlockMiB: 256})
 	for _, name := range []string{"fifo", "lru", "clock", "frozen"} {
 		v, ok := r.Median[name]
 		if !ok {
@@ -84,7 +84,7 @@ func TestAblateCachePolicy(t *testing.T) {
 
 func TestAblateFailover(t *testing.T) {
 	s := study(t)
-	r := s.AblateFailover(FailoverOptions{PeriodSec: 10})
+	r := s.AblateFailover(PeriodOptions{PeriodSec: 10})
 	if r.Greedy.Moved == 0 || r.Random.Moved != r.Greedy.Moved {
 		t.Fatalf("moved counts: greedy %d, random %d", r.Greedy.Moved, r.Random.Moved)
 	}
@@ -101,7 +101,7 @@ func TestAblateFailover(t *testing.T) {
 
 func TestAblatePredictors(t *testing.T) {
 	s := study(t)
-	r := s.AblatePredictors(PredictorOptions{PeriodSec: 10})
+	r := s.AblatePredictors(PeriodOptions{PeriodSec: 10})
 	if len(r.Methods) != 7 {
 		t.Fatalf("methods = %v", r.Methods)
 	}

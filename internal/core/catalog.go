@@ -27,8 +27,8 @@ func Catalog() []Experiment {
 			return s.Fig2aWTCoV(nil).Render() +
 				s.Fig2bThreeTier().Render() +
 				s.Fig2cHottestQP().Render() +
-				s.Fig2dRebinding(Fig2dOptions{}).Render() +
-				s.Fig2efBurstSeries(Fig2efOptions{}).Render()
+				s.Fig2dRebinding(NodeWindowOptions{}).Render() +
+				s.Fig2efBurstSeries(NodeWindowOptions{}).Render()
 		}},
 		{"f3", "Figure 3 — traffic throttle", func(s *Study) string {
 			return s.Fig3aSingleVDCase().Render() +
@@ -40,18 +40,18 @@ func Catalog() []Experiment {
 		}},
 		{"f4", "Figure 4 — storage-cluster balancing", func(s *Study) string {
 			return s.Fig4aFrequentMigration(Fig4aOptions{}).Render() +
-				s.Fig4bImporterSelection(Fig4bOptions{}).Render() +
+				s.Fig4bImporterSelection(PeriodOptions{}).Render() +
 				s.Fig4cPredictionMSE(Fig4cOptions{}).Render()
 		}},
 		{"f5", "Figure 5 — balanced write, skewed read", func(s *Study) string {
-			return s.Fig5aReadWriteCoV(Fig5aOptions{}).Render() +
-				s.Fig5bSegmentDominance(Fig5bOptions{}).Render() +
-				s.Fig5cWriteThenRead(Fig5cOptions{}).Render()
+			return s.Fig5aReadWriteCoV(PeriodOptions{}).Render() +
+				s.Fig5bSegmentDominance(PeriodOptions{}).Render() +
+				s.Fig5cWriteThenRead(PeriodOptions{}).Render()
 		}},
-		{"f6", "Figure 6 — LBA hotspots", func(s *Study) string { return s.Fig6HottestBlocks(Fig6Options{}).Render() }},
+		{"f6", "Figure 6 — LBA hotspots", func(s *Study) string { return s.Fig6HottestBlocks(VDSampleOptions{}).Render() }},
 		{"f7", "Figure 7 — caching", func(s *Study) string {
-			return s.Fig7aHitRatio(Fig7aOptions{}).Render() +
-				s.Fig7bcLatencyGain(Fig7bcOptions{}).Render() +
+			return s.Fig7aHitRatio(VDSampleOptions{}).Render() +
+				s.Fig7bcLatencyGain(BlockSampleOptions{}).Render() +
 				s.Fig7dSpaceUtilization(Fig7dOptions{}).Render()
 		}},
 		{"ab", "Ablations", renderAblations},
@@ -60,11 +60,11 @@ func Catalog() []Experiment {
 
 func renderAblations(s *Study) string {
 	var b strings.Builder
-	b.WriteString(s.AblateHosting(HostingOptions{}).Render())
-	b.WriteString(s.AblateCachePolicy(CachePolicyOptions{}).Render())
+	b.WriteString(s.AblateHosting(NodeWindowOptions{}).Render())
+	b.WriteString(s.AblateCachePolicy(BlockSampleOptions{}).Render())
 	b.WriteString(s.AblateCacheDeployment(CacheDeploymentOptions{}).Render())
-	b.WriteString(s.AblatePredictors(PredictorOptions{}).Render())
-	b.WriteString(s.AblateFailover(FailoverOptions{}).Render())
+	b.WriteString(s.AblatePredictors(PeriodOptions{}).Render())
+	b.WriteString(s.AblateFailover(PeriodOptions{}).Render())
 	b.WriteString(s.StudyPageCache(PageCacheOptions{}).Render())
 	for _, p := range []int{1, 10, 50} {
 		r := s.RebindWithConfig(RebindOptions{MaxNodes: 24, WinSec: 10, Config: hypervisor.RebindConfig{PeriodSlots: p, Trigger: 1.2, EvalSlots: 5}})

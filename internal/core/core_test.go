@@ -43,14 +43,6 @@ func TestNewStudyRejectsBadConfig(t *testing.T) {
 	}
 }
 
-func TestNewStudyFromFleet(t *testing.T) {
-	s := study(t)
-	s2 := NewStudyFromFleet(s.Fleet)
-	if s2.Dur != s.Fleet.Cfg.DurationSec {
-		t.Fatalf("Dur = %d", s2.Dur)
-	}
-}
-
 func TestTable2Summary(t *testing.T) {
 	s := study(t)
 	r := s.Table2Summary()
@@ -206,7 +198,7 @@ func TestFig2cShapes(t *testing.T) {
 
 func TestFig2dShapes(t *testing.T) {
 	s := study(t)
-	r := s.Fig2dRebinding(Fig2dOptions{MaxNodes: 30, WinSec: 10})
+	r := s.Fig2dRebinding(NodeWindowOptions{MaxNodes: 30, WinSec: 10})
 	if len(r.Points) == 0 {
 		t.Fatal("no rebinding points")
 	}
@@ -226,7 +218,7 @@ func TestFig2dShapes(t *testing.T) {
 
 func TestFig2efShapes(t *testing.T) {
 	s := study(t)
-	r := s.Fig2efBurstSeries(Fig2efOptions{MaxNodes: 20, WinSec: 10})
+	r := s.Fig2efBurstSeries(NodeWindowOptions{MaxNodes: 20, WinSec: 10})
 	if len(r.BurstySeries) == 0 || len(r.CalmSeries) == 0 {
 		t.Fatal("missing series")
 	}
@@ -359,7 +351,7 @@ func TestFig4aShapes(t *testing.T) {
 
 func TestFig4bShapes(t *testing.T) {
 	s := study(t)
-	r := s.Fig4bImporterSelection(Fig4bOptions{PeriodSec: 5})
+	r := s.Fig4bImporterSelection(PeriodOptions{PeriodSec: 5})
 	if len(r.Policies) != 5 {
 		t.Fatalf("policies = %v", r.Policies)
 	}
@@ -408,7 +400,7 @@ func TestFig4cShapes(t *testing.T) {
 
 func TestFig5aShapes(t *testing.T) {
 	s := study(t)
-	r := s.Fig5aReadWriteCoV(Fig5aOptions{PeriodSec: 5})
+	r := s.Fig5aReadWriteCoV(PeriodOptions{PeriodSec: 5})
 	if len(r.ReadCoV) == 0 {
 		t.Fatal("no clusters measured")
 	}
@@ -423,7 +415,7 @@ func TestFig5aShapes(t *testing.T) {
 
 func TestFig5bShapes(t *testing.T) {
 	s := study(t)
-	r := s.Fig5bSegmentDominance(Fig5bOptions{PeriodSec: 5})
+	r := s.Fig5bSegmentDominance(PeriodOptions{PeriodSec: 5})
 	if len(r.MedianAbsWr) == 0 {
 		t.Fatal("no clusters measured")
 	}
@@ -443,7 +435,7 @@ func TestFig5bShapes(t *testing.T) {
 
 func TestFig5cShapes(t *testing.T) {
 	s := study(t)
-	r := s.Fig5cWriteThenRead(Fig5cOptions{PeriodSec: 5})
+	r := s.Fig5cWriteThenRead(PeriodOptions{PeriodSec: 5})
 	// Write-then-read must not leave read balance worse, and must not
 	// meaningfully hurt write balance (§6.2.2's surprise: it helps).
 	if !(r.WTRReadCoV <= r.WriteOnlyReadCoV+0.05) {
@@ -462,7 +454,7 @@ func TestFig5cShapes(t *testing.T) {
 
 func TestFig6Shapes(t *testing.T) {
 	s := study(t)
-	r := s.Fig6HottestBlocks(Fig6Options{MaxVDs: 24, MaxEventsPerVD: 6000})
+	r := s.Fig6HottestBlocks(VDSampleOptions{MaxVDs: 24, MaxEventsPerVD: 6000})
 	if r.VDs == 0 {
 		t.Fatal("no study VDs")
 	}
@@ -494,7 +486,7 @@ func TestFig6Shapes(t *testing.T) {
 
 func TestFig7aShapes(t *testing.T) {
 	s := study(t)
-	r := s.Fig7aHitRatio(Fig7aOptions{MaxVDs: 16, MaxEventsPerVD: 6000})
+	r := s.Fig7aHitRatio(VDSampleOptions{MaxVDs: 16, MaxEventsPerVD: 6000})
 	last := len(r.BlockMiB) - 1
 	// §7.3.1: sequential-write hotspots make FIFO ~= LRU.
 	for i := range r.BlockMiB {
@@ -517,7 +509,7 @@ func TestFig7aShapes(t *testing.T) {
 
 func TestFig7bcShapes(t *testing.T) {
 	s := study(t)
-	r := s.Fig7bcLatencyGain(Fig7bcOptions{MaxVDs: 16, MaxEventsPerVD: 5000, BlockMiB: 2048})
+	r := s.Fig7bcLatencyGain(BlockSampleOptions{MaxVDs: 16, MaxEventsPerVD: 5000, BlockMiB: 2048})
 	// CN-cache p0 gain is far stronger than BS-cache p0 gain (it skips the
 	// whole storage cluster).
 	if !math.IsNaN(r.CNWrite[0]) && !math.IsNaN(r.BSWrite[0]) {

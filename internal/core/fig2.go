@@ -11,7 +11,6 @@ import (
 	"ebslab/internal/report"
 	"ebslab/internal/stats"
 	"ebslab/internal/trace"
-	"ebslab/internal/workload"
 )
 
 // Fig2aResult holds the WT-CoV distributions of Figure 2(a) at several time
@@ -291,7 +290,7 @@ const rebindSampleEvery = trace.SampleRate / 4
 // multi-QP nodes. Exactly like the paper's §4.3 simulation, the input is
 // the *sampled* trace: per-10 ms traffic is a sparse spike train, which is
 // what makes periodic rebinding mostly chase bursts it has already missed.
-func (s *Study) Fig2dRebinding(opt Fig2dOptions) Fig2dResult {
+func (s *Study) Fig2dRebinding(opt NodeWindowOptions) Fig2dResult {
 	mustOpt(opt.Validate())
 	return s.rebindingWithSampling(opt.MaxNodes, opt.WinSec, rebindSampleEvery)
 }
@@ -378,38 +377,6 @@ func (s *Study) busiestNodes(k int) []cluster.NodeID {
 	return out
 }
 
-// nodeSlotTraffic builds [qp][slot] total traffic (bytes) for a node at
-// slotsPerSec resolution over winSec seconds.
-func (s *Study) nodeSlotTraffic(n cluster.NodeID, winSec, slotsPerSec int) [][]float64 {
-	top := s.Fleet.Topology
-	qps := top.NodeQPs(n)
-	idx := make(map[cluster.QPID]int, len(qps))
-	for i, qp := range qps {
-		idx[qp] = i
-	}
-	out := alloc2(len(qps), winSec*slotsPerSec)
-	seen := map[cluster.VDID]bool{}
-	for _, qp := range qps {
-		vd := top.VDOfQP(qp)
-		if seen[vd] {
-			continue
-		}
-		seen[vd] = true
-		m := &s.Fleet.Models[vd]
-		series := s.Fleet.VDSeries(vd, winSec)
-		for sec, smp := range series {
-			rb, wb := s.Fleet.FineSlots(vd, sec, slotsPerSec, workload.Sample(smp))
-			for i, q := range top.VDs[vd].QPs {
-				row := out[idx[q]]
-				for sl := 0; sl < slotsPerSec; sl++ {
-					row[sec*slotsPerSec+sl] += rb[sl]*m.QPWeightsRead[i] + wb[sl]*m.QPWeightsWrite[i]
-				}
-			}
-		}
-	}
-	return out
-}
-
 // Render prints Fig 2(d).
 func (r Fig2dResult) Render() string {
 	var b strings.Builder
@@ -432,7 +399,7 @@ type Fig2efResult struct {
 // Fig2efBurstSeries reruns the rebinding study and picks the node whose
 // hottest-WT 10 ms series has the highest P2A (bursty) and the lowest
 // (calm), returning both series.
-func (s *Study) Fig2efBurstSeries(opt Fig2efOptions) Fig2efResult {
+func (s *Study) Fig2efBurstSeries(opt NodeWindowOptions) Fig2efResult {
 	mustOpt(opt.Validate())
 	maxNodes, winSec := opt.MaxNodes, opt.WinSec
 	if maxNodes <= 0 {

@@ -169,7 +169,7 @@ type Fig4bResult struct {
 // Fig4bImporterSelection runs the five importer policies of §6.1.2 on the
 // storage cluster with the most frequent migrations under the production
 // policy.
-func (s *Study) Fig4bImporterSelection(opt Fig4bOptions) Fig4bResult {
+func (s *Study) Fig4bImporterSelection(opt PeriodOptions) Fig4bResult {
 	mustOpt(opt.Validate())
 	cts := s.clusterTraffics(opt.PeriodSec)
 	victim := s.worstCluster(cts)

@@ -22,7 +22,7 @@ type Fig5aResult struct {
 }
 
 // Fig5aReadWriteCoV measures per-cluster inter-BS skewness by direction.
-func (s *Study) Fig5aReadWriteCoV(opt Fig5aOptions) Fig5aResult {
+func (s *Study) Fig5aReadWriteCoV(opt PeriodOptions) Fig5aResult {
 	mustOpt(opt.Validate())
 	cts := s.clusterTraffics(opt.PeriodSec)
 	var res Fig5aResult
@@ -98,7 +98,7 @@ type Fig5bResult struct {
 
 // Fig5bSegmentDominance measures how one-sided segments are, per cluster,
 // restricted to the segments carrying the top 80% of cluster traffic.
-func (s *Study) Fig5bSegmentDominance(opt Fig5bOptions) Fig5bResult {
+func (s *Study) Fig5bSegmentDominance(opt PeriodOptions) Fig5bResult {
 	mustOpt(opt.Validate())
 	cts := s.clusterTraffics(opt.PeriodSec)
 	var res Fig5bResult
@@ -158,7 +158,7 @@ type Fig5cResult struct {
 
 // Fig5cWriteThenRead runs both balancing modes with the Ideal importer on
 // the busiest cluster, as §6.2.2 does.
-func (s *Study) Fig5cWriteThenRead(opt Fig5cOptions) Fig5cResult {
+func (s *Study) Fig5cWriteThenRead(opt PeriodOptions) Fig5cResult {
 	mustOpt(opt.Validate())
 	cts := s.clusterTraffics(opt.PeriodSec)
 	victim := s.worstCluster(cts)

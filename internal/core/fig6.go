@@ -85,7 +85,7 @@ type Fig6Result struct {
 }
 
 // Fig6HottestBlocks analyzes LBA hotspots over the busiest maxVDs disks.
-func (s *Study) Fig6HottestBlocks(opt Fig6Options) Fig6Result {
+func (s *Study) Fig6HottestBlocks(opt VDSampleOptions) Fig6Result {
 	mustOpt(opt.Validate())
 	maxVDs, maxEventsPerVD := opt.MaxVDs, opt.MaxEventsPerVD
 	if maxVDs <= 0 {

@@ -24,7 +24,7 @@ type Fig7aResult struct {
 // Fig7aHitRatio replays each study VD's IO stream through FIFO, LRU and a
 // frozen cache sized to each block size; the frozen cache pins the VD's
 // hottest block of that size, matching §7.3.1's setup.
-func (s *Study) Fig7aHitRatio(opt Fig7aOptions) Fig7aResult {
+func (s *Study) Fig7aHitRatio(opt VDSampleOptions) Fig7aResult {
 	mustOpt(opt.Validate())
 	maxVDs, maxEventsPerVD := opt.MaxVDs, opt.MaxEventsPerVD
 	if maxVDs <= 0 {
@@ -90,7 +90,7 @@ type Fig7bcResult struct {
 // Fig7bcLatencyGain evaluates frozen-cache latency gains at both deployment
 // locations over the study VDs, using the given frozen-cache block size
 // (2048 MiB in the paper's FC experiments).
-func (s *Study) Fig7bcLatencyGain(opt Fig7bcOptions) Fig7bcResult {
+func (s *Study) Fig7bcLatencyGain(opt BlockSampleOptions) Fig7bcResult {
 	mustOpt(opt.Validate())
 	maxVDs, maxEventsPerVD, blockMiB := opt.MaxVDs, opt.MaxEventsPerVD, opt.BlockMiB
 	if maxVDs <= 0 {

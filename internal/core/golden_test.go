@@ -165,12 +165,12 @@ func TestGoldenFigures(t *testing.T) {
 	goldenCompare(t, "fig3de", s.Fig3deReduction(Fig3deOptions{}))
 	goldenCompare(t, "fig3fg", s.Fig3fgLendingGain(Fig3fgOptions{}))
 	goldenCompare(t, "fig4a", s.Fig4aFrequentMigration(Fig4aOptions{}))
-	goldenCompare(t, "fig4b", s.Fig4bImporterSelection(Fig4bOptions{}))
-	goldenCompare(t, "fig5a", s.Fig5aReadWriteCoV(Fig5aOptions{}))
-	goldenCompare(t, "fig5b", s.Fig5bSegmentDominance(Fig5bOptions{}))
-	goldenCompare(t, "fig5c", s.Fig5cWriteThenRead(Fig5cOptions{}))
-	goldenCompare(t, "fig6", s.Fig6HottestBlocks(Fig6Options{MaxVDs: 12, MaxEventsPerVD: 4000}))
-	goldenCompare(t, "fig7a", s.Fig7aHitRatio(Fig7aOptions{MaxVDs: 8, MaxEventsPerVD: 4000}))
+	goldenCompare(t, "fig4b", s.Fig4bImporterSelection(PeriodOptions{}))
+	goldenCompare(t, "fig5a", s.Fig5aReadWriteCoV(PeriodOptions{}))
+	goldenCompare(t, "fig5b", s.Fig5bSegmentDominance(PeriodOptions{}))
+	goldenCompare(t, "fig5c", s.Fig5cWriteThenRead(PeriodOptions{}))
+	goldenCompare(t, "fig6", s.Fig6HottestBlocks(VDSampleOptions{MaxVDs: 12, MaxEventsPerVD: 4000}))
+	goldenCompare(t, "fig7a", s.Fig7aHitRatio(VDSampleOptions{MaxVDs: 8, MaxEventsPerVD: 4000}))
 	goldenCompare(t, "fig7d", s.Fig7dSpaceUtilization(Fig7dOptions{}))
 }
 
@@ -178,10 +178,10 @@ func TestGoldenFigures(t *testing.T) {
 func TestGoldenAblations(t *testing.T) {
 	s := goldenStudy(t)
 	goldenCompare(t, "ablation_dispatch", s.AblateDispatch(DispatchOptions{MaxNodes: 8, WinSec: 8}))
-	goldenCompare(t, "ablation_hosting", s.AblateHosting(HostingOptions{MaxNodes: 8, WinSec: 8}))
-	goldenCompare(t, "ablation_cachepolicy", s.AblateCachePolicy(CachePolicyOptions{MaxVDs: 6, MaxEventsPerVD: 2000}))
-	goldenCompare(t, "ablation_predictors", s.AblatePredictors(PredictorOptions{}))
-	goldenCompare(t, "ablation_failover", s.AblateFailover(FailoverOptions{}))
+	goldenCompare(t, "ablation_hosting", s.AblateHosting(NodeWindowOptions{MaxNodes: 8, WinSec: 8}))
+	goldenCompare(t, "ablation_cachepolicy", s.AblateCachePolicy(BlockSampleOptions{MaxVDs: 6, MaxEventsPerVD: 2000}))
+	goldenCompare(t, "ablation_predictors", s.AblatePredictors(PeriodOptions{}))
+	goldenCompare(t, "ablation_failover", s.AblateFailover(PeriodOptions{}))
 }
 
 // goldenEngineRun is the engine configuration whose dataset fingerprint the

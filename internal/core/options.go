@@ -11,8 +11,8 @@ import (
 // This file defines the per-method option structs of the Study API. Every
 // figure, table, and ablation method takes one small struct whose zero
 // value selects the documented defaults — callers name only the knobs they
-// change, instead of passing positional zeros. (The positional *Legacy
-// wrappers that bridged the old signatures have been removed.)
+// change, instead of passing positional zeros. Methods with the same knobs
+// share one type; where their defaults differ, each method applies its own.
 //
 // Each struct has a Validate method mirroring ebs.Options: zero values are
 // defaults and always valid; negative counts and NaN or out-of-range rates
@@ -73,18 +73,35 @@ func mustOpt(err error) {
 	}
 }
 
-// Fig2dOptions tunes the Fig 2(d) rebinding study.
-type Fig2dOptions struct {
-	// MaxNodes caps the study to the busiest multi-QP nodes (0 = 60).
-	MaxNodes int
-	// WinSec is the simulated window in seconds (0 = 30).
-	WinSec int
+// NodeWindowOptions tunes the studies that replay the busiest nodes over a
+// short window: Fig 2(d) rebinding (defaults 60 nodes, 30 s), the Fig
+// 2(e)/(f) burst series (40, 20) and the hosting-model ablation (24, 10).
+type NodeWindowOptions struct {
+	MaxNodes int // busiest-node cap (0 = the method's default)
+	WinSec   int // window in seconds (0 = the method's default)
 }
 
-// Fig2efOptions tunes the Fig 2(e)/(f) burst-series study.
-type Fig2efOptions struct {
-	MaxNodes int // busiest-node cap (0 = 40)
-	WinSec   int // window in seconds (0 = 20)
+// PeriodOptions tunes the studies whose only knob is the balancing period:
+// Fig 4(b), Fig 5(a)-(c) and the predictor and failover ablations.
+type PeriodOptions struct {
+	PeriodSec int // balancing period in seconds (0 = 5)
+}
+
+// VDSampleOptions tunes the studies that replay events of the busiest VDs:
+// the Fig 6 LBA-hotspot analysis (default 48 VDs) and the Fig 7(a) cache
+// hit-ratio replay (32).
+type VDSampleOptions struct {
+	MaxVDs         int // busiest-VD cap (0 = the method's default)
+	MaxEventsPerVD int // events replayed per VD (0 = 20000)
+}
+
+// BlockSampleOptions tunes the block-cache replays: the Fig 7(b)/(c)
+// frozen-cache latency study (defaults 24 VDs, 12000 events, 2048 MiB) and
+// the cache-policy ablation (24, 8000, 256).
+type BlockSampleOptions struct {
+	MaxVDs         int   // busiest-VD cap (0 = 24)
+	MaxEventsPerVD int   // events replayed per VD (0 = the method's default)
+	BlockMiB       int64 // cache block size in MiB (0 = the method's default)
 }
 
 // Fig3deOptions tunes the Fig 3(d)/(e) reduction-rate study.
@@ -109,49 +126,10 @@ type Fig4aOptions struct {
 	Windows   []int // window scales in periods (nil = 1, 2, 4)
 }
 
-// Fig4bOptions tunes the Fig 4(b) importer-selection comparison.
-type Fig4bOptions struct {
-	PeriodSec int // balancing period in seconds (0 = 5)
-}
-
 // Fig4cOptions tunes the Fig 4(c) prediction-MSE comparison.
 type Fig4cOptions struct {
 	PeriodSec int // balancing period in seconds (0 = 5)
 	EpochLen  int // epoch length in periods for P3/P4 (0 = 30)
-}
-
-// Fig5aOptions tunes the Fig 5(a) read/write CoV study.
-type Fig5aOptions struct {
-	PeriodSec int // balancing period in seconds (0 = 5)
-}
-
-// Fig5bOptions tunes the Fig 5(b) segment-dominance study.
-type Fig5bOptions struct {
-	PeriodSec int // balancing period in seconds (0 = 5)
-}
-
-// Fig5cOptions tunes the Fig 5(c) write-then-read comparison.
-type Fig5cOptions struct {
-	PeriodSec int // balancing period in seconds (0 = 5)
-}
-
-// Fig6Options tunes the Fig 6 LBA-hotspot analysis.
-type Fig6Options struct {
-	MaxVDs         int // busiest-VD cap (0 = 48)
-	MaxEventsPerVD int // events replayed per VD (0 = 20000)
-}
-
-// Fig7aOptions tunes the Fig 7(a) cache hit-ratio replay.
-type Fig7aOptions struct {
-	MaxVDs         int // busiest-VD cap (0 = 32)
-	MaxEventsPerVD int // events replayed per VD (0 = 20000)
-}
-
-// Fig7bcOptions tunes the Fig 7(b)/(c) frozen-cache latency study.
-type Fig7bcOptions struct {
-	MaxVDs         int   // busiest-VD cap (0 = 24)
-	MaxEventsPerVD int   // events replayed per VD (0 = 12000)
-	BlockMiB       int64 // frozen-cache block size in MiB (0 = 2048)
 }
 
 // Fig7dOptions tunes the Fig 7(d) space-utilization study.
@@ -178,35 +156,12 @@ type DispatchOptions struct {
 	Policy hypervisor.DispatchPolicy
 }
 
-// HostingOptions tunes the hosting-model ablation.
-type HostingOptions struct {
-	MaxNodes int // busiest-node cap (0 = 24)
-	WinSec   int // window in seconds (0 = 10)
-}
-
-// CachePolicyOptions tunes the cache-policy ablation.
-type CachePolicyOptions struct {
-	MaxVDs         int   // busiest-VD cap (0 = 24)
-	MaxEventsPerVD int   // events replayed per VD (0 = 8000)
-	BlockMiB       int64 // cache block size in MiB (0 = 256)
-}
-
-// PredictorOptions tunes the predictor ablation.
-type PredictorOptions struct {
-	PeriodSec int // balancing period in seconds (0 = 5)
-}
-
 // CacheDeploymentOptions tunes the cache-deployment ablation.
 type CacheDeploymentOptions struct {
 	MaxVDs         int     // cacheable-VD cap (0 = 16)
 	MaxEventsPerVD int     // events replayed per VD (0 = 8000)
 	BlockMiB       int64   // frozen-cache block size in MiB (0 = 2048)
 	CNFrac         float64 // hybrid split: fraction cached at the CN (0 = 0.25)
-}
-
-// FailoverOptions tunes the failover ablation.
-type FailoverOptions struct {
-	PeriodSec int // balancing period in seconds (0 = 5)
 }
 
 // PageCacheOptions tunes the guest page-cache study.
@@ -222,15 +177,27 @@ type PageCacheOptions struct {
 // --- Validate methods -------------------------------------------------------
 
 // Validate reports whether the options are usable.
-func (o Fig2dOptions) Validate() error {
-	return nonNeg("Fig2dOptions",
+func (o NodeWindowOptions) Validate() error {
+	return nonNeg("NodeWindowOptions",
 		intField{"MaxNodes", int64(o.MaxNodes)}, intField{"WinSec", int64(o.WinSec)})
 }
 
 // Validate reports whether the options are usable.
-func (o Fig2efOptions) Validate() error {
-	return nonNeg("Fig2efOptions",
-		intField{"MaxNodes", int64(o.MaxNodes)}, intField{"WinSec", int64(o.WinSec)})
+func (o PeriodOptions) Validate() error {
+	return nonNeg("PeriodOptions", intField{"PeriodSec", int64(o.PeriodSec)})
+}
+
+// Validate reports whether the options are usable.
+func (o VDSampleOptions) Validate() error {
+	return nonNeg("VDSampleOptions",
+		intField{"MaxVDs", int64(o.MaxVDs)}, intField{"MaxEventsPerVD", int64(o.MaxEventsPerVD)})
+}
+
+// Validate reports whether the options are usable.
+func (o BlockSampleOptions) Validate() error {
+	return nonNeg("BlockSampleOptions",
+		intField{"MaxVDs", int64(o.MaxVDs)}, intField{"MaxEventsPerVD", int64(o.MaxEventsPerVD)},
+		intField{"BlockMiB", o.BlockMiB})
 }
 
 // Validate reports whether the options are usable.
@@ -260,48 +227,9 @@ func (o Fig4aOptions) Validate() error {
 }
 
 // Validate reports whether the options are usable.
-func (o Fig4bOptions) Validate() error {
-	return nonNeg("Fig4bOptions", intField{"PeriodSec", int64(o.PeriodSec)})
-}
-
-// Validate reports whether the options are usable.
 func (o Fig4cOptions) Validate() error {
 	return nonNeg("Fig4cOptions",
 		intField{"PeriodSec", int64(o.PeriodSec)}, intField{"EpochLen", int64(o.EpochLen)})
-}
-
-// Validate reports whether the options are usable.
-func (o Fig5aOptions) Validate() error {
-	return nonNeg("Fig5aOptions", intField{"PeriodSec", int64(o.PeriodSec)})
-}
-
-// Validate reports whether the options are usable.
-func (o Fig5bOptions) Validate() error {
-	return nonNeg("Fig5bOptions", intField{"PeriodSec", int64(o.PeriodSec)})
-}
-
-// Validate reports whether the options are usable.
-func (o Fig5cOptions) Validate() error {
-	return nonNeg("Fig5cOptions", intField{"PeriodSec", int64(o.PeriodSec)})
-}
-
-// Validate reports whether the options are usable.
-func (o Fig6Options) Validate() error {
-	return nonNeg("Fig6Options",
-		intField{"MaxVDs", int64(o.MaxVDs)}, intField{"MaxEventsPerVD", int64(o.MaxEventsPerVD)})
-}
-
-// Validate reports whether the options are usable.
-func (o Fig7aOptions) Validate() error {
-	return nonNeg("Fig7aOptions",
-		intField{"MaxVDs", int64(o.MaxVDs)}, intField{"MaxEventsPerVD", int64(o.MaxEventsPerVD)})
-}
-
-// Validate reports whether the options are usable.
-func (o Fig7bcOptions) Validate() error {
-	return nonNeg("Fig7bcOptions",
-		intField{"MaxVDs", int64(o.MaxVDs)}, intField{"MaxEventsPerVD", int64(o.MaxEventsPerVD)},
-		intField{"BlockMiB", o.BlockMiB})
 }
 
 // Validate reports whether the options are usable.
@@ -322,24 +250,6 @@ func (o DispatchOptions) Validate() error {
 }
 
 // Validate reports whether the options are usable.
-func (o HostingOptions) Validate() error {
-	return nonNeg("HostingOptions",
-		intField{"MaxNodes", int64(o.MaxNodes)}, intField{"WinSec", int64(o.WinSec)})
-}
-
-// Validate reports whether the options are usable.
-func (o CachePolicyOptions) Validate() error {
-	return nonNeg("CachePolicyOptions",
-		intField{"MaxVDs", int64(o.MaxVDs)}, intField{"MaxEventsPerVD", int64(o.MaxEventsPerVD)},
-		intField{"BlockMiB", o.BlockMiB})
-}
-
-// Validate reports whether the options are usable.
-func (o PredictorOptions) Validate() error {
-	return nonNeg("PredictorOptions", intField{"PeriodSec", int64(o.PeriodSec)})
-}
-
-// Validate reports whether the options are usable.
 func (o CacheDeploymentOptions) Validate() error {
 	if err := nonNeg("CacheDeploymentOptions",
 		intField{"MaxVDs", int64(o.MaxVDs)}, intField{"MaxEventsPerVD", int64(o.MaxEventsPerVD)},
@@ -347,11 +257,6 @@ func (o CacheDeploymentOptions) Validate() error {
 		return err
 	}
 	return unitRate("CacheDeploymentOptions", rateField{"CNFrac", o.CNFrac})
-}
-
-// Validate reports whether the options are usable.
-func (o FailoverOptions) Validate() error {
-	return nonNeg("FailoverOptions", intField{"PeriodSec", int64(o.PeriodSec)})
 }
 
 // Validate reports whether the options are usable.

@@ -10,12 +10,10 @@ type validatable interface{ Validate() error }
 
 func TestOptionsZeroValuesValidate(t *testing.T) {
 	zeros := []validatable{
-		Fig2dOptions{}, Fig2efOptions{}, Fig3deOptions{}, Fig3fgOptions{},
-		Fig4aOptions{}, Fig4bOptions{}, Fig4cOptions{}, Fig5aOptions{},
-		Fig5bOptions{}, Fig5cOptions{}, Fig6Options{}, Fig7aOptions{},
-		Fig7bcOptions{}, Fig7dOptions{}, RebindOptions{}, DispatchOptions{},
-		HostingOptions{}, CachePolicyOptions{}, PredictorOptions{},
-		CacheDeploymentOptions{}, FailoverOptions{}, PageCacheOptions{},
+		NodeWindowOptions{}, PeriodOptions{}, VDSampleOptions{}, BlockSampleOptions{},
+		Fig3deOptions{}, Fig3fgOptions{}, Fig4aOptions{}, Fig4cOptions{},
+		Fig7dOptions{}, RebindOptions{}, DispatchOptions{},
+		CacheDeploymentOptions{}, PageCacheOptions{},
 	}
 	for _, o := range zeros {
 		if err := o.Validate(); err != nil {
@@ -26,16 +24,16 @@ func TestOptionsZeroValuesValidate(t *testing.T) {
 
 func TestOptionsValidateRejectsGarbage(t *testing.T) {
 	bad := []validatable{
-		Fig2dOptions{MaxNodes: -1},
-		Fig2efOptions{WinSec: -5},
+		NodeWindowOptions{MaxNodes: -1},
+		NodeWindowOptions{WinSec: -5},
 		Fig3deOptions{Rates: []float64{0.2, math.NaN()}},
 		Fig3deOptions{Rates: []float64{-0.2}},
 		Fig3deOptions{Rates: []float64{1.5}},
 		Fig3fgOptions{PeriodSec: -60},
 		Fig4aOptions{Windows: []int{2, 0}},
 		Fig4cOptions{EpochLen: -1},
-		Fig6Options{MaxEventsPerVD: -100},
-		Fig7bcOptions{BlockMiB: -2048},
+		VDSampleOptions{MaxEventsPerVD: -100},
+		BlockSampleOptions{BlockMiB: -2048},
 		Fig7dOptions{Threshold: math.NaN()},
 		Fig7dOptions{Threshold: -0.1},
 		Fig7dOptions{Threshold: 1.01},

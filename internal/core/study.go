@@ -49,11 +49,6 @@ func NewStudy(cfg workload.Config) (*Study, error) {
 	return &Study{Fleet: f, Dur: cfg.DurationSec}, nil
 }
 
-// NewStudyFromFleet wraps an existing fleet.
-func NewStudyFromFleet(f *workload.Fleet) *Study {
-	return &Study{Fleet: f, Dur: f.Cfg.DurationSec}
-}
-
 // ensureTotals performs the shared aggregation pass over all VD series,
 // parallelized across the study's worker pool. Every per-VD write lands in
 // slice slots owned by that VD (its own QPs and segments), so the pass is

@@ -16,11 +16,10 @@ func TestEnsureTotalsWorkerCountInvariance(t *testing.T) {
 	cfg.NodesPerDC = 24
 	cfg.DurationSec = 30
 	mk := func(workers int) *Study {
-		f, err := workload.Generate(cfg)
+		s, err := NewStudy(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := NewStudyFromFleet(f)
 		s.Workers = workers
 		return s
 	}

@@ -287,7 +287,9 @@ func addDirectional(row *trace.MetricRow, op trace.Op, bytes float64) {
 	}
 }
 
-// sampled mirrors trace.Sampled but honors the tracer's configured rate.
+// sampled reports whether the IO with this trace ID is captured at the
+// tracer's configured rate: a splitmix64 hash of the ID, so sampling is
+// deterministic, uniform, and independent of issue order.
 func (t *Tracer) sampled(id uint64) bool {
 	if t.sampleEvery == 1 {
 		return true

@@ -241,9 +241,6 @@ func (s *Sim) specs() ([]trace.VDSpec, []trace.VMSpec) {
 	return s.vdSpecs, s.vmSpecs
 }
 
-// Binding returns the QP binding of one compute node (for inspection).
-func (s *Sim) Binding(n cluster.NodeID) *hypervisor.Binding { return s.bindings[n] }
-
 // checkScenarioOptions validates the run's scenario binding: the scenario
 // must be bound to this simulator's fleet (series, events, and records are
 // expressed in that fleet's address space), and a record-sourced replay

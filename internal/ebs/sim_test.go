@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"ebslab/internal/cluster"
 	"ebslab/internal/trace"
 	"ebslab/internal/workload"
 )
@@ -142,14 +141,5 @@ func TestThrottleAddsQueueDelay(t *testing.T) {
 	}
 	if !(sumWith > sumWithout) {
 		t.Fatalf("throttled run CN latency %v not above unthrottled %v", sumWith, sumWithout)
-	}
-}
-
-func TestBindingAccessor(t *testing.T) {
-	f := smallFleet(t)
-	sim := New(f)
-	b := sim.Binding(cluster.NodeID(0))
-	if b == nil || b.Node != 0 {
-		t.Fatal("Binding accessor broken")
 	}
 }

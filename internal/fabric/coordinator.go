@@ -399,12 +399,6 @@ func (co *Coordinator) Workers() int {
 	return n
 }
 
-// LeaderInfo exposes the replica's current leader hint and whether this
-// replica is that leader.
-func (co *Coordinator) LeaderInfo() (leader int, isLeader bool) {
-	return co.runner.LeaderInfo()
-}
-
 // Ledger snapshots the dispatch/result accounting for the cross-process
 // conservation law.
 func (co *Coordinator) Ledger() *invariant.ShardLedger {

@@ -1,12 +1,6 @@
 package fabric
 
 import (
-	"bytes"
-	"encoding/hex"
-	"flag"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 
 	"ebslab/internal/cluster"
@@ -14,36 +8,8 @@ import (
 	"ebslab/internal/invariant"
 	"ebslab/internal/sketch"
 	"ebslab/internal/trace"
+	"ebslab/internal/wire/wiretest"
 )
-
-var captureEncodings = flag.Bool("capture-encodings", false, "rewrite testdata/encodings from the current encoders (a deliberate format change only)")
-
-// checkEncoding compares got against the bytes the encoder produced when the
-// fixture was captured (testdata/encodings/<name>.hex).
-func checkEncoding(t *testing.T, name string, got []byte) {
-	t.Helper()
-	path := filepath.Join("testdata", "encodings", name+".hex")
-	if *captureEncodings {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(hex.EncodeToString(got)+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := hex.DecodeString(strings.TrimSpace(string(raw)))
-	if err != nil {
-		t.Fatalf("%s: %v", path, err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("%s: encoding changed: %d bytes, captured %d", name, len(got), len(want))
-	}
-}
 
 // Sections of a shard partial, as bits of samplePartial's argument.
 const (
@@ -112,11 +78,11 @@ func samplePartial(sections int) *ebs.ShardPartial {
 // TestEncodingsUnchanged pins the shard-result and ledger-command frames to
 // the bytes the encoders emitted before they moved onto internal/wire.
 func TestEncodingsUnchanged(t *testing.T) {
-	checkEncoding(t, "result-full", encodeResult(42, 7, samplePartial(secAll)))
-	checkEncoding(t, "result-empty", encodeResult(1, 0, samplePartial(0)))
+	wiretest.CheckEncoding(t, "result-full", encodeResult(42, 7, samplePartial(secAll)))
+	wiretest.CheckEncoding(t, "result-empty", encodeResult(1, 0, samplePartial(0)))
 	frame := encodeResult(2, 1, samplePartial(secRecords|secAudit))
-	checkEncoding(t, "command-result", encodeCommand(&command{Kind: cmdResult, Worker: 2, At: 1_700_000_000_123_456_789, Frame: frame}))
-	checkEncoding(t, "command-assign", encodeCommand(&command{Kind: cmdAssign, Worker: 7, At: -9}))
+	wiretest.CheckEncoding(t, "command-result", encodeCommand(&command{Kind: cmdResult, Worker: 2, At: 1_700_000_000_123_456_789, Frame: frame}))
+	wiretest.CheckEncoding(t, "command-assign", encodeCommand(&command{Kind: cmdAssign, Worker: 7, At: -9}))
 }
 
 // TestEncodeResultExactSize holds the encoder to its own arithmetic: a frame

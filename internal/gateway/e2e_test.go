@@ -277,3 +277,70 @@ func TestE2EFabricNoKillMatchesOracle(t *testing.T) {
 			st.DatasetFP, st.SketchFP, oracle.DatasetFP, oracle.SketchFP)
 	}
 }
+
+// TestFabricStudyReportsProgress pins the disk counters of a study run on
+// the fabric: mid-run Status never claims more disks than the accepted
+// shards cover, and once the study is done Status reads N/N and the final
+// snapshot's VDsDone equals its Seq. (A fabric study used to report 0/N
+// forever — only the in-process path stored the counter.)
+func TestFabricStudyReportsProgress(t *testing.T) {
+	var h *gatewaytest.Harness
+	var mu sync.Mutex
+	var overclaims []string
+	h = gatewaytest.Start(gateway.Config{
+		MaxConcurrent: 1,
+		Fabric:        &gateway.FabricConfig{Replicas: 1, Workers: 2},
+		OnProgress: func(study uint64, accepted, shards int) {
+			if accepted >= shards {
+				return
+			}
+			// Status first: the accepted set only grows, so the snapshot
+			// taken after it covers at least what Status saw.
+			st, err := h.GW.Status(study)
+			if err != nil {
+				return
+			}
+			snap, err := h.GW.Snapshot(study)
+			if err != nil {
+				return
+			}
+			if uint64(st.VDsDone) > snap.Seq {
+				mu.Lock()
+				overclaims = append(overclaims, fmt.Sprintf("Status %d/%d with %d disks covered",
+					st.VDsDone, st.VDsTotal, snap.Seq))
+				mu.Unlock()
+			}
+		},
+	})
+	defer h.Close()
+
+	spec := gateway.StudySpec{
+		Seed: 7, DurationSec: 1, Nodes: 2, Users: 4, MaxVDs: 12,
+		EventSampleEvery: 4, Shards: 4,
+	}
+	cl, err := h.Client()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reply, err := cl.Submit("progress-tenant", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := pollDone(t, cl, reply.StudyID)
+	if st.VDsTotal == 0 || st.VDsDone != st.VDsTotal {
+		t.Fatalf("completed fabric study reports vds=%d/%d, want N/N", st.VDsDone, st.VDsTotal)
+	}
+	snap, err := cl.Snapshot(reply.StudyID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if uint64(snap.VDsDone) != snap.Seq || int(snap.VDsTotal) != st.VDsTotal || int(snap.VDsDone) != st.VDsTotal {
+		t.Fatalf("final snapshot VDsDone=%d VDsTotal=%d Seq=%d, want all %d",
+			snap.VDsDone, snap.VDsTotal, snap.Seq, st.VDsTotal)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, o := range overclaims {
+		t.Errorf("mid-run: %s", o)
+	}
+}

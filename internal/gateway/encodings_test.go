@@ -1,43 +1,10 @@
 package gateway
 
 import (
-	"bytes"
-	"encoding/hex"
-	"flag"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
+
+	"ebslab/internal/wire/wiretest"
 )
-
-var captureEncodings = flag.Bool("capture-encodings", false, "rewrite testdata/encodings from the current encoders (a deliberate format change only)")
-
-// checkEncoding compares got against the bytes the encoder produced when the
-// fixture was captured (testdata/encodings/<name>.hex).
-func checkEncoding(t *testing.T, name string, got []byte) {
-	t.Helper()
-	path := filepath.Join("testdata", "encodings", name+".hex")
-	if *captureEncodings {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(hex.EncodeToString(got)+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := hex.DecodeString(strings.TrimSpace(string(raw)))
-	if err != nil {
-		t.Fatalf("%s: %v", path, err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("%s: encoding changed: %d bytes, captured %d", name, len(got), len(want))
-	}
-}
 
 // TestEncodingsUnchanged pins the EBG1 submit frame (each optional-section
 // combination), the EBG3 snapshot reply and the snapshot request to the bytes
@@ -50,7 +17,7 @@ func TestEncodingsUnchanged(t *testing.T) {
 	submit := func(name string, edit func(*StudySpec)) {
 		s := spec
 		edit(&s)
-		checkEncoding(t, name, EncodeSubmit(SubmitRequest{Tenant: "alice", Spec: s}))
+		wiretest.CheckEncoding(t, name, EncodeSubmit(SubmitRequest{Tenant: "alice", Spec: s}))
 	}
 	submit("ebg1-plain", func(*StudySpec) {})
 	submit("ebg1-control", func(s *StudySpec) { s.Control, s.ControlEpochSec = "predictive-holt", 2 })
@@ -58,10 +25,10 @@ func TestEncodingsUnchanged(t *testing.T) {
 	submit("ebg1-control-scenario", func(s *StudySpec) {
 		s.Control, s.ControlEpochSec, s.Scenario = "reactive", 1, "elastic,hi=2,step=3"
 	})
-	checkEncoding(t, "ebg3", EncodeSnapshotReply(SnapshotReply{
+	wiretest.CheckEncoding(t, "ebg3", EncodeSnapshotReply(SnapshotReply{
 		StudyID: 9, State: StateRunning, Seq: 3, VDsDone: 7, VDsTotal: 20,
 		SketchFP: "sha256:abcdef", Sketch: []byte{1, 2, 3, 0, 255},
 	}))
-	checkEncoding(t, "ebg3-empty", EncodeSnapshotReply(SnapshotReply{StudyID: 1, State: StateQueued}))
-	checkEncoding(t, "snapshot-request", EncodeSnapshotRequest(0x0102030405060708))
+	wiretest.CheckEncoding(t, "ebg3-empty", EncodeSnapshotReply(SnapshotReply{StudyID: 1, State: StateQueued}))
+	wiretest.CheckEncoding(t, "snapshot-request", EncodeSnapshotRequest(0x0102030405060708))
 }

@@ -538,6 +538,10 @@ func (gw *Gateway) runFabric(j *job) error {
 	if err != nil {
 		return err
 	}
+	// Shards complete out of order, so mid-run the covered disks are only
+	// known to Snapshot (which merges the accepted partials); Status counts
+	// them once, when every shard is in.
+	j.vdsDone.Store(j.vdsTotal.Load())
 	gw.mu.Lock()
 	j.dsFP = invariant.Fingerprint(ds)
 	j.sketchFP = stream.Fingerprint()

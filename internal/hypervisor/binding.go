@@ -7,8 +7,6 @@
 package hypervisor
 
 import (
-	"fmt"
-
 	"ebslab/internal/cluster"
 	"ebslab/internal/stats"
 )
@@ -60,38 +58,6 @@ func (b *Binding) SwapWTs(a, c int8) {
 			b.WTOf[i] = a
 		}
 	}
-}
-
-// WTTraffic folds per-QP traffic into per-WT totals. qpTraffic must align
-// with b.QPs.
-func (b *Binding) WTTraffic(qpTraffic []float64) []float64 {
-	if len(qpTraffic) != len(b.QPs) {
-		panic(fmt.Sprintf("hypervisor: %d QP traffic values for %d QPs", len(qpTraffic), len(b.QPs)))
-	}
-	out := make([]float64, b.WTs)
-	for i, v := range qpTraffic {
-		out[b.WTOf[i]] += v
-	}
-	return out
-}
-
-// WTCoV returns the normalized CoV of worker-thread traffic under the
-// binding (the paper's WT-CoV, §4.1). It returns NaN when the node moved no
-// traffic.
-func (b *Binding) WTCoV(qpTraffic []float64) float64 {
-	return stats.NormCoV(b.WTTraffic(qpTraffic))
-}
-
-// HottestColdestShare returns the traffic shares of the hottest and coldest
-// worker threads. Shares are fractions of node traffic in [0,1]; both are
-// NaN for an idle node.
-func (b *Binding) HottestColdestShare(qpTraffic []float64) (hottest, coldest float64) {
-	wt := b.WTTraffic(qpTraffic)
-	total := stats.Sum(wt)
-	if total == 0 {
-		return nan(), nan()
-	}
-	return stats.Max(wt) / total, stats.Min(wt) / total
 }
 
 func nan() float64 { return stats.Mean(nil) }

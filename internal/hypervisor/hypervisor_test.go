@@ -54,43 +54,6 @@ func TestRoundRobinBinding(t *testing.T) {
 	}
 }
 
-func TestWTTrafficAndCoV(t *testing.T) {
-	top := testTopology(t)
-	b := RoundRobin(top, 0)
-	// All traffic on QP 0 -> WT 0 takes everything.
-	traffic := []float64{100, 0, 0, 0}
-	wt := b.WTTraffic(traffic)
-	if wt[0] != 100 || wt[1]+wt[2]+wt[3] != 0 {
-		t.Fatalf("WTTraffic = %v", wt)
-	}
-	if got := b.WTCoV(traffic); math.Abs(got-1) > 1e-9 {
-		t.Fatalf("WTCoV of single spike = %v, want 1", got)
-	}
-	hot, cold := b.HottestColdestShare(traffic)
-	if hot != 1 || cold != 0 {
-		t.Fatalf("shares = %v/%v, want 1/0", hot, cold)
-	}
-	// Perfectly balanced.
-	if got := b.WTCoV([]float64{5, 5, 5, 5}); math.Abs(got) > 1e-9 {
-		t.Fatalf("WTCoV balanced = %v, want 0", got)
-	}
-	// Idle node.
-	if h, _ := b.HottestColdestShare([]float64{0, 0, 0, 0}); !math.IsNaN(h) {
-		t.Fatal("idle node share should be NaN")
-	}
-}
-
-func TestWTTrafficPanicsOnMismatch(t *testing.T) {
-	top := testTopology(t)
-	b := RoundRobin(top, 0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched traffic should panic")
-		}
-	}()
-	b.WTTraffic([]float64{1})
-}
-
 func TestSwapWTs(t *testing.T) {
 	top := testTopology(t)
 	b := RoundRobin(top, 0)

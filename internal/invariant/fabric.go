@@ -81,23 +81,3 @@ func CheckLeadershipContinuity(rep *Report, replicas int, history []LeaderTransi
 		}
 	}
 }
-
-// MergeEmissions folds VD-disjoint shard emissions into dst: slot vd of src
-// overwrites slot vd of dst when src counted that disk. Shards own disjoint
-// VD ranges, so a non-zero slot has exactly one writer; a collision (both
-// sides non-zero) is reported through the returned flag so callers can fail
-// the merge rather than double-count.
-func MergeEmissions(dst, src *Emission) (collision bool) {
-	for vd := range src.PerVD {
-		s := &src.PerVD[vd]
-		if s.Events == 0 {
-			continue
-		}
-		if dst.PerVD[vd].Events != 0 {
-			collision = true
-			continue
-		}
-		dst.PerVD[vd] = *s
-	}
-	return collision
-}

@@ -43,31 +43,6 @@ func TestCheckFabricAccounting(t *testing.T) {
 	}
 }
 
-// TestMergeEmissions pins the shard-emission merge: disjoint slots combine,
-// overlapping non-zero slots flag a collision instead of double-counting.
-func TestMergeEmissions(t *testing.T) {
-	dst := NewEmission(4)
-	a := NewEmission(4)
-	a.PerVD[0] = VDEmission{Events: 3, ReadOps: 2, WriteOps: 1, ReadBytes: 8192, WriteBytes: 4096}
-	b := NewEmission(4)
-	b.PerVD[2] = VDEmission{Events: 1, WriteOps: 1, WriteBytes: 512}
-	if MergeEmissions(dst, a) || MergeEmissions(dst, b) {
-		t.Fatal("disjoint merge reported a collision")
-	}
-	if dst.PerVD[0] != a.PerVD[0] || dst.PerVD[2] != b.PerVD[2] {
-		t.Fatalf("merged emission %+v lost shard slots", dst.PerVD)
-	}
-	if got := dst.Total(); got.Events != 4 {
-		t.Fatalf("merged total %+v, want 4 events", got)
-	}
-	if !MergeEmissions(dst, a) {
-		t.Fatal("overlapping merge did not report a collision")
-	}
-	if dst.PerVD[0].Events != 3 {
-		t.Fatal("collision double-counted a slot")
-	}
-}
-
 // TestCheckLeadershipContinuity exercises the control-plane election-safety
 // law over healthy and broken leadership histories.
 func TestCheckLeadershipContinuity(t *testing.T) {

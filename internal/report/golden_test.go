@@ -2,7 +2,6 @@ package report
 
 import (
 	"flag"
-	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -11,8 +10,8 @@ import (
 )
 
 // The golden harness pins the exact rendered text of every visualization
-// primitive — sparklines, bars, histograms, CDF tables, scatter summaries,
-// and the exact-vs-sketch accuracy section — to one fixture. Run
+// primitive — sparklines and the exact-vs-sketch accuracy section — to one
+// fixture. Run
 // `go test ./internal/report -run TestGoldenRender -update` to regenerate
 // after an intentional formatting change.
 var updateGolden = flag.Bool("update", false, "rewrite the golden render fixture under testdata")
@@ -27,19 +26,11 @@ func goldenDocument() string {
 
 	var b strings.Builder
 	b.WriteString("sparkline:\n  " + Sparkline(series, 30) + "\n")
-	b.WriteString("bars:\n")
-	for _, f := range []float64{0, 0.33, 0.5, 1, math.NaN()} {
-		fmt.Fprintf(&b, "  %4.2f %s\n", f, Bar(f, 12))
-	}
-	b.WriteString("histogram:\n" + HistogramRows(series, 5, 20))
-	b.WriteString("cdf:\n" + CDFRows(series))
-	b.WriteString("scatter:\n" + ScatterSummary(series[:30], series[30:]))
 	b.WriteString(AccuracySection("accuracy: streamed vs exact", []AccuracyRow{
 		{Metric: "1%-CCR", Exact: 0.3124, Sketch: 0.3127, Bound: 0.02},
 		{Metric: "P2A total", Exact: 4.551, Sketch: 4.551, Bound: 1e-4},
 		{Metric: "latency p99", Exact: 1890.2, Sketch: 1901.7, Bound: 0.02},
-		{Metric: "active VDs", Exact: 512, Sketch: 540, Bound: 0.05, // out of bound
-		},
+		{Metric: "active VDs", Exact: 512, Sketch: 540, Bound: 0.05}, // out of bound
 		{Metric: "no data", Exact: math.NaN(), Sketch: math.NaN(), Bound: 0.02},
 	}))
 	b.WriteString(AccuracySection("accuracy: empty", nil))

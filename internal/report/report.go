@@ -1,10 +1,9 @@
-// Package report renders small ASCII visualizations — sparklines, bar
-// histograms, CDF tables — so the figure experiments can show their series
-// and distributions directly in a terminal, next to the paper's plots.
+// Package report renders small ASCII visualizations — sparklines and
+// exact-vs-sketch accuracy tables — so the figure experiments can show their
+// series directly in a terminal, next to the paper's plots.
 package report
 
 import (
-	"fmt"
 	"math"
 	"strings"
 
@@ -53,76 +52,4 @@ func Sparkline(xs []float64, width int) string {
 		b.WriteRune(sparkTicks[idx])
 	}
 	return b.String()
-}
-
-// Bar renders a horizontal bar of the given fractional fill in [0,1] with
-// the given width, e.g. "██████░░░░".
-func Bar(frac float64, width int) string {
-	if width <= 0 {
-		return ""
-	}
-	if math.IsNaN(frac) {
-		return strings.Repeat("?", width)
-	}
-	if frac < 0 {
-		frac = 0
-	}
-	if frac > 1 {
-		frac = 1
-	}
-	fill := int(frac*float64(width) + 0.5)
-	return strings.Repeat("█", fill) + strings.Repeat("░", width-fill)
-}
-
-// HistogramRows renders a labeled ASCII histogram of xs with nbins bins.
-func HistogramRows(xs []float64, nbins, width int) string {
-	counts, edges := stats.Histogram(xs, nbins)
-	if counts == nil {
-		return "(no data)\n"
-	}
-	maxC := 0
-	for _, c := range counts {
-		if c > maxC {
-			maxC = c
-		}
-	}
-	var b strings.Builder
-	for i, c := range counts {
-		frac := 0.0
-		if maxC > 0 {
-			frac = float64(c) / float64(maxC)
-		}
-		fmt.Fprintf(&b, "  [%9.3g, %9.3g) %s %d\n", edges[i], edges[i+1], Bar(frac, width), c)
-	}
-	return b.String()
-}
-
-// CDFRows renders quantiles of xs at the canonical probe points.
-func CDFRows(xs []float64) string {
-	if len(xs) == 0 {
-		return "(no data)\n"
-	}
-	qs := []float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1}
-	vals := stats.Quantiles(xs, qs)
-	var b strings.Builder
-	for i, q := range qs {
-		fmt.Fprintf(&b, "  p%-4.0f %12.4g\n", q*100, vals[i])
-	}
-	return b.String()
-}
-
-// ScatterSummary renders a compact summary of an (x, y) point cloud with a
-// reference diagonal: how many points sit above y = x, plus the medians.
-func ScatterSummary(xs, ys []float64) string {
-	if len(xs) != len(ys) || len(xs) == 0 {
-		return "(no data)\n"
-	}
-	var above int
-	for i := range xs {
-		if ys[i] >= xs[i] {
-			above++
-		}
-	}
-	return fmt.Sprintf("  n=%d, %.1f%% above y=x, median x %.3g, median y %.3g\n",
-		len(xs), 100*float64(above)/float64(len(xs)), stats.Median(xs), stats.Median(ys))
 }

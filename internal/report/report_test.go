@@ -41,54 +41,3 @@ func TestSparkline(t *testing.T) {
 		t.Fatalf("peak lost in downsample: %q", d)
 	}
 }
-
-func TestBar(t *testing.T) {
-	if got := Bar(0.5, 10); utf8.RuneCountInString(got) != 10 {
-		t.Fatalf("bar width wrong: %q", got)
-	}
-	if Bar(0, 4) != "░░░░" || Bar(1, 4) != "████" {
-		t.Fatal("bar extremes wrong")
-	}
-	if Bar(-1, 4) != "░░░░" || Bar(2, 4) != "████" {
-		t.Fatal("bar clamping wrong")
-	}
-	if Bar(math.NaN(), 4) != "????" {
-		t.Fatal("NaN bar wrong")
-	}
-	if Bar(0.5, 0) != "" {
-		t.Fatal("zero width bar")
-	}
-}
-
-func TestHistogramRows(t *testing.T) {
-	out := HistogramRows([]float64{1, 1, 2, 3, 3, 3}, 3, 10)
-	if !strings.Contains(out, "█") {
-		t.Fatalf("no bars: %q", out)
-	}
-	if strings.Count(out, "\n") != 3 {
-		t.Fatalf("rows = %d", strings.Count(out, "\n"))
-	}
-	if HistogramRows(nil, 3, 10) != "(no data)\n" {
-		t.Fatal("empty histogram")
-	}
-}
-
-func TestCDFRows(t *testing.T) {
-	out := CDFRows([]float64{1, 2, 3, 4})
-	if !strings.Contains(out, "p50") || !strings.Contains(out, "p99") {
-		t.Fatalf("missing quantiles: %q", out)
-	}
-	if CDFRows(nil) != "(no data)\n" {
-		t.Fatal("empty CDF")
-	}
-}
-
-func TestScatterSummary(t *testing.T) {
-	out := ScatterSummary([]float64{1, 2}, []float64{2, 1})
-	if !strings.Contains(out, "50.0% above") {
-		t.Fatalf("summary: %q", out)
-	}
-	if ScatterSummary([]float64{1}, []float64{1, 2}) != "(no data)\n" {
-		t.Fatal("mismatched scatter")
-	}
-}

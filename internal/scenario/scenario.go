@@ -171,9 +171,6 @@ func Names() []string {
 	return out
 }
 
-// Known reports whether name is a registered scenario.
-func Known(name string) bool { _, ok := registry[name]; return ok }
-
 // Built is a parsed and validated scenario, not yet attached to a fleet.
 // One Built may be bound to any number of fleets (the fabric binds the same
 // spec on every worker).

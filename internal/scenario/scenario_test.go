@@ -287,9 +287,6 @@ func TestBuildValidation(t *testing.T) {
 	if got := scenario.Names(); len(got) != 4 {
 		t.Errorf("registry lists %d scenarios, want 4: %v", len(got), got)
 	}
-	if !scenario.Known("replay") || scenario.Known("quakestorm") {
-		t.Error("Known misreports the registry")
-	}
 }
 
 // TestBindRejectsNilFleet pins the bind-time contract shared by every

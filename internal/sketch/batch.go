@@ -29,29 +29,3 @@ func (s *Set) ObserveBatch(b *trace.Batch) {
 			b.Size[i], b.TimeUS[i], b.Offset[i], uint64(b.Segment[i]), b.TotalLatencyAt(i))
 	}
 }
-
-// AddBatch folds a batch of keys into the cardinality estimator.
-func (h *HLL) AddBatch(keys []uint64) {
-	for _, k := range keys {
-		h.Add(k)
-	}
-}
-
-// AddBatch folds parallel value/weight columns into the quantile sketch
-// (weights of 1 for a plain value stream).
-func (l *LogQuantile) AddBatch(vals []float64, ws []uint64) {
-	for i, v := range vals {
-		w := uint64(1)
-		if ws != nil {
-			w = ws[i]
-		}
-		l.Add(v, w)
-	}
-}
-
-// AddBatch folds parallel key/weight columns into the heavy-hitter summary.
-func (s *SpaceSaving) AddBatch(keys, ws []uint64) {
-	for i, k := range keys {
-		s.Add(k, ws[i])
-	}
-}

@@ -68,50 +68,3 @@ func TestObserveBatchEquivalence(t *testing.T) {
 		}
 	}
 }
-
-// TestSketchAddBatch checks the individual sketches' batch adapters against
-// their scalar Adds.
-func TestSketchAddBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	keys := make([]uint64, 5000)
-	ws := make([]uint64, len(keys))
-	vals := make([]float64, len(keys))
-	for i := range keys {
-		keys[i] = rng.Uint64() % 512
-		ws[i] = uint64(rng.Intn(100) + 1)
-		vals[i] = rng.Float64() * 1e6
-	}
-
-	h1, h2 := NewHLL(12), NewHLL(12)
-	h1.AddBatch(keys)
-	for _, k := range keys {
-		h2.Add(k)
-	}
-	if h1.Estimate() != h2.Estimate() {
-		t.Fatal("HLL AddBatch diverged from Add")
-	}
-
-	q1, q2 := NewLogQuantile(0.01), NewLogQuantile(0.01)
-	q1.AddBatch(vals, ws)
-	for i, v := range vals {
-		q2.Add(v, ws[i])
-	}
-	if q1.Quantile(0.5) != q2.Quantile(0.5) || q1.Count() != q2.Count() {
-		t.Fatal("LogQuantile AddBatch diverged from Add")
-	}
-
-	s1, s2 := NewSpaceSaving(16), NewSpaceSaving(16)
-	s1.AddBatch(keys, ws)
-	for i, k := range keys {
-		s2.Add(k, ws[i])
-	}
-	e1, e2 := s1.Entries(), s2.Entries()
-	if len(e1) != len(e2) {
-		t.Fatal("SpaceSaving AddBatch diverged from Add")
-	}
-	for i := range e1 {
-		if e1[i] != e2[i] {
-			t.Fatalf("SpaceSaving entry %d: %+v != %+v", i, e1[i], e2[i])
-		}
-	}
-}

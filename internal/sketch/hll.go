@@ -26,9 +26,6 @@ func NewHLL(p int) *HLL {
 	return &HLL{p: uint8(p), registers: make([]uint8, 1<<p)}
 }
 
-// P returns the register-count exponent.
-func (h *HLL) P() int { return int(h.p) }
-
 // Add ingests one key (hashed internally with splitmix64).
 func (h *HLL) Add(key uint64) {
 	x := xrand.Mix64(key)

@@ -41,9 +41,6 @@ func NewLogQuantile(alpha float64) *LogQuantile {
 	}
 }
 
-// Alpha returns the summary's relative accuracy target.
-func (l *LogQuantile) Alpha() float64 { return l.alpha }
-
 // Count returns the total ingested weight.
 func (l *LogQuantile) Count() uint64 { return l.total }
 

@@ -69,14 +69,6 @@ func (r *RateMeter) Merge(o *RateMeter) {
 // Seconds returns the number of tracked seconds.
 func (r *RateMeter) Seconds() int { return len(r.secs) }
 
-// Bucket returns second sec's accounting (zero value beyond the window).
-func (r *RateMeter) Bucket(sec int) RateBucket {
-	if sec < 0 || sec >= len(r.secs) {
-		return RateBucket{}
-	}
-	return r.secs[sec]
-}
-
 // Series returns the per-second byte rates of the selected direction,
 // scaled by scale (the engine's event-thinning compensation): read, write,
 // or — when both flags are set or clear — total.

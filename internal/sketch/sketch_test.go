@@ -39,9 +39,6 @@ func TestSpaceSavingExactUnderCapacity(t *testing.T) {
 	if es[0].Key != 4 || es[1].Key != 2 {
 		t.Fatalf("ranking wrong: %+v", es)
 	}
-	if s.Mass() != 145 {
-		t.Fatalf("mass = %d, want 145", s.Mass())
-	}
 }
 
 func TestSpaceSavingErrorBound(t *testing.T) {
@@ -243,11 +240,8 @@ func TestRateMeter(t *testing.T) {
 	o.Add(5, false, 40)
 	o.Add(0, true, 1)
 	r.Merge(o)
-	if r.Seconds() != 6 || r.Bucket(5).WriteBytes != 40 || r.Bucket(0).ReadBytes != 101 {
+	if r.Seconds() != 6 || r.secs[5].WriteBytes != 40 || r.secs[0].ReadBytes != 101 {
 		t.Fatalf("merge wrong: %+v", r.secs)
-	}
-	if r.Bucket(99) != (RateBucket{}) {
-		t.Fatal("out-of-window bucket must be zero")
 	}
 }
 

@@ -35,9 +35,6 @@ func NewSpaceSaving(k int) *SpaceSaving {
 	return &SpaceSaving{k: k, counters: make(map[uint64]ssCounter, k)}
 }
 
-// K returns the summary's counter capacity.
-func (s *SpaceSaving) K() int { return s.k }
-
 // Len returns the number of retained counters.
 func (s *SpaceSaving) Len() int { return len(s.counters) }
 
@@ -121,16 +118,6 @@ func (s *SpaceSaving) Top(n int) []Entry {
 		e = e[:n]
 	}
 	return e
-}
-
-// Mass returns the summed counts of the retained counters — an upper bound
-// on the weight the retained keys truly carry.
-func (s *SpaceSaving) Mass() uint64 {
-	var m uint64
-	for _, c := range s.counters {
-		m += c.count
-	}
-	return m
 }
 
 // AppendHash writes the summary's canonical serialization into d.

@@ -40,64 +40,6 @@ func Median(xs []float64) float64 {
 	return Quantile(xs, 0.5)
 }
 
-// Quantiles returns the quantiles of xs at every q in qs, sorting xs once.
-func Quantiles(xs []float64, qs []float64) []float64 {
-	out := make([]float64, len(qs))
-	if len(xs) == 0 {
-		for i := range out {
-			out[i] = math.NaN()
-		}
-		return out
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	for i, q := range qs {
-		if !(q >= 0 && q <= 1) { // also catches q = NaN
-			out[i] = math.NaN()
-			continue
-		}
-		out[i] = quantileSorted(sorted, q)
-	}
-	return out
-}
-
-// CDFPoint is one point of an empirical CDF: Fraction of samples <= Value.
-type CDFPoint struct {
-	Value    float64
-	Fraction float64
-}
-
-// CDF returns the empirical cumulative distribution function of xs as a
-// sorted list of (value, fraction) points, one per sample. The result is nil
-// for an empty input.
-func CDF(xs []float64) []CDFPoint {
-	if len(xs) == 0 {
-		return nil
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	out := make([]CDFPoint, len(sorted))
-	n := float64(len(sorted))
-	for i, v := range sorted {
-		out[i] = CDFPoint{Value: v, Fraction: float64(i+1) / n}
-	}
-	return out
-}
-
-// CDFAt returns the fraction of samples in xs that are <= v.
-func CDFAt(xs []float64, v float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	var c int
-	for _, x := range xs {
-		if x <= v {
-			c++
-		}
-	}
-	return float64(c) / float64(len(xs))
-}
-
 // FractionWhere returns the fraction of samples satisfying pred. It returns
 // NaN for an empty slice.
 func FractionWhere(xs []float64, pred func(float64) bool) float64 {
@@ -111,35 +53,6 @@ func FractionWhere(xs []float64, pred func(float64) bool) float64 {
 		}
 	}
 	return float64(c) / float64(len(xs))
-}
-
-// Histogram bins xs into nbins equal-width bins over [min, max] and returns
-// the per-bin counts plus the bin edges (nbins+1 values). Samples equal to
-// max land in the last bin. It returns (nil, nil) when xs is empty or nbins
-// is non-positive; a degenerate range (min == max) puts everything in bin 0.
-func Histogram(xs []float64, nbins int) (counts []int, edges []float64) {
-	if len(xs) == 0 || nbins <= 0 {
-		return nil, nil
-	}
-	lo, hi := Min(xs), Max(xs)
-	counts = make([]int, nbins)
-	edges = make([]float64, nbins+1)
-	width := (hi - lo) / float64(nbins)
-	for i := range edges {
-		edges[i] = lo + float64(i)*width
-	}
-	edges[nbins] = hi
-	for _, x := range xs {
-		var b int
-		if width > 0 {
-			b = int((x - lo) / width)
-			if b >= nbins {
-				b = nbins - 1
-			}
-		}
-		counts[b]++
-	}
-	return counts, edges
 }
 
 // DropNaN returns xs with NaN values removed (always a fresh slice).

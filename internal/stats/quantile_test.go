@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -63,12 +62,6 @@ func TestQuantileEdgeCases(t *testing.T) {
 		} else if !almostEqual(got, c.want, 1e-12) {
 			t.Errorf("%s: Quantile = %v, want %v", c.name, got, c.want)
 		}
-		// Quantiles must agree with Quantile case by case (shared sort path).
-		batch := Quantiles(c.xs, []float64{c.q})
-		if math.IsNaN(got) != math.IsNaN(batch[0]) ||
-			(!math.IsNaN(got) && !almostEqual(got, batch[0], 1e-12)) {
-			t.Errorf("%s: Quantiles = %v disagrees with Quantile = %v", c.name, batch[0], got)
-		}
 	}
 }
 
@@ -77,22 +70,6 @@ func TestQuantileDoesNotMutate(t *testing.T) {
 	Quantile(xs, 0.5)
 	if xs[0] != 5 || xs[1] != 1 || xs[2] != 3 {
 		t.Fatalf("Quantile mutated its input: %v", xs)
-	}
-}
-
-func TestQuantilesMatchQuantile(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	xs := make([]float64, 137)
-	for i := range xs {
-		xs[i] = rng.NormFloat64()
-	}
-	qs := []float64{0, 0.01, 0.5, 0.9, 0.99, 1, -1}
-	got := Quantiles(xs, qs)
-	for i, q := range qs {
-		want := Quantile(xs, q)
-		if !almostEqual(got[i], want, 1e-12) {
-			t.Errorf("Quantiles[%v] = %v, want %v", q, got[i], want)
-		}
 	}
 }
 
@@ -122,41 +99,6 @@ func TestMedianOddEven(t *testing.T) {
 	}
 }
 
-func TestCDF(t *testing.T) {
-	pts := CDF([]float64{3, 1, 2})
-	if len(pts) != 3 {
-		t.Fatalf("CDF length = %d, want 3", len(pts))
-	}
-	if pts[0].Value != 1 || !almostEqual(pts[0].Fraction, 1.0/3.0, 1e-12) {
-		t.Errorf("first CDF point = %+v", pts[0])
-	}
-	if pts[2].Value != 3 || pts[2].Fraction != 1 {
-		t.Errorf("last CDF point = %+v", pts[2])
-	}
-	if CDF(nil) != nil {
-		t.Error("CDF(nil) should be nil")
-	}
-	if !sort.SliceIsSorted(pts, func(i, j int) bool { return pts[i].Value < pts[j].Value }) {
-		t.Error("CDF points not sorted")
-	}
-}
-
-func TestCDFAt(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	if got := CDFAt(xs, 2.5); !almostEqual(got, 0.5, 1e-12) {
-		t.Fatalf("CDFAt(2.5) = %v, want 0.5", got)
-	}
-	if got := CDFAt(xs, 0); got != 0 {
-		t.Fatalf("CDFAt(0) = %v, want 0", got)
-	}
-	if got := CDFAt(xs, 10); got != 1 {
-		t.Fatalf("CDFAt(10) = %v, want 1", got)
-	}
-	if !math.IsNaN(CDFAt(nil, 1)) {
-		t.Fatal("CDFAt(nil) should be NaN")
-	}
-}
-
 func TestFractionWhere(t *testing.T) {
 	xs := []float64{-1, 0, 1, 2}
 	got := FractionWhere(xs, func(x float64) bool { return x > 0 })
@@ -165,50 +107,6 @@ func TestFractionWhere(t *testing.T) {
 	}
 	if !math.IsNaN(FractionWhere(nil, func(float64) bool { return true })) {
 		t.Fatal("FractionWhere(nil) should be NaN")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	counts, edges := Histogram([]float64{0, 0.5, 1, 1.5, 2}, 2)
-	if len(counts) != 2 || len(edges) != 3 {
-		t.Fatalf("Histogram dims = %d/%d", len(counts), len(edges))
-	}
-	if counts[0] != 2 || counts[1] != 3 {
-		t.Fatalf("counts = %v, want [2 3]", counts)
-	}
-	if edges[0] != 0 || edges[2] != 2 {
-		t.Fatalf("edges = %v", edges)
-	}
-	// Degenerate range.
-	counts, _ = Histogram([]float64{5, 5, 5}, 4)
-	if counts[0] != 3 {
-		t.Fatalf("degenerate histogram counts = %v", counts)
-	}
-	if c, e := Histogram(nil, 3); c != nil || e != nil {
-		t.Fatal("Histogram(nil) should be nil,nil")
-	}
-	if c, e := Histogram([]float64{1}, 0); c != nil || e != nil {
-		t.Fatal("Histogram with 0 bins should be nil,nil")
-	}
-}
-
-func TestHistogramPropertyTotalPreserved(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(200)
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = rng.NormFloat64()
-		}
-		counts, _ := Histogram(xs, 1+rng.Intn(20))
-		total := 0
-		for _, c := range counts {
-			total += c
-		}
-		return total == n
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -143,27 +143,6 @@ func CCR(xs []float64, frac float64) float64 {
 	return Sum(sorted[:k]) / total
 }
 
-// Gini returns the Gini coefficient of xs in [0,1): 0 is perfect equality.
-// Negative inputs are not meaningful for traffic and yield unspecified
-// results. It returns NaN for an empty slice or zero total.
-func Gini(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return math.NaN()
-	}
-	total := Sum(xs)
-	if total == 0 {
-		return math.NaN()
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	var cum float64
-	for i, x := range sorted {
-		cum += float64(i+1) * x
-	}
-	return (2*cum - float64(n+1)*total) / (float64(n) * total)
-}
-
 // WrRatio returns the normalized write-to-read ratio (Equation 2 of the
 // paper): (W-R)/(W+R), in [-1, 1]. +1 is pure write, -1 pure read. It
 // returns NaN when both W and R are zero.
@@ -209,24 +188,4 @@ func AutoCorr(xs []float64, k int) float64 {
 		return math.NaN()
 	}
 	return num / den
-}
-
-// Pearson returns the Pearson correlation coefficient of xs and ys, or NaN
-// for mismatched/empty inputs or zero variance in either series.
-func Pearson(xs, ys []float64) float64 {
-	if len(xs) != len(ys) || len(xs) == 0 {
-		return math.NaN()
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return math.NaN()
-	}
-	return sxy / math.Sqrt(sxx*syy)
 }

@@ -162,21 +162,6 @@ func TestCCRPropertyMonotone(t *testing.T) {
 	}
 }
 
-func TestGini(t *testing.T) {
-	if got := Gini([]float64{1, 1, 1, 1}); !almostEqual(got, 0, 1e-12) {
-		t.Fatalf("Gini(flat) = %v, want 0", got)
-	}
-	// All mass on one of n elements: Gini = (n-1)/n.
-	xs := make([]float64, 10)
-	xs[3] = 42
-	if got := Gini(xs); !almostEqual(got, 0.9, 1e-12) {
-		t.Fatalf("Gini(spike) = %v, want 0.9", got)
-	}
-	if !math.IsNaN(Gini(nil)) {
-		t.Fatal("Gini(nil) should be NaN")
-	}
-}
-
 func TestWrRatio(t *testing.T) {
 	if got := WrRatio(1, 0); got != 1 {
 		t.Fatalf("WrRatio(1,0) = %v, want 1", got)
@@ -201,21 +186,6 @@ func TestMSE(t *testing.T) {
 	}
 	if !math.IsNaN(MSE(nil, nil)) {
 		t.Fatal("MSE(nil,nil) should be NaN")
-	}
-}
-
-func TestPearson(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	ys := []float64{2, 4, 6, 8}
-	if got := Pearson(xs, ys); !almostEqual(got, 1, 1e-12) {
-		t.Fatalf("Pearson(perfect) = %v, want 1", got)
-	}
-	neg := []float64{8, 6, 4, 2}
-	if got := Pearson(xs, neg); !almostEqual(got, -1, 1e-12) {
-		t.Fatalf("Pearson(anti) = %v, want -1", got)
-	}
-	if !math.IsNaN(Pearson(xs, []float64{1, 1, 1, 1})) {
-		t.Fatal("Pearson with zero variance should be NaN")
 	}
 }
 

@@ -187,72 +187,3 @@ func WriteMetricCSV(w io.Writer, rows []MetricRow) error {
 	cw.Flush()
 	return cw.Error()
 }
-
-// ReadMetricCSV reads metric rows written by WriteMetricCSV.
-func ReadMetricCSV(r io.Reader) ([]MetricRow, error) {
-	cr := csv.NewReader(r)
-	cr.ReuseRecord = true
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("trace: read metric header: %w", err)
-	}
-	if len(header) != len(metricHeader) {
-		return nil, fmt.Errorf("trace: metric header has %d columns, want %d", len(header), len(metricHeader))
-	}
-	var out []MetricRow
-	for line := 2; ; line++ {
-		row, err := cr.Read()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("trace: metric line %d: %w", line, err)
-		}
-		var m MetricRow
-		switch row[0] {
-		case "compute":
-			m.Domain = DomainCompute
-		case "storage":
-			m.Domain = DomainStorage
-		default:
-			return nil, fmt.Errorf("trace: metric line %d: bad domain %q", line, row[0])
-		}
-		ints := []struct {
-			col  int
-			bits int
-			dst  func(int64)
-		}{
-			{1, 32, func(v int64) { m.Sec = int32(v) }},
-			{2, 32, func(v int64) { m.DC = cluster.DCID(v) }},
-			{3, 32, func(v int64) { m.User = cluster.UserID(v) }},
-			{4, 32, func(v int64) { m.VM = cluster.VMID(v) }},
-			{5, 32, func(v int64) { m.VD = cluster.VDID(v) }},
-			{6, 32, func(v int64) { m.Node = cluster.NodeID(v) }},
-			{7, 32, func(v int64) { m.QP = cluster.QPID(v) }},
-			{8, 8, func(v int64) { m.WT = int8(v) }},
-			{9, 32, func(v int64) { m.Storage = cluster.StorageNodeID(v) }},
-			{10, 32, func(v int64) { m.Segment = cluster.SegmentID(v) }},
-		}
-		for _, f := range ints {
-			v, err := strconv.ParseInt(row[f.col], 10, f.bits)
-			if err != nil {
-				return nil, fmt.Errorf("trace: metric line %d col %s: %w", line, metricHeader[f.col], err)
-			}
-			f.dst(v)
-		}
-		floats := []struct {
-			col int
-			dst *float64
-		}{
-			{11, &m.ReadBps}, {12, &m.WriteBps}, {13, &m.ReadIOPS}, {14, &m.WriteIOPS},
-		}
-		for _, f := range floats {
-			v, err := strconv.ParseFloat(row[f.col], 64)
-			if err != nil {
-				return nil, fmt.Errorf("trace: metric line %d col %s: %w", line, metricHeader[f.col], err)
-			}
-			*f.dst = v
-		}
-		out = append(out, m)
-	}
-}

@@ -49,59 +49,3 @@ func SaveDir(ds *Dataset, dir string) error {
 	}
 	return nil
 }
-
-// LoadDir reads a dataset saved by SaveDir. The Topology and Seg2BS fields
-// are left nil (regenerate the fleet from its seed to get them);
-// DurationSec is inferred from the metric rows.
-func LoadDir(dir string) (*Dataset, error) {
-	ds := &Dataset{}
-	read := func(name string, fn func(*os.File) error) error {
-		f, err := os.Open(filepath.Join(dir, name))
-		if err != nil {
-			return fmt.Errorf("trace: open %s: %w", name, err)
-		}
-		defer f.Close()
-		return fn(f)
-	}
-	if err := read(FileTraceCSV, func(f *os.File) error {
-		var err error
-		ds.Trace, err = ReadTraceCSV(f)
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	if err := read(FileMetricCompute, func(f *os.File) error {
-		var err error
-		ds.Compute, err = ReadMetricCSV(f)
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	if err := read(FileMetricStorage, func(f *os.File) error {
-		var err error
-		ds.Storage, err = ReadMetricCSV(f)
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	if err := read(FileSpecVD, func(f *os.File) error {
-		var err error
-		ds.VDSpecs, err = ReadVDSpecCSV(f)
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	if err := read(FileSpecVM, func(f *os.File) error {
-		var err error
-		ds.VMSpecs, err = ReadVMSpecCSV(f)
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	for i := range ds.Compute {
-		if int(ds.Compute[i].Sec)+1 > ds.DurationSec {
-			ds.DurationSec = int(ds.Compute[i].Sec) + 1
-		}
-	}
-	return ds, nil
-}

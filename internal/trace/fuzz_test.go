@@ -3,7 +3,6 @@ package trace
 import (
 	"bytes"
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -17,11 +16,6 @@ import (
 const fuzzTraceCSVSeed = `trace_id,time_us,op,size,offset,dc,node,user,vm,vd,qp,wt,storage,segment,lat_compute_us,lat_frontend_us,lat_bs_us,lat_backend_us,lat_cs_us
 1,1000,R,4096,0,0,1,2,3,4,5,0,6,7,10,20,30,40,50
 2,2000,W,8192,4096,0,1,2,3,4,5,1,6,7,1.5,2.5,3.5,4.5,5.5
-`
-
-const fuzzMetricCSVSeed = `domain,sec,dc,user,vm,vd,node,qp,wt,storage,segment,read_bps,write_bps,read_iops,write_iops
-compute,0,0,1,2,3,4,5,0,0,0,1024,2048,10,20
-storage,1,0,1,2,3,0,0,0,6,7,512.5,0,3,0
 `
 
 const fuzzTraceJSONLSeed = `{"trace_id":1,"time_us":1000,"op":"R","size":4096,"offset":0,"dc":0,"node":1,"user":2,"vm":3,"vd":4,"qp":5,"wt":0,"storage":6,"segment":7,"latency_us":[10,20,30,40,50]}
@@ -68,55 +62,6 @@ func FuzzReadTraceCSV(f *testing.F) {
 		for i := range recs {
 			if !recordsEqual(recs[i], again[i]) {
 				t.Fatalf("record %d changed across round trip:\n%+v\n%+v", i, recs[i], again[i])
-			}
-		}
-	})
-}
-
-func FuzzReadMetricCSV(f *testing.F) {
-	f.Add([]byte(fuzzMetricCSVSeed))
-	f.Add([]byte("domain,sec\ncompute,0\n"))
-	f.Add([]byte(fuzzMetricCSVSeed + "chunk,0,0,0,0,0,0,0,0,0,0,0,0,0,0\n")) // bad domain
-	f.Add([]byte(fuzzMetricCSVSeed + "compute,0,0,0,0,0,0,0,0,0,0,NaN,Inf,-Inf,1e308\n"))
-	// One overflowing value per integer column: each must be rejected, not
-	// narrowed onto a valid id.
-	for col := 1; col <= 10; col++ {
-		row := strings.Split("compute,0,0,0,0,0,0,0,0,0,0,1,1,1,1", ",")
-		row[col] = "4294967296"
-		if col == 8 { // wt is the one 8-bit column
-			row[col] = "256"
-		}
-		f.Add([]byte(fuzzMetricCSVSeed + strings.Join(row, ",") + "\n"))
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		rows, err := ReadMetricCSV(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := WriteMetricCSV(&buf, rows); err != nil {
-			t.Fatalf("re-encode of accepted input failed: %v", err)
-		}
-		again, err := ReadMetricCSV(&buf)
-		if err != nil {
-			t.Fatalf("re-parse of own output failed: %v", err)
-		}
-		if len(again) != len(rows) {
-			t.Fatalf("round trip changed row count: %d -> %d", len(rows), len(again))
-		}
-		for i := range rows {
-			a, b := rows[i], again[i]
-			for _, p := range [][2]*float64{
-				{&a.ReadBps, &b.ReadBps}, {&a.WriteBps, &b.WriteBps},
-				{&a.ReadIOPS, &b.ReadIOPS}, {&a.WriteIOPS, &b.WriteIOPS},
-			} {
-				if math.Float64bits(*p[0]) != math.Float64bits(*p[1]) {
-					t.Fatalf("row %d: rate changed across round trip: %v != %v", i, *p[0], *p[1])
-				}
-				*p[0], *p[1] = 0, 0
-			}
-			if a != b {
-				t.Fatalf("row %d changed across round trip:\n%+v\n%+v", i, a, b)
 			}
 		}
 	})

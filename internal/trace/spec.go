@@ -6,8 +6,6 @@ import (
 	"io"
 	"strconv"
 	"strings"
-
-	"ebslab/internal/cluster"
 )
 
 // vdSpecHeader is the CSV layout for VDSpec.
@@ -34,47 +32,6 @@ func WriteVDSpecCSV(w io.Writer, specs []VDSpec) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadVDSpecCSV reads the dataset written by WriteVDSpecCSV.
-func ReadVDSpecCSV(r io.Reader) ([]VDSpec, error) {
-	cr := csv.NewReader(r)
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("trace: vdspec header: %w", err)
-	}
-	if len(header) != len(vdSpecHeader) {
-		return nil, fmt.Errorf("trace: vdspec header has %d columns, want %d", len(header), len(vdSpecHeader))
-	}
-	var out []VDSpec
-	for line := 2; ; line++ {
-		row, err := cr.Read()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("trace: vdspec line %d: %w", line, err)
-		}
-		var s VDSpec
-		vd, err := strconv.ParseInt(row[0], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("trace: vdspec line %d vd: %w", line, err)
-		}
-		s.VD = cluster.VDID(vd)
-		if s.Capacity, err = strconv.ParseInt(row[1], 10, 64); err != nil {
-			return nil, fmt.Errorf("trace: vdspec line %d capacity: %w", line, err)
-		}
-		if s.ThroughputCap, err = strconv.ParseFloat(row[2], 64); err != nil {
-			return nil, fmt.Errorf("trace: vdspec line %d tput: %w", line, err)
-		}
-		if s.IOPSCap, err = strconv.ParseFloat(row[3], 64); err != nil {
-			return nil, fmt.Errorf("trace: vdspec line %d iops: %w", line, err)
-		}
-		if s.NumQPs, err = strconv.Atoi(row[4]); err != nil {
-			return nil, fmt.Errorf("trace: vdspec line %d qps: %w", line, err)
-		}
-		out = append(out, s)
-	}
 }
 
 // vmSpecHeader is the CSV layout for VMSpec; VDs are '|'-separated.
@@ -105,61 +62,4 @@ func WriteVMSpecCSV(w io.Writer, specs []VMSpec) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// appByName maps AppClass names back to values.
-var appByName = func() map[string]cluster.AppClass {
-	m := make(map[string]cluster.AppClass, cluster.NumAppClasses)
-	for a := cluster.AppClass(0); int(a) < cluster.NumAppClasses; a++ {
-		m[a.String()] = a
-	}
-	return m
-}()
-
-// ReadVMSpecCSV reads the dataset written by WriteVMSpecCSV.
-func ReadVMSpecCSV(r io.Reader) ([]VMSpec, error) {
-	cr := csv.NewReader(r)
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("trace: vmspec header: %w", err)
-	}
-	if len(header) != len(vmSpecHeader) {
-		return nil, fmt.Errorf("trace: vmspec header has %d columns, want %d", len(header), len(vmSpecHeader))
-	}
-	var out []VMSpec
-	for line := 2; ; line++ {
-		row, err := cr.Read()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("trace: vmspec line %d: %w", line, err)
-		}
-		var s VMSpec
-		vm, err := strconv.ParseInt(row[0], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("trace: vmspec line %d vm: %w", line, err)
-		}
-		s.VM = cluster.VMID(vm)
-		node, err := strconv.ParseInt(row[1], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("trace: vmspec line %d node: %w", line, err)
-		}
-		s.Node = cluster.NodeID(node)
-		app, ok := appByName[row[2]]
-		if !ok {
-			return nil, fmt.Errorf("trace: vmspec line %d: unknown app %q", line, row[2])
-		}
-		s.App = app
-		if row[3] != "" {
-			for _, part := range strings.Split(row[3], "|") {
-				vd, err := strconv.ParseInt(part, 10, 32)
-				if err != nil {
-					return nil, fmt.Errorf("trace: vmspec line %d vds: %w", line, err)
-				}
-				s.VDs = append(s.VDs, cluster.VDID(vd))
-			}
-		}
-		out = append(out, s)
-	}
 }

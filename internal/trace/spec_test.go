@@ -2,85 +2,44 @@ package trace
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"ebslab/internal/cluster"
 )
 
-func TestVDSpecCSVRoundTrip(t *testing.T) {
-	in := []VDSpec{
+// The spec and metric files are an export (cmd/tracegen): nothing in the
+// module reads them back, so the writer tests pin the emitted bytes.
+
+func TestWriteVDSpecCSV(t *testing.T) {
+	var buf bytes.Buffer
+	err := WriteVDSpecCSV(&buf, []VDSpec{
 		{VD: 1, Capacity: 64 << 30, ThroughputCap: 1.2e8, IOPSCap: 3000, NumQPs: 4},
 		{VD: 2, Capacity: 40 << 30, ThroughputCap: 1e8, IOPSCap: 1800, NumQPs: 1},
-	}
-	var buf bytes.Buffer
-	if err := WriteVDSpecCSV(&buf, in); err != nil {
-		t.Fatal(err)
-	}
-	out, err := ReadVDSpecCSV(&buf)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 2 {
-		t.Fatalf("rows = %d", len(out))
-	}
-	for i := range in {
-		if in[i] != out[i] {
-			t.Fatalf("row %d: %+v vs %+v", i, out[i], in[i])
-		}
+	const want = "vd,capacity,tput_cap_bps,iops_cap,num_qps\n" +
+		"1,68719476736,1.2e+08,3000,4\n" +
+		"2,42949672960,1e+08,1800,1\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("WriteVDSpecCSV wrote\n%s\nwant\n%s", got, want)
 	}
 }
 
-func TestVMSpecCSVRoundTrip(t *testing.T) {
-	in := []VMSpec{
+func TestWriteVMSpecCSV(t *testing.T) {
+	var buf bytes.Buffer
+	err := WriteVMSpecCSV(&buf, []VMSpec{
 		{VM: 7, Node: 3, App: cluster.AppDatabase, VDs: []cluster.VDID{1, 2, 9}},
-		{VM: 8, Node: 4, App: cluster.AppBigData, VDs: []cluster.VDID{5}},
-	}
-	var buf bytes.Buffer
-	if err := WriteVMSpecCSV(&buf, in); err != nil {
-		t.Fatal(err)
-	}
-	out, err := ReadVMSpecCSV(&buf)
+		{VM: 8, Node: 4, App: cluster.AppBigData},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 2 {
-		t.Fatalf("rows = %d", len(out))
-	}
-	for i := range in {
-		if in[i].VM != out[i].VM || in[i].Node != out[i].Node || in[i].App != out[i].App {
-			t.Fatalf("row %d header fields differ", i)
-		}
-		if len(in[i].VDs) != len(out[i].VDs) {
-			t.Fatalf("row %d VD count differs", i)
-		}
-		for j := range in[i].VDs {
-			if in[i].VDs[j] != out[i].VDs[j] {
-				t.Fatalf("row %d VDs differ", i)
-			}
-		}
-	}
-}
-
-func TestSpecCSVRejectsBadInput(t *testing.T) {
-	for name, in := range map[string]string{
-		"vd empty":  "",
-		"vd header": "a,b\n",
-		"vd number": strings.Join(vdSpecHeader, ",") + "\nx,1,1,1,1\n",
-		"vd cap":    strings.Join(vdSpecHeader, ",") + "\n1,x,1,1,1\n",
-	} {
-		if _, err := ReadVDSpecCSV(strings.NewReader(in)); err == nil {
-			t.Errorf("%s accepted", name)
-		}
-	}
-	for name, in := range map[string]string{
-		"vm empty":  "",
-		"vm header": "a\n",
-		"vm app":    strings.Join(vmSpecHeader, ",") + "\n1,2,NotAnApp,3\n",
-		"vm vds":    strings.Join(vmSpecHeader, ",") + "\n1,2,Database,a|b\n",
-	} {
-		if _, err := ReadVMSpecCSV(strings.NewReader(in)); err == nil {
-			t.Errorf("%s accepted", name)
-		}
+	const want = "vm,node,app,vds\n" +
+		"7,3,Database,1|2|9\n" +
+		"8,4,BigData,\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("WriteVMSpecCSV wrote\n%s\nwant\n%s", got, want)
 	}
 }

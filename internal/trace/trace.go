@@ -8,15 +8,15 @@
 //     and the segment level (storage domain), following Table 1.
 //
 // The package also defines the supplementary specification dataset (VM/VD
-// configuration and inferred application), plus CSV codecs so datasets can be
-// written to and read from disk by cmd/tracegen and cmd/analyze.
+// configuration and inferred application), plus the codecs cmd/tracegen
+// exports every dataset with. Only the per-IO trace (CSV and JSONL) has a
+// reader: replay ingests it; the metric and spec files are write-only.
 package trace
 
 import (
 	"fmt"
 
 	"ebslab/internal/cluster"
-	"ebslab/internal/xrand"
 )
 
 // Op is a block IO opcode.
@@ -187,11 +187,4 @@ type Dataset struct {
 
 	VDSpecs []VDSpec
 	VMSpecs []VMSpec
-}
-
-// Sampled reports whether an IO with the given trace ID is captured by a
-// 1-in-SampleRate downsampler. It uses a splitmix64 hash so sampling is
-// deterministic, uniform, and independent of issue order.
-func Sampled(traceID uint64) bool {
-	return xrand.Mix64(traceID)%SampleRate == 0
 }

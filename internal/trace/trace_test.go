@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -37,30 +36,6 @@ func TestMetricRowSums(t *testing.T) {
 	m := MetricRow{ReadBps: 10, WriteBps: 5, ReadIOPS: 100, WriteIOPS: 50}
 	if m.Bps() != 15 || m.IOPS() != 150 {
 		t.Fatalf("Bps/IOPS = %v/%v", m.Bps(), m.IOPS())
-	}
-}
-
-func TestSampledRate(t *testing.T) {
-	// The splitmix64-based sampler should select very close to 1/3200.
-	const n = 3_200_000
-	var hits int
-	for i := uint64(0); i < n; i++ {
-		if Sampled(i) {
-			hits++
-		}
-	}
-	got := float64(hits) / n
-	want := 1.0 / SampleRate
-	if math.Abs(got-want)/want > 0.1 {
-		t.Fatalf("sampling rate = %v, want within 10%% of %v", got, want)
-	}
-}
-
-func TestSampledDeterministic(t *testing.T) {
-	for i := uint64(0); i < 10_000; i++ {
-		if Sampled(i) != Sampled(i) {
-			t.Fatal("Sampled is not deterministic")
-		}
 	}
 }
 
@@ -118,8 +93,9 @@ func TestTraceCSVRejectsBadInput(t *testing.T) {
 	}
 }
 
-func TestMetricCSVRoundTrip(t *testing.T) {
-	in := []MetricRow{
+func TestWriteMetricCSV(t *testing.T) {
+	var buf bytes.Buffer
+	err := WriteMetricCSV(&buf, []MetricRow{
 		{
 			Domain: DomainCompute, Sec: 17, DC: 0, User: 1, VM: 2, VD: 3,
 			Node: 4, QP: 5, WT: 2,
@@ -128,49 +104,17 @@ func TestMetricCSVRoundTrip(t *testing.T) {
 		{
 			Domain: DomainStorage, Sec: 17, DC: 2, User: 1, VM: 2, VD: 3,
 			Storage: 9, Segment: 11,
-			ReadBps: 21e6, WriteBps: 13e6, ReadIOPS: 3000, WriteIOPS: 8000,
+			ReadBps: 21e6, WriteBps: 13e6, ReadIOPS: 3000.5, WriteIOPS: 8000,
 		},
-	}
-	var buf bytes.Buffer
-	if err := WriteMetricCSV(&buf, in); err != nil {
+	})
+	if err != nil {
 		t.Fatalf("WriteMetricCSV: %v", err)
 	}
-	out, err := ReadMetricCSV(&buf)
-	if err != nil {
-		t.Fatalf("ReadMetricCSV: %v", err)
-	}
-	if len(out) != 2 {
-		t.Fatalf("round trip length %d, want 2", len(out))
-	}
-	for i := range in {
-		if in[i] != out[i] {
-			t.Errorf("row %d: got %+v, want %+v", i, out[i], in[i])
-		}
-	}
-}
-
-func TestMetricCSVRejectsBadInput(t *testing.T) {
-	cases := map[string]string{
-		"empty":      "",
-		"bad header": "a\n",
-		"bad domain": strings.Join(metricHeader, ",") + "\nnope,1,0,0,0,0,0,0,0,0,0,1,1,1,1\n",
-		"bad float":  strings.Join(metricHeader, ",") + "\ncompute,1,0,0,0,0,0,0,0,0,0,x,1,1,1\n",
-	}
-	// Every integer column must reject a value its field cannot hold instead
-	// of narrowing it (sec=4294967296 is not second 0, wt=256 not thread 0).
-	for col := 1; col <= 10; col++ {
-		over := "4294967296"
-		if metricHeader[col] == "wt" {
-			over = "256"
-		}
-		row := strings.Split("compute,1,0,0,0,0,0,0,0,0,0,1,1,1,1", ",")
-		row[col] = over
-		cases["overflow "+metricHeader[col]] = strings.Join(metricHeader, ",") + "\n" + strings.Join(row, ",") + "\n"
-	}
-	for name, in := range cases {
-		if _, err := ReadMetricCSV(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: ReadMetricCSV accepted malformed input", name)
-		}
+	const want = "domain,sec,dc,user,vm,vd,node,qp,wt,storage,segment,read_bps,write_bps,read_iops,write_iops\n" +
+		"compute,17,0,1,2,3,4,5,2,0,0,3.5e+07,1.4e+07,3200,9000\n" +
+		"storage,17,2,1,2,3,0,0,0,9,11,2.1e+07,1.3e+07,3000.5,8000\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("WriteMetricCSV wrote\n%s\nwant\n%s", got, want)
 	}
 }
 

@@ -24,7 +24,6 @@ func (w *Writer) U32(v uint32)   { w.B = binary.LittleEndian.AppendUint32(w.B, v
 func (w *Writer) U64(v uint64)   { w.B = binary.LittleEndian.AppendUint64(w.B, v) }
 func (w *Writer) I32(v int32)    { w.U32(uint32(v)) }
 func (w *Writer) I64(v int64)    { w.U64(uint64(v)) }
-func (w *Writer) F32(v float32)  { w.U32(math.Float32bits(v)) }
 func (w *Writer) F64(v float64)  { w.U64(math.Float64bits(v)) }
 func (w *Writer) Bytes(p []byte) { w.B = append(w.B, p...) }
 
@@ -119,7 +118,6 @@ func (r *Reader) U64() uint64 {
 
 func (r *Reader) I32() int32   { return int32(r.U32()) }
 func (r *Reader) I64() int64   { return int64(r.U64()) }
-func (r *Reader) F32() float32 { return math.Float32frombits(r.U32()) }
 func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
 
 // Count reads a u32 element count and refuses it unless the unread bytes can

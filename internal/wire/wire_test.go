@@ -26,7 +26,6 @@ var fields = []field{
 	{"U64", 8, func(w *Writer, v uint64) { w.U64(v) }, func(r *Reader) uint64 { return r.U64() }},
 	{"I32", 4, func(w *Writer, v uint64) { w.I32(int32(v)) }, func(r *Reader) uint64 { return uint64(uint32(r.I32())) }},
 	{"I64", 8, func(w *Writer, v uint64) { w.I64(int64(v)) }, func(r *Reader) uint64 { return uint64(r.I64()) }},
-	{"F32", 4, func(w *Writer, v uint64) { w.F32(math.Float32frombits(uint32(v))) }, func(r *Reader) uint64 { return uint64(math.Float32bits(r.F32())) }},
 	{"F64", 8, func(w *Writer, v uint64) { w.F64(math.Float64frombits(v)) }, func(r *Reader) uint64 { return math.Float64bits(r.F64()) }},
 }
 

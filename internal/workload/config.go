@@ -206,14 +206,3 @@ var appProfiles = [cluster.NumAppClasses]appProfile{
 		readIOSize: 32 << 10, writeIOSize: 64 << 10,
 	},
 }
-
-// Profile returns the calibration profile for an application class; it is
-// exported for tests and documentation tooling via the Apps helper below.
-func appProfileFor(app cluster.AppClass) appProfile { return appProfiles[app] }
-
-// AppTrafficShareWeight exposes the popularity x rate product used to seed
-// Table 4 style analyses; handy for sanity checks.
-func AppTrafficShareWeight(app cluster.AppClass) float64 {
-	p := appProfiles[app]
-	return p.popWeight * p.rateScale
-}

@@ -13,8 +13,6 @@ const (
 	tagFleet     uint64 = 0xF1EE7
 	tagVDModel   uint64 = 0x5E11E
 	tagVDSeries  uint64 = 0x7A5C1
-	tagQPSplit   uint64 = 0x0B5E5
-	tagSegSplit  uint64 = 0x5E650
 	tagEvents    uint64 = 0xE7E57
 	tagPlacement uint64 = 0x91ACE
 )
@@ -51,30 +49,6 @@ func permInto(rng *rand.Rand, n int, buf []int) []int {
 // lognormal draws exp(N(mu, sigma^2)).
 func lognormal(rng *rand.Rand, mu, sigma float64) float64 {
 	return math.Exp(mu + sigma*rng.NormFloat64())
-}
-
-// pareto draws from a Pareto distribution with scale xm > 0 and shape a > 0
-// via inverse-CDF sampling. Smaller a means a heavier tail.
-func pareto(rng *rand.Rand, xm, a float64) float64 {
-	u := rng.Float64()
-	if u >= 1 {
-		u = math.Nextafter(1, 0)
-	}
-	return xm / math.Pow(1-u, 1/a)
-}
-
-// boundedPareto draws from a Pareto(xm, a) truncated at hi by resampling the
-// uniform, which keeps the tail shape below the bound.
-func boundedPareto(rng *rand.Rand, xm, a, hi float64) float64 {
-	if hi <= xm {
-		return xm
-	}
-	// Inverse CDF of the truncated distribution.
-	u := rng.Float64()
-	l := math.Pow(xm, a)
-	h := math.Pow(hi, a)
-	x := math.Pow(-(u*h-u*l-h)/(h*l), -1/a)
-	return x
 }
 
 // zipfWeights returns n weights proportional to 1/rank^s, normalized to sum

@@ -17,18 +17,6 @@ type Sample struct {
 // Bps returns the summed read+write throughput of the sample.
 func (s Sample) Bps() float64 { return s.ReadBps + s.WriteBps }
 
-// IOPS returns the summed read+write IOPS of the sample.
-func (s Sample) IOPS() float64 { return s.ReadIOPS + s.WriteIOPS }
-
-// RW is a pair of read/write byte counts (or rates, per context).
-type RW struct {
-	R float64
-	W float64
-}
-
-// Total returns R+W.
-func (x RW) Total() float64 { return x.R + x.W }
-
 // burstState walks one direction's ON/OFF burst process. The process is:
 // quiescent at baseline x mean, entering a burst with probability onProb per
 // second; burst durations are geometric with the configured mean and burst
@@ -112,122 +100,4 @@ func (f *Fleet) VDSeriesInto(buf []Sample, vd cluster.VDID, durSec int) []Sample
 		}
 	}
 	return out
-}
-
-// scaleSeries returns base with reads scaled by rw and writes by ww.
-func scaleSeries(base []Sample, rw, ww float64) []Sample {
-	out := make([]Sample, len(base))
-	for i, s := range base {
-		out[i] = Sample{
-			ReadBps:   s.ReadBps * rw,
-			WriteBps:  s.WriteBps * ww,
-			ReadIOPS:  s.ReadIOPS * rw,
-			WriteIOPS: s.WriteIOPS * ww,
-		}
-	}
-	return out
-}
-
-// QPSeries generates the per-second traffic series of one queue pair: the
-// owning VD's series split by the model's per-QP weights.
-func (f *Fleet) QPSeries(qp cluster.QPID, durSec int) []Sample {
-	vd := f.Topology.VDOfQP(qp)
-	m := &f.Models[vd]
-	idx := qpIndex(f.Topology, vd, qp)
-	return scaleSeries(f.VDSeries(vd, durSec), m.QPWeightsRead[idx], m.QPWeightsWrite[idx])
-}
-
-// SplitQPSeries splits an already-generated VD series across that VD's QPs,
-// avoiding regenerating the VD series per queue pair.
-func (f *Fleet) SplitQPSeries(vd cluster.VDID, vdSeries []Sample) [][]Sample {
-	m := &f.Models[vd]
-	qps := f.Topology.VDs[vd].QPs
-	out := make([][]Sample, len(qps))
-	for i := range qps {
-		out[i] = scaleSeries(vdSeries, m.QPWeightsRead[i], m.QPWeightsWrite[i])
-	}
-	return out
-}
-
-// SegmentSeries generates the per-second traffic series of one segment.
-func (f *Fleet) SegmentSeries(seg cluster.SegmentID, durSec int) []Sample {
-	s := &f.Topology.Segments[seg]
-	m := &f.Models[s.VD]
-	return scaleSeries(f.VDSeries(s.VD, durSec), m.SegWeightsRead[s.Index], m.SegWeightsWrite[s.Index])
-}
-
-// qpIndex returns the position of qp within vd's QP list.
-func qpIndex(t *cluster.Topology, vd cluster.VDID, qp cluster.QPID) int {
-	for i, q := range t.VDs[vd].QPs {
-		if q == qp {
-			return i
-		}
-	}
-	panic("workload: QP not owned by VD")
-}
-
-// SegmentPeriodMatrix aggregates every segment's traffic into fixed periods:
-// the result is indexed [segment][period] and holds bytes moved during each
-// period. It streams one VD series at a time, so memory stays proportional
-// to segments x periods rather than segments x seconds. This is the input
-// the inter-BS balancer experiments (§6) consume.
-func (f *Fleet) SegmentPeriodMatrix(durSec, periodSec int) [][]RW {
-	if periodSec <= 0 || durSec <= 0 {
-		panic("workload: SegmentPeriodMatrix needs positive durations")
-	}
-	nPeriods := (durSec + periodSec - 1) / periodSec
-	out := make([][]RW, len(f.Topology.Segments))
-	for i := range out {
-		out[i] = make([]RW, nPeriods)
-	}
-	for vdIdx := range f.Topology.VDs {
-		vd := &f.Topology.VDs[vdIdx]
-		m := &f.Models[vdIdx]
-		series := f.VDSeries(cluster.VDID(vdIdx), durSec)
-		for t, s := range series {
-			p := t / periodSec
-			for j, seg := range vd.Segments {
-				out[seg][p].R += s.ReadBps * m.SegWeightsRead[j]
-				out[seg][p].W += s.WriteBps * m.SegWeightsWrite[j]
-			}
-		}
-	}
-	return out
-}
-
-// FineSlots spreads one second of a VD's traffic across slotsPerSec
-// sub-second slots and returns per-slot byte counts for reads and writes.
-// Persistent disks emit one contiguous run of slots whose phase drifts
-// slowly across seconds; scattered disks spray isolated spikes (reads more
-// concentrated than writes). The paper finds sub-period bursts defeat QP
-// rebinding (§4.3) — scattered disks are exactly that case. Deterministic
-// per (fleet seed, vd, sec).
-func (f *Fleet) FineSlots(vd cluster.VDID, sec int, slotsPerSec int, secSample Sample) (readBytes, writeBytes []float64) {
-	m := &f.Models[vd]
-	readBytes = make([]float64, slotsPerSec)
-	writeBytes = make([]float64, slotsPerSec)
-	if m.SlotPersistent {
-		// Contiguous run at a drifting phase; both directions share it (the
-		// application's activity window).
-		width := int(m.SlotRunFrac * float64(slotsPerSec))
-		if width < 1 {
-			width = 1
-		}
-		phase := math.Mod(m.SlotPhase+float64(sec)*m.SlotDrift, 1)
-		start := int(phase * float64(slotsPerSec))
-		for k := 0; k < width; k++ {
-			i := (start + k) % slotsPerSec
-			readBytes[i] = secSample.ReadBps / float64(width)
-			writeBytes[i] = secSample.WriteBps / float64(width)
-		}
-		return readBytes, writeBytes
-	}
-	rng := newRand(f.Cfg.Seed, tagEvents, uint64(vd)<<24|uint64(uint32(sec)))
-	rw := dirichletLike(rng, slotsPerSec, 0.05)
-	ww := dirichletLike(rng, slotsPerSec, 0.20)
-	for i := 0; i < slotsPerSec; i++ {
-		readBytes[i] = secSample.ReadBps * rw[i]
-		writeBytes[i] = secSample.WriteBps * ww[i]
-	}
-	return readBytes, writeBytes
 }

@@ -178,129 +178,6 @@ func TestVDSeriesShape(t *testing.T) {
 	}
 }
 
-func TestQPSeriesSumsToVDSeries(t *testing.T) {
-	f := mustGenerate(t, smallConfig())
-	// Find a multi-QP VD.
-	var vd cluster.VDID = -1
-	for i := range f.Topology.VDs {
-		if len(f.Topology.VDs[i].QPs) > 1 {
-			vd = cluster.VDID(i)
-			break
-		}
-	}
-	if vd < 0 {
-		t.Skip("no multi-QP VD in small fleet")
-	}
-	const dur = 40
-	vdSeries := f.VDSeries(vd, dur)
-	sum := make([]Sample, dur)
-	for _, qp := range f.Topology.VDs[vd].QPs {
-		qs := f.QPSeries(qp, dur)
-		for i := range qs {
-			sum[i].ReadBps += qs[i].ReadBps
-			sum[i].WriteBps += qs[i].WriteBps
-		}
-	}
-	for i := range sum {
-		if math.Abs(sum[i].ReadBps-vdSeries[i].ReadBps) > 1e-6*(1+vdSeries[i].ReadBps) {
-			t.Fatalf("read sum at %d = %v, want %v", i, sum[i].ReadBps, vdSeries[i].ReadBps)
-		}
-		if math.Abs(sum[i].WriteBps-vdSeries[i].WriteBps) > 1e-6*(1+vdSeries[i].WriteBps) {
-			t.Fatalf("write sum at %d = %v, want %v", i, sum[i].WriteBps, vdSeries[i].WriteBps)
-		}
-	}
-}
-
-func TestSplitQPSeriesMatchesQPSeries(t *testing.T) {
-	f := mustGenerate(t, smallConfig())
-	vd := cluster.VDID(0)
-	const dur = 20
-	vdSeries := f.VDSeries(vd, dur)
-	split := f.SplitQPSeries(vd, vdSeries)
-	for i, qp := range f.Topology.VDs[vd].QPs {
-		direct := f.QPSeries(qp, dur)
-		for j := range direct {
-			if direct[j] != split[i][j] {
-				t.Fatalf("qp %d sample %d: split %+v vs direct %+v", qp, j, split[i][j], direct[j])
-			}
-		}
-	}
-}
-
-func TestSegmentSeriesSumsToVDSeries(t *testing.T) {
-	f := mustGenerate(t, smallConfig())
-	// Find a multi-segment VD.
-	var vd cluster.VDID = -1
-	for i := range f.Topology.VDs {
-		if len(f.Topology.VDs[i].Segments) > 1 {
-			vd = cluster.VDID(i)
-			break
-		}
-	}
-	if vd < 0 {
-		t.Skip("no multi-segment VD")
-	}
-	const dur = 30
-	vdSeries := f.VDSeries(vd, dur)
-	sumR, sumW := make([]float64, dur), make([]float64, dur)
-	for _, seg := range f.Topology.VDs[vd].Segments {
-		ss := f.SegmentSeries(seg, dur)
-		for i := range ss {
-			sumR[i] += ss[i].ReadBps
-			sumW[i] += ss[i].WriteBps
-		}
-	}
-	for i := range vdSeries {
-		if math.Abs(sumR[i]-vdSeries[i].ReadBps) > 1e-6*(1+vdSeries[i].ReadBps) {
-			t.Fatalf("segment read sum at %d = %v, want %v", i, sumR[i], vdSeries[i].ReadBps)
-		}
-		if math.Abs(sumW[i]-vdSeries[i].WriteBps) > 1e-6*(1+vdSeries[i].WriteBps) {
-			t.Fatalf("segment write sum at %d = %v, want %v", i, sumW[i], vdSeries[i].WriteBps)
-		}
-	}
-}
-
-func TestSegmentPeriodMatrixConsistent(t *testing.T) {
-	f := mustGenerate(t, smallConfig())
-	const dur, period = 60, 15
-	mat := f.SegmentPeriodMatrix(dur, period)
-	if len(mat) != len(f.Topology.Segments) {
-		t.Fatalf("matrix rows = %d, want %d", len(mat), len(f.Topology.Segments))
-	}
-	if len(mat[0]) != 4 {
-		t.Fatalf("matrix cols = %d, want 4", len(mat[0]))
-	}
-	// Cross-check one segment against its direct series.
-	seg := cluster.SegmentID(0)
-	ss := f.SegmentSeries(seg, dur)
-	var wantR float64
-	for t2 := 0; t2 < period; t2++ {
-		wantR += ss[t2].ReadBps
-	}
-	if math.Abs(mat[seg][0].R-wantR) > 1e-6*(1+wantR) {
-		t.Fatalf("matrix[0][0].R = %v, want %v", mat[seg][0].R, wantR)
-	}
-}
-
-func TestFineSlotsConserveMass(t *testing.T) {
-	f := mustGenerate(t, smallConfig())
-	sec := Sample{ReadBps: 1e6, WriteBps: 2e6}
-	r, w := f.FineSlots(0, 7, 100, sec)
-	if len(r) != 100 || len(w) != 100 {
-		t.Fatalf("slot counts = %d/%d", len(r), len(w))
-	}
-	if math.Abs(stats.Sum(r)-1e6) > 1 {
-		t.Fatalf("read mass = %v, want 1e6", stats.Sum(r))
-	}
-	if math.Abs(stats.Sum(w)-2e6) > 1 {
-		t.Fatalf("write mass = %v, want 2e6", stats.Sum(w))
-	}
-	// Reads should be more concentrated than writes on average.
-	if stats.NormCoV(r) <= stats.NormCoV(w)*0.5 {
-		t.Logf("read CoV %v, write CoV %v (stochastic, informational)", stats.NormCoV(r), stats.NormCoV(w))
-	}
-}
-
 func TestGenEventsWellFormed(t *testing.T) {
 	f := mustGenerate(t, smallConfig())
 	d := &f.Topology.VDs[0]
@@ -375,22 +252,6 @@ func TestDistributionHelpers(t *testing.T) {
 	if covSmall <= covBig {
 		t.Fatalf("shape 0.1 CoV %v not above shape 10 CoV %v", covSmall/50, covBig/50)
 	}
-	// pareto respects the scale floor.
-	for i := 0; i < 1000; i++ {
-		if v := pareto(rng, 2, 1.5); v < 2 {
-			t.Fatalf("pareto draw %v below xm", v)
-		}
-	}
-	// boundedPareto respects both bounds.
-	for i := 0; i < 1000; i++ {
-		v := boundedPareto(rng, 3, 1.1, 50)
-		if v < 3-1e-9 || v > 50+1e-9 {
-			t.Fatalf("boundedPareto draw %v outside [3,50]", v)
-		}
-	}
-	if got := boundedPareto(rng, 5, 1, 5); got != 5 {
-		t.Fatalf("degenerate boundedPareto = %v, want 5", got)
-	}
 }
 
 func TestGammaDrawProperties(t *testing.T) {
@@ -431,7 +292,7 @@ func TestSubSeedIndependence(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
-	if xrand.SubSeed(1, tagVDSeries, 5) == xrand.SubSeed(1, tagQPSplit, 5) {
+	if xrand.SubSeed(1, tagVDSeries, 5) == xrand.SubSeed(1, tagEvents, 5) {
 		t.Fatal("different tags collided")
 	}
 }
@@ -475,73 +336,6 @@ func TestGeometricAtLeast1(t *testing.T) {
 	mean := float64(sum) / n
 	if math.Abs(mean-3) > 0.3 {
 		t.Fatalf("geometric mean = %v, want ~3", mean)
-	}
-}
-
-func TestAppTrafficShareWeight(t *testing.T) {
-	// BigData should carry the largest popularity x rate product (Table 4:
-	// highest traffic share).
-	big := AppTrafficShareWeight(cluster.AppBigData)
-	for app := cluster.AppClass(0); int(app) < cluster.NumAppClasses; app++ {
-		if app == cluster.AppBigData {
-			continue
-		}
-		if AppTrafficShareWeight(app) >= big {
-			t.Fatalf("%v share weight >= BigData", app)
-		}
-	}
-}
-
-func TestFineSlotsPersistentMode(t *testing.T) {
-	f := mustGenerate(t, smallConfig())
-	// Find one persistent and one scattered VD.
-	persistent, scattered := cluster.VDID(-1), cluster.VDID(-1)
-	for vd := range f.Models {
-		if f.Models[vd].SlotPersistent && persistent < 0 {
-			persistent = cluster.VDID(vd)
-		}
-		if !f.Models[vd].SlotPersistent && scattered < 0 {
-			scattered = cluster.VDID(vd)
-		}
-	}
-	if persistent < 0 || scattered < 0 {
-		t.Skip("fleet lacks one of the slot styles")
-	}
-	sec := Sample{ReadBps: 1e6, WriteBps: 1e6}
-	// Mass conservation holds in both modes.
-	for _, vd := range []cluster.VDID{persistent, scattered} {
-		r, w := f.FineSlots(vd, 3, 100, sec)
-		if math.Abs(stats.Sum(r)-1e6) > 1 || math.Abs(stats.Sum(w)-1e6) > 1 {
-			t.Fatalf("vd %d: slot mass not conserved", vd)
-		}
-	}
-	// Persistent runs are contiguous: the set of active slots forms at most
-	// one wrap-around run.
-	r, _ := f.FineSlots(persistent, 3, 100, sec)
-	active := 0
-	transitions := 0
-	for i := 0; i < 100; i++ {
-		if r[i] > 0 {
-			active++
-		}
-		if (r[i] > 0) != (r[(i+1)%100] > 0) {
-			transitions++
-		}
-	}
-	if active == 0 || transitions > 2 {
-		t.Fatalf("persistent slots not a single run: active=%d transitions=%d", active, transitions)
-	}
-	// The run's phase persists (drifts slowly) across adjacent seconds:
-	// consecutive seconds overlap in active slots.
-	r2, _ := f.FineSlots(persistent, 4, 100, sec)
-	overlap := 0
-	for i := range r {
-		if r[i] > 0 && r2[i] > 0 {
-			overlap++
-		}
-	}
-	if active > 2 && overlap == 0 {
-		t.Fatal("persistent run does not persist across seconds")
 	}
 }
 

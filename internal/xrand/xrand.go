@@ -212,10 +212,6 @@ func selfCheck() bool {
 // stdlib; when false, Get falls back to plain math/rand.
 var mirrorOK = recoverCooked() && selfCheck()
 
-// MirrorActive reports whether the fast mirrored path is in use (false
-// means every Get transparently constructs a plain math/rand generator).
-func MirrorActive() bool { return mirrorOK }
-
 // Seed-vector memo. Hot simulation paths draw from a bounded set of derived
 // seeds, so hit rates approach 1 after the first run; the map is reset when
 // it would exceed maxCachedSeeds to bound memory on pathological workloads.

@@ -9,7 +9,7 @@ import (
 // with: if the stdlib generator ever changes shape, this fails loudly
 // instead of silently running the slow fallback forever.
 func TestMirrorActive(t *testing.T) {
-	if !MirrorActive() {
+	if !mirrorOK {
 		t.Fatal("mirror self-check failed: xrand is running on the math/rand fallback")
 	}
 }
