@@ -26,9 +26,9 @@ vet:
 	@out=$$(gofmt -l cmd internal bench *.go); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 # Every declaration has a caller: fails on a package-level declaration or
-# method that no cmd/* program and no bench/*.go selector reaches and that
-# testdata/callers_allow.txt does not list with a reason — and on a listed
-# name that is reachable or gone (callers_test.go).
+# method that neither a cmd/* program nor anything bench/*.go references
+# reaches and that testdata/callers_allow.txt does not list with a reason —
+# and on a listed name that is reachable or gone (callers_test.go).
 callers:
 	$(GO) test -run TestDeclarationsHaveCallers -count=1 .
 
@@ -160,10 +160,13 @@ consensus-race:
 # Serving-plane gate: the ebsgate binary serves a gateway on loopback TCP,
 # a protocol client submits one study through the full wire path and streams
 # sketch snapshots while it runs, and the binary fails unless the served
-# dataset and sketch fingerprints are byte-identical to a direct
-# single-process run of the same spec.
+# dataset and sketch fingerprints (and, for a controlled study, the decision
+# log's) are byte-identical to a direct single-process run of the same spec —
+# plain, scenario-shaped, and under a control policy.
 gateway-smoke:
 	$(GO) run ./cmd/ebsgate -selftest -seed 7 -dur 4 -nodes 2 -users 4 -max-vds 12
+	$(GO) run ./cmd/ebsgate -selftest -seed 7 -dur 4 -nodes 2 -users 4 -max-vds 12 -scenario bufferbloat
+	$(GO) run ./cmd/ebsgate -selftest -seed 7 -dur 8 -nodes 2 -users 4 -max-vds 12 -control reactive
 
 # Mitigation control-plane gate: the policy bake-off golden fixture (the
 # predictive policy must beat reactive on imbalance under the pinned chaos

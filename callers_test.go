@@ -207,14 +207,6 @@ func loadModule(t *testing.T) *module {
 	for _, obj := range m.infos[bench].Uses {
 		m.roots = append(m.roots, origin(obj))
 	}
-	for _, f := range m.files[bench] {
-		ast.Inspect(f, func(n ast.Node) bool {
-			if sel, ok := n.(*ast.SelectorExpr); ok {
-				m.dynamic[sel.Sel.Name] = true
-			}
-			return true
-		})
-	}
 	return m
 }
 

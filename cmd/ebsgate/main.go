@@ -298,7 +298,13 @@ func runSelftest(cfg gateway.Config, spec gateway.StudySpec) error {
 	if st.SketchFP != oracle.SketchFP {
 		return fmt.Errorf("served sketch fingerprint %s, direct run %s", st.SketchFP, oracle.SketchFP)
 	}
+	if st.ControlLogFP != oracle.ControlLogFP {
+		return fmt.Errorf("served control log fingerprint %q, direct run %q", st.ControlLogFP, oracle.ControlLogFP)
+	}
 	fmt.Printf("ebsgate selftest: study %d over TCP, %d snapshot(s) streamed, fingerprints match direct run\n", reply.StudyID, snaps)
 	fmt.Printf("  dataset %s\n  sketch  %s\n", st.DatasetFP, st.SketchFP)
+	if st.ControlLogFP != "" {
+		fmt.Printf("  control %s (%d decisions)\n", st.ControlLogFP, st.ControlDecisions)
+	}
 	return nil
 }

@@ -76,23 +76,10 @@ func validateFlags(f roleFlags) error {
 		if f.dist == 0 || f.replicas < 2 {
 			return fmt.Errorf("-leader-kill needs -dist and -replicas >= 2")
 		}
-		if max := (f.replicas - 1) / 2; f.leaderKill > max {
+		if max := fabric.MaxLeaderKills(f.replicas); f.leaderKill > max {
 			return fmt.Errorf("a %d-replica control plane survives at most %d leader kills, got -leader-kill %d",
 				f.replicas, max, f.leaderKill)
 		}
-	}
-	if f.control != "" {
-		if f.dist > 0 || f.workersAddr != "" || f.replicas > 1 {
-			return fmt.Errorf("-control runs the sequential predict->act loop in-process, which conflicts with the distributed roles -dist, -workers-addr, -replicas")
-		}
-		if _, err := control.ByName(f.control); err != nil {
-			return err
-		}
-	} else if f.epochSec != 0 {
-		return fmt.Errorf("-epoch-sec needs -control")
-	}
-	if f.epochSec < 0 {
-		return fmt.Errorf("-epoch-sec %d: want >= 0 (0 = an eighth of -dur)", f.epochSec)
 	}
 	if f.scenario != "" && f.replay != "" {
 		return fmt.Errorf("-replay is shorthand for -scenario replay,path=...: pass exactly one of -scenario, -replay")
@@ -100,22 +87,28 @@ func validateFlags(f roleFlags) error {
 	if f.cpuProfile != "" && f.cpuProfile == f.memProfile {
 		return fmt.Errorf("-cpuprofile and -memprofile both name %s: the second would overwrite the first", f.cpuProfile)
 	}
-	spec := f.scenario
-	if f.replay != "" {
-		spec = "replay,path=" + f.replay
+	// What the study itself allows is the run description's to say (scenario
+	// specs validate statically; replay trace files are only opened at bind
+	// time).
+	spec := ebs.RunSpec{Scenario: f.scenarioSpec(), Control: f.control, EpochSec: f.epochSec}
+	if err := spec.Validate(); err != nil {
+		return err
 	}
-	if spec != "" {
-		// Build validates the spec statically; replay trace files are only
-		// opened later, at bind time.
-		built, err := scenario.Build(spec)
-		if err != nil {
-			return err
-		}
-		if built.Name() == "replay" && (f.dist > 0 || f.workersAddr != "") {
-			return fmt.Errorf("-replay (and -scenario replay,...) reads a local trace file, which the distributed roles -dist and -workers-addr cannot ship to workers: replay runs are single-process")
+	if f.dist > 0 || f.workersAddr != "" {
+		if err := spec.Distributable(); err != nil {
+			return fmt.Errorf("-control, -replay and -scenario replay,... conflict with the distributed roles -dist, -workers-addr: %w", err)
 		}
 	}
 	return nil
+}
+
+// scenarioSpec is the scenario spec string the flags name: -replay PATH is
+// shorthand for -scenario replay,path=PATH.
+func (f roleFlags) scenarioSpec() string {
+	if f.replay != "" {
+		return "replay,path=" + f.replay
+	}
+	return f.scenario
 }
 
 func main() {
@@ -156,7 +149,7 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := validateFlags(roleFlags{
+	rf := roleFlags{
 		dist:        *dist,
 		workersAddr: *workersAddr,
 		replicas:    *replicas,
@@ -169,7 +162,8 @@ func main() {
 		replay:      *replayPath,
 		cpuProfile:  *cpuProfile,
 		memProfile:  *memProfile,
-	}); err != nil {
+	}
+	if err := validateFlags(rf); err != nil {
 		fmt.Fprintln(os.Stderr, "ebssim:", err)
 		os.Exit(2)
 	}
@@ -186,37 +180,30 @@ func main() {
 		os.Exit(1)
 	}
 
-	cfg := workload.DefaultConfig()
-	cfg.Seed = *seed
-	cfg.DCs = 1
-	cfg.NodesPerDC = *nodes
-	cfg.BSPerDC = 12
-	cfg.BSPerCluster = 6
-	cfg.Users = 16
-	cfg.DurationSec = *dur
-
-	fleet, err := workload.Generate(cfg)
-	if err != nil {
-		fail(err)
-	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	opts := ebs.Options{
-		DurationSec:      *dur,
-		TraceSampleEvery: 1,
-		EventSampleEvery: 8,
-		MaxVDs:           *maxVDs,
-		Workers:          *workers,
-		Check:            *check,
+	spec := ebs.RunSpec{
+		Fleet: workload.SingleDC(*seed, *nodes, 16, *dur),
+		Opts: ebs.Options{
+			DurationSec:      *dur,
+			TraceSampleEvery: 1,
+			EventSampleEvery: 8,
+			MaxVDs:           *maxVDs,
+			Workers:          *workers,
+			Check:            *check,
+		},
+		Scenario: rf.scenarioSpec(),
+		Control:  *controlPol,
+		EpochSec: *epochSec,
 	}
 	var sketchSet *sketch.Set
 	if *stream {
 		sketchSet = sketch.NewSet(sketch.Config{})
-		opts.Stream = sketchSet
+		spec.Opts.Stream = sketchSet
 	}
 	var chaosStats chaos.Stats
 	if *chaosOn {
-		opts.Chaos = &chaos.Plan{
+		spec.Opts.Chaos = &chaos.Plan{
 			Seed:              *chaosSeed,
 			BSCrashes:         *crashes,
 			MeanDownSec:       *downSec,
@@ -225,50 +212,33 @@ func main() {
 			StormFactor:       *stormFactor,
 			Recoverable:       true,
 		}
-		opts.ChaosStats = &chaosStats
+		spec.Opts.ChaosStats = &chaosStats
 	}
 	if *verbose {
-		opts.Progress = func(done, total int) {
+		spec.Opts.Progress = func(done, total int) {
 			if done%50 == 0 || done == total {
 				fmt.Fprintf(os.Stderr, "simulated %d/%d VDs\n", done, total)
 			}
 		}
 	}
-	specStr := *scenarioSpec
-	if *replayPath != "" {
-		specStr = "replay,path=" + *replayPath
-	}
-	var scWL scenario.Workload
-	if specStr != "" && *dist == 0 && *workersAddr == "" {
-		// Local execution binds the scenario here; the distributed roles ship
-		// the spec string instead and every worker binds it to its own
-		// regenerated fleet.
-		if scWL, err = scenario.BindSpec(specStr, fleet); err != nil {
-			fail(err)
-		}
-		opts.Scenario = scWL
-		if es, ok := scWL.(interface{ EventSampleEvery() int }); ok {
-			// Replay ingest already thinned the stream: tell the engine the
-			// rate so metric rows re-inflate to full-trace estimates.
-			opts.EventSampleEvery = es.EventSampleEvery()
-		}
-	}
-	var ds *trace.Dataset
+	var (
+		ds   *trace.Dataset
+		scWL scenario.Workload // the bound scenario of a local run
+	)
 	switch {
-	case *controlPol != "":
-		ds, err = runControlled(ctx, fleet, opts, *controlPol, *epochSec)
 	case *dist > 0:
-		ds, err = runDistVerified(ctx, cfg, opts, specStr, *dist, *shards, *replicas, *leaderKill)
+		ds, err = runDistVerified(ctx, spec, *dist, *shards, *replicas, *leaderKill)
 	case *workersAddr != "":
-		ds, err = runCoordinator(ctx, cfg, opts, specStr, *workersAddr, *shards, *replicaID, *peers)
+		ds, err = runCoordinator(ctx, spec, *workersAddr, *shards, *replicaID, *peers)
 	default:
-		ds, err = ebs.New(fleet).Run(ctx, opts)
+		ds, scWL, err = runLocal(ctx, spec)
 	}
 	if err != nil {
 		fail(err)
 	}
 	stopProfiles()
-	fmt.Printf("simulated %d IOs over %ds (%d VDs)\n", len(ds.Trace), *dur, simulatedVDs(*maxVDs, len(fleet.Topology.VDs)))
+	top := ds.Topology
+	fmt.Printf("simulated %d IOs over %ds (%d VDs)\n", len(ds.Trace), *dur, simulatedVDs(*maxVDs, len(top.VDs)))
 	if scWL != nil {
 		fmt.Printf("scenario: %s\n", scWL.Spec())
 		if rp, ok := scWL.(*scenario.Replay); ok {
@@ -276,16 +246,16 @@ func main() {
 			fmt.Printf("  replay: schema %s, %d records parsed, %d kept (1/%d), %d reordered, %d clamped\n",
 				st.Schema, st.Records, st.Kept, rp.EventSampleEvery(), st.Reordered, st.Clamped)
 		}
-	} else if specStr != "" {
-		fmt.Printf("scenario: %s (bound per fabric worker)\n", specStr)
+	} else if spec.Scenario != "" {
+		fmt.Printf("scenario: %s (bound per fabric worker)\n", spec.Scenario)
 	}
 	if *check {
 		fmt.Println("invariant suite: all conservation laws hold")
 	}
 	if *chaosOn {
-		sched := opts.Chaos.Expand(*seed, chaos.Shape{
-			BSs:    len(fleet.Topology.StorageNodes),
-			VDs:    len(fleet.Topology.VDs),
+		sched := spec.Opts.Chaos.Expand(*seed, chaos.Shape{
+			BSs:    len(top.StorageNodes),
+			VDs:    len(top.VDs),
 			DurSec: *dur,
 		})
 		fmt.Println(sched)
@@ -343,7 +313,7 @@ func main() {
 			break
 		}
 		var xs []float64
-		for wt := 0; wt < fleet.Topology.Nodes[nl.node].WorkerNum; wt++ {
+		for wt := 0; wt < top.Nodes[nl.node].WorkerNum; wt++ {
 			xs = append(xs, nl.wt[int8(wt)])
 		}
 		fmt.Printf("  node %3d: %6.1f MiB total, WT-CoV %.2f\n",
@@ -467,43 +437,35 @@ func simulatedVDs(maxVDs, fleetVDs int) int {
 	return fleetVDs
 }
 
-// runControlled executes the predict->act loop end to end — an observe pass,
-// one plan, an actuated pass — and prints the mitigation summary ahead of the
+// runLocal runs the spec in this process, printing a controlled run's
+// mitigation summary. It opens the spec itself, where spec.Run would do, to
+// return the bound scenario the report reads.
+func runLocal(ctx context.Context, spec ebs.RunSpec) (*trace.Dataset, scenario.Workload, error) {
+	sim, opts, err := spec.Open()
+	if err != nil {
+		return nil, nil, err
+	}
+	ds, plan, err := sim.RunUnder(ctx, opts, spec.Control, spec.EpochSec)
+	if err != nil {
+		return nil, nil, err
+	}
+	if plan != nil {
+		printPlan(plan)
+	}
+	return ds, opts.Scenario, nil
+}
+
+// printPlan prints the mitigation summary of a controlled run ahead of the
 // regular stack report. The dataset the report sections consume is the
-// actuated run's, so every downstream number reflects life under mitigation.
-func runControlled(ctx context.Context, fleet *workload.Fleet, opts ebs.Options, policy string, epochSec int) (*trace.Dataset, error) {
-	pol, err := control.ByName(policy)
-	if err != nil {
-		return nil, err
-	}
-	if epochSec == 0 {
-		epochSec = control.DefaultEpochSec(opts.DurationSec)
-	}
-	ds, plan, err := ebs.New(fleet).RunControlled(ctx, opts, pol, control.Config{EpochSec: epochSec})
-	if err != nil {
-		return nil, err
-	}
-	var migrates, evacs, lends, rebinds int
-	for _, d := range plan.Decisions {
-		switch d.Kind {
-		case control.DecMigrate:
-			migrates++
-		case control.DecEvacuate:
-			evacs++
-		case control.DecLend:
-			lends++
-		case control.DecRebind:
-			rebinds++
-		}
-	}
+// actuated pass's, so every downstream number reflects life under mitigation.
+func printPlan(plan *control.Plan) {
 	imb := control.Imbalance(plan.BSLoad)
-	fmt.Printf("control plane: policy %s, epoch %ds (%d epochs)\n", plan.Policy, epochSec, len(plan.BSLoad))
-	fmt.Printf("  decisions: %d (%d migrate, %d evacuate, %d lend, %d rebind)\n",
-		len(plan.Decisions), migrates, evacs, lends, rebinds)
+	fmt.Printf("control plane: policy %s, epoch %ds (%d epochs)\n", plan.Policy, plan.Config.EpochSec, len(plan.BSLoad))
+	fmt.Printf("  decisions: %d (%d migrate, %d evacuate, %d lend, %d rebind)\n", len(plan.Decisions),
+		plan.Count(control.DecMigrate), plan.Count(control.DecEvacuate), plan.Count(control.DecLend), plan.Count(control.DecRebind))
 	fmt.Printf("  decision log %s\n", plan.LogFingerprint())
 	fmt.Printf("  inter-BS imbalance: mean CoV %.4f, max CoV %.4f, peak share %.3f\n",
 		imb.MeanCoV, imb.MaxCoV, imb.PeakShare)
-	return ds, nil
 }
 
 // runCoordinator listens on addr for worker daemons and merges their shard
@@ -513,8 +475,8 @@ func runControlled(ctx context.Context, fleet *workload.Fleet, opts ebs.Options,
 // leader, and a surviving replica finishes the run if this one dies. After
 // the run completes it keeps serving briefly so every worker can observe
 // AssignDone and deregister before the listener goes away.
-func runCoordinator(ctx context.Context, cfg workload.Config, opts ebs.Options, scenarioSpec, addr string, shards, replicaID int, peers string) (*trace.Dataset, error) {
-	fc := fabric.Config{Fleet: cfg, Opts: opts, Scenario: scenarioSpec, Shards: shards}
+func runCoordinator(ctx context.Context, spec ebs.RunSpec, addr string, shards, replicaID int, peers string) (*trace.Dataset, error) {
+	fc := fabric.Config{Fleet: spec.Fleet, Opts: spec.Opts, Scenario: spec.Scenario, Shards: shards}
 	if peers != "" {
 		peerList := strings.Split(peers, ",")
 		if len(peerList) < 2 {
@@ -568,7 +530,8 @@ func runCoordinator(ctx context.Context, cfg workload.Config, opts ebs.Options, 
 // leaderKills > 0 additionally schedules chaos kills of the acting leader
 // mid-run — the fingerprint comparison must STILL hold, which is the
 // replicated control plane's whole contract.
-func runDistVerified(ctx context.Context, cfg workload.Config, opts ebs.Options, scenarioSpec string, n, shards, replicas, leaderKills int) (*trace.Dataset, error) {
+func runDistVerified(ctx context.Context, spec ebs.RunSpec, n, shards, replicas, leaderKills int) (*trace.Dataset, error) {
+	opts := spec.Opts
 	distOpts := opts
 	var distStream *sketch.Set
 	if opts.Stream != nil {
@@ -592,25 +555,15 @@ func runDistVerified(ctx context.Context, cfg workload.Config, opts ebs.Options,
 		distOpts.Chaos = &plan
 	}
 
-	ds, err := runReplicaSet(ctx, cfg, distOpts, scenarioSpec, n, shards, replicas)
+	ds, err := runReplicaSet(ctx, fabric.Config{Fleet: spec.Fleet, Opts: distOpts, Scenario: spec.Scenario, Shards: shards}, n, replicas)
 	if err != nil {
 		return nil, err
 	}
 
-	fleet, err := workload.Generate(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if scenarioSpec != "" {
-		// The single-process reference must run the same scenario, rebuilt
-		// from the spec string and bound to this regenerated fleet — exactly
-		// what each fabric worker does, which is what makes the fingerprint
-		// comparison meaningful.
-		if opts.Scenario, err = scenario.BindSpec(scenarioSpec, fleet); err != nil {
-			return nil, err
-		}
-	}
-	ref, err := ebs.New(fleet).Run(ctx, opts)
+	// The single-process reference opens the same spec — fleet regenerated,
+	// scenario rebuilt from its string and bound to it — exactly what each
+	// fabric worker does, which is what makes the comparison meaningful.
+	ref, _, err := spec.Run(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("single-process reference run: %w", err)
 	}
@@ -632,8 +585,8 @@ func runDistVerified(ctx context.Context, cfg workload.Config, opts ebs.Options,
 // inline): workers dial every replica and follow leader redirects, and any
 // leader kills in opts.Chaos fire mid-run. It reports the leadership
 // history so a kill's succession is visible in the smoke output.
-func runReplicaSet(ctx context.Context, cfg workload.Config, opts ebs.Options, scenarioSpec string, n, shards, replicas int) (*trace.Dataset, error) {
-	rs, err := fabric.NewReplicaSet(fabric.Config{Fleet: cfg, Opts: opts, Scenario: scenarioSpec, Shards: shards}, replicas)
+func runReplicaSet(ctx context.Context, fc fabric.Config, n, replicas int) (*trace.Dataset, error) {
+	rs, err := fabric.NewReplicaSet(fc, replicas)
 	if err != nil {
 		return nil, err
 	}

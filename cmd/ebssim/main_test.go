@@ -56,6 +56,9 @@ func TestValidateFlagsMatrix(t *testing.T) {
 			[]string{"-replay", "-dist"}},
 		{"replay scenario with workers-addr", roleFlags{workersAddr: ":9000", replicas: 1, scenario: "replay,path=x"},
 			[]string{"-workers-addr", "single-process"}},
+		{"control with dist", roleFlags{dist: 2, replicas: 1, control: "reactive"},
+			[]string{"-control", "-dist", "single-process"}},
+		{"epoch-sec without control", roleFlags{replicas: 1, epochSec: 3}, []string{"EpochSec", "Control"}},
 		{"profiles into one file", roleFlags{dist: 2, replicas: 1, cpuProfile: "run.prof", memProfile: "run.prof"},
 			[]string{"-cpuprofile", "-memprofile", "run.prof"}},
 		{"unknown scenario", roleFlags{replicas: 1, scenario: "quakestorm"},

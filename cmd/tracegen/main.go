@@ -36,17 +36,12 @@ func main() {
 	cfg.Users = 20 * *dcs
 	cfg.DurationSec = *dur
 
-	fleet, err := workload.Generate(cfg)
-	if err != nil {
-		fatal("generate fleet: %v", err)
-	}
-	sim := ebs.New(fleet)
-	ds, err := sim.Run(context.Background(), ebs.Options{
+	ds, _, err := ebs.RunSpec{Fleet: cfg, Opts: ebs.Options{
 		DurationSec:      *dur,
 		TraceSampleEvery: *sample,
 		EventSampleEvery: *evSample,
 		MaxVDs:           *maxVDs,
-	})
+	}}.Run(context.Background())
 	if err != nil {
 		fatal("simulate: %v", err)
 	}

@@ -97,7 +97,6 @@ type Observation struct {
 	vdBytes    []uint64 // bytes per VD
 	vdOps      []uint64 // IOs per VD
 	qpOps      []uint64 // IOs per queue pair
-	wtOps      []uint64 // IOs per worker thread, as attributed in the batch
 }
 
 // NewObservation allocates a zeroed observation of the shape.
@@ -110,7 +109,6 @@ func NewObservation(shape ObsShape) *Observation {
 		vdBytes: make([]uint64, e*shape.VDs),
 		vdOps:   make([]uint64, e*shape.VDs),
 		qpOps:   make([]uint64, e*shape.QPs),
-		wtOps:   make([]uint64, e*shape.WTs),
 	}
 }
 
@@ -128,12 +126,13 @@ func (o *Observation) EpochOf(sec int) int {
 }
 
 // AddRows folds a run's UNSCALED metric rows into the counters: compute rows
-// carry VD, QP, node and worker thread with that second's byte and op sums,
-// storage rows the segment's read and write bytes. The rows aggregate every
-// generated IO (not just the trace-sampled ones), and their sums are
-// integer-valued float64s — exact below 2^53 — so the counters equal a
-// per-IO count. A QP's worker thread changes only at epoch boundaries, which
-// are second boundaries, so a (second, QP) row has one worker thread.
+// carry VD and QP with that second's byte and op sums, storage rows the
+// segment's read and write bytes. The rows aggregate every generated IO (not
+// just the trace-sampled ones), and their sums are integer-valued float64s —
+// exact below 2^53 — so the counters equal a per-IO count. Every counter is
+// keyed by what an IO is (its VD, QP, segment, second), never by where a
+// timeline routed it (worker thread, BlockServer): the observation of an
+// actuated run equals the bare observe pass's.
 func (o *Observation) AddRows(compute, storage []trace.MetricRow) {
 	sh := &o.Shape
 	for i := range compute {
@@ -144,7 +143,6 @@ func (o *Observation) AddRows(compute, storage []trace.MetricRow) {
 		o.vdBytes[vd] += uint64(r.ReadBps + r.WriteBps)
 		o.vdOps[vd] += ops
 		o.qpOps[ep*sh.QPs+int(r.QP)] += ops
-		o.wtOps[ep*sh.WTs+sh.WTBase[r.Node]+int(r.WT)] += ops
 	}
 	for i := range storage {
 		r := &storage[i]
@@ -194,7 +192,7 @@ func (o *Observation) epochLen(ep int) int {
 func (o *Observation) Fingerprint() string {
 	h := sha256.New()
 	wU64(h, uint64(o.Shape.Epochs()))
-	for _, xs := range [][]uint64{o.segR, o.segW, o.vdBytes, o.vdOps, o.qpOps, o.wtOps} {
+	for _, xs := range [][]uint64{o.segR, o.segW, o.vdBytes, o.vdOps, o.qpOps} {
 		wU64(h, uint64(len(xs)))
 		for _, x := range xs {
 			wU64(h, x)

@@ -64,7 +64,6 @@ func (o *Observation) ObserveBatch(b *trace.Batch) {
 		o.vdBytes[vd] += size
 		o.vdOps[vd]++
 		o.qpOps[ep*sh.QPs+int(b.QP[i])]++
-		o.wtOps[ep*sh.WTs+sh.WTBase[b.Node[i]]+int(b.WT[i])]++
 	}
 }
 

@@ -156,6 +156,17 @@ type Plan struct {
 	BSLoad [][]float64
 }
 
+// Count returns how many decisions of one kind the plan logged.
+func (p *Plan) Count(kind DecisionKind) int {
+	n := 0
+	for _, d := range p.Decisions {
+		if d.Kind == kind {
+			n++
+		}
+	}
+	return n
+}
+
 // LogFingerprint digests the decision log in canonical order; two plans
 // fingerprint identically iff they made the same decisions. This is the
 // byte-stability witness the worker-count invariance test pins.

@@ -16,7 +16,6 @@ import (
 	"ebslab/internal/control"
 	"ebslab/internal/ebs"
 	"ebslab/internal/invariant"
-	"ebslab/internal/scenario"
 	"ebslab/internal/workload"
 )
 
@@ -26,7 +25,7 @@ type Spec struct {
 	// Fleet is the workload configuration the scenario generates.
 	Fleet workload.Config
 	// Opts are the run options shared by every policy (Chaos may be set
-	// here; Control/Observe must be left nil — the harness owns them).
+	// here; Control/Observe must be left nil — RunControlled owns them).
 	Opts ebs.Options
 	// Control tunes the controller; zero fields take control.Config defaults.
 	Control control.Config
@@ -35,7 +34,7 @@ type Spec struct {
 	// policy runs — the bake-off then measures how each policy copes with
 	// that scenario. Record-sourced replays are rejected by the engine
 	// (measured latencies cannot be re-actuated). Opts.Scenario must be
-	// left nil; the harness binds the scenario itself.
+	// left nil: ebs.RunSpec binds the scenario.
 	Scenario string
 	// Policies names the policies to evaluate, in report order (see
 	// control.ByName). Empty means the canonical four-way bake-off:
@@ -76,70 +75,44 @@ type Report struct {
 var DefaultPolicies = []string{"noop", "reactive", "predictive-holt", "oracle"}
 
 // Run executes the scenario once per policy. Every policy sees the same
-// fleet, seed, and chaos schedule; only the forecasts differ.
+// fleet, seed, and chaos schedule — the spec is opened once — and only the
+// forecasts differ.
 func Run(ctx context.Context, spec Spec) (*Report, error) {
-	fleet, err := workload.Generate(spec.Fleet)
+	sim, base, err := ebs.RunSpec{Fleet: spec.Fleet, Opts: spec.Opts, Scenario: spec.Scenario}.Open()
 	if err != nil {
-		return nil, fmt.Errorf("ctleval: generate fleet: %w", err)
-	}
-	if spec.Opts.Control != nil || spec.Opts.Observe != nil {
-		return nil, fmt.Errorf("ctleval: Spec.Opts.Control/Observe must be nil; the harness owns the control loop")
-	}
-	if spec.Opts.Scenario != nil {
-		return nil, fmt.Errorf("ctleval: Spec.Opts.Scenario must be nil; set Spec.Scenario (the spec string) and the harness binds it")
-	}
-	var wl scenario.Workload
-	if spec.Scenario != "" {
-		if wl, err = scenario.BindSpec(spec.Scenario, fleet); err != nil {
-			return nil, fmt.Errorf("ctleval: %w", err)
-		}
+		return nil, fmt.Errorf("ctleval: %w", err)
 	}
 	policies := spec.Policies
 	if len(policies) == 0 {
 		policies = DefaultPolicies
 	}
-	sim := ebs.New(fleet)
 	rep := &Report{}
 	for _, name := range policies {
-		pol, err := control.ByName(name)
-		if err != nil {
-			return nil, fmt.Errorf("ctleval: %w", err)
-		}
-		opts := spec.Opts
-		opts.Scenario = wl
+		opts := base
 		var cst chaos.Stats
 		if opts.Chaos != nil {
 			opts.ChaosStats = &cst
 		}
-		ds, plan, err := sim.RunControlled(ctx, opts, pol, spec.Control)
+		ds, plan, err := sim.RunUnder(ctx, opts, name, spec.Control.EpochSec)
 		if err != nil {
 			return nil, fmt.Errorf("ctleval: policy %s: %w", name, err)
 		}
 		imb := control.Imbalance(plan.BSLoad)
-		out := Outcome{
-			Policy:     name,
-			Decisions:  len(plan.Decisions),
-			MeanCoV:    imb.MeanCoV,
-			MaxCoV:     imb.MaxCoV,
-			PeakShare:  imb.PeakShare,
-			FaultedIOs: cst.FaultedIOs,
-			LogFP:      plan.LogFingerprint(),
-			DatasetFP:  invariant.Fingerprint(ds),
-		}
-		for _, d := range plan.Decisions {
-			switch d.Kind {
-			case control.DecMigrate:
-				out.Migrations++
-			case control.DecEvacuate:
-				out.Evacuations++
-			case control.DecLend:
-				out.Lends++
-			case control.DecRebind:
-				out.Rebinds++
-			}
-		}
 		rep.Epochs = len(plan.BSLoad)
-		rep.Outcomes = append(rep.Outcomes, out)
+		rep.Outcomes = append(rep.Outcomes, Outcome{
+			Policy:      name,
+			Decisions:   len(plan.Decisions),
+			Migrations:  plan.Count(control.DecMigrate),
+			Evacuations: plan.Count(control.DecEvacuate),
+			Lends:       plan.Count(control.DecLend),
+			Rebinds:     plan.Count(control.DecRebind),
+			MeanCoV:     imb.MeanCoV,
+			MaxCoV:      imb.MaxCoV,
+			PeakShare:   imb.PeakShare,
+			FaultedIOs:  cst.FaultedIOs,
+			LogFP:       plan.LogFingerprint(),
+			DatasetFP:   invariant.Fingerprint(ds),
+		})
 	}
 	return rep, nil
 }

@@ -7,7 +7,6 @@ import (
 	"ebslab/internal/cluster"
 	"ebslab/internal/control"
 	"ebslab/internal/invariant"
-	"ebslab/internal/scenario"
 	"ebslab/internal/throttle"
 	"ebslab/internal/trace"
 )
@@ -92,11 +91,8 @@ func (s *Sim) RunControlled(ctx context.Context, opts Options, pol control.Polic
 	if opts.Control != nil || opts.Observe != nil {
 		return nil, nil, fmt.Errorf("ebs: RunControlled builds its own Control/Observe options; leave both nil")
 	}
-	if rs, ok := opts.Scenario.(scenario.RecordSource); ok && rs.SourcesRecords() {
-		// Even an empty plan would be a lie here: the predict->act premise
-		// needs re-simulatable traffic, and verbatim records replay their
-		// measured latencies no matter what the controller decides.
-		return nil, nil, fmt.Errorf("ebs: scenario %q replays verbatim records; the control plane cannot actuate over measured latencies (foreign-schema replays can)", opts.Scenario.Name())
+	if err := checkControllable(opts.Scenario); err != nil {
+		return nil, nil, err
 	}
 	opts, err := opts.prepare(s.fleet)
 	if err != nil {

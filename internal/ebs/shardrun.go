@@ -2,7 +2,6 @@ package ebs
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 
@@ -95,9 +94,6 @@ func (s *Sim) assembleDataset(opts Options, records []trace.Record, compute, sto
 	}
 }
 
-// errShardControl is RunShard's and MergeShards' answer to an actuated run.
-var errShardControl = errors.New("ebs: Options.Control is single-process only (the control loop is sequential over epochs); run the controlled study in-process")
-
 // RunShard simulates virtual disks [lo, hi) of the run described by opts and
 // returns the shard's unmerged partial. The shard observes the run's GLOBAL
 // shape — chaos schedules expand against the whole fleet, sketch
@@ -108,7 +104,7 @@ var errShardControl = errors.New("ebs: Options.Control is single-process only (t
 // merged rows, by MergeShards.
 func (s *Sim) RunShard(ctx context.Context, opts Options, lo, hi int) (*ShardPartial, error) {
 	if opts.Control != nil {
-		return nil, errShardControl
+		return nil, errSingleProcess
 	}
 	r, err := s.runRange(ctx, opts, lo, hi)
 	if err != nil {
@@ -136,7 +132,7 @@ func (s *Sim) RunShard(ctx context.Context, opts Options, lo, hi int) (*ShardPar
 // a single-process Run with the same options.
 func (s *Sim) MergeShards(opts Options, partials []*ShardPartial) (*trace.Dataset, error) {
 	if opts.Control != nil {
-		return nil, errShardControl
+		return nil, errSingleProcess
 	}
 	r, err := s.begin(opts)
 	if err != nil {

@@ -30,7 +30,9 @@ import (
 
 // Options configures a simulation run. The zero value of every field is the
 // documented default; negative values are rejected by Validate rather than
-// silently rewritten.
+// silently rewritten. The plain-valued fields are what a RunSpec carries
+// across the fabric's wire; destinations, callbacks and fleet-bound values
+// (tagged json:"-") stay with the process that set them.
 type Options struct {
 	// DurationSec is the observation window (0 = the fleet config's window).
 	DurationSec int
@@ -61,10 +63,10 @@ type Options struct {
 	// the plan's failover latency penalty, and storming VDs offer boosted
 	// demand. The expansion is seed-derived, so results stay byte-identical
 	// across worker counts; see DESIGN.md, "Fault model".
-	Chaos *chaos.Plan
+	Chaos *chaos.Plan `json:",omitempty"`
 	// ChaosStats, when non-nil and Chaos is set, receives the run's merged
 	// fault accounting.
-	ChaosStats *chaos.Stats
+	ChaosStats *chaos.Stats `json:"-"`
 	// Stream, when non-nil, enables the streaming analytics path (the
 	// -stream mode of cmd/ebssim): every shard folds each completed IO into
 	// its own sketch.Set — SpaceSaving heavy hitters, log-bucket quantile
@@ -76,7 +78,7 @@ type Options struct {
 	// Sketch state is deterministic and worker-count invariant, and its
 	// memory is independent of the IO count; see DESIGN.md, "Streaming
 	// sketch analytics".
-	Stream *sketch.Set
+	Stream *sketch.Set `json:"-"`
 	// Snapshots, when non-nil (requires Stream), is a handle through which
 	// another goroutine reads the streaming sketch state while the run
 	// executes: a snapshot merges the shards' live sets on demand, and after
@@ -84,7 +86,7 @@ type Options struct {
 	// costs the run nothing until someone asks. Like Progress, the sink never
 	// crosses the wire — distributed runs snapshot from the coordinator's
 	// accepted shard partials instead.
-	Snapshots *SnapshotSink
+	Snapshots *SnapshotSink `json:"-"`
 	// Control, when non-nil, applies a compiled mitigation timeline during
 	// the run: per-epoch placement and QP-binding overrides, migration
 	// landing penalties, and per-epoch throttle cap deltas, all looked up
@@ -94,7 +96,7 @@ type Options struct {
 	// runs only: RunShard and MergeShards reject it (the control loop is
 	// inherently sequential over epochs). See DESIGN.md, "Mitigation control
 	// plane".
-	Control *control.Timeline
+	Control *control.Timeline `json:"-"`
 	// Observe, when non-nil, receives the run's per-epoch integer traffic
 	// counters (per segment, VD, QP, and worker thread), folded at the join
 	// from the merged tracer's full-scale metric rows — so the observation
@@ -102,7 +104,7 @@ type Options struct {
 	// MergeShards fills it like Run does (RunShard leaves it alone). Create
 	// the destination with control.NewObservation over a shape matching this
 	// fleet and the run's options.
-	Observe *control.Observation
+	Observe *control.Observation `json:"-"`
 	// Scenario, when non-nil, replaces the fleet's native traffic with a
 	// bound scenario from the scenario library: the engine takes the demand
 	// series and event stream (or, for a record-sourced replay, the verbatim
@@ -114,14 +116,14 @@ type Options struct {
 	// compose with Chaos, Stream, Check, and (except record-sourced replays,
 	// whose measured latencies cannot be re-derived) Control/Observe. See
 	// DESIGN.md, "Scenario library & trace replay".
-	Scenario scenario.Workload
+	Scenario scenario.Workload `json:"-"`
 	// Seed overrides the base seed of the per-VD latency sampling streams
 	// (default: fleet seed).
 	Seed int64
 	// Progress, when non-nil, is called after each virtual disk finishes,
 	// with the number of completed disks and the total. Calls are
 	// serialized but may come from pool goroutines; keep it cheap.
-	Progress func(done, total int)
+	Progress func(done, total int) `json:"-"`
 }
 
 // prepare validates and defaults the options; every entry point passes them
@@ -243,10 +245,8 @@ func (s *Sim) specs() ([]trace.VDSpec, []trace.VMSpec) {
 
 // checkScenarioOptions validates the run's scenario binding: the scenario
 // must be bound to this simulator's fleet (series, events, and records are
-// expressed in that fleet's address space), and a record-sourced replay
-// cannot run under the control plane — its latencies are measured, not
-// modelled, so a timeline's placement overrides and migration penalties
-// would falsify them. MergeShards deliberately skips this check: the
+// expressed in that fleet's address space), and an actuated run's scenario
+// must be controllable. MergeShards deliberately skips this check: the
 // coordinator merges partials against its own fleet instance while the
 // scenario was bound worker-side.
 func (s *Sim) checkScenarioOptions(opts *Options) error {
@@ -257,10 +257,19 @@ func (s *Sim) checkScenarioOptions(opts *Options) error {
 	if sc.Fleet() != s.fleet {
 		return fmt.Errorf("ebs: Options.Scenario %q is bound to a different fleet; Bind it to this simulator's fleet", sc.Name())
 	}
+	if opts.Control != nil {
+		return checkControllable(sc)
+	}
+	return nil
+}
+
+// checkControllable refuses the control plane over a record-sourced replay:
+// its latencies are measured, not modelled, so a timeline's placement
+// overrides and migration penalties would falsify them — and the predict→act
+// premise needs re-simulatable traffic, so even an empty plan would be a lie.
+func checkControllable(sc scenario.Workload) error {
 	if rs, ok := sc.(scenario.RecordSource); ok && rs.SourcesRecords() {
-		if opts.Control != nil {
-			return fmt.Errorf("ebs: scenario %q replays verbatim records; the control plane cannot actuate over measured latencies (foreign-schema replays can)", sc.Name())
-		}
+		return fmt.Errorf("ebs: scenario %q replays verbatim records; the control plane cannot actuate over measured latencies (foreign-schema replays can)", sc.Name())
 	}
 	return nil
 }

@@ -65,13 +65,3 @@ func (k *SnapshotSink) Snapshot() (enc []byte, vds int, seq uint64) {
 	}
 	return set.EncodeBinary(), vds, uint64(vds)
 }
-
-// Fingerprint returns the canonical digest of SketchSnapshot's state, or ""
-// before the first disk completes.
-func (k *SnapshotSink) Fingerprint() string {
-	set, _ := k.SketchSnapshot()
-	if set == nil {
-		return ""
-	}
-	return set.Fingerprint()
-}

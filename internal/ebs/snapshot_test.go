@@ -49,10 +49,10 @@ func TestSnapshotSinkStreamedEqualsFinal(t *testing.T) {
 	if midIOs.Load() == 0 {
 		t.Fatal("mid-run snapshot observed no IOs")
 	}
-	if got, want := sink.Fingerprint(), final.Fingerprint(); got != want {
+	served, vds := sink.SketchSnapshot()
+	if got, want := served.Fingerprint(), final.Fingerprint(); got != want {
 		t.Fatalf("streamed snapshot fingerprint %s != final sketch fingerprint %s", got, want)
 	}
-	_, vds, _ := sink.Snapshot()
 	if vds != 12 {
 		t.Fatalf("sink folded %d VDs, want 12", vds)
 	}
@@ -133,7 +133,8 @@ func TestSnapshotSinkConcurrentReader(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if got, want := sink.Fingerprint(), final.Fingerprint(); got != want {
+	served, _ := sink.SketchSnapshot()
+	if got, want := served.Fingerprint(), final.Fingerprint(); got != want {
 		t.Fatalf("sink serves %s after the run, final sketch is %s", got, want)
 	}
 }

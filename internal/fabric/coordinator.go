@@ -25,7 +25,6 @@ import (
 	"ebslab/internal/ebs"
 	"ebslab/internal/invariant"
 	"ebslab/internal/netblock"
-	"ebslab/internal/scenario"
 	"ebslab/internal/sketch"
 	"ebslab/internal/trace"
 	"ebslab/internal/workload"
@@ -43,7 +42,8 @@ type Config struct {
 	// every worker binds to its regenerated fleet. The coordinator never
 	// binds it — merging needs only the shard partials — so Opts.Scenario
 	// must stay nil (it cannot be bound to the coordinator's internal fleet
-	// from outside); NewCoordinator rejects it.
+	// from outside); NewCoordinator rejects it, and a replay scenario, whose
+	// trace file workers cannot read.
 	Scenario string
 	// Shards is how many shards to plan (0 = 4; more shards than workers
 	// keeps the fleet busy when shard runtimes are uneven).
@@ -99,6 +99,11 @@ const (
 	// ledger command to commit (typically: no quorum).
 	proposeTimeout = 10 * time.Second
 )
+
+// runSpec is the run description every worker opens: the join payload.
+func (c Config) runSpec() ebs.RunSpec {
+	return ebs.RunSpec{Fleet: c.Fleet, Opts: c.Opts, Scenario: c.Scenario}
+}
 
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
@@ -159,18 +164,16 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 // a replica set can build every replica before any of them sends.
 func newCoordinator(cfg Config) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
-	if err := cfg.Opts.Validate(); err != nil {
-		return nil, err
+	// Fail at construction, not on every worker: the spec must validate (the
+	// scenario string must parse; the binding itself happens worker-side) and
+	// be something shards on other processes can run.
+	spec := cfg.runSpec()
+	err := spec.Validate()
+	if err == nil {
+		err = spec.Distributable()
 	}
-	if cfg.Opts.Scenario != nil {
-		return nil, fmt.Errorf("fabric: set Config.Scenario (the spec string), not Opts.Scenario — workers bind the scenario to their own fleets")
-	}
-	if cfg.Scenario != "" {
-		// Fail at construction, not on every worker: the spec must parse and
-		// validate. The binding itself happens worker-side.
-		if _, err := scenario.Build(cfg.Scenario); err != nil {
-			return nil, fmt.Errorf("fabric: %w", err)
-		}
+	if err != nil {
+		return nil, fmt.Errorf("fabric: %w", err)
 	}
 	if cfg.ReplicaID < 0 || cfg.ReplicaID >= cfg.Replicas {
 		return nil, fmt.Errorf("fabric: replica ID %d outside the %d-replica set", cfg.ReplicaID, cfg.Replicas)

@@ -199,11 +199,11 @@ func newFakeWorker(t *testing.T, lb *Loopback) *fakeWorker {
 	if err := fromJSON(raw, &join); err != nil {
 		t.Fatal(err)
 	}
-	fleet, err := workload.Generate(join.Fleet)
+	sim, opts, err := join.open()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &fakeWorker{t: t, cl: cl, id: join.WorkerID, sim: ebs.New(fleet), opt: join.Spec.options()}
+	return &fakeWorker{t: t, cl: cl, id: join.WorkerID, sim: sim, opt: opts}
 }
 
 func (w *fakeWorker) assign() AssignReply {

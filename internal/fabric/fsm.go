@@ -210,15 +210,17 @@ func (f *ledgerFSM) join(now time.Time) JoinReply {
 	f.nextID++
 	id := f.nextID
 	f.workers[id] = &workerState{id: id, lastBeat: now}
-	spec := specOf(f.cfg.Opts)
-	spec.Scenario = f.cfg.Scenario
-	return JoinReply{
+	reply := JoinReply{
 		WorkerID:    id,
-		Fleet:       f.cfg.Fleet,
-		Spec:        spec,
+		Spec:        f.cfg.runSpec(),
 		Shards:      len(f.plan),
 		HeartbeatMS: f.cfg.heartbeatEvery.Milliseconds(),
 	}
+	if set := f.cfg.Opts.Stream; set != nil {
+		cfg := set.Config()
+		reply.Stream = &cfg
+	}
+	return reply
 }
 
 // assign places a shard on the asking worker: first a pending shard the

@@ -8,95 +8,40 @@ import (
 	"math"
 	"slices"
 
-	"ebslab/internal/chaos"
 	"ebslab/internal/cluster"
 	"ebslab/internal/ebs"
 	"ebslab/internal/invariant"
 	"ebslab/internal/sketch"
 	"ebslab/internal/trace"
 	"ebslab/internal/wire"
-	"ebslab/internal/workload"
 )
 
 // ErrWire reports a malformed fabric message.
 var ErrWire = errors.New("fabric: malformed message")
 
-// RunSpec is the serializable description of a distributed run: everything a
-// worker needs to regenerate the fleet and execute shards byte-identically
-// to the coordinator's own single-process run. Fields mirror ebs.Options;
-// Stream carries the sketch configuration (nil = no streaming) because a
-// live *sketch.Set cannot cross the wire — each worker builds its own
-// destination set from the config.
-type RunSpec struct {
-	DurationSec      int
-	TraceSampleEvery int
-	EventSampleEvery int
-	MaxVDs           int
-	Workers          int
-	DisableThrottle  bool
-	Check            bool
-	Seed             int64
-	Chaos            *chaos.Plan    `json:",omitempty"`
-	Stream           *sketch.Config `json:",omitempty"`
-	// Scenario is the scenario spec string ("" = the fleet's native
-	// traffic). A live scenario.Workload cannot cross the wire — it is bound
-	// to a fleet instance — so workers rebuild from the spec and bind the
-	// result to their own regenerated fleet, which the scenario determinism
-	// contract makes bit-identical to any other binding of the same recipe.
-	Scenario string `json:",omitempty"`
-}
-
-// specOf projects the serializable subset of opts. Callback and destination
-// fields (Progress, ChaosStats) stay coordinator-side; a non-nil
-// Stream is reduced to its configuration.
-func specOf(opts ebs.Options) RunSpec {
-	spec := RunSpec{
-		DurationSec:      opts.DurationSec,
-		TraceSampleEvery: opts.TraceSampleEvery,
-		EventSampleEvery: opts.EventSampleEvery,
-		MaxVDs:           opts.MaxVDs,
-		Workers:          opts.Workers,
-		DisableThrottle:  opts.DisableThrottle,
-		Check:            opts.Check,
-		Seed:             opts.Seed,
-		Chaos:            opts.Chaos,
-	}
-	if opts.Stream != nil {
-		cfg := opts.Stream.Config()
-		spec.Stream = &cfg
-	}
-	return spec
-}
-
-// options reconstitutes executable run options from the spec.
-func (r RunSpec) options() ebs.Options {
-	opts := ebs.Options{
-		DurationSec:      r.DurationSec,
-		TraceSampleEvery: r.TraceSampleEvery,
-		EventSampleEvery: r.EventSampleEvery,
-		MaxVDs:           r.MaxVDs,
-		Workers:          r.Workers,
-		DisableThrottle:  r.DisableThrottle,
-		Check:            r.Check,
-		Seed:             r.Seed,
-		Chaos:            r.Chaos,
-	}
-	if r.Stream != nil {
-		opts.Stream = sketch.NewSet(*r.Stream)
-	}
-	return opts
-}
-
-// JoinReply answers a worker's JoinFleet: its assigned identity plus the full
-// run description. The worker regenerates the fleet from the config — the
-// generator is deterministic, so shipping the recipe instead of the topology
-// keeps the join payload small and the worker's view bit-identical.
+// JoinReply answers a worker's JoinFleet: its assigned identity plus the run
+// description itself. The worker opens the spec — regenerating the fleet and
+// binding the scenario from their recipes, both deterministic — so the join
+// payload stays small and the worker's view is bit-identical. Stream carries
+// the sketch configuration (nil = no streaming) beside the spec because a live
+// *sketch.Set cannot cross the wire: each worker builds its own destination
+// set from it.
 type JoinReply struct {
 	WorkerID    uint64
-	Fleet       workload.Config
-	Spec        RunSpec
+	Spec        ebs.RunSpec
+	Stream      *sketch.Config `json:",omitempty"`
 	Shards      int
 	HeartbeatMS int64
+}
+
+// open is the worker's side of the join: the spec's simulator and options,
+// streaming into a fresh sketch set of the shipped configuration.
+func (j JoinReply) open() (*ebs.Sim, ebs.Options, error) {
+	spec := j.Spec
+	if j.Stream != nil {
+		spec.Opts.Stream = sketch.NewSet(*j.Stream)
+	}
+	return spec.Open()
 }
 
 // Assignment statuses.

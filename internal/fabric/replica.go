@@ -66,6 +66,11 @@ func (f *replicaFan) Send(m consensus.Message) {
 	f.rs.cos[m.To].Deliver(m) // no-op on a stopped (killed) replica
 }
 
+// MaxLeaderKills is how many leader kills a control plane of `replicas`
+// replicas survives: each kill removes a replica for good, and the survivors
+// must still form a quorum of the original set to elect a successor.
+func MaxLeaderKills(replicas int) int { return (replicas - 1) / 2 }
+
 // NewReplicaSet builds and serves `replicas` coordinator replicas of cfg.
 // cfg's replication fields (ReplicaID, Replicas, Transport) are overwritten
 // per replica; everything else — fleet, options, shard plan, liveness knobs —
@@ -73,6 +78,11 @@ func (f *replicaFan) Send(m consensus.Message) {
 func NewReplicaSet(cfg Config, replicas int) (*ReplicaSet, error) {
 	if replicas < 1 {
 		return nil, fmt.Errorf("fabric: replica set needs >= 1 replicas, got %d", replicas)
+	}
+	if cfg.Opts.Chaos != nil {
+		if kills, max := cfg.Opts.Chaos.LeaderKills, MaxLeaderKills(replicas); kills > max {
+			return nil, fmt.Errorf("fabric: a %d-replica control plane survives at most %d leader kills, the chaos plan schedules %d", replicas, max, kills)
+		}
 	}
 	rs := &ReplicaSet{
 		n:      replicas,
@@ -100,7 +110,7 @@ func NewReplicaSet(cfg Config, replicas int) (*ReplicaSet, error) {
 	// Expand the chaos plan's leader-kill windows against the shard plan.
 	// The trigger counts are a pure function of (seed, shard count), so the
 	// same study kills its leader at the same ledger position every run.
-	if opts := cfg.Opts; opts.Chaos != nil && opts.Chaos.LeaderKills > 0 && replicas > 1 {
+	if opts := cfg.Opts; opts.Chaos != nil && opts.Chaos.LeaderKills > 0 {
 		rs.sched = opts.Chaos.Expand(cfg.Fleet.Seed, chaos.Shape{Shards: len(rs.cos[0].Plan())})
 		rs.kills = rs.sched.LeaderKills
 	}

@@ -14,6 +14,7 @@ import (
 
 	"ebslab/internal/chaos"
 	"ebslab/internal/consensus"
+	"ebslab/internal/control"
 	"ebslab/internal/invariant"
 	"ebslab/internal/sketch"
 	"ebslab/internal/trace"
@@ -202,6 +203,27 @@ func TestCoordinatorRejectsBadReplicaConfig(t *testing.T) {
 	}
 	if _, err := NewReplicaSet(base, 0); err == nil {
 		t.Fatal("0-replica set accepted")
+	}
+	// Two kills leave one of three replicas: no quorum, and the run would wait
+	// out its context instead of failing.
+	if _, err := NewReplicaSet(replicaConfig(nil, 2), 3); err == nil {
+		t.Fatal("3-replica set accepted 2 leader kills")
+	}
+	if rs, err := NewReplicaSet(replicaConfig(nil, MaxLeaderKills(3)), 3); err != nil {
+		t.Fatalf("3-replica set refused %d leader kill(s): %v", MaxLeaderKills(3), err)
+	} else {
+		rs.Close()
+	}
+	// What ebs.RunSpec.Distributable refuses, the coordinator refuses.
+	bad = base
+	bad.Scenario = "replay,path=trace.csv"
+	if _, err := NewCoordinator(bad); err == nil {
+		t.Fatal("replay scenario, whose trace file no worker can read, accepted")
+	}
+	bad = base
+	bad.Opts.Control = control.NewTimeline(1, bad.Opts.DurationSec)
+	if _, err := NewCoordinator(bad); err == nil {
+		t.Fatal("actuated (Opts.Control) run accepted")
 	}
 }
 

@@ -8,10 +8,7 @@ import (
 	"sync"
 	"time"
 
-	"ebslab/internal/ebs"
 	"ebslab/internal/netblock"
-	"ebslab/internal/scenario"
-	"ebslab/internal/workload"
 )
 
 // waitBackoff is how long a worker told AssignWait sleeps before asking
@@ -160,8 +157,8 @@ func (l *ctrlLink) call(ctx context.Context, op netblock.OpCode, payload []byte)
 
 // RunWorker joins the coordinator's fleet, executes shards until the run
 // completes (or ctx ends / Drain fires), and deregisters. The worker
-// regenerates the fleet from the coordinator's recipe, so its shard results
-// are bit-identical to the coordinator simulating the same VDs itself. With
+// opens the coordinator's run spec (same fleet recipe, same scenario), so its
+// shard results are bit-identical to the coordinator simulating the same VDs itself. With
 // a replicated control plane (Dials), the worker transparently follows
 // leader redirects and rides out a coordinator death mid-run.
 func RunWorker(ctx context.Context, wc WorkerConfig) error {
@@ -179,16 +176,9 @@ func RunWorker(ctx context.Context, wc WorkerConfig) error {
 	if err := fromJSON(raw, &join); err != nil {
 		return err
 	}
-	fleet, err := workload.Generate(join.Fleet)
+	sim, opts, err := join.open()
 	if err != nil {
-		return fmt.Errorf("fabric: worker fleet: %w", err)
-	}
-	sim := ebs.New(fleet)
-	opts := join.Spec.options()
-	if join.Spec.Scenario != "" {
-		if opts.Scenario, err = scenario.BindSpec(join.Spec.Scenario, fleet); err != nil {
-			return fmt.Errorf("fabric: worker scenario: %w", err)
-		}
+		return fmt.Errorf("fabric: worker: %w", err)
 	}
 	me := mustJSON(workerMsg{WorkerID: join.WorkerID})
 

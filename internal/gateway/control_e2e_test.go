@@ -10,9 +10,9 @@ import (
 
 // TestE2EControlledStudy pushes controlled studies through a live gateway and
 // pins the serving-plane contract for the control plane: a noop-controlled
-// study answers byte-identically to the uncontrolled oracle of the same
-// dimensions, every controlled status carries a decision-log fingerprint, and
-// a controlled spec never dedups against its uncontrolled twin.
+// study answers its oracle and, byte-identically, its uncontrolled twin's
+// dataset; every controlled status carries a decision-log fingerprint; and a
+// controlled spec never dedups against its uncontrolled twin.
 func TestE2EControlledStudy(t *testing.T) {
 	h := gatewaytest.Start(gateway.Config{MaxConcurrent: 2})
 	defer h.Close()
@@ -36,15 +36,12 @@ func TestE2EControlledStudy(t *testing.T) {
 	if st.ControlDecisions != 0 {
 		t.Errorf("noop made %d decisions, want 0", st.ControlDecisions)
 	}
-	oracle, err := gatewaytest.RunOracle(context.Background(), base)
+	oracle, err := gatewaytest.RunOracle(context.Background(), noop)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.DatasetFP != oracle.DatasetFP {
-		t.Errorf("noop-controlled dataset fingerprint %s, uncontrolled oracle %s", st.DatasetFP, oracle.DatasetFP)
-	}
-	if st.SketchFP != oracle.SketchFP {
-		t.Errorf("noop-controlled sketch fingerprint %s, uncontrolled oracle %s", st.SketchFP, oracle.SketchFP)
+	if got := (gatewaytest.Oracle{DatasetFP: st.DatasetFP, SketchFP: st.SketchFP, ControlLogFP: st.ControlLogFP}); got != oracle {
+		t.Errorf("noop-controlled study served %+v, oracle %+v", got, oracle)
 	}
 
 	// The uncontrolled twin is a distinct content address: no dedup in
@@ -59,6 +56,10 @@ func TestE2EControlledStudy(t *testing.T) {
 	pst := pollDone(t, cl, plain.StudyID)
 	if pst.ControlLogFP != "" || pst.ControlDecisions != 0 {
 		t.Errorf("uncontrolled status carries control fields: %+v", pst)
+	}
+	if pst.DatasetFP != st.DatasetFP || pst.SketchFP != st.SketchFP {
+		t.Errorf("noop-controlled study answered dataset %s sketch %s, its uncontrolled twin %s / %s",
+			st.DatasetFP, st.SketchFP, pst.DatasetFP, pst.SketchFP)
 	}
 
 	// Re-submitting the identical controlled spec IS answered from cache.
@@ -89,7 +90,7 @@ func TestE2EControlledStudy(t *testing.T) {
 }
 
 // TestE2EControlledOnFabricGateway proves a fabric-backed gateway still
-// serves controlled studies: admission pins them to Shards=0, and runFabric
+// serves controlled studies: admission pins them to Shards=0, and runJob
 // routes them through the in-process path.
 func TestE2EControlledOnFabricGateway(t *testing.T) {
 	h := gatewaytest.Start(gateway.Config{
@@ -110,13 +111,12 @@ func TestE2EControlledOnFabricGateway(t *testing.T) {
 	if st.ControlLogFP == "" {
 		t.Fatal("controlled study on a fabric gateway lost its decision log")
 	}
-	plain := spec
-	plain.Control = ""
-	oracle, err := gatewaytest.RunOracle(context.Background(), plain)
+	oracle, err := gatewaytest.RunOracle(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.DatasetFP != oracle.DatasetFP {
-		t.Errorf("fabric-gateway noop dataset fingerprint %s, oracle %s", st.DatasetFP, oracle.DatasetFP)
+	if st.DatasetFP != oracle.DatasetFP || st.ControlLogFP != oracle.ControlLogFP {
+		t.Errorf("fabric-gateway noop study served dataset %s log %s, oracle %s / %s",
+			st.DatasetFP, st.ControlLogFP, oracle.DatasetFP, oracle.ControlLogFP)
 	}
 }

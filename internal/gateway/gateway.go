@@ -10,16 +10,12 @@ import (
 	"time"
 
 	"ebslab/internal/chaos"
-	"ebslab/internal/control"
 	"ebslab/internal/ebs"
 	"ebslab/internal/fabric"
 	"ebslab/internal/invariant"
 	"ebslab/internal/netblock"
-	"ebslab/internal/scenario"
 	"ebslab/internal/sketch"
 	"ebslab/internal/throttle"
-	"ebslab/internal/trace"
-	"ebslab/internal/workload"
 )
 
 // FabricConfig tells the gateway to execute studies on an in-process fabric
@@ -150,7 +146,6 @@ type Gateway struct {
 	adms    []Admission
 	running int
 	vtime   float64
-	changed chan struct{}
 	timer   *time.Timer
 
 	runWG sync.WaitGroup
@@ -163,7 +158,6 @@ func New(cfg Config) *Gateway {
 		tenants: make(map[string]*tenant),
 		byID:    make(map[uint64]*job),
 		results: make(map[StudySpec]*job),
-		changed: make(chan struct{}),
 	}
 	gw.start = gw.now()
 	return gw
@@ -174,12 +168,6 @@ func (gw *Gateway) now() time.Time {
 		return gw.cfg.Now()
 	}
 	return time.Now()
-}
-
-// bumpLocked wakes every Wait-er; call with mu held after any state change.
-func (gw *Gateway) bumpLocked() {
-	close(gw.changed)
-	gw.changed = make(chan struct{})
 }
 
 func (gw *Gateway) tenantLocked(name string, now time.Time) *tenant {
@@ -221,7 +209,7 @@ func (gw *Gateway) Submit(tenantName string, spec StudySpec) (SubmitReply, error
 		if fc == nil || fc.Replicas < 2 {
 			return SubmitReply{}, fmt.Errorf("gateway: leader-kill studies need a replicated fabric (this gateway runs %s)", gw.fabricDesc())
 		}
-		if max := (fc.Replicas - 1) / 2; spec.LeaderKills > max {
+		if max := fabric.MaxLeaderKills(fc.Replicas); spec.LeaderKills > max {
 			return SubmitReply{}, fmt.Errorf("gateway: a %d-replica fabric survives at most %d leader kills", fc.Replicas, max)
 		}
 	}
@@ -274,7 +262,6 @@ func (gw *Gateway) Submit(tenantName string, spec StudySpec) (SubmitReply, error
 	tn.ledger.Queued++
 	gw.adms = append(gw.adms, Admission{Tenant: tenantName, Study: j.id, Decision: "queued", AtSec: at})
 	gw.scheduleLocked(now)
-	gw.bumpLocked()
 	return SubmitReply{StudyID: j.id, State: StateName(j.state)}, nil
 }
 
@@ -380,15 +367,17 @@ func (gw *Gateway) Poke() {
 	if !gw.closed {
 		gw.scheduleLocked(now)
 	}
-	gw.bumpLocked()
 	gw.mu.Unlock()
 }
 
 // runJob executes one granted study and settles its terminal state.
 func (gw *Gateway) runJob(j *job) {
 	defer gw.runWG.Done()
+	// A study that cannot shard (a controlled one: admission already pinned
+	// its Shards and LeaderKills to zero) runs in-process even on a
+	// fabric-backed gateway.
 	var err error
-	if gw.cfg.Fabric != nil {
+	if gw.cfg.Fabric != nil && j.spec.RunSpec().Distributable() == nil {
 		err = gw.runFabric(j)
 	} else {
 		err = gw.runLocal(j)
@@ -418,67 +407,41 @@ func (gw *Gateway) runJob(j *job) {
 	}
 	j.cancel()
 	gw.scheduleLocked(now)
-	gw.bumpLocked()
 	gw.mu.Unlock()
 	close(j.done)
 }
 
-// runLocal executes the study in-process: ebs.Run with a streaming sketch
-// destination plus a SnapshotSink through which Snapshot reads it mid-run.
+// runLocal executes the study in-process: the spec's RunSpec with a streaming
+// sketch destination plus a SnapshotSink through which Snapshot reads it
+// mid-run. A controlled study's observe pass runs bare (RunControlled strips
+// stream/snapshot/progress from it), so the sink and the progress counters see
+// only the actuated pass the tenant's answer comes from.
 func (gw *Gateway) runLocal(j *job) error {
-	fleet, err := workload.Generate(j.spec.FleetConfig())
-	if err != nil {
-		return err
-	}
 	stream := sketch.NewSet(sketch.Config{})
 	sink := &ebs.SnapshotSink{}
 	gw.mu.Lock()
 	j.live = sink
 	gw.mu.Unlock()
-	opts := j.spec.RunOptions()
-	opts.Stream = stream
-	opts.Snapshots = sink
-	if j.spec.Scenario != "" {
-		if opts.Scenario, err = scenario.BindSpec(j.spec.Scenario, fleet); err != nil {
-			return err
-		}
-	}
-	opts.Progress = func(done, total int) {
+	spec := j.spec.RunSpec()
+	spec.Opts.Stream = stream
+	spec.Opts.Snapshots = sink
+	spec.Opts.Progress = func(done, total int) {
 		j.vdsTotal.Store(int64(total))
 		j.vdsDone.Store(int64(done))
 		if gw.cfg.OnProgress != nil {
 			gw.cfg.OnProgress(j.id, done, total)
 		}
 	}
-	sim := ebs.New(fleet)
-	var ds *trace.Dataset
-	if j.spec.Control != "" {
-		// Controlled study: the full predict→act loop. The observe pass
-		// runs bare (RunControlled strips stream/snapshot/progress from
-		// it), so the sink and the progress counters see only the
-		// actuated pass the tenant's answer comes from.
-		pol, err := control.ByName(j.spec.Control)
-		if err != nil {
-			return err
-		}
-		var plan *control.Plan
-		ds, plan, err = sim.RunControlled(j.ctx, opts, pol, control.Config{EpochSec: j.spec.ControlEpochSec})
-		if err != nil {
-			return err
-		}
-		gw.mu.Lock()
-		j.ctlFP = plan.LogFingerprint()
-		j.ctlDecisions = len(plan.Decisions)
-		gw.mu.Unlock()
-	} else {
-		var err error
-		ds, err = sim.Run(j.ctx, opts)
-		if err != nil {
-			return err
-		}
+	ds, plan, err := spec.Run(j.ctx)
+	if err != nil {
+		return err
 	}
 	enc, _, seq := sink.Snapshot()
 	gw.mu.Lock()
+	if plan != nil {
+		j.ctlFP = plan.LogFingerprint()
+		j.ctlDecisions = len(plan.Decisions)
+	}
 	j.dsFP = invariant.Fingerprint(ds)
 	j.sketchFP = stream.Fingerprint()
 	j.finalSketch = enc
@@ -492,12 +455,6 @@ func (gw *Gateway) runLocal(j *job) error {
 // over loopback transports. Mid-run snapshots merge the accepted shard
 // partials; the final answer must match what ebs.Run would have produced.
 func (gw *Gateway) runFabric(j *job) error {
-	// The control loop is sequential over epochs, so controlled studies run
-	// in-process even on a fabric-backed gateway (admission already pinned
-	// Shards and LeaderKills to zero for them).
-	if j.spec.Control != "" {
-		return gw.runLocal(j)
-	}
 	fc := *gw.cfg.Fabric
 	if fc.Replicas < 1 {
 		fc.Replicas = 1
@@ -647,7 +604,6 @@ func (gw *Gateway) Cancel(id uint64) (CancelReply, error) {
 		gw.ledger.CanceledQueued++
 		tn.ledger.CanceledQueued++
 		close(j.done)
-		gw.bumpLocked()
 	case StateRunning:
 		if !j.canceled {
 			j.canceled = true
@@ -724,30 +680,9 @@ func (gw *Gateway) Admissions() []Admission {
 	return append([]Admission(nil), gw.adms...)
 }
 
-// Wait blocks until the gateway is idle — no queued and no running studies —
-// or ctx ends. A tenant gated behind an empty token bucket counts as queued:
-// on a fake clock, advance it and Poke.
-func (gw *Gateway) Wait(ctx context.Context) error {
-	for {
-		gw.mu.Lock()
-		idle := gw.ledger.Queued == 0 && gw.ledger.Running == 0
-		ch := gw.changed
-		gw.mu.Unlock()
-		if idle {
-			return nil
-		}
-		select {
-		case <-ch:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-}
-
 // Close shuts the gateway down: new submissions are refused, queued studies
 // are canceled, running studies have their contexts canceled, and Close
-// returns once every run goroutine has settled. Callers wanting a graceful
-// drain call Wait first.
+// returns once every run goroutine has settled.
 func (gw *Gateway) Close() {
 	gw.mu.Lock()
 	if gw.closed {
@@ -778,7 +713,6 @@ func (gw *Gateway) Close() {
 			cancels = append(cancels, j.cancel)
 		}
 	}
-	gw.bumpLocked()
 	gw.mu.Unlock()
 	for _, c := range cancels {
 		c()

@@ -1,7 +1,6 @@
 package gateway
 
 import (
-	"context"
 	"strings"
 	"testing"
 	"time"
@@ -167,9 +166,6 @@ func TestRateCapQueuesNotDrops(t *testing.T) {
 	clock.Advance(time.Second)
 	gw.Poke()
 	settle(t, gw, 4)
-	if err := gw.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
 
 	st, _ = gw.Stats("t")
 	wantAt := []float64{0, 0, 1, 2}
@@ -237,9 +233,6 @@ func TestDedup(t *testing.T) {
 		t.Fatal(err)
 	}
 	settle(t, gw, 1)
-	if err := gw.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
 	st, err := gw.Status(first.StudyID)
 	if err != nil {
 		t.Fatal(err)

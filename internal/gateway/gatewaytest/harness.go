@@ -12,13 +12,11 @@ import (
 	"fmt"
 	"sync"
 
-	"ebslab/internal/ebs"
 	"ebslab/internal/fabric"
 	"ebslab/internal/gateway"
 	"ebslab/internal/invariant"
 	"ebslab/internal/netblock"
 	"ebslab/internal/sketch"
-	"ebslab/internal/workload"
 )
 
 // Harness is one live gateway behind a loopback netblock server.
@@ -115,25 +113,28 @@ func (h *Harness) RunScripts(scripts map[string][]gateway.StudySpec) (map[string
 type Oracle struct {
 	DatasetFP string
 	SketchFP  string
+	// ControlLogFP is the decision-log fingerprint of a controlled study
+	// ("" for an uncontrolled one).
+	ControlLogFP string
 }
 
-// RunOracle executes spec directly through ebs.Run — same fleet mapping,
-// same options, fresh streaming sketch — and returns the fingerprints every
-// gateway execution of that spec (local, fabric, fabric with leader kills)
-// must reproduce byte for byte. Fabric-only spec fields (Shards,
-// LeaderKills) do not influence the result: sharding is merge-invariant and
-// leader kills are control-plane-only chaos.
+// RunOracle executes spec directly — the same ebs.RunSpec the gateway runs,
+// scenario and control policy included, on a fresh streaming sketch — and
+// returns the fingerprints every gateway execution of that spec (local,
+// fabric, fabric with leader kills) must reproduce byte for byte. Fabric-only
+// spec fields (Shards, LeaderKills) do not influence the result: sharding is
+// merge-invariant and leader kills are control-plane-only chaos.
 func RunOracle(ctx context.Context, spec gateway.StudySpec) (Oracle, error) {
-	fleet, err := workload.Generate(spec.FleetConfig())
-	if err != nil {
-		return Oracle{}, fmt.Errorf("gatewaytest: oracle fleet: %w", err)
-	}
 	stream := sketch.NewSet(sketch.Config{})
-	opts := spec.RunOptions()
-	opts.Stream = stream
-	ds, err := ebs.New(fleet).Run(ctx, opts)
+	rs := spec.RunSpec()
+	rs.Opts.Stream = stream
+	ds, plan, err := rs.Run(ctx)
 	if err != nil {
 		return Oracle{}, fmt.Errorf("gatewaytest: oracle run: %w", err)
 	}
-	return Oracle{DatasetFP: invariant.Fingerprint(ds), SketchFP: stream.Fingerprint()}, nil
+	o := Oracle{DatasetFP: invariant.Fingerprint(ds), SketchFP: stream.Fingerprint()}
+	if plan != nil {
+		o.ControlLogFP = plan.LogFingerprint()
+	}
+	return o, nil
 }

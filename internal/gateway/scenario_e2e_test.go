@@ -4,40 +4,51 @@ import (
 	"context"
 	"testing"
 
-	"ebslab/internal/ebs"
 	"ebslab/internal/gateway"
 	"ebslab/internal/gateway/gatewaytest"
-	"ebslab/internal/invariant"
-	"ebslab/internal/scenario"
-	"ebslab/internal/sketch"
-	"ebslab/internal/workload"
 )
 
-// scenarioOracle is RunOracle with the scenario bound the way the gateway
-// binds it: rebuilt from the spec string against the spec's fleet.
-func scenarioOracle(t *testing.T, spec gateway.StudySpec) (string, string) {
-	t.Helper()
-	fleet, err := workload.Generate(spec.FleetConfig())
-	if err != nil {
-		t.Fatal(err)
+// TestE2EOracleRunsTheServedSpec holds the oracle to the whole spec: a study
+// shaped by a scenario, steered by a control policy, or both, served by a live
+// gateway, must answer exactly what RunOracle computes for that same spec —
+// dataset, sketch and decision log. An oracle that forgot either field would
+// report a divergence here that no execution path has (ebsgate -selftest did).
+func TestE2EOracleRunsTheServedSpec(t *testing.T) {
+	base := gateway.StudySpec{Seed: 7, DurationSec: 8, Nodes: 2, Users: 4, MaxVDs: 12}
+	for _, tc := range []struct {
+		name, scenario, control string
+	}{
+		{"scenario", "bufferbloat", ""},
+		{"control", "", "reactive"},
+		{"scenario and control", "bufferbloat", "reactive"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := base
+			spec.Scenario, spec.Control = tc.scenario, tc.control
+			want, err := gatewaytest.RunOracle(context.Background(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (want.ControlLogFP != "") != (tc.control != "") {
+				t.Fatalf("oracle decision-log fingerprint %q for control policy %q", want.ControlLogFP, tc.control)
+			}
+			h := gatewaytest.Start(gateway.Config{MaxConcurrent: 1})
+			defer h.Close()
+			cl, err := h.Client()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sub, err := cl.Submit("alice", spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := pollDone(t, cl, sub.StudyID)
+			got := gatewaytest.Oracle{DatasetFP: st.DatasetFP, SketchFP: st.SketchFP, ControlLogFP: st.ControlLogFP}
+			if got != want {
+				t.Errorf("served %+v\noracle %+v", got, want)
+			}
+		})
 	}
-	built, err := scenario.Build(spec.Scenario)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wl, err := built.Bind(fleet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream := sketch.NewSet(sketch.Config{})
-	opts := spec.RunOptions()
-	opts.Stream = stream
-	opts.Scenario = wl
-	ds, err := ebs.New(fleet).Run(context.Background(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return invariant.Fingerprint(ds), stream.Fingerprint()
 }
 
 // TestE2EScenarioStudy pushes a scenario study through a live gateway — once
@@ -48,7 +59,11 @@ func TestE2EScenarioStudy(t *testing.T) {
 		Seed: 4242, DurationSec: 2, Nodes: 2, Users: 4, MaxVDs: 6,
 		EventSampleEvery: 4, Scenario: "bufferbloat,period=8,duty=0.5",
 	}
-	wantDS, wantSK := scenarioOracle(t, spec)
+	oracle, err := gatewaytest.RunOracle(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantDS, wantSK := oracle.DatasetFP, oracle.SketchFP
 
 	for name, cfg := range map[string]gateway.Config{
 		"local":  {MaxConcurrent: 1},

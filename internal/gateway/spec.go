@@ -130,53 +130,38 @@ func (s StudySpec) Validate() error {
 			return fmt.Errorf("gateway: spec %s is %d, want [%d, %d]", c.name, c.v, c.min, c.mx)
 		}
 	}
-	if s.Scenario != "" {
-		if len(s.Scenario) > maxScenarioLen {
-			return fmt.Errorf("gateway: spec Scenario is %d bytes, want <= %d", len(s.Scenario), maxScenarioLen)
-		}
-		built, err := scenario.Build(s.Scenario)
-		if err != nil {
-			return err
-		}
-		if built.Name() == "replay" {
-			return fmt.Errorf("gateway: replay scenarios read server-local trace files and are not servable; run them through cmd/ebssim")
-		}
-	}
-	if s.Control == "" {
-		if s.ControlEpochSec != 0 {
-			return fmt.Errorf("gateway: spec ControlEpochSec %d without a Control policy", s.ControlEpochSec)
-		}
-		return nil
+	if len(s.Scenario) > maxScenarioLen {
+		return fmt.Errorf("gateway: spec Scenario is %d bytes, want <= %d", len(s.Scenario), maxScenarioLen)
 	}
 	if len(s.Control) > maxControlLen {
 		return fmt.Errorf("gateway: spec Control name is %d bytes, want <= %d", len(s.Control), maxControlLen)
 	}
-	if _, err := control.ByName(s.Control); err != nil {
+	rs := s.RunSpec()
+	if err := rs.Validate(); err != nil {
 		return err
 	}
-	if s.ControlEpochSec < 1 || s.ControlEpochSec > s.DurationSec {
+	if sp, _ := scenario.ParseSpec(s.Scenario); sp.Name == "replay" {
+		return fmt.Errorf("gateway: replay scenarios read server-local trace files and are not servable; run them through cmd/ebssim")
+	}
+	if s.Control != "" && (s.ControlEpochSec < 1 || s.ControlEpochSec > s.DurationSec) {
 		return fmt.Errorf("gateway: spec ControlEpochSec %d, want [1, %d]", s.ControlEpochSec, s.DurationSec)
 	}
 	if s.Shards != 0 || s.LeaderKills != 0 {
-		return fmt.Errorf("gateway: controlled studies run in-process (the control loop is sequential over epochs); Shards and LeaderKills must be 0")
+		// A study that cannot shard runs in-process even on a fabric-backed
+		// gateway, so fabric-only dimensions on it are a contradiction.
+		if err := rs.Distributable(); err != nil {
+			return fmt.Errorf("gateway: Shards and LeaderKills must be 0: %w", err)
+		}
 	}
 	return nil
 }
 
-// FleetConfig maps the spec onto a workload generation recipe, using the same
-// single-DC projection as cmd/ebssim so a gateway study and a CLI run of the
-// same dimensions observe the identical fleet.
+// FleetConfig maps the spec onto a workload generation recipe: the single-DC
+// study fleet cmd/ebssim runs, so a gateway study and a CLI run of the same
+// dimensions observe the identical fleet.
 func (s StudySpec) FleetConfig() workload.Config {
 	s = s.withDefaults()
-	cfg := workload.DefaultConfig()
-	cfg.Seed = s.Seed
-	cfg.DCs = 1
-	cfg.NodesPerDC = s.Nodes
-	cfg.BSPerDC = 12
-	cfg.BSPerCluster = 6
-	cfg.Users = s.Users
-	cfg.DurationSec = s.DurationSec
-	return cfg
+	return workload.SingleDC(s.Seed, s.Nodes, s.Users, s.DurationSec)
 }
 
 // RunOptions maps the spec onto engine options. The gateway adds its own
@@ -190,5 +175,18 @@ func (s StudySpec) RunOptions() ebs.Options {
 		EventSampleEvery: s.EventSampleEvery,
 		MaxVDs:           s.MaxVDs,
 		Check:            s.Check,
+	}
+}
+
+// RunSpec is the study as the engine's run description: FleetConfig,
+// RunOptions, the scenario and the control policy. The gateway's executions
+// and the test oracle both run exactly this value.
+func (s StudySpec) RunSpec() ebs.RunSpec {
+	return ebs.RunSpec{
+		Fleet:    s.FleetConfig(),
+		Opts:     s.RunOptions(),
+		Scenario: s.Scenario,
+		Control:  s.Control,
+		EpochSec: s.ControlEpochSec,
 	}
 }

@@ -28,17 +28,22 @@ type Config struct {
 	// abandons its connection: a peer that swallows one response cannot be
 	// trusted with the rest of the pipeline.
 	Timeout time.Duration
-	// MaxRetries is how many extra transport-level attempts a call makes
+
+	// Set only inside this package, by the client-resilience and stress tests:
+	// every program passes Timeout alone (the fabric worker fails over across
+	// replicas above the client instead of retrying inside it).
+
+	// maxRetries is how many extra transport-level attempts a call makes
 	// after a transport failure (remote StatusError responses are final and
 	// never retried). Note retried writes are at-least-once: the fault may
 	// have struck after execution.
-	MaxRetries int
-	// BackoffBase is the first retry delay (default 1ms); attempt n waits
-	// about BackoffBase << n, jittered into [50%, 100%].
-	BackoffBase time.Duration
-	// Seed drives the deterministic backoff jitter: a fixed (Seed, call ID,
+	maxRetries int
+	// backoffBase is the first retry delay (default 1ms); attempt n waits
+	// about backoffBase << n, jittered into [50%, 100%].
+	backoffBase time.Duration
+	// seed drives the deterministic backoff jitter: a fixed (seed, call ID,
 	// attempt) always produces the same delay.
-	Seed int64
+	seed int64
 }
 
 // Client is a pipelining RPC client: many goroutines can issue requests
@@ -262,7 +267,7 @@ func (c *Client) attempt(req *Request) (*Response, error) {
 }
 
 // call sends one request and waits for its response, retrying transport
-// failures up to Config.MaxRetries times with capped exponential backoff
+// failures up to Config.maxRetries times with capped exponential backoff
 // and deterministic jitter.
 func (c *Client) call(req *Request) (*Response, error) {
 	if err := req.validate(); err != nil {
@@ -276,7 +281,7 @@ func (c *Client) call(req *Request) (*Response, error) {
 			return resp, resp.Err()
 		}
 		lastErr = err
-		if attempt >= c.cfg.MaxRetries || errors.Is(err, ErrClosed) {
+		if attempt >= c.cfg.maxRetries || errors.Is(err, ErrClosed) {
 			return nil, lastErr
 		}
 		c.retries.Add(1)
@@ -288,10 +293,10 @@ func (c *Client) call(req *Request) (*Response, error) {
 const backoffCap = 250 * time.Millisecond
 
 // backoff computes the delay before retry #attempt of call id:
-// BackoffBase << attempt, capped at backoffCap, jittered into [50%, 100%]
-// by a splitmix64 stream over (Seed, id, attempt) — fully deterministic.
+// backoffBase << attempt, capped at backoffCap, jittered into [50%, 100%]
+// by a splitmix64 stream over (seed, id, attempt) — fully deterministic.
 func (c *Client) backoff(id uint64, attempt int) time.Duration {
-	base := c.cfg.BackoffBase
+	base := c.cfg.backoffBase
 	if base <= 0 {
 		base = time.Millisecond
 	}
@@ -302,7 +307,7 @@ func (c *Client) backoff(id uint64, attempt int) time.Duration {
 	if d <= 0 || d > backoffCap {
 		d = backoffCap
 	}
-	h := uint64(c.cfg.Seed)
+	h := uint64(c.cfg.seed)
 	h += 0x9e3779b97f4a7c15 * (id + 1)
 	h ^= uint64(attempt) << 32
 	h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9

@@ -99,7 +99,7 @@ func TestRedialAfterReset(t *testing.T) {
 		return FaultDecision{}
 	})
 	c, err := DialConfig("tcp", addr, Config{
-		Timeout: 5 * time.Second, MaxRetries: 5, BackoffBase: time.Millisecond,
+		Timeout: 5 * time.Second, maxRetries: 5, backoffBase: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +142,7 @@ func TestNoRetriesWithoutBudget(t *testing.T) {
 // growth capped at backoffCap, jitter inside [50%, 100%], and bit-identical
 // for the same (Seed, call ID, attempt).
 func TestBackoffDeterministicJitter(t *testing.T) {
-	mk := func(seed int64) *Client { return &Client{cfg: Config{Seed: seed}} }
+	mk := func(seed int64) *Client { return &Client{cfg: Config{seed: seed}} }
 	a, b := mk(42), mk(42)
 	base, cap := time.Millisecond, backoffCap
 	for attempt := 0; attempt < 12; attempt++ {

@@ -55,10 +55,8 @@ func TestStressClientsAgainstFaultyServer(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, err := netblock.DialConfig("tcp", addr, netblock.Config{
-				Timeout: 250 * time.Millisecond, MaxRetries: 8,
-				BackoffBase: time.Millisecond, Seed: int64(w),
-			})
+			c, err := netblock.DialConfig("tcp", addr,
+				netblock.RetryConfig(250*time.Millisecond, 8, time.Millisecond, int64(w)))
 			if err != nil {
 				t.Errorf("client %d: dial: %v", w, err)
 				return

@@ -11,9 +11,6 @@ type RateBucket struct {
 	WriteOps   uint64
 }
 
-// Bytes returns the bucket's summed read+write bytes.
-func (b RateBucket) Bytes() uint64 { return b.ReadBytes + b.WriteBytes }
-
 // RateMeter accumulates per-second directional rates over the observation
 // window. State is a slice of integer buckets indexed by second, so Add
 // commutes and Merge is an element-wise sum — exact, associative, and
@@ -65,9 +62,6 @@ func (r *RateMeter) Merge(o *RateMeter) {
 		r.secs[i].WriteOps += b.WriteOps
 	}
 }
-
-// Seconds returns the number of tracked seconds.
-func (r *RateMeter) Seconds() int { return len(r.secs) }
 
 // Series returns the per-second byte rates of the selected direction,
 // scaled by scale (the engine's event-thinning compensation): read, write,

@@ -240,7 +240,7 @@ func TestRateMeter(t *testing.T) {
 	o.Add(5, false, 40)
 	o.Add(0, true, 1)
 	r.Merge(o)
-	if r.Seconds() != 6 || r.secs[5].WriteBytes != 40 || r.secs[0].ReadBytes != 101 {
+	if len(r.secs) != 6 || r.secs[5].WriteBytes != 40 || r.secs[0].ReadBytes != 101 {
 		t.Fatalf("merge wrong: %+v", r.secs)
 	}
 }

@@ -83,6 +83,21 @@ func DefaultConfig() Config {
 	}
 }
 
+// SingleDC is the study-fleet recipe the CLI and the serving plane share: one
+// data center of `nodes` compute nodes over twelve BlockServers in two
+// balancing domains, everything else DefaultConfig's.
+func SingleDC(seed int64, nodes, users, durSec int) Config {
+	cfg := DefaultConfig()
+	cfg.Seed = seed
+	cfg.DCs = 1
+	cfg.NodesPerDC = nodes
+	cfg.BSPerDC = 12
+	cfg.BSPerCluster = 6
+	cfg.Users = users
+	cfg.DurationSec = durSec
+	return cfg
+}
+
 // Validate reports whether the config is usable.
 func (c *Config) Validate() error {
 	switch {
