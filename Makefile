@@ -171,11 +171,16 @@ gateway-smoke:
 # Mitigation control-plane gate: the policy bake-off golden fixture (the
 # predictive policy must beat reactive on imbalance under the pinned chaos
 # plan, and noop must answer byte-identically to the uncontrolled run), the
-# metamorphic worker-count invariance of the decision log, and one seeded
-# predict->act CLI run under chaos with the invariant suite on.
+# metamorphic worker-count invariance of the decision log, the engine's
+# generate-only observe pass held to the row fold it replaced, and two seeded
+# predict->act CLI runs with the invariant suite on — a storm plan and a quiet
+# one — so the control/observation law (the actuated pass's metric rows
+# reproduce the observation the plan was built from) runs on both.
 control-smoke:
 	$(GO) test ./internal/control/... -count=1
+	$(GO) test ./internal/ebs -run 'Observe|Controlled' -count=1
 	$(GO) run ./cmd/ebssim -seed 7 -dur 24 -nodes 4 -max-vds 24 -control predictive -chaos -storms 4 -check
+	$(GO) run ./cmd/ebssim -seed 7 -dur 24 -nodes 4 -max-vds 24 -control oracle -check
 
 # Scenario-library gate: the scenario package suite (golden fixtures,
 # worker-count determinism oracle, native replay round-trip, replay fuzz

@@ -649,10 +649,12 @@ func BenchmarkSeriesGeneration(b *testing.B) {
 }
 
 // BenchmarkControlOverhead prices the predict->act mitigation loop against
-// the identical study uncontrolled. The "noop" case is the control plane's
-// fixed cost — a full observe pass plus planning over an empty action set —
-// and "reactive" adds real actuation (migration lookups, lending overrides)
-// to the bill. The gate watches ios-per-sec on all three.
+// the identical study uncontrolled. "observe" is the generate-only pass alone
+// (its ios-per-sec counts the IOs the pass generated); the "noop" case is the
+// control plane's fixed cost — that pass plus planning over an empty action
+// set, on top of the run — and "reactive" adds real actuation (migration
+// lookups, lending overrides) to the bill. The gate watches allocs/op on all
+// four.
 func BenchmarkControlOverhead(b *testing.B) {
 	s := study(b)
 	sim := ebs.New(s.Fleet)
@@ -671,6 +673,22 @@ func BenchmarkControlOverhead(b *testing.B) {
 			ios += len(ds.Trace)
 		}
 		b.ReportMetric(float64(ios)/b.Elapsed().Seconds(), "ios-per-sec")
+	})
+	b.Run("observe", func(b *testing.B) {
+		// At TraceSampleEvery 1 a run keeps one record per generated IO: the
+		// count the pass generates too, and retains none of.
+		ref, err := sim.Run(context.Background(), opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := sim.Observe(context.Background(), opts, 2); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(len(ref.Trace)*b.N)/b.Elapsed().Seconds(), "ios-per-sec")
 	})
 	for _, name := range []string{"noop", "reactive"} {
 		name := name

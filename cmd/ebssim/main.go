@@ -44,6 +44,7 @@ type roleFlags struct {
 	peers       string
 	control     string
 	epochSec    int
+	dur         int
 	scenario    string
 	replay      string
 	cpuProfile  string
@@ -90,7 +91,10 @@ func validateFlags(f roleFlags) error {
 	// What the study itself allows is the run description's to say (scenario
 	// specs validate statically; replay trace files are only opened at bind
 	// time).
-	spec := ebs.RunSpec{Scenario: f.scenarioSpec(), Control: f.control, EpochSec: f.epochSec}
+	spec := ebs.RunSpec{
+		Opts:     ebs.Options{DurationSec: f.dur},
+		Scenario: f.scenarioSpec(), Control: f.control, EpochSec: f.epochSec,
+	}
 	if err := spec.Validate(); err != nil {
 		return err
 	}
@@ -158,6 +162,7 @@ func main() {
 		peers:       *peers,
 		control:     *controlPol,
 		epochSec:    *epochSec,
+		dur:         *dur,
 		scenario:    *scenarioSpec,
 		replay:      *replayPath,
 		cpuProfile:  *cpuProfile,

@@ -33,6 +33,8 @@ func TestValidateFlagsMatrix(t *testing.T) {
 		{"profiles with dist", roleFlags{dist: 2, replicas: 3, leaderKill: 1, cpuProfile: "cpu.prof", memProfile: "mem.prof"}, nil},
 		{"cpu profile with tcp coordinator", roleFlags{workersAddr: ":9000", replicas: 1, cpuProfile: "cpu.prof"}, nil},
 		{"mem profile with control", roleFlags{replicas: 1, control: "reactive", memProfile: "mem.prof"}, nil},
+		{"control with an epoch inside the window", roleFlags{replicas: 1, control: "reactive", dur: 8, epochSec: 7}, nil},
+		{"control on a one-second window", roleFlags{replicas: 1, control: "reactive", dur: 1}, nil},
 
 		{"dist and workers-addr conflict", roleFlags{dist: 2, workersAddr: ":9000", replicas: 1},
 			[]string{"-dist", "-workers-addr"}},
@@ -59,6 +61,8 @@ func TestValidateFlagsMatrix(t *testing.T) {
 		{"control with dist", roleFlags{dist: 2, replicas: 1, control: "reactive"},
 			[]string{"-control", "-dist", "single-process"}},
 		{"epoch-sec without control", roleFlags{replicas: 1, epochSec: 3}, []string{"EpochSec", "Control"}},
+		{"epoch-sec as long as the window", roleFlags{replicas: 1, control: "reactive", dur: 8, epochSec: 100},
+			[]string{"epoch 100s", "8s window"}},
 		{"profiles into one file", roleFlags{dist: 2, replicas: 1, cpuProfile: "run.prof", memProfile: "run.prof"},
 			[]string{"-cpuprofile", "-memprofile", "run.prof"}},
 		{"unknown scenario", roleFlags{replicas: 1, scenario: "quakestorm"},

@@ -9,13 +9,16 @@
 // Determinism is the design constraint everything here bends around. The
 // engine simulates each virtual disk whole, from a single sequential RNG
 // stream, so a controller cannot interleave with generation without changing
-// draws. Instead a controlled run is two passes over the same seed: an
-// observe pass that fills an Observation (integer counters per epoch and
-// entity, folded from the pass's DiTing metric rows), then a
-// sequential control loop replaying the epochs in order (each policy sees
-// only epochs <= e when deciding for e+1), and finally an actuated pass that
-// applies the compiled Timeline through RNG-free lookups in the engine's
-// emit path. Every decision lands in an epoch-stamped, fingerprintable log,
+// draws. Instead a controlled run is one generate-only pass, one plan and one
+// run over the same seed: an observe pass that draws the run's events and
+// counts them into an Observation (integer counters per epoch and entity;
+// ebs.Sim.Observe — it simulates nothing, because every counter is a function
+// of the generated stream alone), then a sequential control loop replaying
+// the epochs in order (each policy sees only epochs <= e when deciding for
+// e+1), and finally an actuated pass that applies the compiled Timeline
+// through RNG-free lookups in the engine's emit path. In check mode the
+// actuated pass's DiTing metric rows, folded by AddRows, must reproduce the
+// observation the plan was built from. Every decision lands in an epoch-stamped, fingerprintable log,
 // and invariant.CheckControlActuation holds the log and the applied actions
 // to a bijection. See DESIGN.md, "Mitigation control plane".
 package control
@@ -28,6 +31,7 @@ import (
 	"hash"
 	"math"
 
+	"ebslab/internal/cluster"
 	"ebslab/internal/trace"
 )
 
@@ -85,10 +89,11 @@ func (s ObsShape) Validate() error {
 }
 
 // Observation is the controller's telemetry: exact integer counters per
-// (epoch, entity), folded from the run's merged metric rows (AddRows). The
-// rows are worker-count invariant, so the counters are — the property that
-// keeps the decision log byte-stable across worker counts. Memory is epochs
-// x entities, independent of the IO count.
+// (epoch, entity), counted IO by IO from the generated stream (Add) or folded
+// from a run's merged metric rows (AddRows) — the two agree, and both are
+// worker-count invariant, the property that keeps the decision log
+// byte-stable across worker counts. Memory is epochs x entities, independent
+// of the IO count.
 type Observation struct {
 	Shape ObsShape
 
@@ -132,7 +137,7 @@ func (o *Observation) EpochOf(sec int) int {
 // exact below 2^53 — so the counters equal a per-IO count. Every counter is
 // keyed by what an IO is (its VD, QP, segment, second), never by where a
 // timeline routed it (worker thread, BlockServer): the observation of an
-// actuated run equals the bare observe pass's.
+// actuated run equals the observe pass's.
 func (o *Observation) AddRows(compute, storage []trace.MetricRow) {
 	sh := &o.Shape
 	for i := range compute {
@@ -150,6 +155,24 @@ func (o *Observation) AddRows(compute, storage []trace.MetricRow) {
 		o.segR[seg] += uint64(r.ReadBps)
 		o.segW[seg] += uint64(r.WriteBps)
 	}
+}
+
+// Add counts one IO — the per-IO form of the row fold, for a pass that has
+// events and no metric rows (ebs.Sim.Observe). A QP and a segment belong to
+// one disk, so goroutines adding for disjoint disks write disjoint slots and
+// need no lock; integer adds make the counters independent of the order IOs
+// arrive in.
+func (o *Observation) Add(timeUS int64, op trace.Op, size int32, vd cluster.VDID, qp cluster.QPID, seg cluster.SegmentID) {
+	sh := &o.Shape
+	ep := o.EpochOf(int(timeUS / 1_000_000))
+	if op == trace.OpRead {
+		o.segR[ep*sh.Segments+int(seg)] += uint64(size)
+	} else {
+		o.segW[ep*sh.Segments+int(seg)] += uint64(size)
+	}
+	o.vdBytes[ep*sh.VDs+int(vd)] += uint64(size)
+	o.vdOps[ep*sh.VDs+int(vd)]++
+	o.qpOps[ep*sh.QPs+int(qp)]++
 }
 
 // SegBytes returns segment seg's total (read+write) bytes in epoch ep,

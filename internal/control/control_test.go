@@ -121,10 +121,10 @@ func TestObservationCounts(t *testing.T) {
 	}
 }
 
-// TestAddRowsMatchesObserveBatch is the differential test of the row fold:
-// random traffic over a 3-node world, through a tracer's metric rows on one
-// side and IO by IO through the reference on the other, must leave every
-// counter equal — at any thinning scale (the rows are folded unscaled; Scale
+// TestAddRowsMatchesObserveBatch is the differential test of the row fold
+// and of Add, the generate-only pass's per-IO count: random traffic over a
+// 3-node world, through a tracer's metric rows, through Add, and IO by IO
+// through the reference, must leave every counter equal — at any thinning scale (the rows are folded unscaled; Scale
 // only rescales the accessors), with worker threads rebound at epoch
 // boundaries, and with an IO at the window's final instant, which both sides
 // clamp into the last epoch.
@@ -137,11 +137,14 @@ func TestAddRowsMatchesObserveBatch(t *testing.T) {
 		}
 		wtsOf := []int{2, 3, 2}
 		rng := rand.New(rand.NewSource(int64(scale)))
-		rows, ref := NewObservation(sh), NewObservation(sh)
+		rows, ref, perIO := NewObservation(sh), NewObservation(sh), NewObservation(sh)
 		tr := diting.New(trace.SampleRate)
 		emit := func(b *trace.Batch) {
 			tr.EmitBatch(b)
 			ref.ObserveBatch(b)
+			for i := 0; i < b.Len(); i++ {
+				perIO.Add(b.TimeUS[i], b.Op[i], b.Size[i], b.VD[i], b.QP[i], b.Segment[i])
+			}
 			b.Reset()
 		}
 		batch := trace.NewBatch(64)
@@ -176,6 +179,9 @@ func TestAddRowsMatchesObserveBatch(t *testing.T) {
 
 		if rows.Fingerprint() != ref.Fingerprint() {
 			t.Fatalf("scale %v: row-folded counters diverge from the per-IO reference", scale)
+		}
+		if perIO.Fingerprint() != ref.Fingerprint() {
+			t.Fatalf("scale %v: Add's counters diverge from the per-IO reference", scale)
 		}
 		for ep := 0; ep < sh.Epochs(); ep++ {
 			for vd := 0; vd < sh.VDs; vd++ {

@@ -75,8 +75,8 @@ type Report struct {
 var DefaultPolicies = []string{"noop", "reactive", "predictive-holt", "oracle"}
 
 // Run executes the scenario once per policy. Every policy sees the same
-// fleet, seed, and chaos schedule — the spec is opened once — and only the
-// forecasts differ.
+// fleet, seed, chaos schedule and observation — the spec is opened once and
+// observed once — and only the forecasts differ.
 func Run(ctx context.Context, spec Spec) (*Report, error) {
 	sim, base, err := ebs.RunSpec{Fleet: spec.Fleet, Opts: spec.Opts, Scenario: spec.Scenario}.Open()
 	if err != nil {
@@ -86,6 +86,12 @@ func Run(ctx context.Context, spec Spec) (*Report, error) {
 	if len(policies) == 0 {
 		policies = DefaultPolicies
 	}
+	// The observation is a function of the offered traffic alone, so one
+	// generate-only pass serves every policy.
+	obs, err := sim.Observe(ctx, base, spec.Control.EpochSec)
+	if err != nil {
+		return nil, fmt.Errorf("ctleval: %w", err)
+	}
 	rep := &Report{}
 	for _, name := range policies {
 		opts := base
@@ -93,7 +99,11 @@ func Run(ctx context.Context, spec Spec) (*Report, error) {
 		if opts.Chaos != nil {
 			opts.ChaosStats = &cst
 		}
-		ds, plan, err := sim.RunUnder(ctx, opts, name, spec.Control.EpochSec)
+		pol, err := control.ByName(name)
+		if err != nil {
+			return nil, fmt.Errorf("ctleval: %w", err)
+		}
+		ds, plan, err := sim.RunObserved(ctx, opts, pol, obs)
 		if err != nil {
 			return nil, fmt.Errorf("ctleval: policy %s: %w", name, err)
 		}

@@ -2,13 +2,16 @@ package ebs
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"ebslab/internal/cluster"
 	"ebslab/internal/control"
 	"ebslab/internal/invariant"
+	"ebslab/internal/par"
 	"ebslab/internal/throttle"
 	"ebslab/internal/trace"
+	"ebslab/internal/workload"
 )
 
 // ObsShapeFor builds the control-plane observation shape for a run of this
@@ -75,72 +78,184 @@ func (s *Sim) ControlInput(opts Options, obs *control.Observation) (control.Inpu
 	return in, nil
 }
 
-// RunControlled executes the predict→act loop end to end: an observe pass
-// over the seed fills an Observation, control.BuildPlan replays its epochs
-// through the policy into a timeline, and an actuated pass re-runs the same
-// seed with the timeline applied. Both passes draw identical RNG streams, so
-// the only differences in the actuated dataset are the attribution and
-// latency effects of the plan itself — a no-op policy returns a dataset
-// byte-identical to s.Run(ctx, opts).
+// errOwnsControlOptions answers a caller that hands the predict→act loop a
+// timeline or an observation destination of its own.
+var errOwnsControlOptions = errors.New("ebs: a controlled run builds its own Control/Observe options; leave both nil")
+
+// checkEpoch refuses a control cadence the window cannot hold: the controller
+// decides for epoch e+1 at the end of epoch e, so one epoch spanning the whole
+// window leaves nothing to decide for and the run would be a silent no-op. The
+// default cadence is exempt — on a one-second window it is the only cadence
+// there is.
+func checkEpoch(epochSec, durSec int) error {
+	if epochSec >= durSec && epochSec != control.DefaultEpochSec(durSec) {
+		return fmt.Errorf("ebs: control epoch %ds spans the whole %ds window: the controller decides for the next epoch and there is none; want an epoch shorter than the window (0 = an eighth of it)", epochSec, durSec)
+	}
+	return nil
+}
+
+// observer is one Observe worker's state: the series scratch it reuses across
+// disks, the disk it is counting, and count bound once as the generator's
+// callback (no closure per disk).
+type observer struct {
+	obs     *control.Observation
+	top     *cluster.Topology
+	vd      cluster.VDID
+	series  []workload.Sample
+	countFn func(workload.Event)
+}
+
+func (w *observer) count(ev workload.Event) {
+	w.obs.Add(ev.TimeUS, ev.Op, ev.Size, w.vd, ev.QP, w.top.SegmentOfOffset(w.vd, ev.Offset))
+}
+
+// Observe is the control plane's telemetry pass: it generates the run's
+// offered traffic and counts every IO into an Observation of epochSec-second
+// epochs (0 = control.DefaultEpochSec of the window), and simulates nothing.
+// Every counter the controller reads is a function of the generated event
+// stream alone — which disk, queue pair and segment an IO addresses, when, how
+// large — so the pass validates the options exactly as a run does, then per
+// disk draws the demand series, the storm boost and the events, and skips
+// everything downstream of the generator: throttle, latency, tracer, merge,
+// dataset. Destinations and callbacks in opts (Stream, Snapshots, ChaosStats,
+// Progress, Check) belong to the run the caller asked for and are ignored.
 //
-// The observe pass runs with streaming, snapshots, checking, and progress
-// stripped (they belong to the run the caller asked for, not the telemetry
-// pass). In check mode, the decision log and the timeline are additionally
-// held to the actuation conservation laws before the actuated pass runs.
-func (s *Sim) RunControlled(ctx context.Context, opts Options, pol control.Policy, cfg control.Config) (*trace.Dataset, *control.Plan, error) {
+// A queue pair and a segment belong to one disk, so workers write disjoint
+// counters with no lock and no merge, and integer adds make the observation
+// identical for every Workers value. It is also policy-invariant: observe
+// once, then RunObserved per policy.
+func (s *Sim) Observe(ctx context.Context, opts Options, epochSec int) (*control.Observation, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	if opts.Control != nil || opts.Observe != nil {
-		return nil, nil, fmt.Errorf("ebs: RunControlled builds its own Control/Observe options; leave both nil")
+		return nil, errOwnsControlOptions
 	}
 	if err := checkControllable(opts.Scenario); err != nil {
+		return nil, err
+	}
+	opts.Stream, opts.Snapshots, opts.ChaosStats, opts.Progress, opts.Check = nil, nil, nil, nil, false
+	r, err := s.begin(opts)
+	if err != nil {
+		return nil, err
+	}
+	if epochSec <= 0 {
+		epochSec = control.DefaultEpochSec(r.opts.DurationSec)
+	}
+	if err := checkEpoch(epochSec, r.opts.DurationSec); err != nil {
+		return nil, err
+	}
+	shape, err := s.ObsShapeFor(r.opts, epochSec)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.checkScenarioOptions(&r.opts); err != nil {
+		return nil, fmt.Errorf("ebs: observe pass: %w", err)
+	}
+
+	obs := control.NewObservation(shape)
+	workers := min(par.Workers(r.opts.Workers), r.nVDs)
+	pool := make([]observer, workers)
+	for i := range pool {
+		w := &pool[i]
+		w.obs, w.top = obs, s.fleet.Topology
+		w.countFn = w.count
+	}
+	err = par.ForEachWorker(ctx, r.nVDs, workers, func(worker, i int) error {
+		w := &pool[worker]
+		off := s.offeredBy(w.series, i, &r.opts, r.sched)
+		w.series, w.vd = off.series, off.vd
+		off.generate(w.countFn)
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("ebs: observe pass: %w", err)
+	}
+	return obs, nil
+}
+
+// RunControlled executes the predict→act loop end to end: Observe counts the
+// seed's offered traffic into an Observation, control.BuildPlan replays its
+// epochs through the policy into a timeline, and the actuated pass runs the
+// seed with the timeline applied — one generate-only pass, one plan, one run.
+// Generation draws the same RNG streams in both, so the only differences
+// between the actuated dataset and an uncontrolled run's are the attribution
+// and latency effects of the plan itself — a no-op policy returns a dataset
+// byte-identical to s.Run(ctx, opts).
+//
+// In check mode the decision log and the timeline are held to the actuation
+// conservation laws before the actuated pass runs, and the actuated pass's
+// own DiTing metric rows, folded into a second Observation, must reproduce
+// the one the plan was built from (law control/observation): the day
+// something feeds actuation back into offered load, the run fails.
+func (s *Sim) RunControlled(ctx context.Context, opts Options, pol control.Policy, cfg control.Config) (*trace.Dataset, *control.Plan, error) {
+	obs, err := s.Observe(ctx, opts, cfg.EpochSec)
+	if err != nil {
 		return nil, nil, err
+	}
+	return s.RunObserved(ctx, opts, pol, obs)
+}
+
+// RunObserved is RunControlled from the observation on: plan under pol from
+// obs, then the actuated run. obs must come from s.Observe under the same
+// opts; it is only read, so one observation serves any number of policies.
+func (s *Sim) RunObserved(ctx context.Context, opts Options, pol control.Policy, obs *control.Observation) (*trace.Dataset, *control.Plan, error) {
+	if opts.Control != nil || opts.Observe != nil {
+		return nil, nil, errOwnsControlOptions
 	}
 	opts, err := opts.prepare(s.fleet)
 	if err != nil {
 		return nil, nil, err
 	}
-	if cfg.EpochSec <= 0 {
-		cfg.EpochSec = control.DefaultEpochSec(opts.DurationSec)
-	}
-	shape, err := s.ObsShapeFor(opts, cfg.EpochSec)
-	if err != nil {
+	if err := s.checkObsShape(obs.Shape, opts.DurationSec); err != nil {
 		return nil, nil, err
 	}
-
-	obs := control.NewObservation(shape)
-	observeOpts := opts
-	observeOpts.Stream = nil
-	observeOpts.Snapshots = nil
-	observeOpts.ChaosStats = nil
-	observeOpts.Progress = nil
-	observeOpts.Check = false
-	observeOpts.Observe = obs
-	if _, err := s.Run(ctx, observeOpts); err != nil {
-		return nil, nil, fmt.Errorf("ebs: observe pass: %w", err)
-	}
-
 	in, err := s.ControlInput(opts, obs)
 	if err != nil {
 		return nil, nil, err
 	}
-	plan, err := control.BuildPlan(pol, cfg, in)
+	plan, err := control.BuildPlan(pol, control.Config{EpochSec: obs.Shape.EpochSec}, in)
 	if err != nil {
 		return nil, nil, err
 	}
+	actOpts := opts
+	actOpts.Control = plan.Timeline
 	if opts.Check {
 		rep := &invariant.Report{}
 		invariant.CheckControlActuation(rep, plan, in.Placement, in.Binding, in.Caps)
 		if err := rep.Err(); err != nil {
 			return nil, nil, fmt.Errorf("ebs: control plan: %w", err)
 		}
+		actOpts.Observe = control.NewObservation(obs.Shape)
 	}
-
-	actOpts := opts
-	actOpts.Control = plan.Timeline
 	ds, err := s.Run(ctx, actOpts)
 	if err != nil {
 		return nil, nil, fmt.Errorf("ebs: actuated pass: %w", err)
 	}
+	if opts.Check {
+		if got, want := actOpts.Observe.Fingerprint(), obs.Fingerprint(); got != want {
+			rep := &invariant.Report{}
+			rep.Addf("control/observation", "the actuated pass's metric rows fold to observation %.12s, the plan was built from %.12s: actuation changed the offered traffic", got, want)
+			return nil, nil, fmt.Errorf("ebs: check mode: %w", rep.Err())
+		}
+	}
 	return ds, plan, nil
+}
+
+// checkObsShape holds an observation's shape to this fleet's entity axes and
+// the run's window.
+func (s *Sim) checkObsShape(sh control.ObsShape, durSec int) error {
+	top := s.fleet.Topology
+	if sh.Segments != len(top.Segments) || sh.VDs != len(top.VDs) ||
+		sh.QPs != len(top.QPs) || sh.WTs != top.NumWTs() {
+		return fmt.Errorf("ebs: observation shape (%d seg, %d vd, %d qp, %d wt) does not match fleet (%d, %d, %d, %d)",
+			sh.Segments, sh.VDs, sh.QPs, sh.WTs,
+			len(top.Segments), len(top.VDs), len(top.QPs), top.NumWTs())
+	}
+	if sh.DurSec != durSec {
+		return fmt.Errorf("ebs: observation window %ds, run lasts %ds", sh.DurSec, durSec)
+	}
+	return nil
 }
 
 // checkControlOptions validates Control/Observe against the fleet before a
@@ -160,16 +275,7 @@ func (s *Sim) checkControlOptions(opts *Options) error {
 		}
 	}
 	if opts.Observe != nil {
-		sh := opts.Observe.Shape
-		if sh.Segments != len(top.Segments) || sh.VDs != len(top.VDs) ||
-			sh.QPs != len(top.QPs) || sh.WTs != top.NumWTs() {
-			return fmt.Errorf("ebs: observation shape (%d seg, %d vd, %d qp, %d wt) does not match fleet (%d, %d, %d, %d)",
-				sh.Segments, sh.VDs, sh.QPs, sh.WTs,
-				len(top.Segments), len(top.VDs), len(top.QPs), top.NumWTs())
-		}
-		if sh.DurSec != opts.DurationSec {
-			return fmt.Errorf("ebs: observation window %ds, run lasts %ds", sh.DurSec, opts.DurationSec)
-		}
+		return s.checkObsShape(opts.Observe.Shape, opts.DurationSec)
 	}
 	return nil
 }

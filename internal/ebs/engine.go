@@ -419,6 +419,45 @@ func (e *vdEmitter) emit(ev workload.Event) {
 	}
 }
 
+// offered is the traffic one virtual disk offers a run: its per-second demand
+// series, the chaos storm multiplier over it (nil for a disk no storm hits),
+// and — generate — the IO event stream drawn from the two. A scenario replaces
+// the fleet's native series and generator. simulateVD and Observe both take it
+// from offeredBy, so whatever changes what a disk offers changes the run and
+// the observation its plan is built from together.
+type offered struct {
+	fleet       *workload.Fleet
+	sc          scenario.Workload // nil: the fleet's native traffic
+	vd          cluster.VDID
+	sampleEvery int
+	series      []workload.Sample
+	boost       func(sec int) float64
+}
+
+// offeredBy resolves disk vdIdx's offered traffic for the run opts describes
+// (validated, defaulted, not record-sourced), writing the series into buf.
+func (s *Sim) offeredBy(buf []workload.Sample, vdIdx int, opts *Options, sched *chaos.Schedule) offered {
+	o := offered{fleet: s.fleet, sc: opts.Scenario, vd: cluster.VDID(vdIdx), sampleEvery: opts.EventSampleEvery}
+	if sched != nil {
+		o.boost = sched.VDStormFn(vdIdx)
+	}
+	if o.sc != nil {
+		o.series = o.sc.SeriesInto(buf, o.vd, opts.DurationSec)
+	} else {
+		o.series = s.fleet.VDSeriesInto(buf, o.vd, opts.DurationSec)
+	}
+	return o
+}
+
+// generate delivers the disk's events to emit, in timestamp order.
+func (o *offered) generate(emit func(workload.Event)) {
+	if o.sc != nil {
+		o.sc.GenEvents(o.vd, o.series, o.sampleEvery, o.boost, emit)
+	} else {
+		o.fleet.GenEventsBoostedOver(o.vd, o.series, o.sampleEvery, o.boost, emit)
+	}
+}
+
 // simulateVD replays one virtual disk's window into the shard's batch
 // pipeline: throttle replay for queue delay, event generation over the
 // shared traffic series, per-stage latency sampling from the disk-derived
@@ -439,19 +478,12 @@ func (s *Sim) simulateVD(sh *shard, vdIdx int, opts *Options, emission *invarian
 		return s.replayVD(sh, vdID, opts, emission, sched, rs)
 	}
 
-	var boost func(sec int) float64
-	if sched != nil {
-		boost = sched.VDStormFn(vdIdx)
-	}
-
 	// One traffic series feeds both the throttle replay and the event
 	// generator (their RNG streams are independent, so sharing the series
-	// changes no draw). A scenario replaces the fleet's native series.
-	if sc != nil {
-		sh.series = sc.SeriesInto(sh.series, vdID, opts.DurationSec)
-	} else {
-		sh.series = s.fleet.VDSeriesInto(sh.series, vdID, opts.DurationSec)
-	}
+	// changes no draw).
+	off := s.offeredBy(sh.series, vdIdx, opts, sched)
+	sh.series = off.series
+	boost := off.boost
 
 	// Per-VD throttle replay over the second-granularity series gives
 	// each second's queue delay.
@@ -537,11 +569,7 @@ func (s *Sim) simulateVD(sh *shard, vdIdx int, opts *Options, emission *invarian
 		user:       vm.User,
 		vm:         vm.ID,
 	}
-	if sc != nil {
-		sc.GenEvents(vdID, sh.series, opts.EventSampleEvery, boost, sh.emitFn)
-	} else {
-		s.fleet.GenEventsBoostedOver(vdID, sh.series, opts.EventSampleEvery, boost, sh.emitFn)
-	}
+	off.generate(sh.emitFn)
 	sh.flush()
 	return sh.em.genErr
 }

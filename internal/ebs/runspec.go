@@ -62,8 +62,19 @@ func (r RunSpec) Validate() error {
 		}
 		return nil
 	}
-	_, err := control.ByName(r.Control)
-	return err
+	if _, err := control.ByName(r.Control); err != nil {
+		return err
+	}
+	// The window, as prepare will resolve it; a partial spec (a CLI's flag
+	// check) may carry none, and Observe holds the run itself to the rule.
+	window := r.Opts.DurationSec
+	if window == 0 {
+		window = r.Fleet.DurationSec
+	}
+	if r.EpochSec > 0 && window > 0 {
+		return checkEpoch(r.EpochSec, window)
+	}
+	return nil
 }
 
 // errSingleProcess is every layer's answer to an actuated run that is asked

@@ -45,6 +45,11 @@ func TestRunSpecRules(t *testing.T) {
 		{"unknown policy", func(r *RunSpec) { r.Control = "psychic" }, false, false},
 		{"epoch without policy", func(r *RunSpec) { r.EpochSec = 2 }, false, true},
 		{"negative epoch", func(r *RunSpec) { r.Control, r.EpochSec = "noop", -1 }, false, false},
+		{"epoch one short of the window", func(r *RunSpec) { r.Control, r.EpochSec = "noop", 7 }, true, false},
+		{"epoch as long as the window", func(r *RunSpec) { r.Control, r.EpochSec = "reactive", 8 }, false, false},
+		{"epoch past the fleet's window", func(r *RunSpec) { r.Control, r.EpochSec, r.Opts.DurationSec = "reactive", 100, 0 }, false, false},
+		{"default epoch, one-second window", func(r *RunSpec) { r.Control, r.Opts.DurationSec = "reactive", 1 }, true, false},
+		{"the default spelled out, one-second window", func(r *RunSpec) { r.Control, r.EpochSec, r.Opts.DurationSec = "reactive", 1, 1 }, true, false},
 	} {
 		spec := testRunSpec()
 		tc.edit(&spec)

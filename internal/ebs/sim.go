@@ -92,10 +92,10 @@ type Options struct {
 	// landing penalties, and per-epoch throttle cap deltas, all looked up
 	// without consuming any RNG draw — so an empty timeline is byte-identical
 	// to no timeline. Timelines are produced by control.BuildPlan from an
-	// observe pass; RunControlled orchestrates the two passes. Single-process
-	// runs only: RunShard and MergeShards reject it (the control loop is
-	// inherently sequential over epochs). See DESIGN.md, "Mitigation control
-	// plane".
+	// Observation; RunControlled orchestrates Observe, the plan and the
+	// actuated run. Single-process runs only: RunShard and MergeShards reject
+	// it (the control loop is inherently sequential over epochs). See
+	// DESIGN.md, "Mitigation control plane".
 	Control *control.Timeline `json:"-"`
 	// Observe, when non-nil, receives the run's per-epoch integer traffic
 	// counters (per segment, VD, QP, and worker thread), folded at the join
@@ -103,7 +103,10 @@ type Options struct {
 	// is worker-count and shard-count invariant by construction, and
 	// MergeShards fills it like Run does (RunShard leaves it alone). Create
 	// the destination with control.NewObservation over a shape matching this
-	// fleet and the run's options.
+	// fleet and the run's options. A plan is not built from it — Sim.Observe
+	// counts the same numbers without simulating; this is the differential
+	// witness: check-mode RunControlled sets it on the actuated pass and
+	// requires the fold to equal the observation it planned from.
 	Observe *control.Observation `json:"-"`
 	// Scenario, when non-nil, replaces the fleet's native traffic with a
 	// bound scenario from the scenario library: the engine takes the demand

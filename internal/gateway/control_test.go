@@ -6,6 +6,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"ebslab/internal/ebs"
 )
 
 func TestSubmitCodecControlRoundTrip(t *testing.T) {
@@ -79,10 +81,11 @@ func TestSubmitCodecRejectsMalformedControl(t *testing.T) {
 func TestControlSpecValidation(t *testing.T) {
 	base := StudySpec{Seed: 1, DurationSec: 8}
 	cases := map[string]StudySpec{
-		"epoch without policy": func() StudySpec { s := base; s.ControlEpochSec = 2; return s }(),
-		"unknown policy":       func() StudySpec { s := base; s.Control = "nope"; return s }(),
-		"epoch over duration":  func() StudySpec { s := base; s.Control = "noop"; s.ControlEpochSec = 9; return s }(),
-		"controlled on shards": func() StudySpec { s := base; s.Control = "noop"; s.Shards = 2; return s }(),
+		"epoch without policy":  func() StudySpec { s := base; s.ControlEpochSec = 2; return s }(),
+		"unknown policy":        func() StudySpec { s := base; s.Control = "nope"; return s }(),
+		"epoch over duration":   func() StudySpec { s := base; s.Control = "noop"; s.ControlEpochSec = 9; return s }(),
+		"epoch of the duration": func() StudySpec { s := base; s.Control = "noop"; s.ControlEpochSec = 8; return s }(),
+		"controlled on shards":  func() StudySpec { s := base; s.Control = "noop"; s.Shards = 2; return s }(),
 		"controlled with kills": func() StudySpec {
 			s := base
 			s.Control = "noop"
@@ -102,6 +105,20 @@ func TestControlSpecValidation(t *testing.T) {
 	}
 	if got := ok.withDefaults().ControlEpochSec; got != 1 {
 		t.Errorf("default epoch for an 8s study = %d, want 1", got)
+	}
+	// The rule and its wording are the engine's: an epoch spanning the window
+	// is refused as the CLI refuses it, and the default passes at every length.
+	whole := base
+	whole.Control, whole.ControlEpochSec = "reactive", 8
+	want := ebs.RunSpec{Opts: ebs.Options{DurationSec: 8}, Control: "reactive", EpochSec: 8}.Validate()
+	if err := whole.withDefaults().Validate(); err == nil || want == nil || err.Error() != want.Error() {
+		t.Errorf("epoch of the duration: gateway says %v, the engine %v", err, want)
+	}
+	for dur := 1; dur <= 17; dur++ {
+		s := StudySpec{Seed: 1, DurationSec: dur, Control: "reactive"}
+		if err := s.withDefaults().Validate(); err != nil {
+			t.Errorf("default epoch on a %ds study rejected: %v", dur, err)
+		}
 	}
 }
 

@@ -413,9 +413,10 @@ func (gw *Gateway) runJob(j *job) {
 
 // runLocal executes the study in-process: the spec's RunSpec with a streaming
 // sketch destination plus a SnapshotSink through which Snapshot reads it
-// mid-run. A controlled study's observe pass runs bare (RunControlled strips
-// stream/snapshot/progress from it), so the sink and the progress counters see
-// only the actuated pass the tenant's answer comes from.
+// mid-run. A controlled study's observe pass only generates and counts events
+// (ebs.Sim.Observe reads no stream, snapshot or progress option), so the sink
+// and the progress counters see only the actuated pass the tenant's answer
+// comes from.
 func (gw *Gateway) runLocal(j *job) error {
 	stream := sketch.NewSet(sketch.Config{})
 	sink := &ebs.SnapshotSink{}
