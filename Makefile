@@ -186,8 +186,9 @@ control-smoke:
 # worker-count determinism oracle, native replay round-trip, replay fuzz
 # seeds), then the full scenario matrix end to end through the CLI with the
 # invariant checker on — bufferbloat plain, batchburst under a chaos plan,
-# elastic under the predictive control policy, and both committed foreign
-# traces (MSR and tianchi schemas) through -replay.
+# elastic under the predictive control policy, both committed foreign
+# traces (MSR and tianchi schemas) through -replay, and the tianchi sample
+# again as a spreadsheet would save it: CRLF line ends under a header row.
 scenario-smoke:
 	$(GO) test ./internal/scenario -count=1
 	$(GO) run ./cmd/ebssim -seed 7 -dur 12 -nodes 4 -max-vds 24 -scenario bufferbloat,period=8,duty=0.5 -check
@@ -195,6 +196,9 @@ scenario-smoke:
 	$(GO) run ./cmd/ebssim -seed 7 -dur 12 -nodes 4 -max-vds 24 -scenario elastic,hi=2,step=3 -control predictive -check
 	$(GO) run ./cmd/ebssim -seed 7 -dur 12 -nodes 4 -max-vds 24 -replay internal/scenario/testdata/msr_sample.csv -check
 	$(GO) run ./cmd/ebssim -seed 7 -dur 12 -nodes 4 -max-vds 24 -replay internal/scenario/testdata/tianchi_sample.csv -check -stream
+	@tmp=$$(mktemp .scenario-smoke.XXXXXX) && { printf 'device_id,opcode,offset,length,timestamp\r\n'; sed 's/$$/\r/' internal/scenario/testdata/tianchi_sample.csv; } > $$tmp \
+		&& echo "ebssim -replay <tianchi sample as CRLF with a header row> -check" \
+		&& $(GO) run ./cmd/ebssim -seed 7 -dur 12 -nodes 4 -max-vds 24 -replay $$tmp -check; rc=$$?; rm -f $$tmp; exit $$rc
 
 # bench/ is a nested module (`ebslab/bench`, replace ebslab => ../), so
 # `go test ./...` from the root never compiles it: this is the gate that

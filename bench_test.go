@@ -564,7 +564,7 @@ func synthReplayCSV(n int) []byte {
 // the kept records, never with fleet size.
 func BenchmarkReplayIngest(b *testing.B) {
 	s := study(b)
-	for _, n := range []int{8192, 65536} {
+	for _, n := range []int{8192, 65536, 400000} {
 		n := n
 		b.Run(fmt.Sprintf("records=%d", n), func(b *testing.B) {
 			input := synthReplayCSV(n)

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"ebslab/internal/chaos"
 	"ebslab/internal/cluster"
@@ -223,6 +224,10 @@ func TestObserveCancellation(t *testing.T) {
 	}
 	if n := disks.Load(); n >= 16 {
 		t.Errorf("the pass generated all %d disks after cancellation", n)
+	}
+	// A worker that has signalled its WaitGroup may still be on its way out.
+	for i := 0; i < 200 && runtime.NumGoroutine() > baseline; i++ {
+		time.Sleep(time.Millisecond)
 	}
 	if got := runtime.NumGoroutine(); got > baseline {
 		t.Errorf("%d goroutines after the cancelled passes, %d before", got, baseline)

@@ -1,11 +1,10 @@
-package scenario_test
+package scenario
 
 import (
-	"strings"
+	"bytes"
 	"sync"
 	"testing"
 
-	"ebslab/internal/scenario"
 	"ebslab/internal/workload"
 )
 
@@ -25,7 +24,10 @@ var fuzzFleet = sync.OnceValues(func() (*workload.Fleet, error) {
 // unsampled — over arbitrary bytes. The decoders must never panic, and any
 // input they accept must obey the ingest invariants: at least one record
 // kept, never more kept than parsed, and byte-identical stats on re-ingest
-// (determinism is what the golden fixtures stand on).
+// (determinism is what the golden fixtures stand on). On quote-free input the
+// foreign pipeline, cut into blocks a few rows long, must also accept and
+// reject exactly what the record-at-a-time reference does, with the same
+// error, stats and events.
 func FuzzReplayIngest(f *testing.F) {
 	seeds := []string{
 		"Timestamp,Hostname,DiskNumber,Type,Offset,Size,ResponseTime\n1000,src1,0,Read,0,4096,1\n2000,src1,1,Write,65536,8192,2\n",
@@ -43,15 +45,21 @@ func FuzzReplayIngest(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	schemas := []string{
-		scenario.SchemaAuto, scenario.SchemaNativeJSONL, scenario.SchemaNativeCSV,
-		scenario.SchemaMSR, scenario.SchemaTianchi,
-	}
+	schemas := []string{SchemaAuto, SchemaNativeJSONL, SchemaNativeCSV, SchemaMSR, SchemaTianchi}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, schema := range schemas {
 			for _, sample := range []int{1, 3} {
-				cfg := scenario.ReplayConfig{Path: "fuzz", Schema: schema, SampleEvery: sample, TimeScale: 1}
-				rp, err := cfg.Ingest(strings.NewReader(string(data)), fleet)
+				cfg := ReplayConfig{Path: "fuzz", Schema: schema, SampleEvery: sample, TimeScale: 1}
+				rp, err := cfg.Ingest(bytes.NewReader(data), fleet)
+				if schema == SchemaMSR || schema == SchemaTianchi {
+					if bytes.IndexByte(data, '"') < 0 {
+						ref := newOracle(t, cfg, data)
+						ref.holds(t, ingestBlockSize)
+						ref.holds(t, 64)
+					} else if err == nil {
+						t.Fatalf("%s sample=%d: accepted input with a double quote in it", schema, sample)
+					}
+				}
 				if err != nil {
 					continue
 				}
@@ -59,7 +67,7 @@ func FuzzReplayIngest(f *testing.F) {
 				if st.Kept < 1 || st.Kept > st.Records {
 					t.Fatalf("%s sample=%d: impossible stats %+v", schema, sample, st)
 				}
-				again, err := cfg.Ingest(strings.NewReader(string(data)), fleet)
+				again, err := cfg.Ingest(bytes.NewReader(data), fleet)
 				if err != nil {
 					t.Fatalf("%s sample=%d: accepted once, rejected on re-ingest: %v", schema, sample, err)
 				}

@@ -2,12 +2,9 @@ package scenario
 
 import (
 	"bufio"
-	"encoding/csv"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 
 	"ebslab/internal/cluster"
@@ -48,6 +45,14 @@ const maxReplayEvents = 1 << 24
 // dataset fingerprint. Malformed input (bad numbers, NaN, negative offsets
 // or sizes, unknown opcodes) fails the ingest with a positional error; no
 // record is ever silently skipped.
+//
+// The foreign CSV dialect: one record per line, fields split at every comma
+// and never quoted — a double quote anywhere is an error, not syntax. Lines
+// end in LF or CRLF, the last one may go without; blank lines are skipped
+// but counted, so "line N" in an error is the N-th physical line of the
+// file. Integer and opcode fields may be padded with white space and
+// integers may carry a sign; device fields are taken byte for byte. The
+// first record, and only the first, may be a column header.
 type ReplayConfig struct {
 	// Path is the trace file to ingest.
 	Path string
@@ -212,6 +217,12 @@ func (r *Replay) GenEvents(vd cluster.VDID, series []workload.Sample, sampleEver
 // It is the replay scenario's core, exported for benchmarks and fuzzing;
 // Bind calls it on the configured file.
 func (c ReplayConfig) Ingest(rd io.Reader, f *workload.Fleet) (*Replay, error) {
+	return c.ingest(rd, f, ingestBlockSize)
+}
+
+// ingest is Ingest with the foreign pipeline's block size as a parameter:
+// the result does not depend on it, which the tests hold it to.
+func (c ReplayConfig) ingest(rd io.Reader, f *workload.Fleet, blockSize int) (*Replay, error) {
 	if err := c.validateShape(); err != nil {
 		return nil, err
 	}
@@ -239,7 +250,7 @@ func (c ReplayConfig) Ingest(rd io.Reader, f *workload.Fleet) (*Replay, error) {
 	case SchemaMSR, SchemaTianchi:
 		r.events = make([][]workload.Event, nVDs)
 		r.series = make([][]workload.Sample, nVDs)
-		err = r.ingestForeign(br, schema)
+		err = r.ingestForeign(br, schema, blockSize)
 	default:
 		err = fmt.Errorf("scenario: replay schema %q not ingestable", schema)
 	}
@@ -329,161 +340,4 @@ func (r *Replay) ingestNative(rd io.Reader, schema string) error {
 		r.recs[rec.VD] = append(r.recs[rec.VD], *rec)
 	}
 	return nil
-}
-
-// foreignRecord is one normalised foreign-trace row before fleet mapping.
-type foreignRecord struct {
-	ts     int64 // native units (FILETIME ticks or µs)
-	device string
-	op     trace.Op
-	offset int64
-	size   int64
-}
-
-// ingestForeign streams an MSR or tianchi CSV, normalising each record into
-// an event on a hash-mapped fleet VD, and derives per-VD per-second demand
-// series for the throttle replay.
-func (r *Replay) ingestForeign(rd io.Reader, schema string) error {
-	cr := csv.NewReader(rd)
-	cr.ReuseRecord = true
-	cr.FieldsPerRecord = -1
-
-	wantCols := 7
-	tickPerUS := 10.0 // MSR FILETIME: 100ns ticks
-	if schema == SchemaTianchi {
-		wantCols = 5
-		tickPerUS = 1.0
-	}
-	var (
-		ord   uint64
-		t0    int64
-		first = true
-	)
-	for line := 1; ; line++ {
-		row, err := cr.Read()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("scenario: replay line %d: %w", line, err)
-		}
-		if len(row) != wantCols {
-			return fmt.Errorf("scenario: replay line %d: %d columns, %s wants %d", line, len(row), schema, wantCols)
-		}
-		fr, header, err := parseForeign(row, schema)
-		if err != nil {
-			if line == 1 && header {
-				continue // a header row is only tolerated as the first line
-			}
-			return fmt.Errorf("scenario: replay line %d: %w", line, err)
-		}
-		r.stats.Records++
-		if first {
-			t0 = fr.ts
-			first = false
-		}
-		o := ord
-		ord++
-		if !r.cfg.keepOrdinal(o) {
-			continue
-		}
-		if r.stats.Kept >= maxReplayEvents {
-			return fmt.Errorf("scenario: replay retains more than %d records; raise sample=", maxReplayEvents)
-		}
-		r.addForeign(fr, t0, tickPerUS, o)
-	}
-}
-
-// parseForeign decodes one CSV row. The header flag reports whether the row
-// looks like a column header (tolerated as line 1 only).
-func parseForeign(row []string, schema string) (foreignRecord, bool, error) {
-	var fr foreignRecord
-	var tsCol, opCol, offCol, szCol int
-	if schema == SchemaMSR {
-		tsCol, opCol, offCol, szCol = 0, 3, 4, 5
-		fr.device = row[1] + "." + row[2]
-	} else {
-		tsCol, opCol, offCol, szCol = 4, 1, 2, 3
-		fr.device = row[0]
-	}
-	ts, err := strconv.ParseInt(strings.TrimSpace(row[tsCol]), 10, 64)
-	if err != nil {
-		return fr, true, fmt.Errorf("timestamp %q: want an integer", row[tsCol])
-	}
-	if ts < 0 {
-		return fr, false, fmt.Errorf("timestamp %d is negative", ts)
-	}
-	fr.ts = ts
-	switch op := strings.TrimSpace(row[opCol]); op {
-	case "R", "r", "Read", "read", "READ":
-		fr.op = trace.OpRead
-	case "W", "w", "Write", "write", "WRITE":
-		fr.op = trace.OpWrite
-	default:
-		return fr, true, fmt.Errorf("opcode %q: want read or write", op)
-	}
-	if fr.offset, err = strconv.ParseInt(strings.TrimSpace(row[offCol]), 10, 64); err != nil {
-		return fr, false, fmt.Errorf("offset %q: want an integer", row[offCol])
-	}
-	if fr.offset < 0 {
-		return fr, false, fmt.Errorf("offset %d is negative", fr.offset)
-	}
-	if fr.size, err = strconv.ParseInt(strings.TrimSpace(row[szCol]), 10, 64); err != nil {
-		return fr, false, fmt.Errorf("size %q: want an integer", row[szCol])
-	}
-	if fr.size <= 0 {
-		return fr, false, fmt.Errorf("size %d, want > 0", fr.size)
-	}
-	return fr, false, nil
-}
-
-// addForeign maps one kept foreign record onto the fleet: device to VD by
-// stable hash, timestamp rebased and scaled, size and offset fitted to the
-// target disk, queue pair by seed-derived ordinal hash.
-func (r *Replay) addForeign(fr foreignRecord, t0 int64, tickPerUS float64, ord uint64) {
-	top := r.fleet.Topology
-	h := fnv.New64a()
-	h.Write([]byte(fr.device)) //nolint:errcheck — fnv never fails
-	vd := cluster.VDID(h.Sum64() % uint64(len(top.VDs)))
-	d := &top.VDs[vd]
-
-	us := int64(float64(fr.ts-t0) / tickPerUS * r.cfg.TimeScale)
-	if us < 0 {
-		us = 0
-		r.stats.Reordered++
-	}
-
-	size := (fr.size + sectorSize - 1) &^ (sectorSize - 1)
-	if size > 4<<20 {
-		size = 4 << 20
-	}
-	if size != fr.size {
-		r.stats.Clamped++
-	}
-	offset := alignDown(fr.offset)
-	if span := d.Capacity - size; offset > span {
-		offset = alignDown(offset % (span + 1))
-		r.stats.Clamped++
-	}
-	qp := d.QPs[uint64(subSeed(r.fleet.Cfg.Seed, tagReplayPick, ord))%uint64(len(d.QPs))]
-
-	ev := workload.Event{TimeUS: us, Op: fr.op, Size: int32(size), Offset: offset, QP: qp}
-	r.events[vd] = append(r.events[vd], ev)
-	r.stats.Kept++
-
-	// Per-second demand, re-inflated by the sampling factor so the throttle
-	// sees the estimated full-trace offered load.
-	sec := int(us / 1_000_000)
-	for len(r.series[vd]) <= sec {
-		r.series[vd] = append(r.series[vd], workload.Sample{})
-	}
-	s := &r.series[vd][sec]
-	scale := float64(r.cfg.SampleEvery)
-	if ev.Op == trace.OpRead {
-		s.ReadBps += float64(size) * scale
-		s.ReadIOPS += scale
-	} else {
-		s.WriteBps += float64(size) * scale
-		s.WriteIOPS += scale
-	}
 }

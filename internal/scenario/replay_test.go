@@ -219,6 +219,13 @@ func TestReplayRejectsMalformed(t *testing.T) {
 		"tianchi negative ts":   {scenario.SchemaTianchi, "0,R,0,512,-1\n", "timestamp"},
 		"tianchi zero size":     {scenario.SchemaTianchi, "0,R,0,0,5\n", "size"},
 		"tianchi unknown op":    {scenario.SchemaTianchi, "0,R,0,512,5\n1,X,0,512,6\n", "op"},
+		// Positions are physical lines: blank lines and CRLF count as the
+		// editor showing the file would count them, in every block.
+		"blank line before bad": {scenario.SchemaTianchi, "0,R,0,512,5\n\n1,X,0,512,6\n", "line 3: opcode"},
+		"crlf file":             {scenario.SchemaTianchi, "0,R,0,512,5\r\n\r\n1,R,0,0,6\r\n", "line 3: size"},
+		"bad row in block two":  {scenario.SchemaTianchi, strings.Repeat("0,R,0,512,1000000\n", 20000) + "0,R,-8,512,1000000\n", "line 20001: offset"},
+		"msr quoted fields":     {scenario.SchemaMSR, "5,src1,0,Read,0,4096,1\n\"6\",\"src1\",0,Read,0,4096,1\n", "line 2: column 1: quoted fields are not supported"},
+		"tianchi quoted device": {scenario.SchemaTianchi, "a\"b,R,0,512,5\n", "line 1: column 2: quoted"},
 		"native jsonl garbage":  {scenario.SchemaNativeJSONL, "{nope}\n", ""},
 		"native csv garbage":    {scenario.SchemaNativeCSV, "not,a,trace\n", ""},
 		"empty input":           {scenario.SchemaAuto, "", ""},

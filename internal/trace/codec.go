@@ -42,6 +42,10 @@ var traceHeader = []string{
 	"lat_compute_us", "lat_frontend_us", "lat_bs_us", "lat_backend_us", "lat_cs_us",
 }
 
+// traceIntBits is the width ReadTraceCSV parses each integer column at
+// (size .. segment; the columns before them have parsers of their own).
+var traceIntBits = [14]int{3: 32, 4: 64, 5: 32, 6: 32, 7: 32, 8: 32, 9: 32, 10: 32, 11: 8, 12: 32, 13: 32}
+
 // WriteTraceCSV writes records to w as CSV with a header row.
 func WriteTraceCSV(w io.Writer, records []Record) error {
 	cw := csv.NewWriter(w)
@@ -111,30 +115,24 @@ func ReadTraceCSV(r io.Reader) ([]Record, error) {
 		default:
 			return nil, fmt.Errorf("trace: line %d: bad opcode %q", line, row[2])
 		}
-		ints := []struct {
-			col  int
-			bits int
-			dst  func(int64)
-		}{
-			{3, 32, func(v int64) { rec.Size = int32(v) }},
-			{4, 64, func(v int64) { rec.Offset = v }},
-			{5, 32, func(v int64) { rec.DC = cluster.DCID(v) }},
-			{6, 32, func(v int64) { rec.Node = cluster.NodeID(v) }},
-			{7, 32, func(v int64) { rec.User = cluster.UserID(v) }},
-			{8, 32, func(v int64) { rec.VM = cluster.VMID(v) }},
-			{9, 32, func(v int64) { rec.VD = cluster.VDID(v) }},
-			{10, 32, func(v int64) { rec.QP = cluster.QPID(v) }},
-			{11, 8, func(v int64) { rec.WT = int8(v) }},
-			{12, 32, func(v int64) { rec.Storage = cluster.StorageNodeID(v) }},
-			{13, 32, func(v int64) { rec.Segment = cluster.SegmentID(v) }},
-		}
-		for _, f := range ints {
-			v, err := strconv.ParseInt(row[f.col], 10, f.bits)
-			if err != nil {
-				return nil, fmt.Errorf("trace: line %d col %s: %w", line, traceHeader[f.col], err)
+		// Columns 3..13 are the record's integer fields, each of its own width.
+		var ints [14]int64
+		for col := 3; col < len(ints); col++ {
+			if ints[col], err = strconv.ParseInt(row[col], 10, traceIntBits[col]); err != nil {
+				return nil, fmt.Errorf("trace: line %d col %s: %w", line, traceHeader[col], err)
 			}
-			f.dst(v)
 		}
+		rec.Size = int32(ints[3])
+		rec.Offset = ints[4]
+		rec.DC = cluster.DCID(ints[5])
+		rec.Node = cluster.NodeID(ints[6])
+		rec.User = cluster.UserID(ints[7])
+		rec.VM = cluster.VMID(ints[8])
+		rec.VD = cluster.VDID(ints[9])
+		rec.QP = cluster.QPID(ints[10])
+		rec.WT = int8(ints[11])
+		rec.Storage = cluster.StorageNodeID(ints[12])
+		rec.Segment = cluster.SegmentID(ints[13])
 		for s := 0; s < int(NumStages); s++ {
 			v, err := strconv.ParseFloat(row[14+s], 32)
 			if err != nil {
