@@ -113,6 +113,7 @@ fuzz-smoke:
 	$(GO) test ./internal/wire -fuzz FuzzReader -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fabric -fuzz FuzzDecodeResult -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fabric -fuzz FuzzDecodeCommand -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/fabric -fuzz FuzzResultPayload -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/consensus -fuzz FuzzMessageCodec -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/gateway -fuzz FuzzGatewayCodec -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/scenario -fuzz FuzzReplayIngest -fuzztime $(FUZZTIME)

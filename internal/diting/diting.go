@@ -297,6 +297,18 @@ func (t *Tracer) sampled(id uint64) bool {
 	return xrand.Mix64(id)%t.sampleEvery == 0
 }
 
+// AppendChunks appends the sampled records to dst as the tracer holds them —
+// its full chunks, then the one being filled — in observation order, nothing
+// joined or copied (Records joins). The chunks stay the tracer's: valid until
+// it is observed into again or Released.
+func (t *Tracer) AppendChunks(dst [][]trace.Record) [][]trace.Record {
+	dst = append(dst, t.full...)
+	if len(t.records) > 0 {
+		dst = append(dst, t.records)
+	}
+	return dst
+}
+
 // Records returns the sampled trace records in observation order. A tracer
 // holding several chunks joins them into one first (and keeps the joined
 // slice as its only chunk, so asking again is free).

@@ -4,15 +4,23 @@ import "ebslab/internal/trace"
 
 // FromParts reconstructs a Tracer from previously exported parts — sampled
 // records plus the two metric-row domains — so a tracer can cross a process
-// boundary: a fabric worker ships Records/ComputeRows/StorageRows over the
-// wire and the coordinator rebuilds an equivalent tracer to feed Merge.
+// boundary: a fabric worker ships its record chunks and ComputeRows/
+// StorageRows over the wire and the coordinator rebuilds an equivalent tracer
+// to feed Merge. The records arrive as the chunk(s) they sit in — one slice
+// for a decoded frame, a tracer's AppendChunks list for a shard that never
+// left the process — and are aliased, not copied: the tracer is for Merge to
+// read (Merge copies) and must never be observed into, pooled or Released.
 // Rows are re-keyed exactly as Observe keyed them ((sec, qp) and (sec,
-// seg)), and since every key pins one VD, rebuilding shard tracers from
-// VD-disjoint shards never collides a key across shards: Merge of rebuilt
-// tracers is byte-identical to Merge of the originals.
-func FromParts(sampleEvery int, records []trace.Record, compute, storage []trace.MetricRow) *Tracer {
+// seg)), in whatever order they arrive, and since every key pins one VD,
+// rebuilding shard tracers from VD-disjoint shards never collides a key
+// across shards: Merge of rebuilt tracers is byte-identical to Merge of the
+// originals.
+func FromParts(sampleEvery int, chunks [][]trace.Record, compute, storage []trace.MetricRow) *Tracer {
 	t := New(sampleEvery)
-	t.records = records
+	if last := len(chunks) - 1; last >= 0 {
+		t.full = append(t.full, chunks[:last]...)
+		t.records = chunks[last]
+	}
 	for i := range compute {
 		a := t.alloc()
 		a.row = compute[i]

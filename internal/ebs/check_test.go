@@ -147,7 +147,8 @@ func TestCheckerCatchesMisattributedRecord(t *testing.T) {
 // TestDeterminismOracle asserts byte-identical datasets via the replay
 // fingerprint in every cell of GOMAXPROCS x Workers — Workers deals the disks
 // to shards, and min(GOMAXPROCS, shards) is the merge's fan-out — and for the
-// same run taken as eight RunShard partials through MergeShards.
+// same run taken as eight RunShard partials through MergeShards, the shards
+// themselves run on one in-shard worker and on two.
 func TestDeterminismOracle(t *testing.T) {
 	f := smallFleet(t)
 	sim := New(f)
@@ -181,16 +182,23 @@ func TestDeterminismOracle(t *testing.T) {
 			ds, err := sim.Run(context.Background(), o)
 			same(ds, err, "GOMAXPROCS=%d Workers=%d", procs, workers)
 		}
-		var parts []*ShardPartial
-		for _, r := range cluster.PlanShards(sim.runVDs(opts), 8) {
-			p, err := sim.RunShard(context.Background(), opts, r.Lo, r.Hi)
-			if err != nil {
-				t.Fatalf("GOMAXPROCS=%d RunShard%v: %v", procs, r, err)
+		// The fabric's rows: each shard ships its tracers' chunks unmerged —
+		// one tracer's, then two tracers' worth — and MergeShards' is the one
+		// merge.
+		for _, workers := range []int{1, 2} {
+			o := opts
+			o.Workers = workers
+			var parts []*ShardPartial
+			for _, r := range cluster.PlanShards(sim.runVDs(o), 8) {
+				p, err := sim.RunShard(context.Background(), o, r.Lo, r.Hi)
+				if err != nil {
+					t.Fatalf("GOMAXPROCS=%d Workers=%d RunShard%v: %v", procs, workers, r, err)
+				}
+				parts = append(parts, p)
 			}
-			parts = append(parts, p)
+			ds, err := sim.MergeShards(o, parts)
+			same(ds, err, "GOMAXPROCS=%d RunShard(Workers=%d) x %d -> MergeShards", procs, workers, len(parts))
 		}
-		ds, err := sim.MergeShards(opts, parts)
-		same(ds, err, "GOMAXPROCS=%d RunShard x %d -> MergeShards", procs, len(parts))
 	}
 }
 

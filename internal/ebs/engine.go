@@ -246,6 +246,16 @@ func mergeSets(cfg sketch.Config, sets []*sketch.Set) *sketch.Set {
 	return merged
 }
 
+// mergeTracers merges the run's tracers and exports the result once: the
+// records, detached, and the two metric-row domains, UNSCALED. The merged
+// tracer goes back to its pool.
+func mergeTracers(opts Options, tracers []*diting.Tracer) (records []trace.Record, compute, storage []trace.MetricRow) {
+	merged := diting.Merge(opts.TraceSampleEvery, tracers...)
+	records, compute, storage = merged.DetachRecords(), merged.ComputeRows(), merged.StorageRows()
+	merged.Release()
+	return records, compute, storage
+}
+
 // finish turns a complete run's parts into its results, the same way for the
 // in-process engine and the distributed merge so the two cannot drift: merge
 // the tracers, fold the merged metric rows into the control-plane observation

@@ -16,13 +16,23 @@ import (
 // the fleet: exactly what a fabric worker ships back to the coordinator.
 // Metric rows are UNSCALED (event-thinning compensation is applied once, at
 // the merge), records carry shard-local trace IDs (the merge reassigns the
-// canonical 1..N numbering), and the sketch set — when streaming — is the
-// shard's own partial state. Because shards own disjoint virtual disks,
-// MergeShards over any covering set of partials reproduces the single-process
-// dataset byte for byte.
+// canonical 1..N numbering) and are NOT merged — they sit per disk, in the
+// order the shard's tracers emitted them — and the sketch set — when
+// streaming — is the shard's own partial state. Because shards own disjoint
+// virtual disks, MergeShards over any covering set of partials reproduces the
+// single-process dataset byte for byte.
+//
+// Ownership: a partial from RunShard aliases its run's pooled tracer chunks
+// (Chunks) until Release, which hands tracers and batches back to their pools;
+// everything else in it — rows, sketch, accounting — is the partial's own. A
+// partial a decoder built owns its records, in Records.
 type ShardPartial struct {
-	Lo, Hi  int
+	Lo, Hi int
+	// Records is the sampled records of a partial that owns them in one slice
+	// (a decoded result frame). RunShard leaves it nil: read Chunks.
 	Records []trace.Record
+	// Compute and Storage are each tracer's rows in key order, tracer after
+	// tracer; keys never repeat across tracers (a key pins one VD).
 	Compute []trace.MetricRow
 	Storage []trace.MetricRow
 	// Sketch is non-nil iff the run streams (Options.Stream was set).
@@ -35,6 +45,33 @@ type ShardPartial struct {
 	Emission []invariant.VDEmission
 	// Audit holds the shard's throttle-audit findings, check mode only.
 	Audit []string
+
+	// run is the engine run that produced the partial and chunks its tracers'
+	// record chunks, both until Release; a decoded partial has neither.
+	run    *runState
+	chunks [][]trace.Record
+}
+
+// Chunks returns the partial's sampled records as the chunks they sit in, to
+// be walked in order: per-disk runs, each disk's records contiguous and in
+// generation order. For a RunShard partial these are the run's tracer chunks
+// as they were emitted — read-only, and gone after Release; otherwise it is
+// Records, as one chunk.
+func (p *ShardPartial) Chunks() [][]trace.Record {
+	if p.run != nil {
+		return p.chunks
+	}
+	return [][]trace.Record{p.Records}
+}
+
+// Release returns the run's tracers and batches to their pools. Call it once
+// nothing reads Chunks any more — a fabric worker does when the result frame
+// is encoded; a caller that never does merely leaves them to the collector.
+func (p *ShardPartial) Release() {
+	if p.run != nil {
+		p.run.release()
+		p.run, p.chunks = nil, nil
+	}
 }
 
 // streamConfigFor derives the per-shard sketch configuration from the
@@ -67,16 +104,6 @@ func (s *Sim) runVDs(opts Options) int {
 	return nVDs
 }
 
-// mergeTracers merges the run's tracers and exports the result once: the
-// records, detached, and the two metric-row domains, UNSCALED. The merged
-// tracer goes back to its pool.
-func mergeTracers(opts Options, tracers []*diting.Tracer) (records []trace.Record, compute, storage []trace.MetricRow) {
-	merged := diting.Merge(opts.TraceSampleEvery, tracers...)
-	records, compute, storage = merged.DetachRecords(), merged.ComputeRows(), merged.StorageRows()
-	merged.Release()
-	return records, compute, storage
-}
-
 // assembleDataset builds the run's dataset from the fully merged tracer's
 // export: the records, the metric rows (scaled here, in place) and the
 // fleet's (shared, read-only) VD/VM spec tables.
@@ -100,7 +127,12 @@ func (s *Sim) assembleDataset(opts Options, records []trace.Record, compute, sto
 // configuration sums every disk's throughput cap — so partials from any
 // VD-disjoint covering of [0, nVDs) merge into the exact single-process
 // dataset. Within the shard, disks are dealt across opts.Workers just like
-// Run. opts.Observe is left untouched: the observation is folded from the
+// Run, and nothing is merged here: the records ship as the tracers' chunks
+// and the one merge is MergeShards'. That is exact because the final order is
+// the stable (TimeUS, VD) order of the concatenation, equal keys belong to one
+// disk, and a disk is simulated whole by one goroutine — any concatenation
+// that keeps each disk's records in generation order merges to the same
+// bytes. opts.Observe is left untouched: the observation is folded from the
 // merged rows, by MergeShards.
 func (s *Sim) RunShard(ctx context.Context, opts Options, lo, hi int) (*ShardPartial, error) {
 	if opts.Control != nil {
@@ -110,9 +142,12 @@ func (s *Sim) RunShard(ctx context.Context, opts Options, lo, hi int) (*ShardPar
 	if err != nil {
 		return nil, err
 	}
-	defer r.release()
-	p := &ShardPartial{Lo: lo, Hi: hi, Chaos: r.chaos, Audit: r.audits}
-	p.Records, p.Compute, p.Storage = mergeTracers(r.opts, r.tracers)
+	p := &ShardPartial{Lo: lo, Hi: hi, Chaos: r.chaos, Audit: r.audits, run: r}
+	for _, tr := range r.tracers {
+		p.chunks = tr.AppendChunks(p.chunks)
+		p.Compute = append(p.Compute, tr.ComputeRows()...)
+		p.Storage = append(p.Storage, tr.StorageRows()...)
+	}
 	if r.opts.Stream != nil {
 		p.Sketch = mergeSets(r.streamCfg, r.sets)
 	}
@@ -153,9 +188,9 @@ func (s *Sim) MergeShards(opts Options, partials []*ShardPartial) (*trace.Datase
 	}
 
 	for _, p := range parts {
-		// FromParts tracers alias the partial's slices; finish merges them
-		// (which copies) and they must never be pooled or released.
-		r.tracers = append(r.tracers, diting.FromParts(r.opts.TraceSampleEvery, p.Records, p.Compute, p.Storage))
+		// FromParts tracers alias the partial's chunks and rows; finish merges
+		// them (which copies) and they must never be pooled or released.
+		r.tracers = append(r.tracers, diting.FromParts(r.opts.TraceSampleEvery, p.Chunks(), p.Compute, p.Storage))
 		if r.opts.Stream != nil {
 			if p.Sketch == nil {
 				return nil, fmt.Errorf("ebs: shard [%d,%d) has no sketch state in a streaming run", p.Lo, p.Hi)

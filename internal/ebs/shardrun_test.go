@@ -2,6 +2,8 @@ package ebs
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"testing"
 
 	"ebslab/internal/chaos"
@@ -9,6 +11,7 @@ import (
 	"ebslab/internal/control"
 	"ebslab/internal/invariant"
 	"ebslab/internal/sketch"
+	"ebslab/internal/trace"
 )
 
 // TestRunShardMergeMatchesRun is the fabric's foundation: executing
@@ -61,6 +64,106 @@ func TestRunShardMergeMatchesRun(t *testing.T) {
 			t.Fatalf("shards=%d: chaos stats %+v != %+v", nShards, *stats, *refStats)
 		}
 	}
+}
+
+// TestUnmergedShardsMatchRun holds the one-merge argument: a shard ships its
+// tracers' chunks as they were emitted — nothing merged, per-disk runs in
+// emission order, several tracers' worth under in-shard Workers > 1 — and
+// MergeShards' single merge still yields Run's dataset, sketch state and
+// chaos accounting, for every in-shard worker count, shard plan and hand-over
+// order, streaming or not, and under check mode. MergeShards only reads the
+// chunks; Release ends the loan (the next RunShard refills the same pooled
+// chunks, which the race detector would catch a late reader of).
+func TestUnmergedShardsMatchRun(t *testing.T) {
+	f := smallFleet(t)
+	sim := New(f)
+	mkOpts := func(stream, check bool) (Options, *chaos.Stats) {
+		stats := &chaos.Stats{}
+		o := Options{
+			DurationSec: 20, TraceSampleEvery: 1, EventSampleEvery: 1, Check: check,
+			Chaos:      &chaos.Plan{BSCrashes: 4, MeanDownSec: 3, FailoverPenaltyUS: 1500, Storms: 3, StormFactor: 4, MeanStormSec: 3},
+			ChaosStats: stats,
+		}
+		if stream {
+			o.Stream = sketch.NewSet(sketch.Config{TopK: 8, SegPerVD: 4})
+		}
+		return o, stats
+	}
+	refOpts, refStats := mkOpts(true, false)
+	ref, err := sim.Run(context.Background(), refOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refFP, refSK := invariant.Fingerprint(ref), refOpts.Stream.Fingerprint()
+	nVDs := sim.runVDs(refOpts)
+
+	cell := func(workers, shards int, stream, check bool) {
+		opts, stats := mkOpts(stream, check)
+		opts.Workers = workers
+		var parts []*ShardPartial
+		for _, r := range cluster.PlanShards(nVDs, shards) {
+			p, err := sim.RunShard(context.Background(), opts, r.Lo, r.Hi)
+			if err != nil {
+				t.Fatalf("Workers=%d shards=%d: RunShard%v: %v", workers, shards, r, err)
+			}
+			if p.Records != nil {
+				t.Fatalf("Workers=%d shards=%d: RunShard%v joined its records", workers, shards, r)
+			}
+			parts = append(parts, p)
+		}
+		if workers == 1 && shards == 1 && len(parts[0].Chunks()) < 2 {
+			t.Fatalf("the whole run sits in %d chunk, want a chunk boundary inside a disk's records", len(parts[0].Chunks()))
+		}
+		var before [][]trace.Record
+		for _, p := range parts {
+			for _, chunk := range p.Chunks() {
+				before = append(before, append([]trace.Record(nil), chunk...))
+			}
+		}
+		for _, order := range []string{"reversed", "plan"} {
+			slices.Reverse(parts)
+			what := fmt.Sprintf("Workers=%d shards=%d stream=%v check=%v order=%s", workers, shards, stream, check, order)
+			*stats = chaos.Stats{}
+			ds, err := sim.MergeShards(opts, parts)
+			if err != nil {
+				t.Fatalf("%s: MergeShards: %v", what, err)
+			}
+			if got := invariant.Fingerprint(ds); got != refFP {
+				t.Fatalf("%s: dataset fingerprint %s != Run's %s", what, got[:12], refFP[:12])
+			}
+			if stream && opts.Stream.Fingerprint() != refSK {
+				t.Fatalf("%s: sketch fingerprint drifted", what)
+			}
+			if *stats != *refStats {
+				t.Fatalf("%s: chaos stats %+v != %+v", what, *stats, *refStats)
+			}
+		}
+		i := 0
+		for _, p := range parts {
+			for _, chunk := range p.Chunks() {
+				if !slices.Equal(chunk, before[i]) {
+					t.Fatalf("Workers=%d shards=%d: MergeShards wrote to chunk %d of its partials", workers, shards, i)
+				}
+				i++
+			}
+		}
+		for _, p := range parts {
+			p.Release()
+			p.Release() // a second call is a no-op
+			for _, chunk := range p.Chunks() {
+				if len(chunk) != 0 {
+					t.Fatalf("Workers=%d shards=%d: a released partial still lends %d records", workers, shards, len(chunk))
+				}
+			}
+		}
+	}
+	for _, workers := range []int{1, 2, 4} {
+		for _, shards := range []int{1, 3, 8} {
+			cell(workers, shards, true, false)
+			cell(workers, shards, false, false)
+		}
+	}
+	cell(2, 3, true, true)
 }
 
 // TestObserveUnderShards: the control-plane observation is folded from the

@@ -276,12 +276,7 @@ func (co *Coordinator) Handle(req *netblock.Request) *netblock.Response {
 		}
 		return co.assignHold(resp, m.WorkerID)
 	case netblock.OpShardResult:
-		// No pre-validation: the FSM decodes the frame at apply time and a
-		// malformed one comes back as an error reply (StatusError). Decoding
-		// a shard result is the most expensive control-plane operation, so
-		// doing it once — not once to validate and again to apply — is what
-		// keeps the dispatch hot path at its unreplicated cost.
-		return co.propose(resp, command{Kind: cmdResult, Frame: req.Payload})
+		return co.proposeResult(resp, req.Payload)
 	case netblock.OpHeartbeat:
 		var m workerMsg
 		if err := fromJSON(req.Payload, &m); err != nil {
@@ -345,6 +340,26 @@ func (co *Coordinator) assignHold(resp *netblock.Response, workerID uint64) *net
 func (co *Coordinator) proposeRaw(c command) (any, error) {
 	c.At = co.cfg.now().UnixNano()
 	return co.runner.Propose(encodeCommand(&c), proposeTimeout)
+}
+
+// proposeResult commits a worker's shard-result payload as the cmdResult
+// command it was laid out to be: the payload arrives as commandHeaderLen
+// reserved bytes and the frame (resultPayload), the leader stamps the header
+// over the reserved bytes — all of them, reading none: kind, worker 0, its
+// clock, the frame's true length — and proposes the received buffer itself, so
+// the frame is not copied into a command. The frame is not pre-validated
+// either: the FSM decodes it at apply time and a malformed one comes back as
+// an error reply (StatusError). Decoding a shard result is the most expensive
+// control-plane operation, so doing it once — not once to validate and again
+// to apply — is what keeps the dispatch hot path at its unreplicated cost.
+func (co *Coordinator) proposeResult(resp *netblock.Response, payload []byte) *netblock.Response {
+	if len(payload) < commandHeaderLen {
+		return co.render(resp, nil, fmt.Errorf("%w: shard-result payload of %d bytes has no room for the %d-byte command header",
+			ErrWire, len(payload), commandHeaderLen))
+	}
+	putCommandHeader(payload, cmdResult, 0, co.cfg.now().UnixNano(), len(payload)-commandHeaderLen)
+	reply, err := co.runner.Propose(payload, proposeTimeout)
+	return co.render(resp, reply, err)
 }
 
 // propose commits the command and renders the FSM's reply. On a non-leader

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"runtime"
@@ -225,7 +226,11 @@ func (w *fakeWorker) upload(a AssignReply) resultReply {
 	if err != nil {
 		w.t.Fatal(err)
 	}
-	raw, err := w.cl.Call(netblock.OpShardResult, encodeResult(w.id, a.Shard, p))
+	payload, err := resultPayload(nil, w.id, a.Shard, p)
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	raw, err := w.cl.Call(netblock.OpShardResult, payload)
 	if err != nil {
 		w.t.Fatal(err)
 	}
@@ -381,11 +386,17 @@ func TestShardResultCodecRoundTrip(t *testing.T) {
 	if workerID != 42 || shardID != 7 || got.Lo != 2 || got.Hi != 7 {
 		t.Fatalf("frame identity drifted: worker=%d shard=%d range=[%d,%d)", workerID, shardID, got.Lo, got.Hi)
 	}
-	if len(got.Records) != len(p.Records) || len(got.Compute) != len(p.Compute) || len(got.Storage) != len(p.Storage) {
+	// The shard's records sit in its tracers' chunks; the decoded partial
+	// owns the same records, in the same order, in one slice.
+	var want []trace.Record
+	for _, chunk := range p.Chunks() {
+		want = append(want, chunk...)
+	}
+	if len(want) == 0 || len(got.Records) != len(want) || len(got.Compute) != len(p.Compute) || len(got.Storage) != len(p.Storage) {
 		t.Fatal("section lengths drifted")
 	}
-	for i := range p.Records {
-		if got.Records[i] != p.Records[i] {
+	for i := range want {
+		if got.Records[i] != want[i] {
 			t.Fatalf("record %d drifted", i)
 		}
 	}
@@ -413,14 +424,99 @@ func TestShardResultCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestResultHeaderIsStamped holds the leader to stamping, not trusting, the
+// header room of an OpShardResult payload: whatever the reserved bytes claim —
+// another command kind, another worker, a far-future clock, a wrong length —
+// the payload commits as a cmdResult of worker 0 at the leader's clock with
+// the frame's true length, and nobody is drained or joined by it. A payload
+// too short to hold the header is refused as a wire error.
+func TestResultHeaderIsStamped(t *testing.T) {
+	clock := testclock.AtUnix(1000)
+	headers := []struct {
+		name  string
+		claim func(hdr []byte, other uint64, frameLen int)
+	}{
+		{"untouched", func([]byte, uint64, int) {}},
+		{"kind drain, the other worker", func(h []byte, other uint64, n int) { putCommandHeader(h, cmdDrain, other, 0, n) }},
+		{"kind join", func(h []byte, _ uint64, n int) { putCommandHeader(h, cmdJoin, 0, 0, n) }},
+		{"kind out of range", func(h []byte, _ uint64, n int) { putCommandHeader(h, 0xff, 0, 0, n) }},
+		{"far-future clock", func(h []byte, _ uint64, n int) { putCommandHeader(h, cmdResult, 0, 1<<62, n) }},
+		{"length short", func(h []byte, _ uint64, n int) { putCommandHeader(h, cmdResult, 0, 0, n-1) }},
+		{"length zero", func(h []byte, _ uint64, _ int) { putCommandHeader(h, cmdResult, 0, 0, 0) }},
+		{"length over-claimed", func(h []byte, _ uint64, _ int) { putCommandHeader(h, cmdResult, 0, 0, 1<<31) }},
+	}
+	co, lb := startFabric(t, Config{
+		Fleet: testFleetConfig(), Opts: testOpts(nil), Shards: len(headers),
+		livenessTimeout: time.Hour, speculateAfter: time.Hour,
+		now: clock.Now,
+	})
+	w, other := newFakeWorker(t, lb), newFakeWorker(t, lb)
+	for i, h := range headers {
+		clock.Advance(time.Second)
+		a := w.assign()
+		if a.Status != AssignShard {
+			t.Fatalf("%s: assign answered %q, want a shard", h.name, a.Status)
+		}
+		p, err := w.sim.RunShard(context.Background(), w.opt, a.Lo, a.Hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, err := resultPayload(nil, w.id, a.Shard, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame := append([]byte(nil), payload[commandHeaderLen:]...)
+		h.claim(payload[:commandHeaderLen], other.id, len(frame))
+
+		resp := co.Handle(&netblock.Request{ID: uint64(i), Op: netblock.OpShardResult, Payload: payload})
+		var rep resultReply
+		if resp.Status != netblock.StatusOK {
+			t.Fatalf("%s: status %d: %s", h.name, resp.Status, resp.Payload)
+		}
+		if err := fromJSON(resp.Payload, &rep); err != nil || !rep.Accepted {
+			t.Fatalf("%s: reply %+v (%v), want an accepted result", h.name, rep, err)
+		}
+		// The payload was stamped in place and is the committed command.
+		c, err := decodeCommand(payload)
+		if err != nil {
+			t.Fatalf("%s: the stamped payload is not a ledger command: %v", h.name, err)
+		}
+		if c.Kind != cmdResult || c.Worker != 0 || c.At != clock.Now().UnixNano() || !bytes.Equal(c.Frame, frame) {
+			t.Fatalf("%s: committed kind=%d worker=%d at=%d with a %d-byte frame, want kind=%d worker=0 at=%d and the %d-byte frame",
+				h.name, c.Kind, c.Worker, c.At, len(c.Frame), cmdResult, clock.Now().UnixNano(), len(frame))
+		}
+		var beat time.Time
+		co.runner.Read(func() { beat = co.fsm.workers[w.id].lastBeat })
+		if !beat.Equal(clock.Now()) {
+			t.Fatalf("%s: the result touched its worker at %v, the leader's clock says %v", h.name, beat, clock.Now())
+		}
+		if co.Workers() != 2 {
+			t.Fatalf("%s: %d workers registered after the result, want the same 2", h.name, co.Workers())
+		}
+	}
+	if !co.Done() {
+		t.Fatal("every shard's result was accepted, yet the run is not done")
+	}
+	for _, short := range [][]byte{nil, make([]byte, commandHeaderLen-1)} {
+		resp := co.Handle(&netblock.Request{Op: netblock.OpShardResult, Payload: short})
+		if resp.Status != netblock.StatusError || !bytes.Contains(resp.Payload, []byte(ErrWire.Error())) {
+			t.Fatalf("%d-byte payload: status %d %q, want StatusError naming %q", len(short), resp.Status, resp.Payload, ErrWire)
+		}
+	}
+}
+
 // TestShardResultPathBytes defends the shard-result path's memory traffic
 // deterministically: one loopback study in the bench's dist shape (2
 // workers, 8 shards, every IO a retained record) with the collector off may
-// allocate at most 9x the bytes of the dataset it delivers. Every buffer on
-// the way — tracer chunks, merged shard, frame, received payload, ledger
-// command, decoded partial, merged dataset — is then allocated once at its
-// final size; regrowing any one of them by append (the parent regrew three,
-// at 14.8x) breaks the bound.
+// allocate at most 6x the bytes of the dataset it delivers. Five buffers
+// remain on the way, each written once at its final size: the tracer chunks
+// (pooled, so the first shards of a worker pay for them), the worker's
+// payload (header room and frame, reused while the next shard fits), the
+// received payload (which is the ledger command; its chunk-sized pieces add
+// half a frame), the decoded partial's records, and the merged dataset. A
+// shard-level merge, a command copy of the frame, or a payload regrown by
+// doubling each adds about one dataset and breaks the bound (PR 18, with all
+// three: 8-8.5x).
 func TestShardResultPathBytes(t *testing.T) {
 	cfg := testFleetConfig()
 	cfg.Seed = 7
@@ -458,7 +554,7 @@ func TestShardResultPathBytes(t *testing.T) {
 	dataset := uint64(len(ds.Trace)) * uint64(unsafe.Sizeof(trace.Record{}))
 	alloc := after.TotalAlloc - before.TotalAlloc
 	t.Logf("%d records, %d bytes allocated = %.1fx the dataset", len(ds.Trace), alloc, float64(alloc)/float64(dataset))
-	if alloc > 9*dataset {
-		t.Fatalf("study allocated %d bytes to deliver a %d-byte dataset (%.1fx, bound 9x)", alloc, dataset, float64(alloc)/float64(dataset))
+	if alloc > 6*dataset {
+		t.Fatalf("study allocated %d bytes to deliver a %d-byte dataset (%.1fx, bound 6x)", alloc, dataset, float64(alloc)/float64(dataset))
 	}
 }

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"ebslab/internal/cluster"
 	"ebslab/internal/ebs"
 	"ebslab/internal/invariant"
+	"ebslab/internal/sketch"
 	"ebslab/internal/wire"
 )
 
@@ -44,14 +46,25 @@ type command struct {
 	Frame  []byte
 }
 
+// commandHeaderLen is the bytes of a command in front of its frame.
+const commandHeaderLen = 1 + 8 + 8 + 4
+
+// putCommandHeader writes a command's header over b[:commandHeaderLen].
+func putCommandHeader(b []byte, kind uint8, worker uint64, at int64, frameLen int) {
+	b[0] = kind
+	binary.LittleEndian.PutUint64(b[1:], worker)
+	binary.LittleEndian.PutUint64(b[9:], uint64(at))
+	binary.LittleEndian.PutUint32(b[17:], uint32(frameLen))
+}
+
+// encodeCommand builds a control op's command. A shard result's command is
+// never built this way: the worker's payload arrives with room for the header
+// and the leader stamps it in place (Coordinator.proposeResult).
 func encodeCommand(c *command) []byte {
-	w := &wire.Writer{B: make([]byte, 0, 1+8+8+4+len(c.Frame))}
-	w.U8(c.Kind)
-	w.U64(c.Worker)
-	w.I64(c.At)
-	w.U32(uint32(len(c.Frame)))
-	w.Bytes(c.Frame)
-	return w.B
+	b := make([]byte, commandHeaderLen+len(c.Frame))
+	putCommandHeader(b, c.Kind, c.Worker, c.At, len(c.Frame))
+	copy(b[commandHeaderLen:], c.Frame)
+	return b
 }
 
 func decodeCommand(data []byte) (command, error) {
@@ -138,6 +151,10 @@ func (p *pulse) fire() {
 type ledgerFSM struct {
 	cfg  Config // defaults resolved; supplies liveness/speculation knobs
 	plan []cluster.ShardRange
+	// stream is the sketch configuration joining workers build their sets
+	// from (nil = no streaming), read once at construction: the final merge
+	// overwrites *cfg.Opts.Stream, possibly while a late worker joins.
+	stream *sketch.Config
 
 	shards    []*shardState
 	workers   map[uint64]*workerState
@@ -163,6 +180,10 @@ func newLedgerFSM(cfg Config, plan []cluster.ShardRange) *ledgerFSM {
 		remaining: len(plan),
 		allDone:   make(chan struct{}),
 		avail:     newPulse(),
+	}
+	if set := cfg.Opts.Stream; set != nil {
+		sc := set.Config()
+		f.stream = &sc
 	}
 	for _, r := range plan {
 		f.shards = append(f.shards, &shardState{
@@ -210,17 +231,13 @@ func (f *ledgerFSM) join(now time.Time) JoinReply {
 	f.nextID++
 	id := f.nextID
 	f.workers[id] = &workerState{id: id, lastBeat: now}
-	reply := JoinReply{
+	return JoinReply{
 		WorkerID:    id,
 		Spec:        f.cfg.runSpec(),
+		Stream:      f.stream,
 		Shards:      len(f.plan),
 		HeartbeatMS: f.cfg.heartbeatEvery.Milliseconds(),
 	}
-	if set := f.cfg.Opts.Stream; set != nil {
-		cfg := set.Config()
-		reply.Stream = &cfg
-	}
-	return reply
 }
 
 // assign places a shard on the asking worker: first a pending shard the

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math/rand"
 	"runtime"
 	"testing"
 
 	"ebslab/internal/ebs"
+	"ebslab/internal/netblock"
+	"ebslab/internal/testclock"
 )
 
 // decodeAllocBound is the most a fabric decoder may allocate for an n-byte
@@ -122,6 +125,69 @@ func FuzzDecodeResult(f *testing.F) {
 		}
 		if frame := encodeResult(workerID, shardID, p); !bytes.Equal(frame, data) {
 			t.Fatalf("accepted frame re-encodes differently:\n got %x\nwant %x", frame, data)
+		}
+	})
+}
+
+// FuzzResultPayload drives the leader's side of OpShardResult — stamp the
+// header room, propose the received buffer, apply — over arbitrary payloads:
+// it must not panic, must answer OK or StatusError, must leave behind a
+// cmdResult command of worker 0 at the leader's clock whose frame is
+// everything behind the header (whatever the reserved bytes claimed), and
+// must never join or drain a worker. Seeds are the two pinned result frames
+// (testdata/encodings/result-*.hex) under random headers.
+func FuzzResultPayload(f *testing.F) {
+	rng := rand.New(rand.NewSource(24))
+	for _, frame := range [][]byte{encodeResult(42, 7, samplePartial(secAll)), encodeResult(1, 0, samplePartial(0))} {
+		for i := 0; i < 4; i++ {
+			hdr := make([]byte, commandHeaderLen)
+			rng.Read(hdr)
+			f.Add(append(hdr, frame...))
+		}
+	}
+	f.Add([]byte{})
+	f.Add(make([]byte, commandHeaderLen-1))
+	f.Add(make([]byte, commandHeaderLen))
+
+	clock := testclock.AtUnix(1000)
+	// A coordinator per input: one that kept its ledger and log across inputs
+	// would grow without bound and make an input's outcome depend on the
+	// inputs before it.
+	handle := func(t testing.TB, data []byte) (*Coordinator, []byte, *netblock.Response) {
+		co, err := NewCoordinator(Config{Fleet: testFleetConfig(), Opts: testOpts(nil), Shards: 16, now: clock.Now})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(co.Stop)
+		if resp := co.Handle(&netblock.Request{Op: netblock.OpJoinFleet}); resp.Status != netblock.StatusOK {
+			t.Fatalf("join: %s", resp.Payload)
+		}
+		payload := append([]byte(nil), data...)
+		return co, payload, co.Handle(&netblock.Request{Op: netblock.OpShardResult, Payload: payload})
+	}
+	// First-use paths (reflection caches, pools) run here, not under an input
+	// whose coverage they would make irreproducible.
+	handle(f, make([]byte, commandHeaderLen))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		co, payload, resp := handle(t, data)
+		if resp.Status != netblock.StatusOK && resp.Status != netblock.StatusError {
+			t.Fatalf("status %d", resp.Status)
+		}
+		if co.Workers() != 1 {
+			t.Fatalf("%d workers registered after a shard result, want the 1 that joined", co.Workers())
+		}
+		if len(data) < commandHeaderLen {
+			if resp.Status != netblock.StatusError || !bytes.Contains(resp.Payload, []byte(ErrWire.Error())) {
+				t.Fatalf("%d-byte payload answered status %d %q", len(data), resp.Status, resp.Payload)
+			}
+			return
+		}
+		c, err := decodeCommand(payload)
+		if err != nil {
+			t.Fatalf("the stamped payload is not a ledger command: %v", err)
+		}
+		if c.Kind != cmdResult || c.Worker != 0 || c.At != clock.Now().UnixNano() || !bytes.Equal(c.Frame, data[commandHeaderLen:]) {
+			t.Fatalf("stamped kind=%d worker=%d at=%d over a %d-byte frame", c.Kind, c.Worker, c.At, len(c.Frame))
 		}
 	})
 }

@@ -11,6 +11,7 @@ import (
 	"ebslab/internal/cluster"
 	"ebslab/internal/ebs"
 	"ebslab/internal/invariant"
+	"ebslab/internal/netblock"
 	"ebslab/internal/sketch"
 	"ebslab/internal/trace"
 	"ebslab/internal/wire"
@@ -117,6 +118,7 @@ func fromJSON(data []byte, v any) error {
 // computed — a lossy text encoding here would break the byte-identical
 // dataset guarantee.
 //
+//	payload: commandHeaderLen bytes the leader stamps (fsm.go) | frame
 //	frame: u64 workerID | u32 shardID | partial
 //	partial: u32 lo | u32 hi
 //	       | u32 nRec  | nRec  * record
@@ -230,12 +232,21 @@ func readMetricRow(r *wire.Reader) trace.MetricRow {
 	return row
 }
 
+// recordCount is how many records p's chunks hold.
+func recordCount(p *ebs.ShardPartial) int {
+	n := 0
+	for _, chunk := range p.Chunks() {
+		n += len(chunk)
+	}
+	return n
+}
+
 // resultSize is the exact length of p's frame, given its encoded sketch's
 // length (0 without one). The encoder sizes its buffer by it, so a frame is
 // allocated once and never regrown.
 func resultSize(p *ebs.ShardPartial, sketchLen int) int {
 	n := 8 + 4 + 4 + 4 + // workerID, shardID, lo, hi
-		4 + len(p.Records)*recordWire +
+		4 + recordCount(p)*recordWire +
 		4 + len(p.Compute)*metricRowWire +
 		4 + len(p.Storage)*metricRowWire +
 		1 + // hasSketch
@@ -251,29 +262,49 @@ func resultSize(p *ebs.ShardPartial, sketchLen int) int {
 	return n
 }
 
-// encodeResult frames one shard result for the wire.
-func encodeResult(workerID uint64, shardID int, p *ebs.ShardPartial) []byte {
-	return encodeResultInto(nil, workerID, shardID, p)
+// encodeSketch is p's sketch state in wire form, nil without one.
+func encodeSketch(p *ebs.ShardPartial) []byte {
+	if p.Sketch == nil {
+		return nil
+	}
+	return p.Sketch.EncodeBinary()
 }
 
-// encodeResultInto is encodeResult into buf's memory (replaced when too
-// small), letting a worker reuse one frame buffer across its shards.
-func encodeResultInto(buf []byte, workerID uint64, shardID int, p *ebs.ShardPartial) []byte {
-	var enc []byte
-	if p.Sketch != nil {
-		enc = p.Sketch.EncodeBinary()
+// resultPayload is the OpShardResult request body for p, in buf's memory when
+// it is large enough (a worker reuses one buffer across its shards): the
+// result frame behind commandHeaderLen bytes the worker leaves unset. The
+// leader stamps the ledger-command header over them and proposes the payload
+// as it arrived, so the frame is never copied into a command. A payload over
+// the wire cap is refused here, by its exact size, before anything
+// frame-sized is allocated or encoded.
+func resultPayload(buf []byte, workerID uint64, shardID int, p *ebs.ShardPartial) ([]byte, error) {
+	enc := encodeSketch(p)
+	need := commandHeaderLen + resultSize(p, len(enc))
+	if need > netblock.MaxShardResultPayload {
+		return nil, fmt.Errorf("fabric: shard %d result is %d bytes, over the %d-byte wire cap: rerun with more shards (fewer VDs per shard)",
+			shardID, need, netblock.MaxShardResultPayload)
 	}
-	if need := resultSize(p, len(enc)); cap(buf) < need {
-		buf = make([]byte, 0, need)
+	if cap(buf) < need {
+		buf = make([]byte, commandHeaderLen, need)
 	}
-	w := &wire.Writer{B: buf[:0]}
+	return appendResult(buf[:commandHeaderLen], workerID, shardID, p, enc), nil
+}
+
+// appendResult appends p's frame to dst — in place when dst has resultSize(p,
+// len(enc)) spare bytes, which is how every caller sizes it; enc is
+// encodeSketch(p). The records are walked chunk by chunk, as the shard's
+// tracers emitted them.
+func appendResult(dst []byte, workerID uint64, shardID int, p *ebs.ShardPartial, enc []byte) []byte {
+	w := &wire.Writer{B: dst}
 	w.U64(workerID)
 	w.U32(uint32(shardID))
 	w.U32(uint32(p.Lo))
 	w.U32(uint32(p.Hi))
-	w.U32(uint32(len(p.Records)))
-	for i := range p.Records {
-		appendRecord(w, &p.Records[i])
+	w.U32(uint32(recordCount(p)))
+	for _, chunk := range p.Chunks() {
+		for i := range chunk {
+			appendRecord(w, &chunk[i])
+		}
 	}
 	w.U32(uint32(len(p.Compute)))
 	for i := range p.Compute {

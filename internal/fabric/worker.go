@@ -209,7 +209,7 @@ func RunWorker(ctx context.Context, wc WorkerConfig) error {
 		}
 		return nil
 	}
-	var frame []byte
+	var payload []byte
 	for {
 		select {
 		case <-ctx.Done():
@@ -247,14 +247,15 @@ func RunWorker(ctx context.Context, wc WorkerConfig) error {
 					return err // simulated crash: vanish without uploading
 				}
 			}
-			// One frame buffer serves every shard: the call is synchronous, so
-			// the buffer is free again the moment the upload returns.
-			frame = encodeResultInto(frame, join.WorkerID, a.Shard, p)
-			if len(frame) > netblock.MaxShardResultPayload {
-				return fmt.Errorf("fabric: shard %d result is %d bytes, over the %d-byte wire cap: rerun with more shards (fewer VDs per shard)",
-					a.Shard, len(frame), netblock.MaxShardResultPayload)
+			// One payload buffer serves every shard: the call is synchronous, so
+			// the buffer is free again the moment the upload returns. Once the
+			// frame is encoded nothing reads the run's tracer chunks any more.
+			payload, err = resultPayload(payload, join.WorkerID, a.Shard, p)
+			p.Release()
+			if err != nil {
+				return err
 			}
-			_, err = link.call(ctx, netblock.OpShardResult, frame)
+			_, err = link.call(ctx, netblock.OpShardResult, payload)
 			if err != nil {
 				return fmt.Errorf("fabric: upload shard %d: %w", a.Shard, err)
 			}

@@ -2,10 +2,12 @@ package fabric
 
 import (
 	"context"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"ebslab/internal/ebs"
 	"ebslab/internal/invariant"
 	"ebslab/internal/netblock"
 	"ebslab/internal/sketch"
@@ -130,5 +132,40 @@ func TestFabricWorkerFailsFastWhenControlPlaneDies(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("worker hung on the dead control plane (the pre-fix behavior)")
+	}
+}
+
+// TestOversizedShardFailsBeforeEncoding holds the worker's wire-cap check to
+// running on the frame's computed size, before anything frame-sized exists:
+// a partial whose frame would pass the 1 GiB cap (1,100 audit lines sharing
+// one 1 MiB string, so the partial itself is small) is refused with the
+// "rerun with more shards" error for a few KiB of allocation. What is checked
+// is the payload's own length: header room plus resultSize.
+func TestOversizedShardFailsBeforeEncoding(t *testing.T) {
+	line := strings.Repeat("x", 1<<20)
+	p := &ebs.ShardPartial{Lo: 0, Hi: 4, Audit: make([]string, 1100)}
+	for i := range p.Audit {
+		p.Audit[i] = line
+	}
+	if size := commandHeaderLen + resultSize(p, 0); size <= netblock.MaxShardResultPayload {
+		t.Fatalf("the test partial frames to %d bytes, under the %d-byte cap", size, netblock.MaxShardResultPayload)
+	}
+	var payload []byte
+	var err error
+	alloc := measureAlloc(func() { payload, err = resultPayload(nil, 1, 0, p) })
+	if err == nil || !strings.Contains(err.Error(), "rerun with more shards") {
+		t.Fatalf("over-cap shard: payload of %d bytes, error %v; want the rerun-with-more-shards refusal", len(payload), err)
+	}
+	if alloc > 64<<10 {
+		t.Fatalf("refusing the over-cap shard allocated %d bytes", alloc)
+	}
+
+	p.Audit = p.Audit[:1]
+	payload, err = resultPayload(nil, 1, 0, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := commandHeaderLen + resultSize(p, 0); len(payload) != want {
+		t.Fatalf("payload is %d bytes, header room plus resultSize says %d", len(payload), want)
 	}
 }

@@ -246,31 +246,47 @@ func ReadRequest(r io.Reader) (*Request, error) {
 const allocChunk = 64 << 10
 
 // readPayload reads exactly n payload bytes, committing memory only as data
-// arrives: the buffer starts at one allocChunk and, each time it fills, grows
-// to min(n, max(2*cap, len+allocChunk)). Doubling copies a frame at most once
-// over, and a peer that stalls after k bytes has cost at most 4k plus two
-// chunks in total. EOF mid-payload reports io.ErrUnexpectedEOF.
+// arrives and without regrowing: a frame of up to two chunks is one buffer
+// from the start; a longer one is read in allocChunk pieces until half of it
+// has arrived, then the one buffer of the frame's size is committed, the
+// pieces gathered into it and the rest read in place. That allocates about
+// 1.5x the frame and copies at most half of it, and a peer that stalls after
+// k bytes has cost k plus two chunks before the commit, at most 3k plus a
+// chunk after it. EOF mid-payload reports io.ErrUnexpectedEOF.
 func readPayload(r io.Reader, n uint32) ([]byte, error) {
 	if n == 0 {
 		return nil, nil
 	}
 	total := int(n)
-	buf := make([]byte, 0, min(total, allocChunk))
-	for len(buf) < total {
-		if len(buf) == cap(buf) {
-			grown := make([]byte, len(buf), min(total, max(2*cap(buf), len(buf)+allocChunk)))
-			copy(grown, buf)
-			buf = grown
-		}
-		if _, err := io.ReadFull(r, buf[len(buf):cap(buf)]); err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
+	var pieces [][]byte
+	if total > 2*allocChunk {
+		for got := 0; got < total/2; got += allocChunk {
+			piece := make([]byte, allocChunk)
+			if err := readFull(r, piece); err != nil {
+				return nil, err
 			}
-			return nil, err
+			pieces = append(pieces, piece)
 		}
-		buf = buf[:cap(buf)]
+	}
+	buf := make([]byte, total)
+	at := 0
+	for _, piece := range pieces {
+		at += copy(buf[at:], piece)
+	}
+	if err := readFull(r, buf[at:]); err != nil {
+		return nil, err
 	}
 	return buf, nil
+}
+
+// readFull fills b from the middle of a payload, where running out of bytes
+// is always unexpected.
+func readFull(r io.Reader, b []byte) error {
+	_, err := io.ReadFull(r, b)
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // WriteResponse encodes resp to w.

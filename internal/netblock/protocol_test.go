@@ -184,6 +184,37 @@ func TestReadPayloadCommitment(t *testing.T) {
 	}
 }
 
+// TestReadPayloadAllocation pins what a frame that does arrive costs: for a
+// k-byte payload everything the read allocated stays within 1.5k plus four
+// chunks — the pieces read before the frame's buffer is committed are half of
+// it, and nothing is regrown — and a peer that stalls a quarter of the way
+// in has cost no more than what it sent plus two chunks.
+func TestReadPayloadAllocation(t *testing.T) {
+	for _, k := range []int{1, allocChunk, 3*allocChunk + 777, 1 << 20, 12 << 20} {
+		payload := make([]byte, k)
+		for i := range payload {
+			payload[i] = byte(i * 31)
+		}
+		wire := reqFrame(1, OpShardResult, uint32(k), payload)
+		var req *Request
+		var err error
+		alloc := measureAlloc(func() { req, err = ReadRequest(bytes.NewReader(wire)) })
+		if err != nil || !bytes.Equal(req.Payload, payload) {
+			t.Fatalf("k=%d: read failed or corrupted the payload: %v", k, err)
+		}
+		if bound := uint64(k + k/2 + 4*allocChunk); alloc > bound {
+			t.Errorf("k=%d: reading allocated %d bytes, bound %d", k, alloc, bound)
+		}
+		alloc = measureAlloc(func() { _, err = ReadRequest(bytes.NewReader(wire[:headerSize+k/4])) })
+		if err != io.ErrUnexpectedEOF {
+			t.Errorf("k=%d: stalled read returned %v, want io.ErrUnexpectedEOF", k, err)
+		}
+		if bound := uint64(k/4 + 2*allocChunk); alloc > bound {
+			t.Errorf("k=%d: a peer that stalled at %d bytes cost %d, bound %d", k, k/4, alloc, bound)
+		}
+	}
+}
+
 // TestLargePayloadRoundTrip exercises the multi-chunk readPayload path with
 // a payload several chunks long.
 func TestLargePayloadRoundTrip(t *testing.T) {
