@@ -1,0 +1,98 @@
+package ebslab
+
+import (
+	"context"
+	"encoding/json"
+	"os"
+	"strconv"
+	"testing"
+
+	"ebslab/internal/control"
+	"ebslab/internal/ebs"
+	"ebslab/internal/invariant"
+	"ebslab/internal/sketch"
+	"ebslab/internal/workload"
+)
+
+// TestBenchFingerprintsHold brings the benchmark's correctness contract into
+// tier-1: it reads the pins bench/ keeps in bench/testdata/fingerprints.json
+// (read-only — bench/ regenerates them with -pin) and reproduces the
+// single-process workloads at both pinned seeds with the bench's study
+// recipe (bench/workloads.go: fleet seed 7, one DC of 16 nodes, 60 s, the
+// first 120 disks, one IO in 8 generated; -seed is Options.Seed). A
+// simulated bit that drifts then fails `go test ./...`, not only
+// `bash bench/run.sh`'s set-up. The fabric, replay and gateway pins need the
+// bench's loopback harness, synthetic CSV and submission pool; they stay
+// bench/'s.
+func TestBenchFingerprintsHold(t *testing.T) {
+	raw, err := os.ReadFile("bench/testdata/fingerprints.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pins map[string]map[string]string
+	if err := json.Unmarshal(raw, &pins); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := workload.DefaultConfig()
+	cfg.Seed = 7
+	cfg.DCs = 1
+	cfg.NodesPerDC = 16
+	cfg.BSPerDC = 12
+	cfg.BSPerCluster = 6
+	cfg.Users = 16
+	cfg.DurationSec = 60
+	fleet, err := workload.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := ebs.New(fleet)
+	pol, err := control.ByName("reactive")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	studies := map[string]func(ebs.Options) (string, error){
+		"sim-traced": func(o ebs.Options) (string, error) {
+			ds, err := sim.Run(context.Background(), o)
+			if err != nil {
+				return "", err
+			}
+			return invariant.Fingerprint(ds), nil
+		},
+		"sim-sampled": func(o ebs.Options) (string, error) {
+			o.TraceSampleEvery = 0 // the paper's 1/3200
+			set := sketch.NewSet(sketch.Config{})
+			o.Stream = set
+			ds, err := sim.Run(context.Background(), o)
+			if err != nil {
+				return "", err
+			}
+			return invariant.Fingerprint(ds) + "+" + set.Fingerprint(), nil
+		},
+		"control": func(o ebs.Options) (string, error) {
+			ds, plan, err := sim.RunControlled(context.Background(), o, pol, control.Config{EpochSec: 7})
+			if err != nil {
+				return "", err
+			}
+			return invariant.Fingerprint(ds) + "+" + plan.LogFingerprint(), nil
+		},
+	}
+	for _, name := range []string{"sim-traced", "sim-sampled", "control"} {
+		for _, seed := range []int64{7, 11} {
+			want := pins[name][strconv.FormatInt(seed, 10)]
+			if want == "" {
+				t.Fatalf("%s: no pin for seed %d in bench/testdata/fingerprints.json", name, seed)
+			}
+			got, err := studies[name](ebs.Options{
+				Seed: seed, DurationSec: 60, TraceSampleEvery: 1, EventSampleEvery: 8, MaxVDs: 120, Workers: 2,
+			})
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", name, seed, err)
+			}
+			if got != want {
+				t.Errorf("%s seed %d: fingerprint %s, pinned %s", name, seed, got, want)
+			}
+		}
+	}
+}

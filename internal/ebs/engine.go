@@ -48,6 +48,7 @@ type shard struct {
 	em     vdEmitter
 	emitFn func(workload.Event)
 
+	lat    *latency.Scratch // SampleBatch working memory, pooled
 	series []workload.Sample
 	delay  []float64 // scenario DelayModel scratch
 	demand []throttle.Demand
@@ -61,10 +62,16 @@ type shard struct {
 
 // flush drains the shard's batch into the tracer and (when streaming) the
 // sketch set, in that order — the same tracer-then-sketch sequence the
-// record-at-a-time path observed per IO.
-func (sh *shard) flush() {
+// record-at-a-time path observed per IO. A batch of a generative disk (gen
+// non-nil: its emitter) has no latencies yet; they are drawn here first, for
+// the whole batch at once. A replayed disk's batch (gen nil) carries its
+// records' own.
+func (sh *shard) flush(gen *vdEmitter) {
 	if sh.batch.Len() == 0 {
 		return
+	}
+	if gen != nil {
+		gen.latencies(sh.batch)
 	}
 	sh.tracer.EmitBatch(sh.batch)
 	if sh.sketch != nil {
@@ -82,6 +89,7 @@ func (s *Sim) newShards(workers int, opts *Options, streamCfg sketch.Config) []*
 		sh := &shard{
 			tracer: diting.Acquire(opts.TraceSampleEvery),
 			batch:  trace.GetBatch(trace.DefaultBatchCap),
+			lat:    latScratch.Get().(*latency.Scratch),
 		}
 		sh.emitFn = sh.em.emit
 		if opts.Stream != nil {
@@ -139,12 +147,17 @@ func (s *Sim) begin(opts Options) (*runState, error) {
 	return r, nil
 }
 
-// release returns the shards' pooled tracers and batches. Callers must have
-// copied or detached everything they keep (diting.Merge copies).
+// latScratch recycles the shards' latency-sampling scratch across runs.
+var latScratch = sync.Pool{New: func() any { return new(latency.Scratch) }}
+
+// release returns the shards' pooled tracers, batches and latency scratch.
+// Callers must have copied or detached everything they keep (diting.Merge
+// copies).
 func (r *runState) release() {
 	for _, sh := range r.shards {
 		sh.tracer.Release()
 		sh.batch.Release()
+		latScratch.Put(sh.lat)
 	}
 }
 
@@ -321,7 +334,8 @@ func (s *Sim) expandChaos(opts Options) *chaos.Schedule {
 // vdEmitter is the batch-fill state of the virtual disk a shard is
 // currently replaying. One vdEmitter lives in each shard and is overwritten
 // per disk; its emit method is the event generator's callback, appending
-// one columnar row per IO and flushing the shard's batch as it fills.
+// one columnar row per IO and flushing the shard's batch as it fills, and
+// its latencies method fills the batch's latency column at flush.
 type vdEmitter struct {
 	sh         *shard
 	top        *cluster.Topology
@@ -348,9 +362,8 @@ type vdEmitter struct {
 	genErr error
 }
 
-// emit appends one generated IO to the shard's batch: placement lookup,
-// latency sampling from the disk-derived RNG stream, chaos penalties, and
-// throttle queue delay, exactly as the record-at-a-time path applied them.
+// emit appends one generated IO to the shard's batch: everything but its
+// latencies, which the flush draws for the whole batch (latencies).
 func (e *vdEmitter) emit(ev workload.Event) {
 	if e.genErr != nil {
 		return
@@ -383,7 +396,7 @@ func (e *vdEmitter) emit(ev workload.Event) {
 	sh := e.sh
 	b := sh.batch
 	if b.Full() {
-		sh.flush()
+		sh.flush(e)
 	}
 	i := b.Next()
 	b.TraceID[i] = sh.tracer.NextTraceID()
@@ -400,31 +413,42 @@ func (e *vdEmitter) emit(ev workload.Event) {
 	b.WT[i] = wt
 	b.Storage[i] = sn
 	b.Segment[i] = seg
-	e.table.SampleInto(e.rng.Rand, ev.Op, ev.Size, &b.Lat[i])
-	if e.ctl != nil && e.ctl.MovedAt(ctlEpoch, int(seg)) {
-		// The segment is landing on its new BS this epoch: data movement
-		// competes with foreground traffic on the backend network.
-		b.Lat[i][trace.StageBackendNet] += float32(e.ctl.PenaltyUS)
+	if e.sched != nil && e.boost != nil && e.boost(sec) != 1 {
+		sh.chaos.StormIOs++
 	}
-	if e.sched != nil {
-		if e.sched.BSDownAt(int(sn), sec) {
-			sh.chaos.FaultedIOs++
+}
+
+// latencies fills the latency column of the disk's batch: one SampleBatch
+// pass over the disk's latency stream — the draws the record-at-a-time path
+// made per IO, in the same order — then, row by row, the four additive terms
+// in their fixed order, each its own float32 add (so two terms landing on one
+// stage round exactly as they always have): control migration penalty, chaos
+// crash penalty, throttle queue delay, scenario delay.
+func (e *vdEmitter) latencies(b *trace.Batch) {
+	n := b.Len()
+	e.table.SampleBatch(e.rng, b.Op[:n], b.Size[:n], b.Lat[:n], e.sh.lat)
+	if e.ctl == nil && e.sched == nil && e.queueDelay == nil && e.extraDelay == nil {
+		return
+	}
+	for i := 0; i < n; i++ {
+		sec := int(b.TimeUS[i] / 1_000_000)
+		lat := &b.Lat[i]
+		if e.ctl != nil && e.ctl.MovedAt(e.ctl.EpochOf(sec), int(b.Segment[i])) {
+			// The segment is landing on its new BS this epoch: data movement
+			// competes with foreground traffic on the backend network.
+			lat[trace.StageBackendNet] += float32(e.ctl.PenaltyUS)
+		}
+		if e.sched != nil && e.sched.BSDownAt(int(b.Storage[i]), sec) {
+			e.sh.chaos.FaultedIOs++
 			if e.sched.PenaltyUS > 0 {
-				b.Lat[i][trace.StageFrontendNet] += float32(e.sched.PenaltyUS)
+				lat[trace.StageFrontendNet] += float32(e.sched.PenaltyUS)
 			}
 		}
-		if e.boost != nil && e.boost(sec) != 1 {
-			sh.chaos.StormIOs++
+		if e.queueDelay != nil && sec < len(e.queueDelay) && e.queueDelay[sec] > 0 {
+			lat[trace.StageComputeNode] += float32(e.queueDelay[sec] * 1e6)
 		}
-	}
-	if e.queueDelay != nil {
-		if sec < len(e.queueDelay) && e.queueDelay[sec] > 0 {
-			b.Lat[i][trace.StageComputeNode] += float32(e.queueDelay[sec] * 1e6)
-		}
-	}
-	if e.extraDelay != nil {
-		if sec < len(e.extraDelay) && e.extraDelay[sec] > 0 {
-			b.Lat[i][e.extraStage] += float32(e.extraDelay[sec])
+		if e.extraDelay != nil && sec < len(e.extraDelay) && e.extraDelay[sec] > 0 {
+			lat[e.extraStage] += float32(e.extraDelay[sec])
 		}
 	}
 }
@@ -495,9 +519,49 @@ func (s *Sim) simulateVD(sh *shard, vdIdx int, opts *Options, emission *invarian
 	sh.series = off.series
 	boost := off.boost
 
+	queueDelay, extraDelay, extraStage := s.delaysOf(sh, vdIdx, opts, boost)
+
+	rng := xrand.Get(latencySeed(opts.Seed, vdID))
+	defer rng.Release()
+	sh.tracer.StartStream(vdIDBase(vdID))
+
+	sh.em = vdEmitter{
+		sh:         sh,
+		top:        top,
+		seg2bs:     s.fleet.Seg2BS,
+		wtOf:       s.wtOf,
+		table:      s.table,
+		rng:        rng,
+		emission:   emission,
+		sched:      sched,
+		boost:      boost,
+		queueDelay: queueDelay,
+		extraDelay: extraDelay,
+		extraStage: extraStage,
+		ctl:        opts.Control,
+		vdID:       vdID,
+		dc:         node.DC,
+		node:       node.ID,
+		user:       vm.User,
+		vm:         vm.ID,
+	}
+	off.generate(sh.emitFn)
+	sh.flush(&sh.em)
+	return sh.em.genErr
+}
+
+// delaysOf derives disk vdIdx's per-second latency terms from its offered
+// series, already in sh.series (boost is its storm multiplier, nil for
+// none): the throttle replay's queue delay in seconds (nil with throttling
+// off) and a scenario DelayModel's term in µs with the stage it lands on
+// (nil when the scenario models none). Throttle-audit findings go to the
+// shard.
+func (s *Sim) delaysOf(sh *shard, vdIdx int, opts *Options, boost func(sec int) float64) (queueDelay, extraDelay []float64, extraStage trace.Stage) {
+	vdID := cluster.VDID(vdIdx)
+	vd := &s.fleet.Topology.VDs[vdIdx]
+	sc := opts.Scenario
 	// Per-VD throttle replay over the second-granularity series gives
 	// each second's queue delay.
-	var queueDelay []float64
 	if !opts.DisableThrottle {
 		sh.demand = sh.demand[:0]
 		for t, smp := range sh.series {
@@ -548,40 +612,11 @@ func (s *Sim) simulateVD(sh *shard, vdIdx int, opts *Options, emission *invarian
 
 	// A scenario delay model turns the demand series into a per-second
 	// latency term on its chosen stage (e.g. bufferbloat's device queue).
-	var extraDelay []float64
-	var extraStage trace.Stage
 	if dm, ok := sc.(scenario.DelayModel); ok {
 		sh.delay, extraStage = dm.DelaySeries(sh.delay, vdID, sh.series)
 		extraDelay = sh.delay
 	}
-
-	rng := xrand.Get(latencySeed(opts.Seed, vdID))
-	defer rng.Release()
-	sh.tracer.StartStream(vdIDBase(vdID))
-
-	sh.em = vdEmitter{
-		sh:         sh,
-		top:        top,
-		seg2bs:     s.fleet.Seg2BS,
-		wtOf:       s.wtOf,
-		table:      s.table,
-		rng:        rng,
-		emission:   emission,
-		sched:      sched,
-		boost:      boost,
-		queueDelay: queueDelay,
-		extraDelay: extraDelay,
-		extraStage: extraStage,
-		ctl:        opts.Control,
-		vdID:       vdID,
-		dc:         node.DC,
-		node:       node.ID,
-		user:       vm.User,
-		vm:         vm.ID,
-	}
-	off.generate(sh.emitFn)
-	sh.flush()
-	return sh.em.genErr
+	return queueDelay, extraDelay, extraStage
 }
 
 // replayVD streams one virtual disk's verbatim records (a record-sourced
@@ -603,7 +638,7 @@ func (s *Sim) replayVD(sh *shard, vdID cluster.VDID, opts *Options, emission *in
 		}
 		b := sh.batch
 		if b.Full() {
-			sh.flush()
+			sh.flush(nil)
 			b = sh.batch
 		}
 		i := b.Next()
@@ -629,6 +664,6 @@ func (s *Sim) replayVD(sh *shard, vdID cluster.VDID, opts *Options, emission *in
 			}
 		}
 	}
-	sh.flush()
+	sh.flush(nil)
 	return nil
 }

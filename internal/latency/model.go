@@ -112,11 +112,7 @@ func (m *Model) Sample(rng *rand.Rand, op trace.Op, size int32, loc CacheLocatio
 		v := p.BaseUS + p.PerMiBUS*mib
 		v *= math.Exp(p.JitterSigma*rng.NormFloat64() - p.JitterSigma*p.JitterSigma/2)
 		if p.TailProb > 0 && rng.Float64() < p.TailProb {
-			u := rng.Float64()
-			if u >= 1 {
-				u = math.Nextafter(1, 0)
-			}
-			v += p.TailScaleUS / math.Pow(1-u, 1/p.TailAlpha)
+			v += p.TailScaleUS / math.Pow(1-rng.Float64(), 1/p.TailAlpha)
 		}
 		out[s] = float32(v)
 	}

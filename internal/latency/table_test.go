@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ebslab/internal/trace"
+	"ebslab/internal/xrand"
 )
 
 // TestTableBitIdentical drives Model.Sample and Table.SampleInto with twin
@@ -55,4 +56,90 @@ func TestTableBitIdentical(t *testing.T) {
 			t.Fatalf("model %d: rng streams diverged", mi)
 		}
 	}
+}
+
+// TestSampleBatchMatchesSampleInto holds the batch kernel to the per-IO
+// reference row for row: an op mix, 4 KiB to 4 MiB sizes, batch lengths 1,
+// 2, 7, 1023 and 1024 through one reused Scratch, on the default model, a
+// tail-free one and one whose every stage tails half the time (so the
+// Pareto path runs tens of thousands of times). The batch draws on the
+// mirrored xrand stream, the reference on plain math/rand, and the two
+// streams must end in lockstep.
+func TestSampleBatchMatchesSampleInto(t *testing.T) {
+	heavy, calm := Default(), Default()
+	for s := range heavy.Read {
+		heavy.Read[s].TailProb, heavy.Write[s].TailProb = 0.5, 0.5
+		calm.Read[s].TailProb, calm.Write[s].TailProb = 0, 0
+	}
+	lengths := []int{1, 2, 7, 1023, 1024}
+	for mi, m := range []*Model{Default(), calm, heavy} {
+		tab := m.Compile()
+		seed := int64(77 + mi)
+		got := xrand.Get(seed)
+		want := rand.New(rand.NewSource(seed))
+		var sc Scratch
+		tailEvents, row := 0, 0
+		for round := 0; round < 4; round++ {
+			for _, n := range lengths {
+				op := make([]trace.Op, n)
+				size := make([]int32, n)
+				for i := range op {
+					op[i] = trace.Op((row + i) % 3 % 2) // reads and writes, unevenly mixed
+					size[i] = int32(4096 * (1 + (row+i)*37%1024))
+				}
+				out := make([][trace.NumStages]float32, n)
+				tab.SampleBatch(got, op, size, out, &sc)
+				tailEvents += len(sc.tails)
+				for i := range out {
+					var ref [trace.NumStages]float32
+					tab.SampleInto(want, op[i], size[i], &ref)
+					if out[i] != ref {
+						t.Fatalf("model %d row %d (batch of %d, op %v size %d): %v != %v", mi, row+i, n, op[i], size[i], out[i], ref)
+					}
+				}
+				row += n
+			}
+		}
+		if got.Uint64() != want.Uint64() {
+			t.Fatalf("model %d: batch and per-IO streams diverged", mi)
+		}
+		got.Release()
+		if mi == 2 && tailEvents < 10_000 {
+			t.Fatalf("heavy-tail model ran the Pareto path %d times, want >= 10^4", tailEvents)
+		}
+		if mi == 1 && tailEvents != 0 {
+			t.Fatalf("tail-free model drew %d tail events", tailEvents)
+		}
+	}
+}
+
+// BenchmarkSampleBatch compares the batch kernel with per-IO SampleInto on
+// the default model over an engine-sized batch.
+func BenchmarkSampleBatch(b *testing.B) {
+	tab := Default().Compile()
+	const n = trace.DefaultBatchCap
+	op := make([]trace.Op, n)
+	size := make([]int32, n)
+	for i := range op {
+		op[i] = trace.Op(i % 2)
+		size[i] = int32(4096 * (1 + i%64))
+	}
+	out := make([][trace.NumStages]float32, n)
+	rng := xrand.Get(1)
+	defer rng.Release()
+	b.Run("SampleInto", func(b *testing.B) {
+		for it := 0; it < b.N; it++ {
+			for i := range out {
+				tab.SampleInto(rng.Rand, op[i], size[i], &out[i])
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/io")
+	})
+	b.Run("SampleBatch", func(b *testing.B) {
+		var sc Scratch
+		for it := 0; it < b.N; it++ {
+			tab.SampleBatch(rng, op, size, out, &sc)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/io")
+	})
 }

@@ -3,7 +3,6 @@ package sketch
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"ebslab/internal/wire"
 )
@@ -160,11 +159,10 @@ func DecodeSet(data []byte) (*Set, error) {
 func (s *SpaceSaving) appendBinary(w *wire.Writer) {
 	w.U32(uint32(s.k))
 	w.U32(uint32(len(s.counters)))
-	for _, k := range sortedKeys(s.counters) {
-		c := s.counters[k]
-		w.U64(k)
-		w.U64(c.count)
-		w.U64(c.err)
+	for _, c := range s.counters {
+		w.U64(c.Key)
+		w.U64(c.Count)
+		w.U64(c.Err)
 	}
 }
 
@@ -180,7 +178,7 @@ func decodeSpaceSaving(r *wire.Reader) *SpaceSaving {
 	if r.Err() != nil {
 		return nil
 	}
-	s := &SpaceSaving{k: k, counters: make(map[uint64]ssCounter, n)}
+	s := &SpaceSaving{k: k, counters: make([]Entry, 0, n)}
 	lastKey, first := uint64(0), true
 	for i := 0; i < n && r.Err() == nil; i++ {
 		key := r.U64()
@@ -189,12 +187,12 @@ func decodeSpaceSaving(r *wire.Reader) *SpaceSaving {
 			break
 		}
 		lastKey, first = key, false
-		c := ssCounter{count: r.U64(), err: r.U64()}
-		if c.err > c.count {
-			r.Fail("SpaceSaving counter %d has err %d > count %d", key, c.err, c.count)
+		c := Entry{Key: key, Count: r.U64(), Err: r.U64()}
+		if c.Err > c.Count {
+			r.Fail("SpaceSaving counter %d has err %d > count %d", key, c.Err, c.Count)
 			break
 		}
-		s.counters[key] = c
+		s.counters = append(s.counters, c)
 	}
 	return s
 }
@@ -233,16 +231,12 @@ func (l *LogQuantile) appendBinary(w *wire.Writer) {
 	w.F64(l.alpha)
 	w.U64(l.zero)
 	w.U64(l.total)
-	w.U32(uint32(len(l.buckets)))
-	idxs := make([]int64, 0, len(l.buckets))
-	for idx := range l.buckets {
-		idxs = append(idxs, idx)
-	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	for _, idx := range idxs {
+	w.U32(uint32(l.buckets()))
+	l.each(func(idx int64, wgt uint64) bool {
 		w.U64(uint64(idx))
-		w.U64(l.buckets[idx])
-	}
+		w.U64(wgt)
+		return true
+	})
 }
 
 func decodeLogQuantile(r *wire.Reader) *LogQuantile {
@@ -257,7 +251,7 @@ func decodeLogQuantile(r *wire.Reader) *LogQuantile {
 		return nil
 	}
 	l := NewLogQuantile(alpha)
-	l.zero, l.total = zero, total
+	l.zero = zero
 	var sum uint64 = zero
 	lastIdx, first := int64(0), true
 	for i := 0; i < n && r.Err() == nil; i++ {
@@ -272,12 +266,15 @@ func decodeLogQuantile(r *wire.Reader) *LogQuantile {
 			r.Fail("LogQuantile empty bucket %d", idx)
 			break
 		}
-		l.buckets[idx] = wgt
+		// Ascending indices append pages in order: one page per distinct
+		// page key, however far apart the buckets are.
+		l.addBucket(idx, wgt)
 		sum += wgt
 	}
 	if r.Err() == nil && sum != total {
 		r.Fail("LogQuantile total %d != bucket sum %d", total, sum)
 	}
+	l.total = total
 	return l
 }
 

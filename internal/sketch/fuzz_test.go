@@ -174,6 +174,9 @@ func FuzzSetCodec(f *testing.F) {
 		}
 		f.Add(populated.EncodeBinary())
 	}
+	// Two latency buckets 2^40 apart: memory must follow the buckets, not
+	// their span (TestDecodeSparseBucketsAllocation).
+	f.Add(sparseLatencySet(1 << 40).EncodeBinary())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := DecodeSet(data)
 		if err != nil {

@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"math"
+	"math/bits"
 
 	"ebslab/internal/xrand"
 )
@@ -32,11 +33,7 @@ func (h *HLL) Add(key uint64) {
 	idx := x >> (64 - h.p)
 	// rho: position of the leftmost 1-bit in the remaining 64-p bits.
 	rest := x<<h.p | 1<<(uint(h.p)-1) // sentinel caps rho at 64-p+1
-	var rho uint8 = 1
-	for rest&(1<<63) == 0 {
-		rho++
-		rest <<= 1
-	}
+	rho := uint8(bits.LeadingZeros64(rest)) + 1
 	if rho > h.registers[idx] {
 		h.registers[idx] = rho
 	}

@@ -119,6 +119,17 @@ func blockKey(vd uint64, offset int64) uint64 {
 	return (vd+1)*0x9e3779b97f4a7c15 ^ uint64(offset>>12)
 }
 
+// sizeBuckets[k-1] is the size sketch's bucket of a k·4 KiB IO, for every
+// size the generator draws (4 KiB-aligned, 4 KiB to 4 MiB): the same
+// formula Add evaluates, computed once so ingest skips a math.Log per IO.
+var sizeBuckets = func() (t [1024]int64) {
+	l := NewLogQuantile(quantileAlpha)
+	for k := range t {
+		t[k] = l.bucket(math.Log(float64((k + 1) << 12)))
+	}
+	return t
+}()
+
 // vdCount returns (creating on first touch) the exact directional counter
 // of one virtual disk.
 func (s *Set) vdCount(vd uint64) *dirCount {
@@ -147,13 +158,15 @@ func (s *Set) vdSegHot(vd uint64) *SpaceSaving {
 // latency sketch sees it here.
 func (s *Set) Observe(rec *trace.Record) {
 	vd := uint64(rec.VD)
+	lat := rec.TotalLatency()
 	s.ingest(s.vdCount(vd), s.vdSegHot(vd), vd, rec.Op == trace.OpRead,
-		rec.Size, rec.TimeUS, rec.Offset, uint64(rec.Segment), rec.TotalLatency())
+		rec.Size, rec.TimeUS, rec.Offset, uint64(rec.Segment), lat, math.Log(lat))
 }
 
 // ingest folds one IO into every summary; dc and ss are the per-VD states
-// of vd (hoisted by ObserveBatch across same-VD runs).
-func (s *Set) ingest(dc *dirCount, ss *SpaceSaving, vd uint64, read bool, size32 int32, timeUS, offset int64, seg uint64, totalLat float64) {
+// of vd (hoisted by ObserveBatch across same-VD runs), and logLat is
+// math.Log(totalLat) (taken by ObserveBatch a chunk at a time).
+func (s *Set) ingest(dc *dirCount, ss *SpaceSaving, vd uint64, read bool, size32 int32, timeUS, offset int64, seg uint64, totalLat, logLat float64) {
 	size := uint64(size32)
 	s.totals.IOs++
 	s.totals.Bytes += size
@@ -166,8 +179,12 @@ func (s *Set) ingest(dc *dirCount, ss *SpaceSaving, vd uint64, read bool, size32
 	}
 	ss.Add(seg, size)
 	s.rate.Add(int(timeUS/1_000_000), read, size)
-	s.lat.Add(totalLat, 1)
-	s.sizes.Add(float64(size32), 1)
+	s.lat.addLogged(totalLat, logLat, 1)
+	if k := size32 >> 12; size32&(1<<12-1) == 0 && k >= 1 && k <= int32(len(sizeBuckets)) {
+		s.sizes.addBucket(sizeBuckets[k-1], 1)
+	} else {
+		s.sizes.Add(float64(size32), 1)
+	}
 	s.blocks.Add(blockKey(vd, offset))
 	s.segs.Add(seg)
 }

@@ -1,6 +1,9 @@
 package sketch
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // SpaceSaving is the weighted SpaceSaving heavy-hitter summary (Metwally et
 // al.): at most K counters, each an over-estimate of its key's true weight
@@ -16,14 +19,14 @@ import "sort"
 // bit-identical results across shardings must either keep key spaces
 // disjoint per shard (the engine's per-VD sketches) or fold in a canonical
 // order (Set finalization).
+//
+// The counters are one array of at most K entries in ascending key order:
+// capacities are small (8 per disk, 32 globally), so a search, the eviction
+// scan and an insert are a few cache lines, and serialization walks the
+// array as it is.
 type SpaceSaving struct {
 	k        int
-	counters map[uint64]ssCounter
-}
-
-type ssCounter struct {
-	count uint64
-	err   uint64
+	counters []Entry // ascending Key, len <= k
 }
 
 // NewSpaceSaving creates a summary with capacity k counters (values < 1 are
@@ -32,81 +35,97 @@ func NewSpaceSaving(k int) *SpaceSaving {
 	if k < 1 {
 		k = 1
 	}
-	return &SpaceSaving{k: k, counters: make(map[uint64]ssCounter, k)}
+	return &SpaceSaving{k: k, counters: make([]Entry, 0, min(k, 64))}
 }
 
 // Len returns the number of retained counters.
 func (s *SpaceSaving) Len() int { return len(s.counters) }
+
+// search returns key's position in the counters, or where it would go: a
+// linear scan, the quickest search over a handful of entries.
+func (s *SpaceSaving) search(key uint64) (int, bool) {
+	for i := range s.counters {
+		if k := s.counters[i].Key; k >= key {
+			return i, k == key
+		}
+	}
+	return len(s.counters), false
+}
 
 // Add ingests weight w of key. Zero weights are ignored.
 func (s *SpaceSaving) Add(key, w uint64) {
 	if w == 0 {
 		return
 	}
-	if c, ok := s.counters[key]; ok {
-		c.count += w
-		s.counters[key] = c
+	i, ok := s.search(key)
+	if ok {
+		s.counters[i].Count += w
 		return
 	}
 	if len(s.counters) < s.k {
-		s.counters[key] = ssCounter{count: w}
+		s.counters = slices.Insert(s.counters, i, Entry{Key: key, Count: w})
 		return
 	}
-	// Evict the minimum counter: smallest count, ties to the smallest key.
-	// Capacities are small (tens), so a linear scan beats heap bookkeeping.
-	var (
-		minKey uint64
-		minC   ssCounter
-		first  = true
-	)
-	for k2, c2 := range s.counters {
-		if first || c2.count < minC.count || (c2.count == minC.count && k2 < minKey) {
-			minKey, minC, first = k2, c2, false
+	// Evict the minimum counter: smallest count, ties to the smallest key —
+	// the first minimum in key order.
+	m := 0
+	for j := 1; j < len(s.counters); j++ {
+		if s.counters[j].Count < s.counters[m].Count {
+			m = j
 		}
 	}
-	delete(s.counters, minKey)
-	s.counters[key] = ssCounter{count: minC.count + w, err: minC.count}
+	floor := s.counters[m].Count
+	s.counters = slices.Delete(s.counters, m, m+1)
+	if m < i {
+		i--
+	}
+	s.counters = slices.Insert(s.counters, i, Entry{Key: key, Count: floor + w, Err: floor})
 }
 
 // Merge folds o into s: counts and errors of shared keys are summed, keys
 // unique to either side are kept, and the union is truncated back to s's
 // capacity in (count desc, err asc, key asc) order. o is only read.
 func (s *SpaceSaving) Merge(o *SpaceSaving) {
-	for k, oc := range o.counters {
-		if c, ok := s.counters[k]; ok {
-			c.count += oc.count
-			c.err += oc.err
-			s.counters[k] = c
-		} else {
-			s.counters[k] = oc
+	union := make([]Entry, 0, len(s.counters)+len(o.counters))
+	a, b := s.counters, o.counters
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0].Key < b[0].Key:
+			union, a = append(union, a[0]), a[1:]
+		case b[0].Key < a[0].Key:
+			union, b = append(union, b[0]), b[1:]
+		default:
+			c := a[0]
+			c.Count += b[0].Count
+			c.Err += b[0].Err
+			union, a, b = append(union, c), a[1:], b[1:]
 		}
 	}
-	if len(s.counters) <= s.k {
-		return
+	union = append(append(union, a...), b...)
+	if len(union) > s.k {
+		slices.SortFunc(union, byRank)
+		union = union[:s.k]
+		slices.SortFunc(union, func(x, y Entry) int { return cmp.Compare(x.Key, y.Key) })
 	}
-	entries := s.Entries()
-	s.counters = make(map[uint64]ssCounter, s.k)
-	for _, e := range entries[:s.k] {
-		s.counters[e.Key] = ssCounter{count: e.Count, err: e.Err}
+	s.counters = union
+}
+
+// byRank orders counters by (count desc, err asc, key asc).
+func byRank(x, y Entry) int {
+	if c := cmp.Compare(y.Count, x.Count); c != 0 {
+		return c
 	}
+	if c := cmp.Compare(x.Err, y.Err); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.Key, y.Key)
 }
 
 // Entries returns every retained counter ranked by (count desc, err asc,
 // key asc).
 func (s *SpaceSaving) Entries() []Entry {
-	out := make([]Entry, 0, len(s.counters))
-	for k, c := range s.counters {
-		out = append(out, Entry{Key: k, Count: c.count, Err: c.err})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		if out[i].Err != out[j].Err {
-			return out[i].Err < out[j].Err
-		}
-		return out[i].Key < out[j].Key
-	})
+	out := slices.Clone(s.counters)
+	slices.SortFunc(out, byRank)
 	return out
 }
 
@@ -124,10 +143,9 @@ func (s *SpaceSaving) Top(n int) []Entry {
 func (s *SpaceSaving) AppendHash(d *digest) {
 	d.u64(uint64(s.k))
 	d.u64(uint64(len(s.counters)))
-	for _, k := range sortedKeys(s.counters) {
-		c := s.counters[k]
-		d.u64(k)
-		d.u64(c.count)
-		d.u64(c.err)
+	for _, c := range s.counters {
+		d.u64(c.Key)
+		d.u64(c.Count)
+		d.u64(c.Err)
 	}
 }

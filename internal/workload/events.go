@@ -6,6 +6,7 @@ import (
 
 	"ebslab/internal/cluster"
 	"ebslab/internal/trace"
+	"ebslab/internal/xrand"
 )
 
 // Event is one block IO issued by a virtual disk.
@@ -77,9 +78,8 @@ func (f *Fleet) genEvents(vd cluster.VDID, durSec, sampleEvery int, appLevel boo
 	if series == nil {
 		series = f.VDSeries(vd, durSec)
 	}
-	h := acquireRand(f.Cfg.Seed, tagEvents, uint64(vd))
-	defer h.Release()
-	rng := h.Rand
+	rng := acquireRand(f.Cfg.Seed, tagEvents, uint64(vd))
+	defer rng.Release()
 
 	// Weight totals are hoisted out of the per-IO loop; sumWeights accumulates
 	// in pickWeighted's exact order, so every draw is bit-identical.
@@ -194,7 +194,7 @@ func (f *Fleet) genEvents(vd cluster.VDID, durSec, sampleEvery int, appLevel boo
 
 // countFor turns a fractional expected count into an integer count by
 // flooring and adding a Bernoulli remainder, preserving the mean.
-func countFor(rng interface{ Float64() float64 }, lambda float64) int {
+func countFor(rng *xrand.Rand, lambda float64) int {
 	if lambda <= 0 || math.IsNaN(lambda) {
 		return 0
 	}
@@ -207,7 +207,7 @@ func countFor(rng interface{ Float64() float64 }, lambda float64) int {
 
 // drawIOSize draws a 4 KiB-aligned IO size around the mean with a lognormal
 // spread, clamped to [4 KiB, 4 MiB].
-func drawIOSize(rng interface{ NormFloat64() float64 }, mean float64) int32 {
+func drawIOSize(rng *xrand.Rand, mean float64) int32 {
 	s := mean * math.Exp(0.4*rng.NormFloat64())
 	if s < sectorSize {
 		s = sectorSize

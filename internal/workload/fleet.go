@@ -3,10 +3,10 @@ package workload
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 
 	"ebslab/internal/cluster"
+	"ebslab/internal/xrand"
 )
 
 // Fleet is a generated topology plus the per-entity traffic models needed to
@@ -109,7 +109,8 @@ func Generate(cfg Config) (*Fleet, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	rng := newRand(cfg.Seed, tagFleet, 0)
+	rng := acquireOnce(cfg.Seed, tagFleet, 0)
+	defer rng.Release()
 	top := &cluster.Topology{DCs: cfg.DCs, Users: cfg.Users}
 
 	tenantW := zipfWeights(cfg.Users, cfg.TenantZipfS)
@@ -192,8 +193,9 @@ func Generate(cfg Config) (*Fleet, error) {
 		return nil, fmt.Errorf("workload: generated topology invalid: %w", err)
 	}
 
-	seg2bs, storClusters, clusterOf := cluster.PlaceSegmentsClustered(
-		top, cfg.BSPerDC, cfg.BSPerCluster, newRand(cfg.Seed, tagPlacement, 0))
+	place := acquireOnce(cfg.Seed, tagPlacement, 0)
+	seg2bs, storClusters, clusterOf := cluster.PlaceSegmentsClustered(top, cfg.BSPerDC, cfg.BSPerCluster, place.Rand)
+	place.Release()
 	f := &Fleet{
 		Cfg:             cfg,
 		Topology:        top,
@@ -233,7 +235,7 @@ func buildModels(cfg Config, top *cluster.Topology) []VDModel {
 	for vmIdx := range top.VMs {
 		vm := &top.VMs[vmIdx]
 		prof := appProfiles[vm.App]
-		vmRng := newRand(cfg.Seed, tagVDModel, uint64(vmIdx))
+		vmRng := acquireOnce(cfg.Seed, tagVDModel, uint64(vmIdx))
 
 		sigma := cfg.RateLogSigma * prof.sigmaScale
 		// E[lognormal(mu, sigma)] = exp(mu + sigma^2/2); offset mu so the
@@ -309,13 +311,14 @@ func buildModels(cfg Config, top *cluster.Topology) []VDModel {
 			m.SlotPhase = vmRng.Float64()
 			m.SlotDrift = 0.02 * vmRng.Float64()
 		}
+		vmRng.Release()
 	}
 	return models
 }
 
 // jitterBurst perturbs a class burst profile per VD so no two disks burst
 // identically.
-func jitterBurst(rng *rand.Rand, b burstProfile) burstProfile {
+func jitterBurst(rng *xrand.Rand, b burstProfile) burstProfile {
 	j := b
 	j.onProb *= math.Exp(0.5 * rng.NormFloat64())
 	j.meanOnSec *= math.Exp(0.3 * rng.NormFloat64())
@@ -329,7 +332,7 @@ func jitterBurst(rng *rand.Rand, b burstProfile) burstProfile {
 // betaLike draws from Beta(mean*c, (1-mean)*c) where the concentration c
 // shrinks as spread grows: larger spread pushes mass toward 0 and 1, which
 // is how many disks end up strongly read- or write-dominant.
-func betaLike(rng *rand.Rand, mean, spread float64) float64 {
+func betaLike(rng *xrand.Rand, mean, spread float64) float64 {
 	if mean <= 0 {
 		return 0
 	}

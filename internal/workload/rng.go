@@ -2,7 +2,6 @@ package workload
 
 import (
 	"math"
-	"math/rand"
 
 	"ebslab/internal/xrand"
 )
@@ -17,23 +16,28 @@ const (
 	tagPlacement uint64 = 0x91ACE
 )
 
-// newRand builds a *rand.Rand from a derived seed.
-func newRand(master int64, tag, entity uint64) *rand.Rand {
-	return rand.New(rand.NewSource(xrand.SubSeed(master, tag, entity)))
-}
-
-// acquireRand is newRand through the pooled seed-mirroring source: the
-// returned handle's embedded *rand.Rand produces the identical stream, but
-// acquiring it costs ~100ns and zero allocations instead of a full
-// lagged-Fibonacci reseed. Release the handle when the stream is done.
+// acquireRand returns the derived stream (master, tag, entity) through the
+// pooled seed-mirroring source: the stream of
+// rand.New(rand.NewSource(xrand.SubSeed(master, tag, entity))), drawn
+// without interface dispatch and, once its seed is memoized, acquired in
+// ~100ns with zero allocations instead of a full lagged-Fibonacci reseed.
+// Every stream in the package is one of these; Release it when the stream is
+// done.
 func acquireRand(master int64, tag, entity uint64) *xrand.Rand {
 	return xrand.Get(xrand.SubSeed(master, tag, entity))
+}
+
+// acquireOnce is acquireRand for the streams a fleet draws once, at
+// generation (topology, placement, one per VM): the same stream, its seed
+// not memoized.
+func acquireOnce(master int64, tag, entity uint64) *xrand.Rand {
+	return xrand.GetUncached(xrand.SubSeed(master, tag, entity))
 }
 
 // permInto writes rand.Perm(n) into buf (grown if needed), replicating the
 // stdlib draw-for-draw — including the redundant i=0 Intn(1) call — so the
 // RNG stream position after the call is identical.
-func permInto(rng *rand.Rand, n int, buf []int) []int {
+func permInto(rng *xrand.Rand, n int, buf []int) []int {
 	if cap(buf) < n {
 		buf = make([]int, n)
 	}
@@ -47,7 +51,7 @@ func permInto(rng *rand.Rand, n int, buf []int) []int {
 }
 
 // lognormal draws exp(N(mu, sigma^2)).
-func lognormal(rng *rand.Rand, mu, sigma float64) float64 {
+func lognormal(rng *xrand.Rand, mu, sigma float64) float64 {
 	return math.Exp(mu + sigma*rng.NormFloat64())
 }
 
@@ -70,7 +74,7 @@ func zipfWeights(n int, s float64) []float64 {
 // by shape: small shape (<1) concentrates mass on few entries; large shape
 // approaches uniform. It uses normalized Gamma(shape) variates drawn by the
 // Marsaglia-Tsang method.
-func dirichletLike(rng *rand.Rand, n int, shape float64) []float64 {
+func dirichletLike(rng *xrand.Rand, n int, shape float64) []float64 {
 	w := make([]float64, n)
 	var total float64
 	for i := range w {
@@ -90,7 +94,7 @@ func dirichletLike(rng *rand.Rand, n int, shape float64) []float64 {
 
 // gammaDraw samples Gamma(shape, 1) using Marsaglia & Tsang (2000); for
 // shape < 1 it uses the boosting transform.
-func gammaDraw(rng *rand.Rand, shape float64) float64 {
+func gammaDraw(rng *xrand.Rand, shape float64) float64 {
 	if shape <= 0 {
 		panic("workload: gammaDraw needs positive shape")
 	}
@@ -127,7 +131,7 @@ func gammaDraw(rng *rand.Rand, shape float64) float64 {
 // pickWeighted returns an index into weights drawn proportionally to the
 // weights (which need not be normalized but must be non-negative with a
 // positive sum).
-func pickWeighted(rng *rand.Rand, weights []float64) int {
+func pickWeighted(rng *xrand.Rand, weights []float64) int {
 	return pickWeightedTotal(rng, weights, sumWeights(weights))
 }
 
@@ -143,7 +147,7 @@ func sumWeights(weights []float64) float64 {
 
 // pickWeightedTotal is pickWeighted with the weight total precomputed (it
 // must equal sumWeights(weights) bit for bit).
-func pickWeightedTotal(rng *rand.Rand, weights []float64, total float64) int {
+func pickWeightedTotal(rng *xrand.Rand, weights []float64, total float64) int {
 	x := rng.Float64() * total
 	for i, w := range weights {
 		x -= w
@@ -155,7 +159,7 @@ func pickWeightedTotal(rng *rand.Rand, weights []float64, total float64) int {
 }
 
 // geometricAtLeast1 draws a geometric count >= 1 with the given mean (>= 1).
-func geometricAtLeast1(rng *rand.Rand, mean float64) int {
+func geometricAtLeast1(rng *xrand.Rand, mean float64) int {
 	if mean <= 1 {
 		return 1
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"ebslab/internal/cluster"
+	"ebslab/internal/xrand"
 )
 
 // Sample is one interval of traffic for some entity, expressed as rates.
@@ -34,10 +35,7 @@ type burstState struct {
 const maxBurstMult = 2e4
 
 // step advances one second and returns the rate multiplier.
-func (b *burstState) step(rng interface {
-	Float64() float64
-	NormFloat64() float64
-}) float64 {
+func (b *burstState) step(rng *xrand.Rand) float64 {
 	if b.onRemaining == 0 && rng.Float64() < b.prof.onProb {
 		mean := b.prof.meanOnSec
 		n := 1
@@ -80,9 +78,8 @@ func (f *Fleet) VDSeries(vd cluster.VDID, durSec int) []Sample {
 // short), so per-VD loops can reuse one buffer across the whole fleet.
 func (f *Fleet) VDSeriesInto(buf []Sample, vd cluster.VDID, durSec int) []Sample {
 	m := &f.Models[vd]
-	h := acquireRand(f.Cfg.Seed, tagVDSeries, uint64(vd))
-	defer h.Release()
-	rng := h.Rand
+	rng := acquireRand(f.Cfg.Seed, tagVDSeries, uint64(vd))
+	defer rng.Release()
 	rb := burstState{prof: m.ReadBurst}
 	wb := burstState{prof: m.WriteBurst}
 	if cap(buf) < durSec {

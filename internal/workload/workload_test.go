@@ -2,7 +2,6 @@ package workload
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -227,7 +226,7 @@ func TestGenEventsSamplingReducesCount(t *testing.T) {
 }
 
 func TestDistributionHelpers(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
+	rng := xrand.Get(3)
 	// zipfWeights: normalized and decreasing.
 	w := zipfWeights(10, 1.5)
 	if math.Abs(stats.Sum(w)-1) > 1e-12 {
@@ -255,7 +254,7 @@ func TestDistributionHelpers(t *testing.T) {
 }
 
 func TestGammaDrawProperties(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
+	rng := xrand.Get(11)
 	for _, shape := range []float64{0.1, 0.5, 1, 2, 10} {
 		var sum float64
 		const n = 5000
@@ -279,7 +278,7 @@ func TestGammaDrawPanicsOnBadShape(t *testing.T) {
 			t.Fatal("gammaDraw(0) should panic")
 		}
 	}()
-	gammaDraw(rand.New(rand.NewSource(1)), 0)
+	gammaDraw(xrand.Get(1), 0)
 }
 
 func TestSubSeedIndependence(t *testing.T) {
@@ -298,7 +297,7 @@ func TestSubSeedIndependence(t *testing.T) {
 }
 
 func TestBetaLikeRange(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
+	rng := xrand.Get(5)
 	for i := 0; i < 2000; i++ {
 		v := betaLike(rng, 0.3, 0.35)
 		if v < 0 || v > 1 {
@@ -320,7 +319,7 @@ func TestBetaLikeRange(t *testing.T) {
 }
 
 func TestGeometricAtLeast1(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
+	rng := xrand.Get(9)
 	if geometricAtLeast1(rng, 0.5) != 1 {
 		t.Fatal("mean <= 1 should return 1")
 	}

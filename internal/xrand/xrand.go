@@ -18,6 +18,12 @@
 // seeds. If the running stdlib ever changes its generator, the self-check
 // fails and every Get transparently falls back to plain math/rand — slower,
 // never wrong.
+//
+// The three draws the simulation's hot loops make — Float64, NormFloat64 and
+// Intn — are mirrored too (draw.go): *Rand's own methods shadow the embedded
+// *rand.Rand's and run on the concrete source, so a draw costs no interface
+// call through rand.Source. The same init self-check proves them against
+// math/rand; on the fallback path they delegate to the embedded generator.
 package xrand
 
 import (
@@ -75,11 +81,12 @@ func (s *source) Uint64() uint64 {
 
 // Seed implements rand.Source, matching rngSource.Seed bit for bit (it is
 // only ever called through the pooled Rand's embedded methods, if at all).
-func (s *source) Seed(seed int64) { s.reseed(seed) }
+func (s *source) Seed(seed int64) { s.reseed(seed, true) }
 
 // reseed positions the mirror at the exact post-Seed state of rngSource,
-// restoring a memoized vector when one exists.
-func (s *source) reseed(seed int64) {
+// restoring a memoized vector when one exists and, with keep, memoizing the
+// one it computes.
+func (s *source) reseed(seed int64, keep bool) {
 	s.tap = 0
 	s.feed = rngLen - rngTap
 	if v := cacheGet(seed); v != nil {
@@ -87,7 +94,9 @@ func (s *source) reseed(seed int64) {
 		return
 	}
 	computeVec(seed, &s.vec)
-	cachePut(seed, &s.vec)
+	if keep {
+		cachePut(seed, &s.vec)
+	}
 }
 
 // seedrand is rngSource's Lehmer scrambler: x' = 48271*x mod (2^31-1).
@@ -189,20 +198,27 @@ func recoverCooked() bool {
 	return true
 }
 
+// selfCheckSeeds are the seeds selfCheck proves the mirror on.
+var selfCheckSeeds = [...]int64{1, 0, -1, 12345, 1<<62 + 7, -987654321}
+
 // selfCheck verifies the mirror against math/rand over several seeds and
-// enough draws to cross the state-vector wraparound.
+// enough draws to cross the state-vector wraparound: the raw Uint64 stream,
+// then the mirrored draw methods interleaved on one stream.
 func selfCheck() bool {
-	for _, seed := range []int64{1, 0, -1, 12345, 1<<62 + 7, -987654321} {
+	for _, seed := range selfCheckSeeds {
 		real64, ok := rand.NewSource(seed).(rand.Source64)
 		if !ok {
 			return false
 		}
 		var m source
-		m.reseed(seed)
+		m.reseed(seed, true)
 		for i := 0; i < 2*rngLen; i++ {
 			if m.Uint64() != real64.Uint64() {
 				return false
 			}
+		}
+		if !drawsMatch(seed) {
+			return false
 		}
 	}
 	return true
@@ -248,21 +264,31 @@ type Rand struct {
 	src *source // nil on the fallback path
 }
 
-var pool = sync.Pool{
-	New: func() any {
-		s := &source{}
-		return &Rand{Rand: rand.New(s), src: s}
-	},
+var pool = sync.Pool{New: func() any { return newMirrored() }}
+
+// newMirrored returns an unseeded generator on a fresh mirrored source.
+func newMirrored() *Rand {
+	s := &source{}
+	return &Rand{Rand: rand.New(s), src: s}
 }
 
 // Get returns a generator seeded with seed, bit-identical to
-// rand.New(rand.NewSource(seed)). Call Release when the stream is done.
-func Get(seed int64) *Rand {
+// rand.New(rand.NewSource(seed)), and memoizes the seed's state. Call
+// Release when the stream is done.
+func Get(seed int64) *Rand { return get(seed, true) }
+
+// GetUncached is Get for a stream drawn once per use of what it builds —
+// fleet generation's per-VM streams: a computed state is not memoized, so
+// one-shot seeds do not each pin a 4.7 KiB vector for the life of the
+// process.
+func GetUncached(seed int64) *Rand { return get(seed, false) }
+
+func get(seed int64, keep bool) *Rand {
 	if !mirrorOK {
 		return &Rand{Rand: rand.New(rand.NewSource(seed))}
 	}
 	r := pool.Get().(*Rand)
-	r.src.reseed(seed)
+	r.src.reseed(seed, keep)
 	return r
 }
 
