@@ -34,19 +34,7 @@ func TestBenchFingerprintsHold(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cfg := workload.DefaultConfig()
-	cfg.Seed = 7
-	cfg.DCs = 1
-	cfg.NodesPerDC = 16
-	cfg.BSPerDC = 12
-	cfg.BSPerCluster = 6
-	cfg.Users = 16
-	cfg.DurationSec = 60
-	fleet, err := workload.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim := ebs.New(fleet)
+	sim := benchStudySim(t)
 	pol, err := control.ByName("reactive")
 	if err != nil {
 		t.Fatal(err)
@@ -84,9 +72,7 @@ func TestBenchFingerprintsHold(t *testing.T) {
 			if want == "" {
 				t.Fatalf("%s: no pin for seed %d in bench/testdata/fingerprints.json", name, seed)
 			}
-			got, err := studies[name](ebs.Options{
-				Seed: seed, DurationSec: 60, TraceSampleEvery: 1, EventSampleEvery: 8, MaxVDs: 120, Workers: 2,
-			})
+			got, err := studies[name](benchStudyOptions(seed))
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", name, seed, err)
 			}
@@ -95,4 +81,29 @@ func TestBenchFingerprintsHold(t *testing.T) {
 			}
 		}
 	}
+}
+
+// benchStudySim is the bench study's fleet and simulator (bench/workloads.go:
+// fleet seed 7, one DC of 16 nodes, 60 s).
+func benchStudySim(t *testing.T) *ebs.Sim {
+	t.Helper()
+	cfg := workload.DefaultConfig()
+	cfg.Seed = 7
+	cfg.DCs = 1
+	cfg.NodesPerDC = 16
+	cfg.BSPerDC = 12
+	cfg.BSPerCluster = 6
+	cfg.Users = 16
+	cfg.DurationSec = 60
+	fleet, err := workload.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ebs.New(fleet)
+}
+
+// benchStudyOptions is the bench study's engine options at bench -seed seed:
+// the first 120 disks, one IO in 8 generated, every IO traced.
+func benchStudyOptions(seed int64) ebs.Options {
+	return ebs.Options{Seed: seed, DurationSec: 60, TraceSampleEvery: 1, EventSampleEvery: 8, MaxVDs: 120, Workers: 2}
 }

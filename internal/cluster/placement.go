@@ -66,13 +66,6 @@ func (m *SegmentMap) SegmentsOn(bs StorageNodeID) []SegmentID {
 	return out
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // StorageCluster identifies one balancing domain: a contiguous group of
 // BlockServers within a DC. A VD's segments live entirely inside one
 // storage cluster (its serving cluster), which is the unit the inter-BS

@@ -492,6 +492,21 @@ func (o *offered) generate(emit func(workload.Event)) {
 	}
 }
 
+// meanIOs is the expected length of generate's stream: every generator draws
+// second t's read and write counts as the floor of boost(t)·IOPS/sampleEvery
+// plus a Bernoulli remainder, whose mean is the rate itself.
+func (o *offered) meanIOs() float64 {
+	var sum float64
+	for t, smp := range o.series {
+		b := 1.0
+		if o.boost != nil {
+			b = o.boost(t)
+		}
+		sum += b * (smp.ReadIOPS + smp.WriteIOPS)
+	}
+	return sum / float64(o.sampleEvery)
+}
+
 // simulateVD replays one virtual disk's window into the shard's batch
 // pipeline: throttle replay for queue delay, event generation over the
 // shared traffic series, per-stage latency sampling from the disk-derived

@@ -3,13 +3,17 @@ package ebs
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 
 	"ebslab/internal/chaos"
+	"ebslab/internal/cluster"
 	"ebslab/internal/diting"
 	"ebslab/internal/invariant"
+	"ebslab/internal/scenario"
 	"ebslab/internal/sketch"
 	"ebslab/internal/trace"
+	"ebslab/internal/workload"
 )
 
 // ShardPartial is the result of simulating one VD-disjoint shard [Lo, Hi) of
@@ -102,6 +106,45 @@ func (s *Sim) runVDs(opts Options) int {
 		nVDs = opts.MaxVDs
 	}
 	return nVDs
+}
+
+// DiskCosts is the run's dry-run cost, one entry per disk of the run opts
+// describes: the IO count the disk is predicted to emit — over the series,
+// storm boost and scenario simulateVD would take from offeredBy, the
+// generator's expected count Σ_t boost(t)·(ReadIOPS+WriteIOPS) divided by the
+// event thinning, rounded — or, for a record-sourced replay, its in-window
+// records. Only the demand series is drawn: no events, throttle, latency or
+// tracer. The counts are integers from a fixed-order sum, so every process
+// that costs the same spec gets the same slice (the fabric's shard plan
+// depends on that). The options are validated as a run would validate them;
+// nothing is written to their destinations.
+func (s *Sim) DiskCosts(opts Options) ([]uint64, error) {
+	r, err := s.begin(opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.checkScenarioOptions(&r.opts); err != nil {
+		return nil, err
+	}
+	costs := make([]uint64, r.nVDs)
+	if rs, ok := r.opts.Scenario.(scenario.RecordSource); ok && rs.SourcesRecords() {
+		limitUS := int64(r.opts.DurationSec) * 1_000_000
+		for vd := range costs {
+			for _, rec := range rs.Records(cluster.VDID(vd)) {
+				if rec.TimeUS < limitUS {
+					costs[vd]++
+				}
+			}
+		}
+		return costs, nil
+	}
+	var series []workload.Sample
+	for vd := range costs {
+		off := s.offeredBy(series, vd, &r.opts, r.sched)
+		series = off.series
+		costs[vd] = uint64(math.Round(off.meanIOs()))
+	}
+	return costs, nil
 }
 
 // assembleDataset builds the run's dataset from the fully merged tracer's

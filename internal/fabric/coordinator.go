@@ -39,14 +39,17 @@ type Config struct {
 	// ebs.Sim.Run would. Progress and Latency do not cross the wire.
 	Opts ebs.Options
 	// Scenario optionally names a scenario spec ("bufferbloat,period=16")
-	// every worker binds to its regenerated fleet. The coordinator never
-	// binds it — merging needs only the shard partials — so Opts.Scenario
-	// must stay nil (it cannot be bound to the coordinator's internal fleet
-	// from outside); NewCoordinator rejects it, and a replay scenario, whose
-	// trace file workers cannot read.
+	// every worker binds to its regenerated fleet. The coordinator binds it
+	// too, to its own fleet, but only to cost the disks for the shard plan —
+	// merging needs only the shard partials. Opts.Scenario must stay nil (it
+	// cannot be bound to the coordinator's internal fleet from outside);
+	// NewCoordinator rejects it, and a replay scenario, whose trace file
+	// workers cannot read.
 	Scenario string
-	// Shards is how many shards to plan (0 = 4; more shards than workers
-	// keeps the fleet busy when shard runtimes are uneven).
+	// Shards is how many shards to plan (0 = 4). The plan cuts the disks into
+	// contiguous ranges of balanced predicted IOs, not disk counts, and numbers
+	// them heaviest first, so a skewed fleet's hot disk starts first and more
+	// shards than workers let the light ones fill in around it.
 	Shards int
 
 	// ReplicaID is this coordinator's identity in the replica set, in
@@ -139,7 +142,6 @@ func (c Config) withDefaults() Config {
 type Coordinator struct {
 	cfg    Config
 	sim    *ebs.Sim
-	fleet  *workload.Fleet
 	plan   []cluster.ShardRange
 	fsm    *ledgerFSM
 	runner *consensus.Runner
@@ -149,8 +151,8 @@ type Coordinator struct {
 	mergeErr  error
 }
 
-// NewCoordinator generates the fleet, plans the shards, and returns a
-// coordinator ready to be served.
+// NewCoordinator opens the spec, plans the shards from its per-disk costs, and
+// returns a coordinator ready to be served.
 func NewCoordinator(cfg Config) (*Coordinator, error) {
 	co, err := newCoordinator(cfg)
 	if err != nil {
@@ -164,15 +166,11 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 // a replica set can build every replica before any of them sends.
 func newCoordinator(cfg Config) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
-	// Fail at construction, not on every worker: the spec must validate (the
-	// scenario string must parse; the binding itself happens worker-side) and
-	// be something shards on other processes can run.
+	// Fail at construction, not on every worker: the spec must be something
+	// shards on other processes can run, and it must open (Open validates it
+	// before it generates the fleet).
 	spec := cfg.runSpec()
-	err := spec.Validate()
-	if err == nil {
-		err = spec.Distributable()
-	}
-	if err != nil {
+	if err := spec.Distributable(); err != nil {
 		return nil, fmt.Errorf("fabric: %w", err)
 	}
 	if cfg.ReplicaID < 0 || cfg.ReplicaID >= cfg.Replicas {
@@ -181,24 +179,25 @@ func newCoordinator(cfg Config) (*Coordinator, error) {
 	if cfg.Replicas > 1 && cfg.Transport == nil {
 		return nil, fmt.Errorf("fabric: %d replicas need a consensus transport", cfg.Replicas)
 	}
-	fleet, err := workload.Generate(cfg.Fleet)
+	// The scenario is bound here only so the disks are costed on the traffic
+	// the workers will simulate; the merge runs under cfg.Opts.
+	sim, opts, err := spec.Open()
 	if err != nil {
-		return nil, fmt.Errorf("fabric: generate fleet: %w", err)
+		return nil, fmt.Errorf("fabric: %w", err)
 	}
-	nVDs := len(fleet.Topology.VDs)
-	if cfg.Opts.MaxVDs > 0 && cfg.Opts.MaxVDs < nVDs {
-		nVDs = cfg.Opts.MaxVDs
+	costs, err := sim.DiskCosts(opts)
+	if err != nil {
+		return nil, fmt.Errorf("fabric: cost the shard plan: %w", err)
 	}
-	plan := cluster.PlanShards(nVDs, cfg.Shards)
+	plan := cluster.PlanShardsByCost(costs, cfg.Shards)
 	if len(plan) == 0 {
-		return nil, fmt.Errorf("fabric: nothing to plan (%d VDs)", nVDs)
+		return nil, fmt.Errorf("fabric: nothing to plan (%d VDs)", len(costs))
 	}
 	co := &Coordinator{
-		cfg:   cfg,
-		sim:   ebs.New(fleet),
-		fleet: fleet,
-		plan:  plan,
-		fsm:   newLedgerFSM(cfg, plan),
+		cfg:  cfg,
+		sim:  sim,
+		plan: plan,
+		fsm:  newLedgerFSM(cfg, plan),
 	}
 	tick := cfg.tickEvery
 	if cfg.Replicas == 1 {
@@ -229,7 +228,9 @@ func (co *Coordinator) applied(cmd []byte, reply any, leader bool) {
 	co.cfg.onApplied(cmd[0], reply, leader)
 }
 
-// Plan exposes the shard plan (for reporting).
+// Plan exposes the shard plan, indexed by shard ID: cluster.PlanShardsByCost
+// over the run's ebs.Sim.DiskCosts, so the heaviest shard has ID 0 and is
+// dispatched first. Every replica of a set derives the same plan.
 func (co *Coordinator) Plan() []cluster.ShardRange { return co.plan }
 
 // Stop shuts the replica down: the consensus runner stops, parked proposals

@@ -6,10 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"ebslab/internal/cluster"
-	"ebslab/internal/ebs"
 	"ebslab/internal/testclock"
-	"ebslab/internal/workload"
 )
 
 // TestLedgerCommandCodecRoundTrip pins the replicated command frame.
@@ -59,15 +56,14 @@ func TestLedgerFSMDeterministicReplay(t *testing.T) {
 		Fleet: testFleetConfig(), Opts: testOpts(nil), Shards: 3,
 		livenessTimeout: time.Second,
 	}.withDefaults()
-	fleet, err := workload.Generate(cfg.Fleet)
+	co, err := newCoordinator(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := cluster.PlanShards(planVDs(fleet, cfg.Opts), cfg.Shards)
+	plan, sim := co.Plan(), co.sim
 	if len(plan) != 3 {
 		t.Fatalf("planned %d shards, want 3", len(plan))
 	}
-	sim := ebs.New(fleet)
 	partialFrame := func(worker uint64, shard int) []byte {
 		p, err := sim.RunShard(context.Background(), testOpts(nil), plan[shard].Lo, plan[shard].Hi)
 		if err != nil {
@@ -126,6 +122,34 @@ func TestLedgerFSMDeterministicReplay(t *testing.T) {
 	}
 }
 
+// TestFirstAssignIsHeaviestShard: on a fleet where one disk carries at least
+// 40 % of the predicted IOs, the first AssignShard hands out the range holding
+// it, so the longest shard starts while the rest of the plan is still queued.
+func TestFirstAssignIsHeaviestShard(t *testing.T) {
+	co, lb := startFabric(t, Config{
+		Fleet: testFleetConfig(), Opts: testOpts(nil), Shards: 5,
+		livenessTimeout: time.Hour, speculateAfter: time.Hour,
+	})
+	costs, err := co.sim.DiskCosts(testOpts(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hot, total := 0, uint64(0)
+	for vd, c := range costs {
+		total += c
+		if c > costs[hot] {
+			hot = vd
+		}
+	}
+	if 10*costs[hot] < 4*total {
+		t.Fatalf("heaviest disk VD %d carries %d of %d predicted IOs, want >= 40 %% for the test to mean anything", hot, costs[hot], total)
+	}
+	a := newFakeWorker(t, lb).assign()
+	if a.Status != AssignShard || a.Lo > hot || hot >= a.Hi {
+		t.Fatalf("first assign = %+v, want the shard holding VD %d (plan %v)", a, hot, co.Plan())
+	}
+}
+
 // describeReply normalizes an Apply reply for cross-replica comparison:
 // errors compare by message, everything else by value.
 func describeReply(r any) any {
@@ -133,16 +157,6 @@ func describeReply(r any) any {
 		return "error: " + err.Error()
 	}
 	return r
-}
-
-// planVDs mirrors NewCoordinator's shard-plan sizing: the fleet's VD count
-// clamped by Options.MaxVDs.
-func planVDs(fleet *workload.Fleet, opts ebs.Options) int {
-	n := len(fleet.Topology.VDs)
-	if opts.MaxVDs > 0 && opts.MaxVDs < n {
-		n = opts.MaxVDs
-	}
-	return n
 }
 
 // TestLedgerFSMRetransmitAcknowledgedOnce covers the lost-reply window: a
@@ -155,11 +169,11 @@ func TestLedgerFSMRetransmitAcknowledgedOnce(t *testing.T) {
 		Fleet: testFleetConfig(), Opts: testOpts(nil), Shards: 2,
 		livenessTimeout: time.Hour,
 	}.withDefaults()
-	fleet, err := workload.Generate(cfg.Fleet)
+	co, err := newCoordinator(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := cluster.PlanShards(planVDs(fleet, cfg.Opts), cfg.Shards)
+	plan := co.Plan()
 	f := newLedgerFSM(cfg, plan)
 	at := time.Unix(50, 0).UnixNano()
 
@@ -178,7 +192,7 @@ func TestLedgerFSMRetransmitAcknowledgedOnce(t *testing.T) {
 		t.Fatalf("re-offered shard dispatched %d times, want 1", d)
 	}
 
-	p, err := ebs.New(fleet).RunShard(context.Background(), testOpts(nil), plan[first.Shard].Lo, plan[first.Shard].Hi)
+	p, err := co.sim.RunShard(context.Background(), testOpts(nil), plan[first.Shard].Lo, plan[first.Shard].Hi)
 	if err != nil {
 		t.Fatal(err)
 	}

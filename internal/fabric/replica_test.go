@@ -98,6 +98,26 @@ func TestReplicaSetMatchesSingleProcess(t *testing.T) {
 	}
 }
 
+// TestReplicasDeriveOnePlan: every replica of a set costs and plans the study
+// on its own, and the replicated ledger indexes shards by ID, so the plans
+// must be identical.
+func TestReplicasDeriveOnePlan(t *testing.T) {
+	rs, err := NewReplicaSet(replicaConfig(nil, 0), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rs.Close)
+	want := rs.Coordinator(0).Plan()
+	if len(want) != 5 {
+		t.Fatalf("replica 0 planned %v, want 5 shards", want)
+	}
+	for id := 1; id < 3; id++ {
+		if got := rs.Coordinator(id).Plan(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("replica %d planned %v, replica 0 %v", id, got, want)
+		}
+	}
+}
+
 type leaderKillGolden struct {
 	// ScheduleFP pins the expanded chaos schedule (kill positions included).
 	ScheduleFP string

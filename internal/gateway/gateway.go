@@ -480,8 +480,13 @@ func (gw *Gateway) runFabric(j *job) error {
 		return err
 	}
 	defer rs.Close()
+	// The plan is ordered by cost, not by disk, so its coverage is the sum.
 	plan := rs.Coordinator(0).Plan()
-	j.vdsTotal.Store(int64(plan[len(plan)-1].Hi))
+	var vds int
+	for _, r := range plan {
+		vds += r.Len()
+	}
+	j.vdsTotal.Store(int64(vds))
 	nShards := len(plan)
 	rs.OnAccepted = func(n int) {
 		if gw.cfg.OnProgress != nil {
