@@ -4,13 +4,14 @@
 # small fleets, so the race run stays fast — and it includes the netblock
 # client-vs-server stress test with wire faults enabled), the golden-fixture
 # drift check, a short randomized run of every fuzz target, coverage over the
-# fault-injection packages, and a seeded chaos smoke run with the invariant
-# checker.
+# fault-injection packages, a seeded chaos smoke run with the invariant
+# checker, and the allocation budgets (run without the race detector, under
+# which they skip). Timing lives in one place, the bench/ module.
 
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: all build test race vet callers loc knobs bench bench-gate golden golden-diff fuzz-smoke cover chaos-smoke sketch-accuracy-smoke dist-smoke dist-ha-smoke consensus-race gateway-smoke control-smoke scenario-smoke bench-module ci
+.PHONY: all build test race vet callers loc knobs bench-gate golden golden-diff fuzz-smoke cover chaos-smoke sketch-accuracy-smoke dist-smoke dist-ha-smoke consensus-race gateway-smoke control-smoke scenario-smoke bench-module ci
 
 all: build
 
@@ -62,29 +63,16 @@ knobs:
 race:
 	$(GO) test -race -short ./...
 
-# Engine scaling benchmark (the same simulation at 1, 2, and 4 workers),
-# the streaming sketch ingest benchmark, whose flat B/op across an 8x
-# record growth is the O(1)-memory evidence, and the fabric dispatch
-# benchmark (coordinator + two loopback workers through the full
-# join/dispatch/upload/merge cycle). The JSON stream is captured to
-# BENCH_baseline.json for cross-run comparison (benchstat-compatible via
-# `go tool test2json` consumers).
-bench:
-	$(GO) test -run xxx -bench 'BenchmarkSimWorkers|BenchmarkSketchIngest|BenchmarkReplayIngest|BenchmarkFabricDispatch|BenchmarkControlOverhead' -cpu 1 -benchmem -json . | tee BENCH_baseline.json
-
-# Allocation regression gate: reruns the gated benchmarks and fails when any
-# grows allocs/op by more than 10% against BENCH_baseline.json. It gates what
-# is deterministic: ios-per-sec is printed, not compared — ±10% on it is
-# inside this host's A/A spread (bench/README.md), and timing claims live in
-# bench/ (`bash bench/run.sh`). After an intentional change, promote the fresh
-# numbers with `make bench-gate UPDATE_BASELINE=1` and commit the updated
-# baseline. Both sides run at `-cpu 1`: the gate joins
-# on benchmark names, and Go suffixes them with GOMAXPROCS when it is not
-# 1, so a baseline recorded on one CPU count matched nothing on another.
+# Allocation gate: the tests that hold each hot path's allocations flat in
+# the disks, records or IOs it handles, under an absolute ceiling — a warm
+# engine run at 1/2/4 workers, RunControlled under noop and reactive, the
+# observe pass, sketch ingest, replay ingest and a loopback fabric study.
+# Allocation counts are deterministic, so no baseline file is needed: each
+# budget and the count it was sized from sit in the test's comment. The tests
+# skip under the race detector (sync.Pool drops items at random there), so
+# `make race` cannot stand in for this target.
 bench-gate:
-	$(GO) test -run xxx -bench 'BenchmarkSimWorkers|BenchmarkSketchIngest|BenchmarkReplayIngest|BenchmarkFabricDispatch|BenchmarkControlOverhead' -cpu 1 -benchmem -json . > BENCH_current.json
-	$(GO) run ./cmd/benchgate -baseline BENCH_baseline.json -current BENCH_current.json $(if $(UPDATE_BASELINE),-update-baseline)
-	@rm -f BENCH_current.json
+	$(GO) test -count=1 -run 'SteadyStateAllocs|TestObserveBatchMemoryIsFleetBounded|TestFabricStudyAllocs' ./...
 
 # golden-diff fails when any figure/ablation statistic or the engine
 # fingerprint drifts from the fixtures in internal/core/testdata/golden.

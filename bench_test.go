@@ -7,23 +7,11 @@
 package ebslab
 
 import (
-	"bytes"
-	"context"
-	"fmt"
 	"sync"
 	"testing"
 
-	"ebslab/internal/cluster"
-	"ebslab/internal/control"
 	"ebslab/internal/core"
-	"ebslab/internal/ebs"
-	"ebslab/internal/fabric"
 	"ebslab/internal/hypervisor"
-	"ebslab/internal/netblock"
-	"ebslab/internal/scenario"
-	"ebslab/internal/sketch"
-	"ebslab/internal/stats"
-	"ebslab/internal/trace"
 	"ebslab/internal/workload"
 )
 
@@ -436,277 +424,4 @@ func BenchmarkAblationFailover(b *testing.B) {
 	}
 	b.ReportMetric(r.Greedy.MaxOverload, "greedy-overload")
 	b.ReportMetric(r.Random.MaxOverload, "random-overload")
-}
-
-// BenchmarkEndToEnd measures the full stack simulation throughput
-// (simulated IOs per wall second).
-func BenchmarkEndToEnd(b *testing.B) {
-	s := study(b)
-	sim := ebs.New(s.Fleet)
-	var total int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ds, err := sim.Run(context.Background(), ebs.Options{DurationSec: 10, TraceSampleEvery: 1, EventSampleEvery: 16, MaxVDs: 40})
-		if err != nil {
-			b.Fatal(err)
-		}
-		total += len(ds.Trace)
-	}
-	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "ios-per-sec")
-}
-
-// BenchmarkSimWorkers measures the sharded engine's scaling: the same
-// simulation at 1, 2, and 4 workers. Output is identical across
-// sub-benchmarks; only the wall-clock time should drop with parallelism
-// (expect roughly linear gains on idle multicore hardware).
-func BenchmarkSimWorkers(b *testing.B) {
-	s := study(b)
-	sim := ebs.New(s.Fleet)
-	for _, workers := range []int{1, 2, 4} {
-		workers := workers
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			var total int
-			for i := 0; i < b.N; i++ {
-				ds, err := sim.Run(context.Background(), ebs.Options{
-					DurationSec: 10, TraceSampleEvery: 1, EventSampleEvery: 16,
-					MaxVDs: 40, Workers: workers,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				total = len(ds.Trace)
-			}
-			b.ReportMetric(float64(total)/b.Elapsed().Seconds()*float64(b.N), "ios-per-sec")
-		})
-	}
-}
-
-// synthSketchRecords builds a deterministic synthetic record stream for the
-// sketch ingest benchmark: 32 disks with a heavy-tailed size mix spread over
-// a 64-second window.
-func synthSketchRecords(n int) []trace.Record {
-	recs := make([]trace.Record, n)
-	x := uint64(0x9e3779b97f4a7c15)
-	for i := range recs {
-		x += 0x9e3779b97f4a7c15
-		z := x
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		z ^= z >> 31
-		vd := z % 32
-		recs[i] = trace.Record{
-			VD:      cluster.VDID(vd),
-			Op:      trace.Op(z >> 8 & 1),
-			Size:    int32(4096 << (z >> 16 % 5)),
-			Offset:  int64(z>>24%4096) * 4096,
-			Segment: cluster.SegmentID(vd*8 + z>>40%8),
-			TimeUS:  int64(z>>48%64) * 1_000_000,
-		}
-		recs[i].Latency[trace.StageComputeNode] = float32(50 + z%400)
-	}
-	return recs
-}
-
-// BenchmarkSketchIngest measures the streaming path in isolation: one
-// sketch.Set ingesting a synthetic record stream. With -benchmem, the B/op
-// column is the whole per-iteration footprint (the set is rebuilt each
-// iteration), so it must stay flat as records grow 8x — sketch state is
-// fleet-bounded, not trace-bounded.
-func BenchmarkSketchIngest(b *testing.B) {
-	for _, n := range []int{8192, 65536} {
-		n := n
-		b.Run(fmt.Sprintf("records=%d", n), func(b *testing.B) {
-			recs := synthSketchRecords(n)
-			b.ReportAllocs()
-			b.ResetTimer()
-			var ios uint64
-			for i := 0; i < b.N; i++ {
-				set := sketch.NewSet(sketch.Config{DurationSec: 64})
-				for j := range recs {
-					set.Observe(&recs[j])
-				}
-				ios = set.Totals().IOs
-			}
-			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "ios-per-sec")
-			if ios != uint64(n) {
-				b.Fatalf("ingested %d records, want %d", ios, n)
-			}
-		})
-	}
-}
-
-// synthReplayCSV renders a deterministic tianchi-schema trace (dev, op,
-// offset, length, timestamp-µs) for the replay ingest benchmark: 64 devices,
-// heavy-tailed sizes, timestamps ticking forward 37µs per row.
-func synthReplayCSV(n int) []byte {
-	var buf bytes.Buffer
-	x := uint64(0x9e3779b97f4a7c15)
-	for i := 0; i < n; i++ {
-		x += 0x9e3779b97f4a7c15
-		z := x
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		z ^= z >> 31
-		op := "R"
-		if z>>8&3 == 0 {
-			op = "W"
-		}
-		fmt.Fprintf(&buf, "%d,%s,%d,%d,%d\n",
-			z%64, op, (z>>16%4096)*4096, 512*(1+z>>32%64), 1_000_000+uint64(i)*37)
-	}
-	return buf.Bytes()
-}
-
-// BenchmarkReplayIngest measures the foreign-trace replay ingester in
-// isolation: decoding a tianchi-schema stream, normalising every record onto
-// the fleet's address space, and bucketing it per VD. The ios-per-sec metric
-// is the headline ingest rate the bench gate watches; B/op must scale with
-// the kept records, never with fleet size.
-func BenchmarkReplayIngest(b *testing.B) {
-	s := study(b)
-	for _, n := range []int{8192, 65536, 400000} {
-		n := n
-		b.Run(fmt.Sprintf("records=%d", n), func(b *testing.B) {
-			input := synthReplayCSV(n)
-			b.ReportAllocs()
-			b.ResetTimer()
-			var kept int
-			for i := 0; i < b.N; i++ {
-				cfg := scenario.ReplayConfig{Path: "bench.csv", Schema: scenario.SchemaTianchi, SampleEvery: 1, TimeScale: 1}
-				rp, err := cfg.Ingest(bytes.NewReader(input), s.Fleet)
-				if err != nil {
-					b.Fatal(err)
-				}
-				kept = rp.Stats().Kept
-			}
-			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "ios-per-sec")
-			if kept != n {
-				b.Fatalf("kept %d records, want %d", kept, n)
-			}
-		})
-	}
-}
-
-// BenchmarkFabricDispatch measures the distributed fabric end to end: each
-// iteration stands up a coordinator and two loopback workers, runs the full
-// join/dispatch/upload/merge cycle, and tears it down. The wire path — the
-// netblock codec and the binary shard-result frames — is the real one; only
-// the sockets are in-process pipes, so the number is dispatch overhead, not
-// kernel networking.
-func BenchmarkFabricDispatch(b *testing.B) {
-	cfg := workload.DefaultConfig()
-	cfg.DCs = 1
-	cfg.NodesPerDC = 6
-	cfg.BSPerDC = 3
-	cfg.BSPerCluster = 3
-	cfg.Users = 8
-	cfg.DurationSec = 10
-	var ios int
-	for i := 0; i < b.N; i++ {
-		co, err := fabric.NewCoordinator(fabric.Config{
-			Fleet:  cfg,
-			Opts:   ebs.Options{DurationSec: 6, TraceSampleEvery: 2, EventSampleEvery: 4, MaxVDs: 16, Workers: 1},
-			Shards: 4,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		lb := fabric.NewLoopback()
-		srv := netblock.NewHandlerServer(co)
-		go srv.Serve(lb) //nolint:errcheck — lifecycle ends with Close
-		var wg sync.WaitGroup
-		for w := 0; w < 2; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if err := fabric.RunWorker(context.Background(), fabric.WorkerConfig{Dial: lb.Dial}); err != nil {
-					b.Error(err)
-				}
-			}()
-		}
-		ds, err := co.Wait(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		wg.Wait()
-		srv.Close()
-		lb.Close()
-		ios += len(ds.Trace)
-	}
-	b.ReportMetric(float64(ios)/b.Elapsed().Seconds(), "ios-per-sec")
-}
-
-// BenchmarkSeriesGeneration measures the raw traffic generator.
-func BenchmarkSeriesGeneration(b *testing.B) {
-	s := study(b)
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		series := s.Fleet.VDSeries(0, 300)
-		sink += series[0].ReadBps
-	}
-	_ = sink
-	b.ReportMetric(stats.Mean([]float64{300}), "seconds-per-series")
-}
-
-// BenchmarkControlOverhead prices the predict->act mitigation loop against
-// the identical study uncontrolled. "observe" is the generate-only pass alone
-// (its ios-per-sec counts the IOs the pass generated); the "noop" case is the
-// control plane's fixed cost — that pass plus planning over an empty action
-// set, on top of the run — and "reactive" adds real actuation (migration
-// lookups, lending overrides) to the bill. The gate watches allocs/op on all
-// four.
-func BenchmarkControlOverhead(b *testing.B) {
-	s := study(b)
-	sim := ebs.New(s.Fleet)
-	opts := ebs.Options{
-		DurationSec: 10, TraceSampleEvery: 1, EventSampleEvery: 16,
-		MaxVDs: 40, Workers: 2,
-	}
-	b.Run("uncontrolled", func(b *testing.B) {
-		b.ReportAllocs()
-		var ios int
-		for i := 0; i < b.N; i++ {
-			ds, err := sim.Run(context.Background(), opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ios += len(ds.Trace)
-		}
-		b.ReportMetric(float64(ios)/b.Elapsed().Seconds(), "ios-per-sec")
-	})
-	b.Run("observe", func(b *testing.B) {
-		// At TraceSampleEvery 1 a run keeps one record per generated IO: the
-		// count the pass generates too, and retains none of.
-		ref, err := sim.Run(context.Background(), opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := sim.Observe(context.Background(), opts, 2); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(len(ref.Trace)*b.N)/b.Elapsed().Seconds(), "ios-per-sec")
-	})
-	for _, name := range []string{"noop", "reactive"} {
-		name := name
-		b.Run("policy="+name, func(b *testing.B) {
-			b.ReportAllocs()
-			pol, err := control.ByName(name)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var ios int
-			for i := 0; i < b.N; i++ {
-				ds, _, err := sim.RunControlled(context.Background(), opts, pol, control.Config{EpochSec: 2})
-				if err != nil {
-					b.Fatal(err)
-				}
-				ios += len(ds.Trace)
-			}
-			b.ReportMetric(float64(ios)/b.Elapsed().Seconds(), "ios-per-sec")
-		})
-	}
 }

@@ -34,27 +34,33 @@ import (
 // roleFlags is the slice of the flag set that selects an execution role:
 // single-process run, in-process fabric (-dist), or TCP coordinator
 // (-workers-addr, optionally replicated via -peers/-replica-id). At most one
-// role may be selected; the TCP worker role is cmd/ebsd.
+// role may be selected; the TCP worker role is cmd/ebsd. What the run itself
+// is — fleet, options, scenario, control policy — is the RunSpec beside it.
 type roleFlags struct {
 	dist        int
+	shards      int
 	workersAddr string
 	replicas    int
 	leaderKill  int
 	replicaID   int
 	peers       string
-	control     string
-	epochSec    int
-	dur         int
 	scenario    string
 	replay      string
 	cpuProfile  string
 	memProfile  string
 }
 
-// validateFlags rejects contradictory role selections up front, naming every
-// flag involved so the exit is actionable instead of one role silently
-// winning over the other.
-func validateFlags(f roleFlags) error {
+// validateFlags rejects contradictory role selections and an invalid run
+// spec up front — spec is the very value main runs — naming every flag
+// involved so the exit is actionable instead of one role silently winning
+// over the other or the run failing after startup.
+func validateFlags(f roleFlags, spec ebs.RunSpec) error {
+	if f.dist < 0 {
+		return fmt.Errorf("-dist %d: want >= 0 (0 = single process)", f.dist)
+	}
+	if f.shards < 0 {
+		return fmt.Errorf("-shards %d: want >= 0 (0 = default)", f.shards)
+	}
 	if f.dist > 0 && f.workersAddr != "" {
 		return fmt.Errorf("-dist runs the fabric in-process and -workers-addr serves it over TCP: the roles conflict, pass exactly one of -dist, -workers-addr")
 	}
@@ -91,10 +97,6 @@ func validateFlags(f roleFlags) error {
 	// What the study itself allows is the run description's to say (scenario
 	// specs validate statically; replay trace files are only opened at bind
 	// time).
-	spec := ebs.RunSpec{
-		Opts:     ebs.Options{DurationSec: f.dur},
-		Scenario: f.scenarioSpec(), Control: f.control, EpochSec: f.epochSec,
-	}
 	if err := spec.Validate(); err != nil {
 		return err
 	}
@@ -155,38 +157,17 @@ func main() {
 
 	rf := roleFlags{
 		dist:        *dist,
+		shards:      *shards,
 		workersAddr: *workersAddr,
 		replicas:    *replicas,
 		leaderKill:  *leaderKill,
 		replicaID:   *replicaID,
 		peers:       *peers,
-		control:     *controlPol,
-		epochSec:    *epochSec,
-		dur:         *dur,
 		scenario:    *scenarioSpec,
 		replay:      *replayPath,
 		cpuProfile:  *cpuProfile,
 		memProfile:  *memProfile,
 	}
-	if err := validateFlags(rf); err != nil {
-		fmt.Fprintln(os.Stderr, "ebssim:", err)
-		os.Exit(2)
-	}
-	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ebssim:", err)
-		os.Exit(1)
-	}
-	// fail is the exit for everything past this point: os.Exit skips
-	// deferred calls, and a CPU profile is only readable once stopped.
-	fail := func(err error) {
-		stopProfiles()
-		fmt.Fprintln(os.Stderr, "ebssim:", err)
-		os.Exit(1)
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
 	spec := ebs.RunSpec{
 		Fleet: workload.SingleDC(*seed, *nodes, 16, *dur),
 		Opts: ebs.Options{
@@ -226,6 +207,25 @@ func main() {
 			}
 		}
 	}
+	if err := validateFlags(rf, spec); err != nil {
+		fmt.Fprintln(os.Stderr, "ebssim:", err)
+		os.Exit(2)
+	}
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ebssim:", err)
+		os.Exit(1)
+	}
+	// fail is the exit for everything past this point: os.Exit skips
+	// deferred calls, and a CPU profile is only readable once stopped.
+	fail := func(err error) {
+		stopProfiles()
+		fmt.Fprintln(os.Stderr, "ebssim:", err)
+		os.Exit(1)
+	}
+
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
 	var (
 		ds   *trace.Dataset
 		scWL scenario.Workload // the bound scenario of a local run

@@ -5,74 +5,91 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"ebslab/internal/chaos"
+	"ebslab/internal/ebs"
 )
 
 // TestValidateFlagsMatrix walks the (-dist, -replicas, -leader-kill) matrix
-// plus the role-conflict corners and the profile flags (valid with every
-// role): every contradictory combination must be rejected with an error
-// naming the flags involved, and every sensible one accepted.
+// plus the role-conflict corners, the profile flags (valid with every role)
+// and the run spec main builds from the remaining flags: every contradictory
+// combination and every invalid value must be rejected with an error naming
+// the flags or fields involved, and every sensible one accepted.
 func TestValidateFlagsMatrix(t *testing.T) {
+	reactive := func(dur, epochSec int) ebs.RunSpec {
+		return ebs.RunSpec{Opts: ebs.Options{DurationSec: dur}, Control: "reactive", EpochSec: epochSec}
+	}
 	cases := []struct {
 		name    string
 		f       roleFlags
-		wantErr []string // substrings the error must carry; empty = valid
+		spec    ebs.RunSpec // Scenario is filled from f, as main does
+		wantErr []string    // substrings the error must carry; empty = valid
 	}{
-		{"single process", roleFlags{replicas: 1}, nil},
-		{"dist", roleFlags{dist: 2, replicas: 1}, nil},
-		{"dist sharded replicas", roleFlags{dist: 2, replicas: 3}, nil},
-		{"dist one kill", roleFlags{dist: 2, replicas: 3, leaderKill: 1}, nil},
-		{"dist two kills five replicas", roleFlags{dist: 4, replicas: 5, leaderKill: 2}, nil},
-		{"tcp coordinator", roleFlags{workersAddr: ":9000", replicas: 1}, nil},
-		{"tcp replicated coordinator", roleFlags{workersAddr: ":9000", replicas: 1, peers: ":9000,:9001,:9002", replicaID: 1}, nil},
-		{"scenario", roleFlags{replicas: 1, scenario: "bufferbloat"}, nil},
-		{"scenario with params", roleFlags{replicas: 1, scenario: "elastic,step=10,hi=2"}, nil},
-		{"scenario with control", roleFlags{replicas: 1, scenario: "batchburst", control: "predictive"}, nil},
-		{"scenario with dist", roleFlags{dist: 2, replicas: 1, scenario: "bufferbloat"}, nil},
-		{"replay", roleFlags{replicas: 1, replay: "testdata/trace.jsonl"}, nil},
-		{"profiles single process", roleFlags{replicas: 1, cpuProfile: "cpu.prof", memProfile: "mem.prof"}, nil},
-		{"profiles with dist", roleFlags{dist: 2, replicas: 3, leaderKill: 1, cpuProfile: "cpu.prof", memProfile: "mem.prof"}, nil},
-		{"cpu profile with tcp coordinator", roleFlags{workersAddr: ":9000", replicas: 1, cpuProfile: "cpu.prof"}, nil},
-		{"mem profile with control", roleFlags{replicas: 1, control: "reactive", memProfile: "mem.prof"}, nil},
-		{"control with an epoch inside the window", roleFlags{replicas: 1, control: "reactive", dur: 8, epochSec: 7}, nil},
-		{"control on a one-second window", roleFlags{replicas: 1, control: "reactive", dur: 1}, nil},
+		{"single process", roleFlags{replicas: 1}, ebs.RunSpec{}, nil},
+		{"dist", roleFlags{dist: 2, replicas: 1}, ebs.RunSpec{}, nil},
+		{"dist sharded replicas", roleFlags{dist: 2, replicas: 3}, ebs.RunSpec{}, nil},
+		{"dist one kill", roleFlags{dist: 2, replicas: 3, leaderKill: 1}, ebs.RunSpec{}, nil},
+		{"dist two kills five replicas", roleFlags{dist: 4, replicas: 5, leaderKill: 2}, ebs.RunSpec{}, nil},
+		{"tcp coordinator", roleFlags{workersAddr: ":9000", replicas: 1}, ebs.RunSpec{}, nil},
+		{"tcp replicated coordinator", roleFlags{workersAddr: ":9000", replicas: 1, peers: ":9000,:9001,:9002", replicaID: 1}, ebs.RunSpec{}, nil},
+		{"scenario", roleFlags{replicas: 1, scenario: "bufferbloat"}, ebs.RunSpec{}, nil},
+		{"scenario with params", roleFlags{replicas: 1, scenario: "elastic,step=10,hi=2"}, ebs.RunSpec{}, nil},
+		{"scenario with control", roleFlags{replicas: 1, scenario: "batchburst"}, ebs.RunSpec{Control: "predictive"}, nil},
+		{"scenario with dist", roleFlags{dist: 2, replicas: 1, scenario: "bufferbloat"}, ebs.RunSpec{}, nil},
+		{"replay", roleFlags{replicas: 1, replay: "testdata/trace.jsonl"}, ebs.RunSpec{}, nil},
+		{"profiles single process", roleFlags{replicas: 1, cpuProfile: "cpu.prof", memProfile: "mem.prof"}, ebs.RunSpec{}, nil},
+		{"profiles with dist", roleFlags{dist: 2, replicas: 3, leaderKill: 1, cpuProfile: "cpu.prof", memProfile: "mem.prof"}, ebs.RunSpec{}, nil},
+		{"cpu profile with tcp coordinator", roleFlags{workersAddr: ":9000", replicas: 1, cpuProfile: "cpu.prof"}, ebs.RunSpec{}, nil},
+		{"mem profile with control", roleFlags{replicas: 1, memProfile: "mem.prof"}, reactive(0, 0), nil},
+		{"control with an epoch inside the window", roleFlags{replicas: 1}, reactive(8, 7), nil},
+		{"control on a one-second window", roleFlags{replicas: 1}, reactive(1, 0), nil},
 
-		{"dist and workers-addr conflict", roleFlags{dist: 2, workersAddr: ":9000", replicas: 1},
+		{"dist and workers-addr conflict", roleFlags{dist: 2, workersAddr: ":9000", replicas: 1}, ebs.RunSpec{},
 			[]string{"-dist", "-workers-addr"}},
-		{"zero replicas", roleFlags{replicas: 0}, []string{"-replicas"}},
-		{"replicas without a fabric", roleFlags{replicas: 3}, []string{"-replicas", "-dist"}},
-		{"peers without workers-addr", roleFlags{replicas: 1, peers: ":9000,:9001"},
+		{"zero replicas", roleFlags{replicas: 0}, ebs.RunSpec{}, []string{"-replicas"}},
+		{"replicas without a fabric", roleFlags{replicas: 3}, ebs.RunSpec{}, []string{"-replicas", "-dist"}},
+		{"peers without workers-addr", roleFlags{replicas: 1, peers: ":9000,:9001"}, ebs.RunSpec{},
 			[]string{"-peers", "-workers-addr"}},
-		{"replica-id without peers", roleFlags{workersAddr: ":9000", replicas: 1, replicaID: 1},
+		{"replica-id without peers", roleFlags{workersAddr: ":9000", replicas: 1, replicaID: 1}, ebs.RunSpec{},
 			[]string{"-replica-id", "-peers"}},
-		{"negative kills", roleFlags{dist: 2, replicas: 3, leaderKill: -1}, []string{"-leader-kill"}},
-		{"kill without dist", roleFlags{replicas: 1, leaderKill: 1}, []string{"-leader-kill", "-dist"}},
-		{"kill without quorum", roleFlags{dist: 2, replicas: 1, leaderKill: 1},
+		{"negative kills", roleFlags{dist: 2, replicas: 3, leaderKill: -1}, ebs.RunSpec{}, []string{"-leader-kill"}},
+		{"kill without dist", roleFlags{replicas: 1, leaderKill: 1}, ebs.RunSpec{}, []string{"-leader-kill", "-dist"}},
+		{"kill without quorum", roleFlags{dist: 2, replicas: 1, leaderKill: 1}, ebs.RunSpec{},
 			[]string{"-leader-kill", "-replicas"}},
-		{"kill beyond quorum headroom", roleFlags{dist: 2, replicas: 3, leaderKill: 2},
+		{"kill beyond quorum headroom", roleFlags{dist: 2, replicas: 3, leaderKill: 2}, ebs.RunSpec{},
 			[]string{"3-replica", "at most 1"}},
-		{"kill beyond quorum headroom five replicas", roleFlags{dist: 2, replicas: 5, leaderKill: 3},
+		{"kill beyond quorum headroom five replicas", roleFlags{dist: 2, replicas: 5, leaderKill: 3}, ebs.RunSpec{},
 			[]string{"5-replica", "at most 2"}},
-		{"scenario and replay conflict", roleFlags{replicas: 1, scenario: "bufferbloat", replay: "x"},
+		{"scenario and replay conflict", roleFlags{replicas: 1, scenario: "bufferbloat", replay: "x"}, ebs.RunSpec{},
 			[]string{"-scenario", "-replay"}},
-		{"replay with dist", roleFlags{dist: 2, replicas: 1, replay: "x"},
+		{"replay with dist", roleFlags{dist: 2, replicas: 1, replay: "x"}, ebs.RunSpec{},
 			[]string{"-replay", "-dist"}},
-		{"replay scenario with workers-addr", roleFlags{workersAddr: ":9000", replicas: 1, scenario: "replay,path=x"},
+		{"replay scenario with workers-addr", roleFlags{workersAddr: ":9000", replicas: 1, scenario: "replay,path=x"}, ebs.RunSpec{},
 			[]string{"-workers-addr", "single-process"}},
-		{"control with dist", roleFlags{dist: 2, replicas: 1, control: "reactive"},
+		{"control with dist", roleFlags{dist: 2, replicas: 1}, reactive(0, 0),
 			[]string{"-control", "-dist", "single-process"}},
-		{"epoch-sec without control", roleFlags{replicas: 1, epochSec: 3}, []string{"EpochSec", "Control"}},
-		{"epoch-sec as long as the window", roleFlags{replicas: 1, control: "reactive", dur: 8, epochSec: 100},
+		{"epoch-sec without control", roleFlags{replicas: 1}, ebs.RunSpec{EpochSec: 3}, []string{"EpochSec", "Control"}},
+		{"epoch-sec as long as the window", roleFlags{replicas: 1}, reactive(8, 100),
 			[]string{"epoch 100s", "8s window"}},
-		{"profiles into one file", roleFlags{dist: 2, replicas: 1, cpuProfile: "run.prof", memProfile: "run.prof"},
+		{"profiles into one file", roleFlags{dist: 2, replicas: 1, cpuProfile: "run.prof", memProfile: "run.prof"}, ebs.RunSpec{},
 			[]string{"-cpuprofile", "-memprofile", "run.prof"}},
-		{"unknown scenario", roleFlags{replicas: 1, scenario: "quakestorm"},
+		{"unknown scenario", roleFlags{replicas: 1, scenario: "quakestorm"}, ebs.RunSpec{},
 			[]string{"quakestorm"}},
-		{"bad scenario param", roleFlags{replicas: 1, scenario: "elastic,bogus=1"},
+		{"bad scenario param", roleFlags{replicas: 1, scenario: "elastic,bogus=1"}, ebs.RunSpec{},
 			[]string{"bogus"}},
+		{"negative dist", roleFlags{dist: -1, replicas: 1}, ebs.RunSpec{}, []string{"-dist -1"}},
+		{"negative shards", roleFlags{dist: 2, shards: -3, replicas: 1}, ebs.RunSpec{}, []string{"-shards -3"}},
+		{"negative workers", roleFlags{replicas: 1}, ebs.RunSpec{Opts: ebs.Options{Workers: -2}},
+			[]string{"Options.Workers is -2"}},
+		{"negative max-vds", roleFlags{replicas: 1}, ebs.RunSpec{Opts: ebs.Options{MaxVDs: -5}},
+			[]string{"Options.MaxVDs is -5"}},
+		{"negative chaos crashes", roleFlags{replicas: 1}, ebs.RunSpec{Opts: ebs.Options{Chaos: &chaos.Plan{BSCrashes: -1}}},
+			[]string{"Chaos", "BSCrashes is -1"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := validateFlags(tc.f)
+			tc.spec.Scenario = tc.f.scenarioSpec()
+			err := validateFlags(tc.f, tc.spec)
 			if len(tc.wantErr) == 0 {
 				if err != nil {
 					t.Fatalf("valid combination rejected: %v", err)

@@ -2,36 +2,106 @@ package ebs
 
 import (
 	"context"
+	"fmt"
 	"testing"
+
+	"ebslab/internal/control"
 )
 
-// TestRunSteadyStateAllocs pins the hot path's allocation budget: once the
-// pools (tracers, batches, RNG sources) are warm, a full simulation run must
-// stay within 130 allocations — the dataset assembly itself (record/row
-// slices) plus a fixed per-run overhead, with ZERO allocations per simulated
-// IO. A regression here means per-record churn crept back into the inner
-// loop; see DESIGN.md's "Hot path & memory layout".
-func TestRunSteadyStateAllocs(t *testing.T) {
-	f := smallFleet(t)
-	sim := New(f)
-	opts := Options{DurationSec: 8, TraceSampleEvery: 1, EventSampleEvery: 8, MaxVDs: 10, Workers: 1}
-
-	run := func() {
-		ds, err := sim.Run(context.Background(), opts)
-		if err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		if len(ds.Trace) == 0 {
-			t.Fatal("no trace records")
-		}
-	}
-	// Warm the pools: the first runs pay one-time slab, batch, and scratch
-	// allocations that steady state reuses.
+// warmAllocs returns the allocations of one call to run once the pools
+// (tracers, batches, RNG sources, scratch) are warm: the first calls pay the
+// one-time slab and batch allocations that steady state reuses.
+func warmAllocs(run func()) float64 {
 	for i := 0; i < 3; i++ {
 		run()
 	}
-	const budget = 130
-	if got := testing.AllocsPerRun(5, run); got > budget {
-		t.Fatalf("steady-state Run allocates %.0f times, budget is %d", got, budget)
+	return testing.AllocsPerRun(5, run)
+}
+
+// TestRunSteadyStateAllocs pins the hot path's allocation budget: a warm run
+// allocates the dataset assembly itself (record/row slices, regrown
+// O(log IOs) times) plus a fixed per-worker overhead, with ZERO allocations
+// per disk or per simulated IO. A regression here means per-record churn
+// crept back into the inner loop; see DESIGN.md's "Hot path & memory layout".
+// Each budget is the count measured on a 10- and a 40-disk run plus at most
+// 15 %: workers=1 measured 29–35, workers=2 39, workers=4 48–57.
+func TestRunSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("pool reuse is randomized under the race detector")
+	}
+	sim := New(smallFleet(t))
+	for _, tc := range []struct {
+		workers int
+		budget  float64
+	}{
+		{1, 40},
+		{2, 44},
+		{4, 65},
+	} {
+		t.Run(fmt.Sprintf("workers=%d", tc.workers), func(t *testing.T) {
+			allocs := func(maxVDs int) float64 {
+				opts := Options{DurationSec: 8, TraceSampleEvery: 1, EventSampleEvery: 8, MaxVDs: maxVDs, Workers: tc.workers}
+				return warmAllocs(func() {
+					ds, err := sim.Run(context.Background(), opts)
+					if err != nil {
+						t.Fatalf("Run: %v", err)
+					}
+					if len(ds.Trace) == 0 {
+						t.Fatal("no trace records")
+					}
+				})
+			}
+			few, many := allocs(10), allocs(40)
+			if few > tc.budget || many > tc.budget {
+				t.Errorf("warm Run allocates %.0f times over 10 disks, %.0f over 40; budget is %.0f", few, many, tc.budget)
+			}
+			// One allocation per disk would add 30.
+			if many > few+10 {
+				t.Errorf("Run allocates per disk: %.0f times over 10 disks, %.0f over 40", few, many)
+			}
+		})
+	}
+}
+
+// TestControlledSteadyStateAllocs bounds the control plane's fixed cost on a
+// warm simulator: RunControlled allocates its observation, plan and
+// per-epoch state on top of the run, nothing per disk and nothing per IO —
+// 10 disks at 1/16 event sampling and 100 disks at 1/4 (about 36x the IOs)
+// allocate alike. Each budget is the count measured plus at most 15 %: noop
+// measured 639–649, reactive 1,325–1,342.
+func TestControlledSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("pool reuse is randomized under the race detector")
+	}
+	sim := New(smallFleet(t))
+	for _, tc := range []struct {
+		policy string
+		budget float64
+	}{
+		{"noop", 745},
+		{"reactive", 1540},
+	} {
+		t.Run("policy="+tc.policy, func(t *testing.T) {
+			pol, err := control.ByName(tc.policy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			allocs := func(sampleEvery, maxVDs int) float64 {
+				opts := Options{DurationSec: 10, TraceSampleEvery: 1, EventSampleEvery: sampleEvery, MaxVDs: maxVDs, Workers: 2}
+				return warmAllocs(func() {
+					if _, _, err := sim.RunControlled(context.Background(), opts, pol, control.Config{EpochSec: 2}); err != nil {
+						t.Fatalf("RunControlled: %v", err)
+					}
+				})
+			}
+			small, large := allocs(16, 10), allocs(4, 100)
+			if small > tc.budget || large > tc.budget {
+				t.Errorf("warm RunControlled allocates %.0f times over 10 disks, %.0f over 100; budget is %.0f", small, large, tc.budget)
+			}
+			// One allocation per disk would add 90.
+			if large > small+30 {
+				t.Errorf("RunControlled allocates per disk or per IO: %.0f times over 10 disks, %.0f over 100", small, large)
+			}
+		})
 	}
 }

@@ -65,8 +65,8 @@ func (r RunSpec) Validate() error {
 	if _, err := control.ByName(r.Control); err != nil {
 		return err
 	}
-	// The window, as prepare will resolve it; a partial spec (a CLI's flag
-	// check) may carry none, and Observe holds the run itself to the rule.
+	// The window, as prepare will resolve it; when neither the options nor
+	// the fleet name one, Observe holds the run itself to the rule.
 	window := r.Opts.DurationSec
 	if window == 0 {
 		window = r.Fleet.DurationSec

@@ -1,0 +1,73 @@
+package fabric
+
+import (
+	"context"
+	"sync"
+	"testing"
+
+	"ebslab/internal/ebs"
+	"ebslab/internal/netblock"
+)
+
+var raceEnabled bool // set by race_test.go
+
+// loopbackStudy runs one whole fabric study and tears it down: a coordinator
+// served over a loopback, two workers through join, dispatch, upload and
+// merge of 4 shards. The wire path is the real one; only the sockets are
+// in-process pipes.
+func loopbackStudy(t *testing.T, eventSampleEvery int) {
+	co, err := NewCoordinator(Config{
+		Fleet:  testFleetConfig(),
+		Opts:   ebs.Options{DurationSec: 6, TraceSampleEvery: 2, EventSampleEvery: eventSampleEvery, MaxVDs: 16, Workers: 1},
+		Shards: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb := NewLoopback()
+	srv := netblock.NewHandlerServer(co)
+	go srv.Serve(lb) //nolint:errcheck — ends with the loopback
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := RunWorker(context.Background(), WorkerConfig{Dial: lb.Dial}); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	ds, err := co.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	srv.Close()
+	lb.Close()
+	if len(ds.Trace) == 0 {
+		t.Fatal("no trace records")
+	}
+}
+
+// TestFabricStudyAllocs bounds what one loopback study allocates end to end —
+// the coordinator, two workers, four shards through the full
+// join/dispatch/upload/merge cycle — and holds it flat in the records the
+// shards carry: 1/4 event sampling (349 records) and none (1,408) allocate
+// alike, so nothing on the wire or merge path allocates per record. The
+// budget is the 2,152–2,185 allocations measured over 100 studies plus at
+// most 15 %.
+func TestFabricStudyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("pool reuse is randomized under the race detector")
+	}
+	const budget = 2510
+	thinned := testing.AllocsPerRun(5, func() { loopbackStudy(t, 4) })
+	full := testing.AllocsPerRun(5, func() { loopbackStudy(t, 1) })
+	if thinned > budget || full > budget {
+		t.Errorf("a loopback study allocates %.0f times over 349 records, %.0f over 1,408; budget is %d", thinned, full, budget)
+	}
+	// One allocation per record would add about 1,059.
+	if full > thinned+40 {
+		t.Errorf("the fabric allocates per record: %.0f times over 349 records, %.0f over 1,408", thinned, full)
+	}
+}

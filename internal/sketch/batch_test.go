@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"ebslab/internal/cluster"
@@ -66,5 +67,53 @@ func TestObserveBatchEquivalence(t *testing.T) {
 		if got.Totals() != want.Totals() {
 			t.Fatalf("cap %d: totals %+v != %+v", capacity, got.Totals(), want.Totals())
 		}
+	}
+}
+
+// TestObserveBatchMemoryIsFleetBounded is the O(1)-memory evidence for the
+// streaming path: a fresh Set ingesting 8,192 engine-shaped records over 32
+// disks through ObserveBatch, and one ingesting the same records eight times
+// over (65,536), must allocate the same number of times and the same bytes
+// within one page. Sketch state is bounded by the fleet and the value
+// domain, never by the number of records. The budget is the 132 allocations
+// measured (about 30 KB, at either count) plus 15 %.
+func TestObserveBatchMemoryIsFleetBounded(t *testing.T) {
+	recs := synthBatchRecords(11, 32, 256)
+	var batches []*trace.Batch
+	for i := range recs {
+		if i == 0 || batches[len(batches)-1].Full() || recs[i].VD != recs[i-1].VD {
+			batches = append(batches, trace.NewBatch(trace.DefaultBatchCap))
+		}
+		batches[len(batches)-1].Append(&recs[i])
+	}
+	ingest := func(passes int) (allocs, bytes uint64) {
+		const runs = 10
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for r := 0; r < runs; r++ {
+			set := NewSet(Config{DurationSec: 64})
+			for p := 0; p < passes; p++ {
+				for _, b := range batches {
+					set.ObserveBatch(b)
+				}
+			}
+			if got, want := set.Totals().IOs, uint64(passes*len(recs)); got != want {
+				t.Fatalf("ingested %d records, want %d", got, want)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return (after.Mallocs - before.Mallocs) / runs, (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	smallAllocs, smallBytes := ingest(1)
+	largeAllocs, largeBytes := ingest(8)
+	const budget = 151
+	if smallAllocs > budget {
+		t.Errorf("a Set ingesting 8,192 records allocates %d times, budget is %d", smallAllocs, budget)
+	}
+	if largeAllocs != smallAllocs {
+		t.Errorf("8x the records took %d allocations, not %d: the sketch allocates per record", largeAllocs, smallAllocs)
+	}
+	if largeBytes > smallBytes+4096 {
+		t.Errorf("8x the records took %d bytes, not %d: the sketch grows with the trace", largeBytes, smallBytes)
 	}
 }
