@@ -136,15 +136,16 @@ func TestChunkRollover(t *testing.T) {
 // TestResetParksChunks is Release's half of the chunk store (reset is
 // Release without the pool, which may drop or keep the tracer as it likes):
 // every chunk goes to the free list, full and the merge's run list hold no
-// record memory, and the next generation fills the same chunks without
-// allocating one.
+// record memory, the run marks are cleared, and the next generation fills
+// the same chunks without allocating one.
 func TestResetParksChunks(t *testing.T) {
 	const n = 2*chunkRecords + 100
 	rng := rand.New(rand.NewSource(19))
 	b := trace.NewBatch(trace.DefaultBatchCap)
 	fill := func(tr *Tracer) {
 		for i := 0; i < n; i++ {
-			r := synthRecord(rng, uint64(i+1), i%3, int64(i/3))
+			// The clock wraps every 3,000 records: a step back, so a mark.
+			r := synthRecord(rng, uint64(i+1), i%3, int64(i/3%1000))
 			b.Append(&r)
 			if b.Full() {
 				tr.EmitBatch(b)
@@ -156,6 +157,9 @@ func TestResetParksChunks(t *testing.T) {
 	}
 	tr := New(1)
 	fill(tr)
+	if len(tr.marks) != n/3000 {
+		t.Fatalf("filled a tracer whose clock wraps %d times; it marked %d run starts", n/3000, len(tr.marks))
+	}
 	chunks := map[*trace.Record]bool{&tr.records[0]: true}
 	for _, c := range tr.full {
 		chunks[&c[0]] = true
@@ -163,6 +167,9 @@ func TestResetParksChunks(t *testing.T) {
 	tr.reset()
 	if len(tr.full) != 0 || len(tr.records) != 0 || tr.kept() != 0 {
 		t.Fatalf("reset left %d parked chunks, %d records", len(tr.full), tr.kept())
+	}
+	if len(tr.marks) != 0 || tr.last != (mergeKey{}) {
+		t.Fatalf("reset left %d run marks, last key %+v", len(tr.marks), tr.last)
 	}
 	for _, c := range tr.full[:cap(tr.full)] {
 		if c != nil {

@@ -48,6 +48,14 @@ type Tracer struct {
 	full    [][]trace.Record
 	free    [][]trace.Record
 
+	// marks are where the merge's sorted runs start, noted as records are
+	// kept: the position, in observation order, of every record whose
+	// (TimeUS, VD) key is below the one kept before it (last; the zero key
+	// is below every key, so the first record needs no mark). A disk switch
+	// back in time marks; a switch to a disk whose keys rise does not.
+	marks []int
+	last  mergeKey
+
 	compute map[computeKey]*accum
 	storage map[storageKey]*accum
 
@@ -62,12 +70,15 @@ type Tracer struct {
 	segMemo []segMemoEnt
 
 	// Scratch reused across pool generations: row export sorts packed keys,
-	// not whole rows; merge keeps its run list, cut table and heaps.
-	keyBuf []rowKey
-	accBuf []*accum
-	runs   [][]trace.Record
-	cuts   []int
-	heap   []mergeSrc
+	// not whole rows; merge keeps its run list, key sample, cut table and
+	// heaps. A fanned-out merge's rows task owns the first two, its records
+	// task the rest.
+	keyBuf  []rowKey
+	accBuf  []*accum
+	runs    [][]trace.Record
+	samples []mergeKey
+	cuts    []int
+	heap    []mergeSrc
 }
 
 // rowKey pairs a packed (sec, entity) sort key with the row's position in
@@ -134,6 +145,7 @@ func (t *Tracer) reset() {
 	t.nextID = 0
 	t.park()
 	t.records = t.records[:0]
+	t.marks, t.last = t.marks[:0], mergeKey{}
 	clear(t.compute)
 	clear(t.storage)
 	t.slabBlock, t.slabNext = 0, 0
@@ -149,6 +161,7 @@ func (t *Tracer) reset() {
 func (t *Tracer) DetachRecords() []trace.Record {
 	out := t.Records()
 	t.records = nil
+	t.marks, t.last = t.marks[:0], mergeKey{}
 	return out
 }
 
@@ -200,6 +213,15 @@ func (t *Tracer) grow(n int) {
 	t.records = make([]trace.Record, 0, max(chunkRecords, n))
 }
 
+// mark notes a run start when k, the key of the record about to be kept, is
+// below the last kept record's.
+func (t *Tracer) mark(k mergeKey) {
+	if k.before(t.last) == 1 {
+		t.marks = append(t.marks, t.kept())
+	}
+	t.last = k
+}
+
 // kept is how many records the tracer holds.
 func (t *Tracer) kept() int {
 	n := len(t.records)
@@ -245,6 +267,7 @@ func (t *Tracer) StartStream(base uint64) { t.nextID = base }
 func (t *Tracer) Observe(rec trace.Record) {
 	if t.sampled(rec.TraceID) {
 		t.reserve(1)
+		t.mark(keyOf(&rec, 0))
 		t.records = append(t.records, rec)
 	}
 	sec := int32(rec.TimeUS / 1_000_000)
@@ -297,21 +320,30 @@ func (t *Tracer) sampled(id uint64) bool {
 	return xrand.Mix64(id)%t.sampleEvery == 0
 }
 
-// AppendChunks appends the sampled records to dst as the tracer holds them —
-// its full chunks, then the one being filled — in observation order, nothing
-// joined or copied (Records joins). The chunks stay the tracer's: valid until
-// it is observed into again or Released.
-func (t *Tracer) AppendChunks(dst [][]trace.Record) [][]trace.Record {
-	dst = append(dst, t.full...)
-	if len(t.records) > 0 {
-		dst = append(dst, t.records)
+// AppendChunks appends the sampled records to chunks as the tracer holds them
+// — its full chunks, then the one being filled — in observation order, nothing
+// joined or copied (Records joins), and their run starts to marks, shifted
+// past the records chunks already held: what FromParts takes. The chunks stay
+// the tracer's: valid until it is observed into again or Released.
+func (t *Tracer) AppendChunks(chunks [][]trace.Record, marks []int) ([][]trace.Record, []int) {
+	base := 0
+	for _, c := range chunks {
+		base += len(c)
 	}
-	return dst
+	for _, m := range t.marks {
+		marks = append(marks, base+m)
+	}
+	chunks = append(chunks, t.full...)
+	if len(t.records) > 0 {
+		chunks = append(chunks, t.records)
+	}
+	return chunks, marks
 }
 
 // Records returns the sampled trace records in observation order. A tracer
 // holding several chunks joins them into one first (and keeps the joined
-// slice as its only chunk, so asking again is free).
+// slice as its only chunk, so asking again is free; its run starts are
+// positions in observation order, so they hold for the joined chunk).
 func (t *Tracer) Records() []trace.Record {
 	if len(t.full) > 0 {
 		all := make([]trace.Record, 0, t.kept())

@@ -29,20 +29,37 @@ const (
 // observed into again regardless). min(GOMAXPROCS, shards) goroutines share
 // the records, the caller's among them, parallelMergeMin or more to each.
 func Merge(sampleEvery int, shards ...*Tracer) *Tracer {
+	return MergeWith(sampleEvery, shards, nil)
+}
+
+// MergeWith is Merge that also hands the merged tracer to rows once its metric
+// rows are merged, while its records may still be merging: the caller exports
+// the rows there (ComputeRows, StorageRows) beside the record merge. rows must
+// touch nothing of the tracer but its rows, and has returned when MergeWith
+// does. A nil rows is Merge.
+func MergeWith(sampleEvery int, shards []*Tracer, rows func(merged *Tracer)) *Tracer {
 	n := 0
 	for _, sh := range shards {
 		n += sh.kept()
 	}
 	parts := min(runtime.GOMAXPROCS(0), len(shards), n/parallelMergeMin)
-	return mergeInto(Acquire(sampleEvery), parts, shards)
+	return mergeInto(Acquire(sampleEvery), parts, shards, rows)
 }
 
 // mergeKey packs (TimeUS, VD, run number) so that hi:lo orders, as one
-// unsigned 128-bit number, as the triple does (sign bits are flipped).
+// unsigned 128-bit number, as the triple does (sign bits are flipped). The
+// zero key orders before every record's.
 type mergeKey struct{ hi, lo uint64 }
 
 func keyOf(rec *trace.Record, run int) mergeKey {
 	return mergeKey{uint64(rec.TimeUS) ^ 1<<63, uint64(uint32(rec.VD)^1<<31)<<32 | uint64(uint32(run))}
+}
+
+// StartsRun reports whether rec, written right after prev, starts a new
+// sorted run for the merge: its (TimeUS, VD) key is below prev's. A writer
+// that hands records to FromParts marks every record it holds true for.
+func StartsRun(prev, rec *trace.Record) bool {
+	return keyOf(rec, 0).before(keyOf(prev, 0)) == 1
 }
 
 // before is 1 when a orders before b, else 0, without a branch: a merge's
@@ -53,66 +70,46 @@ func (a mergeKey) before(b mergeKey) int {
 	return int(borrow)
 }
 
-// mergeInto is Merge into a destination tracer fresh from New or Acquire,
+// mergeInto is MergeWith into a destination tracer fresh from New or Acquire,
 // with the records merged in parts key ranges, one goroutine each.
 //
-// Nothing is sorted: a shard's records are already a sequence of sorted
-// runs, one per disk (more where a replayed trace steps back in time). A run
-// ends where the key decreases or the shard's chunk does, so equal keys share
-// a run in their original order, and runs are numbered in concatenation
-// order: merging by (key, run number) is the stable sort of the concatenation
-// whatever the runs look like — and wherever the chunk boundaries fall. Disks are skewed, so the work is divided by key, not by run: every
-// run is cut at its first record >= each of parts-1 splitters drawn from an
-// evenly spaced sample. One key's records land in one partition, which sees
-// every run's slice under the run's number and writes from where the cuts
-// below it end — partitions are independent and stability survives the split.
-func mergeInto(t *Tracer, parts int, shards []*Tracer) *Tracer {
+// Nothing is sorted and no record is read to find what is already sorted: a
+// shard's records are a sequence of sorted runs, one per disk (more where a
+// replayed trace steps back in time), and whoever wrote them marked each
+// run's start (Tracer.marks: the tracer as it kept the record, or what
+// FromParts was handed). A run ends at the next mark or where
+// the shard's chunk does, so equal keys share a run in their original order,
+// and runs are numbered in concatenation order: merging by (key, run number)
+// is the stable sort of the concatenation whatever the runs look like — and
+// wherever the chunk boundaries fall. Disks are skewed, so the work is
+// divided by key, not by run: every run is cut at its first record >= each of
+// parts-1 splitters drawn from an evenly spaced sample. One key's records
+// land in one partition, which sees every run's slice under the run's number
+// and writes from where the cuts below it end — partitions are independent
+// and stability survives the split.
+//
+// A single part runs on the caller's goroutine, step after step. From two
+// parts up, the metric rows (merge, then rows) are a task of their own on
+// another goroutine, beside the records' planning, output allocation and
+// partitions; they share the destination tracer, each its own fields of it.
+func mergeInto(t *Tracer, parts int, shards []*Tracer, rows func(*Tracer)) *Tracer {
 	n := 0
 	for _, sh := range shards {
-		mergeAccums(t, t.compute, sh.compute)
-		mergeAccums(t, t.storage, sh.storage)
-		for c := 0; c <= len(sh.full); c++ {
-			recs := sh.records
-			if c < len(sh.full) {
-				recs = sh.full[c]
-			}
-			n += len(recs)
-			start := 0
-			for i := 1; i <= len(recs); i++ {
-				if i == len(recs) || keyOf(&recs[i], 0).before(keyOf(&recs[i-1], 0)) == 1 {
-					t.runs = append(t.runs, recs[start:i])
-					start = i
-				}
-			}
-		}
+		n += sh.kept()
 	}
-	runs := t.runs
 	parts = max(1, min(parts, n))
-	// cuts[p*nr+r] is where partition p starts in run r, for p in [0, parts].
-	nr := len(runs)
-	cuts := slices.Grow(t.cuts[:0], (parts+1)*nr)[:(parts+1)*nr]
-	for r, run := range runs {
-		cuts[r], cuts[parts*nr+r] = 0, len(run)
-	}
+	var rowsDone chan struct{}
 	if parts > 1 {
-		// Every stride-th record of the concatenation: runs weigh by length.
-		stride := max(1, n/(parts*samplesPerPart))
-		samples := make([]mergeKey, 0, n/stride)
-		next := stride - 1
-		for _, run := range runs {
-			for ; next < len(run); next += stride {
-				samples = append(samples, keyOf(&run[next], 0))
-			}
-			next -= len(run)
-		}
-		slices.SortFunc(samples, func(a, b mergeKey) int { return b.before(a) - a.before(b) })
-		for p := 1; p < parts; p++ {
-			split := samples[p*len(samples)/parts]
-			for r, run := range runs {
-				cuts[p*nr+r] = sort.Search(len(run), func(i int) bool { return keyOf(&run[i], 0).before(split) == 0 })
-			}
-		}
+		rowsDone = make(chan struct{})
+		go func() {
+			defer close(rowsDone)
+			t.mergeRows(shards, rows)
+		}()
+	} else {
+		t.mergeRows(shards, rows)
 	}
+	runs, cuts := t.plan(shards, n, parts)
+	nr := len(runs)
 	out := make([]trace.Record, n)
 	heap := slices.Grow(t.heap[:0], parts*nr)[:parts*nr]
 	var wg sync.WaitGroup
@@ -128,7 +125,80 @@ func mergeInto(t *Tracer, parts int, shards []*Tracer) *Tracer {
 	clear(runs) // pooled scratch must not pin the shards' record buffers
 	t.runs, t.cuts, t.heap = runs[:0], cuts, heap
 	t.records, t.nextID = out, uint64(n)
+	if n > 0 {
+		t.last = keyOf(&out[n-1], 0)
+	}
+	if rowsDone != nil {
+		<-rowsDone
+	}
 	return t
+}
+
+// mergeRows folds the shards' metric accumulators into t, then hands t to
+// rows (when there is one): a fanned-out merge's rows task.
+func (t *Tracer) mergeRows(shards []*Tracer, rows func(*Tracer)) {
+	for _, sh := range shards {
+		mergeAccums(t, t.compute, sh.compute)
+		mergeAccums(t, t.storage, sh.storage)
+	}
+	if rows != nil {
+		rows(t)
+	}
+}
+
+// plan lists the shards' sorted runs, in concatenation order, and the cut
+// table of a parts-way split of their n records: cuts[p*nr+r] is where
+// partition p starts in run r, for p in [0, parts]. Runs are cut at every
+// mark and chunk end; the only records read are the splitters' sample and the
+// binary searches for the cuts.
+func (t *Tracer) plan(shards []*Tracer, n, parts int) (runs [][]trace.Record, cuts []int) {
+	runs = t.runs[:0]
+	for _, sh := range shards {
+		marks, base := sh.marks, 0
+		for c := 0; c <= len(sh.full); c++ {
+			recs := sh.records
+			if c < len(sh.full) {
+				recs = sh.full[c]
+			}
+			start := 0
+			for ; len(marks) > 0 && marks[0] < base+len(recs); marks = marks[1:] {
+				if m := marks[0] - base; m > start {
+					runs = append(runs, recs[start:m])
+					start = m
+				}
+			}
+			if start < len(recs) {
+				runs = append(runs, recs[start:])
+			}
+			base += len(recs)
+		}
+	}
+	nr := len(runs)
+	cuts = slices.Grow(t.cuts[:0], (parts+1)*nr)[:(parts+1)*nr]
+	for r, run := range runs {
+		cuts[r], cuts[parts*nr+r] = 0, len(run)
+	}
+	if parts > 1 {
+		// Every stride-th record of the concatenation: runs weigh by length.
+		stride := max(1, n/(parts*samplesPerPart))
+		samples := t.samples[:0]
+		next := stride - 1
+		for _, run := range runs {
+			for ; next < len(run); next += stride {
+				samples = append(samples, keyOf(&run[next], 0))
+			}
+			next -= len(run)
+		}
+		slices.SortFunc(samples, func(a, b mergeKey) int { return b.before(a) - a.before(b) })
+		for p := 1; p < parts; p++ {
+			split := samples[p*len(samples)/parts]
+			for r, run := range runs {
+				cuts[p*nr+r] = sort.Search(len(run), func(i int) bool { return keyOf(&run[i], 0).before(split) == 0 })
+			}
+		}
+		t.samples = samples
+	}
+	return runs, cuts
 }
 
 // mergeSrc is one heap entry: the unmerged remainder [pos, end) of a run,

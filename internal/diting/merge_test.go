@@ -1,7 +1,10 @@
 package diting
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -9,53 +12,100 @@ import (
 	"ebslab/internal/trace"
 )
 
-// shardsOf wraps record streams in tracers, one chunk each.
-func shardsOf(streams ...[]trace.Record) []*Tracer {
-	layout := make([][][]trace.Record, len(streams))
-	for i, s := range streams {
-		layout[i] = [][]trace.Record{s}
-	}
-	return shardsOfChunks(layout)
-}
+// How a test hands a tracer its records — and so who marks the runs.
+const (
+	viaEmitBatch = "EmitBatch" // the tracer marks them as it keeps a batch
+	viaObserve   = "Observe"   // the tracer marks them record by record
+	viaParts     = "FromParts" // hand-cut chunks, marked the way a decoder marks a frame
+)
 
-// shardsOfChunks builds one tracer per entry of layout holding exactly the
-// chunks listed (the last is the one being filled), tagging every record
-// with its position in the concatenation (Offset) so that two records of
-// equal key are still distinguishable and a stability slip shows as a
-// mismatch.
-func shardsOfChunks(layout [][][]trace.Record) []*Tracer {
-	shards := make([]*Tracer, len(layout))
+// tagged copies streams, numbering every record by its position in the
+// concatenation (Offset) so that two records of equal key are still
+// distinguishable and a stability slip shows as a mismatch.
+func tagged(streams [][]trace.Record) [][]trace.Record {
+	out := make([][]trace.Record, len(streams))
 	seq := int64(0)
-	for i, chunks := range layout {
-		shards[i] = New(1)
-		for c, chunk := range chunks {
-			tagged := make([]trace.Record, len(chunk))
-			for j, r := range chunk {
-				r.Offset = seq
-				seq++
-				tagged[j] = r
-			}
-			if c < len(chunks)-1 {
-				shards[i].full = append(shards[i].full, tagged)
-			} else {
-				shards[i].records = tagged
-			}
+	for i, s := range streams {
+		out[i] = make([]trace.Record, len(s))
+		for j, r := range s {
+			r.Offset = seq
+			seq++
+			out[i][j] = r
 		}
 	}
-	return shards
+	return out
 }
 
-// rechunk cuts each stream into chunks of size records. A stream that size
-// divides ends in an empty chunk, as a tracer that has just rolled over does.
-func rechunk(streams [][]trace.Record, size int) [][][]trace.Record {
-	layout := make([][][]trace.Record, len(streams))
-	for i, s := range streams {
-		for ; len(s) >= size; s = s[size:] {
-			layout[i] = append(layout[i], s[:size])
+// descents is where a decoder walking recs marks run starts: every record
+// that StartsRun after the one before it.
+func descents(recs []trace.Record) []int {
+	var marks []int
+	for i := 1; i < len(recs); i++ {
+		if StartsRun(&recs[i-1], &recs[i]) {
+			marks = append(marks, i)
 		}
-		layout[i] = append(layout[i], s)
 	}
-	return layout
+	return marks
+}
+
+// cut splits s into chunks of size records. A stream that size divides ends
+// in an empty chunk, as a frame of no records decodes to one.
+func cut(s []trace.Record, size int) [][]trace.Record {
+	var chunks [][]trace.Record
+	for ; len(s) >= size; s = s[size:] {
+		chunks = append(chunks, s[:size])
+	}
+	return append(chunks, s)
+}
+
+// partsOf is a FromParts tracer over chunks, marked as a decoder marks their
+// concatenation.
+func partsOf(chunks [][]trace.Record) *Tracer {
+	var all []trace.Record
+	for _, c := range chunks {
+		all = append(all, c...)
+	}
+	return FromParts(1, chunks, descents(all), nil, nil)
+}
+
+// writeTracer hands stream to a fresh fully sampling tracer via the named
+// path. EmitBatch writes batches of batch records, Observe one record at a
+// time, both into chunks of chunk records: the tracer is lent chunk-sized
+// free chunks, so it rolls over where it would at chunkRecords, a batch that
+// does not fit parking a part-filled chunk. FromParts cuts the stream into
+// chunk-record chunks. chunk 0 leaves the chunking to the tracer (one chunk
+// for FromParts).
+func writeTracer(stream []trace.Record, via string, chunk, batch int) *Tracer {
+	if via == viaParts {
+		if chunk == 0 {
+			return partsOf([][]trace.Record{stream})
+		}
+		return partsOf(cut(stream, chunk))
+	}
+	t := New(1)
+	if chunk > 0 {
+		batch = min(batch, chunk)
+		t.records = make([]trace.Record, 0, chunk)
+		for i := 0; i <= len(stream)/min(batch, chunk); i++ {
+			t.free = append(t.free, make([]trace.Record, 0, chunk))
+		}
+	}
+	if via == viaObserve {
+		for _, r := range stream {
+			t.Observe(r)
+		}
+		return t
+	}
+	b := trace.NewBatch(batch)
+	for i := range stream {
+		b.Append(&stream[i])
+		if b.Full() {
+			t.EmitBatch(b)
+			b.Reset()
+		}
+	}
+	t.EmitBatch(b)
+	return t
 }
 
 // concat is a tracer's records in observation order, without disturbing its
@@ -86,7 +136,7 @@ func checkMergeAgainstStableSort(t *testing.T, shards []*Tracer) {
 		want[i].TraceID = uint64(i + 1)
 	}
 	for parts := 1; parts <= 8; parts++ {
-		out := mergeInto(New(1), parts, shards)
+		out := mergeInto(New(1), parts, shards, nil)
 		if len(out.full) != 0 {
 			t.Fatalf("parts=%d: merged tracer holds %d parked chunks, want its records in one", parts, len(out.full))
 		}
@@ -103,6 +153,45 @@ func checkMergeAgainstStableSort(t *testing.T, shards []*Tracer) {
 			if run != nil {
 				t.Fatalf("parts=%d: merge scratch still references shard records", parts)
 			}
+		}
+	}
+}
+
+// checkWriters writes streams through every path — EmitBatch and Observe
+// into chunks of 1, 2, 7 and 1000 records and into the tracer's own, and
+// hand-cut FromParts chunks of the same sizes — and holds each merge to the
+// stable sort. A tracer that marked its own runs must have marked exactly
+// where a decoder would: chunk rollovers add no mark, and a Records join of a
+// multi-chunk tracer (every other layout joins them first) leaves its marks
+// valid. Streams of over 10,000 records take one- and two-record chunks
+// through FromParts only: a run per record or two is the same merge whoever
+// cut it, and slow under the race detector.
+func checkWriters(t *testing.T, streams [][]trace.Record) {
+	t.Helper()
+	streams = tagged(streams)
+	n := 0
+	for _, s := range streams {
+		n += len(s)
+	}
+	for _, via := range []string{viaEmitBatch, viaObserve, viaParts} {
+		for li, chunk := range []int{0, 1, 2, 7, 1000} {
+			if chunk <= 2 && n > 10_000 && via != viaParts {
+				continue
+			}
+			batch := []int{trace.DefaultBatchCap, 1, 3, 5, 64}[li]
+			shards := make([]*Tracer, len(streams))
+			for i, s := range streams {
+				shards[i] = writeTracer(s, via, chunk, batch)
+				if via != viaParts && !slices.Equal(shards[i].marks, descents(s)) {
+					t.Fatalf("%s chunk=%d batch=%d: tracer %d marked %v, want %v", via, chunk, batch, i, shards[i].marks, descents(s))
+				}
+				if li%2 == 1 {
+					shards[i].Records()
+				}
+			}
+			t.Run(fmt.Sprintf("%s/chunk=%d", via, chunk), func(t *testing.T) {
+				checkMergeAgainstStableSort(t, shards)
+			})
 		}
 	}
 }
@@ -164,6 +253,14 @@ func TestMergeMatchesStableSort(t *testing.T) {
 			{rec(5, 1), rec(5, 1), rec(3, 1), rec(5, 1), rec(5, 0), rec(5, 1), rec(2, 9)},
 			{rec(5, 1), rec(5, 1)},
 		}},
+		{"replayed disk steps back between equal keys", [][]trace.Record{
+			{rec(1, 4), rec(5, 4), rec(5, 4), rec(5, 4), rec(2, 4), rec(5, 4), rec(5, 4), rec(6, 4), rec(5, 4), rec(5, 4)},
+			{rec(5, 3), rec(5, 3), rec(0, 3), rec(5, 3)},
+		}},
+		{"keys rise across disk switches", [][]trace.Record{
+			{rec(1, 0), rec(4, 0), rec(4, 1), rec(6, 1), rec(6, 2), rec(9, 5)},
+			{rec(2, 3), rec(5, 3), rec(5, 6), rec(7, 7)},
+		}},
 		{"all keys equal", [][]trace.Record{make([]trace.Record, 100), make([]trace.Record, 50)}},
 		{"thousands of length-1 runs", [][]trace.Record{descending, descending[:1000]}},
 		{"replayed disks across tracers", [][]trace.Record{
@@ -173,16 +270,11 @@ func TestMergeMatchesStableSort(t *testing.T) {
 		{"skewed disks", [][]trace.Record{skewA, skewB}},
 	}
 	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			checkMergeAgainstStableSort(t, shardsOf(c.streams...))
-			// The same streams held in several chunks per tracer: a chunk
-			// boundary may fall anywhere and must change nothing.
-			for _, size := range []int{1, 2, 7, 1000} {
-				checkMergeAgainstStableSort(t, shardsOfChunks(rechunk(c.streams, size)))
-			}
-		})
+		t.Run(c.name, func(t *testing.T) { checkWriters(t, c.streams) })
 	}
 
+	// Chunks cut by hand: a chunk boundary may fall anywhere and must change
+	// nothing.
 	chunked := []struct {
 		name   string
 		layout [][][]trace.Record
@@ -206,8 +298,119 @@ func TestMergeMatchesStableSort(t *testing.T) {
 	}
 	for _, c := range chunked {
 		t.Run(c.name, func(t *testing.T) {
-			checkMergeAgainstStableSort(t, shardsOfChunks(c.layout))
+			shards := make([]*Tracer, len(c.layout))
+			for i, chunks := range c.layout {
+				shards[i] = partsOf(chunks)
+			}
+			checkMergeAgainstStableSort(t, shards)
 		})
+	}
+}
+
+// TestTracerMarksRunStarts pins what a tracer marks on the layouts the merge
+// depends on, through both writers: a step back in time (between equal keys
+// too) marks, a disk switch marks only where the key falls, a chunk
+// rollover adds nothing, DetachRecords clears the marks, and a sampling
+// tracer marks among the records it keeps.
+func TestTracerMarksRunStarts(t *testing.T) {
+	stream := []trace.Record{
+		rec(1, 0), rec(4, 0), rec(4, 0), // disk 0
+		rec(4, 1), rec(9, 1), // disk 1: its keys rise across the switch
+		rec(9, 1), rec(3, 1), rec(9, 1), // a step back between equal keys
+		rec(2, 2), rec(7, 2), // disk 2 starts back in time
+	}
+	want := []int{6, 8}
+	for _, via := range []string{viaEmitBatch, viaObserve} {
+		for _, chunk := range []int{0, 1, 3, 4} {
+			tr := writeTracer(stream, via, chunk, 2)
+			if !slices.Equal(tr.marks, want) {
+				t.Fatalf("%s chunk=%d: marked %v, want %v", via, chunk, tr.marks, want)
+			}
+			tr.DetachRecords()
+			if len(tr.marks) != 0 || tr.last != (mergeKey{}) {
+				t.Fatalf("%s chunk=%d: DetachRecords left marks %v", via, chunk, tr.marks)
+			}
+			tr.Observe(rec(0, 0)) // first record again: nothing to mark
+			if len(tr.marks) != 0 {
+				t.Fatalf("%s chunk=%d: a detached tracer marked its first record", via, chunk)
+			}
+		}
+	}
+
+	// A sampling tracer marks among the records it keeps: a kept record below
+	// the last kept one, whatever it skipped in between.
+	rng := rand.New(rand.NewSource(29))
+	var sampled []trace.Record
+	for vd := 0; vd < 6; vd++ {
+		now := int64(0)
+		for i := 0; i < 400; i++ {
+			now += int64(rng.Intn(40)) - 8
+			sampled = append(sampled, synthRecord(rng, uint64(len(sampled)+1), vd, now))
+		}
+	}
+	for _, via := range []string{viaEmitBatch, viaObserve} {
+		tr := New(4)
+		b := trace.NewBatch(trace.DefaultBatchCap)
+		for i := range sampled {
+			if via == viaObserve {
+				tr.Observe(sampled[i])
+				continue
+			}
+			b.Append(&sampled[i])
+			if b.Full() {
+				tr.EmitBatch(b)
+				b.Reset()
+			}
+		}
+		tr.EmitBatch(b)
+		if want := descents(concat(tr)); len(want) < 6 || !slices.Equal(tr.marks, want) {
+			t.Fatalf("%s at 1/4: marked %v, want %v", via, tr.marks, want)
+		}
+	}
+}
+
+// TestMergeWithExportsRowsBeside holds MergeWith's rows task to the serial
+// export: at every fan-out, rows sees the merged metric rows, once, and the
+// merged tracer's records and rows equal Merge's. The rows task and the
+// records task share the destination tracer, so under the race detector
+// (`make race`) this is the test that they touch disjoint parts of it.
+func TestMergeWithExportsRowsBeside(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	var streams [][]trace.Record
+	for sh := 0; sh < 3; sh++ {
+		var s []trace.Record
+		for vd := sh; vd < 12; vd += 3 {
+			now := int64(0)
+			for i := 0; i < 1500; i++ {
+				now += int64(rng.Intn(8000))
+				s = append(s, synthRecord(rng, uint64(len(s)+1), vd, now))
+			}
+		}
+		streams = append(streams, s)
+	}
+	shards := make([]*Tracer, len(streams))
+	for i, s := range streams {
+		shards[i] = writeTracer(s, viaEmitBatch, 0, trace.DefaultBatchCap)
+	}
+	want := Merge(1, shards...)
+	wantRecs, wantCompute, wantStorage := want.Records(), want.ComputeRows(), want.StorageRows()
+	for parts := 1; parts <= 4; parts++ {
+		var calls int
+		var compute, storage []trace.MetricRow
+		got := mergeInto(Acquire(1), parts, shards, func(m *Tracer) {
+			calls++
+			compute, storage = m.ComputeRows(), m.StorageRows()
+		})
+		if calls != 1 {
+			t.Fatalf("parts=%d: rows ran %d times", parts, calls)
+		}
+		if !reflect.DeepEqual(compute, wantCompute) || !reflect.DeepEqual(storage, wantStorage) {
+			t.Fatalf("parts=%d: rows exported beside the merge differ from Merge's", parts)
+		}
+		if !reflect.DeepEqual(got.Records(), wantRecs) || !reflect.DeepEqual(got.ComputeRows(), wantCompute) {
+			t.Fatalf("parts=%d: merged tracer differs from Merge's", parts)
+		}
+		got.Release()
 	}
 }
 
@@ -230,9 +433,12 @@ func TestMergePartitionsBalanced(t *testing.T) {
 		}
 		n += size
 	}
-	shards := shardsOf(streams...)
+	shards := make([]*Tracer, len(streams))
+	for i, s := range streams {
+		shards[i] = writeTracer(s, viaEmitBatch, 0, trace.DefaultBatchCap)
+	}
 	for parts := 2; parts <= 8; parts++ {
-		out := mergeInto(New(1), parts, shards)
+		out := mergeInto(New(1), parts, shards, nil)
 		nr := len(out.cuts) / (parts + 1)
 		for p := 0; p < parts; p++ {
 			size := 0
@@ -247,31 +453,54 @@ func TestMergePartitionsBalanced(t *testing.T) {
 }
 
 // FuzzMergeRuns decodes arbitrary bytes into tracers of short, duplicate-
-// heavy, freely out-of-order records, held whole or in chunks of a few
-// records, and holds the merge to the stable-sort reference at every
-// partition count.
+// heavy records and holds the merge to the stable-sort reference at every
+// partition count. batch picks who marks the runs. 0: the records are freely
+// out of order (signed bytes as times) and sit in hand-cut FromParts chunks
+// marked as a decoder marks them. 1..: the records are disk streams that step
+// back in time wherever a byte is negative, written through EmitBatch in
+// batches of up to 16 records, the tracer marking its own runs; the tracer's
+// marks are also held to the decoder's.
 func FuzzMergeRuns(f *testing.F) {
-	f.Add([]byte{}, uint8(1), uint8(0))
-	f.Add([]byte{1, 0, 1, 0, 0, 1, 1, 0}, uint8(2), uint8(0))
-	f.Add([]byte{1, 0, 1, 0, 0, 1, 1, 0}, uint8(2), uint8(2))
-	f.Add([]byte{9, 1, 8, 1, 7, 1, 7, 1, 200, 3, 7, 1, 6, 130}, uint8(3), uint8(1))
-	f.Add([]byte("the quick brown fox jumps over the lazy dog, twice over"), uint8(7), uint8(3))
-	f.Fuzz(func(t *testing.T, data []byte, tracers, chunk uint8) {
+	f.Add([]byte{}, uint8(1), uint8(0), uint8(0))
+	f.Add([]byte{1, 0, 1, 0, 0, 1, 1, 0}, uint8(2), uint8(0), uint8(0))
+	f.Add([]byte{1, 0, 1, 0, 0, 1, 1, 0}, uint8(2), uint8(2), uint8(0))
+	f.Add([]byte{9, 1, 8, 1, 7, 1, 7, 1, 200, 3, 7, 1, 6, 130}, uint8(3), uint8(1), uint8(0))
+	f.Add([]byte("the quick brown fox jumps over the lazy dog, twice over"), uint8(7), uint8(3), uint8(0))
+	f.Add([]byte{5, 0, 0, 0, 251, 0, 0, 0, 3, 1, 250, 1, 0, 1, 9, 2}, uint8(1), uint8(2), uint8(3))
+	f.Add([]byte{1, 0, 1, 0, 1, 0, 1, 4, 1, 4, 255, 4, 0, 4, 2, 7, 240, 7, 16, 7}, uint8(2), uint8(3), uint8(1))
+	f.Add([]byte("EmitBatch rolls chunks mid-disk and disks step back in time"), uint8(3), uint8(4), uint8(6))
+	f.Fuzz(func(t *testing.T, data []byte, tracers, chunk, batch uint8) {
 		streams := make([][]trace.Record, int(tracers%8)+1)
 		n := len(data) / 2
+		now := int64(0)
 		for i := 0; i < n; i++ {
-			// Signed bytes: few distinct keys, negative ones included.
-			r := rec(int64(int8(data[2*i])), int(int8(data[2*i+1])%4))
 			s := i * len(streams) / n
-			streams[s] = append(streams[s], r)
+			vd := int(int8(data[2*i+1]) % 4)
+			if batch == 0 {
+				// Signed bytes: few distinct keys, negative ones included.
+				streams[s] = append(streams[s], rec(int64(int8(data[2*i])), vd))
+				continue
+			}
+			// A step of the disk's clock: back when negative, none at zero.
+			now += int64(int8(data[2*i]))
+			streams[s] = append(streams[s], rec(now, vd+4*s))
 		}
-		// chunk picks how many records a tracer's chunks hold: 0 keeps each
-		// stream whole, 1..4 cut it so boundaries fall inside runs and
-		// between equal keys.
-		if size := int(chunk % 5); size > 0 {
-			checkMergeAgainstStableSort(t, shardsOfChunks(rechunk(streams, size)))
-			return
+		streams = tagged(streams)
+		// chunk picks how many records a tracer's chunks hold: 0 leaves the
+		// chunking to the tracer (or one FromParts chunk), 1..4 cut it so
+		// boundaries fall inside runs and between equal keys.
+		size := int(chunk % 5)
+		shards := make([]*Tracer, len(streams))
+		for i, s := range streams {
+			if batch == 0 {
+				shards[i] = writeTracer(s, viaParts, size, 0)
+				continue
+			}
+			shards[i] = writeTracer(s, viaEmitBatch, size, int(batch%16)+1)
+			if !slices.Equal(shards[i].marks, descents(s)) {
+				t.Fatalf("tracer %d marked %v, want %v", i, shards[i].marks, descents(s))
+			}
 		}
-		checkMergeAgainstStableSort(t, shardsOf(streams...))
+		checkMergeAgainstStableSort(t, shards)
 	})
 }

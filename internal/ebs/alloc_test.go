@@ -24,7 +24,8 @@ func warmAllocs(run func()) float64 {
 // per disk or per simulated IO. A regression here means per-record churn
 // crept back into the inner loop; see DESIGN.md's "Hot path & memory layout".
 // Each budget is the count measured on a 10- and a 40-disk run plus at most
-// 15 %: workers=1 measured 29–35, workers=2 39, workers=4 48–57.
+// 15 %: workers=1 measured 30–35, workers=2 40, workers=4 49–57 (the merge's
+// rows task is one of them: finish hands it over as a method value).
 func TestRunSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("pool reuse is randomized under the race detector")

@@ -121,6 +121,9 @@ type runState struct {
 	sets    []*sketch.Set // one per tracer when streaming
 	chaos   chaos.Stats
 	audits  []string
+
+	// compute and storage are the merged metric rows, scaled: exportRows'.
+	compute, storage []trace.MetricRow
 }
 
 // begin is the single validation-and-defaulting gate of every entry point,
@@ -259,30 +262,39 @@ func mergeSets(cfg sketch.Config, sets []*sketch.Set) *sketch.Set {
 	return merged
 }
 
-// mergeTracers merges the run's tracers and exports the result once: the
-// records, detached, and the two metric-row domains, UNSCALED. The merged
-// tracer goes back to its pool.
-func mergeTracers(opts Options, tracers []*diting.Tracer) (records []trace.Record, compute, storage []trace.MetricRow) {
-	merged := diting.Merge(opts.TraceSampleEvery, tracers...)
-	records, compute, storage = merged.DetachRecords(), merged.ComputeRows(), merged.StorageRows()
+// mergeTracers merges the run's tracers and returns the merged records,
+// detached; the merge's rows task, exportRows, fills r.compute and r.storage
+// beside the record merge. The merged tracer goes back to its pool.
+func (r *runState) mergeTracers() []trace.Record {
+	merged := diting.MergeWith(r.opts.TraceSampleEvery, r.tracers, r.exportRows)
+	records := merged.DetachRecords()
 	merged.Release()
-	return records, compute, storage
+	return records
+}
+
+// exportRows exports the merged tracer's two metric-row domains once, folds
+// them into the control-plane observation while they are still unscaled
+// (integer-valued sums, so the observation's counters are exact), then scales
+// them for event thinning.
+func (r *runState) exportRows(merged *diting.Tracer) {
+	r.compute, r.storage = merged.ComputeRows(), merged.StorageRows()
+	if r.opts.Observe != nil {
+		r.opts.Observe.AddRows(r.compute, r.storage)
+	}
+	scaleRows(r.compute, float64(r.opts.EventSampleEvery))
+	scaleRows(r.storage, float64(r.opts.EventSampleEvery))
 }
 
 // finish turns a complete run's parts into its results, the same way for the
 // in-process engine and the distributed merge so the two cannot drift: merge
-// the tracers, fold the merged metric rows into the control-plane observation
-// (while they are still unscaled: integer-valued sums, so the observation's
-// counters are exact), assemble the dataset, publish the merged sketch state
-// (from here on it is what an attached SnapshotSink serves), publish chaos
-// accounting, and run the check-mode verification suite.
+// the tracers (records and metric rows at once, see mergeTracers), assemble
+// the dataset, publish the merged sketch state (from here on it is what an
+// attached SnapshotSink serves), publish chaos accounting, and run the
+// check-mode verification suite.
 func (s *Sim) finish(r *runState) (*trace.Dataset, error) {
 	opts := r.opts
-	records, compute, storage := mergeTracers(opts, r.tracers)
-	if opts.Observe != nil {
-		opts.Observe.AddRows(compute, storage)
-	}
-	ds := s.assembleDataset(opts, records, compute, storage)
+	records := r.mergeTracers()
+	ds := s.assembleDataset(opts, records, r.compute, r.storage)
 	if opts.Stream != nil {
 		*opts.Stream = *mergeSets(r.streamCfg, r.sets)
 		opts.Snapshots.point(nil, opts.Stream, r.nVDs)

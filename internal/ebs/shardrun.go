@@ -35,6 +35,12 @@ type ShardPartial struct {
 	// Records is the sampled records of a partial that owns them in one slice
 	// (a decoded result frame). RunShard leaves it nil: read Chunks.
 	Records []trace.Record
+	// Marks are where the records' sorted runs start, as positions in the
+	// walk of Chunks (diting.FromParts' marks): noted by whoever wrote the
+	// records — RunShard's tracers as they kept them, a decoder as it reads
+	// them — so the merge never scans for them. They never cross the wire,
+	// and a RunShard partial's go with its chunks at Release.
+	Marks []int
 	// Compute and Storage are each tracer's rows in key order, tracer after
 	// tracer; keys never repeat across tracers (a key pins one VD).
 	Compute []trace.MetricRow
@@ -74,7 +80,7 @@ func (p *ShardPartial) Chunks() [][]trace.Record {
 func (p *ShardPartial) Release() {
 	if p.run != nil {
 		p.run.release()
-		p.run, p.chunks = nil, nil
+		p.run, p.chunks, p.Marks = nil, nil, nil
 	}
 }
 
@@ -148,8 +154,8 @@ func (s *Sim) DiskCosts(opts Options) ([]uint64, error) {
 }
 
 // assembleDataset builds the run's dataset from the fully merged tracer's
-// export: the records, the metric rows (scaled here, in place) and the
-// fleet's (shared, read-only) VD/VM spec tables.
+// export: the records, the scaled metric rows and the fleet's (shared,
+// read-only) VD/VM spec tables.
 func (s *Sim) assembleDataset(opts Options, records []trace.Record, compute, storage []trace.MetricRow) *trace.Dataset {
 	vdSpecs, vmSpecs := s.specs()
 	return &trace.Dataset{
@@ -157,8 +163,8 @@ func (s *Sim) assembleDataset(opts Options, records []trace.Record, compute, sto
 		Seg2BS:      s.fleet.Seg2BS,
 		DurationSec: opts.DurationSec,
 		Trace:       records,
-		Compute:     scaleRows(compute, float64(opts.EventSampleEvery)),
-		Storage:     scaleRows(storage, float64(opts.EventSampleEvery)),
+		Compute:     compute,
+		Storage:     storage,
 		VDSpecs:     vdSpecs,
 		VMSpecs:     vmSpecs,
 	}
@@ -187,7 +193,7 @@ func (s *Sim) RunShard(ctx context.Context, opts Options, lo, hi int) (*ShardPar
 	}
 	p := &ShardPartial{Lo: lo, Hi: hi, Chaos: r.chaos, Audit: r.audits, run: r}
 	for _, tr := range r.tracers {
-		p.chunks = tr.AppendChunks(p.chunks)
+		p.chunks, p.Marks = tr.AppendChunks(p.chunks, p.Marks)
 		p.Compute = append(p.Compute, tr.ComputeRows()...)
 		p.Storage = append(p.Storage, tr.StorageRows()...)
 	}
@@ -233,7 +239,7 @@ func (s *Sim) MergeShards(opts Options, partials []*ShardPartial) (*trace.Datase
 	for _, p := range parts {
 		// FromParts tracers alias the partial's chunks and rows; finish merges
 		// them (which copies) and they must never be pooled or released.
-		r.tracers = append(r.tracers, diting.FromParts(r.opts.TraceSampleEvery, p.Chunks(), p.Compute, p.Storage))
+		r.tracers = append(r.tracers, diting.FromParts(r.opts.TraceSampleEvery, p.Chunks(), p.Marks, p.Compute, p.Storage))
 		if r.opts.Stream != nil {
 			if p.Sketch == nil {
 				return nil, fmt.Errorf("ebs: shard [%d,%d) has no sketch state in a streaming run", p.Lo, p.Hi)

@@ -278,10 +278,10 @@ func checkControllable(sc scenario.Workload) error {
 }
 
 // scaleRows compensates metric rows for event thinning so reported rates
-// approximate the full-scale traffic.
-func scaleRows(rows []trace.MetricRow, factor float64) []trace.MetricRow {
+// approximate the full-scale traffic, in place.
+func scaleRows(rows []trace.MetricRow, factor float64) {
 	if factor == 1 {
-		return rows
+		return
 	}
 	for i := range rows {
 		rows[i].ReadBps *= factor
@@ -289,5 +289,4 @@ func scaleRows(rows []trace.MetricRow, factor float64) []trace.MetricRow {
 		rows[i].ReadIOPS *= factor
 		rows[i].WriteIOPS *= factor
 	}
-	return rows
 }

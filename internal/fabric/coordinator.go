@@ -34,9 +34,11 @@ import (
 type Config struct {
 	// Fleet is the generation recipe, shipped to every worker.
 	Fleet workload.Config
-	// Opts are the run options. Coordinator-side destinations (Stream,
-	// ChaosStats) are honored: the merged run fills them exactly like
-	// ebs.Sim.Run would. Progress and Latency do not cross the wire.
+	// Opts are the run options. None of their sinks crosses the wire; the
+	// ones the merge fills — Stream (and Snapshots over it), ChaosStats and
+	// Observe — stay on the coordinator and are filled exactly like
+	// ebs.Sim.Run would fill them. Progress is never called: no disk runs
+	// here.
 	Opts ebs.Options
 	// Scenario optionally names a scenario spec ("bufferbloat,period=16")
 	// every worker binds to its regenerated fleet. The coordinator binds it

@@ -6,11 +6,14 @@ import (
 	"errors"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 	"unsafe"
 
+	"ebslab/internal/cluster"
+	"ebslab/internal/diting"
 	"ebslab/internal/ebs"
 	"ebslab/internal/invariant"
 	"ebslab/internal/netblock"
@@ -400,6 +403,9 @@ func TestShardResultCodecRoundTrip(t *testing.T) {
 			t.Fatalf("record %d drifted", i)
 		}
 	}
+	if m := runStarts(got.Records); !slices.Equal(got.Marks, m) || len(m) == 0 {
+		t.Fatalf("decoded marks %v, want the run starts %v", got.Marks, m)
+	}
 	for i := range p.Compute {
 		if got.Compute[i] != p.Compute[i] {
 			t.Fatalf("compute row %d drifted", i)
@@ -421,6 +427,66 @@ func TestShardResultCodecRoundTrip(t *testing.T) {
 	}
 	if _, _, _, err := decodeResult(append(frame, 0)); err == nil {
 		t.Fatal("trailing byte accepted")
+	}
+}
+
+// runStarts is every record that starts a sorted run after its predecessor.
+func runStarts(recs []trace.Record) []int {
+	var marks []int
+	for i := 1; i < len(recs); i++ {
+		if diting.StartsRun(&recs[i-1], &recs[i]) {
+			marks = append(marks, i)
+		}
+	}
+	return marks
+}
+
+// TestDecodedPartialsMergeLikeRun holds the decoder's run marks to the merge:
+// a shard's records cross the wire as one slice in which every disk restarts
+// the clock, the frame carries no marks, and the decoder notes the run starts
+// as it reads the records. MergeShards over decoded partials — fanned out
+// wherever GOMAXPROCS allows — must give Run's dataset.
+func TestDecodedPartialsMergeLikeRun(t *testing.T) {
+	fleet, err := workload.Generate(testFleetConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := ebs.New(fleet)
+	opts := ebs.Options{DurationSec: 10, TraceSampleEvery: 1, EventSampleEvery: 1, Workers: 2}
+	ref, err := sim.Run(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ref.Trace) < 2*4096 {
+		t.Fatalf("%d records, too few for the merge to fan out", len(ref.Trace))
+	}
+	refFP := invariant.Fingerprint(ref)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		var parts []*ebs.ShardPartial
+		for i, r := range cluster.PlanShards(len(fleet.Topology.VDs), 3) {
+			p, err := sim.RunShard(context.Background(), opts, r.Lo, r.Hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _, got, err := decodeResult(encodeResult(1, i, p))
+			p.Release()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got.Marks) == 0 {
+				t.Fatalf("shard %v decoded without a run start", r)
+			}
+			parts = append(parts, got)
+		}
+		ds, err := sim.MergeShards(opts, parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fp := invariant.Fingerprint(ds); fp != refFP {
+			t.Fatalf("GOMAXPROCS=%d: decoded partials merge to %s, Run to %s", procs, fp[:12], refFP[:12])
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"slices"
 
 	"ebslab/internal/cluster"
+	"ebslab/internal/diting"
 	"ebslab/internal/ebs"
 	"ebslab/internal/invariant"
 	"ebslab/internal/netblock"
@@ -341,7 +342,8 @@ func appendResult(dst []byte, workerID uint64, shardID int, p *ebs.ShardPartial,
 // decodeResult parses one shard-result frame. Every section length is
 // validated against the bytes actually present before allocation, and
 // trailing bytes are rejected: a frame either decodes completely or not at
-// all.
+// all. The records' run starts (ShardPartial.Marks) are noted as they are
+// read, not shipped: the frame's bytes stay what they were.
 func decodeResult(data []byte) (workerID uint64, shardID int, p *ebs.ShardPartial, err error) {
 	r := wire.NewReader(data, ErrWire)
 	workerID = r.U64()
@@ -353,6 +355,9 @@ func decodeResult(data []byte) (workerID uint64, shardID int, p *ebs.ShardPartia
 		p.Records = make([]trace.Record, n)
 		for i := range p.Records {
 			readRecord(r, &p.Records[i])
+			if i > 0 && diting.StartsRun(&p.Records[i-1], &p.Records[i]) {
+				p.Marks = append(p.Marks, i)
+			}
 		}
 	}
 	if n := r.Count(metricRowWire); n > 0 {
