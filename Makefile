@@ -5,13 +5,14 @@
 # client-vs-server stress test with wire faults enabled), the golden-fixture
 # drift check, a short randomized run of every fuzz target, coverage over the
 # fault-injection packages, a seeded chaos smoke run with the invariant
-# checker, and the allocation budgets (run without the race detector, under
-# which they skip). Timing lives in one place, the bench/ module.
+# checker, the whole reproduction catalog at the quick fleet size, and the
+# allocation budgets (run without the race detector, under which they skip).
+# Timing lives in one place, the bench/ module.
 
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: all build test race vet callers loc knobs bench-gate golden golden-diff fuzz-smoke cover chaos-smoke sketch-accuracy-smoke dist-smoke dist-ha-smoke consensus-race gateway-smoke control-smoke scenario-smoke bench-module ci
+.PHONY: all build test race vet callers loc knobs bench-gate golden golden-diff fuzz-smoke cover chaos-smoke sketch-accuracy-smoke dist-smoke dist-ha-smoke consensus-race gateway-smoke control-smoke scenario-smoke analyze-smoke bench-module ci
 
 all: build
 
@@ -189,6 +190,13 @@ scenario-smoke:
 		&& echo "ebssim -replay <tianchi sample as CRLF with a header row> -check" \
 		&& $(GO) run ./cmd/ebssim -seed 7 -dur 12 -nodes 4 -max-vds 24 -replay $$tmp -check; rc=$$?; rm -f $$tmp; exit $$rc
 
+# Reproduction gate: the whole experiment catalog at the quick fleet size and
+# the catalog's own defaults — the only run of every figure family at the
+# options the report uses (the goldens pin them at small options). Stdout is
+# the markdown report; only a failing exit matters here.
+analyze-smoke:
+	$(GO) run ./cmd/analyze -scale small -run all > /dev/null
+
 # bench/ is a nested module (`ebslab/bench`, replace ebslab => ../), so
 # `go test ./...` from the root never compiles it: this is the gate that
 # catches an API change in the root module breaking the benchmark. Its suite
@@ -197,4 +205,4 @@ scenario-smoke:
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-ci: vet callers race golden-diff fuzz-smoke cover chaos-smoke sketch-accuracy-smoke dist-smoke dist-ha-smoke consensus-race gateway-smoke control-smoke scenario-smoke bench-module bench-gate
+ci: vet callers race golden-diff fuzz-smoke cover chaos-smoke sketch-accuracy-smoke dist-smoke dist-ha-smoke consensus-race gateway-smoke control-smoke scenario-smoke analyze-smoke bench-module bench-gate

@@ -100,7 +100,7 @@ func BenchmarkFig2d(b *testing.B) {
 	s := study(b)
 	var r core.Fig2dResult
 	for i := 0; i < b.N; i++ {
-		r = s.Fig2dRebinding(core.NodeWindowOptions{MaxNodes: 24, WinSec: 10})
+		r = s.Fig2dRebinding(core.RebindOptions{MaxNodes: 24, WinSec: 10})
 	}
 	b.ReportMetric(100*r.FracImproved, "improved-pct")
 	b.ReportMetric(r.MedianGain, "median-gain")
@@ -314,7 +314,7 @@ func BenchmarkAblationRebindPeriod(b *testing.B) {
 				nodes := 0
 				improved := 0
 				cfg := hypervisor.RebindConfig{PeriodSlots: period, Trigger: 1.2, EvalSlots: 100}
-				r := s.RebindWithConfig(core.RebindOptions{MaxNodes: 16, WinSec: 10, Config: cfg})
+				r := s.Fig2dRebinding(core.RebindOptions{MaxNodes: 16, WinSec: 10, Config: cfg})
 				for _, p := range r.Points {
 					nodes++
 					if p.Gain < 0.999 {

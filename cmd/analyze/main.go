@@ -1,12 +1,16 @@
-// Command analyze generates a synthetic EBS fleet and runs the paper's
-// analyses over it, printing paper-style tables. Select experiments with
-// -run (comma-separated ids from core.Catalog: t2,t3,t4,f2,...,f7,ab) or run
-// everything with -run all.
+// Command analyze generates a synthetic EBS fleet, runs the paper's analyses
+// over it and prints a self-contained markdown report: a header naming the
+// fleet, then one section per experiment with its paper-style tables, in
+// catalog order. Select experiments with -run (comma-separated ids from
+// core.Catalog: t2,t3,t4,f2,...,f7,ab) or run everything with -run all.
+// Stdout is a function of the flags alone; per-experiment timings go to
+// stderr.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -22,7 +26,6 @@ func main() {
 		scale = flag.String("scale", "medium", "fleet scale: small | medium | large")
 		dur   = flag.Int("dur", 0, "observation window seconds (0 = scale default)")
 		run   = flag.String("run", "all", "experiments to run (comma list: "+idList(catalog)+")")
-		quiet = flag.Bool("q", false, "suppress progress timing")
 	)
 	flag.Parse()
 
@@ -40,20 +43,27 @@ func main() {
 	if *dur > 0 {
 		cfg.DurationSec = *dur
 	}
+	start := time.Now()
 	study, err := core.NewStudy(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "generate fleet:", err)
 		os.Exit(1)
 	}
+	writeReport(os.Stdout, os.Stderr, study, selected)
+	fmt.Fprintf(os.Stderr, "_Generated in %v._\n", time.Since(start).Round(time.Second))
+}
 
+// writeReport renders the selected experiments over study as markdown on out
+// — the header, then per experiment a "## Title" heading and its rendering
+// in a fenced block — and each experiment's wall-clock time on timing.
+func writeReport(out, timing io.Writer, study *core.Study, selected []core.Experiment) {
+	cfg := study.Fleet.Cfg
+	fmt.Fprintf(out, "# Reproduction report (seed %d, %d DCs, %d VMs, %ds window)\n\n",
+		cfg.Seed, cfg.DCs, len(study.Fleet.Topology.VMs), study.Dur)
 	for _, e := range selected {
 		start := time.Now()
-		fmt.Print(e.Render(study))
-		if !*quiet {
-			fmt.Printf("  [%s in %v]\n\n", e.ID, time.Since(start).Round(time.Millisecond))
-		} else {
-			fmt.Println()
-		}
+		fmt.Fprintf(out, "## %s\n\n```\n%s```\n\n", e.Title, e.Render(study))
+		fmt.Fprintf(timing, "[%s in %v]\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
 }
 
@@ -97,7 +107,8 @@ func idList(catalog []core.Experiment) string {
 	return strings.Join(ids, ",")
 }
 
-// configForScale returns fleet configurations at three sizes.
+// configForScale returns fleet configurations at three sizes; small is the
+// quick one.
 func configForScale(scale string) (workload.Config, error) {
 	cfg := workload.DefaultConfig()
 	switch scale {

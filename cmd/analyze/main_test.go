@@ -1,11 +1,66 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
 	"ebslab/internal/core"
+	"ebslab/internal/workload"
 )
+
+// TestReportIsCatalogMarkdown pins what analyze prints: the header, then for
+// each selected experiment in catalog order a "## Title" heading and its
+// Render output in a fenced block, and nothing else — timings go to the
+// other writer, so two runs over the same fleet print identical bytes.
+func TestReportIsCatalogMarkdown(t *testing.T) {
+	cfg := workload.DefaultConfig()
+	cfg.Seed = 5
+	cfg.DCs = 1
+	cfg.NodesPerDC = 24
+	cfg.BSPerDC = 8
+	cfg.BSPerCluster = 4
+	cfg.Users = 24
+	cfg.DurationSec = 60
+	newStudy := func() *core.Study {
+		s, err := core.NewStudy(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	selected, err := selectExperiments(core.Catalog(), "f5,t2")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ref := newStudy()
+	want := fmt.Sprintf("# Reproduction report (seed 5, 1 DCs, %d VMs, 60s window)\n\n", len(ref.Fleet.Topology.VMs))
+	for _, id := range []string{"t2", "f5"} {
+		for _, e := range selected {
+			if e.ID == id {
+				want += "## " + e.Title + "\n\n```\n" + e.Render(ref) + "```\n\n"
+			}
+		}
+	}
+
+	var outs [2]string
+	for i := range outs {
+		var out, timing bytes.Buffer
+		writeReport(&out, &timing, newStudy(), selected)
+		outs[i] = out.String()
+		if got := timing.String(); !strings.HasPrefix(got, "[t2 in ") || !strings.Contains(got, "\n[f5 in ") {
+			t.Errorf("timing writer got %q, want one [id in d] line per experiment in catalog order", got)
+		}
+	}
+	if outs[0] != want {
+		t.Errorf("report:\n%s\nwant:\n%s", outs[0], want)
+	}
+	if outs[1] != outs[0] {
+		t.Error("two runs over the same fleet printed different reports")
+	}
+}
 
 // TestSelectExperiments pins -run resolution: ids select in catalog order
 // whatever order they were named in, "all" selects everything, and an id the

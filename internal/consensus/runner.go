@@ -254,14 +254,6 @@ func (r *Runner) Propose(cmd []byte, timeout time.Duration) (any, error) {
 	}
 }
 
-// LeaderInfo returns the node's current leader hint and whether this node
-// is that leader.
-func (r *Runner) LeaderInfo() (leader int, isLeader bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.node.Leader(), r.node.State() == Leader
-}
-
 // Read runs f under the runner's lock, serialized against FSM application.
 // The fabric uses it for consistent reads of its ledger state.
 func (r *Runner) Read(f func()) {

@@ -136,7 +136,8 @@ func TestRunnerReplicatesAndFailsOver(t *testing.T) {
 	}
 
 	waitFor(t, 10*time.Second, func() bool {
-		_, isLeader := runners[1].LeaderInfo()
+		var isLeader bool
+		runners[1].Read(func() { isLeader = runners[1].node.State() == Leader })
 		return isLeader
 	}, "replica 1 did not take over")
 

@@ -21,40 +21,6 @@ type stdRand = rand.Rand
 
 func newStdRand(seed int64) *stdRand { return rand.New(rand.NewSource(seed)) }
 
-// RebindWithConfig reruns the Fig 2(d) rebinding study under an explicit
-// rebinding configuration — the ablation knob for the rebinding period and
-// trigger threshold.
-func (s *Study) RebindWithConfig(opt RebindOptions) Fig2dResult {
-	mustOpt(opt.Validate())
-	maxNodes, winSec, cfg := opt.MaxNodes, opt.WinSec, opt.Config
-	if cfg == (hypervisor.RebindConfig{}) {
-		cfg = hypervisor.DefaultRebindConfig()
-	}
-	if maxNodes <= 0 {
-		maxNodes = 40
-	}
-	if winSec <= 0 {
-		winSec = 20
-	}
-	var res Fig2dResult
-	var gains, ratios []float64
-	for _, n := range s.busiestNodes(maxNodes) {
-		slot := s.nodeSampledSlotTraffic(n, winSec, 100, rebindSampleEvery)
-		binding := hypervisor.RoundRobin(s.Fleet.Topology, n)
-		r := hypervisor.SimulateRebinding(binding, slot, cfg)
-		if math.IsNaN(r.Gain) {
-			continue
-		}
-		res.Points = append(res.Points, r)
-		gains = append(gains, r.Gain)
-		ratios = append(ratios, r.Ratio)
-	}
-	res.FracImproved = stats.FractionWhere(gains, func(x float64) bool { return x < 0.999 })
-	res.MedianGain = stats.Median(gains)
-	res.MedianRatio = stats.Median(ratios)
-	return res
-}
-
 // DispatchAblation summarizes the §4.4 dispatch-model comparison across
 // the busiest nodes.
 type DispatchAblation struct {
@@ -79,17 +45,15 @@ func (s *Study) AblateDispatch(opt DispatchOptions) DispatchAblation {
 	}
 	res := DispatchAblation{Policy: policy}
 	var covs []float64
-	for _, n := range s.busiestNodes(maxNodes) {
-		slot := s.nodeSampledSlotTraffic(n, winSec, 100, rebindSampleEvery)
-		binding := hypervisor.RoundRobin(s.Fleet.Topology, n)
+	s.eachBusyNode(maxNodes, winSec, func(binding *hypervisor.Binding, slot [][]float64) {
 		r := hypervisor.SimulateDispatch(binding, slot, policy)
 		if math.IsNaN(r.CoV) {
-			continue
+			return
 		}
 		res.Nodes++
 		res.SyncOps += r.SyncOps
 		covs = append(covs, r.CoV)
-	}
+	})
 	res.MedianCoV = stats.Median(covs)
 	return res
 }
@@ -200,36 +164,9 @@ func (s *Study) AblateCachePolicy(opt BlockSampleOptions) CachePolicyAblation {
 	if blockMiB <= 0 {
 		blockMiB = 256
 	}
-	blockSize := blockMiB << 20
-	capPages := int(blockSize / cache.PageSize)
 	vds := s.studyVDs(maxVDs)
-	hits := map[string][]float64{}
-	for _, vd := range vds {
-		accesses := s.vdAccesses(vd, maxEventsPerVD)
-		if len(accesses) == 0 {
-			continue
-		}
-		for _, mk := range []func() cache.Cache{
-			func() cache.Cache { return cache.NewFIFO(capPages) },
-			func() cache.Cache { return cache.NewLRU(capPages) },
-			func() cache.Cache { return cache.NewClock(capPages) },
-		} {
-			c := mk()
-			r := cache.Simulate(c, accesses)
-			if v := r.HitRatio(); !math.IsNaN(v) {
-				hits[c.Name()] = append(hits[c.Name()], v)
-			}
-		}
-		rep := cache.AnalyzeBlocks(accesses, s.Fleet.Topology.VDs[vd].Capacity, blockSize)
-		if rep.Hottest >= 0 {
-			fc := cache.Simulate(cache.NewFrozen(rep.Hottest*blockSize, blockSize), accesses)
-			if v := fc.HitRatio(); !math.IsNaN(v) {
-				hits["frozen"] = append(hits["frozen"], v)
-			}
-		}
-	}
 	res := CachePolicyAblation{BlockMiB: blockMiB, VDs: len(vds), Median: map[string]float64{}}
-	for name, xs := range hits {
+	for name, xs := range s.hitRatios(vds, maxEventsPerVD, blockMiB<<20, pagePolicies) {
 		res.Median[name] = stats.Median(xs)
 	}
 	return res
@@ -257,44 +194,17 @@ type PredictorAblation struct {
 // refit cadence.
 func (s *Study) AblatePredictors(opt PeriodOptions) PredictorAblation {
 	mustOpt(opt.Validate())
-	cts := s.clusterTraffics(opt.PeriodSec)
-	var series [][]float64
-	for _, ct := range cts {
-		future := bsWriteMatrix(ct)
-		for _, row := range future {
-			if stats.Sum(row) > 0 {
-				series = append(series, row)
-			}
-		}
-	}
-	methods := []struct {
-		name string
-		mk   func() predict.Predictor
-	}{
-		{"naive", func() predict.Predictor { return &predict.Naive{} }},
-		{"ewma", func() predict.Predictor { return &predict.EWMA{Alpha: 0.3} }},
-		{"holt", func() predict.Predictor { return predict.NewHolt() }},
-		{"linear", func() predict.Predictor { return predict.NewLinearFit(4) }},
-		{"arima", func() predict.Predictor { return predict.NewARIMA(4, 1) }},
-		{"gbt", func() predict.Predictor { return predict.NewGBT(4, 40, 3, 0.1) }},
-		{"attention", func() predict.Predictor { return predict.NewAttention(4, 256) }},
-	}
+	series := s.bsWriteSeries(opt.PeriodSec)
 	res := PredictorAblation{Series: len(series)}
-	for _, m := range methods {
-		var nmses []float64
-		for _, ser := range series {
-			if len(ser) <= 10 {
-				continue
-			}
-			ev, err := predict.Evaluate(m.mk(), ser, 8, 1)
-			if err != nil || math.IsNaN(ev.NormMSE) {
-				continue
-			}
-			nmses = append(nmses, ev.NormMSE)
-		}
-		res.Methods = append(res.Methods, m.name)
-		res.Median = append(res.Median, stats.Median(nmses))
-	}
+	res.Methods, res.Median = medianNormMSE(series, []predictorRun{
+		{"naive", func() predict.Predictor { return &predict.Naive{} }, 1},
+		{"ewma", func() predict.Predictor { return &predict.EWMA{Alpha: 0.3} }, 1},
+		{"holt", func() predict.Predictor { return predict.NewHolt() }, 1},
+		{"linear", func() predict.Predictor { return predict.NewLinearFit(4) }, 1},
+		{"arima", func() predict.Predictor { return predict.NewARIMA(4, 1) }, 1},
+		{"gbt", func() predict.Predictor { return predict.NewGBT(4, 40, 3, 0.1) }, 1},
+		{"attention", func() predict.Predictor { return predict.NewAttention(4, 256) }, 1},
+	})
 	return res
 }
 
@@ -328,40 +238,23 @@ func (s *Study) AblateCacheDeployment(opt CacheDeploymentOptions) DeploymentAbla
 	if cnFrac <= 0 {
 		cnFrac = 0.25
 	}
-	blockSize := blockMiB << 20
 	model := latency.Default()
 	var cnP, bsP, hyP, cnH, bsH, hyH []float64
-	vds := s.studyVDs(maxVDs)
-	for _, vd := range vds {
-		accesses := s.vdAccesses(vd, maxEventsPerVD)
-		if len(accesses) == 0 {
-			continue
-		}
-		capBytes := s.Fleet.Topology.VDs[vd].Capacity
-		rep := cache.AnalyzeBlocks(accesses, capBytes, blockSize)
-		if rep.Hottest < 0 || rep.AccessRate < 0.25 {
-			continue
-		}
-		hotOff := rep.Hottest * blockSize
-		hotLen := blockSize
-		if hotOff+hotLen > capBytes {
-			hotLen = capBytes - hotOff
-		}
-		seed := s.Fleet.Cfg.Seed + int64(vd)
-		take := func(rs []latency.GainResult, p *[]float64, h *[]float64) {
-			for _, g := range rs {
-				if g.Op == trace.OpWrite && !math.IsNaN(g.P50) {
-					*p = append(*p, g.P50)
-					*h = append(*h, g.HitRatio)
-				}
+	take := func(rs []latency.GainResult, p *[]float64, h *[]float64) {
+		for _, g := range rs {
+			if g.Op == trace.OpWrite && !math.IsNaN(g.P50) {
+				*p = append(*p, g.P50)
+				*h = append(*h, g.HitRatio)
 			}
 		}
+	}
+	vds := s.eachCacheableVD(maxVDs, maxEventsPerVD, blockMiB<<20, func(accesses []cache.Access, hotOff, hotLen, seed int64) {
 		take(latency.EvaluateGain(model, accesses, hotOff, hotLen, latency.CNCache, seed), &cnP, &cnH)
 		take(latency.EvaluateGain(model, accesses, hotOff, hotLen, latency.BSCache, seed), &bsP, &bsH)
 		take(latency.EvaluateHybridGain(model, accesses, hotOff, hotLen, cnFrac, seed), &hyP, &hyH)
-	}
+	})
 	return DeploymentAblation{
-		BlockMiB: blockMiB, CNFrac: cnFrac, VDs: len(vds),
+		BlockMiB: blockMiB, CNFrac: cnFrac, VDs: vds,
 		CNP50: stats.Median(cnP), BSP50: stats.Median(bsP), HybridP50: stats.Median(hyP),
 		CNHit: stats.Median(cnH), BSHit: stats.Median(bsH), HybridHit: stats.Median(hyH),
 	}
@@ -393,7 +286,7 @@ type FailoverAblation struct {
 func (s *Study) AblateFailover(opt PeriodOptions) FailoverAblation {
 	mustOpt(opt.Validate())
 	cts := s.clusterTraffics(opt.PeriodSec)
-	victimCluster := s.worstCluster(cts)
+	victimCluster := worstCluster(cts)
 	ct := cts[victimCluster]
 	period := ct.NPeriods / 2
 	// Fail the hottest BS at that period.
@@ -423,22 +316,6 @@ func (r FailoverAblation) Render() string {
 			fr.Policy, fr.Moved, fr.CoVAfter, fr.MaxOverload)
 	}
 	return b.String()
-}
-
-// bsWriteMatrix sums per-BS write traffic per period under the cluster's
-// static placement.
-func bsWriteMatrix(ct clusterTraffic) [][]float64 {
-	out := make([][]float64, ct.Placement.NumBS())
-	for b := range out {
-		out[b] = make([]float64, ct.NPeriods)
-	}
-	for seg, rows := range ct.Traffic {
-		b := ct.Placement.BSOf(cluster.SegmentID(seg))
-		for p, rw := range rows {
-			out[b][p] += rw.W
-		}
-	}
-	return out
 }
 
 // Render prints the predictor ablation.

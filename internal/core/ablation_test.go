@@ -8,10 +8,10 @@ import (
 	"ebslab/internal/hypervisor"
 )
 
-func TestRebindWithConfigPeriodSweep(t *testing.T) {
+func TestRebindPeriodSweep(t *testing.T) {
 	s := study(t)
-	short := s.RebindWithConfig(RebindOptions{MaxNodes: 12, WinSec: 8, Config: hypervisor.RebindConfig{PeriodSlots: 1, Trigger: 1.2, EvalSlots: 5}})
-	long := s.RebindWithConfig(RebindOptions{MaxNodes: 12, WinSec: 8, Config: hypervisor.RebindConfig{PeriodSlots: 50, Trigger: 1.2, EvalSlots: 5}})
+	short := s.Fig2dRebinding(RebindOptions{MaxNodes: 12, WinSec: 8, Config: hypervisor.RebindConfig{PeriodSlots: 1, Trigger: 1.2, EvalSlots: 5}})
+	long := s.Fig2dRebinding(RebindOptions{MaxNodes: 12, WinSec: 8, Config: hypervisor.RebindConfig{PeriodSlots: 50, Trigger: 1.2, EvalSlots: 5}})
 	if len(short.Points) == 0 || len(long.Points) == 0 {
 		t.Skip("no active nodes in sample")
 	}

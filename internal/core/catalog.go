@@ -11,13 +11,13 @@ import (
 // group, or the ablation block, rendered as paper-style text over a Study.
 type Experiment struct {
 	ID     string // selection key (cmd/analyze -run)
-	Title  string // report heading (cmd/reproduce)
+	Title  string // report heading
 	Render func(*Study) string
 }
 
 // Catalog lists every experiment of the reproduction in report order. It is
-// the one place that says what "everything" is: cmd/reproduce renders all of
-// it, cmd/analyze selects from it by ID.
+// the one place that says what "everything" is: cmd/analyze selects from it
+// by ID and renders the selection in this order.
 func Catalog() []Experiment {
 	return []Experiment{
 		{"t2", "Table 2 — dataset summary", func(s *Study) string { return s.Table2Summary().Render() }},
@@ -27,7 +27,7 @@ func Catalog() []Experiment {
 			return s.Fig2aWTCoV(nil).Render() +
 				s.Fig2bThreeTier().Render() +
 				s.Fig2cHottestQP().Render() +
-				s.Fig2dRebinding(NodeWindowOptions{}).Render() +
+				s.Fig2dRebinding(RebindOptions{}).Render() +
 				s.Fig2efBurstSeries(NodeWindowOptions{}).Render()
 		}},
 		{"f3", "Figure 3 — traffic throttle", func(s *Study) string {
@@ -67,7 +67,7 @@ func renderAblations(s *Study) string {
 	b.WriteString(s.AblateFailover(PeriodOptions{}).Render())
 	b.WriteString(s.StudyPageCache(PageCacheOptions{}).Render())
 	for _, p := range []int{1, 10, 50} {
-		r := s.RebindWithConfig(RebindOptions{MaxNodes: 24, WinSec: 10, Config: hypervisor.RebindConfig{PeriodSlots: p, Trigger: 1.2, EvalSlots: 5}})
+		r := s.Fig2dRebinding(RebindOptions{MaxNodes: 24, WinSec: 10, Config: hypervisor.RebindConfig{PeriodSlots: p, Trigger: 1.2, EvalSlots: 5}})
 		fmt.Fprintf(&b, "Ablation: rebind period %d0 ms: improved %.1f%%, median gain %.2f, rebinds/slot %.4f\n",
 			p, 100*r.FracImproved, r.MedianGain, r.MedianRatio/float64(p))
 	}

@@ -198,7 +198,7 @@ func TestFig2cShapes(t *testing.T) {
 
 func TestFig2dShapes(t *testing.T) {
 	s := study(t)
-	r := s.Fig2dRebinding(NodeWindowOptions{MaxNodes: 30, WinSec: 10})
+	r := s.Fig2dRebinding(RebindOptions{MaxNodes: 30, WinSec: 10})
 	if len(r.Points) == 0 {
 		t.Fatal("no rebinding points")
 	}

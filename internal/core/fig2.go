@@ -279,71 +279,82 @@ type Fig2dResult struct {
 	MedianGain, MedianRatio float64
 }
 
-// rebindSampleEvery is the trace sampling applied before the Fig 2(d)
-// rebinding simulation. The paper runs it on its 1/3200-sampled trace; our
-// fleet moves roughly 40x less traffic per node, so 1/800 preserves the
-// per-node sampled-event density the paper's simulation saw (and with it
-// the fraction of nodes rebinding can actually help).
-const rebindSampleEvery = trace.SampleRate / 4
+// The §4.3/§4.4 hypervisor simulations replay the sampled trace in 10 ms
+// slots. rebindSampleEvery is the sampling: the paper runs them on its
+// 1/3200-sampled trace; our fleet moves roughly 40x less traffic per node, so
+// 1/800 preserves the per-node sampled-event density the paper's simulation
+// saw (and with it the fraction of nodes rebinding can actually help).
+const (
+	rebindSampleEvery = trace.SampleRate / 4
+	rebindSlotsPerSec = 100
+)
 
-// Fig2dRebinding simulates 10 ms QP-to-WT rebinding on the busiest
-// multi-QP nodes. Exactly like the paper's §4.3 simulation, the input is
-// the *sampled* trace: per-10 ms traffic is a sparse spike train, which is
-// what makes periodic rebinding mostly chase bursts it has already missed.
-func (s *Study) Fig2dRebinding(opt NodeWindowOptions) Fig2dResult {
+// Fig2dRebinding simulates periodic QP-to-WT rebinding (10 ms by default) on
+// the busiest multi-QP nodes. Exactly like the paper's §4.3 simulation, the
+// input is the *sampled* trace: per-10 ms traffic is a sparse spike train,
+// which is what makes periodic rebinding mostly chase bursts it has already
+// missed. RebindOptions.Config is the rebinding-period ablation's knob.
+func (s *Study) Fig2dRebinding(opt RebindOptions) Fig2dResult {
 	mustOpt(opt.Validate())
-	return s.rebindingWithSampling(opt.MaxNodes, opt.WinSec, rebindSampleEvery)
-}
-
-func (s *Study) rebindingWithSampling(maxNodes, winSec, sampleEvery int) Fig2dResult {
+	maxNodes, winSec, cfg := opt.MaxNodes, opt.WinSec, opt.Config
 	if maxNodes <= 0 {
 		maxNodes = 60
 	}
 	if winSec <= 0 {
 		winSec = 30
 	}
-	nodes := s.busiestNodes(maxNodes)
+	if cfg == (hypervisor.RebindConfig{}) {
+		cfg = hypervisor.DefaultRebindConfig()
+	}
 	var res Fig2dResult
 	var gains, ratios []float64
-	for _, n := range nodes {
-		slot := s.nodeSampledSlotTraffic(n, winSec, 100, sampleEvery)
-		binding := hypervisor.RoundRobin(s.Fleet.Topology, n)
-		r := hypervisor.SimulateRebinding(binding, slot, hypervisor.DefaultRebindConfig())
+	s.eachBusyNode(maxNodes, winSec, func(binding *hypervisor.Binding, slot [][]float64) {
+		r := hypervisor.SimulateRebinding(binding, slot, cfg)
 		if math.IsNaN(r.Gain) {
-			continue
+			return
 		}
 		res.Points = append(res.Points, r)
 		gains = append(gains, r.Gain)
 		ratios = append(ratios, r.Ratio)
-	}
+	})
 	res.FracImproved = stats.FractionWhere(gains, func(x float64) bool { return x < 0.999 })
 	res.MedianGain = stats.Median(gains)
 	res.MedianRatio = stats.Median(ratios)
 	return res
 }
 
+// eachBusyNode hands each of the k busiest nodes, busiest first, to fn: its
+// round-robin QP-to-WT binding and its [qp][slot] traffic over winSec
+// seconds — the input of every hypervisor simulation.
+func (s *Study) eachBusyNode(k, winSec int, fn func(binding *hypervisor.Binding, slot [][]float64)) {
+	for _, n := range s.busiestNodes(k) {
+		fn(hypervisor.RoundRobin(s.Fleet.Topology, n), s.nodeSampledSlotTraffic(n, winSec))
+	}
+}
+
 // nodeSampledSlotTraffic builds [qp][slot] traffic from the node's sampled
 // IO events (bytes per slot), mirroring the paper's trace-driven setup.
-func (s *Study) nodeSampledSlotTraffic(n cluster.NodeID, winSec, slotsPerSec, sampleEvery int) [][]float64 {
+func (s *Study) nodeSampledSlotTraffic(n cluster.NodeID, winSec int) [][]float64 {
 	top := s.Fleet.Topology
 	qps := top.NodeQPs(n)
 	idx := make(map[cluster.QPID]int, len(qps))
 	for i, qp := range qps {
 		idx[qp] = i
 	}
-	out := alloc2(len(qps), winSec*slotsPerSec)
+	nSlots := winSec * rebindSlotsPerSec
+	out := alloc2(len(qps), nSlots)
 	seen := map[cluster.VDID]bool{}
-	slotUS := int64(1_000_000 / slotsPerSec)
+	const slotUS = 1_000_000 / rebindSlotsPerSec
 	for _, qp := range qps {
 		vd := top.VDOfQP(qp)
 		if seen[vd] {
 			continue
 		}
 		seen[vd] = true
-		s.Fleet.GenEvents(vd, winSec, sampleEvery, func(ev workloadEvent) {
+		s.Fleet.GenEvents(vd, winSec, rebindSampleEvery, func(ev workloadEvent) {
 			slot := ev.TimeUS / slotUS
-			if int(slot) >= winSec*slotsPerSec {
-				slot = int64(winSec*slotsPerSec) - 1
+			if slot >= int64(nSlots) {
+				slot = int64(nSlots) - 1
 			}
 			out[idx[ev.QP]][slot] += float64(ev.Size)
 		})
@@ -410,9 +421,7 @@ func (s *Study) Fig2efBurstSeries(opt NodeWindowOptions) Fig2efResult {
 	}
 	var res Fig2efResult
 	bestP2A, worstP2A := math.Inf(-1), math.Inf(1)
-	for _, n := range s.busiestNodes(maxNodes) {
-		slot := s.nodeSampledSlotTraffic(n, winSec, 100, rebindSampleEvery)
-		binding := hypervisor.RoundRobin(s.Fleet.Topology, n)
+	s.eachBusyNode(maxNodes, winSec, func(binding *hypervisor.Binding, slot [][]float64) {
 		nSlots := 0
 		if len(slot) > 0 {
 			nSlots = len(slot[0])
@@ -441,7 +450,7 @@ func (s *Study) Fig2efBurstSeries(opt NodeWindowOptions) Fig2efResult {
 		}
 		p2a := stats.P2A(series)
 		if math.IsNaN(p2a) {
-			continue
+			return
 		}
 		gain := hypervisor.SimulateRebinding(binding, slot, hypervisor.DefaultRebindConfig()).Gain
 		if p2a > bestP2A {
@@ -452,7 +461,7 @@ func (s *Study) Fig2efBurstSeries(opt NodeWindowOptions) Fig2efResult {
 			worstP2A = p2a
 			res.CalmP2A, res.CalmSeries, res.CalmGain = p2a, series, gain
 		}
-	}
+	})
 	return res
 }
 

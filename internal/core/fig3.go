@@ -58,6 +58,15 @@ func (s *Study) multiVMNodeGroups() []throttleGroup {
 	return out
 }
 
+// scopeGroups returns the groups of one §5 scope and its label: the multi-VD
+// VMs, or with multiVMNode a tenant's co-located VMs.
+func (s *Study) scopeGroups(multiVMNode bool) (string, []throttleGroup) {
+	if multiVMNode {
+		return "multi-VM node", s.multiVMNodeGroups()
+	}
+	return "multi-VD VM", s.multiVDGroups(2)
+}
+
 // simulateGroup replays one group through the throttle, optionally with
 // lending.
 func (s *Study) simulateGroup(g throttleGroup, lend *throttle.Lending) throttle.Result {
@@ -179,12 +188,7 @@ type Fig3bcResult struct {
 // Fig3bRAR runs the throttle over all groups of the chosen scope and
 // summarizes RAR and wr_ratio of the events.
 func (s *Study) Fig3bRAR(multiVMNode bool) Fig3bcResult {
-	groups := s.multiVDGroups(2)
-	scope := "multi-VD VM"
-	if multiVMNode {
-		groups = s.multiVMNodeGroups()
-		scope = "multi-VM node"
-	}
+	scope, groups := s.scopeGroups(multiVMNode)
 	res := Fig3bcResult{Scope: scope, Groups: len(groups)}
 	var rarT, rarI, wr []float64
 	var nTput, nIOPS int
@@ -247,12 +251,7 @@ func (s *Study) Fig3deReduction(opt Fig3deOptions) Fig3deResult {
 	if len(rates) == 0 {
 		rates = []float64{0.2, 0.4, 0.6, 0.8}
 	}
-	groups := s.multiVDGroups(2)
-	scope := "multi-VD VM"
-	if multiVMNode {
-		groups = s.multiVMNodeGroups()
-		scope = "multi-VM node"
-	}
+	scope, groups := s.scopeGroups(multiVMNode)
 	res := Fig3deResult{Scope: scope, Rates: rates}
 	// Collect events once.
 	var events []throttle.Event
@@ -310,12 +309,7 @@ func (s *Study) Fig3fgLendingGain(opt Fig3fgOptions) Fig3fgResult {
 	if periodSec <= 0 {
 		periodSec = 60
 	}
-	groups := s.multiVDGroups(2)
-	scope := "multi-VD VM"
-	if multiVMNode {
-		groups = s.multiVMNodeGroups()
-		scope = "multi-VM node"
-	}
+	scope, groups := s.scopeGroups(multiVMNode)
 	res := Fig3fgResult{Scope: scope, Rates: rates}
 	// Baselines once per group.
 	type pair struct {

@@ -109,11 +109,7 @@ func (s *Study) Fig4aFrequentMigration(opt Fig4aOptions) Fig4aResult {
 	}
 	cts := s.clusterTraffics(opt.PeriodSec)
 	res := Fig4aResult{WindowPeriods: windows}
-	migs := make([][]balancer.Migration, len(cts))
-	for i, ct := range cts {
-		r := balancer.Run(ct.Placement, ct.Traffic, balancer.MinTrafficPolicy{}, balancer.DefaultConfig())
-		migs[i] = r.Migrations
-	}
+	migs := productionMigrations(cts)
 	for _, w := range windows {
 		var props []float64
 		var zero int
@@ -172,7 +168,7 @@ type Fig4bResult struct {
 func (s *Study) Fig4bImporterSelection(opt PeriodOptions) Fig4bResult {
 	mustOpt(opt.Validate())
 	cts := s.clusterTraffics(opt.PeriodSec)
-	victim := s.worstCluster(cts)
+	victim := worstCluster(cts)
 	ct := cts[victim]
 	policies := []balancer.ImporterPolicy{
 		&balancer.RandomPolicy{Rng: rand.New(rand.NewSource(s.Fleet.Cfg.Seed))},
@@ -192,18 +188,26 @@ func (s *Study) Fig4bImporterSelection(opt PeriodOptions) Fig4bResult {
 	return res
 }
 
+// productionMigrations runs the production balancer (MinTraffic importer)
+// on every cluster and returns each cluster's migrations.
+func productionMigrations(cts []clusterTraffic) [][]balancer.Migration {
+	migs := make([][]balancer.Migration, len(cts))
+	for i, ct := range cts {
+		migs[i] = balancer.Run(ct.Placement, ct.Traffic, balancer.MinTrafficPolicy{}, balancer.DefaultConfig()).Migrations
+	}
+	return migs
+}
+
 // worstCluster picks the cluster with the highest frequent-migration
 // proportion (ties broken by migration count) under the production policy.
-func (s *Study) worstCluster(cts []clusterTraffic) int {
+func worstCluster(cts []clusterTraffic) int {
 	best, bestScore := 0, math.Inf(-1)
-	for i, ct := range cts {
-		r := balancer.Run(ct.Placement, ct.Traffic, balancer.MinTrafficPolicy{}, balancer.DefaultConfig())
-		p := balancer.FrequentMigrationProportion(r.Migrations, ct.Placement.NumBS(), 1)
-		score := p
+	for i, migs := range productionMigrations(cts) {
+		score := balancer.FrequentMigrationProportion(migs, cts[i].Placement.NumBS(), 1)
 		if math.IsNaN(score) {
 			score = -1
 		}
-		score += float64(len(r.Migrations)) * 1e-6
+		score += float64(len(migs)) * 1e-6
 		if score > bestScore {
 			best, bestScore = i, score
 		}
@@ -242,31 +246,47 @@ func (s *Study) Fig4cPredictionMSE(opt Fig4cOptions) Fig4cResult {
 	if epochLen <= 0 {
 		epochLen = 30
 	}
-	cts := s.clusterTraffics(opt.PeriodSec)
-	// Per-BS write series across all clusters (under the initial placement).
-	var series [][]float64
-	for _, ct := range cts {
-		future := balancer.BSFutureMatrix(ct.Placement, ct.Traffic, func(x balancer.RW) float64 { return x.W })
-		for _, row := range future {
-			if stats.Sum(row) > 0 {
-				series = append(series, row)
-			}
-		}
-	}
-	type method struct {
-		name  string
-		mk    func() predict.Predictor
-		refit int
-	}
-	methods := []method{
+	series := s.bsWriteSeries(opt.PeriodSec)
+	res := Fig4cResult{BSSeries: len(series), EpochLen: epochLen}
+	res.Methods, res.MeanNormMSE = medianNormMSE(series, []predictorRun{
 		{"P1 linear (per-period)", func() predict.Predictor { return predict.NewLinearFit(4) }, 1},
 		{"P2 arima (per-period)", func() predict.Predictor { return predict.NewARIMA(4, 1) }, 1},
 		{"P3 gbt (per-epoch)", func() predict.Predictor { return predict.NewGBT(4, 40, 3, 0.1) }, epochLen},
 		{"P4 attention (per-epoch)", func() predict.Predictor { return predict.NewAttention(4, 256) }, epochLen},
 		{"P5 attention (per-period)", func() predict.Predictor { return predict.NewAttention(4, 256) }, 1},
+	})
+	return res
+}
+
+// bsWriteSeries returns the per-period write traffic of every BlockServer
+// that saw any, cluster by cluster, under each cluster's initial placement.
+func (s *Study) bsWriteSeries(periodSec int) [][]float64 {
+	var series [][]float64
+	for _, ct := range s.clusterTraffics(periodSec) {
+		for _, row := range balancer.BSFutureMatrix(ct.Placement, ct.Traffic, func(x balancer.RW) float64 { return x.W }) {
+			if stats.Sum(row) > 0 {
+				series = append(series, row)
+			}
+		}
 	}
-	res := Fig4cResult{BSSeries: len(series), EpochLen: epochLen}
-	warmup := 8
+	return series
+}
+
+// predictorRun is one forecaster configuration of a per-BS prediction
+// comparison: a fresh model per series, refit every refit periods.
+type predictorRun struct {
+	name  string
+	mk    func() predict.Predictor
+	refit int
+}
+
+// medianNormMSE evaluates every method on each series long enough to score
+// after an 8-period warm-up, returning the method names and, per method, the
+// median normalized MSE across series — the median because a single
+// pathological series (near-zero variance, one spike) would otherwise
+// dominate the mean.
+func medianNormMSE(series [][]float64, methods []predictorRun) (names []string, medians []float64) {
+	const warmup = 8
 	for _, m := range methods {
 		var nmses []float64
 		for _, ser := range series {
@@ -279,12 +299,10 @@ func (s *Study) Fig4cPredictionMSE(opt Fig4cOptions) Fig4cResult {
 			}
 			nmses = append(nmses, ev.NormMSE)
 		}
-		res.Methods = append(res.Methods, m.name)
-		// Median across BS series: single pathological series (near-zero
-		// variance, one spike) would otherwise dominate the mean.
-		res.MeanNormMSE = append(res.MeanNormMSE, stats.Median(nmses))
+		names = append(names, m.name)
+		medians = append(medians, stats.Median(nmses))
 	}
-	return res
+	return names, medians
 }
 
 // Render prints Fig 4(c).

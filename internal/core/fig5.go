@@ -161,7 +161,7 @@ type Fig5cResult struct {
 func (s *Study) Fig5cWriteThenRead(opt PeriodOptions) Fig5cResult {
 	mustOpt(opt.Validate())
 	cts := s.clusterTraffics(opt.PeriodSec)
-	victim := s.worstCluster(cts)
+	victim := worstCluster(cts)
 	ct := cts[victim]
 	cfg := balancer.DefaultConfig()
 	wo := balancer.Run(ct.Placement, ct.Traffic, balancer.OraclePolicy{}, cfg)

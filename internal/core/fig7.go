@@ -36,23 +36,8 @@ func (s *Study) Fig7aHitRatio(opt VDSampleOptions) Fig7aResult {
 	vds := s.studyVDs(maxVDs)
 	res := Fig7aResult{BlockMiB: BlockSizesMiB, VDs: len(vds)}
 	for _, mib := range BlockSizesMiB {
-		blockSize := mib << 20
-		capPages := int(blockSize / cache.PageSize)
-		var fifo, lru, fc []float64
-		for _, vd := range vds {
-			accesses := s.vdAccesses(vd, maxEventsPerVD)
-			if len(accesses) == 0 {
-				continue
-			}
-			capBytes := s.Fleet.Topology.VDs[vd].Capacity
-			rep := cache.AnalyzeBlocks(accesses, capBytes, blockSize)
-			fifo = appendNotNaN(fifo, cache.Simulate(cache.NewFIFO(capPages), accesses).HitRatio())
-			lru = appendNotNaN(lru, cache.Simulate(cache.NewLRU(capPages), accesses).HitRatio())
-			if rep.Hottest >= 0 {
-				fcCache := cache.NewFrozen(rep.Hottest*blockSize, blockSize)
-				fc = appendNotNaN(fc, cache.Simulate(fcCache, accesses).HitRatio())
-			}
-		}
+		hits := s.hitRatios(vds, maxEventsPerVD, mib<<20, pagePolicies[:2])
+		fifo, lru, fc := hits["fifo"], hits["lru"], hits["frozen"]
 		res.FIFOMed = append(res.FIFOMed, stats.Median(fifo))
 		res.LRUMed = append(res.LRUMed, stats.Median(lru))
 		res.FCMed = append(res.FCMed, stats.Median(fc))
@@ -61,6 +46,68 @@ func (s *Study) Fig7aHitRatio(opt VDSampleOptions) Fig7aResult {
 		res.FCP10 = append(res.FCP10, stats.Quantile(fc, 0.1))
 	}
 	return res
+}
+
+// pagePolicies are the replacement policies the §7 hit-ratio replays run
+// beside the frozen cache: FIFO and LRU for Fig 7(a), plus CLOCK for the
+// cache-policy ablation.
+var pagePolicies = []func(capPages int) cache.Cache{
+	func(n int) cache.Cache { return cache.NewFIFO(n) },
+	func(n int) cache.Cache { return cache.NewLRU(n) },
+	func(n int) cache.Cache { return cache.NewClock(n) },
+}
+
+// hitRatios replays each VD's accesses (capped near maxEvents) through every
+// policy sized to one block, then through a frozen cache pinning the VD's
+// hottest block (§7.3.1's setup), and returns the non-NaN hit ratios by
+// cache name.
+func (s *Study) hitRatios(vds []cluster.VDID, maxEvents int, blockSize int64, policies []func(capPages int) cache.Cache) map[string][]float64 {
+	capPages := int(blockSize / cache.PageSize)
+	hits := map[string][]float64{}
+	for _, vd := range vds {
+		accesses := s.vdAccesses(vd, maxEvents)
+		if len(accesses) == 0 {
+			continue
+		}
+		replay := func(c cache.Cache) {
+			if v := cache.Simulate(c, accesses).HitRatio(); !math.IsNaN(v) {
+				hits[c.Name()] = append(hits[c.Name()], v)
+			}
+		}
+		for _, mk := range policies {
+			replay(mk(capPages))
+		}
+		if rep := cache.AnalyzeBlocks(accesses, s.Fleet.Topology.VDs[vd].Capacity, blockSize); rep.Hottest >= 0 {
+			replay(cache.NewFrozen(rep.Hottest*blockSize, blockSize))
+		}
+	}
+	return hits
+}
+
+// cacheableAccessRate is §7.3.2's provisioning cut: a VD counts as cacheable
+// when its hottest block draws at least this share of its accesses.
+const cacheableAccessRate = 0.25
+
+// eachCacheableVD replays up to maxVDs study VDs (events capped near
+// maxEvents) and hands every cacheable one to fn: its accesses, its hottest
+// block of blockSize clamped to the disk, and its latency-sampling seed. It
+// returns the number of study VDs considered.
+func (s *Study) eachCacheableVD(maxVDs, maxEvents int, blockSize int64, fn func(accesses []cache.Access, hotOff, hotLen, seed int64)) int {
+	vds := s.studyVDs(maxVDs)
+	for _, vd := range vds {
+		accesses := s.vdAccesses(vd, maxEvents)
+		if len(accesses) == 0 {
+			continue
+		}
+		capBytes := s.Fleet.Topology.VDs[vd].Capacity
+		rep := cache.AnalyzeBlocks(accesses, capBytes, blockSize)
+		if rep.Hottest < 0 || rep.AccessRate < cacheableAccessRate {
+			continue
+		}
+		hotOff := rep.Hottest * blockSize
+		fn(accesses, hotOff, min(blockSize, capBytes-hotOff), s.Fleet.Cfg.Seed+int64(vd))
+	}
+	return len(vds)
 }
 
 // Render prints Fig 7(a).
@@ -102,29 +149,12 @@ func (s *Study) Fig7bcLatencyGain(opt BlockSampleOptions) Fig7bcResult {
 	if blockMiB <= 0 {
 		blockMiB = 2048
 	}
-	blockSize := blockMiB << 20
-	vds := s.studyVDs(maxVDs)
 	model := latency.Default()
 	var cnR, cnW, bsR, bsW [3][]float64
-	for _, vd := range vds {
-		accesses := s.vdAccesses(vd, maxEventsPerVD)
-		if len(accesses) == 0 {
-			continue
-		}
-		capBytes := s.Fleet.Topology.VDs[vd].Capacity
-		rep := cache.AnalyzeBlocks(accesses, capBytes, blockSize)
-		if rep.Hottest < 0 || rep.AccessRate < 0.25 {
-			// §7.3.2: caches are provisioned only for cacheable VDs (hottest
-			// block above the access-rate threshold).
-			continue
-		}
-		hotOff := rep.Hottest * blockSize
-		hotLen := blockSize
-		if hotOff+hotLen > capBytes {
-			hotLen = capBytes - hotOff
-		}
+	// §7.3.2: caches are provisioned only for cacheable VDs.
+	vds := s.eachCacheableVD(maxVDs, maxEventsPerVD, blockMiB<<20, func(accesses []cache.Access, hotOff, hotLen, seed int64) {
 		for _, loc := range []latency.CacheLocation{latency.CNCache, latency.BSCache} {
-			gains := latency.EvaluateGain(model, accesses, hotOff, hotLen, loc, s.Fleet.Cfg.Seed+int64(vd))
+			gains := latency.EvaluateGain(model, accesses, hotOff, hotLen, loc, seed)
 			for _, g := range gains {
 				dst := &cnR
 				switch {
@@ -142,10 +172,8 @@ func (s *Study) Fig7bcLatencyGain(opt BlockSampleOptions) Fig7bcResult {
 				}
 			}
 		}
-	}
-	var res Fig7bcResult
-	res.VDs = len(vds)
-	res.BlockMiB = blockMiB
+	})
+	res := Fig7bcResult{VDs: vds, BlockMiB: blockMiB}
 	for i := 0; i < 3; i++ {
 		res.CNRead[i] = stats.Median(cnR[i])
 		res.CNWrite[i] = stats.Median(cnW[i])
@@ -191,7 +219,7 @@ func (s *Study) Fig7dSpaceUtilization(opt Fig7dOptions) Fig7dResult {
 	mustOpt(opt.Validate())
 	threshold := opt.Threshold
 	if threshold <= 0 {
-		threshold = 0.25
+		threshold = cacheableAccessRate
 	}
 	top := s.Fleet.Topology
 	res := Fig7dResult{Threshold: threshold}

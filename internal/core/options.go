@@ -74,8 +74,8 @@ func mustOpt(err error) {
 }
 
 // NodeWindowOptions tunes the studies that replay the busiest nodes over a
-// short window: Fig 2(d) rebinding (defaults 60 nodes, 30 s), the Fig
-// 2(e)/(f) burst series (40, 20) and the hosting-model ablation (24, 10).
+// short window: the Fig 2(e)/(f) burst series (defaults 40 nodes, 20 s) and
+// the hosting-model ablation (24, 10).
 type NodeWindowOptions struct {
 	MaxNodes int // busiest-node cap (0 = the method's default)
 	WinSec   int // window in seconds (0 = the method's default)
@@ -135,14 +135,15 @@ type Fig4cOptions struct {
 // Fig7dOptions tunes the Fig 7(d) space-utilization study.
 type Fig7dOptions struct {
 	// Threshold is the hottest-block access-rate cut above which a VD
-	// counts as cacheable (0 = 0.25).
+	// counts as cacheable (0 = cacheableAccessRate, 0.25).
 	Threshold float64
 }
 
-// RebindOptions tunes the rebinding ablation.
+// RebindOptions tunes the Fig 2(d) rebinding simulation and its
+// rebinding-period ablation.
 type RebindOptions struct {
-	MaxNodes int // busiest-node cap (0 = 40)
-	WinSec   int // window in seconds (0 = 20)
+	MaxNodes int // busiest-node cap (0 = 60)
+	WinSec   int // window in seconds (0 = 30)
 	// Config is the rebinding configuration under test (zero value =
 	// hypervisor.DefaultRebindConfig()).
 	Config hypervisor.RebindConfig

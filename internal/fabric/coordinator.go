@@ -250,7 +250,7 @@ func (co *Coordinator) DoneCh() <-chan struct{} { return co.fsm.allDone }
 
 // Handle implements netblock.Handler for the fabric control plane: the five
 // worker-facing ops (proposed through the consensus log) plus the replica-
-// to-replica consensus ops and the leader-discovery query.
+// to-replica consensus ops.
 func (co *Coordinator) Handle(req *netblock.Request) *netblock.Response {
 	resp := &netblock.Response{ID: req.ID, Status: netblock.StatusOK}
 	fail := func(err error) *netblock.Response {
@@ -266,10 +266,6 @@ func (co *Coordinator) Handle(req *netblock.Request) *netblock.Response {
 		}
 		co.runner.Deliver(*m)
 		return resp // one-way: responses travel as their own messages
-	case netblock.OpRedirectLeader:
-		leader, _ := co.runner.LeaderInfo()
-		resp.Payload = mustJSON(co.redirectFor(leader))
-		return resp
 	case netblock.OpJoinFleet:
 		return co.propose(resp, command{Kind: cmdJoin})
 	case netblock.OpAssignShard:

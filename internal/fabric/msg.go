@@ -77,9 +77,8 @@ type resultReply struct {
 	Done     bool
 }
 
-// RedirectReply is the payload of a StatusRedirect response (and of the
-// OpRedirectLeader query): the answering replica's best knowledge of who
-// leads the control plane. Known is false mid-election; Addr is set when the
+// RedirectReply is the payload of a StatusRedirect response: the answering
+// replica's best knowledge of who leads the control plane. Known is false mid-election; Addr is set when the
 // replica was configured with peer addresses.
 type RedirectReply struct {
 	Leader int

@@ -3,8 +3,10 @@ package fabric
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -16,6 +18,7 @@ import (
 	"ebslab/internal/consensus"
 	"ebslab/internal/control"
 	"ebslab/internal/invariant"
+	"ebslab/internal/netblock"
 	"ebslab/internal/sketch"
 	"ebslab/internal/trace"
 )
@@ -262,6 +265,117 @@ func TestReplicaSetConstructionSendsNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		rs.Close()
+	}
+}
+
+// TestTCPReplicasMatchRunSpec drives the role `ebssim -workers-addr -peers
+// -replica-id` runs: three coordinators on their own TCP listeners, wired by
+// PeerTransport with PeerAddrs set, and two workers that dial all three. A
+// follower must answer a worker op with a StatusRedirect naming the leader's
+// PeerAddrs entry, and the merged dataset must be RunSpec.Run's.
+func TestTCPReplicasMatchRunSpec(t *testing.T) {
+	const replicas = 3
+	var (
+		listeners [replicas]net.Listener
+		addrs     = make([]string, replicas)
+		dials     = make([]func() (net.Conn, error), replicas)
+	)
+	for i := range listeners {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		listeners[i], addrs[i] = l, l.Addr().String()
+		addr := addrs[i]
+		dials[i] = func() (net.Conn, error) { return net.Dial("tcp", addr) }
+	}
+	base := Config{
+		Fleet: testFleetConfig(), Opts: testOpts(nil), Shards: 5,
+		Replicas: replicas, PeerAddrs: addrs,
+		heartbeatEvery:  20 * time.Millisecond,
+		livenessTimeout: 2 * time.Second,
+	}
+	cos := make([]*Coordinator, replicas)
+	for i := range cos {
+		pt := NewPeerTransport(i, addrs)
+		cfg := base
+		cfg.ReplicaID, cfg.Transport = i, pt
+		co, err := NewCoordinator(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cos[i] = co
+		srv := netblock.NewHandlerServer(co)
+		go srv.Serve(listeners[i]) //nolint:errcheck — ends with Close
+		t.Cleanup(func() {
+			srv.Close()
+			co.Stop()
+			pt.Close()
+		})
+	}
+
+	// A follower redirects a worker op to the leader by address. Probe every
+	// replica until one that is not leading answers with a known leader.
+	redirected := false
+	for deadline := time.Now().Add(10 * time.Second); !redirected && time.Now().Before(deadline); {
+		for i := 0; i < replicas && !redirected; i++ {
+			cl, err := netblock.DialConfig("tcp", addrs[i], netblock.Config{Timeout: 2 * time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = cl.Call(netblock.OpHeartbeat, mustJSON(workerMsg{WorkerID: 1 << 40}))
+			cl.Close()
+			var re *netblock.RedirectError
+			if !errors.As(err, &re) {
+				continue // the leader itself (an unknown worker's beat), or a transport hiccup
+			}
+			r, ok := decodeRedirect(re.Info)
+			if !ok {
+				t.Fatalf("replica %d: undecodable redirect %q", i, re.Info)
+			}
+			if !r.Known {
+				continue // mid-election
+			}
+			if r.Leader == i || r.Leader < 0 || r.Leader >= replicas || r.Addr != addrs[r.Leader] {
+				t.Fatalf("replica %d redirected to %+v, want another replica's PeerAddrs entry %v", i, r, addrs)
+			}
+			redirected = true
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if !redirected {
+		t.Fatal("no follower answered with a known-leader redirect")
+	}
+
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = RunWorker(context.Background(), WorkerConfig{
+				Dials: dials, callTimeout: 2 * time.Second, failoverWindow: 20 * time.Second,
+			})
+		}(i)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	ds, err := cos[0].Wait(ctx)
+	if err != nil {
+		t.Fatalf("TCP replicated run failed: %v", err)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("worker %d exited: %v", i, err)
+		}
+	}
+	want, _, err := base.runSpec().Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := invariant.Fingerprint(ds), invariant.Fingerprint(want); got != want {
+		t.Fatalf("dataset fingerprint %s over TCP replicas, RunSpec.Run %s", got, want)
 	}
 }
 

@@ -634,18 +634,9 @@ func (gw *Gateway) Stats(tenantName string) (TenantStats, error) {
 		return TenantStats{}, fmt.Errorf("gateway: no tenant %q", tenantName)
 	}
 	st := TenantStats{
-		Tenant:          tenantName,
-		Submitted:       tn.ledger.Submitted,
-		Rejected:        tn.ledger.Rejected,
-		Deduped:         tn.ledger.Deduped,
-		Granted:         tn.ledger.Granted,
-		Completed:       tn.ledger.Completed,
-		Failed:          tn.ledger.Failed,
-		CanceledQueued:  tn.ledger.CanceledQueued,
-		CanceledRunning: tn.ledger.CanceledRunning,
-		Queued:          tn.ledger.Queued,
-		Running:         tn.ledger.Running,
-		GrantsAtSec:     append([]float64(nil), tn.grantsAt...),
+		Tenant:      tenantName,
+		StudyLedger: tn.ledger,
+		GrantsAtSec: append([]float64(nil), tn.grantsAt...),
 	}
 	if tn.bucket != nil {
 		st.Tokens = tn.bucket.Tokens(now)

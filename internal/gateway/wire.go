@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"ebslab/internal/invariant"
 	"ebslab/internal/wire"
 )
 
@@ -288,21 +289,13 @@ type StatsRequest struct {
 
 // TenantStats is a tenant's accounting view: its study ledger, its current
 // token balance, and its grant log (seconds since the gateway started) — the
-// inputs of the invariant.CheckGrantPacing law.
+// inputs of the invariant.CheckGrantPacing law. The embedded ledger's
+// counters encode inline, between Tenant and Tokens.
 type TenantStats struct {
-	Tenant          string
-	Submitted       int
-	Rejected        int
-	Deduped         int
-	Granted         int
-	Completed       int
-	Failed          int
-	CanceledQueued  int
-	CanceledRunning int
-	Queued          int
-	Running         int
-	Tokens          int
-	GrantsAtSec     []float64 `json:",omitempty"`
+	Tenant string
+	invariant.StudyLedger
+	Tokens      int
+	GrantsAtSec []float64 `json:",omitempty"`
 }
 
 func mustJSON(v any) []byte {

@@ -2,9 +2,47 @@ package gateway
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"testing"
+
+	"ebslab/internal/invariant"
 )
+
+// TestTenantStatsJSON pins the OpTenantStats reply bytes: the embedded
+// ledger's counters encode inline between Tenant and Tokens, in the ledger's
+// field order, exactly as the flat struct they replaced did.
+func TestTenantStatsJSON(t *testing.T) {
+	full := TenantStats{
+		Tenant: "alice",
+		StudyLedger: invariant.StudyLedger{
+			Submitted: 1, Rejected: 2, Deduped: 3, Granted: 4, Completed: 5,
+			Failed: 6, CanceledQueued: 7, CanceledRunning: 8, Queued: 9, Running: 10,
+		},
+		Tokens:      11,
+		GrantsAtSec: []float64{0.5, 12},
+	}
+	for _, c := range []struct {
+		st   TenantStats
+		want string
+	}{
+		{full, `{"Tenant":"alice","Submitted":1,"Rejected":2,"Deduped":3,"Granted":4,"Completed":5,"Failed":6,` +
+			`"CanceledQueued":7,"CanceledRunning":8,"Queued":9,"Running":10,"Tokens":11,"GrantsAtSec":[0.5,12]}`},
+		{TenantStats{}, `{"Tenant":"","Submitted":0,"Rejected":0,"Deduped":0,"Granted":0,"Completed":0,"Failed":0,` +
+			`"CanceledQueued":0,"CanceledRunning":0,"Queued":0,"Running":0,"Tokens":0}`},
+	} {
+		if got := string(mustJSON(c.st)); got != c.want {
+			t.Errorf("TenantStats JSON\n got %s\nwant %s", got, c.want)
+		}
+		var back TenantStats
+		if err := json.Unmarshal([]byte(c.want), &back); err != nil {
+			t.Fatal(err)
+		}
+		if string(mustJSON(back)) != c.want {
+			t.Errorf("decoding %s does not round-trip", c.want)
+		}
+	}
+}
 
 func TestSubmitCodecRoundTrip(t *testing.T) {
 	reqs := []SubmitRequest{

@@ -172,8 +172,8 @@ func TestOpCodeString(t *testing.T) {
 		}
 		seen[op.String()] = true
 	}
-	if len(seen) != 13 || OpCode(0).Valid() || (OpTenantStats + 1).Valid() {
-		t.Fatalf("protocol defines %d ops, want exactly 13 with nothing valid around them", len(seen))
+	if len(seen) != 12 || OpCode(0).Valid() || (OpTenantStats + 1).Valid() {
+		t.Fatalf("protocol defines %d ops, want exactly 12 with nothing valid around them", len(seen))
 	}
 	if OpCode(99).String() != "OpCode(99)" {
 		t.Fatal("unknown opcode string")

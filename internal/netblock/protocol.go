@@ -22,11 +22,10 @@ type OpCode uint8
 // Protocol operations. Every op carries an opaque payload in both
 // directions. The fabric ops are the distributed-simulation control plane
 // (JoinFleet, AssignShard, ShardResult, Heartbeat, Drain) — internal/fabric
-// defines their message bodies. The consensus ops replicate the fabric control plane itself: RequestVote and
-// AppendEntries carry internal/consensus messages between coordinator
-// replicas, and RedirectLeader lets any client ask any replica who is
-// currently leading (internal/consensus and internal/fabric define the
-// bodies). The gateway ops are the multi-tenant serving plane — tenants
+// defines their message bodies. The consensus ops replicate the fabric
+// control plane itself: RequestVote and AppendEntries carry
+// internal/consensus messages between coordinator replicas; a client learns
+// who is leading from a StatusRedirect answer. The gateway ops are the multi-tenant serving plane — tenants
 // submit studies, poll their status, stream mid-run sketch snapshots,
 // cancel, and read their own accounting; internal/gateway defines the
 // bodies.
@@ -38,7 +37,6 @@ const (
 	OpDrain
 	OpRequestVote
 	OpAppendEntries
-	OpRedirectLeader
 	OpSubmitStudy
 	OpStudyStatus
 	OpStreamSnapshot
@@ -82,8 +80,6 @@ func (o OpCode) String() string {
 		return "request-vote"
 	case OpAppendEntries:
 		return "append-entries"
-	case OpRedirectLeader:
-		return "redirect-leader"
 	case OpSubmitStudy:
 		return "submit-study"
 	case OpStudyStatus:
