@@ -45,18 +45,11 @@ loc:
 # number an options PR reports before and after (ROADMAP aim 2). An option is
 # an exported field of an exported struct type named Config, Options, Plan,
 # StudySpec or Lending (or ending in Config or Options) in non-test Go outside
-# bench/, or a flag defined under cmd/. Relies on gofmt layout: a struct's own
-# fields sit one tab deep.
+# bench/, or a flag defined under cmd/. TestKnobBudget (knobs_test.go) counts
+# them and fails when a directory exceeds its line in testdata/knobs.txt; it
+# also runs in `go test ./...`.
 knobs:
-	@{ find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 \
-		| xargs -0 awk 'FNR == 1 { on = 0 } \
-			/^type (([A-Z][A-Za-z0-9]*)?(Config|Options)|Plan|StudySpec|Lending) struct [{]/ { on = 1; next } \
-			on && /^}/ { on = 0 } \
-			on && /^\t[A-Z]/ { n = 1; f = $$0; while (match(f, /^\t?[A-Za-z0-9_]+, /)) { n++; f = substr(f, RLENGTH + 1) } print FILENAME, n }'; \
-	  grep -roE --include='*.go' --exclude='*_test.go' 'flag\.(Bool|Duration|Float64|Func|Int|Int64|String|TextVar|Uint|Uint64|Var)(Var)?\(' ./cmd \
-		| awk -F: '{ print $$1, 1 }'; } \
-	| awk '{ d = $$1; sub(/\/[^\/]*$$/, "", d); n[d] += $$2; t += $$2 } \
-		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
+	$(GO) test -run TestKnobBudget -count=1 -v .
 
 # Race-detector run. -short trims the slowest property tests where they
 # opt in; every fleet used by the tests is already small. The invariant
@@ -152,11 +145,14 @@ consensus-race:
 # sketch snapshots while it runs, and the binary fails unless the served
 # dataset and sketch fingerprints (and, for a controlled study, the decision
 # log's) are byte-identical to a direct single-process run of the same spec —
-# plain, scenario-shaped, and under a control policy.
+# plain, scenario-shaped, under a control policy, and on a 3-replica fabric
+# whose acting leader is killed mid-study (the selftest also fails unless the
+# kill fired).
 gateway-smoke:
 	$(GO) run ./cmd/ebsgate -selftest -seed 7 -dur 4 -nodes 2 -users 4 -max-vds 12
 	$(GO) run ./cmd/ebsgate -selftest -seed 7 -dur 4 -nodes 2 -users 4 -max-vds 12 -scenario bufferbloat
 	$(GO) run ./cmd/ebsgate -selftest -seed 7 -dur 8 -nodes 2 -users 4 -max-vds 12 -control reactive
+	$(GO) run ./cmd/ebsgate -selftest -seed 7 -dur 4 -nodes 2 -users 4 -max-vds 12 -fabric-replicas 3 -fabric-workers 2 -shards 3 -leader-kill 1
 
 # Mitigation control-plane gate: the policy bake-off golden fixture (the
 # predictive policy must beat reactive on imbalance under the pinned chaos
@@ -177,18 +173,19 @@ control-smoke:
 # seeds), then the full scenario matrix end to end through the CLI with the
 # invariant checker on — bufferbloat plain, batchburst under a chaos plan,
 # elastic under the predictive control policy, both committed foreign
-# traces (MSR and tianchi schemas) through -replay, and the tianchi sample
-# again as a spreadsheet would save it: CRLF line ends under a header row.
+# traces (MSR and tianchi schemas) through the replay scenario, and the
+# tianchi sample again as a spreadsheet would save it: CRLF line ends under a
+# header row.
 scenario-smoke:
 	$(GO) test ./internal/scenario -count=1
 	$(GO) run ./cmd/ebssim -seed 7 -dur 12 -nodes 4 -max-vds 24 -scenario bufferbloat,period=8,duty=0.5 -check
 	$(GO) run ./cmd/ebssim -seed 7 -dur 12 -nodes 4 -max-vds 24 -scenario batchburst,wave=6,width=2 -chaos -check
 	$(GO) run ./cmd/ebssim -seed 7 -dur 12 -nodes 4 -max-vds 24 -scenario elastic,hi=2,step=3 -control predictive -check
-	$(GO) run ./cmd/ebssim -seed 7 -dur 12 -nodes 4 -max-vds 24 -replay internal/scenario/testdata/msr_sample.csv -check
-	$(GO) run ./cmd/ebssim -seed 7 -dur 12 -nodes 4 -max-vds 24 -replay internal/scenario/testdata/tianchi_sample.csv -check -stream
+	$(GO) run ./cmd/ebssim -seed 7 -dur 12 -nodes 4 -max-vds 24 -scenario replay,path=internal/scenario/testdata/msr_sample.csv -check
+	$(GO) run ./cmd/ebssim -seed 7 -dur 12 -nodes 4 -max-vds 24 -scenario replay,path=internal/scenario/testdata/tianchi_sample.csv -check -stream
 	@tmp=$$(mktemp .scenario-smoke.XXXXXX) && { printf 'device_id,opcode,offset,length,timestamp\r\n'; sed 's/$$/\r/' internal/scenario/testdata/tianchi_sample.csv; } > $$tmp \
-		&& echo "ebssim -replay <tianchi sample as CRLF with a header row> -check" \
-		&& $(GO) run ./cmd/ebssim -seed 7 -dur 12 -nodes 4 -max-vds 24 -replay $$tmp -check; rc=$$?; rm -f $$tmp; exit $$rc
+		&& echo "ebssim -scenario replay,path=<tianchi sample as CRLF with a header row> -check" \
+		&& $(GO) run ./cmd/ebssim -seed 7 -dur 12 -nodes 4 -max-vds 24 -scenario replay,path=$$tmp -check; rc=$$?; rm -f $$tmp; exit $$rc
 
 # Reproduction gate: the whole experiment catalog at the quick fleet size and
 # the catalog's own defaults — the only run of every figure family at the

@@ -7,6 +7,7 @@
 package ebslab
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -71,7 +72,7 @@ func BenchmarkFig2a(b *testing.B) {
 	s := study(b)
 	var r core.Fig2aResult
 	for i := 0; i < b.N; i++ {
-		r = s.Fig2aWTCoV([]int{30, 120})
+		r = s.Fig2aWTCoV()
 	}
 	b.ReportMetric(r.MedianRead[0], "wt-cov-read")
 	b.ReportMetric(r.MedianWrite[0], "wt-cov-write")
@@ -148,42 +149,27 @@ func BenchmarkFig3de(b *testing.B) {
 	s := study(b)
 	var r core.Fig3deResult
 	for i := 0; i < b.N; i++ {
-		r = s.Fig3deReduction(core.Fig3deOptions{})
+		r = s.Fig3deReduction()
 	}
 	b.ReportMetric(100*r.MedianRRTput[len(r.MedianRRTput)-1], "rr-tput-p08-pct")
 }
 
 func BenchmarkFig3fg(b *testing.B) {
 	s := study(b)
-	for _, p := range []float64{0.2, 0.4, 0.6, 0.8} {
-		p := p
-		b.Run(rateName(p), func(b *testing.B) {
-			var r core.Fig3fgResult
-			for i := 0; i < b.N; i++ {
-				r = s.Fig3fgLendingGain(core.Fig3fgOptions{Rates: []float64{p}, PeriodSec: 60})
-			}
-			b.ReportMetric(100*r.PosFrac[0], "positive-pct")
-		})
+	var r core.Fig3fgResult
+	for i := 0; i < b.N; i++ {
+		r = s.Fig3fgLendingGain(false)
 	}
-}
-
-func rateName(p float64) string {
-	switch p {
-	case 0.2:
-		return "p02"
-	case 0.4:
-		return "p04"
-	case 0.6:
-		return "p06"
+	for i, p := range r.Rates {
+		b.ReportMetric(100*r.PosFrac[i], fmt.Sprintf("p%02.0f-positive-pct", 10*p))
 	}
-	return "p08"
 }
 
 func BenchmarkFig4a(b *testing.B) {
 	s := study(b)
 	var r core.Fig4aResult
 	for i := 0; i < b.N; i++ {
-		r = s.Fig4aFrequentMigration(core.Fig4aOptions{PeriodSec: 5})
+		r = s.Fig4aFrequentMigration()
 	}
 	b.ReportMetric(100*r.MaxProp[0], "max-freq-pct")
 }
@@ -192,7 +178,7 @@ func BenchmarkFig4b(b *testing.B) {
 	s := study(b)
 	var r core.Fig4bResult
 	for i := 0; i < b.N; i++ {
-		r = s.Fig4bImporterSelection(core.PeriodOptions{PeriodSec: 5})
+		r = s.Fig4bImporterSelection()
 	}
 	b.ReportMetric(r.MedianInterval[len(r.MedianInterval)-1], "ideal-interval")
 }
@@ -201,7 +187,7 @@ func BenchmarkFig4c(b *testing.B) {
 	s := study(b)
 	var r core.Fig4cResult
 	for i := 0; i < b.N; i++ {
-		r = s.Fig4cPredictionMSE(core.Fig4cOptions{PeriodSec: 5, EpochLen: 20})
+		r = s.Fig4cPredictionMSE()
 	}
 	b.ReportMetric(r.MeanNormMSE[1], "arima-nmse")
 	b.ReportMetric(r.MeanNormMSE[4], "attn-period-nmse")
@@ -211,7 +197,7 @@ func BenchmarkFig5a(b *testing.B) {
 	s := study(b)
 	var r core.Fig5aResult
 	for i := 0; i < b.N; i++ {
-		r = s.Fig5aReadWriteCoV(core.PeriodOptions{PeriodSec: 5})
+		r = s.Fig5aReadWriteCoV()
 	}
 	b.ReportMetric(100*r.FracAboveDiagonal, "above-diag-pct")
 }
@@ -220,7 +206,7 @@ func BenchmarkFig5b(b *testing.B) {
 	s := study(b)
 	var r core.Fig5bResult
 	for i := 0; i < b.N; i++ {
-		r = s.Fig5bSegmentDominance(core.PeriodOptions{PeriodSec: 5})
+		r = s.Fig5bSegmentDominance()
 	}
 	b.ReportMetric(100*r.FracAbove09, "one-sided-clusters-pct")
 }
@@ -229,7 +215,7 @@ func BenchmarkFig5c(b *testing.B) {
 	s := study(b)
 	var r core.Fig5cResult
 	for i := 0; i < b.N; i++ {
-		r = s.Fig5cWriteThenRead(core.PeriodOptions{PeriodSec: 5})
+		r = s.Fig5cWriteThenRead()
 	}
 	b.ReportMetric(r.WTRReadCoV, "wtr-read-cov")
 	b.ReportMetric(r.WriteOnlyReadCoV, "wo-read-cov")
@@ -283,7 +269,7 @@ func BenchmarkFig7bc(b *testing.B) {
 	s := study(b)
 	var r core.Fig7bcResult
 	for i := 0; i < b.N; i++ {
-		r = s.Fig7bcLatencyGain(core.BlockSampleOptions{MaxVDs: 12, MaxEventsPerVD: 4000, BlockMiB: 2048})
+		r = s.Fig7bcLatencyGain(core.BlockSampleOptions{MaxVDs: 12, MaxEventsPerVD: 4000})
 	}
 	b.ReportMetric(100*r.CNWrite[0], "cn-write-p0-pct")
 	b.ReportMetric(100*r.BSWrite[0], "bs-write-p0-pct")
@@ -293,7 +279,7 @@ func BenchmarkFig7d(b *testing.B) {
 	s := study(b)
 	var r core.Fig7dResult
 	for i := 0; i < b.N; i++ {
-		r = s.Fig7dSpaceUtilization(core.Fig7dOptions{Threshold: 0.25})
+		r = s.Fig7dSpaceUtilization()
 	}
 	b.ReportMetric(r.CNSpread[0], "cn-spread")
 	b.ReportMetric(r.BSSpread[0], "bs-spread")
@@ -365,13 +351,13 @@ func BenchmarkAblationDispatch(b *testing.B) {
 // Fig 4(b) study) as one benchmark per policy.
 func BenchmarkAblationImporter(b *testing.B) {
 	s := study(b)
-	r := s.Fig4bImporterSelection(core.PeriodOptions{PeriodSec: 5})
+	r := s.Fig4bImporterSelection()
 	for i, name := range r.Policies {
 		i := i
 		b.Run(name, func(b *testing.B) {
 			var v float64
 			for j := 0; j < b.N; j++ {
-				rr := s.Fig4bImporterSelection(core.PeriodOptions{PeriodSec: 5})
+				rr := s.Fig4bImporterSelection()
 				v = rr.MedianInterval[i]
 			}
 			b.ReportMetric(v, "median-interval")
@@ -396,7 +382,7 @@ func BenchmarkAblationCachePolicy(b *testing.B) {
 	s := study(b)
 	var r core.CachePolicyAblation
 	for i := 0; i < b.N; i++ {
-		r = s.AblateCachePolicy(core.BlockSampleOptions{MaxVDs: 10, MaxEventsPerVD: 4000, BlockMiB: 256})
+		r = s.AblateCachePolicy(core.BlockSampleOptions{MaxVDs: 10, MaxEventsPerVD: 4000})
 	}
 	for _, name := range []string{"fifo", "clock", "lru", "frozen"} {
 		b.ReportMetric(100*r.Median[name], name+"-hit-pct")
@@ -408,7 +394,7 @@ func BenchmarkAblationPredictors(b *testing.B) {
 	s := study(b)
 	var r core.PredictorAblation
 	for i := 0; i < b.N; i++ {
-		r = s.AblatePredictors(core.PeriodOptions{PeriodSec: 10})
+		r = s.AblatePredictors()
 	}
 	for i, m := range r.Methods {
 		b.ReportMetric(r.Median[i], m+"-nmse")
@@ -420,7 +406,7 @@ func BenchmarkAblationFailover(b *testing.B) {
 	s := study(b)
 	var r core.FailoverAblation
 	for i := 0; i < b.N; i++ {
-		r = s.AblateFailover(core.PeriodOptions{PeriodSec: 10})
+		r = s.AblateFailover()
 	}
 	b.ReportMetric(r.Greedy.MaxOverload, "greedy-overload")
 	b.ReportMetric(r.Random.MaxOverload, "random-overload")

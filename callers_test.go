@@ -40,9 +40,6 @@ var stdlibDynamic = strings.Fields(`String Error Read Write Close Len Less Swap 
 // testdata/callers_allow.txt lists it — and on a listed name that is
 // reachable or gone, so the list can only shrink.
 func TestDeclarationsHaveCallers(t *testing.T) {
-	if _, err := os.Stat(filepath.Join(runtime.GOROOT(), "src", "fmt")); err != nil {
-		t.Skipf("GOROOT/src absent, the source importer cannot type-check: %v", err)
-	}
 	m := loadModule(t)
 	live := m.reach()
 
@@ -155,6 +152,9 @@ func (m *module) check(path, dir string, tests bool) (*types.Package, error) {
 
 func loadModule(t *testing.T) *module {
 	t.Helper()
+	if _, err := os.Stat(filepath.Join(runtime.GOROOT(), "src", "fmt")); err != nil {
+		t.Skipf("GOROOT/src absent, the source importer cannot type-check: %v", err)
+	}
 	fset := token.NewFileSet()
 	m := &module{
 		fset:    fset,

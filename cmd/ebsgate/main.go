@@ -38,7 +38,6 @@ func main() {
 		maxQueue = flag.Int("max-queued", 16, "serve: per-tenant admission bound")
 		freplica = flag.Int("fabric-replicas", 0, "serve: run studies on an in-process fabric with this many control-plane replicas (0 = run in-process)")
 		fworkers = flag.Int("fabric-workers", 2, "serve: fabric workers per study")
-		fshards  = flag.Int("fabric-shards", 0, "serve: fabric shard count when the study spec leaves it zero")
 
 		addr     = flag.String("addr", "", "client: gateway address to talk to")
 		submit   = flag.Bool("submit", false, "client: submit a study (see -tenant and the spec flags)")
@@ -77,7 +76,7 @@ func main() {
 		MaxQueuedPerTenant: *maxQueue,
 	}
 	if *freplica > 0 {
-		cfg.Fabric = &gateway.FabricConfig{Replicas: *freplica, Workers: *fworkers, Shards: *fshards}
+		cfg.Fabric = &gateway.FabricConfig{Replicas: *freplica, Workers: *fworkers}
 	}
 
 	switch {
@@ -268,6 +267,9 @@ func runSelftest(cfg gateway.Config, spec gateway.StudySpec) error {
 	}
 	if st.State != "done" {
 		return fmt.Errorf("study settled as %s: %s", st.State, st.Error)
+	}
+	if st.Kills != spec.LeaderKills {
+		return fmt.Errorf("study ran with %d leader kill(s), the spec asked for %d", st.Kills, spec.LeaderKills)
 	}
 	// The final frame always carries state, so a fast study still streams.
 	if final, err := cl.Snapshot(reply.StudyID); err == nil && len(final.Sketch) > 0 {

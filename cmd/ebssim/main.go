@@ -44,8 +44,6 @@ type roleFlags struct {
 	leaderKill  int
 	replicaID   int
 	peers       string
-	scenario    string
-	replay      string
 	cpuProfile  string
 	memProfile  string
 }
@@ -60,6 +58,9 @@ func validateFlags(f roleFlags, spec ebs.RunSpec) error {
 	}
 	if f.shards < 0 {
 		return fmt.Errorf("-shards %d: want >= 0 (0 = default)", f.shards)
+	}
+	if f.shards > 0 && f.dist == 0 && f.workersAddr == "" {
+		return fmt.Errorf("-shards %d cuts the study for the fabric and needs a distributed role, -dist or -workers-addr", f.shards)
 	}
 	if f.dist > 0 && f.workersAddr != "" {
 		return fmt.Errorf("-dist runs the fabric in-process and -workers-addr serves it over TCP: the roles conflict, pass exactly one of -dist, -workers-addr")
@@ -88,9 +89,6 @@ func validateFlags(f roleFlags, spec ebs.RunSpec) error {
 				f.replicas, max, f.leaderKill)
 		}
 	}
-	if f.scenario != "" && f.replay != "" {
-		return fmt.Errorf("-replay is shorthand for -scenario replay,path=...: pass exactly one of -scenario, -replay")
-	}
 	if f.cpuProfile != "" && f.cpuProfile == f.memProfile {
 		return fmt.Errorf("-cpuprofile and -memprofile both name %s: the second would overwrite the first", f.cpuProfile)
 	}
@@ -102,19 +100,10 @@ func validateFlags(f roleFlags, spec ebs.RunSpec) error {
 	}
 	if f.dist > 0 || f.workersAddr != "" {
 		if err := spec.Distributable(); err != nil {
-			return fmt.Errorf("-control, -replay and -scenario replay,... conflict with the distributed roles -dist, -workers-addr: %w", err)
+			return fmt.Errorf("-control and -scenario replay,... conflict with the distributed roles -dist, -workers-addr: %w", err)
 		}
 	}
 	return nil
-}
-
-// scenarioSpec is the scenario spec string the flags name: -replay PATH is
-// shorthand for -scenario replay,path=PATH.
-func (f roleFlags) scenarioSpec() string {
-	if f.replay != "" {
-		return "replay,path=" + f.replay
-	}
-	return f.scenario
 }
 
 func main() {
@@ -130,7 +119,7 @@ func main() {
 
 		workersAddr = flag.String("workers-addr", "", "run as fabric coordinator: listen on this address for ebsd workers and merge their shard results")
 		dist        = flag.Int("dist", 0, "run the fabric in-process over a loopback transport with this many workers and verify the merged dataset against a single-process run")
-		shards      = flag.Int("shards", 0, "fabric shard count (0 = default)")
+		shards      = flag.Int("shards", 0, "with -dist or -workers-addr: fabric shard count (0 = default)")
 		replicas    = flag.Int("replicas", 1, "with -dist: replicate the coordinator control plane across this many consensus-backed replicas")
 		leaderKill  = flag.Int("leader-kill", 0, "with -dist and -replicas >= 2: schedule this many chaos leader kills; the run must still match single-process bit for bit")
 		replicaID   = flag.Int("replica-id", 0, "with -workers-addr and -peers: this coordinator's replica ID")
@@ -139,8 +128,7 @@ func main() {
 		controlPol = flag.String("control", "", "run the study through the mitigation control plane under this policy (noop, reactive, predictive[-holt|-arima|-gbt], oracle) and report imbalance before/after actuation")
 		epochSec   = flag.Int("epoch-sec", 0, "with -control: control epoch length in seconds (0 = an eighth of -dur, at least 1)")
 
-		scenarioSpec = flag.String("scenario", "", "reshape the fleet's traffic with a scenario-library spec string (one of: "+strings.Join(scenario.Names(), ", ")+"; e.g. \"bufferbloat\", \"elastic,step=10,hi=2\"); composes with -chaos, -control, -stream, -check, and (except replay) -dist")
-		replayPath   = flag.String("replay", "", "replay a trace file through the full stack; shorthand for -scenario replay,path=PATH (native trace.jsonl/trace.csv, MSR, and tianchi schemas are auto-detected)")
+		scenarioSpec = flag.String("scenario", "", "reshape the fleet's traffic with a scenario-library spec string (one of: "+strings.Join(scenario.Names(), ", ")+"; e.g. \"bufferbloat\", \"elastic,step=10,hi=2\"; \"replay,path=FILE\" replays a trace file, auto-detecting native trace.jsonl/trace.csv, MSR and tianchi schemas); composes with -chaos, -control, -stream, -check, and (except replay) -dist")
 
 		chaosOn     = flag.Bool("chaos", false, "inject a deterministic fault schedule (see -crashes, -storms, ...)")
 		chaosSeed   = flag.Int64("chaos-seed", 0, "fault schedule seed (0 = follow -seed)")
@@ -163,8 +151,6 @@ func main() {
 		leaderKill:  *leaderKill,
 		replicaID:   *replicaID,
 		peers:       *peers,
-		scenario:    *scenarioSpec,
-		replay:      *replayPath,
 		cpuProfile:  *cpuProfile,
 		memProfile:  *memProfile,
 	}
@@ -178,7 +164,7 @@ func main() {
 			Workers:          *workers,
 			Check:            *check,
 		},
-		Scenario: rf.scenarioSpec(),
+		Scenario: *scenarioSpec,
 		Control:  *controlPol,
 		EpochSec: *epochSec,
 	}

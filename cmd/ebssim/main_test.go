@@ -22,8 +22,8 @@ func TestValidateFlagsMatrix(t *testing.T) {
 	cases := []struct {
 		name    string
 		f       roleFlags
-		spec    ebs.RunSpec // Scenario is filled from f, as main does
-		wantErr []string    // substrings the error must carry; empty = valid
+		spec    ebs.RunSpec
+		wantErr []string // substrings the error must carry; empty = valid
 	}{
 		{"single process", roleFlags{replicas: 1}, ebs.RunSpec{}, nil},
 		{"dist", roleFlags{dist: 2, replicas: 1}, ebs.RunSpec{}, nil},
@@ -32,11 +32,11 @@ func TestValidateFlagsMatrix(t *testing.T) {
 		{"dist two kills five replicas", roleFlags{dist: 4, replicas: 5, leaderKill: 2}, ebs.RunSpec{}, nil},
 		{"tcp coordinator", roleFlags{workersAddr: ":9000", replicas: 1}, ebs.RunSpec{}, nil},
 		{"tcp replicated coordinator", roleFlags{workersAddr: ":9000", replicas: 1, peers: ":9000,:9001,:9002", replicaID: 1}, ebs.RunSpec{}, nil},
-		{"scenario", roleFlags{replicas: 1, scenario: "bufferbloat"}, ebs.RunSpec{}, nil},
-		{"scenario with params", roleFlags{replicas: 1, scenario: "elastic,step=10,hi=2"}, ebs.RunSpec{}, nil},
-		{"scenario with control", roleFlags{replicas: 1, scenario: "batchburst"}, ebs.RunSpec{Control: "predictive"}, nil},
-		{"scenario with dist", roleFlags{dist: 2, replicas: 1, scenario: "bufferbloat"}, ebs.RunSpec{}, nil},
-		{"replay", roleFlags{replicas: 1, replay: "testdata/trace.jsonl"}, ebs.RunSpec{}, nil},
+		{"scenario", roleFlags{replicas: 1}, ebs.RunSpec{Scenario: "bufferbloat"}, nil},
+		{"scenario with params", roleFlags{replicas: 1}, ebs.RunSpec{Scenario: "elastic,step=10,hi=2"}, nil},
+		{"scenario with control", roleFlags{replicas: 1}, ebs.RunSpec{Scenario: "batchburst", Control: "predictive"}, nil},
+		{"scenario with dist", roleFlags{dist: 2, replicas: 1}, ebs.RunSpec{Scenario: "bufferbloat"}, nil},
+		{"replay", roleFlags{replicas: 1}, ebs.RunSpec{Scenario: "replay,path=testdata/trace.jsonl"}, nil},
 		{"profiles single process", roleFlags{replicas: 1, cpuProfile: "cpu.prof", memProfile: "mem.prof"}, ebs.RunSpec{}, nil},
 		{"profiles with dist", roleFlags{dist: 2, replicas: 3, leaderKill: 1, cpuProfile: "cpu.prof", memProfile: "mem.prof"}, ebs.RunSpec{}, nil},
 		{"cpu profile with tcp coordinator", roleFlags{workersAddr: ":9000", replicas: 1, cpuProfile: "cpu.prof"}, ebs.RunSpec{}, nil},
@@ -60,11 +60,9 @@ func TestValidateFlagsMatrix(t *testing.T) {
 			[]string{"3-replica", "at most 1"}},
 		{"kill beyond quorum headroom five replicas", roleFlags{dist: 2, replicas: 5, leaderKill: 3}, ebs.RunSpec{},
 			[]string{"5-replica", "at most 2"}},
-		{"scenario and replay conflict", roleFlags{replicas: 1, scenario: "bufferbloat", replay: "x"}, ebs.RunSpec{},
-			[]string{"-scenario", "-replay"}},
-		{"replay with dist", roleFlags{dist: 2, replicas: 1, replay: "x"}, ebs.RunSpec{},
-			[]string{"-replay", "-dist"}},
-		{"replay scenario with workers-addr", roleFlags{workersAddr: ":9000", replicas: 1, scenario: "replay,path=x"}, ebs.RunSpec{},
+		{"replay with dist", roleFlags{dist: 2, replicas: 1}, ebs.RunSpec{Scenario: "replay,path=x"},
+			[]string{"-scenario replay", "-dist"}},
+		{"replay scenario with workers-addr", roleFlags{workersAddr: ":9000", replicas: 1}, ebs.RunSpec{Scenario: "replay,path=x"},
 			[]string{"-workers-addr", "single-process"}},
 		{"control with dist", roleFlags{dist: 2, replicas: 1}, reactive(0, 0),
 			[]string{"-control", "-dist", "single-process"}},
@@ -73,12 +71,14 @@ func TestValidateFlagsMatrix(t *testing.T) {
 			[]string{"epoch 100s", "8s window"}},
 		{"profiles into one file", roleFlags{dist: 2, replicas: 1, cpuProfile: "run.prof", memProfile: "run.prof"}, ebs.RunSpec{},
 			[]string{"-cpuprofile", "-memprofile", "run.prof"}},
-		{"unknown scenario", roleFlags{replicas: 1, scenario: "quakestorm"}, ebs.RunSpec{},
+		{"unknown scenario", roleFlags{replicas: 1}, ebs.RunSpec{Scenario: "quakestorm"},
 			[]string{"quakestorm"}},
-		{"bad scenario param", roleFlags{replicas: 1, scenario: "elastic,bogus=1"}, ebs.RunSpec{},
+		{"bad scenario param", roleFlags{replicas: 1}, ebs.RunSpec{Scenario: "elastic,bogus=1"},
 			[]string{"bogus"}},
 		{"negative dist", roleFlags{dist: -1, replicas: 1}, ebs.RunSpec{}, []string{"-dist -1"}},
 		{"negative shards", roleFlags{dist: 2, shards: -3, replicas: 1}, ebs.RunSpec{}, []string{"-shards -3"}},
+		{"shards without a distributed role", roleFlags{replicas: 1, shards: 5}, ebs.RunSpec{},
+			[]string{"-shards 5", "-dist", "-workers-addr"}},
 		{"negative workers", roleFlags{replicas: 1}, ebs.RunSpec{Opts: ebs.Options{Workers: -2}},
 			[]string{"Options.Workers is -2"}},
 		{"negative max-vds", roleFlags{replicas: 1}, ebs.RunSpec{Opts: ebs.Options{MaxVDs: -5}},
@@ -88,7 +88,6 @@ func TestValidateFlagsMatrix(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			tc.spec.Scenario = tc.f.scenarioSpec()
 			err := validateFlags(tc.f, tc.spec)
 			if len(tc.wantErr) == 0 {
 				if err != nil {

@@ -38,10 +38,10 @@ func (s *Study) AblateDispatch(opt DispatchOptions) DispatchAblation {
 	mustOpt(opt.Validate())
 	maxNodes, winSec, policy := opt.MaxNodes, opt.WinSec, opt.Policy
 	if maxNodes <= 0 {
-		maxNodes = 40
+		maxNodes = 24
 	}
 	if winSec <= 0 {
-		winSec = 20
+		winSec = 10
 	}
 	res := DispatchAblation{Policy: policy}
 	var covs []float64
@@ -150,19 +150,17 @@ type CachePolicyAblation struct {
 	VDs    int
 }
 
-// AblateCachePolicy replays study VDs through four cache policies at one
-// block size.
+// AblateCachePolicy replays study VDs through four cache policies at a
+// 256 MiB block size.
 func (s *Study) AblateCachePolicy(opt BlockSampleOptions) CachePolicyAblation {
 	mustOpt(opt.Validate())
-	maxVDs, maxEventsPerVD, blockMiB := opt.MaxVDs, opt.MaxEventsPerVD, opt.BlockMiB
+	const blockMiB = 256
+	maxVDs, maxEventsPerVD := opt.MaxVDs, opt.MaxEventsPerVD
 	if maxVDs <= 0 {
 		maxVDs = 24
 	}
 	if maxEventsPerVD <= 0 {
 		maxEventsPerVD = 8000
-	}
-	if blockMiB <= 0 {
-		blockMiB = 256
 	}
 	vds := s.studyVDs(maxVDs)
 	res := CachePolicyAblation{BlockMiB: blockMiB, VDs: len(vds), Median: map[string]float64{}}
@@ -192,9 +190,8 @@ type PredictorAblation struct {
 
 // AblatePredictors evaluates every implemented predictor at per-period
 // refit cadence.
-func (s *Study) AblatePredictors(opt PeriodOptions) PredictorAblation {
-	mustOpt(opt.Validate())
-	series := s.bsWriteSeries(opt.PeriodSec)
+func (s *Study) AblatePredictors() PredictorAblation {
+	series := s.bsWriteSeries()
 	res := PredictorAblation{Series: len(series)}
 	res.Methods, res.Median = medianNormMSE(series, []predictorRun{
 		{"naive", func() predict.Predictor { return &predict.Naive{} }, 1},
@@ -221,22 +218,17 @@ type DeploymentAblation struct {
 }
 
 // AblateCacheDeployment evaluates the three deployments over the cacheable
-// study VDs.
+// study VDs with a frozenBlockMiB frozen cache; the hybrid places a quarter
+// of it at the CN.
 func (s *Study) AblateCacheDeployment(opt CacheDeploymentOptions) DeploymentAblation {
 	mustOpt(opt.Validate())
+	const cnFrac = 0.25
 	maxVDs, maxEventsPerVD := opt.MaxVDs, opt.MaxEventsPerVD
-	blockMiB, cnFrac := opt.BlockMiB, opt.CNFrac
 	if maxVDs <= 0 {
 		maxVDs = 16
 	}
 	if maxEventsPerVD <= 0 {
 		maxEventsPerVD = 8000
-	}
-	if blockMiB <= 0 {
-		blockMiB = 2048
-	}
-	if cnFrac <= 0 {
-		cnFrac = 0.25
 	}
 	model := latency.Default()
 	var cnP, bsP, hyP, cnH, bsH, hyH []float64
@@ -248,13 +240,13 @@ func (s *Study) AblateCacheDeployment(opt CacheDeploymentOptions) DeploymentAbla
 			}
 		}
 	}
-	vds := s.eachCacheableVD(maxVDs, maxEventsPerVD, blockMiB<<20, func(accesses []cache.Access, hotOff, hotLen, seed int64) {
+	vds := s.eachCacheableVD(maxVDs, maxEventsPerVD, frozenBlockMiB<<20, func(accesses []cache.Access, hotOff, hotLen, seed int64) {
 		take(latency.EvaluateGain(model, accesses, hotOff, hotLen, latency.CNCache, seed), &cnP, &cnH)
 		take(latency.EvaluateGain(model, accesses, hotOff, hotLen, latency.BSCache, seed), &bsP, &bsH)
 		take(latency.EvaluateHybridGain(model, accesses, hotOff, hotLen, cnFrac, seed), &hyP, &hyH)
 	})
 	return DeploymentAblation{
-		BlockMiB: blockMiB, CNFrac: cnFrac, VDs: vds,
+		BlockMiB: frozenBlockMiB, CNFrac: cnFrac, VDs: vds,
 		CNP50: stats.Median(cnP), BSP50: stats.Median(bsP), HybridP50: stats.Median(hyP),
 		CNHit: stats.Median(cnH), BSHit: stats.Median(bsH), HybridHit: stats.Median(hyH),
 	}
@@ -283,9 +275,8 @@ type FailoverAblation struct {
 
 // AblateFailover kills the hottest BlockServer of the busiest cluster at
 // mid-window and redistributes its segments under both policies.
-func (s *Study) AblateFailover(opt PeriodOptions) FailoverAblation {
-	mustOpt(opt.Validate())
-	cts := s.clusterTraffics(opt.PeriodSec)
+func (s *Study) AblateFailover() FailoverAblation {
+	cts := s.clusterTraffics()
 	victimCluster := worstCluster(cts)
 	ct := cts[victimCluster]
 	period := ct.NPeriods / 2

@@ -63,7 +63,7 @@ func TestAblateHosting(t *testing.T) {
 
 func TestAblateCachePolicy(t *testing.T) {
 	s := study(t)
-	r := s.AblateCachePolicy(BlockSampleOptions{MaxVDs: 10, MaxEventsPerVD: 4000, BlockMiB: 256})
+	r := s.AblateCachePolicy(BlockSampleOptions{MaxVDs: 10, MaxEventsPerVD: 4000})
 	for _, name := range []string{"fifo", "lru", "clock", "frozen"} {
 		v, ok := r.Median[name]
 		if !ok {
@@ -84,7 +84,7 @@ func TestAblateCachePolicy(t *testing.T) {
 
 func TestAblateFailover(t *testing.T) {
 	s := study(t)
-	r := s.AblateFailover(PeriodOptions{PeriodSec: 10})
+	r := s.AblateFailover()
 	if r.Greedy.Moved == 0 || r.Random.Moved != r.Greedy.Moved {
 		t.Fatalf("moved counts: greedy %d, random %d", r.Greedy.Moved, r.Random.Moved)
 	}
@@ -101,7 +101,7 @@ func TestAblateFailover(t *testing.T) {
 
 func TestAblatePredictors(t *testing.T) {
 	s := study(t)
-	r := s.AblatePredictors(PeriodOptions{PeriodSec: 10})
+	r := s.AblatePredictors()
 	if len(r.Methods) != 7 {
 		t.Fatalf("methods = %v", r.Methods)
 	}
@@ -124,7 +124,7 @@ func TestAblatePredictors(t *testing.T) {
 
 func TestAblateCacheDeployment(t *testing.T) {
 	s := study(t)
-	r := s.AblateCacheDeployment(CacheDeploymentOptions{MaxVDs: 12, MaxEventsPerVD: 5000, BlockMiB: 2048, CNFrac: 0.25})
+	r := s.AblateCacheDeployment(CacheDeploymentOptions{MaxVDs: 12, MaxEventsPerVD: 5000})
 	if r.VDs == 0 {
 		t.Skip("no study VDs")
 	}

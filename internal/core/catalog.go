@@ -24,7 +24,7 @@ func Catalog() []Experiment {
 		{"t3", "Table 3 — baseline statistics", func(s *Study) string { return s.Table3Baseline().Render() }},
 		{"t4", "Table 4 — skewness by application", func(s *Study) string { return s.Table4ByApp().Render() }},
 		{"f2", "Figure 2 — hypervisor load balancing", func(s *Study) string {
-			return s.Fig2aWTCoV(nil).Render() +
+			return s.Fig2aWTCoV().Render() +
 				s.Fig2bThreeTier().Render() +
 				s.Fig2cHottestQP().Render() +
 				s.Fig2dRebinding(RebindOptions{}).Render() +
@@ -34,25 +34,25 @@ func Catalog() []Experiment {
 			return s.Fig3aSingleVDCase().Render() +
 				s.Fig3bRAR(false).Render() +
 				s.Fig3bRAR(true).Render() +
-				s.Fig3deReduction(Fig3deOptions{}).Render() +
-				s.Fig3fgLendingGain(Fig3fgOptions{}).Render() +
-				s.Fig3fgLendingGain(Fig3fgOptions{MultiVMNode: true}).Render()
+				s.Fig3deReduction().Render() +
+				s.Fig3fgLendingGain(false).Render() +
+				s.Fig3fgLendingGain(true).Render()
 		}},
 		{"f4", "Figure 4 — storage-cluster balancing", func(s *Study) string {
-			return s.Fig4aFrequentMigration(Fig4aOptions{}).Render() +
-				s.Fig4bImporterSelection(PeriodOptions{}).Render() +
-				s.Fig4cPredictionMSE(Fig4cOptions{}).Render()
+			return s.Fig4aFrequentMigration().Render() +
+				s.Fig4bImporterSelection().Render() +
+				s.Fig4cPredictionMSE().Render()
 		}},
 		{"f5", "Figure 5 — balanced write, skewed read", func(s *Study) string {
-			return s.Fig5aReadWriteCoV(PeriodOptions{}).Render() +
-				s.Fig5bSegmentDominance(PeriodOptions{}).Render() +
-				s.Fig5cWriteThenRead(PeriodOptions{}).Render()
+			return s.Fig5aReadWriteCoV().Render() +
+				s.Fig5bSegmentDominance().Render() +
+				s.Fig5cWriteThenRead().Render()
 		}},
 		{"f6", "Figure 6 — LBA hotspots", func(s *Study) string { return s.Fig6HottestBlocks(VDSampleOptions{}).Render() }},
 		{"f7", "Figure 7 — caching", func(s *Study) string {
 			return s.Fig7aHitRatio(VDSampleOptions{}).Render() +
 				s.Fig7bcLatencyGain(BlockSampleOptions{}).Render() +
-				s.Fig7dSpaceUtilization(Fig7dOptions{}).Render()
+				s.Fig7dSpaceUtilization().Render()
 		}},
 		{"ab", "Ablations", renderAblations},
 	}
@@ -63,9 +63,9 @@ func renderAblations(s *Study) string {
 	b.WriteString(s.AblateHosting(NodeWindowOptions{}).Render())
 	b.WriteString(s.AblateCachePolicy(BlockSampleOptions{}).Render())
 	b.WriteString(s.AblateCacheDeployment(CacheDeploymentOptions{}).Render())
-	b.WriteString(s.AblatePredictors(PeriodOptions{}).Render())
-	b.WriteString(s.AblateFailover(PeriodOptions{}).Render())
-	b.WriteString(s.StudyPageCache(PageCacheOptions{}).Render())
+	b.WriteString(s.AblatePredictors().Render())
+	b.WriteString(s.AblateFailover().Render())
+	b.WriteString(s.StudyPageCache().Render())
 	for _, p := range []int{1, 10, 50} {
 		r := s.Fig2dRebinding(RebindOptions{MaxNodes: 24, WinSec: 10, Config: hypervisor.RebindConfig{PeriodSlots: p, Trigger: 1.2, EvalSlots: 5}})
 		fmt.Fprintf(&b, "Ablation: rebind period %d0 ms: improved %.1f%%, median gain %.2f, rebinds/slot %.4f\n",
@@ -74,7 +74,7 @@ func renderAblations(s *Study) string {
 	for _, pol := range []hypervisor.DispatchPolicy{
 		hypervisor.DispatchSingleWT, hypervisor.DispatchLeastLoaded, hypervisor.DispatchRoundRobinIO,
 	} {
-		r := s.AblateDispatch(DispatchOptions{MaxNodes: 24, WinSec: 10, Policy: pol})
+		r := s.AblateDispatch(DispatchOptions{Policy: pol})
 		fmt.Fprintf(&b, "Ablation: dispatch %s: median WT-CoV %.2f, %d sync ops over %d nodes\n",
 			pol, r.MedianCoV, r.SyncOps, r.Nodes)
 	}

@@ -131,8 +131,8 @@ func TestTable4Shapes(t *testing.T) {
 
 func TestFig2aShapes(t *testing.T) {
 	s := study(t)
-	r := s.Fig2aWTCoV([]int{30, 150})
-	if len(r.MedianRead) != 2 {
+	r := s.Fig2aWTCoV()
+	if len(r.MedianRead) != 3 {
 		t.Fatalf("scales = %d", len(r.MedianRead))
 	}
 	for i := range r.MedianRead {
@@ -283,7 +283,7 @@ func TestFig3bShapes(t *testing.T) {
 
 func TestFig3deShapes(t *testing.T) {
 	s := study(t)
-	r := s.Fig3deReduction(Fig3deOptions{})
+	r := s.Fig3deReduction()
 	if len(r.Rates) != 4 {
 		t.Fatalf("rates = %v", r.Rates)
 	}
@@ -305,14 +305,14 @@ func TestFig3deShapes(t *testing.T) {
 
 func TestFig3fgShapes(t *testing.T) {
 	s := study(t)
-	r := s.Fig3fgLendingGain(Fig3fgOptions{Rates: []float64{0.4, 0.8}, PeriodSec: 60})
+	r := s.Fig3fgLendingGain(false)
 	if r.Groups == 0 {
 		t.Skip("no throttled groups")
 	}
 	// Lending yields positive gains for most groups at moderate rates, and
 	// negative gains exist (the paper's §5.3 caution).
-	if !(r.PosFrac[0] > 0.5) {
-		t.Errorf("positive fraction at p=0.4 = %v", r.PosFrac[0])
+	if r.Rates[1] != 0.4 || !(r.PosFrac[1] > 0.5) {
+		t.Errorf("positive fraction at p=%v = %v", r.Rates[1], r.PosFrac[1])
 	}
 	for i := range r.Rates {
 		if r.PosFrac[i]+r.NegFrac[i] > 1+1e-9 {
@@ -326,7 +326,7 @@ func TestFig3fgShapes(t *testing.T) {
 
 func TestFig4aShapes(t *testing.T) {
 	s := study(t)
-	r := s.Fig4aFrequentMigration(Fig4aOptions{PeriodSec: 5, Windows: []int{1, 2, 4}})
+	r := s.Fig4aFrequentMigration()
 	if len(r.WindowPeriods) != 3 {
 		t.Fatalf("windows = %v", r.WindowPeriods)
 	}
@@ -351,7 +351,7 @@ func TestFig4aShapes(t *testing.T) {
 
 func TestFig4bShapes(t *testing.T) {
 	s := study(t)
-	r := s.Fig4bImporterSelection(PeriodOptions{PeriodSec: 5})
+	r := s.Fig4bImporterSelection()
 	if len(r.Policies) != 5 {
 		t.Fatalf("policies = %v", r.Policies)
 	}
@@ -372,7 +372,7 @@ func TestFig4bShapes(t *testing.T) {
 
 func TestFig4cShapes(t *testing.T) {
 	s := study(t)
-	r := s.Fig4cPredictionMSE(Fig4cOptions{PeriodSec: 5, EpochLen: 20})
+	r := s.Fig4cPredictionMSE()
 	if len(r.Methods) != 5 {
 		t.Fatalf("methods = %v", r.Methods)
 	}
@@ -400,7 +400,7 @@ func TestFig4cShapes(t *testing.T) {
 
 func TestFig5aShapes(t *testing.T) {
 	s := study(t)
-	r := s.Fig5aReadWriteCoV(PeriodOptions{PeriodSec: 5})
+	r := s.Fig5aReadWriteCoV()
 	if len(r.ReadCoV) == 0 {
 		t.Fatal("no clusters measured")
 	}
@@ -415,7 +415,7 @@ func TestFig5aShapes(t *testing.T) {
 
 func TestFig5bShapes(t *testing.T) {
 	s := study(t)
-	r := s.Fig5bSegmentDominance(PeriodOptions{PeriodSec: 5})
+	r := s.Fig5bSegmentDominance()
 	if len(r.MedianAbsWr) == 0 {
 		t.Fatal("no clusters measured")
 	}
@@ -435,7 +435,7 @@ func TestFig5bShapes(t *testing.T) {
 
 func TestFig5cShapes(t *testing.T) {
 	s := study(t)
-	r := s.Fig5cWriteThenRead(PeriodOptions{PeriodSec: 5})
+	r := s.Fig5cWriteThenRead()
 	// Write-then-read must not leave read balance worse, and must not
 	// meaningfully hurt write balance (§6.2.2's surprise: it helps).
 	if !(r.WTRReadCoV <= r.WriteOnlyReadCoV+0.05) {
@@ -509,7 +509,7 @@ func TestFig7aShapes(t *testing.T) {
 
 func TestFig7bcShapes(t *testing.T) {
 	s := study(t)
-	r := s.Fig7bcLatencyGain(BlockSampleOptions{MaxVDs: 16, MaxEventsPerVD: 5000, BlockMiB: 2048})
+	r := s.Fig7bcLatencyGain(BlockSampleOptions{MaxVDs: 16, MaxEventsPerVD: 5000})
 	// CN-cache p0 gain is far stronger than BS-cache p0 gain (it skips the
 	// whole storage cluster).
 	if !math.IsNaN(r.CNWrite[0]) && !math.IsNaN(r.BSWrite[0]) {
@@ -532,7 +532,7 @@ func TestFig7bcShapes(t *testing.T) {
 
 func TestFig7dShapes(t *testing.T) {
 	s := study(t)
-	r := s.Fig7dSpaceUtilization(Fig7dOptions{Threshold: 0.25})
+	r := s.Fig7dSpaceUtilization()
 	if len(r.BlockMiB) == 0 {
 		t.Fatal("no block sizes")
 	}
@@ -562,7 +562,7 @@ func TestClusterTrafficsConserveFleetTraffic(t *testing.T) {
 	}
 	var got float64
 	var segs int
-	for _, ct := range s.clusterTraffics(10) {
+	for _, ct := range s.clusterTraffics() {
 		segs += len(ct.Traffic)
 		for _, rows := range ct.Traffic {
 			for _, rw := range rows {

@@ -26,12 +26,9 @@ type Fig2aResult struct {
 
 // Fig2aWTCoV measures per-node worker-thread CoV under the round-robin
 // binding at multiple time scales. The paper uses 1/30/60-minute scales over
-// a 12 h window; scaled to our window the defaults are 30 s / 2 min / 5 min
-// (pass nil for those).
-func (s *Study) Fig2aWTCoV(scalesSec []int) Fig2aResult {
-	if len(scalesSec) == 0 {
-		scalesSec = []int{30, 120, 300}
-	}
+// a 12 h window; scaled to our window they are 30 s / 2 min / 5 min.
+func (s *Study) Fig2aWTCoV() Fig2aResult {
+	scalesSec := []int{30, 120, 300}
 	top := s.Fleet.Topology
 	res := Fig2aResult{ScalesSec: scalesSec, Nodes: len(top.Nodes)}
 

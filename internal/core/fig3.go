@@ -243,15 +243,17 @@ type Fig3deResult struct {
 	MedianRRTput, MedianRRIOPS []float64
 }
 
-// Fig3deReduction evaluates Equation 3 at every throttle event for several
-// lending rates.
-func (s *Study) Fig3deReduction(opt Fig3deOptions) Fig3deResult {
-	mustOpt(opt.Validate())
-	multiVMNode, rates := opt.MultiVMNode, opt.Rates
-	if len(rates) == 0 {
-		rates = []float64{0.2, 0.4, 0.6, 0.8}
-	}
-	scope, groups := s.scopeGroups(multiVMNode)
+// lendingSweep returns the lending rates p the §5 figures evaluate.
+func lendingSweep() []float64 { return []float64{0.2, 0.4, 0.6, 0.8} }
+
+// lendingPeriodSec is how often Appendix B's lending re-evaluates.
+const lendingPeriodSec = 60
+
+// Fig3deReduction evaluates Equation 3 at every throttle event of the
+// multi-VD VMs for several lending rates.
+func (s *Study) Fig3deReduction() Fig3deResult {
+	rates := lendingSweep()
+	scope, groups := s.scopeGroups(false)
 	res := Fig3deResult{Scope: scope, Rates: rates}
 	// Collect events once.
 	var events []throttle.Event
@@ -298,17 +300,10 @@ type Fig3fgResult struct {
 	Groups                       int
 }
 
-// Fig3fgLendingGain simulates Appendix B lending over all groups at several
-// rates.
-func (s *Study) Fig3fgLendingGain(opt Fig3fgOptions) Fig3fgResult {
-	mustOpt(opt.Validate())
-	multiVMNode, rates, periodSec := opt.MultiVMNode, opt.Rates, opt.PeriodSec
-	if len(rates) == 0 {
-		rates = []float64{0.2, 0.4, 0.6, 0.8}
-	}
-	if periodSec <= 0 {
-		periodSec = 60
-	}
+// Fig3fgLendingGain simulates Appendix B lending over all groups of the
+// chosen scope at several rates.
+func (s *Study) Fig3fgLendingGain(multiVMNode bool) Fig3fgResult {
+	rates := lendingSweep()
 	scope, groups := s.scopeGroups(multiVMNode)
 	res := Fig3fgResult{Scope: scope, Rates: rates}
 	// Baselines once per group.
@@ -327,7 +322,7 @@ func (s *Study) Fig3fgLendingGain(opt Fig3fgOptions) Fig3fgResult {
 	for _, p := range rates {
 		var gains []float64
 		for _, a := range active {
-			w := s.simulateGroup(a.g, &throttle.Lending{Rate: p, PeriodSec: periodSec})
+			w := s.simulateGroup(a.g, &throttle.Lending{Rate: p, PeriodSec: lendingPeriodSec})
 			if g := throttle.LendingGain(a.wo, w); !math.IsNaN(g) {
 				gains = append(gains, g)
 			}

@@ -16,22 +16,21 @@ import (
 // segments renumbered locally, BlockServers renumbered 0..n-1, and the
 // period traffic matrix restricted to the cluster.
 type clusterTraffic struct {
-	ClusterIdx int
-	Placement  *cluster.SegmentMap // local BS numbering
-	Traffic    [][]balancer.RW     // [localSeg][period]
-	SegIDs     []cluster.SegmentID // local -> global segment ids
-	NPeriods   int
-	PeriodSec  int
+	Placement *cluster.SegmentMap // local BS numbering
+	Traffic   [][]balancer.RW     // [localSeg][period]
+	SegIDs    []cluster.SegmentID // local -> global segment ids
+	NPeriods  int
 }
+
+// balancePeriodSec is the §6 balancing period: every storage-cluster
+// experiment sees traffic in periods of this many seconds.
+const balancePeriodSec = 5
 
 // clusterTraffics builds the per-cluster matrices by streaming every VD
 // series once.
-func (s *Study) clusterTraffics(periodSec int) []clusterTraffic {
-	if periodSec <= 0 {
-		periodSec = 5
-	}
+func (s *Study) clusterTraffics() []clusterTraffic {
 	top := s.Fleet.Topology
-	nPeriods := (s.Dur + periodSec - 1) / periodSec
+	nPeriods := (s.Dur + balancePeriodSec - 1) / balancePeriodSec
 	clusters := s.Fleet.StorageClusters
 
 	// Global BS -> (cluster idx, local idx).
@@ -52,9 +51,7 @@ func (s *Study) clusterTraffics(periodSec int) []clusterTraffic {
 		out[l.c].SegIDs = append(out[l.c].SegIDs, cluster.SegmentID(seg))
 	}
 	for ci := range out {
-		out[ci].ClusterIdx = ci
 		out[ci].NPeriods = nPeriods
-		out[ci].PeriodSec = periodSec
 		out[ci].Placement = cluster.NewSegmentMap(len(out[ci].SegIDs), len(clusters[ci].BSs))
 		out[ci].Traffic = make([][]balancer.RW, len(out[ci].SegIDs))
 		for i := range out[ci].Traffic {
@@ -77,7 +74,7 @@ func (s *Study) clusterTraffics(periodSec int) []clusterTraffic {
 			row := out[l.c].Traffic[localOf[seg]]
 			rw, ww := m.SegWeightsRead[segPos], m.SegWeightsWrite[segPos]
 			for t, smp := range series {
-				p := t / periodSec
+				p := t / balancePeriodSec
 				row[p].R += smp.ReadBps * rw
 				row[p].W += smp.WriteBps * ww
 			}
@@ -100,14 +97,10 @@ type Fig4aResult struct {
 
 // Fig4aFrequentMigration runs the production balancer (MinTraffic importer)
 // on every storage cluster and measures frequent-migration proportions at
-// several window scales (expressed in periods).
-func (s *Study) Fig4aFrequentMigration(opt Fig4aOptions) Fig4aResult {
-	mustOpt(opt.Validate())
-	windows := opt.Windows
-	if len(windows) == 0 {
-		windows = []int{1, 2, 4}
-	}
-	cts := s.clusterTraffics(opt.PeriodSec)
+// window scales of 1, 2 and 4 periods.
+func (s *Study) Fig4aFrequentMigration() Fig4aResult {
+	windows := []int{1, 2, 4}
+	cts := s.clusterTraffics()
 	res := Fig4aResult{WindowPeriods: windows}
 	migs := productionMigrations(cts)
 	for _, w := range windows {
@@ -165,9 +158,8 @@ type Fig4bResult struct {
 // Fig4bImporterSelection runs the five importer policies of §6.1.2 on the
 // storage cluster with the most frequent migrations under the production
 // policy.
-func (s *Study) Fig4bImporterSelection(opt PeriodOptions) Fig4bResult {
-	mustOpt(opt.Validate())
-	cts := s.clusterTraffics(opt.PeriodSec)
+func (s *Study) Fig4bImporterSelection() Fig4bResult {
+	cts := s.clusterTraffics()
 	victim := worstCluster(cts)
 	ct := cts[victim]
 	policies := []balancer.ImporterPolicy{
@@ -238,15 +230,11 @@ type Fig4cResult struct {
 // Fig4cPredictionMSE evaluates the five predictor configurations of
 // Appendix C on per-BS write traffic: P1 linear (per-period), P2 ARIMA
 // (per-period), P3 GBT (per-epoch), P4 attention (per-epoch), P5 attention
-// (per-period). epochLen scales the paper's 200-period epoch to our shorter
-// window.
-func (s *Study) Fig4cPredictionMSE(opt Fig4cOptions) Fig4cResult {
-	mustOpt(opt.Validate())
-	epochLen := opt.EpochLen
-	if epochLen <= 0 {
-		epochLen = 30
-	}
-	series := s.bsWriteSeries(opt.PeriodSec)
+// (per-period). The 30-period epoch scales the paper's 200-period epoch to
+// our shorter window.
+func (s *Study) Fig4cPredictionMSE() Fig4cResult {
+	const epochLen = 30
+	series := s.bsWriteSeries()
 	res := Fig4cResult{BSSeries: len(series), EpochLen: epochLen}
 	res.Methods, res.MeanNormMSE = medianNormMSE(series, []predictorRun{
 		{"P1 linear (per-period)", func() predict.Predictor { return predict.NewLinearFit(4) }, 1},
@@ -260,9 +248,9 @@ func (s *Study) Fig4cPredictionMSE(opt Fig4cOptions) Fig4cResult {
 
 // bsWriteSeries returns the per-period write traffic of every BlockServer
 // that saw any, cluster by cluster, under each cluster's initial placement.
-func (s *Study) bsWriteSeries(periodSec int) [][]float64 {
+func (s *Study) bsWriteSeries() [][]float64 {
 	var series [][]float64
-	for _, ct := range s.clusterTraffics(periodSec) {
+	for _, ct := range s.clusterTraffics() {
 		for _, row := range balancer.BSFutureMatrix(ct.Placement, ct.Traffic, func(x balancer.RW) float64 { return x.W }) {
 			if stats.Sum(row) > 0 {
 				series = append(series, row)

@@ -22,9 +22,8 @@ type Fig5aResult struct {
 }
 
 // Fig5aReadWriteCoV measures per-cluster inter-BS skewness by direction.
-func (s *Study) Fig5aReadWriteCoV(opt PeriodOptions) Fig5aResult {
-	mustOpt(opt.Validate())
-	cts := s.clusterTraffics(opt.PeriodSec)
+func (s *Study) Fig5aReadWriteCoV() Fig5aResult {
+	cts := s.clusterTraffics()
 	var res Fig5aResult
 	var maxW float64
 	var above, counted int
@@ -98,9 +97,8 @@ type Fig5bResult struct {
 
 // Fig5bSegmentDominance measures how one-sided segments are, per cluster,
 // restricted to the segments carrying the top 80% of cluster traffic.
-func (s *Study) Fig5bSegmentDominance(opt PeriodOptions) Fig5bResult {
-	mustOpt(opt.Validate())
-	cts := s.clusterTraffics(opt.PeriodSec)
+func (s *Study) Fig5bSegmentDominance() Fig5bResult {
+	cts := s.clusterTraffics()
 	var res Fig5bResult
 	for _, ct := range cts {
 		type segTot struct{ r, w, tot float64 }
@@ -158,9 +156,8 @@ type Fig5cResult struct {
 
 // Fig5cWriteThenRead runs both balancing modes with the Ideal importer on
 // the busiest cluster, as §6.2.2 does.
-func (s *Study) Fig5cWriteThenRead(opt PeriodOptions) Fig5cResult {
-	mustOpt(opt.Validate())
-	cts := s.clusterTraffics(opt.PeriodSec)
+func (s *Study) Fig5cWriteThenRead() Fig5cResult {
+	cts := s.clusterTraffics()
 	victim := worstCluster(cts)
 	ct := cts[victim]
 	cfg := balancer.DefaultConfig()

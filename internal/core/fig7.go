@@ -134,25 +134,25 @@ type Fig7bcResult struct {
 	BlockMiB                         int64
 }
 
+// frozenBlockMiB is the frozen-cache block size of the paper's FC latency
+// experiments, Fig 7(b)/(c) and the cache-deployment ablation.
+const frozenBlockMiB = 2048
+
 // Fig7bcLatencyGain evaluates frozen-cache latency gains at both deployment
-// locations over the study VDs, using the given frozen-cache block size
-// (2048 MiB in the paper's FC experiments).
+// locations over the study VDs.
 func (s *Study) Fig7bcLatencyGain(opt BlockSampleOptions) Fig7bcResult {
 	mustOpt(opt.Validate())
-	maxVDs, maxEventsPerVD, blockMiB := opt.MaxVDs, opt.MaxEventsPerVD, opt.BlockMiB
+	maxVDs, maxEventsPerVD := opt.MaxVDs, opt.MaxEventsPerVD
 	if maxVDs <= 0 {
 		maxVDs = 24
 	}
 	if maxEventsPerVD <= 0 {
 		maxEventsPerVD = 12000
 	}
-	if blockMiB <= 0 {
-		blockMiB = 2048
-	}
 	model := latency.Default()
 	var cnR, cnW, bsR, bsW [3][]float64
 	// §7.3.2: caches are provisioned only for cacheable VDs.
-	vds := s.eachCacheableVD(maxVDs, maxEventsPerVD, blockMiB<<20, func(accesses []cache.Access, hotOff, hotLen, seed int64) {
+	vds := s.eachCacheableVD(maxVDs, maxEventsPerVD, frozenBlockMiB<<20, func(accesses []cache.Access, hotOff, hotLen, seed int64) {
 		for _, loc := range []latency.CacheLocation{latency.CNCache, latency.BSCache} {
 			gains := latency.EvaluateGain(model, accesses, hotOff, hotLen, loc, seed)
 			for _, g := range gains {
@@ -173,7 +173,7 @@ func (s *Study) Fig7bcLatencyGain(opt BlockSampleOptions) Fig7bcResult {
 			}
 		}
 	})
-	res := Fig7bcResult{VDs: vds, BlockMiB: blockMiB}
+	res := Fig7bcResult{VDs: vds, BlockMiB: frozenBlockMiB}
 	for i := 0; i < 3; i++ {
 		res.CNRead[i] = stats.Median(cnR[i])
 		res.CNWrite[i] = stats.Median(cnW[i])
@@ -212,17 +212,12 @@ type Fig7dResult struct {
 	Threshold float64
 }
 
-// Fig7dSpaceUtilization counts cacheable VDs (hottest-block access rate
-// above threshold, using the generator's ground-truth hotspot model) per
-// compute node and per BlockServer, and compares the spreads.
-func (s *Study) Fig7dSpaceUtilization(opt Fig7dOptions) Fig7dResult {
-	mustOpt(opt.Validate())
-	threshold := opt.Threshold
-	if threshold <= 0 {
-		threshold = cacheableAccessRate
-	}
+// Fig7dSpaceUtilization counts cacheable VDs (hottest-block access rate at
+// least cacheableAccessRate, using the generator's ground-truth hotspot
+// model) per compute node and per BlockServer, and compares the spreads.
+func (s *Study) Fig7dSpaceUtilization() Fig7dResult {
 	top := s.Fleet.Topology
-	res := Fig7dResult{Threshold: threshold}
+	res := Fig7dResult{Threshold: cacheableAccessRate}
 	for _, mib := range BlockSizesMiB {
 		blockSize := mib << 20
 		nodeOfCN := make([]int, len(top.VDs))
@@ -244,7 +239,7 @@ func (s *Study) Fig7dSpaceUtilization(opt Fig7dOptions) Fig7dResult {
 			if wOps+rOps > 0 {
 				rate = (wOps*m.HotAccessFrac + rOps*m.HotReadFrac) / (wOps + rOps) * coverage
 			}
-			ok := rate >= threshold
+			ok := rate >= cacheableAccessRate
 			cacheable[vd] = ok
 			if ok {
 				n++

@@ -163,19 +163,19 @@ func TestGoldenFigures(t *testing.T) {
 	goldenCompare(t, "fig2b", s.Fig2bThreeTier())
 	goldenCompare(t, "fig2c", s.Fig2cHottestQP())
 	goldenCompare(t, "fig3b", s.Fig3bRAR(false))
-	goldenCompare(t, "fig3de", s.Fig3deReduction(Fig3deOptions{}))
-	goldenCompare(t, "fig3fg", s.Fig3fgLendingGain(Fig3fgOptions{}))
-	goldenCompare(t, "fig4a", s.Fig4aFrequentMigration(Fig4aOptions{}))
-	goldenCompare(t, "fig4b", s.Fig4bImporterSelection(PeriodOptions{}))
-	goldenCompare(t, "fig5a", s.Fig5aReadWriteCoV(PeriodOptions{}))
-	goldenCompare(t, "fig5b", s.Fig5bSegmentDominance(PeriodOptions{}))
-	goldenCompare(t, "fig5c", s.Fig5cWriteThenRead(PeriodOptions{}))
+	goldenCompare(t, "fig3de", s.Fig3deReduction())
+	goldenCompare(t, "fig3fg", s.Fig3fgLendingGain(false))
+	goldenCompare(t, "fig4a", s.Fig4aFrequentMigration())
+	goldenCompare(t, "fig4b", s.Fig4bImporterSelection())
+	goldenCompare(t, "fig5a", s.Fig5aReadWriteCoV())
+	goldenCompare(t, "fig5b", s.Fig5bSegmentDominance())
+	goldenCompare(t, "fig5c", s.Fig5cWriteThenRead())
 	goldenCompare(t, "fig6", s.Fig6HottestBlocks(VDSampleOptions{MaxVDs: 12, MaxEventsPerVD: 4000}))
 	goldenCompare(t, "fig7a", s.Fig7aHitRatio(VDSampleOptions{MaxVDs: 8, MaxEventsPerVD: 4000}))
-	goldenCompare(t, "fig7d", s.Fig7dSpaceUtilization(Fig7dOptions{}))
+	goldenCompare(t, "fig7d", s.Fig7dSpaceUtilization())
 	goldenCompare(t, "fig2d", s.Fig2dRebinding(RebindOptions{MaxNodes: 8, WinSec: 60}))
 	goldenCompare(t, "fig2ef", s.Fig2efBurstSeries(NodeWindowOptions{MaxNodes: 8, WinSec: 8}))
-	goldenCompare(t, "fig4c", s.Fig4cPredictionMSE(Fig4cOptions{}))
+	goldenCompare(t, "fig4c", s.Fig4cPredictionMSE())
 	goldenCompare(t, "fig7bc", s.Fig7bcLatencyGain(BlockSampleOptions{MaxVDs: 6, MaxEventsPerVD: 2000}))
 }
 
@@ -185,8 +185,8 @@ func TestGoldenAblations(t *testing.T) {
 	goldenCompare(t, "ablation_dispatch", s.AblateDispatch(DispatchOptions{MaxNodes: 8, WinSec: 8}))
 	goldenCompare(t, "ablation_hosting", s.AblateHosting(NodeWindowOptions{MaxNodes: 8, WinSec: 8}))
 	goldenCompare(t, "ablation_cachepolicy", s.AblateCachePolicy(BlockSampleOptions{MaxVDs: 6, MaxEventsPerVD: 2000}))
-	goldenCompare(t, "ablation_predictors", s.AblatePredictors(PeriodOptions{}))
-	goldenCompare(t, "ablation_failover", s.AblateFailover(PeriodOptions{}))
+	goldenCompare(t, "ablation_predictors", s.AblatePredictors())
+	goldenCompare(t, "ablation_failover", s.AblateFailover())
 	goldenCompare(t, "ablation_deployment", s.AblateCacheDeployment(CacheDeploymentOptions{MaxVDs: 6, MaxEventsPerVD: 2000}))
 	// The catalog's rebind-period rows: 10, 100 and 500 ms periods.
 	var rebind []Fig2dResult

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"testing"
 )
 
@@ -10,10 +9,8 @@ type validatable interface{ Validate() error }
 
 func TestOptionsZeroValuesValidate(t *testing.T) {
 	zeros := []validatable{
-		NodeWindowOptions{}, PeriodOptions{}, VDSampleOptions{}, BlockSampleOptions{},
-		Fig3deOptions{}, Fig3fgOptions{}, Fig4aOptions{}, Fig4cOptions{},
-		Fig7dOptions{}, RebindOptions{}, DispatchOptions{},
-		CacheDeploymentOptions{}, PageCacheOptions{},
+		NodeWindowOptions{}, VDSampleOptions{}, BlockSampleOptions{},
+		RebindOptions{}, DispatchOptions{}, CacheDeploymentOptions{},
 	}
 	for _, o := range zeros {
 		if err := o.Validate(); err != nil {
@@ -26,20 +23,11 @@ func TestOptionsValidateRejectsGarbage(t *testing.T) {
 	bad := []validatable{
 		NodeWindowOptions{MaxNodes: -1},
 		NodeWindowOptions{WinSec: -5},
-		Fig3deOptions{Rates: []float64{0.2, math.NaN()}},
-		Fig3deOptions{Rates: []float64{-0.2}},
-		Fig3deOptions{Rates: []float64{1.5}},
-		Fig3fgOptions{PeriodSec: -60},
-		Fig4aOptions{Windows: []int{2, 0}},
-		Fig4cOptions{EpochLen: -1},
 		VDSampleOptions{MaxEventsPerVD: -100},
-		BlockSampleOptions{BlockMiB: -2048},
-		Fig7dOptions{Threshold: math.NaN()},
-		Fig7dOptions{Threshold: -0.1},
-		Fig7dOptions{Threshold: 1.01},
-		CacheDeploymentOptions{CNFrac: math.NaN()},
-		CacheDeploymentOptions{CNFrac: 2},
-		PageCacheOptions{MaxVDs: -3},
+		BlockSampleOptions{MaxVDs: -24},
+		RebindOptions{WinSec: -30},
+		DispatchOptions{MaxNodes: -2},
+		CacheDeploymentOptions{MaxEventsPerVD: -1},
 	}
 	for _, o := range bad {
 		if err := o.Validate(); err == nil {
@@ -60,8 +48,8 @@ func TestStudyMethodsRejectInvalidOptions(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("Fig3deReduction", func() { s.Fig3deReduction(Fig3deOptions{Rates: []float64{math.NaN()}}) })
-	mustPanic("Fig7dSpaceUtilization", func() { s.Fig7dSpaceUtilization(Fig7dOptions{Threshold: math.Inf(1)}) })
+	mustPanic("Fig2dRebinding", func() { s.Fig2dRebinding(RebindOptions{MaxNodes: -1}) })
+	mustPanic("Fig6HottestBlocks", func() { s.Fig6HottestBlocks(VDSampleOptions{MaxVDs: -1}) })
 	mustPanic("AblateCacheDeployment", func() { s.AblateCacheDeployment(CacheDeploymentOptions{MaxVDs: -1}) })
-	mustPanic("Fig4aFrequentMigration", func() { s.Fig4aFrequentMigration(Fig4aOptions{PeriodSec: -5}) })
+	mustPanic("AblateDispatch", func() { s.AblateDispatch(DispatchOptions{WinSec: -5}) })
 }

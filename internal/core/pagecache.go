@@ -27,27 +27,18 @@ type PageCacheStudy struct {
 	BlockMiB         int64
 }
 
-// StudyPageCache replays the busiest VDs' application-level streams
-// through a guest page cache and measures hottest-block dominance before
-// and after.
-func (s *Study) StudyPageCache(opt PageCacheOptions) PageCacheStudy {
-	mustOpt(opt.Validate())
-	maxVDs, maxEventsPerVD := opt.MaxVDs, opt.MaxEventsPerVD
-	blockMiB, cfg := opt.BlockMiB, opt.Guest
-	if maxVDs <= 0 {
-		maxVDs = 16
-	}
-	if maxEventsPerVD <= 0 {
+// StudyPageCache replays 16 study VDs' application-level streams (about
+// 10000 events each) through a guest page cache with a 2 s flush interval
+// and measures the dominance of the hottest 256 MiB block before and after.
+func (s *Study) StudyPageCache() PageCacheStudy {
+	const (
+		maxVDs         = 16
 		maxEventsPerVD = 10000
-	}
-	if blockMiB <= 0 {
-		blockMiB = 256
-	}
-	if cfg.CachePages == 0 {
-		cfg = guestcache.DefaultConfig()
-		cfg.FlushIntervalUS = 2_000_000
-	}
-	blockSize := blockMiB << 20
+		blockMiB       = 256
+		blockSize      = blockMiB << 20
+	)
+	cfg := guestcache.DefaultConfig()
+	cfg.FlushIntervalUS = 2_000_000
 	t := s.ensureTotals()
 	var appRatios, devRatios, absorbed []float64
 	vds := s.studyVDs(maxVDs)

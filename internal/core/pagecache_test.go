@@ -8,7 +8,7 @@ import (
 
 func TestStudyPageCacheShiftsDominance(t *testing.T) {
 	s := study(t)
-	r := s.StudyPageCache(PageCacheOptions{MaxVDs: 12, MaxEventsPerVD: 8000, BlockMiB: 256})
+	r := s.StudyPageCache()
 	if r.VDs == 0 {
 		t.Skip("no study VDs")
 	}

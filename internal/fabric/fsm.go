@@ -235,7 +235,6 @@ func (f *ledgerFSM) join(now time.Time) JoinReply {
 		WorkerID:    id,
 		Spec:        f.cfg.runSpec(),
 		Stream:      f.stream,
-		Shards:      len(f.plan),
 		HeartbeatMS: f.cfg.heartbeatEvery.Milliseconds(),
 	}
 }

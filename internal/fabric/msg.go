@@ -32,7 +32,6 @@ type JoinReply struct {
 	WorkerID    uint64
 	Spec        ebs.RunSpec
 	Stream      *sketch.Config `json:",omitempty"`
-	Shards      int
 	HeartbeatMS int64
 }
 

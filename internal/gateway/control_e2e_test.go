@@ -95,7 +95,7 @@ func TestE2EControlledStudy(t *testing.T) {
 func TestE2EControlledOnFabricGateway(t *testing.T) {
 	h := gatewaytest.Start(gateway.Config{
 		MaxConcurrent: 1,
-		Fabric:        &gateway.FabricConfig{Replicas: 1, Workers: 2, Shards: 2},
+		Fabric:        &gateway.FabricConfig{Replicas: 1, Workers: 2},
 	})
 	defer h.Close()
 	cl, err := h.Client()

@@ -27,9 +27,6 @@ type FabricConfig struct {
 	Replicas int
 	// Workers is the worker count per study (default 1).
 	Workers int
-	// Shards overrides the fabric shard count when the study spec leaves
-	// Shards zero.
-	Shards int
 }
 
 // Config shapes one gateway.
@@ -463,10 +460,6 @@ func (gw *Gateway) runFabric(j *job) error {
 	if fc.Workers < 1 {
 		fc.Workers = 1
 	}
-	shards := j.spec.Shards
-	if shards == 0 {
-		shards = fc.Shards
-	}
 	stream := sketch.NewSet(sketch.Config{})
 	opts := j.spec.RunOptions()
 	opts.Stream = stream
@@ -475,7 +468,7 @@ func (gw *Gateway) runFabric(j *job) error {
 		// worker schedules, so the no-chaos oracle stays valid.
 		opts.Chaos = &chaos.Plan{Recoverable: true, LeaderKills: j.spec.LeaderKills}
 	}
-	rs, err := fabric.NewReplicaSet(fabric.Config{Fleet: j.spec.FleetConfig(), Opts: opts, Scenario: j.spec.Scenario, Shards: shards}, fc.Replicas)
+	rs, err := fabric.NewReplicaSet(fabric.Config{Fleet: j.spec.FleetConfig(), Opts: opts, Scenario: j.spec.Scenario, Shards: j.spec.Shards}, fc.Replicas)
 	if err != nil {
 		return err
 	}

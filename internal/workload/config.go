@@ -18,8 +18,9 @@ import (
 	"ebslab/internal/cluster"
 )
 
-// Config controls fleet synthesis. Zero values are replaced by DefaultConfig
-// values in Generate; Validate reports impossible combinations.
+// Config sizes the synthesized fleet; the shapes of what fills it are the
+// calibration constants below. Every field must be set — start from
+// DefaultConfig or SingleDC — and Generate rejects a config Validate rejects.
 type Config struct {
 	Seed int64 // master seed; same seed => identical fleet and traffic
 
@@ -29,30 +30,6 @@ type Config struct {
 	BSPerCluster int // BlockServers per storage cluster (balancing domain)
 	Users        int // number of tenants across the fleet
 	DurationSec  int // default observation-window length in seconds
-
-	// BareMetalFrac is the fraction of compute nodes hosting exactly one VM.
-	BareMetalFrac float64
-	// MaxVMsPerNode bounds multi-tenant node packing.
-	MaxVMsPerNode int
-	// MeanVDsPerVM controls the geometric draw of disks per VM (median 2 in
-	// the paper's Table 2).
-	MeanVDsPerVM float64
-	// MultiQPFrac is the probability a VD gets more than one queue pair.
-	MultiQPFrac float64
-
-	// TenantZipfS is the Zipf exponent for tenant sizes (larger => a few
-	// tenants own most VMs, like the paper's max-9879-VM tenant).
-	TenantZipfS float64
-
-	// RateLogSigma is the log-stddev of per-VD mean traffic rates; it is the
-	// master knob for spatial skew and is further scaled per app class.
-	RateLogSigma float64
-
-	// CapacityTiers are the VD capacity choices in bytes. Small tiers keep
-	// segment counts tractable while still spanning multiple segments.
-	CapacityTiers []int64
-	// CapacityWeights are the draw weights for CapacityTiers (same length).
-	CapacityWeights []float64
 }
 
 // DefaultConfig returns a laptop-scale configuration whose statistics mirror
@@ -60,26 +37,13 @@ type Config struct {
 // ~3k VDs; the paper's fleet is ~40x larger but statistically similar.
 func DefaultConfig() Config {
 	return Config{
-		Seed:          1,
-		DCs:           3,
-		NodesPerDC:    120,
-		BSPerDC:       24,
-		BSPerCluster:  6,
-		Users:         160,
-		DurationSec:   900,
-		BareMetalFrac: 0.10,
-		MaxVMsPerNode: 6,
-		MeanVDsPerVM:  2.2,
-		MultiQPFrac:   0.35,
-		TenantZipfS:   1.5,
-		RateLogSigma:  1.9,
-		CapacityTiers: []int64{
-			40 << 30,  // 40 GiB (system disk)
-			64 << 30,  // 64 GiB
-			128 << 30, // 128 GiB
-			256 << 30, // 256 GiB
-		},
-		CapacityWeights: []float64{0.40, 0.30, 0.20, 0.10},
+		Seed:         1,
+		DCs:          3,
+		NodesPerDC:   120,
+		BSPerDC:      24,
+		BSPerCluster: 6,
+		Users:        160,
+		DurationSec:  900,
 	}
 }
 
@@ -113,30 +77,42 @@ func (c *Config) Validate() error {
 		return errors.New("workload: Users must be positive")
 	case c.DurationSec <= 0:
 		return errors.New("workload: DurationSec must be positive")
-	case c.BareMetalFrac < 0 || c.BareMetalFrac > 1:
-		return fmt.Errorf("workload: BareMetalFrac %v outside [0,1]", c.BareMetalFrac)
-	case c.MaxVMsPerNode <= 0:
-		return errors.New("workload: MaxVMsPerNode must be positive")
-	case c.MeanVDsPerVM < 1:
-		return errors.New("workload: MeanVDsPerVM must be >= 1")
-	case c.MultiQPFrac < 0 || c.MultiQPFrac > 1:
-		return fmt.Errorf("workload: MultiQPFrac %v outside [0,1]", c.MultiQPFrac)
-	case c.TenantZipfS <= 1:
-		return errors.New("workload: TenantZipfS must exceed 1")
-	case c.RateLogSigma <= 0:
-		return errors.New("workload: RateLogSigma must be positive")
-	case len(c.CapacityTiers) == 0:
-		return errors.New("workload: CapacityTiers must be non-empty")
-	case len(c.CapacityTiers) != len(c.CapacityWeights):
-		return errors.New("workload: CapacityTiers and CapacityWeights lengths differ")
-	}
-	for i, cap := range c.CapacityTiers {
-		if cap <= 0 {
-			return fmt.Errorf("workload: CapacityTiers[%d] = %d", i, cap)
-		}
 	}
 	return nil
 }
+
+// Fleet-shape calibration constants. Like appProfiles, they are chosen so
+// the generated fleet reproduces the paper's shapes, not measured.
+const (
+	// bareMetalFrac is the fraction of compute nodes hosting exactly one VM.
+	bareMetalFrac = 0.10
+	// maxVMsPerNode bounds multi-tenant node packing.
+	maxVMsPerNode = 6
+	// meanVDsPerVM controls the geometric draw of disks per VM (median 2 in
+	// the paper's Table 2).
+	meanVDsPerVM = 2.2
+	// multiQPFrac is the probability a VD gets more than one queue pair.
+	multiQPFrac = 0.35
+	// tenantZipfS is the Zipf exponent for tenant sizes (larger => a few
+	// tenants own most VMs, like the paper's max-9879-VM tenant).
+	tenantZipfS = 1.5
+	// rateLogSigma is the log-stddev of per-VD mean traffic rates; it is the
+	// master knob for spatial skew and is further scaled per app class.
+	rateLogSigma = 1.9
+)
+
+// capacityTiers are the VD capacity choices in bytes, drawn with
+// capacityWeights. Small tiers keep segment counts tractable while still
+// spanning multiple segments.
+var (
+	capacityTiers = []int64{
+		40 << 30,  // 40 GiB (system disk)
+		64 << 30,  // 64 GiB
+		128 << 30, // 128 GiB
+		256 << 30, // 256 GiB
+	}
+	capacityWeights = []float64{0.40, 0.30, 0.20, 0.10}
+)
 
 // appProfile captures how one application class (Appendix D / Table 4)
 // shapes traffic. The numbers are calibration knobs, not measurements: they
@@ -150,7 +126,7 @@ type appProfile struct {
 	popWeight float64
 	// rateScale multiplies the fleet-wide base rate for this class.
 	rateScale float64
-	// sigmaScale multiplies Config.RateLogSigma: >1 means more spatial skew.
+	// sigmaScale multiplies rateLogSigma: >1 means more spatial skew.
 	sigmaScale float64
 	// readFrac is the mean fraction of traffic that is reads.
 	readFrac float64

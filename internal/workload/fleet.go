@@ -113,7 +113,7 @@ func Generate(cfg Config) (*Fleet, error) {
 	defer rng.Release()
 	top := &cluster.Topology{DCs: cfg.DCs, Users: cfg.Users}
 
-	tenantW := zipfWeights(cfg.Users, cfg.TenantZipfS)
+	tenantW := zipfWeights(cfg.Users, tenantZipfS)
 	appW := make([]float64, cluster.NumAppClasses)
 	for i := range appW {
 		appW[i] = appProfiles[i].popWeight
@@ -127,11 +127,11 @@ func Generate(cfg Config) (*Fleet, error) {
 			ID:        cluster.NodeID(n),
 			DC:        cluster.DCID(n / cfg.NodesPerDC),
 			WorkerNum: wtChoices[pickWeighted(rng, wtWeights)],
-			BareMetal: rng.Float64() < cfg.BareMetalFrac,
+			BareMetal: rng.Float64() < bareMetalFrac,
 		}
 		nVMs := 1
 		if !node.BareMetal {
-			nVMs = 1 + rng.Intn(cfg.MaxVMsPerNode)
+			nVMs = 1 + rng.Intn(maxVMsPerNode)
 		}
 		for v := 0; v < nVMs; v++ {
 			vmID := cluster.VMID(len(top.VMs))
@@ -141,7 +141,7 @@ func Generate(cfg Config) (*Fleet, error) {
 				Node: node.ID,
 				App:  cluster.AppClass(pickWeighted(rng, appW)),
 			}
-			nVDs := geometricAtLeast1(rng, cfg.MeanVDsPerVM)
+			nVDs := geometricAtLeast1(rng, meanVDsPerVM)
 			if nVDs > 16 {
 				nVDs = 16
 			}
@@ -151,7 +151,7 @@ func Generate(cfg Config) (*Fleet, error) {
 			}
 			for d := 0; d < nVDs; d++ {
 				vdID := cluster.VDID(len(top.VDs))
-				capBytes := cfg.CapacityTiers[pickWeighted(rng, cfg.CapacityWeights)]
+				capBytes := capacityTiers[pickWeighted(rng, capacityWeights)]
 				vd := cluster.VD{
 					ID:       vdID,
 					VM:       vmID,
@@ -159,7 +159,7 @@ func Generate(cfg Config) (*Fleet, error) {
 				}
 				vd.ThroughputCap, vd.IOPSCap = capsForCapacity(capBytes)
 				nQPs := 1
-				if rng.Float64() < cfg.MultiQPFrac {
+				if rng.Float64() < multiQPFrac {
 					nQPs = []int{2, 4, 8}[pickWeighted(rng, []float64{0.5, 0.35, 0.15})]
 				}
 				for q := 0; q < nQPs; q++ {
@@ -237,7 +237,7 @@ func buildModels(cfg Config, top *cluster.Topology) []VDModel {
 		prof := appProfiles[vm.App]
 		vmRng := acquireOnce(cfg.Seed, tagVDModel, uint64(vmIdx))
 
-		sigma := cfg.RateLogSigma * prof.sigmaScale
+		sigma := rateLogSigma * prof.sigmaScale
 		// E[lognormal(mu, sigma)] = exp(mu + sigma^2/2); offset mu so the
 		// class mean stays rateScale*fleetBase regardless of sigma.
 		mu := -sigma * sigma / 2

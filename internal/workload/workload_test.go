@@ -42,15 +42,8 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.BSPerDC = 1 },
 		func(c *Config) { c.Users = 0 },
 		func(c *Config) { c.DurationSec = 0 },
-		func(c *Config) { c.BareMetalFrac = 1.5 },
-		func(c *Config) { c.MaxVMsPerNode = 0 },
-		func(c *Config) { c.MeanVDsPerVM = 0.5 },
-		func(c *Config) { c.MultiQPFrac = -0.1 },
-		func(c *Config) { c.TenantZipfS = 1 },
-		func(c *Config) { c.RateLogSigma = 0 },
-		func(c *Config) { c.CapacityTiers = nil },
-		func(c *Config) { c.CapacityWeights = c.CapacityWeights[:1] },
-		func(c *Config) { c.CapacityTiers = []int64{0, 1, 2, 3} },
+		func(c *Config) { c.BSPerCluster = 1 },
+		func(c *Config) { c.BSPerCluster = c.BSPerDC + 1 },
 	}
 	for i, mut := range mutations {
 		c := DefaultConfig()

@@ -1,0 +1,143 @@
+package ebslab
+
+import (
+	"bufio"
+	"go/ast"
+	"go/token"
+	"go/types"
+	"os"
+	"regexp"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+const knobBudgetFile = "testdata/knobs.txt"
+
+// knobType names the option-bearing structs: an exported struct type named
+// Config, Options, Plan, StudySpec or Lending, or ending in Config or Options.
+var knobType = regexp.MustCompile(`^(([A-Z][A-Za-z0-9]*)?(Config|Options)|Plan|StudySpec|Lending)$`)
+
+// flagDef names the flag-package functions that define a command-line flag.
+var flagDef = regexp.MustCompile(`^(Bool|Duration|Float64|Func|Int|Int64|String|TextVar|Uint|Uint64|Var)(Var)?$`)
+
+// TestKnobBudget counts the independently settable values per package
+// directory — each exported field of a knobType struct in non-test code, plus
+// each flag a cmd/ program defines — and fails when a directory holds more
+// than its line in testdata/knobs.txt allows. `make knobs` runs it with -v for
+// the per-directory table an options PR reports before and after (ROADMAP aim
+// 2).
+func TestKnobBudget(t *testing.T) {
+	got := loadModule(t).knobs()
+	budget := readKnobBudget(t)
+	dirs := make([]string, 0, len(got))
+	for dir := range got {
+		dirs = append(dirs, dir)
+	}
+	sort.Strings(dirs)
+	total := 0
+	for _, dir := range dirs {
+		n := got[dir]
+		total += n
+		t.Logf("%7d %s", n, dir)
+		switch b, listed := budget[dir]; {
+		case !listed:
+			t.Errorf("%s: %d knobs and no line in %s", dir, n, knobBudgetFile)
+		case n > b:
+			t.Errorf("%s: %d knobs, over its budget of %d in %s", dir, n, b, knobBudgetFile)
+		case n < b:
+			t.Logf("        %s is under its budget of %d: lower its line in %s", dir, b, knobBudgetFile)
+		}
+	}
+	t.Logf("%7d total", total)
+}
+
+// knobs returns the knob count of every directory that has one.
+func (m *module) knobs() map[string]int {
+	n := make(map[string]int)
+	for path, files := range m.files {
+		dir, ok := m.dirs[path]
+		if !ok {
+			continue // bench/, loaded only for what it uses
+		}
+		info := m.infos[path]
+		for _, f := range files {
+			for _, d := range f.Decls {
+				if g, ok := d.(*ast.GenDecl); ok && g.Tok == token.TYPE {
+					for _, s := range g.Specs {
+						if k := knobFields(s.(*ast.TypeSpec)); k > 0 {
+							n[dir] += k
+						}
+					}
+				}
+			}
+			if !strings.HasPrefix(path, modulePath+"/cmd/") {
+				continue
+			}
+			ast.Inspect(f, func(node ast.Node) bool {
+				if sel, ok := node.(*ast.SelectorExpr); ok && flagDef.MatchString(sel.Sel.Name) {
+					if id, ok := sel.X.(*ast.Ident); ok {
+						if pkg, ok := info.Uses[id].(*types.PkgName); ok && pkg.Imported().Path() == "flag" {
+							n[dir]++
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	return n
+}
+
+// knobFields is the number of exported fields ts declares when it is a
+// knobType struct, else 0.
+func knobFields(ts *ast.TypeSpec) int {
+	st, ok := ts.Type.(*ast.StructType)
+	if !ok || !knobType.MatchString(ts.Name.Name) {
+		return 0
+	}
+	n := 0
+	for _, field := range st.Fields.List {
+		for _, id := range field.Names {
+			if id.IsExported() {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// readKnobBudget parses "directory count" lines; # starts a comment.
+func readKnobBudget(t *testing.T) map[string]int {
+	t.Helper()
+	f, err := os.Open(knobBudgetFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	budget := make(map[string]int)
+	sc := bufio.NewScanner(f)
+	for line := 1; sc.Scan(); line++ {
+		text, _, _ := strings.Cut(sc.Text(), "#")
+		fields := strings.Fields(text)
+		if len(fields) == 0 {
+			continue
+		}
+		if len(fields) != 2 {
+			t.Fatalf("%s:%d: want \"directory count\", got %q", knobBudgetFile, line, sc.Text())
+		}
+		n, err := strconv.Atoi(fields[1])
+		if err != nil || n < 0 {
+			t.Fatalf("%s:%d: count %q", knobBudgetFile, line, fields[1])
+		}
+		if _, dup := budget[fields[0]]; dup {
+			t.Fatalf("%s:%d: %s listed twice", knobBudgetFile, line, fields[0])
+		}
+		budget[fields[0]] = n
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return budget
+}
