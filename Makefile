@@ -103,10 +103,10 @@ fuzz-smoke:
 	$(GO) test ./internal/netblock -fuzz FuzzReadResponse -fuzztime $(FUZZTIME)
 
 # Coverage over the fault-injection surface: the chaos layer itself plus
-# every package it reaches into (RPC substrate, engine, balancer, throttle,
-# invariants).
+# every package it reaches into (RPC substrate, the fabric that recovers from
+# its wire faults, engine, balancer, throttle, invariants).
 cover:
-	$(GO) test -cover ./internal/chaos ./internal/netblock ./internal/ebs \
+	$(GO) test -cover ./internal/chaos ./internal/netblock ./internal/fabric ./internal/ebs \
 		./internal/balancer ./internal/throttle ./internal/invariant
 
 # Short seeded chaos run with the invariant checker on: a recoverable fault

@@ -269,7 +269,7 @@ func BenchmarkFig7bc(b *testing.B) {
 	s := study(b)
 	var r core.Fig7bcResult
 	for i := 0; i < b.N; i++ {
-		r = s.Fig7bcLatencyGain(core.BlockSampleOptions{MaxVDs: 12, MaxEventsPerVD: 4000})
+		r = s.Fig7bcLatencyGain(core.VDSampleOptions{MaxVDs: 12, MaxEventsPerVD: 4000})
 	}
 	b.ReportMetric(100*r.CNWrite[0], "cn-write-p0-pct")
 	b.ReportMetric(100*r.BSWrite[0], "bs-write-p0-pct")
@@ -382,7 +382,7 @@ func BenchmarkAblationCachePolicy(b *testing.B) {
 	s := study(b)
 	var r core.CachePolicyAblation
 	for i := 0; i < b.N; i++ {
-		r = s.AblateCachePolicy(core.BlockSampleOptions{MaxVDs: 10, MaxEventsPerVD: 4000})
+		r = s.AblateCachePolicy(core.VDSampleOptions{MaxVDs: 10, MaxEventsPerVD: 4000})
 	}
 	for _, name := range []string{"fifo", "clock", "lru", "frozen"} {
 		b.ReportMetric(100*r.Median[name], name+"-hit-pct")

@@ -77,6 +77,15 @@ func validateFlags(f roleFlags, spec ebs.RunSpec) error {
 	if f.replicaID != 0 && f.peers == "" {
 		return fmt.Errorf("-replica-id %d needs -peers (it indexes this coordinator into the peer list)", f.replicaID)
 	}
+	if f.peers != "" {
+		n := len(strings.Split(f.peers, ","))
+		if n < 2 {
+			return fmt.Errorf("-peers %q replicates the coordinator and needs at least two comma-separated addresses", f.peers)
+		}
+		if f.replicaID < 0 || f.replicaID >= n {
+			return fmt.Errorf("-replica-id %d is outside the %d-replica set -peers lists", f.replicaID, n)
+		}
+	}
 	if f.leaderKill < 0 {
 		return fmt.Errorf("-leader-kill %d: want >= 0", f.leaderKill)
 	}
@@ -470,12 +479,6 @@ func runCoordinator(ctx context.Context, spec ebs.RunSpec, addr string, shards, 
 	fc := fabric.Config{Fleet: spec.Fleet, Opts: spec.Opts, Scenario: spec.Scenario, Shards: shards}
 	if peers != "" {
 		peerList := strings.Split(peers, ",")
-		if len(peerList) < 2 {
-			return nil, fmt.Errorf("-peers needs at least two comma-separated addresses")
-		}
-		if replicaID < 0 || replicaID >= len(peerList) {
-			return nil, fmt.Errorf("-replica-id %d outside the %d-replica set", replicaID, len(peerList))
-		}
 		pt := fabric.NewPeerTransport(replicaID, peerList)
 		defer pt.Close()
 		fc.ReplicaID = replicaID

@@ -52,6 +52,12 @@ func TestValidateFlagsMatrix(t *testing.T) {
 			[]string{"-peers", "-workers-addr"}},
 		{"replica-id without peers", roleFlags{workersAddr: ":9000", replicas: 1, replicaID: 1}, ebs.RunSpec{},
 			[]string{"-replica-id", "-peers"}},
+		{"peers with one address", roleFlags{workersAddr: ":9000", replicas: 1, peers: ":9000"}, ebs.RunSpec{},
+			[]string{"-peers", "two"}},
+		{"replica-id past the peer list", roleFlags{workersAddr: ":9000", replicas: 1, peers: ":9000,:9001", replicaID: 5}, ebs.RunSpec{},
+			[]string{"-replica-id 5", "2-replica", "-peers"}},
+		{"negative replica-id", roleFlags{workersAddr: ":9000", replicas: 1, peers: ":9000,:9001", replicaID: -1}, ebs.RunSpec{},
+			[]string{"-replica-id -1", "2-replica", "-peers"}},
 		{"negative kills", roleFlags{dist: 2, replicas: 3, leaderKill: -1}, ebs.RunSpec{}, []string{"-leader-kill"}},
 		{"kill without dist", roleFlags{replicas: 1, leaderKill: 1}, ebs.RunSpec{}, []string{"-leader-kill", "-dist"}},
 		{"kill without quorum", roleFlags{dist: 2, replicas: 1, leaderKill: 1}, ebs.RunSpec{},

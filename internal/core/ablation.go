@@ -152,7 +152,7 @@ type CachePolicyAblation struct {
 
 // AblateCachePolicy replays study VDs through four cache policies at a
 // 256 MiB block size.
-func (s *Study) AblateCachePolicy(opt BlockSampleOptions) CachePolicyAblation {
+func (s *Study) AblateCachePolicy(opt VDSampleOptions) CachePolicyAblation {
 	mustOpt(opt.Validate())
 	const blockMiB = 256
 	maxVDs, maxEventsPerVD := opt.MaxVDs, opt.MaxEventsPerVD
@@ -220,7 +220,7 @@ type DeploymentAblation struct {
 // AblateCacheDeployment evaluates the three deployments over the cacheable
 // study VDs with a frozenBlockMiB frozen cache; the hybrid places a quarter
 // of it at the CN.
-func (s *Study) AblateCacheDeployment(opt CacheDeploymentOptions) DeploymentAblation {
+func (s *Study) AblateCacheDeployment(opt VDSampleOptions) DeploymentAblation {
 	mustOpt(opt.Validate())
 	const cnFrac = 0.25
 	maxVDs, maxEventsPerVD := opt.MaxVDs, opt.MaxEventsPerVD

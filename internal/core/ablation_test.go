@@ -63,7 +63,7 @@ func TestAblateHosting(t *testing.T) {
 
 func TestAblateCachePolicy(t *testing.T) {
 	s := study(t)
-	r := s.AblateCachePolicy(BlockSampleOptions{MaxVDs: 10, MaxEventsPerVD: 4000})
+	r := s.AblateCachePolicy(VDSampleOptions{MaxVDs: 10, MaxEventsPerVD: 4000})
 	for _, name := range []string{"fifo", "lru", "clock", "frozen"} {
 		v, ok := r.Median[name]
 		if !ok {
@@ -124,7 +124,7 @@ func TestAblatePredictors(t *testing.T) {
 
 func TestAblateCacheDeployment(t *testing.T) {
 	s := study(t)
-	r := s.AblateCacheDeployment(CacheDeploymentOptions{MaxVDs: 12, MaxEventsPerVD: 5000})
+	r := s.AblateCacheDeployment(VDSampleOptions{MaxVDs: 12, MaxEventsPerVD: 5000})
 	if r.VDs == 0 {
 		t.Skip("no study VDs")
 	}

@@ -51,7 +51,7 @@ func Catalog() []Experiment {
 		{"f6", "Figure 6 — LBA hotspots", func(s *Study) string { return s.Fig6HottestBlocks(VDSampleOptions{}).Render() }},
 		{"f7", "Figure 7 — caching", func(s *Study) string {
 			return s.Fig7aHitRatio(VDSampleOptions{}).Render() +
-				s.Fig7bcLatencyGain(BlockSampleOptions{}).Render() +
+				s.Fig7bcLatencyGain(VDSampleOptions{}).Render() +
 				s.Fig7dSpaceUtilization().Render()
 		}},
 		{"ab", "Ablations", renderAblations},
@@ -61,8 +61,8 @@ func Catalog() []Experiment {
 func renderAblations(s *Study) string {
 	var b strings.Builder
 	b.WriteString(s.AblateHosting(NodeWindowOptions{}).Render())
-	b.WriteString(s.AblateCachePolicy(BlockSampleOptions{}).Render())
-	b.WriteString(s.AblateCacheDeployment(CacheDeploymentOptions{}).Render())
+	b.WriteString(s.AblateCachePolicy(VDSampleOptions{}).Render())
+	b.WriteString(s.AblateCacheDeployment(VDSampleOptions{}).Render())
 	b.WriteString(s.AblatePredictors().Render())
 	b.WriteString(s.AblateFailover().Render())
 	b.WriteString(s.StudyPageCache().Render())

@@ -509,7 +509,7 @@ func TestFig7aShapes(t *testing.T) {
 
 func TestFig7bcShapes(t *testing.T) {
 	s := study(t)
-	r := s.Fig7bcLatencyGain(BlockSampleOptions{MaxVDs: 16, MaxEventsPerVD: 5000})
+	r := s.Fig7bcLatencyGain(VDSampleOptions{MaxVDs: 16, MaxEventsPerVD: 5000})
 	// CN-cache p0 gain is far stronger than BS-cache p0 gain (it skips the
 	// whole storage cluster).
 	if !math.IsNaN(r.CNWrite[0]) && !math.IsNaN(r.BSWrite[0]) {

@@ -140,7 +140,7 @@ const frozenBlockMiB = 2048
 
 // Fig7bcLatencyGain evaluates frozen-cache latency gains at both deployment
 // locations over the study VDs.
-func (s *Study) Fig7bcLatencyGain(opt BlockSampleOptions) Fig7bcResult {
+func (s *Study) Fig7bcLatencyGain(opt VDSampleOptions) Fig7bcResult {
 	mustOpt(opt.Validate())
 	maxVDs, maxEventsPerVD := opt.MaxVDs, opt.MaxEventsPerVD
 	if maxVDs <= 0 {

@@ -176,7 +176,7 @@ func TestGoldenFigures(t *testing.T) {
 	goldenCompare(t, "fig2d", s.Fig2dRebinding(RebindOptions{MaxNodes: 8, WinSec: 60}))
 	goldenCompare(t, "fig2ef", s.Fig2efBurstSeries(NodeWindowOptions{MaxNodes: 8, WinSec: 8}))
 	goldenCompare(t, "fig4c", s.Fig4cPredictionMSE())
-	goldenCompare(t, "fig7bc", s.Fig7bcLatencyGain(BlockSampleOptions{MaxVDs: 6, MaxEventsPerVD: 2000}))
+	goldenCompare(t, "fig7bc", s.Fig7bcLatencyGain(VDSampleOptions{MaxVDs: 6, MaxEventsPerVD: 2000}))
 }
 
 // TestGoldenAblations pins the mitigation ablations.
@@ -184,10 +184,10 @@ func TestGoldenAblations(t *testing.T) {
 	s := goldenStudy(t)
 	goldenCompare(t, "ablation_dispatch", s.AblateDispatch(DispatchOptions{MaxNodes: 8, WinSec: 8}))
 	goldenCompare(t, "ablation_hosting", s.AblateHosting(NodeWindowOptions{MaxNodes: 8, WinSec: 8}))
-	goldenCompare(t, "ablation_cachepolicy", s.AblateCachePolicy(BlockSampleOptions{MaxVDs: 6, MaxEventsPerVD: 2000}))
+	goldenCompare(t, "ablation_cachepolicy", s.AblateCachePolicy(VDSampleOptions{MaxVDs: 6, MaxEventsPerVD: 2000}))
 	goldenCompare(t, "ablation_predictors", s.AblatePredictors())
 	goldenCompare(t, "ablation_failover", s.AblateFailover())
-	goldenCompare(t, "ablation_deployment", s.AblateCacheDeployment(CacheDeploymentOptions{MaxVDs: 6, MaxEventsPerVD: 2000}))
+	goldenCompare(t, "ablation_deployment", s.AblateCacheDeployment(VDSampleOptions{MaxVDs: 6, MaxEventsPerVD: 2000}))
 	// The catalog's rebind-period rows: 10, 100 and 500 ms periods.
 	var rebind []Fig2dResult
 	for _, p := range []int{1, 10, 50} {

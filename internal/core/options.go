@@ -55,19 +55,14 @@ type NodeWindowOptions struct {
 	WinSec   int // window in seconds (0 = the method's default)
 }
 
-// VDSampleOptions tunes the studies that replay events of the busiest VDs:
-// the Fig 6 LBA-hotspot analysis (default 48 VDs) and the Fig 7(a) cache
-// hit-ratio replay (32).
+// VDSampleOptions tunes the studies that replay events of the busiest VDs
+// (the latency studies keep only the cacheable ones). Defaults, as (VDs,
+// events per VD): the Fig 6 LBA-hotspot analysis (48, 20000), the Fig 7(a)
+// cache hit-ratio replay (32, 20000), the Fig 7(b)/(c) frozen-cache latency
+// study (24, 12000), the cache-policy ablation (24, 8000) and the
+// cache-deployment ablation (16, 8000).
 type VDSampleOptions struct {
-	MaxVDs         int // busiest-VD cap (0 = the method's default)
-	MaxEventsPerVD int // events replayed per VD (0 = 20000)
-}
-
-// BlockSampleOptions tunes the block-cache replays: the Fig 7(b)/(c)
-// frozen-cache latency study (defaults 24 VDs, 12000 events) and the
-// cache-policy ablation (24, 8000).
-type BlockSampleOptions struct {
-	MaxVDs         int // busiest-VD cap (0 = 24)
+	MaxVDs         int // VD cap (0 = the method's default)
 	MaxEventsPerVD int // events replayed per VD (0 = the method's default)
 }
 
@@ -89,12 +84,6 @@ type DispatchOptions struct {
 	Policy hypervisor.DispatchPolicy
 }
 
-// CacheDeploymentOptions tunes the cache-deployment ablation.
-type CacheDeploymentOptions struct {
-	MaxVDs         int // cacheable-VD cap (0 = 16)
-	MaxEventsPerVD int // events replayed per VD (0 = 8000)
-}
-
 // --- Validate methods -------------------------------------------------------
 
 // Validate reports whether the options are usable.
@@ -110,12 +99,6 @@ func (o VDSampleOptions) Validate() error {
 }
 
 // Validate reports whether the options are usable.
-func (o BlockSampleOptions) Validate() error {
-	return nonNeg("BlockSampleOptions",
-		intField{"MaxVDs", int64(o.MaxVDs)}, intField{"MaxEventsPerVD", int64(o.MaxEventsPerVD)})
-}
-
-// Validate reports whether the options are usable.
 func (o RebindOptions) Validate() error {
 	return nonNeg("RebindOptions",
 		intField{"MaxNodes", int64(o.MaxNodes)}, intField{"WinSec", int64(o.WinSec)})
@@ -125,10 +108,4 @@ func (o RebindOptions) Validate() error {
 func (o DispatchOptions) Validate() error {
 	return nonNeg("DispatchOptions",
 		intField{"MaxNodes", int64(o.MaxNodes)}, intField{"WinSec", int64(o.WinSec)})
-}
-
-// Validate reports whether the options are usable.
-func (o CacheDeploymentOptions) Validate() error {
-	return nonNeg("CacheDeploymentOptions",
-		intField{"MaxVDs", int64(o.MaxVDs)}, intField{"MaxEventsPerVD", int64(o.MaxEventsPerVD)})
 }

@@ -9,8 +9,7 @@ type validatable interface{ Validate() error }
 
 func TestOptionsZeroValuesValidate(t *testing.T) {
 	zeros := []validatable{
-		NodeWindowOptions{}, VDSampleOptions{}, BlockSampleOptions{},
-		RebindOptions{}, DispatchOptions{}, CacheDeploymentOptions{},
+		NodeWindowOptions{}, VDSampleOptions{}, RebindOptions{}, DispatchOptions{},
 	}
 	for _, o := range zeros {
 		if err := o.Validate(); err != nil {
@@ -24,10 +23,9 @@ func TestOptionsValidateRejectsGarbage(t *testing.T) {
 		NodeWindowOptions{MaxNodes: -1},
 		NodeWindowOptions{WinSec: -5},
 		VDSampleOptions{MaxEventsPerVD: -100},
-		BlockSampleOptions{MaxVDs: -24},
+		VDSampleOptions{MaxVDs: -24},
 		RebindOptions{WinSec: -30},
 		DispatchOptions{MaxNodes: -2},
-		CacheDeploymentOptions{MaxEventsPerVD: -1},
 	}
 	for _, o := range bad {
 		if err := o.Validate(); err == nil {
@@ -50,6 +48,6 @@ func TestStudyMethodsRejectInvalidOptions(t *testing.T) {
 	}
 	mustPanic("Fig2dRebinding", func() { s.Fig2dRebinding(RebindOptions{MaxNodes: -1}) })
 	mustPanic("Fig6HottestBlocks", func() { s.Fig6HottestBlocks(VDSampleOptions{MaxVDs: -1}) })
-	mustPanic("AblateCacheDeployment", func() { s.AblateCacheDeployment(CacheDeploymentOptions{MaxVDs: -1}) })
+	mustPanic("AblateCacheDeployment", func() { s.AblateCacheDeployment(VDSampleOptions{MaxVDs: -1}) })
 	mustPanic("AblateDispatch", func() { s.AblateDispatch(DispatchOptions{WinSec: -5}) })
 }

@@ -396,10 +396,7 @@ func (t *PeerTransport) sendLoop(peer int) {
 			if m.Type == consensus.MsgVote || m.Type == consensus.MsgVoteResp {
 				op = netblock.OpRequestVote
 			}
-			if _, err := cl.Call(op, consensus.EncodeMessage(&m)); err != nil {
-				cl.Close()
-				cl = nil
-			}
+			cl.Call(op, consensus.EncodeMessage(&m)) //nolint:errcheck — a failed send is dropped; the next one redials
 		}
 	}
 }

@@ -23,70 +23,13 @@ type GainResult struct {
 }
 
 // EvaluateGain replays accesses through a frozen cache at the given
-// location and measures per-op latency gains. The same RNG substream is
-// used for the with/without latency draws, so gains isolate the cache
-// effect rather than sampling noise. hotOffset/hotLen position the frozen
-// cache.
+// location and measures per-op latency gains. hotOffset/hotLen position the
+// frozen cache.
 func EvaluateGain(m *Model, accesses []cache.Access, hotOffset, hotLen int64, loc CacheLocation, seed int64) []GainResult {
 	frozen := cache.NewFrozen(hotOffset, hotLen)
-	type bucket struct {
-		with, without []float64
-		hits, total   int
-	}
-	buckets := map[trace.Op]*bucket{trace.OpRead: {}, trace.OpWrite: {}}
-	rng := rand.New(rand.NewSource(seed))
-	for _, a := range accesses {
-		op := trace.OpRead
-		if a.Write {
-			op = trace.OpWrite
-		}
-		// Whole-IO hit: every covered page must be inside the frozen range.
-		first := a.Offset / cache.PageSize
-		last := (a.Offset + int64(a.Size) - 1) / cache.PageSize
-		hit := true
-		for p := first; p <= last; p++ {
-			if !frozen.Touch(p, a.Write) {
-				hit = false
-				break
-			}
-		}
-		b := buckets[op]
-		b.total++
-		if hit {
-			b.hits++
-		}
-		ioSeed := rng.Int63()
-		sub := rand.New(rand.NewSource(ioSeed))
-		without := Total(m.Sample(sub, op, a.Size, NoCache, false))
-		sub = rand.New(rand.NewSource(ioSeed))
-		with := Total(m.Sample(sub, op, a.Size, loc, hit))
-		b.without = append(b.without, without)
-		b.with = append(b.with, with)
-	}
-	var out []GainResult
-	for _, op := range []trace.Op{trace.OpRead, trace.OpWrite} {
-		b := buckets[op]
-		res := GainResult{Location: loc, Op: op, Count: b.total}
-		if b.total == 0 {
-			res.P0, res.P50, res.P99, res.HitRatio = math.NaN(), math.NaN(), math.NaN(), math.NaN()
-		} else {
-			res.HitRatio = float64(b.hits) / float64(b.total)
-			res.P0 = ratioAt(b.with, b.without, 0)
-			res.P50 = ratioAt(b.with, b.without, 0.5)
-			res.P99 = ratioAt(b.with, b.without, 0.99)
-		}
-		out = append(out, res)
-	}
-	return out
-}
-
-func ratioAt(with, without []float64, q float64) float64 {
-	w := stats.Quantile(with, q)
-	wo := stats.Quantile(without, q)
-	if wo == 0 || math.IsNaN(w) || math.IsNaN(wo) {
-		return math.NaN()
-	}
-	return w / wo
+	return evaluate(m, accesses, loc, seed, func(a cache.Access) (CacheLocation, bool) {
+		return loc, covers(frozen, a)
+	})
 }
 
 // EvaluateHybridGain evaluates the hybrid deployment §7.3.2 proposes as the
@@ -107,10 +50,25 @@ func EvaluateHybridGain(m *Model, accesses []cache.Access, hotOffset, hotLen int
 	}
 	cn := cache.NewFrozen(hotOffset, cnLen)
 	bs := cache.NewFrozen(hotOffset, hotLen)
+	return evaluate(m, accesses, HybridCache, seed, func(a cache.Access) (CacheLocation, bool) {
+		switch {
+		case covers(cn, a):
+			return CNCache, true
+		case covers(bs, a):
+			return BSCache, true
+		}
+		return NoCache, false
+	})
+}
 
+// evaluate replays accesses, asking serve where each IO is served and
+// whether it hits, and reports per-op gains under label. The same RNG
+// substream is used for the with/without latency draws, so gains isolate
+// the cache effect rather than sampling noise.
+func evaluate(m *Model, accesses []cache.Access, label CacheLocation, seed int64, serve func(cache.Access) (CacheLocation, bool)) []GainResult {
 	type bucket struct {
 		with, without []float64
-		hits, total   int
+		hits          int
 	}
 	buckets := map[trace.Op]*bucket{trace.OpRead: {}, trace.OpWrite: {}}
 	rng := rand.New(rand.NewSource(seed))
@@ -119,46 +77,25 @@ func EvaluateHybridGain(m *Model, accesses []cache.Access, hotOffset, hotLen int
 		if a.Write {
 			op = trace.OpWrite
 		}
-		first := a.Offset / cache.PageSize
-		last := (a.Offset + int64(a.Size) - 1) / cache.PageSize
-		cnHit, bsHit := true, true
-		for p := first; p <= last; p++ {
-			if !cn.Touch(p, a.Write) {
-				cnHit = false
-			}
-			if !bs.Touch(p, a.Write) {
-				bsHit = false
-				break
-			}
-		}
-		loc, hit := NoCache, false
-		switch {
-		case cnHit:
-			loc, hit = CNCache, true
-		case bsHit:
-			loc, hit = BSCache, true
-		}
+		loc, hit := serve(a)
 		b := buckets[op]
-		b.total++
 		if hit {
 			b.hits++
 		}
 		ioSeed := rng.Int63()
 		sub := rand.New(rand.NewSource(ioSeed))
-		without := Total(m.Sample(sub, op, a.Size, NoCache, false))
+		b.without = append(b.without, Total(m.Sample(sub, op, a.Size, NoCache, false)))
 		sub = rand.New(rand.NewSource(ioSeed))
-		with := Total(m.Sample(sub, op, a.Size, loc, hit))
-		b.without = append(b.without, without)
-		b.with = append(b.with, with)
+		b.with = append(b.with, Total(m.Sample(sub, op, a.Size, loc, hit)))
 	}
 	var out []GainResult
 	for _, op := range []trace.Op{trace.OpRead, trace.OpWrite} {
 		b := buckets[op]
-		res := GainResult{Location: HybridCache, Op: op, Count: b.total}
-		if b.total == 0 {
+		res := GainResult{Location: label, Op: op, Count: len(b.with)}
+		if res.Count == 0 {
 			res.P0, res.P50, res.P99, res.HitRatio = math.NaN(), math.NaN(), math.NaN(), math.NaN()
 		} else {
-			res.HitRatio = float64(b.hits) / float64(b.total)
+			res.HitRatio = float64(b.hits) / float64(res.Count)
 			res.P0 = ratioAt(b.with, b.without, 0)
 			res.P50 = ratioAt(b.with, b.without, 0.5)
 			res.P99 = ratioAt(b.with, b.without, 0.99)
@@ -166,6 +103,27 @@ func EvaluateHybridGain(m *Model, accesses []cache.Access, hotOffset, hotLen int
 		out = append(out, res)
 	}
 	return out
+}
+
+// covers reports a whole-IO hit: every page a touches lies in the frozen
+// range.
+func covers(f *cache.Frozen, a cache.Access) bool {
+	last := (a.Offset + int64(a.Size) - 1) / cache.PageSize
+	for p := a.Offset / cache.PageSize; p <= last; p++ {
+		if !f.Touch(p, a.Write) {
+			return false
+		}
+	}
+	return true
+}
+
+func ratioAt(with, without []float64, q float64) float64 {
+	w := stats.Quantile(with, q)
+	wo := stats.Quantile(without, q)
+	if wo == 0 || math.IsNaN(w) || math.IsNaN(wo) {
+		return math.NaN()
+	}
+	return w / wo
 }
 
 // CountCacheablePerNode implements Fig 7(d)'s provisioning metric: given

@@ -20,47 +20,30 @@ var (
 	errNoConn  = errors.New("netblock: connection down")
 )
 
-// Config tunes the client's resilience. The zero value is the legacy
-// behaviour: no deadline, no retries (Dial still redials a dead connection
-// on the next call, since it knows the address).
+// Config tunes the client. The zero value waits forever for every call.
 type Config struct {
 	// Timeout is the per-call deadline (0 = wait forever). A timed-out call
 	// abandons its connection: a peer that swallows one response cannot be
 	// trusted with the rest of the pipeline.
 	Timeout time.Duration
-
-	// Set only inside this package, by the client-resilience and stress tests:
-	// every program passes Timeout alone (the fabric worker fails over across
-	// replicas above the client instead of retrying inside it).
-
-	// maxRetries is how many extra transport-level attempts a call makes
-	// after a transport failure (remote StatusError responses are final and
-	// never retried). Note retried writes are at-least-once: the fault may
-	// have struck after execution.
-	maxRetries int
-	// backoffBase is the first retry delay (default 1ms); attempt n waits
-	// about backoffBase << n, jittered into [50%, 100%].
-	backoffBase time.Duration
-	// seed drives the deterministic backoff jitter: a fixed (seed, call ID,
-	// attempt) always produces the same delay.
-	seed int64
 }
 
 // Client is a pipelining RPC client: many goroutines can issue requests
 // concurrently over one connection; a demux goroutine routes responses back
-// by request ID. When the connection dies, every in-flight
-// call fails immediately with a real error — and if the client knows how to
-// redial (Dial/DialConfig), the next attempt transparently reconnects.
+// by request ID. Every call makes exactly one attempt: when the connection
+// dies, every in-flight call fails immediately with a real error, and if the
+// client knows how to redial (DialConfig), the next call reconnects. Retry
+// and failover belong to the caller, which knows whether a request is safe
+// to repeat and where else to send it.
 type Client struct {
 	cfg  Config
 	dial func() (net.Conn, error) // nil: NewClient over a fixed conn
 
 	nextID  atomic.Uint64
-	retries atomic.Int64
+	redials atomic.Int64
 
 	mu     sync.Mutex
 	cs     *connState
-	gen    int // bumped on every redial, to pair drop() with the conn it saw
 	closed bool
 }
 
@@ -76,14 +59,8 @@ type connState struct {
 	done    chan struct{}
 }
 
-// Dial connects to a netblock server with the legacy zero Config.
-func Dial(network, addr string) (*Client, error) {
-	return DialConfig(network, addr, Config{})
-}
-
-// DialConfig connects to a netblock server with explicit resilience
-// settings. The returned client redials automatically after connection
-// loss.
+// DialConfig connects to a netblock server. The returned client redials on
+// the call after a connection loss.
 func DialConfig(network, addr string, cfg Config) (*Client, error) {
 	c := &Client{
 		cfg:  cfg,
@@ -94,7 +71,6 @@ func DialConfig(network, addr string, cfg Config) (*Client, error) {
 		return nil, fmt.Errorf("netblock: dial: %w", err)
 	}
 	c.cs = newConnState(conn)
-	c.gen = 1
 	return c, nil
 }
 
@@ -105,9 +81,9 @@ func NewClient(conn net.Conn) *Client {
 	return NewClientConfig(conn, Config{})
 }
 
-// NewClientConfig is NewClient with explicit resilience settings.
+// NewClientConfig is NewClient with an explicit Config.
 func NewClientConfig(conn net.Conn, cfg Config) *Client {
-	return &Client{cfg: cfg, cs: newConnState(conn), gen: 1}
+	return &Client{cfg: cfg, cs: newConnState(conn)}
 }
 
 func newConnState(conn net.Conn) *connState {
@@ -136,19 +112,9 @@ func (c *Client) Close() error {
 	return err
 }
 
-// Retries returns how many transport-level retries the client has made.
-func (c *Client) Retries() int64 { return c.retries.Load() }
-
-// RemoteAddr returns the current connection's remote address, or nil when
-// the client has no live connection.
-func (c *Client) RemoteAddr() net.Addr {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.cs == nil {
-		return nil
-	}
-	return c.cs.conn.RemoteAddr()
-}
+// Retries returns how many times the client has redialed a lost
+// connection. A call is never retried; the redial happens on the next one.
+func (c *Client) Retries() int64 { return c.redials.Load() }
 
 func (cs *connState) readLoop() {
 	defer close(cs.done)
@@ -196,46 +162,52 @@ func (cs *connState) forget(id uint64) {
 
 // state returns the live connection, redialing if the previous one was
 // dropped and the client knows how.
-func (c *Client) state() (*connState, int, error) {
+func (c *Client) state() (*connState, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return nil, 0, ErrClosed
+		return nil, ErrClosed
 	}
 	if c.cs == nil {
 		if c.dial == nil {
-			return nil, 0, errNoConn
+			return nil, errNoConn
 		}
 		conn, err := c.dial()
 		if err != nil {
-			return nil, 0, fmt.Errorf("netblock: redial: %w", err)
+			return nil, fmt.Errorf("netblock: redial: %w", err)
 		}
 		c.cs = newConnState(conn)
-		c.gen++
+		c.redials.Add(1)
 	}
-	return c.cs, c.gen, nil
+	return c.cs, nil
 }
 
-// drop discards the connection a failed attempt used, unless a concurrent
+// drop discards the connection a failed call used, unless a concurrent
 // caller already replaced it.
-func (c *Client) drop(cs *connState, gen int) {
+func (c *Client) drop(cs *connState) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.gen == gen && c.cs == cs {
+	if c.cs == cs {
 		c.cs.conn.Close()
 		c.cs = nil
 	}
 }
 
-// attempt performs one wire exchange of req (already carrying its call ID).
-func (c *Client) attempt(req *Request) (*Response, error) {
-	cs, gen, err := c.state()
+// call sends one request and waits for its response: one wire exchange, on
+// the live connection or a redialed one. A transport failure drops the
+// connection and is returned as is; nothing is retried.
+func (c *Client) call(req *Request) (*Response, error) {
+	if err := req.validate(); err != nil {
+		return nil, err // unsendable: fail without touching the connection
+	}
+	req.ID = c.nextID.Add(1)
+	cs, err := c.state()
 	if err != nil {
 		return nil, err
 	}
 	ch, err := cs.register(req.ID)
 	if err != nil {
-		c.drop(cs, gen)
+		c.drop(cs)
 		return nil, fmt.Errorf("netblock: connection down: %w", err)
 	}
 	cs.writeMu.Lock()
@@ -243,7 +215,7 @@ func (c *Client) attempt(req *Request) (*Response, error) {
 	cs.writeMu.Unlock()
 	if werr != nil {
 		cs.forget(req.ID)
-		c.drop(cs, gen) // frame may be half-written; the conn is desynced
+		c.drop(cs) // frame may be half-written; the conn is desynced
 		return nil, werr
 	}
 	var timeout <-chan time.Time
@@ -255,66 +227,15 @@ func (c *Client) attempt(req *Request) (*Response, error) {
 	select {
 	case resp, ok := <-ch:
 		if !ok {
-			c.drop(cs, gen)
+			c.drop(cs)
 			return nil, errMidCall
 		}
-		return resp, nil
+		return resp, resp.Err()
 	case <-timeout:
 		cs.forget(req.ID)
-		c.drop(cs, gen)
+		c.drop(cs)
 		return nil, fmt.Errorf("netblock: %s call: %w", req.Op, ErrTimeout)
 	}
-}
-
-// call sends one request and waits for its response, retrying transport
-// failures up to Config.maxRetries times with capped exponential backoff
-// and deterministic jitter.
-func (c *Client) call(req *Request) (*Response, error) {
-	if err := req.validate(); err != nil {
-		return nil, err // unsendable: fail without touching the connection
-	}
-	req.ID = c.nextID.Add(1)
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		resp, err := c.attempt(req)
-		if err == nil {
-			return resp, resp.Err()
-		}
-		lastErr = err
-		if attempt >= c.cfg.maxRetries || errors.Is(err, ErrClosed) {
-			return nil, lastErr
-		}
-		c.retries.Add(1)
-		time.Sleep(c.backoff(req.ID, attempt))
-	}
-}
-
-// backoffCap bounds the exponential retry backoff.
-const backoffCap = 250 * time.Millisecond
-
-// backoff computes the delay before retry #attempt of call id:
-// backoffBase << attempt, capped at backoffCap, jittered into [50%, 100%]
-// by a splitmix64 stream over (seed, id, attempt) — fully deterministic.
-func (c *Client) backoff(id uint64, attempt int) time.Duration {
-	base := c.cfg.backoffBase
-	if base <= 0 {
-		base = time.Millisecond
-	}
-	d := base
-	if attempt < 62 {
-		d = base << uint(attempt)
-	}
-	if d <= 0 || d > backoffCap {
-		d = backoffCap
-	}
-	h := uint64(c.cfg.seed)
-	h += 0x9e3779b97f4a7c15 * (id + 1)
-	h ^= uint64(attempt) << 32
-	h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
-	h = (h ^ (h >> 27)) * 0x94d049bb133111eb
-	h ^= h >> 31
-	frac := 0.5 + 0.5*float64(h>>11)/(1<<53)
-	return time.Duration(float64(d) * frac)
 }
 
 // Call performs one RPC: an opaque payload under the given op, answered by

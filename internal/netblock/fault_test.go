@@ -14,11 +14,15 @@ import (
 // the server must drop the bad connection without crashing and keep serving
 // healthy clients.
 func TestServerSurvivesGarbageFrames(t *testing.T) {
-	c, _, _ := startServer(t)
+	_, _, addr := ServeEcho(t)
+	c, err := DialConfig("tcp", addr, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
 	if _, err := c.Call(OpHeartbeat, nil); err != nil {
 		t.Fatal(err)
 	}
-	addr := c.RemoteAddr().String()
 
 	// Garbage: random bytes that parse into an absurd request header.
 	evil, err := net.Dial("tcp", addr)

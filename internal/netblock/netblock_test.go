@@ -13,7 +13,7 @@ import (
 func startServer(t *testing.T) (*Client, *Server, *EchoHandler) {
 	t.Helper()
 	srv, h, addr := ServeEcho(t)
-	client, err := Dial("tcp", addr)
+	client, err := DialConfig("tcp", addr, Config{})
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}

@@ -39,8 +39,7 @@ type Server struct {
 
 	faults atomic.Int64
 
-	requests  atomic.Int64
-	errorsOut atomic.Int64
+	requests atomic.Int64
 }
 
 // Fault is a server-side injected failure mode.
@@ -242,9 +241,5 @@ func (s *Server) serveConn(conn net.Conn) {
 // execute counts and dispatches one request to the handler.
 func (s *Server) execute(req *Request) *Response {
 	s.requests.Add(1)
-	resp := s.h.Handle(req)
-	if resp.Status != StatusOK {
-		s.errorsOut.Add(1)
-	}
-	return resp
+	return s.h.Handle(req)
 }

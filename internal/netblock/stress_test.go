@@ -20,7 +20,7 @@ const (
 
 // stressPattern is the deterministic block client w sends at iteration i:
 // unique per (client, iteration), so an echo that belongs to any other call
-// — another client's, or this client's abandoned earlier attempt at another
+// — another client's, or this client's abandoned call at an earlier
 // iteration — cannot pass for this one's.
 func stressPattern(w, i int) []byte {
 	buf := make([]byte, stressBlock)
@@ -32,10 +32,11 @@ func stressPattern(w, i int) []byte {
 
 // TestStressClientsAgainstFaultyServer hammers one server from several
 // clients while the chaos fault hook resets, drops, delays, truncates, and
-// garbles exchanges. The accounting laws under at-least-once retry: every
-// acknowledged call returned its own payload bit-exactly, the connection is
-// healthy once the faults stop, and the handler's counters are
-// lower-bounded by what the clients got acknowledged.
+// garbles exchanges. Each call makes one attempt, so the accounting laws are
+// at-most-once per call: every acknowledged call returned its own payload
+// bit-exactly, the server is healthy once the faults stop, and the handler's
+// counters lie between what the clients got acknowledged and what they
+// issued.
 func TestStressClientsAgainstFaultyServer(t *testing.T) {
 	const clients = 4
 	srv, h, addr := netblock.ServeEcho(t)
@@ -49,14 +50,14 @@ func TestStressClientsAgainstFaultyServer(t *testing.T) {
 
 	ackedBytes := make([]int64, clients)
 	ackedCalls := make([]int64, clients)
+	issuedCalls := make([]int64, clients)
 	var wg sync.WaitGroup
 	for w := 0; w < clients; w++ {
 		w := w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, err := netblock.DialConfig("tcp", addr,
-				netblock.RetryConfig(250*time.Millisecond, 8, time.Millisecond, int64(w)))
+			c, err := netblock.DialConfig("tcp", addr, netblock.Config{Timeout: 250 * time.Millisecond})
 			if err != nil {
 				t.Errorf("client %d: dial: %v", w, err)
 				return
@@ -67,6 +68,7 @@ func TestStressClientsAgainstFaultyServer(t *testing.T) {
 				// Two calls per iteration, as many as may fail under fault
 				// pressure; a success must carry this call's own bytes.
 				for k := 0; k < 2; k++ {
+					issuedCalls[w]++
 					got, err := c.Call(netblock.OpHeartbeat, pat)
 					if err != nil {
 						continue
@@ -86,28 +88,35 @@ func TestStressClientsAgainstFaultyServer(t *testing.T) {
 		t.Fatal("fault hook never fired; the stress exercised nothing")
 	}
 
-	// Faults off: the server must still serve every client's pattern intact.
-	srv.SetFaultHook(nil)
-	verify, err := netblock.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer verify.Close()
-	var totalAcked, totalCalls int64
+	var totalAcked, totalCalls, totalIssued int64
 	for w := 0; w < clients; w++ {
 		totalAcked += ackedBytes[w]
 		totalCalls += ackedCalls[w]
+		totalIssued += issuedCalls[w]
 	}
 	if totalCalls == 0 {
-		t.Fatal("no call was ever acknowledged; the retry budget saved nothing")
+		t.Fatal("no call was ever acknowledged")
 	}
-	// At-least-once: the handler executed no fewer payload bytes than the
-	// clients got acknowledged (a retried call can execute twice; a dropped
-	// response executes without an ack — both only push the counter up).
+	// An acknowledged call executed, so the handler's counters are no lower
+	// than the acks (a dropped response executes without one). Each call is
+	// one attempt, so no call executed twice: the handler executed at most
+	// the calls the clients issued.
 	if h.Bytes() < totalAcked || h.Calls() < totalCalls {
 		t.Fatalf("handler executed %d bytes / %d calls < acknowledged %d / %d: an acked call vanished",
 			h.Bytes(), h.Calls(), totalAcked, totalCalls)
 	}
+	if h.Calls() > totalIssued || h.Bytes() > totalIssued*stressBlock {
+		t.Fatalf("handler executed %d calls / %d bytes > issued %d / %d: a call executed twice",
+			h.Calls(), h.Bytes(), totalIssued, totalIssued*stressBlock)
+	}
+
+	// Faults off: the server must still serve every client's pattern intact.
+	srv.SetFaultHook(nil)
+	verify, err := netblock.DialConfig("tcp", addr, netblock.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer verify.Close()
 	pat := stressPattern(clients, 0)
 	got, err := verify.Call(netblock.OpHeartbeat, pat)
 	if err != nil || !bytes.Equal(got, pat) {
