@@ -45,9 +45,10 @@ loc:
 # number an options PR reports before and after (ROADMAP aim 2). An option is
 # an exported field of an exported struct type named Config, Options, Plan,
 # StudySpec or Lending (or ending in Config or Options) in non-test Go outside
-# bench/, or a flag defined under cmd/. TestKnobBudget (knobs_test.go) counts
-# them and fails when a directory exceeds its line in testdata/knobs.txt; it
-# also runs in `go test ./...`.
+# bench/, or a flag defined there through the flag package or a *flag.FlagSet
+# (it counts in the package that defines it). TestKnobBudget (knobs_test.go)
+# counts them and fails when a directory exceeds its line in
+# testdata/knobs.txt; it also runs in `go test ./...`.
 knobs:
 	$(GO) test -run TestKnobBudget -count=1 -v .
 
@@ -175,7 +176,8 @@ control-smoke:
 # elastic under the predictive control policy, both committed foreign
 # traces (MSR and tianchi schemas) through the replay scenario, and the
 # tianchi sample again as a spreadsheet would save it: CRLF line ends under a
-# header row.
+# header row, and an `ebssim -out` export replayed under the same study flags,
+# which must simulate the same number of IOs.
 scenario-smoke:
 	$(GO) test ./internal/scenario -count=1
 	$(GO) run ./cmd/ebssim -seed 7 -dur 12 -nodes 4 -max-vds 24 -scenario bufferbloat,period=8,duty=0.5 -check
@@ -186,6 +188,11 @@ scenario-smoke:
 	@tmp=$$(mktemp .scenario-smoke.XXXXXX) && { printf 'device_id,opcode,offset,length,timestamp\r\n'; sed 's/$$/\r/' internal/scenario/testdata/tianchi_sample.csv; } > $$tmp \
 		&& echo "ebssim -scenario replay,path=<tianchi sample as CRLF with a header row> -check" \
 		&& $(GO) run ./cmd/ebssim -seed 7 -dur 12 -nodes 4 -max-vds 24 -scenario replay,path=$$tmp -check; rc=$$?; rm -f $$tmp; exit $$rc
+	@tmp=$$(mktemp -d .scenario-smoke.XXXXXX) && echo "ebssim -out <dir>, then -scenario replay,path=<dir>/trace.csv -check" \
+		&& $(GO) run ./cmd/ebssim -seed 7 -dur 12 -nodes 4 -max-vds 24 -out $$tmp -check > $$tmp/export.out \
+		&& $(GO) run ./cmd/ebssim -seed 7 -dur 12 -nodes 4 -max-vds 24 -scenario replay,path=$$tmp/trace.csv -check > $$tmp/replay.out \
+		&& cat $$tmp/replay.out && native=$$(head -1 $$tmp/export.out) && replayed=$$(head -1 $$tmp/replay.out) \
+		&& { [ "$$native" = "$$replayed" ] || { echo "export: $$native; replay: $$replayed"; false; }; }; rc=$$?; rm -rf $$tmp; exit $$rc
 
 # Reproduction gate: the whole experiment catalog at the quick fleet size and
 # the catalog's own defaults — the only run of every figure family at the

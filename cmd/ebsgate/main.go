@@ -48,27 +48,12 @@ func main() {
 		cancelID = flag.Uint64("cancel", 0, "client: cancel this study ID")
 		statsT   = flag.String("stats", "", "client: read this tenant's serving statistics")
 
-		seed     = flag.Int64("seed", 1, "spec: fleet generation seed")
-		dur      = flag.Int("dur", 8, "spec: observation window seconds")
-		nodes    = flag.Int("nodes", 4, "spec: compute nodes")
-		users    = flag.Int("users", 16, "spec: tenants inside the study fleet")
-		maxVDs   = flag.Int("max-vds", 0, "spec: virtual disks to simulate (0 = all)")
-		shards   = flag.Int("shards", 0, "spec: fabric shard count (0 = gateway default)")
-		kills    = flag.Int("leader-kill", 0, "spec: chaos leader kills mid-study (needs a replicated fabric gateway)")
-		check    = flag.Bool("check", false, "spec: run the invariant suite over the study")
-		ctlPol   = flag.String("control", "", "spec: run the study through the mitigation control plane under this policy (noop, reactive, predictive[-holt|-arima|-gbt], oracle)")
-		ctlEpoch = flag.Int("epoch-sec", 0, "spec: control epoch seconds (0 = an eighth of -dur; needs -control)")
-		scenSpec = flag.String("scenario", "", "spec: reshape the study's traffic with a scenario-library spec string (e.g. \"bufferbloat\", \"elastic,step=10,hi=2\"; replay is not servable — it reads server-local files)")
 		selftest = flag.Bool("selftest", false, "serve over loopback TCP, run one study end to end, verify the fingerprint against a direct run")
 	)
+	spec := gateway.StudySpec{Seed: 1, DurationSec: 8, Nodes: 4, Users: 16}
+	spec.BindFlags(flag.CommandLine)
 	flag.Parse()
 
-	spec := gateway.StudySpec{
-		Seed: *seed, DurationSec: *dur, Nodes: *nodes, Users: *users,
-		MaxVDs: *maxVDs, Shards: *shards, LeaderKills: *kills, Check: *check,
-		Control: *ctlPol, ControlEpochSec: *ctlEpoch,
-		Scenario: *scenSpec,
-	}
 	cfg := gateway.Config{
 		MaxConcurrent:      *maxConc,
 		SubmitRate:         *rate,

@@ -21,6 +21,7 @@ import (
 	"ebslab/internal/control"
 	"ebslab/internal/ebs"
 	"ebslab/internal/fabric"
+	"ebslab/internal/gateway"
 	"ebslab/internal/invariant"
 	"ebslab/internal/netblock"
 	"ebslab/internal/report"
@@ -28,14 +29,15 @@ import (
 	"ebslab/internal/sketch"
 	"ebslab/internal/stats"
 	"ebslab/internal/trace"
-	"ebslab/internal/workload"
 )
 
 // roleFlags is the slice of the flag set that selects an execution role:
 // single-process run, in-process fabric (-dist), or TCP coordinator
 // (-workers-addr, optionally replicated via -peers/-replica-id). At most one
 // role may be selected; the TCP worker role is cmd/ebsd. What the run itself
-// is — fleet, options, scenario, control policy — is the RunSpec beside it.
+// is — fleet, options, scenario, control policy — is the RunSpec beside it;
+// shards and leaderKill are the study's fabric dimensions, copied in because
+// which roles they need is the role check's to say.
 type roleFlags struct {
 	dist        int
 	shards      int
@@ -115,29 +117,25 @@ func validateFlags(f roleFlags, spec ebs.RunSpec) error {
 	return nil
 }
 
+// defaultStudy is the study ebssim runs when no study flag is given.
+func defaultStudy() gateway.StudySpec {
+	return gateway.StudySpec{Seed: 1, DurationSec: 60, Nodes: 16, Users: 16, MaxVDs: 120}
+}
+
 func main() {
+	study := defaultStudy()
+	study.BindFlags(flag.CommandLine)
 	var (
-		seed    = flag.Int64("seed", 1, "fleet generation seed")
-		dur     = flag.Int("dur", 60, "observation window seconds")
-		nodes   = flag.Int("nodes", 16, "compute nodes per DC")
-		maxVDs  = flag.Int("max-vds", 120, "virtual disks to simulate (0 = all)")
 		workers = flag.Int("workers", 0, "simulation workers (0 = one per CPU)")
 		verbose = flag.Bool("progress", false, "print simulation progress")
-		check   = flag.Bool("check", false, "run the invariant suite over the run (conservation laws, throttle audit)")
 		stream  = flag.Bool("stream", false, "fold every IO into O(1)-memory streaming sketches and report online skewness metrics with an exact-vs-sketch accuracy table")
+		out     = flag.String("out", "", "write the run's dataset (per-IO trace, per-second metrics, VM/VD specs) as CSV + JSONL into this directory; -scenario replay,path=DIR/trace.csv with the same study flags replays it")
 
 		workersAddr = flag.String("workers-addr", "", "run as fabric coordinator: listen on this address for ebsd workers and merge their shard results")
 		dist        = flag.Int("dist", 0, "run the fabric in-process over a loopback transport with this many workers and verify the merged dataset against a single-process run")
-		shards      = flag.Int("shards", 0, "with -dist or -workers-addr: fabric shard count (0 = default)")
 		replicas    = flag.Int("replicas", 1, "with -dist: replicate the coordinator control plane across this many consensus-backed replicas")
-		leaderKill  = flag.Int("leader-kill", 0, "with -dist and -replicas >= 2: schedule this many chaos leader kills; the run must still match single-process bit for bit")
 		replicaID   = flag.Int("replica-id", 0, "with -workers-addr and -peers: this coordinator's replica ID")
 		peers       = flag.String("peers", "", "with -workers-addr: comma-separated control-plane addresses of every replica, indexed by replica ID (replicates the coordinator over TCP)")
-
-		controlPol = flag.String("control", "", "run the study through the mitigation control plane under this policy (noop, reactive, predictive[-holt|-arima|-gbt], oracle) and report imbalance before/after actuation")
-		epochSec   = flag.Int("epoch-sec", 0, "with -control: control epoch length in seconds (0 = an eighth of -dur, at least 1)")
-
-		scenarioSpec = flag.String("scenario", "", "reshape the fleet's traffic with a scenario-library spec string (one of: "+strings.Join(scenario.Names(), ", ")+"; e.g. \"bufferbloat\", \"elastic,step=10,hi=2\"; \"replay,path=FILE\" replays a trace file, auto-detecting native trace.jsonl/trace.csv, MSR and tianchi schemas); composes with -chaos, -control, -stream, -check, and (except replay) -dist")
 
 		chaosOn     = flag.Bool("chaos", false, "inject a deterministic fault schedule (see -crashes, -storms, ...)")
 		chaosSeed   = flag.Int64("chaos-seed", 0, "fault schedule seed (0 = follow -seed)")
@@ -154,29 +152,17 @@ func main() {
 
 	rf := roleFlags{
 		dist:        *dist,
-		shards:      *shards,
+		shards:      study.Shards,
 		workersAddr: *workersAddr,
 		replicas:    *replicas,
-		leaderKill:  *leaderKill,
+		leaderKill:  study.LeaderKills,
 		replicaID:   *replicaID,
 		peers:       *peers,
 		cpuProfile:  *cpuProfile,
 		memProfile:  *memProfile,
 	}
-	spec := ebs.RunSpec{
-		Fleet: workload.SingleDC(*seed, *nodes, 16, *dur),
-		Opts: ebs.Options{
-			DurationSec:      *dur,
-			TraceSampleEvery: 1,
-			EventSampleEvery: 8,
-			MaxVDs:           *maxVDs,
-			Workers:          *workers,
-			Check:            *check,
-		},
-		Scenario: *scenarioSpec,
-		Control:  *controlPol,
-		EpochSec: *epochSec,
-	}
+	spec := study.RunSpec()
+	spec.Opts.Workers = *workers
 	var sketchSet *sketch.Set
 	if *stream {
 		sketchSet = sketch.NewSet(sketch.Config{})
@@ -227,18 +213,25 @@ func main() {
 	)
 	switch {
 	case *dist > 0:
-		ds, err = runDistVerified(ctx, spec, *dist, *shards, *replicas, *leaderKill)
+		ds, err = runDistVerified(ctx, spec, *dist, study.Shards, *replicas, study.LeaderKills)
 	case *workersAddr != "":
-		ds, err = runCoordinator(ctx, spec, *workersAddr, *shards, *replicaID, *peers)
+		ds, err = runCoordinator(ctx, spec, *workersAddr, study.Shards, *replicaID, *peers)
 	default:
 		ds, scWL, err = runLocal(ctx, spec)
 	}
 	if err != nil {
 		fail(err)
 	}
+	if *out != "" {
+		if err := trace.SaveDir(ds, *out); err != nil {
+			fail(err)
+		}
+		fmt.Fprintf(os.Stderr, "ebssim: wrote the dataset to %s\n", *out)
+	}
 	stopProfiles()
 	top := ds.Topology
-	fmt.Printf("simulated %d IOs over %ds (%d VDs)\n", len(ds.Trace), *dur, simulatedVDs(*maxVDs, len(top.VDs)))
+	dur := spec.Opts.DurationSec
+	fmt.Printf("simulated %d IOs over %ds (%d VDs)\n", len(ds.Trace), dur, simulatedVDs(study.MaxVDs, len(top.VDs)))
 	if scWL != nil {
 		fmt.Printf("scenario: %s\n", scWL.Spec())
 		if rp, ok := scWL.(*scenario.Replay); ok {
@@ -249,14 +242,14 @@ func main() {
 	} else if spec.Scenario != "" {
 		fmt.Printf("scenario: %s (bound per fabric worker)\n", spec.Scenario)
 	}
-	if *check {
+	if study.Check {
 		fmt.Println("invariant suite: all conservation laws hold")
 	}
 	if *chaosOn {
-		sched := spec.Opts.Chaos.Expand(*seed, chaos.Shape{
+		sched := spec.Opts.Chaos.Expand(study.Seed, chaos.Shape{
 			BSs:    len(top.StorageNodes),
 			VDs:    len(top.VDs),
-			DurSec: *dur,
+			DurSec: dur,
 		})
 		fmt.Println(sched)
 		fmt.Println(chaosStats)

@@ -3,12 +3,27 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"ebslab/internal/chaos"
 	"ebslab/internal/ebs"
+	"ebslab/internal/workload"
 )
+
+// TestDefaultStudyRunSpec pins the run ebssim makes with no flags: the
+// default study must map onto exactly the run description ebssim built by
+// hand before its flags were bound to the study.
+func TestDefaultStudyRunSpec(t *testing.T) {
+	want := ebs.RunSpec{
+		Fleet: workload.SingleDC(1, 16, 16, 60),
+		Opts:  ebs.Options{DurationSec: 60, TraceSampleEvery: 1, EventSampleEvery: 8, MaxVDs: 120},
+	}
+	if got := defaultStudy().RunSpec(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("default run\n%+v\nwant\n%+v", got, want)
+	}
+}
 
 // TestValidateFlagsMatrix walks the (-dist, -replicas, -leader-kill) matrix
 // plus the role-conflict corners, the profile flags (valid with every role)

@@ -160,9 +160,6 @@ type ledgerFSM struct {
 	workers   map[uint64]*workerState
 	nextID    uint64
 	remaining int
-	// acceptedTotal counts accepted results across all shards, in commit
-	// order — the logical clock chaos leader-kill triggers key on.
-	acceptedTotal int
 
 	doneOnce sync.Once
 	allDone  chan struct{}
@@ -333,7 +330,6 @@ func (f *ledgerFSM) result(frame []byte, now time.Time) any {
 	sh.state = shardDone
 	sh.partial = p
 	sh.accepted++
-	f.acceptedTotal++
 	f.remaining--
 	if f.remaining == 0 {
 		f.doneOnce.Do(func() { close(f.allDone) })

@@ -12,7 +12,9 @@
 package gateway
 
 import (
+	"flag"
 	"fmt"
+	"strings"
 
 	"ebslab/internal/control"
 	"ebslab/internal/ebs"
@@ -69,6 +71,24 @@ type StudySpec struct {
 	// stay in-process) and with fabric execution (workers rebuild the
 	// scenario from the spec string).
 	Scenario string
+}
+
+// BindFlags registers one flag per study dimension on fs, each parsing into
+// s and defaulting to s's current value, so every program that takes a study
+// on its command line spells it the same way and keeps its own defaults.
+func (s *StudySpec) BindFlags(fs *flag.FlagSet) {
+	fs.Int64Var(&s.Seed, "seed", s.Seed, "fleet generation seed")
+	fs.IntVar(&s.DurationSec, "dur", s.DurationSec, "observation window seconds (0 = 8)")
+	fs.IntVar(&s.Nodes, "nodes", s.Nodes, "compute nodes of the single-DC study fleet (0 = 4)")
+	fs.IntVar(&s.Users, "users", s.Users, "tenants inside the study fleet (0 = 16)")
+	fs.IntVar(&s.MaxVDs, "max-vds", s.MaxVDs, "virtual disks to simulate (0 = all)")
+	fs.IntVar(&s.Shards, "shards", s.Shards, "fabric shard count for distributed execution (0 = fabric default)")
+	fs.IntVar(&s.LeaderKills, "leader-kill", s.LeaderKills, "chaos kills of the acting fabric leader mid-study (needs a replicated fabric); the study must still match single-process bit for bit")
+	fs.BoolVar(&s.Check, "check", s.Check, "run the invariant suite over the study (conservation laws, throttle audit)")
+	fs.StringVar(&s.Control, "control", s.Control, "run the study through the mitigation control plane under this policy (noop, reactive, predictive[-holt|-arima|-gbt], oracle)")
+	fs.IntVar(&s.ControlEpochSec, "epoch-sec", s.ControlEpochSec, "with -control: control epoch length in seconds (0 = an eighth of -dur, at least 1)")
+	fs.StringVar(&s.Scenario, "scenario", s.Scenario, "reshape the study's traffic with a scenario-library spec string (one of: "+strings.Join(scenario.Names(), ", ")+
+		"; e.g. \"bufferbloat\", \"elastic,step=10,hi=2\"; \"replay,path=FILE\" replays a trace file, auto-detecting native trace.jsonl/trace.csv, MSR and tianchi schemas, and runs single-process only: a gateway refuses it)")
 }
 
 // Spec bounds: the gateway decodes specs from untrusted connections, so every
@@ -155,8 +175,8 @@ func (s StudySpec) Validate() error {
 }
 
 // FleetConfig maps the spec onto a workload generation recipe: the single-DC
-// study fleet cmd/ebssim runs, so a gateway study and a CLI run of the same
-// dimensions observe the identical fleet.
+// study fleet every front door runs, so a gateway study, a CLI run and a
+// dataset export of the same dimensions observe the identical fleet.
 func (s StudySpec) FleetConfig() workload.Config {
 	s = s.withDefaults()
 	return workload.SingleDC(s.Seed, s.Nodes, s.Users, s.DurationSec)

@@ -8,13 +8,13 @@ import (
 	"ebslab/internal/workload"
 )
 
-// BatchBurstConfig shapes the batchburst scenario: a cohort of VDs fires
+// batchBurstConfig shapes the batchburst scenario: a cohort of VDs fires
 // synchronized sequential scans in periodic waves — the batch-parallel
 // pattern where thousands of workers start the same job at the same minute —
 // over a near-idle mixed baseline. With Stagger 0 every cohort member's wave
 // lands on the same seconds, producing the fleet-wide demand spikes the
 // paper's burstiness metrics (P2A, CoV) are built to expose.
-type BatchBurstConfig struct {
+type batchBurstConfig struct {
 	// WavePeriodSec is the scan wave period (default 30).
 	WavePeriodSec int
 	// WaveWidthSec is how long each wave lasts (default 6).
@@ -35,7 +35,7 @@ type BatchBurstConfig struct {
 }
 
 func buildBatchBurst(sp Spec) (config, error) {
-	c := BatchBurstConfig{WavePeriodSec: 30, WaveWidthSec: 6, ScanBps: 64 << 20, IOSizeKB: 256, Cohort: 1.0, Idle: 0.05}
+	c := batchBurstConfig{WavePeriodSec: 30, WaveWidthSec: 6, ScanBps: 64 << 20, IOSizeKB: 256, Cohort: 1.0, Idle: 0.05}
 	p := newParams(sp)
 	p.Int("wave", &c.WavePeriodSec)
 	p.Int("width", &c.WaveWidthSec)
@@ -51,7 +51,7 @@ func buildBatchBurst(sp Spec) (config, error) {
 }
 
 // Validate rejects parameter values that have no meaning.
-func (c BatchBurstConfig) Validate() error {
+func (c batchBurstConfig) Validate() error {
 	switch {
 	case c.WavePeriodSec < 2:
 		return fmt.Errorf("scenario: batchburst wave %d, want >= 2", c.WavePeriodSec)
@@ -71,7 +71,7 @@ func (c BatchBurstConfig) Validate() error {
 	return nil
 }
 
-func (c BatchBurstConfig) bind(sp Spec, f *workload.Fleet) (Workload, error) {
+func (c batchBurstConfig) bind(sp Spec, f *workload.Fleet) (Workload, error) {
 	return &batchBurst{spec: sp, cfg: c, fleet: f}, nil
 }
 
@@ -80,7 +80,7 @@ func (c BatchBurstConfig) bind(sp Spec, f *workload.Fleet) (Workload, error) {
 // scan position) lives inside the GenEvents call.
 type batchBurst struct {
 	spec  Spec
-	cfg   BatchBurstConfig
+	cfg   batchBurstConfig
 	fleet *workload.Fleet
 }
 

@@ -8,12 +8,12 @@ import (
 	"ebslab/internal/workload"
 )
 
-// BufferbloatConfig shapes the bufferbloat scenario: every VD oscillates
+// bufferbloatConfig shapes the bufferbloat scenario: every VD oscillates
 // between near-idle and saturation on a square wave, overdriving a deep
 // device-side queue whose standing backlog adds a queue-depth-aware latency
 // term at the BlockServer stage. The per-VD wave phase is seed-derived, so
 // the fleet's oscillations interleave rather than beat in lockstep.
-type BufferbloatConfig struct {
+type bufferbloatConfig struct {
 	// PeriodSec is the wave period (default 24).
 	PeriodSec int
 	// Duty is the saturated fraction of each period (default 0.35).
@@ -33,7 +33,7 @@ type BufferbloatConfig struct {
 }
 
 func buildBufferbloat(sp Spec) (config, error) {
-	c := BufferbloatConfig{PeriodSec: 24, Duty: 0.35, Overdrive: 2.5, Drain: 1.0, QueueSec: 4, Idle: 0.02}
+	c := bufferbloatConfig{PeriodSec: 24, Duty: 0.35, Overdrive: 2.5, Drain: 1.0, QueueSec: 4, Idle: 0.02}
 	p := newParams(sp)
 	p.Int("period", &c.PeriodSec)
 	p.Float("duty", &c.Duty)
@@ -48,7 +48,7 @@ func buildBufferbloat(sp Spec) (config, error) {
 }
 
 // Validate rejects parameter values that have no meaning.
-func (c BufferbloatConfig) Validate() error {
+func (c bufferbloatConfig) Validate() error {
 	switch {
 	case c.PeriodSec < 2:
 		return fmt.Errorf("scenario: bufferbloat period %d, want >= 2", c.PeriodSec)
@@ -66,7 +66,7 @@ func (c BufferbloatConfig) Validate() error {
 	return nil
 }
 
-func (c BufferbloatConfig) bind(sp Spec, f *workload.Fleet) (Workload, error) {
+func (c bufferbloatConfig) bind(sp Spec, f *workload.Fleet) (Workload, error) {
 	return &bufferbloat{spec: sp, cfg: c, fleet: f}, nil
 }
 
@@ -75,7 +75,7 @@ func (c BufferbloatConfig) bind(sp Spec, f *workload.Fleet) (Workload, error) {
 // and implements DelayModel for the device-queue sojourn term.
 type bufferbloat struct {
 	spec  Spec
-	cfg   BufferbloatConfig
+	cfg   bufferbloatConfig
 	fleet *workload.Fleet
 }
 

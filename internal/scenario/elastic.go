@@ -8,13 +8,13 @@ import (
 	"ebslab/internal/workload"
 )
 
-// ElasticConfig shapes the elastic scenario: the fleet's native traffic
+// elasticConfig shapes the elastic scenario: the fleet's native traffic
 // runs unchanged, but every VD's throttle caps step between a low and a
 // high multiplier mid-run — the resize/burst-credit churn of elastic volume
 // offerings. The step schedule is per-VD phase-shifted, so at any second a
 // seed-derived slice of the fleet is squeezed while another is boosted;
 // queue-delay oscillation (and its latency signature) follows directly.
-type ElasticConfig struct {
+type elasticConfig struct {
 	// StepSec is how long each cap level holds (default 20).
 	StepSec int
 	// Lo and Hi are the cap multipliers the schedule cycles through, as
@@ -23,7 +23,7 @@ type ElasticConfig struct {
 }
 
 func buildElastic(sp Spec) (config, error) {
-	c := ElasticConfig{StepSec: 20, Lo: 0.4, Hi: 1.6}
+	c := elasticConfig{StepSec: 20, Lo: 0.4, Hi: 1.6}
 	p := newParams(sp)
 	p.Int("step", &c.StepSec)
 	p.Float("lo", &c.Lo)
@@ -35,7 +35,7 @@ func buildElastic(sp Spec) (config, error) {
 }
 
 // Validate rejects parameter values that have no meaning.
-func (c ElasticConfig) Validate() error {
+func (c elasticConfig) Validate() error {
 	switch {
 	case c.StepSec < 1:
 		return fmt.Errorf("scenario: elastic step %d, want >= 1", c.StepSec)
@@ -47,7 +47,7 @@ func (c ElasticConfig) Validate() error {
 	return nil
 }
 
-func (c ElasticConfig) bind(sp Spec, f *workload.Fleet) (Workload, error) {
+func (c elasticConfig) bind(sp Spec, f *workload.Fleet) (Workload, error) {
 	return &elastic{spec: sp, cfg: c, fleet: f}, nil
 }
 
@@ -55,7 +55,7 @@ func (c ElasticConfig) bind(sp Spec, f *workload.Fleet) (Workload, error) {
 // implements CapScheduler for the stepped throttle caps.
 type elastic struct {
 	spec  Spec
-	cfg   ElasticConfig
+	cfg   elasticConfig
 	fleet *workload.Fleet
 }
 

@@ -7,7 +7,7 @@ import (
 	"ebslab/internal/cluster"
 )
 
-// The spec and metric files are an export (cmd/tracegen): nothing in the
+// The spec and metric files are an export (ebssim -out): nothing in the
 // module reads them back, so the writer tests pin the emitted bytes.
 
 func TestWriteVDSpecCSV(t *testing.T) {

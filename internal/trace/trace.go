@@ -8,7 +8,7 @@
 //     and the segment level (storage domain), following Table 1.
 //
 // The package also defines the supplementary specification dataset (VM/VD
-// configuration and inferred application), plus the codecs cmd/tracegen
+// configuration and inferred application), plus the codecs cmd/ebssim -out
 // exports every dataset with. Only the per-IO trace (CSV and JSONL) has a
 // reader: replay ingests it; the metric and spec files are write-only.
 package trace

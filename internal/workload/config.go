@@ -47,9 +47,11 @@ func DefaultConfig() Config {
 	}
 }
 
-// SingleDC is the study-fleet recipe the CLI and the serving plane share: one
-// data center of `nodes` compute nodes over twelve BlockServers in two
-// balancing domains, everything else DefaultConfig's.
+// SingleDC is the study-fleet recipe: one data center of `nodes` compute
+// nodes over twelve BlockServers in two balancing domains, everything else
+// DefaultConfig's. Every front door reaches it through gateway.StudySpec, so
+// a CLI run, a gateway study and a dataset export of the same study flags
+// observe the identical fleet.
 func SingleDC(seed int64, nodes, users, durSec int) Config {
 	cfg := DefaultConfig()
 	cfg.Seed = seed

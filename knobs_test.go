@@ -3,9 +3,11 @@ package ebslab
 import (
 	"bufio"
 	"go/ast"
+	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
+	"path/filepath"
 	"regexp"
 	"sort"
 	"strconv"
@@ -19,17 +21,20 @@ const knobBudgetFile = "testdata/knobs.txt"
 // Config, Options, Plan, StudySpec or Lending, or ending in Config or Options.
 var knobType = regexp.MustCompile(`^(([A-Z][A-Za-z0-9]*)?(Config|Options)|Plan|StudySpec|Lending)$`)
 
-// flagDef names the flag-package functions that define a command-line flag.
+// flagDef names the flag-package functions and *flag.FlagSet methods that
+// define a command-line flag.
 var flagDef = regexp.MustCompile(`^(Bool|Duration|Float64|Func|Int|Int64|String|TextVar|Uint|Uint64|Var)(Var)?$`)
 
 // TestKnobBudget counts the independently settable values per package
 // directory — each exported field of a knobType struct in non-test code, plus
-// each flag a cmd/ program defines — and fails when a directory holds more
-// than its line in testdata/knobs.txt allows. `make knobs` runs it with -v for
-// the per-directory table an options PR reports before and after (ROADMAP aim
-// 2).
+// each flag defined there, through the flag package or a *flag.FlagSet — and
+// fails when a directory holds more than its line in testdata/knobs.txt
+// allows. A flag counts in the package that defines it, not in the program
+// that parses it. `make knobs` runs it with -v for the per-directory table an
+// options PR reports before and after (ROADMAP aim 2).
 func TestKnobBudget(t *testing.T) {
-	got := loadModule(t).knobs()
+	m := loadModule(t)
+	got := m.knobs()
 	budget := readKnobBudget(t)
 	dirs := make([]string, 0, len(got))
 	for dir := range got {
@@ -51,6 +56,27 @@ func TestKnobBudget(t *testing.T) {
 		}
 	}
 	t.Logf("%7d total", total)
+
+	// Mutant: a package that binds flags through a FlagSet it is handed (as
+	// gateway.StudySpec.BindFlags does) must pay for them in its own line, and
+	// FlagSet calls that define nothing must not count.
+	const pkg, dir = modulePath + "/internal/scenario", "internal/scenario"
+	m.addSource(t, pkg, "mutant.go", `package scenario
+
+import "flag"
+
+func bindMutant(fs *flag.FlagSet) {
+	var n int
+	fs.IntVar(&n, "mutant-n", 0, "")
+	_ = fs.Bool("mutant-b", false, "")
+	_ = flag.String("mutant-s", "", "")
+	_ = fs.Parse(nil)
+	_ = fs.Lookup("mutant-n").Value.String()
+}
+`)
+	if after := m.knobs()[dir]; after != got[dir]+3 {
+		t.Errorf("mutant binding three flags in %s: %d knobs, want %d + 3", dir, after, got[dir])
+	}
 }
 
 // knobs returns the knob count of every directory that has one.
@@ -72,22 +98,42 @@ func (m *module) knobs() map[string]int {
 					}
 				}
 			}
-			if !strings.HasPrefix(path, modulePath+"/cmd/") {
-				continue
-			}
 			ast.Inspect(f, func(node ast.Node) bool {
-				if sel, ok := node.(*ast.SelectorExpr); ok && flagDef.MatchString(sel.Sel.Name) {
-					if id, ok := sel.X.(*ast.Ident); ok {
-						if pkg, ok := info.Uses[id].(*types.PkgName); ok && pkg.Imported().Path() == "flag" {
-							n[dir]++
-						}
-					}
+				if sel, ok := node.(*ast.SelectorExpr); ok && definesFlag(info.Uses[sel.Sel]) {
+					n[dir]++
 				}
 				return true
 			})
 		}
 	}
 	return n
+}
+
+// definesFlag reports whether obj is a flag-package function or *flag.FlagSet
+// method that defines a flag.
+func definesFlag(obj types.Object) bool {
+	fn, ok := obj.(*types.Func)
+	if !ok || !flagDef.MatchString(fn.Name()) {
+		return false
+	}
+	name := fn.FullName()
+	return name == "flag."+fn.Name() || name == "(*flag.FlagSet)."+fn.Name()
+}
+
+// addSource re-type-checks the package at path with one more file, parsed
+// from src: the in-memory mutant a counting check runs against.
+func (m *module) addSource(t *testing.T, path, name, src string) {
+	t.Helper()
+	f, err := parser.ParseFile(m.fset, filepath.Join(m.dirs[path], name), src, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := append(append([]*ast.File(nil), m.files[path]...), f)
+	info := &types.Info{Defs: make(map[*ast.Ident]types.Object), Uses: make(map[*ast.Ident]types.Object)}
+	if _, err := (&types.Config{Importer: m}).Check(path, m.fset, files, info); err != nil {
+		t.Fatal(err)
+	}
+	m.files[path], m.infos[path] = files, info
 }
 
 // knobFields is the number of exported fields ts declares when it is a
