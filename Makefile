@@ -6,13 +6,14 @@
 # drift check, a short randomized run of every fuzz target, coverage over the
 # fault-injection packages, a seeded chaos smoke run with the invariant
 # checker, the whole reproduction catalog at the quick fleet size, and the
-# allocation budgets (run without the race detector, under which they skip).
+# allocation budgets (run without the race detector, under which they skip),
+# and the latency, draw and engine suites built for x86-64-v3.
 # Timing lives in one place, the bench/ module.
 
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: all build test race vet callers loc knobs bench-gate golden golden-diff fuzz-smoke cover chaos-smoke sketch-accuracy-smoke dist-smoke dist-ha-smoke consensus-race gateway-smoke control-smoke scenario-smoke analyze-smoke bench-module ci
+.PHONY: all build test race vet callers loc knobs bench-gate golden golden-diff fuzz-smoke cover chaos-smoke sketch-accuracy-smoke dist-smoke dist-ha-smoke consensus-race gateway-smoke control-smoke scenario-smoke analyze-smoke bench-module amd64-v3 ci
 
 all: build
 
@@ -68,6 +69,13 @@ race:
 # `make race` cannot stand in for this target.
 bench-gate:
 	$(GO) test -count=1 -run 'SteadyStateAllocs|TestObserveBatchMemoryIsFleetBounded|TestFabricStudyAllocs' ./...
+
+# The latency kernel, the draw mirrors and the engine built for x86-64-v3,
+# where the compiler may use AVX2 and FMA anywhere: the four-lane exp must
+# still equal math.Exp bit for bit and every engine record its per-IO
+# reference. Needs an amd64 host with AVX2 and FMA.
+amd64-v3:
+	GOAMD64=v3 $(GO) test -count=1 ./internal/latency ./internal/xrand ./internal/ebs
 
 # golden-diff fails when any figure/ablation statistic or the engine
 # fingerprint drifts from the fixtures in internal/core/testdata/golden.
@@ -209,4 +217,4 @@ analyze-smoke:
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-ci: vet callers race golden-diff fuzz-smoke cover chaos-smoke sketch-accuracy-smoke dist-smoke dist-ha-smoke consensus-race gateway-smoke control-smoke scenario-smoke analyze-smoke bench-module bench-gate
+ci: vet callers race golden-diff fuzz-smoke cover chaos-smoke sketch-accuracy-smoke dist-smoke dist-ha-smoke consensus-race gateway-smoke control-smoke scenario-smoke analyze-smoke bench-module bench-gate amd64-v3

@@ -62,12 +62,23 @@ func (r *Rand) NormFloat64() float64 {
 	if s == nil {
 		return r.Rand.NormFloat64()
 	}
+	j := int32(uint32(s.Int63() >> 31)) // Possibly negative
+	if i := j & 0x7F; absInt32(j) < kn[i] {
+		// This case should be hit better than 99% of the time.
+		return float64(j) * float64(wn[i])
+	}
+	return s.normSlow(j)
+}
+
+// normSlow finishes a normal draw whose first 32 bits j missed the
+// ziggurat's fast strip: the base strip's tail, or a wedge test that draws
+// afresh (fast strip first) whenever it rejects. NormFloat64 and JitterBatch
+// test the fast strip inline and share this one slow path.
+func (s *source) normSlow(j int32) float64 {
 	for {
-		j := int32(uint32(s.Int63() >> 31)) // Possibly negative
 		i := j & 0x7F
 		x := float64(j) * float64(wn[i])
 		if absInt32(j) < kn[i] {
-			// This case should be hit better than 99% of the time.
 			return x
 		}
 
@@ -88,6 +99,7 @@ func (r *Rand) NormFloat64() float64 {
 		if fn[i]+float32(s.float64())*(fn[i-1]-fn[i]) < float32(math.Exp(-.5*x*x)) {
 			return x
 		}
+		j = int32(uint32(s.Int63() >> 31))
 	}
 }
 

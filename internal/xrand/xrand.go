@@ -24,6 +24,9 @@
 // *rand.Rand's and run on the concrete source, so a draw costs no interface
 // call through rand.Source. The same init self-check proves them against
 // math/rand; on the fallback path they delegate to the embedded generator.
+// JitterBatch (jitter.go) is the latency model's whole batch of draws — per
+// stage a normal, a tail test and, if it fires, a uniform — as one loop on
+// the concrete source, its tail test an integer compare.
 package xrand
 
 import (

@@ -134,6 +134,19 @@ func (t *tape) Int63() int64 {
 	return v
 }
 
+// countExit counts which way a NormFloat64 whose first Int63 was first left
+// the ziggurat's fast strip, if it did: through the base strip or a wedge.
+func countExit(first int64, base, wedge *int) {
+	j := int32(uint32(first >> 31))
+	switch i := j & 0x7f; {
+	case absInt32(j) < kn[i]:
+	case i == 0:
+		*base++
+	default:
+		*wedge++
+	}
+}
+
 // TestDrawMirrorsMatchMathRand holds the mirrored Float64, NormFloat64 and
 // Intn to math/rand over 2^20 draws each on every selfCheck seed, and checks
 // the draws reached the ziggurat's rare paths (the base strip's tail loop and
@@ -160,14 +173,7 @@ func TestDrawMirrorsMatchMathRand(t *testing.T) {
 			if g, w := got.NormFloat64(), want.NormFloat64(); g != w {
 				t.Fatalf("seed %d draw %d: NormFloat64 %v != %v", seed, i, g, w)
 			}
-			j := int32(uint32(ref.first >> 31))
-			switch i := j & 0x7f; {
-			case absInt32(j) < kn[i]:
-			case i == 0:
-				base++
-			default:
-				wedge++
-			}
+			countExit(ref.first, &base, &wedge)
 		}
 		got.Release()
 
@@ -216,6 +222,13 @@ func TestDrawFallback(t *testing.T) {
 				t.Fatalf("draw %d: Intn %v != %v", i, g, w)
 			}
 		}
+	}
+	got.Release()
+
+	// JitterBatch runs its one loop on the embedded generator.
+	got, want = Get(seed), rand.New(rand.NewSource(seed))
+	if fired := matchJitter(t, got, want, want.NormFloat64, 1<<12); fired == 0 {
+		t.Fatal("no tail fired on the fallback path")
 	}
 	got.Release()
 }
