@@ -62,7 +62,8 @@ race:
 # Allocation gate: the tests that hold each hot path's allocations flat in
 # the disks, records or IOs it handles, under an absolute ceiling — a warm
 # engine run at 1/2/4 workers, RunControlled under noop and reactive, the
-# observe pass, sketch ingest, replay ingest and a loopback fabric study.
+# observe pass, sketch ingest, replay ingest, a loopback fabric study and a
+# dataset fingerprint (the same count at ten times the records).
 # Allocation counts are deterministic, so no baseline file is needed: each
 # budget and the count it was sized from sit in the test's comment. The tests
 # skip under the race detector (sync.Pool drops items at random there), so

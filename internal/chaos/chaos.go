@@ -26,15 +26,13 @@
 package chaos
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"math"
 	"math/rand"
 	"sort"
 	"strings"
 
+	"ebslab/internal/wire"
 	"ebslab/internal/xrand"
 )
 
@@ -262,7 +260,7 @@ func (p *Plan) Expand(runSeed int64, shape Shape) *Schedule {
 			rng := newRand(seed, tagCrash, uint64(i))
 			c := Crash{BS: rng.Intn(shape.BSs)}
 			c.Start = rng.Intn(shape.DurSec)
-			c.End = c.Start + geometricAtLeast1(rng, float64(meanDown))
+			c.End = c.Start + xrand.GeometricAtLeast1(rng, float64(meanDown))
 			if p.Recoverable {
 				clampRecoverable(&c.Window, shape.DurSec)
 			}
@@ -282,7 +280,7 @@ func (p *Plan) Expand(runSeed int64, shape Shape) *Schedule {
 			rng := newRand(seed, tagStorm, uint64(i))
 			st := Storm{VD: rng.Intn(shape.VDs), Factor: factor}
 			st.Start = rng.Intn(shape.DurSec)
-			st.End = st.Start + geometricAtLeast1(rng, float64(meanStorm))
+			st.End = st.Start + xrand.GeometricAtLeast1(rng, float64(meanStorm))
 			if p.Recoverable {
 				clampRecoverable(&st.Window, shape.DurSec)
 			}
@@ -323,22 +321,6 @@ func clampRecoverable(w *Window, durSec int) {
 	if w.Start < 0 {
 		w.Start = 0
 	}
-}
-
-// geometricAtLeast1 draws a geometric count >= 1 with the given mean.
-func geometricAtLeast1(rng *rand.Rand, mean float64) int {
-	if mean <= 1 {
-		return 1
-	}
-	p := 1 / mean
-	n := 1
-	for rng.Float64() > p {
-		n++
-		if n >= 64 {
-			break
-		}
-	}
-	return n
 }
 
 // BSDownAt reports whether BlockServer bs is inside a crash window at sec.
@@ -436,44 +418,35 @@ func (s *Schedule) DatasetNeutral() bool {
 // shape, penalty, and every window field in order. Two expansions replay
 // identically iff their fingerprints match.
 func (s *Schedule) Fingerprint() string {
-	h := sha256.New()
-	var buf [8]byte
-	wI64 := func(v int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
-	}
-	wF64 := func(v float64) {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-		h.Write(buf[:])
-	}
-	wI64(int64(s.Shape.BSs))
-	wI64(int64(s.Shape.VDs))
-	wI64(int64(s.Shape.DurSec))
-	wF64(s.PenaltyUS)
-	wI64(int64(len(s.Crashes)))
+	d := new(wire.Digest)
+	d.I64(int64(s.Shape.BSs))
+	d.I64(int64(s.Shape.VDs))
+	d.I64(int64(s.Shape.DurSec))
+	d.F64(s.PenaltyUS)
+	d.I64(int64(len(s.Crashes)))
 	for _, c := range s.Crashes {
-		wI64(int64(c.BS))
-		wI64(int64(c.Start))
-		wI64(int64(c.End))
+		d.I64(int64(c.BS))
+		d.I64(int64(c.Start))
+		d.I64(int64(c.End))
 	}
-	wI64(int64(len(s.Storms)))
+	d.I64(int64(len(s.Storms)))
 	for _, st := range s.Storms {
-		wI64(int64(st.VD))
-		wI64(int64(st.Start))
-		wI64(int64(st.End))
-		wF64(st.Factor)
+		d.I64(int64(st.VD))
+		d.I64(int64(st.Start))
+		d.I64(int64(st.End))
+		d.F64(st.Factor)
 	}
 	// The leader-kill section is appended only when present so that every
 	// fingerprint minted before control-plane faults existed — including
 	// the committed golden fixtures — stays valid for kill-free schedules.
 	if len(s.LeaderKills) > 0 {
-		wI64(int64(s.Shape.Shards))
-		wI64(int64(len(s.LeaderKills)))
+		d.I64(int64(s.Shape.Shards))
+		d.I64(int64(len(s.LeaderKills)))
 		for _, k := range s.LeaderKills {
-			wI64(int64(k.AfterResults))
+			d.I64(int64(k.AfterResults))
 		}
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return d.Sum()
 }
 
 // String renders a human-readable schedule summary.

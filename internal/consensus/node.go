@@ -150,7 +150,6 @@ func (n *Node) ID() int           { return n.cfg.ID }
 func (n *Node) State() State      { return n.state }
 func (n *Node) Term() uint64      { return n.term }
 func (n *Node) Leader() int       { return n.leader }
-func (n *Node) Commit() uint64    { return n.commit }
 func (n *Node) LastIndex() uint64 { return uint64(len(n.log)) }
 func (n *Node) lastTerm() uint64  { return n.termAt(n.LastIndex()) }
 func (n *Node) quorum(c int) bool { return c >= n.cfg.Peers/2+1 }

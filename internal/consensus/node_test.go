@@ -57,8 +57,8 @@ func TestSingleNodeProposeCommitsImmediately(t *testing.T) {
 	if len(msgs) != 0 {
 		t.Fatalf("single-node propose emitted %d messages", len(msgs))
 	}
-	if n.Commit() != 2 {
-		t.Fatalf("commit = %d, want 2", n.Commit())
+	if n.commit != 2 {
+		t.Fatalf("commit = %d, want 2", n.commit)
 	}
 	ents := n.TakeCommitted()
 	if len(ents) != 2 || string(ents[1].Cmd) != "x" {
@@ -225,8 +225,8 @@ func TestAppendConflictTruncation(t *testing.T) {
 	if f.LastIndex() != 3 || string(f.log[1].Cmd) != "b" || string(f.log[2].Cmd) != "c" {
 		t.Fatalf("log after truncation = %+v", f.log)
 	}
-	if f.Commit() != 3 {
-		t.Fatalf("commit = %d, want 3", f.Commit())
+	if f.commit != 3 {
+		t.Fatalf("commit = %d, want 3", f.commit)
 	}
 }
 
@@ -263,12 +263,12 @@ func TestAppendRejectsMissingPrev(t *testing.T) {
 func TestCommitRequiresQuorumAndCurrentTerm(t *testing.T) {
 	l := NewNode(cfg3(0))
 	idx, _, _, _ := l.Propose([]byte("x")) // index 2 (after bootstrap no-op)
-	if l.Commit() != 0 {
-		t.Fatalf("commit before any ack = %d, want 0", l.Commit())
+	if l.commit != 0 {
+		t.Fatalf("commit before any ack = %d, want 0", l.commit)
 	}
 	l.Step(Message{Type: MsgAppResp, From: 1, To: 0, Term: 1, Success: true, MatchIndex: idx})
-	if l.Commit() != idx {
-		t.Fatalf("commit after one ack = %d, want %d (2/3 quorum)", l.Commit(), idx)
+	if l.commit != idx {
+		t.Fatalf("commit after one ack = %d, want %d (2/3 quorum)", l.commit, idx)
 	}
 
 	// Older-term entries must not commit by counting alone: a new leader
@@ -285,13 +285,13 @@ func TestCommitRequiresQuorumAndCurrentTerm(t *testing.T) {
 	}
 	// Follower acks only the old term-1 entry.
 	n.Step(Message{Type: MsgAppResp, From: 2, To: 1, Term: n.Term(), Success: true, MatchIndex: 1})
-	if n.Commit() != 0 {
-		t.Fatalf("commit = %d: committed an old-term entry by counting", n.Commit())
+	if n.commit != 0 {
+		t.Fatalf("commit = %d: committed an old-term entry by counting", n.commit)
 	}
 	// Acking through the new no-op commits both.
 	n.Step(Message{Type: MsgAppResp, From: 2, To: 1, Term: n.Term(), Success: true, MatchIndex: 2})
-	if n.Commit() != 2 {
-		t.Fatalf("commit = %d, want 2 after own-term entry reaches quorum", n.Commit())
+	if n.commit != 2 {
+		t.Fatalf("commit = %d, want 2 after own-term entry reaches quorum", n.commit)
 	}
 }
 

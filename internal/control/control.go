@@ -24,15 +24,12 @@
 package control
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"fmt"
-	"hash"
 	"math"
 
 	"ebslab/internal/cluster"
 	"ebslab/internal/trace"
+	"ebslab/internal/wire"
 )
 
 // ObsShape fixes the dimensions of an Observation so the controller can
@@ -213,19 +210,13 @@ func (o *Observation) epochLen(ep int) int {
 // Fingerprint digests every counter in canonical order; two observations
 // fingerprint identically iff they observed the same traffic.
 func (o *Observation) Fingerprint() string {
-	h := sha256.New()
-	wU64(h, uint64(o.Shape.Epochs()))
+	d := new(wire.Digest)
+	d.U64(uint64(o.Shape.Epochs()))
 	for _, xs := range [][]uint64{o.segR, o.segW, o.vdBytes, o.vdOps, o.qpOps} {
-		wU64(h, uint64(len(xs)))
+		d.U64(uint64(len(xs)))
 		for _, x := range xs {
-			wU64(h, x)
+			d.U64(x)
 		}
 	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-func wU64(h hash.Hash, v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	h.Write(b[:])
+	return d.Sum()
 }

@@ -1,14 +1,13 @@
 package control
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"math"
 
 	"ebslab/internal/balancer"
 	"ebslab/internal/cluster"
 	"ebslab/internal/throttle"
+	"ebslab/internal/wire"
 )
 
 // Config sets the controller's cadence.
@@ -171,22 +170,22 @@ func (p *Plan) Count(kind DecisionKind) int {
 // fingerprint identically iff they made the same decisions. This is the
 // byte-stability witness the worker-count invariance test pins.
 func (p *Plan) LogFingerprint() string {
-	h := sha256.New()
-	wU64(h, uint64(len(p.Decisions)))
+	h := new(wire.Digest)
+	h.U64(uint64(len(p.Decisions)))
 	for _, d := range p.Decisions {
-		wU64(h, uint64(d.Epoch))
-		wU64(h, uint64(d.Kind))
-		wU64(h, uint64(int64(d.Seg)))
-		wU64(h, uint64(int64(d.From)))
-		wU64(h, uint64(int64(d.To)))
-		wU64(h, uint64(int64(d.VD)))
-		wU64(h, math.Float64bits(d.TputDelta))
-		wU64(h, math.Float64bits(d.IOPSDelta))
-		wU64(h, uint64(int64(d.QP)))
-		wU64(h, uint64(int64(d.WT)))
-		wU64(h, math.Float64bits(d.Forecast))
+		h.I64(int64(d.Epoch))
+		h.I64(int64(d.Kind))
+		h.I64(int64(d.Seg))
+		h.I64(int64(d.From))
+		h.I64(int64(d.To))
+		h.I64(int64(d.VD))
+		h.F64(d.TputDelta)
+		h.F64(d.IOPSDelta)
+		h.I64(int64(d.QP))
+		h.I64(int64(d.WT))
+		h.F64(d.Forecast)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return h.Sum()
 }
 
 // BuildPlan replays the observation epoch by epoch through the policy and

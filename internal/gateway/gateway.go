@@ -111,7 +111,16 @@ type job struct {
 	vdsDone  atomic.Int64
 	vdsTotal atomic.Int64
 
-	// Final answers, set under Gateway.mu when the study completes.
+	// The final answers, stored under Gateway.mu when the run returns.
+	result
+
+	done chan struct{}
+}
+
+// result is what a finished run answers. The run computes it outside
+// Gateway.mu — fingerprinting a large study takes milliseconds — and runJob
+// only stores it.
+type result struct {
 	dsFP         string // invariant.Fingerprint of the dataset
 	sketchFP     string // final Options.Stream fingerprint
 	finalSketch  []byte
@@ -119,8 +128,6 @@ type job struct {
 	kills        int
 	ctlFP        string // control decision-log fingerprint (controlled studies)
 	ctlDecisions int
-
-	done chan struct{}
 }
 
 // Gateway is the always-on serving plane. It implements netblock.Handler:
@@ -373,11 +380,12 @@ func (gw *Gateway) runJob(j *job) {
 	// A study that cannot shard (a controlled one: admission already pinned
 	// its Shards and LeaderKills to zero) runs in-process even on a
 	// fabric-backed gateway.
+	var res result
 	var err error
 	if gw.cfg.Fabric != nil && j.spec.RunSpec().Distributable() == nil {
-		err = gw.runFabric(j)
+		res, err = gw.runFabric(j)
 	} else {
-		err = gw.runLocal(j)
+		res, err = gw.runLocal(j)
 	}
 	gw.mu.Lock()
 	now := gw.now()
@@ -386,6 +394,7 @@ func (gw *Gateway) runJob(j *job) {
 	gw.ledger.Running--
 	tn.ledger.Running--
 	j.live = nil
+	j.result = res
 	switch {
 	case j.canceled:
 		j.state = StateCanceled
@@ -414,7 +423,7 @@ func (gw *Gateway) runJob(j *job) {
 // (ebs.Sim.Observe reads no stream, snapshot or progress option), so the sink
 // and the progress counters see only the actuated pass the tenant's answer
 // comes from.
-func (gw *Gateway) runLocal(j *job) error {
+func (gw *Gateway) runLocal(j *job) (result, error) {
 	stream := sketch.NewSet(sketch.Config{})
 	sink := &ebs.SnapshotSink{}
 	gw.mu.Lock()
@@ -432,27 +441,21 @@ func (gw *Gateway) runLocal(j *job) error {
 	}
 	ds, plan, err := spec.Run(j.ctx)
 	if err != nil {
-		return err
+		return result{}, err
 	}
-	enc, _, seq := sink.Snapshot()
-	gw.mu.Lock()
+	res := result{dsFP: invariant.Fingerprint(ds), sketchFP: stream.Fingerprint()}
+	res.finalSketch, _, res.finalSeq = sink.Snapshot()
 	if plan != nil {
-		j.ctlFP = plan.LogFingerprint()
-		j.ctlDecisions = len(plan.Decisions)
+		res.ctlFP, res.ctlDecisions = plan.LogFingerprint(), len(plan.Decisions)
 	}
-	j.dsFP = invariant.Fingerprint(ds)
-	j.sketchFP = stream.Fingerprint()
-	j.finalSketch = enc
-	j.finalSeq = seq
-	gw.mu.Unlock()
-	return nil
+	return res, nil
 }
 
 // runFabric executes the study on its own in-process fabric: a replica set
 // (with chaos leader kills when the spec asks for them) plus a worker pool
 // over loopback transports. Mid-run snapshots merge the accepted shard
 // partials; the final answer must match what ebs.Run would have produced.
-func (gw *Gateway) runFabric(j *job) error {
+func (gw *Gateway) runFabric(j *job) (result, error) {
 	fc := *gw.cfg.Fabric
 	if fc.Replicas < 1 {
 		fc.Replicas = 1
@@ -470,7 +473,7 @@ func (gw *Gateway) runFabric(j *job) error {
 	}
 	rs, err := fabric.NewReplicaSet(fabric.Config{Fleet: j.spec.FleetConfig(), Opts: opts, Scenario: j.spec.Scenario, Shards: j.spec.Shards}, fc.Replicas)
 	if err != nil {
-		return err
+		return result{}, err
 	}
 	defer rs.Close()
 	// The plan is ordered by cost, not by disk, so its coverage is the sum.
@@ -492,20 +495,19 @@ func (gw *Gateway) runFabric(j *job) error {
 
 	ds, err := rs.Run(j.ctx, fc.Workers)
 	if err != nil {
-		return err
+		return result{}, err
 	}
 	// Shards complete out of order, so mid-run the covered disks are only
 	// known to Snapshot (which merges the accepted partials); Status counts
 	// them once, when every shard is in.
-	j.vdsDone.Store(j.vdsTotal.Load())
-	gw.mu.Lock()
-	j.dsFP = invariant.Fingerprint(ds)
-	j.sketchFP = stream.Fingerprint()
-	j.finalSketch = stream.EncodeBinary()
-	j.finalSeq = uint64(j.vdsTotal.Load())
-	j.kills = rs.KillsExecuted()
-	gw.mu.Unlock()
-	return nil
+	j.vdsDone.Store(int64(vds))
+	return result{
+		dsFP:        invariant.Fingerprint(ds),
+		sketchFP:    stream.Fingerprint(),
+		finalSketch: stream.EncodeBinary(),
+		finalSeq:    uint64(vds),
+		kills:       rs.KillsExecuted(),
+	}, nil
 }
 
 // Status reports one study's lifecycle view.
@@ -643,17 +645,6 @@ func (gw *Gateway) Ledger() invariant.StudyLedger {
 	gw.mu.Lock()
 	defer gw.mu.Unlock()
 	return gw.ledger
-}
-
-// TenantLedger snapshots one tenant's accounting.
-func (gw *Gateway) TenantLedger(name string) (invariant.StudyLedger, bool) {
-	gw.mu.Lock()
-	defer gw.mu.Unlock()
-	tn := gw.tenants[name]
-	if tn == nil {
-		return invariant.StudyLedger{}, false
-	}
-	return tn.ledger, true
 }
 
 // Grants snapshots the scheduler's grant log.

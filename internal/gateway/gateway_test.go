@@ -209,7 +209,8 @@ func TestAdmissionRejectsDeepQueue(t *testing.T) {
 	if _, err := gw.Submit("t", tinySpec(9)); err == nil {
 		t.Fatal("submission over the admission bound accepted")
 	}
-	l, _ := gw.TenantLedger("t")
+	st, _ := gw.Stats("t")
+	l := st.StudyLedger
 	if l.Rejected != 1 || l.Submitted != 3 {
 		t.Fatalf("rejected %d submitted %d, want 1/3", l.Rejected, l.Submitted)
 	}
@@ -251,7 +252,8 @@ func TestDedup(t *testing.T) {
 	if l := gw.Ledger(); l.Deduped != 1 || l.Submitted != 1 {
 		t.Fatalf("ledger %+v, want Deduped 1 / Submitted 1", l)
 	}
-	bl, _ := gw.TenantLedger("bob")
+	ts, _ := gw.Stats("bob")
+	bl := ts.StudyLedger
 	if bl.Deduped != 1 || bl.Submitted != 0 {
 		t.Fatalf("bob's ledger %+v, want only the dedup", bl)
 	}
@@ -277,7 +279,8 @@ func TestCancelQueued(t *testing.T) {
 	if rep.State != "canceled" {
 		t.Fatalf("cancel reply %+v, want canceled", rep)
 	}
-	l, _ := gw.TenantLedger("t")
+	st, _ := gw.Stats("t")
+	l := st.StudyLedger
 	if l.CanceledQueued != 1 || l.Queued != 0 {
 		t.Fatalf("ledger %+v, want CanceledQueued 1 / Queued 0", l)
 	}

@@ -123,18 +123,15 @@ func TestSoakConcurrentTenants(t *testing.T) {
 	total := invariant.StudyLedger{}
 	for ti := 0; ti < nTenants; ti++ {
 		tenant := fmt.Sprintf("soak-%d", ti)
-		tl, ok := gw.TenantLedger(tenant)
-		if !ok {
-			t.Fatalf("tenant %s has no ledger", tenant)
+		st, err := gw.Stats(tenant)
+		if err != nil {
+			t.Fatalf("tenant %s has no ledger: %v", tenant, err)
 		}
+		tl := st.StudyLedger
 		invariant.CheckGatewayAccounting(&rep, &tl, true)
 		total.Submitted += tl.Submitted
 		total.Deduped += tl.Deduped
 		total.Granted += tl.Granted
-		st, err := gw.Stats(tenant)
-		if err != nil {
-			t.Fatal(err)
-		}
 		invariant.CheckGrantPacing(&rep, tenant, rate, burst, st.GrantsAtSec)
 	}
 	if err := rep.Err(); err != nil {

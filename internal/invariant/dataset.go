@@ -52,9 +52,6 @@ func (a *Artifacts) factor() float64 {
 	return 1
 }
 
-// sectorSize mirrors the workload generator's IO alignment quantum.
-const sectorSize = 4 << 10
-
 // relEq compares two float64s with a relative tolerance. The conservation
 // sums are integer-valued (exact in float64 below 2^53), so the tolerance
 // only shields against pathological magnitudes.
@@ -111,10 +108,10 @@ func checkTraceIntegrity(rep *Report, a *Artifacts) {
 		if r.TimeUS < 0 || r.TimeUS >= winUS {
 			rep.Addf(law, "record %d: time %dus outside window [0, %dus)", i, r.TimeUS, winUS)
 		}
-		if r.Size <= 0 || int64(r.Size)%sectorSize != 0 {
+		if r.Size <= 0 || int64(r.Size)%workload.SectorSize != 0 {
 			rep.Addf(law, "record %d: size %d not a positive sector multiple", i, r.Size)
 		}
-		if r.Offset < 0 || r.Offset%sectorSize != 0 || r.Offset+int64(r.Size) > vd.Capacity {
+		if r.Offset < 0 || r.Offset%workload.SectorSize != 0 || r.Offset+int64(r.Size) > vd.Capacity {
 			rep.Addf(law, "record %d: span [%d, %d) outside VD %d's %d-byte space or misaligned",
 				i, r.Offset, r.Offset+int64(r.Size), r.VD, vd.Capacity)
 		} else if seg := top.SegmentOfOffset(r.VD, r.Offset); seg != r.Segment {

@@ -43,16 +43,18 @@ func TestReportCleanRendersOK(t *testing.T) {
 
 // --- throttle --------------------------------------------------------------
 
+// The grant audit the engine folds into law throttle/grants: a healthy
+// group, plain and under Appendix B lending, replays without a violation.
+
 func TestCheckThrottleClean(t *testing.T) {
 	caps := []throttle.Caps{{Tput: 1000, IOPS: 10}, {Tput: 500, IOPS: 5}}
 	demand := [][]throttle.Demand{
 		{{WriteBps: 2000, WriteIOPS: 4}, {WriteBps: 200, WriteIOPS: 1}, {}},
 		{{ReadBps: 100, ReadIOPS: 1}, {ReadBps: 900, ReadIOPS: 9}, {}},
 	}
-	rep := &Report{}
-	res := CheckThrottle(rep, caps, demand)
-	if !rep.OK() {
-		t.Fatalf("throttle audit flagged a healthy group:\n%s", rep.String())
+	res, msgs := new(throttle.Scratch).Replay(caps, demand, throttle.Replay{Audit: true})
+	if len(msgs) > 0 {
+		t.Fatalf("throttle audit flagged a healthy group:\n%s", strings.Join(msgs, "\n"))
 	}
 	if res.TotalThrottledSecs == 0 {
 		t.Error("expected throttling with demand over cap")
@@ -72,10 +74,9 @@ func TestCheckThrottleLendingClean(t *testing.T) {
 			}
 		}
 	}
-	rep := &Report{}
-	CheckThrottleLending(rep, caps, demand, throttle.Lending{Rate: 0.5, PeriodSec: 10})
-	if !rep.OK() {
-		t.Fatalf("lending audit flagged a healthy group:\n%s", rep.String())
+	lend := throttle.Lending{Rate: 0.5, PeriodSec: 10}
+	if _, msgs := new(throttle.Scratch).Replay(caps, demand, throttle.Replay{Lend: &lend, Audit: true}); len(msgs) > 0 {
+		t.Fatalf("lending audit flagged a healthy group:\n%s", strings.Join(msgs, "\n"))
 	}
 }
 

@@ -40,7 +40,7 @@ func throttleScenario() ([]throttle.Caps, [][]throttle.Demand) {
 // throttle is a pure ratio machine.
 func TestThrottleScaleInvariance(t *testing.T) {
 	caps, demand := throttleScenario()
-	base := throttle.Simulate(caps, demand)
+	base := new(throttle.Scratch).Simulate(caps, demand)
 
 	const k = 4
 	scaledCaps := make([]throttle.Caps, len(caps))
@@ -57,7 +57,7 @@ func TestThrottleScaleInvariance(t *testing.T) {
 			}
 		}
 	}
-	scaled := throttle.Simulate(scaledCaps, scaledDemand)
+	scaled := new(throttle.Scratch).Simulate(scaledCaps, scaledDemand)
 
 	if scaled.TotalThrottledSecs != base.TotalThrottledSecs {
 		t.Fatalf("total throttled secs %d != %d under x%d scaling", scaled.TotalThrottledSecs, base.TotalThrottledSecs, k)
@@ -80,7 +80,7 @@ func TestThrottleScaleInvariance(t *testing.T) {
 // not change throttling at all.
 func TestThrottleReadWriteRelabelInvariance(t *testing.T) {
 	caps, demand := throttleScenario()
-	base := throttle.Simulate(caps, demand)
+	base := new(throttle.Scratch).Simulate(caps, demand)
 
 	swapped := make([][]throttle.Demand, len(demand))
 	for vd := range demand {
@@ -92,7 +92,7 @@ func TestThrottleReadWriteRelabelInvariance(t *testing.T) {
 			}
 		}
 	}
-	res := throttle.Simulate(caps, swapped)
+	res := new(throttle.Scratch).Simulate(caps, swapped)
 	if res.TotalThrottledSecs != base.TotalThrottledSecs {
 		t.Fatalf("R/W relabel changed throttling: %d != %d", res.TotalThrottledSecs, base.TotalThrottledSecs)
 	}

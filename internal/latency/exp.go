@@ -26,11 +26,12 @@ func expInto(x []float64) {
 }
 
 // expLanesOK selects expLanes: only on amd64, and only if it reproduced
-// math.Exp bit for bit on every expProbes argument at init (xrand's rule:
-// prove the mirror, else fall back). On an amd64 CPU without FMA archExp
-// takes its other branch, which rounds the products this one fuses; the
-// probes catch the difference and the host keeps math.Exp — slower, never
-// wrong.
+// math.Exp bit for bit on every expProbes argument at init. On an amd64 CPU
+// without FMA archExp takes its other branch, which rounds the products this
+// one fuses; the probes catch the difference and the host keeps math.Exp —
+// slower, never wrong. (xrand refuses to start instead: its only
+// alternative would be a different stream, while this one's is the function
+// it mirrors.)
 var expLanesOK = runtime.GOARCH == "amd64" && expSelfCheck()
 
 // expSelfCheck reports whether expLanes matches math.Exp on expProbes.

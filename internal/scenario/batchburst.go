@@ -6,6 +6,7 @@ import (
 	"ebslab/internal/cluster"
 	"ebslab/internal/trace"
 	"ebslab/internal/workload"
+	"ebslab/internal/xrand"
 )
 
 // batchBurstConfig shapes the batchburst scenario: a cohort of VDs fires
@@ -146,21 +147,21 @@ func (b *batchBurst) GenEvents(vd cluster.VDID, series []workload.Sample, sample
 	rng := newRand(b.fleet.Cfg.Seed, tagBurstEvents, uint64(vd))
 	scanSize := b.scanIOSize()
 	if int64(scanSize) > d.Capacity {
-		scanSize = int32(alignDown(d.Capacity))
+		scanSize = int32(workload.AlignDown(d.Capacity))
 	}
 	scanSpan := d.Capacity - int64(scanSize)
-	scanPos := alignDown(int64(rng.Float64() * float64(scanSpan)))
+	scanPos := workload.AlignDown(int64(rng.Float64() * float64(scanSpan)))
 	scanIOPS := b.cfg.ScanBps / float64(scanSize)
 
 	baseSize := func(mean float64) int32 {
 		s := int64(mean)
-		if s < sectorSize {
-			s = sectorSize
+		if s < workload.SectorSize {
+			s = workload.SectorSize
 		}
 		if s > 4<<20 {
 			s = 4 << 20
 		}
-		return int32(alignDown(s))
+		return int32(workload.AlignDown(s))
 	}
 	rdSize, wrSize := baseSize(m.ReadIOSize), baseSize(m.WriteIOSize)
 
@@ -174,15 +175,15 @@ func (b *batchBurst) GenEvents(vd cluster.VDID, series []workload.Sample, sample
 		if wave {
 			scanLambda = scanIOPS
 		}
-		sc := countFor(rng, mult*scanLambda/float64(sampleEvery))
-		rc := countFor(rng, mult*(s.ReadIOPS-scanLambda)/float64(sampleEvery))
-		wc := countFor(rng, mult*s.WriteIOPS/float64(sampleEvery))
+		sc := xrand.CountFor(rng, mult*scanLambda/float64(sampleEvery))
+		rc := xrand.CountFor(rng, mult*(s.ReadIOPS-scanLambda)/float64(sampleEvery))
+		wc := xrand.CountFor(rng, mult*s.WriteIOPS/float64(sampleEvery))
 		total := sc + rc + wc
 		if total == 0 {
 			continue
 		}
-		if total > maxEventsPerSec {
-			scale := float64(maxEventsPerSec) / float64(total)
+		if total > workload.MaxEventsPerSec {
+			scale := float64(workload.MaxEventsPerSec) / float64(total)
 			sc = int(float64(sc) * scale)
 			rc = int(float64(rc) * scale)
 			wc = int(float64(wc) * scale)
@@ -230,5 +231,5 @@ func (b *batchBurst) uniformOffset(rng interface{ Float64() float64 }, capacity 
 	if span <= 0 {
 		return 0
 	}
-	return alignDown(int64(rng.Float64() * float64(span)))
+	return workload.AlignDown(int64(rng.Float64() * float64(span)))
 }

@@ -483,16 +483,16 @@ func (s *foreignSequencer) add(row *foreignRow, ord uint64) {
 		r.stats.Reordered++
 	}
 
-	size := (row.size + sectorSize - 1) &^ (sectorSize - 1)
+	size := (row.size + workload.SectorSize - 1) &^ (workload.SectorSize - 1)
 	if size > 4<<20 {
 		size = 4 << 20
 	}
 	if size != row.size {
 		r.stats.Clamped++
 	}
-	offset := alignDown(row.offset)
+	offset := workload.AlignDown(row.offset)
 	if span := d.Capacity - size; offset > span {
-		offset = alignDown(offset % (span + 1))
+		offset = workload.AlignDown(offset % (span + 1))
 		r.stats.Clamped++
 	}
 	qp := d.QPs[uint64(subSeed(r.fleet.Cfg.Seed, tagReplayPick, ord))%uint64(len(d.QPs))]

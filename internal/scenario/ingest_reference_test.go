@@ -174,16 +174,16 @@ func (r *Replay) addForeignReference(fr foreignRecord, t0 int64, tickPerUS float
 		r.stats.Reordered++
 	}
 
-	size := (fr.size + sectorSize - 1) &^ (sectorSize - 1)
+	size := (fr.size + workload.SectorSize - 1) &^ (workload.SectorSize - 1)
 	if size > 4<<20 {
 		size = 4 << 20
 	}
 	if size != fr.size {
 		r.stats.Clamped++
 	}
-	offset := alignDown(fr.offset)
+	offset := workload.AlignDown(fr.offset)
 	if span := d.Capacity - size; offset > span {
-		offset = alignDown(offset % (span + 1))
+		offset = workload.AlignDown(offset % (span + 1))
 		r.stats.Clamped++
 	}
 	qp := d.QPs[uint64(subSeed(r.fleet.Cfg.Seed, tagReplayPick, ord))%uint64(len(d.QPs))]

@@ -323,32 +323,3 @@ func hash01(master int64, tag, entity uint64) float64 {
 func newRand(master int64, tag, entity uint64) *rand.Rand {
 	return rand.New(rand.NewSource(subSeed(master, tag, entity)))
 }
-
-// sectorSize mirrors the workload layer's alignment quantum.
-const sectorSize = 4 << 10
-
-// alignDown rounds x down to the sector boundary (never below zero).
-func alignDown(x int64) int64 {
-	a := x &^ (sectorSize - 1)
-	if a < 0 {
-		return 0
-	}
-	return a
-}
-
-// countFor turns a fractional expected count into an integer count by
-// flooring and adding a Bernoulli remainder, preserving the mean (the same
-// convention as the fleet generator).
-func countFor(rng *rand.Rand, lambda float64) int {
-	if lambda <= 0 {
-		return 0
-	}
-	n := int(lambda)
-	if rng.Float64() < lambda-float64(n) {
-		n++
-	}
-	return n
-}
-
-// maxEventsPerSec mirrors the workload layer's per-second generation cap.
-const maxEventsPerSec = 1 << 20

@@ -8,6 +8,7 @@ import (
 
 	"ebslab/internal/cluster"
 	"ebslab/internal/trace"
+	"ebslab/internal/wire"
 )
 
 // fuzzOps decodes the fuzzer's byte stream into (key, weight) pairs: 5
@@ -70,10 +71,10 @@ func FuzzSpaceSavingAddMerge(f *testing.F) {
 		ab.Merge(build(ops[split:]))
 		ba := build(ops[split:])
 		ba.Merge(build(ops[:split]))
-		da, db := newDigest(), newDigest()
+		da, db := new(wire.Digest), new(wire.Digest)
 		ab.AppendHash(da)
 		ba.AppendHash(db)
-		if da.sum() != db.sum() {
+		if da.Sum() != db.Sum() {
 			t.Fatal("merge not commutative")
 		}
 		if ab.Len() > k {
@@ -108,8 +109,8 @@ func FuzzLogQuantileMerge(f *testing.F) {
 		for _, v := range vals {
 			whole.Add(v, 1)
 		}
-		if whole.Count() != uint64(len(vals)) {
-			t.Fatalf("count %d, want %d", whole.Count(), len(vals))
+		if whole.total != uint64(len(vals)) {
+			t.Fatalf("count %d, want %d", whole.total, len(vals))
 		}
 		split := 0
 		if len(vals) > 0 {
@@ -124,10 +125,10 @@ func FuzzLogQuantileMerge(f *testing.F) {
 		}
 		ab := build(vals[:split])
 		ab.Merge(build(vals[split:]))
-		dw, dm := newDigest(), newDigest()
+		dw, dm := new(wire.Digest), new(wire.Digest)
 		whole.AppendHash(dw)
 		ab.AppendHash(dm)
-		if dw.sum() != dm.sum() {
+		if dw.Sum() != dm.Sum() {
 			t.Fatal("merged state differs from whole-stream ingest")
 		}
 		if len(vals) == 0 {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 
+	"ebslab/internal/wire"
 	"ebslab/internal/xrand"
 )
 
@@ -69,13 +70,13 @@ func (h *HLL) Estimate() float64 {
 }
 
 // AppendHash writes the estimator's canonical serialization into d.
-func (h *HLL) AppendHash(d *digest) {
-	d.u64(uint64(h.p))
+func (h *HLL) AppendHash(d *wire.Digest) {
+	d.U64(uint64(h.p))
 	for i := 0; i < len(h.registers); i += 8 {
 		var w uint64
 		for j := 0; j < 8; j++ {
 			w |= uint64(h.registers[i+j]) << (8 * j)
 		}
-		d.u64(w)
+		d.U64(w)
 	}
 }

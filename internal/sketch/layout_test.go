@@ -20,12 +20,12 @@ var hostileValues = []float64{
 
 // lqViews returns a summary's two canonical views: its AppendHash digest
 // and its wire bytes.
-func lqViews(hash func(*digest), bin func(*wire.Writer)) (string, []byte) {
-	d := newDigest()
+func lqViews(hash func(*wire.Digest), bin func(*wire.Writer)) (string, []byte) {
+	d := new(wire.Digest)
 	hash(d)
 	w := &wire.Writer{}
 	bin(w)
-	return d.sum(), w.B
+	return d.Sum(), w.B
 }
 
 // TestSketchLayoutMatchesReference holds the array-backed LogQuantile and
@@ -66,8 +66,8 @@ func TestSketchLayoutMatchesReference(t *testing.T) {
 				if gh != wh || !bytes.Equal(gb, wb) {
 					t.Fatalf("seed %d %s: layout differs from the reference", seed, what)
 				}
-				if l.Count() != ref.total {
-					t.Fatalf("seed %d %s: count %d, reference %d", seed, what, l.Count(), ref.total)
+				if l.total != ref.total {
+					t.Fatalf("seed %d %s: count %d, reference %d", seed, what, l.total, ref.total)
 				}
 				for _, q := range []float64{0, 0.01, 0.25, 0.5, 0.9, 0.99, 1} {
 					g, w := l.Quantile(q), ref.Quantile(q)
@@ -96,7 +96,7 @@ func TestSketchLayoutMatchesReference(t *testing.T) {
 		}
 		// The ordered storage is walked in place: reading a summary allocates
 		// nothing.
-		l, d := latencyLike(), newDigest()
+		l, d := latencyLike(), new(wire.Digest)
 		if n := testing.AllocsPerRun(20, func() { l.Quantile(0.99); l.AppendHash(d) }); n != 0 {
 			t.Fatalf("Quantile+AppendHash allocate %v times per call", n)
 		}

@@ -4,6 +4,8 @@ import (
 	"math"
 	"slices"
 	"sort"
+
+	"ebslab/internal/wire"
 )
 
 // LogQuantile is a DDSketch-style quantile summary over positive values:
@@ -66,9 +68,6 @@ func NewLogQuantile(alpha float64) *LogQuantile {
 		invLogGamma: 1 / math.Log(gamma),
 	}
 }
-
-// Count returns the total ingested weight.
-func (l *LogQuantile) Count() uint64 { return l.total }
 
 // bucket is the bucket of a positive value whose math.Log is logV.
 func (l *LogQuantile) bucket(logV float64) int64 {
@@ -201,14 +200,14 @@ func (l *LogQuantile) Quantile(q float64) float64 {
 }
 
 // AppendHash writes the summary's canonical serialization into d.
-func (l *LogQuantile) AppendHash(d *digest) {
-	d.f64(l.alpha)
-	d.u64(l.zero)
-	d.u64(l.total)
-	d.u64(uint64(l.buckets()))
+func (l *LogQuantile) AppendHash(d *wire.Digest) {
+	d.F64(l.alpha)
+	d.U64(l.zero)
+	d.U64(l.total)
+	d.U64(uint64(l.buckets()))
 	l.each(func(idx int64, w uint64) bool {
-		d.u64(uint64(idx))
-		d.u64(w)
+		d.U64(uint64(idx))
+		d.U64(w)
 		return true
 	})
 }

@@ -1,6 +1,10 @@
 package sketch
 
-import "math"
+import (
+	"math"
+
+	"ebslab/internal/wire"
+)
 
 // RateBucket is one second of directional traffic accounting, in exact
 // integer units (bytes and ops).
@@ -143,12 +147,12 @@ func (r *RateMeter) MeanRAR(capSum, scale float64) float64 {
 }
 
 // AppendHash writes the meter's canonical serialization into d.
-func (r *RateMeter) AppendHash(d *digest) {
-	d.u64(uint64(len(r.secs)))
+func (r *RateMeter) AppendHash(d *wire.Digest) {
+	d.U64(uint64(len(r.secs)))
 	for _, b := range r.secs {
-		d.u64(b.ReadBytes)
-		d.u64(b.WriteBytes)
-		d.u64(b.ReadOps)
-		d.u64(b.WriteOps)
+		d.U64(b.ReadBytes)
+		d.U64(b.WriteBytes)
+		d.U64(b.ReadOps)
+		d.U64(b.WriteOps)
 	}
 }

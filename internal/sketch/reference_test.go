@@ -83,14 +83,14 @@ func (l *refLogQuantile) Quantile(q float64) float64 {
 	return 2 * math.Pow(l.gamma, float64(idxs[len(idxs)-1])) / (l.gamma + 1)
 }
 
-func (l *refLogQuantile) AppendHash(d *digest) {
-	d.f64(l.alpha)
-	d.u64(l.zero)
-	d.u64(l.total)
-	d.u64(uint64(len(l.buckets)))
+func (l *refLogQuantile) AppendHash(d *wire.Digest) {
+	d.F64(l.alpha)
+	d.U64(l.zero)
+	d.U64(l.total)
+	d.U64(uint64(len(l.buckets)))
 	for _, idx := range l.sortedIdxs() {
-		d.u64(uint64(idx))
-		d.u64(l.buckets[idx])
+		d.U64(uint64(idx))
+		d.U64(l.buckets[idx])
 	}
 }
 
@@ -186,14 +186,14 @@ func (s *refSpaceSaving) Entries() []Entry {
 	return out
 }
 
-func (s *refSpaceSaving) AppendHash(d *digest) {
-	d.u64(uint64(s.k))
-	d.u64(uint64(len(s.counters)))
+func (s *refSpaceSaving) AppendHash(d *wire.Digest) {
+	d.U64(uint64(s.k))
+	d.U64(uint64(len(s.counters)))
 	for _, k := range sortedKeys(s.counters) {
 		c := s.counters[k]
-		d.u64(k)
-		d.u64(c.count)
-		d.u64(c.err)
+		d.U64(k)
+		d.U64(c.count)
+		d.U64(c.err)
 	}
 }
 

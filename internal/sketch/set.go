@@ -5,6 +5,7 @@ import (
 
 	"ebslab/internal/stats"
 	"ebslab/internal/trace"
+	"ebslab/internal/wire"
 )
 
 const (
@@ -216,24 +217,24 @@ func (s *Set) Merge(o *Set) {
 // state in canonical order; the worker-count determinism oracle compares
 // these across replays.
 func (s *Set) Fingerprint() string {
-	d := newDigest()
-	d.f64(quantileAlpha)
-	d.u64(uint64(s.cfg.TopK))
-	d.u64(uint64(s.cfg.SegPerVD))
-	d.u64(s.totals.IOs)
-	d.u64(s.totals.Bytes)
-	d.u64(uint64(len(s.vds)))
+	d := new(wire.Digest)
+	d.F64(quantileAlpha)
+	d.U64(uint64(s.cfg.TopK))
+	d.U64(uint64(s.cfg.SegPerVD))
+	d.U64(s.totals.IOs)
+	d.U64(s.totals.Bytes)
+	d.U64(uint64(len(s.vds)))
 	for _, vd := range sortedKeys(s.vds) {
 		dc := s.vds[vd]
-		d.u64(vd)
-		d.u64(dc.readBytes)
-		d.u64(dc.writeBytes)
-		d.u64(dc.readOps)
-		d.u64(dc.writeOps)
+		d.U64(vd)
+		d.U64(dc.readBytes)
+		d.U64(dc.writeBytes)
+		d.U64(dc.readOps)
+		d.U64(dc.writeOps)
 	}
-	d.u64(uint64(len(s.segHot)))
+	d.U64(uint64(len(s.segHot)))
 	for _, vd := range sortedKeys(s.segHot) {
-		d.u64(vd)
+		d.U64(vd)
 		s.segHot[vd].AppendHash(d)
 	}
 	s.rate.AppendHash(d)
@@ -241,7 +242,7 @@ func (s *Set) Fingerprint() string {
 	s.sizes.AppendHash(d)
 	s.blocks.AppendHash(d)
 	s.segs.AppendHash(d)
-	return d.sum()
+	return d.Sum()
 }
 
 // Skewness is the streaming form of the study's skewness metric surface:

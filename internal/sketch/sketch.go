@@ -17,15 +17,7 @@
 // The Set frame (codec.go) is a walk over the internal/wire cursor.
 package sketch
 
-import (
-	"crypto/sha256"
-	"encoding/hex"
-	"hash"
-	"math"
-	"sort"
-
-	"ebslab/internal/wire"
-)
+import "sort"
 
 // Entry is one ranked heavy-hitter: a key with its estimated weight and the
 // maximum overestimation error of that weight. The true weight lies in
@@ -49,25 +41,6 @@ func (t *Totals) Add(o Totals) {
 	t.IOs += o.IOs
 	t.Bytes += o.Bytes
 }
-
-// digest is a canonical-serialization writer shared by the AppendHash
-// implementations: fixed-width little-endian words into a streaming hash.
-type digest struct {
-	h hash.Hash
-	w wire.Writer
-}
-
-func newDigest() *digest { return &digest{h: sha256.New()} }
-
-func (d *digest) u64(v uint64) {
-	d.w.B = d.w.B[:0]
-	d.w.U64(v)
-	d.h.Write(d.w.B)
-}
-
-func (d *digest) f64(v float64) { d.u64(math.Float64bits(v)) }
-
-func (d *digest) sum() string { return hex.EncodeToString(d.h.Sum(nil)) }
 
 // sortedKeys returns the map's keys in ascending order; every AppendHash and
 // finalize fold iterates maps through it so serialization order never

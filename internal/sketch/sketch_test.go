@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ebslab/internal/stats"
+	"ebslab/internal/wire"
 )
 
 // rng is a tiny splitmix64 stream for deterministic test inputs.
@@ -101,10 +102,10 @@ func TestSpaceSavingMergeCommutes(t *testing.T) {
 	ab.Merge(build(rng(2), 200))
 	ba := build(rng(2), 200)
 	ba.Merge(build(rng(1), 300))
-	da, db := newDigest(), newDigest()
+	da, db := new(wire.Digest), new(wire.Digest)
 	ab.AppendHash(da)
 	ba.AppendHash(db)
-	if da.sum() != db.sum() {
+	if da.Sum() != db.Sum() {
 		t.Fatal("SpaceSaving merge is not commutative")
 	}
 	if ab.Len() > 8 {
@@ -153,8 +154,8 @@ func TestLogQuantileEdgeCases(t *testing.T) {
 			t.Fatalf("q=%v must report NaN", q)
 		}
 	}
-	if lq.Count() != 5 {
-		t.Fatalf("count = %d, want 5", lq.Count())
+	if lq.total != 5 {
+		t.Fatalf("count = %d, want 5", lq.total)
 	}
 }
 
@@ -170,10 +171,10 @@ func TestLogQuantileMergeCommutes(t *testing.T) {
 	ab.Merge(build(rng(4), 400))
 	ba := build(rng(4), 400)
 	ba.Merge(build(rng(3), 500))
-	da, db := newDigest(), newDigest()
+	da, db := new(wire.Digest), new(wire.Digest)
 	ab.AppendHash(da)
 	ba.AppendHash(db)
-	if da.sum() != db.sum() {
+	if da.Sum() != db.Sum() {
 		t.Fatal("LogQuantile merge is not commutative")
 	}
 }
@@ -204,10 +205,10 @@ func TestHLLMergeMatchesUnionIngest(t *testing.T) {
 		u.Add(uint64(i))
 	}
 	a.Merge(b)
-	da, du := newDigest(), newDigest()
+	da, du := new(wire.Digest), new(wire.Digest)
 	a.AppendHash(da)
 	u.AppendHash(du)
-	if da.sum() != du.sum() {
+	if da.Sum() != du.Sum() {
 		t.Fatal("merged HLL state differs from union ingest")
 	}
 }

@@ -3,6 +3,8 @@ package sketch
 import (
 	"cmp"
 	"slices"
+
+	"ebslab/internal/wire"
 )
 
 // SpaceSaving is the weighted SpaceSaving heavy-hitter summary (Metwally et
@@ -140,12 +142,12 @@ func (s *SpaceSaving) Top(n int) []Entry {
 }
 
 // AppendHash writes the summary's canonical serialization into d.
-func (s *SpaceSaving) AppendHash(d *digest) {
-	d.u64(uint64(s.k))
-	d.u64(uint64(len(s.counters)))
+func (s *SpaceSaving) AppendHash(d *wire.Digest) {
+	d.U64(uint64(s.k))
+	d.U64(uint64(len(s.counters)))
 	for _, c := range s.counters {
-		d.u64(c.Key)
-		d.u64(c.Count)
-		d.u64(c.Err)
+		d.U64(c.Key)
+		d.U64(c.Count)
+		d.U64(c.Err)
 	}
 }

@@ -15,7 +15,7 @@ func TestLendingZeroCapBorrower(t *testing.T) {
 		flatDemand(20, Demand{WriteBps: 200, WriteIOPS: 2}),
 		flatDemand(20, Demand{}),
 	}
-	without := Simulate(caps, demand)
+	without := new(Scratch).Simulate(caps, demand)
 	if without.ThrottledSecs[0] != 20 {
 		t.Fatalf("zero-cap VD throttled %d/20 secs without lending", without.ThrottledSecs[0])
 	}
@@ -41,7 +41,7 @@ func TestLendingZeroCapLenderHasNothingToGive(t *testing.T) {
 		flatDemand(15, Demand{WriteBps: 100, WriteIOPS: 50}),
 		flatDemand(15, Demand{}),
 	}
-	without := Simulate(caps, demand)
+	without := new(Scratch).Simulate(caps, demand)
 	with, msgs := replay(caps, demand, Replay{Lend: &Lending{Rate: 0.8, PeriodSec: 5}, Audit: true})
 	if len(msgs) != 0 {
 		t.Fatalf("audit violations: %v", msgs)

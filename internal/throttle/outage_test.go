@@ -53,7 +53,7 @@ func TestDownVDCannotBorrow(t *testing.T) {
 	if len(msgs) != 0 {
 		t.Fatalf("audit violations: %v", msgs)
 	}
-	if want := Simulate(caps, demand); !reflect.DeepEqual(got, want) {
+	if want := new(Scratch).Simulate(caps, demand); !reflect.DeepEqual(got, want) {
 		t.Fatalf("down borrower diverged from the no-lending replay:\n got %+v\nwant %+v", got, want)
 	}
 	// Sanity: a healthy VD0 would have borrowed its way to more throughput.

@@ -49,7 +49,7 @@ func TestScratchSimulateEquivalence(t *testing.T) {
 	for i, sh := range shapes {
 		caps, demand := synthGroup(int64(i+1), sh.n, sh.dur)
 		got := sc.Simulate(caps, demand)
-		want := Simulate(caps, demand)
+		want := new(Scratch).Simulate(caps, demand)
 		if !reflect.DeepEqual(normalize(got), normalize(want)) {
 			t.Fatalf("shape %d (%d vds, %d s): scratch result diverged", i, sh.n, sh.dur)
 		}
@@ -102,11 +102,11 @@ func TestReplayZeroValueIsSimulate(t *testing.T) {
 		r    Replay
 		want Result
 	}{
-		{"zero", Replay{}, Simulate(caps, demand)},
-		{"audited", Replay{Audit: true}, Simulate(caps, demand)},
-		{"scheduled-identity", Replay{CapsAt: func(int, []Caps) {}}, Simulate(caps, demand)},
-		{"nobody-down", Replay{Down: func(int, int) bool { return false }, Audit: true}, Simulate(caps, demand)},
-		{"scheduled-halved-audited", Replay{CapsAt: func(_ int, eff []Caps) { copy(eff, half) }, Audit: true}, Simulate(half, demand)},
+		{"zero", Replay{}, new(Scratch).Simulate(caps, demand)},
+		{"audited", Replay{Audit: true}, new(Scratch).Simulate(caps, demand)},
+		{"scheduled-identity", Replay{CapsAt: func(int, []Caps) {}}, new(Scratch).Simulate(caps, demand)},
+		{"nobody-down", Replay{Down: func(int, int) bool { return false }, Audit: true}, new(Scratch).Simulate(caps, demand)},
+		{"scheduled-halved-audited", Replay{CapsAt: func(_ int, eff []Caps) { copy(eff, half) }, Audit: true}, new(Scratch).Simulate(half, demand)},
 	} {
 		got, msgs := replay(caps, demand, tc.r)
 		if !reflect.DeepEqual(normalize(got), normalize(tc.want)) {

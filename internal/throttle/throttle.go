@@ -86,16 +86,6 @@ type Result struct {
 	QueueDelaySec [][]float64
 }
 
-// Simulate replays a group of VDs (a multi-VD VM, or a tenant's multi-VM
-// node with caps flattened per disk) against the hard-threshold throttle.
-// demand is indexed [vd][sec]; caps is indexed [vd]. The throttle is a
-// queueing model: demand beyond the cap backlogs in the hypervisor and
-// drains in later seconds, so a burst's throttle outlasts the burst itself
-// (the latency-spike behaviour Calcspar reported on AWS EBS).
-func Simulate(caps []Caps, demand [][]Demand) Result {
-	return new(Scratch).Simulate(caps, demand)
-}
-
 // Scratch holds the working buffers of a throttle replay so repeated
 // simulations (the engine replays one per virtual disk per run) allocate
 // nothing in steady state. The zero value is ready to use. A Scratch is not
@@ -114,9 +104,14 @@ type Scratch struct {
 	isDown        []bool
 }
 
-// Simulate is Simulate reusing the scratch buffers: identical arithmetic,
-// identical Result values, zero steady-state allocation. The Result is
-// valid until the next call on this Scratch.
+// Simulate replays a group of VDs (a multi-VD VM, or a tenant's multi-VM
+// node with caps flattened per disk) against the hard-threshold throttle.
+// demand is indexed [vd][sec]; caps is indexed [vd]. The throttle is a
+// queueing model: demand beyond the cap backlogs in the hypervisor and
+// drains in later seconds, so a burst's throttle outlasts the burst itself
+// (the latency-spike behaviour Calcspar reported on AWS EBS). It allocates
+// nothing in steady state; the Result is valid until the next call on this
+// Scratch.
 func (sc *Scratch) Simulate(caps []Caps, demand [][]Demand) Result {
 	res, _ := sc.Replay(caps, demand, Replay{})
 	return res

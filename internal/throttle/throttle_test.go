@@ -17,7 +17,7 @@ func flatDemand(dur int, d Demand) []Demand {
 func TestNoThrottleUnderCap(t *testing.T) {
 	caps := []Caps{{Tput: 100, IOPS: 100}}
 	demand := [][]Demand{flatDemand(10, Demand{WriteBps: 50, WriteIOPS: 50})}
-	res := Simulate(caps, demand)
+	res := new(Scratch).Simulate(caps, demand)
 	if res.TotalThrottledSecs != 0 || len(res.Events) != 0 {
 		t.Fatalf("under-cap run throttled: %+v", res)
 	}
@@ -29,7 +29,7 @@ func TestNoThrottleUnderCap(t *testing.T) {
 func TestThroughputThrottle(t *testing.T) {
 	caps := []Caps{{Tput: 100, IOPS: 1e9}}
 	demand := [][]Demand{flatDemand(5, Demand{WriteBps: 200, WriteIOPS: 1})}
-	res := Simulate(caps, demand)
+	res := new(Scratch).Simulate(caps, demand)
 	if res.ThrottledSecs[0] != 5 {
 		t.Fatalf("throttled secs = %d, want 5", res.ThrottledSecs[0])
 	}
@@ -50,7 +50,7 @@ func TestThroughputThrottle(t *testing.T) {
 func TestIOPSThrottle(t *testing.T) {
 	caps := []Caps{{Tput: 1e12, IOPS: 10}}
 	demand := [][]Demand{flatDemand(3, Demand{ReadBps: 1, ReadIOPS: 100})}
-	res := Simulate(caps, demand)
+	res := new(Scratch).Simulate(caps, demand)
 	if res.ThrottledSecs[0] != 3 {
 		t.Fatalf("throttled secs = %d, want 3", res.ThrottledSecs[0])
 	}
@@ -68,7 +68,7 @@ func TestBacklogExtendsThrottle(t *testing.T) {
 	caps := []Caps{{Tput: 100, IOPS: 1e9}}
 	demand := [][]Demand{make([]Demand, 6)}
 	demand[0][0] = Demand{WriteBps: 300, WriteIOPS: 3}
-	res := Simulate(caps, demand)
+	res := new(Scratch).Simulate(caps, demand)
 	if res.ThrottledSecs[0] != 2 {
 		// t=0: offer 300 > 100 (throttle, backlog 200 -> deliver 100)
 		// t=1: offer 200 > 100 (throttle, backlog 100)
@@ -85,7 +85,7 @@ func TestRARReflectsGroupHeadroom(t *testing.T) {
 		flatDemand(2, Demand{WriteBps: 200, WriteIOPS: 1}),
 		flatDemand(2, Demand{WriteBps: 0}),
 	}
-	res := Simulate(caps, demand)
+	res := new(Scratch).Simulate(caps, demand)
 	if len(res.Events) == 0 {
 		t.Fatal("expected throttle events")
 	}
@@ -98,7 +98,7 @@ func TestRARReflectsGroupHeadroom(t *testing.T) {
 func TestRARClampsToZero(t *testing.T) {
 	caps := []Caps{{Tput: 100, IOPS: 1e9}}
 	demand := [][]Demand{flatDemand(1, Demand{WriteBps: 500, WriteIOPS: 1})}
-	res := Simulate(caps, demand)
+	res := new(Scratch).Simulate(caps, demand)
 	if res.Events[0].RAR != 0 {
 		t.Fatalf("overloaded RAR = %v, want 0", res.Events[0].RAR)
 	}
@@ -110,7 +110,7 @@ func TestSimulatePanicsOnMismatch(t *testing.T) {
 			t.Fatal("mismatched demand should panic")
 		}
 	}()
-	Simulate([]Caps{{Tput: 1, IOPS: 1}}, nil)
+	new(Scratch).Simulate([]Caps{{Tput: 1, IOPS: 1}}, nil)
 }
 
 func TestLendingShortensThrottle(t *testing.T) {
@@ -124,7 +124,7 @@ func TestLendingShortensThrottle(t *testing.T) {
 	}
 	demand := [][]Demand{d0, flatDemand(dur, Demand{})}
 
-	without := Simulate(caps, demand)
+	without := new(Scratch).Simulate(caps, demand)
 	with := withLending(caps, demand, Lending{Rate: 0.8, PeriodSec: 60})
 	if with.TotalThrottledSecs >= without.TotalThrottledSecs {
 		t.Fatalf("lending did not help: %d >= %d", with.TotalThrottledSecs, without.TotalThrottledSecs)
@@ -152,7 +152,7 @@ func TestLendingCanBackfire(t *testing.T) {
 	}
 	demand := [][]Demand{d0, d1}
 
-	without := Simulate(caps, demand)
+	without := new(Scratch).Simulate(caps, demand)
 	with := withLending(caps, demand, Lending{Rate: 0.8, PeriodSec: 60})
 	if gain := LendingGain(without, with); !(gain < 0) {
 		t.Fatalf("expected negative lending gain, got %v (wo=%d w=%d)",

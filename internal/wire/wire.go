@@ -5,13 +5,20 @@
 // latches a typed error and poisons every later read, a length prefix is
 // checked against the bytes actually present before the caller allocates by
 // it, and a frame with bytes left over is malformed. Formats, caps and
-// semantic checks stay with the codecs. The package imports only the
-// standard library.
+// semantic checks stay with the codecs.
+//
+// It also owns the canonical form every fingerprint hashes (Digest): the
+// dataset, sketch-set, observation, decision-log and chaos-schedule
+// fingerprints are SHA-256 over fixed-width little-endian words, written
+// through one type. The package imports only the standard library.
 package wire
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
+	"hash"
 	"math"
 )
 
@@ -34,6 +41,46 @@ func (w *Writer) Bool(v bool) {
 	} else {
 		w.U8(0)
 	}
+}
+
+// Digest is a fingerprint in the making: fixed-width little-endian words fed
+// to SHA-256 through a fixed block buffer, so a word costs one store and the
+// hash sees one write per 512 words. The zero value is ready to use.
+type Digest struct {
+	h     hash.Hash
+	n     int
+	words [512]uint64
+	block [512 * 8]byte
+}
+
+func (d *Digest) U64(v uint64) {
+	if d.n == len(d.words) {
+		d.flush()
+	}
+	d.words[d.n] = v
+	d.n++
+}
+
+func (d *Digest) I64(v int64)   { d.U64(uint64(v)) }
+func (d *Digest) F64(v float64) { d.U64(math.Float64bits(v)) }
+
+// flush hashes the buffered words in their little-endian byte form.
+func (d *Digest) flush() {
+	if d.h == nil {
+		d.h = sha256.New()
+	}
+	b := d.block[:0]
+	for _, v := range d.words[:d.n] {
+		b = binary.LittleEndian.AppendUint64(b, v)
+	}
+	d.h.Write(b)
+	d.n = 0
+}
+
+// Sum returns the hex SHA-256 of every word written so far.
+func (d *Digest) Sum() string {
+	d.flush()
+	return hex.EncodeToString(d.h.Sum(nil))
 }
 
 // Reader is a cursor over one frame. The first read past the end latches an

@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"math"
 	"testing"
@@ -342,4 +344,31 @@ func FuzzReader(f *testing.F) {
 			t.Fatalf("error %v does not match the sentinel", err)
 		}
 	})
+}
+
+// TestDigestIsSHA256OfWords: a Digest equals sha256.Sum256 of the same words
+// in little-endian byte form, for counts on both sides of the 512-word block
+// the digest buffers, with U64, I64 and F64 mixed.
+func TestDigestIsSHA256OfWords(t *testing.T) {
+	for _, n := range []int{0, 1, 511, 512, 513, 100_000} {
+		var d Digest
+		var want []byte
+		v := uint64(n)
+		for i := range n {
+			v = v*6364136223846793005 + 1442695040888963407
+			switch i % 3 {
+			case 0:
+				d.U64(v)
+			case 1:
+				d.I64(int64(v))
+			case 2:
+				d.F64(math.Float64frombits(v))
+			}
+			want = binary.LittleEndian.AppendUint64(want, v)
+		}
+		sum := sha256.Sum256(want)
+		if got := d.Sum(); got != hex.EncodeToString(sum[:]) {
+			t.Fatalf("%d words: digest %s, sha256 %x", n, got, sum)
+		}
+	}
 }

@@ -18,8 +18,8 @@ type Event struct {
 	QP     cluster.QPID
 }
 
-// sectorSize is the alignment quantum of generated IOs.
-const sectorSize = 4 << 10
+// SectorSize is the alignment quantum of generated IOs.
+const SectorSize = 4 << 10
 
 // coldZipfS is the Zipf exponent of the cold-region popularity ranking.
 const coldZipfS = 1.2
@@ -27,9 +27,9 @@ const coldZipfS = 1.2
 // permPool recycles region-permutation buffers across genEvents calls.
 var permPool = sync.Pool{New: func() any { b := make([]int, 0, 64); return &b }}
 
-// maxEventsPerSec caps post-sampling event generation during extreme bursts
+// MaxEventsPerSec caps post-sampling event generation during extreme bursts
 // so pathological configurations cannot hang a simulation.
-const maxEventsPerSec = 1 << 20
+const MaxEventsPerSec = 1 << 20
 
 // GenEvents synthesizes the EBS-visible IO event stream of vd over
 // [0, durSec) seconds, keeping one out of every sampleEvery IOs (pass 1 for
@@ -93,8 +93,8 @@ func (f *Fleet) genEvents(vd cluster.VDID, durSec, sampleEvery int, appLevel boo
 	perm := permInto(rng, m.ColdZipfBlocks, *permBuf)
 	*permBuf = perm
 	regionLen := d.Capacity / int64(m.ColdZipfBlocks)
-	if regionLen < sectorSize {
-		regionLen = sectorSize
+	if regionLen < SectorSize {
+		regionLen = SectorSize
 	}
 
 	seqPos := m.HotspotOffset
@@ -108,14 +108,14 @@ func (f *Fleet) genEvents(vd cluster.VDID, durSec, sampleEvery int, appLevel boo
 		if boost != nil {
 			b = boost(t)
 		}
-		rc := countFor(rng, b*s.ReadIOPS/float64(sampleEvery))
-		wc := countFor(rng, b*s.WriteIOPS/float64(sampleEvery))
+		rc := xrand.CountFor(rng, b*s.ReadIOPS/float64(sampleEvery))
+		wc := xrand.CountFor(rng, b*s.WriteIOPS/float64(sampleEvery))
 		total := rc + wc
 		if total == 0 {
 			continue
 		}
-		if total > maxEventsPerSec {
-			scale := float64(maxEventsPerSec) / float64(total)
+		if total > MaxEventsPerSec {
+			scale := float64(MaxEventsPerSec) / float64(total)
 			rc = int(float64(rc) * scale)
 			wc = int(float64(wc) * scale)
 			total = rc + wc
@@ -160,7 +160,7 @@ func (f *Fleet) genEvents(vd cluster.VDID, durSec, sampleEvery int, appLevel boo
 					}
 				} else {
 					span := m.HotspotLen - int64(ev.Size)
-					ev.Offset = m.HotspotOffset + alignDown(int64(rng.Float64()*float64(span)))
+					ev.Offset = m.HotspotOffset + AlignDown(int64(rng.Float64()*float64(span)))
 				}
 			} else if recentN > 0 && rng.Float64() < 0.25 {
 				// Re-reference a recent cold offset (temporal locality).
@@ -173,7 +173,7 @@ func (f *Fleet) genEvents(vd cluster.VDID, durSec, sampleEvery int, appLevel boo
 				if span < 0 {
 					span = 0
 				}
-				ev.Offset = base + alignDown(int64(rng.Float64()*float64(span)))
+				ev.Offset = base + AlignDown(int64(rng.Float64()*float64(span)))
 				recent[recentIdx] = ev.Offset
 				recentIdx = (recentIdx + 1) % len(recent)
 				if recentN < len(recent) {
@@ -182,7 +182,7 @@ func (f *Fleet) genEvents(vd cluster.VDID, durSec, sampleEvery int, appLevel boo
 			}
 			if ev.Offset+int64(ev.Size) > d.Capacity {
 				ev.Offset = d.Capacity - int64(ev.Size)
-				ev.Offset = alignDown(ev.Offset)
+				ev.Offset = AlignDown(ev.Offset)
 			}
 			if ev.Offset < 0 {
 				ev.Offset = 0
@@ -192,35 +192,22 @@ func (f *Fleet) genEvents(vd cluster.VDID, durSec, sampleEvery int, appLevel boo
 	}
 }
 
-// countFor turns a fractional expected count into an integer count by
-// flooring and adding a Bernoulli remainder, preserving the mean.
-func countFor(rng *xrand.Rand, lambda float64) int {
-	if lambda <= 0 || math.IsNaN(lambda) {
-		return 0
-	}
-	n := int(lambda)
-	if rng.Float64() < lambda-float64(n) {
-		n++
-	}
-	return n
-}
-
 // drawIOSize draws a 4 KiB-aligned IO size around the mean with a lognormal
 // spread, clamped to [4 KiB, 4 MiB].
 func drawIOSize(rng *xrand.Rand, mean float64) int32 {
 	s := mean * math.Exp(0.4*rng.NormFloat64())
-	if s < sectorSize {
-		s = sectorSize
+	if s < SectorSize {
+		s = SectorSize
 	}
 	if s > 4<<20 {
 		s = 4 << 20
 	}
-	return int32(alignDown(int64(s)))
+	return int32(AlignDown(int64(s)))
 }
 
-// alignDown rounds x down to the sector boundary.
-func alignDown(x int64) int64 {
-	a := x &^ (sectorSize - 1)
+// AlignDown rounds x down to the sector boundary (never below zero).
+func AlignDown(x int64) int64 {
+	a := x &^ (SectorSize - 1)
 	if a < 0 {
 		return 0
 	}

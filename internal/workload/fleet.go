@@ -141,7 +141,7 @@ func Generate(cfg Config) (*Fleet, error) {
 				Node: node.ID,
 				App:  cluster.AppClass(pickWeighted(rng, appW)),
 			}
-			nVDs := geometricAtLeast1(rng, meanVDsPerVM)
+			nVDs := xrand.GeometricAtLeast1(rng, meanVDsPerVM)
 			if nVDs > 16 {
 				nVDs = 16
 			}

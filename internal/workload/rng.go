@@ -157,20 +157,3 @@ func pickWeightedTotal(rng *xrand.Rand, weights []float64, total float64) int {
 	}
 	return len(weights) - 1
 }
-
-// geometricAtLeast1 draws a geometric count >= 1 with the given mean (>= 1).
-func geometricAtLeast1(rng *xrand.Rand, mean float64) int {
-	if mean <= 1 {
-		return 1
-	}
-	// Mean of 1+Geometric(p) is 1 + (1-p)/p = 1/p.
-	p := 1 / mean
-	n := 1
-	for rng.Float64() > p {
-		n++
-		if n >= 64 { // guard against pathological draws
-			break
-		}
-	}
-	return n
-}

@@ -180,7 +180,7 @@ func TestGenEventsWellFormed(t *testing.T) {
 		if ev.Offset < 0 || ev.Offset+int64(ev.Size) > d.Capacity {
 			t.Fatalf("event outside disk: off=%d size=%d cap=%d", ev.Offset, ev.Size, d.Capacity)
 		}
-		if ev.Offset%sectorSize != 0 || int64(ev.Size)%sectorSize != 0 {
+		if ev.Offset%SectorSize != 0 || int64(ev.Size)%SectorSize != 0 {
 			t.Fatalf("event not 4KiB aligned: off=%d size=%d", ev.Offset, ev.Size)
 		}
 		if ev.TimeUS < lastTime {
@@ -308,26 +308,6 @@ func TestBetaLikeRange(t *testing.T) {
 	}
 	if got := sum / n; math.Abs(got-0.3) > 0.05 {
 		t.Fatalf("betaLike mean = %v, want ~0.3", got)
-	}
-}
-
-func TestGeometricAtLeast1(t *testing.T) {
-	rng := xrand.Get(9)
-	if geometricAtLeast1(rng, 0.5) != 1 {
-		t.Fatal("mean <= 1 should return 1")
-	}
-	var sum int
-	const n = 20000
-	for i := 0; i < n; i++ {
-		v := geometricAtLeast1(rng, 3)
-		if v < 1 {
-			t.Fatal("geometric draw below 1")
-		}
-		sum += v
-	}
-	mean := float64(sum) / n
-	if math.Abs(mean-3) > 0.3 {
-		t.Fatalf("geometric mean = %v, want ~3", mean)
 	}
 }
 

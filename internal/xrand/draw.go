@@ -10,19 +10,12 @@ import (
 // every call — and every returned bit — is the stdlib's, while the source's
 // Uint64 step inlines into the draw instead of going through the rand.Source
 // interface: one direct call per draw. selfCheck proves them at init
-// (drawsMatch); when the mirror is off (src == nil) they delegate to the
-// embedded generator.
+// (drawsMatch).
 
 // Float64 returns, as a float64, a pseudo-random number in [0.0,1.0): the
 // stream of rand.(*Rand).Float64 — Int63 scaled to [0,1], resampled on the
 // (1 in 2^53) draw that rounds up to 1.
-func (r *Rand) Float64() float64 {
-	s := r.src
-	if s == nil {
-		return r.Rand.Float64()
-	}
-	return s.float64()
-}
+func (r *Rand) Float64() float64 { return r.src.float64() }
 
 func (s *source) float64() float64 {
 	for {
@@ -37,7 +30,7 @@ func (s *source) float64() float64 {
 // rejection-sampling the rest. It panics if n <= 0.
 func (r *Rand) Intn(n int) int {
 	s := r.src
-	if s == nil || n <= 0 || n > 1<<31-1 {
+	if n <= 0 || n > 1<<31-1 {
 		// The embedded generator draws on the same source: its panic, and
 		// its Int63n above 2^31, on the same stream.
 		return r.Rand.Intn(n)
@@ -59,9 +52,6 @@ func (r *Rand) Intn(n int) int {
 // 128-strip tables.
 func (r *Rand) NormFloat64() float64 {
 	s := r.src
-	if s == nil {
-		return r.Rand.NormFloat64()
-	}
 	j := int32(uint32(s.Int63() >> 31)) // Possibly negative
 	if i := j & 0x7F; absInt32(j) < kn[i] {
 		// This case should be hit better than 99% of the time.

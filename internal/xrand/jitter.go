@@ -54,11 +54,12 @@ func TailCut(p float64) int64 {
 //			tails = append(tails, Tail{k, r.Float64()})
 //		}
 //
-// On the mirrored source it is one fused loop: the source's step inlined,
-// the ziggurat's fast strip tested inline (its slow path is NormFloat64's
-// normSlow), and the tail test an integer compare of the raw Int63 with
-// TailCut — a draw Float64 would round to 1 is redrawn, as Float64 redraws
-// it. With the mirror off the same loop draws from the embedded generator.
+// It is one fused loop on the mirrored source, which is the only source a
+// Rand has (init refuses to start the process when the mirror fails its
+// proof): the source's step inlined, the ziggurat's fast strip tested inline
+// (its slow path is NormFloat64's normSlow), and the tail test an integer
+// compare of the raw Int63 with TailCut — a draw Float64 would round to 1 is
+// redrawn, as Float64 redraws it.
 func JitterBatch[O ~uint8](r *Rand, op []O, byOp *[2][]Jitter, x []float64, tails []Tail) []Tail {
 	ns := len(byOp[0])
 	s := r.src
@@ -66,9 +67,7 @@ func JitterBatch[O ~uint8](r *Rand, op []O, byOp *[2][]Jitter, x []float64, tail
 		row := x[i*ns : i*ns+ns]
 		for t, j := range byOp[o][:ns] {
 			var z float64
-			if s == nil {
-				z = r.Rand.NormFloat64()
-			} else if n := int32(uint32(s.Int63() >> 31)); absInt32(n) < kn[n&0x7F] {
+			if n := int32(uint32(s.Int63() >> 31)); absInt32(n) < kn[n&0x7F] {
 				z = float64(n) * float64(wn[n&0x7F])
 			} else {
 				z = s.normSlow(n)
@@ -79,11 +78,7 @@ func JitterBatch[O ~uint8](r *Rand, op []O, byOp *[2][]Jitter, x []float64, tail
 			}
 			v := int64(keepMax)
 			for v >= keepMax {
-				if s == nil {
-					v = r.Rand.Int63()
-				} else {
-					v = s.Int63()
-				}
+				v = s.Int63()
 			}
 			if v < j.TailCut {
 				tails = append(tails, Tail{K: i*ns + t, U: r.Float64()})

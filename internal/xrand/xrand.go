@@ -15,15 +15,15 @@
 // engine's output), so the package proves its own equivalence at init time:
 // it reconstructs the stdlib's additive-constant table from an observed
 // output stream and verifies a mirrored source against math/rand on several
-// seeds. If the running stdlib ever changes its generator, the self-check
-// fails and every Get transparently falls back to plain math/rand — slower,
-// never wrong.
+// seeds. There is no fallback: if the running stdlib ever changes its
+// generator, the self-check fails and the process refuses to start, since a
+// run on any other stream could never match a pinned fingerprint.
 //
 // The three draws the simulation's hot loops make — Float64, NormFloat64 and
 // Intn — are mirrored too (draw.go): *Rand's own methods shadow the embedded
 // *rand.Rand's and run on the concrete source, so a draw costs no interface
 // call through rand.Source. The same init self-check proves them against
-// math/rand; on the fallback path they delegate to the embedded generator.
+// math/rand.
 // JitterBatch (jitter.go) is the latency model's whole batch of draws — per
 // stage a normal, a tail test and, if it fires, a uniform — as one loop on
 // the concrete source, its tail test an integer compare.
@@ -119,7 +119,7 @@ func seedrand(x int32) int32 {
 }
 
 // cooked is the stdlib's rngCooked additive table, recovered at init (see
-// recoverCooked). Valid only when mirrorOK.
+// recoverCooked).
 var cooked [rngLen]int64
 
 // computeVec fills vec with the post-Seed state of rngSource for seed,
@@ -227,9 +227,11 @@ func selfCheck() bool {
 	return true
 }
 
-// mirrorOK reports whether the mirrored source reproduces the running
-// stdlib; when false, Get falls back to plain math/rand.
-var mirrorOK = recoverCooked() && selfCheck()
+func init() {
+	if !recoverCooked() || !selfCheck() {
+		panic("xrand: the mirrored source does not reproduce this toolchain's math/rand; seeded streams would not match any pinned fingerprint")
+	}
+}
 
 // Seed-vector memo. Hot simulation paths draw from a bounded set of derived
 // seeds, so hit rates approach 1 after the first run; the map is reset when
@@ -264,7 +266,7 @@ func cachePut(seed int64, vec *[rngLen]int64) {
 // pool reuse); the simulation streams never do.
 type Rand struct {
 	*rand.Rand
-	src *source // nil on the fallback path
+	src *source
 }
 
 var pool = sync.Pool{New: func() any { return newMirrored() }}
@@ -287,9 +289,6 @@ func Get(seed int64) *Rand { return get(seed, true) }
 func GetUncached(seed int64) *Rand { return get(seed, false) }
 
 func get(seed int64, keep bool) *Rand {
-	if !mirrorOK {
-		return &Rand{Rand: rand.New(rand.NewSource(seed))}
-	}
 	r := pool.Get().(*Rand)
 	r.src.reseed(seed, keep)
 	return r
@@ -297,8 +296,4 @@ func get(seed int64, keep bool) *Rand {
 
 // Release returns the generator to the pool. The Rand must not be used
 // after Release.
-func (r *Rand) Release() {
-	if r.src != nil {
-		pool.Put(r)
-	}
-}
+func (r *Rand) Release() { pool.Put(r) }

@@ -5,15 +5,6 @@ import (
 	"testing"
 )
 
-// TestMirrorActive pins the fast path on the toolchain the repo builds
-// with: if the stdlib generator ever changes shape, this fails loudly
-// instead of silently running the slow fallback forever.
-func TestMirrorActive(t *testing.T) {
-	if !mirrorOK {
-		t.Fatal("mirror self-check failed: xrand is running on the math/rand fallback")
-	}
-}
-
 // TestStreamEquivalence drives the pooled generator and a reference
 // math/rand generator through the same mixed draw sequence — every method
 // the simulation streams use — and requires bit-identical results.
@@ -193,44 +184,6 @@ func TestDrawMirrorsMatchMathRand(t *testing.T) {
 		t.Fatalf("ziggurat paths not exercised: base strip %d, wedge %d", base, wedge)
 	}
 	t.Logf("NormFloat64 left the fast path %d times through the base strip, %d through a wedge", base, wedge)
-}
-
-// TestDrawFallback: with the mirror off, Get hands out plain math/rand
-// generators and the shadowing methods must return the embedded generator's
-// stream.
-func TestDrawFallback(t *testing.T) {
-	saved := mirrorOK
-	mirrorOK = false
-	defer func() { mirrorOK = saved }()
-	const seed = 4242
-	got, want := Get(seed), rand.New(rand.NewSource(seed))
-	if got.src != nil {
-		t.Fatal("Get returned a mirrored generator with mirrorOK false")
-	}
-	for i := 0; i < 3000; i++ {
-		switch i % 3 {
-		case 0:
-			if g, w := got.Float64(), want.Float64(); g != w {
-				t.Fatalf("draw %d: Float64 %v != %v", i, g, w)
-			}
-		case 1:
-			if g, w := got.NormFloat64(), want.NormFloat64(); g != w {
-				t.Fatalf("draw %d: NormFloat64 %v != %v", i, g, w)
-			}
-		case 2:
-			if g, w := got.Intn(1000), want.Intn(1000); g != w {
-				t.Fatalf("draw %d: Intn %v != %v", i, g, w)
-			}
-		}
-	}
-	got.Release()
-
-	// JitterBatch runs its one loop on the embedded generator.
-	got, want = Get(seed), rand.New(rand.NewSource(seed))
-	if fired := matchJitter(t, got, want, want.NormFloat64, 1<<12); fired == 0 {
-		t.Fatal("no tail fired on the fallback path")
-	}
-	got.Release()
 }
 
 // BenchmarkNormFloat64 compares the mirrored draw with the embedded
