@@ -1,11 +1,12 @@
 # Developer entry points. `make ci` is the gate: vet (with gofmt), the
-# every-declaration-has-a-caller test, the full test suite
-# under the race detector on a short-window fleet (the tests build their own
-# small fleets, so the race run stays fast — and it includes the netblock
-# client-vs-server stress test with wire faults enabled), the golden-fixture
-# drift check, a short randomized run of every fuzz target, coverage over the
-# fault-injection packages, a seeded chaos smoke run with the invariant
-# checker, the whole reproduction catalog at the quick fleet size, and the
+# every-declaration-has-a-caller and every-field-has-a-reader tests, the full
+# test suite under the race detector on a short-window fleet (the tests build
+# their own small fleets, so the race run stays fast — and it includes the
+# netblock client-vs-server stress test with wire faults enabled), the
+# golden-fixture drift check, a short randomized run of every fuzz target,
+# coverage over the fault-injection packages, a seeded chaos smoke run with the
+# invariant checker, the fabric over loopback, over TCP sockets and
+# replicated, the whole reproduction catalog at the quick fleet size, and the
 # allocation budgets (run without the race detector, under which they skip),
 # and the latency, draw and engine suites built for x86-64-v3.
 # Timing lives in one place, the bench/ module.
@@ -13,7 +14,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: all build test race vet callers loc knobs bench-gate golden golden-diff fuzz-smoke cover chaos-smoke sketch-accuracy-smoke dist-smoke dist-ha-smoke consensus-race gateway-smoke control-smoke scenario-smoke analyze-smoke bench-module amd64-v3 ci
+.PHONY: all build test race vet callers loc knobs bench-gate golden golden-diff fuzz-smoke cover chaos-smoke sketch-accuracy-smoke dist-smoke dist-tcp-smoke dist-ha-smoke consensus-race gateway-smoke control-smoke scenario-smoke analyze-smoke bench-module amd64-v3 ci
 
 all: build
 
@@ -31,9 +32,13 @@ vet:
 # Every declaration has a caller: fails on a package-level declaration or
 # method that neither a cmd/* program nor anything bench/*.go references
 # reaches and that testdata/callers_allow.txt does not list with a reason —
-# and on a listed name that is reachable or gone (callers_test.go).
+# and on a listed name that is reachable or gone (callers_test.go). Every
+# field has a reader: fails on a struct field that no non-test code and no
+# bench/*.go file reads (a store is not a read) and that
+# testdata/fields_allow.txt does not list with its reader — and on a listed
+# field that is read or gone (fields_test.go).
 callers:
-	$(GO) test -run TestDeclarationsHaveCallers -count=1 .
+	$(GO) test -run 'TestDeclarationsHaveCallers|TestFieldsHaveReaders' -count=1 .
 
 # Non-test Go lines outside bench/, per package directory and in total: the
 # number a simplification PR reports before and after (ROADMAP aim 2).
@@ -137,6 +142,27 @@ sketch-accuracy-smoke:
 dist-smoke:
 	$(GO) run ./cmd/ebssim -seed 7 -dur 15 -nodes 4 -max-vds 24 -dist 2 -shards 5 -check -stream
 
+# TCP worker gate: ebssim serves the fabric on a real socket
+# (-workers-addr 127.0.0.1:0), two ebsd workers join the address it prints on
+# stderr, and the target fails unless the coordinator's stdout is
+# byte-identical to the single-process run of the same study flags. The
+# binaries are built first so the background coordinator is the process the
+# recipe waits on and kills on failure.
+DIST_TCP_FLAGS = -seed 7 -dur 15 -nodes 4 -max-vds 24 -check
+dist-tcp-smoke:
+	@tmp=$$(mktemp -d .dist-tcp-smoke.XXXXXX) && trap 'kill $$co $$w1 $$w2 2>/dev/null; rm -rf $$tmp' EXIT \
+		&& $(GO) build -o $$tmp/ebssim ./cmd/ebssim && $(GO) build -o $$tmp/ebsd ./cmd/ebsd \
+		&& $$tmp/ebssim $(DIST_TCP_FLAGS) > $$tmp/single.out \
+		&& { $$tmp/ebssim $(DIST_TCP_FLAGS) -workers-addr 127.0.0.1:0 > $$tmp/tcp.out 2> $$tmp/tcp.err & co=$$!; } \
+		&& for i in $$(seq 100); do addr=$$(sed -n 's/^ebssim: waiting for workers on \([^ ]*\) .*/\1/p' $$tmp/tcp.err); \
+			[ -n "$$addr" ] && break; kill -0 $$co 2>/dev/null || break; sleep 0.1; done \
+		&& { [ -n "$$addr" ] || { cat $$tmp/tcp.err; echo "dist-tcp-smoke: the coordinator printed no address"; false; }; } \
+		&& echo "ebssim $(DIST_TCP_FLAGS) -workers-addr $$addr + 2 x ebsd -join $$addr" \
+		&& { $$tmp/ebsd -join $$addr & w1=$$!; $$tmp/ebsd -join $$addr & w2=$$!; } \
+		&& wait $$co && wait $$w1 && wait $$w2 \
+		&& cat $$tmp/tcp.out && cmp $$tmp/single.out $$tmp/tcp.out \
+		&& echo "TCP workers == single-process: byte-identical"
+
 # High-availability variant: the coordinator is a 3-replica consensus group
 # and the chaos plan kills the acting leader mid-run. A successor must be
 # elected, the workers must fail over through redirects, and the merged
@@ -218,4 +244,4 @@ analyze-smoke:
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-ci: vet callers race golden-diff fuzz-smoke cover chaos-smoke sketch-accuracy-smoke dist-smoke dist-ha-smoke consensus-race gateway-smoke control-smoke scenario-smoke analyze-smoke bench-module bench-gate amd64-v3
+ci: vet callers race golden-diff fuzz-smoke cover chaos-smoke sketch-accuracy-smoke dist-smoke dist-tcp-smoke dist-ha-smoke consensus-race gateway-smoke control-smoke scenario-smoke analyze-smoke bench-module bench-gate amd64-v3

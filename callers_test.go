@@ -43,7 +43,7 @@ func TestDeclarationsHaveCallers(t *testing.T) {
 	m := loadModule(t)
 	live := m.reach()
 
-	allowed := readAllowlist(t)
+	allowed := readAllowlist(t, callersAllowed)
 	used := make(map[string]bool)     // allowlist entries that excuse something
 	liveName := make(map[string]bool) // reachable declarations by name...
 	livePkg := make(map[string]bool)  // ...and the packages that hold one
@@ -139,8 +139,9 @@ func (m *module) check(path, dir string, tests bool) (*types.Package, error) {
 		files = append(files, f)
 	}
 	info := &types.Info{
-		Defs: make(map[*ast.Ident]types.Object),
-		Uses: make(map[*ast.Ident]types.Object),
+		Types: make(map[ast.Expr]types.TypeAndValue),
+		Defs:  make(map[*ast.Ident]types.Object),
+		Uses:  make(map[*ast.Ident]types.Object),
 	}
 	pkg, err := (&types.Config{Importer: m}).Check(path, m.fset, files, info)
 	if err != nil {
@@ -336,11 +337,11 @@ func (m *module) reach() map[types.Object]bool {
 	return live
 }
 
-// readAllowlist parses "import/path.Name  # reason" lines (whole packages as
-// "import/path.*"); the reason is mandatory.
-func readAllowlist(t *testing.T) map[string]string {
+// readAllowlist parses file's "name  # reason" lines (callers_allow.txt names
+// whole packages as "import/path.*"); the reason is mandatory.
+func readAllowlist(t *testing.T, file string) map[string]string {
 	t.Helper()
-	f, err := os.Open(callersAllowed)
+	f, err := os.Open(file)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,10 +356,10 @@ func readAllowlist(t *testing.T) map[string]string {
 		name, reason, _ := strings.Cut(text, "#")
 		name, reason = strings.TrimSpace(name), strings.TrimSpace(reason)
 		if reason == "" {
-			t.Fatalf("%s:%d: %s has no reason", callersAllowed, line, name)
+			t.Fatalf("%s:%d: %s has no reason", file, line, name)
 		}
 		if allowed[name] != "" {
-			t.Fatalf("%s:%d: %s listed twice", callersAllowed, line, name)
+			t.Fatalf("%s:%d: %s listed twice", file, line, name)
 		}
 		allowed[name] = reason
 	}

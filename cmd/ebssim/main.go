@@ -247,7 +247,7 @@ func main() {
 	}
 	if *chaosOn {
 		sched := spec.Opts.Chaos.Expand(study.Seed, chaos.Shape{
-			BSs:    len(top.StorageNodes),
+			BSs:    top.StorageNodes,
 			VDs:    len(top.VDs),
 			DurSec: dur,
 		})
@@ -477,7 +477,6 @@ func runCoordinator(ctx context.Context, spec ebs.RunSpec, addr string, shards, 
 		fc.ReplicaID = replicaID
 		fc.Replicas = len(peerList)
 		fc.Transport = pt
-		fc.PeerAddrs = peerList
 	}
 	co, err := fabric.NewCoordinator(fc)
 	if err != nil {

@@ -101,8 +101,6 @@ type Migration struct {
 
 // Result summarizes one balancer run.
 type Result struct {
-	Policy     string
-	Mode       Mode
 	Migrations []Migration
 	// WriteCoV[p] and ReadCoV[p] are the normalized CoVs of per-BS write and
 	// read traffic in period p, measured under the placement in effect
@@ -144,7 +142,7 @@ func RunWithFailures(seg2bs *cluster.SegmentMap, segTraffic [][]RW, policy Impor
 	if len(segTraffic) > 0 {
 		nPeriods = len(segTraffic[0])
 	}
-	res := Result{Policy: policy.Name(), Mode: cfg.Mode}
+	var res Result
 
 	// bsHistW/bsHistR: per-BS traffic per period under the placement in
 	// effect at each period — the history importer policies consult.

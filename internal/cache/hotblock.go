@@ -8,7 +8,6 @@ import (
 
 // BlockReport summarizes the hottest fixed-size block of one VD (Figure 6).
 type BlockReport struct {
-	BlockSize int64
 	// Hottest is the index of the most-accessed block.
 	Hottest int64
 	// AccessRate is the fraction of IOs landing in the hottest block
@@ -20,15 +19,13 @@ type BlockReport struct {
 	// WrRatio is the normalized write-to-read ratio of IOs to the hottest
 	// block (Fig 6c).
 	WrRatio float64
-	// Accesses is the total IO count analyzed.
-	Accesses int
 }
 
 // AnalyzeBlocks divides a VD's LBA space into fixed-size blocks and finds
 // the hottest one. Each IO is attributed to the block containing its start
 // offset (IOs are far smaller than the study's 64 MiB+ blocks).
 func AnalyzeBlocks(accesses []Access, capacity, blockSize int64) BlockReport {
-	rep := BlockReport{BlockSize: blockSize, Hottest: -1}
+	rep := BlockReport{Hottest: -1}
 	if capacity <= 0 || blockSize <= 0 || len(accesses) == 0 {
 		rep.AccessRate = math.NaN()
 		rep.WrRatio = math.NaN()
@@ -57,7 +54,6 @@ func AnalyzeBlocks(accesses []Access, capacity, blockSize int64) BlockReport {
 			hot, hotCount = int64(b), c
 		}
 	}
-	rep.Accesses = len(accesses)
 	rep.Hottest = hot
 	if hot < 0 {
 		rep.AccessRate = math.NaN()

@@ -123,7 +123,7 @@ func TestGoldenChaosScenario(t *testing.T) {
 	f := scenarioFleet(t)
 	plan := disruptivePlan()
 	shape := chaos.Shape{
-		BSs: len(f.Topology.StorageNodes), VDs: len(f.Topology.VDs), DurSec: 12,
+		BSs: f.Topology.StorageNodes, VDs: len(f.Topology.VDs), DurSec: 12,
 	}
 	sched := plan.Expand(scenarioSeed, shape)
 
@@ -199,7 +199,7 @@ func TestNeutralPlanReproducesFaultFreeFingerprint(t *testing.T) {
 	f := scenarioFleet(t)
 	plan := neutralPlan()
 	shape := chaos.Shape{
-		BSs: len(f.Topology.StorageNodes), VDs: len(f.Topology.VDs), DurSec: 12,
+		BSs: f.Topology.StorageNodes, VDs: len(f.Topology.VDs), DurSec: 12,
 	}
 	sched := plan.Expand(scenarioSeed, shape)
 	if !sched.DatasetNeutral() {

@@ -124,7 +124,8 @@ type Segment struct {
 }
 
 // Topology is the static object graph of one or more data centers. All
-// slices are indexed by the corresponding ID.
+// slices are indexed by the corresponding ID; storage nodes are numbered
+// 0..StorageNodes-1.
 type Topology struct {
 	DCs          int
 	Users        int
@@ -133,13 +134,7 @@ type Topology struct {
 	VDs          []VD
 	QPs          []QP
 	Segments     []Segment
-	StorageNodes []StorageNodeInfo
-}
-
-// StorageNodeInfo describes one storage node.
-type StorageNodeInfo struct {
-	ID StorageNodeID
-	DC DCID
+	StorageNodes int
 }
 
 // NumWTs returns the total number of worker threads across all compute nodes.

@@ -31,7 +31,7 @@ func tinyTopology(t *testing.T) *Topology {
 		{ID: 2, VD: 1, Index: 0}, {ID: 3, VD: 1, Index: 1},
 		{ID: 4, VD: 2, Index: 0},
 	}
-	top.StorageNodes = []StorageNodeInfo{{ID: 0, DC: 0}, {ID: 1, DC: 0}, {ID: 2, DC: 0}}
+	top.StorageNodes = 3
 	if err := top.Validate(); err != nil {
 		t.Fatalf("tiny topology invalid: %v", err)
 	}

@@ -71,9 +71,8 @@ func (m *SegmentMap) SegmentsOn(bs StorageNodeID) []SegmentID {
 // storage cluster (its serving cluster), which is the unit the inter-BS
 // balancer operates on.
 type StorageCluster struct {
-	DC    DCID
-	Index int             // cluster index within the DC
-	BSs   []StorageNodeID // global BS ids, ascending
+	DC  DCID
+	BSs []StorageNodeID // global BS ids, ascending
 }
 
 // StorageClusters partitions nBSPerDC BlockServers per DC into groups of
@@ -87,7 +86,7 @@ func StorageClusters(dcs, nBSPerDC, bsPerCluster int) []StorageCluster {
 		base := dc * nBSPerDC
 		nClusters := nBSPerDC / bsPerCluster
 		for c := 0; c < nClusters; c++ {
-			sc := StorageCluster{DC: DCID(dc), Index: c}
+			sc := StorageCluster{DC: DCID(dc)}
 			hi := (c + 1) * bsPerCluster
 			if c == nClusters-1 {
 				hi = nBSPerDC // absorb remainder
@@ -104,9 +103,8 @@ func StorageClusters(dcs, nBSPerDC, bsPerCluster int) []StorageCluster {
 // PlaceSegmentsClustered places every VD's segments inside one storage
 // cluster of its DC (chosen at random), spreading the segments of each VD
 // across distinct BlockServers of that cluster where possible. It returns
-// the placement plus each VD's serving cluster (indexed by VDID into the
-// returned clusters slice).
-func PlaceSegmentsClustered(t *Topology, nBSPerDC, bsPerCluster int, rng *rand.Rand) (*SegmentMap, []StorageCluster, []int) {
+// the placement and the clusters.
+func PlaceSegmentsClustered(t *Topology, nBSPerDC, bsPerCluster int, rng *rand.Rand) (*SegmentMap, []StorageCluster) {
 	clusters := StorageClusters(t.DCs, nBSPerDC, bsPerCluster)
 	if len(clusters) == 0 {
 		panic("cluster: no storage clusters")
@@ -117,13 +115,11 @@ func PlaceSegmentsClustered(t *Topology, nBSPerDC, bsPerCluster int, rng *rand.R
 		byDC[clusters[i].DC] = append(byDC[clusters[i].DC], i)
 	}
 	m := NewSegmentMap(len(t.Segments), t.DCs*nBSPerDC)
-	clusterOf := make([]int, len(t.VDs))
 	for i := range t.VDs {
 		vd := &t.VDs[i]
 		dc := t.Nodes[t.VMs[vd.VM].Node].DC
 		choices := byDC[dc]
 		ci := choices[rng.Intn(len(choices))]
-		clusterOf[i] = ci
 		bss := clusters[ci].BSs
 		start := rng.Intn(len(bss))
 		stride := 1 + rng.Intn(max(1, len(bss)-1))
@@ -131,5 +127,5 @@ func PlaceSegmentsClustered(t *Topology, nBSPerDC, bsPerCluster int, rng *rand.R
 			m.Assign(seg, bss[(start+j*stride)%len(bss)])
 		}
 	}
-	return m, clusters, clusterOf
+	return m, clusters
 }

@@ -21,7 +21,6 @@ type Fig2aResult struct {
 	// ScalesSec[i]; P90* are the 90th percentiles.
 	MedianRead, MedianWrite []float64
 	P90Read, P90Write       []float64
-	Nodes                   int
 }
 
 // Fig2aWTCoV measures per-node worker-thread CoV under the round-robin
@@ -30,7 +29,7 @@ type Fig2aResult struct {
 func (s *Study) Fig2aWTCoV() Fig2aResult {
 	scalesSec := []int{30, 120, 300}
 	top := s.Fleet.Topology
-	res := Fig2aResult{ScalesSec: scalesSec, Nodes: len(top.Nodes)}
+	res := Fig2aResult{ScalesSec: scalesSec}
 
 	// Per-node per-WT second series, built by streaming VDs once.
 	type wtAgg struct{ r, w [][]float64 } // [wt][sec]

@@ -249,7 +249,7 @@ func (s *Study) Fig7dSpaceUtilization() Fig7dResult {
 			nodeOfBS[vd] = int(s.Fleet.Seg2BS.BSOf(hotSeg))
 		}
 		cn := latency.CountCacheablePerNode(nodeOfCN, cacheable, len(top.Nodes))
-		bs := latency.CountCacheablePerNode(nodeOfBS, cacheable, len(top.StorageNodes))
+		bs := latency.CountCacheablePerNode(nodeOfBS, cacheable, top.StorageNodes)
 		cnF, bsF := toF(cn), toF(bs)
 		res.BlockMiB = append(res.BlockMiB, mib)
 		res.CNStd = append(res.CNStd, stats.StdDev(cnF))

@@ -209,7 +209,7 @@ func goldenEngineRun(t *testing.T, workers int) *invariant.Artifacts {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &invariant.Artifacts{Fleet: s.Fleet, Dataset: ds, EventSampleEvery: 4, TraceSampleEvery: 1}
+	return &invariant.Artifacts{Dataset: ds, EventSampleEvery: 4, TraceSampleEvery: 1}
 }
 
 // TestGoldenEngineFingerprint pins the end-to-end engine output: one hash

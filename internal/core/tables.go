@@ -29,7 +29,7 @@ func (s *Study) Table2Summary() Table2Result {
 	top := s.Fleet.Topology
 	res := Table2Result{
 		Users: top.Users, VMs: len(top.VMs), VDs: len(top.VDs),
-		DurationSec: s.Dur, Nodes: len(top.Nodes), BS: len(top.StorageNodes),
+		DurationSec: s.Dur, Nodes: len(top.Nodes), BS: top.StorageNodes,
 	}
 	vmPerUser := make([]float64, top.Users)
 	vdPerUser := make([]float64, top.Users)

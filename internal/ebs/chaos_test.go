@@ -39,7 +39,7 @@ func TestChaosStatsPopulated(t *testing.T) {
 		t.Fatal(err)
 	}
 	sched := plan.Expand(f.Cfg.Seed, chaos.Shape{
-		BSs: len(f.Topology.StorageNodes), VDs: len(f.Topology.VDs), DurSec: 10,
+		BSs: f.Topology.StorageNodes, VDs: len(f.Topology.VDs), DurSec: 10,
 	})
 	if st.CrashWindows != len(sched.Crashes) || st.StormWindows != len(sched.Storms) {
 		t.Fatalf("stats windows %+v disagree with the schedule (%d crashes, %d storms)",

@@ -50,7 +50,6 @@ func artifactsOf(t *testing.T, r *fleetAndRun) *invariant.Artifacts {
 		t.Fatalf("CountEmission: %v", err)
 	}
 	return &invariant.Artifacts{
-		Fleet:            r.sim.fleet,
 		Dataset:          r.ds,
 		Emission:         em,
 		EventSampleEvery: 1,

@@ -306,7 +306,6 @@ func (s *Sim) finish(r *runState) (*trace.Dataset, error) {
 	}
 	if opts.Check {
 		rep := invariant.VerifyRun(&invariant.Artifacts{
-			Fleet:            s.fleet,
 			Dataset:          ds,
 			Emission:         r.emission,
 			EventSampleEvery: opts.EventSampleEvery,
@@ -339,7 +338,7 @@ func (s *Sim) expandChaos(opts Options) *chaos.Schedule {
 	}
 	top := s.fleet.Topology
 	return opts.Chaos.Expand(opts.Seed, chaos.Shape{
-		BSs: len(top.StorageNodes), VDs: len(top.VDs), DurSec: opts.DurationSec,
+		BSs: top.StorageNodes, VDs: len(top.VDs), DurSec: opts.DurationSec,
 	})
 }
 

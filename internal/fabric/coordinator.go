@@ -64,9 +64,6 @@ type Config struct {
 	// Transport delivers consensus messages to peer replicas. Required when
 	// Replicas > 1; ignored otherwise.
 	Transport consensus.Transport
-	// PeerAddrs optionally maps replica IDs to dialable addresses, included
-	// in leader redirects so workers can jump straight to the leader.
-	PeerAddrs []string
 
 	// The timing below is fixed outside this package's tests, which shorten
 	// it to stage reaping, speculation and elections in milliseconds.
@@ -375,7 +372,7 @@ func (co *Coordinator) render(resp *netblock.Response, reply any, err error) *ne
 		var nle *consensus.NotLeaderError
 		if errors.As(err, &nle) {
 			resp.Status = netblock.StatusRedirect
-			resp.Payload = mustJSON(co.redirectFor(nle.Leader))
+			resp.Payload = mustJSON(RedirectReply{Leader: nle.Leader, Known: nle.Leader != consensus.None})
 			return resp
 		}
 		resp.Status = netblock.StatusError
@@ -386,20 +383,11 @@ func (co *Coordinator) render(resp *netblock.Response, reply any, err error) *ne
 	case error:
 		resp.Status = netblock.StatusError
 		resp.Payload = []byte(v.Error())
-	case nil: // cmdDrain wants no payload
+	case nil: // heartbeat and drain want no payload
 	default:
 		resp.Payload = mustJSON(v)
 	}
 	return resp
-}
-
-// redirectFor builds the redirect payload for a hinted leader ID.
-func (co *Coordinator) redirectFor(leader int) RedirectReply {
-	r := RedirectReply{Leader: leader, Known: leader != consensus.None}
-	if r.Known && leader < len(co.cfg.PeerAddrs) {
-		r.Addr = co.cfg.PeerAddrs[leader]
-	}
-	return r
 }
 
 // Done reports whether every shard has an accepted result.

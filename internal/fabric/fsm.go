@@ -115,7 +115,6 @@ type shardState struct {
 
 // workerState is the control plane's view of one joined worker.
 type workerState struct {
-	id       uint64
 	lastBeat time.Time
 }
 
@@ -149,8 +148,7 @@ func (p *pulse) fire() {
 // the Runner's lock; nothing here reads the wall clock — every timestamp
 // comes from the command being applied.
 type ledgerFSM struct {
-	cfg  Config // defaults resolved; supplies liveness/speculation knobs
-	plan []cluster.ShardRange
+	cfg Config // defaults resolved; supplies liveness/speculation knobs
 	// stream is the sketch configuration joining workers build their sets
 	// from (nil = no streaming), read once at construction: the final merge
 	// overwrites *cfg.Opts.Stream, possibly while a late worker joins.
@@ -172,7 +170,6 @@ type ledgerFSM struct {
 func newLedgerFSM(cfg Config, plan []cluster.ShardRange) *ledgerFSM {
 	f := &ledgerFSM{
 		cfg:       cfg,
-		plan:      plan,
 		workers:   make(map[uint64]*workerState),
 		remaining: len(plan),
 		allDone:   make(chan struct{}),
@@ -214,11 +211,11 @@ func (f *ledgerFSM) Apply(index uint64, cmd []byte) any {
 	case cmdHeartbeat:
 		f.touch(c.Worker, now)
 		f.reap(now)
-		return resultReply{Done: f.remaining == 0}
+		return nil
 	case cmdDrain:
 		delete(f.workers, c.Worker)
 		f.requeue(c.Worker)
-		return resultReply{Done: f.remaining == 0}
+		return nil
 	}
 	return fmt.Errorf("fabric: unknown ledger command kind %d", c.Kind)
 }
@@ -227,7 +224,7 @@ func (f *ledgerFSM) Apply(index uint64, cmd []byte) any {
 func (f *ledgerFSM) join(now time.Time) JoinReply {
 	f.nextID++
 	id := f.nextID
-	f.workers[id] = &workerState{id: id, lastBeat: now}
+	f.workers[id] = &workerState{lastBeat: now}
 	return JoinReply{
 		WorkerID:    id,
 		Spec:        f.cfg.runSpec(),
@@ -319,13 +316,13 @@ func (f *ledgerFSM) result(frame []byte, now time.Time) any {
 			shardID, p.Lo, p.Hi, sh.r)
 	}
 	if sh.returnedBy[workerID] {
-		return resultReply{Accepted: false, Done: f.remaining == 0}
+		return resultReply{}
 	}
 	sh.returnedBy[workerID] = true
 	sh.returned++
 	delete(sh.running, workerID)
 	if sh.state == shardDone {
-		return resultReply{Accepted: false, Done: f.remaining == 0}
+		return resultReply{}
 	}
 	sh.state = shardDone
 	sh.partial = p
@@ -337,7 +334,7 @@ func (f *ledgerFSM) result(frame []byte, now time.Time) any {
 	// An accepted result changes what the next assign answers (fewer shards
 	// out, possibly done): wake any worker parked in an assign long-poll.
 	f.avail.fire()
-	return resultReply{Accepted: true, Done: f.remaining == 0}
+	return resultReply{Accepted: true}
 }
 
 func (f *ledgerFSM) touch(workerID uint64, now time.Time) {

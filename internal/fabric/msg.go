@@ -73,15 +73,13 @@ type AssignReply struct {
 // accounting dropped the result as a duplicate.
 type resultReply struct {
 	Accepted bool
-	Done     bool
 }
 
 // RedirectReply is the payload of a StatusRedirect response: the answering
-// replica's best knowledge of who leads the control plane. Known is false mid-election; Addr is set when the
-// replica was configured with peer addresses.
+// replica's best knowledge of who leads the control plane, by replica ID.
+// Known is false mid-election.
 type RedirectReply struct {
 	Leader int
-	Addr   string `json:",omitempty"`
 	Known  bool
 }
 

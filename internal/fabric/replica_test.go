@@ -270,9 +270,9 @@ func TestReplicaSetConstructionSendsNothing(t *testing.T) {
 
 // TestTCPReplicasMatchRunSpec drives the role `ebssim -workers-addr -peers
 // -replica-id` runs: three coordinators on their own TCP listeners, wired by
-// PeerTransport with PeerAddrs set, and two workers that dial all three. A
-// follower must answer a worker op with a StatusRedirect naming the leader's
-// PeerAddrs entry, and the merged dataset must be RunSpec.Run's.
+// PeerTransport, and two workers that dial all three. A follower must answer
+// a worker op with a StatusRedirect naming another replica as leader, and the
+// merged dataset must be RunSpec.Run's.
 func TestTCPReplicasMatchRunSpec(t *testing.T) {
 	const replicas = 3
 	var (
@@ -291,7 +291,7 @@ func TestTCPReplicasMatchRunSpec(t *testing.T) {
 	}
 	base := Config{
 		Fleet: testFleetConfig(), Opts: testOpts(nil), Shards: 5,
-		Replicas: replicas, PeerAddrs: addrs,
+		Replicas:        replicas,
 		heartbeatEvery:  20 * time.Millisecond,
 		livenessTimeout: 2 * time.Second,
 	}
@@ -314,7 +314,7 @@ func TestTCPReplicasMatchRunSpec(t *testing.T) {
 		})
 	}
 
-	// A follower redirects a worker op to the leader by address. Probe every
+	// A follower redirects a worker op to the leader by replica ID. Probe every
 	// replica until one that is not leading answers with a known leader.
 	redirected := false
 	for deadline := time.Now().Add(10 * time.Second); !redirected && time.Now().Before(deadline); {
@@ -336,8 +336,8 @@ func TestTCPReplicasMatchRunSpec(t *testing.T) {
 			if !r.Known {
 				continue // mid-election
 			}
-			if r.Leader == i || r.Leader < 0 || r.Leader >= replicas || r.Addr != addrs[r.Leader] {
-				t.Fatalf("replica %d redirected to %+v, want another replica's PeerAddrs entry %v", i, r, addrs)
+			if r.Leader == i || r.Leader < 0 || r.Leader >= replicas {
+				t.Fatalf("replica %d redirected to %+v, want another of the %d replicas", i, r, replicas)
 			}
 			redirected = true
 		}

@@ -201,8 +201,8 @@ func (gw *Gateway) tenantLocked(name string, now time.Time) *tenant {
 // closed) is an error. Over-cap-rate submissions are NOT errors: they queue
 // behind the tenant's token bucket and start when it refills.
 func (gw *Gateway) Submit(tenantName string, spec StudySpec) (SubmitReply, error) {
-	if n := len(tenantName); n == 0 || n > maxTenantLen {
-		return SubmitReply{}, fmt.Errorf("gateway: tenant name length %d, want [1, %d]", n, maxTenantLen)
+	if err := checkName("tenant", tenantName, maxTenantLen); err != nil {
+		return SubmitReply{}, fmt.Errorf("gateway: %w", err)
 	}
 	spec = spec.withDefaults()
 	if err := spec.Validate(); err != nil {
@@ -518,7 +518,7 @@ func (gw *Gateway) Status(id uint64) (StatusReply, error) {
 	if j == nil {
 		return StatusReply{}, fmt.Errorf("gateway: no study %d", id)
 	}
-	rep := StatusReply{
+	return StatusReply{
 		StudyID:   j.id,
 		Tenant:    j.tenant,
 		State:     StateName(j.state),
@@ -531,16 +531,7 @@ func (gw *Gateway) Status(id uint64) (StatusReply, error) {
 
 		ControlLogFP:     j.ctlFP,
 		ControlDecisions: j.ctlDecisions,
-	}
-	if j.state == StateQueued {
-		for i, q := range gw.tenants[j.tenant].queue {
-			if q == j {
-				rep.QueuePos = i
-				break
-			}
-		}
-	}
-	return rep, nil
+	}, nil
 }
 
 // Snapshot serves the study's current streamed sketch state: a merge of the

@@ -67,6 +67,17 @@ func TestSubmitValidation(t *testing.T) {
 	if _, err := gw.Submit(strings.Repeat("x", 65), tinySpec(1)); err == nil {
 		t.Error("oversized tenant name accepted")
 	}
+	// In-process and over the wire, one rule refuses a tenant name in the
+	// same words.
+	for _, name := range []string{"a b", "a\x01"} {
+		want := checkName("tenant", name, maxTenantLen)
+		_, subErr := gw.Submit(name, tinySpec(1))
+		_, wireErr := DecodeSubmit(EncodeSubmit(SubmitRequest{Tenant: name, Spec: tinySpec(1)}))
+		if want == nil || subErr == nil || wireErr == nil ||
+			!strings.HasSuffix(subErr.Error(), ": "+want.Error()) || !strings.HasSuffix(wireErr.Error(), ": "+want.Error()) {
+			t.Errorf("tenant %q: Submit %v, DecodeSubmit %v, want both to end in %v", name, subErr, wireErr, want)
+		}
+	}
 	if _, err := gw.Submit("t", StudySpec{Seed: 1, DurationSec: -1}); err == nil {
 		t.Error("negative duration accepted")
 	}

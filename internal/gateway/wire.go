@@ -141,19 +141,27 @@ func DecodeSubmit(b []byte) (SubmitRequest, error) {
 	return req, r.Done()
 }
 
-// takeName reads an n-byte name section: 1..max bytes of printable ASCII.
+// takeName reads an n-byte name section and holds it to checkName.
 func takeName(r *wire.Reader, what string, n, max int) string {
-	if n == 0 || n > max {
-		r.Fail("%s length %d, want [1, %d]", what, n, max)
-	}
 	s := string(r.Take(n))
-	for _, c := range s {
-		if c < 0x21 || c > 0x7e {
-			r.Fail("%s contains %q", what, c)
-			break
-		}
+	if err := checkName(what, s, max); err != nil {
+		r.Fail("%v", err) // a no-op after a short read, which stays the error
 	}
 	return s
+}
+
+// checkName is the one rule for a tenant, control-policy or scenario name,
+// in a frame or in-process: 1..max bytes of printable ASCII.
+func checkName(what, s string, max int) error {
+	if n := len(s); n == 0 || n > max {
+		return fmt.Errorf("%s length %d, want [1, %d]", what, n, max)
+	}
+	for _, c := range s {
+		if c < 0x21 || c > 0x7e {
+			return fmt.Errorf("%s contains %q", what, c)
+		}
+	}
+	return nil
 }
 
 // SnapshotReply is the OpStreamSnapshot answer: where the study is and, once
@@ -253,7 +261,6 @@ type StatusReply struct {
 	StudyID  uint64
 	Tenant   string
 	State    string
-	QueuePos int `json:",omitempty"` // 0 = head of the tenant queue
 	VDsDone  int
 	VDsTotal int
 	// DatasetFP is the invariant fingerprint of the completed dataset;

@@ -49,19 +49,17 @@ func DefaultConfig() Config {
 
 // Stats counts what the cache absorbed and emitted.
 type Stats struct {
-	AppReads, AppWrites  int
+	AppReads             int
 	ReadHits             int
 	DeviceReads          int // read IOs that reached the block device
-	DeviceWrites         int // write IOs that reached the block device
 	FlushedPages         int
 	EvictionFlushedPages int
 }
 
 // page is one cached guest page.
 type page struct {
-	idx     int64
-	dirty   bool
-	dirtyAt int64
+	idx   int64
+	dirty bool
 }
 
 // Cache is the guest page cache.
@@ -132,9 +130,7 @@ func (c *Cache) Access(io IO) {
 		}
 		return
 	}
-	c.stat.AppWrites++
 	if c.cfg.WriteThrough {
-		c.stat.DeviceWrites++
 		c.emit(IO{TimeUS: io.TimeUS, Op: trace.OpWrite, Offset: io.Offset, Size: io.Size})
 		// Pages are cached clean (data also in memory).
 		for p := first; p <= last; p++ {
@@ -150,11 +146,7 @@ func (c *Cache) Access(io IO) {
 	for p := first; p <= last; p++ {
 		if el, ok := c.pos[p]; ok {
 			c.ll.MoveToFront(el)
-			pg := el.Value.(*page)
-			if !pg.dirty {
-				pg.dirty = true
-				pg.dirtyAt = io.TimeUS
-			}
+			el.Value.(*page).dirty = true
 		} else {
 			c.insert(p, true, io.TimeUS)
 		}
@@ -168,13 +160,12 @@ func (c *Cache) insert(idx int64, dirty bool, now int64) {
 		pg := back.Value.(*page)
 		if pg.dirty {
 			c.stat.EvictionFlushedPages++
-			c.stat.DeviceWrites++
 			c.emit(IO{TimeUS: now, Op: trace.OpWrite, Offset: pg.idx * PageSize, Size: int32(PageSize)})
 		}
 		c.ll.Remove(back)
 		delete(c.pos, pg.idx)
 	}
-	c.pos[idx] = c.ll.PushFront(&page{idx: idx, dirty: dirty, dirtyAt: now})
+	c.pos[idx] = c.ll.PushFront(&page{idx: idx, dirty: dirty})
 }
 
 // maybeFlush runs the periodic write-back: every FlushIntervalUS, all dirty
@@ -199,7 +190,6 @@ func (c *Cache) maybeFlush(now int64) {
 	sortInt64(dirty)
 	runStart, prev := dirty[0], dirty[0]
 	emitRun := func(end int64) {
-		c.stat.DeviceWrites++
 		c.stat.FlushedPages += int(end - runStart + 1)
 		c.emit(IO{TimeUS: now, Op: trace.OpWrite,
 			Offset: runStart * PageSize, Size: int32((end - runStart + 1) * PageSize)})

@@ -36,7 +36,6 @@ func (p DispatchPolicy) String() string {
 
 // DispatchResult summarizes a dispatch-model simulation.
 type DispatchResult struct {
-	Policy DispatchPolicy
 	// CoV is the normalized CoV of total per-WT traffic.
 	CoV float64
 	// SyncOps counts cross-thread handoffs — slots that landed on a WT other
@@ -58,7 +57,7 @@ func SimulateDispatch(binding *Binding, slotTraffic [][]float64, policy Dispatch
 		nSlots = len(slotTraffic[0])
 	}
 	wt := make([]float64, binding.WTs)
-	res := DispatchResult{Policy: policy}
+	var res DispatchResult
 	rr := 0
 	for s := 0; s < nSlots; s++ {
 		for q := 0; q < nQPs; q++ {

@@ -254,9 +254,9 @@ func TestSimulateDispatchPolicies(t *testing.T) {
 	if rr.CoV >= single.CoV {
 		t.Fatalf("round-robin-IO CoV %v should beat single-WT CoV %v on a hot QP", rr.CoV, single.CoV)
 	}
-	for _, r := range []DispatchResult{single, least, rr} {
-		if r.Policy.String() == "unknown" {
-			t.Fatalf("policy %d stringifies to unknown", r.Policy)
+	for _, p := range []DispatchPolicy{DispatchSingleWT, DispatchLeastLoaded, DispatchRoundRobinIO} {
+		if p.String() == "unknown" {
+			t.Fatalf("policy %d stringifies to unknown", p)
 		}
 	}
 }

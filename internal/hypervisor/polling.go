@@ -47,17 +47,11 @@ func (m HostingMode) String() string {
 
 // PollingResult reports the per-QP service quality of a run.
 type PollingResult struct {
-	Mode HostingMode
 	// MeanWaitUS[i] is the mean queueing delay of binding.QPs[i] (NaN if
 	// the QP issued nothing).
 	MeanWaitUS []float64
 	// P99WaitUS[i] is the 99th-percentile wait of binding.QPs[i].
 	P99WaitUS []float64
-	// Fairness is Jain's index over per-QP mean waits of QPs that issued
-	// IO: 1 means every QP waited equally. Note this measures equality of
-	// *waiting* — a FIFO that makes everyone inherit the hog's backlog
-	// scores high. Isolation is the §4.4 metric.
-	Fairness float64
 	// Isolation is the mean wait of the lighter half of active QPs divided
 	// by the overall mean wait: below 1 means light QPs are insulated from
 	// heavy ones (what single-WT polling provides); near or above 1 means
@@ -74,7 +68,6 @@ type PollingResult struct {
 // QP-to-WT pinning for SingleWTPolling and the thread count for both modes.
 func SimulatePolling(binding *Binding, ios []PollIO, mode HostingMode) PollingResult {
 	res := PollingResult{
-		Mode:       mode,
 		MeanWaitUS: make([]float64, len(binding.QPs)),
 		P99WaitUS:  make([]float64, len(binding.QPs)),
 		WTBusyUS:   make([]int64, binding.WTs),
@@ -140,7 +133,6 @@ func SimulatePolling(binding *Binding, ios []PollIO, mode HostingMode) PollingRe
 		meanWaits = append(meanWaits, res.MeanWaitUS[i])
 		counts = append(counts, float64(len(waits[i])))
 	}
-	res.Fairness = jain(meanWaits)
 	res.Isolation = isolation(meanWaits, counts)
 	return res
 }
@@ -228,23 +220,6 @@ func pollOneWT(binding *Binding, wt int8, ios []PollIO, qpIdx map[cluster.QPID]i
 		}
 	}
 	return busy
-}
-
-// jain computes Jain's fairness index over non-negative values; waits of
-// zero are clamped to a small epsilon so an all-zero run is perfectly fair.
-func jain(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	var sum, sumSq float64
-	for _, x := range xs {
-		if x < 1e-9 {
-			x = 1e-9
-		}
-		sum += x
-		sumSq += x * x
-	}
-	return sum * sum / (float64(len(xs)) * sumSq)
 }
 
 // wtHeap is a min-heap of worker-thread availability times.

@@ -86,11 +86,6 @@ func TestPollingFairnessUnderHotQP(t *testing.T) {
 	if !(poll.Isolation < fifo.Isolation*0.5) {
 		t.Fatalf("polling isolation %v not well below FIFO %v", poll.Isolation, fifo.Isolation)
 	}
-	// FIFO scores "fairer" on equality-of-waiting — everyone suffers alike
-	// — which is exactly why Jain over waits is the wrong lens here.
-	if !(fifo.Fairness > poll.Fairness) {
-		t.Logf("note: fifo fairness %v vs poll %v (informational)", fifo.Fairness, poll.Fairness)
-	}
 }
 
 func TestSharedQueueBalancesBetter(t *testing.T) {
@@ -142,18 +137,6 @@ func TestPollingIgnoresForeignQPs(t *testing.T) {
 	res := SimulatePolling(b, ios, SingleWTPolling)
 	if res.IOs != 0 {
 		t.Fatal("foreign QP IO was served")
-	}
-}
-
-func TestJainIndex(t *testing.T) {
-	if got := jain([]float64{5, 5, 5, 5}); math.Abs(got-1) > 1e-9 {
-		t.Fatalf("equal waits fairness = %v", got)
-	}
-	if got := jain([]float64{100, 0, 0, 0}); got > 0.3 {
-		t.Fatalf("single-sufferer fairness = %v, want ~0.25", got)
-	}
-	if !math.IsNaN(jain(nil)) {
-		t.Fatal("empty fairness should be NaN")
 	}
 }
 

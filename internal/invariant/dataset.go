@@ -10,10 +10,9 @@ import (
 )
 
 // Artifacts bundles everything one simulation run produced, for checking.
-// Dataset and Fleet are required; Emission is optional (without it the
-// workload-layer conservation law is skipped, the rest still run).
+// Dataset is required; Emission is optional (without it the workload-layer
+// conservation law is skipped, the rest still run).
 type Artifacts struct {
-	Fleet   *workload.Fleet
 	Dataset *trace.Dataset
 	// Emission is the workload-layer ground truth (engine counters or an
 	// independent CountEmission recount).

@@ -13,8 +13,7 @@ import (
 // at one location (Figure 7b/c): the latency gain at a percentile is
 // pX(with)/pX(without), in (0, 1]; smaller is better.
 type GainResult struct {
-	Location CacheLocation
-	Op       trace.Op
+	Op trace.Op
 	// Gain at the 0th, 50th and 99th percentiles, as the paper reports.
 	P0, P50, P99 float64
 	// HitRatio of the cache over the replayed accesses of this op.
@@ -27,7 +26,7 @@ type GainResult struct {
 // frozen cache.
 func EvaluateGain(m *Model, accesses []cache.Access, hotOffset, hotLen int64, loc CacheLocation, seed int64) []GainResult {
 	frozen := cache.NewFrozen(hotOffset, hotLen)
-	return evaluate(m, accesses, loc, seed, func(a cache.Access) (CacheLocation, bool) {
+	return evaluate(m, accesses, seed, func(a cache.Access) (CacheLocation, bool) {
 		return loc, covers(frozen, a)
 	})
 }
@@ -50,7 +49,7 @@ func EvaluateHybridGain(m *Model, accesses []cache.Access, hotOffset, hotLen int
 	}
 	cn := cache.NewFrozen(hotOffset, cnLen)
 	bs := cache.NewFrozen(hotOffset, hotLen)
-	return evaluate(m, accesses, HybridCache, seed, func(a cache.Access) (CacheLocation, bool) {
+	return evaluate(m, accesses, seed, func(a cache.Access) (CacheLocation, bool) {
 		switch {
 		case covers(cn, a):
 			return CNCache, true
@@ -62,10 +61,10 @@ func EvaluateHybridGain(m *Model, accesses []cache.Access, hotOffset, hotLen int
 }
 
 // evaluate replays accesses, asking serve where each IO is served and
-// whether it hits, and reports per-op gains under label. The same RNG
+// whether it hits, and reports per-op gains. The same RNG
 // substream is used for the with/without latency draws, so gains isolate
 // the cache effect rather than sampling noise.
-func evaluate(m *Model, accesses []cache.Access, label CacheLocation, seed int64, serve func(cache.Access) (CacheLocation, bool)) []GainResult {
+func evaluate(m *Model, accesses []cache.Access, seed int64, serve func(cache.Access) (CacheLocation, bool)) []GainResult {
 	type bucket struct {
 		with, without []float64
 		hits          int
@@ -91,7 +90,7 @@ func evaluate(m *Model, accesses []cache.Access, label CacheLocation, seed int64
 	var out []GainResult
 	for _, op := range []trace.Op{trace.OpRead, trace.OpWrite} {
 		b := buckets[op]
-		res := GainResult{Location: label, Op: op, Count: len(b.with)}
+		res := GainResult{Op: op, Count: len(b.with)}
 		if res.Count == 0 {
 			res.P0, res.P50, res.P99, res.HitRatio = math.NaN(), math.NaN(), math.NaN(), math.NaN()
 		} else {

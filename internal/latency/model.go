@@ -68,10 +68,6 @@ const (
 	// BSCache places it on the BlockServer: hits skip the backend network
 	// and the ChunkServer.
 	BSCache
-	// HybridCache is §7.3.2's compromise: a small CN-cache in front of a
-	// larger BS-cache. Only used as a GainResult label; per-IO sampling
-	// uses the level that actually served the IO.
-	HybridCache
 )
 
 func (l CacheLocation) String() string {
@@ -82,8 +78,6 @@ func (l CacheLocation) String() string {
 		return "cn-cache"
 	case BSCache:
 		return "bs-cache"
-	case HybridCache:
-		return "hybrid"
 	}
 	return "unknown"
 }

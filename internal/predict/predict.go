@@ -34,7 +34,6 @@ type Predictor interface {
 
 // EvalResult reports a walk-forward evaluation.
 type EvalResult struct {
-	Name  string
 	Preds []float64 // predictions for steps [warmup, len(series))
 	Truth []float64
 	MSE   float64
@@ -58,7 +57,7 @@ func Evaluate(p Predictor, series []float64, warmup, refitEvery int) (EvalResult
 	if refitEvery < 1 {
 		return EvalResult{}, fmt.Errorf("predict: refitEvery %d, want >= 1 (the fit cadence in steps)", refitEvery)
 	}
-	res := EvalResult{Name: p.Name()}
+	var res EvalResult
 	lastFit := -1
 	for t := warmup; t < len(series); t++ {
 		if lastFit < 0 || t-lastFit >= refitEvery {

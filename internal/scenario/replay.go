@@ -327,8 +327,8 @@ func (r *Replay) ingestNative(rd io.Reader, schema string) error {
 		if int(rec.QP) >= len(top.QPs) || rec.QP < 0 {
 			return fmt.Errorf("scenario: replay record %d: QP %d outside the bound fleet's %d queue pairs", i+1, rec.QP, len(top.QPs))
 		}
-		if int(rec.Storage) >= len(top.StorageNodes) || rec.Storage < 0 {
-			return fmt.Errorf("scenario: replay record %d: storage node %d outside the bound fleet's %d", i+1, rec.Storage, len(top.StorageNodes))
+		if int(rec.Storage) >= top.StorageNodes || rec.Storage < 0 {
+			return fmt.Errorf("scenario: replay record %d: storage node %d outside the bound fleet's %d", i+1, rec.Storage, top.StorageNodes)
 		}
 		if int(rec.Segment) >= len(top.Segments) || rec.Segment < 0 {
 			return fmt.Errorf("scenario: replay record %d: segment %d outside the bound fleet's %d", i+1, rec.Segment, len(top.Segments))

@@ -122,8 +122,6 @@ var (
 // least skew; Docker/Database: most skew; FileSystem: tiny share, strongly
 // skewed write).
 type appProfile struct {
-	app cluster.AppClass
-
 	// popWeight is the probability weight of a VM being this class.
 	popWeight float64
 	// rateScale multiplies the fleet-wide base rate for this class.
@@ -157,42 +155,36 @@ type burstProfile struct {
 // traffic-share column (BigData largest).
 var appProfiles = [cluster.NumAppClasses]appProfile{
 	cluster.AppBigData: {
-		app:       cluster.AppBigData,
 		popWeight: 0.22, rateScale: 2.2, sigmaScale: 0.45, readFrac: 0.42,
 		readBurst:  burstProfile{onProb: 0.012, meanOnSec: 8, paretoXm: 15, paretoA: 1.3, baseline: 0.15, noise: 0.45},
 		writeBurst: burstProfile{onProb: 0.012, meanOnSec: 12, paretoXm: 3, paretoA: 1.7, baseline: 0.55, noise: 0.3},
 		readIOSize: 512 << 10, writeIOSize: 256 << 10,
 	},
 	cluster.AppWebApp: {
-		app:       cluster.AppWebApp,
 		popWeight: 0.24, rateScale: 0.35, sigmaScale: 0.95, readFrac: 0.15,
 		readBurst:  burstProfile{onProb: 0.008, meanOnSec: 3, paretoXm: 60, paretoA: 1.05, baseline: 0.03, noise: 0.6},
 		writeBurst: burstProfile{onProb: 0.010, meanOnSec: 6, paretoXm: 4, paretoA: 1.5, baseline: 0.45, noise: 0.4},
 		readIOSize: 16 << 10, writeIOSize: 8 << 10,
 	},
 	cluster.AppMiddleware: {
-		app:       cluster.AppMiddleware,
 		popWeight: 0.18, rateScale: 1.2, sigmaScale: 1.05, readFrac: 0.30,
 		readBurst:  burstProfile{onProb: 0.009, meanOnSec: 4, paretoXm: 50, paretoA: 1.1, baseline: 0.04, noise: 0.5},
 		writeBurst: burstProfile{onProb: 0.012, meanOnSec: 8, paretoXm: 3.5, paretoA: 1.6, baseline: 0.5, noise: 0.35},
 		readIOSize: 64 << 10, writeIOSize: 32 << 10,
 	},
 	cluster.AppFileSystem: {
-		app:       cluster.AppFileSystem,
 		popWeight: 0.06, rateScale: 0.10, sigmaScale: 1.15, readFrac: 0.55,
 		readBurst:  burstProfile{onProb: 0.006, meanOnSec: 8, paretoXm: 40, paretoA: 1.15, baseline: 0.05, noise: 0.55},
 		writeBurst: burstProfile{onProb: 0.005, meanOnSec: 10, paretoXm: 40, paretoA: 1.05, baseline: 0.05, noise: 0.5},
 		readIOSize: 128 << 10, writeIOSize: 128 << 10,
 	},
 	cluster.AppDatabase: {
-		app:       cluster.AppDatabase,
 		popWeight: 0.17, rateScale: 1.5, sigmaScale: 1.25, readFrac: 0.28,
 		readBurst:  burstProfile{onProb: 0.007, meanOnSec: 4, paretoXm: 80, paretoA: 1.0, baseline: 0.03, noise: 0.6},
 		writeBurst: burstProfile{onProb: 0.012, meanOnSec: 10, paretoXm: 5, paretoA: 1.4, baseline: 0.45, noise: 0.4},
 		readIOSize: 16 << 10, writeIOSize: 16 << 10,
 	},
 	cluster.AppDocker: {
-		app:       cluster.AppDocker,
 		popWeight: 0.13, rateScale: 1.5, sigmaScale: 1.45, readFrac: 0.32,
 		readBurst:  burstProfile{onProb: 0.006, meanOnSec: 3, paretoXm: 100, paretoA: 0.95, baseline: 0.02, noise: 0.7},
 		writeBurst: burstProfile{onProb: 0.010, meanOnSec: 7, paretoXm: 6, paretoA: 1.35, baseline: 0.4, noise: 0.45},

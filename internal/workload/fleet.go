@@ -17,10 +17,8 @@ type Fleet struct {
 	Seg2BS   *cluster.SegmentMap
 
 	// StorageClusters are the balancing domains (groups of BlockServers
-	// within a DC); ClusterOfVD maps each VD to the index of its serving
-	// cluster in StorageClusters.
+	// within a DC).
 	StorageClusters []cluster.StorageCluster
-	ClusterOfVD     []int
 
 	// Models holds one traffic model per VD, indexed by VDID.
 	Models []VDModel
@@ -50,9 +48,6 @@ func (f *Fleet) coldZipfWeights(n int) []float64 {
 
 // VDModel is the per-virtual-disk traffic model. All rates are bytes/s.
 type VDModel struct {
-	VD  cluster.VDID
-	App cluster.AppClass
-
 	// MeanReadBps and MeanWriteBps are long-run mean rates; actual traffic is
 	// the burst-modulated series around these means.
 	MeanReadBps  float64
@@ -89,15 +84,6 @@ type VDModel struct {
 	HotReadFrac    float64 // fraction of read IOs landing in the hot range
 	HotWriteSeq    bool    // hot writes advance sequentially (LSM/journal style)
 	ColdZipfBlocks int     // number of Zipf-weighted cold regions
-
-	// Sub-second microstructure (§4.3): persistent disks concentrate each
-	// second's traffic in a contiguous slot run at a slowly drifting phase
-	// (QP rebinding can chase these); scattered disks spray isolated slot
-	// spikes shorter than any rebinding period (these defeat it).
-	SlotPersistent bool
-	SlotRunFrac    float64 // run width as a fraction of a second (persistent)
-	SlotPhase      float64 // initial run phase in [0,1) (persistent)
-	SlotDrift      float64 // per-second phase drift in [0,1) (persistent)
 }
 
 // MeanBps returns the summed mean rate of the model.
@@ -182,26 +168,19 @@ func Generate(cfg Config) (*Fleet, error) {
 		top.Nodes = append(top.Nodes, node)
 	}
 
-	nBS := cfg.DCs * cfg.BSPerDC
-	for b := 0; b < nBS; b++ {
-		top.StorageNodes = append(top.StorageNodes, cluster.StorageNodeInfo{
-			ID: cluster.StorageNodeID(b),
-			DC: cluster.DCID(b / cfg.BSPerDC),
-		})
-	}
+	top.StorageNodes = cfg.DCs * cfg.BSPerDC
 	if err := top.Validate(); err != nil {
 		return nil, fmt.Errorf("workload: generated topology invalid: %w", err)
 	}
 
 	place := acquireOnce(cfg.Seed, tagPlacement, 0)
-	seg2bs, storClusters, clusterOf := cluster.PlaceSegmentsClustered(top, cfg.BSPerDC, cfg.BSPerCluster, place.Rand)
+	seg2bs, storClusters := cluster.PlaceSegmentsClustered(top, cfg.BSPerDC, cfg.BSPerCluster, place.Rand)
 	place.Release()
 	f := &Fleet{
 		Cfg:             cfg,
 		Topology:        top,
 		Seg2BS:          seg2bs,
 		StorageClusters: storClusters,
-		ClusterOfVD:     clusterOf,
 	}
 	f.Models = buildModels(cfg, top)
 	return f, nil
@@ -251,8 +230,6 @@ func buildModels(cfg Config, top *cluster.Topology) []VDModel {
 		for i, vdID := range vm.VDs {
 			vd := &top.VDs[vdID]
 			m := &models[vdID]
-			m.VD = vdID
-			m.App = vm.App
 
 			total := vmRate * vdW[i] * float64(len(vm.VDs))
 			// Per-VD read fraction around the class mean, with enough spread
@@ -306,10 +283,10 @@ func buildModels(cfg Config, top *cluster.Topology) []VDModel {
 			m.HotWriteSeq = vmRng.Float64() < 0.8
 			m.ColdZipfBlocks = 64
 
-			m.SlotPersistent = vmRng.Float64() < 0.5
-			m.SlotRunFrac = 0.05 + 0.25*vmRng.Float64()
-			m.SlotPhase = vmRng.Float64()
-			m.SlotDrift = 0.02 * vmRng.Float64()
+			// The retired slot model's draws: this VM's later draws depend on them.
+			for range 4 {
+				vmRng.Float64()
+			}
 		}
 		vmRng.Release()
 	}

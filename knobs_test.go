@@ -129,7 +129,11 @@ func (m *module) addSource(t *testing.T, path, name, src string) {
 		t.Fatal(err)
 	}
 	files := append(append([]*ast.File(nil), m.files[path]...), f)
-	info := &types.Info{Defs: make(map[*ast.Ident]types.Object), Uses: make(map[*ast.Ident]types.Object)}
+	info := &types.Info{
+		Types: make(map[ast.Expr]types.TypeAndValue),
+		Defs:  make(map[*ast.Ident]types.Object),
+		Uses:  make(map[*ast.Ident]types.Object),
+	}
 	if _, err := (&types.Config{Importer: m}).Check(path, m.fset, files, info); err != nil {
 		t.Fatal(err)
 	}
