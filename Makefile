@@ -1,20 +1,14 @@
-# Developer entry points. `make ci` is the gate: vet (with gofmt), the
-# every-declaration-has-a-caller and every-field-has-a-reader tests, the full
-# test suite under the race detector on a short-window fleet (the tests build
-# their own small fleets, so the race run stays fast — and it includes the
-# netblock client-vs-server stress test with wire faults enabled), the
-# golden-fixture drift check, a short randomized run of every fuzz target,
-# coverage over the fault-injection packages, a seeded chaos smoke run with the
-# invariant checker, the fabric over loopback, over TCP sockets and
-# replicated, the whole reproduction catalog at the quick fleet size, and the
-# allocation budgets (run without the race detector, under which they skip),
-# and the latency, draw and engine suites built for x86-64-v3.
-# Timing lives in one place, the bench/ module.
+# Developer entry points. Tier-1 (`go test ./...`) runs every contract a test
+# binary can, each program's smoke rows included (TestSmokes, stdout pinned
+# under cmd/*/testdata/smoke). `make ci` adds what it cannot: vet with gofmt,
+# the callers and fields rules, the race detector, golden drift, fuzzing,
+# coverage, the whole catalog at the quick size, the bench module, the
+# allocation budgets and the x86-64-v3 build. Timing lives in bench/ alone.
 
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: all build test race vet callers loc knobs bench-gate golden golden-diff fuzz-smoke cover chaos-smoke sketch-accuracy-smoke dist-smoke dist-tcp-smoke dist-ha-smoke consensus-race gateway-smoke control-smoke scenario-smoke analyze-smoke bench-module amd64-v3 ci
+.PHONY: all build test race vet callers loc knobs bench-gate golden golden-diff fuzz-smoke cover consensus-race analyze-smoke bench-module amd64-v3 ci
 
 all: build
 
@@ -60,7 +54,8 @@ knobs:
 
 # Race-detector run. -short trims the slowest property tests where they
 # opt in; every fleet used by the tests is already small. The invariant
-# suites (runtime checker, metamorphic relations) ride along here.
+# suites (runtime checker, metamorphic relations) and every TestSmokes row of
+# the programs ride along here.
 race:
 	$(GO) test -race -short ./...
 
@@ -83,17 +78,19 @@ bench-gate:
 amd64-v3:
 	GOAMD64=v3 $(GO) test -count=1 ./internal/latency ./internal/xrand ./internal/ebs
 
-# golden-diff fails when any figure/ablation statistic or the engine
-# fingerprint drifts from the fixtures in internal/core/testdata/golden.
-# After an intentional change, regenerate with `make golden` and commit the
-# diff alongside the change that caused it.
+# Every package whose golden fixtures an -update flag rewrites, the programs'
+# smoke stdout under cmd/*/testdata/smoke included.
+GOLDEN_PKGS = ./internal/core ./internal/scenario ./internal/gateway ./internal/chaos ./internal/fabric \
+	./internal/report ./internal/control/ctleval ./cmd/ebssim ./cmd/ebsgate
+
+# golden-diff fails when any fixture in GOLDEN_PKGS drifts from what the code
+# produces. After an intentional change, regenerate with `make golden` and
+# commit the diff alongside the change that caused it.
 golden-diff:
-	$(GO) test ./internal/core -run 'TestGolden' -count=1
-	$(GO) test ./internal/scenario -run 'TestGolden' -count=1
+	$(GO) test $(GOLDEN_PKGS) -run 'Golden|TestSmokes' -count=1
 
 golden:
-	$(GO) test ./internal/core -run 'TestGolden' -count=1 -update
-	$(GO) test ./internal/scenario -run 'TestGolden' -count=1 -update
+	$(GO) test $(GOLDEN_PKGS) -run 'Golden|TestSmokes' -count=1 -update
 
 # Short randomized runs of the committed fuzz targets (seeds under each
 # package's testdata/fuzz; the netblock, wire and fabric decoders and the
@@ -124,110 +121,11 @@ cover:
 	$(GO) test -cover ./internal/chaos ./internal/netblock ./internal/fabric ./internal/ebs \
 		./internal/balancer ./internal/throttle ./internal/invariant
 
-# Short seeded chaos run with the invariant checker on: a recoverable fault
-# schedule must pass every conservation law end to end.
-chaos-smoke:
-	$(GO) run ./cmd/ebssim -seed 7 -dur 20 -nodes 4 -max-vds 24 -chaos -check
-
-# Exact-vs-streamed accuracy gate: one unthinned run scored both ways; every
-# streamed metric must sit inside its documented error bound (top-K overlap
-# >= 0.9, quantile relative error <= 2%).
-sketch-accuracy-smoke:
-	$(GO) test ./internal/ebs -run 'TestSketchAccuracySmoke' -count=1 -v
-
-# Distributed-fabric gate: a coordinator plus two in-process loopback
-# workers run the fleet in shards over the real netblock wire path, then
-# the binary re-runs the same study single-process and fails unless the
-# merged dataset and sketch fingerprints are byte-identical.
-dist-smoke:
-	$(GO) run ./cmd/ebssim -seed 7 -dur 15 -nodes 4 -max-vds 24 -dist 2 -shards 5 -check -stream
-
-# TCP worker gate: ebssim serves the fabric on a real socket
-# (-workers-addr 127.0.0.1:0), two ebsd workers join the address it prints on
-# stderr, and the target fails unless the coordinator's stdout is
-# byte-identical to the single-process run of the same study flags. The
-# binaries are built first so the background coordinator is the process the
-# recipe waits on and kills on failure.
-DIST_TCP_FLAGS = -seed 7 -dur 15 -nodes 4 -max-vds 24 -check
-dist-tcp-smoke:
-	@tmp=$$(mktemp -d .dist-tcp-smoke.XXXXXX) && trap 'kill $$co $$w1 $$w2 2>/dev/null; rm -rf $$tmp' EXIT \
-		&& $(GO) build -o $$tmp/ebssim ./cmd/ebssim && $(GO) build -o $$tmp/ebsd ./cmd/ebsd \
-		&& $$tmp/ebssim $(DIST_TCP_FLAGS) > $$tmp/single.out \
-		&& { $$tmp/ebssim $(DIST_TCP_FLAGS) -workers-addr 127.0.0.1:0 > $$tmp/tcp.out 2> $$tmp/tcp.err & co=$$!; } \
-		&& for i in $$(seq 100); do addr=$$(sed -n 's/^ebssim: waiting for workers on \([^ ]*\) .*/\1/p' $$tmp/tcp.err); \
-			[ -n "$$addr" ] && break; kill -0 $$co 2>/dev/null || break; sleep 0.1; done \
-		&& { [ -n "$$addr" ] || { cat $$tmp/tcp.err; echo "dist-tcp-smoke: the coordinator printed no address"; false; }; } \
-		&& echo "ebssim $(DIST_TCP_FLAGS) -workers-addr $$addr + 2 x ebsd -join $$addr" \
-		&& { $$tmp/ebsd -join $$addr & w1=$$!; $$tmp/ebsd -join $$addr & w2=$$!; } \
-		&& wait $$co && wait $$w1 && wait $$w2 \
-		&& cat $$tmp/tcp.out && cmp $$tmp/single.out $$tmp/tcp.out \
-		&& echo "TCP workers == single-process: byte-identical"
-
-# High-availability variant: the coordinator is a 3-replica consensus group
-# and the chaos plan kills the acting leader mid-run. A successor must be
-# elected, the workers must fail over through redirects, and the merged
-# dataset must STILL be byte-identical to the single-process run.
-dist-ha-smoke:
-	$(GO) run ./cmd/ebssim -seed 7 -dur 15 -nodes 4 -max-vds 24 -dist 2 -shards 5 -replicas 3 -leader-kill 1 -check
-
 # Focused race-detector pass over the consensus core and the replicated
 # fabric (leader election, log replication, kill-driven failover) without
 # -short, so the full leader-kill golden scenario runs under the detector.
 consensus-race:
 	$(GO) test -race -count=1 ./internal/consensus ./internal/fabric
-
-# Serving-plane gate: the ebsgate binary serves a gateway on loopback TCP,
-# a protocol client submits one study through the full wire path and streams
-# sketch snapshots while it runs, and the binary fails unless the served
-# dataset and sketch fingerprints (and, for a controlled study, the decision
-# log's) are byte-identical to a direct single-process run of the same spec —
-# plain, scenario-shaped, under a control policy, and on a 3-replica fabric
-# whose acting leader is killed mid-study (the selftest also fails unless the
-# kill fired).
-gateway-smoke:
-	$(GO) run ./cmd/ebsgate -selftest -seed 7 -dur 4 -nodes 2 -users 4 -max-vds 12
-	$(GO) run ./cmd/ebsgate -selftest -seed 7 -dur 4 -nodes 2 -users 4 -max-vds 12 -scenario bufferbloat
-	$(GO) run ./cmd/ebsgate -selftest -seed 7 -dur 8 -nodes 2 -users 4 -max-vds 12 -control reactive
-	$(GO) run ./cmd/ebsgate -selftest -seed 7 -dur 4 -nodes 2 -users 4 -max-vds 12 -fabric-replicas 3 -fabric-workers 2 -shards 3 -leader-kill 1
-
-# Mitigation control-plane gate: the policy bake-off golden fixture (the
-# predictive policy must beat reactive on imbalance under the pinned chaos
-# plan, and noop must answer byte-identically to the uncontrolled run), the
-# metamorphic worker-count invariance of the decision log, the engine's
-# generate-only observe pass held to the row fold it replaced, and two seeded
-# predict->act CLI runs with the invariant suite on — a storm plan and a quiet
-# one — so the control/observation law (the actuated pass's metric rows
-# reproduce the observation the plan was built from) runs on both.
-control-smoke:
-	$(GO) test ./internal/control/... -count=1
-	$(GO) test ./internal/ebs -run 'Observe|Controlled' -count=1
-	$(GO) run ./cmd/ebssim -seed 7 -dur 24 -nodes 4 -max-vds 24 -control predictive -chaos -storms 4 -check
-	$(GO) run ./cmd/ebssim -seed 7 -dur 24 -nodes 4 -max-vds 24 -control oracle -check
-
-# Scenario-library gate: the scenario package suite (golden fixtures,
-# worker-count determinism oracle, native replay round-trip, replay fuzz
-# seeds), then the full scenario matrix end to end through the CLI with the
-# invariant checker on — bufferbloat plain, batchburst under a chaos plan,
-# elastic under the predictive control policy, both committed foreign
-# traces (MSR and tianchi schemas) through the replay scenario, and the
-# tianchi sample again as a spreadsheet would save it: CRLF line ends under a
-# header row, and an `ebssim -out` export replayed under the same study flags,
-# which must simulate the same number of IOs.
-scenario-smoke:
-	$(GO) test ./internal/scenario -count=1
-	$(GO) run ./cmd/ebssim -seed 7 -dur 12 -nodes 4 -max-vds 24 -scenario bufferbloat,period=8,duty=0.5 -check
-	$(GO) run ./cmd/ebssim -seed 7 -dur 12 -nodes 4 -max-vds 24 -scenario batchburst,wave=6,width=2 -chaos -check
-	$(GO) run ./cmd/ebssim -seed 7 -dur 12 -nodes 4 -max-vds 24 -scenario elastic,hi=2,step=3 -control predictive -check
-	$(GO) run ./cmd/ebssim -seed 7 -dur 12 -nodes 4 -max-vds 24 -scenario replay,path=internal/scenario/testdata/msr_sample.csv -check
-	$(GO) run ./cmd/ebssim -seed 7 -dur 12 -nodes 4 -max-vds 24 -scenario replay,path=internal/scenario/testdata/tianchi_sample.csv -check -stream
-	@tmp=$$(mktemp .scenario-smoke.XXXXXX) && { printf 'device_id,opcode,offset,length,timestamp\r\n'; sed 's/$$/\r/' internal/scenario/testdata/tianchi_sample.csv; } > $$tmp \
-		&& echo "ebssim -scenario replay,path=<tianchi sample as CRLF with a header row> -check" \
-		&& $(GO) run ./cmd/ebssim -seed 7 -dur 12 -nodes 4 -max-vds 24 -scenario replay,path=$$tmp -check; rc=$$?; rm -f $$tmp; exit $$rc
-	@tmp=$$(mktemp -d .scenario-smoke.XXXXXX) && echo "ebssim -out <dir>, then -scenario replay,path=<dir>/trace.csv -check" \
-		&& $(GO) run ./cmd/ebssim -seed 7 -dur 12 -nodes 4 -max-vds 24 -out $$tmp -check > $$tmp/export.out \
-		&& $(GO) run ./cmd/ebssim -seed 7 -dur 12 -nodes 4 -max-vds 24 -scenario replay,path=$$tmp/trace.csv -check > $$tmp/replay.out \
-		&& cat $$tmp/replay.out && native=$$(head -1 $$tmp/export.out) && replayed=$$(head -1 $$tmp/replay.out) \
-		&& { [ "$$native" = "$$replayed" ] || { echo "export: $$native; replay: $$replayed"; false; }; }; rc=$$?; rm -rf $$tmp; exit $$rc
 
 # Reproduction gate: the whole experiment catalog at the quick fleet size and
 # the catalog's own defaults — the only run of every figure family at the
@@ -244,4 +142,4 @@ analyze-smoke:
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-ci: vet callers race golden-diff fuzz-smoke cover chaos-smoke sketch-accuracy-smoke dist-smoke dist-tcp-smoke dist-ha-smoke consensus-race gateway-smoke control-smoke scenario-smoke analyze-smoke bench-module bench-gate amd64-v3
+ci: vet callers race golden-diff fuzz-smoke cover consensus-race analyze-smoke bench-module bench-gate amd64-v3

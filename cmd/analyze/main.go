@@ -19,25 +19,32 @@ import (
 	"ebslab/internal/workload"
 )
 
-func main() {
-	catalog := core.Catalog()
-	var (
-		seed  = flag.Int64("seed", 1, "fleet generation seed")
-		scale = flag.String("scale", "medium", "fleet scale: small | medium | large")
-		dur   = flag.Int("dur", 0, "observation window seconds (0 = scale default)")
-		run   = flag.String("run", "all", "experiments to run (comma list: "+idList(catalog)+")")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	selected, err := selectExperiments(catalog, *run)
+// run is analyze on explicit arguments and streams; it returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	catalog := core.Catalog()
+	fs := flag.NewFlagSet("analyze", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		seed  = fs.Int64("seed", 1, "fleet generation seed")
+		scale = fs.String("scale", "medium", "fleet scale: small | medium | large")
+		dur   = fs.Int("dur", 0, "observation window seconds (0 = scale default)")
+		ids   = fs.String("run", "all", "experiments to run (comma list: "+idList(catalog)+")")
+	)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+
+	selected, err := selectExperiments(catalog, *ids)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "analyze:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "analyze:", err)
+		return 2
 	}
 	cfg, err := configForScale(*scale)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	cfg.Seed = *seed
 	if *dur > 0 {
@@ -46,11 +53,12 @@ func main() {
 	start := time.Now()
 	study, err := core.NewStudy(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "generate fleet:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "generate fleet:", err)
+		return 1
 	}
-	writeReport(os.Stdout, os.Stderr, study, selected)
-	fmt.Fprintf(os.Stderr, "_Generated in %v._\n", time.Since(start).Round(time.Second))
+	writeReport(stdout, stderr, study, selected)
+	fmt.Fprintf(stderr, "_Generated in %v._\n", time.Since(start).Round(time.Second))
+	return 0
 }
 
 // writeReport renders the selected experiments over study as markdown on out

@@ -107,3 +107,23 @@ func TestSelectExperiments(t *testing.T) {
 		}
 	}
 }
+
+// TestSmokes holds the command lines analyze must refuse to exit 2, naming
+// the cause on stderr and printing nothing, before any fleet is generated
+// (the whole catalog at -scale small is make analyze-smoke, too slow here).
+func TestSmokes(t *testing.T) {
+	for _, row := range []struct{ name, args, stderr string }{
+		{"reject-unknown-experiment", "-scale small -run t2,fg2", `-run names unknown experiment(s) "fg2"`},
+		{"reject-unknown-scale", "-scale huge -run t2", `unknown scale "huge"`},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if code := run(strings.Fields(row.args), &stdout, &stderr); code != 2 {
+				t.Fatalf("analyze %s: exit %d, want 2; stderr:\n%s", row.args, code, stderr.String())
+			}
+			if stdout.Len() > 0 || !strings.Contains(stderr.String(), row.stderr) {
+				t.Fatalf("rejected with stdout %q and stderr %q, want no stdout and a stderr naming %q", stdout.String(), stderr.String(), row.stderr)
+			}
+		})
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/signal"
@@ -19,13 +20,16 @@ import (
 	"ebslab/internal/fabric"
 )
 
-func main() {
-	join := flag.String("join", "", "coordinator address(es) to join, comma-separated and indexed by replica ID for a replicated control plane (e.g. the ebssim -workers-addr / -peers values)")
-	flag.Parse()
-	if *join == "" {
-		fmt.Fprintln(os.Stderr, "ebsd: -join is required")
-		flag.Usage()
-		os.Exit(2)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is ebsd on explicit arguments and streams (it prints nothing on stdout);
+// it returns the exit code and leaves no goroutine or signal registration behind.
+func run(args []string, _, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ebsd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	join := fs.String("join", "", "coordinator address(es) to join, comma-separated and indexed by replica ID for a replicated control plane (e.g. the ebssim -workers-addr / -peers values)")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
 	var dials []func() (net.Conn, error)
 	for _, addr := range strings.Split(*join, ",") {
@@ -36,27 +40,33 @@ func main() {
 		dials = append(dials, func() (net.Conn, error) { return net.Dial("tcp", addr) })
 	}
 	if len(dials) == 0 {
-		fmt.Fprintln(os.Stderr, "ebsd: -join lists no usable address")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "ebsd: -join needs at least one coordinator address")
+		fs.Usage()
+		return 2
 	}
 
+	// The first signal drains, the second kills; closing sigs once Stop
+	// guarantees no more sends ends the goroutine with run.
 	sigs := make(chan os.Signal, 2)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
+	defer func() { signal.Stop(sigs); close(sigs) }()
 	drain := make(chan struct{})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go func() {
-		<-sigs
-		fmt.Fprintln(os.Stderr, "ebsd: drain requested; finishing current shard")
-		close(drain)
-		<-sigs
-		fmt.Fprintln(os.Stderr, "ebsd: killed")
-		cancel()
+		if _, ok := <-sigs; ok {
+			fmt.Fprintln(stderr, "ebsd: drain requested; finishing current shard")
+			close(drain)
+		}
+		if _, ok := <-sigs; ok {
+			fmt.Fprintln(stderr, "ebsd: killed")
+			cancel()
+		}
 	}()
 
-	err := fabric.RunWorker(ctx, fabric.WorkerConfig{Dials: dials, Drain: drain})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ebsd:", err)
-		os.Exit(1)
+	if err := fabric.RunWorker(ctx, fabric.WorkerConfig{Dials: dials, Drain: drain}); err != nil {
+		fmt.Fprintln(stderr, "ebsd:", err)
+		return 1
 	}
+	return 0
 }

@@ -8,15 +8,14 @@
 // Serve:     ebsgate -listen :9100 -max-concurrent 4 -rate 1 -burst 2
 // Submit:    ebsgate -addr :9100 -submit -tenant alice -seed 7 -dur 8 -wait
 // Stream:    ebsgate -addr :9100 -snapshot 3
-// Self-test: ebsgate -selftest   (serve over loopback TCP, run one study,
-//
-//	stream snapshots, verify the fingerprint against a direct run)
+// Self-test: ebsgate -selftest   (one study over loopback TCP vs a direct run)
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/signal"
@@ -29,30 +28,38 @@ import (
 	"ebslab/internal/sketch"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is ebsgate on explicit arguments and streams; it returns the exit code
+// and leaves no goroutine or signal registration behind.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ebsgate", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		listen   = flag.String("listen", "", "serve the gateway on this TCP address")
-		maxConc  = flag.Int("max-concurrent", 2, "serve: studies running at once")
-		rate     = flag.Float64("rate", 0, "serve: per-tenant submission grants per second (0 = uncapped)")
-		burst    = flag.Float64("burst", 0, "serve: per-tenant token-bucket burst (0 = 1 when -rate is set)")
-		maxQueue = flag.Int("max-queued", 16, "serve: per-tenant admission bound")
-		freplica = flag.Int("fabric-replicas", 0, "serve: run studies on an in-process fabric with this many control-plane replicas (0 = run in-process)")
-		fworkers = flag.Int("fabric-workers", 2, "serve: fabric workers per study")
+		listen   = fs.String("listen", "", "serve the gateway on this TCP address")
+		maxConc  = fs.Int("max-concurrent", 2, "serve: studies running at once")
+		rate     = fs.Float64("rate", 0, "serve: per-tenant submission grants per second (0 = uncapped)")
+		burst    = fs.Float64("burst", 0, "serve: per-tenant token-bucket burst (0 = 1 when -rate is set)")
+		maxQueue = fs.Int("max-queued", 16, "serve: per-tenant admission bound")
+		freplica = fs.Int("fabric-replicas", 0, "serve: run studies on an in-process fabric with this many control-plane replicas (0 = run in-process)")
+		fworkers = fs.Int("fabric-workers", 2, "serve: fabric workers per study")
 
-		addr     = flag.String("addr", "", "client: gateway address to talk to")
-		submit   = flag.Bool("submit", false, "client: submit a study (see -tenant and the spec flags)")
-		tenantF  = flag.String("tenant", "cli", "client: tenant name to submit as")
-		wait     = flag.Bool("wait", false, "client: after -submit, poll until the study settles")
-		statusID = flag.Uint64("status", 0, "client: poll this study ID")
-		snapID   = flag.Uint64("snapshot", 0, "client: stream one sketch snapshot of this study ID")
-		cancelID = flag.Uint64("cancel", 0, "client: cancel this study ID")
-		statsT   = flag.String("stats", "", "client: read this tenant's serving statistics")
+		addr     = fs.String("addr", "", "client: gateway address to talk to")
+		submit   = fs.Bool("submit", false, "client: submit a study (see -tenant and the spec flags)")
+		tenantF  = fs.String("tenant", "cli", "client: tenant name to submit as")
+		wait     = fs.Bool("wait", false, "client: after -submit, poll until the study settles")
+		statusID = fs.Uint64("status", 0, "client: poll this study ID")
+		snapID   = fs.Uint64("snapshot", 0, "client: stream one sketch snapshot of this study ID")
+		cancelID = fs.Uint64("cancel", 0, "client: cancel this study ID")
+		statsT   = fs.String("stats", "", "client: read this tenant's serving statistics")
 
-		selftest = flag.Bool("selftest", false, "serve over loopback TCP, run one study end to end, verify the fingerprint against a direct run")
+		selftest = fs.Bool("selftest", false, "serve over loopback TCP, run one study end to end, verify the fingerprint against a direct run")
 	)
 	spec := gateway.StudySpec{Seed: 1, DurationSec: 8, Nodes: 4, Users: 16}
-	spec.BindFlags(flag.CommandLine)
-	flag.Parse()
+	spec.BindFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	cfg := gateway.Config{
 		MaxConcurrent:      *maxConc,
@@ -64,31 +71,28 @@ func main() {
 		cfg.Fabric = &gateway.FabricConfig{Replicas: *freplica, Workers: *fworkers}
 	}
 
+	var err error
 	switch {
 	case *selftest:
-		if err := runSelftest(cfg, spec); err != nil {
-			fmt.Fprintln(os.Stderr, "ebsgate: selftest:", err)
-			os.Exit(1)
-		}
+		err = runSelftest(stdout, stderr, cfg, spec)
 	case *listen != "":
-		if err := serve(*listen, cfg); err != nil {
-			fmt.Fprintln(os.Stderr, "ebsgate:", err)
-			os.Exit(1)
-		}
+		err = serve(stderr, *listen, cfg)
 	case *addr != "":
-		if err := runClient(*addr, *tenantF, spec, *submit, *wait, *statusID, *snapID, *cancelID, *statsT); err != nil {
-			fmt.Fprintln(os.Stderr, "ebsgate:", err)
-			os.Exit(1)
-		}
+		err = runClient(stdout, *addr, *tenantF, spec, *submit, *wait, *statusID, *snapID, *cancelID, *statsT)
 	default:
-		fmt.Fprintln(os.Stderr, "ebsgate: pass -listen to serve, -addr to talk to a gateway, or -selftest")
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintln(stderr, "ebsgate: pass -listen to serve, -addr to talk to a gateway, or -selftest")
+		fs.Usage()
+		return 2
 	}
+	if err != nil {
+		fmt.Fprintln(stderr, "ebsgate:", err)
+		return 1
+	}
+	return 0
 }
 
 // serve runs the gateway until SIGINT/SIGTERM, then drains.
-func serve(listenAddr string, cfg gateway.Config) error {
+func serve(stderr io.Writer, listenAddr string, cfg gateway.Config) error {
 	ln, err := net.Listen("tcp", listenAddr)
 	if err != nil {
 		return err
@@ -96,12 +100,12 @@ func serve(listenAddr string, cfg gateway.Config) error {
 	gw := gateway.New(cfg)
 	srv := netblock.NewHandlerServer(gw)
 	go srv.Serve(ln) //nolint:errcheck — ends with Close
-	fmt.Fprintf(os.Stderr, "ebsgate: serving on %s (%s)\n", ln.Addr(), execDesc(cfg))
+	fmt.Fprintf(stderr, "ebsgate: serving on %s (%s)\n", ln.Addr(), execDesc(cfg))
 
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	<-sigs
-	fmt.Fprintln(os.Stderr, "ebsgate: shutting down")
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	<-ctx.Done()
+	fmt.Fprintln(stderr, "ebsgate: shutting down")
 	srv.Close()
 	ln.Close()
 	gw.Close()
@@ -116,7 +120,7 @@ func execDesc(cfg gateway.Config) string {
 }
 
 // runClient performs exactly one client operation against a live gateway.
-func runClient(addr, tenant string, spec gateway.StudySpec, submit, wait bool, statusID, snapID, cancelID uint64, statsTenant string) error {
+func runClient(stdout io.Writer, addr, tenant string, spec gateway.StudySpec, submit, wait bool, statusID, snapID, cancelID uint64, statsTenant string) error {
 	cl, err := gateway.Dial(addr)
 	if err != nil {
 		return err
@@ -128,47 +132,42 @@ func runClient(addr, tenant string, spec gateway.StudySpec, submit, wait bool, s
 		if err != nil {
 			return err
 		}
-		fmt.Printf("study %d %s%s\n", reply.StudyID, reply.State, map[bool]string{true: " (deduped)"}[reply.Deduped])
+		fmt.Fprintf(stdout, "study %d %s%s\n", reply.StudyID, reply.State, map[bool]string{true: " (deduped)"}[reply.Deduped])
 		if !wait || reply.Deduped {
 			return nil
 		}
 		st, err := pollStudy(cl, reply.StudyID, nil)
-		if err != nil {
-			return err
+		if err == nil {
+			printStatus(stdout, st)
 		}
-		printStatus(st)
-		return nil
+		return err
 	case statusID != 0:
 		st, err := cl.Status(statusID)
-		if err != nil {
-			return err
+		if err == nil {
+			printStatus(stdout, st)
 		}
-		printStatus(st)
-		return nil
+		return err
 	case snapID != 0:
 		rep, err := cl.Snapshot(snapID)
-		if err != nil {
-			return err
+		if err == nil {
+			fmt.Fprintf(stdout, "study %d %s seq=%d vds=%d/%d sketch=%dB fp=%s\n",
+				rep.StudyID, gateway.StateName(rep.State), rep.Seq, rep.VDsDone, rep.VDsTotal, len(rep.Sketch), rep.SketchFP)
 		}
-		fmt.Printf("study %d %s seq=%d vds=%d/%d sketch=%dB fp=%s\n",
-			rep.StudyID, gateway.StateName(rep.State), rep.Seq, rep.VDsDone, rep.VDsTotal, len(rep.Sketch), rep.SketchFP)
-		return nil
+		return err
 	case cancelID != 0:
 		rep, err := cl.Cancel(cancelID)
-		if err != nil {
-			return err
+		if err == nil {
+			fmt.Fprintf(stdout, "study %d %s\n", cancelID, rep.State)
 		}
-		fmt.Printf("study %d %s\n", cancelID, rep.State)
-		return nil
+		return err
 	case statsTenant != "":
 		st, err := cl.TenantStats(statsTenant)
-		if err != nil {
-			return err
+		if err == nil {
+			fmt.Fprintf(stdout, "tenant %s: submitted %d rejected %d deduped %d granted %d completed %d failed %d canceled %d/%d queued %d running %d tokens %d\n",
+				st.Tenant, st.Submitted, st.Rejected, st.Deduped, st.Granted, st.Completed,
+				st.Failed, st.CanceledQueued, st.CanceledRunning, st.Queued, st.Running, st.Tokens)
 		}
-		fmt.Printf("tenant %s: submitted %d rejected %d deduped %d granted %d completed %d failed %d canceled %d/%d queued %d running %d tokens %d\n",
-			st.Tenant, st.Submitted, st.Rejected, st.Deduped, st.Granted, st.Completed,
-			st.Failed, st.CanceledQueued, st.CanceledRunning, st.Queued, st.Running, st.Tokens)
-		return nil
+		return err
 	}
 	return fmt.Errorf("pass one of -submit, -status, -snapshot, -cancel, -stats with -addr")
 }
@@ -192,28 +191,28 @@ func pollStudy(cl *gateway.Client, id uint64, onPoll func()) (gateway.StatusRepl
 	}
 }
 
-func printStatus(st gateway.StatusReply) {
-	fmt.Printf("study %d tenant=%s %s vds=%d/%d", st.StudyID, st.Tenant, st.State, st.VDsDone, st.VDsTotal)
+func printStatus(stdout io.Writer, st gateway.StatusReply) {
+	fmt.Fprintf(stdout, "study %d tenant=%s %s vds=%d/%d", st.StudyID, st.Tenant, st.State, st.VDsDone, st.VDsTotal)
 	if st.Kills > 0 {
-		fmt.Printf(" leader-kills=%d", st.Kills)
+		fmt.Fprintf(stdout, " leader-kills=%d", st.Kills)
 	}
 	if st.DatasetFP != "" {
-		fmt.Printf("\n  dataset  %s\n  sketch   %s", st.DatasetFP, st.SketchFP)
+		fmt.Fprintf(stdout, "\n  dataset  %s\n  sketch   %s", st.DatasetFP, st.SketchFP)
 	}
 	if st.ControlLogFP != "" {
-		fmt.Printf("\n  control  %s (%d decisions)", st.ControlLogFP, st.ControlDecisions)
+		fmt.Fprintf(stdout, "\n  control  %s (%d decisions)", st.ControlLogFP, st.ControlDecisions)
 	}
 	if st.Error != "" {
-		fmt.Printf(" error=%s", st.Error)
+		fmt.Fprintf(stdout, " error=%s", st.Error)
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 }
 
-// runSelftest is the gateway-smoke gate: serve a real gateway on loopback
+// runSelftest is the gateway smoke check: serve a real gateway on loopback
 // TCP, push one study through the full wire path, stream sketch snapshots
 // while it runs, and fail unless the served fingerprints are byte-identical
 // to a direct single-process run of the same spec.
-func runSelftest(cfg gateway.Config, spec gateway.StudySpec) error {
+func runSelftest(stdout, stderr io.Writer, cfg gateway.Config, spec gateway.StudySpec) error {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return err
@@ -223,7 +222,7 @@ func runSelftest(cfg gateway.Config, spec gateway.StudySpec) error {
 	srv := netblock.NewHandlerServer(gw)
 	defer srv.Close()
 	go srv.Serve(ln) //nolint:errcheck — ends with Close
-	fmt.Fprintf(os.Stderr, "ebsgate: selftest gateway on %s (%s)\n", ln.Addr(), execDesc(cfg))
+	fmt.Fprintf(stderr, "ebsgate: selftest gateway on %s (%s)\n", ln.Addr(), execDesc(cfg))
 
 	cl, err := gateway.Dial(ln.Addr().String())
 	if err != nil {
@@ -234,7 +233,7 @@ func runSelftest(cfg gateway.Config, spec gateway.StudySpec) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "ebsgate: study %d submitted (%s)\n", reply.StudyID, reply.State)
+	fmt.Fprintf(stderr, "ebsgate: study %d submitted (%s)\n", reply.StudyID, reply.State)
 
 	snaps := 0
 	var lastSnap gateway.SnapshotReply
@@ -243,7 +242,7 @@ func runSelftest(cfg gateway.Config, spec gateway.StudySpec) error {
 		if err == nil && len(rep.Sketch) > 0 {
 			snaps++
 			lastSnap = rep
-			fmt.Fprintf(os.Stderr, "ebsgate: snapshot seq=%d vds=%d/%d (%d bytes)\n",
+			fmt.Fprintf(stderr, "ebsgate: snapshot seq=%d vds=%d/%d (%d bytes)\n",
 				rep.Seq, rep.VDsDone, rep.VDsTotal, len(rep.Sketch))
 		}
 	})
@@ -279,19 +278,14 @@ func runSelftest(cfg gateway.Config, spec gateway.StudySpec) error {
 	if err != nil {
 		return err
 	}
-	if st.DatasetFP != oracle.DatasetFP {
-		return fmt.Errorf("served dataset fingerprint %s, direct run %s", st.DatasetFP, oracle.DatasetFP)
+	if served := (gatewaytest.Oracle{DatasetFP: st.DatasetFP, SketchFP: st.SketchFP, ControlLogFP: st.ControlLogFP}); served != oracle {
+		return fmt.Errorf("served fingerprints %+v, direct run %+v", served, oracle)
 	}
-	if st.SketchFP != oracle.SketchFP {
-		return fmt.Errorf("served sketch fingerprint %s, direct run %s", st.SketchFP, oracle.SketchFP)
-	}
-	if st.ControlLogFP != oracle.ControlLogFP {
-		return fmt.Errorf("served control log fingerprint %q, direct run %q", st.ControlLogFP, oracle.ControlLogFP)
-	}
-	fmt.Printf("ebsgate selftest: study %d over TCP, %d snapshot(s) streamed, fingerprints match direct run\n", reply.StudyID, snaps)
-	fmt.Printf("  dataset %s\n  sketch  %s\n", st.DatasetFP, st.SketchFP)
+	fmt.Fprintf(stderr, "ebsgate: %d snapshot(s) streamed\n", snaps)
+	fmt.Fprintf(stdout, "ebsgate selftest: study %d over TCP, fingerprints match direct run\n", reply.StudyID)
+	fmt.Fprintf(stdout, "  dataset %s\n  sketch  %s\n", st.DatasetFP, st.SketchFP)
 	if st.ControlLogFP != "" {
-		fmt.Printf("  control %s (%d decisions)\n", st.ControlLogFP, st.ControlDecisions)
+		fmt.Fprintf(stdout, "  control %s (%d decisions)\n", st.ControlLogFP, st.ControlDecisions)
 	}
 	return nil
 }

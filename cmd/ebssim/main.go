@@ -7,6 +7,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/signal"
@@ -51,7 +52,7 @@ type roleFlags struct {
 }
 
 // validateFlags rejects contradictory role selections and an invalid run
-// spec up front — spec is the very value main runs — naming every flag
+// spec up front — spec is the very value ebssim runs — naming every flag
 // involved so the exit is actionable instead of one role silently winning
 // over the other or the run failing after startup.
 func validateFlags(f roleFlags, spec ebs.RunSpec) error {
@@ -122,45 +123,42 @@ func defaultStudy() gateway.StudySpec {
 	return gateway.StudySpec{Seed: 1, DurationSec: 60, Nodes: 16, Users: 16, MaxVDs: 120}
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is ebssim on explicit arguments and streams; it returns the exit code
+// and leaves no goroutine or signal registration behind.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ebssim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	study := defaultStudy()
-	study.BindFlags(flag.CommandLine)
+	study.BindFlags(fs)
 	var (
-		workers = flag.Int("workers", 0, "simulation workers (0 = one per CPU)")
-		verbose = flag.Bool("progress", false, "print simulation progress")
-		stream  = flag.Bool("stream", false, "fold every IO into O(1)-memory streaming sketches and report online skewness metrics with an exact-vs-sketch accuracy table")
-		out     = flag.String("out", "", "write the run's dataset (per-IO trace, per-second metrics, VM/VD specs) as CSV + JSONL into this directory; -scenario replay,path=DIR/trace.csv with the same study flags replays it")
+		rf      roleFlags
+		workers = fs.Int("workers", 0, "simulation workers (0 = one per CPU)")
+		verbose = fs.Bool("progress", false, "print simulation progress")
+		stream  = fs.Bool("stream", false, "fold every IO into O(1)-memory streaming sketches and report online skewness metrics with an exact-vs-sketch accuracy table")
+		out     = fs.String("out", "", "write the run's dataset (per-IO trace, per-second metrics, VM/VD specs) as CSV + JSONL into this directory; -scenario replay,path=DIR/trace.csv with the same study flags replays it")
 
-		workersAddr = flag.String("workers-addr", "", "run as fabric coordinator: listen on this address for ebsd workers and merge their shard results")
-		dist        = flag.Int("dist", 0, "run the fabric in-process over a loopback transport with this many workers and verify the merged dataset against a single-process run")
-		replicas    = flag.Int("replicas", 1, "with -dist: replicate the coordinator control plane across this many consensus-backed replicas")
-		replicaID   = flag.Int("replica-id", 0, "with -workers-addr and -peers: this coordinator's replica ID")
-		peers       = flag.String("peers", "", "with -workers-addr: comma-separated control-plane addresses of every replica, indexed by replica ID (replicates the coordinator over TCP)")
-
-		chaosOn     = flag.Bool("chaos", false, "inject a deterministic fault schedule (see -crashes, -storms, ...)")
-		chaosSeed   = flag.Int64("chaos-seed", 0, "fault schedule seed (0 = follow -seed)")
-		crashes     = flag.Int("crashes", 2, "BlockServer crash-and-recover windows to schedule")
-		downSec     = flag.Int("down-sec", 5, "mean crash window length in seconds")
-		penaltyUS   = flag.Float64("penalty-us", 0, "frontend-net latency penalty (us) for IOs hitting a crashed BS (0 = observe only)")
-		storms      = flag.Int("storms", 1, "hot-tenant traffic storms to schedule")
-		stormFactor = flag.Float64("storm-factor", 8, "demand multiplier inside a storm window")
-
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the whole run (any mode, -dist included) to this file; read it with go tool pprof")
-		memProfile = flag.String("memprofile", "", "write an allocation profile, taken when the run ends, to this file")
+		chaosOn     = fs.Bool("chaos", false, "inject a deterministic fault schedule (see -crashes, -storms, ...)")
+		chaosSeed   = fs.Int64("chaos-seed", 0, "fault schedule seed (0 = follow -seed)")
+		crashes     = fs.Int("crashes", 2, "BlockServer crash-and-recover windows to schedule")
+		downSec     = fs.Int("down-sec", 5, "mean crash window length in seconds")
+		penaltyUS   = fs.Float64("penalty-us", 0, "frontend-net latency penalty (us) for IOs hitting a crashed BS (0 = observe only)")
+		storms      = fs.Int("storms", 1, "hot-tenant traffic storms to schedule")
+		stormFactor = fs.Float64("storm-factor", 8, "demand multiplier inside a storm window")
 	)
-	flag.Parse()
-
-	rf := roleFlags{
-		dist:        *dist,
-		shards:      study.Shards,
-		workersAddr: *workersAddr,
-		replicas:    *replicas,
-		leaderKill:  study.LeaderKills,
-		replicaID:   *replicaID,
-		peers:       *peers,
-		cpuProfile:  *cpuProfile,
-		memProfile:  *memProfile,
+	fs.StringVar(&rf.workersAddr, "workers-addr", "", "run as fabric coordinator: listen on this address for ebsd workers and merge their shard results")
+	fs.IntVar(&rf.dist, "dist", 0, "run the fabric in-process over a loopback transport with this many workers and verify the merged dataset against a single-process run")
+	fs.IntVar(&rf.replicas, "replicas", 1, "with -dist: replicate the coordinator control plane across this many consensus-backed replicas")
+	fs.IntVar(&rf.replicaID, "replica-id", 0, "with -workers-addr and -peers: this coordinator's replica ID")
+	fs.StringVar(&rf.peers, "peers", "", "with -workers-addr: comma-separated control-plane addresses of every replica, indexed by replica ID (replicates the coordinator over TCP)")
+	fs.StringVar(&rf.cpuProfile, "cpuprofile", "", "write a CPU profile of the whole run (any mode, -dist included) to this file; read it with go tool pprof")
+	fs.StringVar(&rf.memProfile, "memprofile", "", "write an allocation profile, taken when the run ends, to this file")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
+	rf.shards, rf.leaderKill = study.Shards, study.LeaderKills
+
 	spec := study.RunSpec()
 	spec.Opts.Workers = *workers
 	var sketchSet *sketch.Set
@@ -184,26 +182,20 @@ func main() {
 	if *verbose {
 		spec.Opts.Progress = func(done, total int) {
 			if done%50 == 0 || done == total {
-				fmt.Fprintf(os.Stderr, "simulated %d/%d VDs\n", done, total)
+				fmt.Fprintf(stderr, "simulated %d/%d VDs\n", done, total)
 			}
 		}
 	}
 	if err := validateFlags(rf, spec); err != nil {
-		fmt.Fprintln(os.Stderr, "ebssim:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "ebssim:", err)
+		return 2
 	}
-	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	stopProfiles, err := startProfiles(rf.cpuProfile, rf.memProfile, stderr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ebssim:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "ebssim:", err)
+		return 1
 	}
-	// fail is the exit for everything past this point: os.Exit skips
-	// deferred calls, and a CPU profile is only readable once stopped.
-	fail := func(err error) {
-		stopProfiles()
-		fmt.Fprintln(os.Stderr, "ebssim:", err)
-		os.Exit(1)
-	}
+	defer stopProfiles()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -212,70 +204,64 @@ func main() {
 		scWL scenario.Workload // the bound scenario of a local run
 	)
 	switch {
-	case *dist > 0:
-		ds, err = runDistVerified(ctx, spec, *dist, study.Shards, *replicas, study.LeaderKills)
-	case *workersAddr != "":
-		ds, err = runCoordinator(ctx, spec, *workersAddr, study.Shards, *replicaID, *peers)
+	case rf.dist > 0:
+		ds, err = runDistVerified(ctx, stdout, stderr, spec, rf.dist, rf.shards, rf.replicas, rf.leaderKill)
+	case rf.workersAddr != "":
+		ds, err = runCoordinator(ctx, stderr, spec, rf.workersAddr, rf.shards, rf.replicaID, rf.peers)
 	default:
-		ds, scWL, err = runLocal(ctx, spec)
+		ds, scWL, err = runLocal(ctx, stdout, spec)
+	}
+	if err == nil && *out != "" {
+		if err = trace.SaveDir(ds, *out); err == nil {
+			fmt.Fprintf(stderr, "ebssim: wrote the dataset to %s\n", *out)
+		}
 	}
 	if err != nil {
-		fail(err)
+		fmt.Fprintln(stderr, "ebssim:", err)
+		return 1
 	}
-	if *out != "" {
-		if err := trace.SaveDir(ds, *out); err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "ebssim: wrote the dataset to %s\n", *out)
-	}
-	stopProfiles()
 	top := ds.Topology
 	dur := spec.Opts.DurationSec
-	fmt.Printf("simulated %d IOs over %ds (%d VDs)\n", len(ds.Trace), dur, simulatedVDs(study.MaxVDs, len(top.VDs)))
+	fmt.Fprintf(stdout, "simulated %d IOs over %ds (%d VDs)\n", len(ds.Trace), dur, simulatedVDs(study.MaxVDs, len(top.VDs)))
 	if scWL != nil {
-		fmt.Printf("scenario: %s\n", scWL.Spec())
+		fmt.Fprintf(stdout, "scenario: %s\n", scWL.Spec())
 		if rp, ok := scWL.(*scenario.Replay); ok {
 			st := rp.Stats()
-			fmt.Printf("  replay: schema %s, %d records parsed, %d kept (1/%d), %d reordered, %d clamped\n",
+			fmt.Fprintf(stdout, "  replay: schema %s, %d records parsed, %d kept (1/%d), %d reordered, %d clamped\n",
 				st.Schema, st.Records, st.Kept, rp.EventSampleEvery(), st.Reordered, st.Clamped)
 		}
 	} else if spec.Scenario != "" {
-		fmt.Printf("scenario: %s (bound per fabric worker)\n", spec.Scenario)
+		fmt.Fprintf(stdout, "scenario: %s (bound per fabric worker)\n", spec.Scenario)
 	}
 	if study.Check {
-		fmt.Println("invariant suite: all conservation laws hold")
+		fmt.Fprintln(stdout, "invariant suite: all conservation laws hold")
 	}
 	if *chaosOn {
-		sched := spec.Opts.Chaos.Expand(study.Seed, chaos.Shape{
-			BSs:    top.StorageNodes,
-			VDs:    len(top.VDs),
-			DurSec: dur,
-		})
-		fmt.Println(sched)
-		fmt.Println(chaosStats)
+		fmt.Fprintln(stdout, spec.Opts.Chaos.Expand(study.Seed, chaos.Shape{BSs: top.StorageNodes, VDs: len(top.VDs), DurSec: dur}))
+		fmt.Fprintln(stdout, chaosStats)
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 
 	if *stream {
-		printStream(sketchSet, ds)
+		printStream(stdout, sketchSet, ds)
 	}
 
 	// Per-stage latency percentiles.
-	fmt.Println("latency by stage (us):")
-	fmt.Printf("  %-14s %8s %8s %8s\n", "stage", "p50", "p99", "mean")
+	fmt.Fprintln(stdout, "latency by stage (us):")
+	fmt.Fprintf(stdout, "  %-14s %8s %8s %8s\n", "stage", "p50", "p99", "mean")
 	for st := trace.Stage(0); st < trace.NumStages; st++ {
 		var xs []float64
 		for i := range ds.Trace {
 			xs = append(xs, float64(ds.Trace[i].Latency[st]))
 		}
-		fmt.Printf("  %-14s %8.0f %8.0f %8.0f\n", st,
+		fmt.Fprintf(stdout, "  %-14s %8.0f %8.0f %8.0f\n", st,
 			stats.Quantile(xs, 0.5), stats.Quantile(xs, 0.99), stats.Mean(xs))
 	}
 	var e2e []float64
 	for i := range ds.Trace {
 		e2e = append(e2e, ds.Trace[i].TotalLatency())
 	}
-	fmt.Printf("  %-14s %8.0f %8.0f %8.0f\n\n", "end-to-end",
+	fmt.Fprintf(stdout, "  %-14s %8.0f %8.0f %8.0f\n\n", "end-to-end",
 		stats.Quantile(e2e, 0.5), stats.Quantile(e2e, 0.99), stats.Mean(e2e))
 
 	// Worker-thread balance per node (top 5 busiest nodes).
@@ -300,7 +286,7 @@ func main() {
 		ranked = append(ranked, nl)
 	}
 	sort.Slice(ranked, func(i, j int) bool { return ranked[i].tot > ranked[j].tot })
-	fmt.Println("worker-thread balance (busiest nodes):")
+	fmt.Fprintln(stdout, "worker-thread balance (busiest nodes):")
 	for i, nl := range ranked {
 		if i >= 5 {
 			break
@@ -309,7 +295,7 @@ func main() {
 		for wt := 0; wt < top.Nodes[nl.node].WorkerNum; wt++ {
 			xs = append(xs, nl.wt[int8(wt)])
 		}
-		fmt.Printf("  node %3d: %6.1f MiB total, WT-CoV %.2f\n",
+		fmt.Fprintf(stdout, "  node %3d: %6.1f MiB total, WT-CoV %.2f\n",
 			nl.node, nl.tot/(1<<20), stats.NormCoV(xs))
 	}
 
@@ -322,14 +308,15 @@ func main() {
 	for _, v := range perSN {
 		snLoads = append(snLoads, v)
 	}
-	fmt.Printf("\nstorage nodes touched: %d, inter-BS CoV %.2f\n", len(snLoads), stats.NormCoV(snLoads))
+	fmt.Fprintf(stdout, "\nstorage nodes touched: %d, inter-BS CoV %.2f\n", len(snLoads), stats.NormCoV(snLoads))
+	return 0
 }
 
 // startProfiles begins the CPU profile (when cpu names a file) and returns
 // the function that ends the profiled region: it stops the CPU profile and
 // writes the allocation profile (when mem names a file). Profile files are
 // diagnostics, so a failure to write one is reported and the run goes on.
-func startProfiles(cpu, mem string) (stop func(), err error) {
+func startProfiles(cpu, mem string, stderr io.Writer) (stop func(), err error) {
 	var cpuFile *os.File
 	if cpu != "" {
 		if cpuFile, err = os.Create(cpu); err != nil {
@@ -344,12 +331,12 @@ func startProfiles(cpu, mem string) (stop func(), err error) {
 		if cpuFile != nil {
 			pprof.StopCPUProfile()
 			if err := cpuFile.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "ebssim: -cpuprofile:", err)
+				fmt.Fprintln(stderr, "ebssim: -cpuprofile:", err)
 			}
 		}
 		if mem != "" {
 			if err := writeAllocProfile(mem); err != nil {
-				fmt.Fprintln(os.Stderr, "ebssim: -memprofile:", err)
+				fmt.Fprintln(stderr, "ebssim: -memprofile:", err)
 			}
 		}
 	}, nil
@@ -374,9 +361,9 @@ func writeAllocProfile(path string) error {
 // printStream reports the online skewness metrics computed from the merged
 // sketch state and scores them against the exact batch recomputation over
 // the retained dataset.
-func printStream(set *sketch.Set, ds *trace.Dataset) {
+func printStream(stdout io.Writer, set *sketch.Set, ds *trace.Dataset) {
 	sk := set.Skewness()
-	fmt.Println("streaming skewness (sketch state only):")
+	fmt.Fprintln(stdout, "streaming skewness (sketch state only):")
 	rows := [][2]string{
 		{"IOs / bytes", fmt.Sprintf("%d / %.1f MiB", sk.IOs, sk.Bytes/(1<<20))},
 		{"1%-CCR / 10%-CCR (VDs)", fmt.Sprintf("%.3f / %.3f", sk.CCR1, sk.CCR10)},
@@ -389,19 +376,19 @@ func printStream(set *sketch.Set, ds *trace.Dataset) {
 		{"active blocks / segments", fmt.Sprintf("%.0f / %.0f", sk.ActiveBlocks, sk.ActiveSegments)},
 	}
 	for _, row := range rows {
-		fmt.Printf("  %-26s %s\n", row[0], row[1])
+		fmt.Fprintf(stdout, "  %-26s %s\n", row[0], row[1])
 	}
-	fmt.Println("  hottest VDs (bytes):")
+	fmt.Fprintln(stdout, "  hottest VDs (bytes):")
 	for i, e := range sk.HotVDs {
 		if i >= 5 {
 			break
 		}
-		fmt.Printf("    VD %4d  %8.1f MiB (+/- %.1f)\n", e.Key,
+		fmt.Fprintf(stdout, "    VD %4d  %8.1f MiB (+/- %.1f)\n", e.Key,
 			float64(e.Count)/(1<<20), float64(e.Err)/(1<<20))
 	}
 
 	exact := sketch.ExactSkewness(ds, set.Config())
-	fmt.Print(report.AccuracySection("exact batch vs streamed sketch:", []report.AccuracyRow{
+	fmt.Fprint(stdout, report.AccuracySection("exact batch vs streamed sketch:", []report.AccuracyRow{
 		{Metric: "1%-CCR", Exact: exact.CCR1, Sketch: sk.CCR1, Bound: 1e-6},
 		{Metric: "10%-CCR", Exact: exact.CCR10, Sketch: sk.CCR10, Bound: 1e-6},
 		{Metric: "NormCoV", Exact: exact.NormCoV, Sketch: sk.NormCoV, Bound: 1e-6},
@@ -415,7 +402,7 @@ func printStream(set *sketch.Set, ds *trace.Dataset) {
 		{Metric: "active blocks", Exact: exact.ActiveBlocks, Sketch: sk.ActiveBlocks, Bound: 0.10},
 		{Metric: "active segments", Exact: exact.ActiveSegments, Sketch: sk.ActiveSegments, Bound: 0.10},
 	}))
-	fmt.Printf("  hot-VD overlap %.2f, hot-segment overlap %.2f\n\n",
+	fmt.Fprintf(stdout, "  hot-VD overlap %.2f, hot-segment overlap %.2f\n\n",
 		sketch.Overlap(exact.HotVDs, sk.HotVDs),
 		sketch.Overlap(exact.HotSegments, sk.HotSegments))
 }
@@ -433,7 +420,7 @@ func simulatedVDs(maxVDs, fleetVDs int) int {
 // runLocal runs the spec in this process, printing a controlled run's
 // mitigation summary. It opens the spec itself, where spec.Run would do, to
 // return the bound scenario the report reads.
-func runLocal(ctx context.Context, spec ebs.RunSpec) (*trace.Dataset, scenario.Workload, error) {
+func runLocal(ctx context.Context, stdout io.Writer, spec ebs.RunSpec) (*trace.Dataset, scenario.Workload, error) {
 	sim, opts, err := spec.Open()
 	if err != nil {
 		return nil, nil, err
@@ -443,7 +430,7 @@ func runLocal(ctx context.Context, spec ebs.RunSpec) (*trace.Dataset, scenario.W
 		return nil, nil, err
 	}
 	if plan != nil {
-		printPlan(plan)
+		printPlan(stdout, plan)
 	}
 	return ds, opts.Scenario, nil
 }
@@ -451,13 +438,13 @@ func runLocal(ctx context.Context, spec ebs.RunSpec) (*trace.Dataset, scenario.W
 // printPlan prints the mitigation summary of a controlled run ahead of the
 // regular stack report. The dataset the report sections consume is the
 // actuated pass's, so every downstream number reflects life under mitigation.
-func printPlan(plan *control.Plan) {
+func printPlan(stdout io.Writer, plan *control.Plan) {
 	imb := control.Imbalance(plan.BSLoad)
-	fmt.Printf("control plane: policy %s, epoch %ds (%d epochs)\n", plan.Policy, plan.Config.EpochSec, len(plan.BSLoad))
-	fmt.Printf("  decisions: %d (%d migrate, %d evacuate, %d lend, %d rebind)\n", len(plan.Decisions),
+	fmt.Fprintf(stdout, "control plane: policy %s, epoch %ds (%d epochs)\n", plan.Policy, plan.Config.EpochSec, len(plan.BSLoad))
+	fmt.Fprintf(stdout, "  decisions: %d (%d migrate, %d evacuate, %d lend, %d rebind)\n", len(plan.Decisions),
 		plan.Count(control.DecMigrate), plan.Count(control.DecEvacuate), plan.Count(control.DecLend), plan.Count(control.DecRebind))
-	fmt.Printf("  decision log %s\n", plan.LogFingerprint())
-	fmt.Printf("  inter-BS imbalance: mean CoV %.4f, max CoV %.4f, peak share %.3f\n",
+	fmt.Fprintf(stdout, "  decision log %s\n", plan.LogFingerprint())
+	fmt.Fprintf(stdout, "  inter-BS imbalance: mean CoV %.4f, max CoV %.4f, peak share %.3f\n",
 		imb.MeanCoV, imb.MaxCoV, imb.PeakShare)
 }
 
@@ -468,7 +455,7 @@ func printPlan(plan *control.Plan) {
 // leader, and a surviving replica finishes the run if this one dies. After
 // the run completes it keeps serving briefly so every worker can observe
 // AssignDone and deregister before the listener goes away.
-func runCoordinator(ctx context.Context, spec ebs.RunSpec, addr string, shards, replicaID int, peers string) (*trace.Dataset, error) {
+func runCoordinator(ctx context.Context, stderr io.Writer, spec ebs.RunSpec, addr string, shards, replicaID int, peers string) (*trace.Dataset, error) {
 	fc := fabric.Config{Fleet: spec.Fleet, Opts: spec.Opts, Scenario: spec.Scenario, Shards: shards}
 	if peers != "" {
 		peerList := strings.Split(peers, ",")
@@ -488,15 +475,15 @@ func runCoordinator(ctx context.Context, spec ebs.RunSpec, addr string, shards, 
 	}
 	defer l.Close()
 	if peers != "" {
-		fmt.Fprintf(os.Stderr, "ebssim: control-plane replica %d/%d on %s (workers: ebsd -join %s)\n",
+		fmt.Fprintf(stderr, "ebssim: control-plane replica %d/%d on %s (workers: ebsd -join %s)\n",
 			replicaID, fc.Replicas, l.Addr(), peers)
 	} else {
-		fmt.Fprintf(os.Stderr, "ebssim: waiting for workers on %s (ebsd -join %s)\n", l.Addr(), l.Addr())
+		fmt.Fprintf(stderr, "ebssim: waiting for workers on %s (ebsd -join %s)\n", l.Addr(), l.Addr())
 	}
 	srv := netblock.NewHandlerServer(co)
 	go srv.Serve(l) //nolint:errcheck — lifecycle ends with Close
 	defer srv.Close()
-	fmt.Fprintf(os.Stderr, "ebssim: coordinator dispatching %d shards\n", len(co.Plan()))
+	fmt.Fprintf(stderr, "ebssim: coordinator dispatching %d shards\n", len(co.Plan()))
 	ds, err := co.Wait(ctx)
 	if err != nil {
 		return nil, err
@@ -511,12 +498,12 @@ func runCoordinator(ctx context.Context, spec ebs.RunSpec, addr string, shards, 
 // runDistVerified runs the whole fabric in-process: a coordinator over a
 // loopback transport plus n workers, then re-runs the simulation
 // single-process and fails unless the two dataset fingerprints are
-// identical — the distributed determinism oracle behind `make dist-smoke`.
+// identical — the distributed determinism oracle behind the dist smoke row.
 // With replicas > 1 the control plane is a consensus-backed replica set, and
 // leaderKills > 0 additionally schedules chaos kills of the acting leader
 // mid-run — the fingerprint comparison must STILL hold, which is the
 // replicated control plane's whole contract.
-func runDistVerified(ctx context.Context, spec ebs.RunSpec, n, shards, replicas, leaderKills int) (*trace.Dataset, error) {
+func runDistVerified(ctx context.Context, stdout, stderr io.Writer, spec ebs.RunSpec, n, shards, replicas, leaderKills int) (*trace.Dataset, error) {
 	opts := spec.Opts
 	distOpts := opts
 	var distStream *sketch.Set
@@ -524,9 +511,8 @@ func runDistVerified(ctx context.Context, spec ebs.RunSpec, n, shards, replicas,
 		distStream = sketch.NewSet(opts.Stream.Config())
 		distOpts.Stream = distStream
 	}
-	var distChaos chaos.Stats
 	if opts.ChaosStats != nil {
-		distOpts.ChaosStats = &distChaos
+		distOpts.ChaosStats = new(chaos.Stats)
 	}
 	distOpts.Progress = nil
 	if leaderKills > 0 {
@@ -541,7 +527,7 @@ func runDistVerified(ctx context.Context, spec ebs.RunSpec, n, shards, replicas,
 		distOpts.Chaos = &plan
 	}
 
-	ds, err := runReplicaSet(ctx, fabric.Config{Fleet: spec.Fleet, Opts: distOpts, Scenario: spec.Scenario, Shards: shards}, n, replicas)
+	ds, err := runReplicaSet(ctx, stderr, fabric.Config{Fleet: spec.Fleet, Opts: distOpts, Scenario: spec.Scenario, Shards: shards}, n, replicas)
 	if err != nil {
 		return nil, err
 	}
@@ -554,15 +540,15 @@ func runDistVerified(ctx context.Context, spec ebs.RunSpec, n, shards, replicas,
 		return nil, fmt.Errorf("single-process reference run: %w", err)
 	}
 	distFP, refFP := invariant.Fingerprint(ds), invariant.Fingerprint(ref)
-	fmt.Printf("dist fingerprint   %s (%d workers, %d replicas)\n", distFP, n, replicas)
-	fmt.Printf("single fingerprint %s\n", refFP)
+	fmt.Fprintf(stdout, "dist fingerprint   %s (%d workers, %d replicas)\n", distFP, n, replicas)
+	fmt.Fprintf(stdout, "single fingerprint %s\n", refFP)
 	if distFP != refFP {
 		return nil, fmt.Errorf("distributed run diverged from single-process run")
 	}
 	if opts.Stream != nil && distStream.Fingerprint() != opts.Stream.Fingerprint() {
 		return nil, fmt.Errorf("distributed sketch state diverged from single-process run")
 	}
-	fmt.Println("distributed == single-process: byte-identical")
+	fmt.Fprintln(stdout, "distributed == single-process: byte-identical")
 	return ds, nil
 }
 
@@ -571,17 +557,17 @@ func runDistVerified(ctx context.Context, spec ebs.RunSpec, n, shards, replicas,
 // inline): workers dial every replica and follow leader redirects, and any
 // leader kills in opts.Chaos fire mid-run. It reports the leadership
 // history so a kill's succession is visible in the smoke output.
-func runReplicaSet(ctx context.Context, fc fabric.Config, n, replicas int) (*trace.Dataset, error) {
+func runReplicaSet(ctx context.Context, stderr io.Writer, fc fabric.Config, n, replicas int) (*trace.Dataset, error) {
 	rs, err := fabric.NewReplicaSet(fc, replicas)
 	if err != nil {
 		return nil, err
 	}
 	defer rs.Close()
 	if sched := rs.Schedule(); sched != nil {
-		fmt.Fprintf(os.Stderr, "ebssim: %d-replica control plane, %d leader kill(s) scheduled\n",
+		fmt.Fprintf(stderr, "ebssim: %d-replica control plane, %d leader kill(s) scheduled\n",
 			replicas, len(sched.LeaderKills))
 	} else {
-		fmt.Fprintf(os.Stderr, "ebssim: %d-replica control plane\n", replicas)
+		fmt.Fprintf(stderr, "ebssim: %d-replica control plane\n", replicas)
 	}
 	ds, err := rs.Run(ctx, n)
 	if err != nil {
@@ -591,7 +577,7 @@ func runReplicaSet(ctx context.Context, fc fabric.Config, n, replicas int) (*tra
 	for _, tr := range rs.Transitions() {
 		hist = append(hist, fmt.Sprintf("term %d -> replica %d", tr.Term, tr.Leader))
 	}
-	fmt.Fprintf(os.Stderr, "ebssim: leadership history: %s (%d kill(s) executed)\n",
+	fmt.Fprintf(stderr, "ebssim: leadership history: %s (%d kill(s) executed)\n",
 		strings.Join(hist, ", "), rs.KillsExecuted())
 	return ds, nil
 }

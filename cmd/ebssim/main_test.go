@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -27,7 +28,7 @@ func TestDefaultStudyRunSpec(t *testing.T) {
 
 // TestValidateFlagsMatrix walks the (-dist, -replicas, -leader-kill) matrix
 // plus the role-conflict corners, the profile flags (valid with every role)
-// and the run spec main builds from the remaining flags: every contradictory
+// and the run spec run builds from the remaining flags: every contradictory
 // combination and every invalid value must be rejected with an error naming
 // the flags or fields involved, and every sensible one accepted.
 func TestValidateFlagsMatrix(t *testing.T) {
@@ -152,7 +153,7 @@ func TestStartProfiles(t *testing.T) {
 	dir := t.TempDir()
 	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
 	for round := 0; round < 2; round++ {
-		stop, err := startProfiles(cpu, mem)
+		stop, err := startProfiles(cpu, mem, io.Discard)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
@@ -163,10 +164,10 @@ func TestStartProfiles(t *testing.T) {
 			}
 		}
 	}
-	if _, err := startProfiles(filepath.Join(dir, "no-such-dir", "cpu.prof"), ""); err == nil {
+	if _, err := startProfiles(filepath.Join(dir, "no-such-dir", "cpu.prof"), "", io.Discard); err == nil {
 		t.Fatal("an uncreatable -cpuprofile path was accepted")
 	}
-	stop, err := startProfiles("", "")
+	stop, err := startProfiles("", "", io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,11 +99,11 @@ func relErr(got, want float64) float64 {
 	return math.Abs(got-want) / math.Abs(want)
 }
 
-// TestSketchAccuracySmoke is the calibrated exact-vs-streamed gate wired
-// into `make sketch-accuracy-smoke`: one run produces both views of the
-// same IO stream (full trace retained for the exact batch path, sketches
-// for the streamed path), and the streamed metrics must sit inside the
-// documented error bounds.
+// TestSketchAccuracySmoke is the calibrated exact-vs-streamed gate, run by
+// `go test ./internal/ebs`: one run produces both views of the same IO
+// stream (full trace retained for the exact batch path, sketches for the
+// streamed path), and the streamed metrics must sit inside the documented
+// error bounds.
 func TestSketchAccuracySmoke(t *testing.T) {
 	f := smallFleet(t)
 	set := sketch.NewSet(sketch.Config{})
