@@ -8,9 +8,10 @@ import (
 )
 
 // Client is a typed gateway client over one netblock connection. Methods are
-// safe for concurrent use (the underlying protocol multiplexes by request
-// ID). The gateway trusts its network — tenancy is declared, not
-// authenticated — exactly like the fabric trusts its workers.
+// safe for concurrent use: the netblock client carries one exchange at a
+// time, so concurrent calls take turns. The gateway trusts its network —
+// tenancy is declared, not authenticated — exactly like the fabric trusts
+// its workers.
 type Client struct {
 	c *netblock.Client
 }
@@ -33,30 +34,29 @@ func NewClient(conn net.Conn) *Client {
 // Close tears the connection down.
 func (cl *Client) Close() error { return cl.c.Close() }
 
-// Submit submits one study for tenant.
-func (cl *Client) Submit(tenant string, spec StudySpec) (SubmitReply, error) {
-	payload, err := cl.c.Call(netblock.OpSubmitStudy, EncodeSubmit(SubmitRequest{Tenant: tenant, Spec: spec}))
-	if err != nil {
-		return SubmitReply{}, err
+// call performs one typed RPC: payload under op, the JSON reply decoded
+// into a T. Any error returns T's zero value.
+func call[T any](cl *Client, op netblock.OpCode, payload []byte) (T, error) {
+	var r T
+	raw, err := cl.c.Call(op, payload)
+	if err == nil {
+		err = fromJSON(raw, &r)
 	}
-	var r SubmitReply
-	if err := fromJSON(payload, &r); err != nil {
-		return SubmitReply{}, err
+	if err != nil {
+		var zero T
+		return zero, err
 	}
 	return r, nil
 }
 
+// Submit submits one study for tenant.
+func (cl *Client) Submit(tenant string, spec StudySpec) (SubmitReply, error) {
+	return call[SubmitReply](cl, netblock.OpSubmitStudy, EncodeSubmit(SubmitRequest{Tenant: tenant, Spec: spec}))
+}
+
 // Status polls one study.
 func (cl *Client) Status(id uint64) (StatusReply, error) {
-	payload, err := cl.c.Call(netblock.OpStudyStatus, mustJSON(StatusRequest{StudyID: id}))
-	if err != nil {
-		return StatusReply{}, err
-	}
-	var r StatusReply
-	if err := fromJSON(payload, &r); err != nil {
-		return StatusReply{}, err
-	}
-	return r, nil
+	return call[StatusReply](cl, netblock.OpStudyStatus, mustJSON(StatusRequest{StudyID: id}))
 }
 
 // Snapshot streams one incremental sketch snapshot of a study.
@@ -70,26 +70,10 @@ func (cl *Client) Snapshot(id uint64) (SnapshotReply, error) {
 
 // Cancel cancels one study.
 func (cl *Client) Cancel(id uint64) (CancelReply, error) {
-	payload, err := cl.c.Call(netblock.OpCancelStudy, mustJSON(CancelRequest{StudyID: id}))
-	if err != nil {
-		return CancelReply{}, err
-	}
-	var r CancelReply
-	if err := fromJSON(payload, &r); err != nil {
-		return CancelReply{}, err
-	}
-	return r, nil
+	return call[CancelReply](cl, netblock.OpCancelStudy, mustJSON(CancelRequest{StudyID: id}))
 }
 
 // TenantStats fetches one tenant's serving statistics.
 func (cl *Client) TenantStats(tenant string) (TenantStats, error) {
-	payload, err := cl.c.Call(netblock.OpTenantStats, mustJSON(StatsRequest{Tenant: tenant}))
-	if err != nil {
-		return TenantStats{}, err
-	}
-	var r TenantStats
-	if err := fromJSON(payload, &r); err != nil {
-		return TenantStats{}, err
-	}
-	return r, nil
+	return call[TenantStats](cl, netblock.OpTenantStats, mustJSON(StatsRequest{Tenant: tenant}))
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,22 +17,23 @@ var (
 	// ErrClosed reports use of a client after Close.
 	ErrClosed = errors.New("netblock: client closed")
 
-	errMidCall = errors.New("netblock: connection closed mid-call")
-	errNoConn  = errors.New("netblock: connection down")
+	errNoConn = errors.New("netblock: connection down")
 )
 
 // Config tunes the client. The zero value waits forever for every call.
 type Config struct {
-	// Timeout is the per-call deadline (0 = wait forever). A timed-out call
-	// abandons its connection: a peer that swallows one response cannot be
-	// trusted with the rest of the pipeline.
+	// Timeout is the per-call deadline (0 = wait forever), set on the
+	// connection before the request is written. A timed-out call closes the
+	// connection: a peer that swallowed one response may still send it, and
+	// the next call must not read it.
 	Timeout time.Duration
 }
 
-// Client is a pipelining RPC client: many goroutines can issue requests
-// concurrently over one connection; a demux goroutine routes responses back
-// by request ID. Every call makes exactly one attempt: when the connection
-// dies, every in-flight call fails immediately with a real error, and if the
+// Client is a request/response RPC client, like the server it talks to: a
+// call writes one request and reads its response before the next call may
+// use the connection, so concurrent callers take turns. Every call makes
+// exactly one attempt: a transport error, a deadline or a response carrying
+// another request's ID fails the call and closes the connection, and if the
 // client knows how to redial (DialConfig), the next call reconnects. Retry
 // and failover belong to the caller, which knows whether a request is safe
 // to repeat and where else to send it.
@@ -39,24 +41,15 @@ type Client struct {
 	cfg  Config
 	dial func() (net.Conn, error) // nil: NewClient over a fixed conn
 
-	nextID  atomic.Uint64
+	callMu sync.Mutex // held for one whole exchange
+	nextID uint64     // guarded by callMu
+
 	redials atomic.Int64
 
+	// mu guards the connection alone, so Close can abort a call in flight.
 	mu     sync.Mutex
-	cs     *connState
+	conn   net.Conn
 	closed bool
-}
-
-// connState is one connection's demux state. A client replaces its
-// connState wholesale on redial; abandoned states drain and die.
-type connState struct {
-	conn    net.Conn
-	writeMu sync.Mutex // serializes request frames
-
-	mu      sync.Mutex
-	pending map[uint64]chan *Response
-	readErr error
-	done    chan struct{}
 }
 
 // DialConfig connects to a netblock server. The returned client redials on
@@ -70,7 +63,7 @@ func DialConfig(network, addr string, cfg Config) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("netblock: dial: %w", err)
 	}
-	c.cs = newConnState(conn)
+	c.conn = conn
 	return c, nil
 }
 
@@ -83,92 +76,36 @@ func NewClient(conn net.Conn) *Client {
 
 // NewClientConfig is NewClient with an explicit Config.
 func NewClientConfig(conn net.Conn, cfg Config) *Client {
-	return &Client{cfg: cfg, cs: newConnState(conn)}
+	return &Client{cfg: cfg, conn: conn}
 }
 
-func newConnState(conn net.Conn) *connState {
-	cs := &connState{
-		conn:    conn,
-		pending: make(map[uint64]chan *Response),
-		done:    make(chan struct{}),
-	}
-	go cs.readLoop()
-	return cs
-}
-
-// Close tears down the connection; in-flight calls fail and later calls
+// Close tears down the connection; a call in flight fails and later calls
 // return ErrClosed.
 func (c *Client) Close() error {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.closed = true
-	cs := c.cs
-	c.cs = nil
-	c.mu.Unlock()
-	if cs == nil {
+	conn := c.conn
+	c.conn = nil
+	if conn == nil {
 		return nil
 	}
-	err := cs.conn.Close()
-	<-cs.done
-	return err
+	return conn.Close()
 }
 
 // Retries returns how many times the client has redialed a lost
 // connection. A call is never retried; the redial happens on the next one.
 func (c *Client) Retries() int64 { return c.redials.Load() }
 
-func (cs *connState) readLoop() {
-	defer close(cs.done)
-	for {
-		resp, err := ReadResponse(cs.conn)
-		cs.mu.Lock()
-		if err != nil {
-			cs.readErr = err
-			for id, ch := range cs.pending {
-				close(ch)
-				delete(cs.pending, id)
-			}
-			cs.mu.Unlock()
-			return
-		}
-		ch, ok := cs.pending[resp.ID]
-		if ok {
-			delete(cs.pending, resp.ID)
-		}
-		cs.mu.Unlock()
-		if ok {
-			ch <- resp // buffered: never blocks, even if the caller timed out
-		}
-	}
-}
-
-// register adds a pending slot for id, failing if the connection is
-// already dead.
-func (cs *connState) register(id uint64) (chan *Response, error) {
-	ch := make(chan *Response, 1)
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	if cs.readErr != nil {
-		return nil, cs.readErr
-	}
-	cs.pending[id] = ch
-	return ch, nil
-}
-
-func (cs *connState) forget(id uint64) {
-	cs.mu.Lock()
-	delete(cs.pending, id)
-	cs.mu.Unlock()
-}
-
-// state returns the live connection, redialing if the previous one was
-// dropped and the client knows how.
-func (c *Client) state() (*connState, error) {
+// live returns the connection, redialing if the previous one was dropped
+// and the client knows how.
+func (c *Client) live() (net.Conn, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return nil, ErrClosed
 	}
-	if c.cs == nil {
+	if c.conn == nil {
 		if c.dial == nil {
 			return nil, errNoConn
 		}
@@ -176,66 +113,64 @@ func (c *Client) state() (*connState, error) {
 		if err != nil {
 			return nil, fmt.Errorf("netblock: redial: %w", err)
 		}
-		c.cs = newConnState(conn)
+		c.conn = conn
 		c.redials.Add(1)
 	}
-	return c.cs, nil
+	return c.conn, nil
 }
 
-// drop discards the connection a failed call used, unless a concurrent
-// caller already replaced it.
-func (c *Client) drop(cs *connState) {
+// drop closes the connection a failed call used, unless Close already did.
+func (c *Client) drop(conn net.Conn) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.cs == cs {
-		c.cs.conn.Close()
-		c.cs = nil
+	if c.conn == conn {
+		conn.Close()
+		c.conn = nil
 	}
 }
 
-// call sends one request and waits for its response: one wire exchange, on
-// the live connection or a redialed one. A transport failure drops the
-// connection and is returned as is; nothing is retried.
+// call sends one request and reads its response: one wire exchange, on the
+// live connection or a redialed one. A failed exchange drops the connection
+// and is returned; nothing is retried.
 func (c *Client) call(req *Request) (*Response, error) {
 	if err := req.validate(); err != nil {
 		return nil, err // unsendable: fail without touching the connection
 	}
-	req.ID = c.nextID.Add(1)
-	cs, err := c.state()
+	c.callMu.Lock()
+	defer c.callMu.Unlock()
+	c.nextID++
+	req.ID = c.nextID
+	conn, err := c.live()
 	if err != nil {
 		return nil, err
 	}
-	ch, err := cs.register(req.ID)
-	if err != nil {
-		c.drop(cs)
-		return nil, fmt.Errorf("netblock: connection down: %w", err)
-	}
-	cs.writeMu.Lock()
-	werr := WriteRequest(cs.conn, req)
-	cs.writeMu.Unlock()
-	if werr != nil {
-		cs.forget(req.ID)
-		c.drop(cs) // frame may be half-written; the conn is desynced
-		return nil, werr
-	}
-	var timeout <-chan time.Time
 	if c.cfg.Timeout > 0 {
-		tm := time.NewTimer(c.cfg.Timeout)
-		defer tm.Stop()
-		timeout = tm.C
+		conn.SetDeadline(time.Now().Add(c.cfg.Timeout)) //nolint:errcheck — a closed conn fails the write
 	}
-	select {
-	case resp, ok := <-ch:
-		if !ok {
-			c.drop(cs)
-			return nil, errMidCall
+	resp, err := exchange(conn, req)
+	if err != nil {
+		c.drop(conn) // a frame may be half-written or half-read
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			err = ErrTimeout
 		}
-		return resp, resp.Err()
-	case <-timeout:
-		cs.forget(req.ID)
-		c.drop(cs)
-		return nil, fmt.Errorf("netblock: %s call: %w", req.Op, ErrTimeout)
+		return nil, fmt.Errorf("netblock: %s call: %w", req.Op, err)
 	}
+	return resp, resp.Err()
+}
+
+// exchange writes req and reads the response, which must answer req.
+func exchange(conn net.Conn, req *Request) (*Response, error) {
+	if err := WriteRequest(conn, req); err != nil {
+		return nil, err
+	}
+	resp, err := ReadResponse(conn)
+	if err != nil {
+		return nil, err
+	}
+	if resp.ID != req.ID {
+		return nil, fmt.Errorf("response to request %d, want %d", resp.ID, req.ID)
+	}
+	return resp, nil
 }
 
 // Call performs one RPC: an opaque payload under the given op, answered by

@@ -3,14 +3,15 @@ package netblock
 import (
 	"errors"
 	"net"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// TestInFlightCallFailsWhenConnDies is the regression for the readLoop
-// contract: a call whose connection dies mid-response must get a real error
-// promptly — not hang forever on its response channel.
+// TestInFlightCallFailsWhenConnDies: a call whose connection dies
+// mid-response must get a real error promptly — not hang forever waiting
+// for a response that will never come.
 func TestInFlightCallFailsWhenConnDies(t *testing.T) {
 	srvConn, cliConn := net.Pipe()
 	c := NewClient(cliConn)
@@ -38,7 +39,8 @@ func TestInFlightCallFailsWhenConnDies(t *testing.T) {
 
 // TestServerCloseMidCallReturnsWithinDeadline kills a real TCP server while
 // a call is stalled inside it: the client must return well before its
-// (generous) deadline, via the readLoop's connection-death signal.
+// (generous) deadline, because the read of the response sees the
+// connection die.
 func TestServerCloseMidCallReturnsWithinDeadline(t *testing.T) {
 	srv, _, addr := ServeEcho(t)
 	c, err := DialConfig("tcp", addr, Config{Timeout: 30 * time.Second})
@@ -134,5 +136,108 @@ func TestNoRetriesWithoutBudget(t *testing.T) {
 	}
 	if got := c.Retries(); got != 0 {
 		t.Fatalf("client without a dialer redialed %d times", got)
+	}
+}
+
+// TestReplyToAnotherRequestFailsTheCall: a peer that answers with another
+// request's ID has broken the exchange. Under the zero Config (no deadline)
+// the call must still fail promptly rather than wait for a reply that never
+// comes, and the next call must not take the stale frame, which carries
+// exactly the ID it would be given, for its own.
+func TestReplyToAnotherRequestFailsTheCall(t *testing.T) {
+	srvConn, cliConn := net.Pipe()
+	c := NewClient(cliConn)
+	defer c.Close()
+	go func() {
+		defer srvConn.Close()
+		stale := true
+		for {
+			req, err := ReadRequest(srvConn)
+			if err != nil {
+				return
+			}
+			resp := &Response{ID: req.ID, Payload: req.Payload}
+			if stale {
+				resp = &Response{ID: req.ID + 1, Payload: []byte("stale")}
+				stale = false
+			}
+			if WriteResponse(srvConn, resp) != nil {
+				return
+			}
+		}
+	}()
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Call(OpHeartbeat, []byte("first"))
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("call accepted a response to another request")
+		}
+	case <-time.After(time.Second):
+		t.Fatal("call hung on a response to another request")
+	}
+	if got, err := c.Call(OpHeartbeat, []byte("second")); err == nil && string(got) != "second" {
+		t.Fatalf("later call returned %q, another call's response", got)
+	}
+}
+
+// TestCloseAbortsCallInFlight: Close takes only the lock that guards the
+// connection, so it ends a call blocked on a silent server instead of
+// waiting behind it, and every later call reports ErrClosed.
+func TestCloseAbortsCallInFlight(t *testing.T) {
+	srvConn, cliConn := net.Pipe()
+	defer srvConn.Close()
+	c := NewClient(cliConn)
+	sent := make(chan struct{})
+	go func() {
+		ReadRequest(srvConn) // swallow the request, never reply
+		close(sent)
+	}()
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Call(OpHeartbeat, nil)
+		done <- err
+	}()
+	<-sent // the call has written its request; it waits for the response
+	c.Close()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("call on a closed client succeeded")
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Close did not abort the call in flight")
+	}
+	if _, err := c.Call(OpHeartbeat, nil); !errors.Is(err, ErrClosed) {
+		t.Fatalf("call after Close = %v, want ErrClosed", err)
+	}
+}
+
+// TestClosedClientLeavesNoGoroutines: a client runs on its callers'
+// goroutines, so one that has dialed, called and been closed leaves the
+// goroutine count where it found it once the server's side of the
+// connection has wound down.
+func TestClosedClientLeavesNoGoroutines(t *testing.T) {
+	_, _, addr := ServeEcho(t)
+	goroutines := runtime.NumGoroutine()
+	c, err := DialConfig("tcp", addr, Config{Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := c.Call(OpHeartbeat, make([]byte, block)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Close()
+	for i := 0; runtime.NumGoroutine() > goroutines && i < 200; i++ {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > goroutines {
+		buf := make([]byte, 1<<20)
+		t.Fatalf("%d goroutines after Close, %d before the dial:\n%s", got, goroutines, buf[:runtime.Stack(buf, true)])
 	}
 }

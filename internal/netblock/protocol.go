@@ -2,11 +2,11 @@
 // ride on: a compact length-prefixed binary protocol of opaque payloads
 // under typed opcodes, a server that mounts one Handler over any
 // net.Listener (with injectable wire faults), and a concurrency-safe
-// pipelining client with deadlines and redial. The fabric and
-// consensus control planes and the gateway serving plane define the message
-// bodies; this layer only frames, bounds and routes them. It carries no
-// block IO: the storage cluster is modelled (placement, balancer, cache,
-// latency), not stored.
+// request/response client (one exchange at a time per connection) with
+// deadlines and redial. The fabric and consensus control planes and the
+// gateway serving plane define the message bodies; this layer only frames,
+// bounds and routes them. It carries no block IO: the storage cluster is
+// modelled (placement, balancer, cache, latency), not stored.
 package netblock
 
 import (

@@ -19,8 +19,9 @@ type Handler interface {
 }
 
 // Server exposes one Handler over a net.Listener. Each connection gets a
-// reader goroutine; responses may be written out of order thanks to request
-// IDs, so slow requests do not head-of-line-block other connections.
+// goroutine that reads a request, executes it and writes its response
+// before reading the next, so a slow request stalls only its own
+// connection.
 type Server struct {
 	h Handler
 
@@ -82,8 +83,8 @@ func (f Fault) String() string {
 }
 
 // FaultDecision is a hook's verdict for one request. DelayUS, when
-// positive, stalls the connection's pipeline before the fault (or normal
-// service) applies.
+// positive, stalls the connection before the fault (or normal service)
+// applies.
 type FaultDecision struct {
 	Fault   Fault
 	DelayUS int64
@@ -185,7 +186,6 @@ func (s *Server) Requests() int64 { return s.requests.Load() }
 
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
-	var writeMu sync.Mutex
 	for {
 		req, err := ReadRequest(conn)
 		if err != nil {
@@ -205,11 +205,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		case FaultReset:
 			return // connection reset before execution
 		case FaultError:
-			writeMu.Lock()
 			err = WriteResponse(conn, &Response{
 				ID: req.ID, Status: StatusError, Payload: []byte("injected fault"),
 			})
-			writeMu.Unlock()
 			if err != nil {
 				return
 			}
@@ -229,10 +227,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			conn.Write(bytes.Repeat([]byte{0xA5}, headerSize+8))
 			return
 		}
-		writeMu.Lock()
-		err = WriteResponse(conn, resp)
-		writeMu.Unlock()
-		if err != nil {
+		if WriteResponse(conn, resp) != nil {
 			return
 		}
 	}
