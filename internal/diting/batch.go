@@ -93,36 +93,36 @@ func (t *Tracer) EmitBatch(b *trace.Batch) {
 	}
 }
 
-// keepBatch retains the batch's sampled records, as a pass of its own so the
-// metric loop carries no record code, and notes where the merge's sorted runs
-// start among them. When every record is kept, room is made once for the
-// whole batch (a check per record is measurable on a fully traced run) and a
-// record's run start is tested as it is stored (a pass of its own over the
-// time and VD columns measured slower); when sampling, per kept record — a
-// few in ten thousand.
+// keepBatch packs the batch's sampled records straight from its columns, as
+// a pass of its own so the metric loop carries no record code, and notes
+// where the merge's sorted runs start among them. When every record is kept,
+// room is made once for the whole batch (a check per record is measurable on
+// a fully traced run) and a record's run start is tested as it is packed (a
+// pass of its own over the time and VD columns measured slower); when
+// sampling, per kept record — a few in ten thousand.
 func (t *Tracer) keepBatch(b *trace.Batch, n int) {
 	if t.sampleEvery == 1 {
-		t.reserve(n)
-		at := len(t.records)
-		t.records = t.records[:at+n]
-		base, last := t.kept()-n, t.last
-		for i, dst := 0, t.records[at:]; i < n; i++ {
-			dst[i] = b.Record(i)
-			k := keyOf(&dst[i], 0)
+		dst := t.reserve(n)
+		base, last := t.kept(), t.last
+		for i := 0; i < n; i++ {
+			rec := dst[i*trace.RecordSize:]
+			trace.PackRow(b, i, rec)
+			k := keyOf(rec, 0)
 			if k.before(last) == 1 {
 				t.marks = append(t.marks, base+i)
 			}
 			last = k
 		}
+		t.keep(n)
 		t.last = last
 		return
 	}
 	for i := 0; i < n; i++ {
 		if t.sampled(b.TraceID[i]) {
-			rec := b.Record(i)
-			t.reserve(1)
-			t.mark(keyOf(&rec, 0))
-			t.records = append(t.records, rec)
+			dst := t.reserve(1)
+			trace.PackRow(b, i, dst)
+			t.mark(keyOf(dst, 0))
+			t.keep(1)
 		}
 	}
 }

@@ -117,19 +117,19 @@ func TestChunkRollover(t *testing.T) {
 			t.Fatalf("%s: %d parked chunks holding %d records, want 2 and %d", name, len(tr.full), tr.kept(), n)
 		}
 		for _, c := range tr.full {
-			if cap(c) != chunkRecords {
-				t.Fatalf("%s: parked a chunk of capacity %d, want %d", name, cap(c), chunkRecords)
+			if cap(c) != chunkBytes {
+				t.Fatalf("%s: parked a chunk of capacity %d, want %d", name, cap(c), chunkBytes)
 			}
 		}
 	}
 	if !reflect.DeepEqual(got.Records(), recs) || !reflect.DeepEqual(want.Records(), recs) {
 		t.Fatal("records differ across a chunk rollover")
 	}
-	if len(got.full) != 0 || len(got.free) != 3 {
-		t.Fatalf("after Records: %d parked, %d free chunks, want the 3 emptied chunks free", len(got.full), len(got.free))
+	if len(got.full) != 2 || len(got.free) != 0 || got.kept() != n {
+		t.Fatalf("after Records: %d parked, %d free chunks, %d records, want the chunks where they were", len(got.full), len(got.free), got.kept())
 	}
-	if again := got.Records(); &again[0] != &got.records[0] || len(again) != n {
-		t.Fatal("a second Records call joined the chunks again")
+	if again := got.Records(); !reflect.DeepEqual(again, recs) {
+		t.Fatal("a second Records call read different records")
 	}
 }
 
@@ -160,12 +160,12 @@ func TestResetParksChunks(t *testing.T) {
 	if len(tr.marks) != n/3000 {
 		t.Fatalf("filled a tracer whose clock wraps %d times; it marked %d run starts", n/3000, len(tr.marks))
 	}
-	chunks := map[*trace.Record]bool{&tr.records[0]: true}
+	chunks := map[*byte]bool{&tr.chunk[0]: true}
 	for _, c := range tr.full {
 		chunks[&c[0]] = true
 	}
 	tr.reset()
-	if len(tr.full) != 0 || len(tr.records) != 0 || tr.kept() != 0 {
+	if len(tr.full) != 0 || len(tr.chunk) != 0 || tr.kept() != 0 {
 		t.Fatalf("reset left %d parked chunks, %d records", len(tr.full), tr.kept())
 	}
 	if len(tr.marks) != 0 || tr.last != (mergeKey{}) {
@@ -184,7 +184,7 @@ func TestResetParksChunks(t *testing.T) {
 	if allocs := testing.AllocsPerRun(3, func() { tr.reset(); fill(tr) }); allocs != 0 {
 		t.Fatalf("refilling a reset tracer allocated %.0f times", allocs)
 	}
-	for _, c := range append(tr.full, tr.records) {
+	for _, c := range append(tr.full, tr.chunk) {
 		if !chunks[&c[0]] {
 			t.Fatal("refill took a chunk that was not one of the first generation's")
 		}

@@ -7,8 +7,11 @@
 // The ingest surface is batch-first: the simulation engine emits columnar
 // trace.Batch blocks through EmitBatch, and Observe remains as the
 // record-at-a-time path. Metric accumulators are slab-allocated, sampled
-// records sit in fixed-capacity chunks that are never regrown, and tracers
-// are poolable (Acquire/Release), so steady-state ingest allocates nothing.
+// records are kept packed (trace.Pack's layout, the one a shard-result frame
+// carries) in fixed-capacity chunks that are never regrown, and tracers are
+// poolable (Acquire/Release), so steady-state ingest allocates nothing. The
+// records stay packed until Merge unpacks each one, once, into the merged
+// tracer's []trace.Record.
 package diting
 
 import (
@@ -25,11 +28,14 @@ import (
 // distinct metric keys instead of one per key.
 const slabBlockSize = 256
 
-// chunkRecords is the capacity of one record chunk (3 MiB of records). A
+// chunkRecords is the capacity of one record chunk (2.6 MiB packed). A
 // chunk boundary is one more run under the merge heap, so chunks are large:
 // at 4,096 records the boundaries alone added ~100 runs to a replayed study
 // and cost its merge 8 %; at 32,768 they add about ten.
 const chunkRecords = 1 << 15
+
+// chunkBytes is chunkRecords packed records.
+const chunkBytes = chunkRecords * trace.RecordSize
 
 // Tracer accumulates one observation window of trace and metric data.
 // It is not safe for concurrent use; the parallel simulation engine gives
@@ -38,15 +44,19 @@ type Tracer struct {
 	sampleEvery uint64
 	nextID      uint64
 
-	// Sampled records in observation order: the chunks of full, then
-	// records, the chunk being filled. Only the first chunk ever grows (up
-	// to chunkRecords, so a thinly sampled run stays small); after that a
-	// full chunk is parked and a fresh one taken, and nothing already kept
-	// is copied again. free holds emptied chunks of at least chunkRecords
-	// for the tracer's next pool generation.
-	records []trace.Record
-	full    [][]trace.Record
-	free    [][]trace.Record
+	// Sampled records, packed, in observation order: the chunks of full,
+	// then chunk, the one being filled. Only the first chunk ever grows (up
+	// to chunkBytes, so a thinly sampled run stays small); after that a full
+	// chunk is parked and a fresh one taken, and nothing already kept is
+	// copied again. free holds emptied chunks of at least chunkBytes for the
+	// tracer's next pool generation.
+	chunk []byte
+	full  [][]byte
+	free  [][]byte
+
+	// merged is a merged tracer's records, unpacked in canonical order: what
+	// Merge wrote and Records returns. It is nil on an unmerged tracer.
+	merged []trace.Record
 
 	// marks are where the merge's sorted runs start, noted as records are
 	// kept: the position, in observation order, of every record whose
@@ -75,7 +85,7 @@ type Tracer struct {
 	// task the rest.
 	keyBuf  []rowKey
 	accBuf  []*accum
-	runs    [][]trace.Record
+	runs    [][]byte
 	samples []mergeKey
 	cuts    []int
 	heap    []mergeSrc
@@ -133,8 +143,9 @@ func Acquire(sampleEvery int) *Tracer {
 }
 
 // Release resets the tracer and returns it to the pool. Anything still
-// referencing its records or rows must have copied (Merge copies) or
-// detached (DetachRecords) them first.
+// referencing its record chunks (AppendChunks) must be done with them, and
+// a merged tracer's records must have been detached (DetachRecords) to
+// outlive it.
 func (t *Tracer) Release() {
 	t.reset()
 	tracerPool.Put(t)
@@ -143,9 +154,7 @@ func (t *Tracer) Release() {
 // reset is Release short of the pool: the tracer is empty, its chunks parked.
 func (t *Tracer) reset() {
 	t.nextID = 0
-	t.park()
-	t.records = t.records[:0]
-	t.marks, t.last = t.marks[:0], mergeKey{}
+	t.clearRecords()
 	clear(t.compute)
 	clear(t.storage)
 	t.slabBlock, t.slabNext = 0, 0
@@ -156,21 +165,28 @@ func (t *Tracer) reset() {
 	t.accBuf = t.accBuf[:0]
 }
 
-// DetachRecords returns the sampled records and removes them from the
-// tracer, so the caller can retain them past a Release.
+// DetachRecords returns the sampled records (Records) and removes them from
+// the tracer, so the caller can retain them past a Release.
 func (t *Tracer) DetachRecords() []trace.Record {
 	out := t.Records()
-	t.records = nil
-	t.marks, t.last = t.marks[:0], mergeKey{}
+	t.clearRecords()
 	return out
 }
 
-// park empties full into the free list. Chunks under chunkRecords (a first
+// clearRecords empties the tracer of records: its chunks parked for reuse,
+// its run marks and merged records dropped.
+func (t *Tracer) clearRecords() {
+	t.park()
+	t.chunk, t.merged = t.chunk[:0], nil
+	t.marks, t.last = t.marks[:0], mergeKey{}
+}
+
+// park empties full into the free list. Chunks under chunkBytes (a first
 // chunk cut short by an outsized batch) are dropped: whatever free hands
 // out must hold a whole engine batch.
 func (t *Tracer) park() {
 	for i, c := range t.full {
-		if cap(c) >= chunkRecords {
+		if cap(c) >= chunkBytes {
 			t.free = append(t.free, c[:0])
 		}
 		t.full[i] = nil
@@ -178,39 +194,50 @@ func (t *Tracer) park() {
 	t.full = t.full[:0]
 }
 
-// reserve makes room for n more records in the current chunk, so the
-// appends that follow never reallocate.
-func (t *Tracer) reserve(n int) {
-	if len(t.records)+n > cap(t.records) {
-		t.grow(n)
+// reserve makes room for n more records in the current chunk and returns
+// the room, n packed records long, without counting it as kept: the caller
+// packs into it and then keeps what it packed (keep).
+func (t *Tracer) reserve(n int) []byte {
+	at, need := len(t.chunk), n*trace.RecordSize
+	if at+need > cap(t.chunk) {
+		t.grow(need)
+		at = len(t.chunk)
 	}
+	return t.chunk[at : at+need]
 }
 
-// grow is reserve's slow path: the first chunk is regrown, any later one is
-// parked whole and replaced, so records already kept are never copied.
-func (t *Tracer) grow(n int) {
-	have := len(t.records)
-	if len(t.full) == 0 && len(t.free) == 0 && have+n <= chunkRecords {
+// keep counts the next n packed records of the current chunk, written into
+// reserve's room, as kept.
+func (t *Tracer) keep(n int) {
+	t.chunk = t.chunk[:len(t.chunk)+n*trace.RecordSize]
+}
+
+// grow is reserve's slow path, for need more bytes: the first chunk is
+// regrown, any later one is parked whole and replaced, so records already
+// kept are never copied.
+func (t *Tracer) grow(need int) {
+	have := len(t.chunk)
+	if len(t.full) == 0 && len(t.free) == 0 && have+need <= chunkBytes {
 		// The first chunk doubles, and goes to full size from half of it so
 		// that the chunk a rollover parks is one the free list can reuse.
-		size := max(2*cap(t.records), have+n)
-		if size > chunkRecords/2 {
-			size = chunkRecords
+		size := max(2*cap(t.chunk), have+need)
+		if size > chunkBytes/2 {
+			size = chunkBytes
 		}
-		grown := make([]trace.Record, have, size)
-		copy(grown, t.records)
-		t.records = grown
+		grown := make([]byte, have, size)
+		copy(grown, t.chunk)
+		t.chunk = grown
 		return
 	}
 	if have > 0 {
-		t.full = append(t.full, t.records)
+		t.full = append(t.full, t.chunk)
 	}
-	if last := len(t.free) - 1; last >= 0 && n <= cap(t.free[last]) {
-		t.records, t.free[last] = t.free[last], nil
+	if last := len(t.free) - 1; last >= 0 && need <= cap(t.free[last]) {
+		t.chunk, t.free[last] = t.free[last], nil
 		t.free = t.free[:last]
 		return
 	}
-	t.records = make([]trace.Record, 0, max(chunkRecords, n))
+	t.chunk = make([]byte, 0, max(chunkBytes, need))
 }
 
 // mark notes a run start when k, the key of the record about to be kept, is
@@ -222,13 +249,13 @@ func (t *Tracer) mark(k mergeKey) {
 	t.last = k
 }
 
-// kept is how many records the tracer holds.
+// kept is how many packed records the tracer holds.
 func (t *Tracer) kept() int {
-	n := len(t.records)
+	n := len(t.chunk)
 	for _, c := range t.full {
 		n += len(c)
 	}
-	return n
+	return n / trace.RecordSize
 }
 
 // alloc carves one accumulator out of the slab. The caller must fully
@@ -266,9 +293,10 @@ func (t *Tracer) StartStream(base uint64) { t.nextID = base }
 // record-at-a-time form of EmitBatch.
 func (t *Tracer) Observe(rec trace.Record) {
 	if t.sampled(rec.TraceID) {
-		t.reserve(1)
-		t.mark(keyOf(&rec, 0))
-		t.records = append(t.records, rec)
+		dst := t.reserve(1)
+		trace.Pack(&rec, dst)
+		t.mark(keyOf(dst, 0))
+		t.keep(1)
 	}
 	sec := int32(rec.TimeUS / 1_000_000)
 	bytes := float64(rec.Size)
@@ -321,41 +349,46 @@ func (t *Tracer) sampled(id uint64) bool {
 }
 
 // AppendChunks appends the sampled records to chunks as the tracer holds them
-// — its full chunks, then the one being filled — in observation order, nothing
-// joined or copied (Records joins), and their run starts to marks, shifted
-// past the records chunks already held: what FromParts takes. The chunks stay
-// the tracer's: valid until it is observed into again or Released.
-func (t *Tracer) AppendChunks(chunks [][]trace.Record, marks []int) ([][]trace.Record, []int) {
+// — packed, its full chunks, then the one being filled — in observation
+// order, nothing joined or copied, and their run starts to marks, shifted
+// past the records chunks already held: what FromParts takes, and what a
+// shard-result frame carries byte for byte. The chunks stay the tracer's:
+// valid until it is observed into again or Released.
+func (t *Tracer) AppendChunks(chunks [][]byte, marks []int) ([][]byte, []int) {
 	base := 0
 	for _, c := range chunks {
-		base += len(c)
+		base += len(c) / trace.RecordSize
 	}
 	for _, m := range t.marks {
 		marks = append(marks, base+m)
 	}
 	chunks = append(chunks, t.full...)
-	if len(t.records) > 0 {
-		chunks = append(chunks, t.records)
+	if len(t.chunk) > 0 {
+		chunks = append(chunks, t.chunk)
 	}
 	return chunks, marks
 }
 
-// Records returns the sampled trace records in observation order. A tracer
-// holding several chunks joins them into one first (and keeps the joined
-// slice as its only chunk, so asking again is free; its run starts are
-// positions in observation order, so they hold for the joined chunk).
+// Records returns the sampled trace records: a merged tracer's, in canonical
+// order, as Merge wrote them (the same slice each time), or an unmerged
+// tracer's, in observation order, unpacked into a fresh slice on every call.
 func (t *Tracer) Records() []trace.Record {
-	if len(t.full) > 0 {
-		all := make([]trace.Record, 0, t.kept())
-		for _, c := range t.full {
-			all = append(all, c...)
-		}
-		all = append(all, t.records...)
-		t.full = append(t.full, t.records) // the emptied chunks are all reusable, this one too
-		t.park()
-		t.records = all
+	if t.merged != nil {
+		return t.merged
 	}
-	return t.records
+	out := make([]trace.Record, t.kept())
+	i := 0
+	for c := 0; c <= len(t.full); c++ {
+		packed := t.chunk
+		if c < len(t.full) {
+			packed = t.full[c]
+		}
+		for off := 0; off < len(packed); off += trace.RecordSize {
+			trace.Unpack(packed[off:], &out[i])
+			i++
+		}
+	}
+	return out
 }
 
 // ComputeRows returns the compute-domain metric rows sorted by (sec, qp).

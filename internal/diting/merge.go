@@ -24,10 +24,13 @@ const (
 // in that order. Because each virtual disk is processed whole by exactly one
 // shard, same-VD records arrive contiguous and in generation order, which
 // that order preserves, so the merged output is byte-identical no matter how
-// disks were distributed across shards. Rows and records are copied into the
-// destination, so the shards may be Released afterwards (they must not be
-// observed into again regardless). min(GOMAXPROCS, shards) goroutines share
-// the records, the caller's among them, parallelMergeMin or more to each.
+// disks were distributed across shards. Rows are copied into the destination
+// and records unpacked into it, each once, so the shards may be Released
+// afterwards (they must not be observed into again regardless). The merged
+// tracer holds its records unpacked (Records, DetachRecords), not packed: it
+// is not itself a shard for another Merge. min(GOMAXPROCS, shards)
+// goroutines share the records, the caller's among them, parallelMergeMin or
+// more to each.
 func Merge(sampleEvery int, shards ...*Tracer) *Tracer {
 	return MergeWith(sampleEvery, shards, nil)
 }
@@ -51,14 +54,16 @@ func MergeWith(sampleEvery int, shards []*Tracer, rows func(merged *Tracer)) *Tr
 // zero key orders before every record's.
 type mergeKey struct{ hi, lo uint64 }
 
-func keyOf(rec *trace.Record, run int) mergeKey {
-	return mergeKey{uint64(rec.TimeUS) ^ 1<<63, uint64(uint32(rec.VD)^1<<31)<<32 | uint64(uint32(run))}
+// keyOf is the key of the packed record at rec, in run number run.
+func keyOf(rec []byte, run int) mergeKey {
+	return mergeKey{uint64(trace.PackedTimeUS(rec)) ^ 1<<63, uint64(uint32(trace.PackedVD(rec))^1<<31)<<32 | uint64(uint32(run))}
 }
 
-// StartsRun reports whether rec, written right after prev, starts a new
-// sorted run for the merge: its (TimeUS, VD) key is below prev's. A writer
-// that hands records to FromParts marks every record it holds true for.
-func StartsRun(prev, rec *trace.Record) bool {
+// StartsRun reports whether the packed record rec, written right after the
+// packed record prev, starts a new sorted run for the merge: its (TimeUS, VD)
+// key is below prev's. A writer that hands records to FromParts marks every
+// record it holds true for.
+func StartsRun(prev, rec []byte) bool {
 	return keyOf(rec, 0).before(keyOf(prev, 0)) == 1
 }
 
@@ -124,10 +129,7 @@ func mergeInto(t *Tracer, parts int, shards []*Tracer, rows func(*Tracer)) *Trac
 	wg.Wait()
 	clear(runs) // pooled scratch must not pin the shards' record buffers
 	t.runs, t.cuts, t.heap = runs[:0], cuts, heap
-	t.records, t.nextID = out, uint64(n)
-	if n > 0 {
-		t.last = keyOf(&out[n-1], 0)
-	}
+	t.merged, t.nextID = out, uint64(n)
 	if rowsDone != nil {
 		<-rowsDone
 	}
@@ -146,37 +148,38 @@ func (t *Tracer) mergeRows(shards []*Tracer, rows func(*Tracer)) {
 	}
 }
 
-// plan lists the shards' sorted runs, in concatenation order, and the cut
-// table of a parts-way split of their n records: cuts[p*nr+r] is where
-// partition p starts in run r, for p in [0, parts]. Runs are cut at every
-// mark and chunk end; the only records read are the splitters' sample and the
-// binary searches for the cuts.
-func (t *Tracer) plan(shards []*Tracer, n, parts int) (runs [][]trace.Record, cuts []int) {
+// plan lists the shards' sorted runs, packed, in concatenation order, and
+// the cut table of a parts-way split of their n records: cuts[p*nr+r] is where
+// partition p starts in run r, in records, for p in [0, parts]. Runs are cut
+// at every mark and chunk end; the only records read are the splitters'
+// sample and the binary searches for the cuts, and only their keys.
+func (t *Tracer) plan(shards []*Tracer, n, parts int) (runs [][]byte, cuts []int) {
+	const size = trace.RecordSize
 	runs = t.runs[:0]
 	for _, sh := range shards {
 		marks, base := sh.marks, 0
 		for c := 0; c <= len(sh.full); c++ {
-			recs := sh.records
+			recs := sh.chunk
 			if c < len(sh.full) {
 				recs = sh.full[c]
 			}
-			start := 0
-			for ; len(marks) > 0 && marks[0] < base+len(recs); marks = marks[1:] {
+			start, end := 0, len(recs)/size
+			for ; len(marks) > 0 && marks[0] < base+end; marks = marks[1:] {
 				if m := marks[0] - base; m > start {
-					runs = append(runs, recs[start:m])
+					runs = append(runs, recs[start*size:m*size])
 					start = m
 				}
 			}
-			if start < len(recs) {
-				runs = append(runs, recs[start:])
+			if start < end {
+				runs = append(runs, recs[start*size:end*size])
 			}
-			base += len(recs)
+			base += end
 		}
 	}
 	nr := len(runs)
 	cuts = slices.Grow(t.cuts[:0], (parts+1)*nr)[:(parts+1)*nr]
 	for r, run := range runs {
-		cuts[r], cuts[parts*nr+r] = 0, len(run)
+		cuts[r], cuts[parts*nr+r] = 0, len(run)/size
 	}
 	if parts > 1 {
 		// Every stride-th record of the concatenation: runs weigh by length.
@@ -184,16 +187,16 @@ func (t *Tracer) plan(shards []*Tracer, n, parts int) (runs [][]trace.Record, cu
 		samples := t.samples[:0]
 		next := stride - 1
 		for _, run := range runs {
-			for ; next < len(run); next += stride {
-				samples = append(samples, keyOf(&run[next], 0))
+			for ; next < len(run)/size; next += stride {
+				samples = append(samples, keyOf(run[next*size:], 0))
 			}
-			next -= len(run)
+			next -= len(run) / size
 		}
 		slices.SortFunc(samples, func(a, b mergeKey) int { return b.before(a) - a.before(b) })
 		for p := 1; p < parts; p++ {
 			split := samples[p*len(samples)/parts]
 			for r, run := range runs {
-				cuts[p*nr+r] = sort.Search(len(run), func(i int) bool { return keyOf(&run[i], 0).before(split) == 0 })
+				cuts[p*nr+r] = sort.Search(len(run)/size, func(i int) bool { return keyOf(run[i*size:], 0).before(split) == 0 })
 			}
 		}
 		t.samples = samples
@@ -201,22 +204,25 @@ func (t *Tracer) plan(shards []*Tracer, n, parts int) (runs [][]trace.Record, cu
 	return runs, cuts
 }
 
-// mergeSrc is one heap entry: the unmerged remainder [pos, end) of a run,
-// with its head record's key held inline so sifting never touches records.
+// mergeSrc is one heap entry: the unmerged remainder [pos, end) of a run, in
+// bytes, with its head record's key held inline so sifting never touches
+// records.
 type mergeSrc struct {
 	key      mergeKey
 	pos, end int
 }
 
 // mergePartition k-way merges runs[r][lo[r]:hi[r]] for every r — lo and hi
-// being consecutive rows of the cut table — into out[sum(lo):sum(hi)].
-func mergePartition(out []trace.Record, runs [][]trace.Record, cuts []int, h []mergeSrc) {
+// being consecutive rows of the cut table, in records — into
+// out[sum(lo):sum(hi)], unpacking each record once, where it lands.
+func mergePartition(out []trace.Record, runs [][]byte, cuts []int, h []mergeSrc) {
+	const size = trace.RecordSize
 	lo, hi := cuts[:len(runs)], cuts[len(runs):]
 	j := 0
 	for r, run := range runs {
 		j += lo[r]
 		if lo[r] < hi[r] {
-			h = append(h, mergeSrc{keyOf(&run[lo[r]], r), lo[r], hi[r]})
+			h = append(h, mergeSrc{keyOf(run[lo[r]*size:], r), lo[r] * size, hi[r] * size})
 		}
 	}
 	for i := len(h)/2 - 1; i >= 0; i-- {
@@ -225,10 +231,11 @@ func mergePartition(out []trace.Record, runs [][]trace.Record, cuts []int, h []m
 	for ; len(h) > 0; j++ {
 		top := &h[0]
 		r := int(uint32(top.key.lo))
-		out[j] = runs[r][top.pos]
+		run := runs[r]
+		trace.Unpack(run[top.pos:], &out[j])
 		out[j].TraceID = uint64(j + 1)
-		if top.pos++; top.pos < top.end {
-			top.key = keyOf(&runs[r][top.pos], r)
+		if top.pos += size; top.pos < top.end {
+			top.key = keyOf(run[top.pos:], r)
 		} else {
 			h[0] = h[len(h)-1]
 			h = h[:len(h)-1]

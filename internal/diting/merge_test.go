@@ -36,12 +36,22 @@ func tagged(streams [][]trace.Record) [][]trace.Record {
 	return out
 }
 
+// pack is recs in trace.Pack's layout, back to back.
+func pack(recs []trace.Record) []byte {
+	out := make([]byte, len(recs)*trace.RecordSize)
+	for i := range recs {
+		trace.Pack(&recs[i], out[i*trace.RecordSize:])
+	}
+	return out
+}
+
 // descents is where a decoder walking recs marks run starts: every record
 // that StartsRun after the one before it.
 func descents(recs []trace.Record) []int {
 	var marks []int
+	packed := pack(recs)
 	for i := 1; i < len(recs); i++ {
-		if StartsRun(&recs[i-1], &recs[i]) {
+		if StartsRun(packed[(i-1)*trace.RecordSize:i*trace.RecordSize], packed[i*trace.RecordSize:]) {
 			marks = append(marks, i)
 		}
 	}
@@ -58,14 +68,16 @@ func cut(s []trace.Record, size int) [][]trace.Record {
 	return append(chunks, s)
 }
 
-// partsOf is a FromParts tracer over chunks, marked as a decoder marks their
-// concatenation.
+// partsOf is a FromParts tracer over chunks, packed, marked as a decoder
+// marks their concatenation.
 func partsOf(chunks [][]trace.Record) *Tracer {
 	var all []trace.Record
-	for _, c := range chunks {
+	packed := make([][]byte, len(chunks))
+	for i, c := range chunks {
 		all = append(all, c...)
+		packed[i] = pack(c)
 	}
-	return FromParts(1, chunks, descents(all), nil, nil)
+	return FromParts(1, packed, descents(all), nil, nil)
 }
 
 // writeTracer hands stream to a fresh fully sampling tracer via the named
@@ -85,9 +97,9 @@ func writeTracer(stream []trace.Record, via string, chunk, batch int) *Tracer {
 	t := New(1)
 	if chunk > 0 {
 		batch = min(batch, chunk)
-		t.records = make([]trace.Record, 0, chunk)
+		t.chunk = make([]byte, 0, chunk*trace.RecordSize)
 		for i := 0; i <= len(stream)/min(batch, chunk); i++ {
-			t.free = append(t.free, make([]trace.Record, 0, chunk))
+			t.free = append(t.free, make([]byte, 0, chunk*trace.RecordSize))
 		}
 	}
 	if via == viaObserve {
@@ -108,16 +120,6 @@ func writeTracer(stream []trace.Record, via string, chunk, batch int) *Tracer {
 	return t
 }
 
-// concat is a tracer's records in observation order, without disturbing its
-// chunks the way Records does.
-func concat(t *Tracer) []trace.Record {
-	var all []trace.Record
-	for _, c := range t.full {
-		all = append(all, c...)
-	}
-	return append(all, t.records...)
-}
-
 // checkMergeAgainstStableSort merges shards at every partition count 1..8
 // through the unexported entry point and requires each result to equal the
 // reference: a stable sort of the concatenation by (TimeUS, VD), renumbered
@@ -126,7 +128,7 @@ func checkMergeAgainstStableSort(t *testing.T, shards []*Tracer) {
 	t.Helper()
 	var want []trace.Record
 	for _, sh := range shards {
-		want = append(want, concat(sh)...)
+		want = append(want, sh.Records()...)
 	}
 	sort.SliceStable(want, func(i, j int) bool {
 		a, b := &want[i], &want[j]
@@ -137,10 +139,10 @@ func checkMergeAgainstStableSort(t *testing.T, shards []*Tracer) {
 	}
 	for parts := 1; parts <= 8; parts++ {
 		out := mergeInto(New(1), parts, shards, nil)
-		if len(out.full) != 0 {
-			t.Fatalf("parts=%d: merged tracer holds %d parked chunks, want its records in one", parts, len(out.full))
+		if len(out.full) != 0 || len(out.chunk) != 0 {
+			t.Fatalf("parts=%d: merged tracer holds %d parked chunks and %d packed bytes, want its records in one unpacked slice", parts, len(out.full), len(out.chunk))
 		}
-		got := out.records
+		got := out.merged
 		if len(got) != len(want) {
 			t.Fatalf("parts=%d: merged %d records, want %d", parts, len(got), len(want))
 		}
@@ -161,9 +163,8 @@ func checkMergeAgainstStableSort(t *testing.T, shards []*Tracer) {
 // into chunks of 1, 2, 7 and 1000 records and into the tracer's own, and
 // hand-cut FromParts chunks of the same sizes — and holds each merge to the
 // stable sort. A tracer that marked its own runs must have marked exactly
-// where a decoder would: chunk rollovers add no mark, and a Records join of a
-// multi-chunk tracer (every other layout joins them first) leaves its marks
-// valid. Streams of over 10,000 records take one- and two-record chunks
+// where a decoder would: chunk rollovers add no mark, and a Records call
+// (every other layout has one first) leaves the tracer as it was. Streams of over 10,000 records take one- and two-record chunks
 // through FromParts only: a run per record or two is the same merge whoever
 // cut it, and slow under the race detector.
 func checkWriters(t *testing.T, streams [][]trace.Record) {
@@ -363,7 +364,7 @@ func TestTracerMarksRunStarts(t *testing.T) {
 			}
 		}
 		tr.EmitBatch(b)
-		if want := descents(concat(tr)); len(want) < 6 || !slices.Equal(tr.marks, want) {
+		if want := descents(tr.Records()); len(want) < 6 || !slices.Equal(tr.marks, want) {
 			t.Fatalf("%s at 1/4: marked %v, want %v", via, tr.marks, want)
 		}
 	}

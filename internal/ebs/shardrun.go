@@ -21,20 +21,24 @@ import (
 // Metric rows are UNSCALED (event-thinning compensation is applied once, at
 // the merge), records carry shard-local trace IDs (the merge reassigns the
 // canonical 1..N numbering) and are NOT merged — they sit per disk, in the
-// order the shard's tracers emitted them — and the sketch set — when
-// streaming — is the shard's own partial state. Because shards own disjoint
-// virtual disks, MergeShards over any covering set of partials reproduces the
-// single-process dataset byte for byte.
+// order the shard's tracers emitted them, packed (trace.Pack's layout) — and
+// the sketch set — when streaming — is the shard's own partial state.
+// Because shards own disjoint virtual disks, MergeShards over any covering
+// set of partials reproduces the single-process dataset byte for byte.
 //
 // Ownership: a partial from RunShard aliases its run's pooled tracer chunks
 // (Chunks) until Release, which hands tracers and batches back to their pools;
 // everything else in it — rows, sketch, accounting — is the partial's own. A
-// partial a decoder built owns its records, in Records.
+// partial a decoder built aliases the frame it was decoded from, in Records:
+// the frame must outlive it and never be written again (a fabric
+// coordinator's frames are committed ledger commands, which the log retains
+// and nothing writes).
 type ShardPartial struct {
 	Lo, Hi int
-	// Records is the sampled records of a partial that owns them in one slice
-	// (a decoded result frame). RunShard leaves it nil: read Chunks.
-	Records []trace.Record
+	// Records is the packed sampled records of a partial that holds them in
+	// one slice (a decoded result frame's record section, aliased). RunShard
+	// leaves it nil: read Chunks.
+	Records []byte
 	// Marks are where the records' sorted runs start, as positions in the
 	// walk of Chunks (diting.FromParts' marks): noted by whoever wrote the
 	// records — RunShard's tracers as they kept them, a decoder as it reads
@@ -59,19 +63,19 @@ type ShardPartial struct {
 	// run is the engine run that produced the partial and chunks its tracers'
 	// record chunks, both until Release; a decoded partial has neither.
 	run    *runState
-	chunks [][]trace.Record
+	chunks [][]byte
 }
 
-// Chunks returns the partial's sampled records as the chunks they sit in, to
-// be walked in order: per-disk runs, each disk's records contiguous and in
-// generation order. For a RunShard partial these are the run's tracer chunks
-// as they were emitted — read-only, and gone after Release; otherwise it is
-// Records, as one chunk.
-func (p *ShardPartial) Chunks() [][]trace.Record {
+// Chunks returns the partial's packed sampled records as the chunks they sit
+// in, to be walked in order: per-disk runs, each disk's records contiguous
+// and in generation order. For a RunShard partial these are the run's tracer
+// chunks as they were emitted — read-only, and gone after Release; otherwise
+// it is Records, as one chunk.
+func (p *ShardPartial) Chunks() [][]byte {
 	if p.run != nil {
 		return p.chunks
 	}
-	return [][]trace.Record{p.Records}
+	return [][]byte{p.Records}
 }
 
 // Release returns the run's tracers and batches to their pools. Call it once
@@ -238,7 +242,8 @@ func (s *Sim) MergeShards(opts Options, partials []*ShardPartial) (*trace.Datase
 
 	for _, p := range parts {
 		// FromParts tracers alias the partial's chunks and rows; finish merges
-		// them (which copies) and they must never be pooled or released.
+		// them (which unpacks and copies) and they must never be pooled or
+		// released.
 		r.tracers = append(r.tracers, diting.FromParts(r.opts.TraceSampleEvery, p.Chunks(), p.Marks, p.Compute, p.Storage))
 		if r.opts.Stream != nil {
 			if p.Sketch == nil {

@@ -114,10 +114,10 @@ func TestUnmergedShardsMatchRun(t *testing.T) {
 		if workers == 1 && shards == 1 && len(parts[0].Chunks()) < 2 {
 			t.Fatalf("the whole run sits in %d chunk, want a chunk boundary inside a disk's records", len(parts[0].Chunks()))
 		}
-		var before [][]trace.Record
+		var before [][]byte
 		for _, p := range parts {
 			for _, chunk := range p.Chunks() {
-				before = append(before, append([]trace.Record(nil), chunk...))
+				before = append(before, append([]byte(nil), chunk...))
 			}
 		}
 		for _, order := range []string{"reversed", "plan"} {
@@ -152,7 +152,7 @@ func TestUnmergedShardsMatchRun(t *testing.T) {
 			p.Release() // a second call is a no-op
 			for _, chunk := range p.Chunks() {
 				if len(chunk) != 0 {
-					t.Fatalf("Workers=%d shards=%d: a released partial still lends %d records", workers, shards, len(chunk))
+					t.Fatalf("Workers=%d shards=%d: a released partial still lends %d records", workers, shards, len(chunk)/trace.RecordSize)
 				}
 			}
 		}

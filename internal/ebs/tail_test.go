@@ -144,14 +144,15 @@ func checkPartialMarks(t *testing.T, p *ShardPartial) {
 		}
 		marked[m] = true
 	}
+	const size = trace.RecordSize
 	base := 0
 	for _, chunk := range p.Chunks() {
-		for i := 1; i < len(chunk); i++ {
-			if diting.StartsRun(&chunk[i-1], &chunk[i]) && !marked[base+i] {
+		for i := 1; i < len(chunk)/size; i++ {
+			if diting.StartsRun(chunk[(i-1)*size:i*size], chunk[i*size:]) && !marked[base+i] {
 				t.Fatalf("shard [%d,%d): the run starting at record %d is unmarked", p.Lo, p.Hi, base+i)
 			}
 		}
-		base += len(chunk)
+		base += len(chunk) / size
 	}
 }
 

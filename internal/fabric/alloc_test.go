@@ -5,8 +5,10 @@ import (
 	"sync"
 	"testing"
 
+	"ebslab/internal/cluster"
 	"ebslab/internal/ebs"
 	"ebslab/internal/netblock"
+	"ebslab/internal/trace"
 )
 
 var raceEnabled bool // set by race_test.go
@@ -69,5 +71,45 @@ func TestFabricStudyAllocs(t *testing.T) {
 	// One allocation per record would add about 1,059.
 	if full > thinned+40 {
 		t.Errorf("the fabric allocates per record: %.0f times over 349 records, %.0f over 1,408", thinned, full)
+	}
+}
+
+// diskFrame is a bare result frame of shard [0, 4) carrying n packed records
+// and no other section: n/4 per disk, each disk's in rising time, so the
+// frame holds the same four sorted runs at every n.
+func diskFrame(n int) []byte {
+	p := &ebs.ShardPartial{Lo: 0, Hi: 4, Records: make([]byte, n*trace.RecordSize)}
+	for i := 0; i < n; i++ {
+		rec := trace.Record{TimeUS: int64(i%(n/4)) * 1000, Size: 4096, VD: cluster.VDID(i * 4 / n)}
+		trace.Pack(&rec, p.Records[i*trace.RecordSize:])
+	}
+	return encodeResult(1, 0, p)
+}
+
+// TestDecodeResultSteadyStateAllocs holds decoding a result frame to no
+// allocation per record: the partial aliases the frame's record section, so
+// frames of 1,000 and 10,000 records over the same four disks allocate the
+// same bytes. Measured: 296 bytes at both sizes (the partial, its three run
+// marks); the budget is 1 KiB of growth. Decoding the records into a slice
+// of their own would add 88 bytes a record, about 770 KiB here.
+func TestDecodeResultSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not reproducible under the race detector")
+	}
+	const runs = 20
+	perDecode := func(frame []byte) uint64 {
+		if _, _, p, err := decodeResult(frame); err != nil || len(p.Marks) != 3 {
+			t.Fatalf("decode: %v", err)
+		}
+		return measureAlloc(func() {
+			for i := 0; i < runs; i++ {
+				decodeResult(frame) //nolint:errcheck — decoded once above
+			}
+		}) / runs
+	}
+	small, large := perDecode(diskFrame(1000)), perDecode(diskFrame(10_000))
+	t.Logf("decoding allocates %d bytes over 1,000 records, %d over 10,000", small, large)
+	if large > small+1<<10 {
+		t.Errorf("decoding allocates per record: %d bytes over 1,000 records, %d over 10,000", small, large)
 	}
 }

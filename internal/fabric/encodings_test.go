@@ -48,7 +48,11 @@ func samplePartial(sections int) *ebs.ShardPartial {
 		}
 	}
 	if sections&secRecords != 0 {
-		p.Records = []trace.Record{rec(0), rec(1), rec(2)}
+		recs := []trace.Record{rec(0), rec(1), rec(2)}
+		p.Records = make([]byte, len(recs)*trace.RecordSize)
+		for i := range recs {
+			trace.Pack(&recs[i], p.Records[i*trace.RecordSize:])
+		}
 	}
 	if sections&secCompute != 0 {
 		p.Compute = []trace.MetricRow{row(trace.DomainCompute, 0), row(trace.DomainCompute, 1)}

@@ -2,15 +2,20 @@ package fabric
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
 
 	"ebslab/internal/ebs"
+	"ebslab/internal/invariant"
 	"ebslab/internal/netblock"
 	"ebslab/internal/testclock"
+	"ebslab/internal/trace"
+	"ebslab/internal/workload"
 )
 
 // decodeAllocBound is the most a fabric decoder may allocate for an n-byte
@@ -27,6 +32,88 @@ func measureAlloc(fn func()) uint64 {
 	fn()
 	runtime.ReadMemStats(&after)
 	return after.TotalAlloc - before.TotalAlloc
+}
+
+// recordSection is the offset of a bare result frame's first record: behind
+// workerID, shardID, lo, hi and the record count.
+const recordSection = 8 + 4 + 4 + 4 + 4
+
+// editRecord returns a copy of the bare result frame with its i-th record
+// unpacked, edited and packed back.
+func editRecord(frame []byte, i int, edit func(*trace.Record)) []byte {
+	out := append([]byte(nil), frame...)
+	at := out[recordSection+i*trace.RecordSize:]
+	var rec trace.Record
+	trace.Unpack(at, &rec)
+	edit(&rec)
+	trace.Pack(&rec, at)
+	return out
+}
+
+// poisonedFrames rewrites the middle record of a bare result frame the two
+// ways a merge cannot survive and the decoder must refuse: its VD moved
+// outside the frame's shard (to VD 12, outside a [0,8) shard), and a stage
+// latency made NaN.
+func poisonedFrames(frame []byte) map[string][]byte {
+	mid := int(binary.LittleEndian.Uint32(frame[recordSection-4:])) / 2
+	return map[string][]byte{
+		"record VD outside the shard": editRecord(frame, mid, func(r *trace.Record) { r.VD = 12 }),
+		"record latency NaN":          editRecord(frame, mid, func(r *trace.Record) { r.Latency[2] = float32(math.NaN()) }),
+	}
+}
+
+// shardFrames runs the fabric tests' study as its two shards, [0,8) and
+// [8,16), and returns their bare result frames, the study's options and the
+// fingerprint of its single-process run.
+func shardFrames(t testing.TB) (frames [2][]byte, sim *ebs.Sim, opts ebs.Options, want string) {
+	t.Helper()
+	fleet, err := workload.Generate(testFleetConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, opts = ebs.New(fleet), testOpts(nil)
+	ref, err := sim.Run(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, lo := range []int{0, 8} {
+		p, err := sim.RunShard(context.Background(), opts, lo, lo+8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames[i] = encodeResult(uint64(i+1), i, p)
+		p.Release()
+	}
+	return frames, sim, opts, invariant.Fingerprint(ref)
+}
+
+// TestPoisonedRecordsAreRefused holds the decoder to the records it lets
+// reach the merge: the two shard frames of a study decode and merge to Run's
+// dataset, and each poisoned copy of the [0,8) frame — a record of another
+// shard's disk, a NaN latency — is refused with ErrWire rather than merged
+// into a dataset that silently differs from Run's.
+func TestPoisonedRecordsAreRefused(t *testing.T) {
+	frames, sim, opts, want := shardFrames(t)
+	var parts []*ebs.ShardPartial
+	for _, frame := range frames {
+		_, _, p, err := decodeResult(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts = append(parts, p)
+	}
+	ds, err := sim.MergeShards(opts, parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := invariant.Fingerprint(ds); got != want {
+		t.Fatalf("clean frames merge to %s, Run gives %s", got[:12], want[:12])
+	}
+	for name, frame := range poisonedFrames(frames[0]) {
+		if _, _, _, err := decodeResult(frame); !errors.Is(err, ErrWire) {
+			t.Errorf("%s: got %v, want ErrWire", name, err)
+		}
+	}
 }
 
 // resultFailureSeeds returns one malformed shard-result frame per failure
@@ -48,8 +135,7 @@ func resultFailureSeeds() map[string][]byte {
 
 	badRange := samplePartial(0)
 	badRange.Lo, badRange.Hi = 9, 3
-	badOp := samplePartial(secRecords)
-	badOp.Records[1].Op = 2
+	records := only(secRecords)
 	badDomain := samplePartial(secStorage)
 	badDomain.Storage[0].Domain = 2
 	badSketch := only(secSketch)
@@ -61,7 +147,7 @@ func resultFailureSeeds() map[string][]byte {
 	return map[string][]byte{
 		"empty":                     {},
 		"truncated header":          full[:head-1],
-		"truncated mid-record":      full[:head+4+recordWire+5],
+		"truncated mid-record":      full[:head+4+trace.RecordSize+5],
 		"truncated last byte":       full[:len(full)-1],
 		"trailing byte":             append(append([]byte(nil), full...), 0),
 		"over-claimed records":      patch(only(secRecords), head, 1<<30),
@@ -73,7 +159,12 @@ func resultFailureSeeds() map[string][]byte {
 		"over-claimed audit string": patch(only(secAudit), afterSketch+8, 1<<30),
 		"sketch flag 2":             flag2,
 		"malformed sketch":          badSketch,
-		"record op out of range":    encodeResult(9, 2, badOp),
+		"record op out of range":    editRecord(records, 1, func(r *trace.Record) { r.Op = 2 }),
+		"record VD below the shard": editRecord(records, 0, func(r *trace.Record) { r.VD = 2 }),
+		"record VD past the shard":  editRecord(records, 2, func(r *trace.Record) { r.VD = 9 }),
+		"record size zero":          editRecord(records, 1, func(r *trace.Record) { r.Size = 0 }),
+		"record latency negative":   editRecord(records, 1, func(r *trace.Record) { r.Latency[4] = -1 }),
+		"record latency infinite":   editRecord(records, 0, func(r *trace.Record) { r.Latency[0] = float32(math.Inf(1)) }),
 		"row domain out of range":   encodeResult(9, 2, badDomain),
 		"inverted shard range":      encodeResult(9, 2, badRange),
 	}
@@ -135,10 +226,16 @@ func FuzzDecodeResult(f *testing.F) {
 // cmdResult command of worker 0 at the leader's clock whose frame is
 // everything behind the header (whatever the reserved bytes claimed), and
 // must never join or drain a worker. Seeds are the two pinned result frames
-// (testdata/encodings/result-*.hex) under random headers.
+// (testdata/encodings/result-*.hex) and the two poisoned shard frames of
+// TestPoisonedRecordsAreRefused under random headers.
 func FuzzResultPayload(f *testing.F) {
 	rng := rand.New(rand.NewSource(24))
-	for _, frame := range [][]byte{encodeResult(42, 7, samplePartial(secAll)), encodeResult(1, 0, samplePartial(0))} {
+	shards, _, _, _ := shardFrames(f)
+	poisoned := poisonedFrames(shards[0])
+	for _, frame := range [][]byte{
+		encodeResult(42, 7, samplePartial(secAll)), encodeResult(1, 0, samplePartial(0)),
+		poisoned["record VD outside the shard"], poisoned["record latency NaN"],
+	} {
 		for i := 0; i < 4; i++ {
 			hdr := make([]byte, commandHeaderLen)
 			rng.Read(hdr)

@@ -1,12 +1,9 @@
 package fabric
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
-	"slices"
 
 	"ebslab/internal/cluster"
 	"ebslab/internal/diting"
@@ -113,7 +110,10 @@ func fromJSON(data []byte, v any) error {
 // records, metric rows, sketch state, and accounting. Floats travel as raw
 // IEEE bits so the coordinator merges exactly the values the worker
 // computed — a lossy text encoding here would break the byte-identical
-// dataset guarantee.
+// dataset guarantee. A record is trace.RecordSize bytes in trace.Pack's
+// layout, the one the worker's tracers keep their records in and the
+// coordinator's merge reads: the worker copies its tracer chunks into the
+// frame whole, and the coordinator merges straight out of the frame.
 //
 //	payload: commandHeaderLen bytes the leader stamps (fsm.go) | frame
 //	frame: u64 workerID | u32 shardID | partial
@@ -127,65 +127,33 @@ func fromJSON(data []byte, v any) error {
 //	       | u32 nAudit | nAudit * (u32 len | bytes)
 
 const (
-	recordWire    = 8 + 8 + 1 + 4 + 8 + 8*4 + 1 + 4*int(trace.NumStages)
 	metricRowWire = 1 + 4 + 8*4 + 1 + 4*8
 	emissionWire  = 5 * 8
 )
 
-// appendRecord and readRecord move one record as a single recordWire-byte
-// block at fixed offsets — one capacity check (or one bounds check) per
-// record instead of one per field; a shard result carries tens of thousands.
-func appendRecord(w *wire.Writer, rec *trace.Record) {
-	n := len(w.B)
-	w.B = slices.Grow(w.B, recordWire)[:n+recordWire]
-	b, le := (*[recordWire]byte)(w.B[n:]), binary.LittleEndian
-	le.PutUint64(b[0:], rec.TraceID)
-	le.PutUint64(b[8:], uint64(rec.TimeUS))
-	b[16] = uint8(rec.Op)
-	le.PutUint32(b[17:], uint32(rec.Size))
-	le.PutUint64(b[21:], uint64(rec.Offset))
-	le.PutUint32(b[29:], uint32(rec.DC))
-	le.PutUint32(b[33:], uint32(rec.Node))
-	le.PutUint32(b[37:], uint32(rec.User))
-	le.PutUint32(b[41:], uint32(rec.VM))
-	le.PutUint32(b[45:], uint32(rec.VD))
-	le.PutUint32(b[49:], uint32(rec.QP))
-	b[53] = uint8(rec.WT)
-	le.PutUint32(b[54:], uint32(rec.Storage))
-	le.PutUint32(b[58:], uint32(rec.Segment))
-	for i, l := range rec.Latency {
-		le.PutUint32(b[62+4*i:], math.Float32bits(l))
+// checkRecords validates a frame's packed records in place and returns
+// where their sorted runs start (diting.StartsRun). A record fails the frame
+// when trace.CheckPacked refuses it — the rules the text trace decoders
+// apply — or when its VD lies outside the shard's [lo, hi): the merge is
+// exact only because each disk's records all come from the one shard that
+// owns the disk.
+func checkRecords(r *wire.Reader, recs []byte, lo, hi int) (marks []int) {
+	const size = trace.RecordSize
+	for i, off := 0, 0; off < len(recs); i, off = i+1, off+size {
+		rec := recs[off : off+size]
+		if vd := int(trace.PackedVD(rec)); vd < lo || vd >= hi {
+			r.Fail("record %d: VD %d outside the shard's [%d,%d)", i, vd, lo, hi)
+			return nil
+		}
+		if err := trace.CheckPacked(rec); err != nil {
+			r.Fail("record %d: %v", i, err)
+			return nil
+		}
+		if off > 0 && diting.StartsRun(recs[off-size:off], rec) {
+			marks = append(marks, i)
+		}
 	}
-}
-
-// readRecord decodes in place: rec is left untouched by a short frame, which
-// the reader has latched by then.
-func readRecord(r *wire.Reader, rec *trace.Record) {
-	raw := r.Take(recordWire)
-	if raw == nil {
-		return
-	}
-	b, le := (*[recordWire]byte)(raw), binary.LittleEndian
-	rec.TraceID = le.Uint64(b[0:])
-	rec.TimeUS = int64(le.Uint64(b[8:]))
-	rec.Op = trace.Op(b[16])
-	rec.Size = int32(le.Uint32(b[17:]))
-	rec.Offset = int64(le.Uint64(b[21:]))
-	rec.DC = cluster.DCID(le.Uint32(b[29:]))
-	rec.Node = cluster.NodeID(le.Uint32(b[33:]))
-	rec.User = cluster.UserID(le.Uint32(b[37:]))
-	rec.VM = cluster.VMID(le.Uint32(b[41:]))
-	rec.VD = cluster.VDID(le.Uint32(b[45:]))
-	rec.QP = cluster.QPID(le.Uint32(b[49:]))
-	rec.WT = int8(b[53])
-	rec.Storage = cluster.StorageNodeID(le.Uint32(b[54:]))
-	rec.Segment = cluster.SegmentID(le.Uint32(b[58:]))
-	for i := range rec.Latency {
-		rec.Latency[i] = math.Float32frombits(le.Uint32(b[62+4*i:]))
-	}
-	if rec.Op > trace.OpWrite {
-		r.Fail("record op %d", rec.Op)
-	}
+	return marks
 }
 
 func appendMetricRow(w *wire.Writer, row *trace.MetricRow) {
@@ -229,13 +197,13 @@ func readMetricRow(r *wire.Reader) trace.MetricRow {
 	return row
 }
 
-// recordCount is how many records p's chunks hold.
+// recordCount is how many packed records p's chunks hold.
 func recordCount(p *ebs.ShardPartial) int {
 	n := 0
 	for _, chunk := range p.Chunks() {
 		n += len(chunk)
 	}
-	return n
+	return n / trace.RecordSize
 }
 
 // resultSize is the exact length of p's frame, given its encoded sketch's
@@ -243,7 +211,7 @@ func recordCount(p *ebs.ShardPartial) int {
 // allocated once and never regrown.
 func resultSize(p *ebs.ShardPartial, sketchLen int) int {
 	n := 8 + 4 + 4 + 4 + // workerID, shardID, lo, hi
-		4 + recordCount(p)*recordWire +
+		4 + recordCount(p)*trace.RecordSize +
 		4 + len(p.Compute)*metricRowWire +
 		4 + len(p.Storage)*metricRowWire +
 		1 + // hasSketch
@@ -289,8 +257,8 @@ func resultPayload(buf []byte, workerID uint64, shardID int, p *ebs.ShardPartial
 
 // appendResult appends p's frame to dst — in place when dst has resultSize(p,
 // len(enc)) spare bytes, which is how every caller sizes it; enc is
-// encodeSketch(p). The records are walked chunk by chunk, as the shard's
-// tracers emitted them.
+// encodeSketch(p). The records are already packed: each of the shard's
+// tracer chunks is copied in whole, in the order they were emitted.
 func appendResult(dst []byte, workerID uint64, shardID int, p *ebs.ShardPartial, enc []byte) []byte {
 	w := &wire.Writer{B: dst}
 	w.U64(workerID)
@@ -299,9 +267,7 @@ func appendResult(dst []byte, workerID uint64, shardID int, p *ebs.ShardPartial,
 	w.U32(uint32(p.Hi))
 	w.U32(uint32(recordCount(p)))
 	for _, chunk := range p.Chunks() {
-		for i := range chunk {
-			appendRecord(w, &chunk[i])
-		}
+		w.Bytes(chunk)
 	}
 	w.U32(uint32(len(p.Compute)))
 	for i := range p.Compute {
@@ -338,8 +304,10 @@ func appendResult(dst []byte, workerID uint64, shardID int, p *ebs.ShardPartial,
 // decodeResult parses one shard-result frame. Every section length is
 // validated against the bytes actually present before allocation, and
 // trailing bytes are rejected: a frame either decodes completely or not at
-// all. The records' run starts (ShardPartial.Marks) are noted as they are
-// read, not shipped: the frame's bytes stay what they were.
+// all. The records are not copied: the partial's Records aliases the
+// frame's record section once checkRecords has validated it in place and
+// noted the run starts (ShardPartial.Marks), which are not shipped: the
+// frame's bytes stay what they were.
 func decodeResult(data []byte) (workerID uint64, shardID int, p *ebs.ShardPartial, err error) {
 	r := wire.NewReader(data, ErrWire)
 	workerID = r.U64()
@@ -347,14 +315,9 @@ func decodeResult(data []byte) (workerID uint64, shardID int, p *ebs.ShardPartia
 	p = &ebs.ShardPartial{}
 	p.Lo = int(r.U32())
 	p.Hi = int(r.U32())
-	if n := r.Count(recordWire); n > 0 {
-		p.Records = make([]trace.Record, n)
-		for i := range p.Records {
-			readRecord(r, &p.Records[i])
-			if i > 0 && diting.StartsRun(&p.Records[i-1], &p.Records[i]) {
-				p.Marks = append(p.Marks, i)
-			}
-		}
+	if n := r.Count(trace.RecordSize); n > 0 {
+		p.Records = r.Take(n * trace.RecordSize)
+		p.Marks = checkRecords(r, p.Records, p.Lo, p.Hi)
 	}
 	if n := r.Count(metricRowWire); n > 0 {
 		p.Compute = make([]trace.MetricRow, n)

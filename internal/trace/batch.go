@@ -109,27 +109,6 @@ func (b *Batch) Append(rec *Record) int {
 	return i
 }
 
-// Record materializes row i as a Record.
-func (b *Batch) Record(i int) Record {
-	return Record{
-		TraceID: b.TraceID[i],
-		TimeUS:  b.TimeUS[i],
-		Op:      b.Op[i],
-		Size:    b.Size[i],
-		Offset:  b.Offset[i],
-		DC:      b.DC[i],
-		Node:    b.Node[i],
-		User:    b.User[i],
-		VM:      b.VM[i],
-		VD:      b.VD[i],
-		QP:      b.QP[i],
-		WT:      b.WT[i],
-		Storage: b.Storage[i],
-		Segment: b.Segment[i],
-		Latency: b.Lat[i],
-	}
-}
-
 // TotalLatencyAt sums row i's per-stage latencies in stage order, exactly as
 // Record.TotalLatency does.
 func (b *Batch) TotalLatencyAt(i int) float64 {

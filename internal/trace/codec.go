@@ -4,35 +4,23 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 
 	"ebslab/internal/cluster"
 )
 
 // checkRecord rejects decoded records no simulation could have produced —
-// NaN or negative stage latencies, non-positive sizes, negative offsets or
-// timestamps. Both trace decoders apply it to every record, so malformed
-// foreign input fails loudly with the line position instead of leaking
-// poison values (a single NaN latency would silently corrupt every sketch
-// and metric it touches) into downstream consumers.
+// an op other than read or write, NaN, infinite or negative stage
+// latencies, non-positive sizes, negative offsets or timestamps. Both trace
+// decoders apply it to every record, so malformed foreign input fails loudly
+// with its position instead of leaking poison values (a single NaN latency
+// would silently corrupt every sketch and metric it touches) into downstream
+// consumers. The rules themselves are CheckPacked's, which a fabric
+// coordinator applies to every packed record a worker ships.
 func checkRecord(rec *Record) error {
-	if rec.TimeUS < 0 {
-		return fmt.Errorf("time_us %d is negative", rec.TimeUS)
-	}
-	if rec.Size <= 0 {
-		return fmt.Errorf("size %d, want > 0", rec.Size)
-	}
-	if rec.Offset < 0 {
-		return fmt.Errorf("offset %d is negative", rec.Offset)
-	}
-	for s := 0; s < int(NumStages); s++ {
-		l := float64(rec.Latency[s])
-		if math.IsNaN(l) || math.IsInf(l, 0) || l < 0 {
-			return fmt.Errorf("stage %d latency %g, want finite and >= 0", s, l)
-		}
-	}
-	return nil
+	var packed [RecordSize]byte
+	Pack(rec, packed[:])
+	return CheckPacked(packed[:])
 }
 
 // traceHeader is the CSV column layout for Record.
