@@ -6,9 +6,11 @@ import (
 	"os"
 	"strconv"
 	"testing"
+	"time"
 
 	"ebslab/internal/control"
 	"ebslab/internal/ebs"
+	"ebslab/internal/fabric"
 	"ebslab/internal/invariant"
 	"ebslab/internal/sketch"
 	"ebslab/internal/workload"
@@ -17,13 +19,18 @@ import (
 // TestBenchFingerprintsHold brings the benchmark's correctness contract into
 // tier-1: it reads the pins bench/ keeps in bench/testdata/fingerprints.json
 // (read-only — bench/ regenerates them with -pin) and reproduces the
-// single-process workloads at both pinned seeds with the bench's study
-// recipe (bench/workloads.go: fleet seed 7, one DC of 16 nodes, 60 s, the
-// first 120 disks, one IO in 8 generated; -seed is Options.Seed). A
-// simulated bit that drifts then fails `go test ./...`, not only
-// `bash bench/run.sh`'s set-up. The fabric, replay and gateway pins need the
-// bench's loopback harness, synthetic CSV and submission pool; they stay
-// bench/'s.
+// single-process workloads and the fabric one at both pinned seeds with the
+// bench's study recipe (bench/workloads.go: fleet seed 7, one DC of 16
+// nodes, 60 s, the first 120 disks, one IO in 8 generated; -seed is
+// Options.Seed). The dist pin comes from the bench's fabric study shape: a
+// coordinator on an in-process loopback (here the one-replica set ebssim's
+// -dist runs), 8 shards, 2 workers of one engine worker each. Its pins equal
+// sim-traced's, since a fabric study is byte-identical to the single-process
+// run; what the row adds is that the bytes a worker ships and the merge
+// reproduce them under the bench's shard plan. A simulated or shipped bit
+// that drifts then fails `go test ./...`, not only `bash bench/run.sh`'s
+// set-up. The replay and gateway pins need the bench's synthetic CSV and
+// submission pool; they stay bench/'s.
 func TestBenchFingerprintsHold(t *testing.T) {
 	raw, err := os.ReadFile("bench/testdata/fingerprints.json")
 	if err != nil {
@@ -65,8 +72,23 @@ func TestBenchFingerprintsHold(t *testing.T) {
 			}
 			return invariant.Fingerprint(ds) + "+" + plan.LogFingerprint(), nil
 		},
+		"dist": func(o ebs.Options) (string, error) {
+			o.Workers = 1
+			rs, err := fabric.NewReplicaSet(fabric.Config{Fleet: benchStudyFleetConfig(), Opts: o, Shards: 8}, 1)
+			if err != nil {
+				return "", err
+			}
+			defer rs.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+			defer cancel()
+			ds, err := rs.Run(ctx, 2)
+			if err != nil {
+				return "", err
+			}
+			return invariant.Fingerprint(ds), nil
+		},
 	}
-	for _, name := range []string{"sim-traced", "sim-sampled", "control"} {
+	for _, name := range []string{"sim-traced", "sim-sampled", "control", "dist"} {
 		for _, seed := range []int64{7, 11} {
 			want := pins[name][strconv.FormatInt(seed, 10)]
 			if want == "" {
@@ -83,10 +105,9 @@ func TestBenchFingerprintsHold(t *testing.T) {
 	}
 }
 
-// benchStudySim is the bench study's fleet and simulator (bench/workloads.go:
+// benchStudyFleetConfig is the bench study's fleet (bench/workloads.go:
 // fleet seed 7, one DC of 16 nodes, 60 s).
-func benchStudySim(t *testing.T) *ebs.Sim {
-	t.Helper()
+func benchStudyFleetConfig() workload.Config {
 	cfg := workload.DefaultConfig()
 	cfg.Seed = 7
 	cfg.DCs = 1
@@ -95,7 +116,13 @@ func benchStudySim(t *testing.T) *ebs.Sim {
 	cfg.BSPerCluster = 6
 	cfg.Users = 16
 	cfg.DurationSec = 60
-	fleet, err := workload.Generate(cfg)
+	return cfg
+}
+
+// benchStudySim is the bench study's fleet and simulator.
+func benchStudySim(t *testing.T) *ebs.Sim {
+	t.Helper()
+	fleet, err := workload.Generate(benchStudyFleetConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,8 +79,9 @@ func (p *ShardPartial) Chunks() [][]byte {
 }
 
 // Release returns the run's tracers and batches to their pools. Call it once
-// nothing reads Chunks any more — a fabric worker does when the result frame
-// is encoded; a caller that never does merely leaves them to the collector.
+// nothing reads Chunks any more — a fabric worker does when the upload that
+// wrote them onto the connection has returned; a caller that never does
+// merely leaves them to the collector.
 func (p *ShardPartial) Release() {
 	if p.run != nil {
 		p.run.release()

@@ -339,11 +339,12 @@ func (co *Coordinator) proposeRaw(c command) (any, error) {
 }
 
 // proposeResult commits a worker's shard-result payload as the cmdResult
-// command it was laid out to be: the payload arrives as commandHeaderLen
-// reserved bytes and the frame (resultPayload), the leader stamps the header
-// over the reserved bytes — all of them, reading none: kind, worker 0, its
-// clock, the frame's true length — and proposes the received buffer itself, so
-// the frame is not copied into a command. The frame is not pre-validated
+// command it was laid out to be. The payload arrives as commandHeaderLen
+// reserved bytes and the frame (the worker writes them as resultParts'
+// parts; readPayload gathers them into one buffer). The leader stamps the
+// header over the reserved bytes — all of them, reading none: kind, worker
+// 0, its clock, the frame's true length — and proposes the received buffer
+// itself, so the frame is not copied into a command. The frame is not pre-validated
 // either: the FSM decodes it at apply time and a malformed one comes back as
 // an error reply (StatusError). Decoding a shard result is the most expensive
 // control-plane operation, so doing it once — not once to validate and again

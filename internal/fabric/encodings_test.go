@@ -1,7 +1,9 @@
 package fabric
 
 import (
+	"bytes"
 	"testing"
+	"unsafe"
 
 	"ebslab/internal/cluster"
 	"ebslab/internal/ebs"
@@ -89,11 +91,15 @@ func TestEncodingsUnchanged(t *testing.T) {
 	wiretest.CheckEncoding(t, "command-assign", encodeCommand(&command{Kind: cmdAssign, Worker: 7, At: -9}))
 }
 
-// TestEncodeResultExactSize holds the encoder to its own arithmetic: a frame
-// is exactly resultSize bytes, so a buffer of that capacity is filled in
-// place — never regrown at its tail, which is one whole-frame allocation and
-// copy per shard — and, the sketch's own encoding aside, encoding allocates
-// nothing.
+// TestEncodeResultExactSize holds the encoder to its own arithmetic and to
+// sending the records from where they lie: for every section combination,
+// the parts concatenate to exactly the command-header room plus resultSize
+// bytes; the middle parts are p.Chunks() themselves, not copies of them;
+// head and tail lie back to back in one buffer that the tail fills to its
+// capacity, so it was never regrown; and, the sketch's own encoding aside,
+// encoding allocates twice: that buffer and the list of parts. The parts of
+// the two pinned partials concatenate to the pinned result-*.hex frames
+// behind the header room.
 func TestEncodeResultExactSize(t *testing.T) {
 	for sections := 0; sections <= secAll; sections++ {
 		p := samplePartial(sections)
@@ -101,19 +107,36 @@ func TestEncodeResultExactSize(t *testing.T) {
 		if p.Sketch != nil {
 			sketchLen = len(p.Sketch.EncodeBinary())
 		}
-		size := resultSize(p, sketchLen)
-		if frame := encodeResult(42, 7, p); len(frame) != size {
-			t.Fatalf("sections %06b: frame is %d bytes, resultSize says %d", sections, len(frame), size)
+		parts, err := resultParts(42, 7, p)
+		if err != nil {
+			t.Fatal(err)
 		}
-		buf := make([]byte, 0, size)
-		if frame := encodeResultInto(buf, 42, 7, p); &frame[0] != &buf[:1][0] || cap(frame) != size {
-			t.Fatalf("sections %06b: a buffer of resultSize capacity was replaced (frame capacity %d)", sections, cap(frame))
+		if size := commandHeaderLen + resultSize(p, sketchLen); len(bytes.Join(parts, nil)) != size {
+			t.Fatalf("sections %06b: the parts join to %d bytes, header room plus resultSize says %d", sections, len(bytes.Join(parts, nil)), size)
+		}
+		want := p.Chunks()
+		if len(parts) != len(want)+2 {
+			t.Fatalf("sections %06b: %d parts, want head, p's %d chunks and tail", sections, len(parts), len(want))
+		}
+		for i := range want {
+			if got := parts[1+i]; len(got) != len(want[i]) || len(want[i]) > 0 && &got[0] != &want[i][0] {
+				t.Fatalf("sections %06b: part %d is not p's chunk %d", sections, 1+i, i)
+			}
+		}
+		head, tail := parts[0], parts[len(parts)-1]
+		if len(head) != resultHeadLen || len(tail) == 0 || unsafe.Add(unsafe.Pointer(&head[0]), resultHeadLen) != unsafe.Pointer(&tail[0]) {
+			t.Fatalf("sections %06b: head (%d bytes) and tail (%d bytes) are not one buffer's two ends", sections, len(head), len(tail))
+		}
+		if cap(tail) != len(tail) {
+			t.Fatalf("sections %06b: tail is %d bytes of a %d-byte buffer: head and tail were not sized exactly", sections, len(tail), cap(tail))
 		}
 		if p.Sketch != nil {
 			continue
 		}
-		if allocs := testing.AllocsPerRun(10, func() { encodeResultInto(buf, 42, 7, p) }); allocs != 0 {
-			t.Fatalf("sections %06b: encoding into a sized buffer allocated %.0f times", sections, allocs)
+		if allocs := testing.AllocsPerRun(10, func() { resultParts(42, 7, p) }); allocs != 2 {
+			t.Fatalf("sections %06b: encoding allocated %.0f times, want 2 (the head-and-tail buffer, the list of parts)", sections, allocs)
 		}
 	}
+	wiretest.CheckEncoding(t, "result-full", joinedPayload(42, 7, samplePartial(secAll))[commandHeaderLen:])
+	wiretest.CheckEncoding(t, "result-empty", joinedPayload(1, 0, samplePartial(0))[commandHeaderLen:])
 }

@@ -229,11 +229,11 @@ func (w *fakeWorker) upload(a AssignReply) resultReply {
 	if err != nil {
 		w.t.Fatal(err)
 	}
-	payload, err := resultPayload(nil, w.id, a.Shard, p)
+	parts, err := resultParts(w.id, a.Shard, p)
 	if err != nil {
 		w.t.Fatal(err)
 	}
-	raw, err := w.cl.Call(netblock.OpShardResult, payload)
+	raw, err := w.cl.Call(netblock.OpShardResult, parts...)
 	if err != nil {
 		w.t.Fatal(err)
 	}
@@ -533,10 +533,7 @@ func TestResultHeaderIsStamped(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		payload, err := resultPayload(nil, w.id, a.Shard, p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		payload := joinedPayload(w.id, a.Shard, p)
 		frame := append([]byte(nil), payload[commandHeaderLen:]...)
 		h.claim(payload[:commandHeaderLen], other.id, len(frame))
 
@@ -580,17 +577,24 @@ func TestResultHeaderIsStamped(t *testing.T) {
 // TestShardResultPathBytes defends the shard-result path's memory traffic
 // deterministically: one loopback study in the bench's dist shape (2
 // workers, 8 shards, every IO a retained record) with the collector off may
-// allocate at most 4.3x the bytes of the dataset it delivers (measured:
-// 3.4x). Four buffers remain on the way, each written once at its final
-// size: the packed tracer chunks (pooled, so the first shards of a worker pay
-// for them), the worker's payload (header room and frame, reused while the
-// next shard fits), the received payload (which is the ledger command, and
-// whose record section the decoded partial aliases; its chunk-sized pieces
-// add half a frame), and the merged dataset. A decoded copy of the records
-// (4.7x), a shard-level merge, a command copy of the frame, or a payload
-// regrown by doubling each adds most of a dataset and breaks the bound (all
-// four at once measured 8-8.5x).
+// allocate at most 3.3x the bytes of the dataset it delivers (measured
+// 2.9-3.1x). Three buffers remain on the way, each written once at its final
+// size: the packed tracer chunks (pooled, so the first shards of a worker
+// pay for them; the worker writes them onto the connection as they are),
+// the received payload (which is the ledger command, and whose record
+// section the decoded partial aliases; its chunk-sized pieces add half a
+// frame), and the merged dataset. A worker-side payload buffer holding a
+// copy of the frame (3.4-3.7x), a decoded copy of the records, a
+// shard-level merge, a command copy of the frame, or a payload regrown by
+// doubling each adds most of a dataset and breaks the bound. The race
+// detector drops pooled tracer chunks at random (3.4x there), so under it
+// the study and its fingerprint check run in full against the looser bound
+// of 4.3x.
 func TestShardResultPathBytes(t *testing.T) {
+	bound := uint64(33) // tenths of the dataset
+	if raceEnabled {
+		bound = 43
+	}
 	cfg := testFleetConfig()
 	cfg.Seed = 7
 	cfg.NodesPerDC = 16
@@ -627,7 +631,7 @@ func TestShardResultPathBytes(t *testing.T) {
 	dataset := uint64(len(ds.Trace)) * uint64(unsafe.Sizeof(trace.Record{}))
 	alloc := after.TotalAlloc - before.TotalAlloc
 	t.Logf("%d records, %d bytes allocated = %.1fx the dataset", len(ds.Trace), alloc, float64(alloc)/float64(dataset))
-	if alloc > 43*dataset/10 {
-		t.Fatalf("study allocated %d bytes to deliver a %d-byte dataset (%.1fx, bound 4.3x)", alloc, dataset, float64(alloc)/float64(dataset))
+	if alloc > bound*dataset/10 {
+		t.Fatalf("study allocated %d bytes to deliver a %d-byte dataset (%.1fx, bound %.1fx)", alloc, dataset, float64(alloc)/float64(dataset), float64(bound)/10)
 	}
 }

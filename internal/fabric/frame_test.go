@@ -1,23 +1,24 @@
 package fabric
 
-import "ebslab/internal/ebs"
+import (
+	"bytes"
 
-// encodeResult and encodeResultInto are the bare-frame reference encoders of
-// the round-trip, fixture and fuzz tests: the result frame alone, without the
-// command-header room a worker's payload carries in front of it
-// (resultPayload, the one production caller of appendResult).
+	"ebslab/internal/ebs"
+)
 
-// encodeResult frames one shard result in a fresh buffer.
-func encodeResult(workerID uint64, shardID int, p *ebs.ShardPartial) []byte {
-	return encodeResultInto(nil, workerID, shardID, p)
+// joinedPayload is the OpShardResult payload the parts make once they are
+// written back to back: what the coordinator receives. It panics on a
+// partial over the wire cap, which no test frames this way.
+func joinedPayload(workerID uint64, shardID int, p *ebs.ShardPartial) []byte {
+	parts, err := resultParts(workerID, shardID, p)
+	if err != nil {
+		panic(err)
+	}
+	return bytes.Join(parts, nil)
 }
 
-// encodeResultInto is encodeResult into buf's memory (replaced when too
-// small).
-func encodeResultInto(buf []byte, workerID uint64, shardID int, p *ebs.ShardPartial) []byte {
-	enc := encodeSketch(p)
-	if need := resultSize(p, len(enc)); cap(buf) < need {
-		buf = make([]byte, 0, need)
-	}
-	return appendResult(buf[:0], workerID, shardID, p, enc)
+// encodeResult is the bare result frame of the round-trip, fixture and fuzz
+// tests: the payload without the command-header room in front of it.
+func encodeResult(workerID uint64, shardID int, p *ebs.ShardPartial) []byte {
+	return joinedPayload(workerID, shardID, p)[commandHeaderLen:]
 }

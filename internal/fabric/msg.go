@@ -112,8 +112,9 @@ func fromJSON(data []byte, v any) error {
 // computed — a lossy text encoding here would break the byte-identical
 // dataset guarantee. A record is trace.RecordSize bytes in trace.Pack's
 // layout, the one the worker's tracers keep their records in and the
-// coordinator's merge reads: the worker copies its tracer chunks into the
-// frame whole, and the coordinator merges straight out of the frame.
+// coordinator's merge reads: the worker writes its tracer chunks onto the
+// connection as they are (resultParts), and the coordinator merges straight
+// out of the frame.
 //
 //	payload: commandHeaderLen bytes the leader stamps (fsm.go) | frame
 //	frame: u64 workerID | u32 shardID | partial
@@ -206,13 +207,15 @@ func recordCount(p *ebs.ShardPartial) int {
 	return n / trace.RecordSize
 }
 
-// resultSize is the exact length of p's frame, given its encoded sketch's
-// length (0 without one). The encoder sizes its buffer by it, so a frame is
-// allocated once and never regrown.
-func resultSize(p *ebs.ShardPartial, sketchLen int) int {
-	n := 8 + 4 + 4 + 4 + // workerID, shardID, lo, hi
-		4 + recordCount(p)*trace.RecordSize +
-		4 + len(p.Compute)*metricRowWire +
+// resultHeadLen is the bytes of an OpShardResult payload in front of its
+// records: the command-header room and the frame's workerID, shardID, lo,
+// hi and record count.
+const resultHeadLen = commandHeaderLen + 8 + 4 + 4 + 4 + 4
+
+// tailSize is the exact length of p's frame behind its records, given its
+// encoded sketch's length (0 without one).
+func tailSize(p *ebs.ShardPartial, sketchLen int) int {
+	n := 4 + len(p.Compute)*metricRowWire +
 		4 + len(p.Storage)*metricRowWire +
 		1 + // hasSketch
 		8 + 8 + // chaos
@@ -227,6 +230,12 @@ func resultSize(p *ebs.ShardPartial, sketchLen int) int {
 	return n
 }
 
+// resultSize is the exact length of p's frame, given its encoded sketch's
+// length (0 without one).
+func resultSize(p *ebs.ShardPartial, sketchLen int) int {
+	return resultHeadLen - commandHeaderLen + recordCount(p)*trace.RecordSize + tailSize(p, sketchLen)
+}
+
 // encodeSketch is p's sketch state in wire form, nil without one.
 func encodeSketch(p *ebs.ShardPartial) []byte {
 	if p.Sketch == nil {
@@ -235,40 +244,30 @@ func encodeSketch(p *ebs.ShardPartial) []byte {
 	return p.Sketch.EncodeBinary()
 }
 
-// resultPayload is the OpShardResult request body for p, in buf's memory when
-// it is large enough (a worker reuses one buffer across its shards): the
-// result frame behind commandHeaderLen bytes the worker leaves unset. The
-// leader stamps the ledger-command header over them and proposes the payload
-// as it arrived, so the frame is never copied into a command. A payload over
-// the wire cap is refused here, by its exact size, before anything
-// frame-sized is allocated or encoded.
-func resultPayload(buf []byte, workerID uint64, shardID int, p *ebs.ShardPartial) ([]byte, error) {
+// resultParts is the OpShardResult request body for p as the parts a worker
+// writes onto the connection back to back (netblock.Client.Call takes them
+// as they are): first the head, commandHeaderLen bytes the worker leaves
+// unset and then the frame up to its records; then p's tracer chunks,
+// aliased — the records are already packed, in the order they were
+// emitted, so they are not copied; last the tail, the rest of the frame.
+// Head and tail share one allocation of their exact size. The leader stamps
+// the ledger-command header over the reserved bytes and proposes the
+// payload as it arrived, so the frame is never copied into a command. A
+// payload over the wire cap is refused here, by its exact size, before
+// anything frame-sized is allocated or encoded. The chunks stay p's:
+// release p only once the parts have been written.
+func resultParts(workerID uint64, shardID int, p *ebs.ShardPartial) ([][]byte, error) {
 	enc := encodeSketch(p)
-	need := commandHeaderLen + resultSize(p, len(enc))
-	if need > netblock.MaxShardResultPayload {
+	if need := commandHeaderLen + resultSize(p, len(enc)); need > netblock.MaxShardResultPayload {
 		return nil, fmt.Errorf("fabric: shard %d result is %d bytes, over the %d-byte wire cap: rerun with more shards (fewer VDs per shard)",
 			shardID, need, netblock.MaxShardResultPayload)
 	}
-	if cap(buf) < need {
-		buf = make([]byte, commandHeaderLen, need)
-	}
-	return appendResult(buf[:commandHeaderLen], workerID, shardID, p, enc), nil
-}
-
-// appendResult appends p's frame to dst — in place when dst has resultSize(p,
-// len(enc)) spare bytes, which is how every caller sizes it; enc is
-// encodeSketch(p). The records are already packed: each of the shard's
-// tracer chunks is copied in whole, in the order they were emitted.
-func appendResult(dst []byte, workerID uint64, shardID int, p *ebs.ShardPartial, enc []byte) []byte {
-	w := &wire.Writer{B: dst}
+	w := &wire.Writer{B: make([]byte, commandHeaderLen, resultHeadLen+tailSize(p, len(enc)))}
 	w.U64(workerID)
 	w.U32(uint32(shardID))
 	w.U32(uint32(p.Lo))
 	w.U32(uint32(p.Hi))
 	w.U32(uint32(recordCount(p)))
-	for _, chunk := range p.Chunks() {
-		w.Bytes(chunk)
-	}
 	w.U32(uint32(len(p.Compute)))
 	for i := range p.Compute {
 		appendMetricRow(w, &p.Compute[i])
@@ -298,7 +297,10 @@ func appendResult(dst []byte, workerID uint64, shardID int, p *ebs.ShardPartial,
 		w.U32(uint32(len(s)))
 		w.B = append(w.B, s...)
 	}
-	return w.B
+	chunks := p.Chunks()
+	parts := append(make([][]byte, 0, len(chunks)+2), w.B[:resultHeadLen:resultHeadLen])
+	parts = append(parts, chunks...)
+	return append(parts, w.B[resultHeadLen:]), nil
 }
 
 // decodeResult parses one shard-result frame. Every section length is

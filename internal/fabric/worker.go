@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"ebslab/internal/ebs"
 	"ebslab/internal/netblock"
 )
 
@@ -104,7 +105,7 @@ func (l *ctrlLink) close() {
 // replicas until it succeeds or the failover window closes. A StatusRedirect
 // answer re-aims the link at the hinted leader; a transport failure advances
 // round-robin to the next replica.
-func (l *ctrlLink) call(ctx context.Context, op netblock.OpCode, payload []byte) ([]byte, error) {
+func (l *ctrlLink) call(ctx context.Context, op netblock.OpCode, payload ...[]byte) ([]byte, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	deadline := time.Now().Add(l.window)
@@ -123,7 +124,7 @@ func (l *ctrlLink) call(ctx context.Context, op netblock.OpCode, payload []byte)
 			}
 		}
 		if l.cl != nil {
-			raw, err := l.cl.Call(op, payload)
+			raw, err := l.cl.Call(op, payload...)
 			if err == nil {
 				return raw, nil
 			}
@@ -209,7 +210,6 @@ func RunWorker(ctx context.Context, wc WorkerConfig) error {
 		}
 		return nil
 	}
-	var payload []byte
 	for {
 		select {
 		case <-ctx.Done():
@@ -238,26 +238,8 @@ func RunWorker(ctx context.Context, wc WorkerConfig) error {
 			case <-time.After(waitBackoff):
 			}
 		case AssignShard:
-			p, err := sim.RunShard(ctx, opts, a.Lo, a.Hi)
-			if err != nil {
-				return fmt.Errorf("fabric: shard %d: %w", a.Shard, err)
-			}
-			if wc.faultHook != nil {
-				if err := wc.faultHook(a.Shard); err != nil {
-					return err // simulated crash: vanish without uploading
-				}
-			}
-			// One payload buffer serves every shard: the call is synchronous, so
-			// the buffer is free again the moment the upload returns. Once the
-			// frame is encoded nothing reads the run's tracer chunks any more.
-			payload, err = resultPayload(payload, join.WorkerID, a.Shard, p)
-			p.Release()
-			if err != nil {
+			if err := runShard(ctx, wc, link, sim, opts, join.WorkerID, a); err != nil {
 				return err
-			}
-			_, err = link.call(ctx, netblock.OpShardResult, payload)
-			if err != nil {
-				return fmt.Errorf("fabric: upload shard %d: %w", a.Shard, err)
 			}
 			// An orderly drain completes the current shard first — which just
 			// happened — so honor it before asking for more work.
@@ -270,4 +252,31 @@ func RunWorker(ctx context.Context, wc WorkerConfig) error {
 			return fmt.Errorf("%w: assign status %q", ErrWire, a.Status)
 		}
 	}
+}
+
+// runShard simulates shard a and uploads its result. The payload goes onto
+// the connection in parts (resultParts): the frame's head, the run's tracer
+// chunks as they are and its tail, so no buffer holds the frame on this
+// side. The chunks go back to the tracer pool only once the upload has
+// returned, on every path — a retransmission after a failover writes them
+// again.
+func runShard(ctx context.Context, wc WorkerConfig, link *ctrlLink, sim *ebs.Sim, opts ebs.Options, workerID uint64, a AssignReply) error {
+	p, err := sim.RunShard(ctx, opts, a.Lo, a.Hi)
+	if err != nil {
+		return fmt.Errorf("fabric: shard %d: %w", a.Shard, err)
+	}
+	defer p.Release()
+	if wc.faultHook != nil {
+		if err := wc.faultHook(a.Shard); err != nil {
+			return err // simulated crash: vanish without uploading
+		}
+	}
+	parts, err := resultParts(workerID, a.Shard, p)
+	if err != nil {
+		return err
+	}
+	if _, err := link.call(ctx, netblock.OpShardResult, parts...); err != nil {
+		return fmt.Errorf("fabric: upload shard %d: %w", a.Shard, err)
+	}
+	return nil
 }

@@ -138,9 +138,10 @@ func TestFabricWorkerFailsFastWhenControlPlaneDies(t *testing.T) {
 // TestOversizedShardFailsBeforeEncoding holds the worker's wire-cap check to
 // running on the frame's computed size, before anything frame-sized exists:
 // a partial whose frame would pass the 1 GiB cap (1,100 audit lines sharing
-// one 1 MiB string, so the partial itself is small) is refused with the
-// "rerun with more shards" error for a few KiB of allocation. What is checked
-// is the payload's own length: header room plus resultSize.
+// one 1 MiB string, so the partial itself is small) is refused by
+// resultParts with the "rerun with more shards" error for a few KiB of
+// allocation. What is checked is the payload's own length: header room plus
+// resultSize, which is what the parts of a partial under the cap add up to.
 func TestOversizedShardFailsBeforeEncoding(t *testing.T) {
 	line := strings.Repeat("x", 1<<20)
 	p := &ebs.ShardPartial{Lo: 0, Hi: 4, Audit: make([]string, 1100)}
@@ -150,22 +151,18 @@ func TestOversizedShardFailsBeforeEncoding(t *testing.T) {
 	if size := commandHeaderLen + resultSize(p, 0); size <= netblock.MaxShardResultPayload {
 		t.Fatalf("the test partial frames to %d bytes, under the %d-byte cap", size, netblock.MaxShardResultPayload)
 	}
-	var payload []byte
+	var parts [][]byte
 	var err error
-	alloc := measureAlloc(func() { payload, err = resultPayload(nil, 1, 0, p) })
+	alloc := measureAlloc(func() { parts, err = resultParts(1, 0, p) })
 	if err == nil || !strings.Contains(err.Error(), "rerun with more shards") {
-		t.Fatalf("over-cap shard: payload of %d bytes, error %v; want the rerun-with-more-shards refusal", len(payload), err)
+		t.Fatalf("over-cap shard: %d parts, error %v; want the rerun-with-more-shards refusal", len(parts), err)
 	}
 	if alloc > 64<<10 {
 		t.Fatalf("refusing the over-cap shard allocated %d bytes", alloc)
 	}
 
 	p.Audit = p.Audit[:1]
-	payload, err = resultPayload(nil, 1, 0, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := commandHeaderLen + resultSize(p, 0); len(payload) != want {
-		t.Fatalf("payload is %d bytes, header room plus resultSize says %d", len(payload), want)
+	if want := commandHeaderLen + resultSize(p, 0); len(joinedPayload(1, 0, p)) != want {
+		t.Fatalf("payload is %d bytes, header room plus resultSize says %d", len(joinedPayload(1, 0, p)), want)
 	}
 }

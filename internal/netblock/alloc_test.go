@@ -9,11 +9,14 @@ import (
 var raceEnabled bool // set by race_test.go
 
 // TestCallSteadyStateAllocs pins what one echo Call allocates end to end,
-// client and server together, over net.Pipe, whatever the payload size: on
-// each side a frame header written and one read (both escape through
-// io.Writer and io.Reader) and the decoded frame with its payload, plus the
-// handler's response. Measured: 9 at 64 B and at 64 KiB (amd64, Go 1.24);
-// the budget of 10 is that plus at most 15 %.
+// client and server together, over net.Pipe, whatever the payload size and
+// however many parts it is given in: on each side a frame header written
+// (it escapes through io.Writer, together with the net.Buffers the parts
+// are written from) and one read (it escapes through io.Reader) and the
+// decoded frame with its payload, plus the handler's response. Measured: 9
+// at 64 B, at 64 KiB and at 64 KiB in three parts (amd64, Go 1.24); the
+// budget of 10 is that plus at most 15 %, and the parts may cost nothing
+// over the single payload.
 func TestCallSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -25,19 +28,37 @@ func TestCallSteadyStateAllocs(t *testing.T) {
 	defer srv.Close()
 	c := NewClient(cc)
 	defer c.Close()
-	for _, size := range []int{64, 64 << 10} {
-		payload := bytes.Repeat([]byte{0x5A}, size)
+	big := make([]byte, 64<<10)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	rows := []struct {
+		name  string
+		parts [][]byte
+	}{
+		{"64 B", [][]byte{big[:64]}},
+		{"64 KiB", [][]byte{big}},
+		{"64 KiB in 3 parts", [][]byte{big[:21], big[21 : 40<<10], big[40<<10:]}},
+	}
+	var single float64
+	for _, row := range rows {
+		want := bytes.Join(row.parts, nil)
 		call := func() {
-			got, err := c.Call(OpHeartbeat, payload)
-			if err != nil || len(got) != size {
-				t.Fatalf("echo of %d bytes = %d bytes, %v", size, len(got), err)
+			got, err := c.Call(OpHeartbeat, row.parts...)
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%s: echo of %d bytes = %d bytes, %v; want the parts' concatenation", row.name, len(want), len(got), err)
 			}
 		}
 		call()
 		allocs := testing.AllocsPerRun(50, call)
-		t.Logf("allocations per %d-byte echo call: %.0f", size, allocs)
+		t.Logf("allocations per %s echo call: %.0f", row.name, allocs)
 		if allocs > budget {
-			t.Errorf("a %d-byte echo call allocates %.0f times; budget is %d", size, allocs, budget)
+			t.Errorf("a %s echo call allocates %.0f times; budget is %d", row.name, allocs, budget)
+		}
+		if len(row.parts) == 1 {
+			single = allocs
+		} else if allocs > single {
+			t.Errorf("a %s echo call allocates %.0f times, the single-part call %.0f", row.name, allocs, single)
 		}
 	}
 }

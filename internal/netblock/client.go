@@ -129,17 +129,32 @@ func (c *Client) drop(conn net.Conn) {
 	}
 }
 
+// Call performs one RPC: an opaque payload under the given op, answered by
+// the peer handler's opaque response payload. The payload may be given in
+// parts; the peer receives them back to back as one Request.Payload, and
+// they are written straight from the caller's memory (one writev on a TCP
+// connection), so a sender never copies its pieces into one buffer. A
+// payload over the op's cap fails with ErrPayloadTooLarge before any byte
+// is written.
+func (c *Client) Call(op OpCode, payload ...[]byte) ([]byte, error) {
+	resp, err := c.call(op, payload)
+	if err != nil {
+		return nil, err
+	}
+	return resp.Payload, nil
+}
+
 // call sends one request and reads its response: one wire exchange, on the
 // live connection or a redialed one. A failed exchange drops the connection
 // and is returned; nothing is retried.
-func (c *Client) call(req *Request) (*Response, error) {
-	if err := req.validate(); err != nil {
+func (c *Client) call(op OpCode, payload [][]byte) (*Response, error) {
+	if err := validate(op, payload); err != nil {
 		return nil, err // unsendable: fail without touching the connection
 	}
 	c.callMu.Lock()
 	defer c.callMu.Unlock()
 	c.nextID++
-	req.ID = c.nextID
+	id := c.nextID
 	conn, err := c.live()
 	if err != nil {
 		return nil, err
@@ -147,38 +162,28 @@ func (c *Client) call(req *Request) (*Response, error) {
 	if c.cfg.Timeout > 0 {
 		conn.SetDeadline(time.Now().Add(c.cfg.Timeout)) //nolint:errcheck — a closed conn fails the write
 	}
-	resp, err := exchange(conn, req)
+	resp, err := exchange(conn, id, op, payload)
 	if err != nil {
 		c.drop(conn) // a frame may be half-written or half-read
 		if errors.Is(err, os.ErrDeadlineExceeded) {
 			err = ErrTimeout
 		}
-		return nil, fmt.Errorf("netblock: %s call: %w", req.Op, err)
+		return nil, fmt.Errorf("netblock: %s call: %w", op, err)
 	}
 	return resp, resp.Err()
 }
 
-// exchange writes req and reads the response, which must answer req.
-func exchange(conn net.Conn, req *Request) (*Response, error) {
-	if err := WriteRequest(conn, req); err != nil {
+// exchange writes request id and reads the response, which must answer it.
+func exchange(conn net.Conn, id uint64, op OpCode, payload [][]byte) (*Response, error) {
+	if err := writeRequest(conn, id, op, payload...); err != nil {
 		return nil, err
 	}
 	resp, err := ReadResponse(conn)
 	if err != nil {
 		return nil, err
 	}
-	if resp.ID != req.ID {
-		return nil, fmt.Errorf("response to request %d, want %d", resp.ID, req.ID)
+	if resp.ID != id {
+		return nil, fmt.Errorf("response to request %d, want %d", resp.ID, id)
 	}
 	return resp, nil
-}
-
-// Call performs one RPC: an opaque payload under the given op, answered by
-// the peer handler's opaque response payload.
-func (c *Client) Call(op OpCode, payload []byte) ([]byte, error) {
-	resp, err := c.call(&Request{Op: op, Payload: payload})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Payload, nil
 }

@@ -112,7 +112,7 @@ func TestReadRequestEOFMidPayload(t *testing.T) {
 // before it ever touches the wire — and the connection stays alive.
 func TestUnknownOpIsAnError(t *testing.T) {
 	c, _, _ := startServer(t)
-	resp, err := c.call(&Request{Op: OpCode(42)})
+	resp, err := c.call(OpCode(42), nil)
 	if err == nil {
 		t.Fatalf("unknown op accepted: %+v", resp)
 	}

@@ -77,7 +77,7 @@ func FuzzReadRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkDecode(t, data, func(r io.Reader) (func(io.Writer) error, error) {
 			req, err := ReadRequest(r)
-			return func(w io.Writer) error { return WriteRequest(w, req) }, err
+			return func(w io.Writer) error { return writeRequest(w, req.ID, req.Op, req.Payload) }, err
 		})
 	})
 }

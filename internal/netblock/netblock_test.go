@@ -102,8 +102,8 @@ func TestConcurrentClients(t *testing.T) {
 func TestProtocolCodecRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	req := &Request{ID: 7, Op: OpAssignShard, Payload: []byte("abcdefgh")}
-	if err := WriteRequest(&buf, req); err != nil {
-		t.Fatalf("WriteRequest: %v", err)
+	if err := writeRequest(&buf, req.ID, req.Op, req.Payload); err != nil {
+		t.Fatalf("writeRequest: %v", err)
 	}
 	got, err := ReadRequest(&buf)
 	if err != nil {
@@ -129,7 +129,7 @@ func TestProtocolCodecRoundTrip(t *testing.T) {
 func TestProtocolRejectsOversized(t *testing.T) {
 	var buf bytes.Buffer
 	big := make([]byte, maxPayload+1)
-	if err := WriteRequest(&buf, &Request{Op: OpHeartbeat, Payload: big}); err == nil {
+	if err := writeRequest(&buf, 0, OpHeartbeat, big); err == nil {
 		t.Fatal("oversized request accepted")
 	}
 	if buf.Len() != 0 {

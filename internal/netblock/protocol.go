@@ -3,10 +3,16 @@
 // under typed opcodes, a server that mounts one Handler over any
 // net.Listener (with injectable wire faults), and a concurrency-safe
 // request/response client (one exchange at a time per connection) with
-// deadlines and redial. The fabric and consensus control planes and the
-// gateway serving plane define the message bodies; this layer only frames,
-// bounds and routes them. It carries no block IO: the storage cluster is
-// modelled (placement, balancer, cache, latency), not stored.
+// deadlines and redial. A request payload may be given in parts: the
+// client checks their total against the op's cap before it writes a byte,
+// then writes the header and the parts back to back with one net.Buffers
+// write (one writev on a TCP connection), so a sender of a large payload
+// made of pieces — a fabric worker's tracer chunks — never copies them
+// into one buffer; the server reads them as one payload. The fabric and
+// consensus control planes and the gateway serving plane define the
+// message bodies; this layer only frames, bounds and routes them. It
+// carries no block IO: the storage cluster is modelled (placement,
+// balancer, cache, latency), not stored.
 package netblock
 
 import (
@@ -14,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 )
 
 // OpCode identifies a request type.
@@ -168,31 +175,45 @@ var (
 	ErrUnknownOp       = errors.New("netblock: unknown opcode")
 )
 
-// WriteRequest encodes req to w.
-func WriteRequest(w io.Writer, req *Request) error {
-	if err := req.validate(); err != nil {
+// writeRequest encodes one request to w: the op's frame with the payload
+// parts back to back as its payload.
+func writeRequest(w io.Writer, id uint64, op OpCode, payload ...[]byte) error {
+	if err := validate(op, payload); err != nil {
 		return err
 	}
-	return writeFrame(w, req.ID, byte(req.Op), req.Payload)
+	return writeFrame(w, id, byte(op), payload...)
 }
 
-// writeFrame writes one header and its payload. An empty payload is not
-// written: a zero-length Write on a net.Pipe blocks until the peer's next
-// Read, which a frame with nothing left to read never issues.
-func writeFrame(w io.Writer, id uint64, tag uint8, payload []byte) error {
-	var hdr [headerSize]byte
-	binary.LittleEndian.PutUint64(hdr[0:], id)
-	hdr[8] = tag
-	binary.LittleEndian.PutUint32(hdr[9:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
-			return err
+// frameWrite is one frame on its way out: the header and room for the
+// header plus three payload parts to hand to net.Buffers, all in the one
+// allocation that the header alone would cost (it escapes through the
+// io.Writer either way).
+type frameWrite struct {
+	hdr  [headerSize]byte
+	room [4][]byte
+	bufs net.Buffers
+}
+
+// writeFrame writes one header and its payload, given in parts, with one
+// net.Buffers write: a TCP connection sends the frame with one writev, any
+// other writer gets a Write per piece. An empty part is not written: a
+// zero-length Write on a net.Pipe blocks until the peer's next Read, which a
+// frame with nothing left to read never issues. The parts are not modified.
+func writeFrame(w io.Writer, id uint64, tag uint8, payload ...[]byte) error {
+	f := new(frameWrite)
+	n := 0
+	f.bufs = append(f.room[:0], f.hdr[:])
+	for _, part := range payload {
+		if len(part) > 0 {
+			n += len(part)
+			f.bufs = append(f.bufs, part)
 		}
 	}
-	return nil
+	binary.LittleEndian.PutUint64(f.hdr[0:], id)
+	f.hdr[8] = tag
+	binary.LittleEndian.PutUint32(f.hdr[9:], uint32(n))
+	_, err := f.bufs.WriteTo(w)
+	return err
 }
 
 // readHeader reads one frame header.
@@ -206,11 +227,16 @@ func readHeader(r io.Reader) (id uint64, tag uint8, length uint32, err error) {
 
 // validate rejects a request the codec could not frame, before any bytes
 // hit the wire — so an invalid request never poisons a healthy connection.
-func (req *Request) validate() error {
-	if !req.Op.Valid() {
-		return fmt.Errorf("%w %d", ErrUnknownOp, uint8(req.Op))
+// The payload's size is the sum of its parts'.
+func validate(op OpCode, payload [][]byte) error {
+	if !op.Valid() {
+		return fmt.Errorf("%w %d", ErrUnknownOp, uint8(op))
 	}
-	if uint64(len(req.Payload)) > uint64(req.Op.maxPayloadFor()) {
+	n := uint64(0)
+	for _, part := range payload {
+		n += uint64(len(part))
+	}
+	if n > uint64(op.maxPayloadFor()) {
 		return ErrPayloadTooLarge
 	}
 	return nil

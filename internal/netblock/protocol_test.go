@@ -33,7 +33,7 @@ func respFrame(id uint64, status uint8, length uint32, payload []byte) []byte {
 // directions.
 func TestWireLayout(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteRequest(&buf, &Request{ID: 0x0807060504030201, Op: OpHeartbeat, Payload: []byte("hi")}); err != nil {
+	if err := writeRequest(&buf, 0x0807060504030201, OpHeartbeat, []byte("hi")); err != nil {
 		t.Fatal(err)
 	}
 	want := []byte{1, 2, 3, 4, 5, 6, 7, 8, byte(OpHeartbeat), 2, 0, 0, 0, 'h', 'i'}
@@ -133,7 +133,7 @@ func TestWriteRequestValidation(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var buf bytes.Buffer
-			err := WriteRequest(&buf, &tc.req)
+			err := writeRequest(&buf, tc.req.ID, tc.req.Op, tc.req.Payload)
 			if err == nil {
 				t.Fatal("invalid request encoded")
 			}
@@ -224,8 +224,8 @@ func TestLargePayloadRoundTrip(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	req := &Request{ID: 5, Op: OpShardResult, Payload: payload}
-	if err := WriteRequest(&buf, req); err != nil {
-		t.Fatalf("WriteRequest: %v", err)
+	if err := writeRequest(&buf, req.ID, req.Op, req.Payload); err != nil {
+		t.Fatalf("writeRequest: %v", err)
 	}
 	got, err := ReadRequest(&buf)
 	if err != nil {
