@@ -62,8 +62,9 @@ race:
 # Allocation gate: the tests that hold each hot path's allocations flat in
 # the disks, records or IOs it handles, under an absolute ceiling — a warm
 # engine run at 1/2/4 workers, RunControlled under noop and reactive, the
-# observe pass, sketch ingest, replay ingest, a loopback fabric study and a
-# dataset fingerprint (the same count at ten times the records) — and the
+# observe pass, sketch ingest, replay ingest, a loopback fabric study, a
+# dataset fingerprint (the same count at ten times the records) and a
+# fresh-seed stream acquisition (none, with the live heap flat) — and the
 # shard-result path's byte budget (TestShardResultPathBytes: a bench-shaped
 # fabric study with the collector off allocates at most 3.3x its dataset).
 # Allocation counts are deterministic, so no baseline file is needed: each

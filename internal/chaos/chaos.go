@@ -28,7 +28,6 @@ package chaos
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"strings"
 
@@ -44,10 +43,6 @@ const (
 	tagNet   uint64 = 0x4E7F0
 	tagLead  uint64 = 0x1EAD0
 )
-
-func newRand(master int64, tag, entity uint64) *rand.Rand {
-	return rand.New(rand.NewSource(xrand.SubSeed(master, tag, entity)))
-}
 
 // NetFaults sets per-request probabilities for the netblock wire faults.
 // The rates must each lie in [0,1] and sum to at most 1; the remainder is
@@ -237,8 +232,9 @@ func (p *Plan) Expand(runSeed int64, shape Shape) *Schedule {
 	if p.LeaderKills > 0 && shape.Shards > 1 {
 		seen := make(map[int]bool)
 		for i := 0; i < p.LeaderKills; i++ {
-			rng := newRand(seed, tagLead, uint64(i))
+			rng := xrand.Get(xrand.SubSeed(seed, tagLead, uint64(i)))
 			after := 1 + rng.Intn(shape.Shards-1)
+			rng.Release()
 			if !seen[after] {
 				seen[after] = true
 				s.LeaderKills = append(s.LeaderKills, LeaderKill{AfterResults: after})
@@ -257,10 +253,11 @@ func (p *Plan) Expand(runSeed int64, shape Shape) *Schedule {
 	}
 	if shape.BSs > 0 {
 		for i := 0; i < p.BSCrashes; i++ {
-			rng := newRand(seed, tagCrash, uint64(i))
+			rng := xrand.Get(xrand.SubSeed(seed, tagCrash, uint64(i)))
 			c := Crash{BS: rng.Intn(shape.BSs)}
 			c.Start = rng.Intn(shape.DurSec)
 			c.End = c.Start + xrand.GeometricAtLeast1(rng, float64(meanDown))
+			rng.Release()
 			if p.Recoverable {
 				clampRecoverable(&c.Window, shape.DurSec)
 			}
@@ -277,10 +274,11 @@ func (p *Plan) Expand(runSeed int64, shape Shape) *Schedule {
 	}
 	if shape.VDs > 0 && factor != 1 {
 		for i := 0; i < p.Storms; i++ {
-			rng := newRand(seed, tagStorm, uint64(i))
+			rng := xrand.Get(xrand.SubSeed(seed, tagStorm, uint64(i)))
 			st := Storm{VD: rng.Intn(shape.VDs), Factor: factor}
 			st.Start = rng.Intn(shape.DurSec)
 			st.End = st.Start + xrand.GeometricAtLeast1(rng, float64(meanStorm))
+			rng.Release()
 			if p.Recoverable {
 				clampRecoverable(&st.Window, shape.DurSec)
 			}

@@ -144,7 +144,10 @@ func (b *batchBurst) GenEvents(vd cluster.VDID, series []workload.Sample, sample
 	d := &b.fleet.Topology.VDs[vd]
 	m := &b.fleet.Models[vd]
 	in, ph := b.member(vd)
-	rng := newRand(b.fleet.Cfg.Seed, tagBurstEvents, uint64(vd))
+	// The VD's whole stream lives in this call, so re-running a VD
+	// reproduces it bit for bit.
+	rng := xrand.Get(subSeed(b.fleet.Cfg.Seed, tagBurstEvents, uint64(vd)))
+	defer rng.Release()
 	scanSize := b.scanIOSize()
 	if int64(scanSize) > d.Capacity {
 		scanSize = int32(workload.AlignDown(d.Capacity))
@@ -226,7 +229,7 @@ func (b *batchBurst) GenEvents(vd cluster.VDID, series []workload.Sample, sample
 }
 
 // uniformOffset draws an aligned offset whose IO fits inside the VD.
-func (b *batchBurst) uniformOffset(rng interface{ Float64() float64 }, capacity int64, size int32) int64 {
+func (b *batchBurst) uniformOffset(rng *xrand.Rand, capacity int64, size int32) int64 {
 	span := capacity - int64(size)
 	if span <= 0 {
 		return 0

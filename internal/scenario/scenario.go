@@ -23,7 +23,6 @@ package scenario
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"strconv"
 	"strings"
@@ -315,11 +314,4 @@ func subSeed(master int64, tag, entity uint64) int64 {
 // consuming any stream state.
 func hash01(master int64, tag, entity uint64) float64 {
 	return float64(uint64(subSeed(master, tag, entity))>>11) / float64(1<<53)
-}
-
-// newRand builds a fresh derived rand stream. Scenario generators hold all
-// per-VD mutable state (including RNG position) in the generating call, so
-// re-running a VD reproduces it bit for bit.
-func newRand(master int64, tag, entity uint64) *rand.Rand {
-	return rand.New(rand.NewSource(subSeed(master, tag, entity)))
 }

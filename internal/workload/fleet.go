@@ -95,7 +95,7 @@ func Generate(cfg Config) (*Fleet, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	rng := acquireOnce(cfg.Seed, tagFleet, 0)
+	rng := acquireRand(cfg.Seed, tagFleet, 0)
 	defer rng.Release()
 	top := &cluster.Topology{DCs: cfg.DCs, Users: cfg.Users}
 
@@ -173,7 +173,7 @@ func Generate(cfg Config) (*Fleet, error) {
 		return nil, fmt.Errorf("workload: generated topology invalid: %w", err)
 	}
 
-	place := acquireOnce(cfg.Seed, tagPlacement, 0)
+	place := acquireRand(cfg.Seed, tagPlacement, 0)
 	seg2bs, storClusters := cluster.PlaceSegmentsClustered(top, cfg.BSPerDC, cfg.BSPerCluster, place.Rand)
 	place.Release()
 	f := &Fleet{
@@ -214,7 +214,7 @@ func buildModels(cfg Config, top *cluster.Topology) []VDModel {
 	for vmIdx := range top.VMs {
 		vm := &top.VMs[vmIdx]
 		prof := appProfiles[vm.App]
-		vmRng := acquireOnce(cfg.Seed, tagVDModel, uint64(vmIdx))
+		vmRng := acquireRand(cfg.Seed, tagVDModel, uint64(vmIdx))
 
 		sigma := rateLogSigma * prof.sigmaScale
 		// E[lognormal(mu, sigma)] = exp(mu + sigma^2/2); offset mu so the

@@ -19,19 +19,11 @@ const (
 // acquireRand returns the derived stream (master, tag, entity) through the
 // pooled seed-mirroring source: the stream of
 // rand.New(rand.NewSource(xrand.SubSeed(master, tag, entity))), drawn
-// without interface dispatch and, once its seed is memoized, acquired in
-// ~100ns with zero allocations instead of a full lagged-Fibonacci reseed.
-// Every stream in the package is one of these; Release it when the stream is
-// done.
+// without interface dispatch and seeded in closed form with zero
+// allocations. Every stream in the package is one of these; Release it when
+// the stream is done.
 func acquireRand(master int64, tag, entity uint64) *xrand.Rand {
 	return xrand.Get(xrand.SubSeed(master, tag, entity))
-}
-
-// acquireOnce is acquireRand for the streams a fleet draws once, at
-// generation (topology, placement, one per VM): the same stream, its seed
-// not memoized.
-func acquireOnce(master int64, tag, entity uint64) *xrand.Rand {
-	return xrand.GetUncached(xrand.SubSeed(master, tag, entity))
 }
 
 // permInto writes rand.Perm(n) into buf (grown if needed), replicating the

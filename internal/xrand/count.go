@@ -2,14 +2,10 @@ package xrand
 
 import "math"
 
-// Uniform is the one draw the count helpers take: Float64 in [0,1). *Rand
-// and math/rand's *rand.Rand both satisfy it.
-type Uniform interface{ Float64() float64 }
-
 // CountFor turns a fractional expected count into an integer count by
 // flooring and adding a Bernoulli remainder, preserving the mean. A lambda
 // that is zero, negative or NaN returns 0 and draws nothing.
-func CountFor[R Uniform](rng R, lambda float64) int {
+func CountFor(rng *Rand, lambda float64) int {
 	if lambda <= 0 || math.IsNaN(lambda) {
 		return 0
 	}
@@ -23,7 +19,7 @@ func CountFor[R Uniform](rng R, lambda float64) int {
 // GeometricAtLeast1 draws a geometric count >= 1 with the given mean,
 // capped at 64 against pathological draws. A mean <= 1 returns 1 and draws
 // nothing.
-func GeometricAtLeast1[R Uniform](rng R, mean float64) int {
+func GeometricAtLeast1(rng *Rand, mean float64) int {
 	if mean <= 1 {
 		return 1
 	}

@@ -47,7 +47,8 @@ func TestCountFor(t *testing.T) {
 		}
 	}
 
-	got, want := rand.New(rand.NewSource(5)), rand.New(rand.NewSource(5))
+	got, want := Get(5), rand.New(rand.NewSource(5))
+	defer got.Release()
 	for _, lambda := range []float64{0, -1, math.Inf(-1), math.NaN()} {
 		if c := CountFor(got, lambda); c != 0 {
 			t.Fatalf("lambda %v: count %d, want 0", lambda, c)

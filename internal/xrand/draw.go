@@ -98,7 +98,7 @@ func (s *source) normSlow(j int32) float64 {
 // Intn on a power of two, a rejection-heavy 2^30+1 and the Int63n range.
 func drawsMatch(seed int64) bool {
 	m := newMirrored()
-	m.src.reseed(seed, true)
+	m.src.Seed(seed)
 	want := rand.New(rand.NewSource(seed))
 	for i := 0; i < 4*rngLen; i++ {
 		switch i % 6 {

@@ -1,14 +1,14 @@
 // Package xrand provides pooled math/rand generators whose streams are
 // bit-identical to rand.New(rand.NewSource(seed)) at a fraction of the
-// seeding cost. math/rand's lagged-Fibonacci source spends ~10µs per Seed
-// filling its 607-word state vector through three scrambling passes; the
-// simulation engine derives several fresh streams per virtual disk per run,
-// which made reseeding the single largest CPU sink of the hot path.
+// seeding cost. math/rand's lagged-Fibonacci source spends ~13µs per Seed
+// filling its 607-word state vector through a 1,841-step dependent chain of
+// its Lehmer scrambler; the simulation engine derives several fresh streams
+// per virtual disk per run, and the gateway a fresh set per study.
 //
-// xrand removes that cost twice over. First, the post-Seed state vector is a
-// pure function of the seed, so it is computed once and memoized: later
-// acquisitions of the same seed restore the vector with one memcpy. Second,
-// the generator objects themselves are pooled, so steady-state acquisition
+// xrand removes that cost with a closed form: the scrambler's k-th value is
+// a power of its multiplier times the seed, so each vector word is three
+// independent multiply-mods (computeVec), ~3µs per seed with nothing kept
+// per seed. The generator objects themselves are pooled, so acquisition
 // allocates nothing.
 //
 // Determinism is load-bearing here (golden fixtures pin every byte of the
@@ -82,48 +82,45 @@ func (s *source) Uint64() uint64 {
 	return uint64(x)
 }
 
-// Seed implements rand.Source, matching rngSource.Seed bit for bit (it is
-// only ever called through the pooled Rand's embedded methods, if at all).
-func (s *source) Seed(seed int64) { s.reseed(seed, true) }
-
-// reseed positions the mirror at the exact post-Seed state of rngSource,
-// restoring a memoized vector when one exists and, with keep, memoizing the
-// one it computes.
-func (s *source) reseed(seed int64, keep bool) {
+// Seed implements rand.Source: it positions the mirror at the exact
+// post-Seed state of rngSource.
+func (s *source) Seed(seed int64) {
 	s.tap = 0
 	s.feed = rngLen - rngTap
-	if v := cacheGet(seed); v != nil {
-		s.vec = *v
-		return
-	}
 	computeVec(seed, &s.vec)
-	if keep {
-		cachePut(seed, &s.vec)
-	}
 }
 
-// seedrand is rngSource's Lehmer scrambler: x' = 48271*x mod (2^31-1).
-func seedrand(x int32) int32 {
-	const (
-		a = 48271
-		q = 44488
-		r = 3399
-	)
-	hi := x / q
-	lo := x % q
-	x = a*lo - r*hi
-	if x < 0 {
-		x += int32max
+// Seed's scrambler is Park & Miller's minimal-standard Lehmer generator,
+// x' = 48271*x mod (2^31-1), so its k-th value from x0 is 48271^k*x0 mod
+// (2^31-1). lehmerA3 steps three values, lehmerA21 the twenty Seed discards.
+const (
+	lehmerA   = 48271
+	lehmerA2  = lehmerA * lehmerA % int32max
+	lehmerA3  = lehmerA2 * lehmerA % int32max
+	lehmerA6  = lehmerA3 * lehmerA3 % int32max
+	lehmerA21 = lehmerA6 * lehmerA6 % int32max * lehmerA6 % int32max * lehmerA3 % int32max
+)
+
+// mulmod returns x*y mod 2^31-1 for x, y < 2^31: the product is below 2^62,
+// so one Mersenne fold leaves at most 2*(2^31-1) and one subtract finishes.
+func mulmod(x, y uint64) uint64 {
+	t := x * y
+	t = t&int32max + t>>31
+	if t >= int32max {
+		t -= int32max
 	}
-	return x
+	return t
 }
 
 // cooked is the stdlib's rngCooked additive table, recovered at init (see
 // recoverCooked).
 var cooked [rngLen]int64
 
-// computeVec fills vec with the post-Seed state of rngSource for seed,
-// replicating Seed's scrambling chain over the recovered cooked table.
+// computeVec fills vec with the post-Seed state of rngSource for seed. Seed
+// discards twenty scrambled values, then word i XORs x_{21+3i} << 40,
+// x_{22+3i} << 20 and x_{23+3i} with cooked[i]; each is x0 times a power of
+// the multiplier, so a word costs three independent multiply-mods instead
+// of three links of a 1,841-step dependent chain.
 func computeVec(seed int64, vec *[rngLen]int64) {
 	seed = seed % int32max
 	if seed < 0 {
@@ -132,19 +129,11 @@ func computeVec(seed int64, vec *[rngLen]int64) {
 	if seed == 0 {
 		seed = 89482311
 	}
-	x := int32(seed)
-	for i := 0; i < 20; i++ {
-		x = seedrand(x)
-	}
-	for i := 0; i < rngLen; i++ {
-		x = seedrand(x)
-		u := int64(x) << 40
-		x = seedrand(x)
-		u ^= int64(x) << 20
-		x = seedrand(x)
-		u ^= int64(x)
-		u ^= cooked[i]
-		vec[i] = u
+	y := mulmod(uint64(seed), lehmerA21)
+	for i := range vec {
+		u := int64(y)<<40 ^ int64(mulmod(y, lehmerA))<<20 ^ int64(mulmod(y, lehmerA2))
+		vec[i] = u ^ cooked[i]
+		y = mulmod(y, lehmerA3)
 	}
 }
 
@@ -183,20 +172,12 @@ func recoverCooked() bool {
 	for k := 0; k <= 272; k++ {
 		init[333-k] = out[k] - init[606-k]
 	}
-	// Replay Seed(1)'s scrambling chain to strip it off init.
-	seed := int64(1)
-	x := int32(seed)
-	for i := 0; i < 20; i++ {
-		x = seedrand(x)
-	}
-	for i := 0; i < rngLen; i++ {
-		x = seedrand(x)
-		u := int64(x) << 40
-		x = seedrand(x)
-		u ^= int64(x) << 20
-		x = seedrand(x)
-		u ^= int64(x)
-		cooked[i] = init[i] ^ u
+	// Seed(1)'s scrambling is computeVec(1) while cooked is still zero;
+	// stripping it off init leaves the table.
+	var scrambled [rngLen]int64
+	computeVec(1, &scrambled)
+	for i := range cooked {
+		cooked[i] = init[i] ^ scrambled[i]
 	}
 	return true
 }
@@ -204,9 +185,10 @@ func recoverCooked() bool {
 // selfCheckSeeds are the seeds selfCheck proves the mirror on.
 var selfCheckSeeds = [...]int64{1, 0, -1, 12345, 1<<62 + 7, -987654321}
 
-// selfCheck verifies the mirror against math/rand over several seeds and
-// enough draws to cross the state-vector wraparound: the raw Uint64 stream,
-// then the mirrored draw methods interleaved on one stream.
+// selfCheck verifies the mirror, its closed-form seeding included, against
+// math/rand over several seeds and enough draws to cross the state-vector
+// wraparound: the raw Uint64 stream, then the mirrored draw methods
+// interleaved on one stream.
 func selfCheck() bool {
 	for _, seed := range selfCheckSeeds {
 		real64, ok := rand.NewSource(seed).(rand.Source64)
@@ -214,7 +196,7 @@ func selfCheck() bool {
 			return false
 		}
 		var m source
-		m.reseed(seed, true)
+		m.Seed(seed)
 		for i := 0; i < 2*rngLen; i++ {
 			if m.Uint64() != real64.Uint64() {
 				return false
@@ -231,33 +213,6 @@ func init() {
 	if !recoverCooked() || !selfCheck() {
 		panic("xrand: the mirrored source does not reproduce this toolchain's math/rand; seeded streams would not match any pinned fingerprint")
 	}
-}
-
-// Seed-vector memo. Hot simulation paths draw from a bounded set of derived
-// seeds, so hit rates approach 1 after the first run; the map is reset when
-// it would exceed maxCachedSeeds to bound memory on pathological workloads.
-const maxCachedSeeds = 8192
-
-var seedCache struct {
-	sync.RWMutex
-	m map[int64]*[rngLen]int64
-}
-
-func cacheGet(seed int64) *[rngLen]int64 {
-	seedCache.RLock()
-	v := seedCache.m[seed]
-	seedCache.RUnlock()
-	return v
-}
-
-func cachePut(seed int64, vec *[rngLen]int64) {
-	cp := *vec
-	seedCache.Lock()
-	if seedCache.m == nil || len(seedCache.m) >= maxCachedSeeds {
-		seedCache.m = make(map[int64]*[rngLen]int64)
-	}
-	seedCache.m[seed] = &cp
-	seedCache.Unlock()
 }
 
 // Rand is a pooled generator. It embeds *rand.Rand, so every math/rand
@@ -278,19 +233,10 @@ func newMirrored() *Rand {
 }
 
 // Get returns a generator seeded with seed, bit-identical to
-// rand.New(rand.NewSource(seed)), and memoizes the seed's state. Call
-// Release when the stream is done.
-func Get(seed int64) *Rand { return get(seed, true) }
-
-// GetUncached is Get for a stream drawn once per use of what it builds —
-// fleet generation's per-VM streams: a computed state is not memoized, so
-// one-shot seeds do not each pin a 4.7 KiB vector for the life of the
-// process.
-func GetUncached(seed int64) *Rand { return get(seed, false) }
-
-func get(seed int64, keep bool) *Rand {
+// rand.New(rand.NewSource(seed)). Call Release when the stream is done.
+func Get(seed int64) *Rand {
 	r := pool.Get().(*Rand)
-	r.src.reseed(seed, keep)
+	r.src.Seed(seed)
 	return r
 }
 

@@ -1,15 +1,26 @@
 package xrand
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
+var raceEnabled bool // set by race_test.go
+
 // TestStreamEquivalence drives the pooled generator and a reference
 // math/rand generator through the same mixed draw sequence — every method
-// the simulation streams use — and requires bit-identical results.
+// the simulation streams use — and requires bit-identical results. The
+// seeds include every case of computeVec's normalisation: 0 (Seed's
+// substitute 89482311), multiples of 2^31-1 of both signs, 2^31 and the
+// int64 extremes. A sweep of Mix64-derived seeds then holds the first 607
+// Uint64 of each to rand.NewSource's, which determine the whole post-Seed
+// vector (see recoverCooked).
 func TestStreamEquivalence(t *testing.T) {
-	seeds := []int64{0, 1, -1, 42, 1 << 40, -1234567890123, 890423}
+	seeds := []int64{0, 1, -1, 42, 1 << 40, -1234567890123, 890423,
+		89482311, int32max, -int32max, 3 * int32max, int32max - 1, 1 << 31,
+		math.MinInt64, math.MaxInt64}
 	for _, seed := range seeds {
 		got := Get(seed)
 		want := rand.New(rand.NewSource(seed))
@@ -50,6 +61,51 @@ func TestStreamEquivalence(t *testing.T) {
 		}
 		got.Release()
 	}
+
+	sweep := 10000
+	if testing.Short() {
+		sweep = 1000
+	}
+	for i := 0; i < sweep; i++ {
+		seed := int64(Mix64(uint64(i)))
+		got, want := Get(seed), rand.NewSource(seed).(rand.Source64)
+		for k := 0; k < rngLen; k++ {
+			if g, w := got.Uint64(), want.Uint64(); g != w {
+				t.Fatalf("seed %d draw %d: Uint64 %v != %v", seed, k, g, w)
+			}
+		}
+		got.Release()
+	}
+}
+
+// TestGetSteadyStateAllocs: acquiring a stream on a seed the process has
+// never seen allocates nothing once the pool is warm, and 10^4 of them
+// leave the live heap where it was — seeding keeps no per-seed state.
+func TestGetSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	var next uint64
+	acquire := func() {
+		next++
+		r := Get(int64(Mix64(next)))
+		r.Uint64()
+		r.Release()
+	}
+	for i := 0; i < 100; i++ {
+		acquire()
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if allocs := testing.AllocsPerRun(10000, acquire); allocs != 0 {
+		t.Errorf("a fresh-seed acquisition allocates %v times, want 0", allocs)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 64<<10 {
+		t.Errorf("10^4 fresh-seed acquisitions grew the live heap by %d B, want <= 64 KiB", grew)
+	}
 }
 
 // TestPoolReuse exercises the reseed-after-release path: a recycled
@@ -70,41 +126,6 @@ func TestPoolReuse(t *testing.T) {
 			}
 		}
 		b.Release()
-	}
-}
-
-// TestCacheConsistency checks that a cache-hit reseed and a cold computed
-// reseed produce the same stream (the memo stores post-Seed state only).
-func TestCacheConsistency(t *testing.T) {
-	const seed = 31337
-	var cold source
-	computeVec(seed, &cold.vec)
-	cold.tap, cold.feed = 0, rngLen-rngTap
-
-	warm := Get(seed) // populates the cache on first use in this process
-	warm.Release()
-	hit := Get(seed) // must restore from cache
-	defer hit.Release()
-	for i := 0; i < 1500; i++ {
-		if g, w := hit.Uint64(), cold.Uint64(); g != w {
-			t.Fatalf("draw %d: cache-restored %d != computed %d", i, g, w)
-		}
-	}
-}
-
-// TestGetUncached: an uncached acquisition draws the seed's stream and
-// leaves the memo as it found it.
-func TestGetUncached(t *testing.T) {
-	const seed = 271828
-	r, want := GetUncached(seed), rand.New(rand.NewSource(seed))
-	defer r.Release()
-	for i := 0; i < 1500; i++ {
-		if g, w := r.Uint64(), want.Uint64(); g != w {
-			t.Fatalf("draw %d: %d != %d", i, g, w)
-		}
-	}
-	if cacheGet(seed) != nil {
-		t.Fatal("GetUncached memoized its seed")
 	}
 }
 
@@ -205,10 +226,12 @@ func BenchmarkNormFloat64(b *testing.B) {
 	_ = sink
 }
 
+// BenchmarkGetRelease acquires a stream on a fresh seed each iteration,
+// the gateway's case: every study brings its own fleet seed.
 func BenchmarkGetRelease(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r := Get(int64(i % 64))
+		r := Get(int64(Mix64(uint64(i))))
 		_ = r.Uint64()
 		r.Release()
 	}
