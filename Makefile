@@ -47,7 +47,7 @@ loc:
 # StudySpec or Lending (or ending in Config or Options) in non-test Go outside
 # bench/, or a flag defined there through the flag package or a *flag.FlagSet
 # (it counts in the package that defines it). TestKnobBudget (knobs_test.go)
-# counts them and fails when a directory exceeds its line in
+# counts them and fails when a directory's count differs from its line in
 # testdata/knobs.txt; it also runs in `go test ./...`.
 knobs:
 	$(GO) test -run TestKnobBudget -count=1 -v .

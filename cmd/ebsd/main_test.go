@@ -45,7 +45,7 @@ func TestSmokes(t *testing.T) {
 func TestJoin(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	spec := gateway.StudySpec{Seed: 7, DurationSec: 15, Nodes: 4, Users: 16, MaxVDs: 24, Check: true}.RunSpec()
+	spec := gateway.StudySpec{Seed: 7, DurationSec: 15, Nodes: 4, Users: 16, MaxVDs: 24}.RunSpec()
 	want, _, err := spec.Run(ctx)
 	if err != nil {
 		t.Fatal(err)

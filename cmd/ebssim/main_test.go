@@ -15,11 +15,11 @@ import (
 
 // TestDefaultStudyRunSpec pins the run ebssim makes with no flags: the
 // default study must map onto exactly the run description ebssim built by
-// hand before its flags were bound to the study.
+// hand before its flags were bound to the study, checked as every study is.
 func TestDefaultStudyRunSpec(t *testing.T) {
 	want := ebs.RunSpec{
 		Fleet: workload.SingleDC(1, 16, 16, 60),
-		Opts:  ebs.Options{DurationSec: 60, TraceSampleEvery: 1, EventSampleEvery: 8, MaxVDs: 120},
+		Opts:  ebs.Options{DurationSec: 60, TraceSampleEvery: 1, EventSampleEvery: 8, MaxVDs: 120, Check: true},
 	}
 	if got := defaultStudy().RunSpec(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("default run\n%+v\nwant\n%+v", got, want)

@@ -53,20 +53,20 @@ func TestSmokes(t *testing.T) {
 		traces        = "../../internal/scenario/testdata/"
 	)
 	rows := []smoke{
-		{name: "chaos", args: "-seed 7 -dur 20 -nodes 4 -max-vds 24 -chaos -check"},
-		{name: "dist", args: fabricStudy + " -dist 2 -shards 5 -check -stream"},
-		{name: "dist-ha", args: fabricStudy + " -dist 2 -shards 5 -replicas 3 -leader-kill 1 -check"},
-		{name: "dist-tcp", args: fabricStudy + " -check -workers-addr 127.0.0.1:0", workers: 2, same: fabricStudy + " -check"},
-		{name: "control-predictive", args: controlStudy + " -control predictive -chaos -storms 4 -check"},
-		{name: "control-oracle", args: controlStudy + " -control oracle -check"},
-		{name: "scenario-bufferbloat", args: scenarioStudy + " -scenario bufferbloat,period=8,duty=0.5 -check"},
-		{name: "scenario-batchburst", args: scenarioStudy + " -scenario batchburst,wave=6,width=2 -chaos -check"},
-		{name: "scenario-elastic", args: scenarioStudy + " -scenario elastic,hi=2,step=3 -control predictive -check"},
-		{name: "scenario-msr", args: scenarioStudy + " -scenario replay,path=" + traces + "msr_sample.csv -check"},
-		{name: "scenario-tianchi", args: scenarioStudy + " -scenario replay,path=" + traces + "tianchi_sample.csv -check -stream"},
+		{name: "chaos", args: "-seed 7 -dur 20 -nodes 4 -max-vds 24 -chaos"},
+		{name: "dist", args: fabricStudy + " -dist 2 -shards 5 -stream"},
+		{name: "dist-ha", args: fabricStudy + " -dist 2 -shards 5 -replicas 3 -leader-kill 1"},
+		{name: "dist-tcp", args: fabricStudy + " -workers-addr 127.0.0.1:0", workers: 2, same: fabricStudy},
+		{name: "control-predictive", args: controlStudy + " -control predictive -chaos -storms 4"},
+		{name: "control-oracle", args: controlStudy + " -control oracle"},
+		{name: "scenario-bufferbloat", args: scenarioStudy + " -scenario bufferbloat,period=8,duty=0.5"},
+		{name: "scenario-batchburst", args: scenarioStudy + " -scenario batchburst,wave=6,width=2 -chaos"},
+		{name: "scenario-elastic", args: scenarioStudy + " -scenario elastic,hi=2,step=3 -control predictive"},
+		{name: "scenario-msr", args: scenarioStudy + " -scenario replay,path=" + traces + "msr_sample.csv"},
+		{name: "scenario-tianchi", args: scenarioStudy + " -scenario replay,path=" + traces + "tianchi_sample.csv -stream"},
 		// The tianchi sample as a spreadsheet saves it: CRLF line ends under
 		// a header row.
-		{name: "scenario-crlf", args: scenarioStudy + " -scenario replay,path=$TMP/tianchi_crlf.csv -check",
+		{name: "scenario-crlf", args: scenarioStudy + " -scenario replay,path=$TMP/tianchi_crlf.csv",
 			prep: func(t *testing.T, tmp string) string {
 				raw, err := os.ReadFile(traces + "tianchi_sample.csv")
 				if err != nil {
@@ -81,9 +81,9 @@ func TestSmokes(t *testing.T) {
 			}},
 		// An -out export replayed under the same study flags simulates the
 		// same IOs: the two runs' header lines must match.
-		{name: "scenario-export-replay", args: scenarioStudy + " -scenario replay,path=$TMP/trace.csv -check",
+		{name: "scenario-export-replay", args: scenarioStudy + " -scenario replay,path=$TMP/trace.csv",
 			prep: func(t *testing.T, tmp string) string {
-				out := runRow(t, smoke{args: scenarioStudy + " -out $TMP -check"}, tmp)
+				out := runRow(t, smoke{args: scenarioStudy + " -out $TMP"}, tmp)
 				return out[:strings.IndexByte(out, '\n')]
 			}},
 

@@ -10,6 +10,7 @@ import (
 	"ebslab/internal/cluster"
 	"ebslab/internal/invariant"
 	"ebslab/internal/trace"
+	"ebslab/internal/workload"
 )
 
 // TestCheckModeCleanRun asserts the runtime validation subsystem passes a
@@ -143,6 +144,27 @@ func TestCheckerCatchesMisattributedRecord(t *testing.T) {
 	wantViolation(t, rep, "trace/integrity")
 }
 
+// TestCheckerCatchesMisownedRows corrupts the owner fields of one metric row
+// in each domain — a compute row's worker thread, a storage row's VM — and
+// asserts row sanity convicts each: a row's identity fields must agree with
+// the topology as a record's do.
+func TestCheckerCatchesMisownedRows(t *testing.T) {
+	t.Run("compute WT", func(t *testing.T) {
+		r := cleanRun(t)
+		a := artifactsOf(t, r)
+		m := &r.ds.Compute[len(r.ds.Compute)/2]
+		m.WT = int8(r.ds.Topology.Nodes[m.Node].WorkerNum)
+		wantViolation(t, invariant.VerifyRun(a), "metric/row-sanity")
+	})
+	t.Run("storage VM", func(t *testing.T) {
+		r := cleanRun(t)
+		a := artifactsOf(t, r)
+		m := &r.ds.Storage[len(r.ds.Storage)/2]
+		m.VM = (m.VM + 1) % cluster.VMID(len(r.ds.Topology.VMs))
+		wantViolation(t, invariant.VerifyRun(a), "metric/row-sanity")
+	})
+}
+
 // TestDeterminismOracle asserts byte-identical datasets via the replay
 // fingerprint in every cell of GOMAXPROCS x Workers — Workers deals the disks
 // to shards, and min(GOMAXPROCS, shards) is the merge's fan-out — and for the
@@ -210,4 +232,32 @@ func TestCheckModeErrorNamesLaw(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "conserve/workload") {
 		t.Fatalf("report error %v does not name the law", err)
 	}
+}
+
+// BenchmarkVerifyRun times the dataset laws alone on the bench's study
+// shape: the single-DC fleet at seed 7 with 16 nodes and 16 users, 60 s,
+// 120 disks, one IO in 8 generated and every IO traced (350,040 records).
+func BenchmarkVerifyRun(b *testing.B) {
+	const dur, vds, thin = 60, 120, 8
+	ctx := context.Background()
+	f, err := workload.Generate(workload.SingleDC(7, 16, 16, dur))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ds, err := New(f).Run(ctx, Options{DurationSec: dur, TraceSampleEvery: 1, EventSampleEvery: thin, MaxVDs: vds, Workers: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	em, err := invariant.CountEmission(ctx, f, vds, dur, thin, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	a := &invariant.Artifacts{Dataset: ds, Emission: em, EventSampleEvery: thin, TraceSampleEvery: 1}
+	b.ResetTimer()
+	for range b.N {
+		if rep := invariant.VerifyRun(a); !rep.OK() {
+			b.Fatal(rep)
+		}
+	}
+	b.ReportMetric(float64(len(ds.Trace)), "records")
 }

@@ -50,12 +50,15 @@ type Options struct {
 	Workers int
 	// DisableThrottle turns off the hypervisor throttle.
 	DisableThrottle bool
-	// Check enables the runtime validation subsystem (the -check mode of
-	// cmd/ebssim): the engine counts every IO the workload layer emits,
-	// audits each per-VD throttle replay, and runs invariant.VerifyRun's
-	// conservation laws over the merged dataset. Any violation fails the run
-	// with an error describing the broken law. Checking costs a constant
-	// factor (~2x) but no extra passes over the fleet.
+	// Check enables the runtime validation subsystem, which every program
+	// sets for every study it runs: the engine counts every IO the workload
+	// layer emits, audits each per-VD throttle replay, and runs
+	// invariant.VerifyRun's laws over the merged dataset. Any violation fails
+	// the run with an error describing the broken law. Checking adds no pass
+	// over the fleet; on the bench's study shape (350,040 fully traced
+	// records, 2 workers on a 2-vCPU x86-64 host) VerifyRun takes ~10 ms,
+	// serial after the join, and a checked run ~7 % longer than an unchecked
+	// one (84 vs 77 ms).
 	Check bool
 	// Chaos, when non-nil, runs the simulation under a deterministic
 	// fault-injection plan: the plan is expanded once against (Seed, fleet

@@ -12,7 +12,7 @@ import (
 func TestEncodingsUnchanged(t *testing.T) {
 	spec := StudySpec{
 		Seed: -7, DurationSec: 8, Nodes: 4, Users: 16, MaxVDs: 100,
-		EventSampleEvery: 8, TraceSampleEvery: 1, Shards: 5, LeaderKills: 1, Check: true,
+		EventSampleEvery: 8, TraceSampleEvery: 1, Shards: 5, LeaderKills: 1,
 	}
 	submit := func(name string, edit func(*StudySpec)) {
 		s := spec

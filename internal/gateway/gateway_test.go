@@ -51,9 +51,6 @@ func TestSpecKeyNormalization(t *testing.T) {
 	if zero.withDefaults() == (StudySpec{Seed: 10}).withDefaults() {
 		t.Fatal("different seeds should dedup separately")
 	}
-	if zero.withDefaults() == (StudySpec{Seed: 9, Check: true}).withDefaults() {
-		t.Fatal("Check flag should be part of the dedup key")
-	}
 }
 
 func TestSubmitValidation(t *testing.T) {

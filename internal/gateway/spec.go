@@ -49,8 +49,6 @@ type StudySpec struct {
 	// LeaderKills schedules chaos kills of the acting fabric leader
 	// mid-study. Requires the gateway to run a replicated fabric.
 	LeaderKills int
-	// Check runs the invariant suite over the study.
-	Check bool
 	// Control, when non-empty, runs the study through the mitigation
 	// control plane (ebs.RunControlled) under the named policy — one of
 	// control.ByName's: noop, reactive, predictive[-holt|-arima|-gbt],
@@ -84,7 +82,6 @@ func (s *StudySpec) BindFlags(fs *flag.FlagSet) {
 	fs.IntVar(&s.MaxVDs, "max-vds", s.MaxVDs, "virtual disks to simulate (0 = all)")
 	fs.IntVar(&s.Shards, "shards", s.Shards, "fabric shard count for distributed execution (0 = fabric default)")
 	fs.IntVar(&s.LeaderKills, "leader-kill", s.LeaderKills, "chaos kills of the acting fabric leader mid-study (needs a replicated fabric); the study must still match single-process bit for bit")
-	fs.BoolVar(&s.Check, "check", s.Check, "run the invariant suite over the study (conservation laws, throttle audit)")
 	fs.StringVar(&s.Control, "control", s.Control, "run the study through the mitigation control plane under this policy (noop, reactive, predictive[-holt|-arima|-gbt], oracle)")
 	fs.IntVar(&s.ControlEpochSec, "epoch-sec", s.ControlEpochSec, "with -control: control epoch length in seconds (0 = an eighth of -dur, at least 1)")
 	fs.StringVar(&s.Scenario, "scenario", s.Scenario, "reshape the study's traffic with a scenario-library spec string (one of: "+strings.Join(scenario.Names(), ", ")+
@@ -182,9 +179,11 @@ func (s StudySpec) FleetConfig() workload.Config {
 	return workload.SingleDC(s.Seed, s.Nodes, s.Users, s.DurationSec)
 }
 
-// RunOptions maps the spec onto engine options. The gateway adds its own
-// Stream/Snapshots destinations per execution; chaos leader kills are fabric
-// configuration, not engine options, and are likewise added at run time.
+// RunOptions maps the spec onto engine options. Every study runs checked: the
+// options always set Check, so the invariant suite holds each one to its
+// laws. The gateway adds its own Stream/Snapshots destinations per
+// execution; chaos leader kills are fabric configuration, not engine
+// options, and are likewise added at run time.
 func (s StudySpec) RunOptions() ebs.Options {
 	s = s.withDefaults()
 	return ebs.Options{
@@ -192,7 +191,7 @@ func (s StudySpec) RunOptions() ebs.Options {
 		TraceSampleEvery: s.TraceSampleEvery,
 		EventSampleEvery: s.EventSampleEvery,
 		MaxVDs:           s.MaxVDs,
-		Check:            s.Check,
+		Check:            true,
 	}
 }
 

@@ -57,19 +57,21 @@ var (
 //	"EBG1" | u8 tenantLen | tenant
 //	      | i64 seed | u32 dur | u32 nodes | u32 users | u32 maxVDs
 //	      | u32 eventSample | u32 traceSample | u32 shards | u32 kills
-//	      | u8 check
+//	      | u8 check (always 1)
 //	      [ u8 controlLen | control | u32 controlEpochSec ]
 //	      [ u8 scenarioLen | scenario ]
 //
 // Integers are little-endian, matching the netblock frame the payload rides
-// in. The binary layout (rather than JSON) is what makes the decoder an
-// honest fuzz target: every byte means something. The control section is
-// appended only when the spec names a mitigation policy, so uncontrolled
-// submissions frame byte-identically to every gateway that predates the
-// control plane; the scenario section likewise appends only when a scenario
-// is set. A scenario without a control policy emits a zero control-length
-// marker byte first — pre-scenario decoders reject a zero length, so the
-// frame is unambiguously new-format, never misparsed.
+// in. The check byte is a constant 1: every study runs checked, and the byte
+// stays so that the frame keeps its layout. The binary layout (rather than
+// JSON) is what makes the decoder an honest fuzz target: every byte means
+// something. The control section is appended only when the spec names a
+// mitigation policy, so uncontrolled submissions frame byte-identically to
+// every gateway that predates the control plane; the scenario section
+// likewise appends only when a scenario is set. A scenario without a control
+// policy emits a zero control-length marker byte first — pre-scenario
+// decoders reject a zero length, so the frame is unambiguously new-format,
+// never misparsed.
 func EncodeSubmit(r SubmitRequest) []byte {
 	w := &wire.Writer{B: make([]byte, 0, 5+len(r.Tenant)+41+1+len(r.Spec.Control)+4+2+len(r.Spec.Scenario))}
 	w.Bytes(submitMagic)
@@ -83,7 +85,7 @@ func EncodeSubmit(r SubmitRequest) []byte {
 	} {
 		w.I32(int32(v))
 	}
-	w.Bool(r.Spec.Check)
+	w.U8(1) // check
 	if r.Spec.Control != "" {
 		w.U8(uint8(len(r.Spec.Control)))
 		w.Bytes([]byte(r.Spec.Control))
@@ -118,12 +120,8 @@ func DecodeSubmit(b []byte) (SubmitRequest, error) {
 	} {
 		*p = int(r.I32())
 	}
-	switch check := r.U8(); check {
-	case 0:
-	case 1:
-		req.Spec.Check = true
-	default:
-		r.Fail("check flag %d", check)
+	if check := r.U8(); check != 1 {
+		r.Fail("check flag %d, want 1", check) // a no-op after a short read
 	}
 	if r.Remaining() == 0 {
 		return req, r.Err() // pre-control-plane frame: no control section

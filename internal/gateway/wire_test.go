@@ -50,7 +50,6 @@ func TestSubmitCodecRoundTrip(t *testing.T) {
 		{Tenant: "b", Spec: StudySpec{
 			Seed: -7, DurationSec: 8, Nodes: 4, Users: 16, MaxVDs: 100,
 			EventSampleEvery: 8, TraceSampleEvery: 1, Shards: 5, LeaderKills: 1,
-			Check: true,
 		}},
 		{Tenant: "tenant-64-chars-aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa", Spec: StudySpec{}},
 	}
@@ -79,6 +78,7 @@ func TestSubmitCodecRejectsMalformed(t *testing.T) {
 		"unprintable tenant": EncodeSubmit(SubmitRequest{Tenant: "a b", Spec: StudySpec{}}),
 		"truncated spec":     valid[:len(valid)-3],
 		"trailing byte":      append(append([]byte(nil), valid...), 0),
+		"check flag 0":       append(append([]byte(nil), valid[:len(valid)-1]...), 0),
 		"check flag 2":       append(append([]byte(nil), valid[:len(valid)-1]...), 2),
 	}
 	for name, frame := range cases {
@@ -146,7 +146,7 @@ func TestSnapshotRequestCodec(t *testing.T) {
 // the identical bytes (the codecs are bijective, so no two frames decode to
 // the same value and nothing on the wire is ignored).
 func FuzzGatewayCodec(f *testing.F) {
-	f.Add(EncodeSubmit(SubmitRequest{Tenant: "alice", Spec: StudySpec{Seed: 42, DurationSec: 8, Shards: 5, LeaderKills: 1, Check: true}}))
+	f.Add(EncodeSubmit(SubmitRequest{Tenant: "alice", Spec: StudySpec{Seed: 42, DurationSec: 8, Shards: 5, LeaderKills: 1}}))
 	f.Add(EncodeSubmit(SubmitRequest{Tenant: "carol", Spec: StudySpec{Seed: 7, DurationSec: 16, Control: "predictive-holt", ControlEpochSec: 2}}))
 	f.Add(EncodeSnapshotReply(SnapshotReply{StudyID: 3, State: StateRunning, Seq: 2, VDsDone: 4, VDsTotal: 9, SketchFP: "fp", Sketch: []byte{1, 2}}))
 	f.Add(EncodeSnapshotRequest(123456))

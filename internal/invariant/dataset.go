@@ -62,47 +62,88 @@ func relEq(a, b float64) bool {
 	return d <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
 }
 
-// checkTraceIntegrity asserts referential integrity of every per-IO record: each
-// field must name a real entity and the fields must agree with the topology
-// (the QP belongs to the VD, the segment covers the offset, the storage
-// node is the one the placement assigns, and so on).
-func checkTraceIntegrity(rep *Report, a *Artifacts) {
-	const law = "trace/integrity"
+// owner is who an IO belongs to beyond its disk, as a record and a metric
+// row name it: the VM, its user and DC, and its compute node, which a
+// storage row does not name.
+type owner struct {
+	vm   cluster.VMID
+	user cluster.UserID
+	dc   cluster.DCID
+	node cluster.NodeID
+}
+
+// disk is what the laws read of a disk from the topology: its owner and the
+// worker-thread count of its node.
+type disk struct {
+	owner   owner
+	workers int
+}
+
+// disksOf returns every disk of top, indexed by VD.
+func disksOf(top *cluster.Topology) []disk {
+	out := make([]disk, len(top.VDs))
+	for i := range top.VDs {
+		vm := &top.VMs[top.VDs[i].VM]
+		node := &top.Nodes[vm.Node]
+		out[i] = disk{owner{top.VDs[i].VM, vm.User, node.DC, vm.Node}, node.WorkerNum}
+	}
+	return out
+}
+
+func ownsQP(top *cluster.Topology, vd cluster.VDID, qp cluster.QPID) bool {
+	return qp >= 0 && int(qp) < len(top.QPs) && top.QPs[qp].VD == vd
+}
+
+func ownsSegment(top *cluster.Topology, vd cluster.VDID, seg cluster.SegmentID) bool {
+	return seg >= 0 && int(seg) < len(top.Segments) && top.Segments[seg].VD == vd
+}
+
+// checkTrace walks the per-IO records once. Each record is held to
+// trace/integrity: every field names a real entity and agrees with the
+// topology (the QP and segment belong to the disk, the segment covers the
+// offset, the storage node is the one the placement assigns, the owner
+// fields are the disk's). With its predecessor it is held to
+// trace/canonical-order, the merge's contract: records sorted by (TimeUS,
+// VD) with trace IDs 1..N in that order, which is what makes a trace
+// byte-identical across worker counts. checkTrace returns each disk's record
+// count, conserve/workload's third ledger under full tracing.
+func checkTrace(rep *Report, a *Artifacts, disks []disk) []int64 {
+	const law, order = "trace/integrity", "trace/canonical-order"
 	top := a.Dataset.Topology
 	winUS := int64(a.Dataset.DurationSec) * 1_000_000
-	for i := range a.Dataset.Trace {
-		r := &a.Dataset.Trace[i]
-		if int(r.VD) >= len(top.VDs) || r.VD < 0 {
+	perVD := make([]int64, len(top.VDs))
+	recs := a.Dataset.Trace
+	for i := range recs {
+		r := &recs[i]
+		if r.TraceID != uint64(i+1) {
+			rep.Addf(order, "record %d: trace ID %d, want %d", i, r.TraceID, i+1)
+		}
+		if i > 0 {
+			if p := &recs[i-1]; p.TimeUS > r.TimeUS || (p.TimeUS == r.TimeUS && p.VD > r.VD) {
+				rep.Addf(order, "records %d-%d out of (time, VD) order: (%d, %d) then (%d, %d)",
+					i-1, i, p.TimeUS, p.VD, r.TimeUS, r.VD)
+			}
+		}
+		if r.VD < 0 || int(r.VD) >= len(top.VDs) {
 			rep.Addf(law, "record %d: VD %d out of range", i, r.VD)
 			continue
 		}
+		perVD[r.VD]++
 		vd := &top.VDs[r.VD]
-		if int(r.QP) >= len(top.QPs) || r.QP < 0 || top.QPs[r.QP].VD != r.VD {
+		if !ownsQP(top, r.VD, r.QP) {
 			rep.Addf(law, "record %d: QP %d not owned by VD %d", i, r.QP, r.VD)
 		}
-		if int(r.Segment) >= len(top.Segments) || r.Segment < 0 || top.Segments[r.Segment].VD != r.VD {
+		if !ownsSegment(top, r.VD, r.Segment) {
 			rep.Addf(law, "record %d: segment %d not owned by VD %d", i, r.Segment, r.VD)
 		} else if bs := a.expectedBS(int(r.TimeUS/1_000_000), r.Segment); bs != r.Storage {
 			rep.Addf(law, "record %d: storage node %d but placement maps segment %d to %d", i, r.Storage, r.Segment, bs)
 		}
-		if vd.VM != r.VM {
-			rep.Addf(law, "record %d: VM %d but VD %d belongs to VM %d", i, r.VM, r.VD, vd.VM)
-		} else {
-			vm := &top.VMs[r.VM]
-			if vm.Node != r.Node {
-				rep.Addf(law, "record %d: node %d but VM %d lives on node %d", i, r.Node, r.VM, vm.Node)
-			} else {
-				node := &top.Nodes[r.Node]
-				if node.DC != r.DC {
-					rep.Addf(law, "record %d: DC %d but node %d is in DC %d", i, r.DC, r.Node, node.DC)
-				}
-				if r.WT < 0 || int(r.WT) >= node.WorkerNum {
-					rep.Addf(law, "record %d: WT %d outside node %d's %d worker threads", i, r.WT, r.Node, node.WorkerNum)
-				}
-			}
-			if vm.User != r.User {
-				rep.Addf(law, "record %d: user %d but VM %d belongs to user %d", i, r.User, r.VM, vm.User)
-			}
+		d := &disks[r.VD]
+		if got := (owner{r.VM, r.User, r.DC, r.Node}); got != d.owner {
+			rep.Addf(law, "record %d: owner %+v but VD %d's is %+v", i, got, r.VD, d.owner)
+		}
+		if r.WT < 0 || int(r.WT) >= d.workers {
+			rep.Addf(law, "record %d: WT %d outside node %d's %d worker threads", i, r.WT, d.owner.node, d.workers)
 		}
 		if r.TimeUS < 0 || r.TimeUS >= winUS {
 			rep.Addf(law, "record %d: time %dus outside window [0, %dus)", i, r.TimeUS, winUS)
@@ -117,239 +158,178 @@ func checkTraceIntegrity(rep *Report, a *Artifacts) {
 			rep.Addf(law, "record %d: offset %d lies in segment %d, record says %d", i, r.Offset, seg, r.Segment)
 		}
 		for st, l := range r.Latency {
-			if math.IsNaN(float64(l)) || l < 0 {
+			if !(l >= 0) { // negative or NaN
 				rep.Addf(law, "record %d: stage %d latency %v invalid", i, st, l)
 			}
 		}
 	}
+	return perVD
 }
 
-// checkTraceCanonical asserts the merge's canonical ordering contract: records
-// sorted by (TimeUS, VD) with trace IDs reassigned 1..N in that order. This
-// is what makes a run's trace byte-identical across worker counts — any
-// shard-dependent leakage shows up here.
-func checkTraceCanonical(rep *Report, a *Artifacts) {
-	const law = "trace/canonical-order"
-	recs := a.Dataset.Trace
-	for i := range recs {
-		if recs[i].TraceID != uint64(i+1) {
-			rep.Addf(law, "record %d: trace ID %d, want %d", i, recs[i].TraceID, i+1)
-		}
-		if i == 0 {
-			continue
-		}
-		p, c := &recs[i-1], &recs[i]
-		if p.TimeUS > c.TimeUS || (p.TimeUS == c.TimeUS && p.VD > c.VD) {
-			rep.Addf(law, "records %d-%d out of (time, VD) order: (%d, %d) then (%d, %d)",
-				i-1, i, p.TimeUS, p.VD, c.TimeUS, c.VD)
-		}
-	}
+// vdTotals sums one disk's metric rows: read and write bytes/s and ops/s,
+// and how many rows they came from.
+type vdTotals struct {
+	rB, wB, rOps, wOps float64
+	rows               int
 }
 
-// checkRowSanity asserts per-row invariants of the metric dataset: finite
-// non-negative rates, in-window seconds, identity fields that agree with
-// the topology, canonical sort order, and no duplicate aggregation keys.
-func checkRowSanity(rep *Report, a *Artifacts) {
+func (t *vdTotals) add(m *trace.MetricRow) {
+	t.rB += m.ReadBps
+	t.wB += m.WriteBps
+	t.rOps += m.ReadIOPS
+	t.wOps += m.WriteIOPS
+	t.rows++
+}
+
+// checkRow holds row i of a metric domain to metric/row-sanity: its domain,
+// finite non-negative rates and some traffic, an in-window second, a unit
+// (the QP of a compute row, the segment of a storage row) that belongs to
+// the row's disk, the storage node the placement assigns, owner fields that
+// are the disk's, and a key (second, unit) above its predecessor's — the
+// canonical order, which leaves no room for a duplicate key. It reports
+// whether the row names a disk of the topology, so it can be counted.
+func checkRow(rep *Report, a *Artifacts, disks []disk, domain trace.Domain, rows []trace.MetricRow, i int) bool {
 	const law = "metric/row-sanity"
+	compute := domain == trace.DomainCompute
+	kind, unit := "storage row", "segment"
+	if compute {
+		kind, unit = "compute row", "QP"
+	}
+	key := func(m *trace.MetricRow) [2]int32 {
+		if compute {
+			return [2]int32{m.Sec, int32(m.QP)}
+		}
+		return [2]int32{m.Sec, int32(m.Segment)}
+	}
+	m := &rows[i]
+	if m.Domain != domain {
+		rep.Addf(law, "%s %d: domain %v", kind, i, m.Domain)
+	}
+	for _, v := range [...]float64{m.ReadBps, m.WriteBps, m.ReadIOPS, m.WriteIOPS} {
+		if !(v >= 0) || math.IsInf(v, 1) { // negative, NaN or infinite
+			rep.Addf(law, "%s %d: invalid rate %v", kind, i, v)
+		}
+	}
+	if m.Bps() == 0 && m.IOPS() == 0 {
+		rep.Addf(law, "%s %d: empty row (no traffic)", kind, i)
+	}
+	if m.Sec < 0 || int(m.Sec) >= a.Dataset.DurationSec {
+		rep.Addf(law, "%s %d: second %d outside window [0, %d)", kind, i, m.Sec, a.Dataset.DurationSec)
+	}
+	if k := key(m); i > 0 {
+		if pk := key(&rows[i-1]); pk == k {
+			rep.Addf(law, "%s %d: duplicate key (sec %d, %s %d)", kind, i, k[0], unit, k[1])
+		} else if pk[0] > k[0] || (pk[0] == k[0] && pk[1] > k[1]) {
+			rep.Addf(law, "%s %d-%d out of (sec, %s) order", kind, i-1, i, unit)
+		}
+	}
 	top := a.Dataset.Topology
-	checkRates := func(kind string, i int, m *trace.MetricRow) {
-		for _, v := range [...]float64{m.ReadBps, m.WriteBps, m.ReadIOPS, m.WriteIOPS} {
-			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-				rep.Addf(law, "%s row %d: invalid rate %v", kind, i, v)
-				return
-			}
-		}
-		if m.Bps() == 0 && m.IOPS() == 0 {
-			rep.Addf(law, "%s row %d: empty row (no traffic)", kind, i)
-		}
-		if m.Sec < 0 || int(m.Sec) >= a.Dataset.DurationSec {
-			rep.Addf(law, "%s row %d: second %d outside window [0, %d)", kind, i, m.Sec, a.Dataset.DurationSec)
-		}
+	if m.VD < 0 || int(m.VD) >= len(disks) {
+		rep.Addf(law, "%s %d: VD %d out of range", kind, i, m.VD)
+		return false
 	}
-
-	type computeKey struct {
-		sec int32
-		qp  cluster.QPID
+	if compute {
+		if !ownsQP(top, m.VD, m.QP) {
+			rep.Addf(law, "%s %d: QP %d not owned by VD %d", kind, i, m.QP, m.VD)
+		}
+	} else if !ownsSegment(top, m.VD, m.Segment) {
+		rep.Addf(law, "%s %d: segment %d not owned by VD %d", kind, i, m.Segment, m.VD)
+	} else if bs := a.expectedBS(int(m.Sec), m.Segment); bs != m.Storage {
+		rep.Addf(law, "%s %d: storage node %d but placement says %d", kind, i, m.Storage, bs)
 	}
-	seenC := make(map[computeKey]bool, len(a.Dataset.Compute))
-	for i := range a.Dataset.Compute {
-		m := &a.Dataset.Compute[i]
-		if m.Domain != trace.DomainCompute {
-			rep.Addf(law, "compute row %d: domain %v", i, m.Domain)
-		}
-		checkRates("compute", i, m)
-		if int(m.QP) >= len(top.QPs) || m.QP < 0 || top.QPs[m.QP].VD != m.VD {
-			rep.Addf(law, "compute row %d: QP %d not owned by VD %d", i, m.QP, m.VD)
-		}
-		k := computeKey{m.Sec, m.QP}
-		if seenC[k] {
-			rep.Addf(law, "compute row %d: duplicate key (sec %d, QP %d)", i, m.Sec, m.QP)
-		}
-		seenC[k] = true
-		if i > 0 {
-			p := &a.Dataset.Compute[i-1]
-			if p.Sec > m.Sec || (p.Sec == m.Sec && p.QP > m.QP) {
-				rep.Addf(law, "compute rows %d-%d out of (sec, QP) order", i-1, i)
-			}
-		}
+	d := &disks[m.VD]
+	want := d.owner
+	if !compute {
+		want.node = 0 // a storage row names no node
 	}
-
-	type storageKey struct {
-		sec int32
-		seg cluster.SegmentID
+	if got := (owner{m.VM, m.User, m.DC, m.Node}); got != want {
+		rep.Addf(law, "%s %d: owner %+v but VD %d's is %+v", kind, i, got, m.VD, want)
 	}
-	seenS := make(map[storageKey]bool, len(a.Dataset.Storage))
-	for i := range a.Dataset.Storage {
-		m := &a.Dataset.Storage[i]
-		if m.Domain != trace.DomainStorage {
-			rep.Addf(law, "storage row %d: domain %v", i, m.Domain)
-		}
-		checkRates("storage", i, m)
-		if int(m.Segment) >= len(top.Segments) || m.Segment < 0 || top.Segments[m.Segment].VD != m.VD {
-			rep.Addf(law, "storage row %d: segment %d not owned by VD %d", i, m.Segment, m.VD)
-		} else if bs := a.expectedBS(int(m.Sec), m.Segment); bs != m.Storage {
-			rep.Addf(law, "storage row %d: storage node %d but placement says %d", i, m.Storage, bs)
-		}
-		k := storageKey{m.Sec, m.Segment}
-		if seenS[k] {
-			rep.Addf(law, "storage row %d: duplicate key (sec %d, segment %d)", i, m.Sec, m.Segment)
-		}
-		seenS[k] = true
-		if i > 0 {
-			p := &a.Dataset.Storage[i-1]
-			if p.Sec > m.Sec || (p.Sec == m.Sec && p.Segment > m.Segment) {
-				rep.Addf(law, "storage rows %d-%d out of (sec, segment) order", i-1, i)
-			}
-		}
+	if compute && (m.WT < 0 || int(m.WT) >= d.workers) {
+		rep.Addf(law, "%s %d: WT %d outside node %d's %d worker threads", kind, i, m.WT, m.Node, d.workers)
 	}
+	return true
 }
 
-// vdSecTotals aggregates one metric domain to (VD, second) granularity.
-type vdSecTotals struct {
-	rBps, wBps, rOps, wOps float64
-}
-
-type vdSecKey struct {
-	vd  cluster.VDID
-	sec int32
-}
-
-func foldRows(rows []trace.MetricRow) map[vdSecKey]*vdSecTotals {
-	out := make(map[vdSecKey]*vdSecTotals)
-	for i := range rows {
-		m := &rows[i]
-		k := vdSecKey{m.VD, m.Sec}
-		t := out[k]
-		if t == nil {
-			t = &vdSecTotals{}
-			out[k] = t
-		}
-		t.rBps += m.ReadBps
-		t.wBps += m.WriteBps
-		t.rOps += m.ReadIOPS
-		t.wOps += m.WriteIOPS
-	}
-	return out
-}
-
-// checkDomainConservation asserts the hypervisor-to-BlockServer conservation
-// law: both metric domains observe the same IOs, grouped differently (per
-// QP-WT vs per segment), so at (VD, second) granularity their totals must
-// agree exactly. A shard merge that drops, duplicates, or misattributes
-// work in one domain breaks this immediately.
-func checkDomainConservation(rep *Report, a *Artifacts) {
+// checkRows walks each metric domain once, the two in step a second at a
+// time, holding every row to metric/row-sanity (checkRow). At the end of
+// each second the two domains' per-disk totals are held to
+// conserve/compute-vs-storage: both domains observe the same IOs, grouped
+// per QP or per segment, so a merge that drops, duplicates or misattributes
+// work in one domain breaks it. checkRows returns the compute domain's
+// per-disk totals over the window, conserve/workload's dataset side.
+func checkRows(rep *Report, a *Artifacts, disks []disk) []vdTotals {
 	const law = "conserve/compute-vs-storage"
-	comp := foldRows(a.Dataset.Compute)
-	stor := foldRows(a.Dataset.Storage)
-	for k, c := range comp {
-		s := stor[k]
-		if s == nil {
-			rep.Addf(law, "VD %d sec %d: hypervisor saw %v B/s but no storage rows", k.vd, k.sec, c.rBps+c.wBps)
-			continue
+	comp, stor := a.Dataset.Compute, a.Dataset.Storage
+	c, s, whole := make([]vdTotals, len(disks)), make([]vdTotals, len(disks)), make([]vdTotals, len(disks))
+	var touched []cluster.VDID // the disks with a row this second, once per domain
+	count := func(tot []vdTotals, m *trace.MetricRow) {
+		if tot[m.VD].rows == 0 {
+			touched = append(touched, m.VD)
 		}
-		if !relEq(c.rBps, s.rBps) || !relEq(c.wBps, s.wBps) {
-			rep.Addf(law, "VD %d sec %d: bytes diverge between domains (compute %v/%v, storage %v/%v)",
-				k.vd, k.sec, c.rBps, c.wBps, s.rBps, s.wBps)
-		}
-		if !relEq(c.rOps, s.rOps) || !relEq(c.wOps, s.wOps) {
-			rep.Addf(law, "VD %d sec %d: ops diverge between domains (compute %v/%v, storage %v/%v)",
-				k.vd, k.sec, c.rOps, c.wOps, s.rOps, s.wOps)
-		}
+		tot[m.VD].add(m)
 	}
-	for k, s := range stor {
-		if comp[k] == nil {
-			rep.Addf(law, "VD %d sec %d: BlockServer saw %v B/s but no compute rows", k.vd, k.sec, s.rBps+s.wBps)
+	for ci, si := 0, 0; ci < len(comp) || si < len(stor); {
+		sec := int32(math.MaxInt32)
+		if ci < len(comp) {
+			sec = comp[ci].Sec
 		}
+		if si < len(stor) {
+			sec = min(sec, stor[si].Sec)
+		}
+		for ; ci < len(comp) && comp[ci].Sec == sec; ci++ {
+			if checkRow(rep, a, disks, trace.DomainCompute, comp, ci) {
+				count(c, &comp[ci])
+				whole[comp[ci].VD].add(&comp[ci])
+			}
+		}
+		for ; si < len(stor) && stor[si].Sec == sec; si++ {
+			if checkRow(rep, a, disks, trace.DomainStorage, stor, si) {
+				count(s, &stor[si])
+			}
+		}
+		for _, vd := range touched {
+			x, y := &c[vd], &s[vd]
+			if !relEq(x.rB, y.rB) || !relEq(x.wB, y.wB) || !relEq(x.rOps, y.rOps) || !relEq(x.wOps, y.wOps) {
+				rep.Addf(law, "VD %d sec %d: the domains diverge (compute %+v, storage %+v)", vd, sec, *x, *y)
+			}
+			*x, *y = vdTotals{}, vdTotals{}
+		}
+		touched = touched[:0]
 	}
+	return whole
 }
 
-// checkWorkloadConservation asserts the workload-to-dataset conservation law:
-// per VD, the metric rows must account for exactly the IOs the generator
-// emitted (scaled by the event-thinning factor), and — when every IO was
-// traced — the per-IO records must as well. This is the law that catches
-// an IO silently dropped anywhere between generation and the final merge.
-func checkWorkloadConservation(rep *Report, a *Artifacts) {
+// checkWorkload holds the dataset to conserve/workload, the law that catches
+// an IO silently dropped anywhere between generation and the final merge:
+// per disk, the compute rows (rows, per-disk totals) must account for
+// exactly the IOs the generator emitted, scaled by the event-thinning
+// factor, and when every IO was traced so must the records (records,
+// per-disk counts).
+func checkWorkload(rep *Report, a *Artifacts, rows []vdTotals, records []int64) {
 	const law = "conserve/workload"
 	if a.Emission == nil {
 		return
 	}
+	if len(a.Emission.PerVD) != len(rows) {
+		rep.Addf(law, "the workload accounts for %d disks, the topology has %d", len(a.Emission.PerVD), len(rows))
+		return
+	}
 	f := a.factor()
-
-	// Per-VD dataset totals from the compute domain.
-	type tot struct{ rB, wB, rOps, wOps float64 }
-	ds := make(map[cluster.VDID]*tot)
-	for i := range a.Dataset.Compute {
-		m := &a.Dataset.Compute[i]
-		t := ds[m.VD]
-		if t == nil {
-			t = &tot{}
-			ds[m.VD] = t
-		}
-		t.rB += m.ReadBps
-		t.wB += m.WriteBps
-		t.rOps += m.ReadIOPS
-		t.wOps += m.WriteIOPS
-	}
-	for vd := range a.Emission.PerVD {
+	full := a.TraceSampleEvery == 1
+	var want int64
+	for vd, t := range rows {
 		em := &a.Emission.PerVD[vd]
-		t := ds[cluster.VDID(vd)]
-		if t == nil {
-			if em.Events != 0 {
-				rep.Addf(law, "VD %d: workload emitted %d IOs but dataset has none", vd, em.Events)
-			}
-			continue
+		want += em.Events
+		if !relEq(t.rOps, float64(em.ReadOps)*f) || !relEq(t.wOps, float64(em.WriteOps)*f) ||
+			!relEq(t.rB, float64(em.ReadBytes)*f) || !relEq(t.wB, float64(em.WriteBytes)*f) {
+			rep.Addf(law, "VD %d: dataset %+v diverges from the workload's %+v after x%v scaling", vd, t, *em, f)
 		}
-		if !relEq(t.rOps, float64(em.ReadOps)*f) || !relEq(t.wOps, float64(em.WriteOps)*f) {
-			rep.Addf(law, "VD %d: op counts diverge (dataset %v/%v, workload %v/%v after x%v scaling)",
-				vd, t.rOps, t.wOps, em.ReadOps, em.WriteOps, f)
-		}
-		if !relEq(t.rB, float64(em.ReadBytes)*f) || !relEq(t.wB, float64(em.WriteBytes)*f) {
-			rep.Addf(law, "VD %d: byte totals diverge (dataset %v/%v, workload %v/%v after x%v scaling)",
-				vd, t.rB, t.wB, em.ReadBytes, em.WriteBytes, f)
+		if full && records[vd] != em.Events {
+			rep.Addf(law, "VD %d: %d trace records for %d emitted IOs (full tracing)", vd, records[vd], em.Events)
 		}
 	}
-	for vd, t := range ds {
-		if int(vd) >= len(a.Emission.PerVD) {
-			rep.Addf(law, "VD %d: dataset rows for a disk the workload never emitted (%v B/s)", vd, t.rB+t.wB)
-		}
-	}
-
-	// With full tracing, the per-IO records are a third ledger.
-	if a.TraceSampleEvery == 1 {
-		perVD := make(map[cluster.VDID]int64)
-		for i := range a.Dataset.Trace {
-			perVD[a.Dataset.Trace[i].VD]++
-		}
-		var want int64
-		for vd := range a.Emission.PerVD {
-			em := &a.Emission.PerVD[vd]
-			want += em.Events
-			if got := perVD[cluster.VDID(vd)]; got != em.Events {
-				rep.Addf(law, "VD %d: %d trace records for %d emitted IOs (full tracing)", vd, got, em.Events)
-			}
-		}
-		if int64(len(a.Dataset.Trace)) != want {
-			rep.Addf(law, "trace has %d records for %d emitted IOs (full tracing)", len(a.Dataset.Trace), want)
-		}
+	if full && int64(len(a.Dataset.Trace)) != want {
+		rep.Addf(law, "trace has %d records for %d emitted IOs (full tracing)", len(a.Dataset.Trace), want)
 	}
 }

@@ -8,10 +8,11 @@
 // byte-identical under differing worker counts and VD permutations.
 //
 // The engine runs VerifyRun and the layer laws that apply when
-// ebs.Options.Check is set (the `-check` mode of cmd/ebssim); tests call the
-// individual CheckX functions directly. A violation is a bug in the
-// simulator, never in the workload: the laws hold by construction, so any
-// failure means semantic drift.
+// ebs.Options.Check is set, and every program sets it for every study it
+// runs: an ebssim run in any role, a gateway study, and the shards ebsd
+// workers run for either. Tests call the individual CheckX functions
+// directly. A violation is a bug in the simulator, never in the workload:
+// the laws hold by construction, so any failure means semantic drift.
 package invariant
 
 import (
@@ -90,18 +91,17 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-// VerifyRun holds a run's artifacts to the dataset laws the engine's -check
-// mode enforces, in this order: trace referential integrity, canonical
-// ordering, metric-row sanity, and the conservation laws across the
-// compute/storage domains and (when an Emission is supplied) against the
-// workload layer itself. The laws are pure observers: they never mutate the
-// artifacts.
+// VerifyRun holds a run's artifacts to the dataset laws. It walks each table
+// once: the records for trace/integrity and trace/canonical-order, then both
+// metric domains in step for metric/row-sanity and
+// conserve/compute-vs-storage, and last, from the totals those walks
+// gathered, conserve/workload when an Emission is supplied. The laws are
+// pure observers: they never mutate the artifacts.
 func VerifyRun(a *Artifacts) *Report {
 	rep := &Report{}
-	checkTraceIntegrity(rep, a)
-	checkTraceCanonical(rep, a)
-	checkRowSanity(rep, a)
-	checkDomainConservation(rep, a)
-	checkWorkloadConservation(rep, a)
+	disks := disksOf(a.Dataset.Topology)
+	records := checkTrace(rep, a, disks)
+	rows := checkRows(rep, a, disks)
+	checkWorkload(rep, a, rows, records)
 	return rep
 }

@@ -61,7 +61,9 @@ func Evaluate(p Predictor, series []float64, warmup, refitEvery int) (EvalResult
 	lastFit := -1
 	for t := warmup; t < len(series); t++ {
 		if lastFit < 0 || t-lastFit >= refitEvery {
-			if err := p.Fit(series[:t]); err != nil {
+			// The history's capacity ends at t too, so no predictor can
+			// reach the steps it is about to forecast.
+			if err := p.Fit(series[:t:t]); err != nil {
 				return EvalResult{}, fmt.Errorf("predict: fit %s at %d: %w", p.Name(), t, err)
 			}
 			lastFit = t

@@ -3,6 +3,7 @@ package predict
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -341,5 +342,65 @@ func TestWindowPadding(t *testing.T) {
 	// Values preceding index 2, most recent first: 2, 1, pad, pad.
 	if w[0] != 2 || w[1] != 1 || w[2] != 0 || w[3] != 0 {
 		t.Fatalf("window = %v", w)
+	}
+}
+
+// peeker forecasts the last value it can reach from its history: as far as
+// the slice's capacity goes, not its length.
+type peeker struct{ next float64 }
+
+func (p *peeker) Name() string { return "peeker" }
+
+func (p *peeker) Fit(history []float64) error {
+	p.next = 0
+	if all := history[:cap(history)]; len(all) > 0 {
+		p.next = all[len(all)-1]
+	}
+	return nil
+}
+
+func (p *peeker) Predict() float64 { return p.next }
+
+// TestEvaluateIsCausal is the walk-forward protocol's look-ahead law: the
+// forecast of step s may read series[:s] only, so poisoning series[t:] must
+// leave the forecasts of steps up to t bit-identical, for every predictor
+// family. The peeker reads its history up to the slice's capacity; it keeps
+// the law only because Evaluate hands every fit a history whose capacity
+// ends where its length does.
+func TestEvaluateIsCausal(t *testing.T) {
+	const warmup, refitEvery = 20, 3
+	series := ar1Series(80, 3)
+	families := []func() Predictor{
+		func() Predictor { return &Naive{} },
+		func() Predictor { return &EWMA{} },
+		func() Predictor { return NewHolt() },
+		func() Predictor { return NewLinearFit(5) },
+		func() Predictor { return NewARIMA(2, 1) },
+		func() Predictor { return NewGBT(4, 8, 2, 0.3) },
+		func() Predictor { return NewAttention(4, 16) },
+		func() Predictor { return &peeker{} },
+	}
+	for _, family := range families {
+		clean, err := Evaluate(family(), series, warmup, refitEvery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := family().Name()
+		for _, cut := range []int{warmup, 47, len(series) - 1} {
+			poisoned := slices.Clone(series)
+			for i := cut; i < len(poisoned); i++ {
+				poisoned[i] = 1e6 * float64(i+1)
+			}
+			got, err := Evaluate(family(), poisoned, warmup, refitEvery)
+			if err != nil {
+				t.Fatalf("%s, series poisoned from %d: %v", name, cut, err)
+			}
+			for s := warmup; s <= cut; s++ {
+				if a, b := got.Preds[s-warmup], clean.Preds[s-warmup]; math.Float64bits(a) != math.Float64bits(b) {
+					t.Errorf("%s: poisoning the series from step %d moved the forecast of step %d from %v to %v", name, cut, s, b, a)
+					break
+				}
+			}
+		}
 	}
 }

@@ -28,8 +28,9 @@ var flagDef = regexp.MustCompile(`^(Bool|Duration|Float64|Func|Int|Int64|String|
 // TestKnobBudget counts the independently settable values per package
 // directory — each exported field of a knobType struct in non-test code, plus
 // each flag defined there, through the flag package or a *flag.FlagSet — and
-// fails when a directory holds more than its line in testdata/knobs.txt
-// allows. A flag counts in the package that defines it, not in the program
+// fails when a directory holds more or fewer knobs than its line in
+// testdata/knobs.txt says, or has a line and no knob, so the budget stays
+// exact. A flag counts in the package that defines it, not in the program
 // that parses it. `make knobs` runs it with -v for the per-directory table an
 // options PR reports before and after (ROADMAP aim 2).
 func TestKnobBudget(t *testing.T) {
@@ -52,7 +53,12 @@ func TestKnobBudget(t *testing.T) {
 		case n > b:
 			t.Errorf("%s: %d knobs, over its budget of %d in %s", dir, n, b, knobBudgetFile)
 		case n < b:
-			t.Logf("        %s is under its budget of %d: lower its line in %s", dir, b, knobBudgetFile)
+			t.Errorf("%s: %d knobs, under its budget of %d: lower its line in %s", dir, n, b, knobBudgetFile)
+		}
+	}
+	for dir, b := range budget {
+		if _, counted := got[dir]; !counted {
+			t.Errorf("%s: no knobs, but a budget of %d in %s: delete its line", dir, b, knobBudgetFile)
 		}
 	}
 	t.Logf("%7d total", total)
