@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"io"
 	"os"
 	"path/filepath"
@@ -57,6 +58,7 @@ func TestValidateFlagsMatrix(t *testing.T) {
 		{"profiles with dist", roleFlags{dist: 2, replicas: 3, leaderKill: 1, cpuProfile: "cpu.prof", memProfile: "mem.prof"}, ebs.RunSpec{}, nil},
 		{"cpu profile with tcp coordinator", roleFlags{workersAddr: ":9000", replicas: 1, cpuProfile: "cpu.prof"}, ebs.RunSpec{}, nil},
 		{"mem profile with control", roleFlags{replicas: 1, memProfile: "mem.prof"}, reactive(0, 0), nil},
+		{"timing with control", roleFlags{replicas: 1, timing: true}, reactive(0, 0), nil},
 		{"control with an epoch inside the window", roleFlags{replicas: 1}, reactive(8, 7), nil},
 		{"control on a one-second window", roleFlags{replicas: 1}, reactive(1, 0), nil},
 
@@ -97,6 +99,10 @@ func TestValidateFlagsMatrix(t *testing.T) {
 			[]string{"quakestorm"}},
 		{"bad scenario param", roleFlags{replicas: 1}, ebs.RunSpec{Scenario: "elastic,bogus=1"},
 			[]string{"bogus"}},
+		{"timing with dist", roleFlags{dist: 2, replicas: 1, timing: true}, ebs.RunSpec{},
+			[]string{"-timing", "-dist", "-workers-addr"}},
+		{"timing with tcp coordinator", roleFlags{workersAddr: ":9000", replicas: 1, timing: true}, ebs.RunSpec{},
+			[]string{"-timing", "-workers-addr"}},
 		{"negative dist", roleFlags{dist: -1, replicas: 1}, ebs.RunSpec{}, []string{"-dist -1"}},
 		{"negative shards", roleFlags{dist: 2, shards: -3, replicas: 1}, ebs.RunSpec{}, []string{"-shards -3"}},
 		{"shards without a distributed role", roleFlags{replicas: 1, shards: 5}, ebs.RunSpec{},
@@ -174,5 +180,26 @@ func TestStartProfiles(t *testing.T) {
 	stop() // no flags: nothing to do, nothing written
 	if entries, _ := os.ReadDir(dir); len(entries) != 2 {
 		t.Fatalf("%d files in the profile directory, want the 2 requested", len(entries))
+	}
+}
+
+// TestTimingLeavesStdout: -timing prints the engine's stage table on stderr,
+// one line per stage, and stdout stays the same bytes as without it.
+func TestTimingLeavesStdout(t *testing.T) {
+	args := strings.Fields("-seed 7 -dur 12 -nodes 4 -max-vds 24 -stream")
+	var plain, timed, stderr bytes.Buffer
+	if code := run(args, &plain, io.Discard); code != 0 {
+		t.Fatalf("exit %d", code)
+	}
+	if code := run(append(args, "-timing"), &timed, &stderr); code != 0 {
+		t.Fatalf("-timing: exit %d; stderr:\n%s", code, stderr.String())
+	}
+	if timed.String() != plain.String() {
+		t.Fatalf("-timing changed stdout")
+	}
+	for _, stage := range []string{"generate", "throttle", "latency", "emit", "sketch", "finish", "check"} {
+		if !strings.Contains(stderr.String(), "\n  "+stage+" ") {
+			t.Errorf("stderr has no %s line:\n%s", stage, stderr.String())
+		}
 	}
 }

@@ -1,0 +1,79 @@
+package ebs
+
+import (
+	"context"
+	"testing"
+	"time"
+
+	"ebslab/internal/invariant"
+	"ebslab/internal/sketch"
+	"ebslab/internal/workload"
+)
+
+// TestClocksReadEveryStage: a traced, throttled, checked run with
+// Options.Clocks set produces the same dataset and sketch bytes as the run
+// without, and every stage it ran reads > 0 — sketch only when streaming.
+func TestClocksReadEveryStage(t *testing.T) {
+	sim := New(smallFleet(t))
+	for _, stream := range []bool{false, true} {
+		base := Options{DurationSec: 10, TraceSampleEvery: 1, EventSampleEvery: 4, MaxVDs: 12, Workers: 2, Check: true}
+		plain, timed := base, base
+		if stream {
+			plain.Stream, timed.Stream = sketch.NewSet(sketch.Config{}), sketch.NewSet(sketch.Config{})
+		}
+		var c Clocks
+		timed.Clocks = &c
+		want, err := sim.Run(context.Background(), plain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := sim.Run(context.Background(), timed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if invariant.Fingerprint(got) != invariant.Fingerprint(want) {
+			t.Fatalf("stream %v: the clocked run's dataset differs from the unclocked one's", stream)
+		}
+		if stream && timed.Stream.Fingerprint() != plain.Stream.Fingerprint() {
+			t.Fatal("the clocked run's sketch state differs from the unclocked one's")
+		}
+		for _, st := range []struct {
+			name string
+			d    time.Duration
+		}{
+			{"generate", c.Generate}, {"throttle", c.Throttle}, {"latency", c.Latency},
+			{"emit", c.Emit}, {"finish", c.Finish}, {"check", c.Check},
+		} {
+			if st.d <= 0 {
+				t.Errorf("stream %v: %s clock reads %v, want > 0", stream, st.name, st.d)
+			}
+		}
+		if (c.Sketch > 0) != stream {
+			t.Errorf("stream %v: sketch clock reads %v", stream, c.Sketch)
+		}
+	}
+}
+
+// BenchmarkRunClocks times a checked Run on the bench's study shape (see
+// BenchmarkVerifyRun) with the clocks off and on: what reading them costs.
+func BenchmarkRunClocks(b *testing.B) {
+	f, err := workload.Generate(workload.SingleDC(7, 16, 16, 60))
+	if err != nil {
+		b.Fatal(err)
+	}
+	sim := New(f)
+	for _, on := range []bool{false, true} {
+		name := "off"
+		opts := Options{DurationSec: 60, TraceSampleEvery: 1, EventSampleEvery: 8, MaxVDs: 120, Workers: 2, Check: true}
+		if on {
+			name, opts.Clocks = "on", new(Clocks)
+		}
+		b.Run(name, func(b *testing.B) {
+			for range b.N {
+				if _, err := sim.Run(context.Background(), opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

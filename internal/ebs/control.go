@@ -118,7 +118,8 @@ func (w *observer) count(ev workload.Event) {
 // disk draws the demand series, the storm boost and the events, and skips
 // everything downstream of the generator: throttle, latency, tracer, merge,
 // dataset. Destinations and callbacks in opts (Stream, Snapshots, ChaosStats,
-// Progress, Check) belong to the run the caller asked for and are ignored.
+// Clocks, Progress, Check) belong to the run the caller asked for and are
+// ignored.
 //
 // A queue pair and a segment belong to one disk, so workers write disjoint
 // counters with no lock and no merge, and integer adds make the observation

@@ -126,6 +126,10 @@ type Options struct {
 	// Seed overrides the base seed of the per-VD latency sampling streams
 	// (default: fleet seed).
 	Seed int64
+	// Clocks, when non-nil, receives the run's time by engine stage (see
+	// Clocks). With it nil the engine reads no clock; either way the results
+	// are the same bytes.
+	Clocks *Clocks `json:"-"`
 	// Progress, when non-nil, is called after each virtual disk finishes,
 	// with the number of completed disks and the total. Calls are
 	// serialized but may come from pool goroutines; keep it cheap.

@@ -37,8 +37,8 @@ type Config struct {
 	// Opts are the run options. None of their sinks crosses the wire; the
 	// ones the merge fills — Stream (and Snapshots over it), ChaosStats and
 	// Observe — stay on the coordinator and are filled exactly like
-	// ebs.Sim.Run would fill them. Progress is never called: no disk runs
-	// here.
+	// ebs.Sim.Run would fill them. Progress is never called and Clocks reads
+	// only the merge's finish and check: no disk runs here.
 	Opts ebs.Options
 	// Scenario optionally names a scenario spec ("bufferbloat,period=16")
 	// every worker binds to its regenerated fleet. The coordinator binds it
