@@ -3,12 +3,12 @@
 # under cmd/*/testdata/smoke). `make ci` adds what it cannot: vet with gofmt,
 # the callers and fields rules, the race detector, golden drift, fuzzing,
 # coverage, the whole catalog at the quick size, the bench module, the
-# allocation budgets and the x86-64-v3 build. Timing lives in bench/ alone.
+# allocation budgets, the x86-64-v3 build and the arm64 cross-build. Timing lives in bench/ alone.
 
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: all build test race vet callers loc knobs bench-gate golden golden-diff fuzz-smoke cover consensus-race analyze-smoke bench-module amd64-v3 ci
+.PHONY: all build test race vet callers loc knobs bench-gate golden golden-diff fuzz-smoke cover consensus-race analyze-smoke bench-module amd64-v3 cross ci
 
 all: build
 
@@ -76,11 +76,19 @@ bench-gate:
 	$(GO) test -count=1 -run 'SteadyStateAllocs|TestObserveBatchMemoryIsFleetBounded|TestFabricStudyAllocs|TestShardResultPathBytes' ./...
 
 # The latency kernel, the draw mirrors and the engine built for x86-64-v3,
-# where the compiler may use AVX2 and FMA anywhere: the four-lane exp must
-# still equal math.Exp bit for bit and every engine record its per-IO
-# reference. Needs an amd64 host with AVX2 and FMA.
+# where the compiler may use AVX2 and FMA anywhere: the exp kernel's math.Exp
+# fallback and the Go code around it must still equal math.Exp bit for bit,
+# and every engine record its per-IO reference. Needs an amd64 host with AVX2
+# and FMA.
 amd64-v3:
 	GOAMD64=v3 $(GO) test -count=1 ./internal/latency ./internal/xrand ./internal/ebs
+
+# The tree built and vetted for arm64: the exp kernel is amd64 assembly, and
+# this catches a declaration the other architectures' stub lacks. Offline:
+# cross-compiling the standard library needs no download.
+cross:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/latency ./internal/ebs
 
 # Every package whose golden fixtures an -update flag rewrites, the programs'
 # smoke stdout under cmd/*/testdata/smoke included.
@@ -146,4 +154,4 @@ analyze-smoke:
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-ci: vet callers race golden-diff fuzz-smoke cover consensus-race analyze-smoke bench-module bench-gate amd64-v3
+ci: vet callers race golden-diff fuzz-smoke cover consensus-race analyze-smoke bench-module bench-gate amd64-v3 cross
