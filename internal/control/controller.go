@@ -57,7 +57,12 @@ type Input struct {
 	NodeOfQP []int
 	// Down reports whether BS bs is crashed at the instant epoch ep begins;
 	// the controller evacuates segments off BSes that are down entering the
-	// epoch it is planning. Nil means no fault information.
+	// epoch it is planning. Nil means no fault information. It is the one
+	// input read for the planned epoch rather than the past, and that is
+	// allowed: a crash is known at the epoch boundary, when the BS stops
+	// answering, so it is an input to the controller, not traffic it must
+	// forecast. BuildPlan reads no Down beyond the epoch it plans
+	// (TestPlansAreCausal in internal/ebs).
 	Down func(ep, bs int) bool
 }
 

@@ -169,3 +169,44 @@ func TestNextTraceIDUnique(t *testing.T) {
 		seen[id] = true
 	}
 }
+
+// Observe ingests one completed IO: it always updates both metric domains
+// and records the full trace when the ID falls in the sample. It is the
+// record-at-a-time form of EmitBatch, the reference the batch tests hold
+// EmitBatch to.
+func (t *Tracer) Observe(rec trace.Record) {
+	if t.sampled(rec.TraceID) {
+		dst := t.reserve(1)
+		trace.Pack(&rec, dst)
+		t.mark(keyOf(dst, 0))
+		t.keep(1)
+	}
+	sec := int32(rec.TimeUS / 1_000_000)
+	bytes := float64(rec.Size)
+
+	ck := computeKey{sec: sec, qp: rec.QP}
+	ca := t.compute[ck]
+	if ca == nil {
+		ca = t.alloc()
+		ca.row = trace.MetricRow{
+			Domain: trace.DomainCompute, Sec: sec, DC: rec.DC,
+			User: rec.User, VM: rec.VM, VD: rec.VD,
+			Node: rec.Node, QP: rec.QP, WT: rec.WT,
+		}
+		t.compute[ck] = ca
+	}
+	addDirectional(&ca.row, rec.Op, bytes)
+
+	sk := storageKey{sec: sec, seg: rec.Segment}
+	sa := t.storage[sk]
+	if sa == nil {
+		sa = t.alloc()
+		sa.row = trace.MetricRow{
+			Domain: trace.DomainStorage, Sec: sec, DC: rec.DC,
+			User: rec.User, VM: rec.VM, VD: rec.VD,
+			Storage: rec.Storage, Segment: rec.Segment,
+		}
+		t.storage[sk] = sa
+	}
+	addDirectional(&sa.row, rec.Op, bytes)
+}

@@ -2,10 +2,13 @@ package ebs
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 
 	"ebslab/internal/chaos"
+	"ebslab/internal/cluster"
 	"ebslab/internal/control"
+	"ebslab/internal/trace"
 )
 
 // TestObservationIsTimelineInvariant is the open-loop/closed-loop
@@ -70,4 +73,104 @@ func TestObservationIsTimelineInvariant(t *testing.T) {
 		}
 	}
 	t.Logf("decisions by kind: %v", kinds)
+}
+
+// TestPlansAreCausal holds every policy to "the controller only sees the
+// past": at each cut e, traffic added after epoch e (4,000 IOs of 1–9 MiB)
+// and fault state changed after epoch e+1 must leave every decision for
+// epochs <= e+1 bit-identical. The decision for e+1 is made at the end of e,
+// and the fault state of the epoch being planned is the one deliberate
+// look-ahead (Input.Down). The oracle, which reads its target epoch's
+// traffic, is the positive control: it must differ at every cut whose next
+// epoch carries one of its decisions. Each plan gets a fresh policy, since
+// Predictive carries fit state.
+func TestPlansAreCausal(t *testing.T) {
+	const epochSec = 2
+	sim := New(smallFleet(t))
+	top := sim.fleet.Topology
+	opts := Options{
+		DurationSec: 24, EventSampleEvery: 2, Workers: 2,
+		Chaos: &chaos.Plan{BSCrashes: 2, MeanDownSec: 5, Storms: 3, StormFactor: 8, MeanStormSec: 6, Recoverable: true},
+	}
+	ctx := context.Background()
+	obs, err := sim.Observe(ctx, opts, epochSec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := sim.ControlInput(opts, obs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := func(name string, in control.Input) *control.Plan {
+		pol, err := control.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := control.BuildPlan(pol, control.Config{EpochSec: epochSec}, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	// upTo fingerprints the decisions for epochs <= ep.
+	upTo := func(p *control.Plan, ep int) string {
+		var kept control.Plan
+		for _, d := range p.Decisions {
+			if d.Epoch <= ep {
+				kept.Decisions = append(kept.Decisions, d)
+			}
+		}
+		return kept.LogFingerprint()
+	}
+
+	names := []string{"noop", "reactive", "predictive-holt", "predictive-arima", "predictive-gbt", "oracle"}
+	base := map[string]*control.Plan{}
+	for _, name := range names {
+		base[name] = plan(name, in)
+	}
+	epochs := obs.Shape.Epochs()
+	oracleCuts := 0
+	for e := 0; e+1 < epochs; e++ {
+		future, err := sim.Observe(ctx, opts, epochSec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(e) + 1))
+		for range 4000 {
+			vd := cluster.VDID(rng.Intn(len(top.VDs)))
+			qps := top.VDs[vd].QPs
+			off := rng.Int63n(top.VDs[vd].Capacity)
+			startUS := int64(e+1) * epochSec * 1_000_000
+			at := startUS + rng.Int63n(int64(opts.DurationSec)*1_000_000-startUS)
+			op := trace.OpRead
+			if rng.Intn(2) == 1 {
+				op = trace.OpWrite
+			}
+			future.Add(at, op, int32(1+rng.Intn(9))<<20, vd, qps[rng.Intn(len(qps))], top.SegmentOfOffset(vd, off))
+		}
+		poisoned := in
+		poisoned.Obs = future
+		poisoned.Down = func(ep, bs int) bool {
+			if ep > e+1 {
+				return bs%2 == 0
+			}
+			return in.Down(ep, bs)
+		}
+		for _, name := range names {
+			got, want := upTo(plan(name, poisoned), e+1), upTo(base[name], e+1)
+			decides := upTo(base[name], e+1) != upTo(base[name], e)
+			switch {
+			case name != "oracle" && got != want:
+				t.Errorf("%s: decisions for epochs <= %d changed with the future after epoch %d", name, e+1, e)
+			case name == "oracle" && decides && got == want:
+				t.Errorf("oracle: decisions for epoch %d unchanged by that epoch's traffic: the law cannot see a look-ahead", e+1)
+			case name == "oracle" && decides:
+				oracleCuts++
+			}
+		}
+	}
+	if oracleCuts == 0 {
+		t.Fatal("the oracle decided nothing at any cut: the positive control is vacuous")
+	}
+	t.Logf("%d cuts; the oracle's look-ahead caught at %d", epochs-1, oracleCuts)
 }
