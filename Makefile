@@ -127,11 +127,12 @@ fuzz-smoke:
 	$(GO) test ./internal/netblock -fuzz FuzzReadResponse -fuzztime $(FUZZTIME)
 
 # Coverage over the fault-injection surface: the chaos layer itself plus
-# every package it reaches into (RPC substrate, the fabric that recovers from
-# its wire faults, engine, balancer, throttle, invariants).
+# every package that acts on its schedules (RPC substrate, the fabric that
+# recovers from its wire faults, engine, the controller that evacuates
+# crashed BlockServers, invariants).
 cover:
 	$(GO) test -cover ./internal/chaos ./internal/netblock ./internal/fabric ./internal/ebs \
-		./internal/balancer ./internal/throttle ./internal/invariant
+		./internal/control ./internal/invariant
 
 # Focused race-detector pass over the consensus core and the replicated
 # fabric (leader election, log replication, kill-driven failover) without

@@ -180,7 +180,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			FailoverPenaltyUS: *penaltyUS,
 			Storms:            *storms,
 			StormFactor:       *stormFactor,
-			Recoverable:       true,
 		}
 		spec.Opts.ChaosStats = &chaosStats
 	}
@@ -537,7 +536,7 @@ func runDistVerified(ctx context.Context, stdout, stderr io.Writer, spec ebs.Run
 		// Leader kills live in the chaos plan but are control-plane-only: they
 		// never expand in the workers' (Shards-less) schedules, so the
 		// single-process reference below stays a valid oracle.
-		plan := chaos.Plan{Recoverable: true}
+		var plan chaos.Plan
 		if distOpts.Chaos != nil {
 			plan = *distOpts.Chaos
 		}

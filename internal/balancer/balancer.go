@@ -11,7 +11,6 @@ package balancer
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
 	"ebslab/internal/cluster"
@@ -50,11 +49,6 @@ const (
 type Config struct {
 	// Mode selects which traffic the balancer acts on.
 	Mode Mode
-	// PeriodSec is the simulated length of one balancing period in seconds,
-	// used only to stamp Migration.AtSec so the migration log can be joined
-	// against time-stamped logs (the control plane's decision log). Zero or
-	// negative means 1: AtSec equals the period index.
-	PeriodSec int
 }
 
 // Mode selects the migration algorithm of Figure 5(c).
@@ -85,9 +79,9 @@ func DefaultConfig() Config {
 // Migration records one segment move.
 type Migration struct {
 	Period int
-	// AtSec is the simulated second the move takes effect: the period (or
-	// control epoch) boundary, Period x Config.PeriodSec. Logs produced by
-	// different subsystems join on this timestamp.
+	// AtSec is the simulated second the move takes effect. The control
+	// plane stamps its epoch boundary, Period x EpochSec; the offline
+	// balancer stamps the period index itself.
 	AtSec int
 	Seg   cluster.SegmentID
 	From  cluster.StorageNodeID
@@ -95,7 +89,7 @@ type Migration struct {
 	// Read reports whether the move came from the read-balancing pass.
 	Read bool
 	// Failover reports whether the move evacuated a crashed BlockServer
-	// (RunWithFailures) rather than rebalancing load.
+	// (a control-plane evacuation) rather than rebalancing load.
 	Failover bool
 }
 
@@ -110,29 +104,11 @@ type Result struct {
 }
 
 // Run simulates the balancer over the per-segment period traffic matrix
-// (indexed [segment][period]). The starting placement is cloned; the caller's
-// map is not mutated. It is RunWithFailures with no crash schedule.
+// (indexed [segment][period]): each period is measured under the placement
+// in effect, then rebalanced by Algorithm 1 (and the read pass under
+// WriteThenRead). The starting placement is cloned; the caller's map is not
+// mutated.
 func Run(seg2bs *cluster.SegmentMap, segTraffic [][]RW, policy ImporterPolicy, cfg Config) Result {
-	return RunWithFailures(seg2bs, segTraffic, policy, cfg, nil, FailoverGreedy, nil)
-}
-
-// DownFn reports whether a BlockServer is inside a crash window during a
-// balancing period (chaos.Schedule.DownFnPeriods adapts a fault schedule to
-// this shape).
-type DownFn func(period int, bs cluster.StorageNodeID) bool
-
-// RunWithFailures is the balancer's period loop, optionally under a crash
-// schedule. At the start of each period, every newly-crashed BlockServer is
-// evacuated: its segments are re-homed across the healthy survivors by the
-// failover policy (recorded as Failover migrations). While down, a BS is
-// excluded from exporter scans and importer selection — if the importer
-// policy nominates a casualty, the balancer falls back to the least-loaded
-// healthy BS. A recovered BS rejoins empty the following period and is
-// re-admitted by normal importer selection. With a nil down nothing ever
-// crashes: the masks stay nil, so no period evacuates and balancePass treats
-// every BS as healthy (fpol and rng are unused).
-func RunWithFailures(seg2bs *cluster.SegmentMap, segTraffic [][]RW, policy ImporterPolicy,
-	cfg Config, down DownFn, fpol FailoverPolicy, rng *rand.Rand) Result {
 	if len(segTraffic) != seg2bs.Len() {
 		panic(fmt.Sprintf("balancer: %d traffic rows for %d segments", len(segTraffic), seg2bs.Len()))
 	}
@@ -152,35 +128,7 @@ func RunWithFailures(seg2bs *cluster.SegmentMap, segTraffic [][]RW, policy Impor
 		bsHistW[b] = make([]float64, 0, nPeriods)
 		bsHistR[b] = make([]float64, 0, nPeriods)
 	}
-	var wasDown, isDown []bool
-	if down != nil {
-		wasDown, isDown = make([]bool, nBS), make([]bool, nBS)
-	}
 	for p := 0; p < nPeriods; p++ {
-		for b := range isDown {
-			isDown[b] = down(p, cluster.StorageNodeID(b))
-		}
-		// Evacuate newly-crashed BSs before measuring: their segments are
-		// unreachable and must be re-homed on the healthy survivors.
-		for b := range isDown {
-			if !isDown[b] || wasDown[b] {
-				continue
-			}
-			failed := cluster.StorageNodeID(b)
-			orphans := placement.SegmentsOn(failed)
-			FailoverExcluding(placement, segTraffic, p, failed, fpol, rng,
-				func(id cluster.StorageNodeID) bool { return isDown[id] })
-			for _, seg := range orphans {
-				to := placement.BSOf(seg)
-				if to == failed {
-					continue // no healthy survivor could take it
-				}
-				res.Migrations = append(res.Migrations, Migration{
-					Period: p, AtSec: p * periodSec(cfg), Seg: seg, From: failed, To: to, Failover: true,
-				})
-			}
-		}
-
 		// Measure this period under the current placement.
 		bsW := make([]float64, nBS)
 		bsR := make([]float64, nBS)
@@ -198,30 +146,19 @@ func RunWithFailures(seg2bs *cluster.SegmentMap, segTraffic [][]RW, policy Impor
 
 		// Write-balancing pass (Algorithm 1), then the read pass of Fig 5(c).
 		res.Migrations = append(res.Migrations,
-			balancePass(placement, segTraffic, p, bsW, bsHistW, policy, cfg, false, isDown)...)
+			balancePass(placement, segTraffic, p, bsW, bsHistW, policy, false)...)
 		if cfg.Mode == WriteThenRead {
 			res.Migrations = append(res.Migrations,
-				balancePass(placement, segTraffic, p, bsR, bsHistR, policy, cfg, true, isDown)...)
+				balancePass(placement, segTraffic, p, bsR, bsHistR, policy, true)...)
 		}
-		copy(wasDown, isDown)
 	}
 	return res
 }
 
-// periodSec returns the configured period length for AtSec stamping.
-func periodSec(cfg Config) int {
-	if cfg.PeriodSec > 0 {
-		return cfg.PeriodSec
-	}
-	return 1
-}
-
 // balancePass runs one Algorithm 1 sweep over the metric in bsLoad (write
-// bytes, or read bytes for the read pass), mutating placement. A non-nil
-// isDown excludes crashed BSs from both sides of every move.
+// bytes, or read bytes for the read pass), mutating placement.
 func balancePass(placement *cluster.SegmentMap, segTraffic [][]RW, period int,
-	bsLoad []float64, bsHist [][]float64, policy ImporterPolicy, cfg Config, readPass bool,
-	isDown []bool) []Migration {
+	bsLoad []float64, bsHist [][]float64, policy ImporterPolicy, readPass bool) []Migration {
 
 	nBS := len(bsLoad)
 	avg := stats.Mean(bsLoad)
@@ -237,9 +174,6 @@ func balancePass(placement *cluster.SegmentMap, segTraffic [][]RW, period int,
 
 	var out []Migration
 	for b := 0; b < nBS; b++ {
-		if isDown != nil && isDown[b] {
-			continue // a crashed BS exports nothing (it was evacuated)
-		}
 		if bsLoad[b] < ExporterThreshold*avg {
 			continue
 		}
@@ -253,9 +187,6 @@ func balancePass(placement *cluster.SegmentMap, segTraffic [][]RW, period int,
 		// segments is skipped — migration cannot fix it, only churn.
 		minLoad := math.Inf(1)
 		for ob := 0; ob < nBS; ob++ {
-			if isDown != nil && isDown[ob] {
-				continue // the coldest *healthy* BS is what matters
-			}
 			if ob != b && bsLoad[ob] < minLoad {
 				minLoad = bsLoad[ob]
 			}
@@ -301,26 +232,10 @@ func balancePass(placement *cluster.SegmentMap, segTraffic [][]RW, period int,
 		if importer < 0 || int(importer) >= nBS || importer == cluster.StorageNodeID(b) {
 			continue
 		}
-		if isDown != nil && isDown[importer] {
-			// The policy nominated a casualty; fall back to the least-loaded
-			// healthy BS so the exporter still sheds its bundle.
-			importer = -1
-			for ob := 0; ob < nBS; ob++ {
-				if ob == b || isDown[ob] {
-					continue
-				}
-				if importer < 0 || bsLoad[ob] < bsLoad[importer] {
-					importer = cluster.StorageNodeID(ob)
-				}
-			}
-			if importer < 0 {
-				continue // no healthy importer exists
-			}
-		}
 		for _, seg := range moving {
 			placement.Move(seg, importer)
 			out = append(out, Migration{
-				Period: period, AtSec: period * periodSec(cfg), Seg: seg,
+				Period: period, AtSec: period, Seg: seg,
 				From: cluster.StorageNodeID(b), To: importer, Read: readPass,
 			})
 		}

@@ -48,17 +48,6 @@ type FailoverResult struct {
 // placement in place. Load is measured as read+write bytes of the period.
 func Failover(placement *cluster.SegmentMap, segTraffic [][]RW, period int,
 	failed cluster.StorageNodeID, policy FailoverPolicy, rng *rand.Rand) FailoverResult {
-	return FailoverExcluding(placement, segTraffic, period, failed, policy, rng, nil)
-}
-
-// FailoverExcluding is Failover with further BlockServers barred from
-// receiving orphans (nil bars none): under a crash schedule, several BSs can
-// be down at once and evacuating one must not land segments on another
-// casualty.
-func FailoverExcluding(placement *cluster.SegmentMap, segTraffic [][]RW, period int,
-	failed cluster.StorageNodeID, policy FailoverPolicy, rng *rand.Rand,
-	excluded func(cluster.StorageNodeID) bool) FailoverResult {
-
 	nBS := placement.NumBS()
 	res := FailoverResult{Policy: policy, Failed: failed}
 	load := make([]float64, nBS)
@@ -81,7 +70,7 @@ func FailoverExcluding(placement *cluster.SegmentMap, segTraffic [][]RW, period 
 	survivors := make([]cluster.StorageNodeID, 0, nBS-1)
 	for b := 0; b < nBS; b++ {
 		id := cluster.StorageNodeID(b)
-		if id != failed && (excluded == nil || !excluded(id)) {
+		if id != failed {
 			survivors = append(survivors, id)
 		}
 	}

@@ -7,22 +7,27 @@
 // internal/par, so the schedule is byte-identical across runs, worker
 // counts, and expansion order.
 //
+// Expand clamps every crash and storm window to close before the run ends,
+// so each fault recovers in-run by construction.
+//
 // The engine consumes the schedule in three ways, all deterministic:
 //
 //   - IOs that target a BlockServer inside a crash window are counted
 //     (Stats.FaultedIOs) and, when FailoverPenaltyUS is set, pay a fixed
 //     frontend-network latency penalty — the detour to the failover
-//     replica.
+//     replica. The online controller (internal/control) reads the same
+//     windows and evacuates a crashed BlockServer's segments; it is the one
+//     mitigation that acts on crashes.
 //   - VDs inside a storm window offer StormFactor times their calibrated
 //     demand, which drives the throttle into the §5 symptoms.
 //   - The Net rates feed a netblock.FaultHook (see NewFaultHook) so the
 //     same plan shakes the RPC substrate in-process or over TCP.
 //
-// A schedule whose every window closes before the run ends and whose
-// dataset-visible knobs are zero (no penalty, no storms) is *dataset
-// neutral*: the run must reproduce the fault-free dataset fingerprint
-// bit-exactly. That property is what keeps the chaos machinery honest — it
-// is pinned by invariant.CheckChaosNeutrality and the golden scenario test.
+// A schedule whose dataset-visible knobs are zero (no penalty, no storms)
+// is *dataset neutral*: the run must reproduce the fault-free dataset
+// fingerprint bit-exactly. That property is what keeps the chaos machinery
+// honest — it is pinned by invariant.CheckChaosNeutrality and the golden
+// scenario test.
 package chaos
 
 import (
@@ -128,9 +133,6 @@ type Plan struct {
 	// from the replicated ledger and the merged dataset fingerprint stays
 	// byte-identical to the fault-free run.
 	LeaderKills int
-	// Recoverable clamps every window to close before the run ends, making
-	// the schedule fully recovered by construction.
-	Recoverable bool
 	// Net sets the netblock wire-fault rates consumed by NewFaultHook; the
 	// simulation engine does not read them.
 	Net NetFaults
@@ -217,7 +219,7 @@ type Schedule struct {
 // Expand derives the concrete schedule of p against shape. The plan seed
 // (or runSeed when the plan seed is zero) feeds one derived stream per
 // window, so the i-th crash is the same crash no matter how many storms the
-// plan also carries.
+// plan also carries. Every window is clamped to close within shape.DurSec.
 func (p *Plan) Expand(runSeed int64, shape Shape) *Schedule {
 	seed := p.Seed
 	if seed == 0 {
@@ -258,9 +260,7 @@ func (p *Plan) Expand(runSeed int64, shape Shape) *Schedule {
 			c.Start = rng.Intn(shape.DurSec)
 			c.End = c.Start + xrand.GeometricAtLeast1(rng, float64(meanDown))
 			rng.Release()
-			if p.Recoverable {
-				clampRecoverable(&c.Window, shape.DurSec)
-			}
+			clampRecoverable(&c.Window, shape.DurSec)
 			s.Crashes = append(s.Crashes, c)
 		}
 	}
@@ -279,9 +279,7 @@ func (p *Plan) Expand(runSeed int64, shape Shape) *Schedule {
 			st.Start = rng.Intn(shape.DurSec)
 			st.End = st.Start + xrand.GeometricAtLeast1(rng, float64(meanStorm))
 			rng.Release()
-			if p.Recoverable {
-				clampRecoverable(&st.Window, shape.DurSec)
-			}
+			clampRecoverable(&st.Window, shape.DurSec)
 			s.Storms = append(s.Storms, st)
 		}
 	}
@@ -363,30 +361,6 @@ func (s *Schedule) VDStormFn(vd int) func(sec int) float64 {
 		return nil
 	}
 	return func(sec int) float64 { return s.StormBoost(vd, sec) }
-}
-
-// DownFnPeriods adapts the crash windows to balancer periods: the run's
-// DurSec seconds are mapped evenly onto nPeriods, and a BS counts as down
-// in a period iff any of the period's seconds fall in one of its crash
-// windows.
-func (s *Schedule) DownFnPeriods(nPeriods int) func(period, bs int) bool {
-	if nPeriods <= 0 || s.Shape.DurSec <= 0 || len(s.Crashes) == 0 {
-		return func(int, int) bool { return false }
-	}
-	secsPer := float64(s.Shape.DurSec) / float64(nPeriods)
-	return func(period, bs int) bool {
-		lo := int(float64(period) * secsPer)
-		hi := int(float64(period+1) * secsPer)
-		if hi <= lo {
-			hi = lo + 1
-		}
-		for sec := lo; sec < hi; sec++ {
-			if s.BSDownAt(bs, sec) {
-				return true
-			}
-		}
-		return false
-	}
 }
 
 // Recovered reports whether every window closes before the run ends.

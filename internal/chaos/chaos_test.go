@@ -17,7 +17,7 @@ func TestPlanValidate(t *testing.T) {
 	}{
 		{"zero plan", Plan{}, ""},
 		{"full plan", Plan{BSCrashes: 3, MeanDownSec: 4, FailoverPenaltyUS: 500,
-			Storms: 2, StormFactor: 8, MeanStormSec: 6, Recoverable: true,
+			Storms: 2, StormFactor: 8, MeanStormSec: 6,
 			Net: NetFaults{ResetRate: 0.1, DropRate: 0.1, DelayUS: 50}}, ""},
 		{"negative crashes", Plan{BSCrashes: -1}, "BSCrashes"},
 		{"negative storm mean", Plan{MeanStormSec: -2}, "MeanStormSec"},
@@ -109,15 +109,11 @@ func TestCrashStreamIndependentOfStorms(t *testing.T) {
 }
 
 func TestRecoverableClampsEveryWindow(t *testing.T) {
-	p := &Plan{BSCrashes: 32, Storms: 32, MeanDownSec: 40, MeanStormSec: 40, Recoverable: true}
+	// Means of 40s against a 20s window would leak without the clamp.
+	p := &Plan{BSCrashes: 32, Storms: 32, MeanDownSec: 40, MeanStormSec: 40}
 	s := p.Expand(9, Shape{BSs: 4, VDs: 8, DurSec: 20})
 	if !s.Recovered() {
-		t.Fatal("recoverable plan expanded to an unrecovered schedule")
-	}
-	// Without the clamp, means of 40s against a 20s window must leak.
-	loose := &Plan{BSCrashes: 32, MeanDownSec: 40}
-	if loose.Expand(9, Shape{BSs: 4, VDs: 8, DurSec: 20}).Recovered() {
-		t.Fatal("unclamped long windows all recovered; the clamp test is vacuous")
+		t.Fatal("plan expanded to an unrecovered schedule")
 	}
 }
 
@@ -153,14 +149,6 @@ func TestScheduleQueries(t *testing.T) {
 	}
 	if fn := s.VDStormFn(0); fn == nil || fn(3) != 4 {
 		t.Fatal("storming VD's boost function wrong")
-	}
-	down := s.DownFnPeriods(6) // 5s per period
-	// Seconds [5,10): crash of BS 1.
-	if !down(1, 1) {
-		t.Fatal("period 1 should see BS 1 down")
-	}
-	if down(0, 1) || down(3, 1) {
-		t.Fatal("BS 1 down outside its window's periods")
 	}
 	if !s.Recovered() {
 		t.Fatal("all windows close in-run")
@@ -296,8 +284,8 @@ func TestLeaderKillExpansion(t *testing.T) {
 
 	// A kill-free schedule must fingerprint identically whether or not the
 	// shape carries a shard count: the leader-kill section is append-only.
-	base := (&Plan{BSCrashes: 2, Recoverable: true}).Expand(7, Shape{BSs: 3, VDs: 8, DurSec: 10})
-	withShards := (&Plan{BSCrashes: 2, Recoverable: true}).Expand(7, Shape{BSs: 3, VDs: 8, DurSec: 10, Shards: 5})
+	base := (&Plan{BSCrashes: 2}).Expand(7, Shape{BSs: 3, VDs: 8, DurSec: 10})
+	withShards := (&Plan{BSCrashes: 2}).Expand(7, Shape{BSs: 3, VDs: 8, DurSec: 10, Shards: 5})
 	if base.Fingerprint() != withShards.Fingerprint() {
 		t.Fatal("kill-free fingerprint depends on Shape.Shards; committed fixtures would break")
 	}

@@ -1,7 +1,7 @@
 // Scenario regression tests: one fixed (seed, plan) pair is pinned to a
 // golden fixture — schedule fingerprint, chaos and fault-free dataset
-// fingerprints, fault accounting, and the balancer's failover migration
-// log. Regenerate after an intentional change with
+// fingerprints, and fault accounting. Regenerate after an intentional change
+// with
 //
 //	go test ./internal/chaos -run TestGoldenChaosScenario -update
 package chaos_test
@@ -10,16 +10,12 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
-	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
-	"ebslab/internal/balancer"
 	"ebslab/internal/chaos"
-	"ebslab/internal/cluster"
 	"ebslab/internal/ebs"
 	"ebslab/internal/invariant"
 	"ebslab/internal/workload"
@@ -59,14 +55,14 @@ func scenarioOpts(workers int) ebs.Options {
 func disruptivePlan() *chaos.Plan {
 	return &chaos.Plan{
 		BSCrashes: 8, MeanDownSec: 4, FailoverPenaltyUS: 250,
-		Storms: 8, StormFactor: 4, MeanStormSec: 4, Recoverable: true,
+		Storms: 8, StormFactor: 4, MeanStormSec: 4,
 	}
 }
 
 // neutralPlan observes the same crash windows without any dataset-visible
 // knob.
 func neutralPlan() *chaos.Plan {
-	return &chaos.Plan{BSCrashes: 8, MeanDownSec: 4, Recoverable: true}
+	return &chaos.Plan{BSCrashes: 8, MeanDownSec: 4}
 }
 
 func runScenario(t testing.TB, f *workload.Fleet, plan *chaos.Plan, workers int) (string, chaos.Stats) {
@@ -82,33 +78,11 @@ func runScenario(t testing.TB, f *workload.Fleet, plan *chaos.Plan, workers int)
 	return invariant.Fingerprint(ds), st
 }
 
-// scenarioBalancerInputs builds a fixed placement and traffic matrix whose
-// failover behaviour the golden fixture pins: 24 segments round-robin over
-// the fleet's BSs, the first four hot.
-func scenarioBalancerInputs(nBS int) (*cluster.SegmentMap, [][]balancer.RW) {
-	const nSegs, nPeriods = 24, 6
-	m := cluster.NewSegmentMap(nSegs, nBS)
-	traffic := make([][]balancer.RW, nSegs)
-	for seg := 0; seg < nSegs; seg++ {
-		m.Assign(cluster.SegmentID(seg), cluster.StorageNodeID(seg%nBS))
-		traffic[seg] = make([]balancer.RW, nPeriods)
-		for p := range traffic[seg] {
-			w := 10.0
-			if seg < 4 {
-				w = 100
-			}
-			traffic[seg][p] = balancer.RW{W: w, R: 5}
-		}
-	}
-	return m, traffic
-}
-
 type scenarioGolden struct {
 	ScheduleFP string
 	DatasetFP  string
 	BaselineFP string
 	Stats      chaos.Stats
-	Migrations []string
 }
 
 func goldenPath() string {
@@ -117,8 +91,7 @@ func goldenPath() string {
 
 // TestGoldenChaosScenario pins the full chain for one fixed (seed, plan):
 // the expanded schedule, the disruptive run's dataset fingerprint and fault
-// accounting, the fault-free baseline fingerprint, and the failover
-// migration log the schedule induces in the balancer.
+// accounting, and the fault-free baseline fingerprint.
 func TestGoldenChaosScenario(t *testing.T) {
 	f := scenarioFleet(t)
 	plan := disruptivePlan()
@@ -137,17 +110,6 @@ func TestGoldenChaosScenario(t *testing.T) {
 	got.BaselineFP = invariant.Fingerprint(baseline)
 	if got.DatasetFP == got.BaselineFP {
 		t.Fatal("disruptive plan left the dataset untouched; the scenario pins nothing")
-	}
-
-	m, traffic := scenarioBalancerInputs(shape.BSs)
-	downFn := sched.DownFnPeriods(6)
-	res := balancer.RunWithFailures(m, traffic, balancer.MinTrafficPolicy{},
-		balancer.DefaultConfig(),
-		func(p int, bs cluster.StorageNodeID) bool { return downFn(p, int(bs)) },
-		balancer.FailoverGreedy, rand.New(rand.NewSource(1)))
-	for _, mig := range res.Migrations {
-		got.Migrations = append(got.Migrations, fmt.Sprintf(
-			"p%d seg%d %d->%d failover=%v", mig.Period, mig.Seg, mig.From, mig.To, mig.Failover))
 	}
 
 	if *update {

@@ -382,3 +382,76 @@ func TestImbalance(t *testing.T) {
 		t.Fatalf("MeanCoV = %v, want %v", rep.MeanCoV, want)
 	}
 }
+
+// TestBuildPlanEvacuatesDownBSes holds every policy's plan to the crash
+// contract: 4 BSs and 8 segments (segment s on BS s%4, BS 0 hot), BS 1 down
+// for epochs 1-3 and BS 2 down for epoch 2. No migration or evacuation may
+// land on a BS that is down in its epoch, no epoch from 1 on may leave a
+// segment on a down BS, and the plan must evacuate at least once.
+func TestBuildPlanEvacuatesDownBSes(t *testing.T) {
+	const nBS, nSegs = 4, 8
+	sh := ObsShape{
+		EpochSec: 10, DurSec: 50,
+		Segments: nSegs, VDs: 2, QPs: 2, WTs: 2,
+		WTBase: []int{0}, Scale: 1,
+	}
+	obs := NewObservation(sh)
+	batch := trace.NewBatch(256)
+	for sec := 0; sec < sh.DurSec; sec += 2 {
+		for seg := 0; seg < nSegs; seg++ {
+			size := int32(64 << 10)
+			if seg%nBS == 0 {
+				size = 4 << 20
+			}
+			observe(batch, sec, trace.OpWrite, size, seg%2, seg%2, seg, int8(seg%2))
+		}
+	}
+	obs.ObserveBatch(batch)
+	base := cluster.NewSegmentMap(nSegs, nBS)
+	for seg := 0; seg < nSegs; seg++ {
+		base.Assign(cluster.SegmentID(seg), cluster.StorageNodeID(seg%nBS))
+	}
+	down := func(ep, bs int) bool {
+		return (bs == 1 && ep >= 1 && ep <= 3) || (bs == 2 && ep == 2)
+	}
+	in := Input{
+		Obs:       obs,
+		Placement: base,
+		Binding:   []int8{0, 1},
+		Caps:      []throttle.Caps{{Tput: 1 << 30, IOPS: 1e6}, {Tput: 1 << 30, IOPS: 1e6}},
+		VMOfVD:    []int{0, 1},
+		NodeOfQP:  []int{0, 0},
+		Down:      down,
+	}
+	for _, name := range []string{"reactive", "predictive-holt", "oracle"} {
+		pol, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := BuildPlan(pol, Config{EpochSec: sh.EpochSec}, in)
+		if err != nil {
+			t.Fatalf("%s: BuildPlan: %v", name, err)
+		}
+		for _, d := range plan.Decisions {
+			if (d.Kind == DecMigrate || d.Kind == DecEvacuate) && down(d.Epoch, d.To) {
+				t.Errorf("%s: %v of segment %d lands on BS %d, down in epoch %d", name, d.Kind, d.Seg, d.To, d.Epoch)
+			}
+		}
+		for ep := 1; ep < sh.Epochs(); ep++ {
+			row := plan.Timeline.BSRow(ep)
+			for seg := 0; seg < nSegs; seg++ {
+				bs := base.BSOf(cluster.SegmentID(seg))
+				if row != nil {
+					bs = row[seg]
+				}
+				if down(ep, int(bs)) {
+					t.Errorf("%s: epoch %d leaves segment %d on down BS %d", name, ep, seg, bs)
+				}
+			}
+		}
+		if plan.Count(DecEvacuate) == 0 {
+			t.Errorf("%s: no evacuation off a crashed BS\n%+v", name, plan.Decisions)
+		}
+		t.Logf("%s: %d evacuations, %d migrations", name, plan.Count(DecEvacuate), plan.Count(DecMigrate))
+	}
+}

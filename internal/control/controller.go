@@ -243,13 +243,11 @@ func BuildPlan(pol Policy, cfg Config, in Input) (*Plan, error) {
 		return f
 	}
 
-	segLoad := make([]float64, sh.Segments)
 	for e := 0; e < nEpochs; e++ {
 		// Measure epoch e under the live placement and binding.
 		bsLoad := make([]float64, nBS)
 		for seg := 0; seg < sh.Segments; seg++ {
 			v := in.Obs.SegBytes(e, seg)
-			segLoad[seg] = v
 			segHist[seg] = append(segHist[seg], v)
 			bsLoad[live.BSOf(cluster.SegmentID(seg))] += v
 		}
@@ -471,8 +469,8 @@ func coldestBS(fBS []float64, down func(int) bool, exclude int) int {
 	return best
 }
 
-// hotSegments returns bs's segments ordered hottest-first (ties: lowest ID),
-// using the last measured epoch's per-segment bytes.
+// hotSegments returns bs's segments ordered hottest-first (ties: lowest ID)
+// by segLoad, the per-segment bytes forecast for the epoch being planned.
 func hotSegments(live *cluster.SegmentMap, segLoad []float64, bs cluster.StorageNodeID) []cluster.SegmentID {
 	segs := live.SegmentsOn(bs)
 	ordered := append([]cluster.SegmentID(nil), segs...)

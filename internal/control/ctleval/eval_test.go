@@ -52,7 +52,6 @@ func evalSpec() ctleval.Spec {
 				Seed: evalSeed, BSCrashes: 2, MeanDownSec: 30,
 				FailoverPenaltyUS: 1500,
 				Storms:            12, StormFactor: 8, MeanStormSec: 40,
-				Recoverable: true,
 			},
 		},
 		Control: control.Config{EpochSec: 10},

@@ -12,7 +12,7 @@ import (
 func chaosPlan() *chaos.Plan {
 	return &chaos.Plan{
 		BSCrashes: 6, MeanDownSec: 3, FailoverPenaltyUS: 200,
-		Storms: 4, StormFactor: 4, MeanStormSec: 3, Recoverable: true,
+		Storms: 4, StormFactor: 4, MeanStormSec: 3,
 	}
 }
 
@@ -110,7 +110,7 @@ func TestChaosPenaltyOnlyRaisesLatency(t *testing.T) {
 	}
 	opts := base
 	var st chaos.Stats
-	opts.Chaos = &chaos.Plan{BSCrashes: 8, MeanDownSec: 3, FailoverPenaltyUS: 500, Recoverable: true}
+	opts.Chaos = &chaos.Plan{BSCrashes: 8, MeanDownSec: 3, FailoverPenaltyUS: 500}
 	opts.ChaosStats = &st
 	faulted, err := New(f).Run(context.Background(), opts)
 	if err != nil {

@@ -22,7 +22,7 @@ func TestObservationIsTimelineInvariant(t *testing.T) {
 	sim := New(smallFleet(t))
 	opts := Options{
 		DurationSec: 20, TraceSampleEvery: 8, EventSampleEvery: 2, Workers: 2,
-		Chaos: &chaos.Plan{BSCrashes: 2, MeanDownSec: 5, Storms: 4, StormFactor: 8, MeanStormSec: 6, Recoverable: true},
+		Chaos: &chaos.Plan{BSCrashes: 2, MeanDownSec: 5, Storms: 4, StormFactor: 8, MeanStormSec: 6},
 	}
 	shape, err := sim.ObsShapeFor(opts, 2)
 	if err != nil {
@@ -90,7 +90,7 @@ func TestPlansAreCausal(t *testing.T) {
 	top := sim.fleet.Topology
 	opts := Options{
 		DurationSec: 24, EventSampleEvery: 2, Workers: 2,
-		Chaos: &chaos.Plan{BSCrashes: 2, MeanDownSec: 5, Storms: 3, StormFactor: 8, MeanStormSec: 6, Recoverable: true},
+		Chaos: &chaos.Plan{BSCrashes: 2, MeanDownSec: 5, Storms: 3, StormFactor: 8, MeanStormSec: 6},
 	}
 	ctx := context.Background()
 	obs, err := sim.Observe(ctx, opts, epochSec)

@@ -28,7 +28,7 @@ func TestDiskCostsPredictEmission(t *testing.T) {
 	}{
 		{"plain", func(*Options) {}},
 		{"storms", func(o *Options) {
-			o.Chaos = &chaos.Plan{Storms: 40, StormFactor: 4, MeanStormSec: 5, Recoverable: true}
+			o.Chaos = &chaos.Plan{Storms: 40, StormFactor: 4, MeanStormSec: 5}
 		}},
 		{"batchburst", func(o *Options) { o.Scenario = shaped }},
 	}

@@ -114,7 +114,7 @@ func TestObserveMatchesRowFold(t *testing.T) {
 		{"foreign replay", bind("replay,path=../scenario/testdata/tianchi_sample.csv")},
 		{"final instant", final},
 	}
-	storms := &chaos.Plan{BSCrashes: 2, MeanDownSec: 2, Storms: 4, StormFactor: 8, MeanStormSec: 3, Recoverable: true}
+	storms := &chaos.Plan{BSCrashes: 2, MeanDownSec: 2, Storms: 4, StormFactor: 8, MeanStormSec: 3}
 
 	empty := ""
 	for _, src := range sources {
@@ -312,7 +312,7 @@ func TestRunObservedMatchesRunControlled(t *testing.T) {
 	sim := New(smallFleet(t))
 	opts := Options{
 		DurationSec: 12, TraceSampleEvery: 4, EventSampleEvery: 2, MaxVDs: 16, Workers: 2, Check: true,
-		Chaos: &chaos.Plan{BSCrashes: 2, MeanDownSec: 4, Storms: 3, StormFactor: 8, MeanStormSec: 4, Recoverable: true},
+		Chaos: &chaos.Plan{BSCrashes: 2, MeanDownSec: 4, Storms: 3, StormFactor: 8, MeanStormSec: 4},
 	}
 	policy := func() control.Policy { // a predictive policy carries fitted state: one per plan
 		pol, err := control.ByName("predictive")

@@ -125,7 +125,7 @@ func TestRunSpecCrossesTheWire(t *testing.T) {
 	plain := testRunSpec()
 	plain.Scenario = "bufferbloat"
 	plain.Opts.Seed, plain.Opts.Check, plain.Opts.DisableThrottle = 9, true, true
-	plain.Opts.Chaos = &chaos.Plan{BSCrashes: 1, MeanDownSec: 2, Storms: 1, StormFactor: 4, Recoverable: true}
+	plain.Opts.Chaos = &chaos.Plan{BSCrashes: 1, MeanDownSec: 2, Storms: 1, StormFactor: 4}
 
 	sent := plain
 	sent.Opts.Stream = sketch.NewSet(sketch.Config{})

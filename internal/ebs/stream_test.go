@@ -32,7 +32,7 @@ func TestStreamWorkerCountInvariance(t *testing.T) {
 		"fault-free": nil,
 		"chaos": {
 			BSCrashes: 4, MeanDownSec: 3, FailoverPenaltyUS: 150,
-			Storms: 3, StormFactor: 4, MeanStormSec: 3, Recoverable: true,
+			Storms: 3, StormFactor: 4, MeanStormSec: 3,
 		},
 	} {
 		t.Run(name, func(t *testing.T) {

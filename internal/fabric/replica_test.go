@@ -31,7 +31,7 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden leader-kill fi
 // so workers are not spuriously reaped while the control plane is headless.
 func replicaConfig(stream *sketch.Set, kills int) Config {
 	opts := testOpts(stream)
-	opts.Chaos = &chaos.Plan{LeaderKills: kills, Recoverable: true}
+	opts.Chaos = &chaos.Plan{LeaderKills: kills}
 	return Config{
 		Fleet: testFleetConfig(), Opts: opts, Shards: 5,
 		heartbeatEvery:  20 * time.Millisecond,

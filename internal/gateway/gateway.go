@@ -469,7 +469,7 @@ func (gw *Gateway) runFabric(j *job) (result, error) {
 	if j.spec.LeaderKills > 0 {
 		// Leader kills are control-plane-only chaos: they never reach
 		// worker schedules, so the no-chaos oracle stays valid.
-		opts.Chaos = &chaos.Plan{Recoverable: true, LeaderKills: j.spec.LeaderKills}
+		opts.Chaos = &chaos.Plan{LeaderKills: j.spec.LeaderKills}
 	}
 	rs, err := fabric.NewReplicaSet(fabric.Config{Fleet: j.spec.FleetConfig(), Opts: opts, Scenario: j.spec.Scenario, Shards: j.spec.Shards}, fc.Replicas)
 	if err != nil {

@@ -36,9 +36,6 @@ type Config struct {
 	// are flushed (30 s in a default Linux guest; scale down for short
 	// windows).
 	FlushIntervalUS int64
-	// WriteThrough forces every write straight to the device (O_DIRECT /
-	// fsync-heavy workloads).
-	WriteThrough bool
 }
 
 // DefaultConfig is a small guest with a 1 GiB page cache flushing every
@@ -127,19 +124,6 @@ func (c *Cache) Access(io IO) {
 		flushMiss(last + 1)
 		if allHit {
 			c.stat.ReadHits++
-		}
-		return
-	}
-	if c.cfg.WriteThrough {
-		c.emit(IO{TimeUS: io.TimeUS, Op: trace.OpWrite, Offset: io.Offset, Size: io.Size})
-		// Pages are cached clean (data also in memory).
-		for p := first; p <= last; p++ {
-			if el, ok := c.pos[p]; ok {
-				c.ll.MoveToFront(el)
-				el.Value.(*page).dirty = false
-			} else {
-				c.insert(p, false, io.TimeUS)
-			}
 		}
 		return
 	}

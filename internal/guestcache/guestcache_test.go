@@ -93,20 +93,6 @@ func TestEvictionFlushesDirtyPage(t *testing.T) {
 	}
 }
 
-func TestWriteThrough(t *testing.T) {
-	c, out := collect(Config{CachePages: 16, FlushIntervalUS: 1e9, WriteThrough: true})
-	c.Access(IO{TimeUS: 1, Op: trace.OpWrite, Offset: 0, Size: int32(PageSize)})
-	if len(*out) != 1 || (*out)[0].Op != trace.OpWrite {
-		t.Fatalf("write-through emitted %+v", *out)
-	}
-	// The written page is cached clean: a read hits.
-	*out = nil
-	c.Access(IO{TimeUS: 2, Op: trace.OpRead, Offset: 0, Size: int32(PageSize)})
-	if len(*out) != 0 {
-		t.Fatal("read after write-through missed")
-	}
-}
-
 func TestFlushAll(t *testing.T) {
 	app := []IO{
 		{TimeUS: 1, Op: trace.OpWrite, Offset: 0, Size: int32(PageSize)},

@@ -8,7 +8,7 @@ import (
 )
 
 func chaosTestSchedule() (*chaos.Plan, *chaos.Schedule) {
-	plan := &chaos.Plan{BSCrashes: 4, Storms: 3, MeanDownSec: 5, MeanStormSec: 5, Recoverable: true}
+	plan := &chaos.Plan{BSCrashes: 4, Storms: 3, MeanDownSec: 5, MeanStormSec: 5}
 	return plan, planExpand(plan)
 }
 
@@ -69,7 +69,7 @@ func TestCheckChaosScheduleNilAndInvalidPlan(t *testing.T) {
 }
 
 func TestCheckChaosNeutrality(t *testing.T) {
-	neutral := planExpand(&chaos.Plan{BSCrashes: 3, MeanDownSec: 4, Recoverable: true})
+	neutral := planExpand(&chaos.Plan{BSCrashes: 3, MeanDownSec: 4})
 	if !neutral.DatasetNeutral() {
 		t.Fatal("fixture schedule is not neutral")
 	}
@@ -84,7 +84,7 @@ func TestCheckChaosNeutrality(t *testing.T) {
 		t.Fatalf("neutrality breach missed: %v", err)
 	}
 	// A disruptive schedule asserts nothing: fingerprints may differ freely.
-	disruptive := planExpand(&chaos.Plan{BSCrashes: 2, Storms: 2, Recoverable: true})
+	disruptive := planExpand(&chaos.Plan{BSCrashes: 2, Storms: 2})
 	if disruptive.DatasetNeutral() {
 		t.Fatal("storm schedule claimed neutrality")
 	}

@@ -184,7 +184,6 @@ func TestScenarioChaosControlAcceptance(t *testing.T) {
 			MeanDownSec: 3,
 			Storms:      2,
 			StormFactor: 4,
-			Recoverable: true,
 		},
 		ChaosStats: &cst,
 	}

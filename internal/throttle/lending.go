@@ -19,9 +19,8 @@ type Lending struct {
 // applyLending performs one lending action for vd at second t: it raises
 // vd's effective caps by p x AR(t) in each dimension and debits the other
 // (unthrottled) VDs proportionally to their headroom, so the group's summed
-// effective cap is conserved. A VD marked down in isDown never lends: its
-// headroom is an artifact of a crash, not spare capacity.
-func applyLending(l *Lending, eff, nominal []Caps, demand [][]Demand, t, vd int, isDown []bool) {
+// effective cap is conserved.
+func applyLending(l *Lending, eff, nominal []Caps, demand [][]Demand, t, vd int) {
 	var sumCapT, sumCapI, loadT, loadI float64
 	for i, c := range nominal {
 		sumCapT += c.Tput
@@ -38,7 +37,7 @@ func applyLending(l *Lending, eff, nominal []Caps, demand [][]Demand, t, vd int,
 		// Headroom of potential lenders under their current effective caps.
 		var headroom float64
 		for i := range eff {
-			if i == vd || (isDown != nil && isDown[i]) {
+			if i == vd {
 				continue
 			}
 			h := *capOf(i) - demOf(i)
@@ -53,7 +52,7 @@ func applyLending(l *Lending, eff, nominal []Caps, demand [][]Demand, t, vd int,
 			extra = headroom
 		}
 		for i := range eff {
-			if i == vd || (isDown != nil && isDown[i]) {
+			if i == vd {
 				continue
 			}
 			h := *capOf(i) - demOf(i)

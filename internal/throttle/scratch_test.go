@@ -105,7 +105,6 @@ func TestReplayZeroValueIsSimulate(t *testing.T) {
 		{"zero", Replay{}, new(Scratch).Simulate(caps, demand)},
 		{"audited", Replay{Audit: true}, new(Scratch).Simulate(caps, demand)},
 		{"scheduled-identity", Replay{CapsAt: func(int, []Caps) {}}, new(Scratch).Simulate(caps, demand)},
-		{"nobody-down", Replay{Down: func(int, int) bool { return false }, Audit: true}, new(Scratch).Simulate(caps, demand)},
 		{"scheduled-halved-audited", Replay{CapsAt: func(_ int, eff []Caps) { copy(eff, half) }, Audit: true}, new(Scratch).Simulate(half, demand)},
 	} {
 		got, msgs := replay(caps, demand, tc.r)

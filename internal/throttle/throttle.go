@@ -101,7 +101,6 @@ type Scratch struct {
 	backlogOps    []float64
 	eff           []Caps
 	lent          []bool
-	isDown        []bool
 }
 
 // Simulate replays a group of VDs (a multi-VD VM, or a tenant's multi-VM
@@ -123,19 +122,12 @@ type Replay struct {
 	// Lend enables Appendix B limited lending within the group. Its Rate
 	// must be in (0,1); a PeriodSec <= 0 means 60.
 	Lend *Lending
-	// Down reports whether vd is inside a crash window at second t (adapt BS
-	// windows via the VD's placement). Whenever any VD's down state flips,
-	// every effective cap resets to nominal — outstanding loans are revoked
-	// — and the per-period borrow budget is reset; a VD that is currently
-	// down can neither borrow nor lend.
-	Down func(t, vd int) bool
 	// CapsAt is an externally planned cap schedule: before each second the
 	// effective caps are reset to nominal and CapsAt may adjust them in place
 	// (the control plane's per-epoch lending grants arrive this way). The
 	// schedule is trusted — fleet-wide grant conservation is an
 	// invariant-package law, since a single scheduled group no longer sees
-	// its lenders — and already encodes any grants, so it excludes Lend and
-	// Down.
+	// its lenders — and already encodes any grants, so it excludes Lend.
 	CapsAt func(t int, eff []Caps)
 	// Audit asserts the grant-budget laws every second: effective caps are
 	// non-negative and sum to no more than the nominal caps (lending only
@@ -252,9 +244,9 @@ func (a *auditLog) checkDelivery(t, vd int, deliveredB, deliveredOps float64, ef
 // violations r.Audit found: empty when every law held, and always without
 // it. The Result aliases sc's buffers.
 func (sc *Scratch) Replay(caps []Caps, demand [][]Demand, r Replay) (Result, []string) {
-	capsAt, down := r.CapsAt, r.Down
-	if capsAt != nil && (r.Lend != nil || down != nil) {
-		panic("throttle: scheduled caps cannot combine with lending or outages")
+	capsAt := r.CapsAt
+	if capsAt != nil && r.Lend != nil {
+		panic("throttle: scheduled caps cannot combine with lending")
 	}
 	var lend *Lending
 	if r.Lend != nil {
@@ -314,8 +306,7 @@ func (sc *Scratch) Replay(caps []Caps, demand [][]Demand, r Replay) (Result, []s
 	copy(eff, caps)
 	sc.eff = eff
 	lentThisPeriod := boolFor(sc.lent, n)
-	isDown := boolFor(sc.isDown, n)
-	sc.lent, sc.isDown = lentThisPeriod, isDown
+	sc.lent = lentThisPeriod
 
 	var sumCapT, sumCapI float64
 	for _, c := range caps {
@@ -334,25 +325,6 @@ func (sc *Scratch) Replay(caps []Caps, demand [][]Demand, r Replay) (Result, []s
 				lentThisPeriod[i] = false
 			}
 		}
-		if down != nil {
-			// A crash window opening or closing anywhere in the group revokes
-			// every outstanding loan: effective caps snap back to nominal and
-			// the borrow budget resets. Grants must never outlive the fleet
-			// state they were computed against.
-			flipped := false
-			for vd := 0; vd < n; vd++ {
-				if d := down(t, vd); d != isDown[vd] {
-					isDown[vd] = d
-					flipped = true
-				}
-			}
-			if flipped {
-				copy(eff, caps)
-				for i := range lentThisPeriod {
-					lentThisPeriod[i] = false
-				}
-			}
-		}
 		// Group-level totals for RAR (Equation 1) use nominal caps and the
 		// group's offered load this second.
 		var vmT, vmI float64
@@ -368,12 +340,11 @@ func (sc *Scratch) Replay(caps []Caps, demand [][]Demand, r Replay) (Result, []s
 
 			overT := overCap(offerB, eff[vd].Tput)
 			overI := overCap(offerOps, eff[vd].IOPS)
-			if (overT || overI) && lend != nil && !lentThisPeriod[vd] && !isDown[vd] {
+			if (overT || overI) && lend != nil && !lentThisPeriod[vd] {
 				// Appendix B: on the first throttle of this VD in the
 				// period, it borrows p x AR(t) from unthrottled peers.
-				// A crashed VD is unreachable and may not borrow.
 				lentThisPeriod[vd] = true
-				applyLending(lend, eff, caps, demand, t, vd, isDown)
+				applyLending(lend, eff, caps, demand, t, vd)
 				overT = overCap(offerB, eff[vd].Tput)
 				overI = overCap(offerOps, eff[vd].IOPS)
 			}

@@ -169,7 +169,7 @@ func TestLendingConservesGroupCap(t *testing.T) {
 		flatDemand(1, Demand{WriteBps: 100, WriteIOPS: 100}),
 	}
 	l := Lending{Rate: 0.5, PeriodSec: 60}
-	applyLending(&l, eff, caps, demand, 0, 0, nil)
+	applyLending(&l, eff, caps, demand, 0, 0)
 	var sumT, sumI float64
 	for _, c := range eff {
 		sumT += c.Tput
