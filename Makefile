@@ -126,10 +126,10 @@ fuzz-smoke:
 	$(GO) test ./internal/netblock -fuzz FuzzReadRequest -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netblock -fuzz FuzzReadResponse -fuzztime $(FUZZTIME)
 
-# Coverage over the fault-injection surface: the chaos layer itself plus
-# every package that acts on its schedules (RPC substrate, the fabric that
-# recovers from its wire faults, engine, the controller that evacuates
-# crashed BlockServers, invariants).
+# Coverage over the fault-injection surface: the chaos layer itself, every
+# package that acts on its schedules (engine, the controller that evacuates
+# crashed BlockServers, invariants), and the RPC substrate and fabric that
+# the tests' wire-fault proxy (internal/netblock/netblocktest) shakes.
 cover:
 	$(GO) test -cover ./internal/chaos ./internal/netblock ./internal/fabric ./internal/ebs \
 		./internal/control ./internal/invariant

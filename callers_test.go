@@ -66,7 +66,7 @@ func TestDeclarationsHaveCallers(t *testing.T) {
 		t.Errorf("no program and no benchmark reaches %s", d)
 	}
 	if len(dead) > 0 {
-		t.Errorf("%d unreachable declarations: delete them, or list a test harness/oracle/fault hook in %s with its reason", len(dead), callersAllowed)
+		t.Errorf("%d unreachable declarations: delete them, or list a test harness or oracle in %s with its reason", len(dead), callersAllowed)
 	}
 
 	var stale []string

@@ -1,7 +1,7 @@
 // Package chaos is the deterministic fault-injection layer of the
 // simulator: a Plan describes *how much* trouble a run should see
-// (BlockServer crash-and-recover windows, hot-tenant traffic storms, and
-// netblock wire faults), and Expand turns the plan into a concrete
+// (BlockServer crash-and-recover windows, hot-tenant traffic storms and
+// coordinator leader kills), and Expand turns the plan into a concrete
 // Schedule — the exact windows, derived from (seed, plan, fleet shape) with
 // the same per-entity derived-RNG discipline as internal/workload and
 // internal/par, so the schedule is byte-identical across runs, worker
@@ -10,7 +10,7 @@
 // Expand clamps every crash and storm window to close before the run ends,
 // so each fault recovers in-run by construction.
 //
-// The engine consumes the schedule in three ways, all deterministic:
+// The engine consumes the schedule in two ways, both deterministic:
 //
 //   - IOs that target a BlockServer inside a crash window are counted
 //     (Stats.FaultedIOs) and, when FailoverPenaltyUS is set, pay a fixed
@@ -20,8 +20,10 @@
 //     mitigation that acts on crashes.
 //   - VDs inside a storm window offer StormFactor times their calibrated
 //     demand, which drives the throttle into the §5 symptoms.
-//   - The Net rates feed a netblock.FaultHook (see NewFaultHook) so the
-//     same plan shakes the RPC substrate in-process or over TCP.
+//
+// The leader-kill windows are the fabric's (fabric.ReplicaSet). Wire faults
+// are not a plan's: a test injects them from the transport it hands the
+// RPC layer (internal/netblock/netblocktest).
 //
 // A schedule whose dataset-visible knobs are zero (no penalty, no storms)
 // is *dataset neutral*: the run must reproduce the fault-free dataset
@@ -45,59 +47,8 @@ import (
 const (
 	tagCrash uint64 = 0xC4A54
 	tagStorm uint64 = 0x570F4
-	tagNet   uint64 = 0x4E7F0
 	tagLead  uint64 = 0x1EAD0
 )
-
-// NetFaults sets per-request probabilities for the netblock wire faults.
-// The rates must each lie in [0,1] and sum to at most 1; the remainder is
-// the probability of a clean exchange.
-type NetFaults struct {
-	// ResetRate drops the connection before the request executes.
-	ResetRate float64
-	// DropRate swallows the request silently: it executes but no response
-	// is ever written (the client's deadline is what saves it).
-	DropRate float64
-	// DelayRate stalls the response by DelayUS before writing it.
-	DelayRate float64
-	// TruncateRate writes only part of the response frame, then resets.
-	TruncateRate float64
-	// GarbageRate replaces the response frame with garbage bytes, then
-	// resets.
-	GarbageRate float64
-	// ErrorRate answers with a StatusError instead of executing.
-	ErrorRate float64
-	// DelayUS is the injected stall for delayed responses (default 1000).
-	DelayUS int64
-}
-
-// Total returns the summed fault probability.
-func (n NetFaults) Total() float64 {
-	return n.ResetRate + n.DropRate + n.DelayRate + n.TruncateRate + n.GarbageRate + n.ErrorRate
-}
-
-// Validate rejects rates outside [0,1] or summing past 1.
-func (n NetFaults) Validate() error {
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{
-		{"ResetRate", n.ResetRate}, {"DropRate", n.DropRate},
-		{"DelayRate", n.DelayRate}, {"TruncateRate", n.TruncateRate},
-		{"GarbageRate", n.GarbageRate}, {"ErrorRate", n.ErrorRate},
-	} {
-		if math.IsNaN(f.v) || f.v < 0 || f.v > 1 {
-			return fmt.Errorf("chaos: NetFaults.%s is %v, want [0,1]", f.name, f.v)
-		}
-	}
-	if t := n.Total(); t > 1 {
-		return fmt.Errorf("chaos: NetFaults rates sum to %v, want <= 1", t)
-	}
-	if n.DelayUS < 0 {
-		return fmt.Errorf("chaos: NetFaults.DelayUS is %d, want >= 0", n.DelayUS)
-	}
-	return nil
-}
 
 // Plan describes a fault campaign in fleet-independent terms. The zero
 // value is a no-op plan. Plans are pure configuration: expanding one never
@@ -133,9 +84,6 @@ type Plan struct {
 	// from the replicated ledger and the merged dataset fingerprint stays
 	// byte-identical to the fault-free run.
 	LeaderKills int
-	// Net sets the netblock wire-fault rates consumed by NewFaultHook; the
-	// simulation engine does not read them.
-	Net NetFaults
 }
 
 // Validate rejects plan values that have no meaning.
@@ -160,7 +108,7 @@ func (p *Plan) Validate() error {
 	if math.IsNaN(p.StormFactor) || math.IsInf(p.StormFactor, 0) || p.StormFactor < 0 {
 		return fmt.Errorf("chaos: Plan.StormFactor is %v, want a finite value >= 0", p.StormFactor)
 	}
-	return p.Net.Validate()
+	return nil
 }
 
 // Shape is the fleet geometry a plan is expanded against.
@@ -363,27 +311,12 @@ func (s *Schedule) VDStormFn(vd int) func(sec int) float64 {
 	return func(sec int) float64 { return s.StormBoost(vd, sec) }
 }
 
-// Recovered reports whether every window closes before the run ends.
-func (s *Schedule) Recovered() bool {
-	for _, c := range s.Crashes {
-		if c.End > s.Shape.DurSec {
-			return false
-		}
-	}
-	for _, st := range s.Storms {
-		if st.End > s.Shape.DurSec {
-			return false
-		}
-	}
-	return true
-}
-
 // DatasetNeutral reports whether the schedule can leave no residue in the
-// dataset: every window recovers in-run, no latency penalty, no storms.
-// A neutral schedule's run must fingerprint identically to the fault-free
-// run (invariant.CheckChaosNeutrality enforces this).
+// dataset: no latency penalty and no storms (Expand closes every window
+// in-run). A neutral schedule's run must fingerprint identically to the
+// fault-free run (invariant.CheckChaosNeutrality enforces this).
 func (s *Schedule) DatasetNeutral() bool {
-	return s.Recovered() && s.PenaltyUS == 0 && len(s.Storms) == 0
+	return s.PenaltyUS == 0 && len(s.Storms) == 0
 }
 
 // Fingerprint returns a collision-resistant digest of the full schedule:

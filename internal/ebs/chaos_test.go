@@ -2,6 +2,7 @@ package ebs
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -20,7 +21,7 @@ func TestOptionsRejectInvalidChaosPlan(t *testing.T) {
 	f := smallFleet(t)
 	_, err := New(f).Run(context.Background(), Options{
 		DurationSec: 4, MaxVDs: 4,
-		Chaos: &chaos.Plan{Net: chaos.NetFaults{DropRate: 2}},
+		Chaos: &chaos.Plan{FailoverPenaltyUS: math.NaN()},
 	})
 	if err == nil || !strings.Contains(err.Error(), "Options.Chaos") {
 		t.Fatalf("invalid plan accepted: %v", err)

@@ -3,35 +3,34 @@ package fabric
 import (
 	"context"
 	"fmt"
+	"net"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"ebslab/internal/chaos"
 	"ebslab/internal/invariant"
-	"ebslab/internal/netblock"
+	"ebslab/internal/netblock/netblocktest"
 	"ebslab/internal/sketch"
 	"ebslab/internal/trace"
 )
 
-// wireFaultMix is the chaos wire-fault mix the fabric must ride out: a
-// quarter of all control-plane exchanges misbehave, spread over every kind
-// the netblock server injects.
-var wireFaultMix = chaos.NetFaults{
-	ResetRate: 0.05, DropRate: 0.03, DelayRate: 0.05,
-	TruncateRate: 0.04, GarbageRate: 0.04, ErrorRate: 0.04,
-	DelayUS: 200,
+// wireFaultMix is the wire-fault mix the fabric must ride out: a quarter of
+// all control-plane exchanges misbehave, spread over every kind the fault
+// proxy injects.
+var wireFaultMix = netblocktest.Mix{
+	netblocktest.Reset: 0.05, netblocktest.Drop: 0.03, netblocktest.Delay: 0.05,
+	netblocktest.Truncate: 0.04, netblocktest.Garbage: 0.04, netblocktest.Error: 0.04,
 }
 
-// TestReplicaSetSurvivesWireFaults runs a study on a replica set whose every
-// replica listener carries the chaos wire-fault hook. The netblock client
-// makes one attempt per call, so recovery is the fabric's alone: the worker's
-// control link fails over and retransmits, the ledger re-offers a shard whose
-// assign reply was lost and deduplicates a result whose reply was lost, and
-// leader redirects steer the link back. For 1 and 3 replicas and 1-3 workers
-// per seed, the run must deliver RunSpec.Run's dataset and sketches, pass the
+// TestReplicaSetSurvivesWireFaults runs a study on a replica set whose
+// workers reach each replica through that replica's own seeded fault proxy
+// (netblocktest, wrapping its dialer). The netblock client makes one attempt
+// per call, so recovery is the fabric's alone: the worker's control link
+// fails over and retransmits, the ledger re-offers a shard whose assign reply
+// was lost and deduplicates a result whose reply was lost, and leader
+// redirects steer the link back. For 1 and 3 replicas and 1-3 workers per
+// seed, the run must deliver RunSpec.Run's dataset and sketches, pass the
 // fabric accounting and leadership laws, and leave no goroutine behind; every
 // fault kind must have fired across the seeds.
 func TestReplicaSetSurvivesWireFaults(t *testing.T) {
@@ -49,8 +48,7 @@ func TestReplicaSetSurvivesWireFaults(t *testing.T) {
 	}
 	wantDS, wantSK := invariant.Fingerprint(want), ref.Fingerprint()
 
-	// fired counts injected faults by kind; slot FaultNone counts delays.
-	var fired [netblock.FaultGarbage + 1]atomic.Int64
+	var proxies []*netblocktest.Proxy
 	goroutines := runtime.NumGoroutine()
 	for _, replicas := range []int{1, 3} {
 		for seed := int64(1); seed <= 6; seed++ {
@@ -62,18 +60,13 @@ func TestReplicaSetSurvivesWireFaults(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for id, srv := range rs.srvs {
-				plan := chaos.Plan{Seed: seed*10 + int64(id), Net: wireFaultMix}
-				hook := plan.NewFaultHook(0)
-				srv.SetFaultHook(func(req *netblock.Request) netblock.FaultDecision {
-					d := hook(req)
-					if d.Fault != netblock.FaultNone || d.DelayUS > 0 {
-						fired[d.Fault].Add(1)
-					}
-					return d
-				})
+			dials := rs.Dials()
+			for id := range dials {
+				p := netblocktest.New(netblocktest.Draw(seed*10+int64(id), wireFaultMix))
+				dials[id] = p.Dial(dials[id])
+				proxies = append(proxies, p)
 			}
-			ds := runUnderFaults(t, name, rs, workers)
+			ds := runUnderFaults(t, name, rs, dials, workers)
 			rs.Close()
 			if got := invariant.Fingerprint(ds); got != wantDS {
 				t.Fatalf("%s: dataset fingerprint %s under wire faults, RunSpec.Run %s", name, got, wantDS)
@@ -101,13 +94,13 @@ func TestReplicaSetSurvivesWireFaults(t *testing.T) {
 			}
 		}
 	}
-	for f := range fired {
-		kind := netblock.Fault(f).String()
-		if netblock.Fault(f) == netblock.FaultNone {
-			kind = "delay"
+	for kind := netblocktest.Reset; kind <= netblocktest.Delay; kind++ {
+		var fired int64
+		for _, p := range proxies {
+			fired += p.Injected(kind)
 		}
-		t.Logf("%s faults: %d", kind, fired[f].Load())
-		if fired[f].Load() == 0 {
+		t.Logf("%s faults: %d", kind, fired)
+		if fired == 0 {
 			t.Errorf("no %s fault fired across the seeds; the mix exercised less than it claims", kind)
 		}
 	}
@@ -120,9 +113,10 @@ func TestReplicaSetSurvivesWireFaults(t *testing.T) {
 	}
 }
 
-// runUnderFaults runs the study on rs with n workers whose call timeout is
-// short, since every dropped reply waits it out, and bounds the whole run.
-func runUnderFaults(t *testing.T, name string, rs *ReplicaSet, n int) *trace.Dataset {
+// runUnderFaults runs the study on rs with n workers that reach it through
+// dials and whose call timeout is short, since every dropped reply waits it
+// out, and bounds the whole run.
+func runUnderFaults(t *testing.T, name string, rs *ReplicaSet, dials []func() (net.Conn, error), n int) *trace.Dataset {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -132,7 +126,7 @@ func runUnderFaults(t *testing.T, name string, rs *ReplicaSet, n int) *trace.Dat
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = RunWorker(ctx, WorkerConfig{Dials: rs.Dials(), callTimeout: 150 * time.Millisecond})
+			errs[i] = RunWorker(ctx, WorkerConfig{Dials: dials, callTimeout: 150 * time.Millisecond})
 		}(i)
 	}
 	ds, err := rs.Wait(ctx)

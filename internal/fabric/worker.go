@@ -47,8 +47,8 @@ type WorkerConfig struct {
 	failoverWindow time.Duration
 	// faultHook, when non-nil, is consulted after each shard's simulation
 	// and before its result upload. Returning an error makes the worker die
-	// on the spot — no upload, no drain — which is how tests and chaos
-	// drills stage a mid-shard worker crash.
+	// on the spot — no upload, no drain — which is how tests stage a
+	// mid-shard worker crash.
 	faultHook func(shard int) error
 }
 

@@ -10,6 +10,7 @@ import (
 	"ebslab/internal/ebs"
 	"ebslab/internal/invariant"
 	"ebslab/internal/netblock"
+	"ebslab/internal/netblock/netblocktest"
 	"ebslab/internal/sketch"
 )
 
@@ -36,13 +37,13 @@ func TestFabricWorkerRetriesLostResultReply(t *testing.T) {
 	lb := NewLoopback()
 	srv := netblock.NewHandlerServer(co)
 	var dropped atomic.Bool
-	srv.SetFaultHook(func(req *netblock.Request) netblock.FaultDecision {
+	proxy := netblocktest.New(func(req *netblock.Request) netblocktest.Fault {
 		if req.Op == netblock.OpShardResult && dropped.CompareAndSwap(false, true) {
-			return netblock.FaultDecision{Fault: netblock.FaultDrop}
+			return netblocktest.Drop
 		}
-		return netblock.FaultDecision{}
+		return netblocktest.None
 	})
-	go srv.Serve(lb) //nolint:errcheck — ends with the loopback
+	go srv.Serve(proxy.Listen(lb)) //nolint:errcheck — ends with the loopback
 	t.Cleanup(func() {
 		lb.Close()
 		srv.Close()
@@ -69,7 +70,7 @@ func TestFabricWorkerRetriesLostResultReply(t *testing.T) {
 		t.Fatalf("run took %v: recovery rode the liveness reaper, not the call timeout", elapsed)
 	}
 	if !dropped.Load() {
-		t.Fatal("fault hook never fired; the test exercised nothing")
+		t.Fatal("fault proxy never fired; the test exercised nothing")
 	}
 	if got := invariant.Fingerprint(ds); got != wantDS {
 		t.Fatalf("dataset fingerprint %s after retransmit, single-process %s", got, wantDS)

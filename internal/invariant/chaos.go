@@ -57,8 +57,8 @@ func fpShort(fp string) string {
 }
 
 // CheckChaosNeutrality asserts the fault layer's conservation law: a
-// dataset-neutral schedule (every window recovered, no latency penalty, no
-// storms) must leave the dataset fingerprint untouched. Pass the fingerprints
+// dataset-neutral schedule (no latency penalty, no storms) must leave the
+// dataset fingerprint untouched. Pass the fingerprints
 // of the chaos run and of the fault-free run at the same seed and options.
 func CheckChaosNeutrality(rep *Report, sched *chaos.Schedule, chaosFP, baselineFP string) {
 	const law = "chaos/neutrality"

@@ -1,6 +1,7 @@
 package invariant
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -39,6 +40,7 @@ func TestCheckChaosScheduleFlagsCorruption(t *testing.T) {
 			s.Crashes[0], s.Crashes[len(s.Crashes)-1] = s.Crashes[len(s.Crashes)-1], s.Crashes[0]
 		}, "out of Start order"},
 		{"penalty smuggled in", func(s *chaos.Schedule) { s.PenaltyUS = 1 }, "re-expansion diverges"},
+		{"window runs past the end", func(s *chaos.Schedule) { s.Crashes[0].End = s.Shape.DurSec + 5 }, "re-expansion diverges"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -60,7 +62,7 @@ func TestCheckChaosScheduleNilAndInvalidPlan(t *testing.T) {
 	if rep.OK() {
 		t.Fatal("nil inputs passed")
 	}
-	bad := &chaos.Plan{Net: chaos.NetFaults{DropRate: 2}}
+	bad := &chaos.Plan{FailoverPenaltyUS: math.NaN()}
 	rep = Report{}
 	CheckChaosSchedule(&rep, bad, 1, planExpand(&chaos.Plan{BSCrashes: 1}))
 	if err := rep.Err(); err == nil || !strings.Contains(err.Error(), "plan invalid") {

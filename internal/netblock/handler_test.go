@@ -38,14 +38,27 @@ func (h *EchoHandler) Bytes() int64 { return h.bytes.Load() }
 func ServeEcho(t *testing.T) (*Server, *EchoHandler, string) {
 	t.Helper()
 	h := &EchoHandler{}
-	srv := NewHandlerServer(h)
+	l := ListenTCP(t)
+	return ServeOn(t, h, l), h, l.Addr().String()
+}
+
+// ListenTCP listens on a free loopback TCP port.
+func ListenTCP(t *testing.T) net.Listener {
+	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
+	return l
+}
+
+// ServeOn serves h on l, closed with the test.
+func ServeOn(t *testing.T, h Handler, l net.Listener) *Server {
+	t.Helper()
+	srv := NewHandlerServer(h)
 	go srv.Serve(l)
 	t.Cleanup(srv.Close)
-	return srv, h, l.Addr().String()
+	return srv
 }
 
 // block is the payload size the suite sends where the size is incidental.

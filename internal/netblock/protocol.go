@@ -1,8 +1,7 @@
 // Package netblock is the RPC substrate the distributed parts of the lab
 // ride on: a compact length-prefixed binary protocol of opaque payloads
 // under typed opcodes, a server that mounts one Handler over any
-// net.Listener (with injectable wire faults), and a concurrency-safe
-// request/response client (one exchange at a time per connection) with
+// net.Listener, and a concurrency-safe request/response client (one exchange at a time per connection) with
 // deadlines and redial. A request payload may be given in parts: the
 // client checks their total against the op's cap before it writes a byte,
 // then writes the header and the parts back to back with one net.Buffers

@@ -1,12 +1,9 @@
 package netblock
 
 import (
-	"bytes"
-	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Handler executes one decoded request and produces its response. The
@@ -35,82 +32,8 @@ type Server struct {
 	closeOnce sync.Once
 	closed    chan struct{}
 
-	hookMu sync.Mutex
-	hook   FaultHook
-
-	faults atomic.Int64
-
 	requests atomic.Int64
 }
-
-// Fault is a server-side injected failure mode.
-type Fault uint8
-
-// Injectable faults. Each is applied in serveConn, after decode and before
-// or instead of the normal response write, so in-process (net.Pipe) and TCP
-// connections see identical behaviour.
-const (
-	// FaultNone serves the request normally (a DelayUS may still apply).
-	FaultNone Fault = iota
-	// FaultReset closes the connection before executing the request.
-	FaultReset
-	// FaultDrop executes the request but never writes the response.
-	FaultDrop
-	// FaultError answers StatusError without executing the request.
-	FaultError
-	// FaultTruncate executes, writes a partial response frame, then resets.
-	FaultTruncate
-	// FaultGarbage executes, writes a garbage frame, then resets.
-	FaultGarbage
-)
-
-func (f Fault) String() string {
-	switch f {
-	case FaultNone:
-		return "none"
-	case FaultReset:
-		return "reset"
-	case FaultDrop:
-		return "drop"
-	case FaultError:
-		return "error"
-	case FaultTruncate:
-		return "truncate"
-	case FaultGarbage:
-		return "garbage"
-	}
-	return fmt.Sprintf("Fault(%d)", uint8(f))
-}
-
-// FaultDecision is a hook's verdict for one request. DelayUS, when
-// positive, stalls the connection before the fault (or normal service)
-// applies.
-type FaultDecision struct {
-	Fault   Fault
-	DelayUS int64
-}
-
-// FaultHook decides, per decoded request, whether and how to misbehave.
-// Hooks must be safe for concurrent use (one serveConn goroutine per
-// connection calls them).
-type FaultHook func(req *Request) FaultDecision
-
-// SetFaultHook installs (or, with nil, removes) the fault hook.
-func (s *Server) SetFaultHook(h FaultHook) {
-	s.hookMu.Lock()
-	s.hook = h
-	s.hookMu.Unlock()
-}
-
-func (s *Server) faultHook() FaultHook {
-	s.hookMu.Lock()
-	defer s.hookMu.Unlock()
-	return s.hook
-}
-
-// FaultsInjected returns how many requests a fault was applied to (delays
-// included).
-func (s *Server) FaultsInjected() int64 { return s.faults.Load() }
 
 // NewHandlerServer serves h.
 func NewHandlerServer(h Handler) *Server {
@@ -191,50 +114,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err != nil {
 			return // EOF or broken pipe ends the connection
 		}
-		var d FaultDecision
-		if h := s.faultHook(); h != nil {
-			d = h(req)
-		}
-		if d.Fault != FaultNone || d.DelayUS > 0 {
-			s.faults.Add(1)
-		}
-		if d.DelayUS > 0 {
-			time.Sleep(time.Duration(d.DelayUS) * time.Microsecond)
-		}
-		switch d.Fault {
-		case FaultReset:
-			return // connection reset before execution
-		case FaultError:
-			err = WriteResponse(conn, &Response{
-				ID: req.ID, Status: StatusError, Payload: []byte("injected fault"),
-			})
-			if err != nil {
-				return
-			}
-			continue
-		}
-		resp := s.execute(req)
-		switch d.Fault {
-		case FaultDrop:
-			continue // executed, but the response vanishes
-		case FaultTruncate:
-			var buf bytes.Buffer
-			if WriteResponse(&buf, resp) == nil && buf.Len() > 1 {
-				conn.Write(buf.Bytes()[:buf.Len()/2])
-			}
-			return
-		case FaultGarbage:
-			conn.Write(bytes.Repeat([]byte{0xA5}, headerSize+8))
-			return
-		}
-		if WriteResponse(conn, resp) != nil {
+		s.requests.Add(1)
+		if WriteResponse(conn, s.h.Handle(req)) != nil {
 			return
 		}
 	}
-}
-
-// execute counts and dispatches one request to the handler.
-func (s *Server) execute(req *Request) *Response {
-	s.requests.Add(1)
-	return s.h.Handle(req)
 }

@@ -11,20 +11,12 @@ import (
 
 // TestCloseWaitsForInflightHandler pins the shutdown contract: Close must
 // not return while a connection goroutine is still executing a request.
-// The fault hook parks the in-flight handler on a channel; Close may only
-// complete after the handler is released.
+// A blocking handler parks the in-flight request on a channel; Close may
+// only complete after the handler is released.
 func TestCloseWaitsForInflightHandler(t *testing.T) {
-	srv := NewHandlerServer(&EchoHandler{})
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	var hookOnce sync.Once
-	srv.SetFaultHook(func(req *Request) FaultDecision {
-		hookOnce.Do(func() {
-			close(entered)
-			<-release
-		})
-		return FaultDecision{}
-	})
+	h := &blockingHandler{entered: make(chan struct{}), release: make(chan struct{})}
+	srv := NewHandlerServer(h)
+	entered, release := h.entered, h.release
 
 	cc, sc := net.Pipe()
 	defer cc.Close()
@@ -32,7 +24,7 @@ func TestCloseWaitsForInflightHandler(t *testing.T) {
 	go func() { serveDone <- srv.Serve(&stubListener{conns: oneConn(sc)}) }()
 
 	cl := NewClient(cc)
-	go cl.Call(OpHeartbeat, nil) // parks inside the hook; the response may never land
+	go cl.Call(OpHeartbeat, nil) // parks inside the handler; the response may never land
 
 	<-entered
 	closeDone := make(chan struct{})
@@ -57,6 +49,22 @@ func TestCloseWaitsForInflightHandler(t *testing.T) {
 		t.Fatalf("Serve returned %v after Close", err)
 	}
 	cl.Close()
+}
+
+// blockingHandler echoes, but its first request closes entered and waits
+// for release.
+type blockingHandler struct {
+	EchoHandler
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func (h *blockingHandler) Handle(req *Request) *Response {
+	h.once.Do(func() {
+		close(h.entered)
+		<-h.release
+	})
+	return h.EchoHandler.Handle(req)
 }
 
 // TestAcceptCloseRace is the regression test for the leak where a

@@ -1,16 +1,18 @@
 // Stress tests: N concurrent clients against one Server, with and without
-// wire faults, auditing per-client byte accounting against the handler's own
-// counters. These run under -race in `make ci`.
+// wire faults (injected by a netblocktest proxy on the server's listener),
+// auditing per-client byte accounting against the handler's own counters.
+// These run under -race in `make ci`.
 package netblock_test
 
 import (
 	"bytes"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"ebslab/internal/chaos"
 	"ebslab/internal/netblock"
+	"ebslab/internal/netblock/netblocktest"
 )
 
 const (
@@ -31,22 +33,29 @@ func stressPattern(w, i int) []byte {
 }
 
 // TestStressClientsAgainstFaultyServer hammers one server from several
-// clients while the chaos fault hook resets, drops, delays, truncates, and
-// garbles exchanges. Each call makes one attempt, so the accounting laws are
+// clients while a fault proxy on its listener resets, drops, delays,
+// truncates, and garbles exchanges. Each call makes one attempt, so the accounting laws are
 // at-most-once per call: every acknowledged call returned its own payload
 // bit-exactly, the server is healthy once the faults stop, and the handler's
 // counters lie between what the clients got acknowledged and what they
 // issued.
 func TestStressClientsAgainstFaultyServer(t *testing.T) {
 	const clients = 4
-	srv, h, addr := netblock.ServeEcho(t)
-
-	plan := &chaos.Plan{Seed: 99, Net: chaos.NetFaults{
-		ResetRate: 0.05, DropRate: 0.04, DelayRate: 0.05,
-		TruncateRate: 0.03, GarbageRate: 0.03, ErrorRate: 0.05,
-		DelayUS: 200,
-	}}
-	srv.SetFaultHook(plan.NewFaultHook(1))
+	draw := netblocktest.Draw(99, netblocktest.Mix{
+		netblocktest.Reset: 0.05, netblocktest.Drop: 0.04, netblocktest.Delay: 0.05,
+		netblocktest.Truncate: 0.03, netblocktest.Garbage: 0.03, netblocktest.Error: 0.05,
+	})
+	var healed atomic.Bool
+	proxy := netblocktest.New(func(req *netblock.Request) netblocktest.Fault {
+		if healed.Load() {
+			return netblocktest.None
+		}
+		return draw(req)
+	})
+	h := &netblock.EchoHandler{}
+	l := netblock.ListenTCP(t)
+	netblock.ServeOn(t, h, proxy.Listen(l))
+	addr := l.Addr().String()
 
 	ackedBytes := make([]int64, clients)
 	ackedCalls := make([]int64, clients)
@@ -84,8 +93,8 @@ func TestStressClientsAgainstFaultyServer(t *testing.T) {
 	}
 	wg.Wait()
 
-	if srv.FaultsInjected() == 0 {
-		t.Fatal("fault hook never fired; the stress exercised nothing")
+	if proxy.Total() == 0 {
+		t.Fatal("fault proxy never fired; the stress exercised nothing")
 	}
 
 	var totalAcked, totalCalls, totalIssued int64
@@ -111,7 +120,7 @@ func TestStressClientsAgainstFaultyServer(t *testing.T) {
 	}
 
 	// Faults off: the server must still serve every client's pattern intact.
-	srv.SetFaultHook(nil)
+	healed.Store(true)
 	verify, err := netblock.DialConfig("tcp", addr, netblock.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -169,8 +178,5 @@ func TestStressAccountingExactWithoutFaults(t *testing.T) {
 	}
 	if srv.Requests() != wantCalls || h.Calls() != wantCalls {
 		t.Fatalf("server executed %d requests (handler %d), want exactly %d", srv.Requests(), h.Calls(), wantCalls)
-	}
-	if srv.FaultsInjected() != 0 {
-		t.Fatalf("control run injected %d faults", srv.FaultsInjected())
 	}
 }
