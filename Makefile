@@ -104,13 +104,14 @@ golden-diff:
 golden:
 	$(GO) test $(GOLDEN_PKGS) -run 'Golden|TestSmokes' -count=1 -update
 
-# Short randomized runs of the committed fuzz targets (seeds under each
-# package's testdata/fuzz; the netblock, wire and fabric decoders and the
-# diting merge seed theirs in code).
+# Short randomized runs of all 17 committed fuzz targets (seeds under each
+# package's testdata/fuzz; the netblock, wire and fabric decoders, the
+# diting merge and the trace batch seed theirs in code).
 # `go test -fuzz` takes one target per invocation, so each gets its own.
 fuzz-smoke:
 	$(GO) test ./internal/trace -fuzz FuzzReadTraceCSV -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -fuzz FuzzReadTraceJSONL -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/trace -fuzz FuzzBatch -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/diting -fuzz FuzzMergeRuns -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/predict -fuzz FuzzEvaluatePredictors -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sketch -fuzz FuzzSpaceSavingAddMerge -fuzztime $(FUZZTIME)

@@ -109,6 +109,19 @@ func (s *Sim) streamConfigFor(opts Options, nVDs int) sketch.Config {
 	return cfg
 }
 
+// ShardSketchConfig is the sketch configuration every shard partial of the
+// run opts describes carries, and the one MergeShards merges into; nil when
+// the run does not stream. It is streamConfigFor over the validated options,
+// so a fabric ledger can refuse a partial built under any other
+// configuration before anything merges it.
+func (s *Sim) ShardSketchConfig(opts Options) (*sketch.Config, error) {
+	r, err := s.begin(opts)
+	if err != nil || r.opts.Stream == nil {
+		return nil, err
+	}
+	return &r.streamCfg, nil
+}
+
 // runVDs bounds the run to the first MaxVDs disks. MaxVDs has no default to
 // fill, so this is the same before and after opts.prepare.
 func (s *Sim) runVDs(opts Options) int {
@@ -249,6 +262,9 @@ func (s *Sim) MergeShards(opts Options, partials []*ShardPartial) (*trace.Datase
 		if r.opts.Stream != nil {
 			if p.Sketch == nil {
 				return nil, fmt.Errorf("ebs: shard [%d,%d) has no sketch state in a streaming run", p.Lo, p.Hi)
+			}
+			if got := p.Sketch.Config(); got != r.streamCfg {
+				return nil, fmt.Errorf("ebs: shard [%d,%d) streamed under sketch config %+v, the run's is %+v", p.Lo, p.Hi, got, r.streamCfg)
 			}
 			r.sets = append(r.sets, p.Sketch)
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"ebslab/internal/chaos"
@@ -248,5 +249,38 @@ func TestMergeShardsRejectsBadCoverage(t *testing.T) {
 	}
 	if _, err := sim.RunShard(context.Background(), opts, 6, 12); err == nil {
 		t.Fatal("RunShard beyond MaxVDs succeeded")
+	}
+}
+
+// TestMergeShardsRejectsForeignSketchConfig: a partial whose sketch set was
+// built under another configuration than ShardSketchConfig's cannot be
+// merged, so MergeShards refuses it instead of merging it.
+func TestMergeShardsRejectsForeignSketchConfig(t *testing.T) {
+	sim := New(smallFleet(t))
+	opts := Options{DurationSec: 4, TraceSampleEvery: 1, EventSampleEvery: 4, MaxVDs: 8,
+		Stream: sketch.NewSet(sketch.Config{TopK: 8, SegPerVD: 4})}
+	want, err := sim.ShardSketchConfig(opts)
+	if err != nil || want == nil {
+		t.Fatalf("ShardSketchConfig = %v, %v; want the streaming run's config", want, err)
+	}
+	a, err := sim.RunShard(context.Background(), opts, 0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := sim.RunShard(context.Background(), opts, 4, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.Sketch.Config(); got != *want {
+		t.Fatalf("RunShard streamed under %+v, ShardSketchConfig says %+v", got, *want)
+	}
+	foreign := *want
+	foreign.HLLPrecision = 16
+	b.Sketch = sketch.NewSet(foreign)
+	if _, err := sim.MergeShards(opts, []*ShardPartial{a, b}); err == nil || !strings.Contains(err.Error(), "sketch config") {
+		t.Fatalf("foreign-config partial merged: %v", err)
+	}
+	if cfg, err := sim.ShardSketchConfig(Options{DurationSec: 4}); cfg != nil || err != nil {
+		t.Fatalf("a run without Stream has shard sketch config %v (%v), want none", cfg, err)
 	}
 }

@@ -192,11 +192,15 @@ func newCoordinator(cfg Config) (*Coordinator, error) {
 	if len(plan) == 0 {
 		return nil, fmt.Errorf("fabric: nothing to plan (%d VDs)", len(costs))
 	}
+	shardSketch, err := sim.ShardSketchConfig(cfg.Opts)
+	if err != nil {
+		return nil, fmt.Errorf("fabric: %w", err)
+	}
 	co := &Coordinator{
 		cfg:  cfg,
 		sim:  sim,
 		plan: plan,
-		fsm:  newLedgerFSM(cfg, plan),
+		fsm:  newLedgerFSM(cfg, plan, shardSketch),
 	}
 	tick := cfg.tickEvery
 	if cfg.Replicas == 1 {

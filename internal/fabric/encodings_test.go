@@ -82,7 +82,8 @@ func samplePartial(sections int) *ebs.ShardPartial {
 }
 
 // TestEncodingsUnchanged pins the shard-result and ledger-command frames to
-// the bytes the encoders emitted before they moved onto internal/wire.
+// the bytes captured under testdata/encodings (result-full embeds an SKS2
+// sketch set).
 func TestEncodingsUnchanged(t *testing.T) {
 	wiretest.CheckEncoding(t, "result-full", encodeResult(42, 7, samplePartial(secAll)))
 	wiretest.CheckEncoding(t, "result-empty", encodeResult(1, 0, samplePartial(0)))

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net"
 	"runtime"
 	"runtime/debug"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -17,6 +19,7 @@ import (
 	"ebslab/internal/ebs"
 	"ebslab/internal/invariant"
 	"ebslab/internal/netblock"
+	"ebslab/internal/netblock/netblocktest"
 	"ebslab/internal/sketch"
 	"ebslab/internal/testclock"
 	"ebslab/internal/trace"
@@ -75,21 +78,22 @@ func startFabric(t *testing.T, cfg Config) (*Coordinator, *Loopback) {
 	return co, lb
 }
 
-// runFabric executes a full distributed run with n workers (worker i gets
-// faultHook[i] if present) and returns the merged dataset plus each worker's
-// exit error.
-func runFabric(t *testing.T, co *Coordinator, lb *Loopback, n int, hooks map[int]func(int) error) (*trace.Dataset, []error) {
+// runFabric executes a full distributed run with n workers (worker i runs
+// workers[i] if present, a plain loopback worker otherwise) and returns the
+// merged dataset plus each worker's exit error.
+func runFabric(t *testing.T, co *Coordinator, lb *Loopback, n int, workers map[int]WorkerConfig) (*trace.Dataset, []error) {
 	t.Helper()
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
+		wc, ok := workers[i]
+		if !ok {
+			wc = WorkerConfig{Dial: lb.Dial}
+		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = RunWorker(context.Background(), WorkerConfig{
-				Dial:      lb.Dial,
-				faultHook: hooks[i],
-			})
+			errs[i] = RunWorker(context.Background(), wc)
 		}(i)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -100,6 +104,20 @@ func runFabric(t *testing.T, co *Coordinator, lb *Loopback, n int, hooks map[int
 	}
 	wg.Wait()
 	return ds, errs
+}
+
+// onFirstResult is a netblocktest picker for a worker's dialer: act runs on
+// the worker's first OpShardResult — its shard simulated, its upload on the
+// wire — and chooses that exchange's fault; every other exchange passes.
+func onFirstResult(act func() netblocktest.Fault) func(*netblock.Request) netblocktest.Fault {
+	var once sync.Once
+	return func(req *netblock.Request) netblocktest.Fault {
+		f := netblocktest.None
+		if req.Op == netblock.OpShardResult {
+			once.Do(func() { f = act() })
+		}
+		return f
+	}
 }
 
 // TestFabricMatchesSingleProcess is the tentpole's acceptance oracle: a
@@ -144,14 +162,32 @@ func TestFabricWorkerCrashMidShard(t *testing.T) {
 		livenessTimeout: 60 * time.Millisecond,
 	})
 	crash := errors.New("simulated worker crash")
-	// The survivor holds its first result back until the crash has happened:
-	// otherwise it can finish all four shards before the crashing worker is
-	// ever assigned one, and nothing crashes. Its heartbeats keep flowing
-	// while it waits, and three shards stay open for the other worker.
+	// The survivor's proxy holds its first upload back until the crash has
+	// happened: otherwise it can finish all four shards before the crashing
+	// worker is ever assigned one, and nothing crashes. Three shards stay
+	// open for the other worker meanwhile. (The held upload holds the
+	// survivor's link, so it may be reaped while it waits; its late result is
+	// still the first for its shard.)
 	crashed := make(chan struct{})
-	ds, errs := runFabric(t, co, lb, 2, map[int]func(int) error{
-		0: func(shard int) error { <-crashed; return nil },
-		1: func(shard int) error { close(crashed); return crash },
+	survivor := netblocktest.New(onFirstResult(func() netblocktest.Fault { <-crashed; return netblocktest.None }))
+	// The crasher's proxy resets its first upload's connection, and its
+	// dialer refuses every dial after that: the worker dies with its result
+	// unsent once its failover window closes.
+	crasher := netblocktest.New(onFirstResult(func() netblocktest.Fault { close(crashed); return netblocktest.Reset }))
+	crasherDial := crasher.Dial(lb.Dial)
+	ds, errs := runFabric(t, co, lb, 2, map[int]WorkerConfig{
+		0: {Dial: survivor.Dial(lb.Dial)},
+		1: {
+			Dial: func() (net.Conn, error) {
+				select {
+				case <-crashed:
+					return nil, crash
+				default:
+					return crasherDial()
+				}
+			},
+			failoverWindow: 100 * time.Millisecond,
+		},
 	})
 	if !errors.Is(errs[1], crash) {
 		t.Fatalf("crashing worker exited with %v, want the injected crash", errs[1])
@@ -324,18 +360,18 @@ func TestFabricDrainCompletesCurrentShard(t *testing.T) {
 	})
 
 	drain := make(chan struct{})
-	var drainOnce sync.Once
 	done := make(chan error, 1)
 	go func() {
+		// The picker fires on the first upload, after the simulation:
+		// requesting the drain there proves the in-flight shard still
+		// completes.
+		proxy := netblocktest.New(onFirstResult(func() netblocktest.Fault {
+			close(drain)
+			return netblocktest.None
+		}))
 		done <- RunWorker(context.Background(), WorkerConfig{
-			Dial:  lb.Dial,
+			Dial:  proxy.Dial(lb.Dial),
 			Drain: drain,
-			// The hook fires between simulation and upload: requesting the
-			// drain here proves the in-flight shard still completes.
-			faultHook: func(shard int) error {
-				drainOnce.Do(func() { close(drain) })
-				return nil
-			},
 		})
 	}()
 	select {
@@ -364,6 +400,63 @@ func TestFabricDrainCompletesCurrentShard(t *testing.T) {
 	// A fresh worker finishes the rest; the run still converges.
 	if _, errs := runFabric(t, co, lb, 1, nil); errs[0] != nil {
 		t.Fatalf("second worker exited: %v", errs[0])
+	}
+}
+
+// TestFabricRefusesForeignSketchConfig: a shard result whose sketch set was
+// built under another configuration than the run's (HLL precision 16 against
+// the run's 12) could not be merged — the snapshot and final merges would
+// index past the run's registers. The ledger refuses it with StatusError and
+// leaves the shard open, and a real worker still finishes the run
+// byte-identical to the single-process one.
+func TestFabricRefusesForeignSketchConfig(t *testing.T) {
+	wantDS, wantSK := baseline(t)
+	stream := sketch.NewSet(sketch.Config{TopK: 8, SegPerVD: 4})
+	co, lb := startFabric(t, Config{
+		Fleet: testFleetConfig(), Opts: testOpts(stream), Shards: 3,
+		heartbeatEvery: 20 * time.Millisecond,
+	})
+	w := newFakeWorker(t, lb)
+	a := w.assign()
+	if a.Status != AssignShard {
+		t.Fatalf("assign = %+v, want a shard", a)
+	}
+	p, err := w.sim.RunShard(context.Background(), w.opt, a.Lo, a.Hi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Release()
+	foreign := p.Sketch.Config()
+	foreign.HLLPrecision = 16
+	p.Sketch = sketch.NewSet(foreign)
+	parts, err := resultParts(w.id, a.Shard, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = w.cl.Call(netblock.OpShardResult, parts...)
+	var re *netblock.RedirectError
+	// Errorf, not Fatalf: a ledger that accepts the result goes on to show
+	// what that costs — the final merge below panics.
+	if err == nil || errors.As(err, &re) || !strings.Contains(err.Error(), "sketch config") {
+		t.Errorf("foreign-config result answered %v, want a StatusError naming the sketch config", err)
+	}
+	if l := co.Ledger(); l.Returned[a.Shard] != 0 || l.Accepted[a.Shard] != 0 || co.Done() {
+		t.Errorf("refused result reached the ledger: r=%d a=%d", l.Returned[a.Shard], l.Accepted[a.Shard])
+	}
+	if snap, vds := co.SketchSnapshot(); snap != nil || vds != 0 {
+		t.Errorf("snapshot covers %d disks after the only result was refused", vds)
+	}
+
+	// The silent fake worker is reaped; a real one runs every shard.
+	ds, errs := runFabric(t, co, lb, 1, nil)
+	if errs[0] != nil {
+		t.Fatalf("worker exited: %v", errs[0])
+	}
+	if got := invariant.Fingerprint(ds); got != wantDS {
+		t.Fatalf("dataset fingerprint %s, single-process %s", got, wantDS)
+	}
+	if stream.Fingerprint() != wantSK {
+		t.Fatal("sketch fingerprint drifted")
 	}
 }
 

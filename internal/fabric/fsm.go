@@ -153,6 +153,9 @@ type ledgerFSM struct {
 	// from (nil = no streaming), read once at construction: the final merge
 	// overwrites *cfg.Opts.Stream, possibly while a late worker joins.
 	stream *sketch.Config
+	// shardSketch is the configuration every shard partial's sketch set
+	// carries (ebs.Sim.ShardSketchConfig; nil = no streaming, so no sketch).
+	shardSketch *sketch.Config
 
 	shards    []*shardState
 	workers   map[uint64]*workerState
@@ -167,13 +170,14 @@ type ledgerFSM struct {
 	avail *pulse
 }
 
-func newLedgerFSM(cfg Config, plan []cluster.ShardRange) *ledgerFSM {
+func newLedgerFSM(cfg Config, plan []cluster.ShardRange, shardSketch *sketch.Config) *ledgerFSM {
 	f := &ledgerFSM{
-		cfg:       cfg,
-		workers:   make(map[uint64]*workerState),
-		remaining: len(plan),
-		allDone:   make(chan struct{}),
-		avail:     newPulse(),
+		cfg:         cfg,
+		shardSketch: shardSketch,
+		workers:     make(map[uint64]*workerState),
+		remaining:   len(plan),
+		allDone:     make(chan struct{}),
+		avail:       newPulse(),
 	}
 	if set := cfg.Opts.Stream; set != nil {
 		sc := set.Config()
@@ -314,6 +318,12 @@ func (f *ledgerFSM) result(frame []byte, now time.Time) any {
 	if p.Lo != sh.r.Lo || p.Hi != sh.r.Hi {
 		return fmt.Errorf("fabric: shard %d result covers [%d,%d), plan says %v",
 			shardID, p.Lo, p.Hi, sh.r)
+	}
+	// A sketch set is present exactly when the run streams, and built under
+	// the run's shard config: the snapshot and final merges could not fold
+	// any other.
+	if set := p.Sketch; (set == nil) != (f.shardSketch == nil) || set != nil && set.Config() != *f.shardSketch {
+		return fmt.Errorf("fabric: shard %d result's sketch state does not fit the run's sketch config", shardID)
 	}
 	if sh.returnedBy[workerID] {
 		return resultReply{}

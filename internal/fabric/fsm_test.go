@@ -94,7 +94,7 @@ func TestLedgerFSMDeterministicReplay(t *testing.T) {
 	step(command{Kind: cmdHeartbeat, Worker: 2, At: at()})
 	step(command{Kind: cmdDrain, Worker: 2, At: at()})
 
-	a, b := newLedgerFSM(cfg, plan), newLedgerFSM(cfg, plan)
+	a, b := newLedgerFSM(cfg, plan, nil), newLedgerFSM(cfg, plan, nil)
 	for i, cmd := range script {
 		ra, rb := a.Apply(uint64(i+1), cmd), b.Apply(uint64(i+1), cmd)
 		if !reflect.DeepEqual(describeReply(ra), describeReply(rb)) {
@@ -174,7 +174,7 @@ func TestLedgerFSMRetransmitAcknowledgedOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := co.Plan()
-	f := newLedgerFSM(cfg, plan)
+	f := newLedgerFSM(cfg, plan, nil)
 	at := time.Unix(50, 0).UnixNano()
 
 	f.Apply(1, encodeCommand(&command{Kind: cmdJoin, At: at}))

@@ -139,7 +139,7 @@ func resultFailureSeeds() map[string][]byte {
 	badDomain := samplePartial(secStorage)
 	badDomain.Storage[0].Domain = 2
 	badSketch := only(secSketch)
-	badSketch[sketchFlag+1+4] ^= 0xff // first byte of the SKS1 magic
+	badSketch[sketchFlag+1+4] ^= 0xff // first byte of the SKS2 magic
 
 	flag2 := only(0)
 	flag2[sketchFlag] = 2

@@ -33,8 +33,7 @@ type WorkerConfig struct {
 	Drain <-chan struct{}
 
 	// Set only inside this package: ReplicaSet.Run's in-process workers
-	// shorten callTimeout, the tests both timings, and the tests stage
-	// worker crashes through faultHook.
+	// shorten callTimeout, and the tests both timings.
 
 	// callTimeout bounds each control-plane RPC (10s). A coordinator
 	// connection that dies silently between AssignShard and ShardResult
@@ -45,11 +44,6 @@ type WorkerConfig struct {
 	// live leader after a control-plane failure before giving up (15s; spans
 	// a leader election comfortably).
 	failoverWindow time.Duration
-	// faultHook, when non-nil, is consulted after each shard's simulation
-	// and before its result upload. Returning an error makes the worker die
-	// on the spot — no upload, no drain — which is how tests stage a
-	// mid-shard worker crash.
-	faultHook func(shard int) error
 }
 
 // ctrlLink is the worker's resilient control-plane connection: one live
@@ -238,7 +232,7 @@ func RunWorker(ctx context.Context, wc WorkerConfig) error {
 			case <-time.After(waitBackoff):
 			}
 		case AssignShard:
-			if err := runShard(ctx, wc, link, sim, opts, join.WorkerID, a); err != nil {
+			if err := runShard(ctx, link, sim, opts, join.WorkerID, a); err != nil {
 				return err
 			}
 			// An orderly drain completes the current shard first — which just
@@ -260,17 +254,12 @@ func RunWorker(ctx context.Context, wc WorkerConfig) error {
 // side. The chunks go back to the tracer pool only once the upload has
 // returned, on every path — a retransmission after a failover writes them
 // again.
-func runShard(ctx context.Context, wc WorkerConfig, link *ctrlLink, sim *ebs.Sim, opts ebs.Options, workerID uint64, a AssignReply) error {
+func runShard(ctx context.Context, link *ctrlLink, sim *ebs.Sim, opts ebs.Options, workerID uint64, a AssignReply) error {
 	p, err := sim.RunShard(ctx, opts, a.Lo, a.Hi)
 	if err != nil {
 		return fmt.Errorf("fabric: shard %d: %w", a.Shard, err)
 	}
 	defer p.Release()
-	if wc.faultHook != nil {
-		if err := wc.faultHook(a.Shard); err != nil {
-			return err // simulated crash: vanish without uploading
-		}
-	}
 	parts, err := resultParts(workerID, a.Shard, p)
 	if err != nil {
 		return err

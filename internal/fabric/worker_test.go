@@ -108,18 +108,18 @@ func TestFabricWorkerFailsFastWhenControlPlaneDies(t *testing.T) {
 	done := make(chan error, 1)
 	var killedAt atomic.Int64
 	go func() {
+		// Fires on the first upload, after the shard simulation: the worst
+		// window, with work in hand and nobody left to give it to.
+		proxy := netblocktest.New(onFirstResult(func() netblocktest.Fault {
+			killedAt.Store(time.Now().UnixNano())
+			lb.Close()
+			srv.Close()
+			return netblocktest.None
+		}))
 		done <- RunWorker(context.Background(), WorkerConfig{
-			Dial:           lb.Dial,
+			Dial:           proxy.Dial(lb.Dial),
 			callTimeout:    200 * time.Millisecond,
 			failoverWindow: 500 * time.Millisecond,
-			// Fires after the shard simulation, before its upload: the worst
-			// window, with work in hand and nobody left to give it to.
-			faultHook: func(shard int) error {
-				killedAt.Store(time.Now().UnixNano())
-				lb.Close()
-				srv.Close()
-				return nil
-			},
 		})
 	}()
 	select {

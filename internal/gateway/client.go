@@ -56,12 +56,12 @@ func (cl *Client) Submit(tenant string, spec StudySpec) (SubmitReply, error) {
 
 // Status polls one study.
 func (cl *Client) Status(id uint64) (StatusReply, error) {
-	return call[StatusReply](cl, netblock.OpStudyStatus, mustJSON(StatusRequest{StudyID: id}))
+	return call[StatusReply](cl, netblock.OpStudyStatus, EncodeStudyID(id))
 }
 
 // Snapshot streams one incremental sketch snapshot of a study.
 func (cl *Client) Snapshot(id uint64) (SnapshotReply, error) {
-	payload, err := cl.c.Call(netblock.OpStreamSnapshot, EncodeSnapshotRequest(id))
+	payload, err := cl.c.Call(netblock.OpStreamSnapshot, EncodeStudyID(id))
 	if err != nil {
 		return SnapshotReply{}, err
 	}
@@ -70,7 +70,7 @@ func (cl *Client) Snapshot(id uint64) (SnapshotReply, error) {
 
 // Cancel cancels one study.
 func (cl *Client) Cancel(id uint64) (CancelReply, error) {
-	return call[CancelReply](cl, netblock.OpCancelStudy, mustJSON(CancelRequest{StudyID: id}))
+	return call[CancelReply](cl, netblock.OpCancelStudy, EncodeStudyID(id))
 }
 
 // TenantStats fetches one tenant's serving statistics.

@@ -34,42 +34,46 @@ func TestSubmitCodecControlRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSubmitCodecPreControlCompat pins the wire compatibility contract: a
-// frame without the optional control section — exactly what every encoder
-// predating the control plane emits — still decodes, to a spec with no
-// control policy.
-func TestSubmitCodecPreControlCompat(t *testing.T) {
-	old := EncodeSubmit(SubmitRequest{Tenant: "alice", Spec: StudySpec{Seed: 3, DurationSec: 8}})
-	got, err := DecodeSubmit(old)
+// TestSubmitCodecAbsentSections pins the one layout: a spec without a control
+// policy or a scenario still carries both sections, each a zero length (and
+// the control section its epoch), so every frame has the same shape and a
+// named section costs exactly its bytes.
+func TestSubmitCodecAbsentSections(t *testing.T) {
+	bare := EncodeSubmit(SubmitRequest{Tenant: "alice", Spec: StudySpec{Seed: 3, DurationSec: 8}})
+	if tail := bare[len(bare)-6:]; !bytes.Equal(tail, make([]byte, 6)) {
+		t.Fatalf("absent sections frame as % x, want six zero bytes", tail)
+	}
+	got, err := DecodeSubmit(bare)
 	if err != nil {
-		t.Fatalf("pre-control frame rejected: %v", err)
+		t.Fatal(err)
 	}
-	if got.Spec.Control != "" || got.Spec.ControlEpochSec != 0 {
-		t.Fatalf("pre-control frame decoded a control section: %+v", got.Spec)
+	if got.Spec.Control != "" || got.Spec.ControlEpochSec != 0 || got.Spec.Scenario != "" {
+		t.Fatalf("absent sections decoded as %+v", got.Spec)
 	}
-	// And the uncontrolled encoding itself is byte-identical to the
-	// pre-control layout: no suffix at all.
-	withCtl := EncodeSubmit(SubmitRequest{Tenant: "alice", Spec: StudySpec{Seed: 3, DurationSec: 8, Control: "noop", ControlEpochSec: 1}})
-	if len(withCtl) != len(old)+1+len("noop")+4 {
-		t.Fatalf("control suffix is %d bytes over the base frame, want %d",
-			len(withCtl)-len(old), 1+len("noop")+4)
+	full := EncodeSubmit(SubmitRequest{Tenant: "alice", Spec: StudySpec{
+		Seed: 3, DurationSec: 8, Control: "noop", ControlEpochSec: 1, Scenario: "bufferbloat",
+	}})
+	if want := len(bare) + len("noop") + len("bufferbloat"); len(full) != want {
+		t.Fatalf("named sections frame to %d bytes, want %d", len(full), want)
 	}
 }
 
 func TestSubmitCodecRejectsMalformedControl(t *testing.T) {
 	valid := EncodeSubmit(SubmitRequest{Tenant: "alice", Spec: StudySpec{Seed: 1, Control: "oracle", ControlEpochSec: 5}})
-	oversized := append(append([]byte(nil), valid[:len(valid)-1-len("oracle")-4]...), maxControlLen+1)
+	// valid ends: u8 6 | "oracle" | u32 5 | u8 0 (no scenario).
+	base := valid[:len(valid)-1-len("oracle")-4-1]
+	oversized := append(append([]byte(nil), base...), maxControlLen+1)
 	oversized = append(oversized, strings.Repeat("x", maxControlLen+1)...)
-	oversized = binary.LittleEndian.AppendUint32(oversized, 5)
+	oversized = append(binary.LittleEndian.AppendUint32(oversized, 5), 0)
 	unprintable := append([]byte(nil), valid...)
-	unprintable[len(unprintable)-5] = ' ' // last policy byte
+	unprintable[len(unprintable)-1-4-1] = ' ' // last policy byte
 	cases := map[string][]byte{
-		"zero-length control":  append(append([]byte(nil), valid[:len(valid)-1-len("oracle")-4]...), 0),
-		"oversized control":    oversized,
-		"truncated epoch sec":  valid[:len(valid)-1],
-		"trailing byte":        append(append([]byte(nil), valid...), 0),
-		"unprintable control":  unprintable,
-		"missing control body": valid[:len(valid)-len("oracle")-4],
+		"zero length ahead of a body": append(append(append([]byte(nil), base...), 0), valid[len(base)+1:]...),
+		"oversized control":           oversized,
+		"truncated epoch sec":         valid[:len(valid)-2],
+		"trailing byte":               append(append([]byte(nil), valid...), 0),
+		"unprintable control":         unprintable,
+		"missing control body":        valid[:len(base)+1],
 	}
 	for name, frame := range cases {
 		if _, err := DecodeSubmit(frame); !errors.Is(err, ErrWire) {

@@ -6,9 +6,9 @@ import (
 	"ebslab/internal/wire/wiretest"
 )
 
-// TestEncodingsUnchanged pins the EBG1 submit frame (each optional-section
-// combination), the EBG3 snapshot reply and the snapshot request to the bytes
-// the encoders emitted before they moved onto internal/wire.
+// TestEncodingsUnchanged pins the EBG2 submit frame (with and without each
+// optional section), the EBG3 snapshot reply and the study-ID request to the
+// bytes the encoders emitted when each layout was captured.
 func TestEncodingsUnchanged(t *testing.T) {
 	spec := StudySpec{
 		Seed: -7, DurationSec: 8, Nodes: 4, Users: 16, MaxVDs: 100,
@@ -19,10 +19,10 @@ func TestEncodingsUnchanged(t *testing.T) {
 		edit(&s)
 		wiretest.CheckEncoding(t, name, EncodeSubmit(SubmitRequest{Tenant: "alice", Spec: s}))
 	}
-	submit("ebg1-plain", func(*StudySpec) {})
-	submit("ebg1-control", func(s *StudySpec) { s.Control, s.ControlEpochSec = "predictive-holt", 2 })
-	submit("ebg1-scenario", func(s *StudySpec) { s.Scenario = "bufferbloat,period=8" })
-	submit("ebg1-control-scenario", func(s *StudySpec) {
+	submit("ebg2-plain", func(*StudySpec) {})
+	submit("ebg2-control", func(s *StudySpec) { s.Control, s.ControlEpochSec = "predictive-holt", 2 })
+	submit("ebg2-scenario", func(s *StudySpec) { s.Scenario = "bufferbloat,period=8" })
+	submit("ebg2-control-scenario", func(s *StudySpec) {
 		s.Control, s.ControlEpochSec, s.Scenario = "reactive", 1, "elastic,hi=2,step=3"
 	})
 	wiretest.CheckEncoding(t, "ebg3", EncodeSnapshotReply(SnapshotReply{
@@ -30,5 +30,5 @@ func TestEncodingsUnchanged(t *testing.T) {
 		SketchFP: "sha256:abcdef", Sketch: []byte{1, 2, 3, 0, 255},
 	}))
 	wiretest.CheckEncoding(t, "ebg3-empty", EncodeSnapshotReply(SnapshotReply{StudyID: 1, State: StateQueued}))
-	wiretest.CheckEncoding(t, "snapshot-request", EncodeSnapshotRequest(0x0102030405060708))
+	wiretest.CheckEncoding(t, "snapshot-request", EncodeStudyID(0x0102030405060708))
 }

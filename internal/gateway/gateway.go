@@ -712,17 +712,17 @@ func (gw *Gateway) Handle(req *netblock.Request) *netblock.Response {
 		}
 		resp.Payload = mustJSON(reply)
 	case netblock.OpStudyStatus:
-		var m StatusRequest
-		if err := fromJSON(req.Payload, &m); err != nil {
+		id, err := DecodeStudyID(req.Payload)
+		if err != nil {
 			return fail(err)
 		}
-		reply, err := gw.Status(m.StudyID)
+		reply, err := gw.Status(id)
 		if err != nil {
 			return fail(err)
 		}
 		resp.Payload = mustJSON(reply)
 	case netblock.OpStreamSnapshot:
-		id, err := DecodeSnapshotRequest(req.Payload)
+		id, err := DecodeStudyID(req.Payload)
 		if err != nil {
 			return fail(err)
 		}
@@ -732,11 +732,11 @@ func (gw *Gateway) Handle(req *netblock.Request) *netblock.Response {
 		}
 		resp.Payload = EncodeSnapshotReply(reply)
 	case netblock.OpCancelStudy:
-		var m CancelRequest
-		if err := fromJSON(req.Payload, &m); err != nil {
+		id, err := DecodeStudyID(req.Payload)
+		if err != nil {
 			return fail(err)
 		}
-		reply, err := gw.Cancel(m.StudyID)
+		reply, err := gw.Cancel(id)
 		if err != nil {
 			return fail(err)
 		}

@@ -35,48 +35,20 @@ func TestSubmitCodecScenarioRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSubmitCodecPreScenarioCompat pins the wire compatibility contract: a
-// frame without the optional scenario section — what every encoder predating
-// the scenario library emits, with or without a control section — still
-// decodes, to a spec with no scenario.
-func TestSubmitCodecPreScenarioCompat(t *testing.T) {
-	for name, spec := range map[string]StudySpec{
-		"plain":      {Seed: 3, DurationSec: 8},
-		"controlled": {Seed: 3, DurationSec: 8, Control: "noop", ControlEpochSec: 1},
-	} {
-		old := EncodeSubmit(SubmitRequest{Tenant: "alice", Spec: spec})
-		got, err := DecodeSubmit(old)
-		if err != nil {
-			t.Fatalf("%s pre-scenario frame rejected: %v", name, err)
-		}
-		if got.Spec.Scenario != "" {
-			t.Fatalf("%s pre-scenario frame decoded a scenario section: %+v", name, got.Spec)
-		}
-	}
-	// A scenario without a control policy rides behind the zero
-	// control-length marker (1 byte) plus the scenario section itself.
-	old := EncodeSubmit(SubmitRequest{Tenant: "alice", Spec: StudySpec{Seed: 3}})
-	withSc := EncodeSubmit(SubmitRequest{Tenant: "alice", Spec: StudySpec{Seed: 3, Scenario: "bufferbloat"}})
-	if want := len(old) + 1 + 1 + len("bufferbloat"); len(withSc) != want {
-		t.Fatalf("scenario suffix is %d bytes over the base frame, want %d", len(withSc)-len(old), want-len(old))
-	}
-}
-
 func TestSubmitCodecRejectsMalformedScenario(t *testing.T) {
 	valid := EncodeSubmit(SubmitRequest{Tenant: "alice", Spec: StudySpec{Seed: 1, Scenario: "elastic"}})
-	sec := 1 + 1 + len("elastic") // zero control marker + scenario length + body
-	base := valid[:len(valid)-sec]
-	oversized := append(append([]byte(nil), base...), 0, maxScenarioLen+1)
+	base := valid[:len(valid)-1-len("elastic")] // through the control section
+	oversized := append(append([]byte(nil), base...), maxScenarioLen+1)
 	oversized = append(oversized, strings.Repeat("x", maxScenarioLen+1)...)
 	unprintable := append([]byte(nil), valid...)
 	unprintable[len(unprintable)-1] = ' ' // last scenario byte
 	cases := map[string][]byte{
-		"bare zero control marker": append(append([]byte(nil), base...), 0),
-		"zero-length scenario":     append(append([]byte(nil), base...), 0, 0),
-		"oversized scenario":       oversized,
-		"truncated scenario body":  valid[:len(valid)-1],
-		"trailing byte":            append(append([]byte(nil), valid...), 0),
-		"unprintable scenario":     unprintable,
+		"missing scenario section":    base,
+		"zero length ahead of a body": append(append(append([]byte(nil), base...), 0), "elastic"...),
+		"oversized scenario":          oversized,
+		"truncated scenario body":     valid[:len(valid)-1],
+		"trailing byte":               append(append([]byte(nil), valid...), 0),
+		"unprintable scenario":        unprintable,
 	}
 	for name, frame := range cases {
 		if _, err := DecodeSubmit(frame); !errors.Is(err, ErrWire) {

@@ -7,7 +7,7 @@
 // incremental sketch snapshots of a running study and the final answer is
 // always byte-identical to a single-process run of the same spec — including
 // runs where chaos kills the acting fabric leader mid-study. See DESIGN.md,
-// "Serving plane". The binary frames (wire.go: EBG1 submit, EBG3 snapshot)
+// "Serving plane". The binary frames (wire.go: EBG2 submit, EBG3 snapshot)
 // are walks over the internal/wire cursor.
 package gateway
 

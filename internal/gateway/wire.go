@@ -48,35 +48,26 @@ type SubmitRequest struct {
 
 // submitMagic versions the submit frame; snapMagic the snapshot reply.
 var (
-	submitMagic = []byte("EBG1")
+	submitMagic = []byte("EBG2")
 	snapMagic   = []byte("EBG3")
 )
 
 // EncodeSubmit frames a submission for the wire:
 //
-//	"EBG1" | u8 tenantLen | tenant
+//	"EBG2" | u8 tenantLen | tenant
 //	      | i64 seed | u32 dur | u32 nodes | u32 users | u32 maxVDs
 //	      | u32 eventSample | u32 traceSample | u32 shards | u32 kills
-//	      | u8 check (always 1)
-//	      [ u8 controlLen | control | u32 controlEpochSec ]
-//	      [ u8 scenarioLen | scenario ]
+//	      | u8 controlLen | control | u32 controlEpochSec
+//	      | u8 scenarioLen | scenario
 //
 // Integers are little-endian, matching the netblock frame the payload rides
-// in. The check byte is a constant 1: every study runs checked, and the byte
-// stays so that the frame keeps its layout. The binary layout (rather than
-// JSON) is what makes the decoder an honest fuzz target: every byte means
-// something. The control section is appended only when the spec names a
-// mitigation policy, so uncontrolled submissions frame byte-identically to
-// every gateway that predates the control plane; the scenario section
-// likewise appends only when a scenario is set. A scenario without a control
-// policy emits a zero control-length marker byte first — pre-scenario
-// decoders reject a zero length, so the frame is unambiguously new-format,
-// never misparsed.
+// in. Every section is always written; a zero control or scenario length
+// means the spec names none. The binary layout (rather than JSON) is what
+// makes the decoder an honest fuzz target: every byte means something.
 func EncodeSubmit(r SubmitRequest) []byte {
-	w := &wire.Writer{B: make([]byte, 0, 5+len(r.Tenant)+41+1+len(r.Spec.Control)+4+2+len(r.Spec.Scenario))}
+	w := &wire.Writer{B: make([]byte, 0, 4+1+len(r.Tenant)+40+1+len(r.Spec.Control)+4+1+len(r.Spec.Scenario))}
 	w.Bytes(submitMagic)
-	w.U8(uint8(len(r.Tenant)))
-	w.Bytes([]byte(r.Tenant))
+	putName(w, r.Tenant)
 	w.I64(r.Spec.Seed)
 	for _, v := range []int{
 		r.Spec.DurationSec, r.Spec.Nodes, r.Spec.Users, r.Spec.MaxVDs,
@@ -85,25 +76,15 @@ func EncodeSubmit(r SubmitRequest) []byte {
 	} {
 		w.I32(int32(v))
 	}
-	w.U8(1) // check
-	if r.Spec.Control != "" {
-		w.U8(uint8(len(r.Spec.Control)))
-		w.Bytes([]byte(r.Spec.Control))
-		w.I32(int32(r.Spec.ControlEpochSec))
-	}
-	if r.Spec.Scenario != "" {
-		if r.Spec.Control == "" {
-			w.U8(0) // explicit empty control section
-		}
-		w.U8(uint8(len(r.Spec.Scenario)))
-		w.Bytes([]byte(r.Spec.Scenario))
-	}
+	putName(w, r.Spec.Control)
+	w.I32(int32(r.Spec.ControlEpochSec))
+	putName(w, r.Spec.Scenario)
 	return w.B
 }
 
 // DecodeSubmit parses a submit frame. A frame either decodes completely —
 // magic, tenant, every spec field, no trailing bytes — or not at all; spec
-// bounds are enforced later at admission (Validate), tenant well-formedness
+// bounds are enforced later at admission (Validate), name well-formedness
 // here, so a hostile frame cannot allocate or run anything.
 func DecodeSubmit(b []byte) (SubmitRequest, error) {
 	var req SubmitRequest
@@ -111,7 +92,7 @@ func DecodeSubmit(b []byte) (SubmitRequest, error) {
 	if string(r.Take(len(submitMagic))) != string(submitMagic) {
 		r.Fail("bad submit magic")
 	}
-	req.Tenant = takeName(r, "tenant", int(r.U8()), maxTenantLen)
+	req.Tenant = takeName(r, "tenant", maxTenantLen, false)
 	req.Spec.Seed = r.I64()
 	for _, p := range []*int{
 		&req.Spec.DurationSec, &req.Spec.Nodes, &req.Spec.Users, &req.Spec.MaxVDs,
@@ -120,27 +101,25 @@ func DecodeSubmit(b []byte) (SubmitRequest, error) {
 	} {
 		*p = int(r.I32())
 	}
-	if check := r.U8(); check != 1 {
-		r.Fail("check flag %d, want 1", check) // a no-op after a short read
-	}
-	if r.Remaining() == 0 {
-		return req, r.Err() // pre-control-plane frame: no control section
-	}
-	if cl := int(r.U8()); cl != 0 {
-		req.Spec.Control = takeName(r, "control policy", cl, maxControlLen)
-		req.Spec.ControlEpochSec = int(r.I32())
-		if r.Remaining() == 0 {
-			return req, r.Err() // pre-scenario frame: no scenario section
-		}
-	}
-	// A zero control length is only ever the marker in front of a scenario
-	// section, so past this point the scenario section is mandatory and last.
-	req.Spec.Scenario = takeName(r, "scenario", int(r.U8()), maxScenarioLen)
+	req.Spec.Control = takeName(r, "control policy", maxControlLen, true)
+	req.Spec.ControlEpochSec = int(r.I32())
+	req.Spec.Scenario = takeName(r, "scenario", maxScenarioLen, true)
 	return req, r.Done()
 }
 
-// takeName reads an n-byte name section and holds it to checkName.
-func takeName(r *wire.Reader, what string, n, max int) string {
+// putName writes a u8-length-prefixed name section.
+func putName(w *wire.Writer, s string) {
+	w.U8(uint8(len(s)))
+	w.Bytes([]byte(s))
+}
+
+// takeName reads a u8-length-prefixed name section and holds it to
+// checkName; a zero length is an optional section's "none".
+func takeName(r *wire.Reader, what string, max int, optional bool) string {
+	n := int(r.U8())
+	if n == 0 && optional {
+		return ""
+	}
 	s := string(r.Take(n))
 	if err := checkName(what, s, max); err != nil {
 		r.Fail("%v", err) // a no-op after a short read, which stays the error
@@ -220,16 +199,17 @@ func DecodeSnapshotReply(b []byte) (SnapshotReply, error) {
 	return rep, r.Done()
 }
 
-// EncodeSnapshotRequest frames an OpStreamSnapshot request: the study ID as
-// a little-endian u64.
-func EncodeSnapshotRequest(id uint64) []byte {
+// EncodeStudyID frames the request of the ops that name one study —
+// OpStudyStatus, OpStreamSnapshot and OpCancelStudy: the study ID as a
+// little-endian u64.
+func EncodeStudyID(id uint64) []byte {
 	var w wire.Writer
 	w.U64(id)
 	return w.B
 }
 
-// DecodeSnapshotRequest parses the 8-byte study-ID payload.
-func DecodeSnapshotRequest(b []byte) (uint64, error) {
+// DecodeStudyID parses the 8-byte study-ID payload.
+func DecodeStudyID(b []byte) (uint64, error) {
 	r := wire.NewReader(b, ErrWire)
 	id := r.U64()
 	return id, r.Done()
@@ -237,8 +217,8 @@ func DecodeSnapshotRequest(b []byte) (uint64, error) {
 
 // --- JSON control messages --------------------------------------------------
 //
-// The low-rate control ops (status, cancel, per-tenant stats) and the submit
-// reply travel as JSON, matching the fabric's control-plane idiom.
+// The replies to submit, status and cancel, and the per-tenant stats request
+// and reply, travel as JSON, matching the fabric's control-plane idiom.
 
 // SubmitReply answers OpSubmitStudy.
 type SubmitReply struct {
@@ -247,11 +227,6 @@ type SubmitReply struct {
 	// Deduped is set when the submission was answered from a completed
 	// study with the same normalized spec; StudyID is that study's.
 	Deduped bool
-}
-
-// StatusRequest asks for one study's status.
-type StatusRequest struct {
-	StudyID uint64
 }
 
 // StatusReply is the study's full lifecycle view.
@@ -275,11 +250,6 @@ type StatusReply struct {
 	// controlled studies (StudySpec.Control non-empty).
 	ControlLogFP     string `json:",omitempty"`
 	ControlDecisions int    `json:",omitempty"`
-}
-
-// CancelRequest cancels one study.
-type CancelRequest struct {
-	StudyID uint64
 }
 
 // CancelReply reports the state the study ended in.

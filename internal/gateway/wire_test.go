@@ -2,8 +2,12 @@ package gateway
 
 import (
 	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"ebslab/internal/invariant"
@@ -71,15 +75,16 @@ func TestSubmitCodecRoundTrip(t *testing.T) {
 func TestSubmitCodecRejectsMalformed(t *testing.T) {
 	valid := EncodeSubmit(SubmitRequest{Tenant: "alice", Spec: StudySpec{Seed: 1}})
 	cases := map[string][]byte{
-		"empty":              nil,
-		"bad magic":          append([]byte("EBGX"), valid[4:]...),
-		"zero tenant length": append(append([]byte("EBG1"), 0), valid[10:]...),
-		"oversized tenant":   append(append([]byte("EBG1"), 200), valid[5:]...),
-		"unprintable tenant": EncodeSubmit(SubmitRequest{Tenant: "a b", Spec: StudySpec{}}),
-		"truncated spec":     valid[:len(valid)-3],
-		"trailing byte":      append(append([]byte(nil), valid...), 0),
-		"check flag 0":       append(append([]byte(nil), valid[:len(valid)-1]...), 0),
-		"check flag 2":       append(append([]byte(nil), valid[:len(valid)-1]...), 2),
+		"empty":               nil,
+		"bad magic":           append([]byte("EBGX"), valid[4:]...),
+		"zero tenant length":  append(append([]byte("EBG2"), 0), valid[10:]...),
+		"oversized tenant":    append(append([]byte("EBG2"), 200), valid[5:]...),
+		"unprintable tenant":  EncodeSubmit(SubmitRequest{Tenant: "a b", Spec: StudySpec{}}),
+		"unprintable control": EncodeSubmit(SubmitRequest{Tenant: "alice", Spec: StudySpec{Control: "re active"}}),
+		"oversized scenario":  EncodeSubmit(SubmitRequest{Tenant: "alice", Spec: StudySpec{Scenario: strings.Repeat("x", maxScenarioLen+1)}}),
+		"no scenario length":  valid[:len(valid)-1],
+		"truncated spec":      valid[:len(valid)-8],
+		"trailing byte":       append(append([]byte(nil), valid...), 0),
 	}
 	for name, frame := range cases {
 		if _, err := DecodeSubmit(frame); !errors.Is(err, ErrWire) {
@@ -128,14 +133,37 @@ func TestSnapshotReplyCodecRejectsMalformed(t *testing.T) {
 	}
 }
 
-func TestSnapshotRequestCodec(t *testing.T) {
-	id, err := DecodeSnapshotRequest(EncodeSnapshotRequest(77))
+func TestStudyIDCodec(t *testing.T) {
+	id, err := DecodeStudyID(EncodeStudyID(77))
 	if err != nil || id != 77 {
 		t.Fatalf("got (%d, %v), want (77, nil)", id, err)
 	}
 	for _, bad := range [][]byte{nil, {1, 2, 3}, make([]byte, 9)} {
-		if _, err := DecodeSnapshotRequest(bad); !errors.Is(err, ErrWire) {
+		if _, err := DecodeStudyID(bad); !errors.Is(err, ErrWire) {
 			t.Errorf("len %d: got %v, want ErrWire", len(bad), err)
+		}
+	}
+}
+
+// TestDecodeSubmitRefusesEBG1 feeds the decoder the version-1 submit frames
+// captured before the layout dropped its optional sections and check byte
+// (testdata/ebg1): each is refused at its magic.
+func TestDecodeSubmitRefusesEBG1(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("testdata", "ebg1", "*.hex"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no EBG1 frames under testdata/ebg1 (%v)", err)
+	}
+	for _, path := range paths {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame, err := hex.DecodeString(strings.TrimSpace(string(raw)))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if _, err := DecodeSubmit(frame); !errors.Is(err, ErrWire) || !strings.Contains(err.Error(), "bad submit magic") {
+			t.Errorf("%s: DecodeSubmit = %v, want an ErrWire bad-magic refusal", path, err)
 		}
 	}
 }
@@ -149,8 +177,9 @@ func FuzzGatewayCodec(f *testing.F) {
 	f.Add(EncodeSubmit(SubmitRequest{Tenant: "alice", Spec: StudySpec{Seed: 42, DurationSec: 8, Shards: 5, LeaderKills: 1}}))
 	f.Add(EncodeSubmit(SubmitRequest{Tenant: "carol", Spec: StudySpec{Seed: 7, DurationSec: 16, Control: "predictive-holt", ControlEpochSec: 2}}))
 	f.Add(EncodeSnapshotReply(SnapshotReply{StudyID: 3, State: StateRunning, Seq: 2, VDsDone: 4, VDsTotal: 9, SketchFP: "fp", Sketch: []byte{1, 2}}))
-	f.Add(EncodeSnapshotRequest(123456))
-	f.Add([]byte("EBG1"))
+	f.Add(EncodeSubmit(SubmitRequest{Tenant: "dave", Spec: StudySpec{Seed: 9, Scenario: "bufferbloat,period=8"}}))
+	f.Add(EncodeStudyID(123456))
+	f.Add([]byte("EBG2"))
 	f.Add([]byte("EBG3 not a frame"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if sub, err := DecodeSubmit(data); err == nil {
@@ -167,12 +196,12 @@ func FuzzGatewayCodec(f *testing.F) {
 		} else if !errors.Is(err, ErrWire) {
 			t.Fatalf("DecodeSnapshotReply error %v does not wrap ErrWire", err)
 		}
-		if id, err := DecodeSnapshotRequest(data); err == nil {
-			if !bytes.Equal(EncodeSnapshotRequest(id), data) {
-				t.Fatalf("snapshot request re-encode diverges for %x", data)
+		if id, err := DecodeStudyID(data); err == nil {
+			if !bytes.Equal(EncodeStudyID(id), data) {
+				t.Fatalf("study-ID re-encode diverges for %x", data)
 			}
 		} else if !errors.Is(err, ErrWire) {
-			t.Fatalf("DecodeSnapshotRequest error %v does not wrap ErrWire", err)
+			t.Fatalf("DecodeStudyID error %v does not wrap ErrWire", err)
 		}
 	})
 }

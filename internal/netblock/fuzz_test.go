@@ -66,7 +66,7 @@ func FuzzReadRequest(f *testing.F) {
 	f.Add(reqFrame(1, OpJoinFleet, 0, nil))                                 // control op, empty body
 	f.Add(reqFrame(2, OpShardResult, 5, []byte("shard")))                   // large-cap op
 	f.Add(reqFrame(3, OpAppendEntries, 3, []byte("log")))                   // consensus op
-	f.Add(reqFrame(4, OpSubmitStudy, 4, []byte("EBG1")))                    // gateway op
+	f.Add(reqFrame(4, OpSubmitStudy, 4, []byte("EBG2")))                    // gateway op
 	f.Add(reqFrame(5, OpHeartbeat, 0, nil)[:headerSize-3])                  // truncated header
 	f.Add(reqFrame(6, OpHeartbeat, maxPayload+1, nil))                      // over the per-op cap
 	f.Add(reqFrame(7, OpShardResult, maxShardPayload+1, nil))               // over the shard cap

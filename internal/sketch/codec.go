@@ -17,13 +17,22 @@ import (
 // written in ascending key order and the decoder rejects out-of-order or
 // duplicate keys, so a Set has exactly one encoding. The decoder sizes
 // every allocation by a wire.Reader.Count result, so a hostile length
-// prefix cannot commit memory the stream does not back. Two config slots —
-// the quantile sketches' relative accuracy and the EWMA half-life — are
-// constants of this package now; the frame still carries both f64s where it
-// always did, and the decoder accepts no other value.
+// prefix cannot commit memory the stream does not back.
+//
+// The header states each Config field once, and every summary is rebuilt
+// from it the way NewSet builds it: the segment summaries' capacity is
+// SegPerVD, the cardinality estimators' register count 2^HLLPrecision, and
+// the quantile sketches' accuracy the package constant. No section repeats
+// a parameter, so a frame cannot describe a set whose parts disagree — every
+// decoded set merges with NewSet(its Config()).
+//
+//	magic | topK u32 | segPerVD u32 | hllPrecision u32 | scale f64
+//	      | tputCapSum f64 | durationSec u32 | ios u64 | bytes u64
+//	      | per-VD counters | per-VD segment summaries | rate meter
+//	      | latency and size quantiles | block and segment HLL registers
 
 // codecMagic opens every frame: "SKS" plus a format version byte.
-const codecMagic = uint32('S')<<24 | uint32('K')<<16 | uint32('S')<<8 | 1
+const codecMagic = uint32('S')<<24 | uint32('K')<<16 | uint32('S')<<8 | 2
 
 // Codec limits: caps on decoded structure sizes, far above anything the
 // engine produces but small enough that a hostile frame cannot balloon
@@ -43,9 +52,7 @@ func (s *Set) EncodeBinary() []byte {
 
 	w.U32(uint32(s.cfg.TopK))
 	w.U32(uint32(s.cfg.SegPerVD))
-	w.F64(quantileAlpha)
 	w.U32(uint32(s.cfg.HLLPrecision))
-	w.F64(ewmaHalfLifeSec)
 	w.F64(s.cfg.Scale)
 	w.F64(s.cfg.TputCapSum)
 	w.U32(uint32(s.cfg.DurationSec))
@@ -89,9 +96,7 @@ func DecodeSet(data []byte) (*Set, error) {
 	var cfg Config
 	cfg.TopK = int(r.U32())
 	cfg.SegPerVD = int(r.U32())
-	alpha := r.F64()
 	cfg.HLLPrecision = int(r.U32())
-	halfLife := r.F64()
 	cfg.Scale = r.F64()
 	cfg.TputCapSum = r.F64()
 	cfg.DurationSec = int(r.U32())
@@ -101,10 +106,6 @@ func DecodeSet(data []byte) (*Set, error) {
 	// Encoded configs come from NewSet, so they are already normalized; a
 	// config that withDefaults would rewrite is junk, as is one beyond the
 	// codec's structural caps.
-	if alpha != quantileAlpha || halfLife != ewmaHalfLifeSec {
-		return nil, fmt.Errorf("%w: quantile accuracy %v / EWMA half-life %v, want the fixed %v / %v",
-			ErrCodec, alpha, halfLife, quantileAlpha, ewmaHalfLifeSec)
-	}
 	if cfg != cfg.withDefaults() || cfg.TopK > maxCodecK || cfg.SegPerVD > maxCodecK ||
 		cfg.DurationSec < 0 || cfg.DurationSec > maxCodecSecs {
 		return nil, fmt.Errorf("%w: non-canonical config %+v", ErrCodec, cfg)
@@ -142,14 +143,14 @@ func DecodeSet(data []byte) (*Set, error) {
 			break
 		}
 		lastKey, first = vd, false
-		s.segHot[vd] = decodeSpaceSaving(r)
+		s.segHot[vd] = decodeSpaceSaving(r, cfg.SegPerVD)
 	}
 
-	s.rate = decodeRateMeter(r)
+	s.rate = decodeRateMeter(r, cfg.DurationSec)
 	s.lat = decodeLogQuantile(r)
 	s.sizes = decodeLogQuantile(r)
-	s.blocks = decodeHLL(r)
-	s.segs = decodeHLL(r)
+	s.blocks = decodeHLL(r, cfg.HLLPrecision)
+	s.segs = decodeHLL(r, cfg.HLLPrecision)
 	if err := r.Done(); err != nil {
 		return nil, err
 	}
@@ -157,7 +158,6 @@ func DecodeSet(data []byte) (*Set, error) {
 }
 
 func (s *SpaceSaving) appendBinary(w *wire.Writer) {
-	w.U32(uint32(s.k))
 	w.U32(uint32(len(s.counters)))
 	for _, c := range s.counters {
 		w.U64(c.Key)
@@ -166,11 +166,8 @@ func (s *SpaceSaving) appendBinary(w *wire.Writer) {
 	}
 }
 
-func decodeSpaceSaving(r *wire.Reader) *SpaceSaving {
-	k := int(r.U32())
-	if r.Err() == nil && (k < 1 || k > maxCodecK) {
-		r.Fail("SpaceSaving capacity %d", k)
-	}
+// decodeSpaceSaving reads a summary of capacity k, the header's SegPerVD.
+func decodeSpaceSaving(r *wire.Reader, k int) *SpaceSaving {
 	n := r.Count(3 * 8)
 	if r.Err() == nil && n > k {
 		r.Fail("SpaceSaving holds %d counters over capacity %d", n, k)
@@ -207,10 +204,12 @@ func (r *RateMeter) appendBinary(w *wire.Writer) {
 	}
 }
 
-func decodeRateMeter(r *wire.Reader) *RateMeter {
+// decodeRateMeter reads a meter that, like every meter NewRateMeter(durSec)
+// grew, spans at least durSec seconds.
+func decodeRateMeter(r *wire.Reader, durSec int) *RateMeter {
 	n := r.Count(4 * 8)
-	if r.Err() == nil && n > maxCodecSecs {
-		r.Fail("RateMeter spans %d seconds", n)
+	if r.Err() == nil && (n < durSec || n > maxCodecSecs) {
+		r.Fail("RateMeter spans %d seconds, want [%d, %d]", n, durSec, maxCodecSecs)
 	}
 	if r.Err() != nil {
 		return nil
@@ -228,7 +227,6 @@ func decodeRateMeter(r *wire.Reader) *RateMeter {
 }
 
 func (l *LogQuantile) appendBinary(w *wire.Writer) {
-	w.F64(l.alpha)
 	w.U64(l.zero)
 	w.U64(l.total)
 	w.U32(uint32(l.buckets()))
@@ -239,18 +237,15 @@ func (l *LogQuantile) appendBinary(w *wire.Writer) {
 	})
 }
 
+// decodeLogQuantile reads a summary at the package's quantile accuracy.
 func decodeLogQuantile(r *wire.Reader) *LogQuantile {
-	alpha := r.F64()
-	if r.Err() == nil && !(alpha > 0 && alpha < 0.5) {
-		r.Fail("LogQuantile alpha %g", alpha)
-	}
 	zero := r.U64()
 	total := r.U64()
 	n := r.Count(2 * 8)
 	if r.Err() != nil {
 		return nil
 	}
-	l := NewLogQuantile(alpha)
+	l := NewLogQuantile(quantileAlpha)
 	l.zero = zero
 	var sum uint64 = zero
 	lastIdx, first := int64(0), true
@@ -278,24 +273,16 @@ func decodeLogQuantile(r *wire.Reader) *LogQuantile {
 	return l
 }
 
-func (h *HLL) appendBinary(w *wire.Writer) {
-	w.U8(h.p)
-	w.Bytes(h.registers)
-}
+func (h *HLL) appendBinary(w *wire.Writer) { w.Bytes(h.registers) }
 
-func decodeHLL(r *wire.Reader) *HLL {
-	p := int(r.U8())
-	if r.Err() == nil && (p < 4 || p > 16) {
-		r.Fail("HLL precision %d", p)
-	}
-	if r.Err() != nil {
-		return nil
-	}
+// decodeHLL reads the 2^p registers of an estimator of precision p, the
+// header's HLLPrecision (already held to [4, 16]).
+func decodeHLL(r *wire.Reader, p int) *HLL {
 	regs := r.Take(1 << p)
 	if regs == nil {
 		return nil
 	}
-	h := &HLL{p: uint8(p), registers: make([]uint8, 1<<p)}
+	h := NewHLL(p)
 	copy(h.registers, regs)
 	for i, v := range h.registers {
 		// rho never exceeds 64-p+1 bits of tail.

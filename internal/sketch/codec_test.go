@@ -1,10 +1,12 @@
 package sketch
 
 import (
-	"encoding/binary"
+	"encoding/hex"
 	"errors"
-	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"ebslab/internal/cluster"
@@ -141,32 +143,25 @@ func TestSetCodecRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestSetCodecRejectsRetiredOptions: the quantile accuracy and the EWMA
-// half-life were configuration once and are constants now, but the frame
-// still carries both f64s at their old offsets (so pinned encodings did not
-// move). A frame naming any other value describes a sketch this build cannot
-// merge with, and is rejected.
-func TestSetCodecRejectsRetiredOptions(t *testing.T) {
-	frame := synthSet(3, 8).EncodeBinary()
-	const alphaOff, halfLifeOff = 12, 24 // magic u32 | topK u32 | segPerVD u32 | alpha f64 | hllP u32 | halfLife f64
-	if got := math.Float64frombits(binary.LittleEndian.Uint64(frame[alphaOff:])); got != 0.01 {
-		t.Fatalf("offset %d holds %v, want the fixed alpha 0.01", alphaOff, got)
+// TestDecodeRefusesSKS1 feeds the decoder the version-1 frames captured
+// before the layout stated each parameter once (testdata/sks1): a frame of
+// the old layout is refused at its magic.
+func TestDecodeRefusesSKS1(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("testdata", "sks1", "*.hex"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no SKS1 frames under testdata/sks1 (%v)", err)
 	}
-	if got := math.Float64frombits(binary.LittleEndian.Uint64(frame[halfLifeOff:])); got != 30 {
-		t.Fatalf("offset %d holds %v, want the fixed half-life 30", halfLifeOff, got)
-	}
-	for _, c := range []struct {
-		name string
-		off  int
-		v    float64
-	}{
-		{"alpha 0.02", alphaOff, 0.02},
-		{"half-life 10", halfLifeOff, 10},
-	} {
-		mut := append([]byte(nil), frame...)
-		binary.LittleEndian.PutUint64(mut[c.off:], math.Float64bits(c.v))
-		if _, err := DecodeSet(mut); !errors.Is(err, ErrCodec) {
-			t.Errorf("%s: DecodeSet = %v, want an ErrCodec rejection", c.name, err)
+	for _, path := range paths {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame, err := hex.DecodeString(strings.TrimSpace(string(raw)))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if _, err := DecodeSet(frame); !errors.Is(err, ErrCodec) || !strings.Contains(err.Error(), "bad magic") {
+			t.Errorf("%s: DecodeSet = %v, want an ErrCodec bad-magic refusal", path, err)
 		}
 	}
 }

@@ -154,11 +154,12 @@ func FuzzLogQuantileMerge(f *testing.F) {
 
 // FuzzSetCodec drives DecodeSet over arbitrary bytes: it must never panic
 // or over-allocate, and whenever it accepts a frame, the decoded set must
-// re-encode canonically (byte-identical) and fingerprint stably — the
-// property the fabric's shard-result path depends on.
+// re-encode canonically (byte-identical), fingerprint stably, and merge into
+// a fresh set of its own Config without changing either — the properties the
+// fabric's shard-result path and its merge depend on.
 func FuzzSetCodec(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte("SKS1 but not really"))
+	f.Add([]byte("SKS2 but not really"))
 	// Each shape twice: at the smallest HLL precision (16 registers; ~150 and
 	// ~1100 bytes) and at the default (4096; 8 KB of registers per frame).
 	// The small ones come first because the engine minimizes every mutant
@@ -193,6 +194,14 @@ func FuzzSetCodec(f *testing.F) {
 		}
 		if !bytes.Equal(s2.EncodeBinary(), wire) {
 			t.Fatal("encoding not canonical")
+		}
+		merged := NewSet(s.Config())
+		merged.Merge(s)
+		if merged.Fingerprint() != s.Fingerprint() {
+			t.Fatal("merging into a fresh set of the frame's config moved the fingerprint")
+		}
+		if !bytes.Equal(merged.EncodeBinary(), wire) {
+			t.Fatal("merging into a fresh set of the frame's config moved the encoding")
 		}
 	})
 }

@@ -95,7 +95,6 @@ func (l *refLogQuantile) AppendHash(d *wire.Digest) {
 }
 
 func (l *refLogQuantile) appendBinary(w *wire.Writer) {
-	w.F64(l.alpha)
 	w.U64(l.zero)
 	w.U64(l.total)
 	w.U32(uint32(len(l.buckets)))
@@ -198,7 +197,6 @@ func (s *refSpaceSaving) AppendHash(d *wire.Digest) {
 }
 
 func (s *refSpaceSaving) appendBinary(w *wire.Writer) {
-	w.U32(uint32(s.k))
 	w.U32(uint32(len(s.counters)))
 	for _, k := range sortedKeys(s.counters) {
 		c := s.counters[k]

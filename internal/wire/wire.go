@@ -1,6 +1,6 @@
 // Package wire is the one bounds-checked little-endian cursor under every
-// binary codec above netblock: sketch sets (SKS1), fabric shard results and
-// ledger commands, consensus messages, and the gateway's EBG1/EBG3 frames.
+// binary codec above netblock: sketch sets (SKS2), fabric shard results and
+// ledger commands, consensus messages, and the gateway's EBG2/EBG3 frames.
 // It owns the discipline those decoders share and nothing else: a short read
 // latches a typed error and poisons every later read, a length prefix is
 // checked against the bytes actually present before the caller allocates by
@@ -120,14 +120,6 @@ func (r *Reader) Fail(format string, args ...any) {
 		r.failed = true
 		r.err = fmt.Errorf("%w: %s", r.sentinel, fmt.Sprintf(format, args...))
 	}
-}
-
-// Remaining is how many bytes are unread; 0 once an error is latched.
-func (r *Reader) Remaining() int {
-	if r.failed {
-		return 0
-	}
-	return len(r.data) - r.off
 }
 
 // Take returns the next n bytes without copying them (they alias the frame),

@@ -69,9 +69,6 @@ func TestReadTypes(t *testing.T) {
 				if !errors.Is(r.Err(), errTest) {
 					t.Fatalf("cut %d: error %v does not match the sentinel", cut, r.Err())
 				}
-				if r.Remaining() != 0 {
-					t.Fatalf("cut %d: Remaining %d after a failure, want 0", cut, r.Remaining())
-				}
 			}
 		})
 	}
@@ -245,8 +242,8 @@ func TestTake(t *testing.T) {
 	data := []byte{1, 2, 3, 4}
 	r := NewReader(data, errTest)
 	head := r.Take(2)
-	if !bytes.Equal(head, []byte{1, 2}) || r.Remaining() != 2 {
-		t.Fatalf("Take(2) = % x with %d left", head, r.Remaining())
+	if !bytes.Equal(head, []byte{1, 2}) {
+		t.Fatalf("Take(2) = % x", head)
 	}
 	// The result aliases the frame but cannot grow into the bytes after it.
 	if head = append(head, 9); data[2] != 3 {
@@ -287,7 +284,7 @@ func FuzzReader(f *testing.F) {
 			return lo, true
 		}
 		for i, op := range prog {
-			switch k := int(op) % 10; {
+			switch k := int(op) % 9; {
 			case k < len(fields):
 				fd := fields[k]
 				var want uint64
@@ -309,7 +306,7 @@ func FuzzReader(f *testing.F) {
 				if !bytes.Equal(got, want) {
 					t.Fatalf("op %d Take(%d) at %d: got % x, want % x", i, n, off, got, want)
 				}
-			case k == 8:
+			default:
 				elem := 1 + int(op)/10
 				var want int
 				if lo, ok := step(4); ok {
@@ -322,14 +319,6 @@ func FuzzReader(f *testing.F) {
 				}
 				if got := r.Count(elem); got != want {
 					t.Fatalf("op %d Count(%d) at %d: got %d, want %d", i, elem, off, got, want)
-				}
-			default:
-				want := len(frame) - off
-				if failed {
-					want = 0
-				}
-				if got := r.Remaining(); got != want {
-					t.Fatalf("op %d Remaining at %d: got %d, want %d", i, off, got, want)
 				}
 			}
 			if (r.Err() != nil) != failed {
