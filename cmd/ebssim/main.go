@@ -457,7 +457,7 @@ func runLocal(ctx context.Context, stdout io.Writer, spec ebs.RunSpec) (*trace.D
 // actuated pass's, so every downstream number reflects life under mitigation.
 func printPlan(stdout io.Writer, plan *control.Plan) {
 	imb := control.Imbalance(plan.BSLoad)
-	fmt.Fprintf(stdout, "control plane: policy %s, epoch %ds (%d epochs)\n", plan.Policy, plan.Config.EpochSec, len(plan.BSLoad))
+	fmt.Fprintf(stdout, "control plane: policy %s, epoch %ds (%d epochs)\n", plan.Policy, plan.Timeline.EpochSec, len(plan.BSLoad))
 	fmt.Fprintf(stdout, "  decisions: %d (%d migrate, %d evacuate, %d lend, %d rebind)\n", len(plan.Decisions),
 		plan.Count(control.DecMigrate), plan.Count(control.DecEvacuate), plan.Count(control.DecLend), plan.Count(control.DecRebind))
 	fmt.Fprintf(stdout, "  decision log %s\n", plan.LogFingerprint())

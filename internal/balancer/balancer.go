@@ -79,18 +79,11 @@ func DefaultConfig() Config {
 // Migration records one segment move.
 type Migration struct {
 	Period int
-	// AtSec is the simulated second the move takes effect. The control
-	// plane stamps its epoch boundary, Period x EpochSec; the offline
-	// balancer stamps the period index itself.
-	AtSec int
-	Seg   cluster.SegmentID
-	From  cluster.StorageNodeID
-	To    cluster.StorageNodeID
+	Seg    cluster.SegmentID
+	From   cluster.StorageNodeID
+	To     cluster.StorageNodeID
 	// Read reports whether the move came from the read-balancing pass.
 	Read bool
-	// Failover reports whether the move evacuated a crashed BlockServer
-	// (a control-plane evacuation) rather than rebalancing load.
-	Failover bool
 }
 
 // Result summarizes one balancer run.
@@ -235,7 +228,7 @@ func balancePass(placement *cluster.SegmentMap, segTraffic [][]RW, period int,
 		for _, seg := range moving {
 			placement.Move(seg, importer)
 			out = append(out, Migration{
-				Period: period, AtSec: period, Seg: seg,
+				Period: period, Seg: seg,
 				From: cluster.StorageNodeID(b), To: importer, Read: readPass,
 			})
 		}

@@ -129,10 +129,12 @@ func (r *Runner) Start() {
 	}
 }
 
-// Stop shuts the runner down: the ticker exits, every parked proposer
-// fails with ErrStopped, and all later calls are rejected. Used both for
-// orderly teardown and as the chaos "kill this replica" primitive.
-func (r *Runner) Stop() {
+// Halt stops the runner where it stands: every parked proposer fails with
+// ErrStopped, and all later calls are rejected, so a halted node neither
+// commits nor heartbeats. It does not wait for the ticker to exit, so it may
+// be called from an OnApply hook — the chaos "kill this replica" primitive
+// halts the leader at the apply that triggers the kill.
+func (r *Runner) Halt() {
 	r.stopOnce.Do(func() {
 		close(r.stop)
 		r.mu.Lock()
@@ -142,6 +144,12 @@ func (r *Runner) Stop() {
 		}
 		r.mu.Unlock()
 	})
+}
+
+// Stop is Halt plus waiting for the ticker goroutine to exit: the orderly
+// teardown.
+func (r *Runner) Stop() {
+	r.Halt()
 	r.tickWG.Wait()
 }
 

@@ -18,9 +18,9 @@
 // e+1), and finally an actuated pass that applies the compiled Timeline
 // through RNG-free lookups in the engine's emit path. In check mode the
 // actuated pass's DiTing metric rows, folded by AddRows, must reproduce the
-// observation the plan was built from. Every decision lands in an epoch-stamped, fingerprintable log,
-// and invariant.CheckControlActuation holds the log and the applied actions
-// to a bijection. See DESIGN.md, "Mitigation control plane".
+// observation the plan was built from. Every decision lands in an
+// epoch-stamped, fingerprintable log. See DESIGN.md, "Mitigation control
+// plane".
 package control
 
 import (

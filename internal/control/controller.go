@@ -34,10 +34,12 @@ const (
 	// rebindTrigger is the max/mean ratio of forecast per-WT load on a node
 	// above which the hottest QP is rebound to the coldest WT (§4).
 	rebindTrigger = 1.5
-	// migrationPenaltyUS is the backend-network latency surcharge IOs pay on
-	// a segment during its landing epoch.
-	migrationPenaltyUS = 150
 )
+
+// MigrationPenaltyUS is the extra backend-network latency an IO pays when it
+// touches a segment during the epoch the segment lands on its new BS (data
+// movement competes with foreground traffic).
+const MigrationPenaltyUS = 150
 
 // Input is the fleet context the controller plans against. Everything is a
 // pure function of the topology and the observe pass — no scheduling state —
@@ -144,18 +146,12 @@ type Decision struct {
 }
 
 // Plan is a compiled control run: the decision log, the timeline the engine
-// applies, the migration log joinable against the balancer's format, and the
-// per-epoch per-BS load measured under the placement in effect — the series
-// the evaluation harness scores imbalance on.
+// applies, and the per-epoch per-BS load measured under the placement in
+// effect — the series the evaluation harness scores imbalance on.
 type Plan struct {
 	Policy    string
-	Config    Config
 	Decisions []Decision
 	Timeline  *Timeline
-	// Applied mirrors every migrate/evacuate decision as a balancer
-	// migration entry (AtSec stamped with the landing epoch's boundary
-	// second) so invariant checks can join the two logs.
-	Applied []balancer.Migration
 	// BSLoad[ep][bs] is epoch ep's bytes on bs under the live placement.
 	BSLoad [][]float64
 }
@@ -199,13 +195,13 @@ func (p *Plan) LogFingerprint() string {
 // single, explicit exception), and the controller turns forecasts into
 // migrations, evacuations, lending grants and rebinds using the same
 // threshold machinery for every policy — so plans differ across policies
-// exactly as far as their forecasts do.
+// exactly as far as their forecasts do. The cadence is in.Obs.Shape's
+// EpochSec; cfg's is not read.
 func BuildPlan(pol Policy, cfg Config, in Input) (*Plan, error) {
 	if err := in.validate(); err != nil {
 		return nil, err
 	}
 	sh := in.Obs.Shape
-	cfg.EpochSec = sh.EpochSec
 
 	nEpochs := sh.Epochs()
 	nBS := in.Placement.NumBS()
@@ -218,11 +214,9 @@ func BuildPlan(pol Policy, cfg Config, in Input) (*Plan, error) {
 
 	plan := &Plan{
 		Policy:   pol.Name(),
-		Config:   cfg,
 		Timeline: NewTimeline(sh.EpochSec, sh.DurSec),
 		BSLoad:   make([][]float64, 0, nEpochs),
 	}
-	plan.Timeline.PenaltyUS = migrationPenaltyUS
 	_, noop := pol.(NoOp)
 
 	// Rolling histories, one slice per entity, appended as epochs replay.
@@ -295,11 +289,6 @@ func BuildPlan(pol Policy, cfg Config, in Input) (*Plan, error) {
 			plan.Decisions = append(plan.Decisions, Decision{
 				Epoch: target, Kind: kind,
 				Seg: seg, From: int(from), To: int(to), Forecast: forecast,
-			})
-			plan.Applied = append(plan.Applied, balancer.Migration{
-				Period: target, AtSec: target * sh.EpochSec,
-				Seg: cluster.SegmentID(seg), From: from, To: to,
-				Failover: kind == DecEvacuate,
 			})
 			v := fSeg[seg]
 			fBS[from] -= v

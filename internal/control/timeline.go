@@ -22,10 +22,6 @@ type Timeline struct {
 	// timeline, so EpochOf agrees between passes.
 	EpochSec int
 	DurSec   int
-	// PenaltyUS is the extra backend-network latency an IO pays when it
-	// touches a segment during the epoch the segment lands on its new BS
-	// (data movement competes with foreground traffic).
-	PenaltyUS float64
 
 	bs    [][]cluster.StorageNodeID // [epoch] full placement, nil = base
 	wt    [][]int8                  // [epoch] per-QP WT binding, nil = base

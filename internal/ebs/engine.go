@@ -468,7 +468,7 @@ func (e *vdEmitter) latencies(b *trace.Batch) {
 		if e.ctl != nil && e.ctl.MovedAt(e.ctl.EpochOf(sec), int(b.Segment[i])) {
 			// The segment is landing on its new BS this epoch: data movement
 			// competes with foreground traffic on the backend network.
-			lat[trace.StageBackendNet] += float32(e.ctl.PenaltyUS)
+			lat[trace.StageBackendNet] += float32(control.MigrationPenaltyUS)
 		}
 		if e.sched != nil && e.sched.BSDownAt(int(b.Storage[i]), sec) {
 			e.sh.chaos.FaultedIOs++
@@ -630,27 +630,24 @@ func (s *Sim) delaysOf(sh *shard, vdIdx int, opts *Options, boost func(sec int) 
 		// the arithmetic (and the dataset) is untouched for them. Scheduled
 		// caps compose from up to two sources, in order: a scenario
 		// CapScheduler rewrites the second's base caps, then the control
-		// plane's lending deltas apply on top.
+		// plane's lending deltas apply on top. Replay resets eff to the
+		// nominal caps before every call, so the scheduler reads the base
+		// caps from eff[0].
 		var capsAt func(t int, eff []throttle.Caps)
 		capSch, _ := sc.(scenario.CapScheduler)
 		var lend func(t int, eff []throttle.Caps)
 		if opts.Control != nil && opts.Control.VDLends(vdIdx) {
 			lend = lendCapsAt(opts.Control, vdIdx)
 		}
-		switch {
-		case capSch != nil && lend != nil:
-			base := sh.caps[0]
+		if capSch != nil || lend != nil {
 			capsAt = func(t int, eff []throttle.Caps) {
-				eff[0] = capSch.CapsAt(vdID, base, t)
-				lend(t, eff)
+				if capSch != nil {
+					eff[0] = capSch.CapsAt(vdID, eff[0], t)
+				}
+				if lend != nil {
+					lend(t, eff)
+				}
 			}
-		case capSch != nil:
-			base := sh.caps[0]
-			capsAt = func(t int, eff []throttle.Caps) {
-				eff[0] = capSch.CapsAt(vdID, base, t)
-			}
-		case lend != nil:
-			capsAt = lend
 		}
 		res, msgs := sh.th.Replay(sh.caps[:], sh.group[:], throttle.Replay{CapsAt: capsAt, Audit: opts.Check})
 		for _, m := range msgs {

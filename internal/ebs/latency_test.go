@@ -96,7 +96,7 @@ func TestEngineLatencyIsPerIOReference(t *testing.T) {
 				sim.table.SampleInto(rng, rec.Op, rec.Size, &want)
 				sec := int(rec.TimeUS / 1_000_000)
 				if ctl != nil && ctl.MovedAt(ctl.EpochOf(sec), int(rec.Segment)) {
-					want[trace.StageBackendNet] += float32(ctl.PenaltyUS)
+					want[trace.StageBackendNet] += float32(control.MigrationPenaltyUS)
 					fired["migration"]++
 				}
 				if sched != nil && sched.BSDownAt(int(rec.Storage), sec) && sched.PenaltyUS > 0 {

@@ -251,12 +251,8 @@ func TestObserveSteadyStateAllocs(t *testing.T) {
 			}
 		}
 	}
-	few, many := pass(10), pass(40)
-	for i := 0; i < 3; i++ {
-		many()
-	}
 	const budget = 20
-	a, b := testing.AllocsPerRun(5, few), testing.AllocsPerRun(5, many)
+	a, b := warmAllocs(pass(10)), warmAllocs(pass(40))
 	if a > budget || b > budget {
 		t.Fatalf("warm Observe allocates %.0f times over 10 disks, %.0f over 40; budget is %d", a, b, budget)
 	}

@@ -648,7 +648,7 @@ func TestResultHeaderIsStamped(t *testing.T) {
 				h.name, c.Kind, c.Worker, c.At, len(c.Frame), cmdResult, clock.Now().UnixNano(), len(frame))
 		}
 		var beat time.Time
-		co.runner.Read(func() { beat = co.fsm.workers[w.id].lastBeat })
+		co.runner.Read(func() { beat = co.fsm.workers[w.id] })
 		if !beat.Equal(clock.Now()) {
 			t.Fatalf("%s: the result touched its worker at %v, the leader's clock says %v", h.name, beat, clock.Now())
 		}

@@ -83,39 +83,27 @@ func decodeCommand(data []byte) (command, error) {
 	return c, nil
 }
 
-// Shard dispatch states.
-const (
-	shardPending = iota
-	shardRunning
-	shardDone
-)
-
 // shardState tracks one planned shard through dispatch, execution, and
-// result accounting.
+// result accounting. A shard is done once it holds its accepted partial,
+// running while it is not done and some worker executes it, and pending
+// otherwise.
 type shardState struct {
-	r     cluster.ShardRange
-	state int
+	r cluster.ShardRange
 	// attempted records every worker the shard was ever dispatched to, so
-	// re-dispatch (speculation or requeue) lands on a different worker.
+	// re-dispatch (speculation or requeue) lands on a different worker; its
+	// size is the shard's dispatch count.
 	attempted map[uint64]bool
 	// running is the subset of attempted workers believed alive and still
 	// executing the shard.
 	running map[uint64]bool
 	// returnedBy records workers whose result for this shard was already
-	// accounted, so a retransmit after a lost reply (leader failover) is
-	// acknowledged without double-counting the ledger.
+	// accounted (its size is the returned count), so a retransmit after a
+	// lost reply (leader failover) is acknowledged without double-counting.
 	returnedBy map[uint64]bool
 	// firstDispatch anchors straggler detection.
 	firstDispatch time.Time
 	lastDispatch  time.Time
 	partial       *ebs.ShardPartial
-
-	dispatched, returned, accepted int
-}
-
-// workerState is the control plane's view of one joined worker.
-type workerState struct {
-	lastBeat time.Time
 }
 
 // pulse is a reusable broadcast: wait hands out the current channel, fire
@@ -158,12 +146,10 @@ type ledgerFSM struct {
 	shardSketch *sketch.Config
 
 	shards    []*shardState
-	workers   map[uint64]*workerState
+	workers   map[uint64]time.Time // last beat per registered worker
 	nextID    uint64
 	remaining int
-
-	doneOnce sync.Once
-	allDone  chan struct{}
+	allDone   chan struct{}
 	// avail fires whenever a shard becomes placeable or the run completes
 	// (result accepted, shard requeued): the coordinator's assign long-poll
 	// re-asks on it instead of making workers retry on a timer.
@@ -174,7 +160,7 @@ func newLedgerFSM(cfg Config, plan []cluster.ShardRange, shardSketch *sketch.Con
 	f := &ledgerFSM{
 		cfg:         cfg,
 		shardSketch: shardSketch,
-		workers:     make(map[uint64]*workerState),
+		workers:     make(map[uint64]time.Time),
 		remaining:   len(plan),
 		allDone:     make(chan struct{}),
 		avail:       newPulse(),
@@ -228,7 +214,7 @@ func (f *ledgerFSM) Apply(index uint64, cmd []byte) any {
 func (f *ledgerFSM) join(now time.Time) JoinReply {
 	f.nextID++
 	id := f.nextID
-	f.workers[id] = &workerState{lastBeat: now}
+	f.workers[id] = now
 	return JoinReply{
 		WorkerID:    id,
 		Spec:        f.cfg.runSpec(),
@@ -239,9 +225,14 @@ func (f *ledgerFSM) join(now time.Time) JoinReply {
 
 // assign places a shard on the asking worker: first a pending shard the
 // worker has not attempted, then — when nothing is pending but shards are
-// still out — a speculative copy of the slowest straggling shard.
-func (f *ledgerFSM) assign(workerID uint64, now time.Time) AssignReply {
-	f.touch(workerID, now)
+// still out — a speculative copy of the slowest straggling shard. A worker
+// the ledger issued but no longer lists (reaped or drained) registers again,
+// so the reaper sees the shard it takes; an ID never issued is refused.
+func (f *ledgerFSM) assign(workerID uint64, now time.Time) any {
+	if workerID == 0 || workerID > f.nextID {
+		return fmt.Errorf("fabric: assign from worker %d, which never joined", workerID)
+	}
+	f.workers[workerID] = now
 	f.reap(now)
 
 	if f.remaining == 0 {
@@ -252,13 +243,13 @@ func (f *ledgerFSM) assign(workerID uint64, now time.Time) AssignReply {
 	// response). Re-offer the same shard instead of parking it: a second
 	// dispatch would strand the first copy until speculation rescues it.
 	for i, sh := range f.shards {
-		if sh.state == shardRunning && sh.running[workerID] {
+		if sh.partial == nil && sh.running[workerID] {
 			return AssignReply{Status: AssignShard, Shard: i, Lo: sh.r.Lo, Hi: sh.r.Hi}
 		}
 	}
 	var pending []int
 	for i, sh := range f.shards {
-		if sh.state == shardPending {
+		if sh.partial == nil && len(sh.running) == 0 {
 			pending = append(pending, i)
 		}
 	}
@@ -270,10 +261,8 @@ func (f *ledgerFSM) assign(workerID uint64, now time.Time) AssignReply {
 		return AssignReply{Status: AssignWait}
 	}
 	sh := f.shards[pick]
-	sh.state = shardRunning
 	sh.attempted[workerID] = true
 	sh.running[workerID] = true
-	sh.dispatched++
 	if sh.firstDispatch.IsZero() {
 		sh.firstDispatch = now
 	}
@@ -286,7 +275,7 @@ func (f *ledgerFSM) assign(workerID uint64, now time.Time) AssignReply {
 func (f *ledgerFSM) straggler(workerID uint64, now time.Time) int {
 	best := -1
 	for i, sh := range f.shards {
-		if sh.state != shardRunning || sh.attempted[workerID] {
+		if sh.partial != nil || len(sh.running) == 0 || sh.attempted[workerID] {
 			continue
 		}
 		if now.Sub(sh.lastDispatch) < f.cfg.speculateAfter {
@@ -329,17 +318,14 @@ func (f *ledgerFSM) result(frame []byte, now time.Time) any {
 		return resultReply{}
 	}
 	sh.returnedBy[workerID] = true
-	sh.returned++
 	delete(sh.running, workerID)
-	if sh.state == shardDone {
+	if sh.partial != nil {
 		return resultReply{}
 	}
-	sh.state = shardDone
 	sh.partial = p
-	sh.accepted++
 	f.remaining--
 	if f.remaining == 0 {
-		f.doneOnce.Do(func() { close(f.allDone) })
+		close(f.allDone) // each shard is done once, so this runs once
 	}
 	// An accepted result changes what the next assign answers (fewer shards
 	// out, possibly done): wake any worker parked in an assign long-poll.
@@ -348,8 +334,8 @@ func (f *ledgerFSM) result(frame []byte, now time.Time) any {
 }
 
 func (f *ledgerFSM) touch(workerID uint64, now time.Time) {
-	if w := f.workers[workerID]; w != nil {
-		w.lastBeat = now
+	if _, ok := f.workers[workerID]; ok {
+		f.workers[workerID] = now
 	}
 }
 
@@ -361,8 +347,8 @@ func (f *ledgerFSM) touch(workerID uint64, now time.Time) {
 // position. Requeues commute (each removes one worker from disjoint running
 // sets), so map iteration order cannot diverge replicas.
 func (f *ledgerFSM) reap(now time.Time) {
-	for id, w := range f.workers {
-		if now.Sub(w.lastBeat) > f.cfg.livenessTimeout {
+	for id, beat := range f.workers {
+		if now.Sub(beat) > f.cfg.livenessTimeout {
 			delete(f.workers, id)
 			f.requeue(id)
 		}
@@ -375,14 +361,12 @@ func (f *ledgerFSM) reap(now time.Time) {
 func (f *ledgerFSM) requeue(workerID uint64) {
 	freed := false
 	for _, sh := range f.shards {
-		if sh.state != shardRunning || !sh.running[workerID] {
+		if sh.partial != nil || !sh.running[workerID] {
 			continue
 		}
 		delete(sh.running, workerID)
-		if len(sh.running) == 0 {
-			sh.state = shardPending
-			freed = true
-		}
+		freed = freed || len(sh.running) == 0
+
 	}
 	if freed {
 		f.avail.fire() // a shard went back to pending: long-polls can place it
@@ -398,9 +382,11 @@ func (f *ledgerFSM) ledger() *invariant.ShardLedger {
 		Accepted:   make([]int, len(f.shards)),
 	}
 	for i, sh := range f.shards {
-		l.Dispatched[i] = sh.dispatched
-		l.Returned[i] = sh.returned
-		l.Accepted[i] = sh.accepted
+		l.Dispatched[i] = len(sh.attempted)
+		l.Returned[i] = len(sh.returnedBy)
+		if sh.partial != nil {
+			l.Accepted[i] = 1
+		}
 	}
 	return l
 }

@@ -122,6 +122,71 @@ func TestLedgerFSMDeterministicReplay(t *testing.T) {
 	}
 }
 
+// TestLedgerFSMReapsReturningZombie: a reaped worker that comes back and takes
+// a shard must be listed again, so that when it falls silent a second time the
+// reaper requeues its shard instead of leaving it running until speculation.
+// An assign from an ID the ledger never issued is refused.
+func TestLedgerFSMReapsReturningZombie(t *testing.T) {
+	cfg := Config{
+		Fleet: testFleetConfig(), Opts: testOpts(nil), Shards: 3,
+		livenessTimeout: time.Second, speculateAfter: time.Hour,
+	}.withDefaults()
+	co, err := newCoordinator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := co.Plan()
+	if len(plan) != 3 {
+		t.Fatalf("planned %d shards, want 3", len(plan))
+	}
+	f := newLedgerFSM(cfg, plan, nil)
+	clock := testclock.AtUnix(50)
+	index := uint64(0)
+	apply := func(c command) any {
+		c.At = clock.Now().UnixNano()
+		index++
+		return f.Apply(index, encodeCommand(&c))
+	}
+	assign := func(worker uint64, want string, shard int) {
+		t.Helper()
+		a, ok := apply(command{Kind: cmdAssign, Worker: worker}).(AssignReply)
+		if !ok || a.Status != want || want == AssignShard && a.Shard != shard {
+			t.Fatalf("worker %d assign = %+v, want status %s (shard %d)", worker, a, want, shard)
+		}
+	}
+	result := func(worker uint64, shard int) {
+		t.Helper()
+		p, err := co.sim.RunShard(context.Background(), testOpts(nil), plan[shard].Lo, plan[shard].Hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r, ok := apply(command{Kind: cmdResult, Frame: encodeResult(worker, shard, p)}).(resultReply); !ok || !r.Accepted {
+			t.Fatalf("worker %d result for shard %d not accepted", worker, shard)
+		}
+	}
+
+	apply(command{Kind: cmdJoin}) // w1
+	apply(command{Kind: cmdJoin}) // w2
+	assign(1, AssignShard, 0)
+	assign(2, AssignShard, 1)
+	result(2, 1)
+	clock.Advance(2 * time.Second)
+	assign(2, AssignShard, 0) // reaps w1; w2 inherits shard 0
+	assign(1, AssignShard, 2) // zombie w1 returns and takes shard 2
+	result(2, 0)
+	clock.Advance(2 * time.Second)
+	apply(command{Kind: cmdHeartbeat, Worker: 2}) // w1 silent again: reaped
+	assign(2, AssignShard, 2)
+
+	r := apply(command{Kind: cmdAssign, Worker: 3})
+	if _, isErr := r.(error); !isErr {
+		t.Fatalf("assign from never-issued worker 3 = %+v, want an error", r)
+	}
+	if _, listed := f.workers[3]; listed {
+		t.Fatal("never-issued worker 3 registered")
+	}
+}
+
 // TestFirstAssignIsHeaviestShard: on a fleet where one disk carries at least
 // 40 % of the predicted IOs, the first AssignShard hands out the range holding
 // it, so the longest shard starts while the rest of the plan is still queued.

@@ -38,14 +38,15 @@ type ReplicaSet struct {
 	// deterministic mid-study progress observation here.
 	OnAccepted func(total int)
 
-	mu          sync.Mutex
-	transitions []invariant.LeaderTransition
-	kills       []chaos.LeaderKill
-	nextKill    int
-	counts      []int // accepted results applied, per replica
-	killed      []bool
-	killWG      sync.WaitGroup
-	closeOnce   sync.Once
+	mu           sync.Mutex
+	transitions  []invariant.LeaderTransition
+	kills        []chaos.LeaderKill
+	nextKill     int
+	counts       []int // accepted results applied, per replica
+	killed       []bool
+	killWG       sync.WaitGroup
+	closeOnce    sync.Once
+	holdTeardown func() // when set, a kill's teardown waits for it to return
 }
 
 // replicaFan is the in-process consensus transport: Send delivers the
@@ -141,8 +142,10 @@ func (rs *ReplicaSet) recordLeader(term uint64, id int) {
 // applied is every replica's post-apply hook: it counts accepted results in
 // commit order and, when the next kill window's trigger count is reached on
 // the replica that currently leads, consumes the window and kills that
-// replica asynchronously (the teardown stops the runner this callback
-// belongs to, so it cannot run inline).
+// replica. The kill takes effect here: the leader's runner halts inline, so
+// it commits nothing more and the rest of the run needs a successor. The
+// teardown runs asynchronously (it waits for the runner's ticker, which may
+// be the goroutine running this callback).
 func (rs *ReplicaSet) applied(id int, kind uint8, reply any, leader bool) {
 	if kind != cmdResult {
 		return
@@ -162,14 +165,18 @@ func (rs *ReplicaSet) applied(id int, kind uint8, reply any, leader bool) {
 		rs.killWG.Add(1)
 	}
 	rs.mu.Unlock()
-	if leader && rs.OnAccepted != nil {
-		rs.OnAccepted(count)
-	}
 	if kill {
+		rs.cos[id].runner.Halt()
 		go func() {
 			defer rs.killWG.Done()
+			if rs.holdTeardown != nil {
+				rs.holdTeardown()
+			}
 			rs.kill(id)
 		}()
+	}
+	if leader && rs.OnAccepted != nil {
+		rs.OnAccepted(count)
 	}
 }
 

@@ -209,6 +209,53 @@ func TestReplicaSetLeaderKillGolden(t *testing.T) {
 	}
 }
 
+// TestLeaderKillHaltsAtTrigger: a leader kill takes effect at the apply that
+// triggers it, not when its asynchronous teardown gets to run. With the
+// teardown held until the workers have finished and drained, a leader that
+// kept serving would finish the run alone; the halted one cannot, so the run
+// completes only under an elected successor — with the fault-free dataset.
+func TestLeaderKillHaltsAtTrigger(t *testing.T) {
+	wantDS, _ := baseline(t)
+	rs, err := NewReplicaSet(replicaConfig(nil, 1), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rs.Close)
+	workersDone := make(chan struct{})
+	rs.holdTeardown = func() { <-workersDone }
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := RunWorker(context.Background(), WorkerConfig{
+				Dials: rs.Dials(), callTimeout: 2 * time.Second, failoverWindow: 20 * time.Second,
+			}); err != nil {
+				t.Errorf("worker: %v", err)
+			}
+		}()
+	}
+	go func() {
+		wg.Wait()
+		close(workersDone)
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	ds, err := rs.Wait(ctx)
+	if err != nil {
+		t.Fatalf("replicated run failed: %v", err)
+	}
+	if rs.KillsExecuted() != 1 {
+		t.Fatalf("%d leader kills executed, want 1", rs.KillsExecuted())
+	}
+	if tr := rs.Transitions(); len(tr) < 2 {
+		t.Fatalf("leadership log %v shows no successor: the killed leader kept serving until its teardown", tr)
+	}
+	if fp := invariant.Fingerprint(ds); fp != wantDS {
+		t.Fatalf("dataset fingerprint %s after leader kill, fault-free single-process %s", fp, wantDS)
+	}
+}
+
 // TestCoordinatorRejectsBadReplicaConfig pins the construction-time guards.
 func TestCoordinatorRejectsBadReplicaConfig(t *testing.T) {
 	base := Config{Fleet: testFleetConfig(), Opts: testOpts(nil), Shards: 2}

