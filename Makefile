@@ -30,9 +30,11 @@ vet:
 # field has a reader: fails on a struct field that no non-test code and no
 # bench/*.go file reads (a store is not a read) and that
 # testdata/fields_allow.txt does not list with its reader — and on a listed
-# field that is read or gone (fields_test.go).
+# field that is read or gone (fields_test.go). The serving stack keeps its
+# layers: fails on a forbidden dependency among netblock, consensus, fabric
+# and gateway, or on one from outside them (layering_test.go).
 callers:
-	$(GO) test -run 'TestDeclarationsHaveCallers|TestFieldsHaveReaders' -count=1 .
+	$(GO) test -run 'TestDeclarationsHaveCallers|TestFieldsHaveReaders|TestServingStackLayering' -count=1 .
 
 # Non-test Go lines outside bench/, per package directory and in total: the
 # number a simplification PR reports before and after (ROADMAP aim 2).

@@ -1,9 +1,10 @@
 // Command ebsgate is the always-on serving plane: a multi-tenant gateway
 // that accepts skewness-study submissions over the netblock protocol, queues
 // them FIFO per tenant behind token-bucket caps, dequeues with weighted-fair
-// queueing, and executes each study in-process or on a replicated in-process
-// fabric. The same binary is the client: point -addr at a running gateway to
-// submit, poll, stream snapshots, cancel, or read tenant statistics.
+// queueing, and executes each study in-process, answering exactly what a
+// single-process run of the same spec answers. The same binary is the client:
+// point -addr at a running gateway to submit, poll, stream snapshots, cancel,
+// or read tenant statistics.
 //
 // Serve:     ebsgate -listen :9100 -max-concurrent 4 -rate 1 -burst 2
 // Submit:    ebsgate -addr :9100 -submit -tenant alice -seed 7 -dur 8 -wait
@@ -41,8 +42,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		rate     = fs.Float64("rate", 0, "serve: per-tenant submission grants per second (0 = uncapped)")
 		burst    = fs.Float64("burst", 0, "serve: per-tenant token-bucket burst (0 = 1 when -rate is set)")
 		maxQueue = fs.Int("max-queued", 16, "serve: per-tenant admission bound")
-		freplica = fs.Int("fabric-replicas", 0, "serve: run studies on an in-process fabric with this many control-plane replicas (0 = run in-process)")
-		fworkers = fs.Int("fabric-workers", 2, "serve: fabric workers per study")
 
 		addr     = fs.String("addr", "", "client: gateway address to talk to")
 		submit   = fs.Bool("submit", false, "client: submit a study (see -tenant and the spec flags)")
@@ -66,9 +65,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		SubmitRate:         *rate,
 		SubmitBurst:        *burst,
 		MaxQueuedPerTenant: *maxQueue,
-	}
-	if *freplica > 0 {
-		cfg.Fabric = &gateway.FabricConfig{Replicas: *freplica, Workers: *fworkers}
 	}
 
 	var err error
@@ -100,7 +96,7 @@ func serve(stderr io.Writer, listenAddr string, cfg gateway.Config) error {
 	gw := gateway.New(cfg)
 	srv := netblock.NewHandlerServer(gw)
 	go srv.Serve(ln) //nolint:errcheck — ends with Close
-	fmt.Fprintf(stderr, "ebsgate: serving on %s (%s)\n", ln.Addr(), execDesc(cfg))
+	fmt.Fprintf(stderr, "ebsgate: serving on %s\n", ln.Addr())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -110,13 +106,6 @@ func serve(stderr io.Writer, listenAddr string, cfg gateway.Config) error {
 	ln.Close()
 	gw.Close()
 	return nil
-}
-
-func execDesc(cfg gateway.Config) string {
-	if cfg.Fabric == nil {
-		return "in-process execution"
-	}
-	return fmt.Sprintf("fabric execution, %d replica(s) x %d worker(s)", cfg.Fabric.Replicas, cfg.Fabric.Workers)
 }
 
 // runClient performs exactly one client operation against a live gateway.
@@ -193,9 +182,6 @@ func pollStudy(cl *gateway.Client, id uint64, onPoll func()) (gateway.StatusRepl
 
 func printStatus(stdout io.Writer, st gateway.StatusReply) {
 	fmt.Fprintf(stdout, "study %d tenant=%s %s vds=%d/%d", st.StudyID, st.Tenant, st.State, st.VDsDone, st.VDsTotal)
-	if st.Kills > 0 {
-		fmt.Fprintf(stdout, " leader-kills=%d", st.Kills)
-	}
 	if st.DatasetFP != "" {
 		fmt.Fprintf(stdout, "\n  dataset  %s\n  sketch   %s", st.DatasetFP, st.SketchFP)
 	}
@@ -222,7 +208,7 @@ func runSelftest(stdout, stderr io.Writer, cfg gateway.Config, spec gateway.Stud
 	srv := netblock.NewHandlerServer(gw)
 	defer srv.Close()
 	go srv.Serve(ln) //nolint:errcheck — ends with Close
-	fmt.Fprintf(stderr, "ebsgate: selftest gateway on %s (%s)\n", ln.Addr(), execDesc(cfg))
+	fmt.Fprintf(stderr, "ebsgate: selftest gateway on %s\n", ln.Addr())
 
 	cl, err := gateway.Dial(ln.Addr().String())
 	if err != nil {
@@ -251,9 +237,6 @@ func runSelftest(stdout, stderr io.Writer, cfg gateway.Config, spec gateway.Stud
 	}
 	if st.State != "done" {
 		return fmt.Errorf("study settled as %s: %s", st.State, st.Error)
-	}
-	if st.Kills != spec.LeaderKills {
-		return fmt.Errorf("study ran with %d leader kill(s), the spec asked for %d", st.Kills, spec.LeaderKills)
 	}
 	// The final frame always carries state, so a fast study still streams.
 	if final, err := cl.Snapshot(reply.StudyID); err == nil && len(final.Sketch) > 0 {

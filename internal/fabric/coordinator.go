@@ -25,7 +25,6 @@ import (
 	"ebslab/internal/ebs"
 	"ebslab/internal/invariant"
 	"ebslab/internal/netblock"
-	"ebslab/internal/sketch"
 	"ebslab/internal/trace"
 	"ebslab/internal/workload"
 )
@@ -396,11 +395,7 @@ func (co *Coordinator) render(resp *netblock.Response, reply any, err error) *ne
 }
 
 // Done reports whether every shard has an accepted result.
-func (co *Coordinator) Done() bool {
-	var done bool
-	co.runner.Read(func() { done = co.fsm.remaining == 0 })
-	return done
-}
+func (co *Coordinator) Done() bool { return co.fsm.done() }
 
 // Workers returns how many workers are currently registered.
 func (co *Coordinator) Workers() int {
@@ -415,34 +410,6 @@ func (co *Coordinator) Ledger() *invariant.ShardLedger {
 	var l *invariant.ShardLedger
 	co.runner.Read(func() { l = co.fsm.ledger() })
 	return l
-}
-
-// SketchSnapshot merges the sketch state of every shard result accepted so
-// far into a fresh set, reporting how many virtual disks it covers. This is
-// the distributed analogue of ebs.SnapshotSink: the gateway serves it to
-// tenants streaming a fabric-run study mid-flight. Ledger partials are
-// immutable once accepted and Set.Merge only reads its source, so they are
-// merged in place under the runner's lock — concurrently with other
-// snapshots and with Wait's final merge, which read the same partials.
-// Before any result lands it returns (nil, 0). Streaming runs only; without
-// Options.Stream the partials carry no sketch state and the snapshot stays
-// empty.
-func (co *Coordinator) SketchSnapshot() (*sketch.Set, int) {
-	var merged *sketch.Set
-	var vds int
-	co.runner.Read(func() {
-		for _, sh := range co.fsm.shards {
-			if sh.partial == nil || sh.partial.Sketch == nil {
-				continue
-			}
-			if merged == nil {
-				merged = sketch.NewSet(sh.partial.Sketch.Config())
-			}
-			merged.Merge(sh.partial.Sketch)
-			vds += sh.r.Hi - sh.r.Lo
-		}
-	})
-	return merged, vds
 }
 
 // Wait blocks until every shard is accounted for (or ctx ends), then merges

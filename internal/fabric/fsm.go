@@ -3,6 +3,7 @@ package fabric
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -145,11 +146,11 @@ type ledgerFSM struct {
 	// carries (ebs.Sim.ShardSketchConfig; nil = no streaming, so no sketch).
 	shardSketch *sketch.Config
 
-	shards    []*shardState
-	workers   map[uint64]time.Time // last beat per registered worker
-	nextID    uint64
-	remaining int
-	allDone   chan struct{}
+	shards  []*shardState
+	workers map[uint64]time.Time // last beat per registered worker
+	nextID  uint64
+	// allDone is closed once every shard holds its accepted partial.
+	allDone chan struct{}
 	// avail fires whenever a shard becomes placeable or the run completes
 	// (result accepted, shard requeued): the coordinator's assign long-poll
 	// re-asks on it instead of making workers retry on a timer.
@@ -161,7 +162,6 @@ func newLedgerFSM(cfg Config, plan []cluster.ShardRange, shardSketch *sketch.Con
 		cfg:         cfg,
 		shardSketch: shardSketch,
 		workers:     make(map[uint64]time.Time),
-		remaining:   len(plan),
 		allDone:     make(chan struct{}),
 		avail:       newPulse(),
 	}
@@ -235,7 +235,7 @@ func (f *ledgerFSM) assign(workerID uint64, now time.Time) any {
 	f.workers[workerID] = now
 	f.reap(now)
 
-	if f.remaining == 0 {
+	if f.done() {
 		return AssignReply{Status: AssignDone}
 	}
 	// A worker the ledger already lists as executing a shard is re-asking
@@ -323,14 +323,23 @@ func (f *ledgerFSM) result(frame []byte, now time.Time) any {
 		return resultReply{}
 	}
 	sh.partial = p
-	f.remaining--
-	if f.remaining == 0 {
-		close(f.allDone) // each shard is done once, so this runs once
+	if !slices.ContainsFunc(f.shards, func(sh *shardState) bool { return sh.partial == nil }) {
+		close(f.allDone) // only the last shard's first result gets here
 	}
 	// An accepted result changes what the next assign answers (fewer shards
 	// out, possibly done): wake any worker parked in an assign long-poll.
 	f.avail.fire()
 	return resultReply{Accepted: true}
+}
+
+// done reports whether allDone is closed: every shard has its partial.
+func (f *ledgerFSM) done() bool {
+	select {
+	case <-f.allDone:
+		return true
+	default:
+		return false
+	}
 }
 
 func (f *ledgerFSM) touch(workerID uint64, now time.Time) {

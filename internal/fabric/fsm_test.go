@@ -107,8 +107,16 @@ func TestLedgerFSMDeterministicReplay(t *testing.T) {
 	if len(a.workers) != 0 || len(b.workers) != 0 {
 		t.Fatalf("workers left registered: %d and %d, want 0", len(a.workers), len(b.workers))
 	}
-	if a.remaining != 0 || b.remaining != 0 {
-		t.Fatalf("remaining %d and %d, want 0", a.remaining, b.remaining)
+	for _, f := range []*ledgerFSM{a, b} {
+		lacking := 0
+		for _, sh := range f.shards {
+			if sh.partial == nil {
+				lacking++
+			}
+		}
+		if lacking != 0 || !f.done() {
+			t.Fatalf("%d shards lack their partial (done %v), want 0 and done", lacking, f.done())
+		}
 	}
 	l := a.ledger()
 	for i := range l.Accepted {

@@ -12,7 +12,6 @@ import (
 	"ebslab/internal/consensus"
 	"ebslab/internal/invariant"
 	"ebslab/internal/netblock"
-	"ebslab/internal/sketch"
 	"ebslab/internal/trace"
 )
 
@@ -31,12 +30,6 @@ type ReplicaSet struct {
 	// sched is the expanded chaos schedule (nil without a plan); its
 	// LeaderKills drive the kill queue.
 	sched *chaos.Schedule
-
-	// OnAccepted, when set before any worker joins, fires after the acting
-	// leader's ledger applies each accepted shard result, with that
-	// replica's accepted total. The gateway's test harness hangs its
-	// deterministic mid-study progress observation here.
-	OnAccepted func(total int)
 
 	mu           sync.Mutex
 	transitions  []invariant.LeaderTransition
@@ -156,7 +149,6 @@ func (rs *ReplicaSet) applied(id int, kind uint8, reply any, leader bool) {
 	}
 	rs.mu.Lock()
 	rs.counts[id]++
-	count := rs.counts[id]
 	kill := leader && !rs.killed[id] && rs.nextKill < len(rs.kills) &&
 		rs.counts[id] >= rs.kills[rs.nextKill].AfterResults
 	if kill {
@@ -174,9 +166,6 @@ func (rs *ReplicaSet) applied(id int, kind uint8, reply any, leader bool) {
 			}
 			rs.kill(id)
 		}()
-	}
-	if leader && rs.OnAccepted != nil {
-		rs.OnAccepted(count)
 	}
 }
 
@@ -219,25 +208,6 @@ func (rs *ReplicaSet) KillsExecuted() int {
 // Schedule returns the expanded chaos schedule driving the kill queue, or
 // nil when the run has no leader-kill plan.
 func (rs *ReplicaSet) Schedule() *chaos.Schedule { return rs.sched }
-
-// Coordinator returns replica id's coordinator (for ledger inspection).
-func (rs *ReplicaSet) Coordinator(id int) *Coordinator { return rs.cos[id] }
-
-// SketchSnapshot returns the most advanced replica's merged view of the
-// accepted shard partials' sketch state (see Coordinator.SketchSnapshot).
-// Replicas may trail the leader by a few commits; taking the view covering
-// the most virtual disks keeps the snapshot stream monotone across leader
-// kills.
-func (rs *ReplicaSet) SketchSnapshot() (*sketch.Set, int) {
-	var best *sketch.Set
-	var bestVDs int
-	for _, co := range rs.cos {
-		if set, vds := co.SketchSnapshot(); vds > bestVDs {
-			best, bestVDs = set, vds
-		}
-	}
-	return best, bestVDs
-}
 
 // Wait blocks until some replica's ledger holds every shard result (or ctx
 // ends), verifies the fabric accounting and leadership-continuity laws, and

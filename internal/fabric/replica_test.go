@@ -110,12 +110,12 @@ func TestReplicasDeriveOnePlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(rs.Close)
-	want := rs.Coordinator(0).Plan()
+	want := rs.cos[0].Plan()
 	if len(want) != 5 {
 		t.Fatalf("replica 0 planned %v, want 5 shards", want)
 	}
 	for id := 1; id < 3; id++ {
-		if got := rs.Coordinator(id).Plan(); !reflect.DeepEqual(got, want) {
+		if got := rs.cos[id].Plan(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("replica %d planned %v, replica 0 %v", id, got, want)
 		}
 	}
@@ -206,6 +206,43 @@ func TestReplicaSetLeaderKillGolden(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("leader-kill scenario drifted from the golden fixture.\n got: %+v\nwant: %+v\n(after an intentional change: go test ./internal/fabric -run TestReplicaSetLeaderKillGolden -update)", got, want)
+	}
+}
+
+// TestReplicaSetRunStreamsThroughLeaderKill drives ReplicaSet.Run, the call
+// ebssim -dist -replicas makes, on a streaming study whose acting leader is
+// killed mid-run. The kill must fire, and the dataset and the merged sketch
+// state must be a fault-free single-process run's: leader kills are
+// control-plane chaos that no worker's schedule sees.
+func TestReplicaSetRunStreamsThroughLeaderKill(t *testing.T) {
+	oracle := sketch.NewSet(sketch.Config{})
+	spec := replicaConfig(oracle, 0).runSpec()
+	spec.Opts.Chaos = nil
+	want, _, err := spec.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stream := sketch.NewSet(sketch.Config{})
+	rs, err := NewReplicaSet(replicaConfig(stream, 1), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rs.Close)
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	ds, err := rs.Run(ctx, 2)
+	if err != nil {
+		t.Fatalf("replicated run failed: %v", err)
+	}
+	if rs.KillsExecuted() != 1 {
+		t.Fatalf("%d leader kills executed, want 1", rs.KillsExecuted())
+	}
+	if got, want := invariant.Fingerprint(ds), invariant.Fingerprint(want); got != want {
+		t.Fatalf("dataset fingerprint %s after leader kill, single-process %s", got, want)
+	}
+	if got, want := stream.Fingerprint(), oracle.Fingerprint(); got != want {
+		t.Fatalf("sketch fingerprint %s after leader kill, single-process %s", got, want)
 	}
 }
 

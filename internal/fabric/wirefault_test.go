@@ -77,7 +77,7 @@ func TestReplicaSetSurvivesWireFaults(t *testing.T) {
 			var rep invariant.Report
 			done := 0
 			for id := 0; id < replicas; id++ {
-				co := rs.Coordinator(id)
+				co := rs.cos[id]
 				select {
 				case <-co.DoneCh():
 				default:

@@ -88,35 +88,3 @@ func TestE2EControlledStudy(t *testing.T) {
 			rst.ControlDecisions, rst.ControlLogFP, st.ControlLogFP)
 	}
 }
-
-// TestE2EControlledOnFabricGateway proves a fabric-backed gateway still
-// serves controlled studies: admission pins them to Shards=0, and runJob
-// routes them through the in-process path.
-func TestE2EControlledOnFabricGateway(t *testing.T) {
-	h := gatewaytest.Start(gateway.Config{
-		MaxConcurrent: 1,
-		Fabric:        &gateway.FabricConfig{Replicas: 1, Workers: 2},
-	})
-	defer h.Close()
-	cl, err := h.Client()
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := gateway.StudySpec{Seed: 99, DurationSec: 2, Nodes: 2, Users: 4, MaxVDs: 6, EventSampleEvery: 4, Control: "noop"}
-	sub, err := cl.Submit("alice", spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := pollDone(t, cl, sub.StudyID)
-	if st.ControlLogFP == "" {
-		t.Fatal("controlled study on a fabric gateway lost its decision log")
-	}
-	oracle, err := gatewaytest.RunOracle(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.DatasetFP != oracle.DatasetFP || st.ControlLogFP != oracle.ControlLogFP {
-		t.Errorf("fabric-gateway noop study served dataset %s log %s, oracle %s / %s",
-			st.DatasetFP, st.ControlLogFP, oracle.DatasetFP, oracle.ControlLogFP)
-	}
-}

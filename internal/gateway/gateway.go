@@ -9,25 +9,12 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ebslab/internal/chaos"
 	"ebslab/internal/ebs"
-	"ebslab/internal/fabric"
 	"ebslab/internal/invariant"
 	"ebslab/internal/netblock"
 	"ebslab/internal/sketch"
 	"ebslab/internal/throttle"
 )
-
-// FabricConfig tells the gateway to execute studies on an in-process fabric
-// instead of calling ebs.Run directly: each granted study gets its own
-// replica set and worker pool over loopback transports. Replicas >= 2 is
-// what makes chaos leader-kill studies (StudySpec.LeaderKills) admissible.
-type FabricConfig struct {
-	// Replicas is the control-plane replica count per study (default 1).
-	Replicas int
-	// Workers is the worker count per study (default 1).
-	Workers int
-}
 
 // Config shapes one gateway.
 type Config struct {
@@ -47,16 +34,13 @@ type Config struct {
 	// A weight-2 tenant drains its backlog twice as fast as a weight-1
 	// tenant under contention.
 	WeightOf map[string]float64
-	// Fabric, when non-nil, executes studies on an in-process fabric.
-	Fabric *FabricConfig
 	// Now overrides the clock (tests pass testclock.Clock.Now). With a
 	// fake clock the gateway never arms wall timers — after advancing the
 	// clock, call Poke to re-run admission.
 	Now func() time.Time
-	// OnProgress, when non-nil, fires as a granted study progresses:
-	// per completed virtual disk for local execution, per accepted shard
-	// for fabric execution. Calls come from run goroutines; keep it cheap
-	// or fully synchronous (the e2e tests hang mid-run snapshot probes
+	// OnProgress, when non-nil, fires as a granted study progresses, once
+	// per completed virtual disk. Calls come from run goroutines; keep it
+	// cheap or fully synchronous (the e2e tests hang mid-run snapshot probes
 	// here precisely because it is deterministic).
 	OnProgress func(study uint64, done, total int)
 }
@@ -79,13 +63,12 @@ type Admission struct {
 }
 
 type tenant struct {
-	name     string
-	weight   float64
-	bucket   *throttle.TokenBucket // nil: no submission cap
-	queue    []*job
-	pass     float64 // WFQ virtual finish time
-	ledger   invariant.StudyLedger
-	grantsAt []float64
+	name   string
+	weight float64
+	bucket *throttle.TokenBucket // nil: no submission cap
+	queue  []*job
+	pass   float64 // WFQ virtual finish time
+	ledger invariant.StudyLedger
 }
 
 type job struct {
@@ -101,12 +84,8 @@ type job struct {
 	ctx      context.Context
 
 	// live serves snapshots while the study runs (nil before and after),
-	// guarded by Gateway.mu: an *ebs.SnapshotSink for local runs, the
-	// *fabric.ReplicaSet for fabric runs. Both only read the state the run
-	// is writing.
-	live interface {
-		SketchSnapshot() (*sketch.Set, int)
-	}
+	// guarded by Gateway.mu. It only reads the state the run is writing.
+	live *ebs.SnapshotSink
 
 	vdsDone  atomic.Int64
 	vdsTotal atomic.Int64
@@ -125,7 +104,6 @@ type result struct {
 	sketchFP     string // final Options.Stream fingerprint
 	finalSketch  []byte
 	finalSeq     uint64
-	kills        int
 	ctlFP        string // control decision-log fingerprint (controlled studies)
 	ctlDecisions int
 }
@@ -145,7 +123,6 @@ type Gateway struct {
 	names   []string // sorted; deterministic WFQ tie-break order
 	byID    map[uint64]*job
 	results map[StudySpec]*job // completed studies by normalized spec
-	ledger  invariant.StudyLedger
 	grants  []Grant
 	adms    []Admission
 	running int
@@ -208,15 +185,6 @@ func (gw *Gateway) Submit(tenantName string, spec StudySpec) (SubmitReply, error
 	if err := spec.Validate(); err != nil {
 		return SubmitReply{}, err
 	}
-	if spec.LeaderKills > 0 {
-		fc := gw.cfg.Fabric
-		if fc == nil || fc.Replicas < 2 {
-			return SubmitReply{}, fmt.Errorf("gateway: leader-kill studies need a replicated fabric (this gateway runs %s)", gw.fabricDesc())
-		}
-		if max := fabric.MaxLeaderKills(fc.Replicas); spec.LeaderKills > max {
-			return SubmitReply{}, fmt.Errorf("gateway: a %d-replica fabric survives at most %d leader kills", fc.Replicas, max)
-		}
-	}
 	gw.mu.Lock()
 	defer gw.mu.Unlock()
 	// The clock is read under the lock everywhere a bucket refills or a grant
@@ -230,7 +198,6 @@ func (gw *Gateway) Submit(tenantName string, spec StudySpec) (SubmitReply, error
 	at := now.Sub(gw.start).Seconds()
 	tn := gw.tenantLocked(tenantName, now)
 	if prev := gw.results[spec]; prev != nil {
-		gw.ledger.Deduped++
 		tn.ledger.Deduped++
 		gw.adms = append(gw.adms, Admission{Tenant: tenantName, Study: prev.id, Decision: "deduped", AtSec: at})
 		return SubmitReply{StudyID: prev.id, State: StateName(StateDone), Deduped: true}, nil
@@ -240,7 +207,6 @@ func (gw *Gateway) Submit(tenantName string, spec StudySpec) (SubmitReply, error
 		depth = 16
 	}
 	if len(tn.queue) >= depth {
-		gw.ledger.Rejected++
 		tn.ledger.Rejected++
 		gw.adms = append(gw.adms, Admission{Tenant: tenantName, Decision: "rejected", AtSec: at})
 		return SubmitReply{}, fmt.Errorf("gateway: tenant %q queue full (%d queued)", tenantName, len(tn.queue))
@@ -260,20 +226,11 @@ func (gw *Gateway) Submit(tenantName string, spec StudySpec) (SubmitReply, error
 		tn.pass = gw.vtime
 	}
 	tn.queue = append(tn.queue, j)
-	gw.ledger.Submitted++
 	tn.ledger.Submitted++
-	gw.ledger.Queued++
 	tn.ledger.Queued++
 	gw.adms = append(gw.adms, Admission{Tenant: tenantName, Study: j.id, Decision: "queued", AtSec: at})
 	gw.scheduleLocked(now)
 	return SubmitReply{StudyID: j.id, State: StateName(j.state)}, nil
-}
-
-func (gw *Gateway) fabricDesc() string {
-	if gw.cfg.Fabric == nil {
-		return "in-process execution"
-	}
-	return fmt.Sprintf("%d replica(s)", gw.cfg.Fabric.Replicas)
 }
 
 // scheduleLocked grants run slots: while a slot is free, pick the
@@ -313,12 +270,8 @@ func (gw *Gateway) scheduleLocked(now time.Time) {
 		best.pass += 1 / best.weight
 		at := now.Sub(gw.start).Seconds()
 		gw.grants = append(gw.grants, Grant{Tenant: best.name, Study: j.id, AtSec: at})
-		best.grantsAt = append(best.grantsAt, at)
-		gw.ledger.Queued--
 		best.ledger.Queued--
-		gw.ledger.Granted++
 		best.ledger.Granted++
-		gw.ledger.Running++
 		best.ledger.Running++
 		j.state = StateRunning
 		j.ctx, j.cancel = context.WithCancel(context.Background())
@@ -377,38 +330,25 @@ func (gw *Gateway) Poke() {
 // runJob executes one granted study and settles its terminal state.
 func (gw *Gateway) runJob(j *job) {
 	defer gw.runWG.Done()
-	// A study that cannot shard (a controlled one: admission already pinned
-	// its Shards and LeaderKills to zero) runs in-process even on a
-	// fabric-backed gateway.
-	var res result
-	var err error
-	if gw.cfg.Fabric != nil && j.spec.RunSpec().Distributable() == nil {
-		res, err = gw.runFabric(j)
-	} else {
-		res, err = gw.runLocal(j)
-	}
+	res, err := gw.runLocal(j)
 	gw.mu.Lock()
 	now := gw.now()
 	tn := gw.tenants[j.tenant]
 	gw.running--
-	gw.ledger.Running--
 	tn.ledger.Running--
 	j.live = nil
 	j.result = res
 	switch {
 	case j.canceled:
 		j.state = StateCanceled
-		gw.ledger.CanceledRunning++
 		tn.ledger.CanceledRunning++
 	case err != nil:
 		j.state = StateFailed
 		j.errMsg = err.Error()
-		gw.ledger.Failed++
 		tn.ledger.Failed++
 	default:
 		j.state = StateDone
 		gw.results[j.spec] = j
-		gw.ledger.Completed++
 		tn.ledger.Completed++
 	}
 	j.cancel()
@@ -451,65 +391,6 @@ func (gw *Gateway) runLocal(j *job) (result, error) {
 	return res, nil
 }
 
-// runFabric executes the study on its own in-process fabric: a replica set
-// (with chaos leader kills when the spec asks for them) plus a worker pool
-// over loopback transports. Mid-run snapshots merge the accepted shard
-// partials; the final answer must match what ebs.Run would have produced.
-func (gw *Gateway) runFabric(j *job) (result, error) {
-	fc := *gw.cfg.Fabric
-	if fc.Replicas < 1 {
-		fc.Replicas = 1
-	}
-	if fc.Workers < 1 {
-		fc.Workers = 1
-	}
-	stream := sketch.NewSet(sketch.Config{})
-	opts := j.spec.RunOptions()
-	opts.Stream = stream
-	if j.spec.LeaderKills > 0 {
-		// Leader kills are control-plane-only chaos: they never reach
-		// worker schedules, so the no-chaos oracle stays valid.
-		opts.Chaos = &chaos.Plan{LeaderKills: j.spec.LeaderKills}
-	}
-	rs, err := fabric.NewReplicaSet(fabric.Config{Fleet: j.spec.FleetConfig(), Opts: opts, Scenario: j.spec.Scenario, Shards: j.spec.Shards}, fc.Replicas)
-	if err != nil {
-		return result{}, err
-	}
-	defer rs.Close()
-	// The plan is ordered by cost, not by disk, so its coverage is the sum.
-	plan := rs.Coordinator(0).Plan()
-	var vds int
-	for _, r := range plan {
-		vds += r.Len()
-	}
-	j.vdsTotal.Store(int64(vds))
-	nShards := len(plan)
-	rs.OnAccepted = func(n int) {
-		if gw.cfg.OnProgress != nil {
-			gw.cfg.OnProgress(j.id, n, nShards)
-		}
-	}
-	gw.mu.Lock()
-	j.live = rs
-	gw.mu.Unlock()
-
-	ds, err := rs.Run(j.ctx, fc.Workers)
-	if err != nil {
-		return result{}, err
-	}
-	// Shards complete out of order, so mid-run the covered disks are only
-	// known to Snapshot (which merges the accepted partials); Status counts
-	// them once, when every shard is in.
-	j.vdsDone.Store(int64(vds))
-	return result{
-		dsFP:        invariant.Fingerprint(ds),
-		sketchFP:    stream.Fingerprint(),
-		finalSketch: stream.EncodeBinary(),
-		finalSeq:    uint64(vds),
-		kills:       rs.KillsExecuted(),
-	}, nil
-}
-
 // Status reports one study's lifecycle view.
 func (gw *Gateway) Status(id uint64) (StatusReply, error) {
 	gw.mu.Lock()
@@ -526,7 +407,6 @@ func (gw *Gateway) Status(id uint64) (StatusReply, error) {
 		VDsTotal:  int(j.vdsTotal.Load()),
 		DatasetFP: j.dsFP,
 		SketchFP:  j.sketchFP,
-		Kills:     j.kills,
 		Error:     j.errMsg,
 
 		ControlLogFP:     j.ctlFP,
@@ -535,8 +415,7 @@ func (gw *Gateway) Status(id uint64) (StatusReply, error) {
 }
 
 // Snapshot serves the study's current streamed sketch state: a merge of the
-// run's live per-shard sets (local execution) or of the accepted shard
-// partials (fabric execution) — read in place, the run keeps writing — or
+// run's live per-shard sets, read in place while the run keeps writing, or
 // the stored final state once the study completes.
 func (gw *Gateway) Snapshot(id uint64) (SnapshotReply, error) {
 	gw.mu.Lock()
@@ -591,9 +470,7 @@ func (gw *Gateway) Cancel(id uint64) (CancelReply, error) {
 			}
 		}
 		j.state = StateCanceled
-		gw.ledger.Queued--
 		tn.ledger.Queued--
-		gw.ledger.CanceledQueued++
 		tn.ledger.CanceledQueued++
 		close(j.done)
 	case StateRunning:
@@ -610,7 +487,7 @@ func (gw *Gateway) Cancel(id uint64) (CancelReply, error) {
 	return CancelReply{State: state}, nil
 }
 
-// Stats reports one tenant's ledger, token balance, and grant log.
+// Stats reports one tenant's ledger and token balance.
 func (gw *Gateway) Stats(tenantName string) (TenantStats, error) {
 	gw.mu.Lock()
 	now := gw.now()
@@ -619,11 +496,7 @@ func (gw *Gateway) Stats(tenantName string) (TenantStats, error) {
 	if tn == nil {
 		return TenantStats{}, fmt.Errorf("gateway: no tenant %q", tenantName)
 	}
-	st := TenantStats{
-		Tenant:      tenantName,
-		StudyLedger: tn.ledger,
-		GrantsAtSec: append([]float64(nil), tn.grantsAt...),
-	}
+	st := TenantStats{Tenant: tenantName, StudyLedger: tn.ledger}
 	if tn.bucket != nil {
 		st.Tokens = tn.bucket.Tokens(now)
 	}
@@ -631,11 +504,25 @@ func (gw *Gateway) Stats(tenantName string) (TenantStats, error) {
 }
 
 // Ledger snapshots the gateway-wide study accounting (the
-// invariant.CheckGatewayAccounting subject).
+// invariant.CheckGatewayAccounting subject): the sum of the tenant ledgers.
 func (gw *Gateway) Ledger() invariant.StudyLedger {
 	gw.mu.Lock()
 	defer gw.mu.Unlock()
-	return gw.ledger
+	var sum invariant.StudyLedger
+	for _, tn := range gw.tenants {
+		l := &tn.ledger
+		sum.Submitted += l.Submitted
+		sum.Rejected += l.Rejected
+		sum.Deduped += l.Deduped
+		sum.Granted += l.Granted
+		sum.Completed += l.Completed
+		sum.Failed += l.Failed
+		sum.CanceledQueued += l.CanceledQueued
+		sum.CanceledRunning += l.CanceledRunning
+		sum.Queued += l.Queued
+		sum.Running += l.Running
+	}
+	return sum
 }
 
 // Grants snapshots the scheduler's grant log.
@@ -671,9 +558,7 @@ func (gw *Gateway) Close() {
 	for _, tn := range gw.tenants {
 		for _, j := range tn.queue {
 			j.state = StateCanceled
-			gw.ledger.Queued--
 			tn.ledger.Queued--
-			gw.ledger.CanceledQueued++
 			tn.ledger.CanceledQueued++
 			close(j.done)
 		}

@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -81,23 +82,29 @@ func TestSubmitValidation(t *testing.T) {
 	if _, err := gw.Submit("t", StudySpec{Seed: 1, Nodes: maxNodes + 1}); err == nil {
 		t.Error("oversized node count accepted")
 	}
-	// Leader-kill studies need a replicated fabric; this gateway runs
-	// in-process.
-	if _, err := gw.Submit("t", StudySpec{Seed: 1, LeaderKills: 1}); err == nil {
-		t.Error("leader-kill study accepted without a fabric")
-	}
-	if l := gw.Ledger(); l.Submitted != 0 || l.Rejected != 0 {
+	if l := gw.Ledger(); l != (invariant.StudyLedger{}) {
 		t.Fatalf("validation failures should not touch the ledger: %+v", l)
 	}
 }
 
-func TestLeaderKillAdmissionNeedsQuorumHeadroom(t *testing.T) {
-	clock := testclock.AtUnix(1000)
-	gw := New(Config{Now: clock.Now, Fabric: &FabricConfig{Replicas: 3, Workers: 1}})
+// TestLeaderKillStudyIsRefused: a gateway runs every study in-process, so
+// there is no fabric leader to kill. A leader-kill spec is refused at Submit,
+// before any tenant or ledger counter exists, with the error pointing at the
+// program that runs such studies.
+func TestLeaderKillStudyIsRefused(t *testing.T) {
+	gw := New(Config{Now: testclock.AtUnix(1000).Now})
 	defer gw.Close()
-	// A 3-replica fabric survives exactly (3-1)/2 = 1 leader kill.
-	if _, err := gw.Submit("t", StudySpec{Seed: 1, LeaderKills: 2, Shards: 2}); err == nil {
-		t.Fatal("2 leader kills on a 3-replica fabric accepted")
+	for _, spec := range []StudySpec{{Seed: 1, LeaderKills: 1}, {Seed: 1, LeaderKills: 1, Shards: 5}} {
+		_, err := gw.Submit("t", spec)
+		if err == nil || !strings.Contains(err.Error(), "ebssim -dist") {
+			t.Errorf("spec %+v: Submit answered %v, want a refusal naming ebssim -dist", spec, err)
+		}
+	}
+	if l := gw.Ledger(); l != (invariant.StudyLedger{}) {
+		t.Fatalf("refused leader-kill studies touched the ledger: %+v", l)
+	}
+	if _, err := gw.Stats("t"); err == nil {
+		t.Fatal("a refused submission registered its tenant")
 	}
 }
 
@@ -175,18 +182,17 @@ func TestRateCapQueuesNotDrops(t *testing.T) {
 	gw.Poke()
 	settle(t, gw, 4)
 
-	st, _ = gw.Stats("t")
-	wantAt := []float64{0, 0, 1, 2}
-	if len(st.GrantsAtSec) != len(wantAt) {
-		t.Fatalf("grant log %v, want %v", st.GrantsAtSec, wantAt)
-	}
-	for i, at := range st.GrantsAtSec {
-		if at != wantAt[i] {
-			t.Fatalf("grant log %v, want %v", st.GrantsAtSec, wantAt)
+	var grantsAt []float64
+	for _, g := range gw.Grants() {
+		if g.Tenant == "t" {
+			grantsAt = append(grantsAt, g.AtSec)
 		}
 	}
+	if wantAt := []float64{0, 0, 1, 2}; !slices.Equal(grantsAt, wantAt) {
+		t.Fatalf("grant log %v, want %v", grantsAt, wantAt)
+	}
 	var rep invariant.Report
-	invariant.CheckGrantPacing(&rep, "t", 1, 2, st.GrantsAtSec)
+	invariant.CheckGrantPacing(&rep, "t", 1, 2, grantsAt)
 	if err := rep.Err(); err != nil {
 		t.Fatalf("grant pacing: %v", err)
 	}

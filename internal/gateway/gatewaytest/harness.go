@@ -120,10 +120,9 @@ type Oracle struct {
 
 // RunOracle executes spec directly — the same ebs.RunSpec the gateway runs,
 // scenario and control policy included, on a fresh streaming sketch — and
-// returns the fingerprints every gateway execution of that spec (local,
-// fabric, fabric with leader kills) must reproduce byte for byte. Fabric-only
-// spec fields (Shards, LeaderKills) do not influence the result: sharding is
-// merge-invariant and leader kills are control-plane-only chaos.
+// returns the fingerprints the gateway's execution of that spec must
+// reproduce byte for byte. Shards does not influence the result: sharding is
+// merge-invariant, and a gateway ignores it.
 func RunOracle(ctx context.Context, spec gateway.StudySpec) (Oracle, error) {
 	stream := sketch.NewSet(sketch.Config{})
 	rs := spec.RunSpec()

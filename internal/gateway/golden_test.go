@@ -27,6 +27,13 @@ type goldenStudy struct {
 	SketchFP  string
 }
 
+// goldenTenant is a tenant's final statistics beside its slice of the
+// scheduler's grant log (seconds since the gateway started).
+type goldenTenant struct {
+	gateway.TenantStats
+	GrantsAtSec []float64 `json:",omitempty"`
+}
+
 // goldenContention freezes the full observable outcome of the scripted
 // two-tenant contention run: every admission decision in arrival order, the
 // scheduler's grant log with virtual timestamps, both tenants' final
@@ -36,8 +43,8 @@ type goldenStudy struct {
 type goldenContention struct {
 	Admissions []gateway.Admission
 	Grants     []gateway.Grant
-	Alice      gateway.TenantStats
-	Bob        gateway.TenantStats
+	Alice      goldenTenant
+	Bob        goldenTenant
 	Studies    map[string]goldenStudy
 }
 
@@ -128,11 +135,18 @@ func TestGoldenContention(t *testing.T) {
 		Grants:     gw.Grants(),
 		Studies:    map[string]goldenStudy{},
 	}
-	if got.Alice, err = gw.Stats("alice"); err != nil {
-		t.Fatal(err)
-	}
-	if got.Bob, err = gw.Stats("bob"); err != nil {
-		t.Fatal(err)
+	for _, tn := range []struct {
+		name string
+		out  *goldenTenant
+	}{{"alice", &got.Alice}, {"bob", &got.Bob}} {
+		if tn.out.TenantStats, err = gw.Stats(tn.name); err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range got.Grants {
+			if g.Tenant == tn.name {
+				tn.out.GrantsAtSec = append(tn.out.GrantsAtSec, g.AtSec)
+			}
+		}
 	}
 	for label, id := range ids {
 		st, err := gw.Status(id)

@@ -120,7 +120,7 @@ func TestSoakConcurrentTenants(t *testing.T) {
 	var rep invariant.Report
 	l := gw.Ledger()
 	invariant.CheckGatewayAccounting(&rep, &l, true)
-	total := invariant.StudyLedger{}
+	accounted := 0
 	for ti := 0; ti < nTenants; ti++ {
 		tenant := fmt.Sprintf("soak-%d", ti)
 		st, err := gw.Stats(tenant)
@@ -129,18 +129,19 @@ func TestSoakConcurrentTenants(t *testing.T) {
 		}
 		tl := st.StudyLedger
 		invariant.CheckGatewayAccounting(&rep, &tl, true)
-		total.Submitted += tl.Submitted
-		total.Deduped += tl.Deduped
-		total.Granted += tl.Granted
-		invariant.CheckGrantPacing(&rep, tenant, rate, burst, st.GrantsAtSec)
+		accounted += tl.Submitted + tl.Deduped
+		var grantsAt []float64
+		for _, g := range gw.Grants() {
+			if g.Tenant == tenant {
+				grantsAt = append(grantsAt, g.AtSec)
+			}
+		}
+		invariant.CheckGrantPacing(&rep, tenant, rate, burst, grantsAt)
 	}
 	if err := rep.Err(); err != nil {
 		t.Fatalf("soak invariants: %v", err)
 	}
-	if got := total.Submitted + total.Deduped; got != nTenants*perTenant {
-		t.Fatalf("%d submissions accounted, want %d", got, nTenants*perTenant)
-	}
-	if gl := gw.Ledger(); gl.Submitted != total.Submitted || gl.Granted != total.Granted {
-		t.Fatalf("gateway ledger %+v does not sum tenant ledgers (%+v)", gl, total)
+	if accounted != nTenants*perTenant {
+		t.Fatalf("%d submissions accounted, want %d", accounted, nTenants*perTenant)
 	}
 }

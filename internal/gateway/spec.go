@@ -2,13 +2,12 @@
 // that accepts skewness-study submissions over the netblock protocol's
 // gateway ops (SubmitStudy, StudyStatus, StreamSnapshot, CancelStudy,
 // TenantStats), queues them FIFO per tenant behind token-bucket submission
-// caps, dequeues with weighted-fair queueing, and executes each study either
-// in-process (ebs.Run) or on the replicated fabric. Tenants can stream
-// incremental sketch snapshots of a running study and the final answer is
-// always byte-identical to a single-process run of the same spec — including
-// runs where chaos kills the acting fabric leader mid-study. See DESIGN.md,
-// "Serving plane". The binary frames (wire.go: EBG2 submit, EBG3 snapshot)
-// are walks over the internal/wire cursor.
+// caps, dequeues with weighted-fair queueing, and executes each study
+// in-process (ebs.RunSpec.Run). Tenants can stream incremental sketch
+// snapshots of a running study, and the final answer is always byte-identical
+// to a single-process run of the same spec. See DESIGN.md, "Serving plane".
+// The binary frames (wire.go: EBG2 submit, EBG3 snapshot) are walks over the
+// internal/wire cursor.
 package gateway
 
 import (
@@ -43,18 +42,19 @@ type StudySpec struct {
 	EventSampleEvery int
 	// TraceSampleEvery is the per-IO trace sampling rate (default 1).
 	TraceSampleEvery int
-	// Shards is the fabric shard count for distributed execution (0 =
-	// fabric default; ignored for in-process execution).
+	// Shards is the fabric shard count of ebssim's distributed roles (0 =
+	// fabric default). A gateway runs every study in-process and ignores
+	// it, but it is part of the study's content address.
 	Shards int
 	// LeaderKills schedules chaos kills of the acting fabric leader
-	// mid-study. Requires the gateway to run a replicated fabric.
+	// mid-study under ebssim -dist -replicas. A gateway refuses a spec that
+	// sets it.
 	LeaderKills int
 	// Control, when non-empty, runs the study through the mitigation
 	// control plane (ebs.RunControlled) under the named policy — one of
 	// control.ByName's: noop, reactive, predictive[-holt|-arima|-gbt],
-	// oracle. The control loop is sequential over epochs, so controlled
-	// studies always execute in-process: Shards and LeaderKills must be
-	// zero.
+	// oracle. The control loop is sequential over epochs, so a controlled
+	// study cannot shard: Shards and LeaderKills must be zero.
 	Control string
 	// ControlEpochSec is the control epoch length (default: an eighth of
 	// the study window, at least 1s — eight control decisions per study).
@@ -65,9 +65,8 @@ type StudySpec struct {
 	// scenario-library spec string ("bufferbloat", "elastic,step=4", ...).
 	// Replay scenarios are not servable — they read server-local trace
 	// files, which an untrusted submission must not be able to do; run them
-	// through cmd/ebssim instead. Composes with Control (controlled studies
-	// stay in-process) and with fabric execution (workers rebuild the
-	// scenario from the spec string).
+	// through cmd/ebssim instead. Composes with Control and with ebssim's
+	// fabric roles (workers rebuild the scenario from the spec string).
 	Scenario string
 }
 
@@ -80,8 +79,8 @@ func (s *StudySpec) BindFlags(fs *flag.FlagSet) {
 	fs.IntVar(&s.Nodes, "nodes", s.Nodes, "compute nodes of the single-DC study fleet (0 = 4)")
 	fs.IntVar(&s.Users, "users", s.Users, "tenants inside the study fleet (0 = 16)")
 	fs.IntVar(&s.MaxVDs, "max-vds", s.MaxVDs, "virtual disks to simulate (0 = all)")
-	fs.IntVar(&s.Shards, "shards", s.Shards, "fabric shard count for distributed execution (0 = fabric default)")
-	fs.IntVar(&s.LeaderKills, "leader-kill", s.LeaderKills, "chaos kills of the acting fabric leader mid-study (needs a replicated fabric); the study must still match single-process bit for bit")
+	fs.IntVar(&s.Shards, "shards", s.Shards, "fabric shard count of ebssim's distributed roles (0 = fabric default); a gateway runs the study in-process and ignores it")
+	fs.IntVar(&s.LeaderKills, "leader-kill", s.LeaderKills, "chaos kills of the acting fabric leader mid-study under ebssim -dist -replicas; the study must still match single-process bit for bit (a gateway refuses it)")
 	fs.StringVar(&s.Control, "control", s.Control, "run the study through the mitigation control plane under this policy (noop, reactive, predictive[-holt|-arima|-gbt], oracle)")
 	fs.IntVar(&s.ControlEpochSec, "epoch-sec", s.ControlEpochSec, "with -control: control epoch length in seconds (0 = an eighth of -dur, at least 1)")
 	fs.StringVar(&s.Scenario, "scenario", s.Scenario, "reshape the study's traffic with a scenario-library spec string (one of: "+strings.Join(scenario.Names(), ", ")+
@@ -98,7 +97,6 @@ const (
 	maxSpecVDs     = 1 << 20
 	maxSampling    = 1 << 20
 	maxSpecShards  = 256
-	maxKills       = 8
 	maxControlLen  = 32
 	maxScenarioLen = 128
 )
@@ -142,7 +140,6 @@ func (s StudySpec) Validate() error {
 		{"EventSampleEvery", s.EventSampleEvery, 1, maxSampling},
 		{"TraceSampleEvery", s.TraceSampleEvery, 1, maxSampling},
 		{"Shards", s.Shards, 0, maxSpecShards},
-		{"LeaderKills", s.LeaderKills, 0, maxKills},
 	} {
 		if c.v < c.min || c.v > c.mx {
 			return fmt.Errorf("gateway: spec %s is %d, want [%d, %d]", c.name, c.v, c.min, c.mx)
@@ -161,11 +158,13 @@ func (s StudySpec) Validate() error {
 	if sp, _ := scenario.ParseSpec(s.Scenario); sp.Name == "replay" {
 		return fmt.Errorf("gateway: replay scenarios read server-local trace files and are not servable; run them through cmd/ebssim")
 	}
-	if s.Shards != 0 || s.LeaderKills != 0 {
-		// A study that cannot shard runs in-process even on a fabric-backed
-		// gateway, so fabric-only dimensions on it are a contradiction.
+	if s.LeaderKills != 0 {
+		return fmt.Errorf("gateway: spec LeaderKills is %d: a gateway runs every study in-process, with no fabric leader to kill; run leader-kill studies through ebssim -dist -replicas", s.LeaderKills)
+	}
+	if s.Shards != 0 {
+		// A study that cannot shard cannot carry a shard count either.
 		if err := rs.Distributable(); err != nil {
-			return fmt.Errorf("gateway: Shards and LeaderKills must be 0: %w", err)
+			return fmt.Errorf("gateway: Shards must be 0: %w", err)
 		}
 	}
 	return nil
@@ -183,7 +182,7 @@ func (s StudySpec) FleetConfig() workload.Config {
 // options always set Check, so the invariant suite holds each one to its
 // laws. The gateway adds its own Stream/Snapshots destinations per
 // execution; chaos leader kills are fabric configuration, not engine
-// options, and are likewise added at run time.
+// options, and ebssim adds them to its fabric roles.
 func (s StudySpec) RunOptions() ebs.Options {
 	s = s.withDefaults()
 	return ebs.Options{

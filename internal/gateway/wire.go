@@ -142,10 +142,10 @@ func checkName(what, s string, max int) error {
 }
 
 // SnapshotReply is the OpStreamSnapshot answer: where the study is and, once
-// it runs, the sketch state of everything ingested so far (local execution)
-// or of every shard accepted so far (fabric execution). Seq is a monotone
-// progress counter — the virtual disks completed or covered; Sketch is
-// sketch.Set binary (empty until the first unit of work lands). SketchFP
+// it runs, the sketch state of every virtual disk completed so far, as
+// ebs.SnapshotSink publishes it. Seq is a monotone progress counter — the
+// virtual disks completed; Sketch is sketch.Set binary (empty until the
+// first disk completes). SketchFP
 // fingerprints exactly the returned state, so a tenant can verify the stream
 // converges on the final answer.
 type SnapshotReply struct {
@@ -241,10 +241,7 @@ type StatusReply struct {
 	// the study completes.
 	DatasetFP string `json:",omitempty"`
 	SketchFP  string `json:",omitempty"`
-	// Kills counts the chaos leader kills that actually fired during a
-	// fabric execution of the study.
-	Kills int    `json:",omitempty"`
-	Error string `json:",omitempty"`
+	Error     string `json:",omitempty"`
 	// ControlLogFP fingerprints the mitigation decision log and
 	// ControlDecisions counts its entries; both are set only for completed
 	// controlled studies (StudySpec.Control non-empty).
@@ -262,15 +259,13 @@ type StatsRequest struct {
 	Tenant string
 }
 
-// TenantStats is a tenant's accounting view: its study ledger, its current
-// token balance, and its grant log (seconds since the gateway started) — the
-// inputs of the invariant.CheckGrantPacing law. The embedded ledger's
-// counters encode inline, between Tenant and Tokens.
+// TenantStats is a tenant's accounting view: its study ledger and its current
+// token balance. The embedded ledger's counters encode inline, between Tenant
+// and Tokens. The tenant's grant log is its slice of Gateway.Grants.
 type TenantStats struct {
 	Tenant string
 	invariant.StudyLedger
-	Tokens      int
-	GrantsAtSec []float64 `json:",omitempty"`
+	Tokens int
 }
 
 func mustJSON(v any) []byte {

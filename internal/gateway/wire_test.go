@@ -23,15 +23,14 @@ func TestTenantStatsJSON(t *testing.T) {
 			Submitted: 1, Rejected: 2, Deduped: 3, Granted: 4, Completed: 5,
 			Failed: 6, CanceledQueued: 7, CanceledRunning: 8, Queued: 9, Running: 10,
 		},
-		Tokens:      11,
-		GrantsAtSec: []float64{0.5, 12},
+		Tokens: 11,
 	}
 	for _, c := range []struct {
 		st   TenantStats
 		want string
 	}{
 		{full, `{"Tenant":"alice","Submitted":1,"Rejected":2,"Deduped":3,"Granted":4,"Completed":5,"Failed":6,` +
-			`"CanceledQueued":7,"CanceledRunning":8,"Queued":9,"Running":10,"Tokens":11,"GrantsAtSec":[0.5,12]}`},
+			`"CanceledQueued":7,"CanceledRunning":8,"Queued":9,"Running":10,"Tokens":11}`},
 		{TenantStats{}, `{"Tenant":"","Submitted":0,"Rejected":0,"Deduped":0,"Granted":0,"Completed":0,"Failed":0,` +
 			`"CanceledQueued":0,"CanceledRunning":0,"Queued":0,"Running":0,"Tokens":0}`},
 	} {
