@@ -23,16 +23,45 @@ const (
 	callersAllowed = "testdata/callers_allow.txt"
 )
 
-// stdlibDynamic names the standard-library interface methods this module
-// implements and reaches only through the interface (fmt.Stringer, error,
-// io.Reader/Writer/Closer, sort.Interface, heap.Interface, flag.Value,
-// net.Conn/Listener, context.Context, rand.Source64, errors' and
-// encoding's hooks). A method with one of these names is live as soon as its
-// receiver type is.
-var stdlibDynamic = strings.Fields(`String Error Read Write Close Len Less Swap Set
-	MarshalJSON UnmarshalJSON MarshalText UnmarshalText
-	Accept Addr LocalAddr RemoteAddr SetDeadline SetReadDeadline SetWriteDeadline Network
-	Deadline Done Err Value Unwrap Is Push Pop Int63 Uint64 Seed`)
+// stdlibDynamic declares, as one interface, the standard-library interface
+// methods this module implements and reaches only through the interface. A
+// method whose name and signature both match one of them is live as soon as
+// its receiver type is; a method that shares only the name (a Done() bool
+// beside context.Context's Done() <-chan struct{}) needs a caller like any
+// other.
+const stdlibDynamic = `package stdlib
+
+import (
+	"container/heap"
+	"context"
+	"encoding"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"io"
+	"math/rand"
+	"net"
+)
+
+type dynamic interface {
+	fmt.Stringer
+	error
+	io.ReadWriteCloser
+	heap.Interface
+	flag.Value
+	net.Conn
+	net.Listener
+	net.Addr
+	context.Context
+	rand.Source64
+	json.Marshaler
+	json.Unmarshaler
+	encoding.TextMarshaler
+	encoding.TextUnmarshaler
+	Unwrap() error // errors.Unwrap
+	Is(error) bool // errors.Is
+}
+`
 
 // TestDeclarationsHaveCallers holds the tree to "every declaration has a
 // caller": it type-checks every non-test package outside bench/, walks
@@ -105,7 +134,7 @@ type module struct {
 
 	decls   map[types.Object]*decl
 	roots   []types.Object
-	dynamic map[string]bool // method names reached through an interface
+	dynamic map[string][]*types.Func // interface methods by name: what a method is reached through
 }
 
 // Import type-checks module packages from source (one *types.Package per
@@ -175,7 +204,7 @@ func loadModule(t *testing.T) *module {
 		dirs:    make(map[string]string),
 		std:     importer.ForCompiler(fset, "source", nil),
 		decls:   make(map[types.Object]*decl),
-		dynamic: make(map[string]bool),
+		dynamic: make(map[string][]*types.Func),
 	}
 	for _, root := range []string{"cmd", "internal"} {
 		err := filepath.WalkDir(root, func(p string, e fs.DirEntry, err error) error {
@@ -202,8 +231,17 @@ func loadModule(t *testing.T) *module {
 			t.Fatalf("type-check %s: %v", path, err)
 		}
 	}
-	for _, n := range stdlibDynamic {
-		m.dynamic[n] = true
+	f, err := parser.ParseFile(fset, "stdlib.go", stdlibDynamic, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	std, err := (&types.Config{Importer: m.std}).Check("stdlib", fset, []*ast.File{f}, nil)
+	if err != nil {
+		t.Fatalf("type-check the standard-library interfaces: %v", err)
+	}
+	dyn := std.Scope().Lookup("dynamic").Type().Underlying().(*types.Interface)
+	for i := 0; i < dyn.NumMethods(); i++ {
+		m.addDynamic(dyn.Method(i))
 	}
 	for path := range m.dirs {
 		m.collect(path)
@@ -222,7 +260,7 @@ func loadModule(t *testing.T) *module {
 }
 
 // collect records path's declarations, its roots (what a program's main and
-// any package's init reference) and the method names its interface types
+// any package's init reference) and the methods its interface types
 // declare, named or literal.
 func (m *module) collect(path string) {
 	info := m.infos[path]
@@ -266,15 +304,29 @@ func (m *module) collect(path string) {
 	for _, f := range m.files[path] {
 		ast.Inspect(f, func(n ast.Node) bool {
 			if it, ok := n.(*ast.InterfaceType); ok {
-				for _, field := range it.Methods.List {
-					for _, id := range field.Names {
-						m.dynamic[id.Name] = true
-					}
+				iface := info.Types[it].Type.(*types.Interface)
+				for i := 0; i < iface.NumExplicitMethods(); i++ {
+					m.addDynamic(iface.ExplicitMethod(i))
 				}
 			}
 			return true
 		})
 	}
+}
+
+func (m *module) addDynamic(fn *types.Func) {
+	m.dynamic[fn.Name()] = append(m.dynamic[fn.Name()], fn)
+}
+
+// isDynamic reports whether an interface method fn could be called through
+// has fn's name and signature (receivers aside).
+func (m *module) isDynamic(fn *types.Func) bool {
+	for _, im := range m.dynamic[fn.Name()] {
+		if types.Identical(im.Type(), fn.Type()) {
+			return true
+		}
+	}
+	return false
 }
 
 func recvName(e ast.Expr) string {
@@ -320,8 +372,8 @@ func (m *module) refs(node ast.Node, info *types.Info) []types.Object {
 }
 
 // reach walks references from the roots. A method is followed when something
-// live names it, or when its receiver type is live and its name is one an
-// interface could call it by.
+// live names it, or when its receiver type is live and an interface could
+// call it: one declares a method of the same name and signature.
 func (m *module) reach() map[types.Object]bool {
 	live := make(map[types.Object]bool)
 	work := append([]types.Object(nil), m.roots...)
@@ -337,7 +389,7 @@ func (m *module) reach() map[types.Object]bool {
 		if tn, ok := obj.(*types.TypeName); ok {
 			if named, ok := tn.Type().(*types.Named); ok {
 				for i := 0; i < named.NumMethods(); i++ {
-					if fn := named.Method(i); m.dynamic[fn.Name()] {
+					if fn := named.Method(i); m.isDynamic(fn) {
 						work = append(work, fn)
 					}
 				}

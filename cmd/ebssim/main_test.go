@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -184,22 +185,35 @@ func TestStartProfiles(t *testing.T) {
 }
 
 // TestTimingLeavesStdout: -timing prints the engine's stage table on stderr,
-// one line per stage, and stdout stays the same bytes as without it.
+// one line per stage, and stdout stays the same bytes as without it — for a
+// plain run and a controlled one, whose observe and plan clocks read > 0.
 func TestTimingLeavesStdout(t *testing.T) {
-	args := strings.Fields("-seed 7 -dur 12 -nodes 4 -max-vds 24 -stream")
-	var plain, timed, stderr bytes.Buffer
-	if code := run(args, &plain, io.Discard); code != 0 {
-		t.Fatalf("exit %d", code)
-	}
-	if code := run(append(args, "-timing"), &timed, &stderr); code != 0 {
-		t.Fatalf("-timing: exit %d; stderr:\n%s", code, stderr.String())
-	}
-	if timed.String() != plain.String() {
-		t.Fatalf("-timing changed stdout")
-	}
-	for _, stage := range []string{"generate", "throttle", "latency", "emit", "sketch", "finish", "check"} {
-		if !strings.Contains(stderr.String(), "\n  "+stage+" ") {
-			t.Errorf("stderr has no %s line:\n%s", stage, stderr.String())
+	for _, line := range []string{
+		"-seed 7 -dur 12 -nodes 4 -max-vds 24 -stream",
+		"-seed 7 -dur 12 -nodes 4 -max-vds 24 -control reactive -epoch-sec 3",
+	} {
+		args := strings.Fields(line)
+		var plain, timed, stderr bytes.Buffer
+		if code := run(args, &plain, io.Discard); code != 0 {
+			t.Fatalf("%s: exit %d", line, code)
+		}
+		if code := run(append(args, "-timing"), &timed, &stderr); code != 0 {
+			t.Fatalf("%s -timing: exit %d; stderr:\n%s", line, code, stderr.String())
+		}
+		if timed.String() != plain.String() {
+			t.Fatalf("%s: -timing changed stdout", line)
+		}
+		for _, stage := range []string{"observe", "plan", "generate", "throttle", "latency", "emit", "sketch", "finish", "check"} {
+			if !strings.Contains(stderr.String(), "\n  "+stage+" ") {
+				t.Errorf("%s: stderr has no %s line:\n%s", line, stage, stderr.String())
+			}
+		}
+		controlled := strings.Contains(line, "-control")
+		for _, stage := range []string{"observe", "plan"} {
+			zero := strings.Contains(stderr.String(), fmt.Sprintf("\n  %-8s %10.3f\n", stage, 0.0))
+			if zero == controlled {
+				t.Errorf("%s: the %s clock reads zero is %v, want %v:\n%s", line, stage, zero, !controlled, stderr.String())
+			}
 		}
 	}
 }

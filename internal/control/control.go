@@ -9,17 +9,17 @@
 // Determinism is the design constraint everything here bends around. The
 // engine simulates each virtual disk whole, from a single sequential RNG
 // stream, so a controller cannot interleave with generation without changing
-// draws. Instead a controlled run is one generate-only pass, one plan and one
-// run over the same seed: an observe pass that draws the run's events and
-// counts them into an Observation (integer counters per epoch and entity;
+// draws. Instead a controlled run is one generation, one plan and one run
+// over the same seed: an observe pass that draws the run's events, keeps them
+// and counts them into an Observation (integer counters per epoch and entity;
 // ebs.Sim.Observe — it simulates nothing, because every counter is a function
 // of the generated stream alone), then a sequential control loop replaying
 // the epochs in order (each policy sees only epochs <= e when deciding for
-// e+1), and finally an actuated pass that applies the compiled Timeline
-// through RNG-free lookups in the engine's emit path. In check mode the
-// actuated pass's DiTing metric rows, folded by AddRows, must reproduce the
-// observation the plan was built from. Every decision lands in an
-// epoch-stamped, fingerprintable log. See DESIGN.md, "Mitigation control
+// e+1), and finally an actuated pass over the kept events that applies the
+// compiled Timeline through RNG-free lookups in the engine's emit path. In
+// check mode the actuated pass's DiTing metric rows, folded by AddRows, must
+// reproduce the observation the plan was built from. Every decision lands in
+// an epoch-stamped, fingerprintable log. See DESIGN.md, "Mitigation control
 // plane".
 package control
 

@@ -87,11 +87,13 @@ func Run(ctx context.Context, spec Spec) (*Report, error) {
 		policies = DefaultPolicies
 	}
 	// The observation is a function of the offered traffic alone, so one
-	// generate-only pass serves every policy.
+	// observe pass serves every policy, and each actuated pass replays the
+	// traffic it kept.
 	obs, err := sim.Observe(ctx, base, spec.Control.EpochSec)
 	if err != nil {
 		return nil, fmt.Errorf("ctleval: %w", err)
 	}
+	defer obs.Release()
 	rep := &Report{}
 	for _, name := range policies {
 		opts := base

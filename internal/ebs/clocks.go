@@ -6,10 +6,14 @@ import "time"
 // filled when Options.Clocks points at one and the run succeeds. The five
 // per-disk stages are each shard's own sums, added up at the join, so on w
 // busy workers they total about w times the pool's wall time; Finish and
-// Check are serial, after the join. Nothing they measure reaches a dataset,
-// a sketch or a fingerprint.
+// Check are serial, after the join. A controlled run adds the two wall
+// times ahead of its actuated pass, Observe and Plan; a plain run leaves
+// them zero. Nothing they measure reaches a dataset, a sketch or a
+// fingerprint.
 type Clocks struct {
-	Generate time.Duration // each disk's wall time outside the four stages below: series, events, batch fill
+	Observe  time.Duration // the observe pass: generation, counting and keeping the events (controlled runs)
+	Plan     time.Duration // ControlInput and BuildPlan (controlled runs)
+	Generate time.Duration // each disk's wall time outside the four stages below: series, events (or their replay), batch fill
 	Throttle time.Duration // throttle replay and scenario delay series, per disk
 	Latency  time.Duration // the latency batch and its additive terms, per flush
 	Emit     time.Duration // the tracer's EmitBatch, per flush

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"ebslab/internal/control"
 	"ebslab/internal/invariant"
 	"ebslab/internal/sketch"
 	"ebslab/internal/workload"
@@ -50,6 +51,45 @@ func TestClocksReadEveryStage(t *testing.T) {
 		}
 		if (c.Sketch > 0) != stream {
 			t.Errorf("stream %v: sketch clock reads %v", stream, c.Sketch)
+		}
+		if c.Observe != 0 || c.Plan != 0 {
+			t.Errorf("stream %v: a plain run's observe and plan clocks read %v and %v, want zero", stream, c.Observe, c.Plan)
+		}
+	}
+}
+
+// TestClocksReadControlledPasses: a controlled run's clocks also read the
+// observe pass and the planning ahead of the actuated pass, and the clocked
+// run's dataset and decision log are the unclocked run's.
+func TestClocksReadControlledPasses(t *testing.T) {
+	sim := New(smallFleet(t))
+	pol, err := control.ByName("reactive")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := Options{DurationSec: 10, TraceSampleEvery: 1, EventSampleEvery: 4, MaxVDs: 12, Workers: 2, Check: true}
+	timed := plain
+	var c Clocks
+	timed.Clocks = &c
+	want, wantPlan, err := sim.RunControlled(context.Background(), plain, pol, control.Config{EpochSec: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, gotPlan, err := sim.RunControlled(context.Background(), timed, pol, control.Config{EpochSec: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if invariant.Fingerprint(got) != invariant.Fingerprint(want) || gotPlan.LogFingerprint() != wantPlan.LogFingerprint() {
+		t.Fatal("the clocked controlled run differs from the unclocked one")
+	}
+	for _, st := range []struct {
+		name string
+		d    time.Duration
+	}{
+		{"observe", c.Observe}, {"plan", c.Plan}, {"generate", c.Generate}, {"finish", c.Finish}, {"check", c.Check},
+	} {
+		if st.d <= 0 {
+			t.Errorf("%s clock reads %v, want > 0", st.name, st.d)
 		}
 	}
 }

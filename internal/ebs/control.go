@@ -4,11 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
+	"time"
 
+	"ebslab/internal/chaos"
 	"ebslab/internal/cluster"
 	"ebslab/internal/control"
 	"ebslab/internal/invariant"
 	"ebslab/internal/par"
+	"ebslab/internal/scenario"
 	"ebslab/internal/throttle"
 	"ebslab/internal/trace"
 	"ebslab/internal/workload"
@@ -95,37 +99,144 @@ func checkEpoch(epochSec, durSec int) error {
 }
 
 // observer is one Observe worker's state: the series scratch it reuses across
-// disks, the disk it is counting, and count bound once as the generator's
-// callback (no closure per disk).
+// disks, the disk it is counting, the arena it keeps the disk's events in,
+// and count bound once as the generator's callback (no closure per disk).
 type observer struct {
 	obs     *control.Observation
 	top     *cluster.Topology
 	vd      cluster.VDID
+	arena   *eventArena
 	series  []workload.Sample
 	countFn func(workload.Event)
 }
 
 func (w *observer) count(ev workload.Event) {
 	w.obs.Add(ev.TimeUS, ev.Op, ev.Size, w.vd, ev.QP, w.top.SegmentOfOffset(w.vd, ev.Offset))
+	w.arena.push(ev)
+}
+
+// Observed is an observe pass's result: the Observation a plan is built from,
+// and the offered traffic it counted, kept so that the actuated pass replays
+// each disk's events instead of drawing them again. The kept traffic is
+// read-only once Observe returns, so any number of RunObserved calls, at once
+// included, may replay it. It costs sizeof(workload.Event) per generated IO
+// until Release hands it back; the value is unusable afterwards.
+type Observed struct {
+	Observation *control.Observation
+
+	sim    *Sim
+	opts   Options            // validated and defaulted: what the traffic was drawn under
+	events [][]workload.Event // each run disk's events, in generation order; nil once released
+	arenas []*eventArena      // the worker arenas events point into
+	wall   time.Duration      // the pass's wall time, when opts.Clocks asked for it
+}
+
+// Release returns the kept traffic's arenas for reuse by later passes. No
+// RunObserved over o may be running or start afterwards.
+func (o *Observed) Release() {
+	for _, a := range o.arenas {
+		a.reset()
+		arenaPool.Put(a)
+	}
+	o.arenas, o.events = nil, nil
+}
+
+// arenaChunk is an arena chunk's size in events (2 MiB): large enough that a
+// pass takes a few chunks per worker, and a disk rarely moves.
+const arenaChunk = 1 << 16
+
+// arenaPool recycles observe workers' arenas, chunks included, across passes.
+var arenaPool = sync.Pool{New: func() any { return new(eventArena) }}
+
+// eventArena is one observe worker's event store. The worker's disks append
+// to the current chunk in turn; a disk that outgrows it moves, with the
+// events it has so far, to a chunk at least twice that size, so each disk's
+// events stay one slice and no chunk is ever reallocated under a slice
+// already kept.
+type eventArena struct {
+	cur   []workload.Event   // the chunk being filled
+	start int                // where the current disk's events begin in cur
+	full  [][]workload.Event // earlier chunks, still under kept slices
+	spare [][]workload.Event // empty chunks, ready for reuse
+}
+
+func (a *eventArena) push(ev workload.Event) {
+	if len(a.cur) == cap(a.cur) {
+		a.grow()
+	}
+	a.cur = append(a.cur, ev)
+}
+
+// grow moves the current disk's events to a chunk with room for as many
+// again, keeping the old chunk if earlier disks' events are in it.
+func (a *eventArena) grow() {
+	disk := a.cur[a.start:]
+	next := a.take(max(arenaChunk, 2*len(disk)))
+	next = append(next, disk...)
+	switch {
+	case a.start > 0:
+		a.full = append(a.full, a.cur)
+	case a.cur != nil:
+		a.spare = append(a.spare, a.cur[:0])
+	}
+	a.cur, a.start = next, 0
+}
+
+// take returns an empty chunk of at least n events, a spare one if any is
+// large enough.
+func (a *eventArena) take(n int) []workload.Event {
+	for i, c := range a.spare {
+		if cap(c) >= n {
+			last := len(a.spare) - 1
+			a.spare[i] = a.spare[last]
+			a.spare = a.spare[:last]
+			return c
+		}
+	}
+	return make([]workload.Event, 0, n)
+}
+
+// seal ends the current disk and returns its events, capped so that nothing
+// appended later can reach them.
+func (a *eventArena) seal() []workload.Event {
+	n := len(a.cur)
+	disk := a.cur[a.start:n:n]
+	a.start = n
+	return disk
+}
+
+// reset empties the arena, keeping every chunk as a spare.
+func (a *eventArena) reset() {
+	for _, c := range a.full {
+		a.spare = append(a.spare, c[:0])
+	}
+	if a.cur != nil {
+		a.spare = append(a.spare, a.cur[:0])
+	}
+	a.cur, a.start, a.full = nil, 0, a.full[:0]
 }
 
 // Observe is the control plane's telemetry pass: it generates the run's
-// offered traffic and counts every IO into an Observation of epochSec-second
-// epochs (0 = control.DefaultEpochSec of the window), and simulates nothing.
-// Every counter the controller reads is a function of the generated event
-// stream alone — which disk, queue pair and segment an IO addresses, when, how
-// large — so the pass validates the options exactly as a run does, then per
-// disk draws the demand series, the storm boost and the events, and skips
-// everything downstream of the generator: throttle, latency, tracer, merge,
-// dataset. Destinations and callbacks in opts (Stream, Snapshots, ChaosStats,
-// Clocks, Progress, Check) belong to the run the caller asked for and are
-// ignored.
+// offered traffic, counts every IO into an Observation of epochSec-second
+// epochs (0 = control.DefaultEpochSec of the window) and keeps the events
+// for the actuated pass, and simulates nothing. Every counter the controller
+// reads is a function of the generated event stream alone — which disk,
+// queue pair and segment an IO addresses, when, how large — so the pass
+// validates the options exactly as a run does, then per disk draws the
+// demand series, the storm boost and the events, and skips everything
+// downstream of the generator: throttle, latency, tracer, merge, dataset.
+// Destinations and callbacks in opts (Stream, Snapshots, ChaosStats, Clocks,
+// Progress, Check) belong to the run the caller asked for and are ignored,
+// but for Clocks: when it is set the pass times itself, and RunObserved
+// publishes that as Clocks.Observe.
 //
 // A queue pair and a segment belong to one disk, so workers write disjoint
 // counters with no lock and no merge, and integer adds make the observation
 // identical for every Workers value. It is also policy-invariant: observe
-// once, then RunObserved per policy.
-func (s *Sim) Observe(ctx context.Context, opts Options, epochSec int) (*control.Observation, error) {
+// once, then RunObserved per policy, then Release.
+func (s *Sim) Observe(ctx context.Context, opts Options, epochSec int) (*Observed, error) {
+	sw := stopwatch(opts.Clocks != nil)
+	t0 := sw.now()
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -154,12 +265,20 @@ func (s *Sim) Observe(ctx context.Context, opts Options, epochSec int) (*control
 		return nil, fmt.Errorf("ebs: observe pass: %w", err)
 	}
 
-	obs := control.NewObservation(shape)
 	workers := min(par.Workers(r.opts.Workers), r.nVDs)
+	o := &Observed{
+		Observation: control.NewObservation(shape),
+		sim:         s,
+		opts:        r.opts,
+		events:      make([][]workload.Event, r.nVDs),
+		arenas:      make([]*eventArena, workers),
+	}
 	pool := make([]observer, workers)
 	for i := range pool {
 		w := &pool[i]
-		w.obs, w.top = obs, s.fleet.Topology
+		w.obs, w.top = o.Observation, s.fleet.Topology
+		w.arena = arenaPool.Get().(*eventArena)
+		o.arenas[i] = w.arena
 		w.countFn = w.count
 	}
 	err = par.ForEachWorker(ctx, r.nVDs, workers, func(worker, i int) error {
@@ -167,22 +286,27 @@ func (s *Sim) Observe(ctx context.Context, opts Options, epochSec int) (*control
 		off := s.offeredBy(w.series, i, &r.opts, r.sched)
 		w.series, w.vd = off.series, off.vd
 		off.generate(w.countFn)
+		o.events[i] = w.arena.seal()
 		return nil
 	})
 	if err != nil {
+		o.Release()
 		return nil, fmt.Errorf("ebs: observe pass: %w", err)
 	}
-	return obs, nil
+	sw.lap(&o.wall, t0)
+	return o, nil
 }
 
 // RunControlled executes the predict→act loop end to end: Observe counts the
-// seed's offered traffic into an Observation, control.BuildPlan replays its
-// epochs through the policy into a timeline, and the actuated pass runs the
-// seed with the timeline applied — one generate-only pass, one plan, one run.
-// Generation draws the same RNG streams in both, so the only differences
-// between the actuated dataset and an uncontrolled run's are the attribution
-// and latency effects of the plan itself — a no-op policy returns a dataset
-// byte-identical to s.Run(ctx, opts).
+// seed's offered traffic into an Observation and keeps it, control.BuildPlan
+// replays the observation's epochs through the policy into a timeline, and
+// the actuated pass runs the seed with the timeline applied, replaying the
+// kept events — one generation, one plan, one run. The actuated pass draws
+// the same throttle and latency streams as an uncontrolled run over the same
+// events, so the only differences between the actuated dataset and an
+// uncontrolled run's are the attribution and latency effects of the plan
+// itself — a no-op policy returns a dataset byte-identical to s.Run(ctx,
+// opts).
 //
 // In check mode the decision log and the timeline are held to the actuation
 // conservation laws before the actuated pass runs, and the actuated pass's
@@ -190,17 +314,24 @@ func (s *Sim) Observe(ctx context.Context, opts Options, epochSec int) (*control
 // the one the plan was built from (law control/observation): the day
 // something feeds actuation back into offered load, the run fails.
 func (s *Sim) RunControlled(ctx context.Context, opts Options, pol control.Policy, cfg control.Config) (*trace.Dataset, *control.Plan, error) {
-	obs, err := s.Observe(ctx, opts, cfg.EpochSec)
+	o, err := s.Observe(ctx, opts, cfg.EpochSec)
 	if err != nil {
 		return nil, nil, err
 	}
-	return s.RunObserved(ctx, opts, pol, obs)
+	defer o.Release()
+	return s.RunObserved(ctx, opts, pol, o)
 }
 
-// RunObserved is RunControlled from the observation on: plan under pol from
-// obs, then the actuated run. obs must come from s.Observe under the same
-// opts; it is only read, so one observation serves any number of policies.
-func (s *Sim) RunObserved(ctx context.Context, opts Options, pol control.Policy, obs *control.Observation) (*trace.Dataset, *control.Plan, error) {
+// RunObserved is RunControlled from the observe pass on: plan under pol from
+// o's observation, then the actuated run over o's kept events. o must come
+// from s.Observe under options that shape offered traffic the same way as
+// opts — window, EventSampleEvery, MaxVDs, Seed, chaos plan and scenario —
+// and anything else is refused; sinks, Workers and Check may differ. o is
+// only read, so one observe pass serves any number of policies, concurrently
+// included. With opts.Clocks set, Clocks.Observe reads o's pass (zero unless
+// Observe had Clocks set too) and Clocks.Plan this call's ControlInput and
+// BuildPlan.
+func (s *Sim) RunObserved(ctx context.Context, opts Options, pol control.Policy, o *Observed) (*trace.Dataset, *control.Plan, error) {
 	if opts.Control != nil || opts.Observe != nil {
 		return nil, nil, errOwnsControlOptions
 	}
@@ -208,9 +339,15 @@ func (s *Sim) RunObserved(ctx context.Context, opts Options, pol control.Policy,
 	if err != nil {
 		return nil, nil, err
 	}
+	if err := s.checkObserved(o, &opts); err != nil {
+		return nil, nil, err
+	}
+	obs := o.Observation
 	if err := s.checkObsShape(obs.Shape, opts.DurationSec); err != nil {
 		return nil, nil, err
 	}
+	sw := stopwatch(opts.Clocks != nil)
+	t := sw.now()
 	in, err := s.ControlInput(opts, obs)
 	if err != nil {
 		return nil, nil, err
@@ -219,6 +356,8 @@ func (s *Sim) RunObserved(ctx context.Context, opts Options, pol control.Policy,
 	if err != nil {
 		return nil, nil, err
 	}
+	var planWall time.Duration
+	sw.lap(&planWall, t)
 	actOpts := opts
 	actOpts.Control = plan.Timeline
 	if opts.Check {
@@ -229,7 +368,7 @@ func (s *Sim) RunObserved(ctx context.Context, opts Options, pol control.Policy,
 		}
 		actOpts.Observe = control.NewObservation(obs.Shape)
 	}
-	ds, err := s.Run(ctx, actOpts)
+	ds, err := s.run(ctx, actOpts, o.events)
 	if err != nil {
 		return nil, nil, fmt.Errorf("ebs: actuated pass: %w", err)
 	}
@@ -240,7 +379,57 @@ func (s *Sim) RunObserved(ctx context.Context, opts Options, pol control.Policy,
 			return nil, nil, fmt.Errorf("ebs: check mode: %w", rep.Err())
 		}
 	}
+	if opts.Clocks != nil {
+		opts.Clocks.Observe, opts.Clocks.Plan = o.wall, planWall
+	}
 	return ds, plan, nil
+}
+
+// checkObserved refuses to replay o under opts (validated, defaulted) unless
+// o is a live pass of this simulator over the same offered traffic: replaying
+// events drawn under other options would put another run's traffic in the
+// dataset.
+func (s *Sim) checkObserved(o *Observed, opts *Options) error {
+	switch {
+	case o.sim != s:
+		return errors.New("ebs: observation taken by another simulator")
+	case o.events == nil:
+		return errors.New("ebs: observation already released")
+	}
+	was := &o.opts
+	for _, f := range []struct {
+		name     string
+		was, got any
+	}{
+		{"window", fmt.Sprintf("%ds", was.DurationSec), fmt.Sprintf("%ds", opts.DurationSec)},
+		{"Options.EventSampleEvery", was.EventSampleEvery, opts.EventSampleEvery},
+		{"Options.MaxVDs", was.MaxVDs, opts.MaxVDs},
+		{"Options.Seed", was.Seed, opts.Seed},
+		{"Options.Chaos", planOf(was.Chaos), planOf(opts.Chaos)},
+		{"Options.Scenario", specOf(was.Scenario), specOf(opts.Scenario)},
+	} {
+		if f.was != f.got {
+			return fmt.Errorf("ebs: observation %s %v, run has %v: its kept traffic is not this run's", f.name, f.was, f.got)
+		}
+	}
+	return nil
+}
+
+// planOf renders a fault plan for checkObserved's comparison.
+func planOf(p *chaos.Plan) string {
+	if p == nil {
+		return "none"
+	}
+	return fmt.Sprintf("%+v", *p)
+}
+
+// specOf renders a scenario for checkObserved's comparison: its canonical
+// spec, which rebuilds it exactly on the fleet it is bound to.
+func specOf(sc scenario.Workload) string {
+	if sc == nil {
+		return "native"
+	}
+	return sc.Spec()
 }
 
 // checkObsShape holds an observation's shape to this fleet's entity axes and

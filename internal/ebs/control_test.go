@@ -93,10 +93,12 @@ func TestPlansAreCausal(t *testing.T) {
 		Chaos: &chaos.Plan{BSCrashes: 2, MeanDownSec: 5, Storms: 3, StormFactor: 8, MeanStormSec: 6},
 	}
 	ctx := context.Background()
-	obs, err := sim.Observe(ctx, opts, epochSec)
+	observed, err := sim.Observe(ctx, opts, epochSec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer observed.Release()
+	obs := observed.Observation
 	in, err := sim.ControlInput(opts, obs)
 	if err != nil {
 		t.Fatal(err)
@@ -131,10 +133,12 @@ func TestPlansAreCausal(t *testing.T) {
 	epochs := obs.Shape.Epochs()
 	oracleCuts := 0
 	for e := 0; e+1 < epochs; e++ {
-		future, err := sim.Observe(ctx, opts, epochSec)
+		o, err := sim.Observe(ctx, opts, epochSec)
 		if err != nil {
 			t.Fatal(err)
 		}
+		o.Release()
+		future := o.Observation
 		rng := rand.New(rand.NewSource(int64(e) + 1))
 		for range 4000 {
 			vd := cluster.VDID(rng.Intn(len(top.VDs)))

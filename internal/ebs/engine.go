@@ -114,10 +114,11 @@ func (s *Sim) newShards(workers int, opts *Options, streamCfg sketch.Config) []*
 // shards and, once the pool drains, what they produced — or MergeShards
 // unpacks the same from shard partials; finish consumes it.
 type runState struct {
-	opts      Options         // validated and defaulted
-	nVDs      int             // the whole run's disk count, whatever range executes here
-	streamCfg sketch.Config   // zero unless streaming
-	sched     *chaos.Schedule // nil without a fault plan
+	opts      Options            // validated and defaulted
+	nVDs      int                // the whole run's disk count, whatever range executes here
+	streamCfg sketch.Config      // zero unless streaming
+	sched     *chaos.Schedule    // nil without a fault plan
+	kept      [][]workload.Event // an observe pass's events per disk, replayed in place of generation; nil to generate
 	// emission counts every emitted IO at the source, check mode only. Shards
 	// own disjoint virtual disks, so per-VD slots have a single writer and the
 	// shared Emission needs no locking.
@@ -200,7 +201,13 @@ func (r *runState) sketchSoFar() *sketch.Set {
 // partial work is discarded and ctx's error is returned. A nil ctx is
 // treated as context.Background().
 func (s *Sim) Run(ctx context.Context, opts Options) (*trace.Dataset, error) {
-	r, err := s.runRange(ctx, opts, 0, s.runVDs(opts))
+	return s.run(ctx, opts, nil)
+}
+
+// run is Run, replaying kept (an observe pass's events, see Observed) in
+// place of generating the disks' traffic when it is non-nil.
+func (s *Sim) run(ctx context.Context, opts Options, kept [][]workload.Event) (*trace.Dataset, error) {
+	r, err := s.runRange(ctx, opts, 0, s.runVDs(opts), kept)
 	if err != nil {
 		return nil, err
 	}
@@ -210,8 +217,9 @@ func (s *Sim) Run(ctx context.Context, opts Options) (*trace.Dataset, error) {
 
 // runRange simulates virtual disks [lo, hi) of the run opts describes,
 // dealing them across opts.Workers, and returns the state finish (or
-// RunShard's packing) reads. The caller releases it.
-func (s *Sim) runRange(ctx context.Context, opts Options, lo, hi int) (*runState, error) {
+// RunShard's packing) reads. A non-nil kept holds every disk's events, which
+// the disks replay instead of generating them. The caller releases it.
+func (s *Sim) runRange(ctx context.Context, opts Options, lo, hi int, kept [][]workload.Event) (*runState, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -225,6 +233,7 @@ func (s *Sim) runRange(ctx context.Context, opts Options, lo, hi int) (*runState
 	if lo < 0 || hi > r.nVDs || lo >= hi {
 		return nil, fmt.Errorf("ebs: shard [%d,%d) outside run range [0,%d)", lo, hi, r.nVDs)
 	}
+	r.kept = kept
 	n := hi - lo
 	workers := par.Workers(r.opts.Workers)
 	if workers > n {
@@ -236,7 +245,7 @@ func (s *Sim) runRange(ctx context.Context, opts Options, lo, hi int) (*runState
 	err = par.ForEachWorker(ctx, n, workers, func(worker, i int) error {
 		sh := r.shards[worker]
 		t := sh.sw.now()
-		if err := s.simulateVD(sh, lo+i, &r.opts, r.emission, r.sched); err != nil {
+		if err := s.simulateVD(sh, lo+i, r); err != nil {
 			return err
 		}
 		sh.sw.lap(&sh.clk.Generate, t)
@@ -541,11 +550,12 @@ func (o *offered) meanIOs() float64 {
 
 // simulateVD replays one virtual disk's window into the shard's batch
 // pipeline: throttle replay for queue delay, event generation over the
-// shared traffic series, per-stage latency sampling from the disk-derived
-// RNG stream. Under a chaos schedule, storm windows boost the disk's
-// offered demand (throttle and generator alike) and crash windows tax IOs
-// bound for the dead BlockServer.
-func (s *Sim) simulateVD(sh *shard, vdIdx int, opts *Options, emission *invariant.Emission, sched *chaos.Schedule) error {
+// shared traffic series (or the run's kept events for the disk), per-stage
+// latency sampling from the disk-derived RNG stream. Under a chaos schedule,
+// storm windows boost the disk's offered demand (throttle and generator
+// alike) and crash windows tax IOs bound for the dead BlockServer.
+func (s *Sim) simulateVD(sh *shard, vdIdx int, r *runState) error {
+	opts, emission, sched := &r.opts, r.emission, r.sched
 	top := s.fleet.Topology
 	vdID := cluster.VDID(vdIdx)
 	vd := &top.VDs[vdIdx]
@@ -594,7 +604,13 @@ func (s *Sim) simulateVD(sh *shard, vdIdx int, opts *Options, emission *invarian
 		user:       vm.User,
 		vm:         vm.ID,
 	}
-	off.generate(sh.emitFn)
+	if r.kept != nil {
+		for _, ev := range r.kept[vdIdx] {
+			sh.em.emit(ev)
+		}
+	} else {
+		off.generate(sh.emitFn)
+	}
 	sh.flush(&sh.em)
 	return sh.em.genErr
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -12,7 +13,9 @@ import (
 	"ebslab/internal/chaos"
 	"ebslab/internal/cluster"
 	"ebslab/internal/control"
+	"ebslab/internal/invariant"
 	"ebslab/internal/scenario"
+	"ebslab/internal/sketch"
 	"ebslab/internal/trace"
 	"ebslab/internal/workload"
 )
@@ -140,7 +143,8 @@ func TestObserveMatchesRowFold(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							if got.Fingerprint() != want.Fingerprint() {
+							got.Release()
+							if got.Observation.Fingerprint() != want.Fingerprint() {
 								t.Errorf("%s chaos=%v thin=%d maxVDs=%d noThrottle=%v workers=%d: Observe diverges from the row fold",
 									src.name, plan != nil, thin, maxVDs, noThrottle, workers)
 							}
@@ -190,9 +194,12 @@ func TestObserveRejections(t *testing.T) {
 	}
 	// The default cadence works at every window, a one-second one included.
 	for _, dur := range []int{1, 2, 7, 8, 20} {
-		if _, err := sim.Observe(context.Background(), Options{DurationSec: dur, MaxVDs: 4}, 0); err != nil {
+		o, err := sim.Observe(context.Background(), Options{DurationSec: dur, MaxVDs: 4}, 0)
+		if err != nil {
 			t.Errorf("default epoch on a %ds window: %v", dur, err)
+			continue
 		}
+		o.Release()
 	}
 }
 
@@ -235,9 +242,10 @@ func TestObserveCancellation(t *testing.T) {
 }
 
 // TestObserveSteadyStateAllocs pins the pass's allocation budget next to
-// TestRunSteadyStateAllocs: with the RNG pool warm it allocates the
-// observation, the per-worker state and a fixed per-pass overhead — nothing
-// per disk, nothing per IO.
+// TestRunSteadyStateAllocs: with the RNG and arena pools warm (each pass is
+// released, as RunControlled releases its own) it allocates the observation,
+// the per-worker state and a fixed per-pass overhead — nothing per disk,
+// nothing per IO.
 func TestObserveSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("pool reuse is randomized under the race detector")
@@ -246,9 +254,11 @@ func TestObserveSteadyStateAllocs(t *testing.T) {
 	pass := func(maxVDs int) func() {
 		opts := Options{DurationSec: 8, EventSampleEvery: 8, MaxVDs: maxVDs, Workers: 1}
 		return func() {
-			if _, err := sim.Observe(context.Background(), opts, 2); err != nil {
+			o, err := sim.Observe(context.Background(), opts, 2)
+			if err != nil {
 				t.Fatalf("Observe: %v", err)
 			}
+			o.Release()
 		}
 	}
 	const budget = 20
@@ -261,10 +271,11 @@ func TestObserveSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestControlledGeneratesEachDiskTwice counts generator calls: RunControlled
-// draws every disk's events twice (once to observe, once to run), and a
-// bake-off of P policies over one observation P+1 times — not 2P.
-func TestControlledGeneratesEachDiskTwice(t *testing.T) {
+// TestControlledGeneratesEachDiskOnce counts generator calls: RunControlled
+// draws every disk's events once (the observe pass keeps them for the
+// actuated pass), and a bake-off of P policies over one observe pass once
+// too — not P+1 times.
+func TestControlledGeneratesEachDiskOnce(t *testing.T) {
 	f := smallFleet(t)
 	sim := New(f)
 	sc, calls := countGen(nativeWorkload{f})
@@ -278,8 +289,8 @@ func TestControlledGeneratesEachDiskTwice(t *testing.T) {
 	if _, _, err := sim.RunControlled(context.Background(), opts, pol, control.Config{EpochSec: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if got := calls.Load(); got != 2*vds {
-		t.Errorf("RunControlled generated %d disk streams over %d disks, want %d", got, vds, 2*vds)
+	if got := calls.Load(); got != vds {
+		t.Errorf("RunControlled generated %d disk streams over %d disks, want %d", got, vds, vds)
 	}
 
 	calls.Store(0)
@@ -288,6 +299,7 @@ func TestControlledGeneratesEachDiskTwice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer obs.Release()
 	for _, name := range policies {
 		pol, err := control.ByName(name)
 		if err != nil {
@@ -297,8 +309,8 @@ func TestControlledGeneratesEachDiskTwice(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
-	if got, want := calls.Load(), int64((len(policies)+1)*vds); got != want {
-		t.Errorf("a %d-policy bake-off generated %d disk streams over %d disks, want %d", len(policies), got, vds, want)
+	if got := calls.Load(); got != vds {
+		t.Errorf("a %d-policy bake-off generated %d disk streams over %d disks, want %d", len(policies), got, vds, vds)
 	}
 }
 
@@ -325,6 +337,7 @@ func TestRunObservedMatchesRunControlled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer obs.Release()
 	_, got, err := sim.RunObserved(context.Background(), opts, policy(), obs)
 	if err != nil {
 		t.Fatal(err)
@@ -339,22 +352,144 @@ func TestRunObservedMatchesRunControlled(t *testing.T) {
 	}
 }
 
-// TestCheckModeHoldsActuatedPassToObservation is the control/observation law
-// caught in the act: a workload that offers one IO fewer the second time a
-// disk is generated makes the actuated pass's metric rows differ from the
-// observation the plan was built from, and a checked run must fail on it
-// (an unchecked one cannot know).
-func TestCheckModeHoldsActuatedPassToObservation(t *testing.T) {
+// TestRunObservedRefusesOtherTraffic: an observe pass's kept events are
+// replayed as the run's traffic, so RunObserved refuses a pass taken under
+// options that shape offered traffic differently — one row per such option —
+// or by another simulator, or already released; options that do not shape it
+// (sinks, Workers, tracing, the throttle switch, Check) stay free.
+func TestRunObservedRefusesOtherTraffic(t *testing.T) {
 	f := smallFleet(t)
 	sim := New(f)
+	storms := &chaos.Plan{BSCrashes: 1, MeanDownSec: 2, Storms: 2, StormFactor: 8, MeanStormSec: 2}
+	bufferbloat, err := scenario.BindSpec("bufferbloat", f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := Options{Seed: 3, DurationSec: 8, TraceSampleEvery: 4, EventSampleEvery: 2, MaxVDs: 8, Workers: 2, Chaos: storms}
+	obs, err := sim.Observe(context.Background(), base, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer obs.Release()
+	pol, err := control.ByName("reactive")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(*Options)
+		want string // "" = accepted
+	}{
+		{"window", func(o *Options) { o.DurationSec = 10 }, "observation window 8s, run has 10s"},
+		{"EventSampleEvery", func(o *Options) { o.EventSampleEvery = 4 }, "Options.EventSampleEvery 2, run has 4"},
+		{"MaxVDs", func(o *Options) { o.MaxVDs = 6 }, "Options.MaxVDs 8, run has 6"},
+		{"Seed", func(o *Options) { o.Seed = 4 }, "Options.Seed 3, run has 4"},
+		{"no chaos plan", func(o *Options) { o.Chaos = nil }, "Options.Chaos"},
+		{"another chaos plan", func(o *Options) { p := *storms; p.Storms = 3; o.Chaos = &p }, "Options.Chaos"},
+		{"scenario", func(o *Options) { o.Scenario = bufferbloat }, "Options.Scenario native, run has bufferbloat"},
+		{"an equal chaos plan", func(o *Options) { p := *storms; o.Chaos = &p }, ""},
+		{"sinks, workers, tracing, throttle and check", func(o *Options) {
+			o.Stream, o.Clocks, o.ChaosStats = sketch.NewSet(sketch.Config{}), new(Clocks), new(chaos.Stats)
+			o.Workers, o.TraceSampleEvery, o.DisableThrottle, o.Check = 1, 1, true, true
+		}, ""},
+	} {
+		opts := base
+		tc.edit(&opts)
+		_, _, err := sim.RunObserved(context.Background(), opts, pol, obs)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: got %v, want an error naming %q", tc.name, err, tc.want)
+		}
+	}
+	if _, _, err := New(f).RunObserved(context.Background(), base, pol, obs); err == nil || !strings.Contains(err.Error(), "another simulator") {
+		t.Errorf("another simulator's pass: got %v", err)
+	}
+	released, err := sim.Observe(context.Background(), base, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	released.Release()
+	if _, _, err := sim.RunObserved(context.Background(), base, pol, released); err == nil || !strings.Contains(err.Error(), "released") {
+		t.Errorf("a released pass: got %v", err)
+	}
+}
+
+// TestRunObservedSharesKeptTraffic runs two policies over one observe pass at
+// once: the kept traffic is only read, so each answers as it does alone (and
+// under the race detector, nothing writes it).
+func TestRunObservedSharesKeptTraffic(t *testing.T) {
+	sim := New(smallFleet(t))
+	opts := Options{DurationSec: 8, TraceSampleEvery: 4, EventSampleEvery: 2, MaxVDs: 12, Workers: 2, Check: true}
+	obs, err := sim.Observe(context.Background(), opts, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer obs.Release()
+	policies := []string{"reactive", "oracle"}
+	run := func(name string) (string, error) {
+		pol, err := control.ByName(name)
+		if err != nil {
+			return "", err
+		}
+		ds, plan, err := sim.RunObserved(context.Background(), opts, pol, obs)
+		if err != nil {
+			return "", err
+		}
+		return invariant.Fingerprint(ds) + plan.LogFingerprint(), nil
+	}
+	want := make([]string, len(policies))
+	for i, name := range policies {
+		if want[i], err = run(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make([]string, len(policies))
+	errs := make([]error, len(policies))
+	var wg sync.WaitGroup
+	for i, name := range policies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = run(name)
+		}()
+	}
+	wg.Wait()
+	for i, name := range policies {
+		if errs[i] != nil {
+			t.Fatalf("%s: %v", name, errs[i])
+		}
+		if got[i] != want[i] {
+			t.Errorf("%s beside another policy over the same pass answered differently than alone", name)
+		}
+	}
+}
+
+// TestCheckModeHoldsActuatedPassToObservation is the control/observation law
+// caught in the act: one kept event of one disk dropped between the observe
+// pass and the actuated pass makes the actuated pass's metric rows differ
+// from the observation the plan was built from, and a checked run must fail
+// on it (an unchecked one cannot know).
+func TestCheckModeHoldsActuatedPassToObservation(t *testing.T) {
+	sim := New(smallFleet(t))
 	pol, err := control.ByName("reactive")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, check := range []bool{true, false} {
-		drifting := dropFirstOnRepeat{Workload: nativeWorkload{f}, passes: make([]int, len(f.Topology.VDs))}
-		opts := Options{DurationSec: 8, TraceSampleEvery: 4, EventSampleEvery: 2, MaxVDs: 12, Workers: 2, Check: check, Scenario: drifting}
-		_, _, err := sim.RunControlled(context.Background(), opts, pol, control.Config{EpochSec: 2})
+		opts := Options{DurationSec: 8, TraceSampleEvery: 4, EventSampleEvery: 2, MaxVDs: 12, Workers: 2, Check: check}
+		obs, err := sim.Observe(context.Background(), opts, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vd := 0
+		for len(obs.events[vd]) == 0 {
+			vd++
+		}
+		obs.events[vd] = obs.events[vd][1:]
+		_, _, err = sim.RunObserved(context.Background(), opts, pol, obs)
+		obs.Release()
 		switch {
 		case check && (err == nil || !strings.Contains(err.Error(), "control/observation")):
 			t.Errorf("checked run over drifting traffic: got %v, want a control/observation finding", err)
@@ -364,25 +499,35 @@ func TestCheckModeHoldsActuatedPassToObservation(t *testing.T) {
 	}
 }
 
-// dropFirstOnRepeat withholds a disk's first IO from its second generation on.
-// A disk is generated by one worker at a time, so passes needs no lock.
-type dropFirstOnRepeat struct {
-	scenario.Workload
-	passes []int
-}
-
-func (d dropFirstOnRepeat) GenEvents(vd cluster.VDID, series []workload.Sample, sampleEvery int, boost func(int) float64, emit func(workload.Event)) {
-	d.passes[vd]++
-	if d.passes[vd] == 1 {
-		d.Workload.GenEvents(vd, series, sampleEvery, boost, emit)
-		return
-	}
-	first := true
-	d.Workload.GenEvents(vd, series, sampleEvery, boost, func(ev workload.Event) {
-		if first {
-			first = false
-			return
+// TestEventArenaKeepsEveryDisk: disks of every size — empty, a few events,
+// one that fills a chunk mid-way, one several chunks long — come back from
+// the arena intact after the disks behind them were pushed, and again after
+// a reset reuses the chunks.
+func TestEventArenaKeepsEveryDisk(t *testing.T) {
+	sizes := []int{0, 3, arenaChunk - 2, 5, 0, 3*arenaChunk + 7, arenaChunk, 1}
+	a := new(eventArena)
+	for pass := 0; pass < 2; pass++ {
+		kept := make([][]workload.Event, len(sizes))
+		next := int64(0)
+		for d, n := range sizes {
+			for range n {
+				a.push(workload.Event{TimeUS: next})
+				next++
+			}
+			kept[d] = a.seal()
 		}
-		emit(ev)
-	})
+		next = 0
+		for d, n := range sizes {
+			if len(kept[d]) != n || cap(kept[d]) != n {
+				t.Fatalf("pass %d disk %d: kept %d events (cap %d), pushed %d", pass, d, len(kept[d]), cap(kept[d]), n)
+			}
+			for i, ev := range kept[d] {
+				if ev.TimeUS != next {
+					t.Fatalf("pass %d disk %d event %d: TimeUS %d, want %d", pass, d, i, ev.TimeUS, next)
+				}
+				next++
+			}
+		}
+		a.reset()
+	}
 }

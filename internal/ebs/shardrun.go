@@ -205,7 +205,7 @@ func (s *Sim) RunShard(ctx context.Context, opts Options, lo, hi int) (*ShardPar
 	if opts.Control != nil {
 		return nil, errSingleProcess
 	}
-	r, err := s.runRange(ctx, opts, lo, hi)
+	r, err := s.runRange(ctx, opts, lo, hi, nil)
 	if err != nil {
 		return nil, err
 	}

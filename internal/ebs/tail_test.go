@@ -182,7 +182,7 @@ func TestSingleWorkerTailStaysOnCaller(t *testing.T) {
 		{"small study", Options{DurationSec: 8, TraceSampleEvery: 1, EventSampleEvery: 8, MaxVDs: 10, Workers: 2}, false},
 		{"Workers=2", Options{DurationSec: 20, TraceSampleEvery: 1, EventSampleEvery: 1, Workers: 2}, true},
 	} {
-		r, err := sim.runRange(context.Background(), tc.opts, 0, sim.runVDs(tc.opts))
+		r, err := sim.runRange(context.Background(), tc.opts, 0, sim.runVDs(tc.opts), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -394,9 +394,6 @@ func (co *Coordinator) render(resp *netblock.Response, reply any, err error) *ne
 	return resp
 }
 
-// Done reports whether every shard has an accepted result.
-func (co *Coordinator) Done() bool { return co.fsm.done() }
-
 // Workers returns how many workers are currently registered.
 func (co *Coordinator) Workers() int {
 	var n int
