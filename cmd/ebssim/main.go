@@ -366,11 +366,11 @@ func writeAllocProfile(path string) error {
 	return f.Close()
 }
 
-// printClocks writes the engine's stage clocks, in milliseconds.
+// printClocks writes the run's stage clocks, in milliseconds.
 func printClocks(w io.Writer, c *ebs.Clocks) {
-	fmt.Fprintln(w, "engine clocks (ms; observe and plan ahead of a controlled run, generate to sketch summed over the workers, finish and check after the join):")
-	names := strings.Fields("observe plan generate throttle latency emit sketch finish check")
-	for i, d := range []time.Duration{c.Observe, c.Plan, c.Generate, c.Throttle, c.Latency, c.Emit, c.Sketch, c.Finish, c.Check} {
+	fmt.Fprintln(w, "engine clocks (ms; bind opens the scenario, observe and plan ahead of a controlled run, generate to sketch summed over the workers, finish and check after the join):")
+	names := strings.Fields("bind observe plan generate throttle latency emit sketch finish check")
+	for i, d := range []time.Duration{c.Bind, c.Observe, c.Plan, c.Generate, c.Throttle, c.Latency, c.Emit, c.Sketch, c.Finish, c.Check} {
 		fmt.Fprintf(w, "  %-8s %10.3f\n", names[i], float64(d)/float64(time.Millisecond))
 	}
 }

@@ -184,13 +184,15 @@ func TestStartProfiles(t *testing.T) {
 	}
 }
 
-// TestTimingLeavesStdout: -timing prints the engine's stage table on stderr,
-// one line per stage, and stdout stays the same bytes as without it — for a
-// plain run and a controlled one, whose observe and plan clocks read > 0.
+// TestTimingLeavesStdout: -timing prints the stage table on stderr, one line
+// per stage, and stdout stays the same bytes as without it — for a plain run,
+// a controlled one, whose observe and plan clocks read > 0, and a replay,
+// whose bind clock (the ingest) reads > 0.
 func TestTimingLeavesStdout(t *testing.T) {
 	for _, line := range []string{
 		"-seed 7 -dur 12 -nodes 4 -max-vds 24 -stream",
 		"-seed 7 -dur 12 -nodes 4 -max-vds 24 -control reactive -epoch-sec 3",
+		"-seed 7 -dur 12 -nodes 4 -max-vds 24 -scenario replay,path=../../internal/scenario/testdata/tianchi_sample.csv",
 	} {
 		args := strings.Fields(line)
 		var plain, timed, stderr bytes.Buffer
@@ -203,16 +205,19 @@ func TestTimingLeavesStdout(t *testing.T) {
 		if timed.String() != plain.String() {
 			t.Fatalf("%s: -timing changed stdout", line)
 		}
-		for _, stage := range []string{"observe", "plan", "generate", "throttle", "latency", "emit", "sketch", "finish", "check"} {
+		for _, stage := range []string{"bind", "observe", "plan", "generate", "throttle", "latency", "emit", "sketch", "finish", "check"} {
 			if !strings.Contains(stderr.String(), "\n  "+stage+" ") {
 				t.Errorf("%s: stderr has no %s line:\n%s", line, stage, stderr.String())
 			}
 		}
-		controlled := strings.Contains(line, "-control")
-		for _, stage := range []string{"observe", "plan"} {
-			zero := strings.Contains(stderr.String(), fmt.Sprintf("\n  %-8s %10.3f\n", stage, 0.0))
-			if zero == controlled {
-				t.Errorf("%s: the %s clock reads zero is %v, want %v:\n%s", line, stage, zero, !controlled, stderr.String())
+		controlled, bound := strings.Contains(line, "-control"), strings.Contains(line, "-scenario")
+		for _, st := range []struct {
+			stage string
+			ran   bool
+		}{{"bind", bound}, {"observe", controlled}, {"plan", controlled}} {
+			zero := strings.Contains(stderr.String(), fmt.Sprintf("\n  %-8s %10.3f\n", st.stage, 0.0))
+			if zero == st.ran {
+				t.Errorf("%s: the %s clock reads zero is %v, want %v:\n%s", line, st.stage, zero, !st.ran, stderr.String())
 			}
 		}
 	}

@@ -8,9 +8,11 @@ import "time"
 // busy workers they total about w times the pool's wall time; Finish and
 // Check are serial, after the join. A controlled run adds the two wall
 // times ahead of its actuated pass, Observe and Plan; a plain run leaves
-// them zero. Nothing they measure reaches a dataset, a sketch or a
+// them zero. Bind is RunSpec.Open's, ahead of any run, and a run leaves it
+// as Open set it. Nothing they measure reaches a dataset, a sketch or a
 // fingerprint.
 type Clocks struct {
+	Bind     time.Duration // RunSpec.Open's scenario binding: a replay's ingest (zero without a scenario)
 	Observe  time.Duration // the observe pass: generation, counting and keeping the events (controlled runs)
 	Plan     time.Duration // ControlInput and BuildPlan (controlled runs)
 	Generate time.Duration // each disk's wall time outside the four stages below: series, events (or their replay), batch fill

@@ -94,6 +94,27 @@ func TestClocksReadControlledPasses(t *testing.T) {
 	}
 }
 
+// TestClocksReadBind: with Opts.Clocks set, RunSpec.Open times the scenario
+// binding — for a replay, the ingest — into Clocks.Bind, and the run after it
+// leaves that reading as it found it. Without a scenario Bind reads zero.
+func TestClocksReadBind(t *testing.T) {
+	for _, sc := range []string{"", "replay,path=../scenario/testdata/tianchi_sample.csv"} {
+		spec := testRunSpec()
+		spec.Scenario = sc
+		var c Clocks
+		spec.Opts.Clocks = &c
+		if _, _, err := spec.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if (c.Bind > 0) != (sc != "") {
+			t.Errorf("scenario %q: bind clock reads %v", sc, c.Bind)
+		}
+		if c.Generate <= 0 {
+			t.Errorf("scenario %q: generate clock reads %v, want > 0", sc, c.Generate)
+		}
+	}
+}
+
 // BenchmarkRunClocks times a checked Run on the bench's study shape (see
 // BenchmarkVerifyRun) with the clocks off and on: what reading them costs.
 func BenchmarkRunClocks(b *testing.B) {

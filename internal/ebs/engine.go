@@ -355,6 +355,7 @@ func (s *Sim) finish(r *runState) (*trace.Dataset, error) {
 	}
 	if opts.Clocks != nil {
 		sw.lap(&r.clocks.Check, t)
+		r.clocks.Bind = opts.Clocks.Bind // Open's, ahead of the run
 		*opts.Clocks = r.clocks
 	}
 	return ds, nil

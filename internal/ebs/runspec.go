@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"time"
 
 	"ebslab/internal/control"
 	"ebslab/internal/scenario"
@@ -97,7 +98,8 @@ func (r RunSpec) Distributable() error {
 // Open validates the spec, generates its fleet, builds the simulator and binds
 // the scenario, returning the simulator with the options to run it under. A
 // replay that thinned its trace at ingest sets the options' event sampling to
-// that rate, so metric rows re-inflate to full-trace estimates.
+// that rate, so metric rows re-inflate to full-trace estimates. With
+// Opts.Clocks set, Clocks.Bind reads the binding's wall time.
 func (r RunSpec) Open() (*Sim, Options, error) {
 	if err := r.Validate(); err != nil {
 		return nil, Options{}, err
@@ -108,8 +110,12 @@ func (r RunSpec) Open() (*Sim, Options, error) {
 	}
 	opts := r.Opts
 	if r.Scenario != "" {
+		start := stopwatch(opts.Clocks != nil).now()
 		if opts.Scenario, err = scenario.BindSpec(r.Scenario, fleet); err != nil {
 			return nil, Options{}, err
+		}
+		if opts.Clocks != nil {
+			opts.Clocks.Bind = time.Since(start)
 		}
 		if es, ok := opts.Scenario.(interface{ EventSampleEvery() int }); ok {
 			opts.EventSampleEvery = es.EventSampleEvery()

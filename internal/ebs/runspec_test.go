@@ -3,7 +3,10 @@ package ebs
 import (
 	"context"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"ebslab/internal/chaos"
@@ -162,5 +165,34 @@ func TestRunSpecOpenTakesReplayThinning(t *testing.T) {
 	}
 	if spec.Opts.EventSampleEvery != 4 {
 		t.Errorf("Open rewrote the spec's own options: EventSampleEvery %d", spec.Opts.EventSampleEvery)
+	}
+}
+
+// TestReplayFarFutureRowKeepsHeapFlat: a replay row whose second lies far past
+// every run window costs what a row inside the window does. The demand series
+// is folded up to the window a run asks for, so the 2-row trace below no
+// longer builds a 20,000,001-second series for its disk (1.26 GiB).
+func TestReplayFarFutureRowKeepsHeapFlat(t *testing.T) {
+	allocated := func(trace string) uint64 {
+		path := filepath.Join(t.TempDir(), "trace.csv")
+		if err := os.WriteFile(path, []byte(trace), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		spec := testRunSpec()
+		spec.Opts.MaxVDs = 0 // every disk, the far row's included
+		spec.Scenario = "replay,path=" + path + ",schema=tianchi"
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, _, err := spec.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	near := allocated("1,R,0,4096,0\n1,R,0,4096,2000000\n")
+	far := allocated("1,R,0,4096,0\n1,R,0,4096,20000000000000\n")
+	t.Logf("allocated %.1f MiB with the second row at 2 s, %.1f MiB at 2*10^7 s", float64(near)/(1<<20), float64(far)/(1<<20))
+	if far > near+4<<20 {
+		t.Errorf("the far-future row allocated %d MiB, the near one %d MiB: want within 4 MiB", far>>20, near>>20)
 	}
 }

@@ -20,8 +20,9 @@ var fuzzFleet = sync.OnceValues(func() (*workload.Fleet, error) {
 	return workload.Generate(cfg)
 })
 
-// FuzzReplayIngest drives the replay ingester — every schema, sampled and
-// unsampled — over arbitrary bytes. The decoders must never panic, and any
+// FuzzReplayIngest drives the replay ingester — every schema, unsampled at
+// real time and sampled at a thousandfold time scale, which takes rebased
+// times past 2^63 µs — over arbitrary bytes. The decoders must never panic, and any
 // input they accept must obey the ingest invariants: at least one record
 // kept, never more kept than parsed, and byte-identical stats on re-ingest
 // (determinism is what the golden fixtures stand on). On quote-free input the
@@ -48,8 +49,12 @@ func FuzzReplayIngest(f *testing.F) {
 	schemas := []string{SchemaAuto, SchemaNativeJSONL, SchemaNativeCSV, SchemaMSR, SchemaTianchi}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, schema := range schemas {
-			for _, sample := range []int{1, 3} {
-				cfg := ReplayConfig{Path: "fuzz", Schema: schema, SampleEvery: sample, TimeScale: 1}
+			for _, shape := range []struct {
+				sample int
+				scale  float64
+			}{{1, 1}, {3, 1000}} {
+				sample := shape.sample
+				cfg := ReplayConfig{Path: "fuzz", Schema: schema, SampleEvery: sample, TimeScale: shape.scale}
 				rp, err := cfg.Ingest(bytes.NewReader(data), fleet)
 				if schema == SchemaMSR || schema == SchemaTianchi {
 					if bytes.IndexByte(data, '"') < 0 {

@@ -2,24 +2,29 @@ package scenario
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 	"runtime"
 	"sync"
 
-	"ebslab/internal/cluster"
 	"ebslab/internal/trace"
 	"ebslab/internal/workload"
 )
 
-// Foreign-trace ingest is a three-stage pipeline (DESIGN.md "Replay ingest:
-// read → parse → sequence"): the caller's goroutine cuts the input into
-// blocks of whole lines, parse goroutines turn each block into validated
-// rows, and one sequencer folds the blocks into the replay strictly in input
-// order. Everything that depends on a record's position — the header
-// tolerance, t0, ordinals, sampling, the retention cap, line numbers — lives
-// in the sequencer, so the result is the same for every GOMAXPROCS and every
-// block size.
+// Foreign-trace ingest is a pipeline (DESIGN.md "Replay ingest: read →
+// parse → sequence → map → group"): the caller's goroutine cuts the input
+// into blocks of whole lines and parse goroutines turn each block into
+// validated rows. One sequencer takes the blocks strictly in input order and
+// settles only what depends on a row's position — the header tolerance, t0,
+// the block's first ordinal and how many of its rows sampling keeps, the
+// retention cap, line numbers — and hands each block back to the goroutine
+// that parsed it, which maps the kept rows to events in the input-order slots
+// the sequencer gave it. Once the input ends, each disk's events are gathered
+// into one exactly-sized slice, disks in parallel. The result is the same for
+// every GOMAXPROCS and every block size.
 
 // ingestBlockSize is how much input one parse job covers. A block and its
 // rows together stay inside a core's L2, and a 13 MB trace is ~50 jobs, so
@@ -54,9 +59,18 @@ type ingestJob struct {
 	header lineError
 	err    lineError     // the first error nothing can tolerate
 	done   chan struct{} // parser → sequencer, one token per trip
+	// What the sequencer settled, for the mapper to read once placed says
+	// true: rows[0]'s ordinal, the input-order slot of the block's first kept
+	// event, and the input's first timestamp.
+	ord    uint64
+	at     int
+	t0     int64
+	placed chan bool // sequencer → parser: map the kept rows, or drop the block
 }
 
-var ingestJobs = sync.Pool{New: func() any { return &ingestJob{done: make(chan struct{}, 1)} }}
+var ingestJobs = sync.Pool{New: func() any {
+	return &ingestJob{done: make(chan struct{}, 1), placed: make(chan bool, 1)}
+}}
 
 // getJob returns a pooled job whose buffer holds exactly size bytes.
 func getJob(size int) *ingestJob {
@@ -92,10 +106,13 @@ func newForeignParser(schema string, nVDs int) *foreignParser {
 // the sequencer have exited, on success and on error alike.
 func (r *Replay) ingestForeign(rd io.Reader, schema string, blockSize int) error {
 	p := newForeignParser(schema, len(r.fleet.Topology.VDs))
-	seq := &foreignSequencer{r: r, tickPerUS: 1, disks: make([]diskEvents, len(r.events))}
+	tickPerUS := 1.0
 	if schema == SchemaMSR {
-		seq.tickPerUS = 10 // FILETIME: 100ns ticks
+		tickPerUS = 10 // FILETIME: 100ns ticks
 	}
+	kept := &keptEvents{chunks: make([]*keptChunk, maxReplayEvents/keptChunkLen)}
+	defer kept.release()
+	seq := &foreignSequencer{r: r, kept: kept}
 	workers := runtime.GOMAXPROCS(0)
 	// order carries every block to the sequencer in input order and bounds
 	// how many are in flight; todo hands the same blocks to whichever parser
@@ -111,30 +128,40 @@ func (r *Replay) ingestForeign(rd io.Reader, schema string, blockSize int) error
 		defer close(sequenced)
 		for j := range order {
 			<-j.done
-			// After an error the rest is drained unread, so the reader and
+			// After an error the rest is dropped unmapped, so the reader and
 			// the parsers never wait on a consumer that has gone.
 			if seqErr == nil {
-				if seqErr = seq.fold(j); seqErr != nil {
+				if seqErr = seq.place(j); seqErr != nil {
 					close(stop)
 				}
 			}
-			ingestJobs.Put(j)
+			j.placed <- seqErr == nil // the job is its parser's from here on
 		}
 	}()
 
+	// A parser waits for the sequencer to place each block it parsed, then
+	// maps the block itself: blocks are handed out in input order, so the
+	// wait is for the blocks ahead of it, which are being parsed too.
 	var parsers sync.WaitGroup
+	var mappers []*foreignMapper
 	dispatch := func(j *ingestJob, n int) {
 		j.data = j.buf[:n]
 		order <- j
 		todo <- j
 		if workers > 0 { // one parser per block until there is one per core
 			workers--
+			m := &foreignMapper{r: r, kept: kept, tickPerUS: tickPerUS, perDisk: make([]int, len(r.events))}
+			mappers = append(mappers, m)
 			parsers.Add(1)
 			go func() {
 				defer parsers.Done()
 				for j := range todo {
 					p.parse(j)
 					j.done <- struct{}{}
+					if <-j.placed {
+						m.mapBlock(j)
+					}
+					ingestJobs.Put(j)
 				}
 			}()
 		}
@@ -190,9 +217,7 @@ func (r *Replay) ingestForeign(rd io.Reader, schema string, blockSize int) error
 	if readErr != io.EOF {
 		return fmt.Errorf("scenario: replay line %d: %w", seq.lines+1, readErr)
 	}
-	for vd := range seq.disks {
-		r.events[vd] = seq.disks[vd].join()
-	}
+	kept.group(r, mappers)
 	return nil
 }
 
@@ -201,10 +226,17 @@ func (r *Replay) ingestForeign(rd io.Reader, schema string, blockSize int) error
 // first record is set aside and parsing goes on, because only the sequencer
 // knows whether that record is the input's first.
 func (p *foreignParser) parse(j *ingestJob) {
+	// Room for a row per 32 bytes, which few traces' rows are shorter than:
+	// growing a new job's batch from empty in append's 1.25x steps would
+	// leave five times its size behind as garbage.
+	if want := len(j.data) / 32; cap(j.rows) < want {
+		j.rows = make([]foreignRow, 0, want)
+	}
 	j.rows = j.rows[:0]
 	j.lines = 0
 	j.header, j.err = lineError{}, lineError{}
 
+	quotes := bytes.IndexByte(j.data, '"') >= 0 // only then can a line hold one
 	first := true
 	for rest := j.data; len(rest) > 0; {
 		line := rest
@@ -223,7 +255,7 @@ func (p *foreignParser) parse(j *ingestJob) {
 		// The row is parsed in place, in the slot it keeps if it is valid.
 		n := len(j.rows)
 		j.rows = append(j.rows, foreignRow{})
-		if headerLike, err := p.parseLine(line, &j.rows[n]); err != nil {
+		if headerLike, err := p.parseLine(line, quotes, &j.rows[n]); err != nil {
 			j.rows = j.rows[:n]
 			if headerLike && first {
 				j.header = lineError{j.lines, err}
@@ -254,19 +286,35 @@ func fnv1a(h uint64, b []byte) uint64 {
 // parseLine decodes one non-blank line into row. headerLike reports an
 // error a column-header row would produce (tolerated on the input's first
 // record only). Neither schema quotes its fields, so a double quote anywhere
-// is refused rather than interpreted.
-func (p *foreignParser) parseLine(line []byte, row *foreignRow) (headerLike bool, err error) {
+// is refused rather than interpreted; quotes says whether the line's block
+// holds one at all.
+func (p *foreignParser) parseLine(line []byte, quotes bool, row *foreignRow) (headerLike bool, err error) {
+	if quotes {
+		if i := bytes.IndexByte(line, '"'); i >= 0 {
+			return false, fmt.Errorf("column %d: quoted fields are not supported (%s fields are never quoted)", i+1, p.schema)
+		}
+	}
 	// ends[k] is where field k stops; a row has at most seven fields.
 	var ends [7]int
 	n := 0
-	for i, c := range line {
-		if c == ',' {
-			if n < len(ends)-1 {
-				ends[n] = i
-			}
-			n++
-		} else if c == '"' {
-			return false, fmt.Errorf("column %d: quoted fields are not supported (%s fields are never quoted)", i+1, p.schema)
+	comma := func(i int) {
+		if n < len(ends)-1 {
+			ends[n] = i
+		}
+		n++
+	}
+	i := 0
+	// A word at a time: the xor turns its commas into zero bytes, and z has
+	// the top bit of exactly those set (no carry crosses a byte).
+	for ; i+8 <= len(line); i += 8 {
+		x := binary.LittleEndian.Uint64(line[i:]) ^ 0x2C2C2C2C2C2C2C2C
+		for z := ^(x&0x7F7F7F7F7F7F7F7F + 0x7F7F7F7F7F7F7F7F | x | 0x7F7F7F7F7F7F7F7F); z != 0; z &= z - 1 {
+			comma(i + bits.TrailingZeros64(z)/8)
+		}
+	}
+	for ; i < len(line); i++ {
+		if line[i] == ',' {
+			comma(i)
 		}
 	}
 	if n+1 != p.cols {
@@ -326,15 +374,32 @@ func parseInt(b []byte) (int64, bool) {
 	if n := len(b); n == 0 || n > 18 { // 18 plain digits cannot overflow
 		return parseIntSlow(b)
 	}
-	var v int64
-	for _, c := range b {
+	var v uint64
+	rest := b
+	for ; len(rest) >= 8; rest = rest[8:] {
+		w := binary.LittleEndian.Uint64(rest)
+		if w&0xF0F0F0F0F0F0F0F0 != 0x3030303030303030 || (w+0x0606060606060606)&0xF0F0F0F0F0F0F0F0 != 0x3030303030303030 {
+			return parseIntSlow(b) // a byte outside '0'..'9'
+		}
+		v = v*100_000_000 + eightDigits(w)
+	}
+	for _, c := range rest {
 		d := c - '0'
 		if d > 9 {
 			return parseIntSlow(b)
 		}
-		v = v*10 + int64(d)
+		v = v*10 + uint64(d)
 	}
-	return v, true
+	return int64(v), true
+}
+
+// eightDigits is the value of eight ASCII digits read as a little-endian
+// word, the first digit in the lowest byte. Pairs, then fours, then all eight
+// combine in three multiplies instead of a chain of eight.
+func eightDigits(w uint64) uint64 {
+	w -= 0x3030303030303030
+	w = w*10 + w>>8 // each even byte: its pair's two-digit value
+	return ((w&0x000000FF000000FF)*(100+1_000_000<<32) + (w>>16&0x000000FF000000FF)*(1+10_000<<32)) >> 32
 }
 
 func parseIntSlow(b []byte) (int64, bool) {
@@ -362,23 +427,26 @@ func parseIntSlow(b []byte) (int64, bool) {
 	return int64(v), v < 1<<63
 }
 
-// foreignSequencer is the pipeline's order-dependent state.
+// foreignSequencer is the pipeline's order-dependent state. Of the rows it
+// reads only the input's first, for t0; sampling is a function of ordinals.
 type foreignSequencer struct {
-	r         *Replay
-	tickPerUS float64
-	t0        int64  // the first record's timestamp
-	ord       uint64 // records sequenced so far: the next record's ordinal
-	lines     int    // physical lines in the blocks sequenced so far
-	started   bool   // a non-blank line has been sequenced
-	disks     []diskEvents
+	r       *Replay
+	kept    *keptEvents
+	t0      int64  // the first record's timestamp
+	ord     uint64 // records sequenced so far: the next record's ordinal
+	lines   int    // physical lines in the blocks sequenced so far
+	started bool   // a non-blank line has been sequenced
 }
 
 func (s *foreignSequencer) at(e lineError) error {
 	return fmt.Errorf("scenario: replay line %d: %w", s.lines+e.line, e.err)
 }
 
-// fold takes the next block in input order into the replay.
-func (s *foreignSequencer) fold(j *ingestJob) error {
+// place settles the next block in input order: the header tolerance, t0, the
+// block's ordinals and kept events against the retention cap, and its error
+// at its physical line. A nil return places the block: its kept events have
+// their input-order slots reserved, for its parser to fill.
+func (s *foreignSequencer) place(j *ingestJob) error {
 	r := s.r
 	if j.header.err != nil {
 		if s.started {
@@ -386,134 +454,167 @@ func (s *foreignSequencer) fold(j *ingestJob) error {
 		}
 		s.started = true
 	}
-	if len(j.rows) > 0 {
+	n := len(j.rows)
+	if n > 0 {
 		if s.ord == 0 {
 			s.t0 = j.rows[0].ts
 		}
 		s.started = true
 	}
-	for i := range j.rows {
-		row := &j.rows[i]
-		o := s.ord
-		s.ord++
-		r.stats.Records++
-		if !r.cfg.keepOrdinal(o) {
-			continue
-		}
-		if r.stats.Kept >= maxReplayEvents {
-			return fmt.Errorf("scenario: replay retains more than %d records; raise sample=", maxReplayEvents)
-		}
-		s.add(row, o)
+	kept := r.cfg.keptOrdinals(s.ord, n)
+	if r.stats.Kept+kept > maxReplayEvents {
+		return fmt.Errorf("scenario: replay retains more than %d records; raise sample=", maxReplayEvents)
 	}
 	if j.err.err != nil {
 		return s.at(j.err)
 	}
+	j.ord, j.at, j.t0 = s.ord, r.stats.Kept, s.t0
+	s.ord += uint64(n)
+	r.stats.Records += n
+	r.stats.Kept += kept
+	s.kept.reserve(r.stats.Kept)
 	s.lines += j.lines
 	return nil
 }
 
-// diskEvents is one disk's kept events while the ingest runs: chunks filled
-// in order and never regrown, which join copies once into the exactly-sized
-// slice the Replay keeps. Growing that slice in place instead allocates three
-// to five times its final size on the way (append's 1.25x steps; doubling
-// plus a trim), all of it in the sequencer.
-type diskEvents struct {
-	chunks [][]workload.Event
+// keptEvents holds an ingest's kept events in input order, each beside its
+// disk, in chunks the sequencer adds before it places a block that reaches
+// them. chunks is never resized and a mapper writes only its block's slots,
+// so no one takes a lock. The chunks are pooled across ingests.
+type keptEvents struct {
+	chunks []*keptChunk // maxReplayEvents/keptChunkLen entries, the first n in use
 	n      int
 }
 
-// A disk's first chunk holds firstChunk events and each of its smallChunks
-// twice the last, up to fullChunk (32 KiB) — the size that is pooled across
-// ingests and that every later chunk has.
 const (
-	firstChunk  = 64
-	smallChunks = 4
-	fullChunk   = firstChunk << smallChunks
+	keptChunkBits = 13
+	keptChunkLen  = 1 << keptChunkBits // 8,192 events: 288 KiB with their disks
 )
 
-var eventChunks = sync.Pool{New: func() any { return new([fullChunk]workload.Event) }}
-
-func (d *diskEvents) push(ev workload.Event) {
-	k := len(d.chunks)
-	if k == 0 || len(d.chunks[k-1]) == cap(d.chunks[k-1]) {
-		var c []workload.Event
-		if k < smallChunks {
-			c = make([]workload.Event, 0, firstChunk<<k)
-		} else {
-			c = eventChunks.Get().(*[fullChunk]workload.Event)[:0]
-		}
-		if d.chunks == nil {
-			d.chunks = make([][]workload.Event, 0, 8)
-		}
-		d.chunks = append(d.chunks, c)
-		k++
-	}
-	d.chunks[k-1] = append(d.chunks[k-1], ev)
-	d.n++
+type keptChunk struct {
+	ev [keptChunkLen]workload.Event
+	vd [keptChunkLen]uint32
 }
 
-// join returns the disk's events as one slice (nil when there are none) and
-// the full-size chunks to the pool.
-func (d *diskEvents) join() []workload.Event {
-	if d.n == 0 {
-		return nil
+var keptChunks = sync.Pool{New: func() any { return new(keptChunk) }}
+
+// reserve makes room for the first events slots.
+func (k *keptEvents) reserve(events int) {
+	for k.n<<keptChunkBits < events {
+		k.chunks[k.n] = keptChunks.Get().(*keptChunk)
+		k.n++
 	}
-	out := make([]workload.Event, 0, d.n)
-	for _, c := range d.chunks {
-		out = append(out, c...)
-		if cap(c) == fullChunk {
-			eventChunks.Put((*[fullChunk]workload.Event)(c[:fullChunk]))
-		}
-	}
-	d.chunks = nil
-	return out
 }
 
-// add maps one kept row onto the fleet: timestamp rebased and scaled, size
-// and offset fitted to the target disk, queue pair by seed-derived ordinal
-// hash.
-func (s *foreignSequencer) add(row *foreignRow, ord uint64) {
-	r := s.r
-	vd := cluster.VDID(row.vd)
-	d := &r.fleet.Topology.VDs[vd]
+// release returns the chunks to the pool.
+func (k *keptEvents) release() {
+	for _, c := range k.chunks[:k.n] {
+		keptChunks.Put(c)
+	}
+}
 
-	us := int64(float64(row.ts-s.t0) / s.tickPerUS * r.cfg.TimeScale)
-	if us < 0 {
-		us = 0
-		r.stats.Reordered++
+// group hands each disk its first total events as one exactly-sized slice in
+// input order. The disks are cut into contiguous ranges of about equal event
+// counts, one per goroutine, and each goroutine walks the events once, taking
+// its own disks'. The mappers' counts are added up here.
+func (k *keptEvents) group(r *Replay, mappers []*foreignMapper) {
+	perDisk := make([]int, len(r.events))
+	for _, m := range mappers {
+		for vd, n := range m.perDisk {
+			perDisk[vd] += n
+		}
+		r.stats.Reordered += m.reordered
+		r.stats.Clamped += m.clamped
 	}
+	total, workers := r.stats.Kept, runtime.GOMAXPROCS(0)
+	var wg sync.WaitGroup
+	lo, sum := 0, 0
+	for w := 1; w <= workers && lo < len(perDisk); w++ {
+		hi := lo
+		for hi < len(perDisk) && (w == workers || sum < total*w/workers) {
+			sum += perDisk[hi]
+			hi++
+		}
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			k.gather(r.events, perDisk, lo, hi, total)
+		}(lo, hi)
+		lo = hi
+	}
+	wg.Wait()
+}
 
-	size := (row.size + workload.SectorSize - 1) &^ (workload.SectorSize - 1)
-	if size > 4<<20 {
-		size = 4 << 20
+// gather fills events[lo:hi] with those disks' events, in input order.
+func (k *keptEvents) gather(events [][]workload.Event, perDisk []int, lo, hi, total int) {
+	for vd := lo; vd < hi; vd++ {
+		if perDisk[vd] > 0 {
+			events[vd] = make([]workload.Event, 0, perDisk[vd])
+		}
 	}
-	if size != row.size {
-		r.stats.Clamped++
+	for i, c := range k.chunks[:k.n] {
+		n := min(keptChunkLen, total-i<<keptChunkBits)
+		for j, vd := range c.vd[:n] {
+			if v := int(vd); v >= lo && v < hi {
+				events[v] = append(events[v], c.ev[j])
+			}
+		}
 	}
-	offset := workload.AlignDown(row.offset)
-	if span := d.Capacity - size; offset > span {
-		offset = workload.AlignDown(offset % (span + 1))
-		r.stats.Clamped++
-	}
-	qp := d.QPs[uint64(subSeed(r.fleet.Cfg.Seed, tagReplayPick, ord))%uint64(len(d.QPs))]
+}
 
-	ev := workload.Event{TimeUS: us, Op: row.op, Size: int32(size), Offset: offset, QP: qp}
-	s.disks[vd].push(ev)
-	r.stats.Kept++
+// foreignMapper maps placed blocks' kept rows to events. Each parse goroutine
+// has its own; group adds up their counts once the input ends.
+type foreignMapper struct {
+	r         *Replay // only its fleet and configuration are read
+	kept      *keptEvents
+	tickPerUS float64
+	perDisk   []int // events mapped onto each disk
+	reordered int
+	clamped   int
+}
 
-	// Per-second demand, re-inflated by the sampling factor so the throttle
-	// sees the estimated full-trace offered load.
-	sec := int(us / 1_000_000)
-	for len(r.series[vd]) <= sec {
-		r.series[vd] = append(r.series[vd], workload.Sample{})
-	}
-	sm := &r.series[vd][sec]
-	scale := float64(r.cfg.SampleEvery)
-	if ev.Op == trace.OpRead {
-		sm.ReadBps += float64(size) * scale
-		sm.ReadIOPS += scale
-	} else {
-		sm.WriteBps += float64(size) * scale
-		sm.WriteIOPS += scale
+// mapBlock writes the block's kept rows to their slots as events: timestamp
+// rebased and scaled, size and offset fitted to the target disk, queue pair
+// by seed-derived ordinal hash.
+func (m *foreignMapper) mapBlock(j *ingestJob) {
+	cfg, vds, seed := &m.r.cfg, m.r.fleet.Topology.VDs, m.r.fleet.Cfg.Seed
+	at := j.at
+	for i := range j.rows {
+		row, ord := &j.rows[i], j.ord+uint64(i)
+		if !cfg.keepOrdinal(ord) {
+			continue
+		}
+		d := &vds[row.vd]
+
+		// Past 2^63 µs the conversion is undefined (amd64 gives MinInt64), so
+		// such a row saturates: kept, and beyond every run window.
+		us := int64(math.MaxInt64)
+		if t := float64(row.ts-j.t0) / m.tickPerUS * cfg.TimeScale; t < 1<<63 {
+			us = int64(t)
+			if us < 0 {
+				us = 0
+				m.reordered++
+			}
+		}
+
+		size := (row.size + workload.SectorSize - 1) &^ (workload.SectorSize - 1)
+		if size > 4<<20 {
+			size = 4 << 20
+		}
+		if size != row.size {
+			m.clamped++
+		}
+		offset := workload.AlignDown(row.offset)
+		if span := d.Capacity - size; offset > span {
+			offset = workload.AlignDown(offset % (span + 1))
+			m.clamped++
+		}
+		qp := d.QPs[uint64(subSeed(seed, tagReplayPick, ord))%uint64(len(d.QPs))]
+
+		c := m.kept.chunks[at>>keptChunkBits]
+		c.ev[at&(keptChunkLen-1)] = workload.Event{TimeUS: us, Op: row.op, Size: int32(size), Offset: offset, QP: qp}
+		c.vd[at&(keptChunkLen-1)] = row.vd
+		m.perDisk[row.vd]++
+		at++
 	}
 }

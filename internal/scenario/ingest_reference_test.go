@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -22,8 +23,17 @@ import (
 // bug the pipeline fixed. encoding/csv also interprets quoted fields, which
 // the pipeline refuses, so the two are only comparable on quote-free input.
 
+// referenceReplay is what the reference ingest builds: the Replay, and each
+// disk's demand series folded row by row as the loop kept it, one entry per
+// second an event falls in (so a far-future row costs one entry, not a table
+// out to its second).
+type referenceReplay struct {
+	*Replay
+	series []map[int]*workload.Sample
+}
+
 // ingestReference is ReplayConfig.ingest over ingestForeignReference.
-func (c ReplayConfig) ingestReference(rd io.Reader, f *workload.Fleet) (*Replay, error) {
+func (c ReplayConfig) ingestReference(rd io.Reader, f *workload.Fleet) (*referenceReplay, error) {
 	if err := c.validateShape(); err != nil {
 		return nil, err
 	}
@@ -39,13 +49,15 @@ func (c ReplayConfig) ingestReference(rd io.Reader, f *workload.Fleet) (*Replay,
 		return nil, fmt.Errorf("reference ingest: %s is not a foreign schema", schema)
 	}
 	nVDs := len(f.Topology.VDs)
-	r := &Replay{
-		spec:   Spec{Name: "replay"},
-		cfg:    c,
-		fleet:  f,
-		stats:  ReplayStats{Schema: schema},
-		events: make([][]workload.Event, nVDs),
-		series: make([][]workload.Sample, nVDs),
+	r := &referenceReplay{
+		Replay: &Replay{
+			spec:   Spec{Name: "replay"},
+			cfg:    c,
+			fleet:  f,
+			stats:  ReplayStats{Schema: schema},
+			events: make([][]workload.Event, nVDs),
+		},
+		series: make([]map[int]*workload.Sample, nVDs),
 	}
 	if err := r.ingestForeignReference(br, schema); err != nil {
 		return nil, err
@@ -66,7 +78,7 @@ type foreignRecord struct {
 	size   int64
 }
 
-func (r *Replay) ingestForeignReference(rd io.Reader, schema string) error {
+func (r *referenceReplay) ingestForeignReference(rd io.Reader, schema string) error {
 	cr := csv.NewReader(rd)
 	cr.ReuseRecord = true
 	cr.FieldsPerRecord = -1
@@ -161,17 +173,22 @@ func parseForeign(row []string, schema string) (foreignRecord, bool, error) {
 	return fr, false, nil
 }
 
-func (r *Replay) addForeignReference(fr foreignRecord, t0 int64, tickPerUS float64, ord uint64) {
+func (r *referenceReplay) addForeignReference(fr foreignRecord, t0 int64, tickPerUS float64, ord uint64) {
 	top := r.fleet.Topology
 	h := fnv.New64a()
 	h.Write([]byte(fr.device)) //nolint:errcheck — fnv never fails
 	vd := cluster.VDID(h.Sum64() % uint64(len(top.VDs)))
 	d := &top.VDs[vd]
 
-	us := int64(float64(fr.ts-t0) / tickPerUS * r.cfg.TimeScale)
-	if us < 0 {
-		us = 0
-		r.stats.Reordered++
+	// A rebased time past 2^63 µs saturates: the row is kept, beyond every
+	// window, and not reordered.
+	us := int64(math.MaxInt64)
+	if t := float64(fr.ts-t0) / tickPerUS * r.cfg.TimeScale; t < 1<<63 {
+		us = int64(t)
+		if us < 0 {
+			us = 0
+			r.stats.Reordered++
+		}
 	}
 
 	size := (fr.size + workload.SectorSize - 1) &^ (workload.SectorSize - 1)
@@ -193,10 +210,14 @@ func (r *Replay) addForeignReference(fr foreignRecord, t0 int64, tickPerUS float
 	r.stats.Kept++
 
 	sec := int(us / 1_000_000)
-	for len(r.series[vd]) <= sec {
-		r.series[vd] = append(r.series[vd], workload.Sample{})
+	if r.series[vd] == nil {
+		r.series[vd] = map[int]*workload.Sample{}
 	}
-	s := &r.series[vd][sec]
+	s := r.series[vd][sec]
+	if s == nil {
+		s = new(workload.Sample)
+		r.series[vd][sec] = s
+	}
 	scale := float64(r.cfg.SampleEvery)
 	if ev.Op == trace.OpRead {
 		s.ReadBps += float64(size) * scale

@@ -149,7 +149,6 @@ type Replay struct {
 	native bool
 	recs   [][]trace.Record
 	events [][]workload.Event
-	series [][]workload.Sample
 	stats  ReplayStats
 }
 
@@ -176,9 +175,10 @@ func (r *Replay) Records(vd cluster.VDID) []trace.Record {
 // ebs.Options.EventSampleEvery).
 func (r *Replay) EventSampleEvery() int { return r.cfg.SampleEvery }
 
-// SeriesInto returns the demand series derived from the ingested events,
-// scaled back up by the ingest sampling factor so the throttle replays
-// against the estimated full-trace offered load.
+// SeriesInto returns vd's per-second demand over the first durSec seconds:
+// its events folded in input order, scaled back up by the ingest sampling
+// factor so the throttle replays against the estimated full-trace offered
+// load. Nothing past the window is read or kept.
 func (r *Replay) SeriesInto(buf []workload.Sample, vd cluster.VDID, durSec int) []workload.Sample {
 	if cap(buf) < durSec {
 		buf = make([]workload.Sample, durSec)
@@ -187,10 +187,22 @@ func (r *Replay) SeriesInto(buf []workload.Sample, vd cluster.VDID, durSec int) 
 	for i := range out {
 		out[i] = workload.Sample{}
 	}
-	if int(vd) < len(r.series) {
-		src := r.series[vd]
-		for t := 0; t < len(src) && t < durSec; t++ {
-			out[t] = src[t]
+	if int(vd) >= len(r.events) {
+		return out
+	}
+	limitUS := int64(durSec) * 1_000_000
+	scale := float64(r.cfg.SampleEvery)
+	for _, ev := range r.events[vd] {
+		if ev.TimeUS >= limitUS {
+			continue
+		}
+		sm := &out[ev.TimeUS/1_000_000]
+		if ev.Op == trace.OpRead {
+			sm.ReadBps += float64(ev.Size) * scale
+			sm.ReadIOPS += scale
+		} else {
+			sm.WriteBps += float64(ev.Size) * scale
+			sm.WriteIOPS += scale
 		}
 	}
 	return out
@@ -249,7 +261,6 @@ func (c ReplayConfig) ingest(rd io.Reader, f *workload.Fleet, blockSize int) (*R
 		err = r.ingestNative(br, schema)
 	case SchemaMSR, SchemaTianchi:
 		r.events = make([][]workload.Event, nVDs)
-		r.series = make([][]workload.Sample, nVDs)
 		err = r.ingestForeign(br, schema, blockSize)
 	default:
 		err = fmt.Errorf("scenario: replay schema %q not ingestable", schema)
@@ -293,10 +304,24 @@ func sniffSchema(br *bufio.Reader) (string, error) {
 	return "", fmt.Errorf("scenario: replay: cannot sniff schema from a %d-column first line; pass schema=", len(fields))
 }
 
-// keep is the deterministic ingest sampler: a pure hash of the record
+// keepOrdinal is the deterministic ingest sampler: a pure hash of the record
 // ordinal, independent of worker count and target fleet.
 func (c ReplayConfig) keepOrdinal(ord uint64) bool {
 	return c.SampleEvery <= 1 || xrand.Mix64(ord)%uint64(c.SampleEvery) == 0
+}
+
+// keptOrdinals counts the ordinals in [from, from+n) that keepOrdinal keeps.
+func (c ReplayConfig) keptOrdinals(from uint64, n int) int {
+	if c.SampleEvery <= 1 {
+		return n
+	}
+	kept := 0
+	for ord := from; ord < from+uint64(n); ord++ {
+		if c.keepOrdinal(ord) {
+			kept++
+		}
+	}
+	return kept
 }
 
 // ingestNative reads the repo's own trace codecs and validates every record
