@@ -27,20 +27,13 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 func run(args []string, _, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ebsd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	join := fs.String("join", "", "coordinator address(es) to join, comma-separated and indexed by replica ID for a replicated control plane (e.g. the ebssim -workers-addr / -peers values)")
+	join := fs.String("join", "", "address of the coordinator to join (the ebssim -workers-addr value)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	var dials []func() (net.Conn, error)
-	for _, addr := range strings.Split(*join, ",") {
-		addr := strings.TrimSpace(addr)
-		if addr == "" {
-			continue
-		}
-		dials = append(dials, func() (net.Conn, error) { return net.Dial("tcp", addr) })
-	}
-	if len(dials) == 0 {
-		fmt.Fprintln(stderr, "ebsd: -join needs at least one coordinator address")
+	addr := strings.TrimSpace(*join)
+	if addr == "" || strings.Contains(addr, ",") {
+		fmt.Fprintln(stderr, "ebsd: -join needs one coordinator address, the ebssim -workers-addr value")
 		fs.Usage()
 		return 2
 	}
@@ -64,7 +57,8 @@ func run(args []string, _, stderr io.Writer) int {
 		}
 	}()
 
-	if err := fabric.RunWorker(ctx, fabric.WorkerConfig{Dials: dials, Drain: drain}); err != nil {
+	dial := func() (net.Conn, error) { return net.Dial("tcp", addr) }
+	if err := fabric.RunWorker(ctx, fabric.WorkerConfig{Dial: dial, Drain: drain}); err != nil {
 		fmt.Fprintln(stderr, "ebsd:", err)
 		return 1
 	}

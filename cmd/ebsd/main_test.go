@@ -23,14 +23,15 @@ import (
 func TestSmokes(t *testing.T) {
 	for _, row := range []struct{ name, args string }{
 		{"reject-no-join", ""},
-		{"reject-empty-join", "-join ,"},
+		{"reject-empty-join", "-join="},
+		{"reject-join-list", "-join 127.0.0.1:7001,127.0.0.1:7002"},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
 			if code := run(strings.Fields(row.args), &stdout, &stderr); code != 2 {
 				t.Fatalf("ebsd %s: exit %d, want 2; stderr:\n%s", row.args, code, stderr.String())
 			}
-			if want := "-join needs at least one coordinator address"; stdout.Len() > 0 || !strings.Contains(stderr.String(), want) {
+			if want := "-join needs one coordinator address"; stdout.Len() > 0 || !strings.Contains(stderr.String(), want) {
 				t.Fatalf("rejected with stdout %q and stderr %q, want no stdout and a stderr naming %q", stdout.String(), stderr.String(), want)
 			}
 		})

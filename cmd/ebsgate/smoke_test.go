@@ -17,10 +17,9 @@ var update = flag.Bool("update", false, "rewrite testdata/smoke from the current
 // TestSmokes runs every process-level check of ebsgate in process: the
 // selftest — one study served over loopback TCP, its snapshots streamed and
 // its fingerprints held to a direct run — plain, scenario-shaped and under a
-// control policy; the selftest of a leader-kill study, which the gateway
-// refuses; and the command line without a mode. Each row runs twice and must print the
-// bytes of testdata/smoke/<name>.out both times, and no goroutine may outlive
-// a run.
+// control policy; and the command line without a mode. Each row runs twice
+// and must print the bytes of testdata/smoke/<name>.out both times, and no
+// goroutine may outlive a run.
 func TestSmokes(t *testing.T) {
 	const study = "-selftest -seed 7 -dur 4 -nodes 2 -users 4 -max-vds 12"
 	rows := []struct {
@@ -31,7 +30,6 @@ func TestSmokes(t *testing.T) {
 		{name: "gateway-plain", args: study},
 		{name: "gateway-scenario", args: study + " -scenario bufferbloat"},
 		{name: "gateway-control", args: "-selftest -seed 7 -dur 8 -nodes 2 -users 4 -max-vds 12 -control reactive"},
-		{name: "reject-leader-kill", args: study + " -leader-kill 1", code: 1, stderr: "run leader-kill studies through ebssim -dist"},
 		{name: "reject-no-mode", args: "-seed 7", code: 2, stderr: "pass -listen to serve, -addr to talk to a gateway, or -selftest"},
 	}
 	// os/signal's delivery goroutine starts on the first Notify and never

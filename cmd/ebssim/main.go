@@ -15,6 +15,7 @@ import (
 	"runtime/pprof"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"ebslab/internal/chaos"
@@ -34,19 +35,14 @@ import (
 
 // roleFlags is the slice of the flag set that selects an execution role:
 // single-process run, in-process fabric (-dist), or TCP coordinator
-// (-workers-addr, optionally replicated via -peers/-replica-id). At most one
-// role may be selected; the TCP worker role is cmd/ebsd. What the run itself
-// is — fleet, options, scenario, control policy — is the RunSpec beside it;
-// shards and leaderKill are the study's fabric dimensions, copied in because
-// which roles they need is the role check's to say.
+// (-workers-addr). At most one role may be selected; the TCP worker role is
+// cmd/ebsd. What the run itself is — fleet, options, scenario, control
+// policy — is the RunSpec beside it; shards is the study's fabric dimension,
+// copied in because which roles it needs is the role check's to say.
 type roleFlags struct {
 	dist        int
 	shards      int
 	workersAddr string
-	replicas    int
-	leaderKill  int
-	replicaID   int
-	peers       string
 	cpuProfile  string
 	memProfile  string
 	timing      bool
@@ -68,39 +64,6 @@ func validateFlags(f roleFlags, spec ebs.RunSpec) error {
 	}
 	if f.dist > 0 && f.workersAddr != "" {
 		return fmt.Errorf("-dist runs the fabric in-process and -workers-addr serves it over TCP: the roles conflict, pass exactly one of -dist, -workers-addr")
-	}
-	if f.replicas < 1 {
-		return fmt.Errorf("-replicas %d: want >= 1", f.replicas)
-	}
-	if f.replicas > 1 && f.dist == 0 {
-		return fmt.Errorf("-replicas %d replicates the in-process control plane and needs -dist (for TCP replication use -workers-addr with -peers)", f.replicas)
-	}
-	if f.peers != "" && f.workersAddr == "" {
-		return fmt.Errorf("-peers replicates the TCP coordinator and needs -workers-addr")
-	}
-	if f.replicaID != 0 && f.peers == "" {
-		return fmt.Errorf("-replica-id %d needs -peers (it indexes this coordinator into the peer list)", f.replicaID)
-	}
-	if f.peers != "" {
-		n := len(strings.Split(f.peers, ","))
-		if n < 2 {
-			return fmt.Errorf("-peers %q replicates the coordinator and needs at least two comma-separated addresses", f.peers)
-		}
-		if f.replicaID < 0 || f.replicaID >= n {
-			return fmt.Errorf("-replica-id %d is outside the %d-replica set -peers lists", f.replicaID, n)
-		}
-	}
-	if f.leaderKill < 0 {
-		return fmt.Errorf("-leader-kill %d: want >= 0", f.leaderKill)
-	}
-	if f.leaderKill > 0 {
-		if f.dist == 0 || f.replicas < 2 {
-			return fmt.Errorf("-leader-kill needs -dist and -replicas >= 2")
-		}
-		if max := fabric.MaxLeaderKills(f.replicas); f.leaderKill > max {
-			return fmt.Errorf("a %d-replica control plane survives at most %d leader kills, got -leader-kill %d",
-				f.replicas, max, f.leaderKill)
-		}
 	}
 	if f.timing && (f.dist > 0 || f.workersAddr != "") {
 		return fmt.Errorf("-timing reads the in-process engine's clocks and conflicts with the distributed roles -dist, -workers-addr: the fabric has no clocks yet")
@@ -153,16 +116,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	)
 	fs.StringVar(&rf.workersAddr, "workers-addr", "", "run as fabric coordinator: listen on this address for ebsd workers and merge their shard results")
 	fs.IntVar(&rf.dist, "dist", 0, "run the fabric in-process over a loopback transport with this many workers and verify the merged dataset against a single-process run")
-	fs.IntVar(&rf.replicas, "replicas", 1, "with -dist: replicate the coordinator control plane across this many consensus-backed replicas")
-	fs.IntVar(&rf.replicaID, "replica-id", 0, "with -workers-addr and -peers: this coordinator's replica ID")
-	fs.StringVar(&rf.peers, "peers", "", "with -workers-addr: comma-separated control-plane addresses of every replica, indexed by replica ID (replicates the coordinator over TCP)")
 	fs.StringVar(&rf.cpuProfile, "cpuprofile", "", "write a CPU profile of the whole run (any mode, -dist included) to this file; read it with go tool pprof")
 	fs.StringVar(&rf.memProfile, "memprofile", "", "write an allocation profile, taken when the run ends, to this file")
 	fs.BoolVar(&rf.timing, "timing", false, "print the run's time by engine stage on stderr (stdout is unchanged)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	rf.shards, rf.leaderKill = study.Shards, study.LeaderKills
+	rf.shards = study.Shards
 
 	spec := study.RunSpec()
 	spec.Opts.Workers = *workers
@@ -212,9 +172,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	)
 	switch {
 	case rf.dist > 0:
-		ds, err = runDistVerified(ctx, stdout, stderr, spec, rf.dist, rf.shards, rf.replicas, rf.leaderKill)
+		ds, err = runDistVerified(ctx, stdout, stderr, spec, rf.dist, rf.shards)
 	case rf.workersAddr != "":
-		ds, err = runCoordinator(ctx, stderr, spec, rf.workersAddr, rf.shards, rf.replicaID, rf.peers)
+		ds, err = runCoordinator(ctx, stderr, spec, rf.workersAddr, rf.shards)
 	default:
 		ds, scWL, err = runLocal(ctx, stdout, spec)
 	}
@@ -466,37 +426,21 @@ func printPlan(stdout io.Writer, plan *control.Plan) {
 }
 
 // runCoordinator listens on addr for worker daemons and merges their shard
-// results into the run's dataset. With -peers it becomes one replica of a
-// consensus-backed control plane: every ledger mutation is committed across
-// the replica set before it takes effect, workers are redirected to the
-// leader, and a surviving replica finishes the run if this one dies. After
-// the run completes it keeps serving briefly so every worker can observe
-// AssignDone and deregister before the listener goes away.
-func runCoordinator(ctx context.Context, stderr io.Writer, spec ebs.RunSpec, addr string, shards, replicaID int, peers string) (*trace.Dataset, error) {
-	fc := fabric.Config{Fleet: spec.Fleet, Opts: spec.Opts, Scenario: spec.Scenario, Shards: shards}
-	if peers != "" {
-		peerList := strings.Split(peers, ",")
-		pt := fabric.NewPeerTransport(replicaID, peerList)
-		defer pt.Close()
-		fc.ReplicaID = replicaID
-		fc.Replicas = len(peerList)
-		fc.Transport = pt
-	}
-	co, err := fabric.NewCoordinator(fc)
+// results into the run's dataset. After the run completes it keeps serving
+// briefly so every worker can observe AssignDone and deregister before the
+// listener goes away.
+func runCoordinator(ctx context.Context, stderr io.Writer, spec ebs.RunSpec, addr string, shards int) (*trace.Dataset, error) {
+	co, err := fabric.NewCoordinator(fabric.Config{Fleet: spec.Fleet, Opts: spec.Opts, Scenario: spec.Scenario, Shards: shards})
 	if err != nil {
 		return nil, err
 	}
+	defer co.Stop()
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
 	defer l.Close()
-	if peers != "" {
-		fmt.Fprintf(stderr, "ebssim: control-plane replica %d/%d on %s (workers: ebsd -join %s)\n",
-			replicaID, fc.Replicas, l.Addr(), peers)
-	} else {
-		fmt.Fprintf(stderr, "ebssim: waiting for workers on %s (ebsd -join %s)\n", l.Addr(), l.Addr())
-	}
+	fmt.Fprintf(stderr, "ebssim: waiting for workers on %s (ebsd -join %s)\n", l.Addr(), l.Addr())
 	srv := netblock.NewHandlerServer(co)
 	go srv.Serve(l) //nolint:errcheck — lifecycle ends with Close
 	defer srv.Close()
@@ -512,15 +456,11 @@ func runCoordinator(ctx context.Context, stderr io.Writer, spec ebs.RunSpec, add
 	return ds, nil
 }
 
-// runDistVerified runs the whole fabric in-process: a coordinator over a
-// loopback transport plus n workers, then re-runs the simulation
-// single-process and fails unless the two dataset fingerprints are
-// identical — the distributed determinism oracle behind the dist smoke row.
-// With replicas > 1 the control plane is a consensus-backed replica set, and
-// leaderKills > 0 additionally schedules chaos kills of the acting leader
-// mid-run — the fingerprint comparison must STILL hold, which is the
-// replicated control plane's whole contract.
-func runDistVerified(ctx context.Context, stdout, stderr io.Writer, spec ebs.RunSpec, n, shards, replicas, leaderKills int) (*trace.Dataset, error) {
+// runDistVerified runs the whole fabric in-process (runDist), then re-runs
+// the simulation single-process and fails unless the two dataset
+// fingerprints are identical — the distributed determinism oracle behind the
+// dist smoke row.
+func runDistVerified(ctx context.Context, stdout, stderr io.Writer, spec ebs.RunSpec, n, shards int) (*trace.Dataset, error) {
 	opts := spec.Opts
 	distOpts := opts
 	var distStream *sketch.Set
@@ -532,19 +472,8 @@ func runDistVerified(ctx context.Context, stdout, stderr io.Writer, spec ebs.Run
 		distOpts.ChaosStats = new(chaos.Stats)
 	}
 	distOpts.Progress = nil
-	if leaderKills > 0 {
-		// Leader kills live in the chaos plan but are control-plane-only: they
-		// never expand in the workers' (Shards-less) schedules, so the
-		// single-process reference below stays a valid oracle.
-		var plan chaos.Plan
-		if distOpts.Chaos != nil {
-			plan = *distOpts.Chaos
-		}
-		plan.LeaderKills = leaderKills
-		distOpts.Chaos = &plan
-	}
 
-	ds, err := runReplicaSet(ctx, stderr, fabric.Config{Fleet: spec.Fleet, Opts: distOpts, Scenario: spec.Scenario, Shards: shards}, n, replicas)
+	ds, err := runDist(ctx, stderr, fabric.Config{Fleet: spec.Fleet, Opts: distOpts, Scenario: spec.Scenario, Shards: shards}, n)
 	if err != nil {
 		return nil, err
 	}
@@ -557,7 +486,7 @@ func runDistVerified(ctx context.Context, stdout, stderr io.Writer, spec ebs.Run
 		return nil, fmt.Errorf("single-process reference run: %w", err)
 	}
 	distFP, refFP := invariant.Fingerprint(ds), invariant.Fingerprint(ref)
-	fmt.Fprintf(stdout, "dist fingerprint   %s (%d workers, %d replicas)\n", distFP, n, replicas)
+	fmt.Fprintf(stdout, "dist fingerprint   %s (%d workers)\n", distFP, n)
 	fmt.Fprintf(stdout, "single fingerprint %s\n", refFP)
 	if distFP != refFP {
 		return nil, fmt.Errorf("distributed run diverged from single-process run")
@@ -569,32 +498,51 @@ func runDistVerified(ctx context.Context, stdout, stderr io.Writer, spec ebs.Run
 	return ds, nil
 }
 
-// runReplicaSet runs the in-process fabric over a consensus-backed replica
-// set (one replica is the unreplicated fabric: a single node commits
-// inline): workers dial every replica and follow leader redirects, and any
-// leader kills in opts.Chaos fire mid-run. It reports the leadership
-// history so a kill's succession is visible in the smoke output.
-func runReplicaSet(ctx context.Context, stderr io.Writer, fc fabric.Config, n, replicas int) (*trace.Dataset, error) {
-	rs, err := fabric.NewReplicaSet(fc, replicas)
+// runDist runs the study on the in-process fabric: one coordinator served
+// over a loopback listener and n workers, which join, run the shards and
+// drain. It fails on the first worker error.
+func runDist(ctx context.Context, stderr io.Writer, fc fabric.Config, n int) (*trace.Dataset, error) {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	co, err := fabric.NewCoordinator(fc)
 	if err != nil {
 		return nil, err
 	}
-	defer rs.Close()
-	if sched := rs.Schedule(); sched != nil {
-		fmt.Fprintf(stderr, "ebssim: %d-replica control plane, %d leader kill(s) scheduled\n",
-			replicas, len(sched.LeaderKills))
-	} else {
-		fmt.Fprintf(stderr, "ebssim: %d-replica control plane\n", replicas)
+	defer co.Stop()
+	lb := fabric.NewLoopback()
+	srv := netblock.NewHandlerServer(co)
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		srv.Serve(lb) //nolint:errcheck — ends with the loopback
+	}()
+	defer func() {
+		srv.Close()
+		lb.Close()
+		<-served
+	}()
+	fmt.Fprintf(stderr, "ebssim: coordinator dispatching %d shards to %d in-process workers\n", len(co.Plan()), n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = fabric.RunWorker(ctx, fabric.WorkerConfig{Dial: lb.Dial})
+		}()
 	}
-	ds, err := rs.Run(ctx, n)
+	ds, err := co.Wait(ctx)
+	if err != nil {
+		cancel() // release the workers before waiting for them
+	}
+	wg.Wait()
 	if err != nil {
 		return nil, err
 	}
-	var hist []string
-	for _, tr := range rs.Transitions() {
-		hist = append(hist, fmt.Sprintf("term %d -> replica %d", tr.Term, tr.Leader))
+	for i, werr := range errs {
+		if werr != nil {
+			return nil, fmt.Errorf("fabric worker %d: %w", i, werr)
+		}
 	}
-	fmt.Fprintf(stderr, "ebssim: leadership history: %s (%d kill(s) executed)\n",
-		strings.Join(hist, ", "), rs.KillsExecuted())
 	return ds, nil
 }

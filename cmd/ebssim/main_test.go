@@ -28,8 +28,8 @@ func TestDefaultStudyRunSpec(t *testing.T) {
 	}
 }
 
-// TestValidateFlagsMatrix walks the (-dist, -replicas, -leader-kill) matrix
-// plus the role-conflict corners, the profile flags (valid with every role)
+// TestValidateFlagsMatrix walks the role flags (-dist, -workers-addr,
+// -shards) and their conflict corners, the profile flags (valid with every role)
 // and the run spec run builds from the remaining flags: every contradictory
 // combination and every invalid value must be rejected with an error naming
 // the flags or fields involved, and every sensible one accepted.
@@ -43,76 +43,52 @@ func TestValidateFlagsMatrix(t *testing.T) {
 		spec    ebs.RunSpec
 		wantErr []string // substrings the error must carry; empty = valid
 	}{
-		{"single process", roleFlags{replicas: 1}, ebs.RunSpec{}, nil},
-		{"dist", roleFlags{dist: 2, replicas: 1}, ebs.RunSpec{}, nil},
-		{"dist sharded replicas", roleFlags{dist: 2, replicas: 3}, ebs.RunSpec{}, nil},
-		{"dist one kill", roleFlags{dist: 2, replicas: 3, leaderKill: 1}, ebs.RunSpec{}, nil},
-		{"dist two kills five replicas", roleFlags{dist: 4, replicas: 5, leaderKill: 2}, ebs.RunSpec{}, nil},
-		{"tcp coordinator", roleFlags{workersAddr: ":9000", replicas: 1}, ebs.RunSpec{}, nil},
-		{"tcp replicated coordinator", roleFlags{workersAddr: ":9000", replicas: 1, peers: ":9000,:9001,:9002", replicaID: 1}, ebs.RunSpec{}, nil},
-		{"scenario", roleFlags{replicas: 1}, ebs.RunSpec{Scenario: "bufferbloat"}, nil},
-		{"scenario with params", roleFlags{replicas: 1}, ebs.RunSpec{Scenario: "elastic,step=10,hi=2"}, nil},
-		{"scenario with control", roleFlags{replicas: 1}, ebs.RunSpec{Scenario: "batchburst", Control: "predictive"}, nil},
-		{"scenario with dist", roleFlags{dist: 2, replicas: 1}, ebs.RunSpec{Scenario: "bufferbloat"}, nil},
-		{"replay", roleFlags{replicas: 1}, ebs.RunSpec{Scenario: "replay,path=testdata/trace.jsonl"}, nil},
-		{"profiles single process", roleFlags{replicas: 1, cpuProfile: "cpu.prof", memProfile: "mem.prof"}, ebs.RunSpec{}, nil},
-		{"profiles with dist", roleFlags{dist: 2, replicas: 3, leaderKill: 1, cpuProfile: "cpu.prof", memProfile: "mem.prof"}, ebs.RunSpec{}, nil},
-		{"cpu profile with tcp coordinator", roleFlags{workersAddr: ":9000", replicas: 1, cpuProfile: "cpu.prof"}, ebs.RunSpec{}, nil},
-		{"mem profile with control", roleFlags{replicas: 1, memProfile: "mem.prof"}, reactive(0, 0), nil},
-		{"timing with control", roleFlags{replicas: 1, timing: true}, reactive(0, 0), nil},
-		{"control with an epoch inside the window", roleFlags{replicas: 1}, reactive(8, 7), nil},
-		{"control on a one-second window", roleFlags{replicas: 1}, reactive(1, 0), nil},
+		{"single process", roleFlags{}, ebs.RunSpec{}, nil},
+		{"dist", roleFlags{dist: 2}, ebs.RunSpec{}, nil},
+		{"tcp coordinator", roleFlags{workersAddr: ":9000"}, ebs.RunSpec{}, nil},
+		{"scenario", roleFlags{}, ebs.RunSpec{Scenario: "bufferbloat"}, nil},
+		{"scenario with params", roleFlags{}, ebs.RunSpec{Scenario: "elastic,step=10,hi=2"}, nil},
+		{"scenario with control", roleFlags{}, ebs.RunSpec{Scenario: "batchburst", Control: "predictive"}, nil},
+		{"scenario with dist", roleFlags{dist: 2}, ebs.RunSpec{Scenario: "bufferbloat"}, nil},
+		{"replay", roleFlags{}, ebs.RunSpec{Scenario: "replay,path=testdata/trace.jsonl"}, nil},
+		{"profiles single process", roleFlags{cpuProfile: "cpu.prof", memProfile: "mem.prof"}, ebs.RunSpec{}, nil},
+		{"profiles with dist", roleFlags{dist: 2, cpuProfile: "cpu.prof", memProfile: "mem.prof"}, ebs.RunSpec{}, nil},
+		{"cpu profile with tcp coordinator", roleFlags{workersAddr: ":9000", cpuProfile: "cpu.prof"}, ebs.RunSpec{}, nil},
+		{"mem profile with control", roleFlags{memProfile: "mem.prof"}, reactive(0, 0), nil},
+		{"timing with control", roleFlags{timing: true}, reactive(0, 0), nil},
+		{"control with an epoch inside the window", roleFlags{}, reactive(8, 7), nil},
+		{"control on a one-second window", roleFlags{}, reactive(1, 0), nil},
 
-		{"dist and workers-addr conflict", roleFlags{dist: 2, workersAddr: ":9000", replicas: 1}, ebs.RunSpec{},
+		{"dist and workers-addr conflict", roleFlags{dist: 2, workersAddr: ":9000"}, ebs.RunSpec{},
 			[]string{"-dist", "-workers-addr"}},
-		{"zero replicas", roleFlags{replicas: 0}, ebs.RunSpec{}, []string{"-replicas"}},
-		{"replicas without a fabric", roleFlags{replicas: 3}, ebs.RunSpec{}, []string{"-replicas", "-dist"}},
-		{"peers without workers-addr", roleFlags{replicas: 1, peers: ":9000,:9001"}, ebs.RunSpec{},
-			[]string{"-peers", "-workers-addr"}},
-		{"replica-id without peers", roleFlags{workersAddr: ":9000", replicas: 1, replicaID: 1}, ebs.RunSpec{},
-			[]string{"-replica-id", "-peers"}},
-		{"peers with one address", roleFlags{workersAddr: ":9000", replicas: 1, peers: ":9000"}, ebs.RunSpec{},
-			[]string{"-peers", "two"}},
-		{"replica-id past the peer list", roleFlags{workersAddr: ":9000", replicas: 1, peers: ":9000,:9001", replicaID: 5}, ebs.RunSpec{},
-			[]string{"-replica-id 5", "2-replica", "-peers"}},
-		{"negative replica-id", roleFlags{workersAddr: ":9000", replicas: 1, peers: ":9000,:9001", replicaID: -1}, ebs.RunSpec{},
-			[]string{"-replica-id -1", "2-replica", "-peers"}},
-		{"negative kills", roleFlags{dist: 2, replicas: 3, leaderKill: -1}, ebs.RunSpec{}, []string{"-leader-kill"}},
-		{"kill without dist", roleFlags{replicas: 1, leaderKill: 1}, ebs.RunSpec{}, []string{"-leader-kill", "-dist"}},
-		{"kill without quorum", roleFlags{dist: 2, replicas: 1, leaderKill: 1}, ebs.RunSpec{},
-			[]string{"-leader-kill", "-replicas"}},
-		{"kill beyond quorum headroom", roleFlags{dist: 2, replicas: 3, leaderKill: 2}, ebs.RunSpec{},
-			[]string{"3-replica", "at most 1"}},
-		{"kill beyond quorum headroom five replicas", roleFlags{dist: 2, replicas: 5, leaderKill: 3}, ebs.RunSpec{},
-			[]string{"5-replica", "at most 2"}},
-		{"replay with dist", roleFlags{dist: 2, replicas: 1}, ebs.RunSpec{Scenario: "replay,path=x"},
+		{"replay with dist", roleFlags{dist: 2}, ebs.RunSpec{Scenario: "replay,path=x"},
 			[]string{"-scenario replay", "-dist"}},
-		{"replay scenario with workers-addr", roleFlags{workersAddr: ":9000", replicas: 1}, ebs.RunSpec{Scenario: "replay,path=x"},
+		{"replay scenario with workers-addr", roleFlags{workersAddr: ":9000"}, ebs.RunSpec{Scenario: "replay,path=x"},
 			[]string{"-workers-addr", "single-process"}},
-		{"control with dist", roleFlags{dist: 2, replicas: 1}, reactive(0, 0),
+		{"control with dist", roleFlags{dist: 2}, reactive(0, 0),
 			[]string{"-control", "-dist", "single-process"}},
-		{"epoch-sec without control", roleFlags{replicas: 1}, ebs.RunSpec{EpochSec: 3}, []string{"EpochSec", "Control"}},
-		{"epoch-sec as long as the window", roleFlags{replicas: 1}, reactive(8, 100),
+		{"epoch-sec without control", roleFlags{}, ebs.RunSpec{EpochSec: 3}, []string{"EpochSec", "Control"}},
+		{"epoch-sec as long as the window", roleFlags{}, reactive(8, 100),
 			[]string{"epoch 100s", "8s window"}},
-		{"profiles into one file", roleFlags{dist: 2, replicas: 1, cpuProfile: "run.prof", memProfile: "run.prof"}, ebs.RunSpec{},
+		{"profiles into one file", roleFlags{dist: 2, cpuProfile: "run.prof", memProfile: "run.prof"}, ebs.RunSpec{},
 			[]string{"-cpuprofile", "-memprofile", "run.prof"}},
-		{"unknown scenario", roleFlags{replicas: 1}, ebs.RunSpec{Scenario: "quakestorm"},
+		{"unknown scenario", roleFlags{}, ebs.RunSpec{Scenario: "quakestorm"},
 			[]string{"quakestorm"}},
-		{"bad scenario param", roleFlags{replicas: 1}, ebs.RunSpec{Scenario: "elastic,bogus=1"},
+		{"bad scenario param", roleFlags{}, ebs.RunSpec{Scenario: "elastic,bogus=1"},
 			[]string{"bogus"}},
-		{"timing with dist", roleFlags{dist: 2, replicas: 1, timing: true}, ebs.RunSpec{},
+		{"timing with dist", roleFlags{dist: 2, timing: true}, ebs.RunSpec{},
 			[]string{"-timing", "-dist", "-workers-addr"}},
-		{"timing with tcp coordinator", roleFlags{workersAddr: ":9000", replicas: 1, timing: true}, ebs.RunSpec{},
+		{"timing with tcp coordinator", roleFlags{workersAddr: ":9000", timing: true}, ebs.RunSpec{},
 			[]string{"-timing", "-workers-addr"}},
-		{"negative dist", roleFlags{dist: -1, replicas: 1}, ebs.RunSpec{}, []string{"-dist -1"}},
-		{"negative shards", roleFlags{dist: 2, shards: -3, replicas: 1}, ebs.RunSpec{}, []string{"-shards -3"}},
-		{"shards without a distributed role", roleFlags{replicas: 1, shards: 5}, ebs.RunSpec{},
+		{"negative dist", roleFlags{dist: -1}, ebs.RunSpec{}, []string{"-dist -1"}},
+		{"negative shards", roleFlags{dist: 2, shards: -3}, ebs.RunSpec{}, []string{"-shards -3"}},
+		{"shards without a distributed role", roleFlags{shards: 5}, ebs.RunSpec{},
 			[]string{"-shards 5", "-dist", "-workers-addr"}},
-		{"negative workers", roleFlags{replicas: 1}, ebs.RunSpec{Opts: ebs.Options{Workers: -2}},
+		{"negative workers", roleFlags{}, ebs.RunSpec{Opts: ebs.Options{Workers: -2}},
 			[]string{"Options.Workers is -2"}},
-		{"negative max-vds", roleFlags{replicas: 1}, ebs.RunSpec{Opts: ebs.Options{MaxVDs: -5}},
+		{"negative max-vds", roleFlags{}, ebs.RunSpec{Opts: ebs.Options{MaxVDs: -5}},
 			[]string{"Options.MaxVDs is -5"}},
-		{"negative chaos crashes", roleFlags{replicas: 1}, ebs.RunSpec{Opts: ebs.Options{Chaos: &chaos.Plan{BSCrashes: -1}}},
+		{"negative chaos crashes", roleFlags{}, ebs.RunSpec{Opts: ebs.Options{Chaos: &chaos.Plan{BSCrashes: -1}}},
 			[]string{"Chaos", "BSCrashes is -1"}},
 	}
 	for _, tc := range cases {

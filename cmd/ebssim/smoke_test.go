@@ -41,7 +41,7 @@ type smoke struct {
 }
 
 // TestSmokes runs every process-level check of ebssim in process: the
-// chaos, fabric (loopback, replicated with a leader kill, TCP), control and
+// chaos, fabric (loopback, TCP), control and
 // scenario rows, and the command lines validation must refuse. Each row runs
 // twice and must print the same bytes both times, and no goroutine may
 // outlive a run.
@@ -55,7 +55,6 @@ func TestSmokes(t *testing.T) {
 	rows := []smoke{
 		{name: "chaos", args: "-seed 7 -dur 20 -nodes 4 -max-vds 24 -chaos"},
 		{name: "dist", args: fabricStudy + " -dist 2 -shards 5 -stream"},
-		{name: "dist-ha", args: fabricStudy + " -dist 2 -shards 5 -replicas 3 -leader-kill 1"},
 		{name: "dist-tcp", args: fabricStudy + " -workers-addr 127.0.0.1:0", workers: 2, same: fabricStudy},
 		{name: "control-predictive", args: controlStudy + " -control predictive -chaos -storms 4"},
 		{name: "control-oracle", args: controlStudy + " -control oracle"},
@@ -181,7 +180,7 @@ func runWithWorkers(t *testing.T, args []string, n int, stdout, stderr *bytes.Bu
 		}
 		dial := func() (net.Conn, error) { return net.Dial("tcp", addr) }
 		for ; joined < n; joined++ {
-			go func() { errs <- fabric.RunWorker(ctx, fabric.WorkerConfig{Dials: []func() (net.Conn, error){dial}}) }()
+			go func() { errs <- fabric.RunWorker(ctx, fabric.WorkerConfig{Dial: dial}) }()
 		}
 	}
 	for ; joined > 0; joined-- {

@@ -12,6 +12,7 @@ import (
 	"ebslab/internal/ebs"
 	"ebslab/internal/fabric"
 	"ebslab/internal/invariant"
+	"ebslab/internal/netblock"
 	"ebslab/internal/sketch"
 	"ebslab/internal/workload"
 )
@@ -23,8 +24,8 @@ import (
 // bench's study recipe (bench/workloads.go: fleet seed 7, one DC of 16
 // nodes, 60 s, the first 120 disks, one IO in 8 generated; -seed is
 // Options.Seed). The dist pin comes from the bench's fabric study shape: a
-// coordinator on an in-process loopback (here the one-replica set ebssim's
-// -dist runs), 8 shards, 2 workers of one engine worker each. Its pins equal
+// coordinator on an in-process loopback, 8 shards, 2 workers of one engine
+// worker each. Its pins equal
 // sim-traced's, since a fabric study is byte-identical to the single-process
 // run; what the row adds is that the bytes a worker ships and the merge
 // reproduce them under the bench's shard plan. A simulated or shipped bit
@@ -74,16 +75,30 @@ func TestBenchFingerprintsHold(t *testing.T) {
 		},
 		"dist": func(o ebs.Options) (string, error) {
 			o.Workers = 1
-			rs, err := fabric.NewReplicaSet(fabric.Config{Fleet: benchStudyFleetConfig(), Opts: o, Shards: 8}, 1)
+			co, err := fabric.NewCoordinator(fabric.Config{Fleet: benchStudyFleetConfig(), Opts: o, Shards: 8})
 			if err != nil {
 				return "", err
 			}
-			defer rs.Close()
+			defer co.Stop()
+			lb := fabric.NewLoopback()
+			srv := netblock.NewHandlerServer(co)
+			go srv.Serve(lb) //nolint:errcheck — ends with the loopback
+			defer srv.Close()
+			defer lb.Close()
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 			defer cancel()
-			ds, err := rs.Run(ctx, 2)
+			errs := make(chan error, 2)
+			for range 2 {
+				go func() { errs <- fabric.RunWorker(ctx, fabric.WorkerConfig{Dial: lb.Dial}) }()
+			}
+			ds, err := co.Wait(ctx)
 			if err != nil {
 				return "", err
+			}
+			for range 2 {
+				if err := <-errs; err != nil {
+					return "", err
+				}
 			}
 			return invariant.Fingerprint(ds), nil
 		},

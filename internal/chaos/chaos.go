@@ -1,7 +1,7 @@
 // Package chaos is the deterministic fault-injection layer of the
 // simulator: a Plan describes *how much* trouble a run should see
-// (BlockServer crash-and-recover windows, hot-tenant traffic storms and
-// coordinator leader kills), and Expand turns the plan into a concrete
+// (BlockServer crash-and-recover windows and hot-tenant traffic storms),
+// and Expand turns the plan into a concrete
 // Schedule — the exact windows, derived from (seed, plan, fleet shape) with
 // the same per-entity derived-RNG discipline as internal/workload and
 // internal/par, so the schedule is byte-identical across runs, worker
@@ -21,8 +21,7 @@
 //   - VDs inside a storm window offer StormFactor times their calibrated
 //     demand, which drives the throttle into the §5 symptoms.
 //
-// The leader-kill windows are the fabric's (fabric.ReplicaSet). Wire faults
-// are not a plan's: a test injects them from the transport it hands the
+// Wire faults are not a plan's: a test injects them from the transport it hands the
 // RPC layer (internal/netblock/netblocktest).
 //
 // A schedule whose dataset-visible knobs are zero (no penalty, no storms)
@@ -47,7 +46,6 @@ import (
 const (
 	tagCrash uint64 = 0xC4A54
 	tagStorm uint64 = 0x570F4
-	tagLead  uint64 = 0x1EAD0
 )
 
 // Plan describes a fault campaign in fleet-independent terms. The zero
@@ -73,17 +71,6 @@ type Plan struct {
 	StormFactor float64
 	// MeanStormSec is the mean storm length (default 5).
 	MeanStormSec int
-	// LeaderKills is how many coordinator leader-kill faults to schedule.
-	// Each one kills whichever coordinator replica currently leads the
-	// fabric's replicated control plane once the shard ledger has accepted
-	// its trigger count of results (the trigger is logical — a result
-	// count — not a wall-clock second, so the fault lands at the same
-	// control-plane point on every run). Consumed by fabric.ReplicaSet;
-	// single-replica runs and the in-engine fault machinery ignore it.
-	// Leader kills never touch the dataset: the surviving replicas resume
-	// from the replicated ledger and the merged dataset fingerprint stays
-	// byte-identical to the fault-free run.
-	LeaderKills int
 }
 
 // Validate rejects plan values that have no meaning.
@@ -96,7 +83,6 @@ func (p *Plan) Validate() error {
 		{"MeanDownSec", p.MeanDownSec},
 		{"Storms", p.Storms},
 		{"MeanStormSec", p.MeanStormSec},
-		{"LeaderKills", p.LeaderKills},
 	} {
 		if f.v < 0 {
 			return fmt.Errorf("chaos: Plan.%s is %d, want >= 0", f.name, f.v)
@@ -116,10 +102,6 @@ type Shape struct {
 	BSs    int // storage nodes
 	VDs    int // virtual disks
 	DurSec int // observation window
-	// Shards is the fabric shard-plan size (0 outside distributed runs).
-	// Leader-kill triggers are drawn from [1, Shards-1] so the kill always
-	// lands strictly mid-run: after some results are in, before the last.
-	Shards int
 }
 
 // Window is a half-open interval of whole seconds, [Start, End).
@@ -145,23 +127,13 @@ type Storm struct {
 	Window
 }
 
-// LeaderKill is one control-plane fault: kill whichever coordinator
-// replica is leading once AfterResults shard results have been accepted
-// into the replicated ledger. The window is logical rather than temporal —
-// its position in the run is fixed by control-plane progress, which is
-// what makes the fault schedule replayable regardless of worker speed.
-type LeaderKill struct {
-	AfterResults int
-}
-
 // Schedule is a fully expanded fault plan: concrete windows against a
 // concrete fleet shape. It is immutable after Expand.
 type Schedule struct {
-	Shape       Shape
-	PenaltyUS   float64      // frontend-net penalty for IOs targeting a down BS
-	Crashes     []Crash      // sorted by (Start, BS)
-	Storms      []Storm      // sorted by (Start, VD)
-	LeaderKills []LeaderKill // sorted by AfterResults, deduplicated
+	Shape     Shape
+	PenaltyUS float64 // frontend-net penalty for IOs targeting a down BS
+	Crashes   []Crash // sorted by (Start, BS)
+	Storms    []Storm // sorted by (Start, VD)
 }
 
 // Expand derives the concrete schedule of p against shape. The plan seed
@@ -174,26 +146,6 @@ func (p *Plan) Expand(runSeed int64, shape Shape) *Schedule {
 		seed = runSeed
 	}
 	s := &Schedule{Shape: shape, PenaltyUS: p.FailoverPenaltyUS}
-	// Leader kills are logical windows keyed on control-plane progress,
-	// not seconds, so they expand even for a zero-duration shape. Each
-	// trigger draws from its own derived stream; equal draws collapse to
-	// one kill (two kills at the same ledger count would race the same
-	// leader).
-	if p.LeaderKills > 0 && shape.Shards > 1 {
-		seen := make(map[int]bool)
-		for i := 0; i < p.LeaderKills; i++ {
-			rng := xrand.Get(xrand.SubSeed(seed, tagLead, uint64(i)))
-			after := 1 + rng.Intn(shape.Shards-1)
-			rng.Release()
-			if !seen[after] {
-				seen[after] = true
-				s.LeaderKills = append(s.LeaderKills, LeaderKill{AfterResults: after})
-			}
-		}
-		sort.Slice(s.LeaderKills, func(i, j int) bool {
-			return s.LeaderKills[i].AfterResults < s.LeaderKills[j].AfterResults
-		})
-	}
 	if shape.DurSec <= 0 {
 		return s
 	}
@@ -341,16 +293,6 @@ func (s *Schedule) Fingerprint() string {
 		d.I64(int64(st.End))
 		d.F64(st.Factor)
 	}
-	// The leader-kill section is appended only when present so that every
-	// fingerprint minted before control-plane faults existed — including
-	// the committed golden fixtures — stays valid for kill-free schedules.
-	if len(s.LeaderKills) > 0 {
-		d.I64(int64(s.Shape.Shards))
-		d.I64(int64(len(s.LeaderKills)))
-		for _, k := range s.LeaderKills {
-			d.I64(int64(k.AfterResults))
-		}
-	}
 	return d.Sum()
 }
 
@@ -367,10 +309,7 @@ func (s *Schedule) String() string {
 	for _, st := range s.Storms {
 		fmt.Fprintf(&b, "\n  storm: VD %d x%.1f [%ds, %ds)", st.VD, st.Factor, st.Start, st.End)
 	}
-	for _, k := range s.LeaderKills {
-		fmt.Fprintf(&b, "\n  leader-kill: after %d accepted results", k.AfterResults)
-	}
-	if len(s.Crashes)+len(s.Storms)+len(s.LeaderKills) == 0 {
+	if len(s.Crashes)+len(s.Storms) == 0 {
 		b.WriteString("\n  (no fault windows)")
 	}
 	return b.String()

@@ -196,71 +196,3 @@ func TestStatsMergeAndString(t *testing.T) {
 		t.Fatalf("schedule string = %q", str)
 	}
 }
-
-// TestLeaderKillExpansion pins the control-plane fault windows: seeded
-// determinism, the mid-run trigger range, dedup of equal draws, expansion
-// independent of DurSec (the trigger is logical, not temporal), and the
-// append-only fingerprint rule that keeps kill-free schedules compatible
-// with fingerprints minted before leader kills existed.
-func TestLeaderKillExpansion(t *testing.T) {
-	p := &Plan{LeaderKills: 4}
-	shape := Shape{BSs: 3, VDs: 8, DurSec: 10, Shards: 5}
-
-	s1 := p.Expand(7, shape)
-	s2 := p.Expand(7, shape)
-	if len(s1.LeaderKills) == 0 {
-		t.Fatal("no leader kills expanded")
-	}
-	if s1.Fingerprint() != s2.Fingerprint() {
-		t.Fatal("same (plan, seed, shape) expanded to different schedules")
-	}
-	seen := map[int]bool{}
-	last := 0
-	for _, k := range s1.LeaderKills {
-		if k.AfterResults < 1 || k.AfterResults > shape.Shards-1 {
-			t.Fatalf("trigger %d outside mid-run range [1, %d]", k.AfterResults, shape.Shards-1)
-		}
-		if k.AfterResults < last {
-			t.Fatalf("kills not sorted: %v", s1.LeaderKills)
-		}
-		if seen[k.AfterResults] {
-			t.Fatalf("duplicate trigger %d survived dedup: %v", k.AfterResults, s1.LeaderKills)
-		}
-		seen[k.AfterResults] = true
-		last = k.AfterResults
-	}
-
-	// Logical windows expand even when the temporal shape is empty.
-	s3 := p.Expand(7, Shape{Shards: 5})
-	if len(s3.LeaderKills) != len(s1.LeaderKills) {
-		t.Fatalf("zero-duration shape expanded %d kills, want %d", len(s3.LeaderKills), len(s1.LeaderKills))
-	}
-	// ... but not without a shard plan to be mid-run of.
-	if got := p.Expand(7, Shape{BSs: 3, VDs: 8, DurSec: 10}); len(got.LeaderKills) != 0 {
-		t.Fatalf("shardless shape expanded %d kills, want 0", len(got.LeaderKills))
-	}
-
-	// A kill-free schedule must fingerprint identically whether or not the
-	// shape carries a shard count: the leader-kill section is append-only.
-	base := (&Plan{BSCrashes: 2}).Expand(7, Shape{BSs: 3, VDs: 8, DurSec: 10})
-	withShards := (&Plan{BSCrashes: 2}).Expand(7, Shape{BSs: 3, VDs: 8, DurSec: 10, Shards: 5})
-	if base.Fingerprint() != withShards.Fingerprint() {
-		t.Fatal("kill-free fingerprint depends on Shape.Shards; committed fixtures would break")
-	}
-
-	// Kills must not affect where crashes/storms land (independent streams).
-	noKills := (&Plan{BSCrashes: 2, Storms: 2}).Expand(7, shape)
-	withKills := (&Plan{BSCrashes: 2, Storms: 2, LeaderKills: 3}).Expand(7, shape)
-	if len(noKills.Crashes) != len(withKills.Crashes) || len(noKills.Storms) != len(withKills.Storms) {
-		t.Fatal("adding leader kills changed crash/storm counts")
-	}
-	for i := range noKills.Crashes {
-		if noKills.Crashes[i] != withKills.Crashes[i] {
-			t.Fatal("adding leader kills moved a crash window")
-		}
-	}
-
-	if err := (&Plan{LeaderKills: -1}).Validate(); err == nil {
-		t.Fatal("negative LeaderKills validated")
-	}
-}

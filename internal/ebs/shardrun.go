@@ -31,8 +31,8 @@ import (
 // everything else in it — rows, sketch, accounting — is the partial's own. A
 // partial a decoder built aliases the frame it was decoded from, in Records:
 // the frame must outlive it and never be written again (a fabric
-// coordinator's frames are committed ledger commands, which the log retains
-// and nothing writes).
+// coordinator's ledger keeps each accepted frame as its partial's backing,
+// and nothing writes to it).
 type ShardPartial struct {
 	Lo, Hi int
 	// Records is the packed sampled records of a partial that holds them in

@@ -57,13 +57,13 @@ func loopbackStudy(t *testing.T, eventSampleEvery int) {
 // join/dispatch/upload/merge cycle — and holds it flat in the records the
 // shards carry: 1/4 event sampling (349 records) and none (1,408) allocate
 // alike, so nothing on the wire or merge path allocates per record. The
-// budget is the 2,152–2,185 allocations measured over 100 studies plus at
+// budget is the 1,966–1,984 allocations measured over 100 studies plus at
 // most 15 %.
 func TestFabricStudyAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("pool reuse is randomized under the race detector")
 	}
-	const budget = 2510
+	const budget = 2280
 	// A collection mid-measurement would empty the tracer and batch pools,
 	// and the next study would count their refill.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -78,7 +78,7 @@ func TestFabricStudyAllocs(t *testing.T) {
 	}
 }
 
-// diskFrame is a bare result frame of shard [0, 4) carrying n packed records
+// diskFrame is a result frame of shard [0, 4) carrying n packed records
 // and no other section: n/4 per disk, each disk's in rising time, so the
 // frame holds the same four sorted runs at every n.
 func diskFrame(n int) []byte {

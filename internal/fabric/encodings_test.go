@@ -81,26 +81,19 @@ func samplePartial(sections int) *ebs.ShardPartial {
 	return p
 }
 
-// TestEncodingsUnchanged pins the shard-result and ledger-command frames to
-// the bytes captured under testdata/encodings (result-full embeds an SKS2
-// sketch set).
+// TestEncodingsUnchanged pins the shard-result frame to the bytes captured
+// under testdata/encodings (result-full embeds an SKS2 sketch set).
 func TestEncodingsUnchanged(t *testing.T) {
 	wiretest.CheckEncoding(t, "result-full", encodeResult(42, 7, samplePartial(secAll)))
 	wiretest.CheckEncoding(t, "result-empty", encodeResult(1, 0, samplePartial(0)))
-	frame := encodeResult(2, 1, samplePartial(secRecords|secAudit))
-	wiretest.CheckEncoding(t, "command-result", encodeCommand(&command{Kind: cmdResult, Worker: 2, At: 1_700_000_000_123_456_789, Frame: frame}))
-	wiretest.CheckEncoding(t, "command-assign", encodeCommand(&command{Kind: cmdAssign, Worker: 7, At: -9}))
 }
 
 // TestEncodeResultExactSize holds the encoder to its own arithmetic and to
 // sending the records from where they lie: for every section combination,
-// the parts concatenate to exactly the command-header room plus resultSize
-// bytes; the middle parts are p.Chunks() themselves, not copies of them;
+// the parts concatenate to exactly resultSize bytes; the middle parts are p.Chunks() themselves, not copies of them;
 // head and tail lie back to back in one buffer that the tail fills to its
 // capacity, so it was never regrown; and, the sketch's own encoding aside,
-// encoding allocates twice: that buffer and the list of parts. The parts of
-// the two pinned partials concatenate to the pinned result-*.hex frames
-// behind the header room.
+// encoding allocates twice: that buffer and the list of parts.
 func TestEncodeResultExactSize(t *testing.T) {
 	for sections := 0; sections <= secAll; sections++ {
 		p := samplePartial(sections)
@@ -112,8 +105,8 @@ func TestEncodeResultExactSize(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if size := commandHeaderLen + resultSize(p, sketchLen); len(bytes.Join(parts, nil)) != size {
-			t.Fatalf("sections %06b: the parts join to %d bytes, header room plus resultSize says %d", sections, len(bytes.Join(parts, nil)), size)
+		if size := resultSize(p, sketchLen); len(bytes.Join(parts, nil)) != size {
+			t.Fatalf("sections %06b: the parts join to %d bytes, resultSize says %d", sections, len(bytes.Join(parts, nil)), size)
 		}
 		want := p.Chunks()
 		if len(parts) != len(want)+2 {
@@ -138,6 +131,4 @@ func TestEncodeResultExactSize(t *testing.T) {
 			t.Fatalf("sections %06b: encoding allocated %.0f times, want 2 (the head-and-tail buffer, the list of parts)", sections, allocs)
 		}
 	}
-	wiretest.CheckEncoding(t, "result-full", joinedPayload(42, 7, samplePartial(secAll))[commandHeaderLen:])
-	wiretest.CheckEncoding(t, "result-empty", joinedPayload(1, 0, samplePartial(0))[commandHeaderLen:])
 }

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
-	"math/rand"
 	"runtime"
 	"testing"
 
@@ -34,15 +33,11 @@ func measureAlloc(fn func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// recordSection is the offset of a bare result frame's first record: behind
-// workerID, shardID, lo, hi and the record count.
-const recordSection = 8 + 4 + 4 + 4 + 4
-
-// editRecord returns a copy of the bare result frame with its i-th record
+// editRecord returns a copy of the result frame with its i-th record
 // unpacked, edited and packed back.
 func editRecord(frame []byte, i int, edit func(*trace.Record)) []byte {
 	out := append([]byte(nil), frame...)
-	at := out[recordSection+i*trace.RecordSize:]
+	at := out[resultHeadLen+i*trace.RecordSize:]
 	var rec trace.Record
 	trace.Unpack(at, &rec)
 	edit(&rec)
@@ -50,12 +45,12 @@ func editRecord(frame []byte, i int, edit func(*trace.Record)) []byte {
 	return out
 }
 
-// poisonedFrames rewrites the middle record of a bare result frame the two
+// poisonedFrames rewrites the middle record of a result frame the two
 // ways a merge cannot survive and the decoder must refuse: its VD moved
 // outside the frame's shard (to VD 12, outside a [0,8) shard), and a stage
 // latency made NaN.
 func poisonedFrames(frame []byte) map[string][]byte {
-	mid := int(binary.LittleEndian.Uint32(frame[recordSection-4:])) / 2
+	mid := int(binary.LittleEndian.Uint32(frame[resultHeadLen-4:])) / 2
 	return map[string][]byte{
 		"record VD outside the shard": editRecord(frame, mid, func(r *trace.Record) { r.VD = 12 }),
 		"record latency NaN":          editRecord(frame, mid, func(r *trace.Record) { r.Latency[2] = float32(math.NaN()) }),
@@ -63,7 +58,7 @@ func poisonedFrames(frame []byte) map[string][]byte {
 }
 
 // shardFrames runs the fabric tests' study as its two shards, [0,8) and
-// [8,16), and returns their bare result frames, the study's options and the
+// [8,16), and returns their result frames, the study's options and the
 // fingerprint of its single-process run.
 func shardFrames(t testing.TB) (frames [2][]byte, sim *ebs.Sim, opts ebs.Options, want string) {
 	t.Helper()
@@ -220,37 +215,36 @@ func FuzzDecodeResult(f *testing.F) {
 	})
 }
 
-// FuzzResultPayload drives the leader's side of OpShardResult — stamp the
-// header room, propose the received buffer, apply — over arbitrary payloads:
-// it must not panic, must answer OK or StatusError, must leave behind a
-// cmdResult command of worker 0 at the leader's clock whose frame is
-// everything behind the header (whatever the reserved bytes claimed), and
-// must never join or drain a worker. Seeds are the two pinned result frames
-// (testdata/encodings/result-*.hex) and the two poisoned shard frames of
-// TestPoisonedRecordsAreRefused under random headers.
+// FuzzResultPayload drives the coordinator's side of OpShardResult — decode
+// the payload as a result frame, then account it — over arbitrary payloads:
+// it must not panic, must answer OK or StatusError (a payload that is not a
+// result frame with ErrWire's text), and must never join or drain a worker.
+// Seeds are the two pinned result frames (testdata/encodings/result-*.hex)
+// and the two poisoned shard frames of TestPoisonedRecordsAreRefused, each
+// as it is, one byte short, one byte long and from a worker that never
+// joined, and three payloads too short to hold a frame's head.
 func FuzzResultPayload(f *testing.F) {
-	rng := rand.New(rand.NewSource(24))
 	shards, _, _, _ := shardFrames(f)
 	poisoned := poisonedFrames(shards[0])
 	for _, frame := range [][]byte{
 		encodeResult(42, 7, samplePartial(secAll)), encodeResult(1, 0, samplePartial(0)),
 		poisoned["record VD outside the shard"], poisoned["record latency NaN"],
 	} {
-		for i := 0; i < 4; i++ {
-			hdr := make([]byte, commandHeaderLen)
-			rng.Read(hdr)
-			f.Add(append(hdr, frame...))
-		}
+		stranger := append([]byte(nil), frame...)
+		binary.LittleEndian.PutUint64(stranger, 99)
+		f.Add(frame)
+		f.Add(frame[:len(frame)-1])
+		f.Add(append(append([]byte(nil), frame...), 0))
+		f.Add(stranger)
 	}
 	f.Add([]byte{})
-	f.Add(make([]byte, commandHeaderLen-1))
-	f.Add(make([]byte, commandHeaderLen))
+	f.Add(make([]byte, resultHeadLen-1))
+	f.Add(make([]byte, resultHeadLen))
 
 	clock := testclock.AtUnix(1000)
-	// A coordinator per input: one that kept its ledger and log across inputs
-	// would grow without bound and make an input's outcome depend on the
-	// inputs before it.
-	handle := func(t testing.TB, data []byte) (*Coordinator, []byte, *netblock.Response) {
+	// A coordinator per input: one that kept its ledger across inputs would
+	// make an input's outcome depend on the inputs before it.
+	handle := func(t testing.TB, data []byte) (*Coordinator, *netblock.Response) {
 		co, err := NewCoordinator(Config{Fleet: testFleetConfig(), Opts: testOpts(nil), Shards: 16, now: clock.Now})
 		if err != nil {
 			t.Fatal(err)
@@ -259,90 +253,23 @@ func FuzzResultPayload(f *testing.F) {
 		if resp := co.Handle(&netblock.Request{Op: netblock.OpJoinFleet}); resp.Status != netblock.StatusOK {
 			t.Fatalf("join: %s", resp.Payload)
 		}
-		payload := append([]byte(nil), data...)
-		return co, payload, co.Handle(&netblock.Request{Op: netblock.OpShardResult, Payload: payload})
+		return co, co.Handle(&netblock.Request{Op: netblock.OpShardResult, Payload: append([]byte(nil), data...)})
 	}
 	// First-use paths (reflection caches, pools) run here, not under an input
 	// whose coverage they would make irreproducible.
-	handle(f, make([]byte, commandHeaderLen))
+	handle(f, make([]byte, resultHeadLen))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		co, payload, resp := handle(t, data)
+		co, resp := handle(t, data)
 		if resp.Status != netblock.StatusOK && resp.Status != netblock.StatusError {
 			t.Fatalf("status %d", resp.Status)
 		}
 		if co.Workers() != 1 {
 			t.Fatalf("%d workers registered after a shard result, want the 1 that joined", co.Workers())
 		}
-		if len(data) < commandHeaderLen {
+		if _, _, _, err := decodeResult(data); err != nil {
 			if resp.Status != netblock.StatusError || !bytes.Contains(resp.Payload, []byte(ErrWire.Error())) {
-				t.Fatalf("%d-byte payload answered status %d %q", len(data), resp.Status, resp.Payload)
+				t.Fatalf("undecodable %d-byte payload answered status %d %q", len(data), resp.Status, resp.Payload)
 			}
-			return
-		}
-		c, err := decodeCommand(payload)
-		if err != nil {
-			t.Fatalf("the stamped payload is not a ledger command: %v", err)
-		}
-		if c.Kind != cmdResult || c.Worker != 0 || c.At != clock.Now().UnixNano() || !bytes.Equal(c.Frame, data[commandHeaderLen:]) {
-			t.Fatalf("stamped kind=%d worker=%d at=%d over a %d-byte frame", c.Kind, c.Worker, c.At, len(c.Frame))
 		}
 	})
-}
-
-// commandFailureSeeds returns one malformed ledger command per failure class.
-func commandFailureSeeds() map[string][]byte {
-	valid := encodeCommand(&command{Kind: cmdResult, Worker: 2, At: 5, Frame: []byte{1, 2, 3}})
-	kind := func(k uint8) []byte {
-		out := append([]byte(nil), valid...)
-		out[0] = k
-		return out
-	}
-	overClaimed := append([]byte(nil), valid...)
-	overClaimed[1+8+8+3] = 0x7f // high byte of the u32 frame length
-	return map[string][]byte{
-		"empty":              {},
-		"truncated header":   valid[:1+8+8+3],
-		"truncated frame":    valid[:len(valid)-1],
-		"trailing byte":      append(append([]byte(nil), valid...), 0),
-		"over-claimed frame": overClaimed,
-		"kind 0":             kind(0),
-		"kind past drain":    kind(cmdDrain + 1),
-	}
-}
-
-// FuzzDecodeCommand drives the replicated-ledger command decoder under the
-// same contract as FuzzDecodeResult. Every replica applies these from its
-// consensus log, so one frame that panics a decoder stops the whole group.
-func FuzzDecodeCommand(f *testing.F) {
-	for kind := cmdJoin; kind <= cmdDrain; kind++ {
-		f.Add(encodeCommand(&command{Kind: kind, Worker: 7, At: -9}))
-	}
-	f.Add(encodeCommand(&command{Kind: cmdResult, Worker: 2, At: 1e9, Frame: encodeResult(2, 1, samplePartial(secRecords))}))
-	for _, frame := range commandFailureSeeds() {
-		f.Add(frame)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var c command
-		var err error
-		if alloc := measureAlloc(func() { c, err = decodeCommand(data) }); alloc > decodeAllocBound(len(data)) {
-			t.Fatalf("decoding %d bytes allocated %d, bound %d", len(data), alloc, decodeAllocBound(len(data)))
-		}
-		if err != nil {
-			if !errors.Is(err, ErrWire) {
-				t.Fatalf("decode error %v does not wrap ErrWire", err)
-			}
-			return
-		}
-		if frame := encodeCommand(&c); !bytes.Equal(frame, data) {
-			t.Fatalf("accepted command re-encodes differently:\n got %x\nwant %x", frame, data)
-		}
-	})
-}
-
-func TestCommandFailureSeeds(t *testing.T) {
-	for name, frame := range commandFailureSeeds() {
-		if _, err := decodeCommand(frame); !errors.Is(err, ErrWire) {
-			t.Errorf("%s: got %v, want ErrWire", name, err)
-		}
-	}
 }

@@ -66,29 +66,6 @@ type AssignReply struct {
 	Lo, Hi int
 }
 
-// resultReply answers ShardResult. Accepted is false when at-most-once
-// accounting dropped the result as a duplicate.
-type resultReply struct {
-	Accepted bool
-}
-
-// RedirectReply is the payload of a StatusRedirect response: the answering
-// replica's best knowledge of who leads the control plane, by replica ID.
-// Known is false mid-election.
-type RedirectReply struct {
-	Leader int
-	Known  bool
-}
-
-// decodeRedirect parses a redirect payload, tolerating malformed hints (a
-// worker falls back to round-robin probing when ok is false).
-func decodeRedirect(info []byte) (r RedirectReply, ok bool) {
-	if err := fromJSON(info, &r); err != nil {
-		return RedirectReply{}, false
-	}
-	return r, true
-}
-
 func mustJSON(v any) []byte {
 	b, err := json.Marshal(v)
 	if err != nil {
@@ -114,9 +91,8 @@ func fromJSON(data []byte, v any) error {
 // layout, the one the worker's tracers keep their records in and the
 // coordinator's merge reads: the worker writes its tracer chunks onto the
 // connection as they are (resultParts), and the coordinator merges straight
-// out of the frame.
+// out of the frame. The OpShardResult payload is the frame.
 //
-//	payload: commandHeaderLen bytes the leader stamps (fsm.go) | frame
 //	frame: u64 workerID | u32 shardID | partial
 //	partial: u32 lo | u32 hi
 //	       | u32 nRec  | nRec  * record
@@ -207,10 +183,9 @@ func recordCount(p *ebs.ShardPartial) int {
 	return n / trace.RecordSize
 }
 
-// resultHeadLen is the bytes of an OpShardResult payload in front of its
-// records: the command-header room and the frame's workerID, shardID, lo,
-// hi and record count.
-const resultHeadLen = commandHeaderLen + 8 + 4 + 4 + 4 + 4
+// resultHeadLen is the bytes of a frame in front of its records: workerID,
+// shardID, lo, hi and the record count.
+const resultHeadLen = 8 + 4 + 4 + 4 + 4
 
 // tailSize is the exact length of p's frame behind its records, given its
 // encoded sketch's length (0 without one).
@@ -233,7 +208,7 @@ func tailSize(p *ebs.ShardPartial, sketchLen int) int {
 // resultSize is the exact length of p's frame, given its encoded sketch's
 // length (0 without one).
 func resultSize(p *ebs.ShardPartial, sketchLen int) int {
-	return resultHeadLen - commandHeaderLen + recordCount(p)*trace.RecordSize + tailSize(p, sketchLen)
+	return resultHeadLen + recordCount(p)*trace.RecordSize + tailSize(p, sketchLen)
 }
 
 // encodeSketch is p's sketch state in wire form, nil without one.
@@ -246,23 +221,20 @@ func encodeSketch(p *ebs.ShardPartial) []byte {
 
 // resultParts is the OpShardResult request body for p as the parts a worker
 // writes onto the connection back to back (netblock.Client.Call takes them
-// as they are): first the head, commandHeaderLen bytes the worker leaves
-// unset and then the frame up to its records; then p's tracer chunks,
-// aliased — the records are already packed, in the order they were
-// emitted, so they are not copied; last the tail, the rest of the frame.
-// Head and tail share one allocation of their exact size. The leader stamps
-// the ledger-command header over the reserved bytes and proposes the
-// payload as it arrived, so the frame is never copied into a command. A
-// payload over the wire cap is refused here, by its exact size, before
-// anything frame-sized is allocated or encoded. The chunks stay p's:
-// release p only once the parts have been written.
+// as they are): first the head, the frame up to its records; then p's
+// tracer chunks, aliased — the records are already packed, in the order
+// they were emitted, so they are not copied; last the tail, the rest of the
+// frame. Head and tail share one allocation of their exact size. A frame
+// over the wire cap is refused here, by its exact size, before anything
+// frame-sized is allocated or encoded. The chunks stay p's: release p only
+// once the parts have been written.
 func resultParts(workerID uint64, shardID int, p *ebs.ShardPartial) ([][]byte, error) {
 	enc := encodeSketch(p)
-	if need := commandHeaderLen + resultSize(p, len(enc)); need > netblock.MaxShardResultPayload {
+	if need := resultSize(p, len(enc)); need > netblock.MaxShardResultPayload {
 		return nil, fmt.Errorf("fabric: shard %d result is %d bytes, over the %d-byte wire cap: rerun with more shards (fewer VDs per shard)",
 			shardID, need, netblock.MaxShardResultPayload)
 	}
-	w := &wire.Writer{B: make([]byte, commandHeaderLen, resultHeadLen+tailSize(p, len(enc)))}
+	w := &wire.Writer{B: make([]byte, 0, resultHeadLen+tailSize(p, len(enc)))}
 	w.U64(workerID)
 	w.U32(uint32(shardID))
 	w.U32(uint32(p.Lo))

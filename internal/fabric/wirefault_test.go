@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"ebslab/internal/invariant"
+	"ebslab/internal/netblock"
 	"ebslab/internal/netblock/netblocktest"
 	"ebslab/internal/sketch"
 	"ebslab/internal/trace"
@@ -23,22 +24,23 @@ var wireFaultMix = netblocktest.Mix{
 	netblocktest.Truncate: 0.04, netblocktest.Garbage: 0.04, netblocktest.Error: 0.04,
 }
 
-// TestReplicaSetSurvivesWireFaults runs a study on a replica set whose
-// workers reach each replica through that replica's own seeded fault proxy
-// (netblocktest, wrapping its dialer). The netblock client makes one attempt
-// per call, so recovery is the fabric's alone: the worker's control link
-// fails over and retransmits, the ledger re-offers a shard whose assign reply
-// was lost and deduplicates a result whose reply was lost, and leader
-// redirects steer the link back. For 1 and 3 replicas and 1-3 workers per
-// seed, the run must deliver RunSpec.Run's dataset and sketches, pass the
-// fabric accounting and leadership laws, and leave no goroutine behind; every
-// fault kind must have fired across the seeds.
-func TestReplicaSetSurvivesWireFaults(t *testing.T) {
-	base := replicaConfig(nil, 0)
-	base.Opts.Chaos = nil
-	// A dropped reply costs the worker one call timeout; slower beats keep
-	// the control traffic, and so the drops, few.
-	base.heartbeatEvery = 100 * time.Millisecond
+// TestFabricSurvivesWireFaults runs a study on a coordinator whose workers
+// reach it through a seeded fault proxy (netblocktest, wrapping the
+// loopback's dialer). The netblock client makes one attempt per call, so
+// recovery is the fabric's alone: the worker's control link redials and
+// retransmits, and the ledger re-offers a shard whose assign reply was lost
+// and deduplicates a result whose reply was lost. For 1-3 workers per seed,
+// the run must deliver RunSpec.Run's dataset and sketches, pass the fabric
+// accounting law, and leave no goroutine behind; every fault kind must have
+// fired across the seeds.
+func TestFabricSurvivesWireFaults(t *testing.T) {
+	base := Config{
+		Fleet: testFleetConfig(), Opts: testOpts(nil), Shards: 5,
+		// A dropped reply costs the worker one call timeout; slower beats
+		// keep the control traffic, and so the drops, few.
+		heartbeatEvery:  100 * time.Millisecond,
+		livenessTimeout: 2 * time.Second,
+	}
 	ref := sketch.NewSet(sketch.Config{TopK: 8, SegPerVD: 4})
 	spec := base
 	spec.Opts.Stream = ref
@@ -50,48 +52,41 @@ func TestReplicaSetSurvivesWireFaults(t *testing.T) {
 
 	var proxies []*netblocktest.Proxy
 	goroutines := runtime.NumGoroutine()
-	for _, replicas := range []int{1, 3} {
-		for seed := int64(1); seed <= 6; seed++ {
-			workers := 1 + int(seed)%3
-			name := fmt.Sprintf("replicas=%d/seed=%d/workers=%d", replicas, seed, workers)
-			cfg := base
-			cfg.Opts.Stream = sketch.NewSet(sketch.Config{TopK: 8, SegPerVD: 4})
-			rs, err := NewReplicaSet(cfg, replicas)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dials := rs.Dials()
-			for id := range dials {
-				p := netblocktest.New(netblocktest.Draw(seed*10+int64(id), wireFaultMix))
-				dials[id] = p.Dial(dials[id])
-				proxies = append(proxies, p)
-			}
-			ds := runUnderFaults(t, name, rs, dials, workers)
-			rs.Close()
-			if got := invariant.Fingerprint(ds); got != wantDS {
-				t.Fatalf("%s: dataset fingerprint %s under wire faults, RunSpec.Run %s", name, got, wantDS)
-			}
-			if cfg.Opts.Stream.Fingerprint() != wantSK {
-				t.Fatalf("%s: sketch fingerprint drifted under wire faults", name)
-			}
-			var rep invariant.Report
-			done := 0
-			for id := 0; id < replicas; id++ {
-				co := rs.cos[id]
-				select {
-				case <-co.DoneCh():
-				default:
-					continue // a follower may trail the last commit
-				}
-				done++
-				l := co.Ledger()
-				invariant.CheckFabricAccounting(&rep, l)
-				t.Logf("%s: replica %d ledger dispatched %v returned %v accepted %v", name, id, l.Dispatched, l.Returned, l.Accepted)
-			}
-			invariant.CheckLeadershipContinuity(&rep, replicas, rs.Transitions())
-			if err := rep.Err(); err != nil || done == 0 {
-				t.Fatalf("%s: %d replicas done, laws: %v", name, done, err)
-			}
+	for seed := int64(1); seed <= 6; seed++ {
+		workers := 1 + int(seed)%3
+		name := fmt.Sprintf("seed=%d/workers=%d", seed, workers)
+		cfg := base
+		cfg.Opts.Stream = sketch.NewSet(sketch.Config{TopK: 8, SegPerVD: 4})
+		co, err := NewCoordinator(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lb := NewLoopback()
+		srv := netblock.NewHandlerServer(co)
+		served := make(chan struct{})
+		go func() {
+			defer close(served)
+			srv.Serve(lb) //nolint:errcheck — ends with the loopback
+		}()
+		p := netblocktest.New(netblocktest.Draw(seed*10, wireFaultMix))
+		proxies = append(proxies, p)
+		ds := runUnderFaults(t, name, co, p.Dial(lb.Dial), workers)
+		lb.Close()
+		srv.Close()
+		<-served
+		co.Stop()
+		if got := invariant.Fingerprint(ds); got != wantDS {
+			t.Fatalf("%s: dataset fingerprint %s under wire faults, RunSpec.Run %s", name, got, wantDS)
+		}
+		if cfg.Opts.Stream.Fingerprint() != wantSK {
+			t.Fatalf("%s: sketch fingerprint drifted under wire faults", name)
+		}
+		var rep invariant.Report
+		l := co.Ledger()
+		invariant.CheckFabricAccounting(&rep, l)
+		t.Logf("%s: ledger dispatched %v returned %v accepted %v", name, l.Dispatched, l.Returned, l.Accepted)
+		if err := rep.Err(); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
 	}
 	for kind := netblocktest.Reset; kind <= netblocktest.Delay; kind++ {
@@ -113,10 +108,10 @@ func TestReplicaSetSurvivesWireFaults(t *testing.T) {
 	}
 }
 
-// runUnderFaults runs the study on rs with n workers that reach it through
-// dials and whose call timeout is short, since every dropped reply waits it
+// runUnderFaults runs the study on co with n workers that reach it through
+// dial and whose call timeout is short, since every dropped reply waits it
 // out, and bounds the whole run.
-func runUnderFaults(t *testing.T, name string, rs *ReplicaSet, dials []func() (net.Conn, error), n int) *trace.Dataset {
+func runUnderFaults(t *testing.T, name string, co *Coordinator, dial func() (net.Conn, error), n int) *trace.Dataset {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -126,12 +121,12 @@ func runUnderFaults(t *testing.T, name string, rs *ReplicaSet, dials []func() (n
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = RunWorker(ctx, WorkerConfig{Dials: dials, callTimeout: 150 * time.Millisecond})
+			errs[i] = RunWorker(ctx, WorkerConfig{Dial: dial, callTimeout: 150 * time.Millisecond})
 		}(i)
 	}
-	ds, err := rs.Wait(ctx)
+	ds, err := co.Wait(ctx)
 	if err != nil {
-		rs.Close()
+		cancel()
 		wg.Wait()
 		t.Fatalf("%s: run failed under wire faults: %v", name, err)
 	}

@@ -2,7 +2,6 @@ package fabric
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -20,54 +19,41 @@ const waitBackoff = 25 * time.Millisecond
 
 // WorkerConfig describes one worker process.
 type WorkerConfig struct {
-	// Dial opens the control-plane connection to a single coordinator
-	// (legacy single-replica form; equivalent to a one-element Dials).
+	// Dial opens the control-plane connection to the coordinator.
 	Dial func() (net.Conn, error)
-	// Dials lists the control-plane endpoints of every coordinator replica,
-	// indexed by replica ID. The worker follows leader redirects across them
-	// and fails over to the next replica when a connection dies.
-	Dials []func() (net.Conn, error)
 	// Drain, when non-nil, asks the worker for an orderly exit: it finishes
 	// (and uploads) the shard it is executing, deregisters with the
 	// coordinator, and returns nil.
 	Drain <-chan struct{}
 
-	// Set only inside this package: ReplicaSet.Run's in-process workers
-	// shorten callTimeout, and the tests both timings.
+	// Set only by this package's tests, which shorten both.
 
 	// callTimeout bounds each control-plane RPC (10s). A coordinator
 	// connection that dies silently between AssignShard and ShardResult
-	// fails the call — and triggers failover — instead of hanging the worker
+	// fails the call — and triggers a redial — instead of hanging the worker
 	// until the coordinator's liveness reaper forgets it.
 	callTimeout time.Duration
-	// failoverWindow bounds how long the worker hunts across replicas for a
-	// live leader after a control-plane failure before giving up (15s; spans
-	// a leader election comfortably).
+	// failoverWindow bounds how long the worker keeps redialing the
+	// coordinator after a control-plane failure before giving up (15s).
 	failoverWindow time.Duration
 }
 
 // ctrlLink is the worker's resilient control-plane connection: one live
-// netblock client over whichever replica currently answers, swapped on
-// redirect hints and transport failures. Calls are serialized — the shard
-// loop and the heartbeat goroutine share the link — so a replica swap can
-// never race an in-flight exchange.
+// netblock client to the coordinator, redialed on failure. Calls are
+// serialized — the shard loop and the heartbeat goroutine share the link —
+// so a redial can never race an in-flight exchange.
 type ctrlLink struct {
-	dials   []func() (net.Conn, error)
+	dial    func() (net.Conn, error)
 	timeout time.Duration
 	window  time.Duration
 
-	mu  sync.Mutex
-	cl  *netblock.Client
-	cur int
+	mu sync.Mutex
+	cl *netblock.Client
 }
 
 func newCtrlLink(wc WorkerConfig) (*ctrlLink, error) {
-	dials := wc.Dials
-	if len(dials) == 0 && wc.Dial != nil {
-		dials = []func() (net.Conn, error){wc.Dial}
-	}
-	if len(dials) == 0 {
-		return nil, fmt.Errorf("fabric: worker needs Dial or Dials")
+	if wc.Dial == nil {
+		return nil, fmt.Errorf("fabric: worker needs Dial")
 	}
 	timeout := wc.callTimeout
 	if timeout <= 0 {
@@ -77,11 +63,11 @@ func newCtrlLink(wc WorkerConfig) (*ctrlLink, error) {
 	if window <= 0 {
 		window = 15 * time.Second
 	}
-	return &ctrlLink{dials: dials, timeout: timeout, window: window}, nil
+	return &ctrlLink{dial: wc.Dial, timeout: timeout, window: window}, nil
 }
 
-// dropLocked abandons the current client (the connection is dead or aimed
-// at the wrong replica).
+// dropLocked abandons the current client (the connection is dead or the
+// exchange on it failed).
 func (l *ctrlLink) dropLocked() {
 	if l.cl != nil {
 		l.cl.Close()
@@ -95,10 +81,10 @@ func (l *ctrlLink) close() {
 	l.dropLocked()
 }
 
-// call performs one control-plane RPC, redialing and failing over across
-// replicas until it succeeds or the failover window closes. A StatusRedirect
-// answer re-aims the link at the hinted leader; a transport failure advances
-// round-robin to the next replica.
+// call performs one control-plane RPC, redialing and retrying until it
+// succeeds or the failover window closes. Any failure — a transport error,
+// a timed-out or refused exchange — drops the connection, so the retry runs
+// on a fresh one.
 func (l *ctrlLink) call(ctx context.Context, op netblock.OpCode, payload ...[]byte) ([]byte, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -109,10 +95,9 @@ func (l *ctrlLink) call(ctx context.Context, op netblock.OpCode, payload ...[]by
 			return nil, err
 		}
 		if l.cl == nil {
-			conn, err := l.dials[l.cur]()
+			conn, err := l.dial()
 			if err != nil {
 				lastErr = err
-				l.cur = (l.cur + 1) % len(l.dials)
 			} else {
 				l.cl = netblock.NewClientConfig(conn, netblock.Config{Timeout: l.timeout})
 			}
@@ -123,21 +108,7 @@ func (l *ctrlLink) call(ctx context.Context, op netblock.OpCode, payload ...[]by
 				return raw, nil
 			}
 			lastErr = err
-			var re *netblock.RedirectError
-			if errors.As(err, &re) {
-				// The replica answered but is not the leader. Follow a
-				// usable hint; otherwise (mid-election) re-ask shortly —
-				// any replica learns the outcome.
-				if r, ok := decodeRedirect(re.Info); ok && r.Known &&
-					r.Leader >= 0 && r.Leader < len(l.dials) && r.Leader != l.cur {
-					l.dropLocked()
-					l.cur = r.Leader
-					continue
-				}
-			} else {
-				l.dropLocked()
-				l.cur = (l.cur + 1) % len(l.dials)
-			}
+			l.dropLocked()
 		}
 		if time.Now().After(deadline) {
 			return nil, fmt.Errorf("fabric: control plane unreachable for %v: %w", l.window, lastErr)
@@ -153,9 +124,10 @@ func (l *ctrlLink) call(ctx context.Context, op netblock.OpCode, payload ...[]by
 // RunWorker joins the coordinator's fleet, executes shards until the run
 // completes (or ctx ends / Drain fires), and deregisters. The worker
 // opens the coordinator's run spec (same fleet recipe, same scenario), so its
-// shard results are bit-identical to the coordinator simulating the same VDs itself. With
-// a replicated control plane (Dials), the worker transparently follows
-// leader redirects and rides out a coordinator death mid-run.
+// shard results are bit-identical to the coordinator simulating the same VDs itself. A
+// lost or refused exchange is redialed and retried within the failover
+// window; a coordinator that stays gone past it ends the worker with an
+// error.
 func RunWorker(ctx context.Context, wc WorkerConfig) error {
 	link, err := newCtrlLink(wc)
 	if err != nil {
@@ -252,7 +224,7 @@ func RunWorker(ctx context.Context, wc WorkerConfig) error {
 // the connection in parts (resultParts): the frame's head, the run's tracer
 // chunks as they are and its tail, so no buffer holds the frame on this
 // side. The chunks go back to the tracer pool only once the upload has
-// returned, on every path — a retransmission after a failover writes them
+// returned, on every path — a retransmission after a redial writes them
 // again.
 func runShard(ctx context.Context, link *ctrlLink, sim *ebs.Sim, opts ebs.Options, workerID uint64, a AssignReply) error {
 	p, err := sim.RunShard(ctx, opts, a.Lo, a.Hi)

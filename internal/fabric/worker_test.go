@@ -16,8 +16,7 @@ import (
 
 // TestFabricWorkerRetriesLostResultReply is the regression test for the
 // silent-coordinator hang: the server executes the worker's first ShardResult
-// but never answers (exactly what a leader dying between commit and reply
-// looks like). The worker's call timeout must fire, the link must redial and
+// but never answers (a reply lost on the wire). The worker's call timeout must fire, the link must redial and
 // retransmit, and the ledger must absorb the retransmit without
 // double-counting — the run completes in bounded time instead of hanging
 // until the liveness reaper forgets the worker.
@@ -141,15 +140,15 @@ func TestFabricWorkerFailsFastWhenControlPlaneDies(t *testing.T) {
 // a partial whose frame would pass the 1 GiB cap (1,100 audit lines sharing
 // one 1 MiB string, so the partial itself is small) is refused by
 // resultParts with the "rerun with more shards" error for a few KiB of
-// allocation. What is checked is the payload's own length: header room plus
-// resultSize, which is what the parts of a partial under the cap add up to.
+// allocation. What is checked is the payload's own length, resultSize, which
+// is what the parts of a partial under the cap add up to.
 func TestOversizedShardFailsBeforeEncoding(t *testing.T) {
 	line := strings.Repeat("x", 1<<20)
 	p := &ebs.ShardPartial{Lo: 0, Hi: 4, Audit: make([]string, 1100)}
 	for i := range p.Audit {
 		p.Audit[i] = line
 	}
-	if size := commandHeaderLen + resultSize(p, 0); size <= netblock.MaxShardResultPayload {
+	if size := resultSize(p, 0); size <= netblock.MaxShardResultPayload {
 		t.Fatalf("the test partial frames to %d bytes, under the %d-byte cap", size, netblock.MaxShardResultPayload)
 	}
 	var parts [][]byte
@@ -163,7 +162,7 @@ func TestOversizedShardFailsBeforeEncoding(t *testing.T) {
 	}
 
 	p.Audit = p.Audit[:1]
-	if want := commandHeaderLen + resultSize(p, 0); len(joinedPayload(1, 0, p)) != want {
-		t.Fatalf("payload is %d bytes, header room plus resultSize says %d", len(joinedPayload(1, 0, p)), want)
+	if want := resultSize(p, 0); len(encodeResult(1, 0, p)) != want {
+		t.Fatalf("payload is %d bytes, resultSize says %d", len(encodeResult(1, 0, p)), want)
 	}
 }

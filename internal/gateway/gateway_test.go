@@ -87,17 +87,17 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
-// TestLeaderKillStudyIsRefused: a gateway runs every study in-process, so
-// there is no fabric leader to kill. A leader-kill spec is refused at Submit,
-// before any tenant or ledger counter exists, with the error pointing at the
-// program that runs such studies.
+// TestLeaderKillStudyIsRefused: leader kills are retired — the fabric has one
+// coordinator — but the submit frame keeps their slot. A spec that sets it is
+// refused at Submit, before any tenant or ledger counter exists, with the
+// error naming the retired field.
 func TestLeaderKillStudyIsRefused(t *testing.T) {
 	gw := New(Config{Now: testclock.AtUnix(1000).Now})
 	defer gw.Close()
 	for _, spec := range []StudySpec{{Seed: 1, LeaderKills: 1}, {Seed: 1, LeaderKills: 1, Shards: 5}} {
 		_, err := gw.Submit("t", spec)
-		if err == nil || !strings.Contains(err.Error(), "ebssim -dist") {
-			t.Errorf("spec %+v: Submit answered %v, want a refusal naming ebssim -dist", spec, err)
+		if err == nil || !strings.Contains(err.Error(), "LeaderKills") || !strings.Contains(err.Error(), "retired") {
+			t.Errorf("spec %+v: Submit answered %v, want a refusal naming the retired LeaderKills", spec, err)
 		}
 	}
 	if l := gw.Ledger(); l != (invariant.StudyLedger{}) {

@@ -46,15 +46,15 @@ type StudySpec struct {
 	// fabric default). A gateway runs every study in-process and ignores
 	// it, but it is part of the study's content address.
 	Shards int
-	// LeaderKills schedules chaos kills of the acting fabric leader
-	// mid-study under ebssim -dist -replicas. A gateway refuses a spec that
-	// sets it.
+	// LeaderKills is the retired leader-kill count: the fabric has one
+	// coordinator and no leader to kill. The field keeps its slot in the
+	// submit frame, and Validate refuses any value but zero.
 	LeaderKills int
 	// Control, when non-empty, runs the study through the mitigation
 	// control plane (ebs.RunControlled) under the named policy — one of
 	// control.ByName's: noop, reactive, predictive[-holt|-arima|-gbt],
 	// oracle. The control loop is sequential over epochs, so a controlled
-	// study cannot shard: Shards and LeaderKills must be zero.
+	// study cannot shard: Shards must be zero.
 	Control string
 	// ControlEpochSec is the control epoch length (default: an eighth of
 	// the study window, at least 1s — eight control decisions per study).
@@ -80,7 +80,6 @@ func (s *StudySpec) BindFlags(fs *flag.FlagSet) {
 	fs.IntVar(&s.Users, "users", s.Users, "tenants inside the study fleet (0 = 16)")
 	fs.IntVar(&s.MaxVDs, "max-vds", s.MaxVDs, "virtual disks to simulate (0 = all)")
 	fs.IntVar(&s.Shards, "shards", s.Shards, "fabric shard count of ebssim's distributed roles (0 = fabric default); a gateway runs the study in-process and ignores it")
-	fs.IntVar(&s.LeaderKills, "leader-kill", s.LeaderKills, "chaos kills of the acting fabric leader mid-study under ebssim -dist -replicas; the study must still match single-process bit for bit (a gateway refuses it)")
 	fs.StringVar(&s.Control, "control", s.Control, "run the study through the mitigation control plane under this policy (noop, reactive, predictive[-holt|-arima|-gbt], oracle)")
 	fs.IntVar(&s.ControlEpochSec, "epoch-sec", s.ControlEpochSec, "with -control: control epoch length in seconds (0 = an eighth of -dur, at least 1)")
 	fs.StringVar(&s.Scenario, "scenario", s.Scenario, "reshape the study's traffic with a scenario-library spec string (one of: "+strings.Join(scenario.Names(), ", ")+
@@ -159,7 +158,7 @@ func (s StudySpec) Validate() error {
 		return fmt.Errorf("gateway: replay scenarios read server-local trace files and are not servable; run them through cmd/ebssim")
 	}
 	if s.LeaderKills != 0 {
-		return fmt.Errorf("gateway: spec LeaderKills is %d: a gateway runs every study in-process, with no fabric leader to kill; run leader-kill studies through ebssim -dist -replicas", s.LeaderKills)
+		return fmt.Errorf("gateway: spec LeaderKills is %d: leader kills are retired (the fabric has one coordinator, no leader to kill), want 0", s.LeaderKills)
 	}
 	if s.Shards != 0 {
 		// A study that cannot shard cannot carry a shard count either.
@@ -181,8 +180,7 @@ func (s StudySpec) FleetConfig() workload.Config {
 // RunOptions maps the spec onto engine options. Every study runs checked: the
 // options always set Check, so the invariant suite holds each one to its
 // laws. The gateway adds its own Stream/Snapshots destinations per
-// execution; chaos leader kills are fabric configuration, not engine
-// options, and ebssim adds them to its fabric roles.
+// execution.
 func (s StudySpec) RunOptions() ebs.Options {
 	s = s.withDefaults()
 	return ebs.Options{

@@ -24,11 +24,11 @@ func TestBindFlags(t *testing.T) {
 	t.Run("every flag", func(t *testing.T) {
 		got := parse(t, StudySpec{Seed: 1, DurationSec: 60, Nodes: 16, Users: 16, MaxVDs: 120},
 			"-seed", "7", "-dur", "24", "-nodes", "4", "-users", "9", "-max-vds", "24",
-			"-shards", "5", "-leader-kill", "1", "-control", "predictive",
+			"-shards", "5", "-control", "predictive",
 			"-epoch-sec", "3", "-scenario", "elastic,step=3")
 		want := StudySpec{
 			Seed: 7, DurationSec: 24, Nodes: 4, Users: 9, MaxVDs: 24,
-			Shards: 5, LeaderKills: 1, Control: "predictive",
+			Shards: 5, Control: "predictive",
 			ControlEpochSec: 3, Scenario: "elastic,step=3",
 		}
 		if got != want {

@@ -45,39 +45,3 @@ func CheckFabricAccounting(rep *Report, l *ShardLedger) {
 		}
 	}
 }
-
-// LeaderTransition records one leadership establishment in the fabric's
-// replicated control plane: replica Leader won (or bootstrapped) the
-// election for Term. The coordinator replica set appends one entry per
-// local election win, so the slice is the run's leadership history.
-type LeaderTransition struct {
-	Term   uint64
-	Leader int
-}
-
-// CheckLeadershipContinuity is the control-plane election-safety law over a
-// run's leadership history: some leader must have been established, terms
-// must start at >= 1 and strictly increase (Raft's at-most-one-leader-per-
-// term guarantee, observed end to end), and every leader must name a real
-// replica.
-func CheckLeadershipContinuity(rep *Report, replicas int, history []LeaderTransition) {
-	const law = "consensus/leadership"
-	if len(history) == 0 {
-		rep.Addf(law, "no leader was ever established")
-		return
-	}
-	var prev uint64
-	for i, tr := range history {
-		if tr.Term < 1 {
-			rep.Addf(law, "transition %d has term %d, want >= 1", i, tr.Term)
-		}
-		if tr.Term <= prev {
-			rep.Addf(law, "transition %d: term %d does not increase past %d (two leaders in one term?)",
-				i, tr.Term, prev)
-		}
-		prev = tr.Term
-		if tr.Leader < 0 || tr.Leader >= replicas {
-			rep.Addf(law, "transition %d names leader %d outside the %d-replica set", i, tr.Leader, replicas)
-		}
-	}
-}

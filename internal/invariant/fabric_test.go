@@ -42,36 +42,3 @@ func TestCheckFabricAccounting(t *testing.T) {
 		}
 	}
 }
-
-// TestCheckLeadershipContinuity exercises the control-plane election-safety
-// law over healthy and broken leadership histories.
-func TestCheckLeadershipContinuity(t *testing.T) {
-	var rep Report
-	CheckLeadershipContinuity(&rep, 3, []LeaderTransition{{Term: 1, Leader: 0}, {Term: 2, Leader: 1}})
-	if !rep.OK() {
-		t.Fatalf("healthy history violated: %s", rep.String())
-	}
-
-	cases := []struct {
-		name    string
-		history []LeaderTransition
-		want    string
-	}{
-		{"empty history", nil, "no leader was ever established"},
-		{"zero term", []LeaderTransition{{Term: 0, Leader: 0}}, "want >= 1"},
-		{"repeated term", []LeaderTransition{{Term: 1, Leader: 0}, {Term: 1, Leader: 2}}, "does not increase"},
-		{"regressing term", []LeaderTransition{{Term: 3, Leader: 0}, {Term: 2, Leader: 1}}, "does not increase"},
-		{"phantom replica", []LeaderTransition{{Term: 1, Leader: 5}}, "outside the 3-replica set"},
-		{"negative replica", []LeaderTransition{{Term: 1, Leader: -1}}, "outside the 3-replica set"},
-	}
-	for _, tc := range cases {
-		var rep Report
-		CheckLeadershipContinuity(&rep, 3, tc.history)
-		if rep.OK() {
-			t.Fatalf("%s: history passed", tc.name)
-		}
-		if !strings.Contains(rep.String(), tc.want) {
-			t.Fatalf("%s: report %q lacks %q", tc.name, rep.String(), tc.want)
-		}
-	}
-}

@@ -65,7 +65,7 @@ func checkDecode(t *testing.T, data []byte, decode func(io.Reader) (encode func(
 func FuzzReadRequest(f *testing.F) {
 	f.Add(reqFrame(1, OpJoinFleet, 0, nil))                                 // control op, empty body
 	f.Add(reqFrame(2, OpShardResult, 5, []byte("shard")))                   // large-cap op
-	f.Add(reqFrame(3, OpAppendEntries, 3, []byte("log")))                   // consensus op
+	f.Add(reqFrame(3, opRetired7, 3, []byte("log")))                        // retired op
 	f.Add(reqFrame(4, OpSubmitStudy, 4, []byte("EBG2")))                    // gateway op
 	f.Add(reqFrame(5, OpHeartbeat, 0, nil)[:headerSize-3])                  // truncated header
 	f.Add(reqFrame(6, OpHeartbeat, maxPayload+1, nil))                      // over the per-op cap
@@ -87,7 +87,7 @@ func FuzzReadResponse(f *testing.F) {
 	f.Add(respFrame(1, StatusOK, 0, nil))
 	f.Add(respFrame(2, StatusOK, 5, []byte("reply")))
 	f.Add(respFrame(3, StatusError, 4, []byte("boom")))
-	f.Add(respFrame(4, StatusRedirect, 6, []byte("leader")))
+	f.Add(respFrame(4, 2, 6, []byte("leader")))                        // a status past StatusError
 	f.Add(respFrame(5, StatusOK, 0, nil)[:headerSize-2])               // truncated header
 	f.Add(respFrame(6, StatusOK, maxPayload+1, nil))                   // over the cap
 	f.Add(respFrame(7, StatusOK, maxPayload, []byte("x")))             // huge claim, one byte sent

@@ -28,7 +28,7 @@ func TestRoundTripOverTCP(t *testing.T) {
 	}
 	data := bytes.Repeat([]byte{0xAB}, block)
 	var sent int64
-	for _, op := range []OpCode{OpHeartbeat, OpShardResult, OpAppendEntries, OpTenantStats} {
+	for _, op := range []OpCode{OpHeartbeat, OpShardResult, OpSubmitStudy, OpTenantStats} {
 		got, err := c.Call(op, data)
 		if err != nil {
 			t.Fatalf("%s: %v", op, err)
@@ -164,6 +164,12 @@ func TestClientFailsCleanlyOnServerClose(t *testing.T) {
 func TestOpCodeString(t *testing.T) {
 	seen := map[string]bool{}
 	for op := OpJoinFleet; op <= OpTenantStats; op++ {
+		if op == opRetired6 || op == opRetired7 {
+			if op.Valid() || op.String() != fmt.Sprintf("OpCode(%d)", op) {
+				t.Fatalf("retired OpCode %d is valid or named %q", op, op.String())
+			}
+			continue
+		}
 		if !op.Valid() {
 			t.Fatalf("OpCode %d not valid", op)
 		}
@@ -172,8 +178,8 @@ func TestOpCodeString(t *testing.T) {
 		}
 		seen[op.String()] = true
 	}
-	if len(seen) != 12 || OpCode(0).Valid() || (OpTenantStats + 1).Valid() {
-		t.Fatalf("protocol defines %d ops, want exactly 12 with nothing valid around them", len(seen))
+	if len(seen) != 10 || OpCode(0).Valid() || (OpTenantStats + 1).Valid() {
+		t.Fatalf("protocol defines %d ops, want exactly 10 with nothing valid around them", len(seen))
 	}
 	if OpCode(99).String() != "OpCode(99)" {
 		t.Fatal("unknown opcode string")

@@ -7,9 +7,8 @@
 // then writes the header and the parts back to back with one net.Buffers
 // write (one writev on a TCP connection), so a sender of a large payload
 // made of pieces — a fabric worker's tracer chunks — never copies them
-// into one buffer; the server reads them as one payload. The fabric and
-// consensus control planes and the gateway serving plane define the
-// message bodies; this layer only frames, bounds and routes them. It
+// into one buffer; the server reads them as one payload. The fabric
+// control plane and the gateway serving plane define the message bodies; this layer only frames, bounds and routes them. It
 // carries no block IO: the storage cluster is modelled (placement,
 // balancer, cache, latency), not stored.
 package netblock
@@ -28,10 +27,10 @@ type OpCode uint8
 // Protocol operations. Every op carries an opaque payload in both
 // directions. The fabric ops are the distributed-simulation control plane
 // (JoinFleet, AssignShard, ShardResult, Heartbeat, Drain) — internal/fabric
-// defines their message bodies. The consensus ops replicate the fabric
-// control plane itself: RequestVote and AppendEntries carry
-// internal/consensus messages between coordinator replicas; a client learns
-// who is leading from a StatusRedirect answer. The gateway ops are the multi-tenant serving plane — tenants
+// defines their message bodies. Numbers 6 and 7 are retired: they carried
+// the consensus messages of a replicated coordinator, which the fabric no
+// longer has, and no op may reuse them (the gateway ops' numbers are on the
+// wire). The gateway ops are the multi-tenant serving plane — tenants
 // submit studies, poll their status, stream mid-run sketch snapshots,
 // cancel, and read their own accounting; internal/gateway defines the
 // bodies.
@@ -41,8 +40,8 @@ const (
 	OpShardResult
 	OpHeartbeat
 	OpDrain
-	OpRequestVote
-	OpAppendEntries
+	opRetired6
+	opRetired7
 	OpSubmitStudy
 	OpStudyStatus
 	OpStreamSnapshot
@@ -51,20 +50,22 @@ const (
 )
 
 // Valid reports whether o is a defined protocol operation. The codec
-// rejects undefined opcodes on both sides: the client refuses to encode
-// them, and the server refuses to decode them (an unknown opcode makes the
-// frame length ambiguous, so the connection cannot be resynchronized).
-func (o OpCode) Valid() bool { return o >= OpJoinFleet && o <= OpTenantStats }
+// rejects undefined and retired opcodes on both sides, before a payload
+// byte: the client refuses to encode them, and the server refuses to decode
+// them (an unknown opcode makes the frame length ambiguous, so the
+// connection cannot be resynchronized).
+func (o OpCode) Valid() bool {
+	return o >= OpJoinFleet && o <= OpTenantStats && o != opRetired6 && o != opRetired7
+}
 
 // maxPayloadFor bounds one request payload by op. Control messages never
 // exceed a few MiB; a ShardResult legitimately carries an entire shard's
 // trace records and metric rows, so it gets a larger — but still hard —
-// cap, and AppendEntries gets the same cap because a replicated log entry
-// embeds the shard-result frame it commits. Decoding commits memory
+// cap. Decoding commits memory
 // chunk-by-chunk as bytes arrive (see readPayload), so a hostile header
 // cannot allocate the cap up front.
 func (o OpCode) maxPayloadFor() uint32 {
-	if o == OpShardResult || o == OpAppendEntries {
+	if o == OpShardResult {
 		return maxShardPayload
 	}
 	return maxPayload
@@ -82,10 +83,6 @@ func (o OpCode) String() string {
 		return "heartbeat"
 	case OpDrain:
 		return "drain"
-	case OpRequestVote:
-		return "request-vote"
-	case OpAppendEntries:
-		return "append-entries"
 	case OpSubmitStudy:
 		return "submit-study"
 	case OpStudyStatus:
@@ -100,14 +97,11 @@ func (o OpCode) String() string {
 	return fmt.Sprintf("OpCode(%d)", uint8(o))
 }
 
-// Status codes in responses. StatusRedirect is the replicated control
-// plane's "not the leader" answer: the payload names the leader (a
-// fabric.RedirectReply), and clients surface it as *RedirectError so
-// callers can re-aim at the leader instead of treating it as a failure.
+// Status codes in responses. Any status but StatusOK is an error, its
+// payload the error text.
 const (
 	StatusOK uint8 = iota
 	StatusError
-	StatusRedirect
 )
 
 // maxPayload bounds a single request/response payload (one protocol
@@ -147,25 +141,10 @@ type Response struct {
 
 // Err converts an error response into a Go error.
 func (r *Response) Err() error {
-	switch r.Status {
-	case StatusOK:
+	if r.Status == StatusOK {
 		return nil
-	case StatusRedirect:
-		return &RedirectError{Info: append([]byte(nil), r.Payload...)}
 	}
 	return fmt.Errorf("netblock: remote: %s", r.Payload)
-}
-
-// RedirectError reports that the peer is a replicated-service follower (or
-// mid-election) and cannot serve the call. Info is the peer's leader hint,
-// opaque to this layer (internal/fabric encodes a RedirectReply there);
-// clients should decode it and retry against the named leader.
-type RedirectError struct {
-	Info []byte
-}
-
-func (e *RedirectError) Error() string {
-	return "netblock: peer is not the leader"
 }
 
 // Errors of the codec layer.

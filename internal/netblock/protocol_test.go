@@ -44,10 +44,10 @@ func TestWireLayout(t *testing.T) {
 		t.Fatal("reqFrame helper disagrees with the encoder")
 	}
 	buf.Reset()
-	if err := WriteResponse(&buf, &Response{ID: 0x0807060504030201, Status: StatusRedirect, Payload: []byte("hi")}); err != nil {
+	if err := WriteResponse(&buf, &Response{ID: 0x0807060504030201, Status: StatusError, Payload: []byte("hi")}); err != nil {
 		t.Fatal(err)
 	}
-	want[8] = StatusRedirect
+	want[8] = StatusError
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Fatalf("response frame = % x, want % x", buf.Bytes(), want)
 	}
@@ -73,7 +73,7 @@ func TestReadRequestErrors(t *testing.T) {
 		{"max length prefix", reqFrame(1, OpHeartbeat, ^uint32(0), nil), ErrPayloadTooLarge},
 		{"shard length inside its larger cap", reqFrame(1, OpShardResult, maxPayload+1, nil), io.ErrUnexpectedEOF},
 		{"oversized shard length prefix", reqFrame(1, OpShardResult, maxShardPayload+1, nil), ErrPayloadTooLarge},
-		{"oversized append-entries length prefix", reqFrame(1, OpAppendEntries, maxShardPayload+1, nil), ErrPayloadTooLarge},
+		{"oversized append-entries length prefix", reqFrame(1, opRetired7, maxShardPayload+1, nil), ErrUnknownOp},
 		{"header without payload", reqFrame(1, OpSubmitStudy, 4096, nil), io.ErrUnexpectedEOF},
 		{"short payload", reqFrame(1, OpSubmitStudy, 64, []byte("ten bytes.")), io.ErrUnexpectedEOF},
 	}
@@ -87,6 +87,42 @@ func TestReadRequestErrors(t *testing.T) {
 				t.Fatalf("error = %v, want %v", err, tc.want)
 			}
 		})
+	}
+}
+
+// countingReader serves head and then zeros without end, counting every byte
+// handed out.
+type countingReader struct {
+	head []byte
+	n    int
+}
+
+func (r *countingReader) Read(b []byte) (int, error) {
+	k := copy(b, r.head)
+	r.head = r.head[k:]
+	clear(b[k:])
+	r.n += len(b)
+	return len(b), nil
+}
+
+// TestRetiredOpsRefusedBeforePayload: ops 6 and 7 carried a replicated
+// coordinator's consensus messages and are retired. A header naming either
+// with a 1 GiB length is refused with ErrUnknownOp once its 13 bytes are
+// read, before a payload byte, and the encoder refuses both ops before
+// anything reaches the wire.
+func TestRetiredOpsRefusedBeforePayload(t *testing.T) {
+	for _, op := range []OpCode{6, 7} {
+		r := &countingReader{head: reqFrame(1, op, 1<<30, nil)}
+		if _, err := ReadRequest(r); !errors.Is(err, ErrUnknownOp) {
+			t.Fatalf("op %d: error = %v, want ErrUnknownOp", op, err)
+		}
+		if r.n != headerSize {
+			t.Fatalf("op %d: decoder read %d bytes, want the %d-byte header alone", op, r.n, headerSize)
+		}
+		var buf bytes.Buffer
+		if err := writeRequest(&buf, 1, op, []byte("x")); !errors.Is(err, ErrUnknownOp) || buf.Len() != 0 {
+			t.Fatalf("op %d: encoder answered %v after writing %d bytes, want ErrUnknownOp and none", op, err, buf.Len())
+		}
 	}
 }
 

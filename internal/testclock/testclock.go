@@ -1,9 +1,8 @@
 // Package testclock provides the injectable fake clock shared by the fabric
-// and consensus test suites. The production code paths take a `now func()
-// time.Time` (or stamp times into replicated log entries); tests hand them
-// clock.Now and advance time explicitly, so liveness timeouts, speculation
-// windows, and reaping decisions become deterministic instead of racing the
-// wall clock.
+// and gateway test suites. The production code paths take a `now func()
+// time.Time`; tests hand them clock.Now and advance time explicitly, so
+// liveness timeouts, speculation windows, and reaping decisions become
+// deterministic instead of racing the wall clock.
 package testclock
 
 import (

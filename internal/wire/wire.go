@@ -1,6 +1,6 @@
 // Package wire is the one bounds-checked little-endian cursor under every
-// binary codec above netblock: sketch sets (SKS2), fabric shard results and
-// ledger commands, consensus messages, and the gateway's EBG2/EBG3 frames.
+// binary codec above netblock: sketch sets (SKS2), fabric shard results,
+// consensus messages, and the gateway's EBG2/EBG3 frames.
 // It owns the discipline those decoders share and nothing else: a short read
 // latches a typed error and poisons every later read, a length prefix is
 // checked against the bytes actually present before the caller allocates by

@@ -23,10 +23,11 @@ var servingStack = []string{netblockPkg, consensusPkg, fabricPkg, gatewayPkg}
 // TestServingStackLayering holds the serving stack to its layering, counting
 // every transitive dependency of non-test code: no package outside the stack,
 // its *test harnesses and cmd/* depends on any stack package; netblock and
-// consensus depend on neither fabric nor gateway; fabric does not depend on
-// gateway; and gateway, which runs every study in-process, depends on neither
-// fabric nor consensus. A change that wires one layer into another must edit
-// this rule where the diff shows it.
+// consensus depend on neither fabric nor gateway; fabric, which has one
+// coordinator and no replicated log, depends on neither gateway nor
+// consensus; and gateway, which runs every study in-process, depends on
+// neither fabric nor consensus. A change that wires one layer into another
+// must edit this rule where the diff shows it.
 func TestServingStackLayering(t *testing.T) {
 	m := loadModule(t)
 	for _, v := range m.layerViolations() {
@@ -45,6 +46,19 @@ var _ = fabric.NewLoopback
 	if got := m.layerViolations(); !slices.Contains(got, want) {
 		t.Errorf("gateway importing the fabric: violations %q, want one to be %q", got, want)
 	}
+
+	// Mutant: the fabric importing consensus again, as its coordinator once
+	// did to replicate the shard ledger.
+	m.addSource(t, fabricPkg, "mutant.go", `package fabric
+
+import "ebslab/internal/consensus"
+
+var _ = consensus.NewNode
+`)
+	want = fabricPkg + " depends on " + consensusPkg + " (" + fabricPkg + " -> " + consensusPkg + ")"
+	if got := m.layerViolations(); !slices.Contains(got, want) {
+		t.Errorf("fabric importing consensus: violations %q, want one to be %q", got, want)
+	}
 }
 
 // forbiddenDeps names the stack packages pkg must not depend on.
@@ -53,7 +67,7 @@ func forbiddenDeps(pkg string) []string {
 	case netblockPkg, consensusPkg:
 		return []string{fabricPkg, gatewayPkg}
 	case fabricPkg:
-		return []string{gatewayPkg}
+		return []string{gatewayPkg, consensusPkg}
 	case gatewayPkg:
 		return []string{fabricPkg, consensusPkg}
 	}
