@@ -146,9 +146,12 @@ consensus-race:
 # Reproduction gate: the whole experiment catalog at the quick fleet size and
 # the catalog's own defaults — the only run of every figure family at the
 # options the report uses (the goldens pin them at small options). Stdout is
-# the markdown report; only a failing exit matters here.
+# the markdown report, and it must equal cmd/analyze/testdata/report-small.md
+# byte for byte; after an intentional change to a figure, regenerate that
+# file with the same command and commit it alongside the change.
 analyze-smoke:
-	$(GO) run ./cmd/analyze -scale small -run all > /dev/null
+	@out=$$(mktemp); $(GO) run ./cmd/analyze -scale small -run all > $$out \
+		&& cmp $$out cmd/analyze/testdata/report-small.md; st=$$?; rm -f $$out; exit $$st
 
 # bench/ is a nested module (`ebslab/bench`, replace ebslab => ../), so
 # `go test ./...` from the root never compiles it: this is the gate that

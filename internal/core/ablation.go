@@ -14,12 +14,8 @@ import (
 	"ebslab/internal/predict"
 	"ebslab/internal/stats"
 	"ebslab/internal/trace"
+	"ebslab/internal/xrand"
 )
-
-// stdRand aliases math/rand.Rand for the failover helper.
-type stdRand = rand.Rand
-
-func newStdRand(seed int64) *stdRand { return rand.New(rand.NewSource(seed)) }
 
 // DispatchAblation summarizes the §4.4 dispatch-model comparison across
 // the busiest nodes.
@@ -291,7 +287,7 @@ func (s *Study) AblateFailover() FailoverAblation {
 			failed = cluster.StorageNodeID(b)
 		}
 	}
-	rng := func() *stdRand { return newStdRand(s.Fleet.Cfg.Seed) }
+	rng := func() *rand.Rand { return xrand.Get(s.Fleet.Cfg.Seed).Rand }
 	res := FailoverAblation{ClusterIdx: victimCluster, Failed: int(failed)}
 	res.Greedy = balancer.Failover(ct.Placement.Clone(), ct.Traffic, period, failed, balancer.FailoverGreedy, rng())
 	res.Random = balancer.Failover(ct.Placement.Clone(), ct.Traffic, period, failed, balancer.FailoverRandom, rng())

@@ -3,13 +3,13 @@ package core
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"strings"
 
 	"ebslab/internal/balancer"
 	"ebslab/internal/cluster"
 	"ebslab/internal/predict"
 	"ebslab/internal/stats"
+	"ebslab/internal/xrand"
 )
 
 // clusterTraffic is the per-storage-cluster view the §6 experiments consume:
@@ -163,7 +163,7 @@ func (s *Study) Fig4bImporterSelection() Fig4bResult {
 	victim := worstCluster(cts)
 	ct := cts[victim]
 	policies := []balancer.ImporterPolicy{
-		&balancer.RandomPolicy{Rng: rand.New(rand.NewSource(s.Fleet.Cfg.Seed))},
+		&balancer.RandomPolicy{Rng: xrand.Get(s.Fleet.Cfg.Seed).Rand},
 		balancer.MinTrafficPolicy{},
 		balancer.MinVariancePolicy{},
 		balancer.LunulePolicy{Window: 4},

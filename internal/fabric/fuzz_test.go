@@ -242,24 +242,27 @@ func FuzzResultPayload(f *testing.F) {
 	f.Add(make([]byte, resultHeadLen))
 
 	clock := testclock.AtUnix(1000)
-	// A coordinator per input: one that kept its ledger across inputs would
-	// make an input's outcome depend on the inputs before it.
-	handle := func(t testing.TB, data []byte) (*Coordinator, *netblock.Response) {
-		co, err := NewCoordinator(Config{Fleet: testFleetConfig(), Opts: testOpts(nil), Shards: 16, now: clock.Now})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(co.Stop)
+	co, err := NewCoordinator(Config{Fleet: testFleetConfig(), Opts: testOpts(nil), Shards: 16, now: clock.Now})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(co.Stop)
+	// The coordinator is built once; each input gets a fresh ledger and a
+	// fresh join, so its outcome cannot depend on the inputs before it.
+	handle := func(t testing.TB, data []byte) *netblock.Response {
+		co.mu.Lock()
+		co.ledger = newShardLedger(co.cfg, co.plan, co.ledger.shardSketch)
+		co.mu.Unlock()
 		if resp := co.Handle(&netblock.Request{Op: netblock.OpJoinFleet}); resp.Status != netblock.StatusOK {
 			t.Fatalf("join: %s", resp.Payload)
 		}
-		return co, co.Handle(&netblock.Request{Op: netblock.OpShardResult, Payload: append([]byte(nil), data...)})
+		return co.Handle(&netblock.Request{Op: netblock.OpShardResult, Payload: append([]byte(nil), data...)})
 	}
 	// First-use paths (reflection caches, pools) run here, not under an input
 	// whose coverage they would make irreproducible.
 	handle(f, make([]byte, resultHeadLen))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		co, resp := handle(t, data)
+		resp := handle(t, data)
 		if resp.Status != netblock.StatusOK && resp.Status != netblock.StatusError {
 			t.Fatalf("status %d", resp.Status)
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"sync"
 	"time"
 
 	"ebslab/internal/ebs"
@@ -38,17 +37,14 @@ type WorkerConfig struct {
 	failoverWindow time.Duration
 }
 
-// ctrlLink is the worker's resilient control-plane connection: one live
-// netblock client to the coordinator, redialed on failure. Calls are
-// serialized — the shard loop and the heartbeat goroutine share the link —
-// so a redial can never race an in-flight exchange.
+// ctrlLink is the worker's resilient control-plane connection: a netblock
+// redialer to the coordinator, each call retried until the failover window
+// closes. The client serializes exchanges — the shard loop and the heartbeat
+// goroutine share it — and redials inside its own lock, so a redial can
+// never race an in-flight exchange.
 type ctrlLink struct {
-	dial    func() (net.Conn, error)
-	timeout time.Duration
-	window  time.Duration
-
-	mu sync.Mutex
-	cl *netblock.Client
+	cl     *netblock.Client
+	window time.Duration
 }
 
 func newCtrlLink(wc WorkerConfig) (*ctrlLink, error) {
@@ -63,55 +59,25 @@ func newCtrlLink(wc WorkerConfig) (*ctrlLink, error) {
 	if window <= 0 {
 		window = 15 * time.Second
 	}
-	return &ctrlLink{dial: wc.Dial, timeout: timeout, window: window}, nil
+	return &ctrlLink{cl: netblock.NewRedialer(wc.Dial, netblock.Config{Timeout: timeout}), window: window}, nil
 }
 
-// dropLocked abandons the current client (the connection is dead or the
-// exchange on it failed).
-func (l *ctrlLink) dropLocked() {
-	if l.cl != nil {
-		l.cl.Close()
-		l.cl = nil
-	}
-}
-
-func (l *ctrlLink) close() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.dropLocked()
-}
-
-// call performs one control-plane RPC, redialing and retrying until it
-// succeeds or the failover window closes. Any failure — a transport error,
-// a timed-out or refused exchange — drops the connection, so the retry runs
-// on a fresh one.
+// call performs one control-plane RPC, retrying until it succeeds or the
+// failover window closes. A transport error or a timed-out exchange drops
+// the connection, so its retry runs on a fresh one; a refused exchange
+// (StatusError) left its frame boundary intact and retries on the same one.
 func (l *ctrlLink) call(ctx context.Context, op netblock.OpCode, payload ...[]byte) ([]byte, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	deadline := time.Now().Add(l.window)
-	var lastErr error
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if l.cl == nil {
-			conn, err := l.dial()
-			if err != nil {
-				lastErr = err
-			} else {
-				l.cl = netblock.NewClientConfig(conn, netblock.Config{Timeout: l.timeout})
-			}
-		}
-		if l.cl != nil {
-			raw, err := l.cl.Call(op, payload...)
-			if err == nil {
-				return raw, nil
-			}
-			lastErr = err
-			l.dropLocked()
+		raw, err := l.cl.Call(op, payload...)
+		if err == nil {
+			return raw, nil
 		}
 		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("fabric: control plane unreachable for %v: %w", l.window, lastErr)
+			return nil, fmt.Errorf("fabric: control plane unreachable for %v: %w", l.window, err)
 		}
 		select {
 		case <-ctx.Done():
@@ -133,7 +99,7 @@ func RunWorker(ctx context.Context, wc WorkerConfig) error {
 	if err != nil {
 		return err
 	}
-	defer link.close()
+	defer link.cl.Close()
 
 	raw, err := link.call(ctx, netblock.OpJoinFleet, nil)
 	if err != nil {

@@ -2,11 +2,11 @@ package latency
 
 import (
 	"math"
-	"math/rand"
 
 	"ebslab/internal/cache"
 	"ebslab/internal/stats"
 	"ebslab/internal/trace"
+	"ebslab/internal/xrand"
 )
 
 // GainResult compares an IO population's latency with and without a cache
@@ -61,16 +61,20 @@ func EvaluateHybridGain(m *Model, accesses []cache.Access, hotOffset, hotLen int
 }
 
 // evaluate replays accesses, asking serve where each IO is served and
-// whether it hits, and reports per-op gains. The same RNG
-// substream is used for the with/without latency draws, so gains isolate
-// the cache effect rather than sampling noise.
+// whether it hits, and reports per-op gains. Each IO draws its stage vector
+// once, on its own stream seeded from the run's, and served derives the
+// cached latency from that same draw, so gains isolate the cache effect
+// rather than sampling noise.
 func evaluate(m *Model, accesses []cache.Access, seed int64, serve func(cache.Access) (CacheLocation, bool)) []GainResult {
 	type bucket struct {
 		with, without []float64
 		hits          int
 	}
 	buckets := map[trace.Op]*bucket{trace.OpRead: {}, trace.OpWrite: {}}
-	rng := rand.New(rand.NewSource(seed))
+	tab := m.Compile()
+	rng := xrand.Get(seed)
+	defer rng.Release()
+	var lat [trace.NumStages]float32
 	for _, a := range accesses {
 		op := trace.OpRead
 		if a.Write {
@@ -81,11 +85,11 @@ func evaluate(m *Model, accesses []cache.Access, seed int64, serve func(cache.Ac
 		if hit {
 			b.hits++
 		}
-		ioSeed := rng.Int63()
-		sub := rand.New(rand.NewSource(ioSeed))
-		b.without = append(b.without, Total(m.Sample(sub, op, a.Size, NoCache, false)))
-		sub = rand.New(rand.NewSource(ioSeed))
-		b.with = append(b.with, Total(m.Sample(sub, op, a.Size, loc, hit)))
+		sub := xrand.Get(rng.Int63())
+		tab.SampleInto(sub.Rand, op, a.Size, &lat)
+		sub.Release()
+		b.without = append(b.without, Total(lat))
+		b.with = append(b.with, Total(served(lat, loc, hit)))
 	}
 	var out []GainResult
 	for _, op := range []trace.Op{trace.OpRead, trace.OpWrite} {

@@ -10,11 +10,18 @@ import (
 	"ebslab/internal/trace"
 )
 
+// draw is one uncached IO drawn on the compiled table.
+func draw(tab *Table, rng *rand.Rand, op trace.Op, size int32) [trace.NumStages]float32 {
+	var lat [trace.NumStages]float32
+	tab.SampleInto(rng, op, size, &lat)
+	return lat
+}
+
 func TestSampleAllStagesPositive(t *testing.T) {
-	m := Default()
+	tab := Default().Compile()
 	rng := rand.New(rand.NewSource(1))
 	for _, op := range []trace.Op{trace.OpRead, trace.OpWrite} {
-		s := m.Sample(rng, op, 4096, NoCache, false)
+		s := draw(tab, rng, op, 4096)
 		for st, v := range s {
 			if v <= 0 {
 				t.Fatalf("%v stage %d latency %v", op, st, v)
@@ -24,13 +31,13 @@ func TestSampleAllStagesPositive(t *testing.T) {
 }
 
 func TestWritesSlowerAtChunkServer(t *testing.T) {
-	m := Default()
+	tab := Default().Compile()
 	rng := rand.New(rand.NewSource(2))
 	var readCS, writeCS float64
 	const n = 3000
 	for i := 0; i < n; i++ {
-		readCS += float64(m.Sample(rng, trace.OpRead, 16<<10, NoCache, false)[trace.StageChunkServer])
-		writeCS += float64(m.Sample(rng, trace.OpWrite, 16<<10, NoCache, false)[trace.StageChunkServer])
+		readCS += float64(draw(tab, rng, trace.OpRead, 16<<10)[trace.StageChunkServer])
+		writeCS += float64(draw(tab, rng, trace.OpWrite, 16<<10)[trace.StageChunkServer])
 	}
 	if writeCS <= readCS {
 		t.Fatalf("mean CS write %v not above read %v", writeCS/n, readCS/n)
@@ -38,13 +45,13 @@ func TestWritesSlowerAtChunkServer(t *testing.T) {
 }
 
 func TestLargerIOsSlower(t *testing.T) {
-	m := Default()
+	tab := Default().Compile()
 	rng := rand.New(rand.NewSource(3))
 	var small, large float64
 	const n = 2000
 	for i := 0; i < n; i++ {
-		small += Total(m.Sample(rng, trace.OpRead, 4<<10, NoCache, false))
-		large += Total(m.Sample(rng, trace.OpRead, 1<<20, NoCache, false))
+		small += Total(draw(tab, rng, trace.OpRead, 4<<10))
+		large += Total(draw(tab, rng, trace.OpRead, 1<<20))
 	}
 	if large <= small {
 		t.Fatalf("1MiB mean %v not above 4KiB mean %v", large/n, small/n)
@@ -52,36 +59,40 @@ func TestLargerIOsSlower(t *testing.T) {
 }
 
 func TestCNCacheHitSkipsStorageStages(t *testing.T) {
-	m := Default()
-	rng := rand.New(rand.NewSource(4))
-	s := m.Sample(rng, trace.OpRead, 4096, CNCache, true)
+	lat := draw(Default().Compile(), rand.New(rand.NewSource(4)), trace.OpRead, 4096)
+	s := served(lat, CNCache, true)
 	for _, st := range []trace.Stage{trace.StageFrontendNet, trace.StageBlockServer, trace.StageBackendNet, trace.StageChunkServer} {
 		if s[st] != 0 {
 			t.Fatalf("CN-cache hit paid stage %v: %v", st, s[st])
 		}
 	}
-	if s[trace.StageComputeNode] <= 0 {
-		t.Fatal("CN stage should include cache access cost")
+	if s[trace.StageComputeNode] != lat[trace.StageComputeNode]+cacheAccessUS {
+		t.Fatalf("CN stage %v should be the drawn %v plus the cache access cost", s[trace.StageComputeNode], lat[trace.StageComputeNode])
 	}
 }
 
 func TestBSCacheHitSkipsBackendOnly(t *testing.T) {
-	m := Default()
-	rng := rand.New(rand.NewSource(5))
-	s := m.Sample(rng, trace.OpRead, 4096, BSCache, true)
+	lat := draw(Default().Compile(), rand.New(rand.NewSource(5)), trace.OpRead, 4096)
+	s := served(lat, BSCache, true)
 	if s[trace.StageBackendNet] != 0 || s[trace.StageChunkServer] != 0 {
 		t.Fatalf("BS-cache hit paid backend stages: %v", s)
 	}
-	if s[trace.StageFrontendNet] == 0 || s[trace.StageComputeNode] == 0 || s[trace.StageBlockServer] == 0 {
-		t.Fatalf("BS-cache hit should still traverse the front half: %v", s)
+	if s[trace.StageComputeNode] != lat[trace.StageComputeNode] || s[trace.StageFrontendNet] != lat[trace.StageFrontendNet] {
+		t.Fatalf("BS-cache hit should still traverse the front half as drawn: %v, drawn %v", s, lat)
+	}
+	if s[trace.StageBlockServer] != lat[trace.StageBlockServer]+cacheAccessUS {
+		t.Fatalf("BS stage %v should be the drawn %v plus the cache access cost", s[trace.StageBlockServer], lat[trace.StageBlockServer])
 	}
 }
 
 func TestMissPaysFullPath(t *testing.T) {
-	m := Default()
-	rng := rand.New(rand.NewSource(6))
-	s := m.Sample(rng, trace.OpRead, 4096, CNCache, false)
-	for st, v := range s {
+	lat := draw(Default().Compile(), rand.New(rand.NewSource(6)), trace.OpRead, 4096)
+	for _, loc := range []CacheLocation{NoCache, CNCache, BSCache} {
+		if s := served(lat, loc, false); s != lat {
+			t.Fatalf("%v miss %v differs from the full draw %v", loc, s, lat)
+		}
+	}
+	for st, v := range lat {
 		if v <= 0 {
 			t.Fatalf("miss skipped stage %d", st)
 		}

@@ -5,14 +5,14 @@
 // and a Pareto long tail — enough structure to study where caching helps
 // (Figure 7b/c) without pretending to reproduce the authors' testbed
 // numbers.
+//
+// There is one sampler: a Model is compiled into a Table (table.go), which
+// the engine draws in batches (SampleBatch) and the cache studies IO by IO
+// (SampleInto, in gain.go). A cache hit is derived from the IO's uncached
+// draw (served) rather than drawn again.
 package latency
 
-import (
-	"math"
-	"math/rand"
-
-	"ebslab/internal/trace"
-)
+import "ebslab/internal/trace"
 
 // StageParams shapes one stage's latency in microseconds.
 type StageParams struct {
@@ -86,50 +86,29 @@ func (l CacheLocation) String() string {
 // PMEM) itself.
 const cacheAccessUS = 15
 
-// Sample draws the five per-stage latencies for one IO. cacheHit describes
-// whether the IO hit a cache at the given location; stages the hit skips
-// report zero. Writes that hit still pay the cache-medium persistence cost
-// in the stage hosting the cache (the paper requires persisted-with-
-// redundancy semantics, so the cache must be a persistent cache).
-func (m *Model) Sample(rng *rand.Rand, op trace.Op, size int32, loc CacheLocation, cacheHit bool) [trace.NumStages]float32 {
-	params := &m.Read
-	if op == trace.OpWrite {
-		params = &m.Write
+// served is the stage vector of an IO whose uncached draw is lat, served
+// at loc: a hit skips the stages past the one hosting the cache (they report
+// zero) and pays the cache medium's access cost in that stage. Writes that
+// hit pay it too: the paper requires persisted-with-redundancy semantics, so
+// the cache must be a persistent cache. Deriving the cached vector from the
+// uncached draw is exact, not an approximation: the stages a hit keeps are a
+// prefix of the draw order (stage 0 for a CN hit, stages 0-2 for a BS hit),
+// so a second draw of the IO's stream would only repeat their draws.
+func served(lat [trace.NumStages]float32, loc CacheLocation, hit bool) [trace.NumStages]float32 {
+	var host trace.Stage
+	switch {
+	case hit && loc == CNCache:
+		host = trace.StageComputeNode
+	case hit && loc == BSCache:
+		host = trace.StageBlockServer
+	default:
+		return lat
 	}
-	var out [trace.NumStages]float32
-	mib := float64(size) / float64(1<<20)
-	for s := trace.Stage(0); s < trace.NumStages; s++ {
-		if cacheHit && skipsStage(loc, s) {
-			continue
-		}
-		p := params[s]
-		v := p.BaseUS + p.PerMiBUS*mib
-		v *= math.Exp(p.JitterSigma*rng.NormFloat64() - p.JitterSigma*p.JitterSigma/2)
-		if p.TailProb > 0 && rng.Float64() < p.TailProb {
-			v += p.TailScaleUS / math.Pow(1-rng.Float64(), 1/p.TailAlpha)
-		}
-		out[s] = float32(v)
+	for s := host + 1; s < trace.NumStages; s++ {
+		lat[s] = 0
 	}
-	if cacheHit {
-		switch loc {
-		case CNCache:
-			out[trace.StageComputeNode] += cacheAccessUS
-		case BSCache:
-			out[trace.StageBlockServer] += cacheAccessUS
-		}
-	}
-	return out
-}
-
-// skipsStage reports whether a hit at loc skips stage s.
-func skipsStage(loc CacheLocation, s trace.Stage) bool {
-	switch loc {
-	case CNCache:
-		return s != trace.StageComputeNode
-	case BSCache:
-		return s == trace.StageBackendNet || s == trace.StageChunkServer
-	}
-	return false
+	lat[host] += cacheAccessUS
+	return lat
 }
 
 // Total sums a stage vector.

@@ -17,8 +17,8 @@ import (
 //   - invTailAlpha = 1/TailAlpha, the Pareto inverse-CDF exponent.
 //
 // The jitter's constants sit beside it in Table.jitter. Each is the same
-// float64 the uncompiled Sample computes per IO, so the compiled path is
-// bit-identical.
+// float64 the uncompiled draw (the reference in table_test.go) computes per
+// IO, so the compiled path is bit-identical to the model's formula.
 type tableStage struct {
 	baseUS       float64
 	perByteUS    float64
@@ -27,11 +27,10 @@ type tableStage struct {
 	invTailAlpha float64
 }
 
-// Table is a latency model compiled for the uncached hot path: per-(op,
-// stage) constants laid out for branch-light sequential sampling. Compile
-// once per run; SampleInto draws are bit-identical to
-// Model.Sample(rng, op, size, NoCache, false), and SampleBatch's to
-// SampleInto's row after row.
+// Table is a latency model compiled for sampling: per-(op, stage) constants
+// laid out for branch-light sequential draws. Compile once per run;
+// SampleInto draws are bit-identical to the model's uncompiled per-IO
+// formula, and SampleBatch's to SampleInto's row after row.
 type Table struct {
 	stages [2][trace.NumStages]tableStage // [op][stage]
 	// jitter is each stage's draw constants, [op][stage], in the form
@@ -72,10 +71,11 @@ func opIndex(op trace.Op) int {
 }
 
 // SampleInto draws the five per-stage latencies of one uncached IO into
-// out, consuming the same rng stream — and producing the same bits — as
-// Model.Sample(rng, op, size, NoCache, false). Cache studies keep using
-// Model.Sample; the engine samples whole batches with SampleBatch, for which
-// this is the per-IO reference.
+// out: per stage in order, a normal for the jitter, then the tail test, then
+// the tail's uniform if the test fired. The cache studies (evaluate) draw
+// each IO with it and derive the cached vector with served; the engine
+// samples whole batches with SampleBatch, for which this is the per-IO
+// reference.
 func (t *Table) SampleInto(rng *rand.Rand, op trace.Op, size int32, out *[trace.NumStages]float32) {
 	o := opIndex(op)
 	fsize := float64(size)

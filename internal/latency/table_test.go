@@ -1,6 +1,7 @@
 package latency
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -8,10 +9,43 @@ import (
 	"ebslab/internal/xrand"
 )
 
-// TestTableBitIdentical drives Model.Sample and Table.SampleInto with twin
-// rng streams over the default model and randomized models, requiring
-// bit-identical stage vectors (the engine's golden fixtures depend on it).
-func TestTableBitIdentical(t *testing.T) {
+// sampleRef is the model's per-IO draw written straight from StageParams,
+// uncompiled: per stage a lognormal jitter on base plus transfer cost and,
+// with probability TailProb, a Pareto tail. A hit at loc skips the stages
+// past the one hosting the cache — it draws nothing for them — and pays
+// cacheAccessUS there. It is the reference the compiled table and served
+// are held to.
+func sampleRef(m *Model, rng *rand.Rand, op trace.Op, size int32, loc CacheLocation, hit bool) [trace.NumStages]float32 {
+	params := &m.Read
+	if op == trace.OpWrite {
+		params = &m.Write
+	}
+	host := trace.NumStages // no hit: every stage is drawn
+	if hit && loc == CNCache {
+		host = trace.StageComputeNode
+	} else if hit && loc == BSCache {
+		host = trace.StageBlockServer
+	}
+	var out [trace.NumStages]float32
+	mib := float64(size) / float64(1<<20)
+	for s := trace.Stage(0); s < trace.NumStages && s <= host; s++ {
+		p := params[s]
+		v := p.BaseUS + p.PerMiBUS*mib
+		v *= math.Exp(p.JitterSigma*rng.NormFloat64() - p.JitterSigma*p.JitterSigma/2)
+		if p.TailProb > 0 && rng.Float64() < p.TailProb {
+			v += p.TailScaleUS / math.Pow(1-rng.Float64(), 1/p.TailAlpha)
+		}
+		out[s] = float32(v)
+	}
+	if host < trace.NumStages {
+		out[host] += cacheAccessUS
+	}
+	return out
+}
+
+// testModels is the default model and eight randomized ones, some of whose
+// stages have TailProb == 0 (no tail draw at all).
+func testModels() []*Model {
 	models := []*Model{Default()}
 	mrng := rand.New(rand.NewSource(99))
 	for k := 0; k < 8; k++ {
@@ -25,7 +59,7 @@ func TestTableBitIdentical(t *testing.T) {
 					TailScaleUS: mrng.Float64() * 800,
 					TailAlpha:   0.8 + mrng.Float64()*2,
 				}
-				if mrng.Intn(3) > 0 { // include TailProb==0 (no tail draw at all)
+				if mrng.Intn(3) > 0 {
 					p.TailProb = mrng.Float64() * 0.02
 				}
 				return p
@@ -35,8 +69,14 @@ func TestTableBitIdentical(t *testing.T) {
 		}
 		models = append(models, m)
 	}
+	return models
+}
 
-	for mi, m := range models {
+// TestTableBitIdentical drives sampleRef and Table.SampleInto with twin rng
+// streams over the default model and randomized models, requiring
+// bit-identical stage vectors (the engine's golden fixtures depend on it).
+func TestTableBitIdentical(t *testing.T) {
+	for mi, m := range testModels() {
 		tab := m.Compile()
 		seed := int64(1000 + mi)
 		a := rand.New(rand.NewSource(seed))
@@ -44,7 +84,7 @@ func TestTableBitIdentical(t *testing.T) {
 		for i := 0; i < 20000; i++ {
 			op := trace.Op(i % 2)
 			size := int32((i*4096 + 4096) % (4 << 20))
-			want := m.Sample(a, op, size, NoCache, false)
+			want := sampleRef(m, a, op, size, NoCache, false)
 			var got [trace.NumStages]float32
 			tab.SampleInto(b, op, size, &got)
 			if got != want {
@@ -54,6 +94,34 @@ func TestTableBitIdentical(t *testing.T) {
 		// The streams must stay in lockstep, too.
 		if a.Uint64() != b.Uint64() {
 			t.Fatalf("model %d: rng streams diverged", mi)
+		}
+	}
+}
+
+// TestServedMatchesCachedDraw holds the cache studies' derivation to the
+// reference's own cached draw: on twin streams of one seed, served applied
+// to SampleInto's uncached vector equals sampleRef drawing the IO as served,
+// bit for bit, for every location, hit and miss, reads and writes, on the
+// default and the randomized models. The served side draws on the xrand
+// mirror, as evaluate does; the reference on plain math/rand.
+func TestServedMatchesCachedDraw(t *testing.T) {
+	for mi, m := range testModels() {
+		tab := m.Compile()
+		for _, loc := range []CacheLocation{NoCache, CNCache, BSCache} {
+			for i := 0; i < 1000; i++ {
+				op, hit := trace.Op(i%2), i%4 < 2
+				size := int32(4096 * (1 + i*37%1024))
+				seed := int64(mi<<32 | i)
+				var lat [trace.NumStages]float32
+				rng := xrand.Get(seed)
+				tab.SampleInto(rng.Rand, op, size, &lat)
+				rng.Release()
+				got := served(lat, loc, hit)
+				want := sampleRef(m, rand.New(rand.NewSource(seed)), op, size, loc, hit)
+				if got != want {
+					t.Fatalf("model %d %v hit=%v draw %d (op %v size %d): %v != %v", mi, loc, hit, i, op, size, got, want)
+				}
+			}
 		}
 	}
 }

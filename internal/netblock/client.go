@@ -34,9 +34,9 @@ type Config struct {
 // use the connection, so concurrent callers take turns. Every call makes
 // exactly one attempt: a transport error, a deadline or a response carrying
 // another request's ID fails the call and closes the connection, and if the
-// client knows how to redial (DialConfig), the next call reconnects. Retry
-// and failover belong to the caller, which knows whether a request is safe
-// to repeat and where else to send it.
+// client knows how to redial (DialConfig, NewRedialer), the next call
+// reconnects. Retry and failover belong to the caller, which knows whether a
+// request is safe to repeat and where else to send it.
 type Client struct {
 	cfg  Config
 	dial func() (net.Conn, error) // nil: NewClient over a fixed conn
@@ -44,7 +44,7 @@ type Client struct {
 	callMu sync.Mutex // held for one whole exchange
 	nextID uint64     // guarded by callMu
 
-	redials atomic.Int64
+	dials atomic.Int64 // connections dialed, the first included
 
 	// mu guards the connection alone, so Close can abort a call in flight.
 	mu     sync.Mutex
@@ -55,16 +55,18 @@ type Client struct {
 // DialConfig connects to a netblock server. The returned client redials on
 // the call after a connection loss.
 func DialConfig(network, addr string, cfg Config) (*Client, error) {
-	c := &Client{
-		cfg:  cfg,
-		dial: func() (net.Conn, error) { return net.Dial(network, addr) },
+	c := NewRedialer(func() (net.Conn, error) { return net.Dial(network, addr) }, cfg)
+	if _, err := c.live(); err != nil {
+		return nil, err
 	}
-	conn, err := c.dial()
-	if err != nil {
-		return nil, fmt.Errorf("netblock: dial: %w", err)
-	}
-	c.conn = conn
 	return c, nil
+}
+
+// NewRedialer returns a client that connects through dial on its first call
+// and again on the call after a connection loss. A failed dial fails that
+// call; the next one dials again.
+func NewRedialer(dial func() (net.Conn, error), cfg Config) *Client {
+	return &Client{cfg: cfg, dial: dial}
 }
 
 // NewClient wraps an established connection (handy for tests over
@@ -94,11 +96,12 @@ func (c *Client) Close() error {
 }
 
 // Retries returns how many times the client has redialed a lost
-// connection. A call is never retried; the redial happens on the next one.
-func (c *Client) Retries() int64 { return c.redials.Load() }
+// connection: every dial after its first. A call is never retried; the
+// redial happens on the next one.
+func (c *Client) Retries() int64 { return max(c.dials.Load()-1, 0) }
 
-// live returns the connection, redialing if the previous one was dropped
-// and the client knows how.
+// live returns the connection, dialing if there is none yet or the previous
+// one was dropped, and the client knows how.
 func (c *Client) live() (net.Conn, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -111,10 +114,10 @@ func (c *Client) live() (net.Conn, error) {
 		}
 		conn, err := c.dial()
 		if err != nil {
-			return nil, fmt.Errorf("netblock: redial: %w", err)
+			return nil, fmt.Errorf("netblock: dial: %w", err)
 		}
 		c.conn = conn
-		c.redials.Add(1)
+		c.dials.Add(1)
 	}
 	return c.conn, nil
 }
