@@ -110,23 +110,26 @@ golden:
 # package's testdata/fuzz; the netblock, wire and fabric decoders, the
 # diting merge and the trace batch seed theirs in code).
 # `go test -fuzz` takes one target per invocation, so each gets its own.
+# Each run minimizes a new interesting input for at most 200ms (the default
+# is 60s, more than the whole budget), so the budget goes to fuzzing; a
+# crasher is still saved, only minimized for less time.
 fuzz-smoke:
-	$(GO) test ./internal/trace -fuzz FuzzReadTraceCSV -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/trace -fuzz FuzzReadTraceJSONL -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/trace -fuzz FuzzBatch -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/diting -fuzz FuzzMergeRuns -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/predict -fuzz FuzzEvaluatePredictors -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/sketch -fuzz FuzzSpaceSavingAddMerge -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/sketch -fuzz FuzzLogQuantileMerge -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/sketch -fuzz FuzzSetCodec -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/wire -fuzz FuzzReader -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/fabric -fuzz FuzzDecodeResult -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/fabric -fuzz FuzzResultPayload -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/consensus -fuzz FuzzMessageCodec -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/gateway -fuzz FuzzGatewayCodec -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/scenario -fuzz FuzzReplayIngest -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/netblock -fuzz FuzzReadRequest -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/netblock -fuzz FuzzReadResponse -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/trace -fuzz FuzzReadTraceCSV -fuzztime $(FUZZTIME) -fuzzminimizetime 200ms
+	$(GO) test ./internal/trace -fuzz FuzzReadTraceJSONL -fuzztime $(FUZZTIME) -fuzzminimizetime 200ms
+	$(GO) test ./internal/trace -fuzz FuzzBatch -fuzztime $(FUZZTIME) -fuzzminimizetime 200ms
+	$(GO) test ./internal/diting -fuzz FuzzMergeRuns -fuzztime $(FUZZTIME) -fuzzminimizetime 200ms
+	$(GO) test ./internal/predict -fuzz FuzzEvaluatePredictors -fuzztime $(FUZZTIME) -fuzzminimizetime 200ms
+	$(GO) test ./internal/sketch -fuzz FuzzSpaceSavingAddMerge -fuzztime $(FUZZTIME) -fuzzminimizetime 200ms
+	$(GO) test ./internal/sketch -fuzz FuzzLogQuantileMerge -fuzztime $(FUZZTIME) -fuzzminimizetime 200ms
+	$(GO) test ./internal/sketch -fuzz FuzzSetCodec -fuzztime $(FUZZTIME) -fuzzminimizetime 200ms
+	$(GO) test ./internal/wire -fuzz FuzzReader -fuzztime $(FUZZTIME) -fuzzminimizetime 200ms
+	$(GO) test ./internal/fabric -fuzz FuzzDecodeResult -fuzztime $(FUZZTIME) -fuzzminimizetime 200ms
+	$(GO) test ./internal/fabric -fuzz FuzzResultPayload -fuzztime $(FUZZTIME) -fuzzminimizetime 200ms
+	$(GO) test ./internal/consensus -fuzz FuzzMessageCodec -fuzztime $(FUZZTIME) -fuzzminimizetime 200ms
+	$(GO) test ./internal/gateway -fuzz FuzzGatewayCodec -fuzztime $(FUZZTIME) -fuzzminimizetime 200ms
+	$(GO) test ./internal/scenario -fuzz FuzzReplayIngest -fuzztime $(FUZZTIME) -fuzzminimizetime 200ms
+	$(GO) test ./internal/netblock -fuzz FuzzReadRequest -fuzztime $(FUZZTIME) -fuzzminimizetime 200ms
+	$(GO) test ./internal/netblock -fuzz FuzzReadResponse -fuzztime $(FUZZTIME) -fuzzminimizetime 200ms
 
 # Coverage over the fault-injection surface: the chaos layer itself, every
 # package that acts on its schedules (engine, the controller that evacuates

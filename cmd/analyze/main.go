@@ -4,7 +4,9 @@
 // catalog order. Select experiments with -run (comma-separated ids from
 // core.Catalog: t2,t3,t4,f2,...,f7,ab) or run everything with -run all.
 // Stdout is a function of the flags alone; per-experiment timings go to
-// stderr.
+// stderr. Every experiment runs the laws of the layers it drives (throttle
+// grants, cache accounting, balancer migration replay); a broken one exits
+// 1 naming the experiment and the law.
 package main
 
 import (
@@ -56,23 +58,33 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "generate fleet:", err)
 		return 1
 	}
-	writeReport(stdout, stderr, study, selected)
+	if err := writeReport(stdout, stderr, study, selected); err != nil {
+		fmt.Fprintln(stderr, "analyze:", err)
+		return 1
+	}
 	fmt.Fprintf(stderr, "_Generated in %v._\n", time.Since(start).Round(time.Second))
 	return 0
 }
 
 // writeReport renders the selected experiments over study as markdown on out
 // — the header, then per experiment a "## Title" heading and its rendering
-// in a fenced block — and each experiment's wall-clock time on timing.
-func writeReport(out, timing io.Writer, study *core.Study, selected []core.Experiment) {
+// in a fenced block — and each experiment's wall-clock time on timing. An
+// experiment that broke one of the study's laws is not printed: the error
+// names the experiment and the law.
+func writeReport(out, timing io.Writer, study *core.Study, selected []core.Experiment) error {
 	cfg := study.Fleet.Cfg
 	fmt.Fprintf(out, "# Reproduction report (seed %d, %d DCs, %d VMs, %ds window)\n\n",
 		cfg.Seed, cfg.DCs, len(study.Fleet.Topology.VMs), study.Dur)
 	for _, e := range selected {
 		start := time.Now()
-		fmt.Fprintf(out, "## %s\n\n```\n%s```\n\n", e.Title, e.Render(study))
+		body := e.Render(study)
+		if err := study.Laws(); err != nil {
+			return fmt.Errorf("%s: %w", e.ID, err)
+		}
+		fmt.Fprintf(out, "## %s\n\n```\n%s```\n\n", e.Title, body)
 		fmt.Fprintf(timing, "[%s in %v]\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
+	return nil
 }
 
 // selectExperiments resolves a -run value (comma-separated catalog ids, or

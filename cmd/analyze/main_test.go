@@ -48,7 +48,9 @@ func TestReportIsCatalogMarkdown(t *testing.T) {
 	var outs [2]string
 	for i := range outs {
 		var out, timing bytes.Buffer
-		writeReport(&out, &timing, newStudy(), selected)
+		if err := writeReport(&out, &timing, newStudy(), selected); err != nil {
+			t.Fatal(err)
+		}
 		outs[i] = out.String()
 		if got := timing.String(); !strings.HasPrefix(got, "[t2 in ") || !strings.Contains(got, "\n[f5 in ") {
 			t.Errorf("timing writer got %q, want one [id in d] line per experiment in catalog order", got)

@@ -87,7 +87,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// serve runs the gateway until SIGINT/SIGTERM, then drains.
+// serve runs the gateway until SIGINT/SIGTERM, then drains it and holds it
+// to its serving laws.
 func serve(stderr io.Writer, listenAddr string, cfg gateway.Config) error {
 	ln, err := net.Listen("tcp", listenAddr)
 	if err != nil {
@@ -105,7 +106,7 @@ func serve(stderr io.Writer, listenAddr string, cfg gateway.Config) error {
 	srv.Close()
 	ln.Close()
 	gw.Close()
-	return nil
+	return gw.CheckLaws(true)
 }
 
 // runClient performs exactly one client operation against a live gateway.
@@ -196,8 +197,9 @@ func printStatus(stdout io.Writer, st gateway.StatusReply) {
 
 // runSelftest is the gateway smoke check: serve a real gateway on loopback
 // TCP, push one study through the full wire path, stream sketch snapshots
-// while it runs, and fail unless the served fingerprints are byte-identical
-// to a direct single-process run of the same spec.
+// while it runs, and fail unless the settled gateway keeps its serving laws
+// and the served fingerprints are byte-identical to a direct single-process
+// run of the same spec.
 func runSelftest(stdout, stderr io.Writer, cfg gateway.Config, spec gateway.StudySpec) error {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -237,6 +239,9 @@ func runSelftest(stdout, stderr io.Writer, cfg gateway.Config, spec gateway.Stud
 	}
 	if st.State != "done" {
 		return fmt.Errorf("study settled as %s: %s", st.State, st.Error)
+	}
+	if err := gw.CheckLaws(true); err != nil {
+		return err
 	}
 	// The final frame always carries state, so a fast study still streams.
 	if final, err := cl.Snapshot(reply.StudyID); err == nil && len(final.Sketch) > 0 {

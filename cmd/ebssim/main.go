@@ -118,7 +118,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&rf.dist, "dist", 0, "run the fabric in-process over a loopback transport with this many workers and verify the merged dataset against a single-process run")
 	fs.StringVar(&rf.cpuProfile, "cpuprofile", "", "write a CPU profile of the whole run (any mode, -dist included) to this file; read it with go tool pprof")
 	fs.StringVar(&rf.memProfile, "memprofile", "", "write an allocation profile, taken when the run ends, to this file")
-	fs.BoolVar(&rf.timing, "timing", false, "print the run's time by engine stage on stderr (stdout is unchanged)")
+	fs.BoolVar(&rf.timing, "timing", false, "print the run's time by engine stage, and the report's, on stderr (stdout is unchanged)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -178,9 +178,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	default:
 		ds, scWL, err = runLocal(ctx, stdout, spec)
 	}
-	if err == nil && rf.timing {
-		printClocks(stderr, spec.Opts.Clocks)
-	}
 	if err == nil && *out != "" {
 		if err = trace.SaveDir(ds, *out); err == nil {
 			fmt.Fprintf(stderr, "ebssim: wrote the dataset to %s\n", *out)
@@ -190,6 +187,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "ebssim:", err)
 		return 1
 	}
+	reportStart := time.Now()
 	top := ds.Topology
 	dur := spec.Opts.DurationSec
 	fmt.Fprintf(stdout, "simulated %d IOs over %ds (%d VDs)\n", len(ds.Trace), dur, simulatedVDs(study.MaxVDs, len(top.VDs)))
@@ -222,15 +220,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		for i := range ds.Trace {
 			xs = append(xs, float64(ds.Trace[i].Latency[st]))
 		}
-		fmt.Fprintf(stdout, "  %-14s %8.0f %8.0f %8.0f\n", st,
-			stats.Quantile(xs, 0.5), stats.Quantile(xs, 0.99), stats.Mean(xs))
+		q := stats.Quantiles(xs, 0.5, 0.99)
+		fmt.Fprintf(stdout, "  %-14s %8.0f %8.0f %8.0f\n", st, q[0], q[1], stats.Mean(xs))
 	}
 	var e2e []float64
 	for i := range ds.Trace {
 		e2e = append(e2e, ds.Trace[i].TotalLatency())
 	}
-	fmt.Fprintf(stdout, "  %-14s %8.0f %8.0f %8.0f\n\n", "end-to-end",
-		stats.Quantile(e2e, 0.5), stats.Quantile(e2e, 0.99), stats.Mean(e2e))
+	q := stats.Quantiles(e2e, 0.5, 0.99)
+	fmt.Fprintf(stdout, "  %-14s %8.0f %8.0f %8.0f\n\n", "end-to-end", q[0], q[1], stats.Mean(e2e))
 
 	// Worker-thread balance per node (top 5 busiest nodes).
 	type nodeLoad struct {
@@ -277,6 +275,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		snLoads = append(snLoads, v)
 	}
 	fmt.Fprintf(stdout, "\nstorage nodes touched: %d, inter-BS CoV %.2f\n", len(snLoads), stats.NormCoV(snLoads))
+	if rf.timing {
+		printClocks(stderr, spec.Opts.Clocks, time.Since(reportStart))
+	}
 	return 0
 }
 
@@ -326,11 +327,12 @@ func writeAllocProfile(path string) error {
 	return f.Close()
 }
 
-// printClocks writes the run's stage clocks, in milliseconds.
-func printClocks(w io.Writer, c *ebs.Clocks) {
-	fmt.Fprintln(w, "engine clocks (ms; bind opens the scenario, observe and plan ahead of a controlled run, generate to sketch summed over the workers, finish and check after the join):")
-	names := strings.Fields("bind observe plan generate throttle latency emit sketch finish check")
-	for i, d := range []time.Duration{c.Bind, c.Observe, c.Plan, c.Generate, c.Throttle, c.Latency, c.Emit, c.Sketch, c.Finish, c.Check} {
+// printClocks writes the run's stage clocks and the time ebssim took to
+// print its report on stdout, in milliseconds.
+func printClocks(w io.Writer, c *ebs.Clocks, report time.Duration) {
+	fmt.Fprintln(w, "engine clocks (ms; bind opens the scenario, observe and plan ahead of a controlled run, generate to sketch summed over the workers, finish and check after the join, report prints stdout):")
+	names := strings.Fields("bind observe plan generate throttle latency emit sketch finish check report")
+	for i, d := range []time.Duration{c.Bind, c.Observe, c.Plan, c.Generate, c.Throttle, c.Latency, c.Emit, c.Sketch, c.Finish, c.Check, report} {
 		fmt.Fprintf(w, "  %-8s %10.3f\n", names[i], float64(d)/float64(time.Millisecond))
 	}
 }

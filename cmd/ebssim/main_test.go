@@ -181,7 +181,7 @@ func TestTimingLeavesStdout(t *testing.T) {
 		if timed.String() != plain.String() {
 			t.Fatalf("%s: -timing changed stdout", line)
 		}
-		for _, stage := range []string{"bind", "observe", "plan", "generate", "throttle", "latency", "emit", "sketch", "finish", "check"} {
+		for _, stage := range []string{"bind", "observe", "plan", "generate", "throttle", "latency", "emit", "sketch", "finish", "check", "report"} {
 			if !strings.Contains(stderr.String(), "\n  "+stage+" ") {
 				t.Errorf("%s: stderr has no %s line:\n%s", line, stage, stderr.String())
 			}

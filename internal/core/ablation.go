@@ -273,7 +273,7 @@ type FailoverAblation struct {
 // mid-window and redistributes its segments under both policies.
 func (s *Study) AblateFailover() FailoverAblation {
 	cts := s.clusterTraffics()
-	victimCluster := worstCluster(cts)
+	victimCluster := s.worstCluster(cts)
 	ct := cts[victimCluster]
 	period := ct.NPeriods / 2
 	// Fail the hottest BS at that period.

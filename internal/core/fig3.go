@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"ebslab/internal/cluster"
+	"ebslab/internal/invariant"
 	"ebslab/internal/report"
 	"ebslab/internal/stats"
 	"ebslab/internal/throttle"
@@ -68,7 +69,7 @@ func (s *Study) scopeGroups(multiVMNode bool) (string, []throttleGroup) {
 }
 
 // simulateGroup replays one group through the throttle, optionally with
-// lending.
+// lending, auditing the grant budget every second (law throttle/grants).
 func (s *Study) simulateGroup(g throttleGroup, lend *throttle.Lending) throttle.Result {
 	caps := make([]throttle.Caps, len(g.vds))
 	demand := make([][]throttle.Demand, len(g.vds))
@@ -85,7 +86,10 @@ func (s *Study) simulateGroup(g throttleGroup, lend *throttle.Lending) throttle.
 		}
 		demand[i] = row
 	}
-	res, _ := new(throttle.Scratch).Replay(caps, demand, throttle.Replay{Lend: lend})
+	res, msgs := new(throttle.Scratch).Replay(caps, demand, throttle.Replay{Lend: lend, Audit: true})
+	var rep invariant.Report
+	rep.AddAll("throttle/grants", msgs)
+	s.fold(&rep)
 	return res
 }
 

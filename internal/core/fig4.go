@@ -7,6 +7,7 @@ import (
 
 	"ebslab/internal/balancer"
 	"ebslab/internal/cluster"
+	"ebslab/internal/invariant"
 	"ebslab/internal/predict"
 	"ebslab/internal/stats"
 	"ebslab/internal/xrand"
@@ -102,7 +103,7 @@ func (s *Study) Fig4aFrequentMigration() Fig4aResult {
 	windows := []int{1, 2, 4}
 	cts := s.clusterTraffics()
 	res := Fig4aResult{WindowPeriods: windows}
-	migs := productionMigrations(cts)
+	migs := s.productionMigrations(cts)
 	for _, w := range windows {
 		var props []float64
 		var zero int
@@ -160,7 +161,7 @@ type Fig4bResult struct {
 // policy.
 func (s *Study) Fig4bImporterSelection() Fig4bResult {
 	cts := s.clusterTraffics()
-	victim := worstCluster(cts)
+	victim := s.worstCluster(cts)
 	ct := cts[victim]
 	policies := []balancer.ImporterPolicy{
 		&balancer.RandomPolicy{Rng: xrand.Get(s.Fleet.Cfg.Seed).Rand},
@@ -171,7 +172,7 @@ func (s *Study) Fig4bImporterSelection() Fig4bResult {
 	}
 	res := Fig4bResult{ClusterIdx: victim}
 	for _, p := range policies {
-		r := balancer.Run(ct.Placement, ct.Traffic, p, balancer.DefaultConfig())
+		r := s.runBalancer(ct, p, balancer.DefaultConfig())
 		ivs := balancer.OutMigrationIntervals(r.Migrations, ct.NPeriods)
 		res.Policies = append(res.Policies, p.Name())
 		res.MedianInterval = append(res.MedianInterval, stats.Median(ivs))
@@ -180,21 +181,32 @@ func (s *Study) Fig4bImporterSelection() Fig4bResult {
 	return res
 }
 
+// runBalancer runs Algorithm 1 on one cluster and replays the run's
+// migration log against the same placement and traffic (law
+// conserve/balancer).
+func (s *Study) runBalancer(ct clusterTraffic, p balancer.ImporterPolicy, cfg balancer.Config) balancer.Result {
+	r := balancer.Run(ct.Placement, ct.Traffic, p, cfg)
+	var rep invariant.Report
+	invariant.CheckBalancer(&rep, ct.Placement, ct.Traffic, &r)
+	s.fold(&rep)
+	return r
+}
+
 // productionMigrations runs the production balancer (MinTraffic importer)
 // on every cluster and returns each cluster's migrations.
-func productionMigrations(cts []clusterTraffic) [][]balancer.Migration {
+func (s *Study) productionMigrations(cts []clusterTraffic) [][]balancer.Migration {
 	migs := make([][]balancer.Migration, len(cts))
 	for i, ct := range cts {
-		migs[i] = balancer.Run(ct.Placement, ct.Traffic, balancer.MinTrafficPolicy{}, balancer.DefaultConfig()).Migrations
+		migs[i] = s.runBalancer(ct, balancer.MinTrafficPolicy{}, balancer.DefaultConfig()).Migrations
 	}
 	return migs
 }
 
 // worstCluster picks the cluster with the highest frequent-migration
 // proportion (ties broken by migration count) under the production policy.
-func worstCluster(cts []clusterTraffic) int {
+func (s *Study) worstCluster(cts []clusterTraffic) int {
 	best, bestScore := 0, math.Inf(-1)
-	for i, migs := range productionMigrations(cts) {
+	for i, migs := range s.productionMigrations(cts) {
 		score := balancer.FrequentMigrationProportion(migs, cts[i].Placement.NumBS(), 1)
 		if math.IsNaN(score) {
 			score = -1

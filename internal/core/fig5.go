@@ -158,13 +158,13 @@ type Fig5cResult struct {
 // the busiest cluster, as §6.2.2 does.
 func (s *Study) Fig5cWriteThenRead() Fig5cResult {
 	cts := s.clusterTraffics()
-	victim := worstCluster(cts)
+	victim := s.worstCluster(cts)
 	ct := cts[victim]
 	cfg := balancer.DefaultConfig()
-	wo := balancer.Run(ct.Placement, ct.Traffic, balancer.OraclePolicy{}, cfg)
+	wo := s.runBalancer(ct, balancer.OraclePolicy{}, cfg)
 
 	cfg.Mode = balancer.WriteThenRead
-	wtr := balancer.Run(ct.Placement, ct.Traffic, balancer.OraclePolicy{}, cfg)
+	wtr := s.runBalancer(ct, balancer.OraclePolicy{}, cfg)
 
 	res := Fig5cResult{ClusterIdx: victim}
 	res.WriteOnlyReadCoV = stats.Mean(stats.DropNaN(wo.ReadCoV))

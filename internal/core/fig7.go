@@ -7,6 +7,7 @@ import (
 
 	"ebslab/internal/cache"
 	"ebslab/internal/cluster"
+	"ebslab/internal/invariant"
 	"ebslab/internal/latency"
 	"ebslab/internal/stats"
 	"ebslab/internal/trace"
@@ -60,17 +61,19 @@ var pagePolicies = []func(capPages int) cache.Cache{
 // hitRatios replays each VD's accesses (capped near maxEvents) through every
 // policy sized to one block, then through a frozen cache pinning the VD's
 // hottest block (§7.3.1's setup), and returns the non-NaN hit ratios by
-// cache name.
+// cache name. Every replay is audited (law conserve/cache).
 func (s *Study) hitRatios(vds []cluster.VDID, maxEvents int, blockSize int64, policies []func(capPages int) cache.Cache) map[string][]float64 {
 	capPages := int(blockSize / cache.PageSize)
 	hits := map[string][]float64{}
+	var rep invariant.Report
+	defer s.fold(&rep)
 	for _, vd := range vds {
 		accesses := s.vdAccesses(vd, maxEvents)
 		if len(accesses) == 0 {
 			continue
 		}
 		replay := func(c cache.Cache) {
-			if v := cache.Simulate(c, accesses).HitRatio(); !math.IsNaN(v) {
+			if v := invariant.SimulateChecked(&rep, c, accesses).HitRatio(); !math.IsNaN(v) {
 				hits[c.Name()] = append(hits[c.Name()], v)
 			}
 		}

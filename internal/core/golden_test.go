@@ -177,6 +177,9 @@ func TestGoldenFigures(t *testing.T) {
 	goldenCompare(t, "fig2ef", s.Fig2efBurstSeries(NodeWindowOptions{MaxNodes: 8, WinSec: 8}))
 	goldenCompare(t, "fig4c", s.Fig4cPredictionMSE())
 	goldenCompare(t, "fig7bc", s.Fig7bcLatencyGain(VDSampleOptions{MaxVDs: 6, MaxEventsPerVD: 2000}))
+	if err := s.Laws(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestGoldenAblations pins the mitigation ablations.
@@ -195,6 +198,9 @@ func TestGoldenAblations(t *testing.T) {
 			Config: hypervisor.RebindConfig{PeriodSlots: p, Trigger: 1.2, EvalSlots: 5}}))
 	}
 	goldenCompare(t, "ablation_rebind", rebind)
+	if err := s.Laws(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // goldenEngineRun is the engine configuration whose dataset fingerprint the

@@ -10,6 +10,7 @@ import (
 	"sync"
 
 	"ebslab/internal/cluster"
+	"ebslab/internal/invariant"
 	"ebslab/internal/par"
 	"ebslab/internal/stats"
 	"ebslab/internal/workload"
@@ -27,6 +28,9 @@ type Study struct {
 
 	once sync.Once
 	tot  totals
+
+	lawMu sync.Mutex
+	laws  invariant.Report // what the experiments' law checks found, guarded by lawMu
 }
 
 // totals caches the one-pass aggregation every spatial analysis shares.
@@ -47,6 +51,28 @@ func NewStudy(cfg workload.Config) (*Study, error) {
 		return nil, err
 	}
 	return &Study{Fleet: f, Dur: cfg.DurationSec}, nil
+}
+
+// Laws returns nil while every law the study's experiments ran has held —
+// the throttle's grant budget, the cache accounting and the balancer's
+// migration replay — or an error naming each broken law.
+func (s *Study) Laws() error {
+	s.lawMu.Lock()
+	defer s.lawMu.Unlock()
+	return s.laws.Err()
+}
+
+// fold adds the violations one experiment's law checks retained in rep to
+// the study's report.
+func (s *Study) fold(rep *invariant.Report) {
+	if rep.OK() {
+		return
+	}
+	s.lawMu.Lock()
+	defer s.lawMu.Unlock()
+	for _, v := range rep.Violations {
+		s.laws.Addf(v.Law, "%s", v.Msg)
+	}
 }
 
 // ensureTotals performs the shared aggregation pass over all VD series,

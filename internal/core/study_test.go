@@ -2,8 +2,10 @@ package core
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
+	"ebslab/internal/cache"
 	"ebslab/internal/workload"
 )
 
@@ -32,5 +34,49 @@ func TestEnsureTotalsWorkerCountInvariance(t *testing.T) {
 		if !reflect.DeepEqual(ref, got) {
 			t.Fatalf("totals differ between 1 and %d workers", workers)
 		}
+	}
+}
+
+// leakyCache admits every page it misses and never evicts, past the 4 pages
+// it claims to hold: it breaks the cache accounting law.
+type leakyCache struct{ pages map[int64]bool }
+
+func (c *leakyCache) Name() string  { return "leaky" }
+func (c *leakyCache) Len() int      { return len(c.pages) }
+func (c *leakyCache) Capacity() int { return 4 }
+func (c *leakyCache) Touch(page int64, _ bool) bool {
+	hit := c.pages[page]
+	c.pages[page] = true
+	return hit
+}
+
+// TestFig7aRunsTheCacheLaw: Fig 7(a)'s replays run the cache accounting law,
+// so a replacement policy that leaks capacity leaves a conserve/cache
+// violation in the study's report.
+func TestFig7aRunsTheCacheLaw(t *testing.T) {
+	saved := pagePolicies
+	defer func() { pagePolicies = saved }()
+	pagePolicies = []func(int) cache.Cache{
+		func(int) cache.Cache { return &leakyCache{pages: map[int64]bool{}} },
+		saved[1],
+	}
+
+	cfg := workload.DefaultConfig()
+	cfg.DCs = 1
+	cfg.NodesPerDC = 8
+	cfg.BSPerDC = 4
+	cfg.BSPerCluster = 4
+	cfg.Users = 8
+	cfg.DurationSec = 30
+	s, err := NewStudy(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Laws(); err != nil {
+		t.Fatalf("a fresh study reports %v", err)
+	}
+	s.Fig7aHitRatio(VDSampleOptions{MaxVDs: 2, MaxEventsPerVD: 500})
+	if err := s.Laws(); err == nil || !strings.Contains(err.Error(), "conserve/cache: resident set") {
+		t.Fatalf("Laws() after a leaking replay = %v, want a conserve/cache violation", err)
 	}
 }

@@ -9,7 +9,6 @@ import (
 
 	"ebslab/internal/gateway"
 	"ebslab/internal/gateway/gatewaytest"
-	"ebslab/internal/invariant"
 	"ebslab/internal/sketch"
 )
 
@@ -176,13 +175,10 @@ func TestE2EConcurrentTenantsMatchOracle(t *testing.T) {
 		}
 	}
 
-	var rep invariant.Report
-	l := h.GW.Ledger()
-	invariant.CheckGatewayAccounting(&rep, &l, true)
-	if err := rep.Err(); err != nil {
-		t.Fatalf("gateway accounting after e2e: %v", err)
+	if err := h.GW.CheckLaws(true); err != nil {
+		t.Fatalf("gateway laws after e2e: %v", err)
 	}
-	if l.Submitted != 12 || l.Completed != 12 {
+	if l := h.GW.Ledger(); l.Submitted != 12 || l.Completed != 12 {
 		t.Fatalf("ledger %+v, want 12 submitted and completed", l)
 	}
 }

@@ -161,11 +161,7 @@ func (gw *Gateway) tenantLocked(name string, now time.Time) *tenant {
 		tn.weight = w
 	}
 	if gw.cfg.SubmitRate > 0 {
-		burst := gw.cfg.SubmitBurst
-		if burst <= 0 {
-			burst = 1
-		}
-		tn.bucket = throttle.NewTokenBucket(gw.cfg.SubmitRate, burst, now)
+		tn.bucket = throttle.NewTokenBucket(gw.cfg.SubmitRate, gw.cfg.burst(), now)
 	}
 	gw.tenants[name] = tn
 	gw.names = append(gw.names, name)
@@ -503,11 +499,23 @@ func (gw *Gateway) Stats(tenantName string) (TenantStats, error) {
 	return st, nil
 }
 
+// burst is the tenants' token-bucket bank: SubmitBurst, or 1 when it is unset.
+func (c *Config) burst() float64 {
+	if c.SubmitBurst > 0 {
+		return c.SubmitBurst
+	}
+	return 1
+}
+
 // Ledger snapshots the gateway-wide study accounting (the
 // invariant.CheckGatewayAccounting subject): the sum of the tenant ledgers.
 func (gw *Gateway) Ledger() invariant.StudyLedger {
 	gw.mu.Lock()
 	defer gw.mu.Unlock()
+	return gw.ledgerLocked()
+}
+
+func (gw *Gateway) ledgerLocked() invariant.StudyLedger {
 	var sum invariant.StudyLedger
 	for _, tn := range gw.tenants {
 		l := &tn.ledger
@@ -523,6 +531,32 @@ func (gw *Gateway) Ledger() invariant.StudyLedger {
 		sum.Running += l.Running
 	}
 	return sum
+}
+
+// CheckLaws holds the gateway to its serving laws: the study ledger, summed
+// and per tenant, to invariant.CheckGatewayAccounting (with drained, nothing
+// may be queued or running), and, when SubmitRate caps the tenants, each
+// tenant's grant log to invariant.CheckGrantPacing. It returns nil when every
+// law holds.
+func (gw *Gateway) CheckLaws(drained bool) error {
+	gw.mu.Lock()
+	defer gw.mu.Unlock()
+	var rep invariant.Report
+	sum := gw.ledgerLocked()
+	invariant.CheckGatewayAccounting(&rep, "all tenants", &sum, drained)
+	for _, name := range gw.names {
+		invariant.CheckGatewayAccounting(&rep, "tenant "+name, &gw.tenants[name].ledger, drained)
+	}
+	if gw.cfg.SubmitRate > 0 {
+		grantsAt := make(map[string][]float64, len(gw.tenants))
+		for _, g := range gw.grants {
+			grantsAt[g.Tenant] = append(grantsAt[g.Tenant], g.AtSec)
+		}
+		for _, name := range gw.names {
+			invariant.CheckGrantPacing(&rep, name, gw.cfg.SubmitRate, gw.cfg.burst(), grantsAt[name])
+		}
+	}
+	return rep.Err()
 }
 
 // Grants snapshots the scheduler's grant log.

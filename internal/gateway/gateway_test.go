@@ -33,13 +33,10 @@ func settle(t *testing.T, gw *Gateway, wantGrants int) {
 		wantGrants, gw.Ledger(), len(gw.Grants()))
 }
 
-func checkAccounting(t *testing.T, gw *Gateway, drained bool) {
+func checkLaws(t *testing.T, gw *Gateway, drained bool) {
 	t.Helper()
-	var rep invariant.Report
-	l := gw.Ledger()
-	invariant.CheckGatewayAccounting(&rep, &l, drained)
-	if err := rep.Err(); err != nil {
-		t.Fatalf("gateway accounting: %v", err)
+	if err := gw.CheckLaws(drained); err != nil {
+		t.Fatalf("gateway laws: %v", err)
 	}
 }
 
@@ -145,12 +142,13 @@ func TestWFQFairness(t *testing.T) {
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Fatalf("WFQ grant order:\n got %v\nwant %v", got, want)
 	}
-	checkAccounting(t, gw, true)
+	checkLaws(t, gw, true)
 }
 
 // TestRateCapQueuesNotDrops pins the cap discipline: a tenant submitting
 // faster than its token bucket refills has the excess QUEUED, not rejected,
-// and the grant log obeys the pacing law exactly.
+// and the grant log obeys the pacing law exactly. It also runs CheckLaws on
+// the capped gateway live and drained, and on a forged grant log.
 func TestRateCapQueuesNotDrops(t *testing.T) {
 	clock := testclock.AtUnix(1000)
 	gw := New(Config{
@@ -174,6 +172,12 @@ func TestRateCapQueuesNotDrops(t *testing.T) {
 		t.Fatalf("after burst: granted %d queued %d rejected %d, want 2/2/0",
 			st.Granted, st.Queued, st.Rejected)
 	}
+	// Two studies wait on the bucket: the laws hold on the live gateway, and
+	// a drained reading counts the waiting studies as leaked.
+	checkLaws(t, gw, false)
+	if err := gw.CheckLaws(true); err == nil || !strings.Contains(err.Error(), "tenant t: drained gateway still holds 2 queued studies") {
+		t.Fatalf("CheckLaws(true) with 2 studies queued = %v, want a leaked-job violation", err)
+	}
 
 	clock.Advance(time.Second)
 	gw.Poke()
@@ -191,12 +195,15 @@ func TestRateCapQueuesNotDrops(t *testing.T) {
 	if wantAt := []float64{0, 0, 1, 2}; !slices.Equal(grantsAt, wantAt) {
 		t.Fatalf("grant log %v, want %v", grantsAt, wantAt)
 	}
-	var rep invariant.Report
-	invariant.CheckGrantPacing(&rep, "t", 1, 2, grantsAt)
-	if err := rep.Err(); err != nil {
-		t.Fatalf("grant pacing: %v", err)
+	checkLaws(t, gw, true)
+
+	// A grant the bucket could not have paid for breaks the pacing law.
+	gw.mu.Lock()
+	gw.grants = append(gw.grants, Grant{Tenant: "t", AtSec: 2})
+	gw.mu.Unlock()
+	if err := gw.CheckLaws(true); err == nil || !strings.Contains(err.Error(), "gateway/pacing") {
+		t.Fatalf("CheckLaws after a forged grant = %v, want a gateway/pacing violation", err)
 	}
-	checkAccounting(t, gw, true)
 }
 
 // TestAdmissionRejectsDeepQueue pins the admission bound: submissions beyond
@@ -271,7 +278,7 @@ func TestDedup(t *testing.T) {
 	if bl.Deduped != 1 || bl.Submitted != 0 {
 		t.Fatalf("bob's ledger %+v, want only the dedup", bl)
 	}
-	checkAccounting(t, gw, true)
+	checkLaws(t, gw, true)
 }
 
 func TestCancelQueued(t *testing.T) {
@@ -299,7 +306,7 @@ func TestCancelQueued(t *testing.T) {
 		t.Fatalf("ledger %+v, want CanceledQueued 1 / Queued 0", l)
 	}
 	settle(t, gw, 1)
-	checkAccounting(t, gw, true)
+	checkLaws(t, gw, true)
 }
 
 func TestCancelRunning(t *testing.T) {
@@ -336,7 +343,7 @@ func TestCancelRunning(t *testing.T) {
 	if l.CanceledRunning != 1 {
 		t.Fatalf("ledger %+v, want CanceledRunning 1", l)
 	}
-	checkAccounting(t, gw, true)
+	checkLaws(t, gw, true)
 }
 
 // TestCloseCancelsEverything pins shutdown semantics: queued studies settle
@@ -360,7 +367,7 @@ func TestCloseCancelsEverything(t *testing.T) {
 	if l.CanceledQueued != 1 || l.CanceledRunning != 1 || l.Queued != 0 || l.Running != 0 {
 		t.Fatalf("ledger after close %+v", l)
 	}
-	checkAccounting(t, gw, true)
+	checkLaws(t, gw, true)
 }
 
 func TestStatusUnknownStudy(t *testing.T) {

@@ -6,40 +6,34 @@ import (
 	"ebslab/internal/cache"
 )
 
-// CacheAudit wraps a cache.Cache and enforces the cache-layer accounting law
+// cacheAudit wraps a cache.Cache and enforces the cache-layer accounting law
 // on every touch: each access is exactly a hit or a miss (hits + misses ==
 // accesses, tallied independently of the simulator's own counters) and the
 // resident set never exceeds capacity. It implements cache.Cache, so it
-// drops into cache.Simulate transparently.
-type CacheAudit struct {
-	Inner        cache.Cache
-	Hits, Misses int64
+// drops into cache.Simulate transparently. A policy's capacity is fixed, so
+// it is read once, at wrapping.
+type cacheAudit struct {
+	inner        cache.Cache
+	capacity     int
+	hits, misses int64
 	violations   []string
 }
 
-// NewCacheAudit wraps c.
-func NewCacheAudit(c cache.Cache) *CacheAudit { return &CacheAudit{Inner: c} }
-
-// Name implements cache.Cache.
-func (a *CacheAudit) Name() string { return a.Inner.Name() }
-
-// Len implements cache.Cache.
-func (a *CacheAudit) Len() int { return a.Inner.Len() }
-
-// Capacity implements cache.Cache.
-func (a *CacheAudit) Capacity() int { return a.Inner.Capacity() }
+func (a *cacheAudit) Name() string  { return a.inner.Name() }
+func (a *cacheAudit) Len() int      { return a.inner.Len() }
+func (a *cacheAudit) Capacity() int { return a.capacity }
 
 // Touch implements cache.Cache, auditing the inner policy.
-func (a *CacheAudit) Touch(page int64, write bool) bool {
-	hit := a.Inner.Touch(page, write)
+func (a *cacheAudit) Touch(page int64, write bool) bool {
+	hit := a.inner.Touch(page, write)
 	if hit {
-		a.Hits++
+		a.hits++
 	} else {
-		a.Misses++
+		a.misses++
 	}
-	if n, c := a.Inner.Len(), a.Inner.Capacity(); n > c && len(a.violations) < maxPerLaw {
+	if n := a.inner.Len(); n > a.capacity && len(a.violations) < maxPerLaw {
 		a.violations = append(a.violations,
-			fmt.Sprintf("resident set %d pages exceeds capacity %d after touching page %d", n, c, page))
+			fmt.Sprintf("resident set %d pages exceeds capacity %d after touching page %d", n, a.capacity, page))
 	}
 	return hit
 }
@@ -49,7 +43,7 @@ func (a *CacheAudit) Touch(page int64, write bool) bool {
 // hit/total counters and the audit's independent tally — into rep.
 func SimulateChecked(rep *Report, c cache.Cache, accesses []cache.Access) cache.SimResult {
 	const law = "conserve/cache"
-	audit := NewCacheAudit(c)
+	audit := &cacheAudit{inner: c, capacity: c.Capacity()}
 	res := cache.Simulate(audit, accesses)
 	rep.AddAll(law, audit.violations)
 
@@ -64,14 +58,15 @@ func SimulateChecked(rep *Report, c cache.Cache, accesses []cache.Access) cache.
 		last := (ac.Offset + int64(ac.Size) - 1) / cache.PageSize
 		wantPages += last - first + 1
 	}
-	if total := audit.Hits + audit.Misses; total != wantPages {
-		rep.Addf(law, "cache saw %d page touches for %d pages of accesses", total, wantPages)
+	touched := audit.hits + audit.misses
+	if touched != wantPages {
+		rep.Addf(law, "cache saw %d page touches for %d pages of accesses", touched, wantPages)
 	}
-	if res.PageTotal != audit.Hits+audit.Misses {
-		rep.Addf(law, "simulator counted %d touches, audit counted %d", res.PageTotal, audit.Hits+audit.Misses)
+	if res.PageTotal != touched {
+		rep.Addf(law, "simulator counted %d touches, audit counted %d", res.PageTotal, touched)
 	}
-	if res.PageHits != audit.Hits {
-		rep.Addf(law, "simulator counted %d hits, audit counted %d", res.PageHits, audit.Hits)
+	if res.PageHits != audit.hits {
+		rep.Addf(law, "simulator counted %d hits, audit counted %d", res.PageHits, audit.hits)
 	}
 	if res.PageHits < 0 || res.PageHits > res.PageTotal {
 		rep.Addf(law, "hits %d outside [0, %d]", res.PageHits, res.PageTotal)

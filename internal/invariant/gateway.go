@@ -35,8 +35,9 @@ type StudyLedger struct {
 // accepted study is in exactly one state (queued, running, or terminal),
 // grants account for every study that ever ran, and nothing leaks. With
 // drained set (the gateway has shut down or gone idle), live states must be
-// empty — a non-zero Queued or Running then is a leaked job.
-func CheckGatewayAccounting(rep *Report, l *StudyLedger, drained bool) {
+// empty — a non-zero Queued or Running then is a leaked job. scope names
+// the ledger in every message ("all tenants", "tenant alice").
+func CheckGatewayAccounting(rep *Report, scope string, l *StudyLedger, drained bool) {
 	const law = "gateway/accounting"
 	for _, c := range []struct {
 		name string
@@ -48,30 +49,30 @@ func CheckGatewayAccounting(rep *Report, l *StudyLedger, drained bool) {
 		{"Queued", l.Queued}, {"Running", l.Running},
 	} {
 		if c.v < 0 {
-			rep.Addf(law, "%s is %d, want >= 0", c.name, c.v)
+			rep.Addf(law, "%s: %s is %d, want >= 0", scope, c.name, c.v)
 		}
 	}
 	// Every accepted study is queued, running, or terminal — exactly once.
 	states := l.Queued + l.Running + l.Completed + l.Failed + l.CanceledQueued + l.CanceledRunning
 	if states != l.Submitted {
-		rep.Addf(law, "states sum to %d but %d studies were submitted (leak or double-count)",
-			states, l.Submitted)
+		rep.Addf(law, "%s: states sum to %d but %d studies were submitted (leak or double-count)",
+			scope, states, l.Submitted)
 	}
 	// Grants open every run: whatever is running or finished running was
 	// granted, and every grant is accounted by exactly one of those states.
 	ran := l.Running + l.Completed + l.Failed + l.CanceledRunning
 	if l.Granted != ran {
-		rep.Addf(law, "%d grants but %d studies running or finished running", l.Granted, ran)
+		rep.Addf(law, "%s: %d grants but %d studies running or finished running", scope, l.Granted, ran)
 	}
 	if l.Granted > l.Submitted {
-		rep.Addf(law, "%d grants exceed %d submissions", l.Granted, l.Submitted)
+		rep.Addf(law, "%s: %d grants exceed %d submissions", scope, l.Granted, l.Submitted)
 	}
 	if drained {
 		if l.Queued != 0 {
-			rep.Addf(law, "drained gateway still holds %d queued studies", l.Queued)
+			rep.Addf(law, "%s: drained gateway still holds %d queued studies", scope, l.Queued)
 		}
 		if l.Running != 0 {
-			rep.Addf(law, "drained gateway still holds %d running studies", l.Running)
+			rep.Addf(law, "%s: drained gateway still holds %d running studies", scope, l.Running)
 		}
 	}
 }
@@ -81,6 +82,12 @@ func CheckGatewayAccounting(rep *Report, l *StudyLedger, drained bool) {
 // exceed the banked burst by at most rate * elapsed — i.e. the scheduler
 // never granted faster than the tenant's cap refills. atSec is the grant
 // times in seconds (any epoch), in grant order.
+//
+// It checks every interval in one pass by replaying the bucket: full at
+// burst before the first grant, refilled by rate * elapsed up to burst, one
+// token per grant. The level the replay finds at grant k is the minimum over
+// i <= k of burst + rate*(atSec[k]-atSec[i]) - (k-i), so a grant that finds
+// less than one token is exactly an interval holding too many grants.
 func CheckGrantPacing(rep *Report, tenant string, rate, burst float64, atSec []float64) {
 	const law = "gateway/pacing"
 	const eps = 1e-9
@@ -91,15 +98,16 @@ func CheckGrantPacing(rep *Report, tenant string, rate, burst float64, atSec []f
 			return
 		}
 	}
-	for i := range atSec {
-		for j := i; j < len(atSec); j++ {
-			grants := float64(j - i + 1)
-			allowed := burst + rate*(atSec[j]-atSec[i])
-			if grants > allowed+eps {
-				rep.Addf(law, "tenant %s: %d grants in %.3fs window starting at grant %d, cap allows %.2f",
-					tenant, j-i+1, atSec[j]-atSec[i], i, allowed)
-				return
-			}
+	tokens := burst
+	for k, at := range atSec {
+		if k > 0 {
+			tokens = min(burst, tokens+rate*(at-atSec[k-1]))
 		}
+		if tokens < 1-eps {
+			rep.Addf(law, "tenant %s: grant %d at %.3fs found %.2f tokens in a bucket of %.2f refilling %.2f/s",
+				tenant, k, at, tokens, burst, rate)
+			return
+		}
+		tokens--
 	}
 }

@@ -10,9 +10,14 @@
 // The engine runs VerifyRun and the layer laws that apply when
 // ebs.Options.Check is set, and every program sets it for every study it
 // runs: an ebssim run in any role, a gateway study, and the shards ebsd
-// workers run for either. Tests call the individual CheckX functions
-// directly. A violation is a bug in the simulator, never in the workload:
-// the laws hold by construction, so any failure means semantic drift.
+// workers run for either. The other programs check themselves too: analyze
+// runs the throttle audit, SimulateChecked and CheckBalancer inside every
+// experiment that drives those layers, and ebsgate runs
+// CheckGatewayAccounting and CheckGrantPacing over its gateway once a
+// selftest study settles and after a served gateway shuts down. Tests call
+// the individual CheckX functions directly. A violation is a bug in the
+// simulator, never in the workload: the laws hold by construction, so any
+// failure means semantic drift.
 package invariant
 
 import (

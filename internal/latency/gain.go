@@ -99,9 +99,9 @@ func evaluate(m *Model, accesses []cache.Access, seed int64, serve func(cache.Ac
 			res.P0, res.P50, res.P99, res.HitRatio = math.NaN(), math.NaN(), math.NaN(), math.NaN()
 		} else {
 			res.HitRatio = float64(b.hits) / float64(res.Count)
-			res.P0 = ratioAt(b.with, b.without, 0)
-			res.P50 = ratioAt(b.with, b.without, 0.5)
-			res.P99 = ratioAt(b.with, b.without, 0.99)
+			w := stats.Quantiles(b.with, 0, 0.5, 0.99)
+			wo := stats.Quantiles(b.without, 0, 0.5, 0.99)
+			res.P0, res.P50, res.P99 = ratio(w[0], wo[0]), ratio(w[1], wo[1]), ratio(w[2], wo[2])
 		}
 		out = append(out, res)
 	}
@@ -120,9 +120,9 @@ func covers(f *cache.Frozen, a cache.Access) bool {
 	return true
 }
 
-func ratioAt(with, without []float64, q float64) float64 {
-	w := stats.Quantile(with, q)
-	wo := stats.Quantile(without, q)
+// ratio is one quantile's gain: the cached latency over the uncached, NaN
+// when either is NaN or the uncached one is zero.
+func ratio(w, wo float64) float64 {
 	if wo == 0 || math.IsNaN(w) || math.IsNaN(wo) {
 		return math.NaN()
 	}

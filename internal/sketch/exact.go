@@ -79,10 +79,9 @@ func ExactSkewness(ds *trace.Dataset, cfg Config) Skewness {
 		blocks[blockKey(uint64(r.VD), r.Offset)] = struct{}{}
 		segSeen[uint64(r.Segment)] = struct{}{}
 	}
-	out.LatencyP50 = stats.Quantile(lat, 0.5)
-	out.LatencyP99 = stats.Quantile(lat, 0.99)
-	out.SizeP50 = stats.Quantile(sizes, 0.5)
-	out.SizeP99 = stats.Quantile(sizes, 0.99)
+	latQ, sizeQ := stats.Quantiles(lat, 0.5, 0.99), stats.Quantiles(sizes, 0.5, 0.99)
+	out.LatencyP50, out.LatencyP99 = latQ[0], latQ[1]
+	out.SizeP50, out.SizeP99 = sizeQ[0], sizeQ[1]
 	out.ActiveBlocks = float64(len(blocks))
 	out.ActiveSegments = float64(len(segSeen))
 	return out

@@ -11,12 +11,26 @@ import (
 // including q = NaN (which a plain range check would let through into an
 // undefined float-to-int conversion).
 func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 || !(q >= 0 && q <= 1) {
-		return math.NaN()
+	return Quantiles(xs, q)[0]
+}
+
+// Quantiles returns Quantile(xs, q) for each q of qs, sorting one copy of xs
+// for all of them (and none when no q needs it).
+func Quantiles(xs []float64, qs ...float64) []float64 {
+	out := make([]float64, len(qs))
+	var sorted []float64
+	for i, q := range qs {
+		if len(xs) == 0 || !(q >= 0 && q <= 1) {
+			out[i] = math.NaN()
+			continue
+		}
+		if sorted == nil {
+			sorted = append([]float64(nil), xs...)
+			sort.Float64s(sorted)
+		}
+		out[i] = quantileSorted(sorted, q)
 	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, q)
+	return out
 }
 
 // quantileSorted computes the q-quantile of an already-sorted slice.

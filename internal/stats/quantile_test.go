@@ -90,6 +90,30 @@ func TestQuantilePropertyWithinRange(t *testing.T) {
 	}
 }
 
+// TestQuantilesMatchesQuantile: one call over many qs answers what one call
+// per q does, bit for bit, NaN rules included.
+func TestQuantilesMatchesQuantile(t *testing.T) {
+	qs := []float64{0, 0.1, 0.5, 0.99, 1, -0.1, math.NaN(), 1.5}
+	for _, xs := range [][]float64{
+		nil,
+		{7},
+		{3, 1, 2},
+		{4, math.NaN(), 1, 9, 2.5, -3},
+		{1, 1, 1, 2},
+	} {
+		got := Quantiles(xs, qs...)
+		for i, q := range qs {
+			want := Quantiles(xs, q)[0]
+			if math.Float64bits(got[i]) != math.Float64bits(want) && !(math.IsNaN(got[i]) && math.IsNaN(want)) {
+				t.Errorf("Quantiles(%v)[%d] (q %v) = %v, one-q call gives %v", xs, i, q, got[i], want)
+			}
+		}
+	}
+	if got := Quantiles([]float64{1, 2}); len(got) != 0 {
+		t.Errorf("Quantiles with no q = %v, want empty", got)
+	}
+}
+
 func TestMedianOddEven(t *testing.T) {
 	if got := Median([]float64{9, 1, 5}); got != 5 {
 		t.Fatalf("Median(odd) = %v, want 5", got)

@@ -57,7 +57,10 @@ func applyLending(l *Lending, eff, nominal []Caps, demand [][]Demand, t, vd int)
 			}
 			h := *capOf(i) - demOf(i)
 			if h > 0 {
-				*capOf(i) -= extra * h / headroom
+				// Its share is at most h, so the lender keeps its demand;
+				// the max keeps round-off in extra*h/headroom from taking
+				// more (an idle lender's cap would dip below zero).
+				*capOf(i) = max(*capOf(i)-extra*h/headroom, demOf(i))
 			}
 		}
 		*capOf(vd) += extra

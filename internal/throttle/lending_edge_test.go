@@ -114,3 +114,23 @@ func TestLendingClampsAtLenderCapBoundary(t *testing.T) {
 		t.Errorf("lender throttled %d secs; the clamp should stop at its demand", res.ThrottledSecs[1])
 	}
 }
+
+// TestLendingIdleLenderKeepsNonNegativeCap: a loan that takes an idle
+// lender's whole headroom must leave its cap at exactly zero. With a
+// 0.1 B/s throughput cap, the share 0.1*0.1/0.1 rounds above 0.1, and an
+// unclamped debit left the cap at -1.4e-17: the audit's negative-cap law
+// caught the same round-off in Fig 3(f,g)'s lending replays.
+func TestLendingIdleLenderKeepsNonNegativeCap(t *testing.T) {
+	caps := []Caps{{Tput: 10000, IOPS: 10}, {Tput: 0.1, IOPS: 1000}}
+	demand := [][]Demand{
+		flatDemand(10, Demand{WriteBps: 50, WriteIOPS: 50}),
+		flatDemand(10, Demand{}),
+	}
+	res, msgs := replay(caps, demand, Replay{Lend: &Lending{Rate: 0.5, PeriodSec: 10}, Audit: true})
+	if len(msgs) != 0 {
+		t.Fatalf("audit violations: %v", msgs)
+	}
+	if res.ThrottledSecs[0] != 0 {
+		t.Errorf("borrower throttled %d secs despite ample IOPS headroom", res.ThrottledSecs[0])
+	}
+}
