@@ -215,20 +215,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Per-stage latency percentiles.
 	fmt.Fprintln(stdout, "latency by stage (us):")
 	fmt.Fprintf(stdout, "  %-14s %8s %8s %8s\n", "stage", "p50", "p99", "mean")
+	col := make([]float64, len(ds.Trace)) // one column at a time
 	for st := trace.Stage(0); st < trace.NumStages; st++ {
-		var xs []float64
 		for i := range ds.Trace {
-			xs = append(xs, float64(ds.Trace[i].Latency[st]))
+			col[i] = float64(ds.Trace[i].Latency[st])
 		}
-		q := stats.Quantiles(xs, 0.5, 0.99)
-		fmt.Fprintf(stdout, "  %-14s %8.0f %8.0f %8.0f\n", st, q[0], q[1], stats.Mean(xs))
+		q := stats.Quantiles(col, 0.5, 0.99)
+		fmt.Fprintf(stdout, "  %-14s %8.0f %8.0f %8.0f\n", st, q[0], q[1], stats.Mean(col))
 	}
-	var e2e []float64
 	for i := range ds.Trace {
-		e2e = append(e2e, ds.Trace[i].TotalLatency())
+		col[i] = ds.Trace[i].TotalLatency()
 	}
-	q := stats.Quantiles(e2e, 0.5, 0.99)
-	fmt.Fprintf(stdout, "  %-14s %8.0f %8.0f %8.0f\n\n", "end-to-end", q[0], q[1], stats.Mean(e2e))
+	q := stats.Quantiles(col, 0.5, 0.99)
+	fmt.Fprintf(stdout, "  %-14s %8.0f %8.0f %8.0f\n\n", "end-to-end", q[0], q[1], stats.Mean(col))
 
 	// Worker-thread balance per node (top 5 busiest nodes).
 	type nodeLoad struct {

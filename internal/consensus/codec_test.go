@@ -2,25 +2,59 @@ package consensus
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 )
 
 // codecSamples covers every message type with populated fields; shared by
-// the round-trip test and the fuzz seed corpus.
+// the round-trip test, the encodings test and the fuzz seed corpus.
 func codecSamples() []Message {
 	return []Message{
-		{Type: MsgVote, From: 1, To: 2, Term: 7, LastLogIndex: 42, LastLogTerm: 6},
-		{Type: MsgVoteResp, From: 2, To: 1, Term: 7, Granted: true},
 		{Type: MsgApp, From: 0, To: 2, Term: 9, PrevIndex: 10, PrevTerm: 8, Commit: 9, Entries: []Entry{
 			{Term: 9, Index: 11, Cmd: []byte("hello")},
-			{Term: 9, Index: 12}, // leadership no-op: nil Cmd
+			{Term: 9, Index: 12}, // nil Cmd
 			{Term: 9, Index: 13, Cmd: bytes.Repeat([]byte{0xAB}, 300)},
 		}},
 		{Type: MsgAppResp, From: 2, To: 0, Term: 9, Success: true, MatchIndex: 13},
 		{Type: MsgAppResp, From: 2, To: 0, Term: 9, Success: false, MatchIndex: 4},
-		{Type: MsgApp, From: 1, To: 0, Term: 1}, // empty heartbeat
+		{Type: MsgApp, From: 1, To: 0, Term: 1}, // empty append
+	}
+}
+
+// v1Frames returns the version-1 frames captured before the vote fields
+// left the layout (testdata/v1), by file name.
+func v1Frames(tb testing.TB) map[string][]byte {
+	tb.Helper()
+	paths, err := filepath.Glob(filepath.Join("testdata", "v1", "*.hex"))
+	if err != nil || len(paths) == 0 {
+		tb.Fatalf("no version-1 frames under testdata/v1 (%v)", err)
+	}
+	frames := make(map[string][]byte, len(paths))
+	for _, path := range paths {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if frames[path], err = hex.DecodeString(strings.TrimSpace(string(raw))); err != nil {
+			tb.Fatalf("%s: %v", path, err)
+		}
+	}
+	return frames
+}
+
+// TestDecodeRefusesV1: every version-1 frame is refused at its version
+// byte.
+func TestDecodeRefusesV1(t *testing.T) {
+	for path, frame := range v1Frames(t) {
+		if _, err := DecodeMessage(frame); !errors.Is(err, ErrMsgWire) || !strings.Contains(err.Error(), "version 1") {
+			t.Errorf("%s: DecodeMessage = %v, want an ErrMsgWire version-1 refusal", path, err)
+		}
 	}
 }
 
@@ -78,9 +112,24 @@ func TestMessageCodecRejects(t *testing.T) {
 	}
 }
 
+// sortedFrames lists frames in file-name order, so the seed numbering is
+// stable.
+func sortedFrames(frames map[string][]byte) [][]byte {
+	names := make([]string, 0, len(frames))
+	for name := range frames {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	out := make([][]byte, len(names))
+	for i, name := range names {
+		out[i] = frames[name]
+	}
+	return out
+}
+
 // FuzzMessageCodec: DecodeMessage must never panic on arbitrary bytes, and
 // everything it accepts must survive a re-encode/re-decode round trip
-// unchanged (the canonical-form property the replica transport relies on).
+// unchanged (the canonical-form property a transport relies on).
 func FuzzMessageCodec(f *testing.F) {
 	for _, m := range codecSamples() {
 		m := m
@@ -88,6 +137,9 @@ func FuzzMessageCodec(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{msgWireVersion})
+	for _, frame := range sortedFrames(v1Frames(f)) {
+		f.Add(frame)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := DecodeMessage(data)
 		if err != nil {

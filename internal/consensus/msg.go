@@ -11,18 +11,12 @@ import (
 type MsgType uint8
 
 const (
-	MsgVote MsgType = iota + 1
-	MsgVoteResp
-	MsgApp
+	MsgApp MsgType = iota + 1
 	MsgAppResp
 )
 
 func (t MsgType) String() string {
 	switch t {
-	case MsgVote:
-		return "vote"
-	case MsgVoteResp:
-		return "vote-resp"
 	case MsgApp:
 		return "append"
 	case MsgAppResp:
@@ -32,24 +26,18 @@ func (t MsgType) String() string {
 }
 
 // Valid reports whether t is a defined message type.
-func (t MsgType) Valid() bool { return t >= MsgVote && t <= MsgAppResp }
+func (t MsgType) Valid() bool { return t == MsgApp || t == MsgAppResp }
 
-// Message is one consensus datagram. A single struct covers all four types
-// (unused fields stay zero), mirroring the raft paper's RPC arguments:
+// Message is one consensus datagram. A single struct covers both types
+// (unused fields stay zero):
 //
-//	MsgVote:     Term, LastLogIndex, LastLogTerm
-//	MsgVoteResp: Term, Granted
-//	MsgApp:      Term, PrevIndex, PrevTerm, Commit, Entries
-//	MsgAppResp:  Term, Success, MatchIndex (ack, or back-up hint on reject)
+//	MsgApp:     Term, PrevIndex, PrevTerm, Commit, Entries
+//	MsgAppResp: Term, Success, MatchIndex (ack, or back-up hint on reject)
 type Message struct {
 	Type MsgType
 	From int
 	To   int
 	Term uint64
-
-	LastLogIndex uint64
-	LastLogTerm  uint64
-	Granted      bool
 
 	PrevIndex uint64
 	PrevTerm  uint64
@@ -67,14 +55,16 @@ var ErrMsgWire = errors.New("consensus: malformed message frame")
 // fails loudly instead of misparsing:
 //
 //	u8 version | u8 type | u32 from | u32 to | u64 term |
-//	u64 lastLogIndex | u64 lastLogTerm | u8 granted |
 //	u64 prevIndex | u64 prevTerm | u64 commit |
 //	u8 success | u64 matchIndex |
 //	u32 nEntries | nEntries × (u64 term | u64 index | u32 cmdLen | cmd)
-const msgWireVersion = 1
+//
+// Version 2 dropped version 1's vote fields (lastLogIndex, lastLogTerm,
+// granted) with the elections that sent them.
+const msgWireVersion = 2
 
 const (
-	msgFixedSize   = 1 + 1 + 4 + 4 + 8 + 8 + 8 + 1 + 8 + 8 + 8 + 1 + 8 + 4
+	msgFixedSize   = 1 + 1 + 4 + 4 + 8 + 8 + 8 + 8 + 1 + 8 + 4
 	entryFixedSize = 8 + 8 + 4
 )
 
@@ -95,9 +85,6 @@ func EncodeMessage(m *Message) []byte {
 	w.U32(uint32(m.From))
 	w.U32(uint32(m.To))
 	w.U64(m.Term)
-	w.U64(m.LastLogIndex)
-	w.U64(m.LastLogTerm)
-	w.Bool(m.Granted)
 	w.U64(m.PrevIndex)
 	w.U64(m.PrevTerm)
 	w.U64(m.Commit)
@@ -120,15 +107,16 @@ func EncodeMessage(m *Message) []byte {
 // both properties).
 func DecodeMessage(data []byte) (*Message, error) {
 	r := wire.NewReader(data, ErrMsgWire)
-	ver := r.U8()
+	// The version byte comes first so a frame of another layout is refused
+	// by its version, not by whatever its bytes misparse to.
+	if ver := r.U8(); r.Err() == nil && ver != msgWireVersion {
+		return nil, fmt.Errorf("%w: version %d", ErrMsgWire, ver)
+	}
 	typ := MsgType(r.U8())
 	m := &Message{Type: typ}
 	m.From = int(r.I32())
 	m.To = int(r.I32())
 	m.Term = r.U64()
-	m.LastLogIndex = r.U64()
-	m.LastLogTerm = r.U64()
-	m.Granted = r.U8() != 0
 	m.PrevIndex = r.U64()
 	m.PrevTerm = r.U64()
 	m.Commit = r.U64()
@@ -139,9 +127,6 @@ func DecodeMessage(data []byte) (*Message, error) {
 	nEntries := r.Count(entryFixedSize)
 	if err := r.Err(); err != nil {
 		return nil, err
-	}
-	if ver != msgWireVersion {
-		return nil, fmt.Errorf("%w: version %d", ErrMsgWire, ver)
 	}
 	if !typ.Valid() {
 		return nil, fmt.Errorf("%w: type %d", ErrMsgWire, uint8(typ))

@@ -2,166 +2,99 @@ package consensus
 
 import (
 	"errors"
-	"sync"
 	"testing"
 	"time"
 )
 
-// chanTransport wires runners directly: Send routes a message to the
-// destination runner's Deliver on a fresh goroutine, like the netblock
-// transport but without a wire.
-type chanTransport struct {
-	mu      sync.Mutex
-	runners map[int]*Runner
-	down    map[int]bool
-	wg      sync.WaitGroup
-}
+// syncFan joins in-process runners as the benchmark ladder does: Send
+// delivers straight into the destination, so a proposal commits inside
+// Propose without a socket.
+type syncFan struct{ runners []*Runner }
 
-func newChanTransport() *chanTransport {
-	return &chanTransport{runners: make(map[int]*Runner), down: make(map[int]bool)}
-}
+func (f *syncFan) Send(m Message) { f.runners[m.To].Deliver(m) }
 
-func (t *chanTransport) Send(m Message) {
-	t.mu.Lock()
-	r := t.runners[m.To]
-	dead := t.down[m.To] || t.down[m.From]
-	t.mu.Unlock()
-	if r == nil || dead {
-		return
-	}
-	t.wg.Add(1)
-	go func() {
-		defer t.wg.Done()
-		r.Deliver(m)
-	}()
-}
+// logFSM records applied commands; the reply is the command count so far.
+type logFSM struct{ cmds []string }
 
-func (t *chanTransport) kill(id int) {
-	t.mu.Lock()
-	t.down[id] = true
-	t.mu.Unlock()
-}
-
-// countFSM records applied commands.
-type countFSM struct {
-	mu   sync.Mutex
-	cmds [][]byte
-}
-
-func (f *countFSM) Apply(index uint64, cmd []byte) any {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.cmds = append(f.cmds, append([]byte(nil), cmd...))
+func (f *logFSM) Apply(index uint64, cmd []byte) any {
+	f.cmds = append(f.cmds, string(cmd))
 	return len(f.cmds)
 }
 
-func (f *countFSM) count() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.cmds)
-}
-
-// startCluster boots n runner-driven replicas on real (fast) tickers.
-func startCluster(t *testing.T, n int) (*chanTransport, []*Runner, []*countFSM, *sync.Mutex, *[]int) {
-	t.Helper()
-	tr := newChanTransport()
-	fsms := make([]*countFSM, n)
-	runners := make([]*Runner, n)
-	var mu sync.Mutex
-	var leaders []int
-	for id := 0; id < n; id++ {
-		fsms[id] = &countFSM{}
-		node := NewNode(Config{ID: id, Peers: n, BootstrapLeader: 0, Seed: 7})
-		runners[id] = NewRunner(RunnerConfig{
-			Node:      node,
+// TestRunnerReplicatesOnSyncFan: proposals on the leader apply on every
+// replica, in order; a follower refuses with ErrNotLeader; a stopped
+// runner refuses with ErrStopped.
+func TestRunnerReplicatesOnSyncFan(t *testing.T) {
+	const peers = 3
+	fan := &syncFan{runners: make([]*Runner, peers)}
+	fsms := make([]*logFSM, peers)
+	for id := range fan.runners {
+		fsms[id] = &logFSM{}
+		fan.runners[id] = NewRunner(RunnerConfig{
+			Node:      NewNode(Config{ID: id, Peers: peers, BootstrapLeader: 0}),
 			FSM:       fsms[id],
-			Transport: tr,
-			TickEvery: 2 * time.Millisecond,
-			OnBecomeLeader: func(term uint64, id int) {
-				mu.Lock()
-				leaders = append(leaders, id)
-				mu.Unlock()
-			},
+			Transport: fan,
 		})
-		tr.mu.Lock()
-		tr.runners[id] = runners[id]
-		tr.mu.Unlock()
 	}
-	for _, r := range runners {
-		r.Start()
-	}
-	t.Cleanup(func() {
-		for _, r := range runners {
-			r.Stop()
-		}
-		tr.wg.Wait()
-	})
-	return tr, runners, fsms, &mu, &leaders
-}
+	leader := fan.runners[0]
 
-// TestRunnerReplicatesAndFailsOver is the end-to-end runner test: proposals
-// on the bootstrap leader apply everywhere; killing the leader elects
-// replica 1, which then accepts proposals; the dead leader's runner rejects
-// everything with ErrStopped; followers answer ErrNotLeader with a hint.
-func TestRunnerReplicatesAndFailsOver(t *testing.T) {
-	tr, runners, fsms, mu, leaders := startCluster(t, 3)
-
-	if _, err := runners[1].Propose([]byte("nope"), time.Second); !errors.Is(err, ErrNotLeader) {
+	if _, err := fan.runners[1].Propose([]byte("nope"), time.Second); !errors.Is(err, ErrNotLeader) {
 		t.Fatalf("follower Propose error = %v, want ErrNotLeader", err)
-	} else {
-		var nle *NotLeaderError
-		if !errors.As(err, &nle) || nle.Leader != 0 {
-			t.Fatalf("follower redirect hint = %v, want leader 0", err)
-		}
 	}
-
-	for i := 0; i < 5; i++ {
-		reply, err := runners[0].Propose([]byte{byte(i)}, 2*time.Second)
+	want := []string{"a", "b", "c"}
+	for i, cmd := range want {
+		reply, err := leader.Propose([]byte(cmd), time.Second)
 		if err != nil {
-			t.Fatalf("propose %d: %v", i, err)
+			t.Fatalf("propose %q: %v", cmd, err)
 		}
-		if reply.(int) != i+1 {
-			t.Fatalf("propose %d reply = %v, want %d", i, reply, i+1)
+		if reply != i+1 {
+			t.Fatalf("propose %q reply = %v, want %d", cmd, reply, i+1)
 		}
 	}
-	waitFor(t, 5*time.Second, func() bool {
-		return fsms[1].count() == 5 && fsms[2].count() == 5
-	}, "followers did not apply all 5 commands")
-
-	// Kill the leader: transport drops its traffic, runner stops.
-	tr.kill(0)
-	runners[0].Stop()
-	if _, err := runners[0].Propose([]byte("dead"), time.Second); !errors.Is(err, ErrStopped) {
-		t.Fatalf("stopped Propose error = %v, want ErrStopped", err)
+	// A follower learns an entry's commit from the next append, so it has
+	// applied all but the last.
+	for id, f := range fsms {
+		n := len(want)
+		if id != 0 {
+			n--
+		}
+		if len(f.cmds) != n {
+			t.Fatalf("replica %d applied %q, want %q", id, f.cmds, want[:n])
+		}
+		for i := range f.cmds {
+			if f.cmds[i] != want[i] {
+				t.Fatalf("replica %d applied %q, want %q", id, f.cmds, want[:n])
+			}
+		}
 	}
 
-	waitFor(t, 10*time.Second, func() bool {
-		var isLeader bool
-		runners[1].Read(func() { isLeader = runners[1].node.State() == Leader })
-		return isLeader
-	}, "replica 1 did not take over")
-
-	if _, err := runners[1].Propose([]byte("after"), 2*time.Second); err != nil {
-		t.Fatalf("propose on new leader: %v", err)
+	for _, r := range fan.runners {
+		r.Stop()
 	}
-	waitFor(t, 5*time.Second, func() bool { return fsms[2].count() == 6 }, "replica 2 did not apply post-failover command")
-
-	mu.Lock()
-	defer mu.Unlock()
-	want := []int{0, 1}
-	if len(*leaders) != 2 || (*leaders)[0] != 0 || (*leaders)[1] != 1 {
-		t.Fatalf("leadership transitions = %v, want %v", *leaders, want)
+	if _, err := leader.Propose([]byte("late"), time.Second); !errors.Is(err, ErrStopped) {
+		t.Fatalf("Propose after Stop error = %v, want ErrStopped", err)
 	}
 }
 
-func waitFor(t *testing.T, timeout time.Duration, cond func() bool, msg string) {
-	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
+// TestRunnerWithoutQuorum: a leader that hears no ack times out, and Stop
+// fails a proposer parked on it.
+func TestRunnerWithoutQuorum(t *testing.T) {
+	r := NewRunner(RunnerConfig{Node: NewNode(cfg3(0)), FSM: &logFSM{}})
+	if _, err := r.Propose([]byte("a"), time.Millisecond); !errors.Is(err, ErrCommitTimeout) {
+		t.Fatalf("Propose without acks error = %v, want ErrCommitTimeout", err)
 	}
-	t.Fatal(msg)
+	done := make(chan error, 1)
+	go func() {
+		_, err := r.Propose([]byte("b"), time.Minute)
+		done <- err
+	}()
+	for parked := false; !parked; time.Sleep(time.Millisecond) {
+		r.mu.Lock()
+		parked = len(r.waiters) == 1
+		r.mu.Unlock()
+	}
+	r.Stop()
+	if err := <-done; !errors.Is(err, ErrStopped) {
+		t.Fatalf("parked Propose error = %v, want ErrStopped", err)
+	}
 }

@@ -67,7 +67,7 @@ func renderAblations(s *Study) string {
 	b.WriteString(s.AblateFailover().Render())
 	b.WriteString(s.StudyPageCache().Render())
 	for _, p := range []int{1, 10, 50} {
-		r := s.Fig2dRebinding(RebindOptions{MaxNodes: 24, WinSec: 10, Config: hypervisor.RebindConfig{PeriodSlots: p, Trigger: 1.2, EvalSlots: 5}})
+		r := s.Fig2dRebinding(RebindOptions{MaxNodes: 24, WinSec: 10, PeriodSlots: p})
 		fmt.Fprintf(&b, "Ablation: rebind period %d0 ms: improved %.1f%%, median gain %.2f, rebinds/slot %.4f\n",
 			p, 100*r.FracImproved, r.MedianGain, r.MedianRatio/float64(p))
 	}

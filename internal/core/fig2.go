@@ -289,23 +289,23 @@ const (
 // the busiest multi-QP nodes. Exactly like the paper's §4.3 simulation, the
 // input is the *sampled* trace: per-10 ms traffic is a sparse spike train,
 // which is what makes periodic rebinding mostly chase bursts it has already
-// missed. RebindOptions.Config is the rebinding-period ablation's knob.
+// missed. RebindOptions.PeriodSlots is the rebinding-period ablation's knob.
 func (s *Study) Fig2dRebinding(opt RebindOptions) Fig2dResult {
 	mustOpt(opt.Validate())
-	maxNodes, winSec, cfg := opt.MaxNodes, opt.WinSec, opt.Config
+	maxNodes, winSec, period := opt.MaxNodes, opt.WinSec, opt.PeriodSlots
 	if maxNodes <= 0 {
 		maxNodes = 60
 	}
 	if winSec <= 0 {
 		winSec = 30
 	}
-	if cfg == (hypervisor.RebindConfig{}) {
-		cfg = hypervisor.DefaultRebindConfig()
+	if period <= 0 {
+		period = 1
 	}
 	var res Fig2dResult
 	var gains, ratios []float64
 	s.eachBusyNode(maxNodes, winSec, func(binding *hypervisor.Binding, slot [][]float64) {
-		r := hypervisor.SimulateRebinding(binding, slot, cfg)
+		r := hypervisor.SimulateRebinding(binding, slot, period)
 		if math.IsNaN(r.Gain) {
 			return
 		}
@@ -448,7 +448,7 @@ func (s *Study) Fig2efBurstSeries(opt NodeWindowOptions) Fig2efResult {
 		if math.IsNaN(p2a) {
 			return
 		}
-		gain := hypervisor.SimulateRebinding(binding, slot, hypervisor.DefaultRebindConfig()).Gain
+		gain := hypervisor.SimulateRebinding(binding, slot, 1).Gain
 		if p2a > bestP2A {
 			bestP2A = p2a
 			res.BurstyP2A, res.BurstySeries, res.BurstyGain = p2a, series, gain

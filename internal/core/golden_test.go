@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"ebslab/internal/ebs"
-	"ebslab/internal/hypervisor"
 	"ebslab/internal/invariant"
 	"ebslab/internal/workload"
 )
@@ -194,8 +193,7 @@ func TestGoldenAblations(t *testing.T) {
 	// The catalog's rebind-period rows: 10, 100 and 500 ms periods.
 	var rebind []Fig2dResult
 	for _, p := range []int{1, 10, 50} {
-		rebind = append(rebind, s.Fig2dRebinding(RebindOptions{MaxNodes: 8, WinSec: 60,
-			Config: hypervisor.RebindConfig{PeriodSlots: p, Trigger: 1.2, EvalSlots: 5}}))
+		rebind = append(rebind, s.Fig2dRebinding(RebindOptions{MaxNodes: 8, WinSec: 60, PeriodSlots: p}))
 	}
 	goldenCompare(t, "ablation_rebind", rebind)
 	if err := s.Laws(); err != nil {

@@ -71,9 +71,9 @@ type VDSampleOptions struct {
 type RebindOptions struct {
 	MaxNodes int // busiest-node cap (0 = 60)
 	WinSec   int // window in seconds (0 = 30)
-	// Config is the rebinding configuration under test (zero value =
-	// hypervisor.DefaultRebindConfig()).
-	Config hypervisor.RebindConfig
+	// PeriodSlots is the rebinding period in 10 ms slots (0 = 1, the
+	// paper's 10 ms).
+	PeriodSlots int
 }
 
 // DispatchOptions tunes the dispatch-policy ablation.
@@ -101,7 +101,8 @@ func (o VDSampleOptions) Validate() error {
 // Validate reports whether the options are usable.
 func (o RebindOptions) Validate() error {
 	return nonNeg("RebindOptions",
-		intField{"MaxNodes", int64(o.MaxNodes)}, intField{"WinSec", int64(o.WinSec)})
+		intField{"MaxNodes", int64(o.MaxNodes)}, intField{"WinSec", int64(o.WinSec)},
+		intField{"PeriodSlots", int64(o.PeriodSlots)})
 }
 
 // Validate reports whether the options are usable.

@@ -90,12 +90,6 @@ func TestControlSpecValidation(t *testing.T) {
 		"epoch over duration":   func() StudySpec { s := base; s.Control = "noop"; s.ControlEpochSec = 9; return s }(),
 		"epoch of the duration": func() StudySpec { s := base; s.Control = "noop"; s.ControlEpochSec = 8; return s }(),
 		"controlled on shards":  func() StudySpec { s := base; s.Control = "noop"; s.Shards = 2; return s }(),
-		"controlled with kills": func() StudySpec {
-			s := base
-			s.Control = "noop"
-			s.LeaderKills = 1
-			return s
-		}(),
 	}
 	for name, spec := range cases {
 		if err := spec.withDefaults().Validate(); err == nil {

@@ -84,27 +84,6 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
-// TestLeaderKillStudyIsRefused: leader kills are retired — the fabric has one
-// coordinator — but the submit frame keeps their slot. A spec that sets it is
-// refused at Submit, before any tenant or ledger counter exists, with the
-// error naming the retired field.
-func TestLeaderKillStudyIsRefused(t *testing.T) {
-	gw := New(Config{Now: testclock.AtUnix(1000).Now})
-	defer gw.Close()
-	for _, spec := range []StudySpec{{Seed: 1, LeaderKills: 1}, {Seed: 1, LeaderKills: 1, Shards: 5}} {
-		_, err := gw.Submit("t", spec)
-		if err == nil || !strings.Contains(err.Error(), "LeaderKills") || !strings.Contains(err.Error(), "retired") {
-			t.Errorf("spec %+v: Submit answered %v, want a refusal naming the retired LeaderKills", spec, err)
-		}
-	}
-	if l := gw.Ledger(); l != (invariant.StudyLedger{}) {
-		t.Fatalf("refused leader-kill studies touched the ledger: %+v", l)
-	}
-	if _, err := gw.Stats("t"); err == nil {
-		t.Fatal("a refused submission registered its tenant")
-	}
-}
-
 // TestWFQFairness pins the weighted-fair dequeue order. A blocker study holds
 // the only run slot while tenants "a" (weight 2) and "b" (weight 1) each
 // backlog 6 studies; the stride scheduler must then drain the static backlog

@@ -6,7 +6,7 @@
 // in-process (ebs.RunSpec.Run). Tenants can stream incremental sketch
 // snapshots of a running study, and the final answer is always byte-identical
 // to a single-process run of the same spec. See DESIGN.md, "Serving plane".
-// The binary frames (wire.go: EBG2 submit, EBG3 snapshot) are walks over the
+// The binary frames (wire.go: EBG4 submit, EBG3 snapshot) are walks over the
 // internal/wire cursor.
 package gateway
 
@@ -46,10 +46,6 @@ type StudySpec struct {
 	// fabric default). A gateway runs every study in-process and ignores
 	// it, but it is part of the study's content address.
 	Shards int
-	// LeaderKills is the retired leader-kill count: the fabric has one
-	// coordinator and no leader to kill. The field keeps its slot in the
-	// submit frame, and Validate refuses any value but zero.
-	LeaderKills int
 	// Control, when non-empty, runs the study through the mitigation
 	// control plane (ebs.RunControlled) under the named policy — one of
 	// control.ByName's: noop, reactive, predictive[-holt|-arima|-gbt],
@@ -156,9 +152,6 @@ func (s StudySpec) Validate() error {
 	}
 	if sp, _ := scenario.ParseSpec(s.Scenario); sp.Name == "replay" {
 		return fmt.Errorf("gateway: replay scenarios read server-local trace files and are not servable; run them through cmd/ebssim")
-	}
-	if s.LeaderKills != 0 {
-		return fmt.Errorf("gateway: spec LeaderKills is %d: leader kills are retired (the fabric has one coordinator, no leader to kill), want 0", s.LeaderKills)
 	}
 	if s.Shards != 0 {
 		// A study that cannot shard cannot carry a shard count either.

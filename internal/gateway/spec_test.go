@@ -39,7 +39,7 @@ func TestBindFlags(t *testing.T) {
 	t.Run("unset flags keep the receiver", func(t *testing.T) {
 		base := StudySpec{
 			Seed: 3, DurationSec: 16, Nodes: 2, Users: 4, MaxVDs: 12,
-			EventSampleEvery: 4, TraceSampleEvery: 2, Shards: 3, LeaderKills: 1,
+			EventSampleEvery: 4, TraceSampleEvery: 2, Shards: 3,
 			Control: "reactive", ControlEpochSec: 2, Scenario: "bufferbloat",
 		}
 		if got := parse(t, base); got != base {

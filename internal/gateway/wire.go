@@ -46,17 +46,19 @@ type SubmitRequest struct {
 	Spec   StudySpec
 }
 
-// submitMagic versions the submit frame; snapMagic the snapshot reply.
+// submitMagic versions the submit frame; snapMagic the snapshot reply. The
+// submit frame skipped EBG3 when it dropped EBG2's retired leader-kill
+// count, so no two layouts ever share a magic.
 var (
-	submitMagic = []byte("EBG2")
+	submitMagic = []byte("EBG4")
 	snapMagic   = []byte("EBG3")
 )
 
 // EncodeSubmit frames a submission for the wire:
 //
-//	"EBG2" | u8 tenantLen | tenant
+//	"EBG4" | u8 tenantLen | tenant
 //	      | i64 seed | u32 dur | u32 nodes | u32 users | u32 maxVDs
-//	      | u32 eventSample | u32 traceSample | u32 shards | u32 kills
+//	      | u32 eventSample | u32 traceSample | u32 shards
 //	      | u8 controlLen | control | u32 controlEpochSec
 //	      | u8 scenarioLen | scenario
 //
@@ -65,14 +67,13 @@ var (
 // means the spec names none. The binary layout (rather than JSON) is what
 // makes the decoder an honest fuzz target: every byte means something.
 func EncodeSubmit(r SubmitRequest) []byte {
-	w := &wire.Writer{B: make([]byte, 0, 4+1+len(r.Tenant)+40+1+len(r.Spec.Control)+4+1+len(r.Spec.Scenario))}
+	w := &wire.Writer{B: make([]byte, 0, 4+1+len(r.Tenant)+36+1+len(r.Spec.Control)+4+1+len(r.Spec.Scenario))}
 	w.Bytes(submitMagic)
 	putName(w, r.Tenant)
 	w.I64(r.Spec.Seed)
 	for _, v := range []int{
 		r.Spec.DurationSec, r.Spec.Nodes, r.Spec.Users, r.Spec.MaxVDs,
 		r.Spec.EventSampleEvery, r.Spec.TraceSampleEvery, r.Spec.Shards,
-		r.Spec.LeaderKills,
 	} {
 		w.I32(int32(v))
 	}
@@ -97,7 +98,6 @@ func DecodeSubmit(b []byte) (SubmitRequest, error) {
 	for _, p := range []*int{
 		&req.Spec.DurationSec, &req.Spec.Nodes, &req.Spec.Users, &req.Spec.MaxVDs,
 		&req.Spec.EventSampleEvery, &req.Spec.TraceSampleEvery, &req.Spec.Shards,
-		&req.Spec.LeaderKills,
 	} {
 		*p = int(r.I32())
 	}

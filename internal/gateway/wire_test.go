@@ -52,7 +52,7 @@ func TestSubmitCodecRoundTrip(t *testing.T) {
 		{Tenant: "alice", Spec: StudySpec{Seed: 42}},
 		{Tenant: "b", Spec: StudySpec{
 			Seed: -7, DurationSec: 8, Nodes: 4, Users: 16, MaxVDs: 100,
-			EventSampleEvery: 8, TraceSampleEvery: 1, Shards: 5, LeaderKills: 1,
+			EventSampleEvery: 8, TraceSampleEvery: 1, Shards: 5,
 		}},
 		{Tenant: "tenant-64-chars-aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa", Spec: StudySpec{}},
 	}
@@ -76,8 +76,8 @@ func TestSubmitCodecRejectsMalformed(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":               nil,
 		"bad magic":           append([]byte("EBGX"), valid[4:]...),
-		"zero tenant length":  append(append([]byte("EBG2"), 0), valid[10:]...),
-		"oversized tenant":    append(append([]byte("EBG2"), 200), valid[5:]...),
+		"zero tenant length":  append(append([]byte("EBG4"), 0), valid[10:]...),
+		"oversized tenant":    append(append([]byte("EBG4"), 200), valid[5:]...),
 		"unprintable tenant":  EncodeSubmit(SubmitRequest{Tenant: "a b", Spec: StudySpec{}}),
 		"unprintable control": EncodeSubmit(SubmitRequest{Tenant: "alice", Spec: StudySpec{Control: "re active"}}),
 		"oversized scenario":  EncodeSubmit(SubmitRequest{Tenant: "alice", Spec: StudySpec{Scenario: strings.Repeat("x", maxScenarioLen+1)}}),
@@ -147,10 +147,17 @@ func TestStudyIDCodec(t *testing.T) {
 // TestDecodeSubmitRefusesEBG1 feeds the decoder the version-1 submit frames
 // captured before the layout dropped its optional sections and check byte
 // (testdata/ebg1): each is refused at its magic.
-func TestDecodeSubmitRefusesEBG1(t *testing.T) {
-	paths, err := filepath.Glob(filepath.Join("testdata", "ebg1", "*.hex"))
+func TestDecodeSubmitRefusesEBG1(t *testing.T) { refusesRetiredFrames(t, "ebg1") }
+
+// TestDecodeSubmitRefusesEBG2 feeds the decoder the EBG2 submit frames
+// captured before the layout dropped the retired leader-kill count
+// (testdata/ebg2): each is refused at its magic.
+func TestDecodeSubmitRefusesEBG2(t *testing.T) { refusesRetiredFrames(t, "ebg2") }
+
+func refusesRetiredFrames(t *testing.T, dir string) {
+	paths, err := filepath.Glob(filepath.Join("testdata", dir, "*.hex"))
 	if err != nil || len(paths) == 0 {
-		t.Fatalf("no EBG1 frames under testdata/ebg1 (%v)", err)
+		t.Fatalf("no frames under testdata/%s (%v)", dir, err)
 	}
 	for _, path := range paths {
 		raw, err := os.ReadFile(path)
@@ -173,12 +180,12 @@ func TestDecodeSubmitRefusesEBG1(t *testing.T) {
 // the identical bytes (the codecs are bijective, so no two frames decode to
 // the same value and nothing on the wire is ignored).
 func FuzzGatewayCodec(f *testing.F) {
-	f.Add(EncodeSubmit(SubmitRequest{Tenant: "alice", Spec: StudySpec{Seed: 42, DurationSec: 8, Shards: 5, LeaderKills: 1}}))
+	f.Add(EncodeSubmit(SubmitRequest{Tenant: "alice", Spec: StudySpec{Seed: 42, DurationSec: 8, Shards: 5}}))
 	f.Add(EncodeSubmit(SubmitRequest{Tenant: "carol", Spec: StudySpec{Seed: 7, DurationSec: 16, Control: "predictive-holt", ControlEpochSec: 2}}))
 	f.Add(EncodeSnapshotReply(SnapshotReply{StudyID: 3, State: StateRunning, Seq: 2, VDsDone: 4, VDsTotal: 9, SketchFP: "fp", Sketch: []byte{1, 2}}))
 	f.Add(EncodeSubmit(SubmitRequest{Tenant: "dave", Spec: StudySpec{Seed: 9, Scenario: "bufferbloat,period=8"}}))
 	f.Add(EncodeStudyID(123456))
-	f.Add([]byte("EBG2"))
+	f.Add([]byte("EBG4"))
 	f.Add([]byte("EBG3 not a frame"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if sub, err := DecodeSubmit(data); err == nil {

@@ -163,7 +163,7 @@ func TestSimulateRebindingBalancesSlowSkew(t *testing.T) {
 			}
 		}
 	}
-	res := SimulateRebinding(b, traffic, DefaultRebindConfig())
+	res := SimulateRebinding(b, traffic, 1)
 	if res.Periods != slots {
 		t.Fatalf("periods = %d, want %d", res.Periods, slots)
 	}
@@ -189,7 +189,7 @@ func TestSimulateRebindingCannotCatchAlternatingBursts(t *testing.T) {
 	for s := 0; s < slots; s++ {
 		traffic[s%2][s] = 100 // hot QP flips every slot between QP0 and QP1
 	}
-	res := SimulateRebinding(b, traffic, DefaultRebindConfig())
+	res := SimulateRebinding(b, traffic, 1)
 	if res.Ratio == 0 {
 		t.Fatal("alternating bursts should trigger rebinding")
 	}
@@ -205,7 +205,7 @@ func TestSimulateRebindingIdleNode(t *testing.T) {
 	for q := range traffic {
 		traffic[q] = make([]float64, 10)
 	}
-	res := SimulateRebinding(b, traffic, DefaultRebindConfig())
+	res := SimulateRebinding(b, traffic, 1)
 	if !math.IsNaN(res.Gain) {
 		t.Fatalf("idle node gain = %v, want NaN", res.Gain)
 	}
@@ -218,7 +218,7 @@ func TestSimulateRebindingDoesNotMutateBinding(t *testing.T) {
 	top := testTopology(t)
 	b := RoundRobin(top, 0)
 	traffic := [][]float64{{5}, {1}, {1}, {1}}
-	SimulateRebinding(b, traffic, RebindConfig{PeriodSlots: 1, Trigger: 1.1})
+	SimulateRebinding(b, traffic, 1)
 	for i, wt := range b.WTOf {
 		if int(wt) != i%4 {
 			t.Fatal("SimulateRebinding mutated the input binding")

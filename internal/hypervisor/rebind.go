@@ -6,27 +6,17 @@ import (
 	"ebslab/internal/stats"
 )
 
-// RebindConfig tunes the periodic QP-to-WT rebinding balancer the paper
-// simulates in §4.3 (a FinNVMe/LPNS-style mechanism).
-type RebindConfig struct {
-	// PeriodSlots is the rebinding period expressed in traffic slots (the
-	// paper uses 10 ms periods over 10 ms slots, i.e. PeriodSlots = 1).
-	PeriodSlots int
-	// Trigger is the hottest/coldest ratio that triggers a swap (1.2 in the
-	// paper).
-	Trigger float64
-	// EvalSlots is the window (in slots) over which WT-CoV is evaluated:
-	// per-WT traffic is summed per window and the reported CoV is the mean
-	// across windows. Defaults to 100 slots (1 s at 10 ms slots). Rebinding
-	// can only reduce this CoV when hotspots persist longer than the
-	// rebinding period — the paper's central observation.
-	EvalSlots int
-}
-
-// DefaultRebindConfig matches the paper's simulation settings.
-func DefaultRebindConfig() RebindConfig {
-	return RebindConfig{PeriodSlots: 1, Trigger: 1.2, EvalSlots: 5}
-}
+// The periodic QP-to-WT rebinding balancer the paper simulates in §4.3 (a
+// FinNVMe/LPNS-style mechanism) swaps the hottest and coldest threads when
+// the hottest carries more than rebindTrigger times the coldest's traffic.
+// WT-CoV is evaluated over windows of covWindowSlots slots: per-WT traffic
+// is summed per window and the reported CoV is the mean across windows.
+// Rebinding can only reduce this CoV when hotspots persist longer than the
+// rebinding period — the paper's central observation.
+const (
+	rebindTrigger  = 1.2
+	covWindowSlots = 5
+)
 
 // RebindResult summarizes one node's rebinding simulation (one point of
 // Fig 2(d)).
@@ -44,23 +34,19 @@ type RebindResult struct {
 }
 
 // SimulateRebinding replays a node's per-QP slot traffic against the
-// periodic rebinding balancer. slotTraffic is indexed [qp][slot] and aligned
-// with binding.QPs; binding is not mutated.
+// periodic rebinding balancer, which rebinds every periodSlots slots (the
+// paper uses 10 ms periods over 10 ms slots, i.e. periodSlots = 1).
+// slotTraffic is indexed [qp][slot] and aligned with binding.QPs; binding is
+// not mutated.
 //
 // Per period the balancer measures per-WT traffic under the current binding
-// and, when the hottest WT exceeds Trigger x the coldest, swaps the QP sets
-// of those two threads — exactly the paper's §4.3 setup. The "before" CoV
+// and, when the hottest WT exceeds rebindTrigger x the coldest, swaps the QP
+// sets of those two threads — exactly the paper's §4.3 setup. The "before" CoV
 // is measured on total per-WT traffic under the static binding; "after"
 // under the evolving one.
-func SimulateRebinding(binding *Binding, slotTraffic [][]float64, cfg RebindConfig) RebindResult {
-	if cfg.PeriodSlots <= 0 {
-		cfg.PeriodSlots = 1
-	}
-	if cfg.Trigger <= 1 {
-		cfg.Trigger = 1.2
-	}
-	if cfg.EvalSlots <= 0 {
-		cfg.EvalSlots = 100
+func SimulateRebinding(binding *Binding, slotTraffic [][]float64, periodSlots int) RebindResult {
+	if periodSlots < 1 {
+		panic("hypervisor: rebinding period must be at least one slot")
 	}
 	nQPs := len(binding.QPs)
 	if len(slotTraffic) != nQPs {
@@ -92,8 +78,8 @@ func SimulateRebinding(binding *Binding, slotTraffic [][]float64, cfg RebindConf
 			staticWin[i], dynamicWin[i] = 0, 0
 		}
 	}
-	for start := 0; start < nSlots; start += cfg.PeriodSlots {
-		end := start + cfg.PeriodSlots
+	for start := 0; start < nSlots; start += periodSlots {
+		end := start + periodSlots
 		if end > nSlots {
 			end = nSlots
 		}
@@ -112,11 +98,11 @@ func SimulateRebinding(binding *Binding, slotTraffic [][]float64, cfg RebindConf
 		res.Periods++
 		// Balance for the next period based on what this period showed.
 		hot, cold := argmaxF(periodWT), argminF(periodWT)
-		if periodWT[cold]*cfg.Trigger < periodWT[hot] {
+		if periodWT[cold]*rebindTrigger < periodWT[hot] {
 			dynamic.SwapWTs(int8(hot), int8(cold))
 			res.Ratio++
 		}
-		if end%cfg.EvalSlots == 0 || end == nSlots {
+		if end%covWindowSlots == 0 || end == nSlots {
 			flushWindow()
 		}
 	}

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -111,6 +112,102 @@ func TestQuantilesMatchesQuantile(t *testing.T) {
 	}
 	if got := Quantiles([]float64{1, 2}); len(got) != 0 {
 		t.Errorf("Quantiles with no q = %v, want empty", got)
+	}
+}
+
+// sortQuantiles is the sort-based reference Quantiles selects against: sort
+// a copy, then interpolate between the bracketing order statistics.
+func sortQuantiles(xs []float64, qs ...float64) []float64 {
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	out := make([]float64, len(qs))
+	for i, q := range qs {
+		if len(xs) == 0 || !(q >= 0 && q <= 1) {
+			out[i] = math.NaN()
+			continue
+		}
+		lo, hi, w := quantileRanks(len(xs), q)
+		if lo == hi {
+			out[i] = sorted[lo]
+		} else {
+			out[i] = sorted[lo]*(1-w) + sorted[hi]*w
+		}
+	}
+	return out
+}
+
+// TestQuantilesSelectionMatchesSort holds the selection to the sort-based
+// reference on seeded inputs: every size from 1 to 64 and some larger ones,
+// in random, sorted, reversed and organ-pipe order, drawn from pools with
+// heavy duplication, both zeros, both infinities and NaNs, at q = 0, 1, the
+// exact rank points and interpolated points. Results must be equal values
+// (NaN where the reference is NaN); a zero may differ only in its sign.
+func TestQuantilesSelectionMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(20250519))
+	negZero := math.Copysign(0, -1)
+	// Slices, not maps: the draws must come in one order to be seeded.
+	pools := []struct {
+		name string
+		draw func() float64
+	}{
+		{"normal", func() float64 { return rng.NormFloat64() * 100 }},
+		{"few values", func() float64 { return float64(rng.Intn(4)) }},
+		{"zeros", func() float64 { return []float64{0, negZero, 1, -1}[rng.Intn(4)] }},
+		{"special", func() float64 {
+			return []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, negZero, 2.5, -7}[rng.Intn(7)]
+		}},
+		{"mixed", func() float64 {
+			if rng.Intn(10) == 0 {
+				return []float64{math.NaN(), math.Inf(1), math.Inf(-1), negZero}[rng.Intn(4)]
+			}
+			return float64(rng.Intn(50))
+		}},
+	}
+	orders := []struct {
+		name    string
+		arrange func([]float64)
+	}{
+		{"random", func([]float64) {}},
+		{"sorted", func(xs []float64) { sort.Float64s(xs) }},
+		{"reversed", func(xs []float64) { sort.Sort(sort.Reverse(sort.Float64Slice(xs))) }},
+		{"organ pipe", func(xs []float64) {
+			sort.Float64s(xs)
+			half := xs[len(xs)/2:]
+			sort.Sort(sort.Reverse(sort.Float64Slice(half)))
+		}},
+	}
+	sizes := []int{100, 257, 1000, 4096}
+	for n := 1; n <= 64; n++ {
+		sizes = append(sizes, n)
+	}
+	for _, pool := range pools {
+		for _, order := range orders {
+			for _, n := range sizes {
+				xs := make([]float64, n)
+				for i := range xs {
+					xs[i] = pool.draw()
+				}
+				order.arrange(xs)
+				qs := []float64{0, 1, 0.5, 0.99, rng.Float64(), rng.Float64()}
+				for k := 0; k < n; k += 1 + n/16 {
+					if n > 1 {
+						qs = append(qs, float64(k)/float64(n-1))
+					}
+				}
+				orig := append([]float64(nil), xs...)
+				got, want := Quantiles(xs, qs...), sortQuantiles(xs, qs...)
+				for i, q := range qs {
+					if got[i] != want[i] && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
+						t.Fatalf("%s/%s n=%d q=%v: Quantiles = %v, sorted copy gives %v", pool.name, order.name, n, q, got[i], want[i])
+					}
+				}
+				for i := range xs {
+					if math.Float64bits(xs[i]) != math.Float64bits(orig[i]) {
+						t.Fatalf("%s/%s n=%d: Quantiles permuted its input", pool.name, order.name, n)
+					}
+				}
+			}
+		}
 	}
 }
 
