@@ -145,15 +145,15 @@ cover:
 # the markdown report, and it must equal cmd/analyze/testdata/report-small.md
 # byte for byte; after an intentional change to a figure, regenerate that
 # file with the same command and commit it alongside the change. The second
-# run checks the laws of f3 and f5 at analyze's default medium scale, where a
-# throttle-lending round-off once broke a law that every small fleet kept:
-# it must exit 0 (analyze exits non-zero on a broken law), and its stdout is
-# not pinned. f4 also carries laws but takes ~47 s at medium, so it is left
-# out.
+# run checks the laws of f3, f5 and f7 (the cache accounting and inclusion
+# laws) at analyze's default medium scale, where a throttle-lending round-off
+# once broke a law that every small fleet kept: it must exit 0 (analyze
+# exits non-zero on a broken law), and its stdout is not pinned. f4 also
+# carries laws but takes ~47 s at medium, so it is left out.
 analyze-smoke:
 	@out=$$(mktemp); $(GO) run ./cmd/analyze -scale small -run all > $$out \
 		&& cmp $$out cmd/analyze/testdata/report-small.md; st=$$?; rm -f $$out; exit $$st
-	$(GO) run ./cmd/analyze -scale medium -run f3,f5 > /dev/null
+	$(GO) run ./cmd/analyze -scale medium -run f3,f5,f7 > /dev/null
 
 # bench/ is a nested module (`ebslab/bench`, replace ebslab => ../), so
 # `go test ./...` from the root never compiles it: this is the gate that

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
@@ -13,13 +14,12 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
 
 	"ebslab/internal/chaos"
-	"ebslab/internal/cluster"
 	"ebslab/internal/control"
 	"ebslab/internal/ebs"
 	"ebslab/internal/fabric"
@@ -229,50 +229,36 @@ func run(args []string, stdout, stderr io.Writer) int {
 	q := stats.Quantiles(col, 0.5, 0.99)
 	fmt.Fprintf(stdout, "  %-14s %8.0f %8.0f %8.0f\n\n", "end-to-end", q[0], q[1], stats.Mean(col))
 
-	// Worker-thread balance per node (top 5 busiest nodes).
-	type nodeLoad struct {
-		node cluster.NodeID
-		wt   map[int8]float64
-		tot  float64
+	// Worker-thread balance per node (top 5 busiest nodes, ties to the lower
+	// id). The dataset laws hold every record to a positive size and a WT of
+	// its node, so a node with records has a positive total.
+	nodeTot := make([]float64, len(top.Nodes))
+	wtLoad := make([][]float64, len(top.Nodes))
+	for n := range top.Nodes {
+		wtLoad[n] = make([]float64, top.Nodes[n].WorkerNum)
 	}
-	loads := map[cluster.NodeID]*nodeLoad{}
+	snLoad := make([]float64, top.StorageNodes)
 	for i := range ds.Trace {
 		r := &ds.Trace[i]
-		nl := loads[r.Node]
-		if nl == nil {
-			nl = &nodeLoad{node: r.Node, wt: map[int8]float64{}}
-			loads[r.Node] = nl
+		wtLoad[r.Node][r.WT] += float64(r.Size)
+		nodeTot[r.Node] += float64(r.Size)
+		snLoad[r.Storage] += float64(r.Size)
+	}
+	var ranked []int
+	for n, tot := range nodeTot {
+		if tot > 0 {
+			ranked = append(ranked, n)
 		}
-		nl.wt[r.WT] += float64(r.Size)
-		nl.tot += float64(r.Size)
 	}
-	var ranked []*nodeLoad
-	for _, nl := range loads {
-		ranked = append(ranked, nl)
-	}
-	sort.Slice(ranked, func(i, j int) bool { return ranked[i].tot > ranked[j].tot })
+	slices.SortStableFunc(ranked, func(a, b int) int { return cmp.Compare(nodeTot[b], nodeTot[a]) })
 	fmt.Fprintln(stdout, "worker-thread balance (busiest nodes):")
-	for i, nl := range ranked {
-		if i >= 5 {
-			break
-		}
-		var xs []float64
-		for wt := 0; wt < top.Nodes[nl.node].WorkerNum; wt++ {
-			xs = append(xs, nl.wt[int8(wt)])
-		}
+	for _, n := range ranked[:min(len(ranked), 5)] {
 		fmt.Fprintf(stdout, "  node %3d: %6.1f MiB total, WT-CoV %.2f\n",
-			nl.node, nl.tot/(1<<20), stats.NormCoV(xs))
+			n, nodeTot[n]/(1<<20), stats.NormCoV(wtLoad[n]))
 	}
 
 	// Storage-node spread.
-	perSN := map[cluster.StorageNodeID]float64{}
-	for i := range ds.Trace {
-		perSN[ds.Trace[i].Storage] += float64(ds.Trace[i].Size)
-	}
-	var snLoads []float64
-	for _, v := range perSN {
-		snLoads = append(snLoads, v)
-	}
+	snLoads := slices.DeleteFunc(snLoad, func(v float64) bool { return v == 0 })
 	fmt.Fprintf(stdout, "\nstorage nodes touched: %d, inter-BS CoV %.2f\n", len(snLoads), stats.NormCoV(snLoads))
 	if rf.timing {
 		printClocks(stderr, spec.Opts.Clocks, time.Since(reportStart))

@@ -1,13 +1,19 @@
-// Package cache implements the caching study of §7: page-granular FIFO and
-// LRU caches, the FrozenHot-style "frozen cache" that pins the hottest LBA
-// range without eviction, the hottest-block analyzer behind Figure 6, and a
-// trace-driven hit-ratio simulator matching the Figure 7(a) protocol (4 KiB
-// pages, cache sized to the block under study).
+// Package cache implements the caching study of §7: page-granular FIFO,
+// CLOCK and LRU caches, the FrozenHot-style "frozen cache" that pins the
+// hottest LBA range without eviction, the hottest-block analyzer behind
+// Figure 6, and a trace-driven hit-ratio simulator matching the Figure 7(a)
+// protocol (4 KiB pages, cache sized to the block under study).
+//
+// Replays run on numbered pages: Number expands a stream of accesses to page
+// touches once and gives each distinct page a dense id, so every policy keeps
+// its resident set in slices indexed by id and a page touch costs no hash
+// probe. Ids follow page order, so a page range is an id range.
 package cache
 
 import (
-	"container/list"
-	"fmt"
+	"cmp"
+	"math"
+	"slices"
 )
 
 // PageSize is the cache page granularity (4 KiB, §7.3.1).
@@ -21,139 +27,101 @@ type Access struct {
 	Write  bool
 }
 
+// Pages returns the first and last page an access covers.
+func (a Access) Pages() (first, last int64) {
+	return a.Offset / PageSize, (a.Offset + int64(a.Size) - 1) / PageSize
+}
+
 // Cache is a page-granular cache over one VD's logical address space.
 type Cache interface {
 	// Name identifies the policy.
 	Name() string
-	// Touch accesses one page (by page index) and reports whether it hit.
-	// Policies that admit on miss insert the page.
-	Touch(page int64, write bool) bool
+	// Touch accesses one page and reports whether it hit. Policies that
+	// admit on miss insert the page. A replay keys pages by their ids from
+	// Number; only a frozen cache from NewFrozen takes page numbers.
+	Touch(id int64) bool
 	// Len is the number of resident pages.
 	Len() int
 	// Capacity is the maximum number of resident pages.
 	Capacity() int
 }
 
-// FIFO evicts in insertion order regardless of reuse.
-type FIFO struct {
-	cap   int
-	queue []int64
-	head  int
-	set   map[int64]struct{}
+// Stream is a run of accesses expanded to page touches, with each distinct
+// page numbered.
+type Stream struct {
+	// IDs holds the id of every page touch, in access order.
+	IDs []int32
+	// Pages maps an id to its page: ids number the distinct pages in
+	// increasing page order.
+	Pages []int64
 }
 
-// NewFIFO creates a FIFO cache holding capPages pages.
-func NewFIFO(capPages int) *FIFO {
-	if capPages <= 0 {
-		panic("cache: capacity must be positive")
+// Number expands accesses to the pages each covers and numbers them. An
+// access covers a run of pages and ids follow page order, so the run's ids
+// are consecutive: one search per access finds them.
+func Number(accesses []Access) Stream {
+	var s Stream
+	byOffset := slices.Clone(accesses)
+	slices.SortFunc(byOffset, func(x, y Access) int { return cmp.Compare(x.Offset, y.Offset) })
+	for _, a := range byOffset {
+		for p, last := a.Pages(); p <= last; p++ {
+			if n := len(s.Pages); n == 0 || p > s.Pages[n-1] {
+				s.Pages = append(s.Pages, p)
+			}
+		}
 	}
-	return &FIFO{cap: capPages, set: make(map[int64]struct{}, capPages)}
+	for _, a := range accesses {
+		first, last := a.Pages()
+		id, _ := slices.BinarySearch(s.Pages, first)
+		for p := first; p <= last; p++ {
+			s.IDs = append(s.IDs, int32(id+int(p-first)))
+		}
+	}
+	return s
 }
 
-// Name implements Cache.
-func (c *FIFO) Name() string { return "fifo" }
-
-// Touch implements Cache.
-func (c *FIFO) Touch(page int64, _ bool) bool {
-	if _, ok := c.set[page]; ok {
-		return true
-	}
-	if len(c.set) >= c.cap {
-		victim := c.queue[c.head]
-		c.head++
-		delete(c.set, victim)
-	}
-	c.set[page] = struct{}{}
-	c.queue = append(c.queue, page)
-	// Compact the drained prefix occasionally to bound memory.
-	if c.head > c.cap && c.head*2 > len(c.queue) {
-		c.queue = append(c.queue[:0], c.queue[c.head:]...)
-		c.head = 0
-	}
-	return false
+// Frozen is NewFrozen keyed by s's ids: since ids follow page order, the
+// pinned pages s touches are one id range, and Len counts them.
+func (s Stream) Frozen(offset, length int64) *Frozen {
+	f := NewFrozen(offset, length)
+	start, _ := slices.BinarySearch(s.Pages, f.start)
+	end, _ := slices.BinarySearch(s.Pages, f.end)
+	return &Frozen{start: int64(start), end: int64(end)}
 }
-
-// Len implements Cache.
-func (c *FIFO) Len() int { return len(c.set) }
-
-// Capacity implements Cache.
-func (c *FIFO) Capacity() int { return c.cap }
-
-// LRU evicts the least recently used page.
-type LRU struct {
-	cap int
-	ll  *list.List // front = most recent; values are page indices
-	pos map[int64]*list.Element
-}
-
-// NewLRU creates an LRU cache holding capPages pages.
-func NewLRU(capPages int) *LRU {
-	if capPages <= 0 {
-		panic("cache: capacity must be positive")
-	}
-	return &LRU{cap: capPages, ll: list.New(), pos: make(map[int64]*list.Element, capPages)}
-}
-
-// Name implements Cache.
-func (c *LRU) Name() string { return "lru" }
-
-// Touch implements Cache.
-func (c *LRU) Touch(page int64, _ bool) bool {
-	if el, ok := c.pos[page]; ok {
-		c.ll.MoveToFront(el)
-		return true
-	}
-	if c.ll.Len() >= c.cap {
-		back := c.ll.Back()
-		c.ll.Remove(back)
-		delete(c.pos, back.Value.(int64))
-	}
-	c.pos[page] = c.ll.PushFront(page)
-	return false
-}
-
-// Len implements Cache.
-func (c *LRU) Len() int { return c.ll.Len() }
-
-// Capacity implements Cache.
-func (c *LRU) Capacity() int { return c.cap }
 
 // Frozen is the FrozenHot-style cache (§7.3.1): a fixed page range pinned at
 // construction with no admission and no eviction, which eliminates cache
 // management overhead entirely. A page hits iff it lies in the frozen range.
 type Frozen struct {
-	startPage, endPage int64 // [startPage, endPage)
+	start, end int64 // the pinned keys, [start, end)
 }
 
 // NewFrozen pins the byte range [offset, offset+length) of the address
-// space; both should be page aligned (misalignment is tolerated by rounding
-// outward).
+// space, keyed by page number; both should be page aligned (misalignment is
+// tolerated by rounding outward).
 func NewFrozen(offset, length int64) *Frozen {
 	if length <= 0 {
 		panic("cache: frozen range must be non-empty")
 	}
 	start := offset / PageSize
 	end := (offset + length + PageSize - 1) / PageSize
-	return &Frozen{startPage: start, endPage: end}
+	return &Frozen{start: start, end: end}
 }
 
 // Name implements Cache.
 func (c *Frozen) Name() string { return "frozen" }
 
 // Touch implements Cache.
-func (c *Frozen) Touch(page int64, _ bool) bool {
-	return page >= c.startPage && page < c.endPage
-}
+func (c *Frozen) Touch(id int64) bool { return id >= c.start && id < c.end }
 
 // Len implements Cache.
-func (c *Frozen) Len() int { return int(c.endPage - c.startPage) }
+func (c *Frozen) Len() int { return int(c.end - c.start) }
 
 // Capacity implements Cache.
 func (c *Frozen) Capacity() int { return c.Len() }
 
 // SimResult reports a hit-ratio simulation.
 type SimResult struct {
-	Policy string
 	// PageHits / PageTotal count page touches (an IO spanning n pages
 	// contributes n touches).
 	PageHits, PageTotal int64
@@ -162,34 +130,18 @@ type SimResult struct {
 // HitRatio returns PageHits/PageTotal, or NaN with no traffic.
 func (r SimResult) HitRatio() float64 {
 	if r.PageTotal == 0 {
-		return nan()
+		return math.NaN()
 	}
 	return float64(r.PageHits) / float64(r.PageTotal)
 }
 
-// Simulate replays accesses through the cache, touching every page an IO
-// covers.
-func Simulate(c Cache, accesses []Access) SimResult {
-	res := SimResult{Policy: c.Name()}
-	for _, a := range accesses {
-		first := a.Offset / PageSize
-		last := (a.Offset + int64(a.Size) - 1) / PageSize
-		for p := first; p <= last; p++ {
-			res.PageTotal++
-			if c.Touch(p, a.Write) {
-				res.PageHits++
-			}
+// Simulate replays a numbered stream through the cache.
+func Simulate(c Cache, s Stream) SimResult {
+	res := SimResult{PageTotal: int64(len(s.IDs))}
+	for _, id := range s.IDs {
+		if c.Touch(int64(id)) {
+			res.PageHits++
 		}
 	}
 	return res
-}
-
-func nan() float64 {
-	var z float64
-	return z / z
-}
-
-// String renders the result for logs.
-func (r SimResult) String() string {
-	return fmt.Sprintf("%s: %d/%d pages (%.1f%%)", r.Policy, r.PageHits, r.PageTotal, 100*r.HitRatio())
 }

@@ -8,13 +8,13 @@ import (
 
 func TestClockBasics(t *testing.T) {
 	c := NewClock(2)
-	if c.Touch(1, false) {
+	if c.Touch(1) {
 		t.Fatal("cold hit")
 	}
-	if !c.Touch(1, false) {
+	if !c.Touch(1) {
 		t.Fatal("resident miss")
 	}
-	c.Touch(2, false)
+	c.Touch(2)
 	if c.Len() != 2 || c.Capacity() != 2 {
 		t.Fatalf("Len/Cap = %d/%d", c.Len(), c.Capacity())
 	}
@@ -25,14 +25,14 @@ func TestClockBasics(t *testing.T) {
 
 func TestClockSecondChance(t *testing.T) {
 	c := NewClock(2)
-	c.Touch(1, false)
-	c.Touch(2, false)
-	c.Touch(1, false) // reference 1: it gets a second chance
-	c.Touch(3, false) // hand clears 1's bit, evicts 2
-	if !c.Touch(1, false) {
+	c.Touch(1)
+	c.Touch(2)
+	c.Touch(1) // reference 1: it gets a second chance
+	c.Touch(3) // hand clears 1's bit, evicts 2
+	if !c.Touch(1) {
 		t.Fatal("referenced page was evicted despite second chance")
 	}
-	if c.Touch(2, false) {
+	if c.Touch(2) {
 		t.Fatal("unreferenced page survived")
 	}
 }
@@ -51,9 +51,9 @@ func TestClockApproximatesLRUOnLocalWorkload(t *testing.T) {
 		}
 		accesses = append(accesses, Access{Offset: page * PageSize, Size: int32(PageSize)})
 	}
-	fifo := Simulate(NewFIFO(128), accesses).HitRatio()
-	clock := Simulate(NewClock(128), accesses).HitRatio()
-	lru := Simulate(NewLRU(128), accesses).HitRatio()
+	fifo := Simulate(NewFIFO(128), Number(accesses)).HitRatio()
+	clock := Simulate(NewClock(128), Number(accesses)).HitRatio()
+	lru := Simulate(NewLRU(128), Number(accesses)).HitRatio()
 	if !(clock >= fifo-0.02) {
 		t.Fatalf("CLOCK %v well below FIFO %v", clock, fifo)
 	}
@@ -71,7 +71,7 @@ func TestClockNeverExceedsCapacityProperty(t *testing.T) {
 		capPages := 1 + rng.Intn(16)
 		c := NewClock(capPages)
 		for i := 0; i < 400; i++ {
-			c.Touch(rng.Int63n(48), false)
+			c.Touch(rng.Int63n(48))
 			if c.Len() > capPages {
 				return false
 			}

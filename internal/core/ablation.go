@@ -160,7 +160,7 @@ func (s *Study) AblateCachePolicy(opt VDSampleOptions) CachePolicyAblation {
 	}
 	vds := s.studyVDs(maxVDs)
 	res := CachePolicyAblation{BlockMiB: blockMiB, VDs: len(vds), Median: map[string]float64{}}
-	for name, xs := range s.hitRatios(vds, maxEventsPerVD, blockMiB<<20, pagePolicies) {
+	for name, xs := range s.hitRatios(vds, maxEventsPerVD, []int64{blockMiB}, pagePolicies)[0] {
 		res.Median[name] = stats.Median(xs)
 	}
 	return res

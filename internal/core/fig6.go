@@ -50,9 +50,10 @@ func (s *Study) studyVDs(k int) []cluster.VDID {
 	return out
 }
 
-// vdAccesses generates a VD's IO stream capped near maxEvents by choosing a
-// sampling rate from the expected op count.
-func (s *Study) vdAccesses(vd cluster.VDID, maxEvents int) []cache.Access {
+// vdAccesses draws a VD's IO stream with gen — Fleet.GenEvents, or
+// GenAppEvents for the stream before the guest page cache — capped near
+// maxEvents by choosing a sampling rate from the expected op count.
+func (s *Study) vdAccesses(vd cluster.VDID, maxEvents int, gen func(cluster.VDID, int, int, func(workloadEvent))) []cache.Access {
 	t := s.ensureTotals()
 	m := &s.Fleet.Models[vd]
 	expOps := t.vdRead[vd]/m.ReadIOSize + t.vdWrite[vd]/m.WriteIOSize
@@ -61,7 +62,7 @@ func (s *Study) vdAccesses(vd cluster.VDID, maxEvents int) []cache.Access {
 		sampleEvery = int(math.Ceil(expOps / float64(maxEvents)))
 	}
 	var out []cache.Access
-	s.Fleet.GenEvents(vd, s.Dur, sampleEvery, func(ev workloadEvent) {
+	gen(vd, s.Dur, sampleEvery, func(ev workloadEvent) {
 		out = append(out, cache.Access{
 			TimeUS: ev.TimeUS, Offset: ev.Offset, Size: ev.Size,
 			Write: ev.Op == trace.OpWrite,
@@ -102,7 +103,7 @@ func (s *Study) Fig6HottestBlocks(opt VDSampleOptions) Fig6Result {
 		var rates, shares, hotRates []float64
 		var wd, rd, counted int
 		for _, vd := range vds {
-			accesses := s.vdAccesses(vd, maxEventsPerVD)
+			accesses := s.vdAccesses(vd, maxEventsPerVD, s.Fleet.GenEvents)
 			capBytes := s.Fleet.Topology.VDs[vd].Capacity
 			rep := cache.AnalyzeBlocks(accesses, capBytes, blockSize)
 			if math.IsNaN(rep.AccessRate) {

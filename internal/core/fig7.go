@@ -36,8 +36,7 @@ func (s *Study) Fig7aHitRatio(opt VDSampleOptions) Fig7aResult {
 	}
 	vds := s.studyVDs(maxVDs)
 	res := Fig7aResult{BlockMiB: BlockSizesMiB, VDs: len(vds)}
-	for _, mib := range BlockSizesMiB {
-		hits := s.hitRatios(vds, maxEventsPerVD, mib<<20, pagePolicies[:2])
+	for _, hits := range s.hitRatios(vds, maxEventsPerVD, BlockSizesMiB, pagePolicies[:2]) {
 		fifo, lru, fc := hits["fifo"], hits["lru"], hits["frozen"]
 		res.FIFOMed = append(res.FIFOMed, stats.Median(fifo))
 		res.LRUMed = append(res.LRUMed, stats.Median(lru))
@@ -58,31 +57,48 @@ var pagePolicies = []func(capPages int) cache.Cache{
 	func(n int) cache.Cache { return cache.NewClock(n) },
 }
 
-// hitRatios replays each VD's accesses (capped near maxEvents) through every
-// policy sized to one block, then through a frozen cache pinning the VD's
-// hottest block (§7.3.1's setup), and returns the non-NaN hit ratios by
-// cache name. Every replay is audited (law conserve/cache).
-func (s *Study) hitRatios(vds []cluster.VDID, maxEvents int, blockSize int64, policies []func(capPages int) cache.Cache) map[string][]float64 {
-	capPages := int(blockSize / cache.PageSize)
-	hits := map[string][]float64{}
+// hitRatios draws each VD's accesses (capped near maxEvents) and numbers
+// their pages once, then replays them through every policy sized to each
+// block size and through a frozen cache pinning the VD's hottest block of
+// that size (§7.3.1's setup). It returns the non-NaN hit ratios by cache
+// name, one map per block size. Every replay is audited (law
+// conserve/cache), and each VD's LRU hit counts must not fall as the block
+// size grows (law cache/inclusion): blockMiB increase.
+func (s *Study) hitRatios(vds []cluster.VDID, maxEvents int, blockMiB []int64, policies []func(capPages int) cache.Cache) []map[string][]float64 {
+	hits := make([]map[string][]float64, len(blockMiB))
+	caps := make([]int, len(blockMiB))
+	for i, mib := range blockMiB {
+		hits[i] = map[string][]float64{}
+		caps[i] = int(mib << 20 / cache.PageSize)
+	}
 	var rep invariant.Report
 	defer s.fold(&rep)
 	for _, vd := range vds {
-		accesses := s.vdAccesses(vd, maxEvents)
+		accesses := s.vdAccesses(vd, maxEvents, s.Fleet.GenEvents)
 		if len(accesses) == 0 {
 			continue
 		}
-		replay := func(c cache.Cache) {
-			if v := invariant.SimulateChecked(&rep, c, accesses).HitRatio(); !math.IsNaN(v) {
-				hits[c.Name()] = append(hits[c.Name()], v)
+		stream := cache.Number(accesses)
+		var lruHits []int64
+		for i, mib := range blockMiB {
+			size := mib << 20
+			replay := func(c cache.Cache) {
+				res := invariant.SimulateChecked(&rep, c, accesses, stream)
+				if c.Name() == "lru" {
+					lruHits = append(lruHits, res.PageHits)
+				}
+				if v := res.HitRatio(); !math.IsNaN(v) {
+					hits[i][c.Name()] = append(hits[i][c.Name()], v)
+				}
+			}
+			for _, mk := range policies {
+				replay(mk(caps[i]))
+			}
+			if br := cache.AnalyzeBlocks(accesses, s.Fleet.Topology.VDs[vd].Capacity, size); br.Hottest >= 0 {
+				replay(stream.Frozen(br.Hottest*size, size))
 			}
 		}
-		for _, mk := range policies {
-			replay(mk(capPages))
-		}
-		if rep := cache.AnalyzeBlocks(accesses, s.Fleet.Topology.VDs[vd].Capacity, blockSize); rep.Hottest >= 0 {
-			replay(cache.NewFrozen(rep.Hottest*blockSize, blockSize))
-		}
+		invariant.CheckInclusion(&rep, "lru", caps, lruHits)
 	}
 	return hits
 }
@@ -98,7 +114,7 @@ const cacheableAccessRate = 0.25
 func (s *Study) eachCacheableVD(maxVDs, maxEvents int, blockSize int64, fn func(accesses []cache.Access, hotOff, hotLen, seed int64)) int {
 	vds := s.studyVDs(maxVDs)
 	for _, vd := range vds {
-		accesses := s.vdAccesses(vd, maxEvents)
+		accesses := s.vdAccesses(vd, maxEvents, s.Fleet.GenEvents)
 		if len(accesses) == 0 {
 			continue
 		}

@@ -8,7 +8,6 @@ import (
 	"ebslab/internal/cache"
 	"ebslab/internal/guestcache"
 	"ebslab/internal/stats"
-	"ebslab/internal/trace"
 )
 
 // PageCacheStudy validates the §7.2 mechanism from first principles: the
@@ -39,22 +38,10 @@ func (s *Study) StudyPageCache() PageCacheStudy {
 	)
 	cfg := guestcache.DefaultConfig()
 	cfg.FlushIntervalUS = 2_000_000
-	t := s.ensureTotals()
 	var appRatios, devRatios, absorbed []float64
 	vds := s.studyVDs(maxVDs)
 	for _, vd := range vds {
-		m := &s.Fleet.Models[vd]
-		expOps := t.vdRead[vd]/m.ReadIOSize + t.vdWrite[vd]/m.WriteIOSize
-		sampleEvery := 1
-		if expOps > float64(maxEventsPerVD) {
-			sampleEvery = int(math.Ceil(expOps / float64(maxEventsPerVD)))
-		}
-		var app []guestcache.IO
-		s.Fleet.GenAppEvents(vd, s.Dur, sampleEvery, func(ev workloadEvent) {
-			app = append(app, guestcache.IO{
-				TimeUS: ev.TimeUS, Op: ev.Op, Offset: ev.Offset, Size: ev.Size,
-			})
-		})
+		app := s.vdAccesses(vd, maxEventsPerVD, s.Fleet.GenAppEvents)
 		if len(app) < 100 {
 			continue
 		}
@@ -84,16 +71,9 @@ func (s *Study) StudyPageCache() PageCacheStudy {
 
 // analyzeIOs computes the byte-weighted wr_ratio of the hottest block of an
 // IO stream.
-func analyzeIOs(ios []guestcache.IO, capBytes, blockSize int64) float64 {
-	if len(ios) == 0 {
+func analyzeIOs(accesses []cache.Access, capBytes, blockSize int64) float64 {
+	if len(accesses) == 0 {
 		return math.NaN()
-	}
-	accesses := make([]cache.Access, 0, len(ios))
-	for _, io := range ios {
-		accesses = append(accesses, cache.Access{
-			TimeUS: io.TimeUS, Offset: io.Offset, Size: io.Size,
-			Write: io.Op == trace.OpWrite,
-		})
 	}
 	rep := cache.AnalyzeBlocks(accesses, capBytes, blockSize)
 	if rep.Hottest < 0 {

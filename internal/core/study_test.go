@@ -44,23 +44,19 @@ type leakyCache struct{ pages map[int64]bool }
 func (c *leakyCache) Name() string  { return "leaky" }
 func (c *leakyCache) Len() int      { return len(c.pages) }
 func (c *leakyCache) Capacity() int { return 4 }
-func (c *leakyCache) Touch(page int64, _ bool) bool {
+func (c *leakyCache) Touch(page int64) bool {
 	hit := c.pages[page]
 	c.pages[page] = true
 	return hit
 }
 
-// TestFig7aRunsTheCacheLaw: Fig 7(a)'s replays run the cache accounting law,
-// so a replacement policy that leaks capacity leaves a conserve/cache
-// violation in the study's report.
+// TestFig7aRunsTheCacheLaw: Fig 7(a)'s replays run the cache accounting
+// law, so a replacement policy that leaks capacity leaves a conserve/cache
+// violation in the study's report, and the inclusion law, so an "lru" whose
+// hits fall as the block size grows leaves a cache/inclusion one.
 func TestFig7aRunsTheCacheLaw(t *testing.T) {
 	saved := pagePolicies
 	defer func() { pagePolicies = saved }()
-	pagePolicies = []func(int) cache.Cache{
-		func(int) cache.Cache { return &leakyCache{pages: map[int64]bool{}} },
-		saved[1],
-	}
-
 	cfg := workload.DefaultConfig()
 	cfg.DCs = 1
 	cfg.NodesPerDC = 8
@@ -68,15 +64,39 @@ func TestFig7aRunsTheCacheLaw(t *testing.T) {
 	cfg.BSPerCluster = 4
 	cfg.Users = 8
 	cfg.DurationSec = 30
-	s, err := NewStudy(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Laws(); err != nil {
-		t.Fatalf("a fresh study reports %v", err)
-	}
-	s.Fig7aHitRatio(VDSampleOptions{MaxVDs: 2, MaxEventsPerVD: 500})
-	if err := s.Laws(); err == nil || !strings.Contains(err.Error(), "conserve/cache: resident set") {
-		t.Fatalf("Laws() after a leaking replay = %v, want a conserve/cache violation", err)
+	for _, tc := range []struct {
+		law      string
+		policies []func(int) cache.Cache
+	}{
+		{"conserve/cache: resident set", []func(int) cache.Cache{
+			func(int) cache.Cache { return &leakyCache{pages: map[int64]bool{}} },
+			saved[1],
+		}},
+		{"cache/inclusion: lru", []func(int) cache.Cache{
+			saved[0],
+			func(n int) cache.Cache { return shrinkingLRU(n) },
+		}},
+	} {
+		pagePolicies = tc.policies
+		s, err := NewStudy(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Laws(); err != nil {
+			t.Fatalf("a fresh study reports %v", err)
+		}
+		s.Fig7aHitRatio(VDSampleOptions{MaxVDs: 2, MaxEventsPerVD: 500})
+		if err := s.Laws(); err == nil || !strings.Contains(err.Error(), tc.law) {
+			t.Fatalf("Laws() after a broken replay = %v, want a %s violation", err, tc.law)
+		}
 	}
 }
+
+// shrinkingLRU calls itself LRU but hits every touch only at 64 MiB and
+// none at larger sizes: it breaks the inclusion law and no other.
+type shrinkingLRU int
+
+func (c shrinkingLRU) Name() string          { return "lru" }
+func (c shrinkingLRU) Len() int              { return 0 }
+func (c shrinkingLRU) Capacity() int         { return int(c) }
+func (c shrinkingLRU) Touch(page int64) bool { return int64(c)*cache.PageSize <= 64<<20 }

@@ -8,25 +8,19 @@
 // The model is a page-granular LRU with write-back semantics: reads hit in
 // memory; writes dirty pages and are flushed to the block device either on
 // eviction or by the periodic flusher (pdflush-style). Filter transforms an
-// application-level IO stream into the EBS-visible stream.
+// application-level IO stream into the EBS-visible stream, both as
+// cache.Access values. The LRU is cache.LRU over the stream's numbered
+// pages, with a dirty bit per page beside it.
 package guestcache
 
 import (
-	"container/list"
+	"slices"
 
-	"ebslab/internal/trace"
+	"ebslab/internal/cache"
 )
 
 // PageSize is the guest page granularity.
-const PageSize int64 = 4 << 10
-
-// IO is one application-level block IO inside the guest.
-type IO struct {
-	TimeUS int64
-	Op     trace.Op
-	Offset int64
-	Size   int32
-}
+const PageSize = cache.PageSize
 
 // Config tunes the page cache.
 type Config struct {
@@ -53,169 +47,123 @@ type Stats struct {
 	EvictionFlushedPages int
 }
 
-// page is one cached guest page.
-type page struct {
-	idx   int64
-	dirty bool
-}
-
-// Cache is the guest page cache.
-type Cache struct {
-	cfg  Config
-	ll   *list.List // front = most recent
-	pos  map[int64]*list.Element
-	stat Stats
-
+// pageCache is the guest page cache over one numbered stream.
+type pageCache struct {
+	interval int64 // Config.FlushIntervalUS
+	lru      *cache.LRU
+	pages    []int64 // id -> page
+	dirty    []bool  // id -> resident and dirty
+	// dirtied holds every id dirtied since the last flush, in no order;
+	// an entry whose bit is clear again (written back on eviction, or a
+	// repeat) is skipped.
+	dirtied   []int32
 	lastFlush int64
-	emit      func(IO) // device-level sink
+	stat      Stats
+	out       []cache.Access // the device-level stream
 }
 
-// New creates a page cache that forwards device-level IO to emit.
-func New(cfg Config, emit func(IO)) *Cache {
+// Filter replays an application IO stream through a fresh cache and returns
+// the EBS-visible stream plus the cache statistics. IOs must arrive in
+// non-decreasing time order (the periodic flusher keys off IO timestamps).
+func Filter(cfg Config, app []cache.Access) ([]cache.Access, Stats) {
 	if cfg.CachePages <= 0 {
 		panic("guestcache: cache must hold at least one page")
 	}
 	if cfg.FlushIntervalUS <= 0 {
 		cfg.FlushIntervalUS = 5_000_000
 	}
-	return &Cache{
-		cfg:  cfg,
-		ll:   list.New(),
-		pos:  make(map[int64]*list.Element, cfg.CachePages),
-		emit: emit,
-	}
-}
-
-// Stats returns the counters so far.
-func (c *Cache) Stats() Stats { return c.stat }
-
-// Access runs one application IO through the cache. IOs must arrive in
-// non-decreasing time order (the periodic flusher keys off IO timestamps).
-func (c *Cache) Access(io IO) {
-	c.maybeFlush(io.TimeUS)
-	first := io.Offset / PageSize
-	last := (io.Offset + int64(io.Size) - 1) / PageSize
-	if io.Op == trace.OpRead {
-		c.stat.AppReads++
-		// Contiguous missing ranges become device reads.
-		missStart := int64(-1)
-		flushMiss := func(end int64) {
-			if missStart < 0 {
-				return
-			}
-			c.stat.DeviceReads++
-			c.emit(IO{TimeUS: io.TimeUS, Op: trace.OpRead,
-				Offset: missStart * PageSize, Size: int32((end - missStart) * PageSize)})
-			missStart = -1
-		}
-		allHit := true
-		for p := first; p <= last; p++ {
-			if el, ok := c.pos[p]; ok {
-				c.ll.MoveToFront(el)
-				flushMiss(p)
-				continue
-			}
-			allHit = false
-			if missStart < 0 {
-				missStart = p
-			}
-			c.insert(p, false, io.TimeUS)
-		}
-		flushMiss(last + 1)
-		if allHit {
-			c.stat.ReadHits++
-		}
-		return
-	}
-	for p := first; p <= last; p++ {
-		if el, ok := c.pos[p]; ok {
-			c.ll.MoveToFront(el)
-			el.Value.(*page).dirty = true
-		} else {
-			c.insert(p, true, io.TimeUS)
-		}
-	}
-}
-
-// insert adds a page, evicting (and write-back flushing) as needed.
-func (c *Cache) insert(idx int64, dirty bool, now int64) {
-	if c.ll.Len() >= c.cfg.CachePages {
-		back := c.ll.Back()
-		pg := back.Value.(*page)
-		if pg.dirty {
-			c.stat.EvictionFlushedPages++
-			c.emit(IO{TimeUS: now, Op: trace.OpWrite, Offset: pg.idx * PageSize, Size: int32(PageSize)})
-		}
-		c.ll.Remove(back)
-		delete(c.pos, pg.idx)
-	}
-	c.pos[idx] = c.ll.PushFront(&page{idx: idx, dirty: dirty})
-}
-
-// maybeFlush runs the periodic write-back: every FlushIntervalUS, all dirty
-// pages are written down, coalescing contiguous runs into single IOs.
-func (c *Cache) maybeFlush(now int64) {
-	if now-c.lastFlush < c.cfg.FlushIntervalUS {
-		return
-	}
-	c.lastFlush = now
-	// Collect dirty page indices.
-	var dirty []int64
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		pg := el.Value.(*page)
-		if pg.dirty {
-			dirty = append(dirty, pg.idx)
-			pg.dirty = false
-		}
-	}
-	if len(dirty) == 0 {
-		return
-	}
-	sortInt64(dirty)
-	runStart, prev := dirty[0], dirty[0]
-	emitRun := func(end int64) {
-		c.stat.FlushedPages += int(end - runStart + 1)
-		c.emit(IO{TimeUS: now, Op: trace.OpWrite,
-			Offset: runStart * PageSize, Size: int32((end - runStart + 1) * PageSize)})
-	}
-	for _, p := range dirty[1:] {
-		if p != prev+1 {
-			emitRun(prev)
-			runStart = p
-		}
-		prev = p
-	}
-	emitRun(prev)
-}
-
-// FlushAll forces a final write-back (unmount semantics).
-func (c *Cache) FlushAll(now int64) {
-	c.lastFlush = now - c.cfg.FlushIntervalUS
-	c.maybeFlush(now)
-}
-
-// Filter replays an application IO stream through a fresh cache and returns
-// the EBS-visible stream plus the cache statistics.
-func Filter(cfg Config, app []IO) ([]IO, Stats) {
-	var out []IO
-	c := New(cfg, func(io IO) { out = append(out, io) })
-	var last int64
+	s := cache.Number(app)
+	c := &pageCache{interval: cfg.FlushIntervalUS, lru: cache.NewLRU(cfg.CachePages), pages: s.Pages, dirty: make([]bool, len(s.Pages))}
+	ids := s.IDs
+	var end int64
 	for _, io := range app {
-		c.Access(io)
-		last = io.TimeUS
+		first, last := io.Pages()
+		n := max(int(last-first+1), 0)
+		c.access(io, first, ids[:n])
+		ids = ids[n:]
+		end = io.TimeUS
 	}
-	c.FlushAll(last + cfg.FlushIntervalUS)
-	return out, c.Stats()
+	c.flush(end + cfg.FlushIntervalUS)
+	return c.out, c.stat
 }
 
-// sortInt64 is an insertion-free small wrapper around sort for int64s.
-func sortInt64(xs []int64) {
-	// Simple shell sort: dirty sets are small and nearly sorted.
-	for gap := len(xs) / 2; gap > 0; gap /= 2 {
-		for i := gap; i < len(xs); i++ {
-			for j := i; j >= gap && xs[j-gap] > xs[j]; j -= gap {
-				xs[j-gap], xs[j] = xs[j], xs[j-gap]
+// access runs one application IO, whose pages from first on are ids,
+// through the cache.
+func (c *pageCache) access(io cache.Access, first int64, ids []int32) {
+	if io.TimeUS-c.lastFlush >= c.interval {
+		c.flush(io.TimeUS)
+	}
+	if io.Write {
+		for _, id := range ids {
+			c.touch(id, io.TimeUS)
+			if !c.dirty[id] {
+				c.dirty[id] = true
+				c.dirtied = append(c.dirtied, id)
 			}
 		}
+		return
 	}
+	c.stat.AppReads++
+	// Contiguous missing ranges become device reads.
+	missStart := int64(-1)
+	flushMiss := func(end int64) {
+		if missStart < 0 {
+			return
+		}
+		c.stat.DeviceReads++
+		c.out = append(c.out, cache.Access{TimeUS: io.TimeUS,
+			Offset: missStart * PageSize, Size: int32((end - missStart) * PageSize)})
+		missStart = -1
+	}
+	allHit := true
+	for i, id := range ids {
+		p := first + int64(i)
+		if c.touch(id, io.TimeUS) {
+			flushMiss(p)
+			continue
+		}
+		allHit = false
+		if missStart < 0 {
+			missStart = p
+		}
+	}
+	flushMiss(first + int64(len(ids)))
+	if allHit {
+		c.stat.ReadHits++
+	}
+}
+
+// touch runs one page through the LRU and writes back the dirty page a miss
+// evicts.
+func (c *pageCache) touch(id int32, now int64) bool {
+	hit, evicted := c.lru.Admit(int64(id))
+	if evicted >= 0 && c.dirty[evicted] {
+		c.dirty[evicted] = false
+		c.stat.EvictionFlushedPages++
+		c.out = append(c.out, cache.Access{TimeUS: now, Offset: c.pages[evicted] * PageSize, Size: int32(PageSize), Write: true})
+	}
+	return hit
+}
+
+// flush is the periodic write-back: all dirty pages are written down,
+// contiguous runs coalesced into single IOs. Ids follow page order, so
+// sorted ids are sorted pages.
+func (c *pageCache) flush(now int64) {
+	c.lastFlush = now
+	slices.Sort(c.dirtied)
+	start := len(c.out)
+	for _, id := range c.dirtied {
+		if !c.dirty[id] {
+			continue
+		}
+		c.dirty[id] = false
+		c.stat.FlushedPages++
+		off := c.pages[id] * PageSize
+		if n := len(c.out) - 1; n >= start && c.out[n].Offset+int64(c.out[n].Size) == off {
+			c.out[n].Size += int32(PageSize)
+		} else {
+			c.out = append(c.out, cache.Access{TimeUS: now, Offset: off, Size: int32(PageSize), Write: true})
+		}
+	}
+	c.dirtied = c.dirtied[:0]
 }

@@ -4,62 +4,57 @@ import (
 	"math/rand"
 	"testing"
 
+	"ebslab/internal/cache"
 	"ebslab/internal/stats"
-	"ebslab/internal/trace"
 )
 
-func collect(cfg Config) (*Cache, *[]IO) {
-	out := &[]IO{}
-	c := New(cfg, func(io IO) { *out = append(*out, io) })
-	return c, out
-}
-
 func TestRepeatedReadsAbsorbed(t *testing.T) {
-	c, out := collect(Config{CachePages: 1024, FlushIntervalUS: 1e9})
+	var app []cache.Access
 	for i := 0; i < 10; i++ {
-		c.Access(IO{TimeUS: int64(i), Op: trace.OpRead, Offset: 0, Size: int32(PageSize)})
+		app = append(app, cache.Access{TimeUS: int64(i), Offset: 0, Size: int32(PageSize)})
 	}
-	if len(*out) != 1 {
-		t.Fatalf("device saw %d reads, want 1 (first miss)", len(*out))
+	out, s := Filter(Config{CachePages: 1024, FlushIntervalUS: 1e9}, app)
+	if len(out) != 1 {
+		t.Fatalf("device saw %d reads, want 1 (first miss)", len(out))
 	}
-	s := c.Stats()
 	if s.ReadHits != 9 || s.DeviceReads != 1 {
 		t.Fatalf("stats = %+v", s)
 	}
 }
 
 func TestReadMissCoalescing(t *testing.T) {
-	c, out := collect(Config{CachePages: 1024, FlushIntervalUS: 1e9})
 	// Pre-warm page 1 of a 4-page read: device should see two reads (page 0
-	// and pages 2-3).
-	c.Access(IO{TimeUS: 0, Op: trace.OpRead, Offset: PageSize, Size: int32(PageSize)})
-	*out = nil
-	c.Access(IO{TimeUS: 1, Op: trace.OpRead, Offset: 0, Size: int32(4 * PageSize)})
-	if len(*out) != 2 {
-		t.Fatalf("device reads = %d, want 2", len(*out))
+	// and pages 2-3) after the warming one.
+	out, _ := Filter(Config{CachePages: 1024, FlushIntervalUS: 1e9}, []cache.Access{
+		{TimeUS: 0, Offset: PageSize, Size: int32(PageSize)},
+		{TimeUS: 1, Offset: 0, Size: int32(4 * PageSize)},
+	})
+	if len(out) != 3 {
+		t.Fatalf("device reads = %d, want 1 + 2", len(out))
 	}
-	if (*out)[0].Offset != 0 || (*out)[0].Size != int32(PageSize) {
-		t.Fatalf("first miss = %+v", (*out)[0])
+	if out[1].Offset != 0 || out[1].Size != int32(PageSize) {
+		t.Fatalf("first miss = %+v", out[1])
 	}
-	if (*out)[1].Offset != 2*PageSize || (*out)[1].Size != int32(2*PageSize) {
-		t.Fatalf("second miss = %+v", (*out)[1])
+	if out[2].Offset != 2*PageSize || out[2].Size != int32(2*PageSize) {
+		t.Fatalf("second miss = %+v", out[2])
 	}
 }
 
 func TestWriteBackDefersAndCoalesces(t *testing.T) {
-	c, out := collect(Config{CachePages: 1024, FlushIntervalUS: 1000})
 	// Dirty pages 0,1,2 and 10 within one flush interval.
+	var app []cache.Access
 	for _, p := range []int64{0, 1, 2, 10} {
-		c.Access(IO{TimeUS: 1, Op: trace.OpWrite, Offset: p * PageSize, Size: int32(PageSize)})
-	}
-	if len(*out) != 0 {
-		t.Fatalf("write-back emitted early: %d IOs", len(*out))
+		app = append(app, cache.Access{TimeUS: 1, Offset: p * PageSize, Size: int32(PageSize), Write: true})
 	}
 	// Next access after the interval triggers the flusher.
-	c.Access(IO{TimeUS: 2000, Op: trace.OpRead, Offset: 100 * PageSize, Size: int32(PageSize)})
-	var writes []IO
-	for _, io := range *out {
-		if io.Op == trace.OpWrite {
+	app = append(app, cache.Access{TimeUS: 2000, Offset: 100 * PageSize, Size: int32(PageSize)})
+	out, _ := Filter(Config{CachePages: 1024, FlushIntervalUS: 1000}, app)
+	var writes []cache.Access
+	for _, io := range out {
+		if io.Write {
+			if io.TimeUS != 2000 {
+				t.Fatalf("write-back emitted at %d µs, before the flusher ran: %+v", io.TimeUS, io)
+			}
 			writes = append(writes, io)
 		}
 	}
@@ -75,30 +70,31 @@ func TestWriteBackDefersAndCoalesces(t *testing.T) {
 }
 
 func TestEvictionFlushesDirtyPage(t *testing.T) {
-	c, out := collect(Config{CachePages: 2, FlushIntervalUS: 1e9})
-	c.Access(IO{TimeUS: 1, Op: trace.OpWrite, Offset: 0, Size: int32(PageSize)})
-	c.Access(IO{TimeUS: 2, Op: trace.OpWrite, Offset: PageSize, Size: int32(PageSize)})
-	c.Access(IO{TimeUS: 3, Op: trace.OpWrite, Offset: 2 * PageSize, Size: int32(PageSize)}) // evicts page 0
+	out, s := Filter(Config{CachePages: 2, FlushIntervalUS: 1e9}, []cache.Access{
+		{TimeUS: 1, Offset: 0, Size: int32(PageSize), Write: true},
+		{TimeUS: 2, Offset: PageSize, Size: int32(PageSize), Write: true},
+		{TimeUS: 3, Offset: 2 * PageSize, Size: int32(PageSize), Write: true}, // evicts page 0
+	})
 	found := false
-	for _, io := range *out {
-		if io.Op == trace.OpWrite && io.Offset == 0 {
+	for _, io := range out {
+		if io.Write && io.Offset == 0 && io.TimeUS == 3 {
 			found = true
 		}
 	}
 	if !found {
 		t.Fatal("evicted dirty page was not flushed")
 	}
-	if c.Stats().EvictionFlushedPages == 0 {
+	if s.EvictionFlushedPages == 0 {
 		t.Fatal("eviction flush not counted")
 	}
 }
 
 func TestFlushAll(t *testing.T) {
-	app := []IO{
-		{TimeUS: 1, Op: trace.OpWrite, Offset: 0, Size: int32(PageSize)},
+	app := []cache.Access{
+		{TimeUS: 1, Offset: 0, Size: int32(PageSize), Write: true},
 	}
 	out, st := Filter(Config{CachePages: 16, FlushIntervalUS: 1e9}, app)
-	if len(out) != 1 || out[0].Op != trace.OpWrite {
+	if len(out) != 1 || !out[0].Write {
 		t.Fatalf("FlushAll did not write back: %+v", out)
 	}
 	if st.FlushedPages != 1 {
@@ -112,15 +108,14 @@ func TestFilterMakesEBSVisibleHotBlocksWriteDominant(t *testing.T) {
 	// absorbs the re-reads, so the device-visible stream is write-dominant.
 	rng := rand.New(rand.NewSource(2))
 	hotPages := int64(512) // 2 MiB hot range, fits in cache
-	var app []IO
+	var app []cache.Access
 	var appR, appW float64
 	for i := 0; i < 30000; i++ {
-		io := IO{TimeUS: int64(i) * 200}
+		io := cache.Access{TimeUS: int64(i) * 200}
 		if rng.Float64() < 0.7 {
-			io.Op = trace.OpRead
 			appR++
 		} else {
-			io.Op = trace.OpWrite
+			io.Write = true
 			appW++
 		}
 		io.Offset = rng.Int63n(hotPages) * PageSize
@@ -131,7 +126,7 @@ func TestFilterMakesEBSVisibleHotBlocksWriteDominant(t *testing.T) {
 	out, st := Filter(Config{CachePages: 4096, FlushIntervalUS: 1_000_000}, app)
 	var devRBytes, devWBytes, devWIOs float64
 	for _, io := range out {
-		if io.Op == trace.OpRead {
+		if !io.Write {
 			devRBytes += float64(io.Size)
 		} else {
 			devWBytes += float64(io.Size)
@@ -161,15 +156,5 @@ func TestPanicsOnBadConfig(t *testing.T) {
 			t.Fatal("zero-page cache accepted")
 		}
 	}()
-	New(Config{CachePages: 0}, func(IO) {})
-}
-
-func TestSortInt64(t *testing.T) {
-	xs := []int64{5, 1, 4, 1, 3}
-	sortInt64(xs)
-	for i := 1; i < len(xs); i++ {
-		if xs[i-1] > xs[i] {
-			t.Fatalf("not sorted: %v", xs)
-		}
-	}
+	Filter(Config{CachePages: 0}, nil)
 }

@@ -1,6 +1,7 @@
 package invariant
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -88,9 +89,10 @@ func TestSimulateCheckedCleanPolicies(t *testing.T) {
 		off := int64(i%37) * cache.PageSize
 		accesses = append(accesses, cache.Access{Offset: off, Size: int32(cache.PageSize) * int32(1+i%3)})
 	}
-	for _, c := range []cache.Cache{cache.NewFIFO(16), cache.NewLRU(16), cache.NewFrozen(0, 16*cache.PageSize)} {
+	s := cache.Number(accesses)
+	for _, c := range []cache.Cache{cache.NewFIFO(16), cache.NewLRU(16), cache.NewClock(16), s.Frozen(0, 16*cache.PageSize)} {
 		rep := &Report{}
-		res := SimulateChecked(rep, c, accesses)
+		res := SimulateChecked(rep, c, accesses, s)
 		if !rep.OK() {
 			t.Errorf("%s: audit flagged a healthy policy:\n%s", c.Name(), rep.String())
 		}
@@ -106,7 +108,7 @@ type leakyCache struct{ set map[int64]bool }
 func (c *leakyCache) Name() string  { return "leaky" }
 func (c *leakyCache) Len() int      { return len(c.set) }
 func (c *leakyCache) Capacity() int { return 4 }
-func (c *leakyCache) Touch(page int64, _ bool) bool {
+func (c *leakyCache) Touch(page int64) bool {
 	if c.set[page] {
 		return true
 	}
@@ -120,9 +122,72 @@ func TestSimulateCheckedCatchesCapacityLeak(t *testing.T) {
 		accesses = append(accesses, cache.Access{Offset: int64(i) * cache.PageSize, Size: int32(cache.PageSize)})
 	}
 	rep := &Report{}
-	SimulateChecked(rep, &leakyCache{set: map[int64]bool{}}, accesses)
+	SimulateChecked(rep, &leakyCache{set: map[int64]bool{}}, accesses, cache.Number(accesses))
 	if rep.OK() {
 		t.Fatal("capacity-violating cache passed the audit")
+	}
+}
+
+// TestSimulateCheckedCatchesNumberingBugs: the audit's page recount holds
+// every touch's id to the page the accesses cover there, so a stream that
+// drops a touch, swaps two ids or numbers pages out of order is a
+// conserve/cache violation.
+func TestSimulateCheckedCatchesNumberingBugs(t *testing.T) {
+	var accesses []cache.Access
+	for i := 0; i < 40; i++ {
+		accesses = append(accesses, cache.Access{Offset: int64(i%7) * cache.PageSize, Size: int32(cache.PageSize) * int32(1+i%2)})
+	}
+	for name, corrupt := range map[string]func(s *cache.Stream){
+		"clean":          func(*cache.Stream) {},
+		"dropped touch":  func(s *cache.Stream) { s.IDs = s.IDs[1:] },
+		"swapped ids":    func(s *cache.Stream) { s.IDs[3], s.IDs[4] = s.IDs[4], s.IDs[3] },
+		"out of order":   func(s *cache.Stream) { s.Pages[0], s.Pages[1] = s.Pages[1], s.Pages[0] },
+		"id past pages":  func(s *cache.Stream) { s.IDs[5] = int32(len(s.Pages)) },
+		"one page twice": func(s *cache.Stream) { s.Pages[2] = s.Pages[1] },
+	} {
+		s := cache.Number(accesses)
+		corrupt(&s)
+		rep := &Report{}
+		SimulateChecked(rep, cache.NewLRU(4), accesses, s)
+		if got := rep.OK(); got != (name == "clean") {
+			t.Errorf("%s: audit OK = %v:\n%s", name, got, rep.String())
+		}
+	}
+}
+
+// TestInclusionLawCatchesBeladysAnomaly replays Belady's sequence
+// 1 2 3 4 1 2 5 1 2 3 4 5 at 3 and 4 pages: FIFO hits 3 then 2 times, which
+// the cache/inclusion law flags, while LRU's counts (2, 4) hold.
+func TestInclusionLawCatchesBeladysAnomaly(t *testing.T) {
+	var accesses []cache.Access
+	for _, p := range []int64{1, 2, 3, 4, 1, 2, 5, 1, 2, 3, 4, 5} {
+		accesses = append(accesses, cache.Access{Offset: p * cache.PageSize, Size: int32(cache.PageSize)})
+	}
+	s := cache.Number(accesses)
+	caps := []int{3, 4}
+	for _, tc := range []struct {
+		policy string
+		mk     func(int) cache.Cache
+		want   []int64
+	}{
+		{"fifo", func(n int) cache.Cache { return cache.NewFIFO(n) }, []int64{3, 2}},
+		{"lru", func(n int) cache.Cache { return cache.NewLRU(n) }, []int64{2, 4}},
+	} {
+		var hits []int64
+		for _, n := range caps {
+			hits = append(hits, cache.Simulate(tc.mk(n), s).PageHits)
+		}
+		if !slices.Equal(hits, tc.want) {
+			t.Fatalf("%s hits %v at %v pages, want %v", tc.policy, hits, caps, tc.want)
+		}
+		rep := &Report{}
+		CheckInclusion(rep, tc.policy, caps, hits)
+		if tc.policy == "fifo" && !strings.Contains(rep.String(), "cache/inclusion") {
+			t.Fatalf("FIFO's Belady anomaly passed the inclusion law:\n%s", rep.String())
+		}
+		if tc.policy == "lru" && !rep.OK() {
+			t.Fatalf("LRU broke the inclusion law:\n%s", rep.String())
+		}
 	}
 }
 

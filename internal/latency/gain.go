@@ -111,9 +111,9 @@ func evaluate(m *Model, accesses []cache.Access, seed int64, serve func(cache.Ac
 // covers reports a whole-IO hit: every page a touches lies in the frozen
 // range.
 func covers(f *cache.Frozen, a cache.Access) bool {
-	last := (a.Offset + int64(a.Size) - 1) / cache.PageSize
-	for p := a.Offset / cache.PageSize; p <= last; p++ {
-		if !f.Touch(p, a.Write) {
+	first, last := a.Pages()
+	for p := first; p <= last; p++ {
+		if !f.Touch(p) {
 			return false
 		}
 	}
