@@ -139,21 +139,21 @@ cover:
 	$(GO) test -cover ./internal/chaos ./internal/netblock ./internal/fabric ./internal/ebs \
 		./internal/control ./internal/invariant
 
-# Reproduction gate: the whole experiment catalog at the quick fleet size and
-# the catalog's own defaults — the only run of every figure family at the
-# options the report uses (the goldens pin them at small options). Stdout is
-# the markdown report, and it must equal cmd/analyze/testdata/report-small.md
-# byte for byte; after an intentional change to a figure, regenerate that
-# file with the same command and commit it alongside the change. The second
-# run checks the laws of f3, f5 and f7 (the cache accounting and inclusion
-# laws) at analyze's default medium scale, where a throttle-lending round-off
-# once broke a law that every small fleet kept: it must exit 0 (analyze
-# exits non-zero on a broken law), and its stdout is not pinned. f4 also
-# carries laws but takes ~47 s at medium, so it is left out.
+# Reproduction gate: the whole experiment catalog at both scales, each
+# compared byte for byte with its committed report. The quick fleet size
+# must equal cmd/analyze/testdata/report-small.md, and analyze's defaults
+# (`-seed 1`, the medium scale) cmd/analyze/testdata/report-medium.md —
+# EXPERIMENTS.md's source, and the only run of every law (the throttle,
+# cache and balancer laws of f3, f4, f5, f7 and ab) at the default scale,
+# where a throttle-lending round-off once broke a law that every small fleet
+# kept (analyze exits non-zero on a broken law). After an intentional change
+# to a figure, regenerate both files with the same commands and commit them
+# alongside the change. The medium run takes about 30 s on 2 vCPUs.
 analyze-smoke:
 	@out=$$(mktemp); $(GO) run ./cmd/analyze -scale small -run all > $$out \
 		&& cmp $$out cmd/analyze/testdata/report-small.md; st=$$?; rm -f $$out; exit $$st
-	$(GO) run ./cmd/analyze -scale medium -run f3,f5,f7 > /dev/null
+	@out=$$(mktemp); $(GO) run ./cmd/analyze -seed 1 > $$out \
+		&& cmp $$out cmd/analyze/testdata/report-medium.md; st=$$?; rm -f $$out; exit $$st
 
 # bench/ is a nested module (`ebslab/bench`, replace ebslab => ../), so
 # `go test ./...` from the root never compiles it: this is the gate that

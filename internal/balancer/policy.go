@@ -108,9 +108,7 @@ func (p LunulePolicy) Select(bsHist [][]float64, period int, exclude cluster.Sto
 		if cluster.StorageNodeID(b) == exclude {
 			continue
 		}
-		if err := lf.Fit(bsHist[b][:period+1]); err != nil {
-			continue
-		}
+		lf.Fit(bsHist[b][:period+1])
 		v := lf.Predict()
 		if v < bestV {
 			best, bestV = cluster.StorageNodeID(b), v

@@ -145,11 +145,7 @@ func (p *Predictive) Forecast(kind SeriesKind, id int, hist []float64) float64 {
 	}
 	now := len(hist) - 1
 	if st.lastFit < 0 || now-st.lastFit >= refit {
-		if err := st.p.Fit(hist); err != nil {
-			// Degenerate history (too short, constant): fall back to the
-			// reactive forecast rather than poisoning the plan.
-			return hist[now]
-		}
+		st.p.Fit(hist)
 		st.lastFit = now
 		st.pred = st.p.Predict()
 	}

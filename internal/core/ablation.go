@@ -11,7 +11,6 @@ import (
 	"ebslab/internal/cluster"
 	"ebslab/internal/hypervisor"
 	"ebslab/internal/latency"
-	"ebslab/internal/predict"
 	"ebslab/internal/stats"
 	"ebslab/internal/trace"
 	"ebslab/internal/xrand"
@@ -185,20 +184,14 @@ type PredictorAblation struct {
 }
 
 // AblatePredictors evaluates every implemented predictor at per-period
-// refit cadence.
+// refit cadence; its linear, arima and attention rows are Fig 4(c)'s P1, P2
+// and P5, scored once per Study.
 func (s *Study) AblatePredictors() PredictorAblation {
-	series := s.bsWriteSeries()
-	res := PredictorAblation{Series: len(series)}
-	res.Methods, res.Median = medianNormMSE(series, []predictorRun{
-		{"naive", func() predict.Predictor { return &predict.Naive{} }, 1},
-		{"ewma", func() predict.Predictor { return &predict.EWMA{Alpha: 0.3} }, 1},
-		{"holt", func() predict.Predictor { return predict.NewHolt() }, 1},
-		{"linear", func() predict.Predictor { return predict.NewLinearFit(4) }, 1},
-		{"arima", func() predict.Predictor { return predict.NewARIMA(4, 1) }, 1},
-		{"gbt", func() predict.Predictor { return predict.NewGBT(4, 40, 3, 0.1) }, 1},
-		{"attention", func() predict.Predictor { return predict.NewAttention(4, 256) }, 1},
-	})
-	return res
+	return PredictorAblation{
+		Methods: []string{"naive", "ewma", "holt", "linear", "arima", "gbt", "attention"},
+		Median:  s.scores(fcNaive, fcEWMA, fcHolt, fcLinear, fcARIMA, fcGBT, fcAttention),
+		Series:  len(s.section6().bsWrite),
+	}
 }
 
 // DeploymentAblation compares cache deployment locations — CN-only,
@@ -272,9 +265,8 @@ type FailoverAblation struct {
 // AblateFailover kills the hottest BlockServer of the busiest cluster at
 // mid-window and redistributes its segments under both policies.
 func (s *Study) AblateFailover() FailoverAblation {
-	cts := s.clusterTraffics()
-	victimCluster := s.worstCluster(cts)
-	ct := cts[victimCluster]
+	v := s.section6()
+	ct := v.clusters[v.worst]
 	period := ct.NPeriods / 2
 	// Fail the hottest BS at that period.
 	load := make([]float64, ct.Placement.NumBS())
@@ -288,7 +280,7 @@ func (s *Study) AblateFailover() FailoverAblation {
 		}
 	}
 	rng := func() *rand.Rand { return xrand.Get(s.Fleet.Cfg.Seed).Rand }
-	res := FailoverAblation{ClusterIdx: victimCluster, Failed: int(failed)}
+	res := FailoverAblation{ClusterIdx: v.worst, Failed: int(failed)}
 	res.Greedy = balancer.Failover(ct.Placement.Clone(), ct.Traffic, period, failed, balancer.FailoverGreedy, rng())
 	res.Random = balancer.Failover(ct.Placement.Clone(), ct.Traffic, period, failed, balancer.FailoverRandom, rng())
 	return res

@@ -562,7 +562,7 @@ func TestClusterTrafficsConserveFleetTraffic(t *testing.T) {
 	}
 	var got float64
 	var segs int
-	for _, ct := range s.clusterTraffics() {
+	for _, ct := range s.section6().clusters {
 		segs += len(ct.Traffic)
 		for _, rows := range ct.Traffic {
 			for _, rw := range rows {

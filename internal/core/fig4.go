@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -8,6 +9,7 @@ import (
 	"ebslab/internal/balancer"
 	"ebslab/internal/cluster"
 	"ebslab/internal/invariant"
+	"ebslab/internal/par"
 	"ebslab/internal/predict"
 	"ebslab/internal/stats"
 	"ebslab/internal/xrand"
@@ -46,23 +48,19 @@ func (s *Study) clusterTraffics() []clusterTraffic {
 	// First pass: count segments per cluster and assign local ids.
 	localOf := make([]int, len(top.Segments))
 	for seg := range top.Segments {
-		bs := s.Fleet.Seg2BS.BSOf(cluster.SegmentID(seg))
-		l := bsLoc[bs]
+		l := bsLoc[s.Fleet.Seg2BS.BSOf(cluster.SegmentID(seg))]
 		localOf[seg] = len(out[l.c].SegIDs)
 		out[l.c].SegIDs = append(out[l.c].SegIDs, cluster.SegmentID(seg))
 	}
 	for ci := range out {
-		out[ci].NPeriods = nPeriods
-		out[ci].Placement = cluster.NewSegmentMap(len(out[ci].SegIDs), len(clusters[ci].BSs))
-		out[ci].Traffic = make([][]balancer.RW, len(out[ci].SegIDs))
-		for i := range out[ci].Traffic {
-			out[ci].Traffic[i] = make([]balancer.RW, nPeriods)
+		ct := &out[ci]
+		ct.NPeriods = nPeriods
+		ct.Placement = cluster.NewSegmentMap(len(ct.SegIDs), len(clusters[ci].BSs))
+		ct.Traffic = make([][]balancer.RW, len(ct.SegIDs))
+		for local, seg := range ct.SegIDs {
+			ct.Traffic[local] = make([]balancer.RW, nPeriods)
+			ct.Placement.Assign(cluster.SegmentID(local), cluster.StorageNodeID(bsLoc[s.Fleet.Seg2BS.BSOf(seg)].b))
 		}
-	}
-	for seg := range top.Segments {
-		bs := s.Fleet.Seg2BS.BSOf(cluster.SegmentID(seg))
-		l := bsLoc[bs]
-		out[l.c].Placement.Assign(cluster.SegmentID(localOf[seg]), cluster.StorageNodeID(l.b))
 	}
 	// Stream traffic.
 	for vdIdx := range top.VDs {
@@ -70,8 +68,7 @@ func (s *Study) clusterTraffics() []clusterTraffic {
 		m := &s.Fleet.Models[vdIdx]
 		series := s.Fleet.VDSeries(cluster.VDID(vdIdx), s.Dur)
 		for segPos, seg := range vd.Segments {
-			bs := s.Fleet.Seg2BS.BSOf(seg)
-			l := bsLoc[bs]
+			l := bsLoc[s.Fleet.Seg2BS.BSOf(seg)]
 			row := out[l.c].Traffic[localOf[seg]]
 			rw, ww := m.SegWeightsRead[segPos], m.SegWeightsWrite[segPos]
 			for t, smp := range series {
@@ -82,6 +79,49 @@ func (s *Study) clusterTraffics() []clusterTraffic {
 		}
 	}
 	return out
+}
+
+// section6View is what every §6 experiment reads, derived once per Study.
+// No reader may mutate it: balancer.Run clones the placement it is given,
+// and the failover ablation hands balancer.Failover a Placement.Clone().
+type section6View struct {
+	clusters []clusterTraffic
+	prodMigs [][]balancer.Migration // the production (MinTraffic) balancer's, per cluster
+	// worst is the cluster with the highest frequent-migration proportion
+	// under the production policy (ties broken by migration count).
+	worst int
+	// bsWrite holds the per-period write traffic of every BlockServer that
+	// saw any, cluster by cluster, under each cluster's initial placement.
+	bsWrite [][]float64
+}
+
+// section6 builds the §6 view on first use. Each production run goes
+// through runBalancer, so its law check folds into whichever experiment
+// asked first.
+func (s *Study) section6() *section6View {
+	s.s6Once.Do(func() {
+		v := &s.s6
+		v.clusters = s.clusterTraffics()
+		bestScore := math.Inf(-1)
+		for i, ct := range v.clusters {
+			migs := s.runBalancer(ct, balancer.MinTrafficPolicy{}, balancer.DefaultConfig()).Migrations
+			v.prodMigs = append(v.prodMigs, migs)
+			score := balancer.FrequentMigrationProportion(migs, ct.Placement.NumBS(), 1)
+			if math.IsNaN(score) {
+				score = -1
+			}
+			score += float64(len(migs)) * 1e-6
+			if score > bestScore {
+				v.worst, bestScore = i, score
+			}
+			for _, row := range balancer.BSFutureMatrix(ct.Placement, ct.Traffic, func(x balancer.RW) float64 { return x.W }) {
+				if stats.Sum(row) > 0 {
+					v.bsWrite = append(v.bsWrite, row)
+				}
+			}
+		}
+	})
+	return &s.s6
 }
 
 // Fig4aResult is the frequent-migration study of Figure 4(a).
@@ -101,16 +141,15 @@ type Fig4aResult struct {
 // window scales of 1, 2 and 4 periods.
 func (s *Study) Fig4aFrequentMigration() Fig4aResult {
 	windows := []int{1, 2, 4}
-	cts := s.clusterTraffics()
+	v := s.section6()
 	res := Fig4aResult{WindowPeriods: windows}
-	migs := s.productionMigrations(cts)
 	for _, w := range windows {
 		var props []float64
 		var zero int
 		maxProp := 0.0
 		var counted int
-		for i, ct := range cts {
-			p := balancer.FrequentMigrationProportion(migs[i], ct.Placement.NumBS(), w)
+		for i, ct := range v.clusters {
+			p := balancer.FrequentMigrationProportion(v.prodMigs[i], ct.Placement.NumBS(), w)
 			if math.IsNaN(p) {
 				continue
 			}
@@ -160,9 +199,8 @@ type Fig4bResult struct {
 // storage cluster with the most frequent migrations under the production
 // policy.
 func (s *Study) Fig4bImporterSelection() Fig4bResult {
-	cts := s.clusterTraffics()
-	victim := s.worstCluster(cts)
-	ct := cts[victim]
+	v := s.section6()
+	ct := v.clusters[v.worst]
 	policies := []balancer.ImporterPolicy{
 		&balancer.RandomPolicy{Rng: xrand.Get(s.Fleet.Cfg.Seed).Rand},
 		balancer.MinTrafficPolicy{},
@@ -170,7 +208,7 @@ func (s *Study) Fig4bImporterSelection() Fig4bResult {
 		balancer.LunulePolicy{Window: 4},
 		balancer.OraclePolicy{},
 	}
-	res := Fig4bResult{ClusterIdx: victim}
+	res := Fig4bResult{ClusterIdx: v.worst}
 	for _, p := range policies {
 		r := s.runBalancer(ct, p, balancer.DefaultConfig())
 		ivs := balancer.OutMigrationIntervals(r.Migrations, ct.NPeriods)
@@ -190,33 +228,6 @@ func (s *Study) runBalancer(ct clusterTraffic, p balancer.ImporterPolicy, cfg ba
 	invariant.CheckBalancer(&rep, ct.Placement, ct.Traffic, &r)
 	s.fold(&rep)
 	return r
-}
-
-// productionMigrations runs the production balancer (MinTraffic importer)
-// on every cluster and returns each cluster's migrations.
-func (s *Study) productionMigrations(cts []clusterTraffic) [][]balancer.Migration {
-	migs := make([][]balancer.Migration, len(cts))
-	for i, ct := range cts {
-		migs[i] = s.runBalancer(ct, balancer.MinTrafficPolicy{}, balancer.DefaultConfig()).Migrations
-	}
-	return migs
-}
-
-// worstCluster picks the cluster with the highest frequent-migration
-// proportion (ties broken by migration count) under the production policy.
-func (s *Study) worstCluster(cts []clusterTraffic) int {
-	best, bestScore := 0, math.Inf(-1)
-	for i, migs := range s.productionMigrations(cts) {
-		score := balancer.FrequentMigrationProportion(migs, cts[i].Placement.NumBS(), 1)
-		if math.IsNaN(score) {
-			score = -1
-		}
-		score += float64(len(migs)) * 1e-6
-		if score > bestScore {
-			best, bestScore = i, score
-		}
-	}
-	return best
 }
 
 // Render prints Fig 4(b).
@@ -240,69 +251,81 @@ type Fig4cResult struct {
 }
 
 // Fig4cPredictionMSE evaluates the five predictor configurations of
-// Appendix C on per-BS write traffic: P1 linear (per-period), P2 ARIMA
-// (per-period), P3 GBT (per-epoch), P4 attention (per-epoch), P5 attention
-// (per-period). The 30-period epoch scales the paper's 200-period epoch to
-// our shorter window.
+// Appendix C, P1–P5, on per-BS write traffic.
 func (s *Study) Fig4cPredictionMSE() Fig4cResult {
-	const epochLen = 30
-	series := s.bsWriteSeries()
-	res := Fig4cResult{BSSeries: len(series), EpochLen: epochLen}
-	res.Methods, res.MeanNormMSE = medianNormMSE(series, []predictorRun{
-		{"P1 linear (per-period)", func() predict.Predictor { return predict.NewLinearFit(4) }, 1},
-		{"P2 arima (per-period)", func() predict.Predictor { return predict.NewARIMA(4, 1) }, 1},
-		{"P3 gbt (per-epoch)", func() predict.Predictor { return predict.NewGBT(4, 40, 3, 0.1) }, epochLen},
-		{"P4 attention (per-epoch)", func() predict.Predictor { return predict.NewAttention(4, 256) }, epochLen},
-		{"P5 attention (per-period)", func() predict.Predictor { return predict.NewAttention(4, 256) }, 1},
-	})
-	return res
-}
-
-// bsWriteSeries returns the per-period write traffic of every BlockServer
-// that saw any, cluster by cluster, under each cluster's initial placement.
-func (s *Study) bsWriteSeries() [][]float64 {
-	var series [][]float64
-	for _, ct := range s.clusterTraffics() {
-		for _, row := range balancer.BSFutureMatrix(ct.Placement, ct.Traffic, func(x balancer.RW) float64 { return x.W }) {
-			if stats.Sum(row) > 0 {
-				series = append(series, row)
-			}
-		}
+	return Fig4cResult{
+		Methods: []string{"P1 linear (per-period)", "P2 arima (per-period)", "P3 gbt (per-epoch)",
+			"P4 attention (per-epoch)", "P5 attention (per-period)"},
+		MeanNormMSE: s.scores(fcLinear, fcARIMA, fcGBTEpoch, fcAttentionEpoch, fcAttention),
+		BSSeries:    len(s.section6().bsWrite),
+		EpochLen:    forecastEpoch,
 	}
-	return series
 }
 
-// predictorRun is one forecaster configuration of a per-BS prediction
-// comparison: a fresh model per series, refit every refit periods.
-type predictorRun struct {
-	name  string
+// forecaster indexes the roster of per-BS forecasters that Fig 4(c) and the
+// predictor ablation print.
+type forecaster int
+
+const (
+	fcNaive forecaster = iota
+	fcEWMA
+	fcHolt
+	fcLinear
+	fcARIMA
+	fcGBT
+	fcGBTEpoch
+	fcAttention
+	fcAttentionEpoch
+	numForecasters
+)
+
+// forecastEpoch scales the paper's 200-period refit epoch to our window.
+const forecastEpoch = 30
+
+// forecasters is the roster, each entry built here alone: a fresh model per
+// series, refit every refit periods.
+var forecasters = [numForecasters]struct {
 	mk    func() predict.Predictor
 	refit int
+}{
+	fcNaive:          {func() predict.Predictor { return &predict.Naive{} }, 1},
+	fcEWMA:           {func() predict.Predictor { return &predict.EWMA{Alpha: 0.3} }, 1},
+	fcHolt:           {func() predict.Predictor { return predict.NewHolt() }, 1},
+	fcLinear:         {func() predict.Predictor { return predict.NewLinearFit(4) }, 1},
+	fcARIMA:          {func() predict.Predictor { return predict.NewARIMA(4, 1) }, 1},
+	fcGBT:            {func() predict.Predictor { return predict.NewGBT(4, 40, 3, 0.1) }, 1},
+	fcGBTEpoch:       {func() predict.Predictor { return predict.NewGBT(4, 40, 3, 0.1) }, forecastEpoch},
+	fcAttention:      {func() predict.Predictor { return predict.NewAttention(4, 256) }, 1},
+	fcAttentionEpoch: {func() predict.Predictor { return predict.NewAttention(4, 256) }, forecastEpoch},
 }
 
-// medianNormMSE evaluates every method on each series long enough to score
-// after an 8-period warm-up, returning the method names and, per method, the
-// median normalized MSE across series — the median because a single
-// pathological series (near-zero variance, one spike) would otherwise
-// dominate the mean.
-func medianNormMSE(series [][]float64, methods []predictorRun) (names []string, medians []float64) {
-	const warmup = 8
-	for _, m := range methods {
-		var nmses []float64
-		for _, ser := range series {
-			if len(ser) <= warmup+2 {
-				continue
-			}
-			ev, err := predict.Evaluate(m.mk(), ser, warmup, m.refit)
-			if err != nil || math.IsNaN(ev.NormMSE) {
-				continue
-			}
-			nmses = append(nmses, ev.NormMSE)
-		}
-		names = append(names, m.name)
-		medians = append(medians, stats.Median(nmses))
+// scores returns each forecaster's median normalized MSE across the §6
+// per-BS write series, scoring an entry on its first use: each series long
+// enough to score after an 8-period warm-up gets a fresh model on the
+// study's worker pool and its own slot, and the median (robust to one
+// pathological series) is taken over the non-NaN slots in series order.
+func (s *Study) scores(fcs ...forecaster) []float64 {
+	medians := make([]float64, len(fcs))
+	for i, fc := range fcs {
+		sc := &s.fcScores[fc]
+		sc.once.Do(func() {
+			const warmup = 8
+			series := s.section6().bsWrite
+			nmse := make([]float64, len(series))
+			mustOpt(par.ForEach(context.Background(), len(series), s.Workers, func(j int) error {
+				nmse[j] = math.NaN()
+				if len(series[j]) <= warmup+2 {
+					return nil
+				}
+				ev, err := predict.Evaluate(forecasters[fc].mk(), series[j], warmup, forecasters[fc].refit)
+				nmse[j] = ev.NormMSE
+				return err
+			}))
+			sc.median = stats.Median(stats.DropNaN(nmse))
+		})
+		medians[i] = sc.median
 	}
-	return names, medians
+	return medians
 }
 
 // Render prints Fig 4(c).

@@ -23,11 +23,10 @@ type Fig5aResult struct {
 
 // Fig5aReadWriteCoV measures per-cluster inter-BS skewness by direction.
 func (s *Study) Fig5aReadWriteCoV() Fig5aResult {
-	cts := s.clusterTraffics()
 	var res Fig5aResult
 	var maxW float64
 	var above, counted int
-	for _, ct := range cts {
+	for _, ct := range s.section6().clusters {
 		futureW := balancer.BSFutureMatrix(ct.Placement, ct.Traffic, func(x balancer.RW) float64 { return x.W })
 		futureR := balancer.BSFutureMatrix(ct.Placement, ct.Traffic, func(x balancer.RW) float64 { return x.R })
 		var covW, covR []float64
@@ -98,9 +97,8 @@ type Fig5bResult struct {
 // Fig5bSegmentDominance measures how one-sided segments are, per cluster,
 // restricted to the segments carrying the top 80% of cluster traffic.
 func (s *Study) Fig5bSegmentDominance() Fig5bResult {
-	cts := s.clusterTraffics()
 	var res Fig5bResult
-	for _, ct := range cts {
+	for _, ct := range s.section6().clusters {
 		type segTot struct{ r, w, tot float64 }
 		segs := make([]segTot, len(ct.Traffic))
 		var clusterTot float64
@@ -157,16 +155,15 @@ type Fig5cResult struct {
 // Fig5cWriteThenRead runs both balancing modes with the Ideal importer on
 // the busiest cluster, as §6.2.2 does.
 func (s *Study) Fig5cWriteThenRead() Fig5cResult {
-	cts := s.clusterTraffics()
-	victim := s.worstCluster(cts)
-	ct := cts[victim]
+	v := s.section6()
+	ct := v.clusters[v.worst]
 	cfg := balancer.DefaultConfig()
 	wo := s.runBalancer(ct, balancer.OraclePolicy{}, cfg)
 
 	cfg.Mode = balancer.WriteThenRead
 	wtr := s.runBalancer(ct, balancer.OraclePolicy{}, cfg)
 
-	res := Fig5cResult{ClusterIdx: victim}
+	res := Fig5cResult{ClusterIdx: v.worst}
 	res.WriteOnlyReadCoV = stats.Mean(stats.DropNaN(wo.ReadCoV))
 	res.WriteOnlyWriteCoV = stats.Mean(stats.DropNaN(wo.WriteCoV))
 	res.WTRReadCoV = stats.Mean(stats.DropNaN(wtr.ReadCoV))

@@ -61,9 +61,9 @@ var pagePolicies = []func(capPages int) cache.Cache{
 // their pages once, then replays them through every policy sized to each
 // block size and through a frozen cache pinning the VD's hottest block of
 // that size (§7.3.1's setup). It returns the non-NaN hit ratios by cache
-// name, one map per block size. Every replay is audited (law
-// conserve/cache), and each VD's LRU hit counts must not fall as the block
-// size grows (law cache/inclusion): blockMiB increase.
+// name, one map per block size. Each VD's numbering and every replay are
+// audited (law conserve/cache), and each VD's LRU hit counts must not fall
+// as the block size grows (law cache/inclusion): blockMiB increase.
 func (s *Study) hitRatios(vds []cluster.VDID, maxEvents int, blockMiB []int64, policies []func(capPages int) cache.Cache) []map[string][]float64 {
 	hits := make([]map[string][]float64, len(blockMiB))
 	caps := make([]int, len(blockMiB))
@@ -79,11 +79,12 @@ func (s *Study) hitRatios(vds []cluster.VDID, maxEvents int, blockMiB []int64, p
 			continue
 		}
 		stream := cache.Number(accesses)
+		invariant.CheckStream(&rep, accesses, stream)
 		var lruHits []int64
 		for i, mib := range blockMiB {
 			size := mib << 20
 			replay := func(c cache.Cache) {
-				res := invariant.SimulateChecked(&rep, c, accesses, stream)
+				res := invariant.SimulateChecked(&rep, c, stream)
 				if c.Name() == "lru" {
 					lruHits = append(lruHits, res.PageHits)
 				}

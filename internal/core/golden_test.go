@@ -37,20 +37,23 @@ var (
 
 func goldenStudy(t *testing.T) *Study {
 	t.Helper()
-	goldenOnce.Do(func() {
-		cfg := workload.DefaultConfig()
-		cfg.DCs = 1
-		cfg.NodesPerDC = 24
-		cfg.BSPerDC = 8
-		cfg.BSPerCluster = 4
-		cfg.Users = 24
-		cfg.DurationSec = goldenDur
-		goldenS, goldenSErr = NewStudy(cfg)
-	})
+	goldenOnce.Do(func() { goldenS, goldenSErr = NewStudy(goldenConfig()) })
 	if goldenSErr != nil {
 		t.Fatalf("NewStudy: %v", goldenSErr)
 	}
 	return goldenS
+}
+
+// goldenConfig is the golden study's fleet.
+func goldenConfig() workload.Config {
+	cfg := workload.DefaultConfig()
+	cfg.DCs = 1
+	cfg.NodesPerDC = 24
+	cfg.BSPerDC = 8
+	cfg.BSPerCluster = 4
+	cfg.Users = 24
+	cfg.DurationSec = goldenDur
+	return cfg
 }
 
 // sanitize converts a result tree to a JSON-encodable form with floats

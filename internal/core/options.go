@@ -39,8 +39,8 @@ func nonNeg(structName string, fields ...intField) error {
 }
 
 // mustOpt is the guard the Study methods place in front of their option
-// struct: Validate errors become panics because the methods have no error
-// return.
+// struct, and around work whose errors their own guards already rule out:
+// such errors become panics because the methods have no error return.
 func mustOpt(err error) {
 	if err != nil {
 		panic(err)

@@ -22,12 +22,20 @@ type Study struct {
 	// Dur is the observation window in seconds (taken from the fleet config
 	// unless overridden before first use).
 	Dur int
-	// Workers bounds the worker pool of the fleet-wide aggregation pass
-	// (0 = one per CPU). Results are identical for every worker count.
+	// Workers bounds the worker pool of the fleet-wide aggregation pass and
+	// of the forecaster scores (0 = one per CPU). Results are identical for
+	// every worker count.
 	Workers int
 
 	once sync.Once
 	tot  totals
+
+	s6Once   sync.Once
+	s6       section6View
+	fcScores [numForecasters]struct {
+		once   sync.Once
+		median float64
+	}
 
 	lawMu sync.Mutex
 	laws  invariant.Report // what the experiments' law checks found, guarded by lawMu

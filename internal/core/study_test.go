@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,15 +11,18 @@ import (
 	"ebslab/internal/workload"
 )
 
-// TestEnsureTotalsWorkerCountInvariance pins the aggregation pass's
-// determinism contract: a Study with one worker and a Study with many must
-// produce identical totals, down to float bit patterns.
+// TestEnsureTotalsWorkerCountInvariance pins the determinism contract of
+// the study's worker pool: a Study with one worker and a Study with many
+// must produce identical totals and identical forecaster scores, down to
+// float bit patterns. The scores are also shared: the predictor ablation's
+// linear, arima and attention rows are Fig 4(c)'s P1, P2 and P5 bit for bit,
+// whichever of the two scores them first.
 func TestEnsureTotalsWorkerCountInvariance(t *testing.T) {
 	cfg := workload.DefaultConfig()
 	cfg.DCs = 1
 	cfg.NodesPerDC = 24
 	cfg.DurationSec = 30
-	mk := func(workers int) *Study {
+	mk := func(cfg workload.Config, workers int) *Study {
 		s, err := NewStudy(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -25,14 +30,28 @@ func TestEnsureTotalsWorkerCountInvariance(t *testing.T) {
 		s.Workers = workers
 		return s
 	}
-	ref := mk(1).ensureTotals()
+	ref := mk(cfg, 1).ensureTotals()
 	if len(ref.vdRead) == 0 || len(ref.qpRead) == 0 || len(ref.vmRead) == 0 {
 		t.Fatal("reference totals are empty")
 	}
 	for _, workers := range []int{2, 8} {
-		got := mk(workers).ensureTotals()
+		got := mk(cfg, workers).ensureTotals()
 		if !reflect.DeepEqual(ref, got) {
 			t.Fatalf("totals differ between 1 and %d workers", workers)
+		}
+	}
+
+	one, four := mk(goldenConfig(), 1), mk(goldenConfig(), 4)
+	fig1, ab1 := one.Fig4cPredictionMSE(), one.AblatePredictors()
+	ab4, fig4 := four.AblatePredictors(), four.Fig4cPredictionMSE()
+	if !reflect.DeepEqual(fig1, fig4) || !reflect.DeepEqual(ab1, ab4) {
+		t.Fatalf("forecaster scores differ between 1 and 4 workers:\n%v %v\n%v %v", fig1, ab1, fig4, ab4)
+	}
+	for _, pair := range [][2]string{{"P1 linear (per-period)", "linear"}, {"P2 arima (per-period)", "arima"}, {"P5 attention (per-period)", "attention"}} {
+		p := fig1.MeanNormMSE[slices.Index(fig1.Methods, pair[0])]
+		a := ab4.Median[slices.Index(ab4.Methods, pair[1])]
+		if math.Float64bits(p) != math.Float64bits(a) {
+			t.Errorf("Fig 4(c) scores %s %v, the ablation scores %s %v", pair[0], p, pair[1], a)
 		}
 	}
 }

@@ -38,19 +38,11 @@ func (a *cacheAudit) Touch(id int64) bool {
 	return hit
 }
 
-// SimulateChecked replays s, the numbered pages of accesses, through an
-// audited copy of c and folds any violations — including any disagreement
-// between the simulator's hit/total counters and the audit's independent
-// tally, and any touch whose id does not name the page the accesses cover
-// at that point — into rep.
-func SimulateChecked(rep *Report, c cache.Cache, accesses []cache.Access, s cache.Stream) cache.SimResult {
+// CheckStream holds s to the accesses it numbers (law conserve/cache): ids
+// follow page order, each touch's id names its page, and there is one touch
+// per page. It walks the whole stream, so it runs once per stream.
+func CheckStream(rep *Report, accesses []cache.Access, s cache.Stream) {
 	const law = "conserve/cache"
-	audit := &cacheAudit{inner: c, capacity: c.Capacity()}
-	res := cache.Simulate(audit, s)
-	rep.AddAll(law, audit.violations)
-
-	// Accesses expand to page touches; recount them independently, holding
-	// each touch's id to its page and the ids to page order.
 	for i := 1; i < len(s.Pages); i++ {
 		if s.Pages[i] <= s.Pages[i-1] {
 			rep.Addf(law, "ids %d and %d number pages %d and %d out of order", i-1, i, s.Pages[i-1], s.Pages[i])
@@ -77,9 +69,22 @@ func SimulateChecked(rep *Report, c cache.Cache, accesses []cache.Access, s cach
 	if misnamed >= 0 {
 		rep.Addf(law, "page touch %d has id %d, which does not number its page", misnamed, s.IDs[misnamed])
 	}
+	if int64(len(s.IDs)) != wantPages {
+		rep.Addf(law, "stream has %d page touches for %d pages of accesses", len(s.IDs), wantPages)
+	}
+}
+
+// SimulateChecked replays s through an audited copy of c and folds into rep
+// a resident set past capacity and any disagreement between the stream's
+// length, the simulator's counters and the audit's own tally.
+func SimulateChecked(rep *Report, c cache.Cache, s cache.Stream) cache.SimResult {
+	const law = "conserve/cache"
+	audit := &cacheAudit{inner: c, capacity: c.Capacity()}
+	res := cache.Simulate(audit, s)
+	rep.AddAll(law, audit.violations)
 	touched := audit.hits + audit.misses
-	if touched != wantPages {
-		rep.Addf(law, "cache saw %d page touches for %d pages of accesses", touched, wantPages)
+	if touched != int64(len(s.IDs)) {
+		rep.Addf(law, "cache saw %d page touches of a %d-touch stream", touched, len(s.IDs))
 	}
 	if res.PageTotal != touched {
 		rep.Addf(law, "simulator counted %d touches, audit counted %d", res.PageTotal, touched)

@@ -11,8 +11,8 @@
 // ebs.Options.Check is set, and every program sets it for every study it
 // runs: an ebssim run in any role, a gateway study, and the shards ebsd
 // workers run for either. The other programs check themselves too: analyze
-// runs the throttle audit, SimulateChecked and CheckBalancer inside every
-// experiment that drives those layers, and ebsgate runs
+// runs the throttle audit, CheckStream, SimulateChecked and CheckBalancer
+// inside every experiment that drives those layers, and ebsgate runs
 // CheckGatewayAccounting and CheckGrantPacing over its gateway once a
 // selftest study settles and after a served gateway shuts down. Tests call
 // the individual CheckX functions directly. A violation is a bug in the

@@ -92,7 +92,8 @@ func TestSimulateCheckedCleanPolicies(t *testing.T) {
 	s := cache.Number(accesses)
 	for _, c := range []cache.Cache{cache.NewFIFO(16), cache.NewLRU(16), cache.NewClock(16), s.Frozen(0, 16*cache.PageSize)} {
 		rep := &Report{}
-		res := SimulateChecked(rep, c, accesses, s)
+		CheckStream(rep, accesses, s)
+		res := SimulateChecked(rep, c, s)
 		if !rep.OK() {
 			t.Errorf("%s: audit flagged a healthy policy:\n%s", c.Name(), rep.String())
 		}
@@ -122,13 +123,13 @@ func TestSimulateCheckedCatchesCapacityLeak(t *testing.T) {
 		accesses = append(accesses, cache.Access{Offset: int64(i) * cache.PageSize, Size: int32(cache.PageSize)})
 	}
 	rep := &Report{}
-	SimulateChecked(rep, &leakyCache{set: map[int64]bool{}}, accesses, cache.Number(accesses))
+	SimulateChecked(rep, &leakyCache{set: map[int64]bool{}}, cache.Number(accesses))
 	if rep.OK() {
 		t.Fatal("capacity-violating cache passed the audit")
 	}
 }
 
-// TestSimulateCheckedCatchesNumberingBugs: the audit's page recount holds
+// TestSimulateCheckedCatchesNumberingBugs: CheckStream's page recount holds
 // every touch's id to the page the accesses cover there, so a stream that
 // drops a touch, swaps two ids or numbers pages out of order is a
 // conserve/cache violation.
@@ -148,7 +149,8 @@ func TestSimulateCheckedCatchesNumberingBugs(t *testing.T) {
 		s := cache.Number(accesses)
 		corrupt(&s)
 		rep := &Report{}
-		SimulateChecked(rep, cache.NewLRU(4), accesses, s)
+		CheckStream(rep, accesses, s)
+		SimulateChecked(rep, cache.NewLRU(4), s)
 		if got := rep.OK(); got != (name == "clean") {
 			t.Errorf("%s: audit OK = %v:\n%s", name, got, rep.String())
 		}

@@ -37,7 +37,7 @@ func NewARIMA(maxP, maxD int) *ARIMA {
 func (a *ARIMA) Name() string { return fmt.Sprintf("arima(maxp=%d,maxd=%d)", a.MaxP, a.MaxD) }
 
 // Fit implements Predictor: search (p, d) by AIC and keep the best CLS fit.
-func (a *ARIMA) Fit(history []float64) error {
+func (a *ARIMA) Fit(history []float64) {
 	a.hist = append(a.hist[:0], history...)
 	a.valid = false
 	bestAIC := math.Inf(1)
@@ -64,7 +64,6 @@ func (a *ARIMA) Fit(history []float64) error {
 			}
 		}
 	}
-	return nil
 }
 
 // Predict implements Predictor: forecast the differenced series one step,

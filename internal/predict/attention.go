@@ -51,7 +51,7 @@ func NewAttention(lags, maxKeys int) *Attention {
 func (a *Attention) Name() string { return fmt.Sprintf("attention(lags=%d)", a.Lags) }
 
 // Fit implements Predictor: memorize (window, next) pairs and tune tau.
-func (a *Attention) Fit(history []float64) error {
+func (a *Attention) Fit(history []float64) {
 	a.keys = a.keys[:0]
 	a.vals = a.vals[:0]
 	a.lastWin = nil
@@ -62,7 +62,7 @@ func (a *Attention) Fit(history []float64) error {
 	}
 	n := len(history) - a.Lags
 	if n <= 1 {
-		return nil
+		return
 	}
 	start := 0
 	if n > a.MaxKeys {
@@ -92,7 +92,6 @@ func (a *Attention) Fit(history []float64) error {
 		}
 	}
 	a.tau = best
-	return nil
 }
 
 // Predict implements Predictor.

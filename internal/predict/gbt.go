@@ -70,7 +70,7 @@ func (n *treeNode) eval(x []float64) float64 {
 
 // Fit implements Predictor: build the training matrix of lag windows and
 // boost trees against residuals.
-func (g *GBT) Fit(history []float64) error {
+func (g *GBT) Fit(history []float64) {
 	g.forest = g.forest[:0]
 	g.lastWin = nil
 	n := len(history) - g.Lags
@@ -88,7 +88,7 @@ func (g *GBT) Fit(history []float64) error {
 		} else {
 			g.base = 0
 		}
-		return nil
+		return
 	}
 	// features[t][i] = value at lag i+1 before target t.
 	features := make([][]float64, n)
@@ -126,7 +126,6 @@ func (g *GBT) Fit(history []float64) error {
 			resid[i] -= g.LearningRate * tree.eval(features[i])
 		}
 	}
-	return nil
 }
 
 // Predict implements Predictor.

@@ -26,11 +26,11 @@ func NewHolt() *Holt { return &Holt{} }
 func (h *Holt) Name() string { return "holt" }
 
 // Fit implements Predictor.
-func (h *Holt) Fit(history []float64) error {
+func (h *Holt) Fit(history []float64) {
 	h.fitted = false
 	if len(history) == 0 {
 		h.level, h.trend = 0, 0
-		return nil
+		return
 	}
 	h.maxSeen = 0
 	for _, x := range history {
@@ -41,7 +41,7 @@ func (h *Holt) Fit(history []float64) error {
 	if len(history) < 3 {
 		h.level, h.trend = history[len(history)-1], 0
 		h.fitted = true
-		return nil
+		return
 	}
 	alphas := []float64{h.Alpha}
 	betas := []float64{h.Beta}
@@ -62,7 +62,6 @@ func (h *Holt) Fit(history []float64) error {
 		}
 	}
 	h.fitted = true
-	return nil
 }
 
 // holtRun smooths the series with (alpha, beta) and returns the final level
@@ -111,17 +110,16 @@ func (e *EWMA) alpha() float64 {
 }
 
 // Fit implements Predictor.
-func (e *EWMA) Fit(history []float64) error {
+func (e *EWMA) Fit(history []float64) {
 	if len(history) == 0 {
 		e.level = 0
-		return nil
+		return
 	}
 	a := e.alpha()
 	e.level = history[0]
 	for _, x := range history[1:] {
 		e.level = a*x + (1-a)*e.level
 	}
-	return nil
 }
 
 // Predict implements Predictor.

@@ -26,7 +26,7 @@ func NewLinearFit(window int) *LinearFit {
 func (l *LinearFit) Name() string { return fmt.Sprintf("linear-fit(w=%d)", l.Window) }
 
 // Fit implements Predictor.
-func (l *LinearFit) Fit(history []float64) error {
+func (l *LinearFit) Fit(history []float64) {
 	w := l.Window
 	if len(history) < w {
 		w = len(history)
@@ -35,11 +35,11 @@ func (l *LinearFit) Fit(history []float64) error {
 	l.n = len(pts)
 	if l.n == 0 {
 		l.slope, l.intercept = 0, 0
-		return nil
+		return
 	}
 	if l.n == 1 {
 		l.slope, l.intercept = 0, pts[0]
-		return nil
+		return
 	}
 	// OLS of y against x = 0..n-1.
 	var sx, sy, sxx, sxy float64
@@ -54,11 +54,10 @@ func (l *LinearFit) Fit(history []float64) error {
 	den := n*sxx - sx*sx
 	if den == 0 {
 		l.slope, l.intercept = 0, sy/n
-		return nil
+		return
 	}
 	l.slope = (n*sxy - sx*sy) / den
 	l.intercept = (sy - l.slope*sx) / n
-	return nil
 }
 
 // Predict implements Predictor: extrapolate to x = n (one step past the

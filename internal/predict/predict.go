@@ -27,7 +27,7 @@ type Predictor interface {
 	Name() string
 	// Fit trains on history, oldest first. Implementations must tolerate
 	// short histories (falling back to naive forecasts).
-	Fit(history []float64) error
+	Fit(history []float64)
 	// Predict returns the forecast for the next step.
 	Predict() float64
 }
@@ -63,9 +63,7 @@ func Evaluate(p Predictor, series []float64, warmup, refitEvery int) (EvalResult
 		if lastFit < 0 || t-lastFit >= refitEvery {
 			// The history's capacity ends at t too, so no predictor can
 			// reach the steps it is about to forecast.
-			if err := p.Fit(series[:t:t]); err != nil {
-				return EvalResult{}, fmt.Errorf("predict: fit %s at %d: %w", p.Name(), t, err)
-			}
+			p.Fit(series[:t:t])
 			lastFit = t
 		}
 		res.Preds = append(res.Preds, p.Predict())
@@ -89,13 +87,12 @@ type Naive struct {
 func (n *Naive) Name() string { return "naive" }
 
 // Fit implements Predictor.
-func (n *Naive) Fit(history []float64) error {
+func (n *Naive) Fit(history []float64) {
 	if len(history) == 0 {
 		n.last = 0
-		return nil
+		return
 	}
 	n.last = history[len(history)-1]
-	return nil
 }
 
 // Predict implements Predictor.

@@ -31,9 +31,7 @@ func ar1Series(n int, seed int64) []float64 {
 
 func TestNaive(t *testing.T) {
 	var n Naive
-	if err := n.Fit([]float64{1, 2, 7}); err != nil {
-		t.Fatal(err)
-	}
+	n.Fit([]float64{1, 2, 7})
 	if n.Predict() != 7 {
 		t.Fatalf("naive = %v, want 7", n.Predict())
 	}
@@ -49,9 +47,7 @@ func TestNaive(t *testing.T) {
 func TestLinearFitExact(t *testing.T) {
 	lf := NewLinearFit(4)
 	series := linearSeries(10)
-	if err := lf.Fit(series); err != nil {
-		t.Fatal(err)
-	}
+	lf.Fit(series)
 	want := 3 + 2*float64(10)
 	if got := lf.Predict(); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("linear predict = %v, want %v", got, want)
@@ -87,9 +83,7 @@ func TestNewLinearFitFloorsWindow(t *testing.T) {
 func TestARIMARecoversAR1(t *testing.T) {
 	series := ar1Series(400, 1)
 	a := NewARIMA(4, 1)
-	if err := a.Fit(series); err != nil {
-		t.Fatal(err)
-	}
+	a.Fit(series)
 	// One-step forecasts should beat the naive random walk on an AR(1).
 	resA, err := Evaluate(NewARIMA(4, 1), series, 50, 1)
 	if err != nil {
@@ -351,12 +345,11 @@ type peeker struct{ next float64 }
 
 func (p *peeker) Name() string { return "peeker" }
 
-func (p *peeker) Fit(history []float64) error {
+func (p *peeker) Fit(history []float64) {
 	p.next = 0
 	if all := history[:cap(history)]; len(all) > 0 {
 		p.next = all[len(all)-1]
 	}
-	return nil
 }
 
 func (p *peeker) Predict() float64 { return p.next }
