@@ -65,8 +65,8 @@ func validateFlags(f roleFlags, spec ebs.RunSpec) error {
 	if f.dist > 0 && f.workersAddr != "" {
 		return fmt.Errorf("-dist runs the fabric in-process and -workers-addr serves it over TCP: the roles conflict, pass exactly one of -dist, -workers-addr")
 	}
-	if f.timing && (f.dist > 0 || f.workersAddr != "") {
-		return fmt.Errorf("-timing reads the in-process engine's clocks and conflicts with the distributed roles -dist, -workers-addr: the fabric has no clocks yet")
+	if f.timing && f.workersAddr != "" {
+		return fmt.Errorf("-timing reads this process's clocks and conflicts with -workers-addr, whose workers run in other processes")
 	}
 	if f.cpuProfile != "" && f.cpuProfile == f.memProfile {
 		return fmt.Errorf("-cpuprofile and -memprofile both name %s: the second would overwrite the first", f.cpuProfile)
@@ -315,9 +315,9 @@ func writeAllocProfile(path string) error {
 // printClocks writes the run's stage clocks and the time ebssim took to
 // print its report on stdout, in milliseconds.
 func printClocks(w io.Writer, c *ebs.Clocks, report time.Duration) {
-	fmt.Fprintln(w, "engine clocks (ms; bind opens the scenario, observe and plan ahead of a controlled run, generate to sketch summed over the workers, finish and check after the join, report prints stdout):")
-	names := strings.Fields("bind observe plan generate throttle latency emit sketch finish check report")
-	for i, d := range []time.Duration{c.Bind, c.Observe, c.Plan, c.Generate, c.Throttle, c.Latency, c.Emit, c.Sketch, c.Finish, c.Check, report} {
+	fmt.Fprintln(w, "engine clocks (ms; bind opens the scenario, observe and plan ahead of a controlled run, generate to sketch summed over the workers (zero under -dist, whose workers keep no clocks), receive the fabric coordinator's shard-result reads, decodes and ledger calls, finish and check after the join, report prints stdout):")
+	names := strings.Fields("bind observe plan generate throttle latency emit sketch receive finish check report")
+	for i, d := range []time.Duration{c.Bind, c.Observe, c.Plan, c.Generate, c.Throttle, c.Latency, c.Emit, c.Sketch, c.Receive, c.Finish, c.Check, report} {
 		fmt.Fprintf(w, "  %-8s %10.3f\n", names[i], float64(d)/float64(time.Millisecond))
 	}
 }
@@ -468,6 +468,7 @@ func runDistVerified(ctx context.Context, stdout, stderr io.Writer, spec ebs.Run
 	// The single-process reference opens the same spec — fleet regenerated,
 	// scenario rebuilt from its string and bound to it — exactly what each
 	// fabric worker does, which is what makes the comparison meaningful.
+	spec.Opts.Clocks = nil // -timing reads the distributed run
 	ref, _, err := spec.Run(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("single-process reference run: %w", err)

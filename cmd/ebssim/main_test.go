@@ -56,6 +56,7 @@ func TestValidateFlagsMatrix(t *testing.T) {
 		{"cpu profile with tcp coordinator", roleFlags{workersAddr: ":9000", cpuProfile: "cpu.prof"}, ebs.RunSpec{}, nil},
 		{"mem profile with control", roleFlags{memProfile: "mem.prof"}, reactive(0, 0), nil},
 		{"timing with control", roleFlags{timing: true}, reactive(0, 0), nil},
+		{"timing with dist", roleFlags{dist: 2, timing: true}, ebs.RunSpec{}, nil},
 		{"control with an epoch inside the window", roleFlags{}, reactive(8, 7), nil},
 		{"control on a one-second window", roleFlags{}, reactive(1, 0), nil},
 
@@ -76,8 +77,6 @@ func TestValidateFlagsMatrix(t *testing.T) {
 			[]string{"quakestorm"}},
 		{"bad scenario param", roleFlags{}, ebs.RunSpec{Scenario: "elastic,bogus=1"},
 			[]string{"bogus"}},
-		{"timing with dist", roleFlags{dist: 2, timing: true}, ebs.RunSpec{},
-			[]string{"-timing", "-dist", "-workers-addr"}},
 		{"timing with tcp coordinator", roleFlags{workersAddr: ":9000", timing: true}, ebs.RunSpec{},
 			[]string{"-timing", "-workers-addr"}},
 		{"negative dist", roleFlags{dist: -1}, ebs.RunSpec{}, []string{"-dist -1"}},
@@ -162,13 +161,15 @@ func TestStartProfiles(t *testing.T) {
 
 // TestTimingLeavesStdout: -timing prints the stage table on stderr, one line
 // per stage, and stdout stays the same bytes as without it — for a plain run,
-// a controlled one, whose observe and plan clocks read > 0, and a replay,
-// whose bind clock (the ingest) reads > 0.
+// a controlled one, whose observe and plan clocks read > 0, a replay, whose
+// bind clock (the ingest) reads > 0, and a -dist one, whose receive clock
+// (the coordinator's shard-result reads) reads > 0.
 func TestTimingLeavesStdout(t *testing.T) {
 	for _, line := range []string{
 		"-seed 7 -dur 12 -nodes 4 -max-vds 24 -stream",
 		"-seed 7 -dur 12 -nodes 4 -max-vds 24 -control reactive -epoch-sec 3",
 		"-seed 7 -dur 12 -nodes 4 -max-vds 24 -scenario replay,path=../../internal/scenario/testdata/tianchi_sample.csv",
+		"-seed 7 -dur 12 -nodes 4 -max-vds 24 -dist 2",
 	} {
 		args := strings.Fields(line)
 		var plain, timed, stderr bytes.Buffer
@@ -181,16 +182,16 @@ func TestTimingLeavesStdout(t *testing.T) {
 		if timed.String() != plain.String() {
 			t.Fatalf("%s: -timing changed stdout", line)
 		}
-		for _, stage := range []string{"bind", "observe", "plan", "generate", "throttle", "latency", "emit", "sketch", "finish", "check", "report"} {
+		for _, stage := range []string{"bind", "observe", "plan", "generate", "throttle", "latency", "emit", "sketch", "receive", "finish", "check", "report"} {
 			if !strings.Contains(stderr.String(), "\n  "+stage+" ") {
 				t.Errorf("%s: stderr has no %s line:\n%s", line, stage, stderr.String())
 			}
 		}
-		controlled, bound := strings.Contains(line, "-control"), strings.Contains(line, "-scenario")
+		controlled, bound, dist := strings.Contains(line, "-control"), strings.Contains(line, "-scenario"), strings.Contains(line, "-dist")
 		for _, st := range []struct {
 			stage string
 			ran   bool
-		}{{"bind", bound}, {"observe", controlled}, {"plan", controlled}} {
+		}{{"bind", bound}, {"observe", controlled}, {"plan", controlled}, {"receive", dist}} {
 			zero := strings.Contains(stderr.String(), fmt.Sprintf("\n  %-8s %10.3f\n", st.stage, 0.0))
 			if zero == st.ran {
 				t.Errorf("%s: the %s clock reads zero is %v, want %v:\n%s", line, st.stage, zero, !st.ran, stderr.String())

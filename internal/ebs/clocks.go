@@ -9,8 +9,9 @@ import "time"
 // Check are serial, after the join. A controlled run adds the two wall
 // times ahead of its actuated pass, Observe and Plan; a plain run leaves
 // them zero. Bind is RunSpec.Open's, ahead of any run, and a run leaves it
-// as Open set it. Nothing they measure reaches a dataset, a sketch or a
-// fingerprint.
+// as Open set it. Receive is the fabric coordinator's, which fills it after
+// its merge (fabric.Coordinator.Wait); every other run leaves it zero.
+// Nothing they measure reaches a dataset, a sketch or a fingerprint.
 type Clocks struct {
 	Bind     time.Duration // RunSpec.Open's scenario binding: a replay's ingest (zero without a scenario)
 	Observe  time.Duration // the observe pass: generation, counting and keeping the events (controlled runs)
@@ -20,6 +21,7 @@ type Clocks struct {
 	Latency  time.Duration // the latency batch and its additive terms, per flush
 	Emit     time.Duration // the tracer's EmitBatch, per flush
 	Sketch   time.Duration // the sketch ingest, per flush (zero unless streaming)
+	Receive  time.Duration // the fabric coordinator's shard results: each frame's read, decode and ledger call (distributed runs)
 	Finish   time.Duration // the join onward: merges, metric rows, dataset assembly
 	Check    time.Duration // the invariant suite
 }

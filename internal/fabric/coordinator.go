@@ -34,7 +34,8 @@ type Config struct {
 	// ones the merge fills — Stream (and Snapshots over it), ChaosStats and
 	// Observe — stay on the coordinator and are filled exactly like
 	// ebs.Sim.Run would fill them. Progress is never called and Clocks reads
-	// only the merge's finish and check: no disk runs here.
+	// only the merge's finish and check and the coordinator's receive: no
+	// disk runs here.
 	Opts ebs.Options
 	// Scenario optionally names a scenario spec ("bufferbloat,period=16")
 	// every worker binds to its regenerated fleet. The coordinator binds it
@@ -109,6 +110,9 @@ type Coordinator struct {
 
 	mu     sync.Mutex
 	ledger *shardLedger // guarded by mu
+	// receive sums each shard result's frame read, decode and ledger call
+	// (guarded by mu); Wait publishes it as Opts.Clocks.Receive.
+	receive time.Duration
 
 	stopOnce sync.Once
 	stopped  chan struct{}
@@ -188,12 +192,14 @@ func (co *Coordinator) Handle(req *netblock.Request) *netblock.Response {
 	case netblock.OpShardResult:
 		// Decoding is the most expensive control-plane step: it runs before
 		// the lock, so concurrent uploads decode in parallel.
+		start := time.Now()
 		workerID, shardID, p, err := decodeResult(req.Payload)
 		if err != nil {
 			return render(resp, nil, err)
 		}
 		co.mu.Lock()
 		err = co.ledger.result(workerID, shardID, p, co.cfg.now())
+		co.receive += req.Read + time.Since(start)
 		co.mu.Unlock()
 		if err != nil {
 			return render(resp, nil, err)
@@ -315,6 +321,11 @@ func (co *Coordinator) Wait(ctx context.Context) (*trace.Dataset, error) {
 		}
 		co.mu.Unlock()
 		co.result, co.mergeErr = co.sim.MergeShards(co.cfg.Opts, parts)
+		if c := co.cfg.Opts.Clocks; c != nil && co.mergeErr == nil {
+			co.mu.Lock()
+			c.Receive = co.receive // after the merge, which sets the rest
+			co.mu.Unlock()
+		}
 	})
 	return co.result, co.mergeErr
 }

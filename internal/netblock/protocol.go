@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"time"
 )
 
 // OpCode identifies a request type.
@@ -130,6 +131,9 @@ type Request struct {
 	ID      uint64
 	Op      OpCode
 	Payload []byte
+	// Read is how long the payload took to arrive once its header had:
+	// ReadRequest's clock, without the wait for the frame to begin.
+	Read time.Duration
 }
 
 // Response is the handler's answer.
@@ -233,11 +237,12 @@ func ReadRequest(r io.Reader) (*Request, error) {
 	if n > op.maxPayloadFor() {
 		return nil, ErrPayloadTooLarge
 	}
+	start := time.Now()
 	p, err := readPayload(r, n)
 	if err != nil {
 		return nil, err
 	}
-	return &Request{ID: id, Op: op, Payload: p}, nil
+	return &Request{ID: id, Op: op, Payload: p, Read: time.Since(start)}, nil
 }
 
 // allocChunk bounds how much payload memory is committed ahead of the bytes
