@@ -195,12 +195,16 @@ func (co *Coordinator) Handle(req *netblock.Request) *netblock.Response {
 		start := time.Now()
 		workerID, shardID, p, err := decodeResult(req.Payload)
 		if err != nil {
+			netblock.Recycle(req.Payload)
 			return render(resp, nil, err)
 		}
 		co.mu.Lock()
-		err = co.ledger.result(workerID, shardID, p, co.cfg.now())
+		kept, err := co.ledger.result(workerID, shardID, p, req.Payload, co.cfg.now())
 		co.receive += req.Read + time.Since(start)
 		co.mu.Unlock()
+		if !kept {
+			netblock.Recycle(req.Payload) // refused or a duplicate: nothing reads it
+		}
 		if err != nil {
 			return render(resp, nil, err)
 		}
@@ -300,7 +304,9 @@ func (co *Coordinator) Ledger() *invariant.ShardLedger {
 // Wait blocks until every shard is accounted for (or ctx ends), then merges
 // the partials — verifying the fabric accounting law first — and returns the
 // final dataset. The merge runs once; concurrent and repeated Waits share
-// its result.
+// its result. The merge unpacks and copies the records, so once it has run
+// each accepted result frame goes back to netblock (Recycle), and its
+// partial drops the Records that aliased it.
 func (co *Coordinator) Wait(ctx context.Context) (*trace.Dataset, error) {
 	select {
 	case <-co.ledger.allDone:
@@ -321,10 +327,14 @@ func (co *Coordinator) Wait(ctx context.Context) (*trace.Dataset, error) {
 		}
 		co.mu.Unlock()
 		co.result, co.mergeErr = co.sim.MergeShards(co.cfg.Opts, parts)
+		co.mu.Lock()
+		frames := co.ledger.releaseFrames()
 		if c := co.cfg.Opts.Clocks; c != nil && co.mergeErr == nil {
-			co.mu.Lock()
 			c.Receive = co.receive // after the merge, which sets the rest
-			co.mu.Unlock()
+		}
+		co.mu.Unlock()
+		for _, frame := range frames {
+			netblock.Recycle(frame)
 		}
 	})
 	return co.result, co.mergeErr

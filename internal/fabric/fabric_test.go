@@ -637,20 +637,7 @@ func TestShardResultPathBytes(t *testing.T) {
 	if raceEnabled {
 		bound = 43
 	}
-	cfg := testFleetConfig()
-	cfg.Seed = 7
-	cfg.NodesPerDC = 16
-	cfg.DurationSec = 60
-	opts := ebs.Options{DurationSec: 60, TraceSampleEvery: 1, EventSampleEvery: 8, MaxVDs: 120, Workers: 1}
-
-	fleet, err := workload.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	single, err := ebs.New(fleet).Run(context.Background(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg, opts, single := benchShapedStudy(t)
 	want := invariant.Fingerprint(single)
 	if len(single.Trace) < 100_000 {
 		t.Fatalf("study retains %d records, want at least 100000 for the bound to mean anything", len(single.Trace))
@@ -675,6 +662,66 @@ func TestShardResultPathBytes(t *testing.T) {
 	t.Logf("%d records, %d bytes allocated = %.1fx the dataset", len(ds.Trace), alloc, float64(alloc)/float64(dataset))
 	if alloc > bound*dataset/10 {
 		t.Fatalf("study allocated %d bytes to deliver a %d-byte dataset (%.1fx, bound %.1fx)", alloc, dataset, float64(alloc)/float64(dataset), float64(bound)/10)
+	}
+}
+
+// benchShapedStudy is the bench's dist study shape — a 16-node fleet over
+// 60 s, 120 VDs, every IO a retained record at 1/8 event thinning, one
+// engine worker — with the dataset a single-process run of it produces.
+// Cut into 8 shards it uploads 28.7 MB of results, seven of the eight
+// frames over readPayload's two chunks.
+func benchShapedStudy(t *testing.T) (workload.Config, ebs.Options, *trace.Dataset) {
+	t.Helper()
+	cfg := testFleetConfig()
+	cfg.Seed = 7
+	cfg.NodesPerDC = 16
+	cfg.DurationSec = 60
+	opts := ebs.Options{DurationSec: 60, TraceSampleEvery: 1, EventSampleEvery: 8, MaxVDs: 120, Workers: 1}
+	fleet, err := workload.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := ebs.New(fleet).Run(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg, opts, single
+}
+
+// TestBackToBackStudiesRecycleFrames: two fabric studies in a row, the
+// second reading its large result frames into the buffers the first one's
+// Wait recycled, each reproduce the single-process fingerprint; after each
+// Wait no partial still aliases its frame; and the first study's dataset
+// still has its fingerprint once the second has overwritten those buffers,
+// so nothing the merge returned aliases a recycled frame.
+func TestBackToBackStudiesRecycleFrames(t *testing.T) {
+	cfg, opts, single := benchShapedStudy(t)
+	want := invariant.Fingerprint(single)
+	var first *trace.Dataset
+	for study := 0; study < 2; study++ {
+		co, lb := startFabric(t, Config{Fleet: cfg, Opts: opts, Shards: 8})
+		ds, errs := runFabric(t, co, lb, 2, nil)
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("study %d: worker %d exited: %v", study, i, err)
+			}
+		}
+		if got := invariant.Fingerprint(ds); got != want {
+			t.Fatalf("study %d: dataset fingerprint %s, single-process %s", study, got, want)
+		}
+		co.mu.Lock()
+		for i, sh := range co.ledger.shards {
+			if sh.partial == nil || sh.partial.Records != nil || sh.frame != nil {
+				t.Errorf("study %d: after Wait shard %d holds partial %v, frame of %d bytes", study, i, sh.partial != nil, len(sh.frame))
+			}
+		}
+		co.mu.Unlock()
+		if first == nil {
+			first = ds
+		}
+	}
+	if got := invariant.Fingerprint(first); got != want {
+		t.Fatalf("the first study's dataset changed to %s once the second study reused its frames (want %s)", got, want)
 	}
 }
 

@@ -32,6 +32,9 @@ type shardState struct {
 	firstDispatch time.Time
 	lastDispatch  time.Time
 	partial       *ebs.ShardPartial
+	// frame is the accepted result's frame, which partial.Records aliases,
+	// until releaseFrames hands it back.
+	frame []byte
 }
 
 // shardLedger is the coordinator's dispatch and result accounting: plain
@@ -168,44 +171,59 @@ func (f *shardLedger) straggler(workerID uint64, now time.Time) int {
 	return best
 }
 
-// result accounts one returned shard result, decoded by the caller. The
-// first result per shard is accepted; later copies (from speculation or
-// requeue races) are acknowledged but dropped, so every shard contributes to
-// the merge at most once. A worker re-uploading a result it already
-// delivered (a retransmit after the reply was lost) is acknowledged without
-// touching the ledger at all.
-func (f *shardLedger) result(workerID uint64, shardID int, p *ebs.ShardPartial, now time.Time) error {
+// result accounts one returned shard result, p decoded by the caller from
+// frame. The first result per shard is accepted, and the ledger keeps it
+// and its frame (kept); later copies (from speculation or requeue races) are
+// acknowledged but dropped, so every shard contributes to the merge at most
+// once. A worker re-uploading a result it already delivered (a retransmit
+// after the reply was lost) is acknowledged without touching the ledger at
+// all.
+func (f *shardLedger) result(workerID uint64, shardID int, p *ebs.ShardPartial, frame []byte, now time.Time) (kept bool, err error) {
 	if shardID < 0 || shardID >= len(f.shards) {
-		return fmt.Errorf("fabric: result for unknown shard %d", shardID)
+		return false, fmt.Errorf("fabric: result for unknown shard %d", shardID)
 	}
 	f.touch(workerID, now)
 	sh := f.shards[shardID]
 	if p.Lo != sh.r.Lo || p.Hi != sh.r.Hi {
-		return fmt.Errorf("fabric: shard %d result covers [%d,%d), plan says %v",
+		return false, fmt.Errorf("fabric: shard %d result covers [%d,%d), plan says %v",
 			shardID, p.Lo, p.Hi, sh.r)
 	}
 	// A sketch set is present exactly when the run streams, and built under
 	// the run's shard config: the snapshot and final merges could not fold
 	// any other.
 	if set := p.Sketch; (set == nil) != (f.shardSketch == nil) || set != nil && set.Config() != *f.shardSketch {
-		return fmt.Errorf("fabric: shard %d result's sketch state does not fit the run's sketch config", shardID)
+		return false, fmt.Errorf("fabric: shard %d result's sketch state does not fit the run's sketch config", shardID)
 	}
 	if sh.returnedBy[workerID] {
-		return nil
+		return false, nil
 	}
 	sh.returnedBy[workerID] = true
 	delete(sh.running, workerID)
 	if sh.partial != nil {
-		return nil
+		return false, nil
 	}
-	sh.partial = p
+	sh.partial, sh.frame = p, frame
 	if !slices.ContainsFunc(f.shards, func(sh *shardState) bool { return sh.partial == nil }) {
 		close(f.allDone) // only the last shard's first result gets here
 	}
 	// An accepted result changes what the next assign answers (fewer shards
 	// out, possibly done): wake any worker parked in an assign long-poll.
 	f.wake()
-	return nil
+	return true, nil
+}
+
+// releaseFrames returns the accepted results' frames, once the merge has
+// read them, and drops every partial's Records, which aliased its frame:
+// the decoder copied everything else out.
+func (f *shardLedger) releaseFrames() [][]byte {
+	var frames [][]byte
+	for _, sh := range f.shards {
+		if sh.frame != nil {
+			frames = append(frames, sh.frame)
+			sh.partial.Records, sh.frame = nil, nil
+		}
+	}
+	return frames
 }
 
 // done reports whether allDone is closed: every shard has its partial.

@@ -51,17 +51,17 @@ func TestLedgerFSMDeterministicReplay(t *testing.T) {
 			}
 			replies = append(replies, r)
 		}
-		accounted := func(err error) { reply(nil, err) }
+		accounted := func(_ bool, err error) { reply(nil, err) }
 		replies = append(replies, f.join(clock.Now()), f.join(clock.Now()))
 		reply(f.assign(1, clock.Now())) // w1 takes shard A
 		reply(f.assign(2, clock.Now())) // w2 takes shard B
-		accounted(f.result(2, 1, parts[1], clock.Now()))
+		accounted(f.result(2, 1, parts[1], nil, clock.Now()))
 		clock.Advance(2 * time.Second)  // w1 silent past liveness
 		reply(f.assign(2, clock.Now())) // reaps w1, w2 inherits A
-		accounted(f.result(2, 0, parts[0], clock.Now()))
-		accounted(f.result(1, 0, parts[0], clock.Now())) // zombie dup
-		reply(f.assign(2, clock.Now()))                  // w2 takes the last shard
-		accounted(f.result(2, 2, parts[2], clock.Now()))
+		accounted(f.result(2, 0, parts[0], nil, clock.Now()))
+		accounted(f.result(1, 0, parts[0], nil, clock.Now())) // zombie dup
+		reply(f.assign(2, clock.Now()))                       // w2 takes the last shard
+		accounted(f.result(2, 2, parts[2], nil, clock.Now()))
 		f.touch(2, clock.Now())
 		f.reap(clock.Now())
 		f.drain(2)
@@ -135,7 +135,7 @@ func TestLedgerFSMReapsReturningZombie(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := f.result(worker, shard, p, clock.Now()); err != nil || f.shards[shard].partial != p {
+		if kept, err := f.result(worker, shard, p, nil, clock.Now()); err != nil || !kept || f.shards[shard].partial != p {
 			t.Fatalf("worker %d result for shard %d not accepted (%v)", worker, shard, err)
 		}
 	}
@@ -227,12 +227,12 @@ func TestLedgerFSMRetransmitAcknowledgedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.result(1, first.Shard, p, at); err != nil || f.shards[first.Shard].partial != p {
+	if kept, err := f.result(1, first.Shard, p, nil, at); err != nil || !kept || f.shards[first.Shard].partial != p {
 		t.Fatalf("first upload rejected (%v)", err)
 	}
 	// Lost result reply: the retransmit is acknowledged but changes nothing.
-	if err := f.result(1, first.Shard, p, at); err != nil {
-		t.Fatalf("retransmitted result answered %v, want an acknowledgement", err)
+	if kept, err := f.result(1, first.Shard, p, nil, at); err != nil || kept {
+		t.Fatalf("retransmitted result answered %v (kept %v), want an acknowledgement it does not keep", err, kept)
 	}
 	l := f.snapshot()
 	if l.Dispatched[first.Shard] != 1 || l.Returned[first.Shard] != 1 || l.Accepted[first.Shard] != 1 {

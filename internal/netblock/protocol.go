@@ -251,13 +251,17 @@ func ReadRequest(r io.Reader) (*Request, error) {
 const allocChunk = 64 << 10
 
 // readPayload reads exactly n payload bytes, committing memory only as data
-// arrives and without regrowing: a frame of up to two chunks is one buffer
-// from the start; a longer one is read in allocChunk pieces until half of it
-// has arrived, then the one buffer of the frame's size is committed, the
-// pieces gathered into it and the rest read in place. That allocates about
-// 1.5x the frame and copies at most half of it, and a peer that stalls after
-// k bytes has cost k plus two chunks before the commit, at most 3k plus a
-// chunk after it. EOF mid-payload reports io.ErrUnexpectedEOF.
+// arrives and without regrowing. A frame longer than two chunks is read
+// straight into a recycled buffer when framePool holds one long enough
+// (Recycle): that commits nothing new and copies nothing, and a frame that
+// ends early hands the buffer back. Otherwise a frame of up to two chunks is
+// one buffer from the start; a longer one is read in allocChunk pieces until
+// half of it has arrived, then the one buffer of the frame's exact size is
+// committed, the pieces gathered into it and the rest read in place. That
+// allocates about 1.5x the frame and copies at most half of it, and a peer
+// that stalls after k bytes has cost k plus two chunks before the commit, at
+// most 3k plus a chunk after it. EOF mid-payload reports
+// io.ErrUnexpectedEOF.
 func readPayload(r io.Reader, n uint32) ([]byte, error) {
 	if n == 0 {
 		return nil, nil
@@ -265,6 +269,13 @@ func readPayload(r io.Reader, n uint32) ([]byte, error) {
 	total := int(n)
 	var pieces [][]byte
 	if total > 2*allocChunk {
+		if buf := pooledBuffer(total); buf != nil {
+			if err := readFull(r, buf); err != nil {
+				Recycle(buf)
+				return nil, err
+			}
+			return buf, nil
+		}
 		for got := 0; got < total/2; got += allocChunk {
 			piece := make([]byte, allocChunk)
 			if err := readFull(r, piece); err != nil {
