@@ -215,19 +215,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Per-stage latency percentiles.
 	fmt.Fprintln(stdout, "latency by stage (us):")
 	fmt.Fprintf(stdout, "  %-14s %8s %8s %8s\n", "stage", "p50", "p99", "mean")
-	col := make([]float64, len(ds.Trace)) // one column at a time
+	// One column at a time, its mean taken before Quantiles reorders it.
+	col := make([]float64, len(ds.Trace))
 	for st := trace.Stage(0); st < trace.NumStages; st++ {
 		for i := range ds.Trace {
 			col[i] = float64(ds.Trace[i].Latency[st])
 		}
+		mean := stats.Mean(col)
 		q := stats.Quantiles(col, 0.5, 0.99)
-		fmt.Fprintf(stdout, "  %-14s %8.0f %8.0f %8.0f\n", st, q[0], q[1], stats.Mean(col))
+		fmt.Fprintf(stdout, "  %-14s %8.0f %8.0f %8.0f\n", st, q[0], q[1], mean)
 	}
 	for i := range ds.Trace {
 		col[i] = ds.Trace[i].TotalLatency()
 	}
+	mean := stats.Mean(col)
 	q := stats.Quantiles(col, 0.5, 0.99)
-	fmt.Fprintf(stdout, "  %-14s %8.0f %8.0f %8.0f\n\n", "end-to-end", q[0], q[1], stats.Mean(col))
+	fmt.Fprintf(stdout, "  %-14s %8.0f %8.0f %8.0f\n\n", "end-to-end", q[0], q[1], mean)
 
 	// Worker-thread balance per node (top 5 busiest nodes, ties to the lower
 	// id). The dataset laws hold every record to a positive size and a WT of

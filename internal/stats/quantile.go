@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -11,16 +12,18 @@ import (
 // numpy and R). It returns NaN for an empty slice or q outside [0,1],
 // including q = NaN (which a plain range check would let through into an
 // undefined float-to-int conversion).
+// xs is left as it was: Quantile selects in a copy.
 func Quantile(xs []float64, q float64) float64 {
-	return Quantiles(xs, q)[0]
+	return Quantiles(slices.Clone(xs), q)[0]
 }
 
-// Quantiles returns Quantile(xs, q) for each q of qs. It orders one copy of
-// xs (none when no q needs it) only as far as the order statistics its qs
-// read: a selection of those ranks, not a sort. The k-th order statistic
-// has one value however it is found, so every result equals the one a
-// sorted copy gives (NaNs order first, as sort.Float64s puts them; -0 and
-// +0 are equal, so either may stand at a rank).
+// Quantiles returns Quantile(xs, q) for each q of qs, reordering xs in
+// place: the caller passes a column it does not read in its order again,
+// and no copy is made. It orders xs only as far as the order statistics its
+// qs read: a selection of those ranks, not a sort. The k-th order
+// statistic has one value however it is found, so every result equals the
+// one a sorted copy gives (NaNs order first, as sort.Float64s puts them; -0
+// and +0 are equal, so either may stand at a rank).
 func Quantiles(xs []float64, qs ...float64) []float64 {
 	out := make([]float64, len(qs))
 	var ranks []int
@@ -30,11 +33,9 @@ func Quantiles(xs []float64, qs ...float64) []float64 {
 			ranks = append(ranks, lo, hi)
 		}
 	}
-	var ordered []float64
 	if len(ranks) > 0 {
-		ordered = append([]float64(nil), xs...)
 		sort.Ints(ranks)
-		selectRanks(ordered, ranks)
+		selectRanks(xs, ranks)
 	}
 	for i, q := range qs {
 		if len(xs) == 0 || !(q >= 0 && q <= 1) {
@@ -43,9 +44,9 @@ func Quantiles(xs []float64, qs ...float64) []float64 {
 		}
 		lo, hi, w := quantileRanks(len(xs), q)
 		if lo == hi {
-			out[i] = ordered[lo]
+			out[i] = xs[lo]
 		} else {
-			out[i] = ordered[lo]*(1-w) + ordered[hi]*w
+			out[i] = xs[lo]*(1-w) + xs[hi]*w
 		}
 	}
 	return out
