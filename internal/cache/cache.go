@@ -80,6 +80,20 @@ func Number(accesses []Access) Stream {
 	return s
 }
 
+// Reserve sizes c's id-indexed tables for a replay of s, to its number of
+// distinct pages, so that no touch of the replay regrows them: Clock, FIFO
+// and LRU keep such tables; other caches are left as they are. Simulate
+// reserves what it is given; a caller that wraps a policy reserves the
+// policy itself.
+func (s Stream) Reserve(c Cache) {
+	switch c := c.(type) {
+	case *Clock:
+		c.reserve(len(s.Pages))
+	case *LRU:
+		c.reserve(len(s.Pages))
+	}
+}
+
 // Frozen is NewFrozen keyed by s's ids: since ids follow page order, the
 // pinned pages s touches are one id range, and Len counts them.
 func (s Stream) Frozen(offset, length int64) *Frozen {
@@ -135,8 +149,10 @@ func (r SimResult) HitRatio() float64 {
 	return float64(r.PageHits) / float64(r.PageTotal)
 }
 
-// Simulate replays a numbered stream through the cache.
+// Simulate replays a numbered stream through the cache, reserved for it
+// first.
 func Simulate(c Cache, s Stream) SimResult {
+	s.Reserve(c)
 	res := SimResult{PageTotal: int64(len(s.IDs))}
 	for _, id := range s.IDs {
 		if c.Touch(int64(id)) {

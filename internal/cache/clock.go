@@ -1,5 +1,7 @@
 package cache
 
+import "slices"
+
 // Clock is the classic second-chance approximation of LRU: pages sit on a
 // circular buffer with a reference bit; the hand sweeps, clearing bits and
 // evicting the first unreferenced page. It serves as an extension baseline
@@ -63,13 +65,22 @@ func (c *Clock) Touch(id int64) bool {
 	return false
 }
 
+// reserve sizes the id table for ids [0, ids) and the ring for as many of
+// them as can be resident.
+func (c *Clock) reserve(ids int) {
+	c.slot = grow(c.slot, int64(ids)-1)
+	c.ring = slices.Grow(c.ring, max(min(c.cap, ids)-len(c.ring), 0))
+}
+
 // Len implements Cache.
 func (c *Clock) Len() int { return len(c.ring) }
 
 // Capacity implements Cache.
 func (c *Clock) Capacity() int { return c.cap }
 
-// grow extends an id-indexed table with zeros until it holds id.
+// grow extends an id-indexed table with zeros until it holds id. A replay's
+// table is sized once ahead of it (Stream.Reserve), so there it never
+// regrows; a cache touched outside one grows it here.
 func grow(table []int32, id int64) []int32 {
 	if id < int64(len(table)) {
 		return table

@@ -1,5 +1,7 @@
 package cache
 
+import "slices"
+
 // LRU evicts the least recently used page. Its recency list is circular and
 // linked through a slot-indexed slice: slot 0 is the sentinel, the others
 // fill to capacity, and then each miss recycles the least recent slot.
@@ -51,6 +53,13 @@ func (c *LRU) Admit(id int64) (hit bool, evicted int64) {
 	c.nodes[head].prev, c.nodes[0].next = s, s
 	c.slot[id] = s
 	return hit, evicted
+}
+
+// reserve sizes the id table for ids [0, ids) and the nodes for as many of
+// them as can be resident, beside the sentinel.
+func (c *LRU) reserve(ids int) {
+	c.slot = grow(c.slot, int64(ids)-1)
+	c.nodes = slices.Grow(c.nodes, max(min(c.cap, ids)+1-len(c.nodes), 0))
 }
 
 func (c *LRU) unlink(s int32) {

@@ -74,6 +74,7 @@ func Filter(cfg Config, app []cache.Access) ([]cache.Access, Stats) {
 	}
 	s := cache.Number(app)
 	c := &pageCache{interval: cfg.FlushIntervalUS, lru: cache.NewLRU(cfg.CachePages), pages: s.Pages, dirty: make([]bool, len(s.Pages))}
+	s.Reserve(c.lru)
 	ids := s.IDs
 	var end int64
 	for _, io := range app {

@@ -79,6 +79,7 @@ func CheckStream(rep *Report, accesses []cache.Access, s cache.Stream) {
 // length, the simulator's counters and the audit's own tally.
 func SimulateChecked(rep *Report, c cache.Cache, s cache.Stream) cache.SimResult {
 	const law = "conserve/cache"
+	s.Reserve(c) // the audit wrapper hides the policy from Simulate's
 	audit := &cacheAudit{inner: c, capacity: c.Capacity()}
 	res := cache.Simulate(audit, s)
 	rep.AddAll(law, audit.violations)
