@@ -253,8 +253,8 @@ const allocChunk = 64 << 10
 // readPayload reads exactly n payload bytes, committing memory only as data
 // arrives and without regrowing. A frame longer than two chunks is read
 // straight into a recycled buffer when framePool holds one long enough
-// (Recycle): that commits nothing new and copies nothing, and a frame that
-// ends early hands the buffer back. Otherwise a frame of up to two chunks is
+// (Recycle): that commits nothing new and gathers no pieces, and a frame
+// that ends early hands the buffer back. Otherwise a frame of up to two chunks is
 // one buffer from the start; a longer one is read in allocChunk pieces until
 // half of it has arrived, then the one buffer of the frame's exact size is
 // committed, the pieces gathered into it and the rest read in place. That
